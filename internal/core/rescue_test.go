@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 func TestRescueRecoversFromOutlierPollutedGPFit(t *testing.T) {
@@ -37,6 +38,66 @@ func TestRescueRecoversFromOutlierPollutedGPFit(t *testing.T) {
 	}
 	if !s.LastRescued() {
 		t.Error("expected the rescue pass to trigger")
+	}
+}
+
+// TestRescueReusesFirstStageMean pins the rescue pass to what it computed
+// when it re-scanned g for its scale: on a rescued case of every SID the
+// final threshold is bit-equal to the two-tier correction replayed here
+// from a fresh stats.MeanAbs(g), and the selection is that threshold's.
+func TestRescueReusesFirstStageMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	uniform := make([]float64, 50000) // no tail at all: the exponential and gamma fits select nothing
+	for i := range uniform {
+		uniform[i] = 2*rng.Float64() - 1
+	}
+	polluted := sampleVec(stats.DoubleGamma{Shape: 0.55, Scale: 0.01}, 200000, 1)
+	for j := 0; j < 10; j++ {
+		polluted[rng.Intn(len(polluted))] = 50 * (rng.Float64() - 0.5)
+	}
+	heavy := sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6)
+	for _, c := range []struct {
+		sid   SID
+		g     []float64
+		delta float64
+	}{
+		{SIDExponential, uniform, 0.001},
+		{SIDGammaGP, uniform, 0.001},
+		{SIDGP, polluted, 0.001},
+		{SIDExponential, heavy, 0.001}, // over-selection: first tier only
+	} {
+		eta, _, _ := New(Config{SID: c.sid}).estimateThreshold(c.g, c.delta, 1)
+		k := compress.TargetK(len(c.g), c.delta)
+		beta := stats.MeanAbs(c.g)
+		kHat := tensor.CountAboveThreshold(c.g, eta)
+		if kHat*3 >= k && kHat <= 3*k {
+			t.Fatalf("%v: first stage selected %d of %d, not a rescue case", c.sid, kHat, k)
+		}
+		eta = math.Max(0, eta+beta*math.Log(math.Max(1, float64(kHat))/float64(k)))
+		if kHat = tensor.CountAboveThreshold(c.g, eta); kHat*3 < k {
+			eta = math.Min(eta, ThresholdExp(beta, c.delta))
+		}
+		wantIdx, wantVals := tensor.FilterAboveThreshold(c.g, eta, nil, nil)
+
+		s := New(Config{SID: c.sid})
+		sp, err := s.Compress(c.g, c.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.LastRescued() {
+			t.Errorf("%v: rescue did not fire", c.sid)
+		}
+		if got := s.LastThreshold(); math.Float64bits(got) != math.Float64bits(eta) {
+			t.Errorf("%v: rescued threshold %v, replayed from MeanAbs %v", c.sid, got, eta)
+		}
+		if len(sp.Idx) != len(wantIdx) {
+			t.Fatalf("%v: selected %d, want %d", c.sid, len(sp.Idx), len(wantIdx))
+		}
+		for i := range wantIdx {
+			if sp.Idx[i] != wantIdx[i] || sp.Vals[i] != wantVals[i] {
+				t.Fatalf("%v: selection differs at %d", c.sid, i)
+			}
+		}
 	}
 }
 

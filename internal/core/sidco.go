@@ -74,8 +74,10 @@ type Config struct {
 	// the exact inverse incomplete gamma quantile. The approximation is an
 	// upper bound that is tight only near shape 1 — the paper attributes
 	// SIDCo-GP's first-stage estimation error to it (Appendix E.1) — so
-	// the default here is the exact quantile, whose extra cost is a single
-	// scalar Newton solve on top of the O(d) moment pass.
+	// the default here is the exact quantile. It is an accuracy knob, not
+	// a speed knob: at d = 2^21 the moment pass over g costs 4.4 ms
+	// (21 ms while it took a math.Log per element) against 0.55 µs for the
+	// exact Newton solve and 0.065 µs for the closed form.
 	ApproxGamma bool
 }
 
@@ -206,7 +208,8 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 	if s.stages > maxM {
 		s.stages = maxM
 	}
-	eta, used := s.estimateThreshold(g, delta, s.stages)
+	// beta, the mean of |g|, is the scale of the rescue pass below.
+	eta, used, beta := s.estimateThreshold(g, delta, s.stages)
 
 	dst.Reset(d)
 	dst.Idx, dst.Vals = s.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
@@ -228,7 +231,6 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 	}
 	collapsed := func(kh int) bool { return kh*3 < k || kh > 3*k } //sidco:alloc non-escaping closure, stack-allocated
 	if kHat := dst.NNZ(); collapsed(kHat) {
-		beta := s.stat.MeanAbs(g)
 		if beta > 0 {
 			obs := float64(kHat)
 			if obs < 1 {
@@ -246,7 +248,7 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 		// not enough (e.g. a GP moment fit whose variance was exploded by
 		// outliers overshot the threshold by far more than one exponential
 		// step), fall back to a fresh single-stage exponential estimate —
-		// MeanAbs is linear in the data and therefore outlier-robust.
+		// the mean of |g| is linear in the data and therefore outlier-robust.
 		// Over-selection is left alone: sending extra elements costs
 		// bandwidth but never convergence, and correcting it upward with
 		// an inflated scale can re-enter the collapse.
@@ -273,20 +275,22 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 }
 
 // estimateThreshold runs the multi-stage fitting loop and returns the
-// final threshold together with the number of stages actually executed.
-func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float64, used int) {
+// final threshold together with the number of stages actually executed
+// and the mean of |g|, which every SID's first stage computes on the way
+// (bit-equal to stats.MeanAbs(g)) and the rescue pass needs again.
+func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float64, used int, meanAbs float64) {
 	s.stageBuf = appendStageRatios(s.stageBuf[:0], delta, s.cfg.Delta1, m)
 	ratios := s.stageBuf
 
 	// Stage 1 fits the full gradient with the primary SID.
-	eta = s.firstStageThreshold(g, ratios[0])
+	eta, meanAbs = s.firstStageThreshold(g, ratios[0])
 	used = 1
 	if len(ratios) == 1 || !(eta > 0) || math.IsNaN(eta) {
 		if !(eta > 0) || math.IsNaN(eta) {
 			// Degenerate fit: fall back to keeping everything non-zero.
 			eta = 0
 		}
-		return eta, used
+		return eta, used, meanAbs
 	}
 
 	// Later stages fit the exceedances (PoT) over the running threshold.
@@ -308,27 +312,28 @@ func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float6
 		eta = next
 		used++
 	}
-	return eta, used
+	return eta, used, meanAbs
 }
 
 // firstStageThreshold computes the single-stage threshold from the full
-// gradient (Thresh_Estimation in Algorithm 1).
-func (s *SIDCo) firstStageThreshold(g []float64, delta float64) float64 {
+// gradient (Thresh_Estimation in Algorithm 1) in one moment pass over g,
+// and returns the mean of |g| that pass produced beside it.
+func (s *SIDCo) firstStageThreshold(g []float64, delta float64) (eta, meanAbs float64) {
 	switch s.cfg.SID {
 	case SIDExponential:
-		return ThresholdExp(s.stat.MeanAbs(g), delta)
-	case SIDGammaGP:
 		mu := s.stat.MeanAbs(g)
-		muLog := s.stat.MeanLogAbs(g)
+		return ThresholdExp(mu, delta), mu
+	case SIDGammaGP:
+		mu, muLog := s.stat.GammaMoments(g)
 		if s.cfg.ApproxGamma {
-			return ThresholdGamma(mu, muLog, delta)
+			return ThresholdGamma(mu, muLog, delta), mu
 		}
-		return ThresholdGammaExact(mu, muLog, delta)
+		return ThresholdGammaExact(mu, muLog, delta), mu
 	case SIDGP:
 		mu, v := s.stat.MeanVarAbs(g)
-		return ThresholdGP(mu, v, delta)
+		return ThresholdGP(mu, v, delta), mu
 	default:
-		return math.NaN()
+		return math.NaN(), math.NaN()
 	}
 }
 
@@ -412,28 +417,20 @@ func ThresholdExp(beta, delta float64) float64 {
 // ThresholdGamma is the closed-form approximation of Corollary 1.2:
 // eta ~= -beta*(log(delta) + logGamma(alpha)), with (alpha, beta) the
 // Minka closed-form gamma fit computed from the mean and log-mean of the
-// absolute gradients.
+// absolute gradients. A degenerate fit gives NaN.
 func ThresholdGamma(meanAbs, meanLogAbs, delta float64) float64 {
-	s := math.Log(meanAbs) - meanLogAbs
-	if !(s > 0) {
-		return math.NaN()
-	}
-	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
-	beta := meanAbs / alpha
-	return -beta * (math.Log(delta) + stats.LogGamma(alpha))
+	p := stats.GammaFromMoments(meanAbs, meanLogAbs)
+	return -p.Scale * (math.Log(delta) + stats.LogGamma(p.Shape))
 }
 
 // ThresholdGammaExact computes the gamma threshold through the exact
-// inverse regularized incomplete gamma function — the expensive route the
-// closed form approximates; used by tests and the ablation bench.
+// inverse regularized incomplete gamma function, which the closed form
+// approximates. It is SIDCo-GP's default first stage: the solve is a
+// scalar Newton iteration on the two moments, about a microsecond
+// whatever the dimension. A degenerate fit gives NaN.
 func ThresholdGammaExact(meanAbs, meanLogAbs, delta float64) float64 {
-	s := math.Log(meanAbs) - meanLogAbs
-	if !(s > 0) {
-		return math.NaN()
-	}
-	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
-	beta := meanAbs / alpha
-	return beta * stats.InverseRegularizedGammaP(alpha, 1-delta)
+	p := stats.GammaFromMoments(meanAbs, meanLogAbs)
+	return p.Scale * stats.InverseRegularizedGammaP(p.Shape, 1-delta)
 }
 
 // ThresholdGP is the closed-form generalized Pareto threshold of

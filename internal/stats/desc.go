@@ -12,55 +12,119 @@ import (
 // variants bit-identical to the serial functions at any parallelism.
 const sumBlock = 4096
 
-// blockSum sums xs by fixed blocks: one partial per sumBlock elements,
-// combined in block order.
-func blockSum(xs []float64) float64 {
-	total := 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += x
-		}
-		total += s
+// A blockKernel reduces one sumBlock of a vector to at most three
+// partial sums (unused slots stay zero). c is the kernel's constant — a
+// centre or a location — for the kernels that take one. Each reduction's
+// per-element loop is written once, here, and driven by Par.reduce for
+// the serial functions and the Par methods alike.
+type blockKernel func(blk []float64, c float64) [3]float64
+
+// sumKernel: Σx.
+func sumKernel(blk []float64, _ float64) [3]float64 {
+	s := 0.0
+	for _, x := range blk {
+		s += x
 	}
-	return total
+	return [3]float64{s}
+}
+
+// absKernel: Σ|x|.
+func absKernel(blk []float64, _ float64) [3]float64 {
+	s := 0.0
+	for _, x := range blk {
+		s += math.Abs(x)
+	}
+	return [3]float64{s}
+}
+
+// absSqKernel: Σ|x| and Σx².
+func absSqKernel(blk []float64, _ float64) [3]float64 {
+	s, s2 := 0.0, 0.0
+	for _, x := range blk {
+		a := math.Abs(x)
+		s += a
+		s2 += a * a
+	}
+	return [3]float64{s, s2}
+}
+
+// shiftedKernel: Σ(x-c) and Σ(x-c)².
+func shiftedKernel(blk []float64, c float64) [3]float64 {
+	s, s2 := 0.0, 0.0
+	for _, x := range blk {
+		d := x - c
+		s += d
+		s2 += d * d
+	}
+	return [3]float64{s, s2}
+}
+
+const (
+	absMask  = 1<<63 - 1
+	mantMask = 1<<52 - 1
+	expBias  = 1023
+	// logSub is how many mantissas one product absorbs before its
+	// logarithm is taken: two accumulators of at most 256 factors in
+	// [1, 2) each, so their product stays below 2^512.
+	logSub = 512
+)
+
+// gammaKernel: Σ|x|, Σ log|x| over the non-zero entries, and their count
+// — the gamma sufficient statistics — without a logarithm per element.
+// A normal |x| is m·2^e with m in [1, 2), so Σ log|x| =
+// ln2·Σe + Σ log(Π m): the exponents add exactly as integers and the
+// mantissas multiply, logSub at a time, into two independent
+// accumulators (the multiply latency overlaps), leaving one math.Log per
+// logSub elements. Zeros are skipped; subnormals, ±Inf and NaN take
+// math.Log directly. Σ|x| adds in absKernel's order, so the mean is
+// bit-identical to MeanAbs. Sub-block bounds and accumulator turns
+// depend only on the block's contents, never on who computes it.
+func gammaKernel(blk []float64, _ float64) [3]float64 {
+	abs, logs := 0.0, 0.0
+	exp, n := 0, 0
+	for len(blk) > 0 {
+		sub := blk[:min(logSub, len(blk))]
+		blk = blk[len(sub):]
+		p0, p1 := 1.0, 1.0
+		for _, x := range sub {
+			b := math.Float64bits(x) & absMask
+			a := math.Float64frombits(b)
+			abs += a
+			e := b >> 52
+			if e-1 >= 2*expBias { // zero or subnormal (e = 0), Inf or NaN (e = 2047)
+				if b != 0 {
+					logs += math.Log(a)
+					n++
+				}
+				continue
+			}
+			p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
+			exp += int(e) - expBias
+			n++
+		}
+		logs += math.Log(p0 * p1)
+	}
+	return [3]float64{abs, math.Ln2*float64(exp) + logs, float64(n)}
+}
+
+// meanVar turns Σv, Σv² and the count into the mean and the population
+// variance, clamped at zero against catastrophic cancellation.
+func meanVar(sum, sumSq, n float64) (mean, variance float64) {
+	mean = sum / n
+	variance = sumSq/n - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return mean, variance
 }
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return blockSum(xs) / float64(len(xs))
-}
+func Mean(xs []float64) float64 { return serial.Mean(xs) }
 
 // Variance returns the population variance (divide by n) of xs, matching
 // the moment estimators used in the paper's closed-form fitters. It returns
 // NaN for empty input.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	total := 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			d := x - m
-			s += d * d
-		}
-		total += s
-	}
-	return total / float64(len(xs))
-}
+func Variance(xs []float64) float64 { return serial.Variance(xs) }
 
 // SampleVariance returns the unbiased sample variance (divide by n-1) of
 // xs, or NaN when fewer than two observations are supplied.
@@ -83,85 +147,20 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // MeanAbs returns the mean of |x| over xs — the maximum-likelihood scale
 // estimate for Laplace-distributed data (Corollary 1.1). It returns NaN for
 // empty input.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	total := 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += math.Abs(x)
-		}
-		total += s
-	}
-	return total / float64(len(xs))
-}
+func MeanAbs(xs []float64) float64 { return serial.MeanAbs(xs) }
 
 // MeanVarAbs returns the mean and population variance of |x| over xs in a
 // single pass — the two moments the GP moment-matching fitter consumes.
-func MeanVarAbs(xs []float64) (mean, variance float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	sum, sumSq := 0.0, 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s, s2 := 0.0, 0.0
-		for _, x := range xs[lo:hi] {
-			a := math.Abs(x)
-			s += a
-			s2 += a * a
-		}
-		sum += s
-		sumSq += s2
-	}
-	n := float64(len(xs))
-	mean = sum / n
-	variance = sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0 // guard against catastrophic cancellation
-	}
-	return mean, variance
-}
+func MeanVarAbs(xs []float64) (mean, variance float64) { return serial.MeanVarAbs(xs) }
 
-// MeanLogAbs returns the mean of log|x| over the non-zero entries of xs —
-// the sufficient statistic s = log(mean) - mean(log) of the Minka gamma
-// fitter. Entries equal to zero are skipped (log 0 would poison the sum;
-// in SIDCo they correspond to exactly-zero gradients, which carry no shape
-// information). It returns NaN if all entries are zero or xs is empty.
-func MeanLogAbs(xs []float64) float64 {
-	sum := 0.0
-	n := 0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s, c := 0.0, 0
-		for _, x := range xs[lo:hi] {
-			a := math.Abs(x)
-			if a == 0 {
-				continue
-			}
-			s += math.Log(a)
-			c++
-		}
-		sum += s
-		n += c
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
+// GammaMoments returns, from one pass over xs, the mean of |x| (bit-equal
+// to MeanAbs) and the mean of log|x| over the non-zero entries — the two
+// moments behind the sufficient statistic s = log(mean) - mean(log) of
+// the Minka gamma fitter. Entries equal to zero are skipped in the
+// log-mean (log 0 would poison the sum; in SIDCo they correspond to
+// exactly-zero gradients, which carry no shape information): it is NaN if
+// all entries are zero or xs is empty.
+func GammaMoments(xs []float64) (meanAbs, meanLogAbs float64) { return serial.GammaMoments(xs) }
 
 // MinMax returns the minimum and maximum of xs, or (NaN, NaN) for empty
 // input.

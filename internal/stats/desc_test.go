@@ -25,13 +25,12 @@ func TestMeanVarianceBasics(t *testing.T) {
 
 func TestEmptyInputsAreNaN(t *testing.T) {
 	for name, got := range map[string]float64{
-		"Mean":       Mean(nil),
-		"Variance":   Variance(nil),
-		"MeanAbs":    MeanAbs(nil),
-		"MeanLogAbs": MeanLogAbs(nil),
-		"MaxAbs":     MaxAbs(nil),
-		"Quantile":   Quantile(nil, 0.5),
-		"Kurtosis":   Kurtosis(nil),
+		"Mean":     Mean(nil),
+		"Variance": Variance(nil),
+		"MeanAbs":  MeanAbs(nil),
+		"MaxAbs":   MaxAbs(nil),
+		"Quantile": Quantile(nil, 0.5),
+		"Kurtosis": Kurtosis(nil),
 	} {
 		if !math.IsNaN(got) {
 			t.Errorf("%s(nil) = %v, want NaN", name, got)
@@ -143,15 +142,5 @@ func TestKurtosis(t *testing.T) {
 	}
 	if k := Kurtosis([]float64{5, 5, 5}); !math.IsNaN(k) {
 		t.Errorf("constant kurtosis = %v, want NaN", k)
-	}
-}
-
-func TestMeanLogAbsSkipsZeros(t *testing.T) {
-	got := MeanLogAbs([]float64{math.E, -math.E, 0, 0})
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("MeanLogAbs = %v, want 1", got)
-	}
-	if got := MeanLogAbs([]float64{0, 0}); !math.IsNaN(got) {
-		t.Errorf("all zeros: %v, want NaN", got)
 	}
 }

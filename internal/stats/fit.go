@@ -32,15 +32,18 @@ type GammaParams struct {
 // Zero entries are skipped in the log-mean (they carry no shape
 // information); degenerate inputs produce NaN parameters, which callers
 // treat as "fit unavailable".
-func FitGammaAbs(xs []float64) GammaParams {
-	mu := MeanAbs(xs)
-	muLog := MeanLogAbs(xs)
-	s := math.Log(mu) - muLog
-	if !(s > 0) { // NaN or non-positive: data degenerate (constant or empty)
+func FitGammaAbs(xs []float64) GammaParams { return GammaFromMoments(GammaMoments(xs)) }
+
+// GammaFromMoments is the Minka closed form above from the two moments
+// GammaMoments returns: the one place the formula lives. A non-positive
+// or NaN s — constant, all-zero or empty data — gives NaN parameters.
+func GammaFromMoments(meanAbs, meanLogAbs float64) GammaParams {
+	s := math.Log(meanAbs) - meanLogAbs
+	if !(s > 0) {
 		return GammaParams{Shape: math.NaN(), Scale: math.NaN()}
 	}
 	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
-	return GammaParams{Shape: alpha, Scale: mu / alpha}
+	return GammaParams{Shape: alpha, Scale: meanAbs / alpha}
 }
 
 // GPParams holds the shape/scale estimates of a generalized Pareto fit
@@ -80,36 +83,12 @@ func FitGPAbs(xs []float64) GPParams {
 // >= loc) after shifting by loc, per Lemma 2: the moments are those of
 // |g| - loc.
 func FitGPExceedance(absXS []float64, loc float64) GPParams {
-	if len(absXS) == 0 {
-		return GPParams{Shape: math.NaN(), Scale: math.NaN()}
-	}
-	sum, sumSq := 0.0, 0.0
-	for lo := 0; lo < len(absXS); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(absXS) {
-			hi = len(absXS)
-		}
-		bs, bs2 := 0.0, 0.0
-		for _, a := range absXS[lo:hi] {
-			s := a - loc
-			bs += s
-			bs2 += s * s
-		}
-		sum += bs
-		sumSq += bs2
-	}
-	n := float64(len(absXS))
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return FitGPMoments(mean, variance)
+	return serial.FitGPExceedance(absXS, loc)
 }
 
 // FitGaussian fits a normal distribution to xs by maximum likelihood
 // (sample mean and population standard deviation). The GaussianKSGD
 // baseline uses this on raw gradients.
 func FitGaussian(xs []float64) Gaussian {
-	return Gaussian{Mu: Mean(xs), Sigma: StdDev(xs)}
+	return serial.FitGaussian(xs)
 }

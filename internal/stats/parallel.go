@@ -10,213 +10,101 @@ import (
 // staying bit-identical to the serial functions: workers fill the same
 // fixed 4096-element block partials the serial code computes, into a
 // shared scratch slice, and one serial pass combines the partials in
-// block order. The zero value (P <= 1) delegates straight to the serial
-// functions with no scratch or goroutine cost. A Par is not
-// concurrency-safe; each compressor instance owns one.
+// block order. With P <= 1 (the zero value, or a nil *Par) the blocks
+// are reduced inline on the calling goroutine with no scratch or
+// goroutine cost — that is what the package-level functions run. A Par
+// is not concurrency-safe; each compressor instance owns one.
 type Par struct {
-	P      int
-	sums   []float64
-	sums2  []float64
-	counts []int
+	P     int
+	parts [][3]float64
 }
 
-func blocks(n int) int { return (n + sumBlock - 1) / sumBlock }
+// serial is the reducer behind the package-level functions.
+var serial *Par
 
-// fill runs fn over every block index on P workers, each worker owning
-// a contiguous block range.
-func (pp *Par) fill(nb int, fn func(b int)) {
+// reduce applies k to every sumBlock of xs and adds the partials in
+// block order. An empty xs reduces to zeros, which is what makes every
+// mean below NaN (0/0) on empty input without a check of its own.
+func (pp *Par) reduce(xs []float64, k blockKernel, c float64) (total [3]float64) {
+	if pp.inline(len(xs)) {
+		for lo := 0; lo < len(xs); lo += sumBlock {
+			p := k(xs[lo:min(lo+sumBlock, len(xs))], c)
+			for i := range total {
+				total[i] += p[i]
+			}
+		}
+		return total
+	}
+	parts := pp.scratch((len(xs) + sumBlock - 1) / sumBlock)
 	par.Do(pp.P, func(w int) {
-		lo, hi := par.RangeBounds(nb, pp.P, w)
+		lo, hi := par.RangeBounds(len(parts), pp.P, w)
 		for b := lo; b < hi; b++ {
-			fn(b)
+			parts[b] = k(xs[b*sumBlock:min((b+1)*sumBlock, len(xs))], c)
 		}
 	})
+	for _, p := range parts {
+		for i := range total {
+			total[i] += p[i]
+		}
+	}
+	return total
 }
 
-func (pp *Par) grow(nb int, two bool) {
-	if cap(pp.sums) < nb {
-		pp.sums = make([]float64, nb)
+// inline reports whether a reduction over n elements runs on the calling
+// goroutine: below two blocks the fan-out costs more than it saves.
+func (pp *Par) inline(n int) bool { return pp == nil || pp.P <= 1 || n < 2*sumBlock }
+
+func (pp *Par) scratch(n int) [][3]float64 {
+	if cap(pp.parts) < n {
+		pp.parts = make([][3]float64, n)
 	}
-	pp.sums = pp.sums[:nb]
-	if two {
-		if cap(pp.sums2) < nb {
-			pp.sums2 = make([]float64, nb)
-		}
-		pp.sums2 = pp.sums2[:nb]
-	}
+	return pp.parts[:n]
 }
 
 // Mean is Mean at parallelism P.
 func (pp *Par) Mean(xs []float64) float64 {
-	if pp.P <= 1 || len(xs) < 2*sumBlock {
-		return Mean(xs)
-	}
-	nb := blocks(len(xs))
-	pp.grow(nb, false)
-	pp.fill(nb, func(b int) {
-		lo := b * sumBlock
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += x
-		}
-		pp.sums[b] = s
-	})
-	total := 0.0
-	for _, s := range pp.sums {
-		total += s
-	}
-	return total / float64(len(xs))
+	return pp.reduce(xs, sumKernel, 0)[0] / float64(len(xs))
 }
 
 // MeanAbs is MeanAbs at parallelism P.
 func (pp *Par) MeanAbs(xs []float64) float64 {
-	if pp.P <= 1 || len(xs) < 2*sumBlock {
-		return MeanAbs(xs)
-	}
-	nb := blocks(len(xs))
-	pp.grow(nb, false)
-	pp.fill(nb, func(b int) {
-		lo := b * sumBlock
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += math.Abs(x)
-		}
-		pp.sums[b] = s
-	})
-	total := 0.0
-	for _, s := range pp.sums {
-		total += s
-	}
-	return total / float64(len(xs))
+	return pp.reduce(xs, absKernel, 0)[0] / float64(len(xs))
 }
 
 // MeanVarAbs is MeanVarAbs at parallelism P.
 func (pp *Par) MeanVarAbs(xs []float64) (mean, variance float64) {
-	if pp.P <= 1 || len(xs) < 2*sumBlock {
-		return MeanVarAbs(xs)
-	}
-	nb := blocks(len(xs))
-	pp.grow(nb, true)
-	pp.fill(nb, func(b int) {
-		lo := b * sumBlock
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s, s2 := 0.0, 0.0
-		for _, x := range xs[lo:hi] {
-			a := math.Abs(x)
-			s += a
-			s2 += a * a
-		}
-		pp.sums[b], pp.sums2[b] = s, s2
-	})
-	sum, sumSq := 0.0, 0.0
-	for b := range pp.sums {
-		sum += pp.sums[b]
-		sumSq += pp.sums2[b]
-	}
-	n := float64(len(xs))
-	mean = sum / n
-	variance = sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, variance
+	s := pp.reduce(xs, absSqKernel, 0)
+	return meanVar(s[0], s[1], float64(len(xs)))
 }
 
-// MeanLogAbs is MeanLogAbs at parallelism P.
-func (pp *Par) MeanLogAbs(xs []float64) float64 {
-	if pp.P <= 1 || len(xs) < 2*sumBlock {
-		return MeanLogAbs(xs)
-	}
-	nb := blocks(len(xs))
-	pp.grow(nb, false)
-	if cap(pp.counts) < nb {
-		pp.counts = make([]int, nb)
-	}
-	pp.counts = pp.counts[:nb]
-	pp.fill(nb, func(b int) {
-		lo := b * sumBlock
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s, c := 0.0, 0
-		for _, x := range xs[lo:hi] {
-			a := math.Abs(x)
-			if a == 0 {
-				continue
-			}
-			s += math.Log(a)
-			c++
-		}
-		pp.sums[b], pp.counts[b] = s, c
-	})
-	sum, n := 0.0, 0
-	for b := range pp.sums {
-		sum += pp.sums[b]
-		n += pp.counts[b]
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
+// GammaMoments is GammaMoments at parallelism P.
+func (pp *Par) GammaMoments(xs []float64) (meanAbs, meanLogAbs float64) {
+	s := pp.reduce(xs, gammaKernel, 0)
+	// s[2] counts the non-zero entries: 0/0 is the all-zero NaN.
+	return s[0] / float64(len(xs)), s[1] / s[2]
 }
 
 // Variance is Variance at parallelism P.
 func (pp *Par) Variance(xs []float64) float64 {
-	if pp.P <= 1 || len(xs) < 2*sumBlock {
-		return Variance(xs)
-	}
-	m := pp.Mean(xs)
-	nb := blocks(len(xs))
-	pp.grow(nb, false)
-	pp.fill(nb, func(b int) {
-		lo := b * sumBlock
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			d := x - m
-			s += d * d
-		}
-		pp.sums[b] = s
-	})
-	total := 0.0
-	for _, s := range pp.sums {
-		total += s
-	}
-	return total / float64(len(xs))
+	return pp.reduce(xs, shiftedKernel, pp.Mean(xs))[1] / float64(len(xs))
 }
 
 // MaxAbs is MaxAbs at parallelism P. The maximum is grouping-invariant
 // (comparisons against NaN are false in any order), so per-worker maxima
 // over contiguous ranges combine to exactly the serial result.
 func (pp *Par) MaxAbs(xs []float64) float64 {
-	if pp.P <= 1 || len(xs) < 2*sumBlock {
+	if pp.inline(len(xs)) {
 		return MaxAbs(xs)
 	}
-	pp.grow(pp.P, false)
-	maxes := pp.sums[:pp.P]
+	maxes := pp.scratch(pp.P)
 	par.Do(pp.P, func(w int) {
 		lo, hi := par.RangeBounds(len(xs), pp.P, w)
-		maxes[w] = MaxAbs(xs[lo:hi])
+		maxes[w][0] = MaxAbs(xs[lo:hi])
 	})
 	max := 0.0
 	for _, m := range maxes {
-		if m > max {
-			max = m
+		if m[0] > max {
+			max = m[0]
 		}
 	}
 	return max
@@ -229,47 +117,11 @@ func (pp *Par) FitGaussian(xs []float64) Gaussian {
 
 // FitGPExceedance is FitGPExceedance at parallelism P.
 func (pp *Par) FitGPExceedance(absXS []float64, loc float64) GPParams {
-	if pp.P <= 1 || len(absXS) < 2*sumBlock {
-		return FitGPExceedance(absXS, loc)
-	}
-	nb := blocks(len(absXS))
-	pp.grow(nb, true)
-	pp.fill(nb, func(b int) {
-		lo := b * sumBlock
-		hi := lo + sumBlock
-		if hi > len(absXS) {
-			hi = len(absXS)
-		}
-		bs, bs2 := 0.0, 0.0
-		for _, a := range absXS[lo:hi] {
-			s := a - loc
-			bs += s
-			bs2 += s * s
-		}
-		pp.sums[b], pp.sums2[b] = bs, bs2
-	})
-	sum, sumSq := 0.0, 0.0
-	for b := range pp.sums {
-		sum += pp.sums[b]
-		sumSq += pp.sums2[b]
-	}
-	n := float64(len(absXS))
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return FitGPMoments(mean, variance)
+	s := pp.reduce(absXS, shiftedKernel, loc)
+	return FitGPMoments(meanVar(s[0], s[1], float64(len(absXS))))
 }
 
 // FitGammaAbs is FitGammaAbs at parallelism P.
 func (pp *Par) FitGammaAbs(xs []float64) GammaParams {
-	mu := pp.MeanAbs(xs)
-	muLog := pp.MeanLogAbs(xs)
-	s := math.Log(mu) - muLog
-	if !(s > 0) {
-		return GammaParams{Shape: math.NaN(), Scale: math.NaN()}
-	}
-	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
-	return GammaParams{Shape: alpha, Scale: mu / alpha}
+	return GammaFromMoments(pp.GammaMoments(xs))
 }

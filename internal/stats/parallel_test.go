@@ -11,7 +11,7 @@ import (
 // 4096-element block partials make the grouping independent of P.
 func TestParBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 4095, 4096, 4097, 1<<17 + 311} {
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 2*4096 + 1, 1<<17 + 311} {
 		xs := make([]float64, n)
 		for i := range xs {
 			if rng.Intn(16) == 0 {
@@ -20,7 +20,7 @@ func TestParBitIdentity(t *testing.T) {
 				xs[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64()*4)
 			}
 		}
-		for _, p := range []int{2, 3, 8} {
+		for _, p := range []int{1, 2, 3, 8} {
 			pp := &Par{P: p}
 			bitEq := func(name string, got, want float64) {
 				t.Helper()
@@ -30,7 +30,10 @@ func TestParBitIdentity(t *testing.T) {
 			}
 			bitEq("Mean", pp.Mean(xs), Mean(xs))
 			bitEq("MeanAbs", pp.MeanAbs(xs), MeanAbs(xs))
-			bitEq("MeanLogAbs", pp.MeanLogAbs(xs), MeanLogAbs(xs))
+			pa, pl := pp.GammaMoments(xs)
+			sa, sl := GammaMoments(xs)
+			bitEq("GammaMoments mean", pa, sa)
+			bitEq("GammaMoments log-mean", pl, sl)
 			bitEq("Variance", pp.Variance(xs), Variance(xs))
 			bitEq("MaxAbs", pp.MaxAbs(xs), MaxAbs(xs))
 			gm, gv := pp.MeanVarAbs(xs)
