@@ -114,7 +114,7 @@ func main() {
 	flag.Float64Var(&opt.delta, "delta", 0.05, "compression ratio k/d")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
 	flag.StringVar(&opt.format, "format", "lossless", "gradient wire format: lossless, pairs, bitmap, dense, delta-varint, pairs-f16, pairs-bf16 or pairs-i8 (lossy wires pair with error feedback, which absorbs the rounding residual)")
-	flag.IntVar(&opt.parallel, "parallel", 1, "per-process compression/decode fan-out (goroutines); selections stay bit-identical at any setting")
+	flag.IntVar(&opt.parallel, "parallel", 1, "per-process compression fan-out (goroutines); selections stay bit-identical at any setting")
 	flag.BoolVar(&opt.check, "check", false, "verify global losses bit-identical to the in-process trainer and per-node traffic against the collective formulas")
 	flag.StringVar(&opt.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
 	flag.StringVar(&opt.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")
@@ -311,6 +311,24 @@ func trainerFor(opt options, workers, firstWorker int, ex dist.GradientExchange,
 	})
 }
 
+// clusterConfig is the deployment's cluster configuration as the flags
+// give it: what the launcher validates before it spawns anything, and
+// what every rank binds to its own transport.
+func clusterConfig(opt options, workers int, coll netsim.Collective) (cluster.Config, error) {
+	wire, err := cluster.ParseWire(opt.format)
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	return cluster.Config{
+		Workers:        workers,
+		Collective:     coll,
+		Format:         wire,
+		Chunks:         opt.chunks,
+		StepTimeout:    opt.stepTimeout,
+		MaxStepRetries: opt.stepRetries,
+	}, nil
+}
+
 // runNode is one process of the deployment: worker or parameter server.
 func runNode(opt options) error {
 	if opt.iters < 1 {
@@ -337,7 +355,7 @@ func runNode(opt options) error {
 	if opt.node >= len(hosts) {
 		return fmt.Errorf("-node %d outside the %d-host list", opt.node, len(hosts))
 	}
-	wire, err := cluster.ParseWire(opt.format)
+	cfg, err := clusterConfig(opt, workers, coll)
 	if err != nil {
 		return err
 	}
@@ -356,18 +374,8 @@ func runNode(opt options) error {
 		return err
 	}
 	defer tp.Close()
-	nd, err := cluster.NewNode(cluster.NodeConfig{
-		Workers:        workers,
-		Rank:           opt.node,
-		Collective:     coll,
-		Format:         wire,
-		Chunks:         opt.chunks,
-		Parallelism:    opt.parallel,
-		Transport:      tp,
-		Telemetry:      nt.tracer,
-		StepTimeout:    opt.stepTimeout,
-		MaxStepRetries: opt.stepRetries,
-	})
+	cfg.Rank, cfg.Transport, cfg.Telemetry = opt.node, tp, nt.tracer
+	nd, err := cluster.NewNode(cfg)
 	if err != nil {
 		return err
 	}
@@ -691,6 +699,15 @@ func runLaunch(opt options) error {
 		if opt.check {
 			fmt.Printf("kill-rank: per-child bitwise -check is off (membership shrinks mid-run); gating on survivor agreement instead\n")
 		}
+	}
+	// Pre-flight: refuse an unsupported combination here, once, instead
+	// of in every child after the deployment is up.
+	cfg, err := clusterConfig(opt, opt.launch, coll)
+	if err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	addrs, err := cluster.FreeLoopbackAddrs(nodes)
 	if err != nil {

@@ -9,13 +9,21 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
-// Config assembles a cluster Engine.
+// Config describes one cluster deployment: Engine hosts every rank of it
+// in one process, a Node is one rank of it in a process of its own. Every
+// process of a deployment must pass identical Workers, Collective, Format,
+// Chunks, ComputeSec and CompressSec, or the interlocking schedules
+// diverge.
 type Config struct {
-	// Workers is the number of training nodes N (>= 1).
+	// Workers is the global number of training nodes N (>= 1).
 	Workers int
+	// Rank is the node NewNode binds: 0..Workers-1 for a worker, or
+	// exactly Workers for the parameter-server node (CollectivePS only),
+	// which runs Serve instead of Exchange. New ignores it — an Engine
+	// hosts every rank.
+	Rank int
 	// Collective selects the exchange schedule. CollectiveAuto mirrors
 	// netsim: all-gather when a contribution is sparse, ring all-reduce
 	// when dense.
@@ -26,11 +34,20 @@ type Config struct {
 	// bit-for-bit; the float32 wires model what production fabrics
 	// actually ship.
 	Format Wire
-	// Transport overrides the default in-process channel transport. It
-	// must span NodeCount(Workers, Collective) nodes.
+	// Transport must span NodeCount(Workers, Collective) nodes. NewNode
+	// requires one — typically a TCPTransport hosting this rank over the
+	// deployment's shared host list; New defaults to an in-process
+	// channel transport.
+	//
+	// A Node reuses its encode buffers across exchanges. A TCPTransport
+	// copies every payload through the socket, so reuse is always safe
+	// there; Nodes sharing a by-reference transport (ChanTransport) need
+	// a barrier between rounds, and Engine's Exchange is that barrier.
 	Transport Transport
 	// Scenario enables the virtual-time model on the instrumented
-	// transport (nil: traffic counting only).
+	// transport (nil: traffic counting only). It is meaningful where one
+	// process sees every rank; in a multi-process run each process only
+	// sees its own clock.
 	Scenario *Scenario
 	// ComputeSec charges this much local work to every worker's clock at
 	// the start of each exchange (scaled per node by the scenario's
@@ -56,19 +73,25 @@ type Config struct {
 	// hide behind in-flight communication (scaled per node by the
 	// scenario's straggler factors).
 	CompressSec float64
-	// Parallelism fans each node's per-origin payload decodes out over
-	// up to this many goroutines per chunk round; the decoded
-	// contributions are then reduced serially in worker-index order, so
-	// aggregates are bit-identical to the sequential schedule at any
-	// setting. 0 or 1 decodes sequentially.
-	Parallelism int
 	// StepTimeout, when positive, bounds every blocking receive of one
-	// exchange: a worker stuck past the deadline fails its step with an
-	// error wrapping ErrTimeout instead of hanging. The Engine stays
-	// fail-stop — the classified error surfaces from Exchange and the
-	// engine shuts down; elastic recovery (retry over the surviving
-	// members) is Node's, the per-process runner. 0 disables deadlines.
+	// exchange (and of one server round): a receive stuck past the
+	// deadline fails the step with an error wrapping ErrTimeout — a
+	// recoverable classification, unlike ErrClosed. It must comfortably
+	// exceed one full step including every peer's local compute, since
+	// the schedules only interlock once all peers reach the exchange.
+	// 0 disables deadlines (a dead peer then blocks the step forever
+	// unless the transport detects it, as TCP does).
 	StepTimeout time.Duration
+	// MaxStepRetries enables elastic recovery: a step that fails
+	// recoverably (peer lost or receive timeout) triggers a membership
+	// renegotiation among the surviving nodes — fixed mask-exchange
+	// rounds over the raw transport that double as a link drain — and is
+	// then retried over the agreed group, up to this many times per step.
+	// The surviving workers rescale the aggregated mean to their count.
+	// 0 keeps the fail-stop behaviour. Requires StepTimeout > 0: without
+	// deadlines, survivors that are not adjacent to the dead peer would
+	// block forever instead of joining the renegotiation.
+	MaxStepRetries int
 	// Telemetry, if non-nil, traces every round (per-node collective
 	// spans, per-chunk encode spans) and the gradient traffic on the
 	// instrumented transport (per-link sent/recv message and byte
@@ -76,10 +99,67 @@ type Config struct {
 	// Transport().Totals()/RecvTotals() exactly — same layer, same
 	// events. Nil (the default) costs nothing.
 	Telemetry *telemetry.Tracer
-	// Verify makes every exchange cross-check that all nodes computed
-	// identical aggregates (a distributed-consistency assertion for
-	// tests; it costs O(N*d) comparisons per step).
+	// Verify makes every Engine exchange cross-check that all nodes
+	// computed identical aggregates (a distributed-consistency assertion
+	// for tests; it costs O(N*d) comparisons per step). A lone Node has
+	// nothing to compare against and ignores it.
 	Verify bool
+}
+
+// NodeConfig is the name Config goes by at NewNode call sites.
+type NodeConfig = Config
+
+// Validate checks the configuration — the one pre-flight every
+// constructor and launcher runs, so an unsupported combination is
+// refused before any transport, process or training step is spent on it.
+//
+//sidco:errclass config validation, deliberately fatal
+func (c Config) Validate() error {
+	if c.Workers < 1 {
+		return fmt.Errorf("cluster: Workers = %d, need >= 1", c.Workers)
+	}
+	switch c.Collective {
+	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
+	default:
+		return fmt.Errorf("cluster: unknown collective %v", c.Collective)
+	}
+	if _, err := c.Format.Format(); err != nil {
+		return err
+	}
+	if c.Chunks < 0 {
+		return fmt.Errorf("cluster: Chunks = %d, need >= 0", c.Chunks)
+	}
+	if c.Chunks > 1 && c.Collective != netsim.CollectiveAllGather && c.Collective != netsim.CollectiveAuto {
+		// Ring all-reduce is already d/N-chunked by construction and the
+		// parameter server has no ring to pipeline against; the chunked
+		// mode is defined for the sparse all-gather only. Auto is accepted:
+		// it resolves to the all-gather on every sparse exchange, and the
+		// per-exchange resolution re-validates if a dense round slips in.
+		return fmt.Errorf("cluster: Chunks = %d requires the all-gather collective, got %v", c.Chunks, c.Collective)
+	}
+	if c.CompressSec < 0 {
+		return fmt.Errorf("cluster: CompressSec = %v, need >= 0", c.CompressSec)
+	}
+	if c.StepTimeout < 0 {
+		return fmt.Errorf("cluster: StepTimeout = %v, need >= 0", c.StepTimeout)
+	}
+	if c.MaxStepRetries < 0 {
+		return fmt.Errorf("cluster: MaxStepRetries = %d, need >= 0", c.MaxStepRetries)
+	}
+	if c.MaxStepRetries > 0 && c.StepTimeout <= 0 {
+		return fmt.Errorf("cluster: MaxStepRetries = %d requires StepTimeout > 0 (recovery needs receive deadlines to detect a dead peer from every rank)", c.MaxStepRetries)
+	}
+	if c.Rank == c.Workers && c.Collective != netsim.CollectivePS {
+		return fmt.Errorf("cluster: Rank = %d is the server slot, which only CollectivePS has", c.Rank)
+	}
+	nodes := NodeCount(c.Workers, c.Collective)
+	if c.Rank < 0 || c.Rank >= nodes {
+		return fmt.Errorf("cluster: Rank = %d outside the %d-node deployment", c.Rank, nodes)
+	}
+	if c.Transport != nil && c.Transport.Nodes() < nodes {
+		return fmt.Errorf("cluster: transport has %d nodes, need %d", c.Transport.Nodes(), nodes)
+	}
+	return nil
 }
 
 // NodeCount returns the transport size a configuration needs: the
@@ -182,30 +262,11 @@ func (w Wire) Format() (encoding.Format, error) {
 	}
 }
 
-// validateChunks checks the chunked-mode configuration against the
-// selected collective, shared by Engine and Node construction. Auto is
-// accepted: it resolves to the all-gather on every sparse exchange, and
-// the per-exchange resolution re-validates if a dense round slips in.
-//
-//sidco:errclass config validation, deliberately fatal
-func validateChunks(chunks int, c netsim.Collective) error {
-	if chunks < 0 {
-		return fmt.Errorf("cluster: Chunks = %d, need >= 0", chunks)
-	}
-	if chunks > 1 && c != netsim.CollectiveAllGather && c != netsim.CollectiveAuto {
-		// Ring all-reduce is already d/N-chunked by construction and the
-		// parameter server has no ring to pipeline against; the chunked
-		// mode is defined for the sparse all-gather only.
-		return fmt.Errorf("cluster: Chunks = %d requires the all-gather collective, got %v", chunks, c)
-	}
-	return nil
-}
-
 // resolveCollective resolves Auto against the round's inputs (sparse:
 // all-gather, dense: ring) and re-validates the chunked mode against the
 // outcome. Resolution happens once per round, never per node — per-node
 // resolution could diverge on a mixed dense/sparse input set and
-// deadlock the schedule.
+// deadlock the schedule, which is why Engine resolves for all its Nodes.
 //
 //sidco:errclass config validation, deliberately fatal
 func resolveCollective(c netsim.Collective, sparse bool, chunks int) (netsim.Collective, error) {
@@ -222,74 +283,41 @@ func resolveCollective(c netsim.Collective, sparse bool, chunks int) (netsim.Col
 	return c, nil
 }
 
-// job is one node's share of a gradient exchange.
-type job struct {
-	step   int
-	sparse *tensor.Sparse // nil on the dense path
-	dense  []float64
-	dim    int
-	coll   netsim.Collective // resolved collective, never Auto
-	// members is the participating worker node-id list (ascending) of an
-	// elastic deployment; nil means full membership 0..workers-1.
-	members []int
-	// deadline, when non-zero, bounds every blocking receive of the
-	// schedule run; a receive past it fails with ErrTimeout.
-	deadline time.Time
+// round is one rank's share of an Exchange.
+type round struct {
+	step int
+	coll netsim.Collective  // resolved once per round, never Auto
+	in   dist.ExchangeInput // unset for the server rank
+	out  []float64
 }
 
-// result is what a node reports back after running its schedule.
-type result struct {
-	node int
-	err  error
-}
-
-// Engine runs one goroutine per cluster node; each Exchange call hands
-// every node its worker's gradient, the nodes execute the configured
-// collective as real message passing, and the aggregated mean lands in
-// the caller's buffer. Engine satisfies dist.GradientExchange, so it
-// plugs directly into dist.TrainerConfig.Exchange.
-//
-// Engine is the single-process deployment: all N nodes live in one
-// process and share one Transport (in-process channels by default, or a
-// TCPTransport hosting every node for loopback-socket runs). Node is the
-// one-node-per-process counterpart behind cmd/sidco-node.
+// Engine is a whole deployment in one process: NodeCount(Workers,
+// Collective) Nodes, one goroutine each, bound to one shared Instrumented
+// transport (in-process channels by default, or a TCPTransport hosting
+// every node for loopback-socket runs). Each Exchange call hands every
+// worker Node its gradient and the server Node (under PS) one round to
+// serve, the Nodes run the collective as real message passing — the same
+// exchange, retry and recovery code a one-rank-per-process deployment
+// runs — and the agreed mean lands in the caller's buffer. Engine
+// satisfies dist.GradientExchange, so it plugs directly into
+// dist.TrainerConfig.Exchange. Use Node directly for one rank per
+// process (cmd/sidco-node).
 type Engine struct {
 	cfg     Config
-	sched   sched
-	jobs    []chan job
-	results chan result
-	outs    [][]float64 // per-node aggregation buffers
-	scratch []nodeScratch
-	ident   []int32 // shared 0..dim-1 ramp, aliased into every scratch
+	tp      *Instrumented
+	rounds  []chan round // one per rank, the server's last
+	results chan error   // one per rank per round; Node errors name their rank
+	outs    [][]float64  // per-worker aggregates; outs[0] is the caller's buffer
 	wg      sync.WaitGroup
 	closed  bool
 }
 
-// New validates cfg, builds the transport and starts the node
-// goroutines. Callers must Close the engine to stop them.
-//
-//sidco:errclass construction-time config validation, deliberately fatal
+// New validates cfg, builds the transport and starts one Node goroutine
+// per rank. Callers must Close the engine to stop them.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
-	}
-	switch cfg.Collective {
-	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
-	default:
-		return nil, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
-	}
-	format, err := cfg.Format.Format()
-	if err != nil {
+	cfg.Rank = 0
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
-		return nil, err
-	}
-	if cfg.CompressSec < 0 {
-		return nil, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
-	}
-	if cfg.StepTimeout < 0 {
-		return nil, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
 	}
 	nodes := NodeCount(cfg.Workers, cfg.Collective)
 	inner := cfg.Transport
@@ -300,47 +328,25 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if inner.Nodes() < nodes {
-		return nil, fmt.Errorf("cluster: transport has %d nodes, need %d", inner.Nodes(), nodes)
-	}
-	server := -1
-	if cfg.Collective == netsim.CollectivePS {
-		server = cfg.Workers
-	}
 	e := &Engine{
-		cfg: cfg,
-		sched: sched{
-			workers:     cfg.Workers,
-			full:        identityMembers(cfg.Workers),
-			server:      server,
-			format:      format,
-			chunks:      cfg.Chunks,
-			parallel:    cfg.Parallelism,
-			computeSec:  cfg.ComputeSec,
-			compressSec: cfg.CompressSec,
-			tp:          NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry),
-			tel:         cfg.Telemetry,
-		},
-		jobs:    make([]chan job, cfg.Workers),
-		results: make(chan result, nodes),
+		cfg:     cfg,
+		tp:      NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry),
+		rounds:  make([]chan round, nodes),
+		results: make(chan error, nodes),
 		outs:    make([][]float64, cfg.Workers),
-		scratch: make([]nodeScratch, cfg.Workers),
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		e.jobs[w] = make(chan job)
+	for rank := range e.rounds {
+		cfg.Rank = rank
+		e.rounds[rank] = make(chan round)
 		e.wg.Add(1)
-		go e.workerLoop(w)
-	}
-	if server >= 0 {
-		e.wg.Add(1)
-		go e.serverLoop()
+		go e.rankLoop(newNode(cfg, e.tp), e.rounds[rank])
 	}
 	return e, nil
 }
 
 // Transport exposes the instrumented transport for traffic and
 // virtual-time inspection.
-func (e *Engine) Transport() *Instrumented { return e.sched.tp }
+func (e *Engine) Transport() *Instrumented { return e.tp }
 
 // Close stops the node goroutines and closes the transport. The Engine
 // is not concurrency-safe: Exchange and Close must come from one
@@ -350,17 +356,20 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	err := e.sched.tp.Close()
-	for _, ch := range e.jobs {
+	err := e.tp.Close()
+	for _, ch := range e.rounds {
 		close(ch)
 	}
 	e.wg.Wait()
 	return err
 }
 
-// Exchange implements dist.GradientExchange: it fans the workers'
-// contributions out to the node goroutines, runs the collective, and
-// copies the agreed mean into agg.
+// Exchange implements dist.GradientExchange: it hands every rank its
+// share of the round and waits for all of them, which makes it the
+// barrier between rounds. Node 0 reduces straight into agg. A rank that
+// fails fatally has closed the shared transport (unblocking its peers),
+// so the round drains, the engine shuts down and the first error is
+// returned.
 func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
 	if e.closed {
 		return fmt.Errorf("cluster: exchange on closed engine: %w", ErrClosed)
@@ -372,56 +381,29 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 	if err != nil {
 		return err
 	}
-	// Dense-as-sparse views all read the same identity index ramp: grown
-	// here, before fan-out, and aliased into every node's scratch, so the
-	// node goroutines never mutate it (localSparse's grow loop is a no-op
-	// once the shared ramp covers the dimension) and the engine pays for
-	// one ramp instead of one per worker.
-	if coll != netsim.CollectiveRing {
-		for _, in := range ins {
-			if in.Sparse == nil {
-				for i := len(e.ident); i < len(agg); i++ {
-					e.ident = append(e.ident, int32(i))
-				}
-				for w := range e.scratch {
-					e.scratch[w].ident = e.ident
-				}
-				break
+	e.outs[0] = agg
+	for rank, ch := range e.rounds {
+		rd := round{step: step, coll: coll}
+		if rank < e.cfg.Workers {
+			if len(e.outs[rank]) != len(agg) {
+				e.outs[rank] = make([]float64, len(agg))
 			}
+			rd.in, rd.out = ins[rank], e.outs[rank]
 		}
-	}
-	// Tag the round's telemetry message events with the step before any
-	// node goroutine can send: Exchange is a synchronous barrier, so no
-	// message from another step can be in flight here.
-	e.sched.tp.SetStep(int64(step))
-	var deadline time.Time
-	if e.cfg.StepTimeout > 0 {
-		deadline = time.Now().Add(e.cfg.StepTimeout) //sidco:nondet fault-detection deadline, never feeds gradient math
-	}
-	for w, in := range ins {
-		e.jobs[w] <- job{step: step, sparse: in.Sparse, dense: in.Dense, dim: len(agg), coll: coll, deadline: deadline}
-	}
-	want := e.cfg.Workers
-	if e.sched.server >= 0 {
-		want++ // the server also reports
+		ch <- rd
 	}
 	var firstErr error
-	for i := 0; i < want; i++ {
-		r := <-e.results
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: node %d: %w", r.node, r.err)
-			// Peers may be blocked mid-schedule waiting on the failed
-			// node; closing the transport unblocks them so the round
-			// drains instead of deadlocking.
-			e.sched.tp.Close()
+	for range e.rounds {
+		if err := <-e.results; err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr == nil && e.cfg.Verify {
 		for w := 1; w < e.cfg.Workers; w++ {
-			for i := range e.outs[0] {
-				if e.outs[w][i] != e.outs[0][i] {
+			for i := range agg {
+				if e.outs[w][i] != agg[i] {
 					firstErr = fmt.Errorf("cluster: node %d disagrees with node 0 at element %d: %v vs %v",
-						w, i, e.outs[w][i], e.outs[0][i])
+						w, i, e.outs[w][i], agg[i])
 					break
 				}
 			}
@@ -433,45 +415,18 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 		e.Close()
 		return firstErr
 	}
-	copy(agg, e.outs[0])
 	return nil
 }
 
-// workerLoop is the goroutine body of worker node w.
-func (e *Engine) workerLoop(w int) {
+// rankLoop is the goroutine body of one rank: a round per Exchange,
+// served by the server Node and exchanged by a worker Node.
+func (e *Engine) rankLoop(nd *Node, rounds <-chan round) {
 	defer e.wg.Done()
-	for jb := range e.jobs[w] {
-		if len(e.outs[w]) != jb.dim {
-			e.outs[w] = make([]float64, jb.dim)
+	for rd := range rounds {
+		if nd.cfg.Rank == e.cfg.Workers {
+			e.results <- nd.serveRound(rd.step)
+		} else {
+			e.results <- nd.exchange(rd.step, rd.coll, rd.in, rd.out)
 		}
-		e.results <- result{node: w, err: e.sched.runWorker(w, jb, &e.scratch[w], e.outs[w])}
-	}
-}
-
-// serverLoop is the goroutine body of the parameter-server node: one
-// round per exchange. The server learns each round's start from the
-// first arriving push, so it needs no job channel.
-func (e *Engine) serverLoop() {
-	defer e.wg.Done()
-	var srv psServer
-	for round := int64(0); ; round++ {
-		span := e.sched.tel.Begin(telemetry.SpanCollective, e.sched.server, -1, -1, round)
-		// The server receives without a deadline: it idles here between
-		// exchanges, so a round-start deadline would misfire. A worker
-		// timing out under StepTimeout closes the transport, which
-		// unblocks this receive with ErrClosed.
-		err := srv.round(e.sched.tp, e.sched.tp.Recv, e.sched.server, e.sched.full, e.sched.format)
-		span.End()
-		if err != nil {
-			// A server failure is fatal to the cluster: close the
-			// transport so workers blocked on their pull unblock with an
-			// error instead of hanging, then report and exit. (On a
-			// normal engine Close the transport is already closed and
-			// this is a no-op.)
-			e.sched.tp.Close()
-			e.results <- result{node: e.sched.server, err: err}
-			return
-		}
-		e.results <- result{node: e.sched.server}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -189,18 +191,59 @@ func TestEngineBytesPerStepMatchEncodingAccounting(t *testing.T) {
 	})
 }
 
-func TestEngineValidation(t *testing.T) {
-	if _, err := New(Config{Workers: 0}); err == nil {
-		t.Error("0 workers should error")
+// TestConfigValidate is the one table over the one validation: every
+// combination Engine, Node and the sidco-node launcher refuse, each with
+// the fragment of the classified message that names the problem.
+func TestConfigValidate(t *testing.T) {
+	small, err := NewChanTransport(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Workers: 2, Collective: netsim.Collective(99)}); err == nil {
-		t.Error("unknown collective should error")
+	defer small.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" = accepted
+	}{
+		{"defaults", Config{Workers: 2}, ""},
+		{"auto-chunked", Config{Workers: 2, Chunks: 4}, ""},
+		{"ps-server-rank", Config{Workers: 2, Rank: 2, Collective: netsim.CollectivePS}, ""},
+		{"retries-with-timeout", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: 2}, ""},
+		{"no-workers", Config{Workers: 0}, "Workers = 0"},
+		{"unknown-collective", Config{Workers: 2, Collective: netsim.Collective(99)}, "unknown collective"},
+		{"unknown-wire", Config{Workers: 2, Format: Wire(99)}, "unknown wire format"},
+		{"negative-chunks", Config{Workers: 2, Chunks: -1, Collective: netsim.CollectiveAllGather}, "Chunks = -1"},
+		{"chunked-ring", Config{Workers: 2, Chunks: 4, Collective: netsim.CollectiveRing}, "requires the all-gather"},
+		{"chunked-ps", Config{Workers: 2, Chunks: 4, Collective: netsim.CollectivePS}, "requires the all-gather"},
+		{"negative-compress-sec", Config{Workers: 2, CompressSec: -1}, "CompressSec"},
+		{"negative-step-timeout", Config{Workers: 2, StepTimeout: -time.Second}, "StepTimeout"},
+		{"negative-retries", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: -1}, "MaxStepRetries = -1"},
+		{"retries-without-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, MaxStepRetries: 1}, "requires StepTimeout"},
+		{"rank-negative", Config{Workers: 2, Rank: -1}, "outside the 2-node deployment"},
+		{"rank-out-of-range", Config{Workers: 2, Rank: 4, Collective: netsim.CollectivePS}, "outside the 3-node deployment"},
+		{"server-slot-without-ps", Config{Workers: 2, Rank: 2, Collective: netsim.CollectiveAllGather}, "server slot"},
+		{"transport-too-small", Config{Workers: 2, Collective: netsim.CollectivePS, Transport: small}, "transport has 2 nodes, need 3"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
-	small, _ := NewChanTransport(2)
-	if _, err := New(Config{Workers: 2, Collective: netsim.CollectivePS, Transport: small}); err == nil {
-		t.Error("PS needs workers+1 transport nodes")
+}
+
+// TestEngineMisuse covers New running the pre-flight and the call-time
+// refusals that are not configuration: a wrong input count, a second
+// Close, an exchange after Close.
+func TestEngineMisuse(t *testing.T) {
+	if _, err := New(Config{Workers: 2, Chunks: 4, Collective: netsim.CollectivePS}); err == nil {
+		t.Error("New must refuse what Validate refuses")
 	}
-	e, err := New(Config{Workers: 2})
+	e, err := New(Config{Workers: 2, Rank: 7}) // Rank is not New's: an Engine hosts every rank
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +257,46 @@ func TestEngineValidation(t *testing.T) {
 	ins := randomInputs(t, 2, 4, 0, 1)
 	if err := e.Exchange(0, ins, make([]float64, 4)); err == nil {
 		t.Error("exchange on closed engine should error")
+	}
+}
+
+// TestEngineExchangeSteadyStateAllocs guards the hot path: the ceilings
+// are what the goroutine-per-node Engine measured before it became N
+// Nodes (ring pays one raw chunk buffer per send, 2(N-1) sends per node;
+// the encoded collectives reuse everything). In particular the PS round
+// must not rebuild the worker member list per call.
+func TestEngineExchangeSteadyStateAllocs(t *testing.T) {
+	const workers, dim = 4, 512
+	for _, tc := range []struct {
+		name    string
+		coll    netsim.Collective
+		delta   float64
+		ceiling float64
+	}{
+		{"ring", netsim.CollectiveRing, 0, workers * 2 * (workers - 1)},
+		{"allgather", netsim.CollectiveAllGather, 0.05, 0},
+		{"ps", netsim.CollectivePS, 0.05, 0},
+	} {
+		ins := randomInputs(t, workers, dim, tc.delta, 5)
+		e, err := New(Config{Workers: workers, Collective: tc.coll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := make([]float64, dim)
+		step := 0
+		exchange := func() {
+			if err := e.Exchange(step, ins, agg); err != nil {
+				t.Fatal(err)
+			}
+			step++
+		}
+		for i := 0; i < 3; i++ {
+			exchange() // grow every node's scratch
+		}
+		if got := testing.AllocsPerRun(50, exchange); got > tc.ceiling {
+			t.Errorf("%s: %v allocs per exchange, ceiling %v", tc.name, got, tc.ceiling)
+		}
+		e.Close()
 	}
 }
 
@@ -538,20 +621,8 @@ func TestChunkedOverlapHidesCompression(t *testing.T) {
 	}
 }
 
-// TestChunkedConfigValidation covers the chunked-mode constraints.
-func TestChunkedConfigValidation(t *testing.T) {
-	if _, err := New(Config{Workers: 2, Chunks: -1, Collective: netsim.CollectiveAllGather}); err == nil {
-		t.Error("negative chunks should error")
-	}
-	if _, err := New(Config{Workers: 2, Chunks: 4, Collective: netsim.CollectiveRing}); err == nil {
-		t.Error("chunked ring should error")
-	}
-	if _, err := New(Config{Workers: 2, Chunks: 4, Collective: netsim.CollectivePS}); err == nil {
-		t.Error("chunked PS should error")
-	}
-	if _, err := New(Config{Workers: 2, CompressSec: -1}); err == nil {
-		t.Error("negative CompressSec should error")
-	}
+// TestChunksExceedDim: chunks may exceed the element count.
+func TestChunksExceedDim(t *testing.T) {
 	// Chunks may exceed the element count: surplus chunks ship empty
 	// payloads and the result is still exact.
 	ins := randomInputs(t, 2, 16, 0.1, 3)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -191,12 +192,80 @@ var faultEnvs = []faultEnv{
 	}},
 }
 
+// killRankEngine is the engine environment of the kill-rank table: the
+// victim dies between step 0 and step 1 of an Engine with a StepTimeout,
+// Exchange must surface a classified error, and Close must leave no
+// goroutine behind.
+func killRankEngine(t *testing.T, workers, dim, victim int, coll netsim.Collective, chunks int) {
+	before := runtime.NumGoroutine()
+	inner, err := NewChanTransport(NodeCount(workers, coll))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		Workers: workers, Collective: coll, Chunks: chunks, StepTimeout: 500 * time.Millisecond,
+		Transport: NewFaultTransport(inner, FaultPlan{KillRank: map[int]int64{victim: 1}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := make([]dist.ExchangeInput, workers)
+	for w := range ins {
+		ins[w] = dist.ExchangeInput{Worker: w, Dense: denseGrad(w, dim)}
+	}
+	agg := make([]float64, dim)
+	if err := e.Exchange(0, ins, agg); err != nil {
+		t.Fatalf("healthy step: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Exchange(1, ins, agg) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("step 1 finished despite the dead rank")
+		} else if !Recoverable(err) && !errors.Is(err, ErrClosed) {
+			t.Errorf("error not classified: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Exchange hung past the step timeout")
+	}
+	e.Close()
+	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Errorf("%d goroutines outlive Close, %d ran before the engine was built", runtime.NumGoroutine(), before)
+			break
+		}
+	}
+}
+
+// TestEngineIdleServerKeepsDeadline: the engine-hosted parameter server
+// takes its receive deadline when a round starts, so a caller that
+// pauses between exchanges for longer than StepTimeout does not time the
+// server out.
+func TestEngineIdleServerKeepsDeadline(t *testing.T) {
+	const workers, dim = 2, 32
+	e, err := New(Config{Workers: workers, Collective: netsim.CollectivePS, StepTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ins := randomInputs(t, workers, dim, 0.2, 7)
+	agg := make([]float64, dim)
+	for step := 0; step < 2; step++ {
+		if err := e.Exchange(step, ins, agg); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+}
+
 // TestKillRankSurfacesClassifiedError is the fail-stop regression test:
 // with retries disabled, killing one rank between steps must surface a
 // classified error — Recoverable (peer lost / timeout) or the ErrClosed
 // shutdown class — at every surviving rank within the step timeout, for
 // every collective schedule, over both the deterministic fault transport
-// and real TCP sockets. No surviving goroutine may hang.
+// and real TCP sockets, and at Engine.Exchange when the deployment is an
+// Engine. No surviving goroutine may hang.
 func TestKillRankSurfacesClassifiedError(t *testing.T) {
 	const workers, dim = 3, 32
 	cases := []struct {
@@ -208,6 +277,11 @@ func TestKillRankSurfacesClassifiedError(t *testing.T) {
 		{"allgather", netsim.CollectiveAllGather, 0},
 		{"allgather-chunked", netsim.CollectiveAllGather, 3},
 		{"ps", netsim.CollectivePS, 0},
+	}
+	for _, tc := range cases {
+		t.Run("engine/"+tc.name, func(t *testing.T) {
+			killRankEngine(t, workers, dim, 1, tc.coll, tc.chunks)
+		})
 	}
 	for _, env := range faultEnvs {
 		for _, tc := range cases {
@@ -394,23 +468,5 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRetriesRequireTimeout pins the config coupling: elastic recovery
-// without receive deadlines would hang non-adjacent survivors forever,
-// so NewNode rejects it.
-func TestRetriesRequireTimeout(t *testing.T) {
-	tp, err := NewChanTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
-	_, err = NewNode(NodeConfig{
-		Workers: 2, Rank: 0, Collective: netsim.CollectiveAllGather,
-		Transport: tp, MaxStepRetries: 1,
-	})
-	if err == nil {
-		t.Fatal("MaxStepRetries without StepTimeout should be rejected")
 	}
 }

@@ -10,35 +10,20 @@ import (
 	"repro/internal/dist"
 	"repro/internal/encoding"
 	"repro/internal/netsim"
-	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
-// sched executes the collective schedules from one node's perspective:
-// the shared runner behind Engine (which hosts all N nodes in one
-// process) and Node (one node per process). Its fields are immutable
-// after construction, so Engine's node goroutines share one value.
-type sched struct {
-	workers     int
-	full        []int // identityMembers(workers): the full-membership list
-	server      int   // server node id under PS, else -1
-	format      encoding.Format
-	chunks      int
-	parallel    int // decode fan-out per chunk round (<=1: sequential)
-	computeSec  float64
-	compressSec float64
-	tp          *Instrumented
-	tel         *telemetry.Tracer
-}
-
-// jobMembers resolves a job's worker member list (nil: full
-// membership).
-func (s *sched) jobMembers(jb job) []int {
-	if jb.members != nil {
-		return jb.members
-	}
-	return s.full
+// job is one worker node's share of a gradient exchange.
+type job struct {
+	step   int
+	sparse *tensor.Sparse // nil on the dense path
+	dense  []float64
+	dim    int
+	coll   netsim.Collective // resolved collective, never Auto
+	// deadline, when non-zero, bounds every blocking receive of the
+	// schedule run; a receive past it fails with ErrTimeout.
+	deadline time.Time
 }
 
 // nodeScratch is one node's reusable pipeline storage: encode buffers
@@ -51,37 +36,36 @@ type nodeScratch struct {
 	gather [][]byte
 	ready  []float64 // per-chunk compression completion (virtual time)
 	dec    tensor.Sparse
-	decs   []tensor.Sparse // per-origin decode targets of the parallel path
-	decErr []error         // per-origin decode outcomes, drained in order
-	view   tensor.Sparse   // chunk subrange of the local selection
-	full   tensor.Sparse   // full-support view of a dense gradient
-	ident  []int32         // 0..dim-1 ramp for dense-as-sparse views
+	view   tensor.Sparse // chunk subrange of the local selection
+	full   tensor.Sparse // full-support view of a dense gradient
+	ident  []int32       // 0..dim-1 ramp for dense-as-sparse views
 }
 
 // chunkCount resolves the configured chunking (0 or 1: monolithic).
-func (s *sched) chunkCount() int {
-	if s.chunks > 1 {
-		return s.chunks
+func (n *Node) chunkCount() int {
+	if n.cfg.Chunks > 1 {
+		return n.cfg.Chunks
 	}
 	return 1
 }
 
-// runWorker executes worker node w's half of one exchange, leaving the
+// runWorker executes this worker node's half of one exchange, leaving the
 // aggregated mean in out (which must have jb.dim elements). The whole
 // round is traced as one collective span per node.
-func (s *sched) runWorker(w int, jb job, sc *nodeScratch, out []float64) error {
-	span := s.tel.Begin(telemetry.SpanCollective, w, -1, -1, int64(jb.step))
-	err := s.runCollective(w, jb, sc, out)
+func (n *Node) runWorker(jb job, out []float64) error {
+	span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(jb.step))
+	err := n.runCollective(jb, out)
 	span.End()
 	return err
 }
 
-func (s *sched) runCollective(w int, jb job, sc *nodeScratch, out []float64) error {
-	if s.computeSec > 0 {
-		s.tp.Compute(w, s.computeSec)
+func (n *Node) runCollective(jb job, out []float64) error {
+	w, sc := n.cfg.Rank, &n.sc
+	if n.cfg.ComputeSec > 0 {
+		n.tp.Compute(w, n.cfg.ComputeSec)
 	}
-	members := s.jobMembers(jb)
-	recv := interceptRecv(s.tp, jb.deadline)
+	members := n.workers
+	recv := interceptRecv(n.tp, jb.deadline)
 	switch jb.coll {
 	case netsim.CollectiveRing:
 		// Dense in-ring reduction: start from the local dense gradient
@@ -95,31 +79,31 @@ func (s *sched) runCollective(w int, jb job, sc *nodeScratch, out []float64) err
 			}
 			copy(out, jb.dense)
 		}
-		if err := ringAllReduceGroup(s.tp, recv, members, w, out); err != nil {
+		if err := ringAllReduceGroup(n.tp, recv, members, w, out); err != nil {
 			return err
 		}
 		tensor.Scale(1/float64(len(members)), out)
 		return nil
 
 	case netsim.CollectiveAllGather:
-		return s.runAllGather(w, jb, sc, out)
+		return n.runAllGather(jb, out)
 
 	case netsim.CollectivePS:
-		sp, err := s.localSparse(jb, sc)
+		sp, err := n.localSparse(jb)
 		if err != nil {
 			return err
 		}
 		sc.enc = growSlots(sc.enc, 1)
-		es := s.tel.Begin(telemetry.SpanEncode, w, -1, -1, int64(jb.step)).WithValue(int64(s.format))
-		sc.enc[0], err = encoding.EncodeTo(sc.enc[0][:0], sp, s.format)
+		es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, w, -1, -1, int64(jb.step)).WithValue(int64(n.format))
+		sc.enc[0], err = encoding.EncodeTo(sc.enc[0][:0], sp, n.format)
 		es.End()
 		if err != nil {
 			return err
 		}
-		if err := s.tp.Send(w, s.server, sc.enc[0]); err != nil {
+		if err := n.tp.Send(w, n.server, sc.enc[0]); err != nil {
 			return err
 		}
-		reply, err := recv(w, s.server)
+		reply, err := recv(w, n.server)
 		if err != nil {
 			return err
 		}
@@ -154,18 +138,18 @@ func (s *sched) runCollective(w int, jb job, sc *nodeScratch, out []float64) err
 // empty, so they ship header-only payloads and contribute nothing to the
 // sum — the schedule still runs C full all-gathers, which is what the
 // traffic formulas (netsim.ChunkedAllGatherMessages) count.
-func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) error {
-	members := s.jobMembers(jb)
-	recv := interceptRecv(s.tp, jb.deadline)
-	n := len(members)
-	C := s.chunkCount()
-	sp, err := s.localSparse(jb, sc)
+func (n *Node) runAllGather(jb job, out []float64) error {
+	w, sc := n.cfg.Rank, &n.sc
+	members := n.workers
+	recv := interceptRecv(n.tp, jb.deadline)
+	C := n.chunkCount()
+	sp, err := n.localSparse(jb)
 	if err != nil {
 		return err
 	}
 	perChunkCompress := 0.0
-	if s.compressSec > 0 {
-		perChunkCompress = s.compressSec / float64(C)
+	if n.cfg.CompressSec > 0 {
+		perChunkCompress = n.cfg.CompressSec / float64(C)
 	}
 	sc.enc = growSlots(sc.enc, C)
 	if cap(sc.ready) < C {
@@ -184,7 +168,7 @@ func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) erro
 		for ; encoded <= c; encoded++ {
 			sc.ready[encoded] = 0
 			if perChunkCompress > 0 {
-				sc.ready[encoded] = s.tp.ComputeOverlap(w, perChunkCompress)
+				sc.ready[encoded] = n.tp.ComputeOverlap(w, perChunkCompress)
 			}
 			_, hi := chunkBounds(jb.dim, C, encoded)
 			end := pos
@@ -194,8 +178,8 @@ func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) erro
 			sc.view = tensor.Sparse{Dim: jb.dim, Idx: sp.Idx[pos:end], Vals: sp.Vals[pos:end]}
 			pos = end
 			var err error
-			es := s.tel.Begin(telemetry.SpanEncode, w, -1, encoded, int64(jb.step)).WithValue(int64(s.format))
-			sc.enc[encoded], err = encoding.EncodeTo(sc.enc[encoded][:0], &sc.view, s.format)
+			es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, w, -1, encoded, int64(jb.step)).WithValue(int64(n.format))
+			sc.enc[encoded], err = encoding.EncodeTo(sc.enc[encoded][:0], &sc.view, n.format)
 			es.End()
 			if err != nil {
 				return err
@@ -211,59 +195,30 @@ func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) erro
 		}
 		// The chunk's own payload cannot leave before its compression
 		// finishes; everything the node merely forwards is not gated.
-		s.tp.WaitFor(w, sc.ready[c])
+		n.tp.WaitFor(w, sc.ready[c])
 		overlap := func() error {
 			if c+1 < C {
 				return encodeUpTo(c + 1)
 			}
 			return nil
 		}
-		sc.gather, err = allGatherGroup(s.tp, recv, members, w, sc.enc[c], sc.gather, overlap)
+		sc.gather, err = allGatherGroup(n.tp, recv, members, w, sc.enc[c], sc.gather, overlap)
 		if err != nil {
 			return err
 		}
 		// Decode and reduce in worker-index order: with a lossless format
-		// this is the exact operation sequence of dist.InProcess. With
-		// parallel > 1 the per-origin decodes fan out into per-origin
-		// scratch, but the floating-point reduction below still runs
-		// serially in worker-index order, so the aggregate stays
-		// bit-identical to the sequential schedule.
-		if p := s.parallel; p > 1 && n > 1 {
-			if p > n {
-				p = n
+		// this is the exact operation sequence of dist.InProcess.
+		for origin := range members {
+			if err := encoding.DecodeInto(&sc.dec, sc.gather[origin]); err != nil {
+				return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
 			}
-			for len(sc.decs) < n {
-				sc.decs = append(sc.decs, tensor.Sparse{})
-				sc.decErr = append(sc.decErr, nil)
+			if sc.dec.Dim != jb.dim {
+				return fmt.Errorf("origin %d has dim %d, want %d", members[origin], sc.dec.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 			}
-			par.Do(p, func(worker int) {
-				lo, hi := par.RangeBounds(n, p, worker)
-				for origin := lo; origin < hi; origin++ {
-					sc.decErr[origin] = encoding.DecodeInto(&sc.decs[origin], sc.gather[origin])
-				}
-			})
-			for origin := 0; origin < n; origin++ {
-				if err := sc.decErr[origin]; err != nil {
-					return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
-				}
-				if sc.decs[origin].Dim != jb.dim {
-					return fmt.Errorf("origin %d has dim %d, want %d", members[origin], sc.decs[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-				}
-				sc.decs[origin].AddTo(out)
-			}
-		} else {
-			for origin := 0; origin < n; origin++ {
-				if err := encoding.DecodeInto(&sc.dec, sc.gather[origin]); err != nil {
-					return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
-				}
-				if sc.dec.Dim != jb.dim {
-					return fmt.Errorf("origin %d has dim %d, want %d", members[origin], sc.dec.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-				}
-				sc.dec.AddTo(out)
-			}
+			sc.dec.AddTo(out)
 		}
 	}
-	tensor.Scale(1/float64(n), out)
+	tensor.Scale(1/float64(len(members)), out)
 	return nil
 }
 
@@ -271,7 +226,8 @@ func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) erro
 // without copying: compressed gradients are used as-is, dense gradients
 // get a full-support view over the scratch's index ramp, so even the
 // no-compression baseline moves real encoded bytes.
-func (s *sched) localSparse(jb job, sc *nodeScratch) (*tensor.Sparse, error) {
+func (n *Node) localSparse(jb job) (*tensor.Sparse, error) {
+	sc := &n.sc
 	if jb.sparse != nil {
 		return jb.sparse, nil
 	}
@@ -293,9 +249,8 @@ func growSlots(bufs [][]byte, n int) [][]byte {
 	return bufs
 }
 
-// psServer is the parameter-server node's reusable aggregation state:
-// one value lives for the life of the serving loop, whether that loop is
-// Engine's server goroutine or a dedicated server process (Node.Serve).
+// psServer is the parameter-server node's reusable aggregation state,
+// kept on the server Node across rounds.
 type psServer struct {
 	acc  []float64
 	dim  int
@@ -355,79 +310,13 @@ func sparsifyInto(dst *tensor.Sparse, dim int, dense []float64) {
 	}
 }
 
-// NodeConfig assembles one cluster node of a multi-process deployment.
-type NodeConfig struct {
-	// Workers is the global number of training nodes N (>= 1) — not the
-	// count hosted by this process.
-	Workers int
-	// Rank is this node's id: 0..Workers-1 for a worker node, or exactly
-	// Workers for the parameter-server node (CollectivePS only), which
-	// runs Serve instead of Exchange.
-	Rank int
-	// Collective, Format, Chunks, ComputeSec and CompressSec mirror the
-	// same Config fields; every process of a deployment must pass
-	// identical values or the interlocking schedules diverge.
-	// Parallelism is purely node-local (it never changes what goes on
-	// the wire or the reduction order), so it may differ across the
-	// processes of one deployment.
-	Collective  netsim.Collective
-	Format      Wire
-	Chunks      int
-	Parallelism int
-	ComputeSec  float64
-	CompressSec float64
-	// StepTimeout, when positive, bounds every blocking receive of one
-	// exchange (and of one server round): a receive stuck past the
-	// deadline fails the step with an error wrapping ErrTimeout — a
-	// recoverable classification, unlike ErrClosed. It must comfortably
-	// exceed one full step including every peer's local compute, since
-	// the schedules only interlock once all peers reach the exchange.
-	// 0 disables deadlines (a dead peer then blocks the step forever
-	// unless the transport detects it, as TCP does).
-	StepTimeout time.Duration
-	// MaxStepRetries enables elastic recovery: a step that fails
-	// recoverably (peer lost or receive timeout) triggers a membership
-	// renegotiation among the surviving nodes — fixed mask-exchange
-	// rounds over the raw transport that double as a link drain — and is
-	// then retried over the agreed group, up to this many times across
-	// the node's lifetime per step. The surviving workers rescale the
-	// aggregated mean to their count. 0 keeps the fail-stop behaviour.
-	// Requires StepTimeout > 0: without deadlines, survivors that are
-	// not adjacent to the dead peer would block forever instead of
-	// joining the renegotiation.
-	MaxStepRetries int
-	// Transport is required: typically a TCPTransport hosting this rank
-	// over the deployment's shared host list. It must span
-	// NodeCount(Workers, Collective) nodes.
-	//
-	// The node reuses its encode buffers across exchanges, and unlike
-	// Engine it has no built-in per-round barrier. A TCPTransport copies
-	// every payload through the socket, so reuse is always safe there.
-	// Nodes sharing a by-reference transport (ChanTransport) must end
-	// every round with a collective barrier before the next Exchange —
-	// MeanScalar after each step, as cmd/sidco-node does, is one — or a
-	// node running ahead would overwrite bytes a slower peer is still
-	// decoding. When in doubt in-process, use Engine instead.
-	Transport Transport
-	// Scenario enables the virtual-time model on the instrumented
-	// transport (meaningful for single-process loopback studies; in a
-	// real multi-process run each process only sees its own clock).
-	Scenario *Scenario
-	// Telemetry, if non-nil, traces this node's rounds (collective and
-	// encode spans) and its gradient traffic (per-link sent/recv
-	// message and byte counters, receive-wait time) — the counters are
-	// emitted at the Instrumented layer, so telemetry totals equal
-	// Transport().Totals()/RecvTotals() exactly. Nil is free.
-	Telemetry *telemetry.Tracer
-}
-
-// Node is one cluster node in a process of its own: the per-process
-// counterpart of Engine. A worker Node (Rank < Workers) satisfies
-// dist.GradientExchange for a single local worker — plug it into a
-// Workers=1 dist.Trainer whose FirstWorker is this rank and the process
-// trains global worker Rank, exchanging real bytes with its peers. The
-// server Node of a parameter-server deployment (Rank == Workers) runs
-// Serve instead.
+// Node is one rank of a deployment (Config.Rank): the unit cmd/sidco-node
+// runs one of per process, and the unit Engine runs all of in one
+// process. A worker Node (Rank < Workers) satisfies dist.GradientExchange
+// for a single local worker — plug it into a Workers=1 dist.Trainer whose
+// FirstWorker is this rank and the process trains global worker Rank,
+// exchanging real bytes with its peers. The server Node of a
+// parameter-server deployment (Rank == Workers) runs Serve instead.
 //
 // Exchange leaves the global mean over all Workers contributions in agg,
 // so the local optimizer applies exactly the update every peer applies:
@@ -435,95 +324,72 @@ type NodeConfig struct {
 // the lossless wire the whole deployment reproduces the in-process
 // trainer bit-for-bit.
 type Node struct {
-	cfg    NodeConfig
-	sched  sched
-	sc     nodeScratch
+	cfg    Config
+	format encoding.Format
+	server int           // server node id under PS, else -1
+	tp     *Instrumented // shared with every other Node of an Engine
 	raw    Transport
-	out    []float64
+	sc     nodeScratch
+	srv    psServer // server rank only
 	scalar [8]byte
 	sgath  [][]byte
 	closed bool
 
 	// Elastic-membership state: the agreed participant list (worker node
-	// ids plus the server id under PS), the renegotiation epoch, and the
-	// stash of membership frames consumed out-of-band.
-	group []int
-	epoch uint32
-	ng    negotiator
+	// ids plus the server id under PS), its worker members, the
+	// renegotiation epoch, and the stash of membership frames consumed
+	// out-of-band.
+	group   []int
+	workers []int
+	epoch   uint32
+	ng      negotiator
 }
 
 // NewNode validates cfg and binds the node to its transport.
 //
 //sidco:errclass construction-time config validation, deliberately fatal
-func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
-	}
-	switch cfg.Collective {
-	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
-	default:
-		return nil, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
-	}
-	format, err := cfg.Format.Format()
-	if err != nil {
+func NewNode(cfg Config) (*Node, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
-		return nil, err
-	}
-	if cfg.CompressSec < 0 {
-		return nil, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
-	}
-	if cfg.StepTimeout < 0 {
-		return nil, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
-	}
-	if cfg.MaxStepRetries < 0 {
-		return nil, fmt.Errorf("cluster: MaxStepRetries = %d, need >= 0", cfg.MaxStepRetries)
-	}
-	if cfg.MaxStepRetries > 0 && cfg.StepTimeout <= 0 {
-		return nil, fmt.Errorf("cluster: MaxStepRetries = %d requires StepTimeout > 0 (recovery needs receive deadlines to detect a dead peer from every rank)", cfg.MaxStepRetries)
-	}
-	nodes := NodeCount(cfg.Workers, cfg.Collective)
-	if cfg.Rank < 0 || cfg.Rank >= nodes {
-		return nil, fmt.Errorf("cluster: Rank = %d outside the %d-node deployment", cfg.Rank, nodes)
-	}
-	if cfg.Rank == cfg.Workers && cfg.Collective != netsim.CollectivePS {
-		return nil, fmt.Errorf("cluster: Rank = %d is the server slot, which only CollectivePS has", cfg.Rank)
 	}
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("cluster: Node requires a Transport (use Engine for the in-process default)")
 	}
-	if cfg.Transport.Nodes() < nodes {
-		return nil, fmt.Errorf("cluster: transport has %d nodes, need %d", cfg.Transport.Nodes(), nodes)
-	}
-	server := -1
+	return newNode(cfg, NewInstrumented(cfg.Transport, cfg.Scenario).WithTelemetry(cfg.Telemetry)), nil
+}
+
+// newNode binds rank cfg.Rank of an already validated cfg to tp, which
+// Engine shares between all its Nodes.
+func newNode(cfg Config, tp *Instrumented) *Node {
+	format, _ := cfg.Format.Format() // cfg is validated
+	n := &Node{cfg: cfg, format: format, server: -1, tp: tp, raw: tp.inner}
 	if cfg.Collective == netsim.CollectivePS {
-		server = cfg.Workers
+		n.server = cfg.Workers
 	}
-	return &Node{
-		cfg:   cfg,
-		raw:   cfg.Transport,
-		group: identityMembers(nodes),
-		sched: sched{
-			workers:     cfg.Workers,
-			full:        identityMembers(cfg.Workers),
-			server:      server,
-			format:      format,
-			chunks:      cfg.Chunks,
-			parallel:    cfg.Parallelism,
-			computeSec:  cfg.ComputeSec,
-			compressSec: cfg.CompressSec,
-			tp:          NewInstrumented(cfg.Transport, cfg.Scenario).WithTelemetry(cfg.Telemetry),
-			tel:         cfg.Telemetry,
-		},
-	}, nil
+	n.adopt(identityMembers(NodeCount(cfg.Workers, cfg.Collective)))
+	return n
+}
+
+// adopt installs an agreed participant list and derives its worker
+// members (the group minus the server node, ascending) once, so the
+// per-step paths never rebuild it.
+func (n *Node) adopt(group []int) {
+	n.group, n.workers = group, group
+	if n.server >= 0 {
+		n.workers = make([]int, 0, len(group))
+		for _, id := range group {
+			if id < n.cfg.Workers {
+				n.workers = append(n.workers, id)
+			}
+		}
+	}
 }
 
 // Transport exposes the node's instrumented transport: its counters see
 // this process's gradient traffic (sends from and receives at this
 // rank), which is what a per-node traffic cross-check compares against
 // the per-node share of netsim's collective formulas.
-func (n *Node) Transport() *Instrumented { return n.sched.tp }
+func (n *Node) Transport() *Instrumented { return n.tp }
 
 // Exchange implements dist.GradientExchange for the single local worker:
 // ins must hold exactly one input — this rank's contribution — and agg
@@ -548,43 +414,30 @@ func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error
 	if err != nil {
 		return err
 	}
+	return n.exchange(step, coll, ins[0], agg)
+}
+
+// exchange runs this worker's share of one round over the already
+// resolved collective, retrying over the renegotiated group while the
+// failure is recoverable and retries remain.
+func (n *Node) exchange(step int, coll netsim.Collective, in dist.ExchangeInput, agg []float64) error {
+	// Tag the round's telemetry message events with the step before the
+	// first send: rounds are synchronous, so no message of another step
+	// is in flight on this node's links.
+	n.tp.SetStep(int64(step))
 	for attempt := 0; ; attempt++ {
 		jb := job{
-			step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll,
-			members: n.workerMembers(), deadline: n.stepDeadline(),
+			step: step, sparse: in.Sparse, dense: in.Dense, dim: len(agg),
+			coll: coll, deadline: n.stepDeadline(),
 		}
-		n.sched.tp.SetStep(int64(step))
-		err := n.sched.runWorker(n.cfg.Rank, jb, &n.sc, agg)
+		err := n.runWorker(jb, agg)
 		if err == nil {
 			return nil
 		}
-		if !Recoverable(err) || attempt >= n.cfg.MaxStepRetries {
-			// Fail-stop, like Engine: a broken round leaves stray messages
-			// on the links, so this node cannot safely run another
-			// schedule.
-			n.Close()
-			return fmt.Errorf("cluster: node %d: %w", n.cfg.Rank, err)
-		}
-		if rerr := n.recover(err); rerr != nil {
-			n.Close()
-			return fmt.Errorf("cluster: node %d: step %d recovery after %v: %w", n.cfg.Rank, step, err, rerr)
+		if err = n.recoverOrFail(attempt, err); err != nil {
+			return err
 		}
 	}
-}
-
-// workerMembers returns the current worker participants: the agreed
-// group minus the server node (if any), ascending.
-func (n *Node) workerMembers() []int {
-	if n.sched.server < 0 {
-		return n.group
-	}
-	ws := make([]int, 0, len(n.group))
-	for _, id := range n.group {
-		if id < n.cfg.Workers {
-			ws = append(ws, id)
-		}
-	}
-	return ws
 }
 
 // stepDeadline computes the receive deadline of one schedule run.
@@ -595,6 +448,23 @@ func (n *Node) stepDeadline() time.Time {
 		return time.Time{}
 	}
 	return time.Now().Add(n.cfg.StepTimeout)
+}
+
+// recoverOrFail decides what a failed attempt means: nil after a
+// successful membership recovery (run the step again), otherwise the
+// node's final error. Fail-stop: a broken round leaves stray messages on
+// the links, so the node closes its transport — which also unblocks any
+// peer sharing it — and cannot run another schedule.
+func (n *Node) recoverOrFail(attempt int, err error) error {
+	if Recoverable(err) && attempt < n.cfg.MaxStepRetries {
+		rerr := n.recover(err)
+		if rerr == nil {
+			return nil
+		}
+		err = fmt.Errorf("recovery after %v: %w", err, rerr)
+	}
+	n.Close()
+	return fmt.Errorf("cluster: node %d: %w", n.cfg.Rank, err)
 }
 
 // recover handles a recoverable step failure: renegotiate membership
@@ -616,11 +486,11 @@ func (n *Node) recover(cause error) error {
 	}
 	dbg("node %d: epoch %d agreed members %v", n.cfg.Rank, n.epoch+1, view)
 	n.epoch++
-	n.group = view
-	if n.sched.server >= 0 && memberPos(view, n.sched.server) < 0 {
+	n.adopt(view)
+	if n.server >= 0 && memberPos(view, n.server) < 0 {
 		return fmt.Errorf("cluster: parameter server lost — a PS deployment cannot recover without its server") //sidco:errclass lost server is unrecoverable under PS, deliberately fatal
 	}
-	if len(n.workerMembers()) < 1 {
+	if len(n.workers) < 1 {
 		return fmt.Errorf("cluster: no workers left in the renegotiated group %v", view) //sidco:errclass empty worker set is unrecoverable, deliberately fatal
 	}
 	return nil
@@ -641,7 +511,7 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 	}
 	binary.LittleEndian.PutUint64(n.scalar[:], math.Float64bits(x))
 	for attempt := 0; ; attempt++ {
-		members := n.workerMembers()
+		members := n.workers
 		if len(members) == 1 {
 			return x, nil
 		}
@@ -659,13 +529,8 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 			}
 			return sum * (1 / float64(len(members))), nil
 		}
-		if !Recoverable(err) || attempt >= n.cfg.MaxStepRetries {
-			n.Close()
-			return 0, fmt.Errorf("cluster: node %d scalar reduce: %w", n.cfg.Rank, err)
-		}
-		if rerr := n.recover(err); rerr != nil {
-			n.Close()
-			return 0, fmt.Errorf("cluster: node %d scalar reduce recovery after %v: %w", n.cfg.Rank, err, rerr)
+		if err = n.recoverOrFail(attempt, fmt.Errorf("scalar reduce: %w", err)); err != nil {
+			return 0, err
 		}
 	}
 }
@@ -679,37 +544,37 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 // peer merely dropping its connections does not close this node's
 // transport, so unbounded serving needs an external Close.
 func (n *Node) Serve(rounds int) error {
-	if n.cfg.Rank != n.cfg.Workers || n.cfg.Collective != netsim.CollectivePS {
+	if n.cfg.Rank != n.cfg.Workers {
 		return fmt.Errorf("cluster: Serve on rank %d, want the server rank %d under PS", n.cfg.Rank, n.cfg.Workers) //sidco:errclass caller misuse, deliberately fatal
 	}
-	var srv psServer
 	for served := 0; rounds <= 0 || served < rounds; served++ {
-		n.sched.tp.SetStep(int64(served))
-		for attempt := 0; ; attempt++ {
-			span := n.sched.tel.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(served))
-			recv := interceptRecv(n.sched.tp, n.stepDeadline())
-			err := srv.round(n.sched.tp, recv, n.sched.server, n.workerMembers(), n.sched.format)
-			span.End()
-			if err == nil {
-				break
-			}
+		if err := n.serveRound(served); err != nil {
 			if errors.Is(err, ErrClosed) {
-				n.closed = true
 				return nil
 			}
-			if !Recoverable(err) || attempt >= n.cfg.MaxStepRetries {
-				n.closed = true
-				n.sched.tp.Close()
-				return fmt.Errorf("cluster: server: %w", err)
-			}
-			if rerr := n.recover(err); rerr != nil {
-				n.closed = true
-				n.sched.tp.Close()
-				return fmt.Errorf("cluster: server: round %d recovery after %v: %w", served, err, rerr)
-			}
+			return err
 		}
 	}
 	return nil
+}
+
+// serveRound serves the parameter-server round of one step. The receive
+// deadline and the step tag are taken when the round starts, so time the
+// server spends idle between rounds never counts against StepTimeout.
+func (n *Node) serveRound(step int) error {
+	n.tp.SetStep(int64(step))
+	for attempt := 0; ; attempt++ {
+		span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(step))
+		recv := interceptRecv(n.tp, n.stepDeadline())
+		err := n.srv.round(n.tp, recv, n.server, n.workers, n.format)
+		span.End()
+		if err == nil {
+			return nil
+		}
+		if err = n.recoverOrFail(attempt, err); err != nil {
+			return err
+		}
+	}
 }
 
 // Close marks the node closed and closes its transport. Safe to call
@@ -719,5 +584,5 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	return n.sched.tp.Close()
+	return n.tp.Close()
 }

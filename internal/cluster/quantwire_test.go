@@ -87,32 +87,3 @@ func TestQuantizedWireAggregates(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelDecodeBitIdentity runs the same exchange with and without
-// the decode fan-out and requires bitwise-equal aggregates: parallelism
-// must never change the reduction order.
-func TestParallelDecodeBitIdentity(t *testing.T) {
-	const dim, workers = 1021, 5
-	ins := randomInputs(t, workers, dim, 0.1, 31)
-	for _, wire := range []Wire{WireLossless, WirePairsI8} {
-		for _, chunks := range []int{1, 4} {
-			base, e0 := engineExchange(t, Config{
-				Workers: workers, Collective: netsim.CollectiveAllGather,
-				Format: wire, Chunks: chunks,
-			}, ins, dim)
-			e0.Close()
-			for _, p := range []int{2, 8} {
-				got, e := engineExchange(t, Config{
-					Workers: workers, Collective: netsim.CollectiveAllGather,
-					Format: wire, Chunks: chunks, Parallelism: p, Verify: true,
-				}, ins, dim)
-				e.Close()
-				for i := range base {
-					if math.Float64bits(got[i]) != math.Float64bits(base[i]) {
-						t.Fatalf("%v chunks=%d P=%d: element %d = %v, want %v", wire, chunks, p, i, got[i], base[i])
-					}
-				}
-			}
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,6 +128,51 @@ func TestEngineTelemetryMatchesInstrumentedAndFormulas(t *testing.T) {
 				t.Errorf("recorded %d collective spans, want %d", collectives, wantSpans)
 			}
 		})
+	}
+}
+
+// eventLog is a Sink that keeps every event.
+type eventLog struct {
+	mu     sync.Mutex
+	events []telemetry.Event // guarded by mu
+}
+
+func (l *eventLog) Emit(e telemetry.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// TestEngineServerSpansCarryCallerStep: every node of a PS engine —
+// the server included — tags its collective span with the step the
+// caller passed, also when the first exchange is not step 0 (a resumed
+// run, a harness that offsets steps).
+func TestEngineServerSpansCarryCallerStep(t *testing.T) {
+	const workers, dim = 3, 64
+	var log eventLog
+	e, err := New(Config{Workers: workers, Collective: netsim.CollectivePS, Telemetry: telemetry.New(&log)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ins := randomInputs(t, workers, dim, 0.1, 3)
+	agg := make([]float64, dim)
+	steps := []int64{7, 8, 9}
+	for _, step := range steps {
+		if err := e.Exchange(int(step), ins, agg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[int32][]int64)
+	for _, ev := range log.events {
+		if ev.Type == telemetry.EventSpan && ev.Span == telemetry.SpanCollective {
+			got[ev.Node] = append(got[ev.Node], ev.Step)
+		}
+	}
+	for node := int32(0); node <= workers; node++ {
+		if fmt.Sprint(got[node]) != fmt.Sprint(steps) {
+			t.Errorf("node %d collective spans carry steps %v, want %v", node, got[node], steps)
+		}
 	}
 }
 

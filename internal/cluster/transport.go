@@ -21,19 +21,21 @@
 // one node per OS process (cmd/sidco-node), each holding a TCPTransport
 // over a shared host list.
 //
-// The Engine ties the schedules to training: it satisfies
-// dist.GradientExchange, so a dist.Trainer can swap its in-process
-// reducer for a real exchange. Over the lossless FormatPairs64 wire
-// format the all-gather and parameter-server collectives sum decoded
-// contributions in worker-index order, reproducing the in-process
-// trainer's losses bit-for-bit. Node is the per-process counterpart:
-// one cluster node plus a Workers=1 Trainer per process reproduces the
-// same losses over TCP.
+// Node ties the schedules to training: it is one rank of a deployment
+// and satisfies dist.GradientExchange for that rank's worker, so one
+// Node plus a Workers=1 Trainer per process trains over TCP. Engine is
+// the whole deployment in one process — one Node per rank, all on one
+// Instrumented transport — and satisfies dist.GradientExchange for all
+// N workers, so a dist.Trainer can swap its in-process reducer for a
+// real exchange. Over the lossless FormatPairs64 wire format the
+// all-gather and parameter-server collectives sum decoded contributions
+// in worker-index order, reproducing the in-process trainer's losses
+// bit-for-bit either way.
 //
 // The package also survives dead peers. Errors classify into a
 // recoverable class (ErrPeerLost, ErrTimeout — see Recoverable) and the
-// fatal local-shutdown class (ErrClosed); NodeConfig.StepTimeout bounds
-// every schedule receive, and NodeConfig.MaxStepRetries enables elastic
+// fatal local-shutdown class (ErrClosed); Config.StepTimeout bounds
+// every schedule receive, and Config.MaxStepRetries enables elastic
 // membership: survivors of a recoverable failure agree on the live
 // member set (a fixed-round mask exchange that doubles as a link drain),
 // re-run the step over the surviving group, and rescale the aggregate to
