@@ -101,7 +101,10 @@ type Config struct {
 	Telemetry *telemetry.Tracer
 	// Verify makes every Engine exchange cross-check that all nodes
 	// computed identical aggregates (a distributed-consistency assertion
-	// for tests; it costs O(N*d) comparisons per step). A lone Node has
+	// for tests; it costs N-1 more d-sized aggregates and O(N*d)
+	// comparisons per step — without it only rank 0, whose aggregate the
+	// caller reads, decodes and reduces on the sparse collectives; the
+	// other ranks just move their share of the bytes). A lone Node has
 	// nothing to compare against and ignores it.
 	Verify bool
 }
@@ -288,7 +291,8 @@ type round struct {
 	step int
 	coll netsim.Collective  // resolved once per round, never Auto
 	in   dist.ExchangeInput // unset for the server rank
-	out  []float64
+	dim  int
+	out  []float64 // dim elements, or nil: move the bytes, keep no aggregate
 }
 
 // Engine is a whole deployment in one process: NodeCount(Workers,
@@ -307,7 +311,7 @@ type Engine struct {
 	tp      *Instrumented
 	rounds  []chan round // one per rank, the server's last
 	results chan error   // one per rank per round; Node errors name their rank
-	outs    [][]float64  // per-worker aggregates; outs[0] is the caller's buffer
+	outs    [][]float64  // aggregates of ranks >= 1, allocated only when a round needs them
 	wg      sync.WaitGroup
 	closed  bool
 }
@@ -366,10 +370,11 @@ func (e *Engine) Close() error {
 
 // Exchange implements dist.GradientExchange: it hands every rank its
 // share of the round and waits for all of them, which makes it the
-// barrier between rounds. Node 0 reduces straight into agg. A rank that
-// fails fatally has closed the shared transport (unblocking its peers),
-// so the round drains, the engine shuts down and the first error is
-// returned.
+// barrier between rounds. Node 0 reduces straight into agg; the other
+// ranks keep an aggregate of their own only where something reads it —
+// under Verify, and on the ring, which reduces in it. A rank that fails
+// fatally has closed the shared transport (unblocking its peers), so the
+// round drains, the engine shuts down and the first error is returned.
 func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
 	if e.closed {
 		return fmt.Errorf("cluster: exchange on closed engine: %w", ErrClosed)
@@ -381,14 +386,20 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 	if err != nil {
 		return err
 	}
-	e.outs[0] = agg
+	ownAggregates := e.cfg.Verify || coll == netsim.CollectiveRing
 	for rank, ch := range e.rounds {
-		rd := round{step: step, coll: coll}
-		if rank < e.cfg.Workers {
-			if len(e.outs[rank]) != len(agg) {
-				e.outs[rank] = make([]float64, len(agg))
+		rd := round{step: step, coll: coll, dim: len(agg)}
+		switch {
+		case rank == 0:
+			rd.in, rd.out = ins[0], agg
+		case rank < e.cfg.Workers:
+			rd.in = ins[rank]
+			if ownAggregates {
+				if len(e.outs[rank]) != len(agg) {
+					e.outs[rank] = make([]float64, len(agg))
+				}
+				rd.out = e.outs[rank]
 			}
-			rd.in, rd.out = ins[rank], e.outs[rank]
 		}
 		ch <- rd
 	}
@@ -426,7 +437,7 @@ func (e *Engine) rankLoop(nd *Node, rounds <-chan round) {
 		if nd.cfg.Rank == e.cfg.Workers {
 			e.results <- nd.serveRound(rd.step)
 		} else {
-			e.results <- nd.exchange(rd.step, rd.coll, rd.in, rd.out)
+			e.results <- nd.exchange(rd.step, rd.coll, rd.in, rd.dim, rd.out)
 		}
 	}
 }

@@ -437,22 +437,152 @@ func TestTrainerDenseRingConverges(t *testing.T) {
 	}
 }
 
-func TestSparsifyKeepsExactSupport(t *testing.T) {
-	dense := []float64{0, 1.5, 0, -2, 0, 1e-300}
-	s := &tensor.Sparse{}
-	sparsifyInto(s, len(dense), dense)
-	if s.NNZ() != 3 {
-		t.Fatalf("nnz = %d, want 3", s.NNZ())
+// zeroHeavyInputs builds sparse contributions salted with the values a
+// sparse reduce can get wrong: -0 (alone at an index it must land as +0),
+// +/-1.5 (exactly cancelling where workers overlap) and a denormal-scale
+// 1e-300 that must survive.
+func zeroHeavyInputs(workers, dim int, seed int64) []dist.ExchangeInput {
+	rng := rand.New(rand.NewSource(seed))
+	salt := []float64{math.Copysign(0, -1), 1.5, -1.5, 1e-300}
+	ins := make([]dist.ExchangeInput, workers)
+	for w := range ins {
+		s := &tensor.Sparse{Dim: dim}
+		// Pinned cases: index 0 cancels between workers 0 and 1, index 1
+		// is a lone -0, index 2 a lone 1e-300; the rest is random.
+		switch w {
+		case 0:
+			s.Append(0, 1.5)
+			s.Append(1, salt[0])
+			s.Append(2, 1e-300)
+		case 1:
+			s.Append(0, -1.5)
+		}
+		for i := 3; i < dim; i++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				s.Append(int32(i), salt[r])
+			case r < 6:
+				s.Append(int32(i), rng.NormFloat64())
+			}
+		}
+		ins[w] = dist.ExchangeInput{Worker: w, Sparse: s}
 	}
-	back := make([]float64, len(dense))
-	s.AddTo(back)
-	for i := range dense {
-		if back[i] != dense[i] {
-			t.Errorf("element %d = %v, want %v", i, back[i], dense[i])
+	return ins
+}
+
+// TestSparseReduceMatchesInProcessOnZeros holds the O(k*N) merged reduce
+// of the all-gather (monolithic, chunked, more chunks than elements) and
+// of the parameter server bit-equal to dist.InProcess on inputs full of
+// signed zeros and cancelling pairs, with and without the per-rank
+// aggregates Verify adds. Under PS the reply must carry exactly the
+// non-zero support of the mean: cancelled sums and lone -0s are absent
+// from it, 1e-300 is not.
+func TestSparseReduceMatchesInProcessOnZeros(t *testing.T) {
+	const dim = 61
+	for _, workers := range []int{1, 2, 3, 8} {
+		ins := zeroHeavyInputs(workers, dim, int64(100+workers))
+		want := make([]float64, dim)
+		if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
+			t.Fatal(err)
+		}
+		support, pushed := 0, 0
+		for _, v := range want {
+			if v != 0 {
+				support++
+			}
+		}
+		for _, in := range ins {
+			pushed += encoding.Pairs64Size(dim, in.Sparse.NNZ())
+		}
+		for _, cfg := range []Config{
+			{Collective: netsim.CollectiveAllGather},
+			{Collective: netsim.CollectiveAllGather, Chunks: 4},
+			{Collective: netsim.CollectiveAllGather, Chunks: dim + 3},
+			{Collective: netsim.CollectivePS},
+		} {
+			for _, verify := range []bool{false, true} {
+				cfg.Workers, cfg.Verify = workers, verify
+				got, e := engineExchange(t, cfg, ins, dim)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("workers=%d %v chunks=%d verify=%v: element %d = %v (%#x), in-process %v (%#x)",
+							workers, cfg.Collective, cfg.Chunks, verify, i,
+							got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+				if cfg.Collective == netsim.CollectivePS {
+					_, bytes := e.Transport().Totals()
+					if reply := (bytes - pushed) / workers; reply != encoding.Pairs64Size(dim, support) {
+						t.Fatalf("workers=%d: PS reply is %d bytes, want the %d-element non-zero support (%d bytes)",
+							workers, reply, support, encoding.Pairs64Size(dim, support))
+					}
+				}
+				e.Close()
+			}
 		}
 	}
-	if _, err := tensor.NewSparse(3, []int32{0, 1, 2}, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
+}
+
+// TestReduceBufsSettle pins what a reducer keeps between rounds: storage
+// an over-selecting round grew stays while such rounds keep coming, goes
+// once slackRounds rounds in a row used under a quarter of it, and small
+// or well-used storage is never touched (the steady state allocates
+// nothing).
+func TestReduceBufsSettle(t *testing.T) {
+	const small, outlier = 1000, 8 * retainElems
+	round := func(b *reduceBufs, n int) {
+		t.Helper()
+		fill := func(s *tensor.Sparse) {
+			s.Reset(2 * outlier)
+			s.Grow(n)
+			s.Idx, s.Vals = s.Idx[:n], s.Vals[:n]
+		}
+		for i := range b.grow(2) {
+			fill(&b.parts[i])
+		}
+		fill(&b.mean)
+		b.settle()
+	}
+	caps := func(b *reduceBufs) [3]int {
+		return [3]int{cap(b.parts[0].Idx), cap(b.parts[1].Vals), cap(b.mean.Idx)}
+	}
+
+	var b reduceBufs
+	round(&b, outlier)
+	for i := 1; i < slackRounds; i++ {
+		round(&b, small)
+		if got := caps(&b); got != [3]int{outlier, outlier, outlier} {
+			t.Fatalf("%d small rounds after an outlier: capacities %v, want the outlier's kept", i, got)
+		}
+	}
+	round(&b, small)
+	if got := caps(&b); got != [3]int{} {
+		t.Fatalf("%d small rounds after an outlier: capacities %v, want all released", slackRounds, got)
+	}
+
+	// Outliers that recur inside the window keep their storage for good.
+	b = reduceBufs{}
+	for i := 0; i < 5*slackRounds; i++ {
+		n := small
+		if i%(slackRounds-1) == 0 {
+			n = outlier
+		}
+		round(&b, n)
+		if got := caps(&b); got != [3]int{outlier, outlier, outlier} {
+			t.Fatalf("round %d of a recurring outlier: capacities %v, want %d kept", i, got, outlier)
+		}
+	}
+
+	// Storage under retainElems, or used to a quarter, is never released.
+	for _, tc := range []struct{ first, rest int }{{retainElems, 1}, {outlier, outlier / 4}} {
+		b = reduceBufs{}
+		round(&b, tc.first)
+		for i := 0; i < 3*slackRounds; i++ {
+			round(&b, tc.rest)
+		}
+		if got := caps(&b); got != [3]int{tc.first, tc.first, tc.first} {
+			t.Fatalf("first %d then %d per round: capacities %v, want kept", tc.first, tc.rest, got)
+		}
 	}
 }
 

@@ -28,17 +28,20 @@ type job struct {
 
 // nodeScratch is one node's reusable pipeline storage: encode buffers
 // (one per chunk — a chunk's buffer stays pinned while it circulates the
-// ring, so chunks cannot share), the all-gather result slots, the decode
-// target, the zero-copy view headers and the identity index ramp backing
-// dense-as-sparse views.
+// ring, so chunks cannot share), the all-gather result slots, one decode
+// target per origin, the round's merged mean, the zero-copy view headers
+// and the identity index ramp backing dense-as-sparse views.
 type nodeScratch struct {
 	enc    [][]byte
 	gather [][]byte
-	ready  []float64 // per-chunk compression completion (virtual time)
-	dec    tensor.Sparse
+	ready  []float64     // per-chunk compression completion (virtual time)
 	view   tensor.Sparse // chunk subrange of the local selection
 	full   tensor.Sparse // full-support view of a dense gradient
 	ident  []int32       // 0..dim-1 ramp for dense-as-sparse views
+
+	// Decoded origins and their merge under all-gather; under PS mean
+	// alone, holding the server's reply.
+	reduceBufs
 }
 
 // chunkCount resolves the configured chunking (0 or 1: monolithic).
@@ -50,8 +53,12 @@ func (n *Node) chunkCount() int {
 }
 
 // runWorker executes this worker node's half of one exchange, leaving the
-// aggregated mean in out (which must have jb.dim elements). The whole
-// round is traced as one collective span per node.
+// aggregated mean in out (jb.dim elements) — or nowhere when out is nil:
+// an Engine rank whose aggregate nobody reads still sends, forwards and
+// receives its whole share of the schedule but neither decodes nor
+// reduces what arrives (the rank that does keep an aggregate is handed
+// the same bytes). The ring reduces in out itself and always needs it. The whole round is traced as one collective span
+// per node.
 func (n *Node) runWorker(jb job, out []float64) error {
 	span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(jb.step))
 	err := n.runCollective(jb, out)
@@ -107,14 +114,18 @@ func (n *Node) runCollective(jb job, out []float64) error {
 		if err != nil {
 			return err
 		}
-		if err := encoding.DecodeInto(&sc.dec, reply); err != nil {
+		if out == nil {
+			return nil // took delivery of the reply; rank 0 decodes the same bytes
+		}
+		if err := encoding.DecodeInto(&sc.mean, reply); err != nil {
 			return fmt.Errorf("decoding server reply: %w", err)
 		}
-		if sc.dec.Dim != jb.dim {
-			return fmt.Errorf("server reply has dim %d, want %d", sc.dec.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		if sc.mean.Dim != jb.dim {
+			return fmt.Errorf("server reply has dim %d, want %d", sc.mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 		}
 		tensor.Zero(out)
-		sc.dec.AddTo(out)
+		scatter(&sc.mean, out)
+		sc.settle()
 		return nil
 	}
 	return fmt.Errorf("unreachable collective") //sidco:errclass internal invariant, deliberately fatal
@@ -128,10 +139,12 @@ func (n *Node) runCollective(jb job, out []float64) error {
 // encoded payloads. Compression time (CompressSec/C per chunk) and the
 // encode of chunk i+1 happen inside chunk i's pipeline overlap slot.
 //
-// Aggregation stays bit-identical to the monolithic schedule: chunks
-// partition the index space, and within each chunk contributions are
-// decoded and added in worker-index order — for every element the same
-// addition sequence as dist.InProcess over a lossless wire.
+// Aggregation costs O(k*N), not O(d), and stays bit-identical to the
+// monolithic schedule: chunks partition the index space, and within each
+// chunk the decoded contributions are merged in worker-index order
+// (tensor.MeanSparseInto) — for every element the same operation sequence
+// as dist.InProcess over a lossless wire — and the merged mean is
+// assigned into the zeroed out.
 //
 // Chunk counts beyond the dimension are harmless: chunkBounds collides
 // (c*d/C == (c+1)*d/C) for the surplus chunks, whose index ranges are
@@ -188,7 +201,11 @@ func (n *Node) runAllGather(jb job, out []float64) error {
 		return nil
 	}
 
-	tensor.Zero(out)
+	var parts []tensor.Sparse
+	if out != nil {
+		parts = sc.grow(len(members))
+		tensor.Zero(out)
+	}
 	for c := 0; c < C; c++ {
 		if err := encodeUpTo(c); err != nil {
 			return err
@@ -206,20 +223,35 @@ func (n *Node) runAllGather(jb job, out []float64) error {
 		if err != nil {
 			return err
 		}
-		// Decode and reduce in worker-index order: with a lossless format
-		// this is the exact operation sequence of dist.InProcess.
+		if out == nil {
+			continue // forwarded its share; rank 0 decodes the same bytes
+		}
+		// Decode every origin, then reduce in worker-index order: with a
+		// lossless format this is the exact operation sequence of
+		// dist.InProcess.
 		for origin := range members {
-			if err := encoding.DecodeInto(&sc.dec, sc.gather[origin]); err != nil {
+			if err := encoding.DecodeInto(&parts[origin], sc.gather[origin]); err != nil {
 				return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
 			}
-			if sc.dec.Dim != jb.dim {
-				return fmt.Errorf("origin %d has dim %d, want %d", members[origin], sc.dec.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+			if parts[origin].Dim != jb.dim {
+				return fmt.Errorf("origin %d has dim %d, want %d", members[origin], parts[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 			}
-			sc.dec.AddTo(out)
 		}
+		tensor.MeanSparseInto(&sc.mean, parts)
+		scatter(&sc.mean, out)
 	}
-	tensor.Scale(1/float64(len(members)), out)
+	sc.settle()
 	return nil
+}
+
+// scatter assigns s's stored elements into the dense out, which has
+// s.Dim elements (callers check the dimension of everything they decode).
+//
+//sidco:hotpath
+func scatter(s *tensor.Sparse, out []float64) {
+	for i, j := range s.Idx {
+		out[j] = s.Vals[i]
+	}
 }
 
 // localSparse resolves a worker's contribution to a sparse vector
@@ -249,13 +281,71 @@ func growSlots(bufs [][]byte, n int) [][]byte {
 	return bufs
 }
 
+// reduceBufs is a reducer's decode-and-merge storage, reused across
+// rounds: one decode target per contributor and their merged mean.
+type reduceBufs struct {
+	parts []tensor.Sparse // decoded contributions, by member position
+	mean  tensor.Sparse
+	slack int // consecutive rounds that used under a quarter of mean's storage
+}
+
+// grow returns n decode targets, keeping the storage the first of them
+// already own.
+func (b *reduceBufs) grow(n int) []tensor.Sparse {
+	b.parts = b.parts[:cap(b.parts)]
+	for len(b.parts) < n {
+		b.parts = append(b.parts, tensor.Sparse{})
+	}
+	b.parts = b.parts[:n]
+	return b.parts
+}
+
+const (
+	// retainElems is the stored-element capacity a reduce buffer keeps
+	// whatever the rounds use: 1 MiB of indices and values.
+	retainElems = (1 << 20) / 12
+	// slackRounds is how long oversized storage waits for the next round
+	// that needs it: two periods of a SIDCo stage controller oscillating
+	// between two stage counts at the default Q = 5, and some.
+	slackRounds = 24
+)
+
+// settle ends a round: once slackRounds rounds in a row have used under a
+// quarter of mean's storage, every buffer that oversized is released. A
+// SIDCo estimator over-selects 10-70x on a few steps per hundred (how far
+// is seed luck: up to 0.7*dim at delta 0.01), and buffers that kept their
+// all-time high-water mark made a node's resident set differ by tens of
+// MB between otherwise equal runs. Where the outliers come every few
+// rounds the storage stays — freeing it only to fault it in again cost
+// grad-sidcogp-d2m 15% of its steps per second — and the steady state
+// never comes near the 4x, so it stays allocation-free.
+func (b *reduceBufs) settle() {
+	if !oversized(&b.mean) {
+		b.slack = 0
+		return
+	}
+	if b.slack++; b.slack < slackRounds {
+		return
+	}
+	b.slack = 0
+	b.mean = tensor.Sparse{}
+	for i := range b.parts {
+		if oversized(&b.parts[i]) {
+			b.parts[i] = tensor.Sparse{}
+		}
+	}
+}
+
+func oversized(s *tensor.Sparse) bool {
+	c := cap(s.Idx)
+	return c > retainElems && c > 4*len(s.Idx)
+}
+
 // psServer is the parameter-server node's reusable aggregation state,
-// kept on the server Node across rounds.
+// kept on the server Node across rounds: one decode target per worker,
+// the merged mean and its encoding.
 type psServer struct {
-	acc  []float64
-	dim  int
-	dec  tensor.Sparse
-	agg  tensor.Sparse
+	reduceBufs
 	wire []byte
 }
 
@@ -263,51 +353,35 @@ type psServer struct {
 // worker's push in worker-index order, combine, and broadcast the mean
 // over the surviving count.
 func (s *psServer) round(tp Transport, recv linkRecv, server int, workers []int, format encoding.Format) error {
+	parts := s.grow(len(workers))
 	combine := func(pos, worker int, payload []byte) error {
-		if err := encoding.DecodeInto(&s.dec, payload); err != nil {
+		if err := encoding.DecodeInto(&parts[pos], payload); err != nil {
 			return err
 		}
-		if pos == 0 {
-			s.dim = s.dec.Dim
-			if len(s.acc) != s.dim {
-				s.acc = make([]float64, s.dim)
-			}
-			tensor.Zero(s.acc)
-		} else if s.dec.Dim != s.dim {
-			return fmt.Errorf("worker %d pushed dim %d, want %d", worker, s.dec.Dim, s.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		if parts[pos].Dim != parts[0].Dim {
+			return fmt.Errorf("worker %d pushed dim %d, want %d", worker, parts[pos].Dim, parts[0].Dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 		}
-		// Worker-index arrival order (psServeGroup receives in ascending
-		// member order) keeps the sum bit-identical to the in-process
-		// reducer.
-		s.dec.AddTo(s.acc)
 		return nil
 	}
 	reply := func() ([]byte, error) {
-		tensor.Scale(1/float64(len(workers)), s.acc)
-		sparsifyInto(&s.agg, s.dim, s.acc)
+		// Merging in worker-index order (psServeGroup receives in
+		// ascending member order) keeps the mean bit-identical to the
+		// in-process reducer. Exact-zero sums drop out of the reply;
+		// decoding restores them as zeros, so the round-trip is
+		// value-preserving.
+		tensor.MeanSparseInto(&s.mean, parts)
 		var err error
 		// The reply buffer is broadcast to every worker and read
 		// within the round, so recycling it across rounds is safe:
 		// the round barrier ends before reuse.
-		s.wire, err = encoding.EncodeTo(s.wire[:0], &s.agg, format)
+		s.wire, err = encoding.EncodeTo(s.wire[:0], &s.mean, format)
 		if err != nil {
 			return nil, err
 		}
+		s.settle()
 		return s.wire, nil
 	}
 	return psServeGroup(tp, recv, server, workers, combine, reply)
-}
-
-// sparsifyInto extracts the non-zero support of a dense vector into
-// reused sparse storage. Exact zeros drop out of the encoding; decoding
-// restores them as zeros, so the round-trip is value-preserving.
-func sparsifyInto(dst *tensor.Sparse, dim int, dense []float64) {
-	dst.Reset(dim)
-	for i, v := range dense {
-		if v != 0 {
-			dst.Append(int32(i), v)
-		}
-	}
 }
 
 // Node is one rank of a deployment (Config.Rank): the unit cmd/sidco-node
@@ -414,20 +488,22 @@ func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error
 	if err != nil {
 		return err
 	}
-	return n.exchange(step, coll, ins[0], agg)
+	return n.exchange(step, coll, ins[0], len(agg), agg)
 }
 
-// exchange runs this worker's share of one round over the already
-// resolved collective, retrying over the renegotiated group while the
-// failure is recoverable and retries remain.
-func (n *Node) exchange(step int, coll netsim.Collective, in dist.ExchangeInput, agg []float64) error {
+// exchange runs this worker's share of one round of dimension dim over
+// the already resolved collective, retrying over the renegotiated group
+// while the failure is recoverable and retries remain. A nil agg (sparse
+// collectives only) runs the message schedule without decoding or
+// reducing.
+func (n *Node) exchange(step int, coll netsim.Collective, in dist.ExchangeInput, dim int, agg []float64) error {
 	// Tag the round's telemetry message events with the step before the
 	// first send: rounds are synchronous, so no message of another step
 	// is in flight on this node's links.
 	n.tp.SetStep(int64(step))
 	for attempt := 0; ; attempt++ {
 		jb := job{
-			step: step, sparse: in.Sparse, dense: in.Dense, dim: len(agg),
+			step: step, sparse: in.Sparse, dense: in.Dense, dim: dim,
 			coll: coll, deadline: n.stepDeadline(),
 		}
 		err := n.runWorker(jb, agg)

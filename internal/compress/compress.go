@@ -36,12 +36,15 @@ type Compressor interface {
 	Name() string
 	// Compress sparsifies g at target ratio delta in (0, 1]. The returned
 	// sparse vector has ascending unique indices. Implementations must not
-	// modify g.
+	// modify g: it may alias state the caller keeps across steps (the
+	// error-feedback residual is handed to its wrapped compressor this
+	// way), so a write would corrupt more than one call's input.
 	Compress(g []float64, delta float64) (*tensor.Sparse, error)
 	// CompressInto sparsifies g into dst, resetting dst first and reusing
 	// its storage. dst is left untouched on error. Implementations must
-	// not modify g and must not retain dst or alias internal scratch into
-	// it — the caller owns dst between calls.
+	// not modify g (see Compress: it may be the caller's persistent
+	// state) and must not retain dst or alias internal scratch into it —
+	// the caller owns dst between calls.
 	CompressInto(dst *tensor.Sparse, g []float64, delta float64) error
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/encoding"
-	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -25,10 +24,8 @@ type ErrorFeedback struct {
 	Inner Compressor
 
 	residual []float64
-	buf      []float64
 	wire     encoding.Format
 	wireSet  bool
-	parP     int
 }
 
 // NewErrorFeedback wraps inner with a fresh (zero) residual.
@@ -51,14 +48,10 @@ func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 // ClearWireFormat restores plain sparsification-only error feedback.
 func (e *ErrorFeedback) ClearWireFormat() { e.wireSet = false }
 
-// SetParallelism implements Parallelizable: the dense
-// residual-accumulate and residual-rebuild passes fan out over p
-// goroutines (elementwise on disjoint ranges, so trivially
-// bit-identical), and the knob forwards to the wrapped compressor.
-func (e *ErrorFeedback) SetParallelism(p int) {
-	e.parP = p
-	SetParallelism(e.Inner, p)
-}
+// SetParallelism implements Parallelizable by forwarding to the wrapped
+// compressor: the wrapper's own work is one add over d and a subtract
+// over the selection, neither worth a fork-join.
+func (e *ErrorFeedback) SetParallelism(p int) { SetParallelism(e.Inner, p) }
 
 // Name implements Compressor.
 func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+ec" }
@@ -71,40 +64,31 @@ func (e *ErrorFeedback) Compress(g []float64, delta float64) (*tensor.Sparse, er
 }
 
 // CompressInto implements Compressor, delegating the selection to the
-// wrapped compressor's fast path. The residual bookkeeping itself is
-// allocation-free after the first call.
+// wrapped compressor's fast path. The bookkeeping is in place on the one
+// persistent d-sized buffer: residual += g makes it the corrected
+// gradient (bit-equal to g + residual, float addition commutes), the
+// wrapped compressor selects from it, and subtracting the selection at
+// the selected indices leaves the new residual. It is allocation-free
+// after the first call.
+//
+// On error — from the wrapped compressor or from rounding to the wire —
+// the residual stays at r + g: the whole gradient of the failed step is
+// carried as untransmitted mass, nothing is lost, and dst is whatever
+// the wrapped compressor left. Calling again with the same g would add it
+// a second time, so a caller that retries a failed step must restore the
+// residual first (dist.Trainer aborts instead).
 //
 //sidco:hotpath
 func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
-	d := len(g)
 	if e.residual == nil {
-		e.residual = make([]float64, d) //sidco:alloc first-call lazy init of the persistent residual
-		e.buf = make([]float64, d)      //sidco:alloc first-call lazy init of the persistent scratch
+		e.residual = make([]float64, len(g)) //sidco:alloc first-call lazy init of the persistent residual
 	}
-	if len(e.residual) != d {
-		return fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), d) //sidco:alloc misuse error path, not steady state
+	if len(e.residual) != len(g) {
+		return fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), len(g)) //sidco:alloc misuse error path, not steady state
 	}
+	tensor.Add(g, e.residual)
 
-	corrected := e.buf
-	p := e.parP
-	if p < 1 || d < 1<<14 {
-		p = 1
-	}
-	// The serial path is written out rather than run as par.Do(1, ...):
-	// the range-bounded closures capture locals and would allocate,
-	// breaking the zero-alloc steady-state contract at P=1.
-	if p == 1 {
-		copy(corrected, g)
-		tensor.Add(e.residual, corrected)
-	} else {
-		par.Do(p, func(w int) { //sidco:alloc P>1 fan-out only; the zero-alloc P=1 path is written out above
-			lo, hi := par.RangeBounds(d, p, w)
-			copy(corrected[lo:hi], g[lo:hi])
-			tensor.Add(e.residual[lo:hi], corrected[lo:hi])
-		})
-	}
-
-	if err := e.Inner.CompressInto(dst, corrected, delta); err != nil {
+	if err := e.Inner.CompressInto(dst, e.residual, delta); err != nil {
 		return err
 	}
 
@@ -116,15 +100,6 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 		}
 	}
 
-	// residual = corrected - scatter(selection)
-	if p == 1 {
-		copy(e.residual, corrected)
-	} else {
-		par.Do(p, func(w int) { //sidco:alloc P>1 fan-out only; the zero-alloc P=1 path is written out above
-			lo, hi := par.RangeBounds(d, p, w)
-			copy(e.residual[lo:hi], corrected[lo:hi])
-		})
-	}
 	for i, j := range dst.Idx {
 		e.residual[j] -= dst.Vals[i]
 	}
@@ -142,13 +117,9 @@ func (e *ErrorFeedback) Residual() []float64 { return e.residual }
 func (e *ErrorFeedback) RestoreResidual(r []float64) {
 	if len(r) == 0 {
 		e.residual = nil
-		e.buf = nil
 		return
 	}
 	e.residual = append(e.residual[:0], r...)
-	if len(e.buf) != len(r) {
-		e.buf = make([]float64, len(r))
-	}
 }
 
 // Reset clears the residual, e.g. between independent training runs.

@@ -1,9 +1,12 @@
 package compress
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/tensor"
 )
 
@@ -140,5 +143,126 @@ func TestErrorFeedbackDoesNotModifyInput(t *testing.T) {
 		if g[i] != orig[i] {
 			t.Fatal("EC modified its input")
 		}
+	}
+}
+
+// failingInner is a wrapped compressor that fails after a set number of
+// successful calls.
+type failingInner struct {
+	Compressor
+	okCalls int
+}
+
+var errInnerFailed = errors.New("inner failed")
+
+func (f *failingInner) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
+	if f.okCalls == 0 {
+		return errInnerFailed
+	}
+	f.okCalls--
+	return f.Compressor.CompressInto(dst, g, delta)
+}
+
+// TestErrorFeedbackFailureCarriesWholeGradient pins the failure
+// semantics of the in-place bookkeeping: when the wrapped compressor or
+// the wire rounding fails, the residual is r + g bit for bit — the
+// failed step's gradient is carried, not lost and not half-subtracted.
+func TestErrorFeedbackFailureCarriesWholeGradient(t *testing.T) {
+	g := laplaceVec(2000, 0.01, 34)
+	for name, arm := range map[string]func(*ErrorFeedback, *failingInner){
+		"inner": func(_ *ErrorFeedback, in *failingInner) { in.okCalls = 0 },
+		"wire":  func(ec *ErrorFeedback, _ *failingInner) { ec.SetWireFormat(encoding.Format(200)) },
+	} {
+		inner := &failingInner{Compressor: NewTopK(), okCalls: 1 << 30}
+		ec := NewErrorFeedback(inner)
+		dst := &tensor.Sparse{}
+		for step := 0; step < 3; step++ {
+			if err := ec.CompressInto(dst, g, 0.01); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := tensor.Clone(ec.Residual())
+		tensor.Add(g, want)
+
+		arm(ec, inner)
+		if err := ec.CompressInto(dst, g, 0.01); err == nil {
+			t.Fatalf("%s: failure not surfaced", name)
+		}
+		for i, r := range ec.Residual() {
+			if math.Float64bits(r) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: residual[%d] = %v after a failed step, want r + g = %v", name, i, r, want[i])
+			}
+		}
+	}
+}
+
+// TestErrorFeedbackMatchesOutOfPlace holds the in-place bookkeeping
+// bit-equal to the textbook form it replaced: corrected = g + r in a
+// second buffer, select, r = corrected - selection.
+func TestErrorFeedbackMatchesOutOfPlace(t *testing.T) {
+	const d, delta = 3000, 0.02
+	ec := NewErrorFeedback(NewTopK())
+	ec.SetWireFormat(encoding.FormatPairsBF16)
+	ref := NewTopK()
+	residual := make([]float64, d)
+	corrected := make([]float64, d)
+	got, want := &tensor.Sparse{}, &tensor.Sparse{}
+	for step := 0; step < 8; step++ {
+		g := laplaceVec(d, 0.01, int64(40+step))
+		if err := ec.CompressInto(got, g, delta); err != nil {
+			t.Fatal(err)
+		}
+		copy(corrected, g)
+		tensor.Add(residual, corrected)
+		if err := ref.CompressInto(want, corrected, delta); err != nil {
+			t.Fatal(err)
+		}
+		if err := encoding.RoundTripValues(encoding.FormatPairsBF16, want.Vals); err != nil {
+			t.Fatal(err)
+		}
+		copy(residual, corrected)
+		for i, j := range want.Idx {
+			residual[j] -= want.Vals[i]
+		}
+		if !reflect.DeepEqual(got.Idx, want.Idx) {
+			t.Fatalf("step %d: selections differ", step)
+		}
+		for i := range want.Vals {
+			if math.Float64bits(got.Vals[i]) != math.Float64bits(want.Vals[i]) {
+				t.Fatalf("step %d: value %d differs", step, i)
+			}
+		}
+		for i := range residual {
+			if math.Float64bits(ec.Residual()[i]) != math.Float64bits(residual[i]) {
+				t.Fatalf("step %d: residual[%d] = %v, out-of-place %v", step, i, ec.Residual()[i], residual[i])
+			}
+		}
+	}
+}
+
+// TestErrorFeedbackRetainsOneDenseBuffer is the footprint guard: the
+// wrapper keeps the residual and nothing else of size d, whatever its
+// fields are called.
+func TestErrorFeedbackRetainsOneDenseBuffer(t *testing.T) {
+	const d = 1 << 20
+	ec := NewErrorFeedback(NewRandomK(1, false))
+	g := make([]float64, d)
+	g[7] = 1
+	dst := &tensor.Sparse{}
+	for step := 0; step < 3; step++ {
+		if err := ec.CompressInto(dst, g, 0.001); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ec.RestoreResidual(tensor.Clone(ec.Residual()))
+	retained := 0
+	v := reflect.ValueOf(ec).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			retained += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	if retained != 8*d {
+		t.Fatalf("ErrorFeedback retains %d bytes of slices at d = %d, want one []float64 (%d)", retained, d, 8*d)
 	}
 }

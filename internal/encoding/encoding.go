@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -366,13 +367,31 @@ func decodeBitmap(s *tensor.Sparse, buf []byte, dim, nnz int) error {
 	}
 	s.Reset(dim)
 	s.Grow(nnz)
-	for j := 0; j < dim; j++ {
-		if bitmap[j/8]&(1<<(uint(j)%8)) != 0 {
-			s.Idx = append(s.Idx, int32(j))
+	// Walk the set bits a 64-bit word at a time (bit p of the
+	// little-endian word at byte b is index 8b+p; the last word is
+	// assembled from the < 8 tail bytes). The popcount is checked before
+	// a word's bits are appended, so a bitmap holding more bits than its
+	// header claims is refused without growing s.Idx past nnz.
+	idx := s.Idx
+	for b := 0; b < len(bitmap); b += 8 {
+		var w uint64
+		if rest := bitmap[b:]; len(rest) >= 8 {
+			w = binary.LittleEndian.Uint64(rest)
+		} else {
+			for i, by := range rest {
+				w |= uint64(by) << (8 * i)
+			}
+		}
+		if count := len(idx) + bits.OnesCount64(w); count > nnz {
+			return bitmapPopcountError(count, nnz)
+		}
+		for ; w != 0; w &= w - 1 {
+			idx = append(idx, int32(8*b+bits.TrailingZeros64(w)))
 		}
 	}
-	if len(s.Idx) != nnz {
-		return fmt.Errorf("encoding: bitmap popcount %d, header says %d", len(s.Idx), nnz)
+	s.Idx = idx
+	if len(idx) != nnz {
+		return bitmapPopcountError(len(idx), nnz)
 	}
 	off := headerSize + len(bitmap)
 	for i := 0; i < nnz; i++ {
@@ -380,6 +399,12 @@ func decodeBitmap(s *tensor.Sparse, buf []byte, dim, nnz int) error {
 		off += 4
 	}
 	return nil
+}
+
+// bitmapPopcountError reports a bitmap whose set bits (all of them, or
+// those counted when the decoder gave up) disagree with the header.
+func bitmapPopcountError(count, nnz int) error {
+	return fmt.Errorf("encoding: bitmap popcount %d, header says %d", count, nnz)
 }
 
 func decodeDense(s *tensor.Sparse, buf []byte, dim, nnz int) error {

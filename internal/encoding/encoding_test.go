@@ -273,3 +273,61 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// naiveBitmapIndices is the bit-at-a-time walk decodeBitmap replaced,
+// kept as the reference for the word-at-a-time one.
+func naiveBitmapIndices(bitmap []byte, dim int) []int32 {
+	var idx []int32
+	for j := 0; j < dim; j++ {
+		if bitmap[j/8]&(1<<(uint(j)%8)) != 0 {
+			idx = append(idx, int32(j))
+		}
+	}
+	return idx
+}
+
+func TestDecodeBitmapMatchesBitwiseWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, dim := range []int{0, 1, 7, 8, 9, 63, 64, 65, 77, 128, 1000, 269467} {
+		for _, fill := range []float64{0, 0.1, 0.5, 1} {
+			s := &tensor.Sparse{Dim: dim}
+			for j := 0; j < dim; j++ {
+				if rng.Float64() < fill {
+					s.Append(int32(j), float64(float32(rng.NormFloat64())))
+				}
+			}
+			buf, err := Encode(s, FormatBitmap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := &tensor.Sparse{Dim: 3, Idx: []int32{1}, Vals: []float64{9}}
+			if err := DecodeInto(got, buf); err != nil {
+				t.Fatalf("dim %d fill %v: %v", dim, fill, err)
+			}
+			want := naiveBitmapIndices(buf[headerSize:headerSize+(dim+7)/8], dim)
+			if len(got.Idx) != len(want) || len(got.Vals) != len(want) {
+				t.Fatalf("dim %d fill %v: decoded %d indices, bitwise walk %d", dim, fill, len(got.Idx), len(want))
+			}
+			for i := range want {
+				if got.Idx[i] != want[i] || got.Vals[i] != s.Vals[i] {
+					t.Fatalf("dim %d fill %v: element %d = (%d, %v), want (%d, %v)", dim, fill, i, got.Idx[i], got.Vals[i], want[i], s.Vals[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeBitmapRefusesHostile checks the rejections survive the
+// rewrite, and that a bitmap with more bits than its header claims is
+// refused before the index storage outgrows the claim.
+func TestDecodeBitmapRefusesHostile(t *testing.T) {
+	for i, bad := range hostileBitmaps(t) {
+		s := &tensor.Sparse{}
+		if err := DecodeInto(s, bad); err == nil {
+			t.Fatalf("hostile bitmap %d accepted", i)
+		}
+		if nnz := int(binary.LittleEndian.Uint32(bad[5:9])); cap(s.Idx) > nnz {
+			t.Fatalf("hostile bitmap %d grew the index storage to %d, header claims %d", i, cap(s.Idx), nnz)
+		}
+	}
+}

@@ -109,6 +109,9 @@ func FuzzEncodeToDecodeIntoReuse(f *testing.F) {
 		f.Add(buf[:len(buf)-1])
 	}
 	f.Add([]byte{})
+	for _, bad := range hostileBitmaps(f) {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		fresh, freshErr := Decode(buf)
@@ -162,4 +165,30 @@ func FuzzEncodeToDecodeIntoReuse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hostileBitmaps returns bitmap payloads the word-at-a-time decoder must
+// refuse: one whose bitmap holds more set bits than its header claims (in
+// a whole word, and in the byte tail) and one with padding bits set past
+// dim. dim = 77 gives one 64-bit word plus two tail bytes.
+func hostileBitmaps(tb testing.TB) [][]byte {
+	tb.Helper()
+	s, err := tensor.NewSparse(77, []int32{2, 40, 70}, []float64{1, 2, 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good, err := Encode(s, FormatBitmap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mutate := func(byteAt int, or byte) []byte {
+		bad := append([]byte(nil), good...)
+		bad[headerSize+byteAt] |= or
+		return bad
+	}
+	return [][]byte{
+		mutate(3, 0xFF), // popcount exceeds the header inside the word
+		mutate(8, 0x0F), // ... and inside the byte tail
+		mutate(9, 0x80), // padding bit 79 set, dim is 77
+	}
 }

@@ -2,7 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Sparse is a sparse gradient vector: the (index, value) pairs a
@@ -114,31 +114,81 @@ func (s *Sparse) Scale(a float64) {
 	}
 }
 
-// SumSparse accumulates several sparse vectors (all with the same Dim)
-// into a single sparse vector whose indices are the union of the inputs.
-// This models the all-gather aggregation path of sparse collectives.
-func SumSparse(vs []*Sparse) (*Sparse, error) {
-	if len(vs) == 0 {
-		return nil, fmt.Errorf("tensor: SumSparse of no vectors")
+// MeanSparseInto writes the mean of parts into dst as one merged sparse
+// vector: ascending indices over the union of the supports, each value
+// summed in part order and scaled by 1/len(parts). Per index the
+// operation sequence is ((0 + v0) + v1 + ...) * (1/N) over the parts that
+// hold it — exactly what Zero, AddTo in part order and Scale(1/N) do to a
+// dense vector, the leading +0 included, so a lone -0 contribution sums to
+// +0 as it does there. Indices whose sum is exactly zero are dropped: the
+// dense reduction leaves +0 at them, which is what scattering dst into a
+// zeroed vector leaves too. The cost is O(N * output) — nothing scales
+// with Dim.
+//
+// Every part must have dst's dimension-to-be, parts[0].Dim (a mismatch is
+// a caller bug and panics, as AddTo does); dst must not be one of parts.
+// No parts gives the empty vector of dimension 0.
+//
+//sidco:hotpath
+func MeanSparseInto(dst *Sparse, parts []Sparse) {
+	if len(parts) == 0 {
+		dst.Reset(0)
+		return
 	}
-	dim := vs[0].Dim
-	acc := make(map[int32]float64)
-	for _, v := range vs {
-		if v.Dim != dim {
-			return nil, fmt.Errorf("tensor: SumSparse dimension mismatch: %d vs %d", v.Dim, dim)
+	dst.Reset(parts[0].Dim)
+	// Per part, the read cursor and the index under it (exhausted once
+	// the cursor runs off the end: no int32 index reaches math.MaxInt).
+	// Deployments are a few dozen ranks; the stack arrays keep the steady
+	// state allocation-free for them.
+	const exhausted = math.MaxInt
+	var stack [2][64]int
+	pos, heads := stack[0][:0], stack[1][:0]
+	if len(parts) > len(stack[0]) {
+		pos = make([]int, 0, 2*len(parts)) //sidco:alloc beyond 64 parts only; one small slice per merge
+		heads = pos[len(parts):len(parts)]
+	}
+	pos, heads = pos[:len(parts)], heads[:len(parts)]
+	largest := 0
+	for p := range parts {
+		if parts[p].Dim != dst.Dim {
+			panic("tensor: MeanSparseInto dimension mismatch")
 		}
-		for i, j := range v.Idx {
-			acc[j] += v.Vals[i]
+		pos[p], heads[p] = 0, exhausted
+		if len(parts[p].Idx) > 0 {
+			heads[p] = int(parts[p].Idx[0])
+		}
+		largest = max(largest, len(parts[p].Idx))
+	}
+	// The union holds at least the largest part (cancelling sums aside):
+	// one allocation, not append's ladder, when dst starts empty.
+	dst.Grow(largest)
+	inv := 1 / float64(len(parts))
+	for {
+		next := exhausted
+		for _, h := range heads {
+			if h < next {
+				next = h
+			}
+		}
+		if next == exhausted {
+			return
+		}
+		sum := 0.0
+		for p, h := range heads {
+			if h != next {
+				continue
+			}
+			part := &parts[p]
+			at := pos[p]
+			sum += part.Vals[at]
+			at++
+			pos[p], heads[p] = at, exhausted
+			if at < len(part.Idx) {
+				heads[p] = int(part.Idx[at])
+			}
+		}
+		if sum != 0 {
+			dst.Append(int32(next), sum*inv)
 		}
 	}
-	idx := make([]int32, 0, len(acc))
-	for j := range acc {
-		idx = append(idx, j)
-	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	vals := make([]float64, len(idx))
-	for i, j := range idx {
-		vals[i] = acc[j]
-	}
-	return &Sparse{Dim: dim, Idx: idx, Vals: vals}, nil
 }

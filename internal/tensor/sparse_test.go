@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestNewSparseValidation(t *testing.T) {
 	if _, err := NewSparse(5, []int32{0, 2}, []float64{1, 2}); err != nil {
@@ -65,37 +62,4 @@ func TestSparseAddToDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	s.AddTo(make([]float64, 2))
-}
-
-func TestSumSparse(t *testing.T) {
-	a, _ := NewSparse(5, []int32{0, 3}, []float64{1, 2})
-	b, _ := NewSparse(5, []int32{3, 4}, []float64{10, 20})
-	sum, err := SumSparse([]*Sparse{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := sum.Dense()
-	want := []float64{1, 0, 0, 12, 20}
-	for i := range want {
-		if math.Abs(dense[i]-want[i]) > 1e-15 {
-			t.Fatalf("SumSparse dense = %v", dense)
-		}
-	}
-	// Indices must come out ascending.
-	for i := 1; i < len(sum.Idx); i++ {
-		if sum.Idx[i] <= sum.Idx[i-1] {
-			t.Fatalf("indices not ascending: %v", sum.Idx)
-		}
-	}
-}
-
-func TestSumSparseErrors(t *testing.T) {
-	if _, err := SumSparse(nil); err == nil {
-		t.Error("empty sum should error")
-	}
-	a, _ := NewSparse(5, []int32{0}, []float64{1})
-	b, _ := NewSparse(6, []int32{0}, []float64{1})
-	if _, err := SumSparse([]*Sparse{a, b}); err == nil {
-		t.Error("dimension mismatch should error")
-	}
 }

@@ -4,7 +4,10 @@
 // that carries (index, value) pairs between compressor and collective.
 package tensor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Axpy computes y += a*x elementwise. The two slices must have equal
 // length.
@@ -128,17 +131,55 @@ func FilterAboveThreshold(x []float64, eta float64, idx []int32, vals []float64)
 	return idx, vals
 }
 
+// gatherBlock is the block length of the exceedance gather: dst's
+// capacity is ensured once per block, so the element loop carries no
+// append bookkeeping and headroom never exceeds one block.
+const gatherBlock = 4096
+
 // ValuesAboveThreshold appends the |values| of elements with |x_i| > eta to
 // dst and returns it. The strict inequality matches the exceedance
 // definition of the multi-stage estimator (values equal to the previous
 // threshold have already been counted).
+//
+// Every magnitude is stored at the write cursor and the cursor advances
+// by the comparison's outcome, so the loop has no data-dependent branch:
+// at the ~25-30% selectivity of a first SIDCo stage that branch is
+// unpredictable and cost 7x the count-only pass. The cursor never passes
+// the read position, so dst may be x[:0] (in-place compaction); the
+// elements of dst's backing array beyond the returned length are
+// scratch either way.
+//
+//sidco:hotpath
 func ValuesAboveThreshold(x []float64, eta float64, dst []float64) []float64 {
-	for _, xi := range x {
-		if a := math.Abs(xi); a > eta {
-			dst = append(dst, a)
+	n := len(dst)
+	for len(x) > 0 {
+		blk := x
+		if len(blk) > gatherBlock {
+			blk = blk[:gatherBlock]
 		}
+		x = x[len(blk):]
+		if cap(dst)-n < len(blk) {
+			dst = slices.Grow(dst[:n], len(blk)) //sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
+		}
+		out := dst[n : n+len(blk)]
+		m := 0
+		for _, xi := range blk {
+			a := math.Abs(xi)
+			out[m] = a
+			m += b2i(a > eta)
+		}
+		n += m
 	}
-	return dst
+	return dst[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// materialisation, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SparsificationError returns ||g - T_k(g)||_2 given the dense vector and
