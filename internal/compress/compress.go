@@ -31,6 +31,9 @@ var errEmptyGradient = errors.New("compress: empty gradient")
 // steady-state iterations are allocation-free. Compress remains the
 // convenient allocating form; pre-pipeline implementations that only
 // have Compress are lifted via Adapt.
+//
+// Two optional interfaces sit beside it: Parallelizable (internal fan-out)
+// and AccumulateCompressor (error feedback's add inside the first sweep).
 type Compressor interface {
 	// Name returns a short identifier used in reports ("topk", "dgc", ...).
 	Name() string

@@ -7,6 +7,15 @@ import (
 	"repro/internal/tensor"
 )
 
+// AccumulateCompressor is the optional interface of a compressor whose
+// first sweep can carry error feedback's add, saving the add's own.
+// CompressAccumulateInto(dst, acc, g, delta) leaves acc, dst, the error and
+// the compressor's state exactly as tensor.Add(g, acc) followed by
+// CompressInto(dst, acc, delta) would: acc += g whatever is returned.
+type AccumulateCompressor interface {
+	CompressAccumulateInto(dst *tensor.Sparse, acc, g []float64, delta float64) error
+}
+
 // ErrorFeedback wraps any Compressor with the error-compensation (EC)
 // mechanism (Karimireddy et al., ICML 2019): the sparsification residual
 // of iteration i-1 is added to the gradient of iteration i before
@@ -49,8 +58,8 @@ func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 func (e *ErrorFeedback) ClearWireFormat() { e.wireSet = false }
 
 // SetParallelism implements Parallelizable by forwarding to the wrapped
-// compressor: the wrapper's own work is one add over d and a subtract
-// over the selection, neither worth a fork-join.
+// compressor: the wrapper's own work is at most one add over d and a
+// subtract over the selection, neither worth a fork-join.
 func (e *ErrorFeedback) SetParallelism(p int) { SetParallelism(e.Inner, p) }
 
 // Name implements Compressor.
@@ -68,15 +77,16 @@ func (e *ErrorFeedback) Compress(g []float64, delta float64) (*tensor.Sparse, er
 // persistent d-sized buffer: residual += g makes it the corrected
 // gradient (bit-equal to g + residual, float addition commutes), the
 // wrapped compressor selects from it, and subtracting the selection at
-// the selected indices leaves the new residual. It is allocation-free
-// after the first call.
+// the selected indices leaves the new residual. A wrapped
+// AccumulateCompressor does the add inside its own first sweep, to the
+// same bits. It is allocation-free after the first call.
 //
-// On error — from the wrapped compressor or from rounding to the wire —
-// the residual stays at r + g: the whole gradient of the failed step is
-// carried as untransmitted mass, nothing is lost, and dst is whatever
-// the wrapped compressor left. Calling again with the same g would add it
-// a second time, so a caller that retries a failed step must restore the
-// residual first (dist.Trainer aborts instead).
+// On error — from the wrapped compressor, on either arm, or from rounding
+// to the wire — the residual stays at r + g: the whole gradient of the
+// failed step is carried as untransmitted mass, nothing is lost, and dst
+// is whatever the wrapped compressor left. Calling again with the same g
+// would add it a second time, so a caller that retries a failed step must
+// restore the residual first (dist.Trainer aborts instead).
 //
 //sidco:hotpath
 func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
@@ -86,9 +96,14 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 	if len(e.residual) != len(g) {
 		return fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), len(g)) //sidco:alloc misuse error path, not steady state
 	}
-	tensor.Add(g, e.residual)
-
-	if err := e.Inner.CompressInto(dst, e.residual, delta); err != nil {
+	var err error
+	if ac, ok := e.Inner.(AccumulateCompressor); ok {
+		err = ac.CompressAccumulateInto(dst, e.residual, g, delta)
+	} else {
+		tensor.Add(g, e.residual)
+		err = e.Inner.CompressInto(dst, e.residual, delta)
+	}
+	if err != nil {
 		return err
 	}
 

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -163,34 +164,64 @@ func (f *failingInner) CompressInto(dst *tensor.Sparse, g []float64, delta float
 	return f.Compressor.CompressInto(dst, g, delta)
 }
 
+// fusedFailingInner is failingInner offering AccumulateCompressor the way
+// its contract spells it: the add, then CompressInto.
+type fusedFailingInner struct {
+	failingInner
+	fusedCalls int
+}
+
+func (f *fusedFailingInner) CompressAccumulateInto(dst *tensor.Sparse, acc, g []float64, delta float64) error {
+	f.fusedCalls++
+	tensor.Add(g, acc)
+	return f.CompressInto(dst, acc, delta)
+}
+
 // TestErrorFeedbackFailureCarriesWholeGradient pins the failure
-// semantics of the in-place bookkeeping: when the wrapped compressor or
-// the wire rounding fails, the residual is r + g bit for bit — the
-// failed step's gradient is carried, not lost and not half-subtracted.
+// semantics of the in-place bookkeeping, on the unfused arm and on the
+// fused one: when the wrapped compressor fails, rejects the ratio, or the
+// wire rounding fails, the residual is r + g bit for bit — the failed
+// step's gradient is carried, not lost, not half-subtracted and not added
+// twice.
 func TestErrorFeedbackFailureCarriesWholeGradient(t *testing.T) {
 	g := laplaceVec(2000, 0.01, 34)
-	for name, arm := range map[string]func(*ErrorFeedback, *failingInner){
-		"inner": func(_ *ErrorFeedback, in *failingInner) { in.okCalls = 0 },
-		"wire":  func(ec *ErrorFeedback, _ *failingInner) { ec.SetWireFormat(encoding.Format(200)) },
+	type arm struct {
+		delta    float64
+		sabotage func(*ErrorFeedback, *failingInner)
+	}
+	for name, a := range map[string]arm{
+		"inner":     {0.01, func(_ *ErrorFeedback, in *failingInner) { in.okCalls = 0 }},
+		"wire":      {0.01, func(ec *ErrorFeedback, _ *failingInner) { ec.SetWireFormat(encoding.Format(200)) }},
+		"bad delta": {math.NaN(), func(*ErrorFeedback, *failingInner) {}},
 	} {
-		inner := &failingInner{Compressor: NewTopK(), okCalls: 1 << 30}
-		ec := NewErrorFeedback(inner)
-		dst := &tensor.Sparse{}
-		for step := 0; step < 3; step++ {
-			if err := ec.CompressInto(dst, g, 0.01); err != nil {
-				t.Fatal(err)
+		for _, fusedArm := range []bool{false, true} {
+			name := fmt.Sprintf("%s fused=%v", name, fusedArm)
+			fused := &fusedFailingInner{failingInner: failingInner{Compressor: NewTopK(), okCalls: 1 << 30}}
+			inner := &fused.failingInner
+			ec := NewErrorFeedback(inner)
+			if fusedArm {
+				ec = NewErrorFeedback(fused)
 			}
-		}
-		want := tensor.Clone(ec.Residual())
-		tensor.Add(g, want)
+			dst := &tensor.Sparse{}
+			for step := 0; step < 3; step++ {
+				if err := ec.CompressInto(dst, g, 0.01); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := tensor.Clone(ec.Residual())
+			tensor.Add(g, want)
 
-		arm(ec, inner)
-		if err := ec.CompressInto(dst, g, 0.01); err == nil {
-			t.Fatalf("%s: failure not surfaced", name)
-		}
-		for i, r := range ec.Residual() {
-			if math.Float64bits(r) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: residual[%d] = %v after a failed step, want r + g = %v", name, i, r, want[i])
+			a.sabotage(ec, inner)
+			if err := ec.CompressInto(dst, g, a.delta); err == nil {
+				t.Fatalf("%s: failure not surfaced", name)
+			}
+			for i, r := range ec.Residual() {
+				if math.Float64bits(r) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: residual[%d] = %v after a failed step, want r + g = %v", name, i, r, want[i])
+				}
+			}
+			if fusedArm != (fused.fusedCalls == 4) {
+				t.Fatalf("%s: fused arm taken %d times in 4 steps", name, fused.fusedCalls)
 			}
 		}
 	}

@@ -41,21 +41,29 @@ func TestRescueRecoversFromOutlierPollutedGPFit(t *testing.T) {
 	}
 }
 
+// rescueInputs builds the three vectors that collapse an estimate: no
+// tail at all (the exponential and gamma fits select nothing), outliers
+// that explode a moment fit's variance (under-selection), and a
+// polynomial tail under an exponential fit (over-selection).
+func rescueInputs() (uniform, polluted, heavy []float64) {
+	rng := rand.New(rand.NewSource(5))
+	uniform = make([]float64, 50000)
+	for i := range uniform {
+		uniform[i] = 2*rng.Float64() - 1
+	}
+	polluted = sampleVec(stats.DoubleGamma{Shape: 0.55, Scale: 0.01}, 200000, 1)
+	for j := 0; j < 10; j++ {
+		polluted[rng.Intn(len(polluted))] = 50 * (rng.Float64() - 0.5)
+	}
+	return uniform, polluted, sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6)
+}
+
 // TestRescueReusesFirstStageMean pins the rescue pass to what it computed
 // when it re-scanned g for its scale: on a rescued case of every SID the
 // final threshold is bit-equal to the two-tier correction replayed here
 // from a fresh stats.MeanAbs(g), and the selection is that threshold's.
 func TestRescueReusesFirstStageMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	uniform := make([]float64, 50000) // no tail at all: the exponential and gamma fits select nothing
-	for i := range uniform {
-		uniform[i] = 2*rng.Float64() - 1
-	}
-	polluted := sampleVec(stats.DoubleGamma{Shape: 0.55, Scale: 0.01}, 200000, 1)
-	for j := 0; j < 10; j++ {
-		polluted[rng.Intn(len(polluted))] = 50 * (rng.Float64() - 0.5)
-	}
-	heavy := sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6)
+	uniform, polluted, heavy := rescueInputs()
 	for _, c := range []struct {
 		sid   SID
 		g     []float64
@@ -66,7 +74,7 @@ func TestRescueReusesFirstStageMean(t *testing.T) {
 		{SIDGP, polluted, 0.001},
 		{SIDExponential, heavy, 0.001}, // over-selection: first tier only
 	} {
-		eta, _, _ := New(Config{SID: c.sid}).estimateThreshold(c.g, c.delta, 1)
+		eta, _, _ := New(Config{SID: c.sid}).estimateThreshold(c.g, nil, c.delta, 1)
 		k := compress.TargetK(len(c.g), c.delta)
 		beta := stats.MeanAbs(c.g)
 		kHat := tensor.CountAboveThreshold(c.g, eta)

@@ -118,10 +118,12 @@ type SIDCo struct {
 	lastRescued bool
 
 	// Streaming-path scratch, reused across iterations: the exceedance
-	// magnitudes of the multi-stage loop and the per-stage ratio
-	// decomposition.
-	exceed   []float64
-	stageBuf []float64
+	// list of the multi-stage loop — every |x| > listEta beside its index;
+	// +Inf: none was built — and the per-stage ratio decomposition.
+	exceed    []float64
+	exceedIdx []int32
+	listEta   float64
+	stageBuf  []float64
 
 	stat stats.Par
 	par  tensor.Par
@@ -195,10 +197,30 @@ func (s *SIDCo) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
 //
 //sidco:hotpath
 func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
+	return s.compress(dst, g, nil, delta)
+}
+
+// CompressAccumulateInto implements compress.AccumulateCompressor:
+// tensor.Add(g, acc) then CompressInto(dst, acc, delta), bit for bit, with
+// the add riding the first-stage moment sweep. len(acc) must equal len(g).
+//
+//sidco:hotpath
+func (s *SIDCo) CompressAccumulateInto(dst *tensor.Sparse, acc, g []float64, delta float64) error {
+	if len(acc) != len(g) {
+		panic("sidco: CompressAccumulateInto length mismatch")
+	}
+	return s.compress(dst, acc, g, delta)
+}
+
+// compress is Sparsify over g, or over g += add when add is not nil.
+func (s *SIDCo) compress(dst *tensor.Sparse, g, add []float64, delta float64) error {
 	if len(g) == 0 {
 		return errEmptyGradient
 	}
 	if math.IsNaN(delta) || delta <= 0 || delta > 1 {
+		if add != nil {
+			tensor.Add(add, g) // no sweep will carry it
+		}
 		return fmt.Errorf("sidco: ratio %v outside (0, 1]", delta) //sidco:alloc input-validation error path, not steady state
 	}
 	d := len(g)
@@ -209,28 +231,20 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 		s.stages = maxM
 	}
 	// beta, the mean of |g|, is the scale of the rescue pass below.
-	eta, used, beta := s.estimateThreshold(g, delta, s.stages)
-
-	dst.Reset(d)
-	dst.Idx, dst.Vals = s.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
+	eta, used, beta := s.estimateThreshold(g, add, delta, s.stages)
+	s.selectInto(dst, g, eta)
 
 	// Rescue pass: if the estimate collapsed beyond 3x the target on
 	// either side — far outside the paper's epsilon = 0.2 tolerance band —
 	// apply one exponential-model correction (count(eta) ~ exp(-eta/beta),
-	// so eta' = eta + beta*log(k-hat/k)) and refilter. Without this, error
+	// so eta' = eta + beta*log(k-hat/k)) and reselect. Without this, error
 	// feedback can spiral on light-tailed gradients: under-selection
 	// inflates the residual, which inflates the fitted scale and raises
 	// the next threshold further. The trigger is wide enough that the
 	// estimation-quality dynamics the paper reports (deviations within
 	// ~2x) are untouched.
 	s.lastRescued = false
-	//sidco:alloc non-escaping closures, stack-allocated; AllocsPerRun pins the steady state at zero
-	refilter := func() {
-		dst.Reset(d)
-		dst.Idx, dst.Vals = s.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
-	}
-	collapsed := func(kh int) bool { return kh*3 < k || kh > 3*k } //sidco:alloc non-escaping closure, stack-allocated
-	if kHat := dst.NNZ(); collapsed(kHat) {
+	if kHat := dst.NNZ(); kHat*3 < k || kHat > 3*k {
 		if beta > 0 {
 			obs := float64(kHat)
 			if obs < 1 {
@@ -241,7 +255,7 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 				etaNew = 0
 			}
 			eta = etaNew
-			refilter()
+			s.selectInto(dst, g, eta)
 			s.lastRescued = true
 		}
 		// Second tier, under-selection only: if the local correction was
@@ -255,7 +269,7 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 		if kHat := dst.NNZ(); kHat*3 < k && beta > 0 {
 			if etaFB := ThresholdExp(beta, delta); etaFB < eta {
 				eta = etaFB
-				refilter()
+				s.selectInto(dst, g, eta)
 				s.lastRescued = true
 			}
 		}
@@ -274,17 +288,40 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 	return nil
 }
 
-// estimateThreshold runs the multi-stage fitting loop and returns the
-// final threshold together with the number of stages actually executed
-// and the mean of |g|, which every SID's first stage computes on the way
-// (bit-equal to stats.MeanAbs(g)) and the rescue pass needs again.
-func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float64, used int, meanAbs float64) {
+// selectInto writes the selection |g_i| >= eta into dst. While eta is above
+// the exceedance list's strict threshold every selected element is on the
+// list, in index order; otherwise — no list, a loop that stopped at the
+// list's threshold, a rescue that lowered eta below it — g is swept again.
+//
+//sidco:hotpath
+func (s *SIDCo) selectInto(dst *tensor.Sparse, g []float64, eta float64) {
+	dst.Reset(len(g))
+	if !(eta > s.listEta) {
+		dst.Idx, dst.Vals = s.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
+		return
+	}
+	idx := s.exceedIdx[:len(s.exceed)]
+	for i, a := range s.exceed {
+		if a >= eta {
+			dst.Append(idx[i], g[idx[i]])
+		}
+	}
+}
+
+// estimateThreshold runs the multi-stage fitting loop over g (+= add, in
+// the first-stage sweep) and returns the final threshold together with
+// the number of stages actually executed and the mean of |g|, which every
+// SID's first stage computes on the way (bit-equal to stats.MeanAbs(g))
+// and the rescue pass needs again. A loop that ran to its end leaves the
+// exceedance list one stage behind the returned threshold.
+func (s *SIDCo) estimateThreshold(g, add []float64, delta float64, m int) (eta float64, used int, meanAbs float64) {
 	s.stageBuf = appendStageRatios(s.stageBuf[:0], delta, s.cfg.Delta1, m)
 	ratios := s.stageBuf
 
 	// Stage 1 fits the full gradient with the primary SID.
-	eta, meanAbs = s.firstStageThreshold(g, ratios[0])
+	eta, meanAbs = s.firstStageThreshold(g, add, ratios[0])
 	used = 1
+	s.listEta = math.Inf(1)
 	if len(ratios) == 1 || !(eta > 0) || math.IsNaN(eta) {
 		if !(eta > 0) || math.IsNaN(eta) {
 			// Degenerate fit: fall back to keeping everything non-zero.
@@ -294,9 +331,16 @@ func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float6
 	}
 
 	// Later stages fit the exceedances (PoT) over the running threshold.
-	// The exceedance buffer is per-instance scratch, reused every call.
-	s.exceed = s.par.ValuesAbove(g, eta, s.exceed[:0])
+	// The exceedance list is per-instance scratch, reused every call.
+	s.exceed, s.exceedIdx = s.par.PairsAbove(g, eta, s.exceed[:0], s.exceedIdx[:0])
+	s.listEta = eta
 	for _, dm := range ratios[1:] {
+		// Compacting before the fit, not after it, is what leaves the last
+		// stage's threshold above the list for selectInto.
+		if s.listEta < eta {
+			s.exceed, s.exceedIdx = tensor.CompactPairsAbove(s.exceed, s.exceedIdx, eta)
+			s.listEta = eta
+		}
 		if len(s.exceed) < s.cfg.MinFitSize {
 			break
 		}
@@ -304,11 +348,6 @@ func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float6
 		if !(next > eta) || math.IsNaN(next) || math.IsInf(next, 0) {
 			break // fit degenerated; keep the last sound threshold
 		}
-		// Keep only exceedances of the new threshold for the next stage.
-		// The values are already magnitudes, so the strict-exceedance
-		// gather doubles as the in-place compaction (per-worker buffers
-		// are filled before dst is touched, making the aliasing safe).
-		s.exceed = s.par.ValuesAbove(s.exceed, next, s.exceed[:0])
 		eta = next
 		used++
 	}
@@ -317,22 +356,26 @@ func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float6
 
 // firstStageThreshold computes the single-stage threshold from the full
 // gradient (Thresh_Estimation in Algorithm 1) in one moment pass over g,
-// and returns the mean of |g| that pass produced beside it.
-func (s *SIDCo) firstStageThreshold(g []float64, delta float64) (eta, meanAbs float64) {
+// which performs g += add on the way when add is not nil, and returns the
+// mean of |g| that pass produced beside it.
+func (s *SIDCo) firstStageThreshold(g, add []float64, delta float64) (eta, meanAbs float64) {
 	switch s.cfg.SID {
 	case SIDExponential:
-		mu := s.stat.MeanAbs(g)
+		mu := s.stat.AccumulateMeanAbs(g, add)
 		return ThresholdExp(mu, delta), mu
 	case SIDGammaGP:
-		mu, muLog := s.stat.GammaMoments(g)
+		mu, muLog := s.stat.AccumulateGammaMoments(g, add)
 		if s.cfg.ApproxGamma {
 			return ThresholdGamma(mu, muLog, delta), mu
 		}
 		return ThresholdGammaExact(mu, muLog, delta), mu
 	case SIDGP:
-		mu, v := s.stat.MeanVarAbs(g)
+		mu, v := s.stat.AccumulateMeanVarAbs(g, add)
 		return ThresholdGP(mu, v, delta), mu
 	default:
+		if add != nil {
+			tensor.Add(add, g)
+		}
 		return math.NaN(), math.NaN()
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -50,6 +51,11 @@ func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 		})
 		t.Run(name+"+ec", func(t *testing.T) {
 			c := compress.NewErrorFeedback(MustCompressor(name, 7))
+			// The sidco-* rows of this guard are the fused arm's: the add
+			// rides their first sweep through AccumulateCompressor.
+			if _, fused := c.Inner.(compress.AccumulateCompressor); fused != strings.HasPrefix(name, "sidco-") {
+				t.Fatalf("EC(%s) takes the fused arm: %v", name, fused)
+			}
 			dst := &tensor.Sparse{}
 			for i := 0; i < 50; i++ {
 				if err := c.CompressInto(dst, g, delta); err != nil {

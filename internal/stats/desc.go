@@ -17,10 +17,14 @@ const sumBlock = 4096
 // centre or a location — for the kernels that take one. Each reduction's
 // per-element loop is written once, here, and driven by Par.reduce for
 // the serial functions and the Par methods alike.
-type blockKernel func(blk []float64, c float64) [3]float64
+//
+// Given g, the same block of a second vector, the first-stage kernels
+// (abs, absSq, gamma) store v = blk[i] + g[i] back into blk and accumulate
+// on v as they do on x: "blk += g, then reduce" in one sweep, same bits.
+type blockKernel func(blk, g []float64, c float64) [3]float64
 
 // sumKernel: Σx.
-func sumKernel(blk []float64, _ float64) [3]float64 {
+func sumKernel(blk, _ []float64, _ float64) [3]float64 {
 	s := 0.0
 	for _, x := range blk {
 		s += x
@@ -29,19 +33,41 @@ func sumKernel(blk []float64, _ float64) [3]float64 {
 }
 
 // absKernel: Σ|x|.
-func absKernel(blk []float64, _ float64) [3]float64 {
+//
+//sidco:hotpath
+func absKernel(blk, g []float64, _ float64) [3]float64 {
 	s := 0.0
-	for _, x := range blk {
-		s += math.Abs(x)
+	if g == nil {
+		for _, x := range blk {
+			s += math.Abs(x)
+		}
+		return [3]float64{s}
+	}
+	for i, r := range blk[:len(g)] {
+		v := r + g[i]
+		blk[i] = v
+		s += math.Abs(v)
 	}
 	return [3]float64{s}
 }
 
 // absSqKernel: Σ|x| and Σx².
-func absSqKernel(blk []float64, _ float64) [3]float64 {
+//
+//sidco:hotpath
+func absSqKernel(blk, g []float64, _ float64) [3]float64 {
 	s, s2 := 0.0, 0.0
-	for _, x := range blk {
-		a := math.Abs(x)
+	if g == nil {
+		for _, x := range blk {
+			a := math.Abs(x)
+			s += a
+			s2 += a * a
+		}
+		return [3]float64{s, s2}
+	}
+	for i, r := range blk[:len(g)] {
+		v := r + g[i]
+		blk[i] = v
+		a := math.Abs(v)
 		s += a
 		s2 += a * a
 	}
@@ -49,7 +75,7 @@ func absSqKernel(blk []float64, _ float64) [3]float64 {
 }
 
 // shiftedKernel: Σ(x-c) and Σ(x-c)².
-func shiftedKernel(blk []float64, c float64) [3]float64 {
+func shiftedKernel(blk, _ []float64, c float64) [3]float64 {
 	s, s2 := 0.0, 0.0
 	for _, x := range blk {
 		d := x - c
@@ -79,28 +105,52 @@ const (
 // math.Log directly. Σ|x| adds in absKernel's order, so the mean is
 // bit-identical to MeanAbs. Sub-block bounds and accumulator turns
 // depend only on the block's contents, never on who computes it.
-func gammaKernel(blk []float64, _ float64) [3]float64 {
+//
+//sidco:hotpath
+func gammaKernel(blk, g []float64, _ float64) [3]float64 {
 	abs, logs := 0.0, 0.0
 	exp, n := 0, 0
 	for len(blk) > 0 {
 		sub := blk[:min(logSub, len(blk))]
 		blk = blk[len(sub):]
 		p0, p1 := 1.0, 1.0
-		for _, x := range sub {
-			b := math.Float64bits(x) & absMask
-			a := math.Float64frombits(b)
-			abs += a
-			e := b >> 52
-			if e-1 >= 2*expBias { // zero or subnormal (e = 0), Inf or NaN (e = 2047)
-				if b != 0 {
-					logs += math.Log(a)
-					n++
+		if g == nil {
+			for _, x := range sub {
+				b := math.Float64bits(x) & absMask
+				a := math.Float64frombits(b)
+				abs += a
+				e := b >> 52
+				if e-1 >= 2*expBias { // zero or subnormal (e = 0), Inf or NaN (e = 2047)
+					if b != 0 {
+						logs += math.Log(a)
+						n++
+					}
+					continue
 				}
-				continue
+				p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
+				exp += int(e) - expBias
+				n++
 			}
-			p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
-			exp += int(e) - expBias
-			n++
+		} else {
+			for i, x := range g[:len(sub)] {
+				v := sub[i] + x
+				sub[i] = v
+				b := math.Float64bits(v) & absMask
+				a := math.Float64frombits(b)
+				abs += a
+				e := b >> 52
+				if e-1 >= 2*expBias {
+					if b != 0 {
+						logs += math.Log(a)
+						n++
+					}
+					continue
+				}
+				p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
+				exp += int(e) - expBias
+				n++
+			}
+			g = g[len(sub):]
 		}
 		logs += math.Log(p0 * p1)
 	}

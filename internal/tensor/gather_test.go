@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
-// naiveValuesAbove is the branchy append loop ValuesAboveThreshold
-// replaced, kept as the reference the blocked kernel is held bit-equal to.
-func naiveValuesAbove(x []float64, eta float64, dst []float64) []float64 {
-	for _, xi := range x {
+// naivePairsAbove is the branchy append loop the blocked gather replaced,
+// kept as the reference the kernel is held bit-equal to.
+func naivePairsAbove(x []float64, eta float64, base int32, mags []float64, idx []int32) ([]float64, []int32) {
+	for i, xi := range x {
 		if a := math.Abs(xi); a > eta {
-			dst = append(dst, a)
+			mags = append(mags, a)
+			idx = append(idx, base+int32(i))
 		}
 	}
-	return dst
+	return mags, idx
 }
 
 // specials builds a length-d vector of Gaussian noise salted with the
@@ -48,11 +49,25 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestValuesAboveMatchesNaive holds the blocked store-then-advance gather
-// bit-equal to the naive loop: block-boundary lengths, degenerate
-// thresholds, special values, a non-empty dst, the dst = x[:0] in-place
-// compaction the later SIDCo stages use, and the Par fan-out on top.
-func TestValuesAboveMatchesNaive(t *testing.T) {
+func sameIdx(t *testing.T, what string, got, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d indices, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: idx[%d] = %d, want %d", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPairsAboveMatchesNaive holds the blocked store-then-advance gather
+// bit-equal to the naive loop, magnitudes and indices: block-boundary
+// lengths, degenerate thresholds, special values, non-empty and
+// exact-capacity lists, a non-zero base, the Par fan-out on top — and
+// CompactPairsAbove, whose destination is its source, against a second
+// naive gather at a higher threshold.
+func TestPairsAboveMatchesNaive(t *testing.T) {
 	lengths := []int{0, 1, gatherBlock - 1, gatherBlock, gatherBlock + 1, 3*gatherBlock + 17}
 	if !testing.Short() {
 		lengths = append(lengths, 1<<21)
@@ -69,37 +84,67 @@ func TestValuesAboveMatchesNaive(t *testing.T) {
 					what := fmt.Sprintf("%s d=%d eta=%v P=%d", name, d, eta, p)
 					pp := &Par{P: p}
 
-					want := naiveValuesAbove(x, eta, nil)
-					sameBits(t, what, pp.ValuesAbove(x, eta, nil), want)
+					wantM, wantI := naivePairsAbove(x, eta, 0, nil, nil)
+					gotM, gotI := pp.PairsAbove(x, eta, nil, nil)
+					sameBits(t, what, gotM, wantM)
+					sameIdx(t, what, gotI, wantI)
 
-					prefix := []float64{7, -8, math.NaN()}
-					want = naiveValuesAbove(x, eta, append([]float64(nil), prefix...))
-					sameBits(t, what+" dst non-empty", pp.ValuesAbove(x, eta, append([]float64(nil), prefix...)), want)
+					preM, preI := []float64{7, -8, math.NaN()}, []int32{5, 4, 3}
+					wantM, wantI = naivePairsAbove(x, eta, 0, append([]float64(nil), preM...), append([]int32(nil), preI...))
+					gotM, gotI = pp.PairsAbove(x, eta, append([]float64(nil), preM...), append([]int32(nil), preI...))
+					sameBits(t, what+" lists non-empty", gotM, wantM)
+					sameIdx(t, what+" lists non-empty", gotI, wantI)
 
-					// Exact-capacity dst: every block must grow it.
-					sameBits(t, what+" dst full", pp.ValuesAbove(x, eta, prefix[:3:3]), want)
+					// Exact-capacity lists: every block must grow them.
+					gotM, gotI = pp.PairsAbove(x, eta, preM[:3:3], preI[:3:3])
+					sameBits(t, what+" lists full", gotM, wantM)
+					sameIdx(t, what+" lists full", gotI, wantI)
 
-					want = naiveValuesAbove(x, eta, nil)
-					alias := append([]float64(nil), x...)
-					sameBits(t, what+" dst = x[:0]", pp.ValuesAbove(alias, eta, alias[:0]), want)
+					if p > 1 {
+						continue // the rest is serial code
+					}
+					wantM, wantI = naivePairsAbove(x, eta, 11, nil, nil)
+					gotM, gotI = PairsAboveThreshold(x, eta, 11, nil, nil)
+					sameBits(t, what+" base 11", gotM, wantM)
+					sameIdx(t, what+" base 11", gotI, wantI)
+
+					// In-place compaction of that list at each threshold of the grid.
+					for _, eta2 := range []float64{0, math.NaN(), math.Inf(1), 0.75, 1, 1.5} {
+						var keepM []float64
+						var keepI []int32
+						for i, a := range wantM {
+							if a > eta2 {
+								keepM, keepI = append(keepM, a), append(keepI, wantI[i])
+							}
+						}
+						cM, cI := CompactPairsAbove(append([]float64(nil), wantM...), append([]int32(nil), wantI...), eta2)
+						sameBits(t, fmt.Sprintf("%s compact eta2=%v", what, eta2), cM, keepM)
+						sameIdx(t, fmt.Sprintf("%s compact eta2=%v", what, eta2), cI, keepI)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestValuesAboveSteadyStateAllocs pins the reuse contract: once dst has
-// room for the exceedances plus one block of headroom, the gather
-// allocates nothing.
-func TestValuesAboveSteadyStateAllocs(t *testing.T) {
+// TestPairsAboveSteadyStateAllocs pins the reuse contract: once the
+// lists have room for the exceedances plus one block of headroom, the
+// gather allocates nothing, and the compaction never does.
+func TestPairsAboveSteadyStateAllocs(t *testing.T) {
 	x := specials(1<<16, 9)
-	dst := ValuesAboveThreshold(x, 0.5, nil)
-	if n := testing.AllocsPerRun(20, func() { dst = ValuesAboveThreshold(x, 0.5, dst[:0]) }); n != 0 {
-		t.Fatalf("steady-state gather allocates %v times per run", n)
+	mags, idx := PairsAboveThreshold(x, 0.5, 0, nil, nil)
+	if n := testing.AllocsPerRun(20, func() {
+		mags, idx = PairsAboveThreshold(x, 0.5, 0, mags[:0], idx[:0])
+		mags, idx = CompactPairsAbove(mags, idx, 0.75)
+	}); n != 0 {
+		t.Fatalf("steady-state gather + compaction allocates %v times per run", n)
 	}
 }
 
-var sinkVals []float64
+var (
+	sinkVals []float64
+	sinkIdx  []int32
+)
 
 // gaussMix is a tie-free heavy-tailed vector, so a quantile threshold
 // hits the requested selectivity exactly.
@@ -118,24 +163,55 @@ func quantileEta(g []float64, sel float64) float64 {
 	return QuickSelectKth(Abs(g, nil), int(sel*float64(len(g)))+1)
 }
 
-// BenchmarkValuesAbove is the stage-1 exceedance gather at d = 2^21 and
+// valuesOnlyAbove is the loop body of the values-only gather the pair
+// gather replaced, kept as the benchmark's reference: the difference is
+// what carrying the indices costs.
+func valuesOnlyAbove(x []float64, eta float64, dst []float64) []float64 {
+	dst = dst[:len(x)]
+	m := 0
+	for _, xi := range x {
+		a := math.Abs(xi)
+		dst[m] = a
+		m += b2i(a > eta)
+	}
+	return dst[:m]
+}
+
+// BenchmarkPairsAbove is the stage-1 exceedance gather at d = 2^21 and
 // the ~30% selectivity of SIDCo's first stage (delta1 = 0.25 plus the
 // fit's over-selection), where the comparison is a coin flip to a branch
-// predictor. The naive row is the loop the kernel replaced.
-func BenchmarkValuesAbove(b *testing.B) {
+// predictor: the index-carrying kernel, the values-only body it replaced
+// and the naive branchy loop, then the in-place compaction of that list
+// to the next stage's ~25% of it (with the copy that refills the list).
+func BenchmarkPairsAbove(b *testing.B) {
 	g := gaussMix(1<<21, 3)
 	eta := quantileEta(g, 0.30)
-	dst := make([]float64, 0, len(g))
+	mags, idx := make([]float64, 0, len(g)), make([]int32, 0, len(g))
 	for _, k := range []struct {
 		name string
-		fn   func(x []float64, eta float64, dst []float64) []float64
-	}{{"blocked", ValuesAboveThreshold}, {"naive", naiveValuesAbove}} {
+		fn   func()
+	}{
+		{"pairs", func() { sinkVals, sinkIdx = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) }},
+		{"values-only", func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) }},
+		{"naive", func() { sinkVals, sinkIdx = naivePairsAbove(g, eta, 0, mags[:0], idx[:0]) }},
+	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.SetBytes(int64(8 * len(g)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkVals = k.fn(g, eta, dst[:0])
+				k.fn()
 			}
 		})
 	}
+	b.Run("compact", func(b *testing.B) {
+		eta2 := quantileEta(g, 0.075)
+		listM, listI := PairsAboveThreshold(g, eta, 0, nil, nil)
+		b.SetBytes(int64(12 * len(listM)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// The compaction consumes its input: the refill is timed with it.
+			mags, idx = append(mags[:0], listM...), append(idx[:0], listI...)
+			sinkVals, sinkIdx = CompactPairsAbove(mags, idx, eta2)
+		}
+	})
 }

@@ -82,19 +82,20 @@ func (pp *Par) FilterAbove(x []float64, eta float64, idx []int32, vals []float64
 	return idx, vals
 }
 
-// ValuesAbove is ValuesAboveThreshold at parallelism P.
-func (pp *Par) ValuesAbove(x []float64, eta float64, dst []float64) []float64 {
+// PairsAbove is PairsAboveThreshold(x, eta, 0, ...) at parallelism P.
+func (pp *Par) PairsAbove(x []float64, eta float64, mags []float64, idx []int32) ([]float64, []int32) {
 	p := pp.P
 	if p <= 1 || len(x) < parMin {
-		return ValuesAboveThreshold(x, eta, dst)
+		return PairsAboveThreshold(x, eta, 0, mags, idx)
 	}
 	pp.grow(p)
 	par.Do(p, func(w int) {
 		lo, hi := par.RangeBounds(len(x), p, w)
-		pp.vals[w] = ValuesAboveThreshold(x[lo:hi], eta, pp.vals[w][:0])
+		pp.vals[w], pp.idx[w] = PairsAboveThreshold(x[lo:hi], eta, int32(lo), pp.vals[w][:0], pp.idx[w][:0])
 	})
 	for w := 0; w < p; w++ {
-		dst = append(dst, pp.vals[w]...)
+		mags = append(mags, pp.vals[w]...)
+		idx = append(idx, pp.idx[w]...)
 	}
-	return dst
+	return mags, idx
 }

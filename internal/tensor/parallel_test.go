@@ -79,7 +79,7 @@ func TestParThresholdOpsBitIdentity(t *testing.T) {
 	for _, eta := range []float64{0, 0.25, 0.5, 3.7} {
 		wantN := CountAboveThreshold(g, eta)
 		wantIdx, wantVals := FilterAboveThreshold(g, eta, nil, nil)
-		wantAbove := ValuesAboveThreshold(g, eta, nil)
+		wantAbove, wantAboveIdx := PairsAboveThreshold(g, eta, 0, nil, nil)
 		for _, p := range []int{2, 5, 8} {
 			pp := &Par{P: p}
 			if n := pp.CountAbove(g, eta); n != wantN {
@@ -95,13 +95,13 @@ func TestParThresholdOpsBitIdentity(t *testing.T) {
 						eta, p, i, idx[i], vals[i], wantIdx[i], wantVals[i])
 				}
 			}
-			above := pp.ValuesAbove(g, eta, nil)
-			if len(above) != len(wantAbove) {
-				t.Fatalf("eta=%v p=%d: gather len %d, serial %d", eta, p, len(above), len(wantAbove))
+			above, aboveIdx := pp.PairsAbove(g, eta, nil, nil)
+			if len(above) != len(wantAbove) || len(aboveIdx) != len(wantAboveIdx) {
+				t.Fatalf("eta=%v p=%d: gather len %d/%d, serial %d/%d", eta, p, len(above), len(aboveIdx), len(wantAbove), len(wantAboveIdx))
 			}
 			for i := range above {
-				if math.Float64bits(above[i]) != math.Float64bits(wantAbove[i]) {
-					t.Fatalf("eta=%v p=%d: gather[%d] = %v, serial %v", eta, p, i, above[i], wantAbove[i])
+				if math.Float64bits(above[i]) != math.Float64bits(wantAbove[i]) || aboveIdx[i] != wantAboveIdx[i] {
+					t.Fatalf("eta=%v p=%d: gather[%d] = (%d,%v), serial (%d,%v)", eta, p, i, aboveIdx[i], above[i], wantAboveIdx[i], wantAbove[i])
 				}
 			}
 		}

@@ -40,8 +40,8 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Zero sets every element of x to 0.
-func Zero(x []float64) { Fill(x, 0) }
+// Zero sets every element of x to 0 (clear is a memclr; Fill's loop is not).
+func Zero(x []float64) { clear(x) }
 
 // Clone returns a copy of x.
 func Clone(x []float64) []float64 {
@@ -131,46 +131,59 @@ func FilterAboveThreshold(x []float64, eta float64, idx []int32, vals []float64)
 	return idx, vals
 }
 
-// gatherBlock is the block length of the exceedance gather: dst's
+// gatherBlock is the block length of the exceedance gather: the lists'
 // capacity is ensured once per block, so the element loop carries no
 // append bookkeeping and headroom never exceeds one block.
 const gatherBlock = 4096
 
-// ValuesAboveThreshold appends the |values| of elements with |x_i| > eta to
-// dst and returns it. The strict inequality matches the exceedance
-// definition of the multi-stage estimator (values equal to the previous
-// threshold have already been counted).
+// PairsAboveThreshold appends, for every element with |x_i| > eta, |x_i|
+// to mags and base+i to idx (one list in two slices of equal length) and
+// returns both. The strict inequality matches the exceedance definition
+// of the multi-stage estimator (values equal to the previous threshold
+// have already been counted); the index lets the final selection be read
+// off the list instead of off x again.
 //
-// Every magnitude is stored at the write cursor and the cursor advances
-// by the comparison's outcome, so the loop has no data-dependent branch:
-// at the ~25-30% selectivity of a first SIDCo stage that branch is
-// unpredictable and cost 7x the count-only pass. The cursor never passes
-// the read position, so dst may be x[:0] (in-place compaction); the
-// elements of dst's backing array beyond the returned length are
-// scratch either way.
+// Every pair is stored at the write cursor and the cursor advances by
+// the comparison's outcome, so the loop has no data-dependent branch: at
+// the ~25-30% selectivity of a first SIDCo stage that branch is
+// unpredictable and cost 7x the count-only pass. The lists' backing
+// arrays beyond the returned lengths are scratch.
 //
 //sidco:hotpath
-func ValuesAboveThreshold(x []float64, eta float64, dst []float64) []float64 {
-	n := len(dst)
+func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, idx []int32) ([]float64, []int32) {
+	n := len(mags) // == len(idx): the two are one list
 	for len(x) > 0 {
-		blk := x
-		if len(blk) > gatherBlock {
-			blk = blk[:gatherBlock]
-		}
+		blk := x[:min(gatherBlock, len(x))]
 		x = x[len(blk):]
-		if cap(dst)-n < len(blk) {
-			dst = slices.Grow(dst[:n], len(blk)) //sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
+		if min(cap(mags), cap(idx))-n < len(blk) {
+			//sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
+			mags, idx = slices.Grow(mags[:n], len(blk)), slices.Grow(idx[:n], len(blk))
 		}
-		out := dst[n : n+len(blk)]
+		outM, outI := mags[n:n+len(blk)], idx[n:n+len(blk)]
 		m := 0
-		for _, xi := range blk {
+		for i, xi := range blk {
 			a := math.Abs(xi)
-			out[m] = a
+			outM[m], outI[m] = a, base+int32(i)
 			m += b2i(a > eta)
 		}
 		n += m
+		base += int32(len(blk))
 	}
-	return dst[:n]
+	return mags[:n], idx[:n]
+}
+
+// CompactPairsAbove keeps, in place and in order, the pairs whose magnitude
+// is > eta: the same loop, its cursor never passing the read position.
+//
+//sidco:hotpath
+func CompactPairsAbove(mags []float64, idx []int32, eta float64) ([]float64, []int32) {
+	idx = idx[:len(mags)]
+	m := 0
+	for i, a := range mags {
+		mags[m], idx[m] = a, idx[i]
+		m += b2i(a > eta)
+	}
+	return mags[:m], idx[:m]
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag

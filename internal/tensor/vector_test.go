@@ -99,11 +99,14 @@ func TestCountAndFilterAboveThreshold(t *testing.T) {
 	}
 }
 
-func TestValuesAboveThresholdStrict(t *testing.T) {
-	g := []float64{0.3, -0.3, 0.4}
-	got := ValuesAboveThreshold(g, 0.3, nil)
-	if len(got) != 1 || got[0] != 0.4 {
-		t.Errorf("strict exceedances = %v", got)
+func TestPairsAboveThresholdStrict(t *testing.T) {
+	g := []float64{0.3, -0.3, -0.4}
+	mags, idx := PairsAboveThreshold(g, 0.3, 0, nil, nil)
+	if len(mags) != 1 || mags[0] != 0.4 || len(idx) != 1 || idx[0] != 2 {
+		t.Errorf("strict exceedances = %v at %v", mags, idx)
+	}
+	if mags, idx = CompactPairsAbove(mags, idx, 0.4); len(mags) != 0 || len(idx) != 0 {
+		t.Errorf("compaction kept a magnitude equal to its threshold: %v at %v", mags, idx)
 	}
 }
 
