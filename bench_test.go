@@ -126,7 +126,7 @@ func BenchmarkFig16And17SyntheticTensors(b *testing.B) {
 func BenchmarkFig18AllSIDs(b *testing.B) {
 	benchFigure(b, "fig18", func(w io.Writer) error {
 		// One CNN + one RNN workload keeps the bench tractable; the
-		// sidco-train binary covers all six.
+		// sidco-fig binary covers all six.
 		return harness.TrainingFigure(w, harness.TrainingFigureConfig{
 			Title:     "Fig 18",
 			Workloads: []string{"resnet20-cifar10", "lstm-ptb"},
@@ -177,7 +177,7 @@ func benchCompressor(b *testing.B, c compress.Compressor, delta float64) {
 	b.SetBytes(int64(8 * len(g)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(g, delta); err != nil {
+		if _, err := compress.FreshCompress(c, g, delta); err != nil {
 			b.Fatal(err)
 		}
 	}

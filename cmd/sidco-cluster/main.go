@@ -46,7 +46,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 )
 
 func main() {
@@ -94,44 +93,8 @@ func main() {
 	})
 }
 
-// demoTrainer builds a small dense net on synthetic class-shifted data.
-func demoTrainer(workers int, comp string, delta float64, seed int64, ex dist.GradientExchange) (*dist.Trainer, error) {
-	rng := rand.New(rand.NewSource(seed))
-	model := nn.NewSequential(
-		nn.NewDense("d1", 16, 12, rng),
-		&nn.ReLU{},
-		nn.NewDense("d2", 12, 4, rng),
-	)
-	var factory func() compress.Compressor
-	if comp != "" && comp != "none" {
-		factory = harness.Factory(comp, seed)
-	}
-	return dist.NewTrainer(dist.TrainerConfig{
-		Workers: workers,
-		Model:   model,
-		Loss:    &nn.SoftmaxCrossEntropy{},
-		Opt:     &nn.SGD{LR: 0.05},
-		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
-			x := nn.NewTensor(8, 16)
-			targets := make([]int, 8)
-			for i := range targets {
-				targets[i] = rng.Intn(4)
-				for j := 0; j < 16; j++ {
-					x.Data[i*16+j] = rng.NormFloat64() + float64(targets[i])
-				}
-			}
-			return x, targets
-		},
-		NewCompressor: factory,
-		Delta:         delta,
-		EC:            factory != nil,
-		Seed:          seed,
-		Exchange:      ex,
-	})
-}
-
 func bitIdentity(workers, iters int, comp string, delta float64, seed int64) error {
-	ref, err := demoTrainer(workers, comp, delta, seed, nil)
+	ref, err := harness.DemoTrainer(dist.TrainerConfig{Workers: workers, Delta: delta, Seed: seed}, comp)
 	if err != nil {
 		return err
 	}
@@ -148,7 +111,7 @@ func bitIdentity(workers, iters int, comp string, delta float64, seed int64) err
 		if err != nil {
 			return err
 		}
-		tr, err := demoTrainer(workers, comp, delta, seed, e)
+		tr, err := harness.DemoTrainer(dist.TrainerConfig{Workers: workers, Delta: delta, Seed: seed, Exchange: e}, comp)
 		if err != nil {
 			e.Close()
 			return err
@@ -297,7 +260,7 @@ func syntheticInputs(workers, dim int, delta float64, seed int64) ([]dist.Exchan
 		}
 		ins[w] = dist.ExchangeInput{Worker: w, Dense: dense}
 		if delta > 0 {
-			s, err := compress.NewTopK().Compress(dense, delta)
+			s, err := compress.FreshCompress(compress.NewTopK(), dense, delta)
 			if err != nil {
 				return nil, err
 			}

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -59,12 +58,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/dist"
 	"repro/internal/encoding"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 	"repro/internal/telemetry"
 	"repro/internal/traceview"
 )
@@ -249,10 +246,11 @@ func (nt *nodeTelemetry) close() {
 	}
 }
 
-// trainerFor builds the demo workload (the same model and batch stream
-// as cmd/sidco-cluster) at any (workers, firstWorker) split, so N
-// single-worker processes draw exactly the batches of one N-worker
-// in-process trainer. tel is nil for the telemetry-free reference run.
+// trainerFor builds the demo workload (harness.DemoTrainer: the same
+// model and batch stream as cmd/sidco-cluster) at any (workers,
+// firstWorker) split, so N single-worker processes draw exactly the
+// batches of one N-worker in-process trainer. tel is nil for the
+// telemetry-free reference run.
 //
 // With a lossy -format and a compressor, both the deployment trainer and
 // the -check reference trainer pre-round every selected value to the
@@ -261,54 +259,28 @@ func (nt *nodeTelemetry) close() {
 // emitted values are fixed points of the wire's rounding — what the
 // sockets deliver is exactly what the in-process reference computes.
 func trainerFor(opt options, workers, firstWorker int, ex dist.GradientExchange, tel *telemetry.Tracer) (*dist.Trainer, error) {
-	rng := rand.New(rand.NewSource(opt.seed))
-	model := nn.NewSequential(
-		nn.NewDense("d1", 16, 12, rng),
-		&nn.ReLU{},
-		nn.NewDense("d2", 12, 4, rng),
-	)
-	var factory func() compress.Compressor
-	if opt.compressor != "" && opt.compressor != "none" {
-		factory = harness.Factory(opt.compressor, opt.seed)
-	}
 	wire, err := cluster.ParseWire(opt.format)
 	if err != nil {
 		return nil, err
 	}
 	var ecWire *encoding.Format
-	if factory != nil && wire != cluster.WireLossless {
+	if opt.compressor != "" && opt.compressor != "none" && wire != cluster.WireLossless {
 		f, err := wire.Format()
 		if err != nil {
 			return nil, err
 		}
 		ecWire = &f
 	}
-	return dist.NewTrainer(dist.TrainerConfig{
+	return harness.DemoTrainer(dist.TrainerConfig{
 		Workers:     workers,
 		FirstWorker: firstWorker,
-		Model:       model,
-		Loss:        &nn.SoftmaxCrossEntropy{},
-		Opt:         &nn.SGD{LR: 0.05},
-		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
-			x := nn.NewTensor(8, 16)
-			targets := make([]int, 8)
-			for i := range targets {
-				targets[i] = rng.Intn(4)
-				for j := 0; j < 16; j++ {
-					x.Data[i*16+j] = rng.NormFloat64() + float64(targets[i])
-				}
-			}
-			return x, targets
-		},
-		NewCompressor: factory,
-		Delta:         opt.delta,
-		EC:            factory != nil,
-		ECWire:        ecWire,
-		Parallelism:   opt.parallel,
-		Seed:          opt.seed,
-		Exchange:      ex,
-		Telemetry:     tel,
-	})
+		Delta:       opt.delta,
+		ECWire:      ecWire,
+		Parallelism: opt.parallel,
+		Seed:        opt.seed,
+		Exchange:    ex,
+		Telemetry:   tel,
+	}, opt.compressor)
 }
 
 // clusterConfig is the deployment's cluster configuration as the flags

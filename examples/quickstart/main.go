@@ -29,7 +29,7 @@ func main() {
 
 	// SIDCo-E: multi-stage double-exponential threshold estimation.
 	sidco := core.NewE()
-	sparse, err := sidco.Compress(g, delta)
+	sparse, err := compress.FreshCompress(sidco, g, delta)
 	if err != nil {
 		log.Fatal(err)
 	}

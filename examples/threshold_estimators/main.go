@@ -49,7 +49,7 @@ func main() {
 		buf := make([]float64, dim)
 		for i := 0; i < iters; i++ {
 			gen.Fill(buf)
-			s, err := est.Compress(buf, delta)
+			s, err := compress.FreshCompress(est, buf, delta)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -22,7 +22,7 @@ func benchInputs(b *testing.B, workers, dim int, delta float64) []dist.ExchangeI
 		}
 		ins[w] = dist.ExchangeInput{Worker: w, Dense: dense}
 		if delta > 0 {
-			s, err := compress.NewTopK().Compress(dense, delta)
+			s, err := compress.FreshCompress(compress.NewTopK(), dense, delta)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func randomInputs(t *testing.T, workers, dim int, delta float64, seed int64) []d
 		}
 		ins[w] = dist.ExchangeInput{Worker: w, Dense: dense}
 		if delta > 0 {
-			s, err := compress.NewTopK().Compress(dense, delta)
+			s, err := compress.FreshCompress(compress.NewTopK(), dense, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -635,7 +635,7 @@ func TestChunkedMatchesMonolithicProperty(t *testing.T) {
 				// One compressor per worker, seeded per (trial, worker):
 				// DGC consumes randomness, so both schedules must see the
 				// same pre-computed selection.
-				s, err := registryCompressor(compName, int64(trial*10+w)).Compress(dense, delta)
+				s, err := compress.FreshCompress(registryCompressor(compName, int64(trial*10+w)), dense, delta)
 				if err != nil {
 					t.Fatal(err)
 				}

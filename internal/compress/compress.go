@@ -25,65 +25,30 @@ var errEmptyGradient = errors.New("compress: empty gradient")
 // Compressor selects a sparse subset of a gradient vector targeting a
 // compression ratio delta = k/d.
 //
-// CompressInto is the streaming fast path: the selection lands in
+// CompressInto is the one entry point: the selection lands in
 // caller-owned storage, and every in-repo compressor keeps per-instance
 // scratch (fit buffers, sample buffers, radix-select histograms) so
-// steady-state iterations are allocation-free. Compress remains the
-// convenient allocating form; pre-pipeline implementations that only
-// have Compress are lifted via Adapt.
+// steady-state iterations are allocation-free. A caller that wants a
+// fresh vector per call uses the free function FreshCompress.
 //
 // Two optional interfaces sit beside it: Parallelizable (internal fan-out)
 // and AccumulateCompressor (error feedback's add inside the first sweep).
 type Compressor interface {
 	// Name returns a short identifier used in reports ("topk", "dgc", ...).
 	Name() string
-	// Compress sparsifies g at target ratio delta in (0, 1]. The returned
-	// sparse vector has ascending unique indices. Implementations must not
-	// modify g: it may alias state the caller keeps across steps (the
-	// error-feedback residual is handed to its wrapped compressor this
-	// way), so a write would corrupt more than one call's input.
-	Compress(g []float64, delta float64) (*tensor.Sparse, error)
-	// CompressInto sparsifies g into dst, resetting dst first and reusing
-	// its storage. dst is left untouched on error. Implementations must
-	// not modify g (see Compress: it may be the caller's persistent
-	// state) and must not retain dst or alias internal scratch into it —
-	// the caller owns dst between calls.
+	// CompressInto sparsifies g at target ratio delta in (0, 1] into dst,
+	// resetting dst first and reusing its storage; the selection has
+	// ascending unique indices. dst is left untouched on error.
+	// Implementations must not modify g: it may alias state the caller
+	// keeps across steps (the error-feedback residual is handed to its
+	// wrapped compressor this way), so a write would corrupt more than
+	// one call's input. They must not retain dst or alias internal
+	// scratch into it either — the caller owns dst between calls.
 	CompressInto(dst *tensor.Sparse, g []float64, delta float64) error
 }
 
-// Legacy is the pre-pipeline compressor contract: Compress only. Adapt
-// lifts a Legacy implementation into the full Compressor interface.
-type Legacy interface {
-	Name() string
-	Compress(g []float64, delta float64) (*tensor.Sparse, error)
-}
-
-// Adapt wraps a Legacy compressor so it satisfies Compressor: the
-// CompressInto fast path falls back to Compress plus a copy into dst. If
-// c already implements Compressor it is returned unchanged.
-func Adapt(c Legacy) Compressor {
-	if full, ok := c.(Compressor); ok {
-		return full
-	}
-	return adapted{c}
-}
-
-type adapted struct{ Legacy }
-
-// CompressInto implements Compressor by allocating through the wrapped
-// Compress and copying — correct but not allocation-free.
-func (a adapted) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
-	s, err := a.Legacy.Compress(g, delta)
-	if err != nil {
-		return err
-	}
-	dst.CopyFrom(s)
-	return nil
-}
-
-// FreshCompress implements the allocating Compress in terms of a
-// CompressInto fast path: every concrete compressor's Compress is this
-// one-liner, so the two entry points cannot drift.
+// FreshCompress is the allocating form of CompressInto: it compresses g
+// into a new sparse vector the caller owns outright.
 func FreshCompress(c Compressor, g []float64, delta float64) (*tensor.Sparse, error) {
 	dst := &tensor.Sparse{}
 	if err := c.CompressInto(dst, g, delta); err != nil {
@@ -172,13 +137,8 @@ type None struct{}
 // Name implements Compressor.
 func (None) Name() string { return "none" }
 
-// Compress implements Compressor; delta is ignored and the whole vector is
-// kept.
-func (n None) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(n, g, delta)
-}
-
-// CompressInto implements Compressor.
+// CompressInto implements Compressor; delta is ignored and the whole
+// vector is kept.
 //
 //sidco:hotpath
 func (None) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
@@ -212,11 +172,6 @@ func (*TopK) Name() string { return "topk" }
 // goroutines with bit-identical selection.
 func (t *TopK) SetParallelism(p int) { t.sel.SetParallelism(p) }
 
-// Compress implements Compressor.
-func (t *TopK) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(t, g, delta)
-}
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath
@@ -239,11 +194,6 @@ type Threshold struct {
 
 // Name implements Compressor.
 func (Threshold) Name() string { return "threshold" }
-
-// Compress implements Compressor; delta is ignored.
-func (t Threshold) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(t, g, delta)
-}
 
 // CompressInto implements Compressor; delta is ignored.
 //

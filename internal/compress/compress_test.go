@@ -46,11 +46,11 @@ func TestTargetK(t *testing.T) {
 func TestValidation(t *testing.T) {
 	comps := []Compressor{NewTopK(), NewDGC(1), NewRedSync(), NewGaussianKSGD(), NewRandomK(1, false)}
 	for _, c := range comps {
-		if _, err := c.Compress(nil, 0.1); err == nil {
+		if _, err := FreshCompress(c, nil, 0.1); err == nil {
 			t.Errorf("%s: empty gradient should error", c.Name())
 		}
 		for _, bad := range []float64{0, -0.1, 1.5, math.NaN()} {
-			if _, err := c.Compress([]float64{1, 2}, bad); err == nil {
+			if _, err := FreshCompress(c, []float64{1, 2}, bad); err == nil {
 				t.Errorf("%s: ratio %v should error", c.Name(), bad)
 			}
 		}
@@ -59,7 +59,7 @@ func TestValidation(t *testing.T) {
 
 func TestNoneKeepsEverything(t *testing.T) {
 	g := []float64{1, -2, 0, 3}
-	s, err := None{}.Compress(g, 0.001)
+	s, err := FreshCompress(None{}, g, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestNoneKeepsEverything(t *testing.T) {
 			t.Fatalf("Dense = %v", dense)
 		}
 	}
-	if _, err := (None{}).Compress(nil, 0.1); err == nil {
+	if _, err := FreshCompress(None{}, nil, 0.1); err == nil {
 		t.Error("empty should error")
 	}
 }
@@ -80,7 +80,7 @@ func TestNoneKeepsEverything(t *testing.T) {
 func TestTopKExactCount(t *testing.T) {
 	g := laplaceVec(10000, 0.01, 1)
 	for _, delta := range []float64{0.1, 0.01, 0.001} {
-		s, err := NewTopK().Compress(g, delta)
+		s, err := FreshCompress(NewTopK(), g, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestTopKExactCount(t *testing.T) {
 
 func TestTopKKeepsLargest(t *testing.T) {
 	g := []float64{0.1, -5, 0.2, 4, -0.3}
-	s, err := NewTopK().Compress(g, 0.4) // k = 2
+	s, err := FreshCompress(NewTopK(), g, 0.4) // k = 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTopKKeepsLargest(t *testing.T) {
 func TestTopKDoesNotModifyInput(t *testing.T) {
 	g := laplaceVec(1000, 1, 2)
 	orig := tensor.Clone(g)
-	if _, err := NewTopK().Compress(g, 0.01); err != nil {
+	if _, err := FreshCompress(NewTopK(), g, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	for i := range g {
@@ -117,7 +117,7 @@ func TestTopKDoesNotModifyInput(t *testing.T) {
 
 func TestThresholdCompressor(t *testing.T) {
 	g := []float64{0.5, -1.5, 0.2}
-	s, err := Threshold{Eta: 0.5}.Compress(g, 0.9)
+	s, err := FreshCompress(Threshold{Eta: 0.5}, g, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestThresholdCompressor(t *testing.T) {
 func TestRandomKCountAndScaling(t *testing.T) {
 	g := laplaceVec(5000, 1, 3)
 	c := NewRandomK(7, false)
-	s, err := c.Compress(g, 0.01)
+	s, err := FreshCompress(c, g, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRandomKCountAndScaling(t *testing.T) {
 	}
 
 	u := NewRandomK(7, true)
-	su, err := u.Compress(g, 0.01)
+	su, err := FreshCompress(u, g, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRandomKUnbiasedInExpectation(t *testing.T) {
 	acc := make([]float64, len(g))
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		s, err := c.Compress(g, 0.25)
+		s, err := FreshCompress(c, g, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestDGCTracksTarget(t *testing.T) {
 		sum := 0.0
 		for r := 0; r < reps; r++ {
 			g := laplaceVec(d, 0.01, int64(40+r))
-			s, err := c.Compress(g, delta)
+			s, err := FreshCompress(c, g, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestDGCTrimsToExactlyKWhenOverselecting(t *testing.T) {
 	g := laplaceVec(10000, 1, 6)
 	c := NewDGC(7)
 	c.SampleRatio = 1.0
-	s, err := c.Compress(g, 0.01)
+	s, err := FreshCompress(c, g, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestDGCKeepsLargeElements(t *testing.T) {
 	// element.
 	g := laplaceVec(50000, 0.001, 8)
 	g[12345] = 100
-	s, err := NewDGC(9).Compress(g, 0.001)
+	s, err := FreshCompress(NewDGC(9), g, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRedSyncReasonableOnCleanData(t *testing.T) {
 	g := laplaceVec(100000, 0.01, 10)
 	c := NewRedSync()
 	c.MaxIters = 30
-	s, err := c.Compress(g, 0.01)
+	s, err := FreshCompress(c, g, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRedSyncDegradesWithOutliers(t *testing.T) {
 	g := laplaceVec(100000, 0.01, 11)
 	g[0] = 1000 // outlier
 	c := NewRedSync()
-	s, err := c.Compress(g, 0.001)
+	s, err := FreshCompress(c, g, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRedSyncDegradesWithOutliers(t *testing.T) {
 
 func estimationError(t *testing.T, c Compressor, g []float64, delta float64) float64 {
 	t.Helper()
-	s, err := c.Compress(g, delta)
+	s, err := FreshCompress(c, g, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func estimationError(t *testing.T, c Compressor, g []float64, delta float64) flo
 
 func TestRedSyncDegenerateConstantVector(t *testing.T) {
 	g := []float64{0.5, -0.5, 0.5, -0.5}
-	s, err := NewRedSync().Compress(g, 0.5)
+	s, err := FreshCompress(NewRedSync(), g, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGaussianKSGDUnderSelectsOnHeavyTails(t *testing.T) {
 	const iters = 100
 	for i := 0; i < iters; i++ {
 		g := laplaceVec(d, 0.01, int64(100+i))
-		s, err := c.Compress(g, delta)
+		s, err := FreshCompress(c, g, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestGaussianKSGDFactorClamped(t *testing.T) {
 	c := NewGaussianKSGD()
 	g := laplaceVec(1000, 1, 13)
 	for i := 0; i < 500; i++ {
-		if _, err := c.Compress(g, 0.001); err != nil {
+		if _, err := FreshCompress(c, g, 0.001); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +342,7 @@ func TestAllCompressorsProduceValidSparse(t *testing.T) {
 		delta := 0.001 + math.Mod(math.Abs(deltaRaw), 0.999)
 		g := laplaceVec(2000, 0.1, seedRaw)
 		for _, c := range comps {
-			s, err := c.Compress(g, delta)
+			s, err := FreshCompress(c, g, delta)
 			if err != nil {
 				return false
 			}
@@ -424,48 +424,9 @@ func TestTargetKChunks(t *testing.T) {
 	}
 }
 
-// legacyOnly is a Compress-only implementation for exercising Adapt.
-type legacyOnly struct{}
-
-func (legacyOnly) Name() string { return "legacy" }
-func (legacyOnly) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return NewTopK().Compress(g, delta)
-}
-
-// TestAdaptLiftsLegacyCompressor checks the adapter both ways: a
-// Compress-only implementation gains a working CompressInto, and a full
-// Compressor passes through unwrapped.
-func TestAdaptLiftsLegacyCompressor(t *testing.T) {
-	g := []float64{3, -1, 0.5, -4, 2, 0.1, -0.2, 5}
-	adapted := Adapt(legacyOnly{})
-	if adapted.Name() != "legacy" {
-		t.Errorf("name = %q", adapted.Name())
-	}
-	want, err := adapted.Compress(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := &tensor.Sparse{Dim: 3, Idx: []int32{0}, Vals: []float64{9}} // dirty
-	if err := adapted.CompressInto(dst, g, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Dim != want.Dim || dst.NNZ() != want.NNZ() {
-		t.Fatalf("adapted CompressInto shape (%d,%d), want (%d,%d)", dst.Dim, dst.NNZ(), want.Dim, want.NNZ())
-	}
-	for i := range want.Idx {
-		if dst.Idx[i] != want.Idx[i] || dst.Vals[i] != want.Vals[i] {
-			t.Fatalf("element %d differs", i)
-		}
-	}
-	full := NewTopK()
-	if Adapt(full) != Compressor(full) {
-		t.Error("Adapt should pass a full Compressor through unchanged")
-	}
-}
-
-// TestCompressIntoMatchesCompress cross-checks the two interface entry
-// points elementwise for every compressor in this package: same
-// selection, same values, regardless of dirty destination state.
+// TestCompressIntoMatchesCompress cross-checks CompressInto over a dirty
+// destination against FreshCompress elementwise for every compressor in
+// this package: same selection, same values.
 // Stateful and randomized compressors get twin instances so both paths
 // see identical internal state and random streams.
 func TestCompressIntoMatchesCompress(t *testing.T) {
@@ -491,7 +452,7 @@ func TestCompressIntoMatchesCompress(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			dst := &tensor.Sparse{Dim: 1, Idx: []int32{0}, Vals: []float64{123}}
 			for iter := 0; iter < 3; iter++ { // stateful paths must track across calls
-				want, err := p.a.Compress(g, 0.01)
+				want, err := FreshCompress(p.a, g, 0.01)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -51,11 +51,6 @@ func NewDGC(seed int64) *DGC {
 // Name implements Compressor.
 func (*DGC) Name() string { return "dgc" }
 
-// Compress implements Compressor.
-func (c *DGC) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(c, g, delta)
-}
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath

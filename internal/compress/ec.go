@@ -65,19 +65,13 @@ func (e *ErrorFeedback) SetParallelism(p int) { SetParallelism(e.Inner, p) }
 // Name implements Compressor.
 func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+ec" }
 
-// Compress implements Compressor. It compresses g + residual and folds the
-// uncompressed remainder back into the residual. The input g is not
-// modified.
-func (e *ErrorFeedback) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(e, g, delta)
-}
-
-// CompressInto implements Compressor, delegating the selection to the
-// wrapped compressor's fast path. The bookkeeping is in place on the one
-// persistent d-sized buffer: residual += g makes it the corrected
-// gradient (bit-equal to g + residual, float addition commutes), the
-// wrapped compressor selects from it, and subtracting the selection at
-// the selected indices leaves the new residual. A wrapped
+// CompressInto implements Compressor: it compresses g + residual,
+// delegating the selection to the wrapped compressor, and folds the
+// uncompressed remainder back into the residual. The bookkeeping is in
+// place on the one persistent d-sized buffer: residual += g makes it the
+// corrected gradient (bit-equal to g + residual, float addition
+// commutes), the wrapped compressor selects from it, and subtracting the
+// selection at the selected indices leaves the new residual. A wrapped
 // AccumulateCompressor does the add inside its own first sweep, to the
 // same bits. It is allocation-free after the first call.
 //

@@ -19,7 +19,7 @@ func TestErrorFeedbackConservesMass(t *testing.T) {
 	g := laplaceVec(5000, 0.01, 30)
 	prevResidual := make([]float64, len(g))
 	for step := 0; step < 10; step++ {
-		s, err := ec.Compress(g, 0.01)
+		s, err := FreshCompress(ec, g, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestErrorFeedbackEventuallyTransmitsEverything(t *testing.T) {
 	ec := NewErrorFeedback(NewTopK())
 	transmitted := make([]bool, d)
 	for step := 0; step < 200; step++ {
-		s, err := ec.Compress(g, 0.05) // k = 5
+		s, err := FreshCompress(ec, g, 0.05) // k = 5
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,12 +73,12 @@ func TestErrorFeedbackResidualShrinksAggregate(t *testing.T) {
 	accPlain := make([]float64, d)
 	const steps = 400
 	for step := 0; step < steps; step++ {
-		s, err := ec.Compress(g, 0.01)
+		s, err := FreshCompress(ec, g, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.AddTo(acc)
-		sp, err := NewTopK().Compress(g, 0.01)
+		sp, err := FreshCompress(NewTopK(), g, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +103,10 @@ func TestErrorFeedbackResidualShrinksAggregate(t *testing.T) {
 
 func TestErrorFeedbackDimensionChangeErrors(t *testing.T) {
 	ec := NewErrorFeedback(NewTopK())
-	if _, err := ec.Compress(make([]float64, 10), 0.5); err != nil {
+	if _, err := FreshCompress(ec, make([]float64, 10), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ec.Compress(make([]float64, 11), 0.5); err == nil {
+	if _, err := FreshCompress(ec, make([]float64, 11), 0.5); err == nil {
 		t.Error("dimension change should error")
 	}
 }
@@ -114,7 +114,7 @@ func TestErrorFeedbackDimensionChangeErrors(t *testing.T) {
 func TestErrorFeedbackReset(t *testing.T) {
 	ec := NewErrorFeedback(NewTopK())
 	g := laplaceVec(100, 1, 32)
-	if _, err := ec.Compress(g, 0.1); err != nil {
+	if _, err := FreshCompress(ec, g, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	ec.Reset()
@@ -136,7 +136,7 @@ func TestErrorFeedbackDoesNotModifyInput(t *testing.T) {
 	g := laplaceVec(500, 1, 33)
 	orig := tensor.Clone(g)
 	for i := 0; i < 5; i++ {
-		if _, err := ec.Compress(g, 0.05); err != nil {
+		if _, err := FreshCompress(ec, g, 0.05); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,14 +53,9 @@ func NewGaussianKSGD() *GaussianKSGD {
 // Name implements Compressor.
 func (*GaussianKSGD) Name() string { return "gaussiank" }
 
-// Compress implements Compressor. The receiver carries the correction
-// factor across iterations, mirroring the stateful heuristic of the
-// original method.
-func (c *GaussianKSGD) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(c, g, delta)
-}
-
-// CompressInto implements Compressor.
+// CompressInto implements Compressor. The receiver carries the
+// correction factor across iterations, mirroring the stateful heuristic
+// of the original method.
 //
 //sidco:hotpath
 func (c *GaussianKSGD) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {

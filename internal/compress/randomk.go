@@ -33,11 +33,6 @@ func NewRandomK(seed int64, unbiased bool) *RandomK {
 // Name implements Compressor.
 func (*RandomK) Name() string { return "randomk" }
 
-// Compress implements Compressor.
-func (r *RandomK) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(r, g, delta)
-}
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath

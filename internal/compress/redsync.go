@@ -47,11 +47,6 @@ func (r *RedSync) SetParallelism(p int) {
 	r.par.P = p
 }
 
-// Compress implements Compressor.
-func (r *RedSync) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(r, g, delta)
-}
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath

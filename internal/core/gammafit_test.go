@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/simgrad"
@@ -35,7 +36,7 @@ func TestGammaFirstStageMatchesPerElementLog(t *testing.T) {
 	want := core.ThresholdGammaExact(stats.MeanAbs(g), sumLog/float64(n), delta)
 
 	s := core.New(core.Config{SID: core.SIDGammaGP, MaxStages: 1})
-	if _, err := s.Compress(g, delta); err != nil {
+	if _, err := compress.FreshCompress(s, g, delta); err != nil {
 		t.Fatal(err)
 	}
 	got := s.LastThreshold()

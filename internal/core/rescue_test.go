@@ -27,7 +27,7 @@ func TestRescueRecoversFromOutlierPollutedGPFit(t *testing.T) {
 		g[rng.Intn(d)] = 50 * (rng.Float64() - 0.5)
 	}
 	s := NewGP()
-	sp, err := s.Compress(g, delta)
+	sp, err := compress.FreshCompress(s, g, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRescueReusesFirstStageMean(t *testing.T) {
 		wantIdx, wantVals := tensor.FilterAboveThreshold(c.g, eta, nil, nil)
 
 		s := New(Config{SID: c.sid})
-		sp, err := s.Compress(c.g, c.delta)
+		sp, err := compress.FreshCompress(s, c.g, c.delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestRescueReusesFirstStageMean(t *testing.T) {
 func TestRescueNotTriggeredInNormalOperation(t *testing.T) {
 	s := NewE()
 	g := sampleVec(stats.Laplace{Scale: 0.01}, 100000, 2)
-	if _, err := s.Compress(g, 0.01); err != nil {
+	if _, err := compress.FreshCompress(s, g, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	if s.LastRescued() {
@@ -136,7 +136,7 @@ func TestRescueBreaksErrorFeedbackSpiral(t *testing.T) {
 		for j := range g {
 			g[j] = rng.NormFloat64() * 0.01
 		}
-		sp, err := ec.Compress(g, delta)
+		sp, err := compress.FreshCompress(ec, g, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestSIDCoSelectionIsTopKHatOfGradient(t *testing.T) {
 	// k = k-hat. Verify: every selected magnitude >= every dropped one.
 	s := NewE()
 	g := sampleVec(stats.Laplace{Scale: 0.01}, 50000, 4)
-	sp, err := s.Compress(g, 0.01)
+	sp, err := compress.FreshCompress(s, g, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,14 +161,14 @@ func (s *SIDCo) Name() string { return s.cfg.SID.String() }
 // Stages returns the current number of fitting stages M.
 func (s *SIDCo) Stages() int { return s.stages }
 
-// LastThreshold returns the threshold used by the most recent Compress.
+// LastThreshold returns the threshold used by the most recent CompressInto.
 func (s *SIDCo) LastThreshold() float64 { return s.lastEta }
 
-// LastStagesUsed returns how many stages the most recent Compress actually
+// LastStagesUsed returns how many stages the most recent CompressInto actually
 // executed (early exit can use fewer than M).
 func (s *SIDCo) LastStagesUsed() int { return s.lastUsedM }
 
-// LastRescued reports whether the most recent Compress needed the
+// LastRescued reports whether the most recent CompressInto needed the
 // collapse-rescue correction pass.
 func (s *SIDCo) LastRescued() bool { return s.lastRescued }
 
@@ -184,11 +184,6 @@ func (s *SIDCo) maxStages(delta float64) int {
 		m = 1
 	}
 	return m
-}
-
-// Compress implements compress.Compressor: Algorithm 1's Sparsify.
-func (s *SIDCo) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return compress.FreshCompress(s, g, delta)
 }
 
 // CompressInto implements compress.Compressor: Algorithm 1's Sparsify

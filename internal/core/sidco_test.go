@@ -118,11 +118,11 @@ func TestStageRatios(t *testing.T) {
 
 func TestSIDCoValidation(t *testing.T) {
 	s := NewE()
-	if _, err := s.Compress(nil, 0.1); err == nil {
+	if _, err := compress.FreshCompress(s, nil, 0.1); err == nil {
 		t.Error("empty gradient should error")
 	}
 	for _, bad := range []float64{0, -1, 1.5, math.NaN()} {
-		if _, err := s.Compress([]float64{1, 2}, bad); err == nil {
+		if _, err := compress.FreshCompress(s, []float64{1, 2}, bad); err == nil {
 			t.Errorf("ratio %v should error", bad)
 		}
 	}
@@ -146,7 +146,7 @@ func runSIDCo(t *testing.T, s *SIDCo, dist Distribution, d int, delta float64, i
 	sum, n := 0.0, 0
 	for i := 0; i < iters; i++ {
 		g := sampleVec(dist, d, int64(1000+i))
-		sp, err := s.Compress(g, delta)
+		sp, err := compress.FreshCompress(s, g, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestSIDCoBetterThanSingleStageAtAggressiveRatio(t *testing.T) {
 func TestSIDCoLastThresholdPositive(t *testing.T) {
 	s := NewE()
 	g := sampleVec(stats.Laplace{Scale: 1}, 10000, 3)
-	if _, err := s.Compress(g, 0.01); err != nil {
+	if _, err := compress.FreshCompress(s, g, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	if !(s.LastThreshold() > 0) {
@@ -257,7 +257,7 @@ func TestSIDCoLastThresholdPositive(t *testing.T) {
 func TestSIDCoAllZeroGradient(t *testing.T) {
 	s := NewE()
 	g := make([]float64, 1000)
-	sp, err := s.Compress(g, 0.01)
+	sp, err := compress.FreshCompress(s, g, 0.01)
 	if err != nil {
 		t.Fatalf("all-zero gradient should not error: %v", err)
 	}
@@ -270,7 +270,7 @@ func TestSIDCoAllZeroGradient(t *testing.T) {
 
 func TestSIDCoTinyVector(t *testing.T) {
 	s := NewE()
-	sp, err := s.Compress([]float64{0.5, -0.1, 0.2}, 0.5)
+	sp, err := compress.FreshCompress(s, []float64{0.5, -0.1, 0.2}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +285,11 @@ func TestSIDCoDeterministicGivenSameStream(t *testing.T) {
 	a, b := NewE(), NewE()
 	for i := 0; i < 10; i++ {
 		g := sampleVec(stats.Laplace{Scale: 0.02}, 20000, int64(50+i))
-		sa, err := a.Compress(g, 0.01)
+		sa, err := compress.FreshCompress(a, g, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := b.Compress(g, 0.01)
+		sb, err := compress.FreshCompress(b, g, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestSIDCoEstimationBeatsBaselineEstimators(t *testing.T) {
 	meanAbsLogErr := func(c compress.Compressor) float64 {
 		sum, n := 0.0, 0
 		for i := 0; i < iters; i++ {
-			sp, err := c.Compress(makeGrad(), delta)
+			sp, err := compress.FreshCompress(c, makeGrad(), delta)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,6 +25,12 @@ type ExchangeInput struct {
 // deterministically — the Trainer's bit-reproducibility guarantee extends
 // only to exchanges that sum contributions in worker-index order.
 //
+// After a non-nil error agg is unspecified: an exchange that fails part
+// way through a round (cluster.Engine, a Node that lost a peer) may leave
+// it partially written, and is not required to clean up. Callers must not
+// read or apply it; Trainer.Step returns the error with the weights and
+// the step counter untouched.
+//
 // The default is the in-process reducer below; internal/cluster provides
 // message-passing implementations that ship encoded buffers through real
 // transports.

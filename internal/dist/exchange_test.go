@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -40,7 +43,7 @@ func TestInProcessExchangeSparse(t *testing.T) {
 		for i := range g {
 			g[i] = rng.NormFloat64()
 		}
-		s, err := compress.NewTopK().Compress(g, 0.1)
+		s, err := compress.FreshCompress(compress.NewTopK(), g, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +92,78 @@ func TestTrainerUsesConfiguredExchange(t *testing.T) {
 	for i, s := range rec.steps {
 		if s != i {
 			t.Errorf("exchange step %d reported as %d", i, s)
+		}
+	}
+}
+
+// scribblingExchange fails its first call after filling agg with NaNs —
+// the worst a failed round is allowed to leave behind — and is InProcess
+// from then on.
+type scribblingExchange struct {
+	failed bool
+}
+
+var errScribbled = errors.New("exchange failed mid-round")
+
+func (x *scribblingExchange) Exchange(step int, ins []ExchangeInput, agg []float64) error {
+	if !x.failed {
+		x.failed = true
+		for i := range agg {
+			agg[i] = math.NaN()
+		}
+		return errScribbled
+	}
+	return InProcess{}.Exchange(step, ins, agg)
+}
+
+// TestTrainerNeverAppliesFailedExchange holds Trainer.Step to the
+// GradientExchange error contract: a failed exchange's agg is never
+// applied and never leaks into a later step. Each worker redraws one
+// fixed batch and top-k keeps no state, so the failed step has nothing
+// else to leave behind and the retry can be compared with a trainer that
+// never failed.
+func TestTrainerNeverAppliesFailedExchange(t *testing.T) {
+	build := func(ex GradientExchange) *Trainer {
+		tr := convTrainer(t, 2, "topk", 0.05, false, 4, nil)
+		draw := tr.cfg.Batch
+		tr.cfg.Batch = func(worker int, _ *rand.Rand) (*nn.Tensor, []int) {
+			return draw(worker, rand.New(rand.NewSource(int64(worker))))
+		}
+		tr.exchange = ex
+		return tr
+	}
+	tr := build(&scribblingExchange{})
+	before := nn.FlattenWeights(tr.Params(), nil)
+	if _, err := tr.Step(); !errors.Is(err, errScribbled) {
+		t.Fatalf("Step error = %v, want it to wrap %v", err, errScribbled)
+	}
+	if tr.iter != 0 {
+		t.Errorf("iter = %d after a failed step, want 0", tr.iter)
+	}
+	for i, w := range nn.FlattenWeights(tr.Params(), nil) {
+		if math.Float64bits(w) != math.Float64bits(before[i]) {
+			t.Fatalf("weight[%d] = %v after a failed step, was %v", i, w, before[i])
+		}
+	}
+
+	clean := build(InProcess{})
+	for step := 0; step < 2; step++ {
+		got, err := tr.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := clean.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d after the failure: loss %v, undisturbed trainer has %v", step, got, want)
+		}
+	}
+	want := nn.FlattenWeights(clean.Params(), nil)
+	for i, w := range nn.FlattenWeights(tr.Params(), nil) {
+		if math.Float64bits(w) != math.Float64bits(want[i]) {
+			t.Fatalf("weight[%d] = %v, undisturbed trainer has %v", i, w, want[i])
 		}
 	}
 }

@@ -169,7 +169,7 @@ func SimulateWorkload(cfg SimConfig) (*SimResult, error) {
 	)
 	for i := 0; i < cfg.Iters; i++ {
 		gen.Fill(buf)
-		s, err := comp.Compress(buf, delta)
+		s, err := compress.FreshCompress(comp, buf, delta)
 		if err != nil {
 			return nil, fmt.Errorf("dist: %s on %s: %w", name, wl.Name, err)
 		}

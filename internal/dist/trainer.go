@@ -103,8 +103,8 @@ type TrainerConfig struct {
 	Telemetry *telemetry.Tracer
 	// OnGradient, if set, observes worker 0's gradient each iteration
 	// exactly as its compressor sees it: after clipping and, under EC,
-	// with the carried residual added (internal/trace.Recorder hooks in
-	// here so the fitting studies analyse the same vectors the
+	// with the carried residual added (the harness's gradient recorder
+	// hooks in here so the fitting studies analyse the same vectors the
 	// compressors saw). The slice is reused between iterations;
 	// observers must copy.
 	OnGradient func(iter int, flat []float64)

@@ -50,7 +50,7 @@ const (
 	FormatDense
 )
 
-// String implements fmt.Stringer; the names appear in bench records and
+// String implements fmt.Stringer; the names appear in reports and
 // telemetry attributions.
 func (f Format) String() string {
 	switch f {

@@ -76,6 +76,9 @@ func TestEncodedSizesMatchAccounting(t *testing.T) {
 		if len(buf) != want {
 			t.Errorf("format %d: size %d, want %d", f, len(buf), want)
 		}
+		if sz, err := Size(f, 777, 33); err != nil || sz != want {
+			t.Errorf("Size(%d) = %d, %v; want %d", f, sz, err, want)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func qualityOf(comp compress.Compressor, gen *simgrad.Generator, dim int, delta 
 	buf := make([]float64, dim)
 	for i := 0; i < iters; i++ {
 		gen.Fill(buf)
-		s, err := comp.Compress(buf, delta)
+		s, err := compress.FreshCompress(comp, buf, delta)
 		if err != nil {
 			return 0, 0, err
 		}

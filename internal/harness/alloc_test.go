@@ -80,7 +80,7 @@ func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 func TestEncodeToDecodeIntoSteadyStateAllocs(t *testing.T) {
 	const dim = 1 << 12
 	g := allocGradient(dim, 9)
-	sel, err := compress.NewTopK().Compress(g, 0.05)
+	sel, err := compress.FreshCompress(compress.NewTopK(), g, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func chunkStudyInputs(cfg ChunkStudyConfig) ([]dist.ExchangeInput, error) {
 		for i := range dense {
 			dense[i] = rng.NormFloat64()
 		}
-		s, err := topk.Compress(dense, cfg.Delta)
+		s, err := compress.FreshCompress(topk, dense, cfg.Delta)
 		if err != nil {
 			return nil, err
 		}

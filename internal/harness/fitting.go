@@ -13,7 +13,6 @@ import (
 	"repro/internal/simgrad"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // buildConvTrainer assembles the ResNet20-CIFAR10 stand-in: a small conv
@@ -116,8 +115,8 @@ func fittingFigure(w io.Writer, title string, ec bool, opt Options) error {
 	opt = opt.withDefaults()
 	early := opt.Iters / 10
 	late := opt.Iters - 1
-	rec := trace.NewRecorder(true, early, late)
-	tr, err := buildConvTrainer("topk", 0.001, ec, opt, rec.Observe)
+	rec := newGradRecorder(true, early, late)
+	tr, err := buildConvTrainer("topk", 0.001, ec, opt, rec.observe)
 	if err != nil {
 		return err
 	}
@@ -126,7 +125,7 @@ func fittingFigure(w io.Writer, title string, ec bool, opt Options) error {
 	}
 	tbl := NewTable(title, "snapshot + SID", "fitted params", "KS(|g|)", "KS(g)")
 	for _, it := range []int{early, late} {
-		g, err := rec.Snapshot(it)
+		g, err := rec.snapshot(it)
 		if err != nil {
 			return err
 		}
@@ -152,8 +151,8 @@ func Fig8(w io.Writer, opt Options) error {
 func Fig7(w io.Writer, opt Options) error {
 	opt = opt.withDefaults()
 	snaps := []int{0, opt.Iters / 2, opt.Iters - 1}
-	rec := trace.NewRecorder(true, snaps...)
-	tr, err := buildConvTrainer("", 0, false, opt, rec.Observe)
+	rec := newGradRecorder(true, snaps...)
+	tr, err := buildConvTrainer("", 0, false, opt, rec.observe)
 	if err != nil {
 		return err
 	}
@@ -163,7 +162,7 @@ func Fig7(w io.Writer, opt Options) error {
 	tbl := NewTable("Fig 7: gradient compressibility (power-law decay exponent p and sparsification error)",
 		"snapshot", "p (fit)", "compressible (p>0.5)", "sigma_k/||g|| @1%", "@5%", "@20%")
 	for _, it := range snaps {
-		g, err := rec.Snapshot(it)
+		g, err := rec.snapshot(it)
 		if err != nil {
 			return err
 		}

@@ -282,6 +282,11 @@ func TestGoWallClock(t *testing.T) {
 	if !strings.Contains(buf.String(), "wall-clock") {
 		t.Error("wall clock output missing")
 	}
+	// A compressor failure inside the timing loop comes back as an error,
+	// not a panic.
+	if err := GoWallClock(&buf, 1000, 2, 1, 6); err == nil {
+		t.Error("ratio 2 should fail every compressor and surface as an error")
+	}
 }
 
 func TestAblations(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/dist"
 	"repro/internal/netsim"
 	"repro/internal/nn"
@@ -58,7 +57,7 @@ func (c LoopbackStudyConfig) withDefaults() LoopbackStudyConfig {
 func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	cfg = cfg.withDefaults()
 
-	ref, err := loopbackTrainer(cfg, cfg.Workers, 0, nil)
+	ref, err := DemoTrainer(dist.TrainerConfig{Workers: cfg.Workers, Delta: cfg.Delta, Seed: cfg.Seed}, cfg.Compressor)
 	if err != nil {
 		return err
 	}
@@ -79,7 +78,7 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 			return nil, 0, err
 		}
 		defer e.Close()
-		tr, err := loopbackTrainer(cfg, cfg.Workers, 0, e)
+		tr, err := DemoTrainer(dist.TrainerConfig{Workers: cfg.Workers, Delta: cfg.Delta, Seed: cfg.Seed, Exchange: e}, cfg.Compressor)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -131,42 +130,40 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	return nil
 }
 
-// loopbackTrainer builds the study's demo trainer: the same model and
-// batch stream for every mode, at any (workers, firstWorker) split.
-func loopbackTrainer(cfg LoopbackStudyConfig, workers, firstWorker int, ex dist.GradientExchange) (*dist.Trainer, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := nn.NewSequential(
+// DemoTrainer builds the demo workload every cluster surface trains (the
+// loopback study, cmd/sidco-cluster, cmd/sidco-node and its -check
+// reference): a small dense net on synthetic class-shifted data. It
+// fills Model, Loss, Opt, Batch, NewCompressor and EC over whatever the
+// caller set in base, so the same model and per-worker batch streams
+// come out at any (Workers, FirstWorker) split — N single-worker
+// trainers draw exactly the batches of one N-worker trainer. compressor
+// is a registry name; "" or "none" trains dense, anything else gets
+// error feedback.
+func DemoTrainer(base dist.TrainerConfig, compressor string) (*dist.Trainer, error) {
+	rng := rand.New(rand.NewSource(base.Seed))
+	base.Model = nn.NewSequential(
 		nn.NewDense("d1", 16, 12, rng),
 		&nn.ReLU{},
 		nn.NewDense("d2", 12, 4, rng),
 	)
-	var factory func() compress.Compressor
-	if cfg.Compressor != "none" {
-		factory = Factory(cfg.Compressor, cfg.Seed)
-	}
-	return dist.NewTrainer(dist.TrainerConfig{
-		Workers:     workers,
-		FirstWorker: firstWorker,
-		Model:       model,
-		Loss:        &nn.SoftmaxCrossEntropy{},
-		Opt:         &nn.SGD{LR: 0.05},
-		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
-			x := nn.NewTensor(8, 16)
-			targets := make([]int, 8)
-			for i := range targets {
-				targets[i] = rng.Intn(4)
-				for j := 0; j < 16; j++ {
-					x.Data[i*16+j] = rng.NormFloat64() + float64(targets[i])
-				}
+	base.Loss = &nn.SoftmaxCrossEntropy{}
+	base.Opt = &nn.SGD{LR: 0.05}
+	base.Batch = func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
+		x := nn.NewTensor(8, 16)
+		targets := make([]int, 8)
+		for i := range targets {
+			targets[i] = rng.Intn(4)
+			for j := 0; j < 16; j++ {
+				x.Data[i*16+j] = rng.NormFloat64() + float64(targets[i])
 			}
-			return x, targets
-		},
-		NewCompressor: factory,
-		Delta:         cfg.Delta,
-		EC:            factory != nil,
-		Seed:          cfg.Seed,
-		Exchange:      ex,
-	})
+		}
+		return x, targets
+	}
+	if compressor != "" && compressor != "none" {
+		base.NewCompressor = Factory(compressor, base.Seed)
+		base.EC = true
+	}
+	return dist.NewTrainer(base)
 }
 
 // loopbackNodes runs the multi-process topology in-process: one
@@ -206,7 +203,7 @@ func loopbackNodes(cfg LoopbackStudyConfig) ([]float64, error) {
 				out.err = err
 				return
 			}
-			tr, err := loopbackTrainer(cfg, 1, rank, nd)
+			tr, err := DemoTrainer(dist.TrainerConfig{Workers: 1, FirstWorker: rank, Delta: cfg.Delta, Seed: cfg.Seed, Exchange: nd}, cfg.Compressor)
 			if err != nil {
 				out.err = err
 				return

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -61,7 +60,7 @@ func estimationQuality(name string, dim int, delta float64, opt Options) (mean, 
 	buf := make([]float64, dim)
 	for i := 0; i < opt.Iters; i++ {
 		gen.Fill(buf)
-		s, err := comp.Compress(buf, delta)
+		s, err := compress.FreshCompress(comp, buf, delta)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -221,21 +220,25 @@ func GoWallClock(w io.Writer, dim int, delta float64, iters int, seed int64) err
 	tbl := NewTable(fmt.Sprintf("Go wall-clock (this machine), d=%d, delta=%g", dim, delta),
 		"compressor", "mean latency", "speedup vs topk", "k-hat/k")
 	var topkTime float64
-	names := []string{"topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"}
 	k := compress.TargetK(dim, delta)
-	for _, name := range names {
+	for _, name := range CompressorNames {
 		comp, err := NewCompressor(name, seed)
 		if err != nil {
 			return err
 		}
 		var nnz int
+		var compErr error
 		elapsed := timeIt(iters, func() {
-			s, err := comp.Compress(g, delta)
+			s, err := compress.FreshCompress(comp, g, delta)
 			if err != nil {
-				panic(err)
+				compErr = err
+				return
 			}
 			nnz = s.NNZ()
 		})
+		if compErr != nil {
+			return fmt.Errorf("harness: wall-clock %s: %w", name, compErr)
+		}
 		if name == "topk" {
 			topkTime = elapsed
 		}
@@ -306,6 +309,3 @@ func headerFor(compressors []string) []string {
 	}
 	return out
 }
-
-// sanity guard referenced by tests.
-var _ = math.NaN

@@ -1,4 +1,4 @@
-package trace
+package harness
 
 import (
 	"math"
@@ -7,32 +7,31 @@ import (
 )
 
 func TestRecorderCapturesRequestedIterations(t *testing.T) {
-	r := NewRecorder(false, 0, 5)
+	r := newGradRecorder(false, 0, 5)
 	for i := 0; i < 10; i++ {
-		r.Observe(i, []float64{float64(i), 1})
+		r.observe(i, []float64{float64(i), 1})
 	}
-	got, err := r.Snapshot(5)
+	got, err := r.snapshot(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 5 {
 		t.Errorf("snapshot content = %v", got)
 	}
-	if _, err := r.Snapshot(3); err == nil {
+	if _, err := r.snapshot(3); err == nil {
 		t.Error("unrequested iteration should error")
 	}
-	iters := r.Iterations()
-	if len(iters) != 2 {
-		t.Errorf("Iterations = %v", iters)
+	if len(r.snap) != 2 {
+		t.Errorf("recorded %d iterations, want 2", len(r.snap))
 	}
 }
 
 func TestRecorderCopiesTheSlice(t *testing.T) {
-	r := NewRecorder(false, 0)
+	r := newGradRecorder(false, 0)
 	buf := []float64{1, 2}
-	r.Observe(0, buf)
+	r.observe(0, buf)
 	buf[0] = 99 // the trainer reuses its buffer
-	got, err := r.Snapshot(0)
+	got, err := r.snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +41,9 @@ func TestRecorderCopiesTheSlice(t *testing.T) {
 }
 
 func TestRecorderNormalizes(t *testing.T) {
-	r := NewRecorder(true, 0)
-	r.Observe(0, []float64{3, 4})
-	got, err := r.Snapshot(0)
+	r := newGradRecorder(true, 0)
+	r.observe(0, []float64{3, 4})
+	got, err := r.snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +54,8 @@ func TestRecorderNormalizes(t *testing.T) {
 }
 
 // TestRecorderConcurrentObserve hammers one Recorder from many
-// goroutines mixing Observe with the read methods — the documented
-// concurrency contract. Run under -race (CI does) this is the
+// goroutines mixing observe with snapshot — the documented concurrency
+// contract. Run under -race (CI does) this is the
 // regression test for the unlocked-map version of the Recorder.
 func TestRecorderConcurrentObserve(t *testing.T) {
 	const goroutines, iters = 8, 200
@@ -64,7 +63,7 @@ func TestRecorderConcurrentObserve(t *testing.T) {
 	for i := range want {
 		want[i] = i
 	}
-	r := NewRecorder(true, want...)
+	r := newGradRecorder(true, want...)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -72,25 +71,24 @@ func TestRecorderConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			buf := []float64{3, 4}
 			for i := g; i < iters; i += goroutines {
-				r.Observe(i, buf)
-				if s, err := r.Snapshot(i); err != nil || len(s) != 2 {
+				r.observe(i, buf)
+				if s, err := r.snapshot(i); err != nil || len(s) != 2 {
 					t.Errorf("snapshot %d: %v (len %d)", i, err, len(s))
 					return
 				}
-				_ = r.Iterations()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := len(r.Iterations()); got != iters {
+	if got := len(r.snap); got != iters {
 		t.Errorf("recorded %d iterations, want %d", got, iters)
 	}
 }
 
 func TestRecorderZeroGradient(t *testing.T) {
-	r := NewRecorder(true, 0)
-	r.Observe(0, []float64{0, 0})
-	got, err := r.Snapshot(0)
+	r := newGradRecorder(true, 0)
+	r.observe(0, []float64{0, 0})
+	got, err := r.snapshot(0)
 	if err != nil {
 		t.Fatal(err)
 	}

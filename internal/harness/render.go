@@ -120,10 +120,3 @@ func Series(w io.Writer, title string, xs []float64, nPoints int) {
 		fmt.Fprintf(w, "  [%5d] %.6g\n", i, xs[i])
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
