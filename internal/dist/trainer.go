@@ -115,7 +115,7 @@ type worker struct {
 	id     int
 	rng    *rand.Rand
 	comp   compress.Compressor // nil = dense path
-	flat   []float64           // local gradient buffer
+	flat   []float64           // local gradient buffer; the model's Param.G alias it during and after this worker's pass
 	sparse *tensor.Sparse      // reused compressed-selection storage
 	loss   float64
 	ratio  float64
@@ -228,7 +228,10 @@ func workerSeed(seed int64, w int) int64 {
 func (t *Trainer) Dim() int { return t.dim }
 
 // Params exposes the model's trainable parameters (for weight
-// inspection in tests and checkpoint-style tooling).
+// inspection in tests and checkpoint-style tooling). After a Step each
+// parameter's G aliases the flat gradient buffer of the last worker to
+// run its pass, which clipping and compression have rewritten since: read
+// gradients through OnGradient, not through G.
 func (t *Trainer) Params() []*nn.Param { return t.params }
 
 // localGradient runs one worker's half-step: batch draw, forward,
@@ -242,14 +245,16 @@ func (t *Trainer) localGradient(w *worker) error {
 	cs := t.cfg.Telemetry.Begin(telemetry.SpanCompute, w.id, -1, -1, int64(t.iter))
 	x, targets := t.cfg.Batch(w.id, w.rng)
 
+	// Backward accumulates straight into this worker's flat buffer: the
+	// parameters' G are pointed at its spans for the pass, so there is no
+	// per-parameter clear and no copy out afterwards. The buffer is the
+	// worker's own, so its clear need not wait for the model.
+	clear(w.flat)
 	t.modelMu.Lock()
-	for _, p := range t.params {
-		p.ZeroGrad()
-	}
+	nn.BindGrads(t.params, w.flat)
 	y := t.cfg.Model.Forward(x)
 	w.loss = t.cfg.Loss.Forward(y, targets)
 	t.cfg.Model.Backward(t.cfg.Loss.Backward())
-	nn.FlattenGrads(t.params, w.flat)
 	t.modelMu.Unlock()
 
 	if t.cfg.ClipNorm > 0 {

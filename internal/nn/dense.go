@@ -31,54 +31,198 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 // Name implements Layer.
 func (d *Dense) Name() string { return d.W.Name[:len(d.W.Name)-2] }
 
+// denseBlock is how many batch rows one kernel call covers. Forward and
+// Backward walk the batch in blocks of up to this many rows so that W (and
+// ∂W in Backward) is streamed once per block rather than once per row, and
+// so that Backward's per-row ∂x dot products — serial add chains — run
+// side by side. Every sum keeps the operand order of the row-at-a-time
+// loops (over i in Forward, over b for ∂W and ∂b, over j for ∂x), so the
+// results are bit-identical to them: TestDenseKernelsMatchRowAtATime holds
+// those loops as the reference.
+const denseBlock = 4
+
 // Forward implements Layer.
+//
+//sidco:hotpath
 func (d *Dense) Forward(x *Tensor) *Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
-		panic(fmt.Sprintf("nn: dense %s: input shape %v, want [B, %d]", d.Name(), x.Shape, d.In))
+		panic(fmt.Sprintf("nn: dense %s: input shape %v, want [B, %d]", d.Name(), x.Shape, d.In)) //sidco:alloc shape-mismatch panic, a caller bug and not steady state
 	}
 	d.x = x
 	batch := x.Shape[0]
 	out := ensure(&d.out, batch, d.Out)
-	for b := 0; b < batch; b++ {
-		xRow := x.Data[b*d.In : (b+1)*d.In]
-		oRow := out.Data[b*d.Out : (b+1)*d.Out]
-		copy(oRow, d.B.W)
-		for i, xv := range xRow {
-			if xv == 0 {
-				continue
+	in, width := d.In, d.Out
+	for b0 := 0; b0 < batch; b0 += denseBlock {
+		nb := min(denseBlock, batch-b0)
+		for b := b0; b < b0+nb; b++ {
+			copy(out.Data[b*width:(b+1)*width], d.B.W)
+		}
+		// Per input i, the block's rows with x[b][i] != 0 (post-ReLU
+		// inputs are about half zeros) are gathered and share one pass
+		// over W[i]: its row is loaded once for all of them.
+		var xs [denseBlock]float64
+		var os [denseBlock][]float64
+		for i := 0; i < in; i++ {
+			n := 0
+			for b := b0; b < b0+nb; b++ {
+				if xv := x.Data[b*in+i]; xv != 0 {
+					xs[n] = xv
+					os[n] = out.Data[b*width : (b+1)*width]
+					n++
+				}
 			}
-			wRow := d.W.W[i*d.Out : (i+1)*d.Out]
-			for j, wv := range wRow {
-				oRow[j] += xv * wv
+			w := d.W.W[i*width : (i+1)*width]
+			switch n {
+			case 1:
+				axpy1(w, xs[0], os[0])
+			case 2:
+				axpy2(w, xs[0], xs[1], os[0], os[1])
+			case 3:
+				axpy3(w, xs[0], xs[1], xs[2], os[0], os[1], os[2])
+			case 4:
+				axpy4(w, xs[0], xs[1], xs[2], xs[3], os[0], os[1], os[2], os[3])
 			}
 		}
 	}
 	return out
 }
 
+// axpy1…axpy4 add x_r * w into o_r for one to four output rows, loading
+// each w[j] once. The reslices let the compiler drop the bounds checks.
+
+func axpy1(w []float64, x0 float64, o0 []float64) {
+	o0 = o0[:len(w)]
+	for j, wv := range w {
+		o0[j] += x0 * wv
+	}
+}
+
+func axpy2(w []float64, x0, x1 float64, o0, o1 []float64) {
+	o0, o1 = o0[:len(w)], o1[:len(w)]
+	for j, wv := range w {
+		o0[j] += x0 * wv
+		o1[j] += x1 * wv
+	}
+}
+
+func axpy3(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64) {
+	o0, o1, o2 = o0[:len(w)], o1[:len(w)], o2[:len(w)]
+	for j, wv := range w {
+		o0[j] += x0 * wv
+		o1[j] += x1 * wv
+		o2[j] += x2 * wv
+	}
+}
+
+func axpy4(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64) {
+	o0, o1, o2, o3 = o0[:len(w)], o1[:len(w)], o2[:len(w)], o3[:len(w)]
+	for j, wv := range w {
+		o0[j] += x0 * wv
+		o1[j] += x1 * wv
+		o2[j] += x2 * wv
+		o3[j] += x3 * wv
+	}
+}
+
 // Backward implements Layer.
+//
+//sidco:hotpath
 func (d *Dense) Backward(gradOut *Tensor) *Tensor {
 	batch := d.x.Shape[0]
 	gradIn := ensure(&d.gradIn, batch, d.In)
-	for b := 0; b < batch; b++ {
-		xRow := d.x.Data[b*d.In : (b+1)*d.In]
-		gRow := gradOut.Data[b*d.Out : (b+1)*d.Out]
-		giRow := gradIn.Data[b*d.In : (b+1)*d.In]
-		for j, gv := range gRow {
-			d.B.G[j] += gv
-		}
-		for i, xv := range xRow {
-			wRow := d.W.W[i*d.Out : (i+1)*d.Out]
-			wgRow := d.W.G[i*d.Out : (i+1)*d.Out]
-			sum := 0.0
-			for j, gv := range gRow {
-				wgRow[j] += xv * gv
-				sum += wRow[j] * gv
+	in, width := d.In, d.Out
+	x, gi := d.x.Data, gradIn.Data
+	for b0 := 0; b0 < batch; b0 += denseBlock {
+		nb := min(denseBlock, batch-b0)
+		var g [denseBlock][]float64
+		for r := 0; r < nb; r++ {
+			g[r] = gradOut.Data[(b0+r)*width : (b0+r+1)*width]
+			for j, gv := range g[r] {
+				d.B.G[j] += gv
 			}
-			giRow[i] = sum
+		}
+		// One pass over j per input i: the block's rows go into ∂W[i][j]
+		// in ascending row order, and each row's ∂x dot product has its
+		// own accumulator.
+		r0, r1, r2, r3 := b0*in, (b0+1)*in, (b0+2)*in, (b0+3)*in
+		for i := 0; i < in; i++ {
+			w := d.W.W[i*width : (i+1)*width]
+			wg := d.W.G[i*width : (i+1)*width]
+			switch nb {
+			case 1:
+				gi[r0+i] = backward1(w, wg, x[r0+i], g[0])
+			case 2:
+				gi[r0+i], gi[r1+i] = backward2(w, wg, x[r0+i], x[r1+i], g[0], g[1])
+			case 3:
+				gi[r0+i], gi[r1+i], gi[r2+i] = backward3(w, wg, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
+			case 4:
+				gi[r0+i], gi[r1+i], gi[r2+i], gi[r3+i] = backward4(w, wg, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+			}
 		}
 	}
 	return gradIn
+}
+
+// backward1…backward4 handle one input's row of W for one to four batch
+// rows: wg[j] += x_r * g_r[j] for r ascending, and s_r = Σ_j w[j] * g_r[j]
+// returned per row.
+
+func backward1(w, wg []float64, x0 float64, g0 []float64) (s0 float64) {
+	wg, g0 = wg[:len(w)], g0[:len(w)]
+	for j, wv := range w {
+		gv0 := g0[j]
+		wg[j] += x0 * gv0
+		s0 += wv * gv0
+	}
+	return s0
+}
+
+func backward2(w, wg []float64, x0, x1 float64, g0, g1 []float64) (s0, s1 float64) {
+	wg, g0, g1 = wg[:len(w)], g0[:len(w)], g1[:len(w)]
+	for j, wv := range w {
+		gv0, gv1 := g0[j], g1[j]
+		acc := wg[j]
+		acc += x0 * gv0
+		acc += x1 * gv1
+		wg[j] = acc
+		s0 += wv * gv0
+		s1 += wv * gv1
+	}
+	return s0, s1
+}
+
+func backward3(w, wg []float64, x0, x1, x2 float64, g0, g1, g2 []float64) (s0, s1, s2 float64) {
+	wg, g0, g1, g2 = wg[:len(w)], g0[:len(w)], g1[:len(w)], g2[:len(w)]
+	for j, wv := range w {
+		gv0, gv1, gv2 := g0[j], g1[j], g2[j]
+		acc := wg[j]
+		acc += x0 * gv0
+		acc += x1 * gv1
+		acc += x2 * gv2
+		wg[j] = acc
+		s0 += wv * gv0
+		s1 += wv * gv1
+		s2 += wv * gv2
+	}
+	return s0, s1, s2
+}
+
+func backward4(w, wg []float64, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64) {
+	wg, g0, g1, g2, g3 = wg[:len(w)], g0[:len(w)], g1[:len(w)], g2[:len(w)], g3[:len(w)]
+	for j, wv := range w {
+		gv0, gv1, gv2, gv3 := g0[j], g1[j], g2[j], g3[j]
+		acc := wg[j]
+		acc += x0 * gv0
+		acc += x1 * gv1
+		acc += x2 * gv2
+		acc += x3 * gv3
+		wg[j] = acc
+		s0 += wv * gv0
+		s1 += wv * gv1
+		s2 += wv * gv2
+		s3 += wv * gv3
+	}
+	return s0, s1, s2, s3
 }
 
 // Params implements Layer.

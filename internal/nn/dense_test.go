@@ -1,0 +1,225 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// benchLoss keeps the benchmarked pass's result live.
+var benchLoss float64
+
+// BenchmarkDenseFwdBwd is one worker's model pass at the step benchmark's
+// shape (768-1024-1024-10, batch 4) exactly as dist.Trainer runs it:
+// clear the flat gradient buffer the parameters are bound to, forward,
+// loss, backward. The microbench row under nn.fwdbwd_ms; -benchmem must
+// read 0 allocs/op.
+func BenchmarkDenseFwdBwd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	model := NewSequential(
+		NewDense("d1", 768, 1024, rng),
+		&ReLU{},
+		NewDense("d2", 1024, 1024, rng),
+		&ReLU{},
+		NewDense("d3", 1024, 10, rng),
+	)
+	loss := &SoftmaxCrossEntropy{}
+	params := model.Params()
+	flat := make([]float64, ParamCount(params))
+	BindGrads(params, flat)
+	x := randTensor(rng, 4, 768)
+	targets := randTargets(rng, 4, 10)
+	pass := func() {
+		clear(flat)
+		benchLoss = loss.Forward(model.Forward(x), targets)
+		model.Backward(loss.Backward())
+	}
+	pass() // size every layer's reused buffers
+	b.SetBytes(int64(8 * len(flat)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
+// refDenseForward and refDenseBackward are the row-at-a-time loops Dense
+// ran before its kernels were blocked over the batch. They define the
+// operand order of every sum (over i in forward, over b for ∂W and ∂b,
+// over j for ∂x) and exist only as the reference the kernels must match
+// bit for bit.
+func refDenseForward(in, out int, w, bias, x []float64, batch int) []float64 {
+	y := make([]float64, batch*out)
+	for b := 0; b < batch; b++ {
+		xRow := x[b*in : (b+1)*in]
+		oRow := y[b*out : (b+1)*out]
+		copy(oRow, bias)
+		for i, xv := range xRow {
+			if xv == 0 {
+				continue
+			}
+			wRow := w[i*out : (i+1)*out]
+			for j, wv := range wRow {
+				oRow[j] += xv * wv
+			}
+		}
+	}
+	return y
+}
+
+func refDenseBackward(in, out int, w, wG, bG, x, gradOut []float64, batch int) []float64 {
+	gradIn := make([]float64, batch*in)
+	for b := 0; b < batch; b++ {
+		xRow := x[b*in : (b+1)*in]
+		gRow := gradOut[b*out : (b+1)*out]
+		giRow := gradIn[b*in : (b+1)*in]
+		for j, gv := range gRow {
+			bG[j] += gv
+		}
+		for i, xv := range xRow {
+			wRow := w[i*out : (i+1)*out]
+			wgRow := wG[i*out : (i+1)*out]
+			sum := 0.0
+			for j, gv := range gRow {
+				wgRow[j] += xv * gv
+				sum += wRow[j] * gv
+			}
+			giRow[i] = sum
+		}
+	}
+	return gradIn
+}
+
+// postReLUInput draws a [batch, in] input with the zero patterns a ReLU
+// hands the next Dense: about half the entries zero, one all-zero row, a
+// few negative zeros, column in/2 zero in every row (alternating +0 and
+// -0), and — across the columns of every block of four rows — each of the
+// 16 zero/non-zero arrangements, so every gathered count 0…4 occurs inside
+// a block.
+func postReLUInput(rng *rand.Rand, batch, in int) []float64 {
+	x := make([]float64, batch*in)
+	negZero := math.Copysign(0, -1)
+	for b := 0; b < batch; b++ {
+		for i := 0; i < in; i++ {
+			mask := i % 16
+			switch {
+			case mask>>(b%4)&1 == 0:
+				// zero by the block pattern
+			case rng.Intn(8) == 0:
+				x[b*in+i] = negZero
+			default:
+				x[b*in+i] = math.Abs(rng.NormFloat64()) + 0.01
+			}
+		}
+	}
+	if batch > 1 {
+		clear(x[(batch/2)*in : (batch/2+1)*in])
+	}
+	for b := 0; b < batch; b++ {
+		x[b*in+in/2] = 0
+		if b%2 == 1 {
+			x[b*in+in/2] = negZero
+		}
+	}
+	return x
+}
+
+func bitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestDenseKernelsMatchRowAtATime holds the batch-blocked Dense kernels to
+// the row-at-a-time loops they replaced, on math.Float64bits: output,
+// input gradient, ∂W and ∂b, for every batch size around the block width
+// (tails of 1–3 rows), layer widths on both sides of small and odd, the
+// post-ReLU zero patterns, two Backward calls accumulating into the same
+// (non-zero, partly negative-zero) G, and through TimeDistributed.
+func TestDenseKernelsMatchRowAtATime(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sizes := []int{1, 3, 10, 64, 65}
+	for _, in := range sizes {
+		for _, out := range sizes {
+			for batch := 1; batch <= 9; batch++ {
+				rng := rand.New(rand.NewSource(int64(in*1000 + out*10 + batch)))
+				d := NewDense("d", in, out, rng)
+				for j := range d.B.W {
+					d.B.W[j] = rng.NormFloat64()
+				}
+				d.W.W[rng.Intn(len(d.W.W))] = negZero
+				// Input column in/2 is ±0 in every row: an infinite weight
+				// there turns a dropped x == 0 skip into a NaN output.
+				d.W.W[(in/2)*out] = math.Inf(1)
+				// G starts non-zero, with negative zeros in it: Backward
+				// accumulates, it does not assign.
+				for _, p := range d.Params() {
+					for i := range p.G {
+						if i%5 == 0 {
+							p.G[i] = negZero
+						} else {
+							p.G[i] = rng.NormFloat64()
+						}
+					}
+				}
+				refWG := append([]float64(nil), d.W.G...)
+				refBG := append([]float64(nil), d.B.G...)
+
+				// Pass 0 drives Dense directly, pass 1 the same layer
+				// through TimeDistributed ([1, batch, in]) into the G
+				// pass 0 left behind.
+				td := NewTimeDistributed(d)
+				for pass := 0; pass < 2; pass++ {
+					x := &Tensor{Shape: []int{batch, in}, Data: postReLUInput(rng, batch, in)}
+					gradOut := randTensor(rng, batch, out)
+					gradOut.Data[rng.Intn(len(gradOut.Data))] = 0
+					gradOut.Data[rng.Intn(len(gradOut.Data))] = negZero
+
+					var y, gradIn *Tensor
+					if pass == 0 {
+						y = d.Forward(x)
+						gradIn = d.Backward(gradOut)
+					} else {
+						y = td.Forward(x.Reshape(1, batch, in))
+						gradIn = td.Backward(gradOut.Reshape(1, batch, out))
+					}
+					wantY := refDenseForward(in, out, d.W.W, d.B.W, x.Data, batch)
+					wantGI := refDenseBackward(in, out, d.W.W, refWG, refBG, x.Data, gradOut.Data, batch)
+
+					name := fmt.Sprintf("in=%d out=%d batch=%d pass=%d: ", in, out, batch, pass)
+					bitsEqual(t, name+"out", y.Data, wantY)
+					bitsEqual(t, name+"gradIn", gradIn.Data, wantGI)
+					bitsEqual(t, name+"W.G", d.W.G, refWG)
+					bitsEqual(t, name+"B.G", d.B.G, refBG)
+				}
+			}
+		}
+	}
+}
+
+// TestDenseSteadyStateAllocs: once its buffers are sized, a Dense pass
+// allocates nothing, at a full block and at a tail.
+func TestDenseSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := NewDense("d", 65, 33, rng)
+	for _, batch := range []int{4, 7} {
+		x := &Tensor{Shape: []int{batch, 65}, Data: postReLUInput(rng, batch, 65)}
+		gradOut := randTensor(rng, batch, 33)
+		d.Forward(x)
+		d.Backward(gradOut)
+		if n := testing.AllocsPerRun(20, func() { d.Forward(x) }); n != 0 {
+			t.Errorf("batch %d: Dense.Forward allocates %v objects/op in steady state", batch, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { d.Backward(gradOut) }); n != 0 {
+			t.Errorf("batch %d: Dense.Backward allocates %v objects/op in steady state", batch, n)
+		}
+	}
+}

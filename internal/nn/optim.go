@@ -40,11 +40,14 @@ func (s *SGD) Step(params []*Param) {
 func (s *SGD) StepFlat(params []*Param, flat []float64) {
 	off := 0
 	for _, p := range params {
-		for i := range p.W {
-			g := flat[off+i] + s.WeightDecay*p.W[i]
-			p.W[i] -= s.LR * g
+		// One reslice per parameter keeps the d-sized loop check-free.
+		w := p.W
+		f := flat[off : off+len(w)]
+		for i := range w {
+			g := f[i] + s.WeightDecay*w[i]
+			w[i] -= s.LR * g
 		}
-		off += len(p.W)
+		off += len(w)
 	}
 }
 
@@ -105,17 +108,20 @@ func (m *Momentum) Step(params []*Param) {
 func (m *Momentum) StepFlat(params []*Param, flat []float64) {
 	off := 0
 	for _, p := range params {
-		v := m.velocity(p)
-		for i := range p.W {
-			g := flat[off+i] + m.WeightDecay*p.W[i]
+		// One reslice per parameter keeps the d-sized loop check-free.
+		w := p.W
+		f := flat[off : off+len(w)]
+		v := m.velocity(p)[:len(w)]
+		for i := range w {
+			g := f[i] + m.WeightDecay*w[i]
 			v[i] = m.Mu*v[i] + g
 			if m.Nesterov {
-				p.W[i] -= m.LR * (g + m.Mu*v[i])
+				w[i] -= m.LR * (g + m.Mu*v[i])
 			} else {
-				p.W[i] -= m.LR * v[i]
+				w[i] -= m.LR * v[i]
 			}
 		}
-		off += len(p.W)
+		off += len(w)
 	}
 }
 

@@ -4,7 +4,13 @@
 // exists to produce genuine non-stationary gradient streams for the
 // compression experiments — the substitution for the PyTorch models the
 // paper trains — so correctness (verified by finite-difference gradient
-// checks) matters more than speed.
+// checks) comes first. It is also the largest layer of a training step
+// (nn.fwdbwd_ms in the step benchmark), so the one layer every workload
+// runs, Dense, is blocked over the batch (dense.go: W and ∂W streamed once
+// per four rows, not once per row) and gradients accumulate straight into
+// the caller's flat vector (BindGrads). Neither changes a bit of any
+// result: the blocked kernels are held to the row-at-a-time loops on
+// math.Float64bits by TestDenseKernelsMatchRowAtATime.
 package nn
 
 import "fmt"
@@ -122,8 +128,11 @@ type Param struct {
 	Name string
 	// W is the weight storage.
 	W []float64
-	// G is the gradient accumulated by Backward; optimizers consume and
-	// zero it.
+	// G is the gradient accumulated by Backward; Optimizer.Step consumes
+	// and zeroes it. It is the parameter's own storage until BindGrads
+	// points it into a flat vector: a dist.Trainer rebinds it every pass,
+	// so after a Trainer.Step it aliases the last worker's flat gradient
+	// buffer (which compression and clipping have since rewritten).
 	G []float64
 	// Shape documents the logical shape of W.
 	Shape []int
@@ -135,11 +144,7 @@ func newParam(name string, shape ...int) *Param {
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
+func (p *Param) ZeroGrad() { clear(p.G) }
 
 // ParamCount sums the weight counts of params.
 func ParamCount(params []*Param) int {
@@ -150,35 +155,20 @@ func ParamCount(params []*Param) int {
 	return n
 }
 
-// FlattenGrads concatenates all parameter gradients into dst (allocating
-// if nil) in parameter order — the vector handed to the compressor each
-// iteration.
-func FlattenGrads(params []*Param, dst []float64) []float64 {
-	n := ParamCount(params)
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	if len(dst) != n {
-		panic("nn: FlattenGrads destination size mismatch")
-	}
-	off := 0
-	for _, p := range params {
-		copy(dst[off:], p.G)
-		off += len(p.G)
-	}
-	return dst
-}
-
-// ScatterGrads writes a flat gradient vector back into the parameter
-// gradient slots — the inverse of FlattenGrads, applied after aggregation.
-func ScatterGrads(params []*Param, flat []float64) {
+// BindGrads points every parameter's G at its span of flat, in parameter
+// order, so Backward accumulates straight into the caller's flat gradient
+// vector — the one handed to the compressor each iteration — with no
+// per-parameter clear and no copy out afterwards. The caller clears flat
+// before the pass; the parameters' previous G storage is released.
+func BindGrads(params []*Param, flat []float64) {
 	if len(flat) != ParamCount(params) {
-		panic("nn: ScatterGrads size mismatch")
+		panic("nn: BindGrads size mismatch")
 	}
 	off := 0
 	for _, p := range params {
-		copy(p.G, flat[off:off+len(p.G)])
-		off += len(p.G)
+		n := len(p.W)
+		p.G = flat[off : off+n : off+n]
+		off += n
 	}
 }
 

@@ -131,40 +131,57 @@ func TestStepFlatMatchesStep(t *testing.T) {
 	}
 }
 
-func TestFlattenScatterRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
+// TestBindGrads pins the flat-gradient contract dist.Trainer relies on:
+// after BindGrads each parameter's G is its span of flat in parameter
+// order, so a Backward-style accumulation lands in flat and a clear of
+// flat is a ZeroGrad of every parameter.
+func TestBindGrads(t *testing.T) {
 	a := newParam("a", 2, 3)
 	b := newParam("b", 4)
+	params := []*Param{a, b}
+	if ParamCount(params) != 10 {
+		t.Fatalf("ParamCount = %d", ParamCount(params))
+	}
+	flat := make([]float64, 10)
+	BindGrads(params, flat)
 	for i := range a.G {
-		a.G[i] = rng.NormFloat64()
+		a.G[i] += float64(i + 1)
 	}
 	for i := range b.G {
-		b.G[i] = rng.NormFloat64()
+		b.G[i] += float64(-(i + 1))
 	}
-	params := []*Param{a, b}
-	flat := FlattenGrads(params, nil)
-	if len(flat) != 10 {
-		t.Fatalf("flat len = %d", len(flat))
-	}
-	want := append(append([]float64{}, a.G...), b.G...)
+	want := []float64{1, 2, 3, 4, 5, 6, -1, -2, -3, -4}
 	for i := range want {
 		if flat[i] != want[i] {
-			t.Fatal("flatten order wrong")
+			t.Fatalf("flat = %v, want %v", flat, want)
 		}
 	}
-	// Scatter back doubled values.
-	for i := range flat {
-		flat[i] *= 2
+	// The spans must not overlap: growing one parameter's G cannot reach
+	// into the next parameter's gradient.
+	if len(a.G) != 6 || cap(a.G) != 6 || len(b.G) != 4 {
+		t.Errorf("spans: len(a.G)=%d cap(a.G)=%d len(b.G)=%d", len(a.G), cap(a.G), len(b.G))
 	}
-	ScatterGrads(params, flat)
-	for i := range a.G {
-		if a.G[i] != want[i]*2 {
-			t.Fatal("scatter wrong")
+	clear(flat)
+	for _, p := range params {
+		for i, g := range p.G {
+			if g != 0 {
+				t.Fatalf("%s.G[%d] = %v after clear(flat)", p.Name, i, g)
+			}
 		}
 	}
-	if ParamCount(params) != 10 {
-		t.Errorf("ParamCount = %d", ParamCount(params))
+	// Rebinding to another buffer moves the alias.
+	other := make([]float64, 10)
+	BindGrads(params, other)
+	b.G[3] = 7
+	if other[9] != 7 || flat[9] != 0 {
+		t.Errorf("rebind: other[9]=%v flat[9]=%v", other[9], flat[9])
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BindGrads accepted a flat vector of the wrong length")
+		}
+	}()
+	BindGrads(params, make([]float64, 9))
 }
 
 func TestClipGradNorm(t *testing.T) {
