@@ -246,6 +246,53 @@ func BenchmarkCompressIntoParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressIntoEC is the compress layer of the step benchmark's
+// two d2m workloads in their steady state: error feedback (the fused
+// accumulate arm) over a cycled pool of six d = 2^21 gradients of the
+// workload's Table 1 profile, at its ratio. The residual makes every
+// step's input differ from the fresh-gradient benches above — this is the
+// input the estimator is deployed on. Expected: 0 allocs/op.
+func BenchmarkCompressIntoEC(b *testing.B) {
+	for _, w := range []struct {
+		name, profile string
+		mk            func() compress.Compressor
+		delta         float64
+	}{
+		{"sidco-e", "lstm-ptb", func() compress.Compressor { return core.NewE() }, 0.001},
+		{"sidco-gp", "vgg19-imagenet", func() compress.Compressor { return core.NewGammaGP() }, 0.01},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			wl, err := dist.WorkloadByName(w.profile)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := wl.Grad.Generator(1<<21, 1)
+			var pool [6][]float64
+			for i := range pool {
+				pool[i] = gen.Next()
+			}
+			ec := compress.NewErrorFeedback(w.mk())
+			dst := &tensor.Sparse{}
+			step := 0
+			next := func() {
+				if err := ec.CompressInto(dst, pool[step%len(pool)], w.delta); err != nil {
+					b.Fatal(err)
+				}
+				step++
+			}
+			for step < 4*len(pool) { // the residual and every scratch buffer settle
+				next()
+			}
+			b.SetBytes(8 << 21)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next()
+			}
+		})
+	}
+}
+
 // BenchmarkTrainerStep measures one synchronous data-parallel step of a
 // small dense model with EC+SIDCo compression — the -benchmem guard on
 // the end-to-end zero-allocation pipeline (expected: a handful of

@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/encoding"
 	"repro/internal/harness"
@@ -123,7 +124,7 @@ func main() {
 	flag.StringVar(&opt.killRank, "kill-rank", "", "launch mode, R@K: forward -kill-at-step K to rank R and gate on the survivors finishing with identical final losses")
 	flag.StringVar(&opt.ckpt, "ckpt", "", "write this rank's resume state to PREFIX.rankR (atomic replace) every -ckpt-every steps and after the final step")
 	flag.IntVar(&opt.ckptEvery, "ckpt-every", 1, "checkpoint cadence in steps for -ckpt")
-	flag.StringVar(&opt.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, threshold, none)")
+	flag.StringVar(&opt.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, threshold, none, sidco-*)")
 	flag.Parse()
 
 	var err error
@@ -537,7 +538,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 		return fmt.Errorf("check: received %d gradient messages, formula says %d", msgs, wantMsgs)
 	}
 	if nt.addr != "" {
-		if err := checkMetricsEndpoint(nt.addr, nd, wantMsgs); err != nil {
+		if err := checkMetricsEndpoint(nt.addr, nd, wantMsgs, strings.HasPrefix(opt.compressor, "sidco-")); err != nil {
 			return err
 		}
 	}
@@ -554,8 +555,10 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 // transport's exact counters and the collective's message formula — the
 // full export path (aggregation, Prometheus rendering, HTTP serving) is
 // verified against ground truth, so the observability layer is provably
-// not lying about this run.
-func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int) error {
+// not lying about this run. For a SIDCo estimator it also holds the
+// scraped achieved-vs-target ratio to the estimator's tolerance band: the
+// paper's k-hat/k claim, read off the system's own output.
+func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco bool) error {
 	get := func(path string) (string, error) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -621,6 +624,16 @@ func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int) error {
 	if linkSent != float64(sentBytes) || linkRecv != float64(recvBytes) {
 		return fmt.Errorf("check: per-link bytes sum to %v sent / %v recv, instrumented transport says %d / %d",
 			linkSent, linkRecv, sentBytes, recvBytes)
+	}
+	if sidco {
+		band := core.Config{}.Default()
+		ratio := vals["sidco_selected_elems_total"] / vals["sidco_target_elems_total"]
+		if !(ratio >= 1-band.EpsilonL && ratio <= 1+band.EpsilonH) {
+			return fmt.Errorf("check: /metrics selected/target elements = %v/%v = %.3f, outside the estimator's band [%.2f, %.2f]",
+				vals["sidco_selected_elems_total"], vals["sidco_target_elems_total"], ratio, 1-band.EpsilonL, 1+band.EpsilonH)
+		}
+		fmt.Printf("metrics endpoint verified: k-hat/k = %.3f in band, %v list corrections, %v sweep fallbacks\n",
+			ratio, vals["sidco_select_list_corrections_total"], vals["sidco_select_sweep_fallbacks_total"])
 	}
 	fmt.Printf("metrics endpoint verified: %d msgs, %d bytes sent match formula + instrumented totals\n", sentMsgs, sentBytes)
 	return nil

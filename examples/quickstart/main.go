@@ -35,12 +35,14 @@ func main() {
 	}
 
 	oracle := tensor.TopKThreshold(g, k)
+	sel := sidco.LastSelection()
 	fmt.Printf("target k:            %d (delta=%g)\n", k, delta)
 	fmt.Printf("SIDCo selected:      %d elements (k-hat/k = %.3f)\n",
 		sparse.NNZ(), float64(sparse.NNZ())/float64(k))
-	fmt.Printf("SIDCo threshold:     %.6g\n", sidco.LastThreshold())
+	fmt.Printf("SIDCo threshold:     %.6g\n", sel.Threshold)
 	fmt.Printf("oracle threshold:    %.6g\n", oracle)
-	fmt.Printf("stages used:         %d\n", sidco.LastStagesUsed())
+	fmt.Printf("stages used:         %d\n", sel.Stages)
+	fmt.Printf("estimate selected:   %d (band correction: %v)\n", sel.Estimated, sel.Correction != compress.CorrectionNone)
 
 	// The selection error relative to the best possible k-sparse vector.
 	idx, _ := tensor.TopKSelect(g, k)

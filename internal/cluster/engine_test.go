@@ -523,66 +523,30 @@ func TestSparseReduceMatchesInProcessOnZeros(t *testing.T) {
 	}
 }
 
-// TestReduceBufsSettle pins what a reducer keeps between rounds: storage
-// an over-selecting round grew stays while such rounds keep coming, goes
-// once slackRounds rounds in a row used under a quarter of it, and small
-// or well-used storage is never touched (the steady state allocates
-// nothing).
-func TestReduceBufsSettle(t *testing.T) {
-	const small, outlier = 1000, 8 * retainElems
-	round := func(b *reduceBufs, n int) {
-		t.Helper()
-		fill := func(s *tensor.Sparse) {
-			s.Reset(2 * outlier)
-			s.Grow(n)
-			s.Idx, s.Vals = s.Idx[:n], s.Vals[:n]
-		}
-		for i := range b.grow(2) {
-			fill(&b.parts[i])
-		}
-		fill(&b.mean)
-		b.settle()
-	}
-	caps := func(b *reduceBufs) [3]int {
-		return [3]int{cap(b.parts[0].Idx), cap(b.parts[1].Vals), cap(b.mean.Idx)}
-	}
-
+// TestReduceBufsKeepHighWaterMark: nothing releases a reducer's storage.
+// A SIDCo selection is bounded at (1+eps)k from the first step, so the
+// high-water mark is the steady state: after 100 rounds that sweep the
+// band every ten, the capacities are those after the first 10.
+func TestReduceBufsKeepHighWaterMark(t *testing.T) {
+	const k = 1000
 	var b reduceBufs
-	round(&b, outlier)
-	for i := 1; i < slackRounds; i++ {
-		round(&b, small)
-		if got := caps(&b); got != [3]int{outlier, outlier, outlier} {
-			t.Fatalf("%d small rounds after an outlier: capacities %v, want the outlier's kept", i, got)
+	var after10, after100 [3]int
+	for i := 0; i < 100; i++ {
+		parts := b.grow(2)
+		for p := range parts {
+			parts[p].Reset(4 * k)
+			for j := 0; j < k*8/10+(9-i%10)*k*4/90; j++ { // 1.2k down to 0.8k
+				parts[p].Append(int32(2*j+p), 1)
+			}
+		}
+		tensor.MeanSparseInto(&b.mean, parts)
+		after100 = [3]int{cap(b.parts[0].Idx), cap(b.parts[1].Vals), cap(b.mean.Idx)}
+		if i == 9 {
+			after10 = after100
 		}
 	}
-	round(&b, small)
-	if got := caps(&b); got != [3]int{} {
-		t.Fatalf("%d small rounds after an outlier: capacities %v, want all released", slackRounds, got)
-	}
-
-	// Outliers that recur inside the window keep their storage for good.
-	b = reduceBufs{}
-	for i := 0; i < 5*slackRounds; i++ {
-		n := small
-		if i%(slackRounds-1) == 0 {
-			n = outlier
-		}
-		round(&b, n)
-		if got := caps(&b); got != [3]int{outlier, outlier, outlier} {
-			t.Fatalf("round %d of a recurring outlier: capacities %v, want %d kept", i, got, outlier)
-		}
-	}
-
-	// Storage under retainElems, or used to a quarter, is never released.
-	for _, tc := range []struct{ first, rest int }{{retainElems, 1}, {outlier, outlier / 4}} {
-		b = reduceBufs{}
-		round(&b, tc.first)
-		for i := 0; i < 3*slackRounds; i++ {
-			round(&b, tc.rest)
-		}
-		if got := caps(&b); got != [3]int{tc.first, tc.first, tc.first} {
-			t.Fatalf("first %d then %d per round: capacities %v, want kept", tc.first, tc.rest, got)
-		}
+	if after100 != after10 || after10[2] < 2*k {
+		t.Fatalf("capacities %v after 100 in-band rounds, %v after 10", after100, after10)
 	}
 }
 

@@ -125,7 +125,6 @@ func (n *Node) runCollective(jb job, out []float64) error {
 		}
 		tensor.Zero(out)
 		scatter(&sc.mean, out)
-		sc.settle()
 		return nil
 	}
 	return fmt.Errorf("unreachable collective") //sidco:errclass internal invariant, deliberately fatal
@@ -240,7 +239,6 @@ func (n *Node) runAllGather(jb job, out []float64) error {
 		tensor.MeanSparseInto(&sc.mean, parts)
 		scatter(&sc.mean, out)
 	}
-	sc.settle()
 	return nil
 }
 
@@ -286,7 +284,6 @@ func growSlots(bufs [][]byte, n int) [][]byte {
 type reduceBufs struct {
 	parts []tensor.Sparse // decoded contributions, by member position
 	mean  tensor.Sparse
-	slack int // consecutive rounds that used under a quarter of mean's storage
 }
 
 // grow returns n decode targets, keeping the storage the first of them
@@ -298,47 +295,6 @@ func (b *reduceBufs) grow(n int) []tensor.Sparse {
 	}
 	b.parts = b.parts[:n]
 	return b.parts
-}
-
-const (
-	// retainElems is the stored-element capacity a reduce buffer keeps
-	// whatever the rounds use: 1 MiB of indices and values.
-	retainElems = (1 << 20) / 12
-	// slackRounds is how long oversized storage waits for the next round
-	// that needs it: two periods of a SIDCo stage controller oscillating
-	// between two stage counts at the default Q = 5, and some.
-	slackRounds = 24
-)
-
-// settle ends a round: once slackRounds rounds in a row have used under a
-// quarter of mean's storage, every buffer that oversized is released. A
-// SIDCo estimator over-selects 10-70x on a few steps per hundred (how far
-// is seed luck: up to 0.7*dim at delta 0.01), and buffers that kept their
-// all-time high-water mark made a node's resident set differ by tens of
-// MB between otherwise equal runs. Where the outliers come every few
-// rounds the storage stays — freeing it only to fault it in again cost
-// grad-sidcogp-d2m 15% of its steps per second — and the steady state
-// never comes near the 4x, so it stays allocation-free.
-func (b *reduceBufs) settle() {
-	if !oversized(&b.mean) {
-		b.slack = 0
-		return
-	}
-	if b.slack++; b.slack < slackRounds {
-		return
-	}
-	b.slack = 0
-	b.mean = tensor.Sparse{}
-	for i := range b.parts {
-		if oversized(&b.parts[i]) {
-			b.parts[i] = tensor.Sparse{}
-		}
-	}
-}
-
-func oversized(s *tensor.Sparse) bool {
-	c := cap(s.Idx)
-	return c > retainElems && c > 4*len(s.Idx)
 }
 
 // psServer is the parameter-server node's reusable aggregation state,
@@ -378,7 +334,6 @@ func (s *psServer) round(tp Transport, recv linkRecv, server int, workers []int,
 		if err != nil {
 			return nil, err
 		}
-		s.settle()
 		return s.wire, nil
 	}
 	return psServeGroup(tp, recv, server, workers, combine, reply)

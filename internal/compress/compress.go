@@ -31,8 +31,9 @@ var errEmptyGradient = errors.New("compress: empty gradient")
 // steady-state iterations are allocation-free. A caller that wants a
 // fresh vector per call uses the free function FreshCompress.
 //
-// Two optional interfaces sit beside it: Parallelizable (internal fan-out)
-// and AccumulateCompressor (error feedback's add inside the first sweep).
+// Three optional interfaces sit beside it: Parallelizable (internal
+// fan-out), AccumulateCompressor (error feedback's add inside the first
+// sweep) and SelectionReporter (an estimator's account of its last step).
 type Compressor interface {
 	// Name returns a short identifier used in reports ("topk", "dgc", ...).
 	Name() string
@@ -205,4 +206,43 @@ func (t Threshold) CompressInto(dst *tensor.Sparse, g []float64, delta float64) 
 	dst.Reset(len(g))
 	dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, t.Eta, dst.Idx, dst.Vals)
 	return nil
+}
+
+// Correction says what replaced a threshold estimate whose selection
+// missed the tolerance band around k.
+type Correction uint8
+
+const (
+	// CorrectionNone: the estimate's own selection shipped.
+	CorrectionNone Correction = iota
+	// CorrectionList: the threshold was re-taken as the exact k-th largest
+	// magnitude of an exceedance list the estimate had in hand — O(list).
+	CorrectionList
+	// CorrectionSweep: no list held k elements, so the exact threshold was
+	// selected from the whole gradient and the gradient filtered again —
+	// the O(d) a Top-k compressor pays.
+	CorrectionSweep
+)
+
+// Selection describes how a threshold estimator arrived at its most
+// recent selection: the estimator's own account of a step, which
+// telemetry, the figure harness and the examples all read from here.
+type Selection struct {
+	// Threshold is the magnitude cut that shipped.
+	Threshold float64
+	// Stages is the number of fitting stages the estimate ran; zero means
+	// the compressor has nothing to report.
+	Stages int
+	// Estimated is the element count the estimate alone selected — equal
+	// to the shipped count unless Correction replaced it.
+	Estimated int
+	// Correction is what the band check did.
+	Correction Correction
+}
+
+// SelectionReporter is the optional interface of a compressor that can
+// account for its most recent CompressInto. Wrappers forward to the
+// compressor they wrap and report the zero Selection when it has none.
+type SelectionReporter interface {
+	LastSelection() Selection
 }

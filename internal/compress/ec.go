@@ -62,6 +62,15 @@ func (e *ErrorFeedback) ClearWireFormat() { e.wireSet = false }
 // subtract over the selection, neither worth a fork-join.
 func (e *ErrorFeedback) SetParallelism(p int) { SetParallelism(e.Inner, p) }
 
+// LastSelection implements SelectionReporter by forwarding to the wrapped
+// compressor.
+func (e *ErrorFeedback) LastSelection() Selection {
+	if r, ok := e.Inner.(SelectionReporter); ok {
+		return r.LastSelection()
+	}
+	return Selection{}
+}
+
 // Name implements Compressor.
 func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+ec" }
 

@@ -39,9 +39,9 @@ func TestGammaFirstStageMatchesPerElementLog(t *testing.T) {
 	if _, err := compress.FreshCompress(s, g, delta); err != nil {
 		t.Fatal(err)
 	}
-	got := s.LastThreshold()
-	if s.LastRescued() || !(math.Abs(got-want) <= 1e-12*want) {
-		t.Errorf("first-stage threshold %v (rescued=%v), per-element reference %v: off by %g relative",
-			got, s.LastRescued(), want, (got-want)/want)
+	sel := s.LastSelection()
+	if got := sel.Threshold; sel.Correction != compress.CorrectionNone || !(math.Abs(got-want) <= 1e-12*want) {
+		t.Errorf("first-stage threshold %v (%+v), per-element reference %v: off by %g relative",
+			got, sel, want, (got-want)/want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -11,107 +12,169 @@ import (
 	"repro/internal/tensor"
 )
 
-// sweepStep is one Sparsify the way it ran before the exceedance list
-// carried indices: values-only exceedance lists built by the naive loop,
-// and a FilterAboveThreshold sweep over g for every selection. It reads
-// s's configuration and current stage count and touches nothing of s.
+// sweepStep is one Sparsify the way it would run with no exceedance list
+// in hand: values-only lists built by the naive loop, a sweep over g for
+// every selection, and a sort for the exact k-th largest.
 type sweepStep struct {
-	idx     []int32
-	vals    []float64
-	eta     float64
-	used    int
-	rescued bool
+	idx  []int32
+	vals []float64
+	sel  compress.Selection
 }
 
-func naiveAbove(x []float64, eta float64) []float64 {
-	var out []float64
-	for _, xi := range x {
-		if a := math.Abs(xi); a > eta {
-			out = append(out, a)
+// naiveList is a values-only exceedance list: every magnitude of src that
+// is > eta, with its excess moments summed in the order tensor.Excess
+// defines (per 4096-block of src the kept run in four interleaved lanes,
+// the tail in lane 0; block sums added in order).
+type naiveList struct {
+	mags []float64
+	eta  float64
+	ex   tensor.Excess
+}
+
+func naiveAbove(src []float64, eta float64) *naiveList {
+	l := &naiveList{eta: eta}
+	for lo := 0; lo < len(src); lo += 4096 {
+		var s, q [4]float64
+		first := len(l.mags)
+		for _, x := range src[lo:min(lo+4096, len(src))] {
+			if a := math.Abs(x); a > eta {
+				l.mags = append(l.mags, a)
+			}
+		}
+		kept := l.mags[first:]
+		for j, a := range kept {
+			lane := j % 4
+			if j >= len(kept)/4*4 {
+				lane = 0
+			}
+			s[lane] += a - eta
+			q[lane] += (a - eta) * (a - eta)
+		}
+		l.ex.Sum += (s[0] + s[1]) + (s[2] + s[3])
+		l.ex.SumSq += (q[0] + q[1]) + (q[2] + q[3])
+	}
+	return l
+}
+
+// naiveAbsKth is the k-th largest magnitude by sorting the bit patterns,
+// the order tensor.Selector.AbsKth selects in (NaN above +Inf).
+func naiveAbsKth(xs []float64, k int) float64 {
+	bits := make([]uint64, len(xs))
+	for i, x := range xs {
+		bits[i] = math.Float64bits(math.Abs(x))
+	}
+	slices.Sort(bits)
+	return math.Float64frombits(bits[len(bits)-k])
+}
+
+// sweepSelect is the selection of everything above floor and at or above
+// eta, read off g.
+func sweepSelect(g []float64, floor, eta float64) (idx []int32, vals []float64) {
+	for i, x := range g {
+		if a := math.Abs(x); a > floor && a >= eta {
+			idx, vals = append(idx, int32(i)), append(vals, x)
 		}
 	}
-	return out
+	return idx, vals
 }
 
-func sweepReference(s *SIDCo, g []float64, delta float64) (r sweepStep) {
-	ref := New(s.cfg)
+func sweepReference(cfg Config, g []float64, delta float64) (r sweepStep) {
+	ref := New(cfg)
 	k := compress.TargetK(len(g), delta)
-	ratios := StageRatios(delta, s.cfg.Delta1, min(s.stages, s.maxStages(delta)))
+	maxM := ref.maxStages(delta)
+	ratio := ref.cfg.Delta1
+	if !(delta < ratio) || maxM == 1 {
+		ratio = delta
+	}
+	eta := ref.firstStageThreshold(g, nil, ratio)
+	r.sel.Stages = 1
 
-	eta, beta := ref.firstStageThreshold(g, nil, ratios[0])
-	r.used = 1
-	switch {
-	case !(eta > 0) || math.IsNaN(eta):
-		eta = 0
-	case len(ratios) > 1:
-		exceed := naiveAbove(g, eta)
-		for _, dm := range ratios[1:] {
-			if len(exceed) < s.cfg.MinFitSize {
+	var cur, prev *naiveList
+	if ratio != delta && usable(eta) {
+		cur = naiveAbove(g, eta)
+		for r.sel.Stages < maxM {
+			n := len(cur.mags)
+			if n <= k || n < ref.cfg.MinFitSize {
 				break
 			}
-			next := ref.nextStageThreshold(exceed, eta, dm)
-			if !(next > eta) || math.IsNaN(next) || math.IsInf(next, 0) {
+			ratio = float64(k) / float64(n)
+			final := !(ratio < ref.cfg.Delta1) || r.sel.Stages+1 == maxM
+			if !final {
+				ratio = ref.cfg.Delta1
+			}
+			next := ref.nextStageThreshold(&exceedList{mags: cur.mags, eta: cur.eta, ex: cur.ex}, ratio)
+			if !(usable(next) && next > cur.eta) {
 				break
 			}
-			exceed = naiveAbove(exceed, next)
 			eta = next
-			r.used++
+			r.sel.Stages++
+			if final {
+				break
+			}
+			cur, prev = naiveAbove(cur.mags, eta), cur
 		}
 	}
-	r.idx, r.vals = tensor.FilterAboveThreshold(g, eta, nil, nil)
-	if kHat := len(r.idx); kHat*3 < k || kHat > 3*k {
-		if beta > 0 {
-			eta += beta * math.Log(math.Max(1, float64(kHat))/float64(k))
-			if eta < 0 {
-				eta = 0
-			}
-			r.idx, r.vals = tensor.FilterAboveThreshold(g, eta, nil, nil)
-			r.rescued = true
-		}
-		if kHat := len(r.idx); kHat*3 < k && beta > 0 {
-			if etaFB := ThresholdExp(beta, delta); etaFB < eta {
-				eta = etaFB
-				r.idx, r.vals = tensor.FilterAboveThreshold(g, eta, nil, nil)
-				r.rescued = true
-			}
-		}
+
+	switch {
+	case cur != nil:
+		r.idx, r.vals = sweepSelect(g, cur.eta, eta)
+	case usable(eta):
+		r.idx, r.vals = tensor.FilterAboveThreshold(g, eta, nil, nil)
 	}
-	r.eta = eta
+	r.sel.Threshold, r.sel.Estimated = eta, len(r.idx)
+	if ref.inBand(len(r.idx), k) {
+		return r
+	}
+	if cur != nil && len(cur.mags) < k {
+		cur = prev
+	}
+	if cur != nil {
+		r.sel.Threshold, r.sel.Correction = naiveAbsKth(cur.mags, k), compress.CorrectionList
+		r.idx, r.vals = sweepSelect(g, cur.eta, r.sel.Threshold)
+	} else {
+		r.sel.Threshold, r.sel.Correction = naiveAbsKth(g, k), compress.CorrectionSweep
+		r.idx, r.vals = tensor.FilterAboveThreshold(g, r.sel.Threshold, nil, nil)
+	}
 	return r
 }
 
-// stepAgainstSweep runs one CompressInto at parallelism p and holds the
-// selection, threshold, stage count and rescue flag to sweepReference's,
-// bit for bit. It reports whether the final selection was read off the
-// exceedance list (the threshold ended above the list's own).
-func stepAgainstSweep(t *testing.T, what string, s *SIDCo, g []float64, delta float64) (fromList bool) {
+// sameSelection holds a selection and its report to the reference's, bit
+// for bit.
+func sameSelection(t *testing.T, what string, dst *tensor.Sparse, got compress.Selection, want sweepStep) {
 	t.Helper()
-	want := sweepReference(s, g, delta)
-	dst := &tensor.Sparse{}
-	if err := s.CompressInto(dst, g, delta); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	if math.Float64bits(s.LastThreshold()) != math.Float64bits(want.eta) || s.LastStagesUsed() != want.used || s.LastRescued() != want.rescued {
-		t.Fatalf("%s: eta %v used %d rescued %v, sweep reference %v %d %v", what,
-			s.LastThreshold(), s.LastStagesUsed(), s.LastRescued(), want.eta, want.used, want.rescued)
+	if math.Float64bits(got.Threshold) != math.Float64bits(want.sel.Threshold) || got.Stages != want.sel.Stages ||
+		got.Estimated != want.sel.Estimated || got.Correction != want.sel.Correction {
+		t.Fatalf("%s: selection report %+v, sweep reference %+v", what, got, want.sel)
 	}
 	if len(dst.Idx) != len(want.idx) || len(dst.Vals) != len(want.vals) {
-		t.Fatalf("%s: selected %d, sweep reference %d (eta %v)", what, len(dst.Idx), len(want.idx), want.eta)
+		t.Fatalf("%s: selected %d, sweep reference %d (%+v)", what, len(dst.Idx), len(want.idx), got)
 	}
 	for i := range want.idx {
 		if dst.Idx[i] != want.idx[i] || math.Float64bits(dst.Vals[i]) != math.Float64bits(want.vals[i]) {
 			t.Fatalf("%s: selection[%d] = (%d, %v), sweep reference (%d, %v)", what, i, dst.Idx[i], dst.Vals[i], want.idx[i], want.vals[i])
 		}
 	}
-	return s.lastEta > s.listEta
+}
+
+// stepAgainstSweep runs one CompressInto and holds the selection and its
+// report to sweepReference's.
+func stepAgainstSweep(t *testing.T, what string, s *SIDCo, g []float64, delta float64) compress.Selection {
+	t.Helper()
+	want := sweepReference(s.cfg, g, delta)
+	dst := &tensor.Sparse{}
+	if err := s.CompressInto(dst, g, delta); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	sameSelection(t, what, dst, s.LastSelection(), want)
+	return s.LastSelection()
 }
 
 var allSIDs = []SID{SIDExponential, SIDGammaGP, SIDGP}
 
-// atStages returns a compressor of family sid pinned at m stages.
-func atStages(sid SID, m, p int) *SIDCo {
+// capped returns a compressor of family sid capped at m stages (0: the
+// counts decide) at parallelism p.
+func capped(sid SID, m, p int) *SIDCo {
 	s := New(Config{SID: sid, MaxStages: m})
-	s.stages = m
 	s.SetParallelism(p)
 	return s
 }
@@ -137,33 +200,31 @@ func plantFixedPoint(t *testing.T, g []float64, pos, neg int, f func() float64) 
 // selected off the list, and a value equal to the first-stage threshold
 // is not an exceedance, so the later fits never see it.
 func TestListSelectionEdges(t *testing.T) {
-	const d, delta = 40000, 0.001
+	const d, delta = 40000, 0.01
+	k := compress.TargetK(d, delta)
 	for _, sid := range allSIDs {
 		for _, p := range []int{1, 3} {
-			for m := 2; m <= 4; m++ {
-				what := fmt.Sprintf("%v M=%d P=%d", sid, m, p)
+			for _, m := range []int{2, 3, 0} {
+				what := fmt.Sprintf("%v MaxStages=%d P=%d", sid, m, p)
 
 				g := sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
 				eta := plantFixedPoint(t, g, 123, 456, func() float64 {
-					e, _, _ := atStages(sid, m, 1).estimateThreshold(g, nil, delta, m)
+					e, _ := capped(sid, m, 1).estimateThreshold(g, nil, delta, k)
 					return e
 				})
-				s := atStages(sid, m, p)
-				if !stepAgainstSweep(t, what+" value == final eta", s, g, delta) || s.LastRescued() || s.LastStagesUsed() != m || s.LastThreshold() != eta {
-					t.Fatalf("%s: value == final eta was not served from the list (used %d, rescued %v)", what, s.LastStagesUsed(), s.LastRescued())
+				s := capped(sid, m, p)
+				if sel := stepAgainstSweep(t, what+" value == final eta", s, g, delta); sel.Correction != compress.CorrectionNone || sel.Threshold != eta {
+					t.Fatalf("%s: want the estimate %v shipped as it is, got %+v", what, eta, sel)
 				}
 
 				g = sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
 				eta1 := plantFixedPoint(t, g, 123, 456, func() float64 {
-					e, _ := New(Config{SID: sid}).firstStageThreshold(g, nil, 0.25)
-					return e
+					return New(Config{SID: sid}).firstStageThreshold(g, nil, 0.25)
 				})
-				s = atStages(sid, m, p)
+				s = capped(sid, m, p)
 				stepAgainstSweep(t, what+" value == stage-1 eta", s, g, delta)
-				for _, a := range s.exceed {
-					if a == eta1 {
-						t.Fatalf("%s: a value equal to the stage threshold is on the exceedance list", what)
-					}
+				if (m == 2 && s.cur.eta != eta1) || slices.Contains(s.lists[0].mags, eta1) || slices.Contains(s.lists[1].mags, eta1) {
+					t.Fatalf("%s: a value equal to the stage threshold is on the exceedance list", what)
 				}
 			}
 		}
@@ -171,8 +232,8 @@ func TestListSelectionEdges(t *testing.T) {
 }
 
 // TestListSelectionSpecialsAndLengths runs the special values and the
-// block-boundary lengths through every family and stage count against
-// the sweep reference.
+// block-boundary lengths through every family, stage cap and P in
+// {1, 2, 8} against the sweep reference.
 func TestListSelectionSpecialsAndLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	noise := func(d int) []float64 {
@@ -199,16 +260,21 @@ func TestListSelectionSpecialsAndLengths(t *testing.T) {
 		"nan-salted":   salted(30000, math.NaN(), 0, math.Inf(1)),
 		"one-inf":      append(noise(20000), math.Inf(-1)),
 		"all-equal":    equal,
+		"heavy":        sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 1<<15+77, 6),
 	}
 	for _, d := range []int{1, 15, 4095, 4096, 4097} {
 		inputs[fmt.Sprintf("len-%d", d)] = noise(d)
 	}
+	caps, ps := []int{0, 1, 2, 3, 4, 5}, []int{1, 2, 8}
+	if testing.Short() { // the race run: every branch of the plan, fewer repeats of it
+		caps, ps = []int{0, 1, 3}, []int{1, 8}
+	}
 	for name, g := range inputs {
 		for _, sid := range allSIDs {
-			for _, delta := range []float64{0.1, 0.001} {
-				for m := 1; m <= 5; m++ {
-					for _, p := range []int{1, 2} {
-						stepAgainstSweep(t, fmt.Sprintf("%s %v delta=%v M=%d P=%d", name, sid, delta, m, p), atStages(sid, m, p), g, delta)
+			for _, delta := range []float64{0.25, 0.1, 0.001} {
+				for _, m := range caps {
+					for _, p := range ps {
+						stepAgainstSweep(t, fmt.Sprintf("%s %v delta=%v MaxStages=%d P=%d", name, sid, delta, m, p), capped(sid, m, p), g, delta)
 					}
 				}
 			}
@@ -216,59 +282,175 @@ func TestListSelectionSpecialsAndLengths(t *testing.T) {
 	}
 }
 
-// TestListSelectionEarlyStops pins the cases whose loop stops with the
-// threshold at the list's own, where the selection must sweep g:
-// MinFitSize ending the loop at stage 2, and a degenerate later fit.
+// TestListSelectionEarlyStops pins the loops that stop at a list's own
+// threshold: MinFitSize ending the loop at stage 2, where the whole list
+// is the estimate and the exact threshold comes off it, and a stage-2 fit
+// that degenerates.
 func TestListSelectionEarlyStops(t *testing.T) {
 	g := sampleVec(stats.Laplace{Scale: 0.01}, 200, 3)
 	for _, sid := range allSIDs {
-		s := atStages(sid, 3, 1)
-		if stepAgainstSweep(t, fmt.Sprintf("%v MinFitSize", sid), s, g, 0.04) || s.LastStagesUsed() != 2 || s.LastRescued() {
-			t.Fatalf("%v: want the loop stopped by MinFitSize at stage 2 and a sweep of g; used %d stages, list len %d, rescued %v", sid, s.LastStagesUsed(), len(s.exceed), s.LastRescued())
+		s := capped(sid, 0, 1)
+		sel := stepAgainstSweep(t, fmt.Sprintf("%v MinFitSize", sid), s, g, 0.02)
+		if sel.Stages != 2 || len(s.cur.mags) >= s.cfg.MinFitSize || sel.Estimated != len(s.cur.mags) || sel.Correction != compress.CorrectionList {
+			t.Fatalf("%v: want the loop stopped by MinFitSize at stage 2 and the threshold taken off its list; got %+v over a list of %d", sid, sel, len(s.cur.mags))
 		}
 	}
 
-	// A final stage ratio of 1 makes every family's later stage return its
-	// own location (the quantile at probability 0): next == eta, rejected.
-	g = sampleVec(stats.Laplace{Scale: 0.01}, 30000, 4)
-	for _, sid := range allSIDs {
-		s := atStages(sid, 2, 2)
-		if stepAgainstSweep(t, fmt.Sprintf("%v degenerate stage", sid), s, g, 0.25) || s.LastStagesUsed() != 1 || len(s.exceed) < s.cfg.MinFitSize {
-			t.Fatalf("%v: want the stage-2 fit rejected and a sweep of g; used %d stages on a list of %d", sid, s.LastStagesUsed(), len(s.exceed))
+	// A quarter of the vector near 1e200: the mean of the excesses over the
+	// first cut is finite but its square is not, so the GP moment fit of
+	// stage 2 sees a variance of Inf - Inf and is rejected. The loop keeps
+	// the stage-1 threshold, the estimate is the whole list, and the exact
+	// threshold comes off it. (Only a gamma first stage gets that far: the
+	// other two families' first fits sum the same squares.)
+	rng := rand.New(rand.NewSource(2))
+	g = make([]float64, 30000)
+	for i := range g {
+		g[i] = rng.NormFloat64()
+		if i%4 == 1 {
+			g[i] = 1e200 * (1 + rng.Float64())
+		}
+	}
+	s := capped(SIDGammaGP, 0, 2)
+	sel := stepAgainstSweep(t, "degenerate stage", s, g, 0.01)
+	if sel.Stages != 1 || s.cur == nil || sel.Estimated != len(s.cur.mags) || sel.Estimated < 7500 || sel.Correction != compress.CorrectionList {
+		t.Fatalf("want the stage-2 fit rejected and the threshold taken off the stage-1 list; got %+v", sel)
+	}
+}
+
+// cliff is a vector built to make a Delta1 cut overshoot: most of it
+// small, a tight cluster of n/4 values near 1, and a handful of large
+// ones. The first stage lands between the small values and the cluster;
+// the second, fitting a mean excess of about half the gap, lands beyond
+// the cluster and leaves only the large ones.
+func cliff(n, large int) []float64 {
+	rng := rand.New(rand.NewSource(11))
+	g := make([]float64, n)
+	for i := range g {
+		switch {
+		case i%4 == 1:
+			g[i] = 1 + 0.001*rng.Float64()
+		case i%4 == 3 && i/4 < large:
+			g[i] = -5 - rng.Float64()
+		default:
+			g[i] = 0.1 * (rng.Float64() - 0.5)
+		}
+	}
+	return g
+}
+
+// TestListCorrectionDirections pins where the exact threshold comes from
+// when an estimate misses the band: the list the last fit read when it
+// still holds k elements (the estimate over- or under-selected), the list
+// before it when the last cut overshot (the ping-pong kept it), and the
+// gradient itself only when no list holds k.
+func TestListCorrectionDirections(t *testing.T) {
+	heavy := sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6)
+	uniform := make([]float64, 50000)
+	rng := rand.New(rand.NewSource(5))
+	for i := range uniform {
+		uniform[i] = 2*rng.Float64() - 1
+	}
+	for _, c := range []struct {
+		name      string
+		sid       SID
+		m         int
+		g         []float64
+		delta     float64
+		corr      compress.Correction
+		raised    bool
+		fromPrev  bool
+		wantExact bool // no ties: exactly k shipped
+	}{
+		{"over-selection, from the last list", SIDExponential, 2, heavy, 0.001, compress.CorrectionList, true, false, true},
+		{"under-selection, from the last list", SIDExponential, 2, uniform, 0.001, compress.CorrectionList, false, false, true},
+		{"a cut that overshot, from the list before it", SIDExponential, 0, cliff(40000, 100), 0.01, compress.CorrectionList, false, true, true},
+		{"single stage, no list", SIDExponential, 1, heavy, 0.001, compress.CorrectionSweep, true, false, true},
+		{"ratio at delta1, no list", SIDExponential, 0, uniform, 0.25, compress.CorrectionSweep, true, false, true},
+		{"first cut already below k", SIDExponential, 0, cliff(40000, 100), 0.3 * 0.25, compress.CorrectionList, false, false, true},
+	} {
+		k := compress.TargetK(len(c.g), c.delta)
+		for _, p := range []int{1, 2, 8} {
+			what := fmt.Sprintf("%s: %v MaxStages=%d P=%d", c.name, c.sid, c.m, p)
+			before, _ := capped(c.sid, c.m, 1).estimateThreshold(c.g, nil, c.delta, k)
+			s := capped(c.sid, c.m, p)
+			sel := stepAgainstSweep(t, what, s, c.g, c.delta)
+			served := s.cur
+			if served != nil && len(served.mags) < k {
+				served = s.prev
+			}
+			if sel.Correction != c.corr || (sel.Threshold > before) != c.raised || (served != nil && served == s.prev) != c.fromPrev {
+				t.Fatalf("%s: eta %v -> %v, report %+v, served from the list before the last: %v", what, before, sel.Threshold, sel, served == s.prev)
+			}
+			if got := tensor.CountAboveThreshold(c.g, sel.Threshold); c.wantExact && got != k {
+				t.Fatalf("%s: corrected threshold selects %d, want exactly k = %d", what, got, k)
+			}
 		}
 	}
 }
 
-// TestListSelectionRescueDirections pins the rescue pass on multi-stage
-// estimates: a corrected threshold still above the list's — raised, or
-// lowered by less than the last stage added — is served from the list;
-// one lowered below it sweeps g.
-func TestListSelectionRescueDirections(t *testing.T) {
-	uniform, polluted, heavy := rescueInputs()
+// TestListCorrectionReadsNoGradient runs the two halves of a step apart
+// and, between them, poisons every element of g that is not on an
+// exceedance list with a magnitude any sweep would select: a corrected
+// selection must come off the lists alone.
+func TestListCorrectionReadsNoGradient(t *testing.T) {
 	for _, c := range []struct {
-		name     string
-		sid      SID
-		m        int
-		g        []float64
-		raised   bool
-		fromList bool
+		name  string
+		g     []float64
+		delta float64
+		m     int
 	}{
-		{"raised", SIDExponential, 2, heavy, true, true},
-		{"lowered, still above the list", SIDExponential, 2, polluted, false, true},
-		{"lowered, still above the list", SIDGammaGP, 3, polluted, false, true},
-		{"lowered, still above the list", SIDGP, 4, polluted, false, true},
-		{"lowered below the list", SIDExponential, 3, uniform, false, false},
-		{"lowered below the list", SIDExponential, 4, polluted, false, false},
+		{"last list", sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6), 0.001, 2},
+		{"list before an overshoot", cliff(40000, 100), 0.01, 0},
 	} {
 		for _, p := range []int{1, 2} {
-			what := fmt.Sprintf("%s: %v M=%d P=%d", c.name, c.sid, c.m, p)
-			before, used, _ := atStages(c.sid, c.m, 1).estimateThreshold(c.g, nil, 0.001, c.m)
-			s := atStages(c.sid, c.m, p)
-			fromList := stepAgainstSweep(t, what, s, c.g, 0.001)
-			if !s.LastRescued() || used != c.m || (s.LastThreshold() > before) != c.raised || fromList != c.fromList {
-				t.Fatalf("%s: eta %v -> %v over a list at %v (rescued %v, %d stages), served from the list: %v",
-					what, before, s.LastThreshold(), s.listEta, s.LastRescued(), used, fromList)
+			what := fmt.Sprintf("%s P=%d", c.name, p)
+			k := compress.TargetK(len(c.g), c.delta)
+			want := sweepReference(Config{MaxStages: c.m}, c.g, c.delta)
+			if want.sel.Correction != compress.CorrectionList {
+				t.Fatalf("%s: reference %+v, want a list correction", what, want.sel)
 			}
+
+			g := tensor.Clone(c.g)
+			s := capped(SIDExponential, c.m, p)
+			eta, used := s.estimateThreshold(g, nil, c.delta, k)
+			onList := make([]bool, len(g))
+			for _, l := range []*exceedList{s.cur, s.prev} {
+				if l != nil {
+					for _, i := range l.idx[:len(l.mags)] {
+						onList[i] = true
+					}
+				}
+			}
+			for i := range g {
+				if !onList[i] {
+					g[i] = math.Inf(1)
+				}
+			}
+			dst := &tensor.Sparse{}
+			sel := s.selectInBand(dst, g, eta, k)
+			sel.Stages = used
+			sameSelection(t, what, dst, sel, want)
+		}
+	}
+}
+
+// TestListTiesAtCorrectedThreshold: values tied at the exact k-th largest
+// magnitude all ship, so the selection stays a threshold selection and
+// only ties can take it over the band.
+func TestListTiesAtCorrectedThreshold(t *testing.T) {
+	g := sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6)
+	const delta = 0.001
+	k := compress.TargetK(len(g), delta)
+	kth := naiveAbsKth(g, k)
+	for i := 0; i < 50; i++ {
+		g[1000+i] = kth * float64(1-2*(i%2)) // 50 more at the k-th magnitude, both signs
+	}
+	for _, m := range []int{1, 2} { // sweep fallback, list correction
+		s := capped(SIDExponential, m, 1)
+		sel := stepAgainstSweep(t, fmt.Sprintf("MaxStages=%d", m), s, g, delta)
+		dst, _ := compress.FreshCompress(s, g, delta)
+		if sel.Threshold != kth || dst.NNZ() != k+50 {
+			t.Fatalf("MaxStages=%d: threshold %v selects %d, want the k-th largest %v and its %d ties", m, sel.Threshold, dst.NNZ(), kth, k+50)
 		}
 	}
 }

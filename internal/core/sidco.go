@@ -2,7 +2,8 @@
 // compressor of the paper: single-stage closed-form threshold estimators
 // for the three SIDs (double exponential, double gamma, double generalized
 // Pareto), the multi-stage peak-over-threshold refinement of Section 2.4,
-// and the adaptive stage controller of Algorithm 1.
+// and a per-step, count-calibrated stage plan with an in-band selection
+// guarantee in place of Algorithm 1's cross-step stage controller.
 package core
 
 import (
@@ -50,21 +51,25 @@ func (s SID) String() string {
 }
 
 // Config holds the SIDCo hyper-parameters; the zero value is completed by
-// Default (paper Section 4.1: delta1 = 0.25, epsilon = 20%, Q = 5).
+// Default (paper Section 4.1: delta1 = 0.25, epsilon = 20%).
 type Config struct {
 	// SID is the distribution family.
 	SID SID
-	// Delta1 is the per-stage compression ratio applied by all but the
-	// final stage (paper default 0.25).
+	// Delta1 is the compression ratio every stage but the final one cuts
+	// at (paper default 0.25); the final stage cuts at whatever ratio the
+	// list it fits still has to lose, k/len(list), which lies in [Delta1, 1).
 	Delta1 float64
-	// EpsilonH and EpsilonL are the upper/lower relative error bounds of
-	// the stage adaptation (Algorithm 1, defaults 0.2).
+	// EpsilonH and EpsilonL bound the shipped selection: an estimate whose
+	// count falls outside [k(1-EpsilonL), k(1+EpsilonH)] is replaced by
+	// the exact k-th largest magnitude of the exceedance list (defaults
+	// 0.2, the paper's estimation-quality band). Values tied at that
+	// magnitude are all kept, so only ties can exceed the band.
 	EpsilonH float64
 	EpsilonL float64
-	// Q is the number of iterations between stage adaptations (default 5).
-	Q int
-	// MaxStages caps M. Zero derives the cap from the target ratio so the
-	// final stage ratio stays <= 1.
+	// MaxStages caps the number of fitting stages. Zero leaves the count
+	// to the exceedance counts, up to twice what compounding Delta1 down
+	// to the target ratio needs; 1 is single-stage fitting over the whole
+	// gradient.
 	MaxStages int
 	// MinFitSize is the smallest exceedance set a later stage will fit
 	// (default 16); below it the multi-stage loop stops early.
@@ -92,58 +97,65 @@ func (c Config) Default() Config {
 	if c.EpsilonL <= 0 {
 		c.EpsilonL = 0.2
 	}
-	if c.Q <= 0 {
-		c.Q = 5
-	}
 	if c.MinFitSize <= 0 {
 		c.MinFitSize = 16
 	}
 	return c
 }
 
-// SIDCo is the adaptive multi-stage threshold compressor. It implements
-// compress.Compressor and carries the stage count M and estimation-quality
-// window across iterations. It is not safe for concurrent use; each worker
-// owns one instance.
+// exceedList is one exceedance list of the multi-stage loop: every |x| >
+// eta beside its index, in index order, with the excess moments the next
+// stage's fit reads instead of the list.
+type exceedList struct {
+	mags []float64
+	idx  []int32
+	eta  float64
+	ex   tensor.Excess
+}
+
+// grow gives an empty list room for n pairs.
+func (l *exceedList) grow(n int) {
+	l.mags, l.idx = make([]float64, 0, n), make([]int32, 0, n) //sidco:alloc first call only; steady state reuses the lists
+}
+
+// SIDCo is the multi-stage threshold compressor. It implements
+// compress.Compressor and carries nothing from one call to the next but
+// scratch: the stage plan follows the counts of the step's own exceedance
+// lists, so two instances fed the same vector select the same elements
+// whatever either saw before. It is not safe for concurrent use; each
+// worker owns one instance.
 type SIDCo struct {
-	cfg Config
+	cfg  Config
+	last compress.Selection // the most recent call, for LastSelection
 
-	stages      int // current M
-	iter        int // training iteration counter (for the Q-periodic adaptation)
-	ratioSum    float64
-	ratioCnt    int
-	lastK       int // ˆk of the most recent call
-	lastEta     float64
-	lastUsedM   int
-	lastRescued bool
+	// Scratch, reused across iterations. The stage loop ping-pongs the two
+	// lists: cur is the one the last fit read (nil: none was built), prev
+	// the one it was compacted from (nil: cur came off the gradient), kept
+	// so that a cut that leaves fewer than k elements costs a list pass,
+	// not a sweep.
+	lists     [2]exceedList
+	cur, prev *exceedList
 
-	// Streaming-path scratch, reused across iterations: the exceedance
-	// list of the multi-stage loop — every |x| > listEta beside its index;
-	// +Inf: none was built — and the per-stage ratio decomposition.
-	exceed    []float64
-	exceedIdx []int32
-	listEta   float64
-	stageBuf  []float64
-
+	sel  tensor.Selector
 	stat stats.Par
 	par  tensor.Par
 }
 
-// SetParallelism implements compress.Parallelizable: the moment passes
-// of every stage fit, the exceedance gathers and the threshold filters
-// fan out over p goroutines. Thresholds and selections are bit-identical
-// at every p — the reductions keep the serial code's fixed 4096-element
-// block summation order and the gathers merge per-worker ranges in
-// index order.
+// SetParallelism implements compress.Parallelizable: the first-stage
+// moment pass, the exceedance gather, the threshold filter and the exact
+// selection fan out over p goroutines. Thresholds and selections are
+// bit-identical at every p — the reductions keep the serial code's fixed
+// 4096-element block summation order and the gathers merge per-worker
+// ranges in index order.
 func (s *SIDCo) SetParallelism(p int) {
 	s.stat.P = p
 	s.par.P = p
+	s.sel.SetParallelism(p)
 }
 
-// New creates a SIDCo compressor from cfg (missing fields defaulted). The
-// stage count starts at 1 and adapts online, as in the paper.
+// New creates a SIDCo compressor from cfg (missing fields defaulted).
 func New(cfg Config) *SIDCo {
-	return &SIDCo{cfg: cfg.Default(), stages: 1}
+	return &SIDCo{cfg: cfg.Default()}
 }
 
 // NewE returns SIDCo with multi-stage double-exponential fitting.
@@ -158,32 +170,21 @@ func NewGP() *SIDCo { return New(Config{SID: SIDGP}) }
 // Name implements compress.Compressor.
 func (s *SIDCo) Name() string { return s.cfg.SID.String() }
 
-// Stages returns the current number of fitting stages M.
-func (s *SIDCo) Stages() int { return s.stages }
+// LastSelection implements compress.SelectionReporter: the threshold the
+// most recent CompressInto shipped, the fitting stages it ran, what the
+// estimate alone would have selected and whether the band check replaced
+// it.
+func (s *SIDCo) LastSelection() compress.Selection { return s.last }
 
-// LastThreshold returns the threshold used by the most recent CompressInto.
-func (s *SIDCo) LastThreshold() float64 { return s.lastEta }
-
-// LastStagesUsed returns how many stages the most recent CompressInto actually
-// executed (early exit can use fewer than M).
-func (s *SIDCo) LastStagesUsed() int { return s.lastUsedM }
-
-// LastRescued reports whether the most recent CompressInto needed the
-// collapse-rescue correction pass.
-func (s *SIDCo) LastRescued() bool { return s.lastRescued }
-
-// maxStages returns the largest usable M for the given target ratio: each
-// non-final stage contributes Delta1, and the final stage ratio
-// delta/Delta1^(M-1) must stay below 1.
+// maxStages returns the stage cap for the given target ratio: MaxStages
+// when set, otherwise twice the count at which Delta1 per stage compounds
+// down to delta — room for stages that cut less than they aimed for, and
+// a bound on a loop whose fits barely move.
 func (s *SIDCo) maxStages(delta float64) int {
 	if s.cfg.MaxStages > 0 {
 		return s.cfg.MaxStages
 	}
-	m := 1 + int(math.Floor(math.Log(delta)/math.Log(s.cfg.Delta1)))
-	if m < 1 {
-		m = 1
-	}
-	return m
+	return 2 * (1 + int(math.Floor(math.Log(delta)/math.Log(s.cfg.Delta1))))
 }
 
 // CompressInto implements compress.Compressor: Algorithm 1's Sparsify
@@ -218,231 +219,200 @@ func (s *SIDCo) compress(dst *tensor.Sparse, g, add []float64, delta float64) er
 		}
 		return fmt.Errorf("sidco: ratio %v outside (0, 1]", delta) //sidco:alloc input-validation error path, not steady state
 	}
-	d := len(g)
-	k := compress.TargetK(d, delta)
-
-	maxM := s.maxStages(delta)
-	if s.stages > maxM {
-		s.stages = maxM
-	}
-	// beta, the mean of |g|, is the scale of the rescue pass below.
-	eta, used, beta := s.estimateThreshold(g, add, delta, s.stages)
-	s.selectInto(dst, g, eta)
-
-	// Rescue pass: if the estimate collapsed beyond 3x the target on
-	// either side — far outside the paper's epsilon = 0.2 tolerance band —
-	// apply one exponential-model correction (count(eta) ~ exp(-eta/beta),
-	// so eta' = eta + beta*log(k-hat/k)) and reselect. Without this, error
-	// feedback can spiral on light-tailed gradients: under-selection
-	// inflates the residual, which inflates the fitted scale and raises
-	// the next threshold further. The trigger is wide enough that the
-	// estimation-quality dynamics the paper reports (deviations within
-	// ~2x) are untouched.
-	s.lastRescued = false
-	if kHat := dst.NNZ(); kHat*3 < k || kHat > 3*k {
-		if beta > 0 {
-			obs := float64(kHat)
-			if obs < 1 {
-				obs = 1
-			}
-			etaNew := eta + beta*math.Log(obs/float64(k))
-			if etaNew < 0 {
-				etaNew = 0
-			}
-			eta = etaNew
-			s.selectInto(dst, g, eta)
-			s.lastRescued = true
-		}
-		// Second tier, under-selection only: if the local correction was
-		// not enough (e.g. a GP moment fit whose variance was exploded by
-		// outliers overshot the threshold by far more than one exponential
-		// step), fall back to a fresh single-stage exponential estimate —
-		// the mean of |g| is linear in the data and therefore outlier-robust.
-		// Over-selection is left alone: sending extra elements costs
-		// bandwidth but never convergence, and correcting it upward with
-		// an inflated scale can re-enter the collapse.
-		if kHat := dst.NNZ(); kHat*3 < k && beta > 0 {
-			if etaFB := ThresholdExp(beta, delta); etaFB < eta {
-				eta = etaFB
-				s.selectInto(dst, g, eta)
-				s.lastRescued = true
-			}
-		}
-	}
-	s.lastEta = eta
-	s.lastUsedM = used
-	s.lastK = dst.NNZ()
-
-	// Record estimation quality and run the Q-periodic stage adaptation.
-	s.ratioSum += float64(s.lastK) / float64(k)
-	s.ratioCnt++
-	s.iter++
-	if s.iter%s.cfg.Q == 0 {
-		s.adaptStages(maxM)
-	}
+	k := compress.TargetK(len(g), delta)
+	eta, used := s.estimateThreshold(g, add, delta, k)
+	s.last = s.selectInBand(dst, g, eta, k)
+	s.last.Stages = used
 	return nil
 }
 
-// selectInto writes the selection |g_i| >= eta into dst. While eta is above
-// the exceedance list's strict threshold every selected element is on the
-// list, in index order; otherwise — no list, a loop that stopped at the
-// list's threshold, a rescue that lowered eta below it — g is swept again.
+// estimateThreshold runs the multi-stage fitting loop over g (+= add, in
+// the first-stage sweep) and returns the final threshold with the number
+// of stages fitted.
+//
+// The plan follows counts, not nominal ratios. Below Delta1 the first
+// stage always cuts at Delta1 and gathers the exceedance list; from there
+// the ratio still to lose is k/len(list), known exactly, so another
+// Delta1 stage runs while that is below Delta1 and a final stage at
+// exactly k/len(list) ends the loop. A stage's estimation error is thus
+// measured and handed to the next stage instead of compounding, and the
+// final fit extrapolates over a ratio in [Delta1, 1). The loop leaves the
+// list the last fit read in s.cur — the returned threshold is at or above
+// that list's own — and the one before it in s.prev.
+func (s *SIDCo) estimateThreshold(g, add []float64, delta float64, k int) (eta float64, used int) {
+	s.cur, s.prev = nil, nil
+	maxM := s.maxStages(delta)
+	ratio := s.cfg.Delta1
+	if !(delta < ratio) || maxM == 1 {
+		ratio = delta // one stage over the whole gradient, no list
+	}
+	eta = s.firstStageThreshold(g, add, ratio)
+	if ratio == delta || !usable(eta) {
+		return eta, 1
+	}
+
+	first := &s.lists[0]
+	if cap(first.mags) == 0 {
+		// Cold: one allocation each, with room for cuts half again as wide
+		// as they aim to be, not append's ladder up to them — a set-up cost
+		// several steps long at d = 2^21.
+		n := 1.5 * s.cfg.Delta1 * float64(len(g))
+		first.grow(int(n))
+		s.lists[1].grow(int(n * s.cfg.Delta1))
+	}
+	first.mags, first.idx, first.ex = s.par.PairsAbove(g, eta, first.mags[:0], first.idx[:0])
+	first.eta = eta
+	s.cur = first
+	for used = 1; used < maxM; {
+		cur := s.cur
+		n := len(cur.mags)
+		if n <= k || n < s.cfg.MinFitSize {
+			break
+		}
+		ratio = float64(k) / float64(n)
+		final := !(ratio < s.cfg.Delta1) || used+1 == maxM
+		if !final {
+			ratio = s.cfg.Delta1
+		}
+		next := s.nextStageThreshold(cur, ratio)
+		if !(usable(next) && next > cur.eta) {
+			break // fit degenerated; keep the last sound threshold
+		}
+		eta = next
+		used++
+		if final {
+			break
+		}
+		into := &s.lists[0]
+		if into == cur {
+			into = &s.lists[1]
+		}
+		into.mags, into.idx, into.ex = tensor.CompactPairsAbove(into.mags[:0], into.idx[:0], cur.mags, cur.idx, eta)
+		into.eta = eta
+		s.cur, s.prev = into, cur
+	}
+	return eta, used
+}
+
+// usable reports whether a fitted threshold can cut anything: positive and
+// finite (a NaN fails the comparison).
+func usable(eta float64) bool { return eta > 0 && !math.IsInf(eta, 1) }
+
+// inBand reports whether a selection of n elements is within the
+// tolerance band around the target k.
+func (s *SIDCo) inBand(n, k int) bool {
+	return float64(n) >= float64(k)*(1-s.cfg.EpsilonL) && float64(n) <= float64(k)*(1+s.cfg.EpsilonH)
+}
+
+// selectInBand writes the selection |g_i| >= eta into dst and, if its
+// count misses the band, replaces it by the exact answer from the least
+// data that holds it: eta becomes the k-th largest magnitude of the
+// smallest exceedance list with at least k elements — O(list), a few k
+// long — or, with no such list (a single-stage call, a degenerate first
+// fit, a first cut that already overshot), of g itself, which costs the
+// O(d) select and sweep a Top-k compressor pays every step.
 //
 //sidco:hotpath
-func (s *SIDCo) selectInto(dst *tensor.Sparse, g []float64, eta float64) {
+func (s *SIDCo) selectInBand(dst *tensor.Sparse, g []float64, eta float64, k int) compress.Selection {
 	dst.Reset(len(g))
-	if !(eta > s.listEta) {
+	switch {
+	case s.cur != nil:
+		selectFromList(dst, g, s.cur, eta)
+	case usable(eta):
 		dst.Idx, dst.Vals = s.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
-		return
 	}
-	idx := s.exceedIdx[:len(s.exceed)]
-	for i, a := range s.exceed {
+	sel := compress.Selection{Threshold: eta, Estimated: dst.NNZ()}
+	if s.inBand(sel.Estimated, k) {
+		return sel
+	}
+
+	list := s.cur
+	if list != nil && len(list.mags) < k {
+		list = s.prev
+	}
+	dst.Reset(len(g))
+	if list != nil {
+		sel.Threshold = s.sel.AbsKth(list.mags, k)
+		sel.Correction = compress.CorrectionList
+		selectFromList(dst, g, list, sel.Threshold)
+	} else {
+		sel.Threshold = s.sel.AbsKth(g, k)
+		sel.Correction = compress.CorrectionSweep
+		dst.Idx, dst.Vals = s.par.FilterAbove(g, sel.Threshold, dst.Idx, dst.Vals)
+	}
+	return sel
+}
+
+// selectFromList appends the list's elements with magnitude >= eta to
+// dst, in index order. Everything >= eta is on the list while eta is above
+// the list's own threshold; at it, the selection is the whole list (a
+// value equal to a stage threshold is not an exceedance).
+//
+//sidco:hotpath
+func selectFromList(dst *tensor.Sparse, g []float64, l *exceedList, eta float64) {
+	idx := l.idx[:len(l.mags)]
+	for i, a := range l.mags {
 		if a >= eta {
 			dst.Append(idx[i], g[idx[i]])
 		}
 	}
 }
 
-// estimateThreshold runs the multi-stage fitting loop over g (+= add, in
-// the first-stage sweep) and returns the final threshold together with
-// the number of stages actually executed and the mean of |g|, which every
-// SID's first stage computes on the way (bit-equal to stats.MeanAbs(g))
-// and the rescue pass needs again. A loop that ran to its end leaves the
-// exceedance list one stage behind the returned threshold.
-func (s *SIDCo) estimateThreshold(g, add []float64, delta float64, m int) (eta float64, used int, meanAbs float64) {
-	s.stageBuf = appendStageRatios(s.stageBuf[:0], delta, s.cfg.Delta1, m)
-	ratios := s.stageBuf
-
-	// Stage 1 fits the full gradient with the primary SID.
-	eta, meanAbs = s.firstStageThreshold(g, add, ratios[0])
-	used = 1
-	s.listEta = math.Inf(1)
-	if len(ratios) == 1 || !(eta > 0) || math.IsNaN(eta) {
-		if !(eta > 0) || math.IsNaN(eta) {
-			// Degenerate fit: fall back to keeping everything non-zero.
-			eta = 0
-		}
-		return eta, used, meanAbs
-	}
-
-	// Later stages fit the exceedances (PoT) over the running threshold.
-	// The exceedance list is per-instance scratch, reused every call.
-	s.exceed, s.exceedIdx = s.par.PairsAbove(g, eta, s.exceed[:0], s.exceedIdx[:0])
-	s.listEta = eta
-	for _, dm := range ratios[1:] {
-		// Compacting before the fit, not after it, is what leaves the last
-		// stage's threshold above the list for selectInto.
-		if s.listEta < eta {
-			s.exceed, s.exceedIdx = tensor.CompactPairsAbove(s.exceed, s.exceedIdx, eta)
-			s.listEta = eta
-		}
-		if len(s.exceed) < s.cfg.MinFitSize {
-			break
-		}
-		next := s.nextStageThreshold(s.exceed, eta, dm)
-		if !(next > eta) || math.IsNaN(next) || math.IsInf(next, 0) {
-			break // fit degenerated; keep the last sound threshold
-		}
-		eta = next
-		used++
-	}
-	return eta, used, meanAbs
-}
-
 // firstStageThreshold computes the single-stage threshold from the full
 // gradient (Thresh_Estimation in Algorithm 1) in one moment pass over g,
-// which performs g += add on the way when add is not nil, and returns the
-// mean of |g| that pass produced beside it.
-func (s *SIDCo) firstStageThreshold(g, add []float64, delta float64) (eta, meanAbs float64) {
+// which performs g += add on the way when add is not nil.
+func (s *SIDCo) firstStageThreshold(g, add []float64, delta float64) float64 {
 	switch s.cfg.SID {
 	case SIDExponential:
-		mu := s.stat.AccumulateMeanAbs(g, add)
-		return ThresholdExp(mu, delta), mu
+		return ThresholdExp(s.stat.AccumulateMeanAbs(g, add), delta)
 	case SIDGammaGP:
 		mu, muLog := s.stat.AccumulateGammaMoments(g, add)
 		if s.cfg.ApproxGamma {
-			return ThresholdGamma(mu, muLog, delta), mu
+			return ThresholdGamma(mu, muLog, delta)
 		}
-		return ThresholdGammaExact(mu, muLog, delta), mu
+		return ThresholdGammaExact(mu, muLog, delta)
 	case SIDGP:
 		mu, v := s.stat.AccumulateMeanVarAbs(g, add)
-		return ThresholdGP(mu, v, delta), mu
+		return ThresholdGP(mu, v, delta)
 	default:
 		if add != nil {
 			tensor.Add(add, g)
 		}
-		return math.NaN(), math.NaN()
+		return math.NaN()
 	}
 }
 
-// nextStageThreshold computes the stage-m threshold from the exceedance
-// magnitudes over etaPrev (Lemma 2 / Corollary 2.1).
-func (s *SIDCo) nextStageThreshold(exceed []float64, etaPrev, delta float64) float64 {
+// nextStageThreshold computes the next stage's threshold from the excess
+// moments of the exceedances over l.eta (Lemma 2 / Corollary 2.1).
+func (s *SIDCo) nextStageThreshold(l *exceedList, delta float64) float64 {
+	n := float64(len(l.mags))
 	switch s.cfg.SID {
 	case SIDExponential:
-		beta := s.stat.Mean(exceed) - etaPrev
-		return ThresholdExp(beta, delta) + etaPrev
+		return ThresholdExp(l.ex.Sum/n, delta) + l.eta
 	case SIDGammaGP, SIDGP:
-		fit := s.stat.FitGPExceedance(exceed, etaPrev)
-		return thresholdGPParams(fit, delta) + etaPrev
+		return thresholdGPParams(stats.FitGPExcess(l.ex.Sum, l.ex.SumSq, n), delta) + l.eta
 	default:
 		return math.NaN()
 	}
 }
 
-// adaptStages implements Adapt_Stages: compare the window-averaged
-// achieved ratio against the tolerance band and step M accordingly.
-//
-// Direction note: the paper's pseudocode (Algorithm 1) writes M-1 on
-// over-selection and M+1 on under-selection, but its own narrative
-// (Appendix E.1: single-stage start "leading to a slight over-estimation
-// of k" until adaptation "reach[es] the appropriate number of stages")
-// and the PoT mathematics point the other way — on heavy-tailed gradients
-// each extra stage raises the threshold and so reduces over-selection. We
-// implement the direction consistent with the dynamics the paper reports.
-func (s *SIDCo) adaptStages(maxM int) {
-	if s.ratioCnt == 0 {
-		return
-	}
-	avg := s.ratioSum / float64(s.ratioCnt)
-	switch {
-	case avg > 1+s.cfg.EpsilonH:
-		// Over-selecting: the threshold is too low; more aggressive tail
-		// fitting (an extra stage) raises it.
-		s.stages++
-	case avg < 1-s.cfg.EpsilonL:
-		s.stages--
-	}
-	if s.stages < 1 {
-		s.stages = 1
-	}
-	if s.stages > maxM {
-		s.stages = maxM
-	}
-	s.ratioSum, s.ratioCnt = 0, 0
-}
-
-// StageRatios decomposes the target ratio delta into per-stage ratios:
-// stages 1..M-1 apply delta1 and the final stage applies
-// delta/delta1^(M-1), so that the product is exactly delta. M is clamped
-// so the final ratio stays in (0, 1].
+// StageRatios is the paper's nominal decomposition of the target ratio
+// delta into per-stage ratios: stages 1..M-1 apply delta1 and the final
+// stage applies delta/delta1^(M-1), so that the product is exactly delta.
+// M is clamped so the final ratio stays in (0, 1]. The compressor follows
+// the same shape with measured counts in place of the nominal ones.
 func StageRatios(delta, delta1 float64, m int) []float64 {
-	return appendStageRatios(nil, delta, delta1, m)
-}
-
-// appendStageRatios is StageRatios over caller-owned storage, so the
-// per-iteration hot path reuses its decomposition buffer.
-func appendStageRatios(dst []float64, delta, delta1 float64, m int) []float64 {
 	if m < 1 {
 		m = 1
 	}
 	for m > 1 && delta/math.Pow(delta1, float64(m-1)) > 1 {
 		m--
 	}
+	rs := make([]float64, 0, m)
 	for i := 0; i < m-1; i++ {
-		dst = append(dst, delta1)
+		rs = append(rs, delta1)
 	}
-	return append(dst, delta/math.Pow(delta1, float64(m-1)))
+	return append(rs, delta/math.Pow(delta1, float64(m-1)))
 }
 
 // ThresholdExp is the closed-form double-exponential threshold of

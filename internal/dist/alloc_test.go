@@ -1,17 +1,19 @@
 package dist
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 // allocTrainer builds a trainer whose Batch callback reuses its tensors,
 // so the measurement isolates the engine's own per-step garbage.
-func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor) *Trainer {
+func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor, tracer *telemetry.Tracer) *Trainer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	model := nn.NewSequential(
@@ -46,6 +48,7 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor)
 		EC:            factory != nil,
 		ClipNorm:      5,
 		Seed:          3,
+		Telemetry:     tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,22 +61,30 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor)
 // backward, clip, EC + SIDCo compression, in-process exchange, optimizer
 // update — must stay within a small constant allocation budget. The
 // multi-worker case tolerates the runtime's goroutine bookkeeping; the
-// single-worker case runs inline and must be allocation-free.
+// single-worker case runs inline and must be allocation-free — with a
+// live tracer too, spans, selection counters and all.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name    string
 		workers int
 		factory func() compress.Compressor
 		budget  float64
+		traced  bool
 	}{
-		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0},
-		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8},
-		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8},
-		{"2workers-dense", 2, nil, 8},
+		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0, false},
+		{"1worker-sidco-ec-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true},
+		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8, false},
+		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8, false},
+		{"2workers-dense", 2, nil, 8, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := allocTrainer(t, tc.workers, tc.factory)
+			var tracer *telemetry.Tracer
+			agg := telemetry.NewAggregator()
+			if tc.traced {
+				tracer = telemetry.New(agg, telemetry.NewJSONL(io.Discard))
+			}
+			tr := allocTrainer(t, tc.workers, tc.factory, tracer)
 			for i := 0; i < 30; i++ { // warm every scratch buffer
 				if _, err := tr.Step(); err != nil {
 					t.Fatal(err)
@@ -86,6 +97,9 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			})
 			if allocs > tc.budget {
 				t.Errorf("Step allocates %v objects/op in steady state, budget %v", allocs, tc.budget)
+			}
+			if nc := agg.NodeTotals(0); tc.traced && (nc.TargetElems != nc.Steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc.SelectedElems == 0) {
+				t.Errorf("traced run counted %+v", nc)
 			}
 		})
 	}

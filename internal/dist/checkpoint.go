@@ -23,9 +23,10 @@ import (
 //
 // The guarantee is scoped to state the checkpoint actually captures:
 // stateless optimizers (nn.SGD) and compressors whose only cross-step
-// state is the EC residual (topk, threshold, none). Adaptive
-// compressors (the SIDCo estimators' per-iteration adaptation) and
-// stateful optimizers resume functionally but not bit-identically.
+// state is the EC residual: topk, threshold, none and the SIDCo
+// estimators, whose stage plan follows each step's own counts. The
+// sampling compressors (dgc, redsync, randomk: an RNG stream position)
+// and stateful optimizers resume functionally but not bit-identically.
 type Checkpoint struct {
 	Step        int   // completed steps; resume continues at this iteration
 	Seed        int64 // must match the resuming trainer's Seed

@@ -74,12 +74,19 @@ func TestCheckpointWireRoundTrip(t *testing.T) {
 // checkpoints at step k and resumes in a fresh trainer must produce
 // exactly — bitwise — the losses and final weights of a run that never
 // stopped, within the documented scope (stateless optimizer, EC-only
-// compressor state).
+// compressor state) — which the SIDCo estimators are inside: their stage
+// plan follows each step's own counts, so the residual is all they carry.
 func TestResumeBitIdentical(t *testing.T) {
+	for _, comp := range []string{"topk", "sidco-e", "sidco-gp", "sidco-p"} {
+		t.Run(comp, func(t *testing.T) { resumeBitIdentical(t, comp) })
+	}
+}
+
+func resumeBitIdentical(t *testing.T, comp string) {
 	const workers, total, cut = 3, 6, 3
 	const seed = 11
 
-	ref := convTrainer(t, workers, "topk", 0.01, true, seed, nil)
+	ref := convTrainer(t, workers, comp, 0.01, true, seed, nil)
 	wantLosses, _, err := ref.Run(total)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +94,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	wantW := nn.FlattenWeights(ref.Params(), nil)
 
 	// First half, then checkpoint through the file format.
-	first := convTrainer(t, workers, "topk", 0.01, true, seed, nil)
+	first := convTrainer(t, workers, comp, 0.01, true, seed, nil)
 	if _, _, err := first.Run(cut); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 
 	// Second half in a fresh trainer, as a restarted process would.
-	resumed := convTrainer(t, workers, "topk", 0.01, true, seed, nil)
+	resumed := convTrainer(t, workers, comp, 0.01, true, seed, nil)
 	if err := resumed.Restore(loaded); err != nil {
 		t.Fatal(err)
 	}

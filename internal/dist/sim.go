@@ -5,11 +5,9 @@ import (
 	"math"
 
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/encoding"
 	"repro/internal/netsim"
-	"repro/internal/simgrad"
 	"repro/internal/stats"
 )
 
@@ -128,16 +126,7 @@ func SimulateWorkload(cfg SimConfig) (*SimResult, error) {
 	if simDim < 16 {
 		simDim = 16
 	}
-	gen := simgrad.New(simgrad.Config{
-		Dim:         simDim,
-		Family:      wl.Grad.Family,
-		Shape:       wl.Grad.Shape,
-		Scale:       wl.Grad.Scale,
-		ScaleDecay:  wl.Grad.ScaleDecay,
-		SharpenRate: wl.Grad.SharpenRate,
-		OutlierFrac: wl.Grad.OutlierFrac,
-		Seed:        cfg.Seed,
-	})
+	gen := wl.Grad.Generator(simDim, cfg.Seed)
 
 	// Table 1's communication overhead is measured on the paper's
 	// reference cluster: it says what fraction of a dense iteration that
@@ -179,8 +168,8 @@ func SimulateWorkload(cfg SimConfig) (*SimResult, error) {
 		series = append(series, ratio)
 
 		stages := 1
-		if sc, ok := comp.(*core.SIDCo); ok {
-			stages = sc.Stages()
+		if r, ok := comp.(compress.SelectionReporter); ok {
+			stages = max(1, r.LastSelection().Stages)
 		}
 		compressLat, err := cfg.Dev.CompressLatency(name, wl.Dim, delta, stages)
 		if err != nil {

@@ -97,9 +97,13 @@ type TrainerConfig struct {
 	Exchange GradientExchange
 	// Telemetry, if non-nil, traces every step's phases: a step span
 	// plus per-worker compute and compress spans, trainer-level
-	// exchange and apply spans, and a steps counter (node-attributed to
-	// FirstWorker). A nil tracer is free: the instrumentation calls are
-	// no-ops and the steady-state step stays allocation-free.
+	// exchange and apply spans, a steps counter (node-attributed to
+	// FirstWorker) and, beside each compress span, the worker's selected
+	// and target element counts (k-hat and k) with a count of the steps
+	// whose estimate was corrected, for compressors that report it
+	// (compress.SelectionReporter). A nil tracer is free: the
+	// instrumentation calls are no-ops and the steady-state step stays
+	// allocation-free.
 	Telemetry *telemetry.Tracer
 	// OnGradient, if set, observes worker 0's gradient each iteration
 	// exactly as its compressor sees it: after clipping and, under EC,
@@ -114,9 +118,10 @@ type TrainerConfig struct {
 type worker struct {
 	id     int
 	rng    *rand.Rand
-	comp   compress.Compressor // nil = dense path
-	flat   []float64           // local gradient buffer; the model's Param.G alias it during and after this worker's pass
-	sparse *tensor.Sparse      // reused compressed-selection storage
+	comp   compress.Compressor        // nil = dense path
+	report compress.SelectionReporter // comp's account of its selections, nil when it keeps none
+	flat   []float64                  // local gradient buffer; the model's Param.G alias it during and after this worker's pass
+	sparse *tensor.Sparse             // reused compressed-selection storage
 	loss   float64
 	ratio  float64
 	err    error
@@ -203,10 +208,12 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 				compress.SetParallelism(comp, cfg.Parallelism)
 			}
 		}
+		report, _ := comp.(compress.SelectionReporter)
 		t.workers[w] = &worker{
 			id:     cfg.FirstWorker + w,
 			rng:    rand.New(rand.NewSource(workerSeed(cfg.Seed, cfg.FirstWorker+w))),
 			comp:   comp,
+			report: report,
 			flat:   make([]float64, dim),
 			sparse: &tensor.Sparse{Dim: dim},
 		}
@@ -278,6 +285,16 @@ func (t *Trainer) localGradient(w *worker) error {
 		return fmt.Errorf("dist: worker %d: %w", w.id, err) //sidco:alloc compressor-failure error path, not steady state
 	}
 	w.ratio = float64(w.sparse.NNZ()) / float64(t.k)
+	t.cfg.Telemetry.Count(telemetry.CounterSelectedElems, w.id, -1, int64(w.sparse.NNZ()))
+	t.cfg.Telemetry.Count(telemetry.CounterTargetElems, w.id, -1, int64(t.k))
+	if w.report != nil {
+		switch w.report.LastSelection().Correction {
+		case compress.CorrectionList:
+			t.cfg.Telemetry.Count(telemetry.CounterSelectListCorrections, w.id, -1, 1)
+		case compress.CorrectionSweep:
+			t.cfg.Telemetry.Count(telemetry.CounterSelectSweepFallbacks, w.id, -1, 1)
+		}
+	}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 )
@@ -29,6 +30,12 @@ func convTrainer(t *testing.T, workers int, comp string, delta float64, ec bool,
 	case "":
 	case "topk":
 		factory = func() compress.Compressor { return compress.NewTopK() }
+	case "sidco-e":
+		factory = func() compress.Compressor { return core.NewE() }
+	case "sidco-gp":
+		factory = func() compress.Compressor { return core.NewGammaGP() }
+	case "sidco-p":
+		factory = func() compress.Compressor { return core.NewGP() }
 	default:
 		t.Fatalf("unknown compressor %q", comp)
 	}

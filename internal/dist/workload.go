@@ -27,6 +27,15 @@ type GradProfile struct {
 	OutlierFrac float64
 }
 
+// Generator returns the profile's gradient stream at dimension dim.
+func (p GradProfile) Generator(dim int, seed int64) *simgrad.Generator {
+	return simgrad.New(simgrad.Config{
+		Dim: dim, Family: p.Family, Shape: p.Shape, Scale: p.Scale,
+		ScaleDecay: p.ScaleDecay, SharpenRate: p.SharpenRate,
+		OutlierFrac: p.OutlierFrac, Seed: seed,
+	})
+}
+
 // Workload is one row of the paper's Table 1 benchmark suite.
 type Workload struct {
 	// Name is the registry key ("lstm-ptb", "vgg16-cifar10", ...).

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/simgrad"
@@ -37,11 +36,15 @@ func (o Options) withDefaults() Options {
 // Ratios are the paper's three target compression ratios.
 var Ratios = []float64{0.1, 0.01, 0.001}
 
-// sidcoStagesFor estimates the stage count the adaptive controller settles
-// at for a target ratio (used by the analytic latency model when no
-// statistical run is available).
+// sidcoStagesFor is the stage count SIDCo-E's count-driven plan runs at a
+// target ratio on the estimation-quality stream (used by the analytic
+// latency model when no statistical run is at hand).
 func sidcoStagesFor(delta float64) int {
-	return len(core.StageRatios(delta, 0.25, 99))
+	_, _, stages, err := estimationQuality("sidco-e", 1<<16, delta, Options{Iters: 1})
+	if err != nil {
+		panic(err) // "sidco-e" is in the registry
+	}
+	return stages
 }
 
 // estimationQuality runs a compressor over a synthetic stream and returns
@@ -66,8 +69,8 @@ func estimationQuality(name string, dim int, delta float64, opt Options) (mean, 
 		}
 		r.Add(float64(s.NNZ()) / float64(k))
 	}
-	if sc, ok := comp.(*core.SIDCo); ok {
-		stages = sc.Stages()
+	if sr, ok := comp.(compress.SelectionReporter); ok {
+		stages = sr.LastSelection().Stages
 	}
 	return r.Mean(), r.ConfidenceInterval(0.90), stages, nil
 }

@@ -16,9 +16,9 @@ import (
 var CompressorNames = []string{"topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"}
 
 // NewCompressor builds a fresh compressor by registry name. Stateful
-// compressors (DGC's sampler, GaussianKSGD's factor, SIDCo's stage
-// controller) are created fresh per call, so each experiment run is
-// independent; seed feeds the randomized ones.
+// compressors (DGC's sampler, GaussianKSGD's factor) are created fresh
+// per call, so each experiment run is independent; seed feeds the
+// randomized ones.
 func NewCompressor(name string, seed int64) (compress.Compressor, error) {
 	switch name {
 	case "none":

@@ -79,6 +79,12 @@ func FitGPAbs(xs []float64) GPParams {
 	return FitGPMoments(mu, v)
 }
 
+// FitGPExcess is FitGPExceedance from the sums a gather over the threshold
+// already took: Σ(|x|-loc) and Σ(|x|-loc)² over n exceedances.
+func FitGPExcess(sum, sumSq, n float64) GPParams {
+	return FitGPMoments(meanVar(sum, sumSq, n))
+}
+
 // FitGPExceedance fits GP(alpha, beta) to exceedance magnitudes absXS (all
 // >= loc) after shifting by loc, per Lemma 2: the moments are those of
 // |g| - loc.

@@ -143,7 +143,7 @@ func (pp *Par) FitGaussian(xs []float64) Gaussian {
 // FitGPExceedance is FitGPExceedance at parallelism P.
 func (pp *Par) FitGPExceedance(absXS []float64, loc float64) GPParams {
 	s := pp.reduce(absXS, nil, shiftedKernel, loc)
-	return FitGPMoments(meanVar(s[0], s[1], float64(len(absXS))))
+	return FitGPExcess(s[0], s[1], float64(len(absXS)))
 }
 
 // FitGammaAbs is FitGammaAbs at parallelism P.

@@ -87,8 +87,9 @@ func (e *EWMA) Value() float64 {
 	return e.value
 }
 
-// WindowMean is a fixed-size sliding-window mean, used by the stage
-// adaptation logic (average ˆk over the last Q iterations).
+// WindowMean is a fixed-size sliding-window mean (Algorithm 1 averages ˆk
+// over the last Q iterations with one; the reports use it for moving
+// means).
 type WindowMean struct {
 	buf  []float64
 	next int

@@ -70,6 +70,12 @@ type LinkCounters struct {
 type NodeCounters struct {
 	Steps         int64
 	RecvWaitNanos int64
+	// SelectedElems / TargetElems is the node's achieved-vs-target
+	// compression ratio k-hat/k over the run.
+	SelectedElems         int64
+	TargetElems           int64
+	SelectListCorrections int64
+	SelectSweepFallbacks  int64
 }
 
 // SpanSummary is one span kind's aggregate, with percentiles over the
@@ -154,16 +160,25 @@ func (a *Aggregator) Emit(e Event) {
 		case CounterDialRetries:
 			lc.DialRetries += e.Value
 		}
-	case CounterSteps, CounterRecvWaitNanos:
+	default:
 		nc := a.nodes[e.Node]
 		if nc == nil {
 			nc = &NodeCounters{} //sidco:alloc first sight of a node only; steady state hits the map
 			a.nodes[e.Node] = nc
 		}
-		if e.Counter == CounterSteps {
+		switch e.Counter {
+		case CounterSteps:
 			nc.Steps += e.Value
-		} else {
+		case CounterRecvWaitNanos:
 			nc.RecvWaitNanos += e.Value
+		case CounterSelectedElems:
+			nc.SelectedElems += e.Value
+		case CounterTargetElems:
+			nc.TargetElems += e.Value
+		case CounterSelectListCorrections:
+			nc.SelectListCorrections += e.Value
+		case CounterSelectSweepFallbacks:
+			nc.SelectSweepFallbacks += e.Value
 		}
 	}
 }
@@ -359,6 +374,10 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 	writeTotal("sidco_dial_retries_total", "Retried TCP dial attempts.", totals[CounterDialRetries])
 	writeTotal("sidco_wire_sent_bytes_total", "Raw TCP bytes written (payload + framing + handshake).", totals[CounterWireSentBytes])
 	writeTotal("sidco_wire_recv_bytes_total", "Raw TCP bytes read (payload + framing + handshake).", totals[CounterWireRecvBytes])
+	writeTotal("sidco_selected_elems_total", "Elements the compressors shipped; over sidco_target_elems_total it is the achieved-vs-target ratio k-hat/k.", totals[CounterSelectedElems])
+	writeTotal("sidco_target_elems_total", "Elements the compressors were asked for (k per worker per step).", totals[CounterTargetElems])
+	writeTotal("sidco_select_list_corrections_total", "Steps whose threshold estimate missed the band and was re-taken exactly from an exceedance list.", totals[CounterSelectListCorrections])
+	writeTotal("sidco_select_sweep_fallbacks_total", "Steps that had no such list and paid an exact selection over the whole gradient.", totals[CounterSelectSweepFallbacks])
 	fmt.Fprintf(bw, "# HELP sidco_recv_wait_seconds_total Wall-clock time blocked in Recv (straggler + network wait).\n")
 	fmt.Fprintf(bw, "# TYPE sidco_recv_wait_seconds_total counter\n")
 	fmt.Fprintf(bw, "sidco_recv_wait_seconds_total %s\n", seconds(totals[CounterRecvWaitNanos]))
@@ -417,6 +436,22 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 				continue
 			}
 			fmt.Fprintf(bw, "sidco_node_recv_wait_seconds_total{node=\"%d\"} %s\n", n, seconds(nodeVals[n].RecvWaitNanos))
+		}
+		for _, c := range []struct {
+			name, help string
+			of         func(NodeCounters) int64
+		}{
+			{"sidco_node_selected_elems_total", "Elements the node's compressor shipped.", func(nc NodeCounters) int64 { return nc.SelectedElems }},
+			{"sidco_node_target_elems_total", "Elements the node's compressor was asked for.", func(nc NodeCounters) int64 { return nc.TargetElems }},
+			{"sidco_node_select_list_corrections_total", "The node's steps corrected from an exceedance list.", func(nc NodeCounters) int64 { return nc.SelectListCorrections }},
+			{"sidco_node_select_sweep_fallbacks_total", "The node's steps that fell back to an exact selection over the gradient.", func(nc NodeCounters) int64 { return nc.SelectSweepFallbacks }},
+		} {
+			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
+			for _, n := range nodes {
+				if v := c.of(nodeVals[n]); v != 0 {
+					fmt.Fprintf(bw, "%s{node=\"%d\"} %d\n", c.name, n, v)
+				}
+			}
 		}
 	}
 	return bw.Flush()

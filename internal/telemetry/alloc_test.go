@@ -16,6 +16,10 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 		tr.Count(CounterSentMessages, 0, 1, 1)
 		tr.Count(CounterSentBytes, 0, 1, 4096)
 		tr.CountSeq(CounterRecvMessages, 0, 1, 1, 3, 7)
+		tr.Count(CounterSelectedElems, 0, -1, 2097)
+		tr.Count(CounterTargetElems, 0, -1, 2097)
+		tr.Count(CounterSelectListCorrections, 0, -1, 1)
+		tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
 		tr.Virtual(SpanSend, 0, 1, -1, 7, 3, 4096, 976.5625, 1953.125)
 		inner := tr.Begin(SpanExchange, 0, 1, 2, 7)
 		inner.End()
@@ -39,6 +43,10 @@ func TestEnabledTracerSteadyStateZeroAllocs(t *testing.T) {
 		tr.Count(CounterSentMessages, 0, 1, 1)
 		tr.Count(CounterSentBytes, 0, 1, 4096)
 		tr.CountSeq(CounterRecvMessages, 0, 1, 1, 3, 7)
+		tr.Count(CounterSelectedElems, 0, -1, 2097)
+		tr.Count(CounterTargetElems, 0, -1, 2097)
+		tr.Count(CounterSelectListCorrections, 0, -1, 1)
+		tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
 		tr.Virtual(SpanSend, 0, 1, -1, 7, 3, 4096, 976.5625, 1953.125)
 		inner := tr.Begin(SpanExchange, 0, 1, 2, 7)
 		inner.End()

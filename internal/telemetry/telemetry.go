@@ -3,7 +3,8 @@
 // step's phases — compute, compress, encode, the collective exchange,
 // the optimizer apply — per worker, node and chunk) and counters
 // (messages and bytes per directed link, steps, receive-wait time, dial
-// retries) emitted to pluggable sinks.
+// retries, selected-vs-target elements and selection corrections per
+// worker) emitted to pluggable sinks.
 //
 // Three sinks ship: Aggregator keeps in-memory totals with percentile
 // summaries and renders the Prometheus plaintext exposition format,
@@ -124,6 +125,22 @@ const (
 	CounterWireSentBytes
 	// CounterWireRecvBytes counts raw TCP bytes read on a link.
 	CounterWireRecvBytes
+	// CounterSelectedElems counts the elements a worker's compressor
+	// shipped (Node = the worker), step by step: beside
+	// CounterTargetElems it is the achieved-vs-target ratio k-hat/k the
+	// paper's estimation-quality claim is about.
+	CounterSelectedElems
+	// CounterTargetElems counts the elements the worker's compressor was
+	// asked for: k = round(delta*d) per step.
+	CounterTargetElems
+	// CounterSelectListCorrections counts the steps whose threshold
+	// estimate missed the tolerance band and was re-taken, exactly, from an
+	// exceedance list (compress.CorrectionList).
+	CounterSelectListCorrections
+	// CounterSelectSweepFallbacks counts the steps that had no such list
+	// and paid an exact selection over the whole gradient
+	// (compress.CorrectionSweep).
+	CounterSelectSweepFallbacks
 
 	numCounterKinds
 )
@@ -150,6 +167,14 @@ func (k CounterKind) String() string {
 		return "wire_sent_bytes"
 	case CounterWireRecvBytes:
 		return "wire_recv_bytes"
+	case CounterSelectedElems:
+		return "selected_elems"
+	case CounterTargetElems:
+		return "target_elems"
+	case CounterSelectListCorrections:
+		return "select_list_corrections"
+	case CounterSelectSweepFallbacks:
+		return "select_sweep_fallbacks"
 	default:
 		return "unknown"
 	}

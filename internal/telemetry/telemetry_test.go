@@ -35,6 +35,12 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	tr.Count(CounterSentMessages, 1, 2, 5)
 	tr.Count(CounterSteps, 0, -1, 7)
 	tr.Count(CounterRecvWaitNanos, 2, 0, 1_500_000_000)
+	for i := 0; i < 10; i++ {
+		tr.Count(CounterSelectedElems, 3, -1, int64(95+i))
+		tr.Count(CounterTargetElems, 3, -1, 100)
+	}
+	tr.Count(CounterSelectListCorrections, 3, -1, 1)
+	tr.Count(CounterSelectSweepFallbacks, 4, -1, 1)
 	// A zero delta must be dropped, not recorded as a touched link.
 	tr.Count(CounterSentBytes, 8, 9, 0)
 
@@ -60,7 +66,13 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	if nc := agg.NodeTotals(2); nc.RecvWaitNanos != 1_500_000_000 {
 		t.Errorf("node 2 recv wait = %d", nc.RecvWaitNanos)
 	}
-	// RecvWaitNanos is node-attributed, so only the two traffic links
+	if nc := agg.NodeTotals(3); nc.SelectedElems != 995 || nc.TargetElems != 1000 || nc.SelectListCorrections != 1 || nc.SelectSweepFallbacks != 0 {
+		t.Errorf("node 3 selection counters = %+v", nc)
+	}
+	if nc := agg.NodeTotals(4); nc.SelectSweepFallbacks != 1 || agg.Total(CounterSelectSweepFallbacks) != 1 {
+		t.Errorf("node 4 selection counters = %+v", nc)
+	}
+	// Node-attributed counters touch no link, so only the two traffic links
 	// exist, sorted by (from, to).
 	links := agg.LinksSeen()
 	if len(links) != 2 || links[0] != (Link{0, 1}) || links[1] != (Link{1, 2}) {
@@ -142,6 +154,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	tr.Count(CounterSteps, 0, -1, 4)
 	tr.Count(CounterRecvWaitNanos, 0, 1, 2_500_000_000)
 	tr.Count(CounterWireSentBytes, 0, 1, 99)
+	tr.Count(CounterSelectedElems, 1, -1, 2050)
+	tr.Count(CounterTargetElems, 1, -1, 2097)
+	tr.Count(CounterSelectListCorrections, 1, -1, 2)
+	tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
 	agg.Emit(Event{Type: EventSpan, Span: SpanStep, DurNanos: 1_000_000})
 
 	var buf bytes.Buffer
@@ -153,19 +169,27 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Fatalf("rendered metrics do not parse: %v\n%s", err, buf.String())
 	}
 	want := map[string]float64{
-		"sidco_sent_messages_total":                       3,
-		"sidco_sent_bytes_total":                          1<<40 + 7,
-		"sidco_recv_messages_total":                       2,
-		"sidco_recv_bytes_total":                          512,
-		"sidco_steps_total":                               4,
-		"sidco_wire_sent_bytes_total":                     99,
-		"sidco_recv_wait_seconds_total":                   2.5,
-		`sidco_link_sent_messages_total{from="0",to="1"}`: 3,
-		`sidco_link_sent_bytes_total{from="0",to="1"}`:    1<<40 + 7,
-		`sidco_link_recv_bytes_total{from="1",to="0"}`:    512,
-		`sidco_node_steps_total{node="0"}`:                4,
-		`sidco_span_duration_seconds_count{span="step"}`:  1,
-		`sidco_span_duration_seconds_sum{span="step"}`:    0.001,
+		"sidco_sent_messages_total":                          3,
+		"sidco_sent_bytes_total":                             1<<40 + 7,
+		"sidco_recv_messages_total":                          2,
+		"sidco_recv_bytes_total":                             512,
+		"sidco_steps_total":                                  4,
+		"sidco_wire_sent_bytes_total":                        99,
+		"sidco_recv_wait_seconds_total":                      2.5,
+		`sidco_link_sent_messages_total{from="0",to="1"}`:    3,
+		`sidco_link_sent_bytes_total{from="0",to="1"}`:       1<<40 + 7,
+		`sidco_link_recv_bytes_total{from="1",to="0"}`:       512,
+		`sidco_node_steps_total{node="0"}`:                   4,
+		"sidco_selected_elems_total":                         2050,
+		"sidco_target_elems_total":                           2097,
+		"sidco_select_list_corrections_total":                2,
+		"sidco_select_sweep_fallbacks_total":                 1,
+		`sidco_node_selected_elems_total{node="1"}`:          2050,
+		`sidco_node_target_elems_total{node="1"}`:            2097,
+		`sidco_node_select_list_corrections_total{node="1"}`: 2,
+		`sidco_node_select_sweep_fallbacks_total{node="0"}`:  1,
+		`sidco_span_duration_seconds_count{span="step"}`:     1,
+		`sidco_span_duration_seconds_sum{span="step"}`:       0.001,
 	}
 	for k, v := range want {
 		if got, ok := m[k]; !ok || got != v {
@@ -199,12 +223,16 @@ func TestJSONLSchema(t *testing.T) {
 	sp.End()
 	tr.CountSeq(CounterSentBytes, 0, 3, 4096, 12, 11)
 	tr.Virtual(SpanSend, 0, 3, -1, 11, 12, 4096, 976.5625, 1953.125)
+	selection := []CounterKind{CounterSelectedElems, CounterTargetElems, CounterSelectListCorrections, CounterSelectSweepFallbacks}
+	for i, kind := range selection {
+		tr.Count(kind, 2, -1, int64(100+i))
+	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines, want meta+span+counter+virtual:\n%s", len(lines), buf.String())
+	if len(lines) != 8 {
+		t.Fatalf("got %d lines, want meta+span+counter+virtual+4 selection counters:\n%s", len(lines), buf.String())
 	}
 	meta, evs, err := DecodeJSONL(strings.NewReader(buf.String()))
 	if err != nil {
@@ -214,8 +242,13 @@ func TestJSONLSchema(t *testing.T) {
 		meta.GoVersion == "" || meta.EpochNanos == 0 {
 		t.Errorf("meta = %+v", meta)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("decoded %d events, want 3", len(evs))
+	if len(evs) != 7 {
+		t.Fatalf("decoded %d events, want 7", len(evs))
+	}
+	for i, kind := range selection {
+		if e := evs[3+i]; e.Type != EventCounter || e.Counter != kind || e.Node != 2 || e.Peer != -1 || e.Value != int64(100+i) || e.Seq != -1 {
+			t.Errorf("%v counter event = %+v", kind, e)
+		}
 	}
 	span, counter, virt := evs[0], evs[1], evs[2]
 	if span.Type != EventSpan || span.Span != SpanEncode || span.Node != 2 || span.Peer != -1 ||

@@ -19,6 +19,39 @@ func naivePairsAbove(x []float64, eta float64, base int32, mags []float64, idx [
 	return mags, idx
 }
 
+// naiveExcess is the definition of the moments the gathers carry: per
+// gatherBlock of the input, the magnitudes a > eta in order, a-eta and its
+// square summed in four interleaved lanes (the j-th kept element in lane
+// j%4, a tail of fewer than four in lane 0) that combine as
+// (l0+l1)+(l2+l3); the block sums added in block order.
+func naiveExcess(mags []float64, eta float64) (ex Excess) {
+	for lo := 0; lo < len(mags); lo += gatherBlock {
+		var kept []float64
+		for _, a := range mags[lo:min(lo+gatherBlock, len(mags))] {
+			if a = math.Abs(a); a > eta {
+				kept = append(kept, a)
+			}
+		}
+		var s, q [4]float64
+		for j, a := range kept {
+			lane := j % 4
+			if j >= len(kept)/4*4 {
+				lane = 0
+			}
+			s[lane] += a - eta
+			q[lane] += (a - eta) * (a - eta)
+		}
+		ex.Sum += (s[0] + s[1]) + (s[2] + s[3])
+		ex.SumSq += (q[0] + q[1]) + (q[2] + q[3])
+	}
+	return ex
+}
+
+func sameExcess(t *testing.T, what string, got, want Excess) {
+	t.Helper()
+	sameBits(t, what+" excess moments", []float64{got.Sum, got.SumSq}, []float64{want.Sum, want.SumSq})
+}
+
 // specials builds a length-d vector of Gaussian noise salted with the
 // values a comparison kernel can get wrong: NaN, both infinities, both
 // zeros and a repeated magnitude to use as an exact-tie threshold.
@@ -62,10 +95,10 @@ func sameIdx(t *testing.T, what string, got, want []int32) {
 }
 
 // TestPairsAboveMatchesNaive holds the blocked store-then-advance gather
-// bit-equal to the naive loop, magnitudes and indices: block-boundary
-// lengths, degenerate thresholds, special values, non-empty and
-// exact-capacity lists, a non-zero base, the Par fan-out on top — and
-// CompactPairsAbove, whose destination is its source, against a second
+// bit-equal to the naive loop, magnitudes, indices and excess moments:
+// block-boundary lengths, degenerate thresholds, special values, non-empty
+// and exact-capacity lists, a non-zero base, the Par fan-out on top — and
+// CompactPairsAbove, which leaves its source intact, against a second
 // naive gather at a higher threshold.
 func TestPairsAboveMatchesNaive(t *testing.T) {
 	lengths := []int{0, 1, gatherBlock - 1, gatherBlock, gatherBlock + 1, 3*gatherBlock + 17}
@@ -75,7 +108,8 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 	for _, d := range lengths {
 		inputs := map[string][]float64{
 			"specials": specials(d, int64(d)+1),
-			"ones":     make([]float64, d), // all-above at eta < 1, none-above at eta >= 1
+			"ones":     make([]float64, d),      // all-above at eta < 1, none-above at eta >= 1
+			"finite":   gaussMix(d, int64(d)+2), // no NaN or Inf: the moments are numbers, so their order shows
 		}
 		Fill(inputs["ones"], -1)
 		for name, x := range inputs {
@@ -85,18 +119,21 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 					pp := &Par{P: p}
 
 					wantM, wantI := naivePairsAbove(x, eta, 0, nil, nil)
-					gotM, gotI := pp.PairsAbove(x, eta, nil, nil)
+					wantEx := naiveExcess(x, eta)
+					gotM, gotI, gotEx := pp.PairsAbove(x, eta, nil, nil)
 					sameBits(t, what, gotM, wantM)
 					sameIdx(t, what, gotI, wantI)
+					sameExcess(t, what, gotEx, wantEx)
 
 					preM, preI := []float64{7, -8, math.NaN()}, []int32{5, 4, 3}
 					wantM, wantI = naivePairsAbove(x, eta, 0, append([]float64(nil), preM...), append([]int32(nil), preI...))
-					gotM, gotI = pp.PairsAbove(x, eta, append([]float64(nil), preM...), append([]int32(nil), preI...))
+					gotM, gotI, gotEx = pp.PairsAbove(x, eta, append([]float64(nil), preM...), append([]int32(nil), preI...))
 					sameBits(t, what+" lists non-empty", gotM, wantM)
 					sameIdx(t, what+" lists non-empty", gotI, wantI)
+					sameExcess(t, what+" lists non-empty", gotEx, wantEx) // of what was appended only
 
 					// Exact-capacity lists: every block must grow them.
-					gotM, gotI = pp.PairsAbove(x, eta, preM[:3:3], preI[:3:3])
+					gotM, gotI, _ = pp.PairsAbove(x, eta, preM[:3:3], preI[:3:3])
 					sameBits(t, what+" lists full", gotM, wantM)
 					sameIdx(t, what+" lists full", gotI, wantI)
 
@@ -104,22 +141,30 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 						continue // the rest is serial code
 					}
 					wantM, wantI = naivePairsAbove(x, eta, 11, nil, nil)
-					gotM, gotI = PairsAboveThreshold(x, eta, 11, nil, nil)
+					gotM, gotI, _ = PairsAboveThreshold(x, eta, 11, nil, nil)
 					sameBits(t, what+" base 11", gotM, wantM)
 					sameIdx(t, what+" base 11", gotI, wantI)
 
-					// In-place compaction of that list at each threshold of the grid.
+					// Compaction of that list at each threshold of the grid, into
+					// empty and into exact-capacity storage; the source survives.
 					for _, eta2 := range []float64{0, math.NaN(), math.Inf(1), 0.75, 1, 1.5} {
-						var keepM []float64
-						var keepI []int32
+						what := fmt.Sprintf("%s compact eta2=%v", what, eta2)
+						keepM, keepI := append([]float64(nil), preM...), append([]int32(nil), preI...)
 						for i, a := range wantM {
 							if a > eta2 {
 								keepM, keepI = append(keepM, a), append(keepI, wantI[i])
 							}
 						}
-						cM, cI := CompactPairsAbove(append([]float64(nil), wantM...), append([]int32(nil), wantI...), eta2)
-						sameBits(t, fmt.Sprintf("%s compact eta2=%v", what, eta2), cM, keepM)
-						sameIdx(t, fmt.Sprintf("%s compact eta2=%v", what, eta2), cI, keepI)
+						srcM, srcI := append([]float64(nil), wantM...), append([]int32(nil), wantI...)
+						cM, cI, cEx := CompactPairsAbove(nil, nil, srcM, srcI, eta2)
+						sameBits(t, what, cM, keepM[3:])
+						sameIdx(t, what, cI, keepI[3:])
+						sameExcess(t, what, cEx, naiveExcess(wantM, eta2))
+						cM, cI, _ = CompactPairsAbove(preM[:3:3], preI[:3:3], srcM, srcI, eta2)
+						sameBits(t, what+" lists full", cM, keepM)
+						sameIdx(t, what+" lists full", cI, keepI)
+						sameBits(t, what+" source", srcM, wantM)
+						sameIdx(t, what+" source", srcI, wantI)
 					}
 				}
 			}
@@ -128,14 +173,16 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 }
 
 // TestPairsAboveSteadyStateAllocs pins the reuse contract: once the
-// lists have room for the exceedances plus one block of headroom, the
-// gather allocates nothing, and the compaction never does.
+// lists have room for the exceedances plus one block of headroom, neither
+// the gather nor the compaction allocates.
 func TestPairsAboveSteadyStateAllocs(t *testing.T) {
 	x := specials(1<<16, 9)
-	mags, idx := PairsAboveThreshold(x, 0.5, 0, nil, nil)
+	mags, idx, _ := PairsAboveThreshold(x, 0.5, 0, nil, nil)
+	var mags2 []float64
+	var idx2 []int32
 	if n := testing.AllocsPerRun(20, func() {
-		mags, idx = PairsAboveThreshold(x, 0.5, 0, mags[:0], idx[:0])
-		mags, idx = CompactPairsAbove(mags, idx, 0.75)
+		mags, idx, _ = PairsAboveThreshold(x, 0.5, 0, mags[:0], idx[:0])
+		mags2, idx2, _ = CompactPairsAbove(mags2[:0], idx2[:0], mags, idx, 0.75)
 	}); n != 0 {
 		t.Fatalf("steady-state gather + compaction allocates %v times per run", n)
 	}
@@ -180,9 +227,9 @@ func valuesOnlyAbove(x []float64, eta float64, dst []float64) []float64 {
 // BenchmarkPairsAbove is the stage-1 exceedance gather at d = 2^21 and
 // the ~30% selectivity of SIDCo's first stage (delta1 = 0.25 plus the
 // fit's over-selection), where the comparison is a coin flip to a branch
-// predictor: the index-carrying kernel, the values-only body it replaced
-// and the naive branchy loop, then the in-place compaction of that list
-// to the next stage's ~25% of it (with the copy that refills the list).
+// predictor: the index- and moment-carrying kernel, the values-only body
+// it replaced and the naive branchy loop, then the compaction of that list
+// to the next stage's ~25% of it.
 func BenchmarkPairsAbove(b *testing.B) {
 	g := gaussMix(1<<21, 3)
 	eta := quantileEta(g, 0.30)
@@ -191,7 +238,7 @@ func BenchmarkPairsAbove(b *testing.B) {
 		name string
 		fn   func()
 	}{
-		{"pairs", func() { sinkVals, sinkIdx = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) }},
+		{"pairs", func() { sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) }},
 		{"values-only", func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) }},
 		{"naive", func() { sinkVals, sinkIdx = naivePairsAbove(g, eta, 0, mags[:0], idx[:0]) }},
 	} {
@@ -205,13 +252,11 @@ func BenchmarkPairsAbove(b *testing.B) {
 	}
 	b.Run("compact", func(b *testing.B) {
 		eta2 := quantileEta(g, 0.075)
-		listM, listI := PairsAboveThreshold(g, eta, 0, nil, nil)
+		listM, listI, _ := PairsAboveThreshold(g, eta, 0, nil, nil)
 		b.SetBytes(int64(12 * len(listM)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			// The compaction consumes its input: the refill is timed with it.
-			mags, idx = append(mags[:0], listM...), append(idx[:0], listI...)
-			sinkVals, sinkIdx = CompactPairsAbove(mags, idx, eta2)
+			sinkVals, sinkIdx, _ = CompactPairsAbove(mags[:0], idx[:0], listM, listI, eta2)
 		}
 	})
 }

@@ -17,6 +17,7 @@ type Par struct {
 	counts []int
 	idx    [][]int32
 	vals   [][]float64
+	excess []Excess
 }
 
 // parMin is the input size below which fork-join overhead exceeds the
@@ -83,19 +84,36 @@ func (pp *Par) FilterAbove(x []float64, eta float64, idx []int32, vals []float64
 }
 
 // PairsAbove is PairsAboveThreshold(x, eta, 0, ...) at parallelism P.
-func (pp *Par) PairsAbove(x []float64, eta float64, mags []float64, idx []int32) ([]float64, []int32) {
+// Workers own whole gather blocks and store each block's excess moments
+// apart, so the sums add in block order as the serial pass adds them.
+func (pp *Par) PairsAbove(x []float64, eta float64, mags []float64, idx []int32) ([]float64, []int32, Excess) {
 	p := pp.P
 	if p <= 1 || len(x) < parMin {
 		return PairsAboveThreshold(x, eta, 0, mags, idx)
 	}
 	pp.grow(p)
+	blocks := (len(x) + gatherBlock - 1) / gatherBlock
+	if cap(pp.excess) < blocks {
+		pp.excess = make([]Excess, blocks)
+	}
+	parts := pp.excess[:blocks]
 	par.Do(p, func(w int) {
-		lo, hi := par.RangeBounds(len(x), p, w)
-		pp.vals[w], pp.idx[w] = PairsAboveThreshold(x[lo:hi], eta, int32(lo), pp.vals[w][:0], pp.idx[w][:0])
+		lo, hi := par.RangeBounds(blocks, p, w)
+		wm, wi := pp.vals[w][:0], pp.idx[w][:0]
+		for b := lo; b < hi; b++ {
+			off := b * gatherBlock
+			wm, wi, parts[b] = PairsAboveThreshold(x[off:min(off+gatherBlock, len(x))], eta, int32(off), wm, wi)
+		}
+		pp.vals[w], pp.idx[w] = wm, wi
 	})
 	for w := 0; w < p; w++ {
 		mags = append(mags, pp.vals[w]...)
 		idx = append(idx, pp.idx[w]...)
 	}
-	return mags, idx
+	var ex Excess
+	for _, part := range parts {
+		ex.Sum += part.Sum
+		ex.SumSq += part.SumSq
+	}
+	return mags, idx, ex
 }

@@ -79,7 +79,7 @@ func TestParThresholdOpsBitIdentity(t *testing.T) {
 	for _, eta := range []float64{0, 0.25, 0.5, 3.7} {
 		wantN := CountAboveThreshold(g, eta)
 		wantIdx, wantVals := FilterAboveThreshold(g, eta, nil, nil)
-		wantAbove, wantAboveIdx := PairsAboveThreshold(g, eta, 0, nil, nil)
+		wantAbove, wantAboveIdx, wantEx := PairsAboveThreshold(g, eta, 0, nil, nil)
 		for _, p := range []int{2, 5, 8} {
 			pp := &Par{P: p}
 			if n := pp.CountAbove(g, eta); n != wantN {
@@ -95,7 +95,10 @@ func TestParThresholdOpsBitIdentity(t *testing.T) {
 						eta, p, i, idx[i], vals[i], wantIdx[i], wantVals[i])
 				}
 			}
-			above, aboveIdx := pp.PairsAbove(g, eta, nil, nil)
+			above, aboveIdx, ex := pp.PairsAbove(g, eta, nil, nil)
+			if math.Float64bits(ex.Sum) != math.Float64bits(wantEx.Sum) || math.Float64bits(ex.SumSq) != math.Float64bits(wantEx.SumSq) {
+				t.Fatalf("eta=%v p=%d: excess moments %v, serial %v", eta, p, ex, wantEx)
+			}
 			if len(above) != len(wantAbove) || len(aboveIdx) != len(wantAboveIdx) {
 				t.Fatalf("eta=%v p=%d: gather len %d/%d, serial %d/%d", eta, p, len(above), len(aboveIdx), len(wantAbove), len(wantAboveIdx))
 			}

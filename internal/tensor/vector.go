@@ -133,24 +133,58 @@ func FilterAboveThreshold(x []float64, eta float64, idx []int32, vals []float64)
 
 // gatherBlock is the block length of the exceedance gather: the lists'
 // capacity is ensured once per block, so the element loop carries no
-// append bookkeeping and headroom never exceeds one block.
+// append bookkeeping and headroom never exceeds one block. It is also the
+// summation granularity of the excess moments the gather carries.
 const gatherBlock = 4096
+
+// Excess holds the moments of a list of exceedances over its threshold
+// eta: Σ(a-eta) and Σ(a-eta)² over the kept magnitudes a > eta — what the
+// peak-over-threshold fit of the next stage consumes, so that no fit reads
+// a list again. The summation order is fixed, whoever computes it: per
+// gatherBlock of the *input*, the kept run is summed in four interleaved
+// lanes (element j in lane j%4, the tail in lane 0) that combine as
+// (l0+l1)+(l2+l3), and the block sums add in block order.
+type Excess struct{ Sum, SumSq float64 }
+
+// add accumulates the excess moments of one block's kept magnitudes. One
+// accumulator per sum would serialise the loop on the adder's latency;
+// four lanes each keep it on its throughput.
+//
+//sidco:hotpath
+func (e *Excess) add(kept []float64, eta float64) {
+	var s0, s1, s2, s3, q0, q1, q2, q3 float64
+	for ; len(kept) >= 4; kept = kept[4:] {
+		x0, x1, x2, x3 := kept[0]-eta, kept[1]-eta, kept[2]-eta, kept[3]-eta
+		s0, s1, s2, s3 = s0+x0, s1+x1, s2+x2, s3+x3
+		q0, q1, q2, q3 = q0+x0*x0, q1+x1*x1, q2+x2*x2, q3+x3*x3
+	}
+	for _, a := range kept {
+		x := a - eta
+		s0 += x
+		q0 += x * x
+	}
+	e.Sum += (s0 + s1) + (s2 + s3)
+	e.SumSq += (q0 + q1) + (q2 + q3)
+}
 
 // PairsAboveThreshold appends, for every element with |x_i| > eta, |x_i|
 // to mags and base+i to idx (one list in two slices of equal length) and
-// returns both. The strict inequality matches the exceedance definition
-// of the multi-stage estimator (values equal to the previous threshold
-// have already been counted); the index lets the final selection be read
-// off the list instead of off x again.
+// returns both beside the excess moments of what it appended. The strict
+// inequality matches the exceedance definition of the multi-stage
+// estimator (values equal to the previous threshold have already been
+// counted); the index lets the final selection be read off the list
+// instead of off x again.
 //
 // Every pair is stored at the write cursor and the cursor advances by
 // the comparison's outcome, so the loop has no data-dependent branch: at
 // the ~25-30% selectivity of a first SIDCo stage that branch is
-// unpredictable and cost 7x the count-only pass. The lists' backing
+// unpredictable and cost 7x the count-only pass. The moments are summed
+// over each block's kept run while it is still in L1. The lists' backing
 // arrays beyond the returned lengths are scratch.
 //
 //sidco:hotpath
-func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, idx []int32) ([]float64, []int32) {
+func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, idx []int32) ([]float64, []int32, Excess) {
+	var ex Excess
 	n := len(mags) // == len(idx): the two are one list
 	for len(x) > 0 {
 		blk := x[:min(gatherBlock, len(x))]
@@ -166,24 +200,41 @@ func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, i
 			outM[m], outI[m] = a, base+int32(i)
 			m += b2i(a > eta)
 		}
+		ex.add(outM[:m], eta)
 		n += m
 		base += int32(len(blk))
 	}
-	return mags[:n], idx[:n]
+	return mags[:n], idx[:n], ex
 }
 
-// CompactPairsAbove keeps, in place and in order, the pairs whose magnitude
-// is > eta: the same loop, its cursor never passing the read position.
+// CompactPairsAbove appends to (dstM, dstI), in order, the pairs of
+// (mags, idx) whose magnitude is > eta — the same loop over a list instead
+// of a vector — and returns them with their excess moments. The source is
+// left intact: the caller ping-pongs two lists so that the one before an
+// overshooting cut survives it. dst must not alias the source.
 //
 //sidco:hotpath
-func CompactPairsAbove(mags []float64, idx []int32, eta float64) ([]float64, []int32) {
+func CompactPairsAbove(dstM []float64, dstI []int32, mags []float64, idx []int32, eta float64) ([]float64, []int32, Excess) {
+	var ex Excess
 	idx = idx[:len(mags)]
-	m := 0
-	for i, a := range mags {
-		mags[m], idx[m] = a, idx[i]
-		m += b2i(a > eta)
+	n := len(dstM)
+	for len(mags) > 0 {
+		blkM, blkI := mags[:min(gatherBlock, len(mags))], idx[:min(gatherBlock, len(mags))]
+		mags, idx = mags[len(blkM):], idx[len(blkM):]
+		if min(cap(dstM), cap(dstI))-n < len(blkM) {
+			//sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
+			dstM, dstI = slices.Grow(dstM[:n], len(blkM)), slices.Grow(dstI[:n], len(blkM))
+		}
+		outM, outI := dstM[n:n+len(blkM)], dstI[n:n+len(blkM)]
+		m := 0
+		for i, a := range blkM {
+			outM[m], outI[m] = a, blkI[i]
+			m += b2i(a > eta)
+		}
+		ex.add(outM[:m], eta)
+		n += m
 	}
-	return mags[:m], idx[:m]
+	return dstM[:n], dstI[:n], ex
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag

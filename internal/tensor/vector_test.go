@@ -101,11 +101,11 @@ func TestCountAndFilterAboveThreshold(t *testing.T) {
 
 func TestPairsAboveThresholdStrict(t *testing.T) {
 	g := []float64{0.3, -0.3, -0.4}
-	mags, idx := PairsAboveThreshold(g, 0.3, 0, nil, nil)
-	if len(mags) != 1 || mags[0] != 0.4 || len(idx) != 1 || idx[0] != 2 {
-		t.Errorf("strict exceedances = %v at %v", mags, idx)
+	mags, idx, ex := PairsAboveThreshold(g, 0.3, 0, nil, nil)
+	if len(mags) != 1 || mags[0] != 0.4 || len(idx) != 1 || idx[0] != 2 || ex.Sum != -g[2]-g[0] {
+		t.Errorf("strict exceedances = %v at %v, excess %v", mags, idx, ex)
 	}
-	if mags, idx = CompactPairsAbove(mags, idx, 0.4); len(mags) != 0 || len(idx) != 0 {
+	if mags, idx, _ = CompactPairsAbove(nil, nil, mags, idx, 0.4); len(mags) != 0 || len(idx) != 0 {
 		t.Errorf("compaction kept a magnitude equal to its threshold: %v at %v", mags, idx)
 	}
 }
