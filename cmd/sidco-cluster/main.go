@@ -17,11 +17,7 @@
 //     synchronous step.
 //  4. Topology study: the analytic comm-time comparison across
 //     collectives for the Table 1 workloads.
-//  5. Chunk study: the chunked, pipelined all-gather versus the
-//     monolithic schedule on the virtual clock — homogeneous and
-//     straggler scenarios, with exact traffic cross-checks and
-//     bit-identity of the chunked aggregate.
-//  6. Loopback study: the same training run over in-process channels,
+//  5. Loopback study: the same training run over in-process channels,
 //     loopback TCP sockets (engine) and the per-rank node topology of
 //     cmd/sidco-node — four bit-identical loss columns plus an exact
 //     traffic cross-check over real sockets.
@@ -56,7 +52,7 @@ func main() {
 	dim := flag.Int("dim", 1<<16, "gradient dimension for the traffic section")
 	straggler := flag.Float64("straggler", 4, "compute slowdown factor of the last node in section 3")
 	seed := flag.Int64("seed", 1, "random seed")
-	section := flag.Int("section", 0, "run a single section 1-6 (0: all)")
+	section := flag.Int("section", 0, "run a single section 1-5 (0: all)")
 	flag.Parse()
 
 	run := func(n int, f func() error) {
@@ -76,13 +72,6 @@ func main() {
 			harness.Options{Iters: 30, SimScale: 400, Seed: *seed})
 	})
 	run(5, func() error {
-		return harness.ChunkStudy(os.Stdout, harness.ChunkStudyConfig{
-			Workers:   *workers,
-			Straggler: *straggler,
-			Seed:      *seed,
-		})
-	})
-	run(6, func() error {
 		return harness.LoopbackStudy(os.Stdout, harness.LoopbackStudyConfig{
 			Workers:    *workers,
 			Iters:      *iters,

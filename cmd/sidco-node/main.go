@@ -3,8 +3,8 @@
 // Every process gets the same host list and its own rank; rank r trains
 // global worker r through a Workers=1 dist.Trainer whose gradient
 // exchange is a cluster.Node over a TCPTransport, so the ring all-reduce
-// / all-gather / parameter-server schedules — including chunked
-// pipelining — execute over real sockets. Over the lossless wire format
+// / all-gather / parameter-server schedules execute over real sockets.
+// Over the lossless wire format
 // the deployment reproduces the single-process in-process trainer's
 // global loss sequence bit-for-bit, which -check asserts per process —
 // and over the quantized all-gather wires (-format pairs, pairs-f16,
@@ -19,9 +19,9 @@
 // Usage:
 //
 //	sidco-node -launch 4 -check             # quickstart: 4 worker processes over loopback, bit-identity gated
-//	sidco-node -launch 4 -collective ps -chunks 0 -compressor topk
+//	sidco-node -launch 4 -collective ps -compressor topk
 //	sidco-node -node 0 -hosts host0:7000,host1:7000,host2:7000 -iters 8
-//	sidco-node -node 2 -hostfile hosts.txt -collective allgather -chunks 4 -check
+//	sidco-node -node 2 -hostfile hosts.txt -collective allgather -check
 //	sidco-node -launch 4 -format pairs-i8 -check    # int8 wire (~8x fewer value bytes), still bit-gated via EC pre-rounding
 //	sidco-node -launch 4 -metrics auto -check   # + per-process /metrics endpoints, scrape-verified
 //
@@ -73,7 +73,6 @@ type options struct {
 	hostfile      string
 	launch        int
 	collective    string
-	chunks        int
 	iters         int
 	compressor    string
 	delta         float64
@@ -106,7 +105,6 @@ func main() {
 	flag.StringVar(&opt.hostfile, "hostfile", "", "file with one host:port per line (alternative to -hosts)")
 	flag.IntVar(&opt.launch, "launch", 0, "spawn this many worker processes over loopback instead of being one node")
 	flag.StringVar(&opt.collective, "collective", "allgather", "collective schedule: auto, ring, allgather or ps")
-	flag.IntVar(&opt.chunks, "chunks", 0, "chunked-pipeline setting for the all-gather (0/1: monolithic)")
 	flag.IntVar(&opt.iters, "iters", 6, "training iterations")
 	flag.StringVar(&opt.compressor, "compressor", "sidco-e", "registry compressor (none: dense training)")
 	flag.Float64Var(&opt.delta, "delta", 0.05, "compression ratio k/d")
@@ -296,7 +294,6 @@ func clusterConfig(opt options, workers int, coll netsim.Collective) (cluster.Co
 		Workers:        workers,
 		Collective:     coll,
 		Format:         wire,
-		Chunks:         opt.chunks,
 		StepTimeout:    opt.stepTimeout,
 		MaxStepRetries: opt.stepRetries,
 	}, nil
@@ -353,24 +350,25 @@ func runNode(opt options) error {
 		return err
 	}
 	if opt.node == workers { // parameter-server rank
-		rounds := opt.iters
+		first := 0
 		if opt.resume != "" {
-			// The server is stateless; it only needs the round offset, which
-			// it reads off worker 0's checkpoint (same filesystem under
-			// -launch; multi-host operators adjust -iters instead).
+			// The server is stateless; it only needs the step the workers
+			// resume at, which it reads off worker 0's checkpoint (same
+			// filesystem under -launch; multi-host operators adjust -iters
+			// instead).
 			ck, err := dist.LoadCheckpoint(fmt.Sprintf("%s.rank0", opt.resume))
 			if err != nil {
 				return fmt.Errorf("-resume on the server rank reads rank 0's checkpoint for the round offset: %w", err)
 			}
-			rounds -= ck.Step
-			if rounds < 1 {
+			first = ck.Step
+			if first >= opt.iters {
 				return fmt.Errorf("-resume: checkpoint already at step %d, -iters %d (total) leaves nothing to serve", ck.Step, opt.iters)
 			}
 		}
-		if err := nd.Serve(rounds); err != nil {
+		if err := nd.Serve(first, opt.iters-first); err != nil {
 			return err
 		}
-		fmt.Printf("node %d (server): served %d rounds\n", opt.node, rounds)
+		fmt.Printf("node %d (server): served %d rounds\n", opt.node, opt.iters-first)
 		return nil
 	}
 	tr, err := trainerFor(opt, 1, opt.node, nd, nt.tracer)
@@ -462,18 +460,10 @@ func printLosses(opt options, coll netsim.Collective, losses []float64) {
 // wireValueExact reports whether the wire delivers each worker's
 // selected values exactly as the -check reference trainer computes them.
 // The lossless wire always does. A lossy wire does when a compressor is
-// on — error feedback then pre-rounds every selection to wire precision,
-// and the emitted values are fixed points of the wire's rounding — with
-// one exception: pairs-i8 under chunked pipelining re-derives its int8
-// scale per chunk, which differs from the monolithic pre-round.
+// on: error feedback then pre-rounds every selection to wire precision,
+// and the emitted values are fixed points of the wire's rounding.
 func wireValueExact(opt options, wire cluster.Wire) bool {
-	if wire == cluster.WireLossless {
-		return true
-	}
-	if opt.compressor == "" || opt.compressor == "none" {
-		return false
-	}
-	return wire != cluster.WirePairsI8 || opt.chunks <= 1
+	return wire == cluster.WireLossless || (opt.compressor != "" && opt.compressor != "none")
 }
 
 // checkNodeRun asserts this process saw exactly the run the in-process
@@ -510,7 +500,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 		exact = wire == cluster.WireLossless
 	}
 	if (resolved == netsim.CollectiveAllGather || resolved == netsim.CollectivePS) && !exact {
-		return fmt.Errorf("check: -format %s is not value-exact for this run (compressor off, chunked pairs-i8, or a ps pull re-encode) — no bit-exact reference exists; use -format lossless, or pairs-i8 with a compressor and -chunks <= 1, or drop -check", opt.format)
+		return fmt.Errorf("check: -format %s is not value-exact for this run (compressor off, or a ps pull re-encode) — no bit-exact reference exists; use -format lossless, or an all-gather with a compressor, or drop -check", opt.format)
 	}
 	bitwise := resolved == netsim.CollectiveAllGather || resolved == netsim.CollectivePS
 	for i := range want {
@@ -525,7 +515,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 	var wantMsgs int
 	switch resolved {
 	case netsim.CollectiveAllGather:
-		wantMsgs = exchanges * netsim.ChunkedAllGatherMessages(workers, opt.chunks)
+		wantMsgs = exchanges * netsim.AllGatherMessages(workers)
 	case netsim.CollectiveRing:
 		wantMsgs = exchanges * netsim.RingMessages(workers)
 	case netsim.CollectivePS:
@@ -722,7 +712,6 @@ func runLaunch(opt options) error {
 			"-node", fmt.Sprint(rank),
 			"-hosts", strings.Join(addrs, ","),
 			"-collective", opt.collective,
-			"-chunks", fmt.Sprint(opt.chunks),
 			"-iters", fmt.Sprint(opt.iters),
 			"-compressor", opt.compressor,
 			"-delta", fmt.Sprint(opt.delta),
@@ -936,7 +925,7 @@ func checkLaunchTraces(opt options, coll netsim.Collective, nodes int) error {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
 	resolved := resolveCollective(opt, coll)
-	if err := traceview.CheckMessageCount(tl, resolved, opt.launch, opt.chunks, opt.iters); err != nil {
+	if err := traceview.CheckMessageCount(tl, resolved, opt.launch, opt.iters); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
 	paired, _, _ := tl.PairStats(false)

@@ -40,17 +40,16 @@ func main() {
 		check      = flag.Bool("check", false, "exit non-zero unless every send is paired with exactly one receive")
 		collective = flag.String("collective", "", "with -check: assert message counts against this collective's formula (ring, allgather, ps)")
 		workers    = flag.Int("workers", 0, "with -check -collective: worker count N of the formula")
-		chunks     = flag.Int("chunks", 0, "with -check -collective allgather: chunked-pipeline setting")
 		iters      = flag.Int("iters", 1, "with -check -collective: exchanges the run performed")
 	)
 	flag.Parse()
-	if err := run(*chromePath, *report, *step, *check, *collective, *workers, *chunks, *iters, flag.Args()); err != nil {
+	if err := run(*chromePath, *report, *step, *check, *collective, *workers, *iters, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "sidco-trace: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(chromePath string, report bool, step int64, check bool, collective string, workers, chunks, iters int, paths []string) error {
+func run(chromePath string, report bool, step int64, check bool, collective string, workers, iters int, paths []string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no trace files; pass one JSONL stream per rank (see -h)")
 	}
@@ -79,7 +78,7 @@ func run(chromePath string, report bool, step int64, check bool, collective stri
 			if workers < 1 {
 				return fmt.Errorf("-check -collective needs -workers")
 			}
-			if err := traceview.CheckMessageCount(tl, coll, workers, chunks, iters); err != nil {
+			if err := traceview.CheckMessageCount(tl, coll, workers, iters); err != nil {
 				return err
 			}
 		}

@@ -13,9 +13,8 @@ import (
 
 // Config describes one cluster deployment: Engine hosts every rank of it
 // in one process, a Node is one rank of it in a process of its own. Every
-// process of a deployment must pass identical Workers, Collective, Format,
-// Chunks, ComputeSec and CompressSec, or the interlocking schedules
-// diverge.
+// process of a deployment must pass identical Workers, Collective, Format
+// and ComputeSec, or the interlocking schedules diverge.
 type Config struct {
 	// Workers is the global number of training nodes N (>= 1).
 	Workers int
@@ -53,26 +52,6 @@ type Config struct {
 	// the start of each exchange (scaled per node by the scenario's
 	// straggler factors).
 	ComputeSec float64
-	// Chunks enables the chunked execution mode on the all-gather
-	// collective: each exchange splits the index space into this many
-	// near-equal ranges, ships every worker's selection as one encoded
-	// payload per chunk, and pipelines chunk i+1's compression while
-	// chunk i's collective is in flight. The per-chunk element budget is
-	// whatever the monolithic selection placed in each range — the global
-	// k-budget partitioned, never a per-chunk re-quota — so chunked
-	// aggregates are bit-identical to monolithic ones for any compressor.
-	// 0 or 1 keeps the monolithic schedule. Valid with CollectiveAllGather
-	// and with CollectiveAuto (which resolves to all-gather on every
-	// sparse exchange; an Auto exchange that resolves to the dense ring
-	// rejects Chunks > 1 at that point).
-	Chunks int
-	// CompressSec charges this much compression time per exchange to
-	// every worker's clock, split evenly across chunks. Unlike
-	// ComputeSec, which is charged up front, the per-chunk slices are
-	// charged inside the pipeline overlap slot, so under Chunks > 1 they
-	// hide behind in-flight communication (scaled per node by the
-	// scenario's straggler factors).
-	CompressSec float64
 	// StepTimeout, when positive, bounds every blocking receive of one
 	// exchange (and of one server round): a receive stuck past the
 	// deadline fails the step with an error wrapping ErrTimeout — a
@@ -93,7 +72,7 @@ type Config struct {
 	// block forever instead of joining the renegotiation.
 	MaxStepRetries int
 	// Telemetry, if non-nil, traces every round (per-node collective
-	// spans, per-chunk encode spans) and the gradient traffic on the
+	// and encode spans) and the gradient traffic on the
 	// instrumented transport (per-link sent/recv message and byte
 	// counters, receive-wait time). Telemetry totals equal
 	// Transport().Totals()/RecvTotals() exactly — same layer, same
@@ -128,20 +107,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := c.Format.Format(); err != nil {
 		return err
-	}
-	if c.Chunks < 0 {
-		return fmt.Errorf("cluster: Chunks = %d, need >= 0", c.Chunks)
-	}
-	if c.Chunks > 1 && c.Collective != netsim.CollectiveAllGather && c.Collective != netsim.CollectiveAuto {
-		// Ring all-reduce is already d/N-chunked by construction and the
-		// parameter server has no ring to pipeline against; the chunked
-		// mode is defined for the sparse all-gather only. Auto is accepted:
-		// it resolves to the all-gather on every sparse exchange, and the
-		// per-exchange resolution re-validates if a dense round slips in.
-		return fmt.Errorf("cluster: Chunks = %d requires the all-gather collective, got %v", c.Chunks, c.Collective)
-	}
-	if c.CompressSec < 0 {
-		return fmt.Errorf("cluster: CompressSec = %v, need >= 0", c.CompressSec)
 	}
 	if c.StepTimeout < 0 {
 		return fmt.Errorf("cluster: StepTimeout = %v, need >= 0", c.StepTimeout)
@@ -266,24 +231,18 @@ func (w Wire) Format() (encoding.Format, error) {
 }
 
 // resolveCollective resolves Auto against the round's inputs (sparse:
-// all-gather, dense: ring) and re-validates the chunked mode against the
-// outcome. Resolution happens once per round, never per node — per-node
-// resolution could diverge on a mixed dense/sparse input set and
-// deadlock the schedule, which is why Engine resolves for all its Nodes.
-//
-//sidco:errclass config validation, deliberately fatal
-func resolveCollective(c netsim.Collective, sparse bool, chunks int) (netsim.Collective, error) {
-	if c == netsim.CollectiveAuto {
-		if sparse {
-			c = netsim.CollectiveAllGather
-		} else {
-			c = netsim.CollectiveRing
-		}
+// all-gather, dense: ring). Resolution happens once per round, never per
+// node — per-node resolution could diverge on a mixed dense/sparse input
+// set and deadlock the schedule, which is why Engine resolves for all its
+// Nodes.
+func resolveCollective(c netsim.Collective, sparse bool) netsim.Collective {
+	if c != netsim.CollectiveAuto {
+		return c
 	}
-	if chunks > 1 && c != netsim.CollectiveAllGather {
-		return 0, fmt.Errorf("cluster: Chunks = %d, but this exchange resolved to %v (dense inputs under Auto take the ring)", chunks, c)
+	if sparse {
+		return netsim.CollectiveAllGather
 	}
-	return c, nil
+	return netsim.CollectiveRing
 }
 
 // round is one rank's share of an Exchange.
@@ -382,10 +341,7 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 	if len(ins) != e.cfg.Workers {
 		return fmt.Errorf("cluster: %d inputs for %d workers", len(ins), e.cfg.Workers) //sidco:errclass caller misuse, deliberately fatal
 	}
-	coll, err := resolveCollective(e.cfg.Collective, ins[0].Sparse != nil, e.cfg.Chunks)
-	if err != nil {
-		return err
-	}
+	coll := resolveCollective(e.cfg.Collective, ins[0].Sparse != nil)
 	ownAggregates := e.cfg.Verify || coll == netsim.CollectiveRing
 	for rank, ch := range e.rounds {
 		rd := round{step: step, coll: coll, dim: len(agg)}

@@ -53,23 +53,42 @@ func engineExchange(t *testing.T, cfg Config, ins []dist.ExchangeInput, dim int)
 	return agg, e
 }
 
+// TestEngineMatchesInProcessBitwise: the encoded collectives reproduce the
+// in-process reducer bit-for-bit, including where the dimension leaves
+// nothing to chunk: d = 3 at full support and the empty d = 0 vector.
 func TestEngineMatchesInProcessBitwise(t *testing.T) {
-	const dim = 513 // odd: uneven ring chunks
-	for _, workers := range []int{1, 2, 4, 7} {
-		ins := randomInputs(t, workers, dim, 0.05, int64(workers))
-		want := make([]float64, dim)
-		if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
-			t.Fatal(err)
-		}
-		for _, coll := range []netsim.Collective{netsim.CollectiveAllGather, netsim.CollectivePS} {
-			got, e := engineExchange(t, Config{Workers: workers, Collective: coll, Verify: true}, ins, dim)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d %v: element %d = %v, want %v (must be bit-identical)",
-						workers, coll, i, got[i], want[i])
+	for _, tc := range []struct {
+		dim   int
+		delta float64
+	}{
+		{513, 0.05}, // odd: uneven ring chunks
+		{3, 1},
+		{0, 0},
+	} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			ins := randomInputs(t, workers, tc.dim, tc.delta, int64(workers))
+			if tc.dim == 0 { // no compressor takes an empty gradient; the collective must
+				for w := range ins {
+					ins[w].Sparse = &tensor.Sparse{}
 				}
 			}
-			e.Close()
+			want := make([]float64, tc.dim)
+			if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
+				t.Fatal(err)
+			}
+			for _, coll := range []netsim.Collective{netsim.CollectiveAllGather, netsim.CollectivePS} {
+				got, e := engineExchange(t, Config{Workers: workers, Collective: coll, Verify: true}, ins, tc.dim)
+				if len(got) != tc.dim {
+					t.Fatalf("dim=%d workers=%d %v: aggregate has %d elements", tc.dim, workers, coll, len(got))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("dim=%d workers=%d %v: element %d = %v, want %v (must be bit-identical)",
+							tc.dim, workers, coll, i, got[i], want[i])
+					}
+				}
+				e.Close()
+			}
 		}
 	}
 }
@@ -91,28 +110,51 @@ func TestEngineRingDenseMatchesWithinReassociation(t *testing.T) {
 	}
 }
 
+// TestEngineAutoMirrorsNetsim: one Auto engine resolves every round
+// against that round's inputs — sparse rounds take the all-gather
+// schedule (N-1 messages per node, no server, bit-identical to the
+// in-process reducer), dense rounds the ring — and stays live across the
+// switch.
 func TestEngineAutoMirrorsNetsim(t *testing.T) {
 	const dim = 128
 	workers := 3
-	// Sparse inputs under Auto take the all-gather schedule: N-1 messages
-	// per node and no server.
-	ins := randomInputs(t, workers, dim, 0.1, 3)
-	_, e := engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveAuto}, ins, dim)
-	msgs, _ := e.Transport().Totals()
-	if want := workers * netsim.AllGatherMessages(workers); msgs != want {
-		t.Errorf("auto sparse: %d messages, want %d", msgs, want)
+	sparse := randomInputs(t, workers, dim, 0.1, 3)
+	dense := randomInputs(t, workers, dim, 0, 3)
+	want := make([]float64, dim)
+	if err := (dist.InProcess{}).Exchange(0, sparse, want); err != nil {
+		t.Fatal(err)
 	}
-	e.Close()
-	// Dense inputs take the ring schedule.
-	for i := range ins {
-		ins[i].Sparse = nil
+	e, err := New(Config{Workers: workers, Collective: netsim.CollectiveAuto, Verify: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, e = engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveAuto}, ins, dim)
-	msgs, _ = e.Transport().Totals()
-	if want := workers * netsim.RingMessages(workers); msgs != want {
-		t.Errorf("auto dense: %d messages, want %d", msgs, want)
+	defer e.Close()
+	agg := make([]float64, dim)
+	for step, tc := range []struct {
+		name string
+		ins  []dist.ExchangeInput
+		msgs int
+	}{
+		{"sparse", sparse, workers * netsim.AllGatherMessages(workers)},
+		{"dense", dense, workers * netsim.RingMessages(workers)},
+		{"sparse again", sparse, workers * netsim.AllGatherMessages(workers)},
+	} {
+		e.Transport().Reset()
+		if err := e.Exchange(step, tc.ins, agg); err != nil {
+			t.Fatalf("auto %s: %v", tc.name, err)
+		}
+		if msgs, _ := e.Transport().Totals(); msgs != tc.msgs {
+			t.Errorf("auto %s: %d messages, want %d", tc.name, msgs, tc.msgs)
+		}
+		if tc.ins[0].Sparse == nil {
+			continue
+		}
+		for i := range want {
+			if agg[i] != want[i] {
+				t.Fatalf("auto %s: element %d = %v, want %v (must be bit-identical)", tc.name, i, agg[i], want[i])
+			}
+		}
 	}
-	e.Close()
 }
 
 func TestEngineBytesPerStepMatchEncodingAccounting(t *testing.T) {
@@ -133,6 +175,46 @@ func TestEngineBytesPerStepMatchEncodingAccounting(t *testing.T) {
 		// Each worker's encoded buffer traverses N-1 links.
 		if want := (workers - 1) * workers * encoding.Pairs64Size(dim, nnz); bytes != want {
 			t.Errorf("measured %d bytes, encoding accounting says %d", bytes, want)
+		}
+	})
+	t.Run("allgather-per-node", func(t *testing.T) {
+		// The closed form holds node by node, not just in total: every
+		// node sends and receives netsim.AllGatherMessages(N) messages,
+		// and ships each origin's encoding but its ring successor's. A
+		// lone node moves nothing.
+		for _, n := range []int{1, 2, 4} {
+			ins := randomInputs(t, n, dim, 0.05, int64(20+n))
+			size := make([]int, n)
+			total := 0
+			for w, in := range ins {
+				size[w], _ = encoding.Size(encoding.FormatPairs64, dim, in.Sparse.NNZ())
+				total += size[w]
+			}
+			_, e := engineExchange(t, Config{Workers: n, Collective: netsim.CollectiveAllGather}, ins, dim)
+			tp := e.Transport()
+			for node := 0; node < n; node++ {
+				next, prev := (node+1)%n, (node+n-1)%n
+				sent, recvd := tp.LinkStats(node, next), tp.RecvLinkStats(prev, node)
+				if sent.Messages != netsim.AllGatherMessages(n) || recvd.Messages != netsim.AllGatherMessages(n) {
+					t.Errorf("N=%d node %d: sent %d, received %d messages, want %d each",
+						n, node, sent.Messages, recvd.Messages, netsim.AllGatherMessages(n))
+				}
+				if want := total - size[next]; n > 1 && sent.Bytes != want {
+					t.Errorf("N=%d node %d: sent %d bytes, want %d", n, node, sent.Bytes, want)
+				}
+				if want := total - size[node]; n > 1 && recvd.Bytes != want {
+					t.Errorf("N=%d node %d: received %d bytes, want %d", n, node, recvd.Bytes, want)
+				}
+			}
+			msgs, bytes := tp.Totals()
+			rmsgs, rbytes := tp.RecvTotals()
+			if want := n * netsim.AllGatherMessages(n); msgs != want || rmsgs != want {
+				t.Errorf("N=%d: %d sent, %d received messages, want %d", n, msgs, rmsgs, want)
+			}
+			if want := (n - 1) * total; bytes != want || rbytes != want {
+				t.Errorf("N=%d: %d sent, %d received bytes, want %d", n, bytes, rbytes, want)
+			}
+			e.Close()
 		}
 	})
 	t.Run("allgather-pairs32", func(t *testing.T) {
@@ -206,16 +288,11 @@ func TestConfigValidate(t *testing.T) {
 		want string // "" = accepted
 	}{
 		{"defaults", Config{Workers: 2}, ""},
-		{"auto-chunked", Config{Workers: 2, Chunks: 4}, ""},
 		{"ps-server-rank", Config{Workers: 2, Rank: 2, Collective: netsim.CollectivePS}, ""},
 		{"retries-with-timeout", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: 2}, ""},
 		{"no-workers", Config{Workers: 0}, "Workers = 0"},
 		{"unknown-collective", Config{Workers: 2, Collective: netsim.Collective(99)}, "unknown collective"},
 		{"unknown-wire", Config{Workers: 2, Format: Wire(99)}, "unknown wire format"},
-		{"negative-chunks", Config{Workers: 2, Chunks: -1, Collective: netsim.CollectiveAllGather}, "Chunks = -1"},
-		{"chunked-ring", Config{Workers: 2, Chunks: 4, Collective: netsim.CollectiveRing}, "requires the all-gather"},
-		{"chunked-ps", Config{Workers: 2, Chunks: 4, Collective: netsim.CollectivePS}, "requires the all-gather"},
-		{"negative-compress-sec", Config{Workers: 2, CompressSec: -1}, "CompressSec"},
 		{"negative-step-timeout", Config{Workers: 2, StepTimeout: -time.Second}, "StepTimeout"},
 		{"negative-retries", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: -1}, "MaxStepRetries = -1"},
 		{"retries-without-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, MaxStepRetries: 1}, "requires StepTimeout"},
@@ -240,7 +317,7 @@ func TestConfigValidate(t *testing.T) {
 // refusals that are not configuration: a wrong input count, a second
 // Close, an exchange after Close.
 func TestEngineMisuse(t *testing.T) {
-	if _, err := New(Config{Workers: 2, Chunks: 4, Collective: netsim.CollectivePS}); err == nil {
+	if _, err := New(Config{Workers: 2, MaxStepRetries: 2}); err == nil {
 		t.Error("New must refuse what Validate refuses")
 	}
 	e, err := New(Config{Workers: 2, Rank: 7}) // Rank is not New's: an Engine hosts every rank
@@ -377,14 +454,6 @@ func tinyTrainer(t *testing.T, workers int, comp string, delta float64, seed int
 // all-gather and parameter-server collectives.
 func TestTrainerOverChannelTransportBitIdentical(t *testing.T) {
 	const workers, iters = 4, 5
-	run := func(comp string, ex dist.GradientExchange) ([]float64, []float64) {
-		tr := tinyTrainer(t, workers, comp, 0.1, 42, ex)
-		losses, _, err := tr.Run(iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return losses, nn.FlattenWeights(tr.Params(), nil)
-	}
 	for _, comp := range registryNames {
 		for _, coll := range []netsim.Collective{netsim.CollectiveAllGather, netsim.CollectivePS} {
 			t.Run(fmt.Sprintf("%s-%v", comp, coll), func(t *testing.T) {
@@ -393,19 +462,42 @@ func TestTrainerOverChannelTransportBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				wantLoss, wantW := run(comp, nil)
-				gotLoss, gotW := run(comp, e)
-				for i := range wantLoss {
-					if gotLoss[i] != wantLoss[i] {
-						t.Fatalf("loss[%d] = %v, want %v (bit-identical)", i, gotLoss[i], wantLoss[i])
-					}
-				}
-				for i := range wantW {
-					if gotW[i] != wantW[i] {
-						t.Fatalf("weight[%d] = %v, want %v (bit-identical)", i, gotW[i], wantW[i])
-					}
-				}
+				wantLoss, wantW := trainTiny(t, workers, iters, comp, nil, nil)
+				gotLoss, gotW := trainTiny(t, workers, iters, comp, nil, e)
+				requireBitIdentical(t, "loss", gotLoss, wantLoss)
+				requireBitIdentical(t, "weight", gotW, wantW)
 			})
+		}
+	}
+}
+
+// trainTiny runs the tiny trainer (delta 0.1, seed 42) for iters steps
+// over ex — nil: the in-process reducer — with error feedback pre-rounding
+// to ecWire when that is set, and returns its losses and final weights.
+func trainTiny(t *testing.T, workers, iters int, comp string, ecWire *encoding.Format, ex dist.GradientExchange) (losses, weights []float64) {
+	t.Helper()
+	cfg := tinyTrainerCfg(workers, 0, comp, 0.1, 42, ex)
+	cfg.ECWire = ecWire
+	tr, err := dist.NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses, _, err = tr.Run(iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return losses, nn.FlattenWeights(tr.Params(), nil)
+}
+
+// requireBitIdentical fails unless got equals want element for element.
+func requireBitIdentical(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d %s values, want %d", len(got), what, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %v, want %v (bit-identical)", what, i, got[i], want[i])
 		}
 	}
 }
@@ -471,8 +563,7 @@ func zeroHeavyInputs(workers, dim int, seed int64) []dist.ExchangeInput {
 }
 
 // TestSparseReduceMatchesInProcessOnZeros holds the O(k*N) merged reduce
-// of the all-gather (monolithic, chunked, more chunks than elements) and
-// of the parameter server bit-equal to dist.InProcess on inputs full of
+// of the all-gather and of the parameter server bit-equal to dist.InProcess on inputs full of
 // signed zeros and cancelling pairs, with and without the per-rank
 // aggregates Verify adds. Under PS the reply must carry exactly the
 // non-zero support of the mean: cancelled sums and lone -0s are absent
@@ -496,8 +587,6 @@ func TestSparseReduceMatchesInProcessOnZeros(t *testing.T) {
 		}
 		for _, cfg := range []Config{
 			{Collective: netsim.CollectiveAllGather},
-			{Collective: netsim.CollectiveAllGather, Chunks: 4},
-			{Collective: netsim.CollectiveAllGather, Chunks: dim + 3},
 			{Collective: netsim.CollectivePS},
 		} {
 			for _, verify := range []bool{false, true} {
@@ -505,8 +594,8 @@ func TestSparseReduceMatchesInProcessOnZeros(t *testing.T) {
 				got, e := engineExchange(t, cfg, ins, dim)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("workers=%d %v chunks=%d verify=%v: element %d = %v (%#x), in-process %v (%#x)",
-							workers, cfg.Collective, cfg.Chunks, verify, i,
+						t.Fatalf("workers=%d %v verify=%v: element %d = %v (%#x), in-process %v (%#x)",
+							workers, cfg.Collective, verify, i,
 							got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
 				}
@@ -551,7 +640,7 @@ func TestReduceBufsKeepHighWaterMark(t *testing.T) {
 }
 
 // registryNames mirrors harness.CompressorNames; the cluster tests keep
-// their own copy because harness now depends on this package (the chunk
+// their own copy because harness depends on this package (the loopback
 // study), and a test-only import back into harness would be a cycle.
 var registryNames = []string{"topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"}
 
@@ -574,313 +663,5 @@ func registryCompressor(name string, seed int64) compress.Compressor {
 		return core.NewGP()
 	default:
 		panic("unknown registry compressor " + name)
-	}
-}
-
-// TestChunkedMatchesMonolithicProperty is the chunked-mode property
-// test: over random gradients, the chunked all-gather aggregate must be
-// bit-identical to the monolithic one for the deterministic compressors
-// (topk) and for seeded DGC — the chunk split partitions the already-
-// selected support, so no compressor randomness can diverge between the
-// two schedules.
-func TestChunkedMatchesMonolithicProperty(t *testing.T) {
-	const workers = 4
-	for trial := 0; trial < 8; trial++ {
-		dim := 200 + 157*trial // non-power-of-two dims exercise uneven chunk bounds
-		delta := []float64{0.01, 0.05, 0.2}[trial%3]
-		for _, compName := range []string{"topk", "dgc"} {
-			rng := rand.New(rand.NewSource(int64(1000 + trial)))
-			ins := make([]dist.ExchangeInput, workers)
-			for w := range ins {
-				dense := make([]float64, dim)
-				for i := range dense {
-					dense[i] = rng.NormFloat64()
-				}
-				// One compressor per worker, seeded per (trial, worker):
-				// DGC consumes randomness, so both schedules must see the
-				// same pre-computed selection.
-				s, err := compress.FreshCompress(registryCompressor(compName, int64(trial*10+w)), dense, delta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ins[w] = dist.ExchangeInput{Worker: w, Dense: dense, Sparse: s}
-			}
-			mono, e1 := engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveAllGather}, ins, dim)
-			e1.Close()
-			for _, chunks := range []int{2, 3, 8, 64} {
-				got, e := engineExchange(t, Config{
-					Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: chunks, Verify: true,
-				}, ins, dim)
-				e.Close()
-				for i := range mono {
-					if got[i] != mono[i] {
-						t.Fatalf("%s trial %d chunks %d: element %d = %v, want %v (bit-identity broken)",
-							compName, trial, chunks, i, got[i], mono[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestChunkedTrafficMatchesAccounting pins the chunked traffic contract:
-// C*(N-1) messages per node, and total bytes equal to the per-chunk
-// encoded sizes of every worker's partitioned selection, each forwarded
-// N-1 times. Empty chunks still ship a header-only payload.
-func TestChunkedTrafficMatchesAccounting(t *testing.T) {
-	const dim, workers, chunks = 400, 4, 8
-	ins := randomInputs(t, workers, dim, 0.05, 17)
-	_, e := engineExchange(t, Config{
-		Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: chunks,
-	}, ins, dim)
-	defer e.Close()
-	msgs, bytes := e.Transport().Totals()
-	if want := workers * netsim.ChunkedAllGatherMessages(workers, chunks); msgs != want {
-		t.Errorf("%d messages, want %d", msgs, want)
-	}
-	wantBytes := 0
-	for _, in := range ins {
-		for _, n := range ChunkNNZ(in.Sparse.Idx, dim, chunks) {
-			wantBytes += (workers - 1) * encoding.Pairs64Size(dim, n)
-		}
-	}
-	if bytes != wantBytes {
-		t.Errorf("%d bytes, want %d", bytes, wantBytes)
-	}
-}
-
-// TestChunkedTrainerBitIdentical trains through a chunked engine and
-// requires the loss trajectory bit-identical to the in-process reducer —
-// the end-to-end form of the chunked safety net, including error
-// feedback feeding selections back across iterations.
-func TestChunkedTrainerBitIdentical(t *testing.T) {
-	const workers, iters = 3, 4
-	ref := tinyTrainer(t, workers, "sidco-e", 0.1, 11, nil)
-	want, _, err := ref.Run(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: 4, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	tr := tinyTrainer(t, workers, "sidco-e", 0.1, 11, e)
-	got, _, err := tr.Run(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("loss[%d] = %v, want %v (must be bit-identical)", i, got[i], want[i])
-		}
-	}
-}
-
-// TestChunkedOverlapHidesCompression pins the virtual-clock win the
-// chunked mode exists for: with compression charged per exchange, the
-// pipelined chunked schedule must finish strictly earlier than the
-// monolithic one, both homogeneously and under a straggler.
-func TestChunkedOverlapHidesCompression(t *testing.T) {
-	const dim, workers = 1 << 14, 4
-	ins := randomInputs(t, workers, dim, 0.05, 23)
-	net := netsim.Network{Workers: workers, BandwidthBps: 1e9, LatencySec: 20e-6}
-	measure := func(chunks int, straggler float64) float64 {
-		scen := ScenarioFromNetwork(net)
-		if straggler > 1 {
-			scen.StragglerFactor = map[int]float64{workers - 1: straggler}
-		}
-		e, err := New(Config{
-			Workers:     workers,
-			Collective:  netsim.CollectiveAllGather,
-			Scenario:    scen,
-			Chunks:      chunks,
-			CompressSec: 2e-3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		if err := e.Exchange(0, ins, make([]float64, dim)); err != nil {
-			t.Fatal(err)
-		}
-		return e.Transport().Elapsed()
-	}
-	for _, straggler := range []float64{1, 8} {
-		mono := measure(1, straggler)
-		chunked := measure(4, straggler)
-		if chunked >= mono {
-			t.Errorf("straggler x%g: chunked %v not faster than monolithic %v", straggler, chunked, mono)
-		}
-	}
-}
-
-// TestChunksExceedDim: chunks may exceed the element count.
-func TestChunksExceedDim(t *testing.T) {
-	// Chunks may exceed the element count: surplus chunks ship empty
-	// payloads and the result is still exact.
-	ins := randomInputs(t, 2, 16, 0.1, 3)
-	want := make([]float64, 16)
-	if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
-		t.Fatal(err)
-	}
-	got, e := engineExchange(t, Config{
-		Workers: 2, Collective: netsim.CollectiveAllGather, Chunks: 32, Verify: true,
-	}, ins, 16)
-	defer e.Close()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("chunks > dim: element %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestChunkedAutoResolvesBeforeValidation is the regression for the
-// construction-time rejection of Chunks > 1 under CollectiveAuto: Auto
-// resolves to the all-gather on every sparse exchange, so the chunked
-// mode must be validated against the resolved collective, not the
-// selector. A dense round that resolves to the ring is rejected at
-// exchange time instead — without fail-stopping the engine.
-func TestChunkedAutoResolvesBeforeValidation(t *testing.T) {
-	const dim, workers = 120, 3
-	e, err := New(Config{Workers: workers, Collective: netsim.CollectiveAuto, Chunks: 4, Verify: true})
-	if err != nil {
-		t.Fatalf("Auto + Chunks > 1 rejected at construction: %v", err)
-	}
-	defer e.Close()
-	ins := randomInputs(t, workers, dim, 0.1, 21)
-	want := make([]float64, dim)
-	if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
-		t.Fatal(err)
-	}
-	agg := make([]float64, dim)
-	if err := e.Exchange(0, ins, agg); err != nil {
-		t.Fatalf("sparse exchange under Auto + chunks: %v", err)
-	}
-	for i := range want {
-		if agg[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v (chunked Auto must stay bit-identical)", i, agg[i], want[i])
-		}
-	}
-	dense := make([]dist.ExchangeInput, workers)
-	for i, in := range ins {
-		dense[i] = dist.ExchangeInput{Worker: in.Worker, Dense: in.Dense}
-	}
-	if err := e.Exchange(1, dense, agg); err == nil {
-		t.Fatal("dense round under Auto + chunks resolved to the ring and should error")
-	}
-	// The rejection happened before fan-out, so the engine is still live.
-	if err := e.Exchange(2, ins, agg); err != nil {
-		t.Fatalf("engine fail-stopped on a pre-flight validation error: %v", err)
-	}
-	// Training end-to-end through Auto + chunks (the configuration the
-	// old validation made unreachable).
-	ref := tinyTrainer(t, workers, "topk", 0.1, 31, nil)
-	wantLoss, _, err := ref.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := New(Config{Workers: workers, Collective: netsim.CollectiveAuto, Chunks: 4, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	tr := tinyTrainer(t, workers, "topk", 0.1, 31, e2)
-	gotLoss, _, err := tr.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantLoss {
-		if gotLoss[i] != wantLoss[i] {
-			t.Fatalf("loss[%d] = %v, want %v (bit-identical)", i, gotLoss[i], wantLoss[i])
-		}
-	}
-}
-
-// TestChunkedTinyDimEdges is the regression for chunk counts colliding
-// with tiny dimensions: at d=3, C=8 most chunk ranges are empty
-// (c*d/C == (c+1)*d/C), and at d=0 all of them are. Neither may panic or
-// short-count — empty chunks ship header-only payloads, the aggregate
-// stays bit-identical to the in-process reducer, and the traffic still
-// matches the chunked formulas.
-func TestChunkedTinyDimEdges(t *testing.T) {
-	t.Run("d3c8", func(t *testing.T) {
-		const dim, workers, chunks = 3, 2, 8
-		counts := ChunkNNZ([]int32{0, 1, 2}, dim, chunks)
-		if len(counts) != chunks {
-			t.Fatalf("ChunkNNZ returned %d chunks, want %d", len(counts), chunks)
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != dim {
-			t.Fatalf("ChunkNNZ partition covers %d indices, want %d", total, dim)
-		}
-		ins := randomInputs(t, workers, dim, 1, 13) // full-support selections
-		want := make([]float64, dim)
-		if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
-			t.Fatal(err)
-		}
-		got, e := engineExchange(t, Config{
-			Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: chunks, Verify: true,
-		}, ins, dim)
-		defer e.Close()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("element %d = %v, want %v", i, got[i], want[i])
-			}
-		}
-		msgs, bytes := e.Transport().Totals()
-		if wantMsgs := workers * netsim.ChunkedAllGatherMessages(workers, chunks); msgs != wantMsgs {
-			t.Errorf("%d messages, want %d (empty chunks still run their all-gather)", msgs, wantMsgs)
-		}
-		wantBytes := 0
-		for _, in := range ins {
-			for _, n := range ChunkNNZ(in.Sparse.Idx, dim, chunks) {
-				wantBytes += (workers - 1) * encoding.Pairs64Size(dim, n)
-			}
-		}
-		if bytes != wantBytes {
-			t.Errorf("%d bytes, want %d (header-only payloads for empty chunks)", bytes, wantBytes)
-		}
-	})
-	t.Run("d0", func(t *testing.T) {
-		const workers, chunks = 2, 4
-		for _, c := range ChunkNNZ(nil, 0, chunks) {
-			if c != 0 {
-				t.Fatal("ChunkNNZ at d=0 must be all zeros")
-			}
-		}
-		ins := []dist.ExchangeInput{
-			{Worker: 0, Dense: []float64{}, Sparse: &tensor.Sparse{Dim: 0}},
-			{Worker: 1, Dense: []float64{}, Sparse: &tensor.Sparse{Dim: 0}},
-		}
-		got, e := engineExchange(t, Config{
-			Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: chunks, Verify: true,
-		}, ins, 0)
-		defer e.Close()
-		if len(got) != 0 {
-			t.Fatalf("aggregate has %d elements, want 0", len(got))
-		}
-	})
-}
-
-// TestChunkedSingleWorker covers the degenerate one-node ring, where the
-// overlap hook never fires and chunks must still encode lazily.
-func TestChunkedSingleWorker(t *testing.T) {
-	ins := randomInputs(t, 1, 64, 0.2, 9)
-	want := make([]float64, 64)
-	if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
-		t.Fatal(err)
-	}
-	got, e := engineExchange(t, Config{
-		Workers: 1, Collective: netsim.CollectiveAllGather, Chunks: 4,
-	}, ins, 64)
-	defer e.Close()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, got[i], want[i])
-		}
 	}
 }

@@ -196,14 +196,14 @@ var faultEnvs = []faultEnv{
 // victim dies between step 0 and step 1 of an Engine with a StepTimeout,
 // Exchange must surface a classified error, and Close must leave no
 // goroutine behind.
-func killRankEngine(t *testing.T, workers, dim, victim int, coll netsim.Collective, chunks int) {
+func killRankEngine(t *testing.T, workers, dim, victim int, coll netsim.Collective) {
 	before := runtime.NumGoroutine()
 	inner, err := NewChanTransport(NodeCount(workers, coll))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Config{
-		Workers: workers, Collective: coll, Chunks: chunks, StepTimeout: 500 * time.Millisecond,
+		Workers: workers, Collective: coll, StepTimeout: 500 * time.Millisecond,
 		Transport: NewFaultTransport(inner, FaultPlan{KillRank: map[int]int64{victim: 1}}),
 	})
 	if err != nil {
@@ -269,18 +269,16 @@ func TestEngineIdleServerKeepsDeadline(t *testing.T) {
 func TestKillRankSurfacesClassifiedError(t *testing.T) {
 	const workers, dim = 3, 32
 	cases := []struct {
-		name   string
-		coll   netsim.Collective
-		chunks int
+		name string
+		coll netsim.Collective
 	}{
-		{"ring", netsim.CollectiveRing, 0},
-		{"allgather", netsim.CollectiveAllGather, 0},
-		{"allgather-chunked", netsim.CollectiveAllGather, 3},
-		{"ps", netsim.CollectivePS, 0},
+		{"ring", netsim.CollectiveRing},
+		{"allgather", netsim.CollectiveAllGather},
+		{"ps", netsim.CollectivePS},
 	}
 	for _, tc := range cases {
 		t.Run("engine/"+tc.name, func(t *testing.T) {
-			killRankEngine(t, workers, dim, 1, tc.coll, tc.chunks)
+			killRankEngine(t, workers, dim, 1, tc.coll)
 		})
 	}
 	for _, env := range faultEnvs {
@@ -310,7 +308,7 @@ func TestKillRankSurfacesClassifiedError(t *testing.T) {
 				for rank := 0; rank < nodes; rank++ {
 					go func(rank int) {
 						nd, err := NewNode(NodeConfig{
-							Workers: workers, Rank: rank, Collective: tc.coll, Chunks: tc.chunks,
+							Workers: workers, Rank: rank, Collective: tc.coll,
 							Transport: tps[rank], StepTimeout: 500 * time.Millisecond,
 						})
 						if err != nil {
@@ -318,7 +316,7 @@ func TestKillRankSurfacesClassifiedError(t *testing.T) {
 							return
 						}
 						if rank == workers && tc.coll == netsim.CollectivePS {
-							results <- outcome{rank, nd.Serve(2)}
+							results <- outcome{rank, nd.Serve(0, 2)}
 							return
 						}
 						if err := step(nd, rank, 0); err != nil {

@@ -1,17 +1,25 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// The group-aware collective schedules below generalise the exported
-// collectives from "nodes 0..n-1" to an arbitrary sorted member list —
-// the survivor set after elastic membership excludes a dead peer. Ring
+// The collective schedules below are written from one node's
+// perspective: every participating node calls the same function with its
+// own id, and the per-node message schedules interlock into the
+// collective. All of them preserve the package's traffic contract — ring
+// all-reduce sends 2(N-1) messages per node, all-gather N-1 per node,
+// parameter server 2N in total — matching internal/netsim's alpha-beta
+// step formulas.
+//
+// They run over an arbitrary sorted member list — nodes 0..n-1
+// (identityMembers) until elastic membership excludes a dead peer. Ring
 // neighbours are taken by *position* in the member list and chunk
-// geometry is computed over the member count, so over the full list the
-// message schedules are byte-for-byte the exported collectives'. All
-// receives go through a linkRecv hook, which is where the per-step
-// deadline and the membership-frame interception live.
+// geometry is computed over the member count. All receives go through a
+// linkRecv hook, which is where the per-step deadline and the
+// membership-frame interception live.
 
 // linkRecv abstracts one blocking receive on a directed link. The
 // schedule code never calls Transport.Recv directly: the hook lets the
@@ -60,10 +68,17 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 	return pos, nil
 }
 
-// ringAllReduceGroup is RingAllReduce over an explicit member list:
-// neighbours by position, chunks by member count, reduction in ring
-// order. Over identityMembers(n) it is message-for-message
-// RingAllReduce.
+// ringAllReduceGroup runs the bandwidth-optimal ring all-reduce in place
+// over the member list: m-1 reduce-scatter steps followed by m-1
+// all-gather steps, each node sending one ~d/m-element chunk to its ring
+// successor. On return, data holds the elementwise sum over all members'
+// inputs.
+//
+// The reduction for chunk c accumulates contributions in ring order
+// starting at position c — a rotation of worker-index order — so results
+// equal the in-process reducer's only up to floating-point
+// reassociation. Training paths that need bit-identity use the
+// all-gather or parameter-server collectives instead.
 func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, data []float64) error {
 	pos, err := checkMember(tp, members, self)
 	if err != nil {
@@ -113,12 +128,13 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, da
 	return nil
 }
 
-// allGatherGroup is AllGatherInto over an explicit member list. bufs is
-// indexed by member *position* (bufs[pos] holds members[pos]'s payload;
-// the caller's own payload is aliased at its position). Over
-// identityMembers(n) position equals node id, so the result layout and
-// the message schedule match AllGatherInto exactly.
-func allGatherGroup(tp Transport, recv linkRecv, members []int, self int, own []byte, bufs [][]byte, overlap func() error) ([][]byte, error) {
+// allGatherGroup circulates each member's payload once around the ring
+// in m-1 forwarding steps — the collective for sparse gradients, whose
+// irregular supports cannot be reduced in-ring without densifying. bufs
+// (reused result storage, may be nil) is grown to m slots and returned,
+// indexed by member *position*: bufs[pos] holds members[pos]'s payload,
+// the caller's own payload aliased at its position.
+func allGatherGroup(tp Transport, recv linkRecv, members []int, self int, own []byte, bufs [][]byte) ([][]byte, error) {
 	pos, err := checkMember(tp, members, self)
 	if err != nil {
 		return nil, err
@@ -135,11 +151,6 @@ func allGatherGroup(tp Transport, recv linkRecv, members []int, self int, own []
 		if err := tp.Send(self, next, cur); err != nil {
 			return nil, err
 		}
-		if s == 0 && overlap != nil {
-			if err := overlap(); err != nil {
-				return nil, err
-			}
-		}
 		cur, err = recv(self, prev)
 		if err != nil {
 			return nil, err
@@ -149,11 +160,12 @@ func allGatherGroup(tp Transport, recv linkRecv, members []int, self int, own []
 	return bufs, nil
 }
 
-// psServeGroup is PSServe over an explicit worker member list: one push
-// per surviving worker, received in member (ascending-rank) order, then
-// the reply broadcast to the same set. combine sees both the member
-// position (0 = first survivor, which defines the round's dimension)
-// and the worker's node id.
+// psServeGroup is the server half of the parameter-server exchange: one
+// push per surviving worker, received in member (ascending-rank) order —
+// the order that keeps aggregation deterministic — then the reply
+// broadcast to the same set; 2N messages across both halves. combine sees
+// both the member position (0 = first survivor, which defines the round's
+// dimension) and the worker's node id.
 func psServeGroup(tp Transport, recv linkRecv, server int, workers []int, combine func(pos, worker int, payload []byte) error, reply func() ([]byte, error)) error {
 	for pos, w := range workers {
 		payload, err := recv(server, w)
@@ -172,6 +184,44 @@ func psServeGroup(tp Transport, recv linkRecv, server int, workers []int, combin
 		if err := tp.Send(server, w, out); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// chunkBounds splits d elements into n near-equal chunks (the standard
+// balanced split: chunk c covers [c*d/n, (c+1)*d/n)).
+func chunkBounds(d, n, c int) (lo, hi int) {
+	return c * d / n, (c + 1) * d / n
+}
+
+// f64Bytes serialises a float64 slice little-endian. A ring chunk is raw
+// (headerless): both ends of a ring step know the chunk geometry.
+func f64Bytes(xs []float64) []byte {
+	buf := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	}
+	return buf
+}
+
+//sidco:errclass geometry violation means a buggy peer, deliberately fatal
+func f64Add(dst []float64, buf []byte) error {
+	if len(buf) != 8*len(dst) {
+		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
+	}
+	for i := range dst {
+		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+	return nil
+}
+
+//sidco:errclass geometry violation means a buggy peer, deliberately fatal
+func f64Copy(dst []float64, buf []byte) error {
+	if len(buf) != 8*len(dst) {
+		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return nil
 }

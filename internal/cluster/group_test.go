@@ -30,6 +30,42 @@ func runAll(n int, f func(node int) error) error {
 	return nil
 }
 
+// pushPull is the worker half of the parameter-server exchange: push the
+// local payload to the server node, then block for the aggregated reply.
+func pushPull(tp Transport, worker, server int, payload []byte) ([]byte, error) {
+	if err := tp.Send(worker, server, payload); err != nil {
+		return nil, err
+	}
+	return tp.Recv(worker, server)
+}
+
+// TestGroupSchedulesRejectBadMembership: every schedule refuses, before
+// its first message, an empty group, a member outside the transport and a
+// caller that is not a member.
+func TestGroupSchedulesRejectBadMembership(t *testing.T) {
+	tp, err := NewChanTransport(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	for name, tc := range map[string]struct {
+		members []int
+		self    int
+	}{
+		"empty group":       {nil, 0},
+		"member past nodes": {[]int{0, 1, 3}, 0},
+		"negative member":   {[]int{-1, 0}, 0},
+		"self not a member": {[]int{0, 2}, 1},
+	} {
+		if err := ringAllReduceGroup(tp, tp.Recv, tc.members, tc.self, make([]float64, 4)); err == nil {
+			t.Errorf("%s: ring all-reduce accepted it", name)
+		}
+		if _, err := allGatherGroup(tp, tp.Recv, tc.members, tc.self, []byte{1}, nil); err == nil {
+			t.Errorf("%s: all-gather accepted it", name)
+		}
+	}
+}
+
 func TestRingAllReduceSums(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		for _, d := range []int{1, 5, 16, 33} {
@@ -49,7 +85,7 @@ func TestRingAllReduceSums(t *testing.T) {
 				}
 			}
 			if err := runAll(n, func(node int) error {
-				return RingAllReduce(tp, node, n, data[node])
+				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
 			}); err != nil {
 				t.Fatalf("n=%d d=%d: %v", n, d, err)
 			}
@@ -75,7 +111,7 @@ func TestAllGatherReturnsAllPayloadsByOrigin(t *testing.T) {
 		got := make([][][]byte, n)
 		if err := runAll(n, func(node int) error {
 			own := []byte(fmt.Sprintf("payload-from-%d", node))
-			bufs, err := AllGather(tp, node, n, own)
+			bufs, err := allGatherGroup(tp, tp.Recv, identityMembers(n), node, own, nil)
 			got[node] = bufs
 			return err
 		}); err != nil {
@@ -106,8 +142,8 @@ func TestParameterServerExchange(t *testing.T) {
 	var order []int
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- PSServe(tp, server, n,
-			func(worker int, payload []byte) error {
+		serverErr <- psServeGroup(tp, tp.Recv, server, identityMembers(n),
+			func(_, worker int, payload []byte) error {
 				order = append(order, worker)
 				sum += int(payload[0])
 				return nil
@@ -115,7 +151,7 @@ func TestParameterServerExchange(t *testing.T) {
 			func() ([]byte, error) { return []byte{byte(sum)}, nil })
 	}()
 	if err := runAll(n, func(node int) error {
-		r, err := PSPushPull(tp, node, server, []byte{byte(10 * (node + 1))})
+		r, err := pushPull(tp, node, server, []byte{byte(10 * (node + 1))})
 		replies[node] = r
 		return err
 	}); err != nil {
@@ -148,7 +184,7 @@ func TestCollectiveMessageCountsMatchNetsimFormulas(t *testing.T) {
 				data[i] = make([]float64, d)
 			}
 			if err := runAll(n, func(node int) error {
-				return RingAllReduce(tp, node, n, data[node])
+				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +210,7 @@ func TestCollectiveMessageCountsMatchNetsimFormulas(t *testing.T) {
 			tp := NewInstrumented(inner, nil)
 			payload := make([]byte, 100)
 			if err := runAll(n, func(node int) error {
-				_, err := AllGather(tp, node, n, payload)
+				_, err := allGatherGroup(tp, tp.Recv, identityMembers(n), node, payload, nil)
 				return err
 			}); err != nil {
 				t.Fatal(err)
@@ -199,12 +235,12 @@ func TestCollectiveMessageCountsMatchNetsimFormulas(t *testing.T) {
 			tp := NewInstrumented(inner, nil)
 			serverErr := make(chan error, 1)
 			go func() {
-				serverErr <- PSServe(tp, n, n,
-					func(int, []byte) error { return nil },
+				serverErr <- psServeGroup(tp, tp.Recv, n, identityMembers(n),
+					func(int, int, []byte) error { return nil },
 					func() ([]byte, error) { return make([]byte, 40), nil })
 			}()
 			if err := runAll(n, func(node int) error {
-				_, err := PSPushPull(tp, node, n, make([]byte, 25))
+				_, err := pushPull(tp, node, n, make([]byte, 25))
 				return err
 			}); err != nil {
 				t.Fatal(err)
@@ -240,7 +276,7 @@ func TestVirtualTimeMatchesNetsimAlphaBeta(t *testing.T) {
 			data[i] = make([]float64, d)
 		}
 		if err := runAll(n, func(node int) error {
-			return RingAllReduce(tp, node, n, data[node])
+			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +291,7 @@ func TestVirtualTimeMatchesNetsimAlphaBeta(t *testing.T) {
 		tp := NewInstrumented(inner, ScenarioFromNetwork(net))
 		payload := make([]byte, 8*d/100)
 		if err := runAll(n, func(node int) error {
-			_, err := AllGather(tp, node, n, payload)
+			_, err := allGatherGroup(tp, tp.Recv, identityMembers(n), node, payload, nil)
 			return err
 		}); err != nil {
 			t.Fatal(err)
@@ -272,12 +308,12 @@ func TestVirtualTimeMatchesNetsimAlphaBeta(t *testing.T) {
 		push, pull := 120, 4096
 		serverErr := make(chan error, 1)
 		go func() {
-			serverErr <- PSServe(tp, n, n,
-				func(int, []byte) error { return nil },
+			serverErr <- psServeGroup(tp, tp.Recv, n, identityMembers(n),
+				func(int, int, []byte) error { return nil },
 				func() ([]byte, error) { return make([]byte, pull), nil })
 		}()
 		if err := runAll(n, func(node int) error {
-			_, err := PSPushPull(tp, node, n, make([]byte, push))
+			_, err := pushPull(tp, node, n, make([]byte, push))
 			return err
 		}); err != nil {
 			t.Fatal(err)
@@ -306,7 +342,7 @@ func TestScenarioKnobs(t *testing.T) {
 		}
 		if err := runAll(n, func(node int) error {
 			tp.Compute(node, compute[node])
-			return RingAllReduce(tp, node, n, data[node])
+			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -96,7 +96,6 @@ type Instrumented struct {
 	clock      []float64           // guarded by mu (elements); per-node logical progress time
 	txBusy     []float64           // guarded by mu (elements); per-node send-NIC busy-until
 	rxBusy     []float64           // guarded by mu (elements); per-node receive-NIC busy-until
-	pipeBusy   []float64           // guarded by mu (elements); per-node compressor-lane busy-until
 	stamps     map[Link][]float64  // guarded by mu
 	sendSeq    map[Link]int64      // guarded by mu; next send sequence per directed link
 	recvSeq    map[Link]int64      // guarded by mu; next recv sequence per directed link
@@ -107,17 +106,16 @@ type Instrumented struct {
 func NewInstrumented(inner Transport, scen *Scenario) *Instrumented {
 	n := inner.Nodes()
 	t := &Instrumented{
-		inner:    inner,
-		scen:     scen,
-		stats:    make(map[Link]*LinkStats),
-		rstats:   make(map[Link]*LinkStats),
-		clock:    make([]float64, n),
-		txBusy:   make([]float64, n),
-		rxBusy:   make([]float64, n),
-		pipeBusy: make([]float64, n),
-		stamps:   make(map[Link][]float64),
-		sendSeq:  make(map[Link]int64),
-		recvSeq:  make(map[Link]int64),
+		inner:   inner,
+		scen:    scen,
+		stats:   make(map[Link]*LinkStats),
+		rstats:  make(map[Link]*LinkStats),
+		clock:   make([]float64, n),
+		txBusy:  make([]float64, n),
+		rxBusy:  make([]float64, n),
+		stamps:  make(map[Link][]float64),
+		sendSeq: make(map[Link]int64),
+		recvSeq: make(map[Link]int64),
 	}
 	t.step.Store(-1)
 	return t
@@ -290,47 +288,6 @@ func (t *Instrumented) straggler(node int) float64 {
 	return 1
 }
 
-// ComputeOverlap charges seconds of work (straggler-scaled) to a node's
-// compressor lane and returns the lane's completion time. The lane runs
-// concurrently with the node's NICs: unlike Compute it does not advance
-// the node clock, so in-flight transfers the node is forwarding are not
-// stalled. A send that depends on the charged work (the chunk the
-// compressor just produced) is gated explicitly with WaitFor — together
-// they model the chunked pipeline, where compressing chunk i+1 hides
-// behind chunk i's in-flight collective.
-func (t *Instrumented) ComputeOverlap(node int, seconds float64) float64 {
-	if t.scen == nil || node < 0 || node >= len(t.clock) { //sidco:nolock clock slice header is immutable after construction; only elements are guarded
-		return 0
-	}
-	t.mu.Lock()
-	start := t.pipeBusy[node]
-	if t.clock[node] > start {
-		// The lane cannot start before the node has produced the work's
-		// input (forward/backward charged through Compute).
-		start = t.clock[node]
-	}
-	t.pipeBusy[node] = start + seconds*t.straggler(node)
-	end := t.pipeBusy[node]
-	t.mu.Unlock()
-	t.tel.Virtual(telemetry.SpanCompress, node, -1, -1, t.step.Load(), -1, 0,
-		start*1e9, end*1e9)
-	return end
-}
-
-// WaitFor stalls a node's clock until the given virtual time, typically
-// a completion time returned by ComputeOverlap: the point where a
-// dependent send becomes ready.
-func (t *Instrumented) WaitFor(node int, ts float64) {
-	if t.scen == nil || node < 0 || node >= len(t.clock) { //sidco:nolock clock slice header is immutable after construction; only elements are guarded
-		return
-	}
-	t.mu.Lock()
-	if ts > t.clock[node] {
-		t.clock[node] = ts
-	}
-	t.mu.Unlock()
-}
-
 // LinkStats returns the sent traffic of one directed link.
 func (t *Instrumented) LinkStats(from, to int) LinkStats {
 	t.mu.Lock()
@@ -405,7 +362,7 @@ func (t *Instrumented) Reset() {
 	t.totalMsgs, t.totalBytes = 0, 0
 	t.recvMsgs, t.recvBytes = 0, 0
 	for i := range t.clock {
-		t.clock[i], t.txBusy[i], t.rxBusy[i], t.pipeBusy[i] = 0, 0, 0, 0
+		t.clock[i], t.txBusy[i], t.rxBusy[i] = 0, 0, 0
 	}
 	t.stamps = make(map[Link][]float64)
 	t.sendSeq = make(map[Link]int64)

@@ -26,16 +26,12 @@ type job struct {
 	deadline time.Time
 }
 
-// nodeScratch is one node's reusable pipeline storage: encode buffers
-// (one per chunk — a chunk's buffer stays pinned while it circulates the
-// ring, so chunks cannot share), the all-gather result slots, one decode
-// target per origin, the round's merged mean, the zero-copy view headers
-// and the identity index ramp backing dense-as-sparse views.
+// nodeScratch is one node's reusable storage: the encode buffer, the
+// all-gather result slots, one decode target per origin, the round's
+// merged mean, and the identity index ramp backing dense-as-sparse views.
 type nodeScratch struct {
-	enc    [][]byte
+	enc    []byte
 	gather [][]byte
-	ready  []float64     // per-chunk compression completion (virtual time)
-	view   tensor.Sparse // chunk subrange of the local selection
 	full   tensor.Sparse // full-support view of a dense gradient
 	ident  []int32       // 0..dim-1 ramp for dense-as-sparse views
 
@@ -44,21 +40,13 @@ type nodeScratch struct {
 	reduceBufs
 }
 
-// chunkCount resolves the configured chunking (0 or 1: monolithic).
-func (n *Node) chunkCount() int {
-	if n.cfg.Chunks > 1 {
-		return n.cfg.Chunks
-	}
-	return 1
-}
-
 // runWorker executes this worker node's half of one exchange, leaving the
 // aggregated mean in out (jb.dim elements) — or nowhere when out is nil:
 // an Engine rank whose aggregate nobody reads still sends, forwards and
 // receives its whole share of the schedule but neither decodes nor
 // reduces what arrives (the rank that does keep an aggregate is handed
-// the same bytes). The ring reduces in out itself and always needs it. The whole round is traced as one collective span
-// per node.
+// the same bytes). The ring reduces in out itself and always needs it.
+// The whole round is traced as one collective span per node.
 func (n *Node) runWorker(jb job, out []float64) error {
 	span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(jb.step))
 	err := n.runCollective(jb, out)
@@ -96,18 +84,10 @@ func (n *Node) runCollective(jb job, out []float64) error {
 		return n.runAllGather(jb, out)
 
 	case netsim.CollectivePS:
-		sp, err := n.localSparse(jb)
-		if err != nil {
+		if err := n.encodeLocal(jb); err != nil {
 			return err
 		}
-		sc.enc = growSlots(sc.enc, 1)
-		es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, w, -1, -1, int64(jb.step)).WithValue(int64(n.format))
-		sc.enc[0], err = encoding.EncodeTo(sc.enc[0][:0], sp, n.format)
-		es.End()
-		if err != nil {
-			return err
-		}
-		if err := n.tp.Send(w, n.server, sc.enc[0]); err != nil {
+		if err := n.tp.Send(w, n.server, sc.enc); err != nil {
 			return err
 		}
 		reply, err := recv(w, n.server)
@@ -130,116 +110,51 @@ func (n *Node) runCollective(jb job, out []float64) error {
 	return fmt.Errorf("unreachable collective") //sidco:errclass internal invariant, deliberately fatal
 }
 
-// runAllGather executes the (optionally chunked) sparse all-gather for
-// one node. The local selection is partitioned by index range into C
-// chunks — each chunk's element budget is exactly what the monolithic
-// selection placed in that range, so the global k-budget is preserved
-// without any per-chunk floor — and every chunk runs one all-gather of
-// encoded payloads. Compression time (CompressSec/C per chunk) and the
-// encode of chunk i+1 happen inside chunk i's pipeline overlap slot.
-//
-// Aggregation costs O(k*N), not O(d), and stays bit-identical to the
-// monolithic schedule: chunks partition the index space, and within each
-// chunk the decoded contributions are merged in worker-index order
-// (tensor.MeanSparseInto) — for every element the same operation sequence
-// as dist.InProcess over a lossless wire — and the merged mean is
-// assigned into the zeroed out.
-//
-// Chunk counts beyond the dimension are harmless: chunkBounds collides
-// (c*d/C == (c+1)*d/C) for the surplus chunks, whose index ranges are
-// empty, so they ship header-only payloads and contribute nothing to the
-// sum — the schedule still runs C full all-gathers, which is what the
-// traffic formulas (netsim.ChunkedAllGatherMessages) count.
+// runAllGather executes the sparse all-gather for one node: encode the
+// local selection once, circulate the payloads, decode every origin and
+// merge them in worker-index order (tensor.MeanSparseInto) — for every
+// element the same operation sequence as dist.InProcess over a lossless
+// wire — then assign the merged mean into the zeroed out. Aggregation
+// costs O(k*N), not O(d).
 func (n *Node) runAllGather(jb job, out []float64) error {
-	w, sc := n.cfg.Rank, &n.sc
-	members := n.workers
-	recv := interceptRecv(n.tp, jb.deadline)
-	C := n.chunkCount()
+	sc, members := &n.sc, n.workers
+	err := n.encodeLocal(jb)
+	if err != nil {
+		return err
+	}
+	sc.gather, err = allGatherGroup(n.tp, interceptRecv(n.tp, jb.deadline), members, n.cfg.Rank, sc.enc, sc.gather)
+	if err != nil {
+		return err
+	}
+	if out == nil {
+		return nil // forwarded its share; rank 0 decodes the same bytes
+	}
+	parts := sc.grow(len(members))
+	for origin := range members {
+		if err := encoding.DecodeInto(&parts[origin], sc.gather[origin]); err != nil {
+			return fmt.Errorf("decoding origin %d: %w", members[origin], err)
+		}
+		if parts[origin].Dim != jb.dim {
+			return fmt.Errorf("origin %d has dim %d, want %d", members[origin], parts[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		}
+	}
+	tensor.MeanSparseInto(&sc.mean, parts)
+	tensor.Zero(out)
+	scatter(&sc.mean, out)
+	return nil
+}
+
+// encodeLocal encodes this worker's contribution into sc.enc, traced as
+// one encode span.
+func (n *Node) encodeLocal(jb job) error {
 	sp, err := n.localSparse(jb)
 	if err != nil {
 		return err
 	}
-	perChunkCompress := 0.0
-	if n.cfg.CompressSec > 0 {
-		perChunkCompress = n.cfg.CompressSec / float64(C)
-	}
-	sc.enc = growSlots(sc.enc, C)
-	if cap(sc.ready) < C {
-		sc.ready = make([]float64, C)
-	}
-	sc.ready = sc.ready[:C]
-
-	// encodeUpTo materialises chunk payloads in ascending order, charging
-	// each chunk's compression slice to the node's compressor lane (which
-	// runs concurrently with the NICs) and recording when each chunk
-	// becomes sendable. It is called from the overlap hook (the pipelined
-	// slot) and is idempotent from the loop head, which keeps single-node
-	// rings — no transport step, so no hook — correct.
-	encoded, pos := 0, 0
-	encodeUpTo := func(c int) error {
-		for ; encoded <= c; encoded++ {
-			sc.ready[encoded] = 0
-			if perChunkCompress > 0 {
-				sc.ready[encoded] = n.tp.ComputeOverlap(w, perChunkCompress)
-			}
-			_, hi := chunkBounds(jb.dim, C, encoded)
-			end := pos
-			for end < len(sp.Idx) && int(sp.Idx[end]) < hi {
-				end++
-			}
-			sc.view = tensor.Sparse{Dim: jb.dim, Idx: sp.Idx[pos:end], Vals: sp.Vals[pos:end]}
-			pos = end
-			var err error
-			es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, w, -1, encoded, int64(jb.step)).WithValue(int64(n.format))
-			sc.enc[encoded], err = encoding.EncodeTo(sc.enc[encoded][:0], &sc.view, n.format)
-			es.End()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var parts []tensor.Sparse
-	if out != nil {
-		parts = sc.grow(len(members))
-		tensor.Zero(out)
-	}
-	for c := 0; c < C; c++ {
-		if err := encodeUpTo(c); err != nil {
-			return err
-		}
-		// The chunk's own payload cannot leave before its compression
-		// finishes; everything the node merely forwards is not gated.
-		n.tp.WaitFor(w, sc.ready[c])
-		overlap := func() error {
-			if c+1 < C {
-				return encodeUpTo(c + 1)
-			}
-			return nil
-		}
-		sc.gather, err = allGatherGroup(n.tp, recv, members, w, sc.enc[c], sc.gather, overlap)
-		if err != nil {
-			return err
-		}
-		if out == nil {
-			continue // forwarded its share; rank 0 decodes the same bytes
-		}
-		// Decode every origin, then reduce in worker-index order: with a
-		// lossless format this is the exact operation sequence of
-		// dist.InProcess.
-		for origin := range members {
-			if err := encoding.DecodeInto(&parts[origin], sc.gather[origin]); err != nil {
-				return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
-			}
-			if parts[origin].Dim != jb.dim {
-				return fmt.Errorf("origin %d has dim %d, want %d", members[origin], parts[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-			}
-		}
-		tensor.MeanSparseInto(&sc.mean, parts)
-		scatter(&sc.mean, out)
-	}
-	return nil
+	es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, n.cfg.Rank, -1, -1, int64(jb.step)).WithValue(int64(n.format))
+	n.sc.enc, err = encoding.EncodeTo(n.sc.enc[:0], sp, n.format)
+	es.End()
+	return err
 }
 
 // scatter assigns s's stored elements into the dense out, which has
@@ -269,14 +184,6 @@ func (n *Node) localSparse(jb job) (*tensor.Sparse, error) {
 	}
 	sc.full = tensor.Sparse{Dim: jb.dim, Idx: sc.ident[:jb.dim], Vals: jb.dense}
 	return &sc.full, nil
-}
-
-// growSlots ensures bufs has at least n reusable byte-buffer slots.
-func growSlots(bufs [][]byte, n int) [][]byte {
-	for len(bufs) < n {
-		bufs = append(bufs, nil)
-	}
-	return bufs
 }
 
 // reduceBufs is a reducer's decode-and-merge storage, reused across
@@ -439,10 +346,7 @@ func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error
 	if ins[0].Worker != n.cfg.Rank {
 		return fmt.Errorf("cluster: node %d handed worker %d's gradient (is the trainer's FirstWorker set to the rank?)", n.cfg.Rank, ins[0].Worker) //sidco:errclass caller misuse, deliberately fatal
 	}
-	coll, err := resolveCollective(n.cfg.Collective, ins[0].Sparse != nil, n.cfg.Chunks)
-	if err != nil {
-		return err
-	}
+	coll := resolveCollective(n.cfg.Collective, ins[0].Sparse != nil)
 	return n.exchange(step, coll, ins[0], len(agg), agg)
 }
 
@@ -547,7 +451,7 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 			return x, nil
 		}
 		recv := interceptRecv(n.raw, n.stepDeadline())
-		sgath, err := allGatherGroup(n.raw, recv, members, n.cfg.Rank, n.scalar[:], n.sgath, nil)
+		sgath, err := allGatherGroup(n.raw, recv, members, n.cfg.Rank, n.scalar[:], n.sgath)
 		if err == nil {
 			n.sgath = sgath
 			sum := 0.0
@@ -567,19 +471,22 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 }
 
 // Serve runs the parameter-server loop (Rank == Workers): one
-// aggregation round per worker exchange. rounds > 0 serves exactly that
-// many rounds — the deterministic shutdown of a fixed-iteration
-// deployment, where the server is told the step count every worker was
-// told. rounds <= 0 serves until the transport closes (the closure is
-// the shutdown signal, so it returns nil rather than an error); note a
-// peer merely dropping its connections does not close this node's
-// transport, so unbounded serving needs an external Close.
-func (n *Node) Serve(rounds int) error {
+// aggregation round per worker exchange, tagged first, first+1, … — the
+// steps the workers run, so a deployment resumed from a checkpoint passes
+// the checkpoint's step and the server's telemetry lines up with theirs.
+// rounds > 0 serves exactly that many rounds — the deterministic shutdown
+// of a fixed-iteration deployment, where the server is told the step
+// count every worker was told. rounds <= 0 serves until the transport
+// closes (the closure is the shutdown signal, so it returns nil rather
+// than an error); note a peer merely dropping its connections does not
+// close this node's transport, so unbounded serving needs an external
+// Close.
+func (n *Node) Serve(first, rounds int) error {
 	if n.cfg.Rank != n.cfg.Workers {
 		return fmt.Errorf("cluster: Serve on rank %d, want the server rank %d under PS", n.cfg.Rank, n.cfg.Workers) //sidco:errclass caller misuse, deliberately fatal
 	}
-	for served := 0; rounds <= 0 || served < rounds; served++ {
-		if err := n.serveRound(served); err != nil {
+	for step := first; rounds <= 0 || step < first+rounds; step++ {
+		if err := n.serveRound(step); err != nil {
 			if errors.Is(err, ErrClosed) {
 				return nil
 			}

@@ -12,7 +12,7 @@ import (
 // contract for every data-independent wire format, quantized ones
 // included: the instrumented byte counters must equal netsim's
 // all-gather closed form fed with encoding.Size of each worker's
-// per-chunk selection — to the byte, monolithic and chunked.
+// selection — to the byte.
 func TestQuantizedWireTrafficMatchesAccounting(t *testing.T) {
 	const dim, workers = 400, 4
 	ins := randomInputs(t, workers, dim, 0.05, 23)
@@ -21,30 +21,52 @@ func TestQuantizedWireTrafficMatchesAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, chunks := range []int{1, 8} {
-			_, e := engineExchange(t, Config{
-				Workers: workers, Collective: netsim.CollectiveAllGather,
-				Format: wire, Chunks: chunks,
-			}, ins, dim)
-			msgs, bytes := e.Transport().Totals()
-			e.Close()
-			if want := workers * netsim.ChunkedAllGatherMessages(workers, chunks); msgs != want {
-				t.Errorf("%v chunks=%d: %d messages, want %d", wire, chunks, msgs, want)
-			}
-			wantBytes := 0
-			for _, in := range ins {
-				for _, nnz := range ChunkNNZ(in.Sparse.Idx, dim, chunks) {
-					sz, err := encoding.Size(format, dim, nnz)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantBytes += netsim.AllGatherTrafficBytes(workers, sz)
-				}
-			}
-			if bytes != wantBytes {
-				t.Errorf("%v chunks=%d: %d bytes on the wire, accounting says %d", wire, chunks, bytes, wantBytes)
-			}
+		_, e := engineExchange(t, Config{
+			Workers: workers, Collective: netsim.CollectiveAllGather, Format: wire,
+		}, ins, dim)
+		msgs, bytes := e.Transport().Totals()
+		e.Close()
+		if want := workers * netsim.AllGatherMessages(workers); msgs != want {
+			t.Errorf("%v: %d messages, want %d", wire, msgs, want)
 		}
+		wantBytes := 0
+		for _, in := range ins {
+			sz, err := encoding.Size(format, dim, in.Sparse.NNZ())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes += netsim.AllGatherTrafficBytes(workers, sz)
+		}
+		if bytes != wantBytes {
+			t.Errorf("%v: %d bytes on the wire, accounting says %d", wire, bytes, wantBytes)
+		}
+	}
+}
+
+// TestQuantizedWireTrainingValueExact: with error feedback pre-rounding
+// each selection to the wire's decoded precision, training over the
+// pairs-i8 all-gather is bit-identical — losses and final weights — to
+// the in-process trainer fed the same pre-rounded selections, for every
+// registry compressor. A selection is always encoded whole, so the int8
+// scale the wire derives is the one the pre-round used; there is no
+// configuration of the all-gather this does not hold for.
+func TestQuantizedWireTrainingValueExact(t *testing.T) {
+	const workers, iters = 4, 5
+	format := encoding.FormatPairsI8
+	for _, comp := range registryNames {
+		t.Run(comp, func(t *testing.T) {
+			e, err := New(Config{
+				Workers: workers, Collective: netsim.CollectiveAllGather, Format: WirePairsI8, Verify: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			wantLoss, wantW := trainTiny(t, workers, iters, comp, &format, nil)
+			gotLoss, gotW := trainTiny(t, workers, iters, comp, &format, e)
+			requireBitIdentical(t, "loss", gotLoss, wantLoss)
+			requireBitIdentical(t, "weight", gotW, wantW)
+		})
 	}
 }
 

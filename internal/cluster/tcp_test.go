@@ -279,8 +279,7 @@ func TestTCPTrainerAllCompressorsBitIdentical(t *testing.T) {
 
 // TestTCPInstrumentedTrafficExact pins the Instrumented-over-TCP
 // contract: message and byte counts measured on real sockets equal
-// netsim's collective formulas and encoding's size accounting exactly —
-// including the chunked all-gather with its header-only surplus chunks —
+// netsim's collective formulas and encoding's size accounting exactly,
 // and the recv-side counters mirror the send side in a single-process
 // deployment.
 func TestTCPInstrumentedTrafficExact(t *testing.T) {
@@ -310,21 +309,6 @@ func TestTCPInstrumentedTrafficExact(t *testing.T) {
 		}, ins, dim)
 		defer e.Close()
 		check(t, e, workers*netsim.AllGatherMessages(workers), workers*(workers-1)*encoding.Pairs64Size(dim, nnz))
-	})
-	t.Run("allgather-chunked", func(t *testing.T) {
-		const chunks = 8
-		_, e := engineExchange(t, Config{
-			Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: chunks,
-			Transport: localTCP(t, workers),
-		}, ins, dim)
-		defer e.Close()
-		wantBytes := 0
-		for _, in := range ins {
-			for _, n := range ChunkNNZ(in.Sparse.Idx, dim, chunks) {
-				wantBytes += (workers - 1) * encoding.Pairs64Size(dim, n)
-			}
-		}
-		check(t, e, workers*netsim.ChunkedAllGatherMessages(workers, chunks), wantBytes)
 	})
 	t.Run("ring", func(t *testing.T) {
 		dense := make([]dist.ExchangeInput, workers)
@@ -375,7 +359,7 @@ type rankResult struct {
 // TCPTransport (hosting only itself over the shared host list), its own
 // Node and its own Workers=1 trainer whose FirstWorker is the rank. It
 // returns the per-rank results after asserting every rank agrees.
-func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, chunks int, comp string, delta float64, seed int64) []rankResult {
+func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, comp string, delta float64, seed int64) []rankResult {
 	t.Helper()
 	nodes := NodeCount(workers, coll)
 	addrs, err := FreeLoopbackAddrs(nodes)
@@ -393,14 +377,14 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 		}
 		defer tp.Close()
 		nd, err := NewNode(NodeConfig{
-			Workers: workers, Rank: rank, Collective: coll, Chunks: chunks, Transport: tp,
+			Workers: workers, Rank: rank, Collective: coll, Transport: tp,
 		})
 		if err != nil {
 			res.err = err
 			return
 		}
 		if rank == workers { // parameter-server process
-			res.err = nd.Serve(iters)
+			res.err = nd.Serve(0, iters)
 			return
 		}
 		tr, err := dist.NewTrainer(tinyTrainerCfg(1, rank, comp, delta, seed, nd))
@@ -437,7 +421,7 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 		var wantSent, wantRecv int
 		switch effColl {
 		case netsim.CollectiveAllGather:
-			wantSent = iters * netsim.ChunkedAllGatherMessages(workers, chunks)
+			wantSent = iters * netsim.AllGatherMessages(workers)
 			wantRecv = wantSent
 		case netsim.CollectiveRing:
 			wantSent = iters * netsim.RingMessages(workers)
@@ -509,25 +493,23 @@ func refLosses(t *testing.T, workers, iters int, comp string, delta float64, see
 // TestNodeDeploymentBitIdentical is the multi-process acceptance check
 // in miniature: N separate single-node transports over loopback TCP,
 // each training its own worker, must reproduce the in-process trainer's
-// global loss sequence and final weights bit-for-bit — monolithic and
-// chunked all-gather, and parameter server.
+// global loss sequence and final weights bit-for-bit — all-gather (named
+// and as Auto resolves it) and parameter server.
 func TestNodeDeploymentBitIdentical(t *testing.T) {
 	const workers, iters = 3, 4
 	cases := []struct {
-		name   string
-		coll   netsim.Collective
-		chunks int
-		comp   string
+		name string
+		coll netsim.Collective
+		comp string
 	}{
-		{"allgather", netsim.CollectiveAllGather, 0, "sidco-e"},
-		{"allgather-chunked", netsim.CollectiveAllGather, 3, "topk"},
-		{"auto-chunked", netsim.CollectiveAuto, 4, "topk"}, // Auto resolves to all-gather on sparse rounds
-		{"ps", netsim.CollectivePS, 0, "dgc"},
+		{"allgather", netsim.CollectiveAllGather, "sidco-e"},
+		{"auto", netsim.CollectiveAuto, "topk"}, // Auto resolves to all-gather on sparse rounds
+		{"ps", netsim.CollectivePS, "dgc"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want, wantW := refLosses(t, workers, iters, tc.comp, 0.1, 42)
-			got := runTCPDeployment(t, workers, iters, tc.coll, tc.chunks, tc.comp, 0.1, 42)
+			got := runTCPDeployment(t, workers, iters, tc.coll, tc.comp, 0.1, 42)
 			for i := range got {
 				if got[i].rank >= workers {
 					continue
@@ -556,7 +538,7 @@ func TestNodeDeploymentBitIdentical(t *testing.T) {
 func TestNodeDeploymentDenseRing(t *testing.T) {
 	const workers, iters = 3, 4
 	want, _ := refLosses(t, workers, iters, "", 0, 7)
-	got := runTCPDeployment(t, workers, iters, netsim.CollectiveRing, 0, "", 0, 7)
+	got := runTCPDeployment(t, workers, iters, netsim.CollectiveRing, "", 0, 7)
 	for _, res := range got {
 		for it := range want {
 			if math.Abs(res.losses[it]-want[it]) > 1e-9 {
@@ -585,8 +567,8 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode(NodeConfig{Workers: 3, Rank: 0, Collective: netsim.CollectivePS, Transport: tp}); err == nil {
 		t.Error("PS needs workers+1 transport nodes")
 	}
-	if _, err := NewNode(NodeConfig{Workers: 2, Rank: 0, Chunks: 2, Collective: netsim.CollectiveRing, Transport: tp}); err == nil {
-		t.Error("chunked ring should error")
+	if _, err := NewNode(NodeConfig{Workers: 2, Rank: 0, MaxStepRetries: 2, Transport: tp}); err == nil {
+		t.Error("retries without a step timeout should error")
 	}
 	nd, err := NewNode(NodeConfig{Workers: 2, Rank: 1, Collective: netsim.CollectiveAllGather, Transport: tp})
 	if err != nil {
@@ -598,7 +580,7 @@ func TestNodeValidation(t *testing.T) {
 	if err := nd.Exchange(0, []dist.ExchangeInput{{Worker: 0}}, nil); err == nil {
 		t.Error("wrong worker id should error")
 	}
-	if err := nd.Serve(1); err == nil {
+	if err := nd.Serve(0, 1); err == nil {
 		t.Error("Serve on a worker rank should error")
 	}
 }

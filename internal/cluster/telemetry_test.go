@@ -16,12 +16,12 @@ import (
 
 // totalMessagesPerExchange is the netsim closed form for the whole
 // transport (every sending node), per exchange.
-func totalMessagesPerExchange(coll netsim.Collective, workers, chunks int) int {
+func totalMessagesPerExchange(coll netsim.Collective, workers int) int {
 	switch coll {
 	case netsim.CollectiveRing:
 		return workers * netsim.RingMessages(workers)
 	case netsim.CollectiveAllGather:
-		return workers * netsim.ChunkedAllGatherMessages(workers, chunks)
+		return workers * netsim.AllGatherMessages(workers)
 	case netsim.CollectivePS:
 		return netsim.PSMessages(workers)
 	}
@@ -39,13 +39,11 @@ func TestEngineTelemetryMatchesInstrumentedAndFormulas(t *testing.T) {
 	cases := []struct {
 		name   string
 		coll   netsim.Collective
-		chunks int
 		sparse bool
 	}{
-		{"ring", netsim.CollectiveRing, 0, false},
-		{"allgather", netsim.CollectiveAllGather, 0, true},
-		{"allgather-chunked", netsim.CollectiveAllGather, 8, true},
-		{"ps", netsim.CollectivePS, 0, true},
+		{"ring", netsim.CollectiveRing, false},
+		{"allgather", netsim.CollectiveAllGather, true},
+		{"ps", netsim.CollectivePS, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,8 +55,7 @@ func TestEngineTelemetryMatchesInstrumentedAndFormulas(t *testing.T) {
 			}
 			agg := telemetry.NewAggregator()
 			e, err := New(Config{
-				Workers: workers, Collective: tc.coll, Chunks: tc.chunks,
-				Telemetry: telemetry.New(agg),
+				Workers: workers, Collective: tc.coll, Telemetry: telemetry.New(agg),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +68,7 @@ func TestEngineTelemetryMatchesInstrumentedAndFormulas(t *testing.T) {
 				}
 			}
 
-			wantMsgs := iters * totalMessagesPerExchange(tc.coll, workers, tc.chunks)
+			wantMsgs := iters * totalMessagesPerExchange(tc.coll, workers)
 			msgs, bytes := e.Transport().Totals()
 			rmsgs, rbytes := e.Transport().RecvTotals()
 			if msgs != wantMsgs {
@@ -173,6 +170,72 @@ func TestEngineServerSpansCarryCallerStep(t *testing.T) {
 		if fmt.Sprint(got[node]) != fmt.Sprint(steps) {
 			t.Errorf("node %d collective spans carry steps %v, want %v", node, got[node], steps)
 		}
+	}
+}
+
+// TestServeTagsRoundsFromFirstStep: a standalone parameter-server Node
+// started at first = 4 — the server process of a deployment resumed from
+// a step-4 checkpoint — tags its collective spans and every message it
+// sends or receives with steps 4, 5, 6: the steps its workers run, not a
+// round count of its own.
+func TestServeTagsRoundsFromFirstStep(t *testing.T) {
+	const workers, dim, first, rounds = 2, 64, 4, 3
+	tp, err := NewChanTransport(workers + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	var log eventLog
+	nodes := make([]*Node, workers+1)
+	for rank := range nodes {
+		var tel *telemetry.Tracer
+		if rank == workers {
+			tel = telemetry.New(&log)
+		}
+		nodes[rank], err = NewNode(NodeConfig{
+			Workers: workers, Rank: rank, Collective: netsim.CollectivePS, Transport: tp, Telemetry: tel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	served := make(chan error, 1)
+	go func() { served <- nodes[workers].Serve(first, rounds) }()
+	ins := randomInputs(t, workers, dim, 0.1, 5)
+	if err := runAll(workers, func(rank int) error {
+		agg := make([]float64, dim)
+		for step := first; step < first+rounds; step++ {
+			if err := nodes[rank].Exchange(step, ins[rank:rank+1], agg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	var spans []int64
+	msgs := make(map[int64]int)
+	for _, ev := range log.events {
+		switch {
+		case ev.Type == telemetry.EventSpan && ev.Span == telemetry.SpanCollective:
+			spans = append(spans, ev.Step)
+		case ev.Type == telemetry.EventCounter && (ev.Counter == telemetry.CounterSentMessages || ev.Counter == telemetry.CounterRecvMessages):
+			msgs[ev.Step]++
+		}
+	}
+	if want := []int64{4, 5, 6}; fmt.Sprint(spans) != fmt.Sprint(want) {
+		t.Errorf("server collective spans carry steps %v, want %v", spans, want)
+	}
+	for step := int64(first); step < first+rounds; step++ {
+		if msgs[step] != netsim.PSMessages(workers) {
+			t.Errorf("step %d: %d server message events, want %d", step, msgs[step], netsim.PSMessages(workers))
+		}
+	}
+	if len(msgs) != rounds {
+		t.Errorf("server message events carry steps %v, want exactly %d..%d", msgs, first, first+rounds-1)
 	}
 }
 
@@ -287,7 +350,7 @@ type telemetryRank struct {
 // exactly. This is the in-test twin of
 // `sidco-node -launch N -metrics auto -check`.
 func TestDeploymentMetricsEndpointExact(t *testing.T) {
-	const workers, iters, chunks = 3, 4, 2
+	const workers, iters = 3, 4
 	coll := netsim.CollectiveAllGather
 	addrs, err := FreeLoopbackAddrs(workers)
 	if err != nil {
@@ -306,8 +369,7 @@ func TestDeploymentMetricsEndpointExact(t *testing.T) {
 		}
 		defer tp.Close()
 		nd, err := NewNode(NodeConfig{
-			Workers: workers, Rank: rank, Collective: coll, Chunks: chunks,
-			Transport: tp, Telemetry: tel,
+			Workers: workers, Rank: rank, Collective: coll, Transport: tp, Telemetry: tel,
 		})
 		if err != nil {
 			res.err = err
@@ -398,7 +460,7 @@ func TestDeploymentMetricsEndpointExact(t *testing.T) {
 	for rank := 0; rank < workers; rank++ {
 		go runRank(rank)
 	}
-	wantPerRank := iters * netsim.ChunkedAllGatherMessages(workers, chunks)
+	wantPerRank := iters * netsim.AllGatherMessages(workers)
 	for i := 0; i < workers; i++ {
 		select {
 		case res := <-results:

@@ -74,54 +74,6 @@ func TargetK(d int, delta float64) int {
 	return k
 }
 
-// TargetKChunks allocates the global budget k = TargetK(d, delta) across
-// the standard balanced chunking of d elements into the given number of
-// chunks (chunk c covers [c*d/n, (c+1)*d/n)). Budgets are proportional to
-// chunk sizes with largest-remainder rounding, so they always sum to
-// exactly k and a tiny chunk can legitimately receive 0 — unlike calling
-// TargetK per chunk, whose k >= 1 floor would inflate the total. Ties in
-// the remainders break toward lower chunk indices.
-func TargetKChunks(d int, delta float64, chunks int) []int {
-	if chunks < 1 {
-		chunks = 1
-	}
-	out := make([]int, chunks)
-	if d == 0 {
-		return out
-	}
-	k := TargetK(d, delta)
-	assigned := 0
-	type rem struct {
-		frac  float64
-		chunk int
-	}
-	rems := make([]rem, chunks)
-	for c := range out {
-		lo, hi := c*d/chunks, (c+1)*d/chunks
-		exact := float64(k) * float64(hi-lo) / float64(d)
-		out[c] = int(math.Floor(exact))
-		assigned += out[c]
-		rems[c] = rem{frac: exact - math.Floor(exact), chunk: c}
-	}
-	// Hand the leftover k - assigned units to the largest remainders,
-	// lower chunk index first on ties (stable selection sort over the
-	// short chunk list keeps this dependency-free and deterministic).
-	for left := k - assigned; left > 0; left-- {
-		best := -1
-		for i := range rems {
-			if rems[i].chunk < 0 {
-				continue
-			}
-			if best < 0 || rems[i].frac > rems[best].frac {
-				best = i
-			}
-		}
-		out[rems[best].chunk]++
-		rems[best].chunk = -1
-	}
-	return out
-}
-
 func validate(g []float64, delta float64) error {
 	if len(g) == 0 {
 		return errEmptyGradient

@@ -362,68 +362,6 @@ func TestAllCompressorsProduceValidSparse(t *testing.T) {
 	}
 }
 
-// TestTargetKChunks is the table-driven guard on the chunk-budget
-// helper, with the rounding-to-zero edge front and center: tiny chunks
-// must be allowed a 0 budget, and the budgets must always sum to the
-// global TargetK — never to the inflated sum a per-chunk TargetK (with
-// its k >= 1 floor) would produce.
-func TestTargetKChunks(t *testing.T) {
-	cases := []struct {
-		name   string
-		d      int
-		delta  float64
-		chunks int
-		want   []int
-	}{
-		{"even split", 100, 0.1, 2, []int{5, 5}},
-		{"single chunk", 100, 0.1, 1, []int{10}},
-		// Global k = 1 and eight chunks: seven chunks legitimately get 0
-		// (a per-chunk TargetK would hand out eight 1s); the single unit
-		// goes to the largest remainder, i.e. the first 2-element range.
-		{"k rounds to zero on tiny chunks", 10, 0.1, 8,
-			[]int{0, 0, 0, 1, 0, 0, 0, 0}},
-		{"more chunks than elements", 3, 0.5, 6, // chunks 0,2,4 are empty ranges
-			[]int{0, 1, 0, 1, 0, 0}},
-		// d=3, C=8: five of the eight ranges are empty (c*d/C collides);
-		// they must get 0 without panicking or inflating the total, and
-		// the k=2 budget lands on the two lowest-index tied remainders.
-		{"d3 c8 collision-heavy split", 3, 0.5, 8,
-			[]int{0, 0, 1, 0, 0, 1, 0, 0}},
-		{"uneven ranges get proportional budgets", 10, 0.5, 3, // ranges 3,3,4
-			[]int{2, 1, 2}},
-		{"full keep", 7, 1, 3, []int{2, 2, 3}},
-		{"zero dim", 0, 0.5, 4, []int{0, 0, 0, 0}},
-		{"chunks clamped to one", 12, 0.25, 0, []int{3}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := TargetKChunks(tc.d, tc.delta, tc.chunks)
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %v, want %v", got, tc.want)
-			}
-			sum := 0
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("got %v, want %v", got, tc.want)
-				}
-				sum += got[i]
-			}
-			if tc.d > 0 {
-				if k := TargetK(tc.d, tc.delta); sum != k {
-					t.Errorf("budgets sum to %d, want global k = %d", sum, k)
-				}
-			}
-			// Each budget must fit its chunk range.
-			for c, kc := range got {
-				lo, hi := c*tc.d/len(got), (c+1)*tc.d/len(got)
-				if kc > hi-lo {
-					t.Errorf("chunk %d budget %d exceeds range size %d", c, kc, hi-lo)
-				}
-			}
-		})
-	}
-}
-
 // TestCompressIntoMatchesCompress cross-checks CompressInto over a dirty
 // destination against FreshCompress elementwise for every compressor in
 // this package: same selection, same values.

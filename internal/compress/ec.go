@@ -43,12 +43,10 @@ func NewErrorFeedback(inner Compressor) *ErrorFeedback {
 }
 
 // SetWireFormat makes the wrapper pre-round selected values to format
-// f's decoded precision before computing the residual. For the
-// per-value formats (float32, binary16, bfloat16, lossless float64)
-// the rounding is wire-exact regardless of how the selection is later
-// chunked; FormatPairsI8 derives its scale from the whole value stream,
-// so it is wire-exact only when the selection is encoded monolithically
-// (cluster chunks <= 1).
+// f's decoded precision before computing the residual. A selection is
+// encoded whole, so the rounding is wire-exact for every format —
+// including FormatPairsI8, whose scale derives from the whole value
+// stream.
 func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 	e.wire = f
 	e.wireSet = true

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/compress"
 	"repro/internal/simgrad"
@@ -194,26 +193,6 @@ func TestPoolRunSteadyStateAllocs(t *testing.T) {
 				t.Errorf("%s %v: %v allocations per steady-state step (%d of %d corrected)", name, sid, n, corrected, i)
 			}
 		}
-	}
-}
-
-func TestStageRatiosProductProperty(t *testing.T) {
-	f := func(deltaRaw, d1Raw float64, mRaw uint8) bool {
-		delta := 1e-4 + math.Mod(math.Abs(deltaRaw), 0.999)
-		d1 := 0.05 + math.Mod(math.Abs(d1Raw), 0.9)
-		m := int(mRaw%8) + 1
-		rs := StageRatios(delta, d1, m)
-		prod := 1.0
-		for _, r := range rs {
-			if r <= 0 || r > 1 {
-				return false
-			}
-			prod *= r
-		}
-		return math.Abs(prod-delta) < 1e-9*math.Max(1, delta)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -396,25 +396,6 @@ func (s *SIDCo) nextStageThreshold(l *exceedList, delta float64) float64 {
 	}
 }
 
-// StageRatios is the paper's nominal decomposition of the target ratio
-// delta into per-stage ratios: stages 1..M-1 apply delta1 and the final
-// stage applies delta/delta1^(M-1), so that the product is exactly delta.
-// M is clamped so the final ratio stays in (0, 1]. The compressor follows
-// the same shape with measured counts in place of the nominal ones.
-func StageRatios(delta, delta1 float64, m int) []float64 {
-	if m < 1 {
-		m = 1
-	}
-	for m > 1 && delta/math.Pow(delta1, float64(m-1)) > 1 {
-		m--
-	}
-	rs := make([]float64, 0, m)
-	for i := 0; i < m-1; i++ {
-		rs = append(rs, delta1)
-	}
-	return append(rs, delta/math.Pow(delta1, float64(m-1)))
-}
-
 // ThresholdExp is the closed-form double-exponential threshold of
 // Corollary 1.1: eta = beta * log(1/delta), with beta the MLE scale
 // (mean absolute gradient).

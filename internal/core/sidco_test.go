@@ -77,46 +77,6 @@ func TestThresholdGPShapeZeroFallsBackToExp(t *testing.T) {
 	}
 }
 
-func TestStageRatios(t *testing.T) {
-	rs := StageRatios(0.001, 0.25, 3)
-	if len(rs) != 3 {
-		t.Fatalf("len = %d", len(rs))
-	}
-	if rs[0] != 0.25 || rs[1] != 0.25 {
-		t.Errorf("early stages: %v", rs)
-	}
-	prod := 1.0
-	for _, r := range rs {
-		prod *= r
-		if r <= 0 || r > 1 {
-			t.Errorf("ratio out of range: %v", rs)
-		}
-	}
-	if math.Abs(prod-0.001) > 1e-15 {
-		t.Errorf("product = %v", prod)
-	}
-	// Requesting more stages than delta supports must clamp M.
-	rs = StageRatios(0.1, 0.25, 10)
-	prod = 1.0
-	for _, r := range rs {
-		if r <= 0 || r > 1 {
-			t.Fatalf("clamped ratios invalid: %v", rs)
-		}
-		prod *= r
-	}
-	if math.Abs(prod-0.1) > 1e-15 {
-		t.Errorf("clamped product = %v", prod)
-	}
-	if len(rs) > 2 {
-		t.Errorf("expected clamp, got %d stages", len(rs))
-	}
-	// M < 1 clamps to single stage.
-	rs = StageRatios(0.5, 0.25, 0)
-	if len(rs) != 1 || rs[0] != 0.5 {
-		t.Errorf("m=0: %v", rs)
-	}
-}
-
 func TestSIDCoValidation(t *testing.T) {
 	s := NewE()
 	if _, err := compress.FreshCompress(s, nil, 0.1); err == nil {

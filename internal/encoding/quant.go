@@ -271,8 +271,8 @@ func decodePairsI8(s *tensor.Sparse, buf []byte, dim, nnz int) error {
 // every branch here calls the same conversion helpers the wire path
 // does. FormatPairs64 is the identity (lossless); FormatPairsI8 shares
 // the encoder's absmax step, so the round trip is exact only for the
-// whole value stream an encoder would see at once (chunked encoders
-// compute per-chunk steps).
+// whole value stream an encoder sees at once — which is how every
+// selection is encoded.
 func RoundTripValues(f Format, vals []float64) error {
 	switch f {
 	case FormatPairs, FormatBitmap, FormatDense, FormatDeltaVarint:

@@ -24,7 +24,7 @@ func allocGradient(dim int, seed int64) []float64 {
 // TestCompressIntoSteadyStateAllocs is the allocation-regression guard of
 // the streaming pipeline: after warm-up, CompressInto must not allocate
 // for any registry compressor (plus randomk and the EC wrapper). A
-// regression here silently reintroduces the per-step garbage the chunked
+// regression here silently reintroduces the per-step garbage the streaming
 // pipeline was built to remove, so the budget is zero, not "small".
 func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 	const dim = 1 << 15

@@ -22,9 +22,6 @@ type LoopbackStudyConfig struct {
 	Compressor string
 	// Delta is the compression ratio (default 0.05).
 	Delta float64
-	// Chunks is the chunked-pipeline setting for the all-gather rounds
-	// (default 1: monolithic).
-	Chunks int
 	// Seed fixes every random stream.
 	Seed int64
 }
@@ -70,7 +67,6 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 		e, err := cluster.New(cluster.Config{
 			Workers:    cfg.Workers,
 			Collective: netsim.CollectiveAllGather,
-			Chunks:     cfg.Chunks,
 			Transport:  tp,
 			Verify:     true,
 		})
@@ -111,10 +107,10 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 		return fmt.Errorf("harness: loopback study, per-rank nodes: %w", err)
 	}
 
-	wantMsgs := cfg.Iters * cfg.Workers * netsim.ChunkedAllGatherMessages(cfg.Workers, cfg.Chunks)
+	wantMsgs := cfg.Iters * cfg.Workers * netsim.AllGatherMessages(cfg.Workers)
 	tbl := NewTable(
-		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g, chunks=%d: global loss, in-process vs channels vs TCP sockets vs per-rank nodes",
-			cfg.Compressor, cfg.Workers, cfg.Delta, max(cfg.Chunks, 1)),
+		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g: global loss, in-process vs channels vs TCP sockets vs per-rank nodes",
+			cfg.Compressor, cfg.Workers, cfg.Delta),
 		"iter", "in-process", "chan engine", "tcp engine", "tcp nodes", "max |diff|")
 	for i := range refLoss {
 		diff := math.Max(math.Abs(chanLoss[i]-refLoss[i]),
@@ -196,7 +192,6 @@ func loopbackNodes(cfg LoopbackStudyConfig) ([]float64, error) {
 				Workers:    cfg.Workers,
 				Rank:       rank,
 				Collective: netsim.CollectiveAllGather,
-				Chunks:     cfg.Chunks,
 				Transport:  tp,
 			})
 			if err != nil {

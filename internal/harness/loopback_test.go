@@ -16,7 +16,7 @@ import (
 // against the in-process trainer).
 func TestLoopbackStudy(t *testing.T) {
 	var buf bytes.Buffer
-	err := LoopbackStudy(&buf, LoopbackStudyConfig{Workers: 3, Iters: 3, Compressor: "topk", Chunks: 2, Seed: 5})
+	err := LoopbackStudy(&buf, LoopbackStudyConfig{Workers: 3, Iters: 3, Compressor: "topk", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

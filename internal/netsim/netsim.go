@@ -167,53 +167,6 @@ func (n Network) CollectiveTime(c Collective, denseBytes, sparseBytes int, compr
 	}
 }
 
-// PipelineSpan returns the completion time of a two-stage pipeline:
-// stage-one items (per-chunk compression, compute[i]) are produced
-// serially on one device, and each finished item is shipped through a
-// serial communication channel (comm[i]). Chunk i's transmission starts
-// when its compression is done and the channel is free, so compression of
-// chunk i+1 overlaps the transmission of chunk i. The two slices must
-// have equal length; the result is the time the last transmission ends.
-//
-// This is the closed-form counterpart of internal/cluster's chunked
-// execution mode: with a single chunk it degenerates to compute + comm,
-// and the monolithic-vs-chunked gap is exactly the hidden overlap.
-func PipelineSpan(compute, comm []float64) float64 {
-	computeEnd, commEnd := 0.0, 0.0
-	for i, c := range compute {
-		computeEnd += c
-		start := computeEnd
-		if commEnd > start {
-			start = commEnd
-		}
-		commEnd = start + comm[i]
-	}
-	return commEnd
-}
-
-// ChunkedAllGatherSparse prices the chunked, pipelined sparse all-gather:
-// the per-worker payload is split into chunks of the given encoded sizes,
-// each chunk costs compressSecPerChunk to produce, and chunk i+1's
-// compression overlaps chunk i's ring all-gather. Each chunk's collective
-// pays the full N-1 steps of per-message latency, so chunking trades
-// (C-1)*(N-1) extra alphas for the overlap — the model reproduces the
-// measured crossover where too-small chunks lose to latency.
-func (n Network) ChunkedAllGatherSparse(chunkBytes []int, compressSecPerChunk float64) float64 {
-	if err := n.validate(); err != nil {
-		return 0
-	}
-	computeEnd, commEnd := 0.0, 0.0
-	for _, b := range chunkBytes {
-		computeEnd += compressSecPerChunk
-		start := computeEnd
-		if commEnd > start {
-			start = commEnd
-		}
-		commEnd = start + n.AllGatherSparse(b)
-	}
-	return commEnd
-}
-
 // Message-count formulas of the three collectives, shared with
 // internal/cluster's instrumented-transport tests: the analytic model
 // charges one latency alpha per step, and the message-passing engine must
@@ -235,15 +188,6 @@ func AllGatherMessages(n int) int {
 		return 0
 	}
 	return n - 1
-}
-
-// ChunkedAllGatherMessages returns the messages each node sends in a
-// chunked ring all-gather: one full all-gather per chunk.
-func ChunkedAllGatherMessages(n, chunks int) int {
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks * AllGatherMessages(n)
 }
 
 // PSMessages returns the total messages of a parameter-server exchange

@@ -215,59 +215,3 @@ func TestDegenerateNetworks(t *testing.T) {
 		t.Error("zero-bandwidth network should cost 0 (degenerate)")
 	}
 }
-
-func TestPipelineSpan(t *testing.T) {
-	cases := []struct {
-		name    string
-		compute []float64
-		comm    []float64
-		want    float64
-	}{
-		{"single chunk", []float64{3}, []float64{2}, 5},
-		{"comm bound", []float64{1, 1, 1}, []float64{4, 4, 4}, 1 + 12},
-		{"compute bound", []float64{4, 4, 4}, []float64{1, 1, 1}, 12 + 1},
-		{"balanced", []float64{2, 2}, []float64{2, 2}, 2 + 2 + 2},
-		{"empty", nil, nil, 0},
-	}
-	for _, tc := range cases {
-		if got := PipelineSpan(tc.compute, tc.comm); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: PipelineSpan = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestChunkedAllGatherSparse(t *testing.T) {
-	net := Network{Workers: 4, BandwidthBps: 1e9, LatencySec: 1e-4}
-	// One chunk must price exactly like compress + monolithic all-gather.
-	mono := 3e-3 + net.AllGatherSparse(120000)
-	if got := net.ChunkedAllGatherSparse([]int{120000}, 3e-3); math.Abs(got-mono) > 1e-12 {
-		t.Errorf("single chunk = %v, want %v", got, mono)
-	}
-	// Four equal chunks with compression dominating: the span approaches
-	// total compression plus one chunk's collective.
-	chunks := []int{30000, 30000, 30000, 30000}
-	got := net.ChunkedAllGatherSparse(chunks, 3e-3)
-	want := 4*3e-3 + net.AllGatherSparse(30000)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("compute-bound chunked = %v, want %v", got, want)
-	}
-	if got >= mono+3*3e-3 {
-		t.Errorf("chunked %v should undercut serialised compress+comm %v", got, mono+3*3e-3)
-	}
-	// Degenerate fabric prices to zero, like the other collectives.
-	if got := (Network{}).ChunkedAllGatherSparse(chunks, 1); got != 0 {
-		t.Errorf("invalid network = %v, want 0", got)
-	}
-}
-
-func TestChunkedAllGatherMessages(t *testing.T) {
-	if got := ChunkedAllGatherMessages(4, 8); got != 8*3 {
-		t.Errorf("got %d, want 24", got)
-	}
-	if got := ChunkedAllGatherMessages(4, 0); got != AllGatherMessages(4) {
-		t.Errorf("chunks clamp: got %d, want %d", got, AllGatherMessages(4))
-	}
-	if got := ChunkedAllGatherMessages(1, 5); got != 0 {
-		t.Errorf("single node: got %d, want 0", got)
-	}
-}

@@ -11,8 +11,7 @@ import "sync"
 
 // RangeBounds returns the half-open range [lo, hi) of worker w of p
 // over d elements: lo = w*d/p, hi = (w+1)*d/p. It is the same split
-// cluster.chunkBounds uses for chunked collectives, so a parallel pass
-// over chunk payloads lands on chunk boundaries.
+// cluster.chunkBounds uses for the ring all-reduce's chunks.
 func RangeBounds(d, p, w int) (lo, hi int) {
 	return w * d / p, (w + 1) * d / p
 }

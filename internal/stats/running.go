@@ -86,60 +86,3 @@ func (e *EWMA) Value() float64 {
 	}
 	return e.value
 }
-
-// WindowMean is a fixed-size sliding-window mean (Algorithm 1 averages ˆk
-// over the last Q iterations with one; the reports use it for moving
-// means).
-type WindowMean struct {
-	buf  []float64
-	next int
-	full bool
-	sum  float64
-}
-
-// NewWindowMean creates a window of the given size (must be positive).
-func NewWindowMean(size int) *WindowMean {
-	if size <= 0 {
-		panic("stats: window size must be positive")
-	}
-	return &WindowMean{buf: make([]float64, size)}
-}
-
-// Add inserts x, evicting the oldest value once the window is full.
-func (w *WindowMean) Add(x float64) {
-	if w.full {
-		w.sum -= w.buf[w.next]
-	}
-	w.buf[w.next] = x
-	w.sum += x
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.full = true
-	}
-}
-
-// Mean returns the mean over the current window contents, or NaN when
-// empty.
-func (w *WindowMean) Mean() float64 {
-	n := w.Count()
-	if n == 0 {
-		return math.NaN()
-	}
-	return w.sum / float64(n)
-}
-
-// Count returns the number of values currently in the window.
-func (w *WindowMean) Count() int {
-	if w.full {
-		return len(w.buf)
-	}
-	return w.next
-}
-
-// Reset clears the window.
-func (w *WindowMean) Reset() {
-	w.next = 0
-	w.full = false
-	w.sum = 0
-}

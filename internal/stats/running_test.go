@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestRunningMatchesBatch(t *testing.T) {
@@ -105,65 +104,4 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 	if math.Abs(e.Value()-7) > 1e-9 {
 		t.Errorf("EWMA of constant = %v", e.Value())
 	}
-}
-
-func TestWindowMean(t *testing.T) {
-	w := NewWindowMean(3)
-	if !math.IsNaN(w.Mean()) || w.Count() != 0 {
-		t.Error("empty window state wrong")
-	}
-	w.Add(1)
-	w.Add(2)
-	if w.Mean() != 1.5 || w.Count() != 2 {
-		t.Errorf("partial window: mean=%v count=%d", w.Mean(), w.Count())
-	}
-	w.Add(3)
-	if w.Mean() != 2 || w.Count() != 3 {
-		t.Errorf("full window: mean=%v count=%d", w.Mean(), w.Count())
-	}
-	w.Add(10) // evicts 1 -> {2,3,10}
-	if w.Mean() != 5 {
-		t.Errorf("after eviction: mean=%v", w.Mean())
-	}
-	w.Reset()
-	if w.Count() != 0 || !math.IsNaN(w.Mean()) {
-		t.Error("reset did not clear window")
-	}
-}
-
-func TestWindowMeanMatchesNaive(t *testing.T) {
-	f := func(raw []float64, sizeRaw uint8) bool {
-		size := int(sizeRaw%16) + 1
-		w := NewWindowMean(size)
-		var hist []float64
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			x = math.Mod(x, 1000)
-			w.Add(x)
-			hist = append(hist, x)
-			lo := 0
-			if len(hist) > size {
-				lo = len(hist) - size
-			}
-			want := Mean(hist[lo:])
-			if math.Abs(w.Mean()-want) > 1e-6*math.Max(1, math.Abs(want)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWindowMeanPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for size 0")
-		}
-	}()
-	NewWindowMean(0)
 }

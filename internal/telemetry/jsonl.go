@@ -25,9 +25,10 @@ const SchemaVersion = 2
 //	{"ts":<unix-nanos>,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":3,"seq":12,"value":8192}
 //	{"ts":<unix-nanos>,"type":"virtual","span":"send","node":0,"peer":1,"chunk":-1,"step":3,"seq":12,"value":8192,"v_start_ns":976.5625,"v_end_ns":1953.125}
 //
-// Span events carry chunk, step and dur_ns; counter events carry step,
-// seq and value (seq is the per-directed-link monotone message sequence,
-// -1 when the counter is not a link message); virtual events carry the
+// Span events carry chunk (reserved, always -1), step and dur_ns;
+// counter events carry step, seq and value (seq is the per-directed-link
+// monotone message sequence, -1 when the counter is not a link
+// message); virtual events carry chunk (reserved, as on spans) and the
 // Instrumented alpha-beta clock window as float64 nanoseconds, printed
 // with 'g'/-1 so the exact dyadic values round-trip. node and peer are
 // -1 when unattributed. Encoding is manual (strconv appends into a

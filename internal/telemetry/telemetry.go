@@ -1,7 +1,7 @@
 // Package telemetry is the structured observability layer of the
 // reproduction: spans (monotonic wall-clock durations of the training
 // step's phases — compute, compress, encode, the collective exchange,
-// the optimizer apply — per worker, node and chunk) and counters
+// the optimizer apply — per worker and node) and counters
 // (messages and bytes per directed link, steps, receive-wait time, dial
 // retries, selected-vs-target elements and selection corrections per
 // worker) emitted to pluggable sinks.
@@ -40,7 +40,7 @@ const (
 	SpanCompute
 	// SpanCompress is one worker's gradient compression (CompressInto).
 	SpanCompress
-	// SpanEncode is one wire encoding of a (chunk of a) selection.
+	// SpanEncode is one wire encoding of a selection.
 	SpanEncode
 	// SpanExchange is the trainer-side gradient exchange: the full
 	// GradientExchange call, whichever strategy backs it.
@@ -215,7 +215,7 @@ type Event struct {
 	Node int32
 	// Peer is the link peer for link-attributed events, else -1.
 	Peer int32
-	// Chunk is the pipeline chunk index of chunked spans, else -1.
+	// Chunk is reserved: no producer sets it, it is always -1.
 	Chunk int32
 	// Step is the training iteration of step-scoped spans, else -1.
 	Step int64
@@ -303,9 +303,9 @@ func (s Span) WithValue(v int64) Span {
 	return s
 }
 
-// Begin starts a span of the given kind. node, peer and chunk may be -1
-// when the dimension does not apply; step is the training iteration or
-// -1. On a nil tracer it returns the zero Span.
+// Begin starts a span of the given kind. node and peer may be -1 when
+// the dimension does not apply; chunk is reserved (the JSONL field every
+// producer writes -1 into); step is the training iteration or -1. On a nil tracer it returns the zero Span.
 //
 //sidco:hotpath
 func (t *Tracer) Begin(kind SpanKind, node, peer, chunk int, step int64) Span {
@@ -380,8 +380,8 @@ func (t *Tracer) CountSeq(kind CounterKind, node, peer int, delta, seq, step int
 // Virtual emits a completed window on the virtual alpha-beta clock.
 // kind is SpanSend/SpanRecv for message NIC windows (node/peer the
 // directed link owner-first: the sender for sends, the receiver for
-// recvs; seq the link sequence; value the payload bytes) or
-// SpanCompute/SpanCompress for charged work (peer = -1, seq = -1).
+// recvs; seq the link sequence; value the payload bytes) or SpanCompute
+// for charged work (peer = -1, seq = -1).
 // startNanos/endNanos are float64 virtual nanoseconds. No-op on a nil
 // tracer.
 //

@@ -63,3 +63,51 @@ func TestSparseAddToDimMismatchPanics(t *testing.T) {
 	}()
 	s.AddTo(make([]float64, 2))
 }
+
+func TestSparseResetAppendValidate(t *testing.T) {
+	s := &Sparse{}
+	s.Reset(8)
+	s.Append(2, 1.5)
+	s.Append(5, -2)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("valid sparse rejected: %v", err)
+	}
+	if s.NNZ() != 2 || s.Dim != 8 {
+		t.Fatalf("nnz %d dim %d", s.NNZ(), s.Dim)
+	}
+	cap0 := cap(s.Idx)
+	s.Reset(4)
+	if s.NNZ() != 0 || cap(s.Idx) != cap0 {
+		t.Error("Reset must empty without shrinking capacity")
+	}
+	s.Append(3, 1)
+	s.Append(1, 2) // out of order
+	if err := s.Validate(); err == nil {
+		t.Error("descending indices accepted")
+	}
+	s.Reset(2)
+	s.Append(5, 1) // out of range
+	if err := s.Validate(); err == nil {
+		t.Error("out-of-range index accepted")
+	}
+}
+
+func TestSparseCopyFromAndGrow(t *testing.T) {
+	src := &Sparse{Dim: 6, Idx: []int32{1, 4}, Vals: []float64{2, 3}}
+	dst := &Sparse{}
+	dst.CopyFrom(src)
+	if dst.Dim != 6 || dst.NNZ() != 2 || dst.Idx[1] != 4 || dst.Vals[0] != 2 {
+		t.Fatalf("CopyFrom got %+v", dst)
+	}
+	src.Vals[0] = 99
+	if dst.Vals[0] == 99 {
+		t.Error("CopyFrom aliases the source")
+	}
+	dst.Grow(100)
+	if cap(dst.Idx) < 100 || cap(dst.Vals) < 100 {
+		t.Error("Grow did not reserve capacity")
+	}
+	if dst.NNZ() != 2 || dst.Idx[0] != 1 {
+		t.Error("Grow lost contents")
+	}
+}

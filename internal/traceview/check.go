@@ -25,12 +25,12 @@ func CheckComplete(tl *Timeline) error {
 // of the collective puts on the wire across every sending node — the
 // netsim alpha-count, which the assembled pair count must equal exactly
 // per iteration.
-func ExpectedGradientMessages(coll netsim.Collective, workers, chunks int) int {
+func ExpectedGradientMessages(coll netsim.Collective, workers int) int {
 	switch coll {
 	case netsim.CollectiveRing:
 		return workers * netsim.RingMessages(workers)
 	case netsim.CollectiveAllGather:
-		return workers * netsim.ChunkedAllGatherMessages(workers, chunks)
+		return workers * netsim.AllGatherMessages(workers)
 	case netsim.CollectivePS:
 		return netsim.PSMessages(workers)
 	}
@@ -39,12 +39,12 @@ func ExpectedGradientMessages(coll netsim.Collective, workers, chunks int) int {
 
 // CheckMessageCount verifies the paired gradient-message total equals
 // iters exchanges of the collective's closed-form count.
-func CheckMessageCount(tl *Timeline, coll netsim.Collective, workers, chunks, iters int) error {
-	want := iters * ExpectedGradientMessages(coll, workers, chunks)
+func CheckMessageCount(tl *Timeline, coll netsim.Collective, workers, iters int) error {
+	want := iters * ExpectedGradientMessages(coll, workers)
 	paired, _, _ := tl.PairStats(false)
 	if paired != want {
-		return fmt.Errorf("traceview: %d paired gradient messages, %s formula says %d (%d iters x %d workers, chunks=%d)",
-			paired, coll, want, iters, workers, chunks)
+		return fmt.Errorf("traceview: %d paired gradient messages, %s formula says %d (%d iters x %d workers)",
+			paired, coll, want, iters, workers)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 func TestChromeTraceSchema(t *testing.T) {
 	const dim = 1024
 	s, _ := runEngineTrace(t, cluster.Config{
-		Collective: netsim.CollectiveAllGather, Chunks: 4, CompressSec: 1.0 / (1 << 14),
+		Collective: netsim.CollectiveAllGather, ComputeSec: 1.0 / (1 << 14),
 	}, uniformSparseInputs(t, dim, 4), dim, 2)
 	tl := assemble1(t, s)
 

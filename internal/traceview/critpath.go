@@ -46,15 +46,15 @@ type CriticalPath struct {
 }
 
 // laneFor maps an activity to the serialized resource it occupies on
-// its node: the NIC transmit queue (sends), the clock lane (receives
-// and compute — cluster.Instrumented advances one clock through both),
-// or the compression pipeline lane.
+// its node: the NIC transmit queue (sends) or the clock lane (receives
+// and compute — cluster.Instrumented advances one clock through both —
+// and, on wall timelines, the worker's compression, which runs on the
+// same thread).
 type lane int
 
 const (
 	laneTx lane = iota
 	laneClock
-	lanePipe
 	laneNone
 )
 
@@ -62,10 +62,8 @@ func laneFor(k telemetry.SpanKind) lane {
 	switch k {
 	case telemetry.SpanSend:
 		return laneTx
-	case telemetry.SpanRecv, telemetry.SpanCompute:
+	case telemetry.SpanRecv, telemetry.SpanCompute, telemetry.SpanCompress:
 		return laneClock
-	case telemetry.SpanCompress:
-		return lanePipe
 	}
 	return laneNone
 }
@@ -85,7 +83,7 @@ func (tl *Timeline) CriticalPath(step int64) (*CriticalPath, error) {
 	// Filter to the step's schedulable activities and build per-node
 	// lane orderings.
 	var acts []int
-	lanes := make(map[int32]*[3][]int)
+	lanes := make(map[int32]*[2][]int)
 	for i := range tl.Activities {
 		a := &tl.Activities[i]
 		l := laneFor(a.Kind)
@@ -95,7 +93,7 @@ func (tl *Timeline) CriticalPath(step int64) (*CriticalPath, error) {
 		acts = append(acts, i)
 		nl := lanes[a.Node]
 		if nl == nil {
-			nl = &[3][]int{}
+			nl = &[2][]int{}
 			lanes[a.Node] = nl
 		}
 		nl[l] = append(nl[l], i)
@@ -190,7 +188,6 @@ func (tl *Timeline) CriticalPath(step int64) (*CriticalPath, error) {
 		case telemetry.SpanSend:
 			add(a.Node, laneTx)    // previous transmit finishing
 			add(a.Node, laneClock) // the node's clock reaching the send
-			add(a.Node, lanePipe)  // WaitFor on the chunk's compression
 		case telemetry.SpanRecv:
 			add(a.Node, laneClock) // rx chain / clock
 			if s, ok := sendOfRecv[cur]; ok {
@@ -199,11 +196,8 @@ func (tl *Timeline) CriticalPath(step int64) (*CriticalPath, error) {
 					cands = append(cands, cand{s, sa.Start, true})
 				}
 			}
-		case telemetry.SpanCompute:
+		case telemetry.SpanCompute, telemetry.SpanCompress:
 			add(a.Node, laneClock)
-		case telemetry.SpanCompress:
-			add(a.Node, lanePipe)
-			add(a.Node, laneClock) // lane start gated by the clock
 		}
 
 		best, found := cand{}, false

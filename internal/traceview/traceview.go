@@ -65,7 +65,7 @@ type Activity struct {
 	// Node is the owning node; Peer the link peer for send/recv
 	// (send: Peer=to, recv: Peer=from), else -1.
 	Node, Peer int32
-	// Chunk is the pipeline chunk, -1 when not chunked.
+	// Chunk is the event's reserved chunk field, always -1.
 	Chunk int32
 	// Step is the training iteration, -1 when unscoped.
 	Step int64

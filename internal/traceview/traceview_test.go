@@ -16,9 +16,9 @@ const workers = 4
 
 // uniformSparseInputs builds per-worker selections with identical index
 // supports (every stride-th index) and distinct values: payload sizes
-// are then identical across workers and chunks, the lockstep-uniform
-// regime where cluster.Instrumented's virtual clock and netsim's closed
-// forms describe the same execution.
+// are then identical across workers, the lockstep-uniform regime where
+// cluster.Instrumented's virtual clock and netsim's closed forms describe
+// the same execution.
 func uniformSparseInputs(t *testing.T, dim, stride int) []dist.ExchangeInput {
 	t.Helper()
 	var idx []int32
@@ -228,73 +228,42 @@ func TestCriticalPathAllGatherExact(t *testing.T) {
 	}
 }
 
-// chunkSizes reads the per-chunk payload sizes off the assembled
-// timeline: on the 0→1 ring link, chunk c's all-gather occupies seqs
-// [c(N-1), (c+1)(N-1)), and uniform inputs make every message of a
-// chunk the same size.
-func chunkSizes(t *testing.T, tl *Timeline, chunks int) []int {
-	t.Helper()
-	msgs := linkMessages(tl, 0, 1)
-	perChunk := workers - 1
-	if len(msgs) != chunks*perChunk {
-		t.Fatalf("link 0->1 carries %d messages, want %d", len(msgs), chunks*perChunk)
-	}
-	out := make([]int, chunks)
-	for c := 0; c < chunks; c++ {
-		b := msgs[c*perChunk].Bytes
-		for _, m := range msgs[c*perChunk : (c+1)*perChunk] {
-			if m.Bytes != b {
-				t.Fatalf("chunk %d payloads not uniform: %d vs %d", c, m.Bytes, b)
-			}
-		}
-		out[c] = int(b)
-	}
-	return out
-}
-
-func TestCriticalPathChunkedAllGatherExact(t *testing.T) {
-	const dim, chunks = 1024, 8
-	s, elapsed := runEngineTrace(t, cluster.Config{
-		Collective: netsim.CollectiveAllGather, Chunks: chunks,
-	}, uniformSparseInputs(t, dim, 4), dim, 1)
-	tl := assemble1(t, s)
-	net := netsim.DyadicLab(workers)
-
-	requireAllPaired(t, tl, workers*netsim.ChunkedAllGatherMessages(workers, chunks))
-	want := net.ChunkedAllGatherSparse(chunkSizes(t, tl, chunks), 0) * 1e9
-	cp := requireExactPath(t, tl, 0, want)
-	if cp.EndNanos != elapsed*1e9 {
-		t.Fatalf("path end %v != elapsed %v", cp.EndNanos, elapsed*1e9)
-	}
-}
-
-func TestCriticalPathChunkedCompressExact(t *testing.T) {
-	const dim, chunks = 1024, 4
-	compressSec := 1.0 / (1 << 14) // per chunk: 2^-16 s, exactly dyadic
-	s, elapsed := runEngineTrace(t, cluster.Config{
-		Collective: netsim.CollectiveAllGather, Chunks: chunks, CompressSec: compressSec,
-	}, uniformSparseInputs(t, dim, 4), dim, 1)
-	tl := assemble1(t, s)
-	net := netsim.DyadicLab(workers)
-
-	sizes := chunkSizes(t, tl, chunks)
-	perChunk := compressSec / chunks
-	// The closed form and the engine follow the same recurrence only in
-	// the communication-dominant regime (each chunk's compression hides
-	// entirely behind the previous chunk's collective); make sure the
-	// test stays in it.
-	for _, b := range sizes {
-		if comm := net.AllGatherSparse(b); perChunk > comm {
-			t.Fatalf("test setup leaves the comm-dominant regime: compress %v > comm %v", perChunk, comm)
+// TestCriticalPathWallCompressGatesSend: on a wall-clock timeline a
+// worker's compression occupies the same lane as its receives and
+// compute, so a send that leaves the moment compression ends binds to it
+// and the compress span lands on the critical path.
+func TestCriticalPathWallCompressGatesSend(t *testing.T) {
+	counter := func(k telemetry.CounterKind, node, peer int32, ts, value int64) telemetry.Event {
+		return telemetry.Event{
+			WallNanos: ts, Type: telemetry.EventCounter, Counter: k,
+			Node: node, Peer: peer, Chunk: -1, Step: 0, Seq: 0, Value: value,
 		}
 	}
-	want := net.ChunkedAllGatherSparse(sizes, perChunk) * 1e9
-	cp := requireExactPath(t, tl, 0, want)
-	if cp.EndNanos != elapsed*1e9 {
-		t.Fatalf("path end %v != elapsed %v", cp.EndNanos, elapsed*1e9)
+	s := &Stream{Meta: telemetry.Meta{Schema: telemetry.SchemaVersion, Node: 0}, Events: []telemetry.Event{
+		{WallNanos: 1000, Type: telemetry.EventSpan, Span: telemetry.SpanCompress, Node: 0, Peer: -1, Chunk: -1, Step: 0, DurNanos: 800, Seq: -1},
+		counter(telemetry.CounterSentMessages, 0, 1, 1000, 1),
+		counter(telemetry.CounterSentBytes, 0, 1, 1000, 64),
+		counter(telemetry.CounterRecvMessages, 0, 1, 1500, 1),
+	}}
+	tl, err := Assemble([]*Stream{s})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cp.ByKind[telemetry.SpanCompress] == 0 {
-		t.Fatal("chunk 0's compression gates the first send; the path must cross the compress lane")
+	if tl.Virtual {
+		t.Fatal("span-and-counter stream must assemble in wall mode")
+	}
+	cp, err := tl.CriticalPath(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.StartNanos != 200 || cp.EndNanos != 1500 {
+		t.Fatalf("path spans [%v, %v], want [200, 1500]", cp.StartNanos, cp.EndNanos)
+	}
+	if got := cp.ByKind[telemetry.SpanCompress]; got != 800 {
+		t.Errorf("compress on path = %v ns, want 800", got)
+	}
+	if cp.SlackNanos != 500 {
+		t.Errorf("slack = %v ns, want the 500 between the send and its receive", cp.SlackNanos)
 	}
 }
 
@@ -340,7 +309,7 @@ func TestCriticalPathParameterServerExact(t *testing.T) {
 func TestRollupsAndReport(t *testing.T) {
 	const dim = 1024
 	s, _ := runEngineTrace(t, cluster.Config{
-		Collective: netsim.CollectiveAllGather, Chunks: 4, CompressSec: 1.0 / (1 << 14),
+		Collective: netsim.CollectiveAllGather, ComputeSec: 1.0 / (1 << 14),
 	}, uniformSparseInputs(t, dim, 4), dim, 2)
 	tl := assemble1(t, s)
 
@@ -349,10 +318,10 @@ func TestRollupsAndReport(t *testing.T) {
 		t.Fatalf("rollups cover %d nodes, want %d", len(rolls), workers)
 	}
 	for _, r := range rolls {
-		if r.Sends != 2*netsim.ChunkedAllGatherMessages(workers, 4) {
+		if r.Sends != 2*netsim.AllGatherMessages(workers) {
 			t.Errorf("node %d sends = %d", r.Node, r.Sends)
 		}
-		if r.Busy[telemetry.SpanSend] <= 0 || r.Busy[telemetry.SpanRecv] <= 0 || r.Busy[telemetry.SpanCompress] <= 0 {
+		if r.Busy[telemetry.SpanSend] <= 0 || r.Busy[telemetry.SpanRecv] <= 0 || r.Busy[telemetry.SpanCompute] <= 0 {
 			t.Errorf("node %d busy rollup missing phases: %+v", r.Node, r.Busy)
 		}
 	}
