@@ -293,58 +293,81 @@ func BenchmarkCompressIntoEC(b *testing.B) {
 	}
 }
 
+// exchangeOnly hides an exchange's optional sparse form, as a decorator that
+// forwards only Exchange does: the trainer behind it takes the dense route.
+type exchangeOnly struct{ inner dist.GradientExchange }
+
+func (x exchangeOnly) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
+	return x.inner.Exchange(step, ins, agg)
+}
+
 // BenchmarkTrainerStep measures one synchronous data-parallel step of a
-// small dense model with EC+SIDCo compression — the -benchmem guard on
-// the end-to-end zero-allocation pipeline (expected: a handful of
-// goroutine-spawn allocations per step, nothing proportional to model
-// or worker state).
+// dense model with EC+SIDCo compression at d = 267 786 (>= 2^18: large
+// enough for what happens after the selection to show), on both routes:
+// sparse hands the merged mean of the selections to the optimizer, dense
+// (the exchange's sparse form hidden) clears, scatters into and sweeps a
+// d-sized aggregate. Same losses, same weights; the difference is the
+// three d-sized passes. Also the -benchmem guard on the end-to-end
+// zero-allocation pipeline (expected: a handful of goroutine-spawn
+// allocations per step, nothing proportional to model or worker state).
 func BenchmarkTrainerStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	model := nn.NewSequential(
-		nn.NewDense("d1", 64, 48, rng),
-		&nn.ReLU{},
-		nn.NewDense("d2", 48, 10, rng),
-	)
-	const batch, workers = 16, 4
-	xs := make([]*nn.Tensor, workers)
-	ts := make([][]int, workers)
-	for w := range xs {
-		xs[w] = nn.NewTensor(batch, 64)
-		ts[w] = make([]int, batch)
-	}
-	tr, err := dist.NewTrainer(dist.TrainerConfig{
-		Workers: workers,
-		Model:   model,
-		Loss:    &nn.SoftmaxCrossEntropy{},
-		Opt:     &nn.SGD{LR: 0.05},
-		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
-			x, targets := xs[worker], ts[worker]
-			for i := range targets {
-				targets[i] = rng.Intn(10)
-				for j := 0; j < 64; j++ {
-					x.Data[i*64+j] = rng.NormFloat64()
+	const in, hidden, classes, batch, workers = 512, 512, 10, 4, 2
+	for _, route := range []struct {
+		name     string
+		exchange dist.GradientExchange
+	}{
+		{"sparse", dist.InProcess{}},
+		{"dense", exchangeOnly{dist.InProcess{}}},
+	} {
+		b.Run(route.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			model := nn.NewSequential(
+				nn.NewDense("d1", in, hidden, rng),
+				&nn.ReLU{},
+				nn.NewDense("d2", hidden, classes, rng),
+			)
+			xs := make([]*nn.Tensor, workers)
+			ts := make([][]int, workers)
+			for w := range xs {
+				xs[w] = nn.NewTensor(batch, in)
+				ts[w] = make([]int, batch)
+			}
+			tr, err := dist.NewTrainer(dist.TrainerConfig{
+				Workers: workers,
+				Model:   model,
+				Loss:    &nn.SoftmaxCrossEntropy{},
+				Opt:     &nn.SGD{LR: 0.05},
+				Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
+					x, targets := xs[worker], ts[worker]
+					for i := range targets {
+						targets[i] = rng.Intn(classes)
+						for j := 0; j < in; j++ {
+							x.Data[i*in+j] = rng.NormFloat64()
+						}
+					}
+					return x, targets
+				},
+				NewCompressor: func() compress.Compressor { return core.NewE() },
+				Delta:         0.01,
+				EC:            true,
+				Seed:          3,
+				Exchange:      route.exchange,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if _, err := tr.Step(); err != nil {
+					b.Fatal(err)
 				}
 			}
-			return x, targets
-		},
-		NewCompressor: func() compress.Compressor { return core.NewE() },
-		Delta:         0.01,
-		EC:            true,
-		Seed:          3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

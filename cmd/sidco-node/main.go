@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/encoding"
@@ -528,7 +529,18 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 		return fmt.Errorf("check: received %d gradient messages, formula says %d", msgs, wantMsgs)
 	}
 	if nt.addr != "" {
-		if err := checkMetricsEndpoint(nt.addr, nd, wantMsgs, strings.HasPrefix(opt.compressor, "sidco-")); err != nil {
+		// A compressed run over all-gather or PS must have stayed sparse
+		// after the selection (the demo trains plain SGD): the optimizer is
+		// handed the merged mean, at most every worker's selection. The
+		// size of a selection is bounded for the compressors that promise
+		// one — exact top-k and the band-held SIDCo family.
+		sidco := strings.HasPrefix(opt.compressor, "sidco-")
+		applyMax := 0.0
+		if bitwise && (sidco || opt.compressor == "topk") {
+			k := compress.TargetK(ref.Dim(), opt.delta)
+			applyMax = float64(workers*k) * (1 + core.Config{}.Default().EpsilonH)
+		}
+		if err := checkMetricsEndpoint(nt.addr, nd, wantMsgs, sidco, applyMax); err != nil {
 			return err
 		}
 	}
@@ -547,8 +559,11 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 // verified against ground truth, so the observability layer is provably
 // not lying about this run. For a SIDCo estimator it also holds the
 // scraped achieved-vs-target ratio to the estimator's tolerance band: the
-// paper's k-hat/k claim, read off the system's own output.
-func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco bool) error {
+// paper's k-hat/k claim, read off the system's own output. It prints the
+// elements the optimizer was handed per step and, when applyMax > 0, fails a
+// run that handed it more: a step that should have stayed sparse after the
+// selection went dense.
+func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco bool, applyMax float64) error {
 	get := func(path string) (string, error) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -625,6 +640,16 @@ func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco boo
 		fmt.Printf("metrics endpoint verified: k-hat/k = %.3f in band, %v list corrections, %v sweep fallbacks\n",
 			ratio, vals["sidco_select_list_corrections_total"], vals["sidco_select_sweep_fallbacks_total"])
 	}
+	applied := vals["sidco_apply_elems_total"] / vals["sidco_steps_total"]
+	if applyMax > 0 && !(applied <= applyMax) {
+		return fmt.Errorf("check: /metrics apply elems/step = %v/%v = %.1f, above the %.1f the workers' selections can merge to: the step did not stay sparse after the selection",
+			vals["sidco_apply_elems_total"], vals["sidco_steps_total"], applied, applyMax)
+	}
+	fmt.Printf("metrics endpoint verified: apply elems/step = %.1f", applied)
+	if applyMax > 0 {
+		fmt.Printf(" <= %.1f (sparse after the selection)", applyMax)
+	}
+	fmt.Println()
 	fmt.Printf("metrics endpoint verified: %d msgs, %d bytes sent match formula + instrumented totals\n", sentMsgs, sentBytes)
 	return nil
 }

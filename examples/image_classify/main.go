@@ -46,7 +46,7 @@ func buildTrainer(compName string, seed int64) (*dist.Trainer, error) {
 		},
 		NewCompressor: factory,
 		Delta:         0.01,
-		EC:            true,
+		EC:            factory != nil,
 		Seed:          seed,
 	})
 }

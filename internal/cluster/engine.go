@@ -9,6 +9,7 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Config describes one cluster deployment: Engine hosts every rank of it
@@ -245,13 +246,13 @@ func resolveCollective(c netsim.Collective, sparse bool) netsim.Collective {
 	return netsim.CollectiveRing
 }
 
-// round is one rank's share of an Exchange.
-type round struct {
-	step int
-	coll netsim.Collective  // resolved once per round, never Auto
-	in   dist.ExchangeInput // unset for the server rank
-	dim  int
-	out  []float64 // dim elements, or nil: move the bytes, keep no aggregate
+// resolveSparse resolves a round for ExchangeSparse, which runs it only when
+// the aggregate is sparse by nature: a compressed selection over all-gather
+// or the parameter server. A dense contribution or a ring all-reduce is not
+// (ok false), and is declined.
+func resolveSparse(c netsim.Collective, sp *tensor.Sparse) (coll netsim.Collective, ok bool) {
+	coll = resolveCollective(c, sp != nil)
+	return coll, sp != nil && coll != netsim.CollectiveRing
 }
 
 // Engine is a whole deployment in one process: NodeCount(Workers,
@@ -268,11 +269,14 @@ type round struct {
 type Engine struct {
 	cfg     Config
 	tp      *Instrumented
-	rounds  []chan round // one per rank, the server's last
-	results chan error   // one per rank per round; Node errors name their rank
-	outs    [][]float64  // aggregates of ranks >= 1, allocated only when a round needs them
-	wg      sync.WaitGroup
-	closed  bool
+	rounds  []chan job // one per rank (the server's last, which reads only the step)
+	results chan error // one per rank per round; Node errors name their rank
+	// Aggregates of ranks >= 1, dense and sparse, allocated only when a
+	// round needs them (Verify, and the ring for outs).
+	outs   [][]float64
+	means  []tensor.Sparse
+	wg     sync.WaitGroup
+	closed bool
 }
 
 // New validates cfg, builds the transport and starts one Node goroutine
@@ -294,13 +298,14 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		tp:      NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry),
-		rounds:  make([]chan round, nodes),
+		rounds:  make([]chan job, nodes),
 		results: make(chan error, nodes),
 		outs:    make([][]float64, cfg.Workers),
+		means:   make([]tensor.Sparse, cfg.Workers),
 	}
 	for rank := range e.rounds {
 		cfg.Rank = rank
-		e.rounds[rank] = make(chan round)
+		e.rounds[rank] = make(chan job)
 		e.wg.Add(1)
 		go e.rankLoop(newNode(cfg, e.tp), e.rounds[rank])
 	}
@@ -335,27 +340,97 @@ func (e *Engine) Close() error {
 // fatally has closed the shared transport (unblocking its peers), so the
 // round drains, the engine shuts down and the first error is returned.
 func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
+	if err := e.checkExchange(ins); err != nil {
+		return err
+	}
+	coll := resolveCollective(e.cfg.Collective, ins[0].Sparse != nil)
+	err := e.run(step, coll, ins, len(agg), agg, nil)
+	if err == nil && e.cfg.Verify {
+		for w := 1; w < e.cfg.Workers && err == nil; w++ {
+			for i := range agg {
+				if e.outs[w][i] != agg[i] {
+					err = fmt.Errorf("cluster: node %d disagrees with node 0 at element %d: %v vs %v",
+						w, i, e.outs[w][i], agg[i])
+					break
+				}
+			}
+		}
+	}
+	return e.failStop(err)
+}
+
+// ExchangeSparse implements dist.SparseExchange: on a round of compressed
+// selections over all-gather or the parameter server, rank 0 leaves the
+// merged sparse mean in mean and no rank touches anything of the model's
+// dimension; under Verify every rank merges one and they are compared
+// element for element. Any other round is declined before a byte moves.
+func (e *Engine) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor.Sparse) (bool, error) {
+	if err := e.checkExchange(ins); err != nil {
+		return false, err
+	}
+	coll, ok := resolveSparse(e.cfg.Collective, ins[0].Sparse)
+	if !ok {
+		return false, nil
+	}
+	err := e.run(step, coll, ins, ins[0].Sparse.Dim, nil, mean)
+	if err == nil && e.cfg.Verify {
+		for w := 1; w < e.cfg.Workers && err == nil; w++ {
+			err = sameSparse(w, &e.means[w], mean)
+		}
+	}
+	return true, e.failStop(err)
+}
+
+// sameSparse is Verify's comparison of rank w's merged mean with rank 0's.
+//
+//sidco:errclass Verify's consistency assertion, deliberately fatal
+func sameSparse(w int, got, want *tensor.Sparse) error {
+	if got.Dim != want.Dim || len(got.Idx) != len(want.Idx) {
+		return fmt.Errorf("cluster: node %d disagrees with node 0: %d of %d elements vs %d of %d",
+			w, len(got.Idx), got.Dim, len(want.Idx), want.Dim)
+	}
+	for i, j := range want.Idx {
+		if got.Idx[i] != j || got.Vals[i] != want.Vals[i] {
+			return fmt.Errorf("cluster: node %d disagrees with node 0 at stored element %d: (%d, %v) vs (%d, %v)",
+				w, i, got.Idx[i], got.Vals[i], j, want.Vals[i])
+		}
+	}
+	return nil
+}
+
+// checkExchange refuses an exchange the engine cannot run.
+func (e *Engine) checkExchange(ins []dist.ExchangeInput) error {
 	if e.closed {
 		return fmt.Errorf("cluster: exchange on closed engine: %w", ErrClosed)
 	}
 	if len(ins) != e.cfg.Workers {
 		return fmt.Errorf("cluster: %d inputs for %d workers", len(ins), e.cfg.Workers) //sidco:errclass caller misuse, deliberately fatal
 	}
-	coll := resolveCollective(e.cfg.Collective, ins[0].Sparse != nil)
-	ownAggregates := e.cfg.Verify || coll == netsim.CollectiveRing
+	return nil
+}
+
+// run hands every rank its round and returns the first error once all have
+// reported. Rank 0 reduces into the caller's destination — agg or mean,
+// whichever is set; the other workers get one of their own of the same kind
+// only where something reads it (Verify, and the ring, which reduces in it).
+func (e *Engine) run(step int, coll netsim.Collective, ins []dist.ExchangeInput, dim int, agg []float64, mean *tensor.Sparse) error {
 	for rank, ch := range e.rounds {
-		rd := round{step: step, coll: coll, dim: len(agg)}
+		rd := job{step: step, coll: coll, dim: dim}
+		if rank < e.cfg.Workers {
+			rd.sparse, rd.dense = ins[rank].Sparse, ins[rank].Dense
+		}
 		switch {
 		case rank == 0:
-			rd.in, rd.out = ins[0], agg
-		case rank < e.cfg.Workers:
-			rd.in = ins[rank]
-			if ownAggregates {
-				if len(e.outs[rank]) != len(agg) {
-					e.outs[rank] = make([]float64, len(agg))
-				}
-				rd.out = e.outs[rank]
+			rd.out, rd.mean = agg, mean
+		case rank >= e.cfg.Workers:
+			// the server: serves the step, keeps no aggregate
+		case agg != nil && (e.cfg.Verify || coll == netsim.CollectiveRing):
+			if len(e.outs[rank]) != dim {
+				e.outs[rank] = make([]float64, dim)
 			}
+			rd.out = e.outs[rank]
+		case mean != nil && e.cfg.Verify:
+			rd.mean = &e.means[rank]
 		}
 		ch <- rd
 	}
@@ -365,35 +440,28 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 			firstErr = err
 		}
 	}
-	if firstErr == nil && e.cfg.Verify {
-		for w := 1; w < e.cfg.Workers; w++ {
-			for i := range agg {
-				if e.outs[w][i] != agg[i] {
-					firstErr = fmt.Errorf("cluster: node %d disagrees with node 0 at element %d: %v vs %v",
-						w, i, e.outs[w][i], agg[i])
-					break
-				}
-			}
-		}
-	}
-	if firstErr != nil {
-		// Fail-stop: a broken round leaves stray messages in the
-		// transport, so the engine cannot safely run another schedule.
+	return firstErr
+}
+
+// failStop closes the engine on a failed round and passes the error on: a
+// broken round leaves stray messages in the transport, so the engine cannot
+// safely run another schedule.
+func (e *Engine) failStop(err error) error {
+	if err != nil {
 		e.Close()
-		return firstErr
 	}
-	return nil
+	return err
 }
 
 // rankLoop is the goroutine body of one rank: a round per Exchange,
 // served by the server Node and exchanged by a worker Node.
-func (e *Engine) rankLoop(nd *Node, rounds <-chan round) {
+func (e *Engine) rankLoop(nd *Node, rounds <-chan job) {
 	defer e.wg.Done()
 	for rd := range rounds {
 		if nd.cfg.Rank == e.cfg.Workers {
 			e.results <- nd.serveRound(rd.step)
 		} else {
-			e.results <- nd.exchange(rd.step, rd.coll, rd.in, rd.dim, rd.out)
+			e.results <- nd.exchange(rd)
 		}
 	}
 }

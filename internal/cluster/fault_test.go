@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/netsim"
+	"repro/internal/tensor"
 )
 
 // TestFaultTransportPlan pins the deterministic failure semantics of
@@ -374,20 +375,39 @@ func denseGrad(rank, dim int) []float64 {
 	return g
 }
 
+// sparseGrad is denseGrad's selection: a rank-distinct quarter of the
+// support (every element with i%4 == rank%4, plus element 0 from everyone)
+// so the survivors' merged mean identifies who contributed, where they
+// overlap and where they do not.
+func sparseGrad(rank, dim int) *tensor.Sparse {
+	g := denseGrad(rank, dim)
+	s := &tensor.Sparse{Dim: dim}
+	for i := range g {
+		if i == 0 || i%4 == rank%4 {
+			s.Append(int32(i), g[i])
+		}
+	}
+	return s
+}
+
 // TestElasticRecoverySurvivorsComplete is the elastic-membership
 // acceptance test: with retries enabled, the survivors of a mid-run
 // death renegotiate, exclude the dead rank from the next schedule, and
 // complete the step with the aggregate rescaled to the survivor count —
-// over both the fault transport and real TCP.
+// over both the fault transport and real TCP, into a dense aggregate
+// (Exchange) and into the merged sparse mean (ExchangeSparse), which must
+// be the mean of the survivors' selections over the surviving count.
 func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 	const workers, dim = 4, 32
 	const victim = 2
+	survivors := []int{0, 1, 3}
 	for _, env := range faultEnvs {
-		t.Run(env.name, func(t *testing.T) {
+		run := func(t *testing.T, sparse bool) {
 			tps, kill := env.build(t, workers, victim)
 			type outcome struct {
 				rank   int
 				agg    []float64
+				mean   tensor.Sparse
 				scalar float64
 				err    error
 			}
@@ -403,17 +423,29 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 						results <- outcome{rank: rank, err: err}
 						return
 					}
-					run := func(it int) ([]float64, float64, error) {
-						in := []dist.ExchangeInput{{Worker: rank, Dense: denseGrad(rank, dim)}}
-						agg := make([]float64, dim)
-						if err := nd.Exchange(it, in, agg); err != nil {
-							return nil, 0, err
+					run := func(it int) (out outcome) {
+						out.rank = rank
+						if sparse {
+							in := []dist.ExchangeInput{{Worker: rank, Sparse: sparseGrad(rank, dim)}}
+							ran, err := nd.ExchangeSparse(it, in, &out.mean)
+							if err == nil && !ran {
+								err = fmt.Errorf("ExchangeSparse declined a sparse all-gather round")
+							}
+							if out.err = err; err != nil {
+								return out
+							}
+						} else {
+							in := []dist.ExchangeInput{{Worker: rank, Dense: denseGrad(rank, dim)}}
+							out.agg = make([]float64, dim)
+							if out.err = nd.Exchange(it, in, out.agg); out.err != nil {
+								return out
+							}
 						}
-						s, err := nd.MeanScalar(float64(rank))
-						return agg, s, err
+						out.scalar, out.err = nd.MeanScalar(float64(rank))
+						return out
 					}
-					if _, _, err := run(0); err != nil {
-						results <- outcome{rank: rank, err: fmt.Errorf("healthy step: %v", err)}
+					if out := run(0); out.err != nil {
+						results <- outcome{rank: rank, err: fmt.Errorf("healthy step: %v", out.err)}
 						return
 					}
 					<-barrier
@@ -421,8 +453,7 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 						results <- outcome{rank: rank}
 						return
 					}
-					agg, s, err := run(1)
-					results <- outcome{rank: rank, agg: agg, scalar: s, err: err}
+					results <- run(1)
 				}(rank)
 			}
 			time.Sleep(300 * time.Millisecond)
@@ -433,15 +464,19 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 			// order and rescaled by the survivor count, exactly as the
 			// group schedule computes it.
 			wantAgg := make([]float64, dim)
-			for _, r := range []int{0, 1, 3} {
+			var wantMean tensor.Sparse
+			parts := make([]tensor.Sparse, 0, len(survivors))
+			for _, r := range survivors {
 				g := denseGrad(r, dim)
 				for i := range wantAgg {
 					wantAgg[i] += g[i]
 				}
+				parts = append(parts, *sparseGrad(r, dim))
 			}
 			for i := range wantAgg {
-				wantAgg[i] *= 1 / float64(3)
+				wantAgg[i] *= 1 / float64(len(survivors))
 			}
+			tensor.MeanSparseInto(&wantMean, parts)
 			wantScalar := (0.0 + 1.0 + 3.0) * (1 / float64(3))
 
 			for i := 0; i < workers; i++ {
@@ -453,7 +488,12 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 					if r.err != nil {
 						t.Fatalf("survivor %d failed step 1: %v", r.rank, r.err)
 					}
-					for j := range wantAgg {
+					if sparse {
+						if err := sameSparse(r.rank, &r.mean, &wantMean); err != nil {
+							t.Fatalf("mean over survivors: %v", err)
+						}
+					}
+					for j := range r.agg {
 						if r.agg[j] != wantAgg[j] {
 							t.Fatalf("survivor %d agg[%d] = %v, want %v (mean over survivors)", r.rank, j, r.agg[j], wantAgg[j])
 						}
@@ -465,6 +505,10 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 					t.Fatal("a survivor hung during elastic recovery")
 				}
 			}
+		}
+		t.Run(env.name, func(t *testing.T) {
+			t.Run("dense", func(t *testing.T) { run(t, false) })
+			t.Run("sparse", func(t *testing.T) { run(t, true) })
 		})
 	}
 }

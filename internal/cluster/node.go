@@ -24,6 +24,25 @@ type job struct {
 	// deadline, when non-zero, bounds every blocking receive of the
 	// schedule run; a receive past it fails with ErrTimeout.
 	deadline time.Time
+	// Where the aggregated mean goes. out (dim elements) takes it dense; the
+	// ring reduces in out itself and always needs it. mean, on the sparse
+	// collectives, takes it as the merged sparse vector and nothing dim-sized
+	// is touched. With neither, the node sends, forwards and receives its
+	// whole share of the schedule but neither decodes nor reduces what
+	// arrives: an Engine rank whose aggregate nobody reads (the rank that
+	// does keep one is handed the same bytes).
+	out  []float64
+	mean *tensor.Sparse
+}
+
+// meanInto names where the round's merged sparse mean goes: the caller's
+// vector, the node's scratch on the way to a dense out, or nil when nobody
+// reads the aggregate.
+func (jb job) meanInto(scratch *tensor.Sparse) *tensor.Sparse {
+	if jb.mean == nil && jb.out != nil {
+		return scratch
+	}
+	return jb.mean
 }
 
 // nodeScratch is one node's reusable storage: the encode buffer, the
@@ -41,21 +60,17 @@ type nodeScratch struct {
 }
 
 // runWorker executes this worker node's half of one exchange, leaving the
-// aggregated mean in out (jb.dim elements) — or nowhere when out is nil:
-// an Engine rank whose aggregate nobody reads still sends, forwards and
-// receives its whole share of the schedule but neither decodes nor
-// reduces what arrives (the rank that does keep an aggregate is handed
-// the same bytes). The ring reduces in out itself and always needs it.
-// The whole round is traced as one collective span per node.
-func (n *Node) runWorker(jb job, out []float64) error {
+// aggregated mean where the job says. The whole round is traced as one
+// collective span per node.
+func (n *Node) runWorker(jb job) error {
 	span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(jb.step))
-	err := n.runCollective(jb, out)
+	err := n.runCollective(jb)
 	span.End()
 	return err
 }
 
-func (n *Node) runCollective(jb job, out []float64) error {
-	w, sc := n.cfg.Rank, &n.sc
+func (n *Node) runCollective(jb job) error {
+	w, sc, out := n.cfg.Rank, &n.sc, jb.out
 	if n.cfg.ComputeSec > 0 {
 		n.tp.Compute(w, n.cfg.ComputeSec)
 	}
@@ -81,7 +96,7 @@ func (n *Node) runCollective(jb job, out []float64) error {
 		return nil
 
 	case netsim.CollectiveAllGather:
-		return n.runAllGather(jb, out)
+		return n.runAllGather(jb)
 
 	case netsim.CollectivePS:
 		if err := n.encodeLocal(jb); err != nil {
@@ -94,17 +109,20 @@ func (n *Node) runCollective(jb job, out []float64) error {
 		if err != nil {
 			return err
 		}
-		if out == nil {
+		mean := jb.meanInto(&sc.mean)
+		if mean == nil {
 			return nil // took delivery of the reply; rank 0 decodes the same bytes
 		}
-		if err := encoding.DecodeInto(&sc.mean, reply); err != nil {
+		if err := encoding.DecodeInto(mean, reply); err != nil {
 			return fmt.Errorf("decoding server reply: %w", err)
 		}
-		if sc.mean.Dim != jb.dim {
-			return fmt.Errorf("server reply has dim %d, want %d", sc.mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		if mean.Dim != jb.dim {
+			return fmt.Errorf("server reply has dim %d, want %d", mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 		}
-		tensor.Zero(out)
-		scatter(&sc.mean, out)
+		if out != nil {
+			tensor.Zero(out)
+			scatter(mean, out)
+		}
 		return nil
 	}
 	return fmt.Errorf("unreachable collective") //sidco:errclass internal invariant, deliberately fatal
@@ -114,9 +132,9 @@ func (n *Node) runCollective(jb job, out []float64) error {
 // local selection once, circulate the payloads, decode every origin and
 // merge them in worker-index order (tensor.MeanSparseInto) — for every
 // element the same operation sequence as dist.InProcess over a lossless
-// wire — then assign the merged mean into the zeroed out. Aggregation
-// costs O(k*N), not O(d).
-func (n *Node) runAllGather(jb job, out []float64) error {
+// wire. A dense out is zeroed and has the merged mean assigned into it;
+// without one aggregation costs O(k*N) and nothing scales with d.
+func (n *Node) runAllGather(jb job) error {
 	sc, members := &n.sc, n.workers
 	err := n.encodeLocal(jb)
 	if err != nil {
@@ -126,7 +144,8 @@ func (n *Node) runAllGather(jb job, out []float64) error {
 	if err != nil {
 		return err
 	}
-	if out == nil {
+	mean := jb.meanInto(&sc.mean)
+	if mean == nil {
 		return nil // forwarded its share; rank 0 decodes the same bytes
 	}
 	parts := sc.grow(len(members))
@@ -138,9 +157,11 @@ func (n *Node) runAllGather(jb job, out []float64) error {
 			return fmt.Errorf("origin %d has dim %d, want %d", members[origin], parts[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 		}
 	}
-	tensor.MeanSparseInto(&sc.mean, parts)
-	tensor.Zero(out)
-	scatter(&sc.mean, out)
+	tensor.MeanSparseInto(mean, parts)
+	if out := jb.out; out != nil {
+		tensor.Zero(out)
+		scatter(mean, out)
+	}
 	return nil
 }
 
@@ -334,6 +355,34 @@ func (n *Node) Transport() *Instrumented { return n.tp }
 // resolution, or the interlocked schedules deadlock; the transport's
 // per-link FIFO keeps successive steps from interleaving.
 func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
+	if err := n.checkExchange(ins); err != nil {
+		return err
+	}
+	coll := resolveCollective(n.cfg.Collective, ins[0].Sparse != nil)
+	return n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll, out: agg})
+}
+
+// ExchangeSparse implements dist.SparseExchange: when this rank's
+// contribution is a compressed selection and the round resolves to
+// all-gather or the parameter server, mean receives the global mean as the
+// merged sparse vector those collectives build anyway and nothing of the
+// model's dimension is cleared or written. Any other round — the ring, a
+// dense contribution — is declined before a byte moves.
+func (n *Node) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor.Sparse) (bool, error) {
+	if err := n.checkExchange(ins); err != nil {
+		return false, err
+	}
+	sp := ins[0].Sparse
+	coll, ok := resolveSparse(n.cfg.Collective, sp)
+	if !ok {
+		return false, nil
+	}
+	return true, n.exchange(job{step: step, sparse: sp, dim: sp.Dim, coll: coll, mean: mean})
+}
+
+// checkExchange refuses an exchange this node cannot run: a closed node,
+// the server rank, or inputs that are not exactly this rank's worker.
+func (n *Node) checkExchange(ins []dist.ExchangeInput) error {
 	if n.closed {
 		return fmt.Errorf("cluster: exchange on closed node: %w", ErrClosed)
 	}
@@ -346,26 +395,20 @@ func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error
 	if ins[0].Worker != n.cfg.Rank {
 		return fmt.Errorf("cluster: node %d handed worker %d's gradient (is the trainer's FirstWorker set to the rank?)", n.cfg.Rank, ins[0].Worker) //sidco:errclass caller misuse, deliberately fatal
 	}
-	coll := resolveCollective(n.cfg.Collective, ins[0].Sparse != nil)
-	return n.exchange(step, coll, ins[0], len(agg), agg)
+	return nil
 }
 
-// exchange runs this worker's share of one round of dimension dim over
-// the already resolved collective, retrying over the renegotiated group
-// while the failure is recoverable and retries remain. A nil agg (sparse
-// collectives only) runs the message schedule without decoding or
-// reducing.
-func (n *Node) exchange(step int, coll netsim.Collective, in dist.ExchangeInput, dim int, agg []float64) error {
+// exchange runs this worker's share of one round (jb.coll already
+// resolved, jb.deadline set here per attempt), retrying over the
+// renegotiated group while the failure is recoverable and retries remain.
+func (n *Node) exchange(jb job) error {
 	// Tag the round's telemetry message events with the step before the
 	// first send: rounds are synchronous, so no message of another step
 	// is in flight on this node's links.
-	n.tp.SetStep(int64(step))
+	n.tp.SetStep(int64(jb.step))
 	for attempt := 0; ; attempt++ {
-		jb := job{
-			step: step, sparse: in.Sparse, dense: in.Dense, dim: dim,
-			coll: coll, deadline: n.stepDeadline(),
-		}
-		err := n.runWorker(jb, agg)
+		jb.deadline = n.stepDeadline()
+		err := n.runWorker(jb)
 		if err == nil {
 			return nil
 		}

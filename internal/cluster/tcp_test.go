@@ -357,9 +357,11 @@ type rankResult struct {
 // runTCPDeployment trains the one-node-per-transport topology of
 // cmd/sidco-node, minus process isolation: every rank gets its own
 // TCPTransport (hosting only itself over the shared host list), its own
-// Node and its own Workers=1 trainer whose FirstWorker is the rank. It
-// returns the per-rank results after asserting every rank agrees.
-func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, comp string, delta float64, seed int64) []rankResult {
+// Node and its own Workers=1 trainer whose FirstWorker is the rank (mutate,
+// if given, edits each rank's trainer configuration — its Exchange is the
+// rank's Node by then). It returns the per-rank results after asserting
+// every rank agrees.
+func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, comp string, delta float64, seed int64, mutate ...func(*dist.TrainerConfig)) []rankResult {
 	t.Helper()
 	nodes := NodeCount(workers, coll)
 	addrs, err := FreeLoopbackAddrs(nodes)
@@ -387,7 +389,11 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 			res.err = nd.Serve(0, iters)
 			return
 		}
-		tr, err := dist.NewTrainer(tinyTrainerCfg(1, rank, comp, delta, seed, nd))
+		cfg := tinyTrainerCfg(1, rank, comp, delta, seed, nd)
+		for _, m := range mutate {
+			m(&cfg)
+		}
+		tr, err := dist.NewTrainer(cfg)
 		if err != nil {
 			res.err = err
 			return

@@ -62,7 +62,10 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor,
 // update — must stay within a small constant allocation budget. The
 // multi-worker case tolerates the runtime's goroutine bookkeeping; the
 // single-worker case runs inline and must be allocation-free — with a
-// live tracer too, spans, selection counters and all.
+// live tracer too, spans, selection counters and all — on the sparse route
+// (the merged mean handed to SGD.StepSparse, which every compressed case
+// here takes by default) and on the dense one, forced by hiding the
+// exchange's sparse form.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -70,12 +73,15 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		factory func() compress.Compressor
 		budget  float64
 		traced  bool
+		dense   bool // force the dense route on a compressed trainer
 	}{
-		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0, false},
-		{"1worker-sidco-ec-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true},
-		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8, false},
-		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8, false},
-		{"2workers-dense", 2, nil, 8, false},
+		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0, false, false},
+		{"1worker-sidco-ec-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, false},
+		{"1worker-sidco-ec-dense-route", 1, func() compress.Compressor { return core.NewE() }, 0, false, true},
+		{"1worker-sidco-ec-dense-route-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, true},
+		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8, false, false},
+		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8, false, false},
+		{"2workers-dense", 2, nil, 8, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +91,12 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 				tracer = telemetry.New(agg, telemetry.NewJSONL(io.Discard))
 			}
 			tr := allocTrainer(t, tc.workers, tc.factory, tracer)
+			if tc.dense {
+				tr.useExchange(&exchangeRecorder{})
+			}
+			if sparse := tc.factory != nil && !tc.dense; (tr.sparseEx != nil) != sparse {
+				t.Fatalf("trainer on the sparse route = %v, want %v", tr.sparseEx != nil, sparse)
+			}
 			for i := 0; i < 30; i++ { // warm every scratch buffer
 				if _, err := tr.Step(); err != nil {
 					t.Fatal(err)
@@ -98,8 +110,17 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			if allocs > tc.budget {
 				t.Errorf("Step allocates %v objects/op in steady state, budget %v", allocs, tc.budget)
 			}
-			if nc := agg.NodeTotals(0); tc.traced && (nc.TargetElems != nc.Steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc.SelectedElems == 0) {
+			nc := agg.NodeTotals(0)
+			if tc.traced && (nc.TargetElems != nc.Steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc.SelectedElems == 0) {
 				t.Errorf("traced run counted %+v", nc)
+			}
+			// One worker: the merged mean is its selection, the dense
+			// aggregate is the model.
+			if want := nc.SelectedElems; tc.traced && !tc.dense && nc.ApplyElems != want {
+				t.Errorf("sparse route applied %d elements, the worker selected %d", nc.ApplyElems, want)
+			}
+			if want := nc.Steps * int64(tr.Dim()); tc.traced && tc.dense && nc.ApplyElems != want {
+				t.Errorf("dense route applied %d elements over %d steps, want d = %d per step", nc.ApplyElems, nc.Steps, tr.Dim())
 			}
 		})
 	}

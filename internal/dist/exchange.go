@@ -33,9 +33,29 @@ type ExchangeInput struct {
 //
 // The default is the in-process reducer below; internal/cluster provides
 // message-passing implementations that ship encoded buffers through real
-// transports.
+// transports. All three also offer the optional SparseExchange form.
 type GradientExchange interface {
 	Exchange(step int, ins []ExchangeInput, agg []float64) error
+}
+
+// SparseExchange is the optional form of GradientExchange for rounds whose
+// aggregate is sparse: the mean of N compressed selections has at most N*k
+// non-zeros, and the sparse collectives build it as one merged vector
+// before anything dense exists. ExchangeSparse runs such a round and leaves
+// that vector — ascending indices, exact-zero sums dropped, the same value
+// bit for bit that Exchange would leave in agg at each index — in the
+// caller-owned mean, touching nothing of the model's dimension. A round
+// that is not sparse (an input without a selection, a ring all-reduce) is
+// declined: it returns false before any byte moves and the caller runs
+// Exchange. Retries, renegotiation and the after-error contract are
+// Exchange's: after a non-nil error mean is unspecified.
+//
+// Trainer takes this route when its optimizer can apply a sparse mean
+// (nn.SparseStepper) and every worker compresses; a wrapper that forwards
+// only Exchange simply keeps the dense route, with the same results.
+type SparseExchange interface {
+	GradientExchange
+	ExchangeSparse(step int, ins []ExchangeInput, mean *tensor.Sparse) (sparse bool, err error)
 }
 
 // InProcess is the shared-memory reducer: sparse contributions are
@@ -58,4 +78,29 @@ func (InProcess) Exchange(step int, ins []ExchangeInput, agg []float64) error {
 	}
 	tensor.Scale(1/float64(len(ins)), agg)
 	return nil
+}
+
+// ExchangeSparse implements SparseExchange: when every input carries a
+// selection, their mean is merged in worker-index order
+// (tensor.MeanSparseInto: per index the operation sequence of Exchange) at
+// O(sum of nnz), with no pass over the model's dimension.
+func (InProcess) ExchangeSparse(step int, ins []ExchangeInput, mean *tensor.Sparse) (bool, error) {
+	if len(ins) == 0 {
+		return false, fmt.Errorf("dist: exchange with no inputs")
+	}
+	// MeanSparseInto wants the parts side by side; a few dozen workers'
+	// headers fit on the stack.
+	var stack [64]tensor.Sparse
+	parts := stack[:0]
+	if len(ins) > len(stack) {
+		parts = make([]tensor.Sparse, 0, len(ins))
+	}
+	for _, in := range ins {
+		if in.Sparse == nil {
+			return false, nil
+		}
+		parts = append(parts, *in.Sparse)
+	}
+	tensor.MeanSparseInto(mean, parts)
+	return true, nil
 }

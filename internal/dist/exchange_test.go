@@ -82,7 +82,7 @@ func (r *exchangeRecorder) Exchange(step int, ins []ExchangeInput, agg []float64
 func TestTrainerUsesConfiguredExchange(t *testing.T) {
 	rec := &exchangeRecorder{}
 	tr := convTrainer(t, 2, "topk", 0.05, false, 6, nil)
-	tr.exchange = rec
+	tr.useExchange(rec)
 	if _, _, err := tr.Run(4); err != nil {
 		t.Fatal(err)
 	}
@@ -116,23 +116,50 @@ func (x *scribblingExchange) Exchange(step int, ins []ExchangeInput, agg []float
 	return InProcess{}.Exchange(step, ins, agg)
 }
 
+// scribblingSparseExchange is scribblingExchange on the sparse route: its
+// first ExchangeSparse fails after leaving a mean full of NaNs at indices
+// that do not even ascend.
+type scribblingSparseExchange struct {
+	scribblingExchange
+}
+
+func (x *scribblingSparseExchange) ExchangeSparse(step int, ins []ExchangeInput, mean *tensor.Sparse) (bool, error) {
+	if !x.failed {
+		x.failed = true
+		mean.Reset(ins[0].Sparse.Dim)
+		for i := 0; i < 8; i++ {
+			mean.Append(int32(7-i), math.NaN())
+		}
+		return true, errScribbled
+	}
+	return InProcess{}.ExchangeSparse(step, ins, mean)
+}
+
 // TestTrainerNeverAppliesFailedExchange holds Trainer.Step to the
-// GradientExchange error contract: a failed exchange's agg is never
-// applied and never leaks into a later step. Each worker redraws one
-// fixed batch and top-k keeps no state, so the failed step has nothing
-// else to leave behind and the retry can be compared with a trainer that
-// never failed.
+// GradientExchange error contract on both routes: a failed exchange's agg
+// (or merged mean) is never applied and never leaks into a later step.
+// Each worker redraws one fixed batch and top-k keeps no state, so the
+// failed step has nothing else to leave behind and the retry can be
+// compared with a trainer that never failed.
 func TestTrainerNeverAppliesFailedExchange(t *testing.T) {
+	t.Run("dense", func(t *testing.T) { neverAppliesFailedExchange(t, &scribblingExchange{}, false) })
+	t.Run("sparse", func(t *testing.T) { neverAppliesFailedExchange(t, &scribblingSparseExchange{}, true) })
+}
+
+func neverAppliesFailedExchange(t *testing.T, failing GradientExchange, sparse bool) {
 	build := func(ex GradientExchange) *Trainer {
 		tr := convTrainer(t, 2, "topk", 0.05, false, 4, nil)
 		draw := tr.cfg.Batch
 		tr.cfg.Batch = func(worker int, _ *rand.Rand) (*nn.Tensor, []int) {
 			return draw(worker, rand.New(rand.NewSource(int64(worker))))
 		}
-		tr.exchange = ex
+		tr.useExchange(ex)
 		return tr
 	}
-	tr := build(&scribblingExchange{})
+	tr := build(failing)
+	if got := tr.sparseEx != nil; got != sparse {
+		t.Fatalf("trainer on the sparse route = %v, want %v", got, sparse)
+	}
 	before := nn.FlattenWeights(tr.Params(), nil)
 	if _, err := tr.Step(); !errors.Is(err, errScribbled) {
 		t.Fatalf("Step error = %v, want it to wrap %v", err, errScribbled)

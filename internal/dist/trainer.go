@@ -46,7 +46,13 @@ type TrainerConfig struct {
 	Model *nn.Sequential
 	// Loss scores model outputs against integer targets.
 	Loss nn.Loss
-	// Opt applies the aggregated gradient once per step.
+	// Opt applies the aggregated gradient once per step. When it is an
+	// nn.SparseStepper that can step sparsely (plain nn.SGD), every worker
+	// compresses and Exchange is a SparseExchange, the step hands the
+	// exchange's merged sparse mean straight to it and nothing of the
+	// model's dimension is cleared, scattered or swept after the
+	// selection; otherwise the dense aggregate goes through StepFlat. The
+	// weights are the same bit for bit either way.
 	Opt nn.Optimizer
 	// Batch draws one worker's batch. It is called concurrently for
 	// different workers and must only use the provided per-worker rng for
@@ -59,7 +65,8 @@ type TrainerConfig struct {
 	// Delta is the target compression ratio k/d handed to the compressor.
 	Delta float64
 	// EC wraps each worker's compressor with error feedback: the
-	// sparsification residual is carried to the next iteration.
+	// sparsification residual is carried to the next iteration. Requires
+	// NewCompressor.
 	EC bool
 	// ECWire, if non-nil, additionally makes the error-feedback wrapper
 	// pre-round every selected value to the given wire format's decoded
@@ -93,12 +100,17 @@ type TrainerConfig struct {
 	// message-passing collectives in here. Exchanges that sum in
 	// worker-index order over a lossless wire format (all-gather and
 	// parameter-server over encoding.FormatPairs64) reproduce the
-	// in-process losses bit-for-bit.
+	// in-process losses bit-for-bit. An exchange that also implements
+	// SparseExchange (the in-process reducer and both cluster ones do) is
+	// asked for the merged sparse mean instead of a dense aggregate
+	// whenever Opt can apply one; see Opt.
 	Exchange GradientExchange
 	// Telemetry, if non-nil, traces every step's phases: a step span
 	// plus per-worker compute and compress spans, trainer-level
-	// exchange and apply spans, a steps counter (node-attributed to
-	// FirstWorker) and, beside each compress span, the worker's selected
+	// exchange and apply spans, a steps counter and the apply's element
+	// count (N*k-hat when the sparse mean was applied, d for a dense
+	// aggregate; both node-attributed to FirstWorker) and, beside each
+	// compress span, the worker's selected
 	// and target element counts (k-hat and k) with a count of the steps
 	// whose estimate was corrected, for compressors that report it
 	// (compress.SelectionReporter). A nil tracer is free: the
@@ -149,12 +161,18 @@ type Trainer struct {
 	k        int // target non-zeros per worker, 0 when dense
 	workers  []*worker
 	modelMu  sync.Mutex
-	agg      []float64
 	ins      []ExchangeInput
 	exchange GradientExchange
-	tapBuf   []float64
-	iter     int
-	wg       sync.WaitGroup // reused per-step barrier
+	agg      []float64 // the dense aggregate, allocated by the first dense round
+	// The sparse route, resolved once: both nil unless the exchange can hand
+	// back a merged sparse mean, the optimizer can apply one and every
+	// worker compresses. mean is that round's vector.
+	sparseEx  SparseExchange
+	sparseOpt nn.SparseStepper
+	mean      tensor.Sparse
+	tapBuf    []float64
+	iter      int
+	wg        sync.WaitGroup // reused per-step barrier
 }
 
 // NewTrainer validates the configuration and allocates per-worker state.
@@ -177,18 +195,22 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if compressed && (cfg.Delta <= 0 || cfg.Delta > 1) {
 		return nil, fmt.Errorf("dist: Delta = %v outside (0, 1]", cfg.Delta)
 	}
+	// A lossy wire whose rounding nobody feeds back, or feedback with
+	// nothing to feed back from, would train — differently from what the
+	// configuration says.
+	if cfg.EC && !compressed {
+		return nil, fmt.Errorf("dist: EC is set without NewCompressor: error feedback wraps a compressor and there is none")
+	}
+	if cfg.ECWire != nil && !cfg.EC {
+		return nil, fmt.Errorf("dist: ECWire is set without EC: the wire's rounding error is absorbed by the error-feedback wrapper, which EC enables")
+	}
 	t := &Trainer{
 		LastRatio: 1,
 		cfg:       cfg,
 		params:    params,
 		dim:       dim,
 		workers:   make([]*worker, cfg.Workers),
-		agg:       make([]float64, dim),
 		ins:       make([]ExchangeInput, cfg.Workers),
-		exchange:  cfg.Exchange,
-	}
-	if t.exchange == nil {
-		t.exchange = InProcess{}
 	}
 	if compressed {
 		t.k = compress.TargetK(dim, cfg.Delta)
@@ -218,7 +240,29 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 			sparse: &tensor.Sparse{Dim: dim},
 		}
 	}
+	if cfg.Exchange == nil {
+		cfg.Exchange = InProcess{}
+	}
+	t.useExchange(cfg.Exchange)
 	return t, nil
+}
+
+// useExchange installs the exchange and resolves the step's route once: the
+// sparse one only when the exchange can hand back a merged sparse mean, the
+// optimizer can apply one exactly, and every worker compresses. Anything
+// that hides either optional interface keeps the dense route.
+func (t *Trainer) useExchange(ex GradientExchange) {
+	t.exchange, t.sparseEx, t.sparseOpt = ex, nil, nil
+	for _, w := range t.workers {
+		if w.comp == nil {
+			return
+		}
+	}
+	sx, okX := ex.(SparseExchange)
+	so, okO := t.cfg.Opt.(nn.SparseStepper)
+	if okX && okO && so.CanStepSparse() {
+		t.sparseEx, t.sparseOpt = sx, so
+	}
 }
 
 // workerSeed derives an independent, deterministic seed per worker from
@@ -252,16 +296,16 @@ func (t *Trainer) localGradient(w *worker) error {
 	cs := t.cfg.Telemetry.Begin(telemetry.SpanCompute, w.id, -1, -1, int64(t.iter))
 	x, targets := t.cfg.Batch(w.id, w.rng)
 
-	// Backward accumulates straight into this worker's flat buffer: the
+	// Backward lands straight in this worker's flat buffer: the
 	// parameters' G are pointed at its spans for the pass, so there is no
-	// per-parameter clear and no copy out afterwards. The buffer is the
-	// worker's own, so its clear need not wait for the model.
-	clear(w.flat)
+	// copy out afterwards, and BindGrads clears only the spans whose layer
+	// accumulates — a Dense writes its ∂W once. Nobody reads the gradient
+	// with respect to the batch, so the first layer does not compute it.
 	t.modelMu.Lock()
 	nn.BindGrads(t.params, w.flat)
 	y := t.cfg.Model.Forward(x)
 	w.loss = t.cfg.Loss.Forward(y, targets)
-	t.cfg.Model.Backward(t.cfg.Loss.Backward())
+	t.cfg.Model.BackwardParams(t.cfg.Loss.Backward())
 	t.modelMu.Unlock()
 
 	if t.cfg.ClipNorm > 0 {
@@ -367,7 +411,7 @@ func (t *Trainer) Step() (float64, error) {
 		ratio += w.ratio
 	}
 	xs := t.cfg.Telemetry.Begin(telemetry.SpanExchange, t.cfg.FirstWorker, -1, -1, int64(t.iter))
-	err := t.exchange.Exchange(t.iter, t.ins, t.agg)
+	sparse, err := t.exchangeRound()
 	xs.End()
 	if err != nil {
 		return 0, fmt.Errorf("dist: exchange at step %d: %w", t.iter, err) //sidco:alloc exchange-failure error path, not steady state
@@ -377,12 +421,35 @@ func (t *Trainer) Step() (float64, error) {
 	t.LastRatio = ratio * inv
 
 	as := t.cfg.Telemetry.Begin(telemetry.SpanApply, t.cfg.FirstWorker, -1, -1, int64(t.iter))
-	t.cfg.Opt.StepFlat(t.params, t.agg)
+	applied := t.dim
+	if sparse {
+		t.sparseOpt.StepSparse(t.params, t.mean.Idx, t.mean.Vals)
+		applied = t.mean.NNZ()
+	} else {
+		t.cfg.Opt.StepFlat(t.params, t.agg)
+	}
 	as.End()
+	t.cfg.Telemetry.Count(telemetry.CounterApplyElems, t.cfg.FirstWorker, -1, int64(applied))
 	t.iter++
 	t.cfg.Telemetry.Count(telemetry.CounterSteps, t.cfg.FirstWorker, -1, 1)
 	ss.End()
 	return loss, nil
+}
+
+// exchangeRound aggregates t.ins: into t.mean when the sparse route is open
+// and the exchange runs the round sparse (true), else into the dense t.agg.
+//
+//sidco:hotpath
+func (t *Trainer) exchangeRound() (sparse bool, err error) {
+	if t.sparseEx != nil {
+		if sparse, err = t.sparseEx.ExchangeSparse(t.iter, t.ins, &t.mean); sparse || err != nil {
+			return sparse, err
+		}
+	}
+	if t.agg == nil {
+		t.agg = make([]float64, t.dim) //sidco:alloc the first dense round only
+	}
+	return false, t.exchange.Exchange(t.iter, t.ins, t.agg)
 }
 
 // Run executes iters steps and returns the per-iteration mean losses and

@@ -3,12 +3,14 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/encoding"
 	"repro/internal/nn"
 )
 
@@ -262,6 +264,86 @@ func TestNewTrainerValidation(t *testing.T) {
 			c.mutate(&cfg)
 			if _, err := NewTrainer(cfg); err == nil {
 				t.Error("invalid config accepted")
+			}
+		})
+	}
+
+	// Settings that used to be dropped silently: a lossy wire configured
+	// this way shipped values the receiver rounded and nobody fed back. The
+	// refusal names the fields to fix.
+	wire := encoding.FormatPairsF16
+	topk := func() compress.Compressor { return compress.NewTopK() }
+	for _, c := range []struct {
+		name   string
+		mutate func(c *TrainerConfig)
+		names  []string // what the message must mention; nil: accepted
+	}{
+		{"EC without a compressor", func(c *TrainerConfig) { c.EC = true }, []string{"EC", "NewCompressor"}},
+		{"ECWire without EC", func(c *TrainerConfig) { c.NewCompressor, c.Delta, c.ECWire = topk, 0.5, &wire }, []string{"ECWire", "EC"}},
+		{"ECWire without anything", func(c *TrainerConfig) { c.ECWire = &wire }, []string{"ECWire", "EC"}},
+		{"EC with a compressor", func(c *TrainerConfig) { c.NewCompressor, c.Delta, c.EC = topk, 0.5, true }, nil},
+		{"ECWire with EC", func(c *TrainerConfig) { c.NewCompressor, c.Delta, c.EC, c.ECWire = topk, 0.5, true, &wire }, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := valid
+			c.mutate(&cfg)
+			_, err := NewTrainer(cfg)
+			if c.names == nil {
+				if err != nil {
+					t.Fatalf("valid config rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("config that silently ignores a field accepted")
+			}
+			for _, name := range c.names {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not name %s", err, name)
+				}
+			}
+		})
+	}
+}
+
+// TestTrainerResolvesRouteOnce pins when the step stays sparse after the
+// selection: only with a compressor on every worker, an exchange that can
+// hand back a merged sparse mean and an optimizer that can apply one. The
+// dense aggregate exists only once a dense round has needed it.
+func TestTrainerResolvesRouteOnce(t *testing.T) {
+	cases := []struct {
+		name   string
+		comp   string
+		mutate func(tr *Trainer)
+		sparse bool
+	}{
+		{"sgd over the in-process reducer", "topk", func(*Trainer) {}, true},
+		{"no compressor", "", func(*Trainer) {}, false},
+		{"exchange without the sparse form", "topk", func(tr *Trainer) { tr.useExchange(&exchangeRecorder{}) }, false},
+		{"sgd with weight decay", "topk", func(tr *Trainer) {
+			tr.cfg.Opt = &nn.SGD{LR: 0.05, WeightDecay: 1e-4}
+			tr.useExchange(tr.exchange)
+		}, false},
+		{"momentum", "topk", func(tr *Trainer) {
+			tr.cfg.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9}
+			tr.useExchange(tr.exchange)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := convTrainer(t, 2, tc.comp, 0.05, false, 6, nil)
+			tc.mutate(tr)
+			if got := tr.sparseEx != nil && tr.sparseOpt != nil; got != tc.sparse {
+				t.Fatalf("sparse route resolved = %v, want %v", got, tc.sparse)
+			}
+			if tr.agg != nil {
+				t.Error("dense aggregate allocated before any round")
+			}
+			if _, _, err := tr.Run(2); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.agg != nil; got == tc.sparse {
+				t.Errorf("dense aggregate allocated = %v after two rounds on the sparse=%v route", got, tc.sparse)
 			}
 		})
 	}

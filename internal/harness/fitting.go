@@ -45,7 +45,7 @@ func buildConvTrainer(compName string, delta float64, ec bool, opt Options, tap 
 		},
 		NewCompressor: factory,
 		Delta:         delta,
-		EC:            ec,
+		EC:            ec && factory != nil,
 		Seed:          opt.Seed,
 		OnGradient:    tap,
 	})
@@ -77,7 +77,7 @@ func buildLMTrainer(compName string, delta float64, opt Options) (*dist.Trainer,
 		},
 		NewCompressor: factory,
 		Delta:         delta,
-		EC:            true,
+		EC:            factory != nil,
 		ClipNorm:      5,
 		Seed:          opt.Seed,
 	})

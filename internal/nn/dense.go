@@ -24,6 +24,9 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 		W:   newParam(name+".W", in, out),
 		B:   newParam(name+".b", out),
 	}
+	// Backward assigns an unwritten G instead of accumulating into a
+	// cleared one (see BindGrads).
+	d.W.assignFirst, d.B.assignFirst = true, true
 	initUniform(rng, d.W.W, in, out)
 	return d
 }
@@ -128,60 +131,120 @@ func axpy4(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64) {
 //
 //sidco:hotpath
 func (d *Dense) Backward(gradOut *Tensor) *Tensor {
+	gradIn := ensure(&d.gradIn, d.x.Shape[0], d.In)
+	d.backward(gradOut, gradIn.Data)
+	return gradIn
+}
+
+// BackwardParams is Backward without the input gradient: ∂W and ∂b land in
+// the parameters exactly as Backward leaves them, the ∂x dot products are
+// not computed and W is not read. Sequential.BackwardParams calls it on a
+// first layer whose ∂x nobody consumes.
+//
+//sidco:hotpath
+func (d *Dense) BackwardParams(gradOut *Tensor) { d.backward(gradOut, nil) }
+
+// backward runs the batch-blocked backward kernels: ∂W and ∂b always, the
+// per-row ∂x into gi unless it is nil. A parameter whose G is unwritten
+// (BindGrads) is assigned by the first block and accumulated into by the
+// rest; the mark is taken here, so a second Backward before the next bind —
+// TimeDistributed, a layer used twice — accumulates.
+func (d *Dense) backward(gradOut *Tensor, gi []float64) {
 	batch := d.x.Shape[0]
-	gradIn := ensure(&d.gradIn, batch, d.In)
 	in, width := d.In, d.Out
-	x, gi := d.x.Data, gradIn.Data
+	x := d.x.Data
+	assignW, assignB := d.W.takeUnwritten(), d.B.takeUnwritten()
+	if batch == 0 {
+		// No block will write them: an empty batch's gradient is zero.
+		if assignW {
+			clear(d.W.G)
+		}
+		if assignB {
+			clear(d.B.G)
+		}
+		return
+	}
 	for b0 := 0; b0 < batch; b0 += denseBlock {
 		nb := min(denseBlock, batch-b0)
 		var g [denseBlock][]float64
 		for r := 0; r < nb; r++ {
 			g[r] = gradOut.Data[(b0+r)*width : (b0+r+1)*width]
+			bg := d.B.G[:width]
+			if assignB && b0+r == 0 {
+				for j, gv := range g[r] {
+					bg[j] = 0 + gv // the +0 a cleared G would have supplied: -0 lands as +0
+				}
+				continue
+			}
 			for j, gv := range g[r] {
-				d.B.G[j] += gv
+				bg[j] += gv
 			}
 		}
 		// One pass over j per input i: the block's rows go into ∂W[i][j]
 		// in ascending row order, and each row's ∂x dot product has its
 		// own accumulator.
+		assign := assignW && b0 == 0
 		r0, r1, r2, r3 := b0*in, (b0+1)*in, (b0+2)*in, (b0+3)*in
 		for i := 0; i < in; i++ {
-			w := d.W.W[i*width : (i+1)*width]
 			wg := d.W.G[i*width : (i+1)*width]
+			if gi == nil {
+				switch nb {
+				case 1:
+					gradW1(wg, assign, x[r0+i], g[0])
+				case 2:
+					gradW2(wg, assign, x[r0+i], x[r1+i], g[0], g[1])
+				case 3:
+					gradW3(wg, assign, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
+				case 4:
+					gradW4(wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+				}
+				continue
+			}
+			w := d.W.W[i*width : (i+1)*width]
 			switch nb {
 			case 1:
-				gi[r0+i] = backward1(w, wg, x[r0+i], g[0])
+				gi[r0+i] = backward1(w, wg, assign, x[r0+i], g[0])
 			case 2:
-				gi[r0+i], gi[r1+i] = backward2(w, wg, x[r0+i], x[r1+i], g[0], g[1])
+				gi[r0+i], gi[r1+i] = backward2(w, wg, assign, x[r0+i], x[r1+i], g[0], g[1])
 			case 3:
-				gi[r0+i], gi[r1+i], gi[r2+i] = backward3(w, wg, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
+				gi[r0+i], gi[r1+i], gi[r2+i] = backward3(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
 			case 4:
-				gi[r0+i], gi[r1+i], gi[r2+i], gi[r3+i] = backward4(w, wg, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+				gi[r0+i], gi[r1+i], gi[r2+i], gi[r3+i] = backward4(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
 			}
 		}
 	}
-	return gradIn
 }
 
 // backward1…backward4 handle one input's row of W for one to four batch
 // rows: wg[j] += x_r * g_r[j] for r ascending, and s_r = Σ_j w[j] * g_r[j]
-// returned per row.
+// returned per row. With assign the sum starts from +0 instead of wg[j],
+// which is never read: bit for bit what accumulating into a cleared wg
+// gives (0 + x*g, so a -0 product still lands as +0) for one write of ∂W
+// in place of a clear, a read and a write.
 
-func backward1(w, wg []float64, x0 float64, g0 []float64) (s0 float64) {
+func backward1(w, wg []float64, assign bool, x0 float64, g0 []float64) (s0 float64) {
 	wg, g0 = wg[:len(w)], g0[:len(w)]
 	for j, wv := range w {
 		gv0 := g0[j]
-		wg[j] += x0 * gv0
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
+		acc += x0 * gv0
+		wg[j] = acc
 		s0 += wv * gv0
 	}
 	return s0
 }
 
-func backward2(w, wg []float64, x0, x1 float64, g0, g1 []float64) (s0, s1 float64) {
+func backward2(w, wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) (s0, s1 float64) {
 	wg, g0, g1 = wg[:len(w)], g0[:len(w)], g1[:len(w)]
 	for j, wv := range w {
 		gv0, gv1 := g0[j], g1[j]
-		acc := wg[j]
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
 		acc += x0 * gv0
 		acc += x1 * gv1
 		wg[j] = acc
@@ -191,11 +254,14 @@ func backward2(w, wg []float64, x0, x1 float64, g0, g1 []float64) (s0, s1 float6
 	return s0, s1
 }
 
-func backward3(w, wg []float64, x0, x1, x2 float64, g0, g1, g2 []float64) (s0, s1, s2 float64) {
+func backward3(w, wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []float64) (s0, s1, s2 float64) {
 	wg, g0, g1, g2 = wg[:len(w)], g0[:len(w)], g1[:len(w)], g2[:len(w)]
 	for j, wv := range w {
 		gv0, gv1, gv2 := g0[j], g1[j], g2[j]
-		acc := wg[j]
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
 		acc += x0 * gv0
 		acc += x1 * gv1
 		acc += x2 * gv2
@@ -207,11 +273,14 @@ func backward3(w, wg []float64, x0, x1, x2 float64, g0, g1, g2 []float64) (s0, s
 	return s0, s1, s2
 }
 
-func backward4(w, wg []float64, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64) {
+func backward4(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64) {
 	wg, g0, g1, g2, g3 = wg[:len(w)], g0[:len(w)], g1[:len(w)], g2[:len(w)], g3[:len(w)]
 	for j, wv := range w {
 		gv0, gv1, gv2, gv3 := g0[j], g1[j], g2[j], g3[j]
-		acc := wg[j]
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
 		acc += x0 * gv0
 		acc += x1 * gv1
 		acc += x2 * gv2
@@ -223,6 +292,63 @@ func backward4(w, wg []float64, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64
 		s3 += wv * gv3
 	}
 	return s0, s1, s2, s3
+}
+
+// gradW1…gradW4 are the ∂W halves of backward1…backward4 alone: the same
+// sums into wg in the same order, no w and no ∂x.
+
+func gradW1(wg []float64, assign bool, x0 float64, g0 []float64) {
+	g0 = g0[:len(wg)]
+	for j := range wg {
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
+		acc += x0 * g0[j]
+		wg[j] = acc
+	}
+}
+
+func gradW2(wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) {
+	g0, g1 = g0[:len(wg)], g1[:len(wg)]
+	for j := range wg {
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
+		acc += x0 * g0[j]
+		acc += x1 * g1[j]
+		wg[j] = acc
+	}
+}
+
+func gradW3(wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []float64) {
+	g0, g1, g2 = g0[:len(wg)], g1[:len(wg)], g2[:len(wg)]
+	for j := range wg {
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
+		acc += x0 * g0[j]
+		acc += x1 * g1[j]
+		acc += x2 * g2[j]
+		wg[j] = acc
+	}
+}
+
+func gradW4(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) {
+	g0, g1, g2, g3 = g0[:len(wg)], g1[:len(wg)], g2[:len(wg)], g3[:len(wg)]
+	for j := range wg {
+		acc := 0.0
+		if !assign {
+			acc = wg[j]
+		}
+		acc += x0 * g0[j]
+		acc += x1 * g1[j]
+		acc += x2 * g2[j]
+		acc += x3 * g3[j]
+		wg[j] = acc
+	}
 }
 
 // Params implements Layer.

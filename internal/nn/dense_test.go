@@ -11,10 +11,11 @@ import (
 var benchLoss float64
 
 // BenchmarkDenseFwdBwd is one worker's model pass at the step benchmark's
-// shape (768-1024-1024-10, batch 4) exactly as dist.Trainer runs it:
-// clear the flat gradient buffer the parameters are bound to, forward,
-// loss, backward. The microbench row under nn.fwdbwd_ms; -benchmem must
-// read 0 allocs/op.
+// shape (768-1024-1024-10, batch 4) exactly as dist.Trainer runs it: bind
+// the parameters to the flat gradient buffer (no clear: Dense assigns),
+// forward, loss, backward — through BackwardParams, the trainer's entry,
+// and through Backward, which also computes the first layer's ∂x. The
+// microbench row under nn.fwdbwd_ms; -benchmem must read 0 allocs/op.
 func BenchmarkDenseFwdBwd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	model := NewSequential(
@@ -27,20 +28,29 @@ func BenchmarkDenseFwdBwd(b *testing.B) {
 	loss := &SoftmaxCrossEntropy{}
 	params := model.Params()
 	flat := make([]float64, ParamCount(params))
-	BindGrads(params, flat)
 	x := randTensor(rng, 4, 768)
 	targets := randTargets(rng, 4, 10)
-	pass := func() {
-		clear(flat)
-		benchLoss = loss.Forward(model.Forward(x), targets)
-		model.Backward(loss.Backward())
-	}
-	pass() // size every layer's reused buffers
-	b.SetBytes(int64(8 * len(flat)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pass()
+	for _, entry := range []struct {
+		name     string
+		backward func(*Tensor)
+	}{
+		{"BackwardParams", model.BackwardParams},
+		{"Backward", func(g *Tensor) { model.Backward(g) }},
+	} {
+		b.Run(entry.name, func(b *testing.B) {
+			pass := func() {
+				BindGrads(params, flat)
+				benchLoss = loss.Forward(model.Forward(x), targets)
+				entry.backward(loss.Backward())
+			}
+			pass() // size every layer's reused buffers
+			b.SetBytes(int64(8 * len(flat)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
 	}
 }
 
@@ -143,7 +153,12 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // input gradient, ∂W and ∂b, for every batch size around the block width
 // (tails of 1–3 rows), layer widths on both sides of small and odd, the
 // post-ReLU zero patterns, two Backward calls accumulating into the same
-// (non-zero, partly negative-zero) G, and through TimeDistributed.
+// (non-zero, partly negative-zero) G, and through TimeDistributed. Then the
+// unwritten-G entries, through Backward and through BackwardParams: bound
+// by BindGrads to a buffer of NaNs, the first call must leave what the
+// reference leaves in a cleared G — its first block assigning (a -0 product
+// or a -0 output gradient landing as +0), any later block accumulating —
+// and a second call before the next bind must accumulate on top.
 func TestDenseKernelsMatchRowAtATime(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	sizes := []int{1, 3, 10, 64, 65}
@@ -200,9 +215,144 @@ func TestDenseKernelsMatchRowAtATime(t *testing.T) {
 					bitsEqual(t, name+"W.G", d.W.G, refWG)
 					bitsEqual(t, name+"B.G", d.B.G, refBG)
 				}
+
+				for _, paramsOnly := range []bool{false, true} {
+					flat := make([]float64, ParamCount(d.Params()))
+					for i := range flat {
+						flat[i] = math.NaN()
+					}
+					BindGrads(d.Params(), flat)
+					clear(refWG)
+					clear(refBG)
+					for call := 0; call < 2; call++ {
+						x := &Tensor{Shape: []int{batch, in}, Data: postReLUInput(rng, batch, in)}
+						gradOut := randTensor(rng, batch, out)
+						gradOut.Data[rng.Intn(len(gradOut.Data))] = 0
+						gradOut.Data[0] = negZero // ∂b's assigned row
+						if out > 1 {
+							// Column in/2 of x is ±0 in every row: under a
+							// negative output gradient all its products are
+							// -0 in some row arrangement.
+							gradOut.Data[1] = -math.Abs(gradOut.Data[1]) - 1
+						}
+						d.Forward(x)
+						name := fmt.Sprintf("in=%d out=%d batch=%d paramsOnly=%v call=%d: ", in, out, batch, paramsOnly, call)
+						wantGI := refDenseBackward(in, out, d.W.W, refWG, refBG, x.Data, gradOut.Data, batch)
+						if paramsOnly {
+							d.BackwardParams(gradOut)
+						} else {
+							bitsEqual(t, name+"gradIn", d.Backward(gradOut).Data, wantGI)
+						}
+						bitsEqual(t, name+"W.G", d.W.G, refWG)
+						bitsEqual(t, name+"B.G", d.B.G, refBG)
+						bitsEqual(t, name+"flat W span", flat[:in*out], refWG)
+					}
+				}
 			}
 		}
 	}
+}
+
+// boundGradient runs one pass the way dist.Trainer does — BindGrads onto a
+// buffer of stale values, forward, loss, BackwardParams — and returns the
+// buffer.
+func boundGradient(model *Sequential, x *Tensor, targets []int) []float64 {
+	params := model.Params()
+	flat := make([]float64, ParamCount(params))
+	for i := range flat {
+		flat[i] = math.NaN()
+	}
+	BindGrads(params, flat)
+	loss := &SoftmaxCrossEntropy{}
+	loss.Forward(model.Forward(x), targets)
+	model.BackwardParams(loss.Backward())
+	return flat
+}
+
+// ownGradient is the reference for boundGradient: every parameter's own G,
+// cleared, accumulated into by Backward, and copied out in parameter order —
+// the gradients this package produced before G could be unwritten.
+func ownGradient(model *Sequential, x *Tensor, targets []int) []float64 {
+	model.ZeroGrad()
+	loss := &SoftmaxCrossEntropy{}
+	loss.Forward(model.Forward(x), targets)
+	model.Backward(loss.Backward())
+	var flat []float64
+	for _, p := range model.Params() {
+		flat = append(flat, p.G...)
+	}
+	return flat
+}
+
+// TestBoundGradientsMatchOwnG: the unwritten-G contract and BackwardParams
+// change where and how often ∂W is written, never its value. Models whose
+// first parameterised layer is not a Dense (Conv2D, Embedding + LSTM: they
+// keep accumulate-into-cleared and must get a ∂x-computing Backward where
+// one is needed), a Dense behind a parameter-free layer, and a Dense
+// nested in a Sequential all give, bit for bit, the gradient of a twin
+// model run through ZeroGrad and Backward.
+func TestBoundGradientsMatchOwnG(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) *Sequential
+		input func(rng *rand.Rand) (*Tensor, []int)
+	}{
+		{"conv-first", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewConv2D("c1", 2, 3, 3, rng), &ReLU{}, &MaxPool2D{}, &Flatten{}, NewDense("d1", 3*3*3, 5, rng))
+		}, func(rng *rand.Rand) (*Tensor, []int) { return randTensor(rng, 6, 2, 8, 8), randTargets(rng, 6, 5) }},
+		{"embedding-lstm-first", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewEmbedding("emb", 7, 4, rng), NewLSTM("l1", 4, 6, rng), NewTimeDistributed(NewDense("out", 6, 7, rng)))
+		}, func(rng *rand.Rand) (*Tensor, []int) {
+			x := NewTensor(3, 5)
+			for i := range x.Data {
+				x.Data[i] = float64(rng.Intn(7))
+			}
+			return x, randTargets(rng, 15, 7)
+		}},
+		{"lstm-first", func(rng *rand.Rand) *Sequential {
+			return NewSequential(NewLSTM("l1", 4, 6, rng), NewTimeDistributed(NewDense("out", 6, 3, rng)))
+		}, func(rng *rand.Rand) (*Tensor, []int) { return randTensor(rng, 2, 5, 4), randTargets(rng, 10, 3) }},
+		{"flatten-dense", func(rng *rand.Rand) *Sequential {
+			return NewSequential(&Flatten{}, NewDense("d1", 12, 9, rng), &ReLU{}, NewDense("d2", 9, 4, rng))
+		}, func(rng *rand.Rand) (*Tensor, []int) { return randTensor(rng, 7, 3, 4), randTargets(rng, 7, 4) }},
+		{"nested", func(rng *rand.Rand) *Sequential {
+			return NewSequential(&Flatten{}, NewSequential(NewDense("d1", 12, 9, rng), &Tanh{}), NewDense("d2", 9, 4, rng))
+		}, func(rng *rand.Rand) (*Tensor, []int) { return randTensor(rng, 5, 12), randTargets(rng, 5, 4) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bound, own := tc.build(rand.New(rand.NewSource(3))), tc.build(rand.New(rand.NewSource(3)))
+			rng := rand.New(rand.NewSource(4))
+			for pass := 0; pass < 2; pass++ { // the second pass rebinds over the first's values
+				x, targets := tc.input(rng)
+				bitsEqual(t, fmt.Sprintf("pass %d gradient", pass), boundGradient(bound, x, targets), ownGradient(own, x, targets))
+			}
+		})
+	}
+}
+
+// TestSharedDenseBindsLikeAccumulateIntoCleared pins what a layer listed
+// twice gets from BindGrads: Params names its parameters twice, so flat has
+// two spans for them; G ends up on the second, which receives both uses'
+// gradients — the first use assigning, the second accumulating — and the
+// abandoned first span reads as zero, exactly what clearing flat and
+// accumulating gave.
+func TestSharedDenseBindsLikeAccumulateIntoCleared(t *testing.T) {
+	build := func() (*Sequential, *Dense) {
+		d := NewDense("shared", 6, 6, rand.New(rand.NewSource(8)))
+		return NewSequential(d, &Tanh{}, d), d
+	}
+	rng := rand.New(rand.NewSource(9))
+	x, targets := randTensor(rng, 5, 6), randTargets(rng, 5, 6)
+	bound, _ := build()
+	got := boundGradient(bound, x, targets)
+	own, d := build()
+	ownGradient(own, x, targets)
+	n := len(d.W.G) + len(d.B.G)
+	want := make([]float64, 2*n)
+	copy(want[n:], d.W.G)
+	copy(want[n+len(d.W.G):], d.B.G)
+	bitsEqual(t, "flat", got, want)
 }
 
 // TestDenseSteadyStateAllocs: once its buffers are sized, a Dense pass

@@ -14,16 +14,31 @@ type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *Tensor) *Tensor
 	// Backward receives dL/d(output) and returns dL/d(input), adding
-	// parameter gradients into the layer's Params.
+	// parameter gradients into the layer's Params — or, for a layer that
+	// opted in to it, assigning a G that BindGrads marked unwritten.
 	Backward(gradOut *Tensor) *Tensor
 	// Params returns the trainable parameters (empty for stateless
 	// layers).
 	Params() []*Param
 }
 
-// Sequential chains layers.
+// ParamsBackwarder is the optional form of Layer.Backward for a layer whose
+// input gradient nobody reads: the parameter gradients land exactly as
+// Backward leaves them and dL/d(input) is not computed. Dense and
+// Sequential implement it.
+type ParamsBackwarder interface {
+	BackwardParams(gradOut *Tensor)
+}
+
+// Sequential chains layers. Layers must not change once a pass has run.
 type Sequential struct {
 	Layers []Layer
+
+	// first is the index of the first layer with parameters, found on the
+	// first BackwardParams (firstKnown): no layer before it has a gradient
+	// to receive.
+	first      int
+	firstKnown bool
 }
 
 // NewSequential builds a network from the given layers.
@@ -48,6 +63,35 @@ func (s *Sequential) Backward(gradOut *Tensor) *Tensor {
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
 	return gradOut
+}
+
+// BackwardParams is Backward for a caller that does not read dL/d(input) —
+// a training step: every parameter gradient is what Backward leaves, and
+// the chain stops at the first layer that has parameters. The parameter-free
+// layers before it are skipped, and that layer itself skips its input
+// gradient if it can (ParamsBackwarder).
+func (s *Sequential) BackwardParams(gradOut *Tensor) {
+	if !s.firstKnown {
+		s.first = len(s.Layers)
+		for i, l := range s.Layers {
+			if len(l.Params()) > 0 {
+				s.first = i
+				break
+			}
+		}
+		s.firstKnown = true
+	}
+	for i := len(s.Layers) - 1; i > s.first; i-- {
+		gradOut = s.Layers[i].Backward(gradOut)
+	}
+	if s.first == len(s.Layers) {
+		return
+	}
+	if pb, ok := s.Layers[s.first].(ParamsBackwarder); ok {
+		pb.BackwardParams(gradOut)
+	} else {
+		s.Layers[s.first].Backward(gradOut)
+	}
 }
 
 // Params implements Layer.

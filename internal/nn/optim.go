@@ -2,7 +2,10 @@ package nn
 
 import "math"
 
-// Optimizer applies parameter updates from accumulated gradients.
+// Optimizer applies parameter updates from accumulated gradients. An
+// optimizer whose update leaves a weight alone where the gradient is zero
+// may also implement SparseStepper, the optional form for an aggregate that
+// arrives as a few (index, value) pairs.
 type Optimizer interface {
 	// Name identifies the optimizer.
 	Name() string
@@ -12,6 +15,23 @@ type Optimizer interface {
 	// distributed path: gradients arrive from the collective, not from
 	// local Backward).
 	StepFlat(params []*Param, flat []float64)
+}
+
+// SparseStepper is the optional form of Optimizer.StepFlat for an
+// aggregated gradient that is zero outside a few elements — the merged
+// mean of the workers' compressed selections. An optimizer offers it only
+// where touching those elements alone leaves every weight bit-identical to
+// StepFlat over the scattered vector; dist.Trainer asks once, at
+// construction, and otherwise hands StepFlat a dense aggregate.
+type SparseStepper interface {
+	// CanStepSparse reports whether StepSparse is exact under the
+	// optimizer's current settings.
+	CanStepSparse() bool
+	// StepSparse applies one update from the gradient whose element idx[i]
+	// of the flat parameter vector is vals[i] and every other element zero.
+	// idx is strictly ascending (the tensor.Sparse invariant), so the
+	// parameter spans are walked once.
+	StepSparse(params []*Param, idx []int32, vals []float64)
 }
 
 // SGD is plain stochastic gradient descent with optional weight decay.
@@ -51,9 +71,39 @@ func (s *SGD) StepFlat(params []*Param, flat []float64) {
 	}
 }
 
+// CanStepSparse implements SparseStepper: without weight decay an element
+// whose gradient is zero is not moved (w -= LR*(0 + 0*w)), so updating the
+// selected elements alone is the whole step. With decay every weight
+// shrinks every step and the update is dense.
+func (s *SGD) CanStepSparse() bool { return s.WeightDecay == 0 }
+
+// StepSparse implements SparseStepper. It panics under weight decay, where
+// CanStepSparse says not to call it.
+func (s *SGD) StepSparse(params []*Param, idx []int32, vals []float64) {
+	if s.WeightDecay != 0 {
+		panic("nn: SGD.StepSparse with WeightDecay set: the update is dense, use StepFlat")
+	}
+	vals = vals[:len(idx)]
+	at, off := 0, 0
+	for _, p := range params {
+		w := p.W
+		end := off + len(w)
+		for ; at < len(idx) && int(idx[at]) < end; at++ {
+			i := int(idx[at]) - off
+			// StepFlat's expression, zero decay term included: a -0
+			// gradient moves the same bits there and here.
+			g := vals[at] + s.WeightDecay*w[i]
+			w[i] -= s.LR * g
+		}
+		off = end
+	}
+}
+
 // Momentum is SGD with classical or Nesterov momentum — the paper's local
 // optimizers (Table 1 uses Nesterov momentum SGD for the RNN and ImageNet
-// benchmarks).
+// benchmarks). It is not a SparseStepper and must not be made one: the
+// velocity decays at every element every step (v = Mu*v + g moves w even
+// where g is zero), so its update is dense by definition.
 type Momentum struct {
 	// LR is the learning rate.
 	LR float64

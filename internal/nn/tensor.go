@@ -7,10 +7,12 @@
 // checks) comes first. It is also the largest layer of a training step
 // (nn.fwdbwd_ms in the step benchmark), so the one layer every workload
 // runs, Dense, is blocked over the batch (dense.go: W and ∂W streamed once
-// per four rows, not once per row) and gradients accumulate straight into
-// the caller's flat vector (BindGrads). Neither changes a bit of any
-// result: the blocked kernels are held to the row-at-a-time loops on
-// math.Float64bits by TestDenseKernelsMatchRowAtATime.
+// per four rows, not once per row), gradients land straight in the
+// caller's flat vector and ∂W is written once, not cleared and then
+// accumulated (BindGrads), and the first layer's unread ∂x is not computed
+// (Sequential.BackwardParams). None of it changes a bit of any result: the
+// kernels are held to the row-at-a-time loops on math.Float64bits by
+// TestDenseKernelsMatchRowAtATime.
 package nn
 
 import "fmt"
@@ -133,9 +135,22 @@ type Param struct {
 	// points it into a flat vector: a dist.Trainer rebinds it every pass,
 	// so after a Trainer.Step it aliases the last worker's flat gradient
 	// buffer (which compression and clipping have since rewritten).
+	// Between a BindGrads and the owning layer's next Backward the G of a
+	// Dense parameter is unwritten — stale values that Backward will
+	// overwrite, not add to (see BindGrads); ZeroGrad makes it an ordinary
+	// cleared G again.
 	G []float64
 	// Shape documents the logical shape of W.
 	Shape []int
+
+	// assignFirst is the owning layer's opt-in to the unwritten-G contract
+	// (Dense sets it): its Backward assigns a G marked unwritten instead of
+	// accumulating into it.
+	assignFirst bool
+	// unwritten marks G as holding no gradient yet: its contents are
+	// whatever the bound buffer last held and must be overwritten, not
+	// added to. Only BindGrads sets it, only on assignFirst parameters.
+	unwritten bool
 }
 
 func newParam(name string, shape ...int) *Param {
@@ -144,7 +159,18 @@ func newParam(name string, shape ...int) *Param {
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { clear(p.G) }
+func (p *Param) ZeroGrad() {
+	clear(p.G)
+	p.unwritten = false
+}
+
+// takeUnwritten reports whether G is marked unwritten and clears the mark:
+// the caller is about to write it.
+func (p *Param) takeUnwritten() bool {
+	u := p.unwritten
+	p.unwritten = false
+	return u
+}
 
 // ParamCount sums the weight counts of params.
 func ParamCount(params []*Param) int {
@@ -156,18 +182,39 @@ func ParamCount(params []*Param) int {
 }
 
 // BindGrads points every parameter's G at its span of flat, in parameter
-// order, so Backward accumulates straight into the caller's flat gradient
-// vector — the one handed to the compressor each iteration — with no
-// per-parameter clear and no copy out afterwards. The caller clears flat
-// before the pass; the parameters' previous G storage is released.
+// order, and makes flat read as a zero gradient, so Backward lands straight
+// in the caller's flat gradient vector — the one handed to the compressor
+// each iteration — with no copy out afterwards. The caller does not clear
+// flat. Spans of parameters whose layer accumulates (Conv2D, LSTM,
+// SimpleRNN, Embedding) are cleared here; spans of parameters whose layer
+// opted in to the unwritten-G contract (Dense) are not touched at all but
+// marked unwritten: the layer's first Backward after the bind assigns them
+// — one write of ∂W where clear-then-accumulate costs a write, a read and
+// a write, with the same bits — and clears the mark, so every later
+// Backward (TimeDistributed, a layer used twice) accumulates. Until that
+// Backward an unwritten G holds stale values; nothing may read it. The
+// parameters' previous G storage is released.
 func BindGrads(params []*Param, flat []float64) {
 	if len(flat) != ParamCount(params) {
 		panic("nn: BindGrads size mismatch")
 	}
+	for _, p := range params {
+		p.unwritten = false
+	}
 	off := 0
 	for _, p := range params {
 		n := len(p.W)
+		if p.unwritten {
+			// Listed twice (a shared layer): the span bound a moment ago is
+			// abandoned for this one and no Backward will write it.
+			clear(p.G)
+		}
 		p.G = flat[off : off+n : off+n]
+		if p.assignFirst {
+			p.unwritten = true
+		} else {
+			clear(p.G)
+		}
 		off += n
 	}
 }

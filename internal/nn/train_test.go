@@ -131,10 +131,122 @@ func TestStepFlatMatchesStep(t *testing.T) {
 	}
 }
 
+// TestStepSparseMatchesStepFlat holds SGD.StepSparse to StepFlat over the
+// scattered vector, on math.Float64bits, for the selections that could
+// tell them apart: an index on each side of a parameter boundary, the last
+// element, an empty selection, a whole parameter skipped, and -0 values
+// (on a +0 and on a -0 weight). Under weight decay the sparse form is not
+// offered, and calling it anyway panics rather than skip the decay.
+func TestStepSparseMatchesStepFlat(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	build := func() []*Param {
+		rng := rand.New(rand.NewSource(21))
+		params := []*Param{newParam("a", 3), newParam("b", 1), newParam("c", 2, 2)}
+		for _, p := range params {
+			for i := range p.W {
+				p.W[i] = rng.NormFloat64()
+			}
+		}
+		params[0].W[1] = 0
+		params[2].W[0] = negZero
+		return params
+	}
+	cases := []struct {
+		name string
+		idx  []int32
+		vals []float64
+	}{
+		{"empty", nil, nil},
+		{"boundary", []int32{2, 3, 4}, []float64{0.5, -1.5, 2.5}},
+		{"last element", []int32{7}, []float64{-3}},
+		{"skips a parameter", []int32{0, 6}, []float64{1, 1e-300}},
+		{"negative zeros", []int32{1, 4, 5}, []float64{negZero, negZero, negZero}},
+		{"every element", []int32{0, 1, 2, 3, 4, 5, 6, 7}, []float64{1, negZero, 0, -2, 0, 3, -4, 5}},
+	}
+	opt := &SGD{LR: 0.1}
+	if !opt.CanStepSparse() {
+		t.Fatal("plain SGD does not offer StepSparse")
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sparse, dense := build(), build()
+			flat := make([]float64, ParamCount(dense))
+			for i, j := range tc.idx {
+				flat[j] = tc.vals[i]
+			}
+			opt.StepSparse(sparse, tc.idx, tc.vals)
+			opt.StepFlat(dense, flat)
+			bitsEqual(t, "weights", FlattenWeights(sparse, nil), FlattenWeights(dense, nil))
+		})
+	}
+
+	decayed := &SGD{LR: 0.1, WeightDecay: 1e-4}
+	if decayed.CanStepSparse() {
+		t.Error("SGD with weight decay offers StepSparse: every weight shrinks every step, the update is dense")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("StepSparse under weight decay did not panic")
+		}
+	}()
+	decayed.StepSparse(build(), []int32{0}, []float64{1})
+}
+
+// TestMomentumIsNotASparseStepper: its velocity decays where the gradient
+// is zero, so it must keep getting the dense aggregate.
+func TestMomentumIsNotASparseStepper(t *testing.T) {
+	var opt Optimizer = &Momentum{LR: 0.1, Mu: 0.9}
+	if _, ok := opt.(SparseStepper); ok {
+		t.Error("Momentum implements SparseStepper")
+	}
+}
+
+// benchStepParams is a 2^18-weight model in three spans and a 1 % selection
+// of it, the sizes at which the two optimizer forms differ.
+func benchStepParams() (params []*Param, idx []int32, vals []float64) {
+	rng := rand.New(rand.NewSource(1))
+	params = []*Param{newParam("a", 1<<17), newParam("b", 1<<16), newParam("c", 1<<16)}
+	dim := ParamCount(params)
+	for i := 0; i < dim; i += 100 {
+		idx = append(idx, int32(i+rng.Intn(100)))
+		vals = append(vals, rng.NormFloat64())
+	}
+	return params, idx, vals
+}
+
+// BenchmarkStepSparse is the optimizer update over a merged sparse mean
+// (1 % of 2^18 weights); BenchmarkStepFlat beside it is the same update as
+// the dense route pays it, over the scattered vector.
+func BenchmarkStepSparse(b *testing.B) {
+	params, idx, vals := benchStepParams()
+	opt := &SGD{LR: 1e-3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.StepSparse(params, idx, vals)
+	}
+}
+
+func BenchmarkStepFlat(b *testing.B) {
+	params, idx, vals := benchStepParams()
+	flat := make([]float64, ParamCount(params))
+	for i, j := range idx {
+		flat[j] = vals[i]
+	}
+	opt := &SGD{LR: 1e-3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.StepFlat(params, flat)
+	}
+}
+
 // TestBindGrads pins the flat-gradient contract dist.Trainer relies on:
 // after BindGrads each parameter's G is its span of flat in parameter
 // order, so a Backward-style accumulation lands in flat and a clear of
-// flat is a ZeroGrad of every parameter.
+// flat is a ZeroGrad of every parameter; binding itself clears the span of
+// a parameter whose layer accumulates (these: no layer opted them in to
+// the unwritten-G contract), whatever the buffer held.
 func TestBindGrads(t *testing.T) {
 	a := newParam("a", 2, 3)
 	b := newParam("b", 4)
@@ -169,9 +281,14 @@ func TestBindGrads(t *testing.T) {
 			}
 		}
 	}
-	// Rebinding to another buffer moves the alias.
-	other := make([]float64, 10)
+	// Rebinding to another buffer moves the alias, and clears it.
+	other := []float64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
 	BindGrads(params, other)
+	for i, g := range other {
+		if g != 0 {
+			t.Fatalf("other[%d] = %v after BindGrads, want an accumulating parameter's span cleared", i, g)
+		}
+	}
 	b.G[3] = 7
 	if other[9] != 7 || flat[9] != 0 {
 		t.Errorf("rebind: other[9]=%v flat[9]=%v", other[9], flat[9])

@@ -76,6 +76,10 @@ type NodeCounters struct {
 	TargetElems           int64
 	SelectListCorrections int64
 	SelectSweepFallbacks  int64
+	// ApplyElems over Steps is the size of the aggregate the node's
+	// optimizer applies per step: about Workers*k on the sparse route, d on
+	// the dense one.
+	ApplyElems int64
 }
 
 // SpanSummary is one span kind's aggregate, with percentiles over the
@@ -179,6 +183,8 @@ func (a *Aggregator) Emit(e Event) {
 			nc.SelectListCorrections += e.Value
 		case CounterSelectSweepFallbacks:
 			nc.SelectSweepFallbacks += e.Value
+		case CounterApplyElems:
+			nc.ApplyElems += e.Value
 		}
 	}
 }
@@ -378,6 +384,7 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 	writeTotal("sidco_target_elems_total", "Elements the compressors were asked for (k per worker per step).", totals[CounterTargetElems])
 	writeTotal("sidco_select_list_corrections_total", "Steps whose threshold estimate missed the band and was re-taken exactly from an exceedance list.", totals[CounterSelectListCorrections])
 	writeTotal("sidco_select_sweep_fallbacks_total", "Steps that had no such list and paid an exact selection over the whole gradient.", totals[CounterSelectSweepFallbacks])
+	writeTotal("sidco_apply_elems_total", "Gradient elements the optimizer updates were handed: the merged sparse mean's non-zeros on a sparse-applied step, the model dimension on a dense one.", totals[CounterApplyElems])
 	fmt.Fprintf(bw, "# HELP sidco_recv_wait_seconds_total Wall-clock time blocked in Recv (straggler + network wait).\n")
 	fmt.Fprintf(bw, "# TYPE sidco_recv_wait_seconds_total counter\n")
 	fmt.Fprintf(bw, "sidco_recv_wait_seconds_total %s\n", seconds(totals[CounterRecvWaitNanos]))
@@ -445,6 +452,7 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 			{"sidco_node_target_elems_total", "Elements the node's compressor was asked for.", func(nc NodeCounters) int64 { return nc.TargetElems }},
 			{"sidco_node_select_list_corrections_total", "The node's steps corrected from an exceedance list.", func(nc NodeCounters) int64 { return nc.SelectListCorrections }},
 			{"sidco_node_select_sweep_fallbacks_total", "The node's steps that fell back to an exact selection over the gradient.", func(nc NodeCounters) int64 { return nc.SelectSweepFallbacks }},
+			{"sidco_node_apply_elems_total", "Gradient elements the node's optimizer updates were handed.", func(nc NodeCounters) int64 { return nc.ApplyElems }},
 		} {
 			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
 			for _, n := range nodes {

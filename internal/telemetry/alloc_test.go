@@ -20,6 +20,7 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 		tr.Count(CounterTargetElems, 0, -1, 2097)
 		tr.Count(CounterSelectListCorrections, 0, -1, 1)
 		tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
+		tr.Count(CounterApplyElems, 0, -1, 4194)
 		tr.Virtual(SpanSend, 0, 1, -1, 7, 3, 4096, 976.5625, 1953.125)
 		inner := tr.Begin(SpanExchange, 0, 1, 2, 7)
 		inner.End()
@@ -47,6 +48,7 @@ func TestEnabledTracerSteadyStateZeroAllocs(t *testing.T) {
 		tr.Count(CounterTargetElems, 0, -1, 2097)
 		tr.Count(CounterSelectListCorrections, 0, -1, 1)
 		tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
+		tr.Count(CounterApplyElems, 0, -1, 4194)
 		tr.Virtual(SpanSend, 0, 1, -1, 7, 3, 4096, 976.5625, 1953.125)
 		inner := tr.Begin(SpanExchange, 0, 1, 2, 7)
 		inner.End()

@@ -45,7 +45,9 @@ const (
 	// SpanExchange is the trainer-side gradient exchange: the full
 	// GradientExchange call, whichever strategy backs it.
 	SpanExchange
-	// SpanApply is the optimizer update (StepFlat).
+	// SpanApply is the optimizer update: StepSparse over the merged sparse
+	// mean or StepFlat over a dense aggregate (CounterApplyElems says
+	// which, by size).
 	SpanApply
 	// SpanCollective is one node's share of one collective round
 	// (cluster's sched: ring / all-gather / parameter-server), or one
@@ -141,6 +143,12 @@ const (
 	// and paid an exact selection over the whole gradient
 	// (compress.CorrectionSweep).
 	CounterSelectSweepFallbacks
+	// CounterApplyElems counts the gradient elements a trainer's optimizer
+	// update was handed (Node = the trainer's first worker), step by step:
+	// the merged sparse mean's non-zeros, at most Workers*k-hat, when the
+	// step stayed sparse after the selection, the model dimension d when it
+	// applied a dense aggregate.
+	CounterApplyElems
 
 	numCounterKinds
 )
@@ -175,6 +183,8 @@ func (k CounterKind) String() string {
 		return "select_list_corrections"
 	case CounterSelectSweepFallbacks:
 		return "select_sweep_fallbacks"
+	case CounterApplyElems:
+		return "apply_elems"
 	default:
 		return "unknown"
 	}

@@ -41,6 +41,8 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	}
 	tr.Count(CounterSelectListCorrections, 3, -1, 1)
 	tr.Count(CounterSelectSweepFallbacks, 4, -1, 1)
+	tr.Count(CounterApplyElems, 3, -1, 380)
+	tr.Count(CounterApplyElems, 3, -1, 10000)
 	// A zero delta must be dropped, not recorded as a touched link.
 	tr.Count(CounterSentBytes, 8, 9, 0)
 
@@ -68,6 +70,9 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	}
 	if nc := agg.NodeTotals(3); nc.SelectedElems != 995 || nc.TargetElems != 1000 || nc.SelectListCorrections != 1 || nc.SelectSweepFallbacks != 0 {
 		t.Errorf("node 3 selection counters = %+v", nc)
+	}
+	if nc := agg.NodeTotals(3); nc.ApplyElems != 10380 || agg.Total(CounterApplyElems) != 10380 {
+		t.Errorf("node 3 apply elems = %+v", nc)
 	}
 	if nc := agg.NodeTotals(4); nc.SelectSweepFallbacks != 1 || agg.Total(CounterSelectSweepFallbacks) != 1 {
 		t.Errorf("node 4 selection counters = %+v", nc)
@@ -158,6 +163,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	tr.Count(CounterTargetElems, 1, -1, 2097)
 	tr.Count(CounterSelectListCorrections, 1, -1, 2)
 	tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
+	tr.Count(CounterApplyElems, 1, -1, 8200)
 	agg.Emit(Event{Type: EventSpan, Span: SpanStep, DurNanos: 1_000_000})
 
 	var buf bytes.Buffer
@@ -188,6 +194,8 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		`sidco_node_target_elems_total{node="1"}`:            2097,
 		`sidco_node_select_list_corrections_total{node="1"}`: 2,
 		`sidco_node_select_sweep_fallbacks_total{node="0"}`:  1,
+		"sidco_apply_elems_total":                            8200,
+		`sidco_node_apply_elems_total{node="1"}`:             8200,
 		`sidco_span_duration_seconds_count{span="step"}`:     1,
 		`sidco_span_duration_seconds_sum{span="step"}`:       0.001,
 	}
@@ -223,7 +231,7 @@ func TestJSONLSchema(t *testing.T) {
 	sp.End()
 	tr.CountSeq(CounterSentBytes, 0, 3, 4096, 12, 11)
 	tr.Virtual(SpanSend, 0, 3, -1, 11, 12, 4096, 976.5625, 1953.125)
-	selection := []CounterKind{CounterSelectedElems, CounterTargetElems, CounterSelectListCorrections, CounterSelectSweepFallbacks}
+	selection := []CounterKind{CounterSelectedElems, CounterTargetElems, CounterSelectListCorrections, CounterSelectSweepFallbacks, CounterApplyElems}
 	for i, kind := range selection {
 		tr.Count(kind, 2, -1, int64(100+i))
 	}
@@ -231,8 +239,8 @@ func TestJSONLSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("got %d lines, want meta+span+counter+virtual+4 selection counters:\n%s", len(lines), buf.String())
+	if len(lines) != 9 {
+		t.Fatalf("got %d lines, want meta+span+counter+virtual+5 node-attributed counters:\n%s", len(lines), buf.String())
 	}
 	meta, evs, err := DecodeJSONL(strings.NewReader(buf.String()))
 	if err != nil {
@@ -242,8 +250,8 @@ func TestJSONLSchema(t *testing.T) {
 		meta.GoVersion == "" || meta.EpochNanos == 0 {
 		t.Errorf("meta = %+v", meta)
 	}
-	if len(evs) != 7 {
-		t.Fatalf("decoded %d events, want 7", len(evs))
+	if len(evs) != 8 {
+		t.Fatalf("decoded %d events, want 8", len(evs))
 	}
 	for i, kind := range selection {
 		if e := evs[3+i]; e.Type != EventCounter || e.Counter != kind || e.Node != 2 || e.Peer != -1 || e.Value != int64(100+i) || e.Seq != -1 {
