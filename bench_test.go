@@ -6,7 +6,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -221,30 +220,6 @@ func BenchmarkCompressIntoGaussianK(b *testing.B) {
 func BenchmarkCompressIntoSIDCoE(b *testing.B)  { benchCompressInto(b, core.NewE(), 0.001) }
 func BenchmarkCompressIntoSIDCoGP(b *testing.B) { benchCompressInto(b, core.NewGammaGP(), 0.001) }
 func BenchmarkCompressIntoSIDCoP(b *testing.B)  { benchCompressInto(b, core.NewGP(), 0.001) }
-
-// Multi-core fan-out: the streaming path at increasing Parallelism for
-// the compressors whose passes fan out. Selections are bit-identical at
-// every P (pinned by internal/harness tests); this bench shows what the
-// fan-out buys on this machine's cores.
-func BenchmarkCompressIntoParallel(b *testing.B) {
-	factories := []struct {
-		name string
-		mk   func() compress.Compressor
-	}{
-		{"topk", func() compress.Compressor { return compress.NewTopK() }},
-		{"redsync", func() compress.Compressor { return compress.NewRedSync() }},
-		{"sidco-gp", func() compress.Compressor { return core.NewGammaGP() }},
-	}
-	for _, f := range factories {
-		for _, p := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/p%d", f.name, p), func(b *testing.B) {
-				c := f.mk()
-				compress.SetParallelism(c, p)
-				benchCompressInto(b, c, 0.001)
-			})
-		}
-	}
-}
 
 // BenchmarkCompressIntoEC is the compress layer of the step benchmark's
 // two d2m workloads in their steady state: error feedback (the fused

@@ -79,7 +79,6 @@ type options struct {
 	delta         float64
 	seed          int64
 	format        string
-	parallel      int
 	check         bool
 	metrics       string
 	telemetryPath string
@@ -111,7 +110,6 @@ func main() {
 	flag.Float64Var(&opt.delta, "delta", 0.05, "compression ratio k/d")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
 	flag.StringVar(&opt.format, "format", "lossless", "gradient wire format: lossless, pairs, bitmap, dense, delta-varint, pairs-f16, pairs-bf16 or pairs-i8 (lossy wires pair with error feedback, which absorbs the rounding residual)")
-	flag.IntVar(&opt.parallel, "parallel", 1, "per-process compression fan-out (goroutines); selections stay bit-identical at any setting")
 	flag.BoolVar(&opt.check, "check", false, "verify global losses bit-identical to the in-process trainer and per-node traffic against the collective formulas")
 	flag.StringVar(&opt.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
 	flag.StringVar(&opt.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")
@@ -123,7 +121,7 @@ func main() {
 	flag.StringVar(&opt.killRank, "kill-rank", "", "launch mode, R@K: forward -kill-at-step K to rank R and gate on the survivors finishing with identical final losses")
 	flag.StringVar(&opt.ckpt, "ckpt", "", "write this rank's resume state to PREFIX.rankR (atomic replace) every -ckpt-every steps and after the final step")
 	flag.IntVar(&opt.ckptEvery, "ckpt-every", 1, "checkpoint cadence in steps for -ckpt")
-	flag.StringVar(&opt.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, threshold, none, sidco-*)")
+	flag.StringVar(&opt.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, redsync, none, sidco-*; not dgc, randomk or gaussiank, which -check therefore refuses)")
 	flag.Parse()
 
 	var err error
@@ -276,7 +274,6 @@ func trainerFor(opt options, workers, firstWorker int, ex dist.GradientExchange,
 		FirstWorker: firstWorker,
 		Delta:       opt.delta,
 		ECWire:      ecWire,
-		Parallelism: opt.parallel,
 		Seed:        opt.seed,
 		Exchange:    ex,
 		Telemetry:   tel,
@@ -310,6 +307,9 @@ func runNode(opt options) error {
 	}
 	coll, err := parseCollective(opt.collective)
 	if err != nil {
+		return err
+	}
+	if err := checkViable(opt, coll); err != nil {
 		return err
 	}
 	hosts, err := parseHosts(opt)
@@ -458,13 +458,45 @@ func printLosses(opt options, coll netsim.Collective, losses []float64) {
 	tbl.Render(os.Stdout)
 }
 
-// wireValueExact reports whether the wire delivers each worker's
-// selected values exactly as the -check reference trainer computes them.
-// The lossless wire always does. A lossy wire does when a compressor is
-// on: error feedback then pre-rounds every selection to wire precision,
-// and the emitted values are fixed points of the wire's rounding.
-func wireValueExact(opt options, wire cluster.Wire) bool {
-	return wire == cluster.WireLossless || (opt.compressor != "" && opt.compressor != "none")
+// resumeNotBitwise names the compressors that carry state across steps
+// besides the error-feedback residual — dgc and randomk an RNG stream
+// position, gaussiank its correction factor — which dist.Checkpoint does
+// not capture: resumed, they train on, but not bit for bit.
+var resumeNotBitwise = map[string]bool{"dgc": true, "randomk": true, "gaussiank": true}
+
+// checkViable refuses a -check that cannot pass, before anything trains:
+// the launcher calls it before it spawns a child and every node before
+// its first step, so an impossible gate costs nothing instead of a whole
+// run. It says nothing without -check.
+func checkViable(opt options, coll netsim.Collective) error {
+	if !opt.check {
+		return nil
+	}
+	wire, err := cluster.ParseWire(opt.format)
+	if err != nil {
+		return err
+	}
+	// The all-gather replays each worker's selection verbatim, and under a
+	// lossy wire with a compressor on, error feedback has pre-rounded it to
+	// a fixed point of the wire's rounding, so the sockets deliver exactly
+	// what the reference computes. The parameter server re-encodes the
+	// aggregated mean on the pull side — a mean of wire fixed points is not
+	// itself one — so only the lossless wire stays exact there.
+	compressed := opt.compressor != "" && opt.compressor != "none"
+	switch resolveCollective(opt, coll) {
+	case netsim.CollectiveAllGather:
+		if wire != cluster.WireLossless && !compressed {
+			return fmt.Errorf("-check: -format %s is lossy and no compressor pre-rounds to it, so no bit-exact reference exists; use -format lossless, a compressor, or drop -check", opt.format)
+		}
+	case netsim.CollectivePS:
+		if wire != cluster.WireLossless {
+			return fmt.Errorf("-check: -format %s under ps re-encodes the mean on the pull, so no bit-exact reference exists; use -format lossless or drop -check", opt.format)
+		}
+	}
+	if opt.resume != "" && resumeNotBitwise[opt.compressor] {
+		return fmt.Errorf("-check: -resume with %s cannot be bit-identical: its cross-step state beyond the error-feedback residual is not in the checkpoint; use topk, redsync or a sidco-* compressor, or drop -check", opt.compressor)
+	}
+	return nil
 }
 
 // checkNodeRun asserts this process saw exactly the run the in-process
@@ -486,23 +518,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 		return err
 	}
 	want = want[start:]
-	wire, err := cluster.ParseWire(opt.format)
-	if err != nil {
-		return err
-	}
 	resolved := resolveCollective(opt, coll)
-	// The all-gather replays each worker's pre-rounded selection
-	// verbatim, so any value-exact wire keeps it bitwise. The parameter
-	// server re-encodes the aggregated mean on the pull side — a mean of
-	// wire fixed points is not itself a fixed point — so only the
-	// lossless wire stays exact there.
-	exact := wireValueExact(opt, wire)
-	if resolved == netsim.CollectivePS {
-		exact = wire == cluster.WireLossless
-	}
-	if (resolved == netsim.CollectiveAllGather || resolved == netsim.CollectivePS) && !exact {
-		return fmt.Errorf("check: -format %s is not value-exact for this run (compressor off, or a ps pull re-encode) — no bit-exact reference exists; use -format lossless, or an all-gather with a compressor, or drop -check", opt.format)
-	}
 	bitwise := resolved == netsim.CollectiveAllGather || resolved == netsim.CollectivePS
 	for i := range want {
 		if bitwise && losses[i] != want[i] {
@@ -702,6 +718,11 @@ func runLaunch(opt options) error {
 	}
 	// Pre-flight: refuse an unsupported combination here, once, instead
 	// of in every child after the deployment is up.
+	if killR < 0 {
+		if err := checkViable(opt, coll); err != nil {
+			return err
+		}
+	}
 	cfg, err := clusterConfig(opt, opt.launch, coll)
 	if err != nil {
 		return err
@@ -742,7 +763,6 @@ func runLaunch(opt options) error {
 			"-delta", fmt.Sprint(opt.delta),
 			"-seed", fmt.Sprint(opt.seed),
 			"-format", opt.format,
-			"-parallel", fmt.Sprint(opt.parallel),
 			"-dial-timeout", opt.dialTimeout.String(),
 			"-step-timeout", opt.stepTimeout.String(),
 			"-step-retries", fmt.Sprint(opt.stepRetries),

@@ -9,7 +9,7 @@ import (
 
 // DeterminismAnalyzer enforces the repo's bit-identity contract: for a
 // fixed seed, every execution mode (in-process, channel, TCP,
-// multi-core, checkpoint-resume) must produce bitwise-equal results.
+// checkpoint-resume) must produce bitwise-equal results.
 // Three things silently break that:
 //
 //   - wall-clock reads (time.Now, time.Since, ...) feeding computation;

@@ -75,7 +75,8 @@ type Config struct {
 	// Telemetry, if non-nil, traces every round (per-node collective
 	// and encode spans) and the gradient traffic on the
 	// instrumented transport (per-link sent/recv message and byte
-	// counters, receive-wait time). Telemetry totals equal
+	// counters, receive-wait time), and the fault path as per-node
+	// recoveries and peers-lost counters. Telemetry totals equal
 	// Transport().Totals()/RecvTotals() exactly — same layer, same
 	// events. Nil (the default) costs nothing.
 	Telemetry *telemetry.Tracer

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -396,7 +397,9 @@ func sparseGrad(rank, dim int) *tensor.Sparse {
 // complete the step with the aggregate rescaled to the survivor count —
 // over both the fault transport and real TCP, into a dense aggregate
 // (Exchange) and into the merged sparse mean (ExchangeSparse), which must
-// be the mean of the survivors' selections over the surviving count.
+// be the mean of the survivors' selections over the surviving count. The
+// fault path reports itself: every survivor counts one recovery and one
+// lost peer on its telemetry.
 func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 	const workers, dim = 4, 32
 	const victim = 2
@@ -404,6 +407,8 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 	for _, env := range faultEnvs {
 		run := func(t *testing.T, sparse bool) {
 			tps, kill := env.build(t, workers, victim)
+			counters := telemetry.NewAggregator()
+			tel := telemetry.New(counters)
 			type outcome struct {
 				rank   int
 				agg    []float64
@@ -418,6 +423,7 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 					nd, err := NewNode(NodeConfig{
 						Workers: workers, Rank: rank, Collective: netsim.CollectiveAllGather,
 						Transport: tps[rank], StepTimeout: 400 * time.Millisecond, MaxStepRetries: 2,
+						Telemetry: tel,
 					})
 					if err != nil {
 						results <- outcome{rank: rank, err: err}
@@ -500,6 +506,9 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 					}
 					if r.scalar != wantScalar {
 						t.Fatalf("survivor %d scalar = %v, want %v", r.rank, r.scalar, wantScalar)
+					}
+					if nc := counters.NodeTotals(r.rank); nc.Recoveries != 1 || nc.PeersLost != 1 {
+						t.Fatalf("survivor %d counted %d recoveries and %d lost peers, want 1 and 1", r.rank, nc.Recoveries, nc.PeersLost)
 					}
 				case <-time.After(30 * time.Second):
 					t.Fatal("a survivor hung during elastic recovery")

@@ -289,7 +289,6 @@ func (ng *negotiator) renegotiate(tp Transport, self int, members []int, epoch u
 			// slow-but-live ranks exactly when those ranks' frames are about
 			// to arrive, splitting the deployment into inconsistent views.
 			f, ok, err := ng.frameFrom(tp, self, id, epoch, round, time.Duration(round)*timeout)
-			dbg("node %d: e%d r%d peer %d: ok=%v frame={e%d r%d mask %b} err=%v", self, epoch, round, id, ok, f.epoch, f.round, f.mask, err)
 			if err != nil {
 				finish(nil)
 				return nil, err

@@ -450,19 +450,21 @@ func (n *Node) recoverOrFail(attempt int, err error) error {
 // receive may already have consumed) and validate that the agreed group
 // can still train. The renegotiation timeout is twice the step timeout:
 // a survivor adjacent to the dead peer fails fast, one waiting on a
-// forwarded payload only after a full step timeout.
+// forwarded payload only after a full step timeout. An agreed view is
+// counted on the node's telemetry: one recovery, and the members it
+// dropped as peers lost.
 func (n *Node) recover(cause error) error {
 	var pr *peerRenegotiating
 	if errors.As(cause, &pr) {
 		n.ng.note(pr.from, pr.frame)
 	}
 	timeout := 2 * n.cfg.StepTimeout
-	dbg("node %d: recovering (epoch %d) after: %v", n.cfg.Rank, n.epoch+1, cause)
 	view, err := n.ng.renegotiate(n.raw, n.cfg.Rank, n.group, n.epoch+1, timeout)
 	if err != nil {
 		return err
 	}
-	dbg("node %d: epoch %d agreed members %v", n.cfg.Rank, n.epoch+1, view)
+	n.cfg.Telemetry.Count(telemetry.CounterRecoveries, n.cfg.Rank, -1, 1)
+	n.cfg.Telemetry.Count(telemetry.CounterPeersLost, n.cfg.Rank, -1, int64(len(n.group)-len(view)))
 	n.epoch++
 	n.adopt(view)
 	if n.server >= 0 && memberPos(view, n.server) < 0 {

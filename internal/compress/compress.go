@@ -31,9 +31,9 @@ var errEmptyGradient = errors.New("compress: empty gradient")
 // steady-state iterations are allocation-free. A caller that wants a
 // fresh vector per call uses the free function FreshCompress.
 //
-// Three optional interfaces sit beside it: Parallelizable (internal
-// fan-out), AccumulateCompressor (error feedback's add inside the first
-// sweep) and SelectionReporter (an estimator's account of its last step).
+// Two optional interfaces sit beside it: AccumulateCompressor (error
+// feedback's add inside the first sweep) and SelectionReporter (an
+// estimator's account of its last step).
 type Compressor interface {
 	// Name returns a short identifier used in reports ("topk", "dgc", ...).
 	Name() string
@@ -120,11 +120,6 @@ func NewTopK() *TopK { return &TopK{} }
 // Name implements Compressor.
 func (*TopK) Name() string { return "topk" }
 
-// SetParallelism implements Parallelizable: the radix histogram, the
-// candidate gather and the keep/tie filter pass fan out over p
-// goroutines with bit-identical selection.
-func (t *TopK) SetParallelism(p int) { t.sel.SetParallelism(p) }
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath
@@ -198,3 +193,9 @@ type Selection struct {
 type SelectionReporter interface {
 	LastSelection() Selection
 }
+
+// SetParallelism configures nothing and reports false: every compressor
+// runs its passes on the calling goroutine. It exists only because the
+// frozen benchmark adapter (bench/adapter.go) still calls it; it goes
+// when that caller does.
+func SetParallelism(Compressor, int) bool { return false }

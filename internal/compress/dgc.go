@@ -30,16 +30,6 @@ type DGC struct {
 	sel     tensor.Selector
 	fit     tensor.Sparse // exceedance gather before the hierarchical trim
 	trimmed tensor.Sparse // Top-k over the exceedance values
-	par     tensor.Par
-}
-
-// SetParallelism implements Parallelizable: the full-vector exceedance
-// gather and the hierarchical trim fan out over p goroutines. The
-// random sample stays sequential — it consumes the deterministic RNG
-// stream in order, which is part of DGC's reproducibility contract.
-func (c *DGC) SetParallelism(p int) {
-	c.par.P = p
-	c.sel.SetParallelism(p)
 }
 
 // NewDGC creates a DGC compressor with the paper's defaults (1% sample,
@@ -84,7 +74,7 @@ func (c *DGC) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error
 	// Stage 2: gather exceedances from the full vector.
 	fit := &c.fit
 	fit.Reset(d)
-	fit.Idx, fit.Vals = c.par.FilterAbove(g, eta, fit.Idx, fit.Vals)
+	fit.Idx, fit.Vals = tensor.FilterAboveThreshold(g, eta, fit.Idx, fit.Vals)
 
 	// Hierarchical trim: if the threshold under-shot and selected more
 	// than the target, a second exact Top-k over the (much smaller)

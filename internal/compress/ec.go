@@ -55,11 +55,6 @@ func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 // ClearWireFormat restores plain sparsification-only error feedback.
 func (e *ErrorFeedback) ClearWireFormat() { e.wireSet = false }
 
-// SetParallelism implements Parallelizable by forwarding to the wrapped
-// compressor: the wrapper's own work is at most one add over d and a
-// subtract over the selection, neither worth a fork-join.
-func (e *ErrorFeedback) SetParallelism(p int) { SetParallelism(e.Inner, p) }
-
 // LastSelection implements SelectionReporter by forwarding to the wrapped
 // compressor.
 func (e *ErrorFeedback) LastSelection() Selection {

@@ -31,17 +31,6 @@ type GaussianKSGD struct {
 	StepDown float64
 
 	factor float64 // cumulative correction, lazily initialised to 1
-
-	stat stats.Par
-	par  tensor.Par
-}
-
-// SetParallelism implements Parallelizable: the Gaussian moment fit and
-// the threshold filter fan out over p goroutines with bit-identical
-// thresholds and selection.
-func (c *GaussianKSGD) SetParallelism(p int) {
-	c.stat.P = p
-	c.par.P = p
 }
 
 // NewGaussianKSGD creates the estimator with the default adjustment
@@ -68,15 +57,15 @@ func (c *GaussianKSGD) CompressInto(dst *tensor.Sparse, g []float64, delta float
 	d := len(g)
 	k := TargetK(d, delta)
 
-	fit := c.stat.FitGaussian(g)
+	fit := stats.FitGaussian(g)
 	base := math.Abs(fit.Mu) + fit.Sigma*stats.NormalQuantile(1-delta/2)
 	if base <= 0 || math.IsNaN(base) {
-		base = c.stat.MaxAbs(g)
+		base = stats.MaxAbs(g)
 	}
 	eta := base * c.factor
 
 	dst.Reset(d)
-	dst.Idx, dst.Vals = c.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
+	dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, eta, dst.Idx, dst.Vals)
 	nnz := dst.NNZ()
 
 	// Iterative adjustment for the next call.

@@ -26,9 +26,6 @@ type RedSync struct {
 	// AcceptFactor widens the acceptance band to [k, AcceptFactor*k]
 	// (default 2), trading estimation quality for fewer passes.
 	AcceptFactor float64
-
-	stat stats.Par
-	par  tensor.Par
 }
 
 // NewRedSync creates a RedSync compressor with the default search budget.
@@ -38,14 +35,6 @@ func NewRedSync() *RedSync {
 
 // Name implements Compressor.
 func (*RedSync) Name() string { return "redsync" }
-
-// SetParallelism implements Parallelizable: the moment passes and the
-// per-iteration count passes — up to MaxIters full scans of g, RedSync's
-// whole cost — fan out over p goroutines with bit-identical thresholds.
-func (r *RedSync) SetParallelism(p int) {
-	r.stat.P = p
-	r.par.P = p
-}
 
 // CompressInto implements Compressor.
 //
@@ -57,12 +46,12 @@ func (r *RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) e
 	d := len(g)
 	k := TargetK(d, delta)
 
-	mean := r.stat.MeanAbs(g)
-	max := r.stat.MaxAbs(g)
+	mean := stats.MeanAbs(g)
+	max := stats.MaxAbs(g)
 	if max <= mean {
 		// Degenerate (constant-magnitude) vector: everything ties.
 		dst.Reset(d)
-		dst.Idx, dst.Vals = r.par.FilterAbove(g, mean, dst.Idx, dst.Vals)
+		dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, mean, dst.Idx, dst.Vals)
 		return nil
 	}
 
@@ -71,7 +60,7 @@ func (r *RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) e
 	for iter := 0; iter < r.MaxIters; iter++ {
 		ratio := (lo + hi) / 2
 		eta = mean + ratio*(max-mean)
-		nnz := r.par.CountAbove(g, eta)
+		nnz := tensor.CountAboveThreshold(g, eta)
 		if float64(nnz) >= float64(k) && float64(nnz) <= r.AcceptFactor*float64(k) {
 			break
 		}
@@ -82,6 +71,6 @@ func (r *RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) e
 		}
 	}
 	dst.Reset(d)
-	dst.Idx, dst.Vals = r.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
+	dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, eta, dst.Idx, dst.Vals)
 	return nil
 }

@@ -31,15 +31,13 @@ type fusedPair struct {
 // wireUnset marks the configurations that leave SetWireFormat alone.
 const wireUnset = encoding.Format(255)
 
-func newFusedPair(sid core.SID, delta float64, maxStages, p int, wire encoding.Format) *fusedPair {
+func newFusedPair(sid core.SID, delta float64, maxStages int, wire encoding.Format) *fusedPair {
 	fp := &fusedPair{
-		what:  fmt.Sprintf("%v delta=%v MaxStages=%d P=%d wire=%d", sid, delta, maxStages, p, wire),
+		what:  fmt.Sprintf("%v delta=%v MaxStages=%d wire=%d", sid, delta, maxStages, wire),
 		delta: delta,
 		sf:    core.New(core.Config{SID: sid, MaxStages: maxStages}),
 		sp:    core.New(core.Config{SID: sid, MaxStages: maxStages}),
 	}
-	fp.sf.SetParallelism(p)
-	fp.sp.SetParallelism(p)
 	fp.fused = compress.NewErrorFeedback(fp.sf)
 	fp.plain = compress.NewErrorFeedback(hidden{fp.sp})
 	if wire != wireUnset {
@@ -99,12 +97,11 @@ var (
 const fusedSteps = 30
 
 // TestFusedAccumulateMatchesUnfused is the equivalence grid of the fused
-// error-feedback arm: every family, ratio, stage cap, parallelism and
-// wire rounding, 30 steps of two Table 1 gradient profiles each, at a
-// dimension just past the fan-out floors (two reduce blocks, tensor's
-// parMin) so P > 1 really fans out. Under -short (the race run) it walks
-// the grid with a stride coprime to every axis, which still visits every
-// value of every axis.
+// error-feedback arm: every family, ratio, stage cap and wire rounding,
+// 30 steps of two Table 1 gradient profiles each, at a dimension just past
+// the radix-select floor and four reduce blocks. Under -short
+// (the race run) it walks the grid with a stride coprime to every axis,
+// which still visits every value of every axis.
 func TestFusedAccumulateMatchesUnfused(t *testing.T) {
 	const dim = 1<<14 + 27
 	stride := 1
@@ -121,16 +118,14 @@ func TestFusedAccumulateMatchesUnfused(t *testing.T) {
 		for _, sid := range fusedSIDs {
 			for _, delta := range []float64{0.1, 0.01, 0.001} {
 				for maxStages := 0; maxStages <= 4; maxStages++ {
-					for _, p := range []int{1, 2, 3} {
-						for _, wire := range []encoding.Format{wireUnset, encoding.FormatPairsF16, encoding.FormatPairsI8} {
-							if n++; n%stride != 0 {
-								continue
-							}
-							fp := newFusedPair(sid, delta, maxStages, p, wire)
-							fp.what = workload + " " + fp.what
-							for i, g := range steps {
-								fp.step(t, i, g)
-							}
+					for _, wire := range []encoding.Format{wireUnset, encoding.FormatPairsF16, encoding.FormatPairsI8} {
+						if n++; n%stride != 0 {
+							continue
+						}
+						fp := newFusedPair(sid, delta, maxStages, wire)
+						fp.what = workload + " " + fp.what
+						for i, g := range steps {
+							fp.step(t, i, g)
 						}
 					}
 				}
@@ -149,9 +144,9 @@ func TestFusedAccumulateMatchesUnfusedD2M(t *testing.T) {
 	for _, workload := range fusedWorkloads {
 		gen := profileGenerator(t, workload, 1<<21)
 		pairs := []*fusedPair{
-			newFusedPair(core.SIDExponential, 0.001, 5, 2, encoding.FormatPairsI8),
-			newFusedPair(core.SIDGammaGP, 0.001, 0, 1, wireUnset),
-			newFusedPair(core.SIDGP, 0.01, 3, 3, encoding.FormatPairsF16),
+			newFusedPair(core.SIDExponential, 0.001, 5, encoding.FormatPairsI8),
+			newFusedPair(core.SIDGammaGP, 0.001, 0, wireUnset),
+			newFusedPair(core.SIDGP, 0.01, 3, encoding.FormatPairsF16),
 		}
 		g := make([]float64, 1<<21)
 		for i := 0; i < fusedSteps; i++ {
@@ -171,7 +166,7 @@ func TestFusedAccumulateFailureCarriesWholeGradient(t *testing.T) {
 	g := profileGenerator(t, "lstm-ptb", 3*4096+5).Next()
 	for _, sid := range fusedSIDs {
 		for name, delta := range map[string]float64{"NaN ratio": math.NaN(), "zero ratio": 0, "ratio above 1": 1.5, "wire": 0.01} {
-			fp := newFusedPair(sid, 0.01, 0, 2, wireUnset)
+			fp := newFusedPair(sid, 0.01, 0, wireUnset)
 			for i := 0; i < 3; i++ {
 				fp.step(t, i, g)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -84,9 +83,8 @@ type poolRun struct {
 	dst  tensor.Sparse
 }
 
-func newPoolRun(sid SID, profile simgrad.Config, p int) *poolRun {
+func newPoolRun(sid SID, profile simgrad.Config) *poolRun {
 	r := &poolRun{s: New(Config{SID: sid})}
-	r.s.SetParallelism(p)
 	r.ec = compress.NewErrorFeedback(r.s)
 	gen := simgrad.New(profile)
 	for i := 0; i < 6; i++ {
@@ -123,7 +121,7 @@ func TestInBandOnEveryCallOfAPoolRun(t *testing.T) {
 		profile.Dim, profile.Seed = d, 9
 		for _, sid := range allSIDs {
 			for _, delta := range []float64{0.1, 0.01, 0.001} {
-				r := newPoolRun(sid, profile, 1)
+				r := newPoolRun(sid, profile)
 				k := compress.TargetK(d, delta)
 				lists, sweeps := 0, 0
 				for i := 0; i < steps; i++ {
@@ -147,37 +145,13 @@ func TestInBandOnEveryCallOfAPoolRun(t *testing.T) {
 	}
 }
 
-// TestPoolRunBitIdenticalAcrossParallelism holds the error-fed run at
-// P = 2 and P = 8 to the P = 1 run: selections, reports and residuals.
-func TestPoolRunBitIdenticalAcrossParallelism(t *testing.T) {
-	profile := poolProfiles["double-gp"]
-	profile.Dim, profile.Seed = 1<<16+33, 4
-	for _, sid := range allSIDs {
-		ref := newPoolRun(sid, profile, 1)
-		others := []*poolRun{newPoolRun(sid, profile, 2), newPoolRun(sid, profile, 8)}
-		for i := 0; i < 30; i++ {
-			ref.step(t, i, 0.001)
-			for _, o := range others {
-				o.step(t, i, 0.001)
-				what := fmt.Sprintf("%v step %d P=%d", sid, i, o.s.par.P)
-				sameSelection(t, what, &o.dst, o.s.LastSelection(), sweepStep{idx: ref.dst.Idx, vals: ref.dst.Vals, sel: ref.s.LastSelection()})
-				for j, want := range ref.ec.Residual() {
-					if math.Float64bits(o.ec.Residual()[j]) != math.Float64bits(want) {
-						t.Fatalf("%s: residual[%d] = %v, P=1 has %v", what, j, o.ec.Residual()[j], want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPoolRunSteadyStateAllocs: once the scratch has grown, an error-fed
 // step allocates nothing — list corrections included.
 func TestPoolRunSteadyStateAllocs(t *testing.T) {
 	for name, profile := range poolProfiles {
 		profile.Dim, profile.Seed = 1<<16, 9
 		for _, sid := range allSIDs {
-			r := newPoolRun(sid, profile, 1)
+			r := newPoolRun(sid, profile)
 			i, corrected := 0, 0
 			step := func() {
 				r.step(t, i, 0.01)

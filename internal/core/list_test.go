@@ -172,12 +172,8 @@ func stepAgainstSweep(t *testing.T, what string, s *SIDCo, g []float64, delta fl
 var allSIDs = []SID{SIDExponential, SIDGammaGP, SIDGP}
 
 // capped returns a compressor of family sid capped at m stages (0: the
-// counts decide) at parallelism p.
-func capped(sid SID, m, p int) *SIDCo {
-	s := New(Config{SID: sid, MaxStages: m})
-	s.SetParallelism(p)
-	return s
-}
+// counts decide).
+func capped(sid SID, m int) *SIDCo { return New(Config{SID: sid, MaxStages: m}) }
 
 // plantFixedPoint sets g[pos] to f() and g[neg] to -f() until both sit on
 // f() exactly: data values equal to a threshold that itself depends on
@@ -203,37 +199,35 @@ func TestListSelectionEdges(t *testing.T) {
 	const d, delta = 40000, 0.01
 	k := compress.TargetK(d, delta)
 	for _, sid := range allSIDs {
-		for _, p := range []int{1, 3} {
-			for _, m := range []int{2, 3, 0} {
-				what := fmt.Sprintf("%v MaxStages=%d P=%d", sid, m, p)
+		for _, m := range []int{2, 3, 0} {
+			what := fmt.Sprintf("%v MaxStages=%d", sid, m)
 
-				g := sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
-				eta := plantFixedPoint(t, g, 123, 456, func() float64 {
-					e, _ := capped(sid, m, 1).estimateThreshold(g, nil, delta, k)
-					return e
-				})
-				s := capped(sid, m, p)
-				if sel := stepAgainstSweep(t, what+" value == final eta", s, g, delta); sel.Correction != compress.CorrectionNone || sel.Threshold != eta {
-					t.Fatalf("%s: want the estimate %v shipped as it is, got %+v", what, eta, sel)
-				}
+			g := sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
+			eta := plantFixedPoint(t, g, 123, 456, func() float64 {
+				e, _ := capped(sid, m).estimateThreshold(g, nil, delta, k)
+				return e
+			})
+			s := capped(sid, m)
+			if sel := stepAgainstSweep(t, what+" value == final eta", s, g, delta); sel.Correction != compress.CorrectionNone || sel.Threshold != eta {
+				t.Fatalf("%s: want the estimate %v shipped as it is, got %+v", what, eta, sel)
+			}
 
-				g = sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
-				eta1 := plantFixedPoint(t, g, 123, 456, func() float64 {
-					return New(Config{SID: sid}).firstStageThreshold(g, nil, 0.25)
-				})
-				s = capped(sid, m, p)
-				stepAgainstSweep(t, what+" value == stage-1 eta", s, g, delta)
-				if (m == 2 && s.cur.eta != eta1) || slices.Contains(s.lists[0].mags, eta1) || slices.Contains(s.lists[1].mags, eta1) {
-					t.Fatalf("%s: a value equal to the stage threshold is on the exceedance list", what)
-				}
+			g = sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
+			eta1 := plantFixedPoint(t, g, 123, 456, func() float64 {
+				return New(Config{SID: sid}).firstStageThreshold(g, nil, 0.25)
+			})
+			s = capped(sid, m)
+			stepAgainstSweep(t, what+" value == stage-1 eta", s, g, delta)
+			if (m == 2 && s.cur.eta != eta1) || slices.Contains(s.lists[0].mags, eta1) || slices.Contains(s.lists[1].mags, eta1) {
+				t.Fatalf("%s: a value equal to the stage threshold is on the exceedance list", what)
 			}
 		}
 	}
 }
 
 // TestListSelectionSpecialsAndLengths runs the special values and the
-// block-boundary lengths through every family, stage cap and P in
-// {1, 2, 8} against the sweep reference.
+// block-boundary lengths through every family and stage cap against the
+// sweep reference.
 func TestListSelectionSpecialsAndLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	noise := func(d int) []float64 {
@@ -265,17 +259,15 @@ func TestListSelectionSpecialsAndLengths(t *testing.T) {
 	for _, d := range []int{1, 15, 4095, 4096, 4097} {
 		inputs[fmt.Sprintf("len-%d", d)] = noise(d)
 	}
-	caps, ps := []int{0, 1, 2, 3, 4, 5}, []int{1, 2, 8}
+	caps := []int{0, 1, 2, 3, 4, 5}
 	if testing.Short() { // the race run: every branch of the plan, fewer repeats of it
-		caps, ps = []int{0, 1, 3}, []int{1, 8}
+		caps = []int{0, 1, 3}
 	}
 	for name, g := range inputs {
 		for _, sid := range allSIDs {
 			for _, delta := range []float64{0.25, 0.1, 0.001} {
 				for _, m := range caps {
-					for _, p := range ps {
-						stepAgainstSweep(t, fmt.Sprintf("%s %v delta=%v MaxStages=%d P=%d", name, sid, delta, m, p), capped(sid, m, p), g, delta)
-					}
+					stepAgainstSweep(t, fmt.Sprintf("%s %v delta=%v MaxStages=%d", name, sid, delta, m), capped(sid, m), g, delta)
 				}
 			}
 		}
@@ -289,7 +281,7 @@ func TestListSelectionSpecialsAndLengths(t *testing.T) {
 func TestListSelectionEarlyStops(t *testing.T) {
 	g := sampleVec(stats.Laplace{Scale: 0.01}, 200, 3)
 	for _, sid := range allSIDs {
-		s := capped(sid, 0, 1)
+		s := capped(sid, 0)
 		sel := stepAgainstSweep(t, fmt.Sprintf("%v MinFitSize", sid), s, g, 0.02)
 		if sel.Stages != 2 || len(s.cur.mags) >= s.cfg.MinFitSize || sel.Estimated != len(s.cur.mags) || sel.Correction != compress.CorrectionList {
 			t.Fatalf("%v: want the loop stopped by MinFitSize at stage 2 and the threshold taken off its list; got %+v over a list of %d", sid, sel, len(s.cur.mags))
@@ -310,7 +302,7 @@ func TestListSelectionEarlyStops(t *testing.T) {
 			g[i] = 1e200 * (1 + rng.Float64())
 		}
 	}
-	s := capped(SIDGammaGP, 0, 2)
+	s := capped(SIDGammaGP, 0)
 	sel := stepAgainstSweep(t, "degenerate stage", s, g, 0.01)
 	if sel.Stages != 1 || s.cur == nil || sel.Estimated != len(s.cur.mags) || sel.Estimated < 7500 || sel.Correction != compress.CorrectionList {
 		t.Fatalf("want the stage-2 fit rejected and the threshold taken off the stage-1 list; got %+v", sel)
@@ -369,21 +361,19 @@ func TestListCorrectionDirections(t *testing.T) {
 		{"first cut already below k", SIDExponential, 0, cliff(40000, 100), 0.3 * 0.25, compress.CorrectionList, false, false, true},
 	} {
 		k := compress.TargetK(len(c.g), c.delta)
-		for _, p := range []int{1, 2, 8} {
-			what := fmt.Sprintf("%s: %v MaxStages=%d P=%d", c.name, c.sid, c.m, p)
-			before, _ := capped(c.sid, c.m, 1).estimateThreshold(c.g, nil, c.delta, k)
-			s := capped(c.sid, c.m, p)
-			sel := stepAgainstSweep(t, what, s, c.g, c.delta)
-			served := s.cur
-			if served != nil && len(served.mags) < k {
-				served = s.prev
-			}
-			if sel.Correction != c.corr || (sel.Threshold > before) != c.raised || (served != nil && served == s.prev) != c.fromPrev {
-				t.Fatalf("%s: eta %v -> %v, report %+v, served from the list before the last: %v", what, before, sel.Threshold, sel, served == s.prev)
-			}
-			if got := tensor.CountAboveThreshold(c.g, sel.Threshold); c.wantExact && got != k {
-				t.Fatalf("%s: corrected threshold selects %d, want exactly k = %d", what, got, k)
-			}
+		what := fmt.Sprintf("%s: %v MaxStages=%d", c.name, c.sid, c.m)
+		before, _ := capped(c.sid, c.m).estimateThreshold(c.g, nil, c.delta, k)
+		s := capped(c.sid, c.m)
+		sel := stepAgainstSweep(t, what, s, c.g, c.delta)
+		served := s.cur
+		if served != nil && len(served.mags) < k {
+			served = s.prev
+		}
+		if sel.Correction != c.corr || (sel.Threshold > before) != c.raised || (served != nil && served == s.prev) != c.fromPrev {
+			t.Fatalf("%s: eta %v -> %v, report %+v, served from the list before the last: %v", what, before, sel.Threshold, sel, served == s.prev)
+		}
+		if got := tensor.CountAboveThreshold(c.g, sel.Threshold); c.wantExact && got != k {
+			t.Fatalf("%s: corrected threshold selects %d, want exactly k = %d", what, got, k)
 		}
 	}
 }
@@ -402,35 +392,32 @@ func TestListCorrectionReadsNoGradient(t *testing.T) {
 		{"last list", sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6), 0.001, 2},
 		{"list before an overshoot", cliff(40000, 100), 0.01, 0},
 	} {
-		for _, p := range []int{1, 2} {
-			what := fmt.Sprintf("%s P=%d", c.name, p)
-			k := compress.TargetK(len(c.g), c.delta)
-			want := sweepReference(Config{MaxStages: c.m}, c.g, c.delta)
-			if want.sel.Correction != compress.CorrectionList {
-				t.Fatalf("%s: reference %+v, want a list correction", what, want.sel)
-			}
-
-			g := tensor.Clone(c.g)
-			s := capped(SIDExponential, c.m, p)
-			eta, used := s.estimateThreshold(g, nil, c.delta, k)
-			onList := make([]bool, len(g))
-			for _, l := range []*exceedList{s.cur, s.prev} {
-				if l != nil {
-					for _, i := range l.idx[:len(l.mags)] {
-						onList[i] = true
-					}
-				}
-			}
-			for i := range g {
-				if !onList[i] {
-					g[i] = math.Inf(1)
-				}
-			}
-			dst := &tensor.Sparse{}
-			sel := s.selectInBand(dst, g, eta, k)
-			sel.Stages = used
-			sameSelection(t, what, dst, sel, want)
+		k := compress.TargetK(len(c.g), c.delta)
+		want := sweepReference(Config{MaxStages: c.m}, c.g, c.delta)
+		if want.sel.Correction != compress.CorrectionList {
+			t.Fatalf("%s: reference %+v, want a list correction", c.name, want.sel)
 		}
+
+		g := tensor.Clone(c.g)
+		s := capped(SIDExponential, c.m)
+		eta, used := s.estimateThreshold(g, nil, c.delta, k)
+		onList := make([]bool, len(g))
+		for _, l := range []*exceedList{s.cur, s.prev} {
+			if l != nil {
+				for _, i := range l.idx[:len(l.mags)] {
+					onList[i] = true
+				}
+			}
+		}
+		for i := range g {
+			if !onList[i] {
+				g[i] = math.Inf(1)
+			}
+		}
+		dst := &tensor.Sparse{}
+		sel := s.selectInBand(dst, g, eta, k)
+		sel.Stages = used
+		sameSelection(t, c.name, dst, sel, want)
 	}
 }
 
@@ -446,7 +433,7 @@ func TestListTiesAtCorrectedThreshold(t *testing.T) {
 		g[1000+i] = kth * float64(1-2*(i%2)) // 50 more at the k-th magnitude, both signs
 	}
 	for _, m := range []int{1, 2} { // sweep fallback, list correction
-		s := capped(SIDExponential, m, 1)
+		s := capped(SIDExponential, m)
 		sel := stepAgainstSweep(t, fmt.Sprintf("MaxStages=%d", m), s, g, delta)
 		dst, _ := compress.FreshCompress(s, g, delta)
 		if sel.Threshold != kth || dst.NNZ() != k+50 {

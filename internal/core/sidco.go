@@ -136,21 +136,7 @@ type SIDCo struct {
 	lists     [2]exceedList
 	cur, prev *exceedList
 
-	sel  tensor.Selector
-	stat stats.Par
-	par  tensor.Par
-}
-
-// SetParallelism implements compress.Parallelizable: the first-stage
-// moment pass, the exceedance gather, the threshold filter and the exact
-// selection fan out over p goroutines. Thresholds and selections are
-// bit-identical at every p — the reductions keep the serial code's fixed
-// 4096-element block summation order and the gathers merge per-worker
-// ranges in index order.
-func (s *SIDCo) SetParallelism(p int) {
-	s.stat.P = p
-	s.par.P = p
-	s.sel.SetParallelism(p)
+	sel tensor.Selector
 }
 
 // New creates a SIDCo compressor from cfg (missing fields defaulted).
@@ -260,7 +246,7 @@ func (s *SIDCo) estimateThreshold(g, add []float64, delta float64, k int) (eta f
 		first.grow(int(n))
 		s.lists[1].grow(int(n * s.cfg.Delta1))
 	}
-	first.mags, first.idx, first.ex = s.par.PairsAbove(g, eta, first.mags[:0], first.idx[:0])
+	first.mags, first.idx, first.ex = tensor.PairsAboveThreshold(g, eta, 0, first.mags[:0], first.idx[:0])
 	first.eta = eta
 	s.cur = first
 	for used = 1; used < maxM; {
@@ -319,7 +305,7 @@ func (s *SIDCo) selectInBand(dst *tensor.Sparse, g []float64, eta float64, k int
 	case s.cur != nil:
 		selectFromList(dst, g, s.cur, eta)
 	case usable(eta):
-		dst.Idx, dst.Vals = s.par.FilterAbove(g, eta, dst.Idx, dst.Vals)
+		dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, eta, dst.Idx, dst.Vals)
 	}
 	sel := compress.Selection{Threshold: eta, Estimated: dst.NNZ()}
 	if s.inBand(sel.Estimated, k) {
@@ -338,7 +324,7 @@ func (s *SIDCo) selectInBand(dst *tensor.Sparse, g []float64, eta float64, k int
 	} else {
 		sel.Threshold = s.sel.AbsKth(g, k)
 		sel.Correction = compress.CorrectionSweep
-		dst.Idx, dst.Vals = s.par.FilterAbove(g, sel.Threshold, dst.Idx, dst.Vals)
+		dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, sel.Threshold, dst.Idx, dst.Vals)
 	}
 	return sel
 }
@@ -364,15 +350,15 @@ func selectFromList(dst *tensor.Sparse, g []float64, l *exceedList, eta float64)
 func (s *SIDCo) firstStageThreshold(g, add []float64, delta float64) float64 {
 	switch s.cfg.SID {
 	case SIDExponential:
-		return ThresholdExp(s.stat.AccumulateMeanAbs(g, add), delta)
+		return ThresholdExp(stats.AccumulateMeanAbs(g, add), delta)
 	case SIDGammaGP:
-		mu, muLog := s.stat.AccumulateGammaMoments(g, add)
+		mu, muLog := stats.AccumulateGammaMoments(g, add)
 		if s.cfg.ApproxGamma {
 			return ThresholdGamma(mu, muLog, delta)
 		}
 		return ThresholdGammaExact(mu, muLog, delta)
 	case SIDGP:
-		mu, v := s.stat.AccumulateMeanVarAbs(g, add)
+		mu, v := stats.AccumulateMeanVarAbs(g, add)
 		return ThresholdGP(mu, v, delta)
 	default:
 		if add != nil {

@@ -74,10 +74,11 @@ func TestCheckpointWireRoundTrip(t *testing.T) {
 // checkpoints at step k and resumes in a fresh trainer must produce
 // exactly — bitwise — the losses and final weights of a run that never
 // stopped, within the documented scope (stateless optimizer, EC-only
-// compressor state) — which the SIDCo estimators are inside: their stage
-// plan follows each step's own counts, so the residual is all they carry.
+// compressor state) — which the SIDCo estimators and RedSync are inside:
+// their thresholds follow each step's own vector, so the residual is all
+// they carry.
 func TestResumeBitIdentical(t *testing.T) {
-	for _, comp := range []string{"topk", "sidco-e", "sidco-gp", "sidco-p"} {
+	for _, comp := range []string{"topk", "redsync", "sidco-e", "sidco-gp", "sidco-p"} {
 		t.Run(comp, func(t *testing.T) { resumeBitIdentical(t, comp) })
 	}
 }

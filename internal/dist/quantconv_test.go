@@ -10,9 +10,8 @@ import (
 	"repro/internal/nn"
 )
 
-// quantTrainer builds the conv workload with an optional EC wire format
-// and compression parallelism.
-func quantTrainer(t *testing.T, wire *encoding.Format, parallelism int, seed int64) *Trainer {
+// quantTrainer builds the conv workload with an optional EC wire format.
+func quantTrainer(t *testing.T, wire *encoding.Format, seed int64) *Trainer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	model := nn.NewSequential(
@@ -35,7 +34,6 @@ func quantTrainer(t *testing.T, wire *encoding.Format, parallelism int, seed int
 		Delta:         0.05,
 		EC:            true,
 		ECWire:        wire,
-		Parallelism:   parallelism,
 		Seed:          seed,
 	})
 	if err != nil {
@@ -51,7 +49,7 @@ func quantTrainer(t *testing.T, wire *encoding.Format, parallelism int, seed int
 func TestInt8WireConverges(t *testing.T) {
 	const iters = 60
 	run := func(wire *encoding.Format) []float64 {
-		losses, _, err := quantTrainer(t, wire, 0, 9).Run(iters)
+		losses, _, err := quantTrainer(t, wire, 9).Run(iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,33 +65,5 @@ func TestInt8WireConverges(t *testing.T) {
 	// And it must actually have trained.
 	if head := mean(quant[:10]); quantTail >= head {
 		t.Errorf("int8 wire loss did not decrease: first-10 mean %v, last-10 mean %v", head, quantTail)
-	}
-}
-
-// TestTrainerParallelismBitIdentical pins the Parallelism knob's
-// determinism contract end to end: the full loss trajectory and final
-// weights of a multi-core-compression run are bit-identical to the
-// single-core run.
-func TestTrainerParallelismBitIdentical(t *testing.T) {
-	const iters = 6
-	run := func(parallelism int) ([]float64, []float64) {
-		tr := quantTrainer(t, nil, parallelism, 11)
-		losses, _, err := tr.Run(iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return losses, nn.FlattenWeights(tr.cfg.Model.Params(), nil)
-	}
-	l1, w1 := run(0)
-	l8, w8 := run(8)
-	for i := range l1 {
-		if l1[i] != l8[i] {
-			t.Fatalf("loss[%d]: %v (P=1) != %v (P=8)", i, l1[i], l8[i])
-		}
-	}
-	for i := range w1 {
-		if w1[i] != w8[i] {
-			t.Fatalf("weight[%d]: %v (P=1) != %v (P=8)", i, w1[i], w8[i])
-		}
 	}
 }

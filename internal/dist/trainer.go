@@ -9,7 +9,9 @@
 // simulator drives internal/simgrad statistical gradients through the
 // same Compressor interface and converts achieved sparsity into
 // communication time via internal/netsim. Both are deterministic for a
-// fixed Seed, including with Workers > 1.
+// fixed Seed, including with Workers > 1. Each worker compresses on its
+// own goroutine and a compressor never fans out further: a worker is one
+// core, which is what a deployment of one rank per core wants.
 //
 // Gradient aggregation is a strategy: the default GradientExchange is
 // the in-process shared-memory reducer, and internal/cluster substitutes
@@ -21,8 +23,10 @@
 // per-worker error-feedback residuals, and the RNG stream positions
 // (reconstructed by replay) — so a restarted process continues
 // bit-identically to a run that never stopped, within the documented
-// stateless-optimizer/EC-only-compressor scope. See Trainer.Checkpoint,
-// Trainer.Restore and SaveCheckpoint/LoadCheckpoint.
+// scope: a stateless optimizer, and a compressor whose only cross-step
+// state is the EC residual (every registry compressor but dgc, randomk and
+// gaussiank). See Trainer.Checkpoint, Trainer.Restore and
+// SaveCheckpoint/LoadCheckpoint.
 package dist
 
 import (
@@ -75,11 +79,6 @@ type TrainerConfig struct {
 	// than lost. Requires EC. Point it at the encoding format the
 	// deployment's cluster wire actually ships.
 	ECWire *encoding.Format
-	// Parallelism fans each worker's compression passes out over up to
-	// this many goroutines (compress.SetParallelism on every worker's
-	// compressor). Selections are bit-identical at any setting; 0 or 1
-	// stays single-core.
-	Parallelism int
 	// ClipNorm rescales each worker's local gradient to at most this L2
 	// norm before compression (0 disables clipping).
 	ClipNorm float64
@@ -225,9 +224,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 					ec.SetWireFormat(*cfg.ECWire)
 				}
 				comp = ec
-			}
-			if comp != nil && cfg.Parallelism > 1 {
-				compress.SetParallelism(comp, cfg.Parallelism)
 			}
 		}
 		report, _ := comp.(compress.SelectionReporter)

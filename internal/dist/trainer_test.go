@@ -32,6 +32,8 @@ func convTrainer(t *testing.T, workers int, comp string, delta float64, ec bool,
 	case "":
 	case "topk":
 		factory = func() compress.Compressor { return compress.NewTopK() }
+	case "redsync":
+		factory = func() compress.Compressor { return compress.NewRedSync() }
 	case "sidco-e":
 		factory = func() compress.Compressor { return core.NewE() }
 	case "sidco-gp":

@@ -10,9 +10,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// heavyTailedGrad builds a gradient with the pathologies that stress the
-// parallel merge paths: exact magnitude ties straddling worker
-// boundaries, zeros, and a lognormal heavy tail.
+// heavyTailedGrad builds a gradient with the pathologies that stress a
+// selection and a narrow wire: exact magnitude ties, zeros, and a
+// lognormal heavy tail.
 func heavyTailedGrad(d int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	g := make([]float64, d)
@@ -35,67 +35,6 @@ func heavyTailedGrad(d int, seed int64) []float64 {
 		}
 	}
 	return g
-}
-
-func sparseEqual(t *testing.T, name string, step int, a, b *tensor.Sparse) {
-	t.Helper()
-	if a.NNZ() != b.NNZ() {
-		t.Fatalf("%s step %d: nnz %d (serial) != %d (parallel)", name, step, a.NNZ(), b.NNZ())
-	}
-	for i := range a.Idx {
-		if a.Idx[i] != b.Idx[i] {
-			t.Fatalf("%s step %d: idx[%d] %d != %d", name, step, i, a.Idx[i], b.Idx[i])
-		}
-		if math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
-			t.Fatalf("%s step %d: val[%d] %x != %x", name, step, i, a.Vals[i], b.Vals[i])
-		}
-	}
-}
-
-// TestRegistryParallelBitIdentity runs every registry compressor (plain
-// and EC-wrapped) over a multi-step stream at P=1 and P=8 and requires
-// bitwise-identical selections at every step. Under -race this also
-// exercises the goroutine fan-out for data races.
-func TestRegistryParallelBitIdentity(t *testing.T) {
-	const d = 1<<16 + 917
-	const steps = 4
-	const delta = 0.01
-
-	grads := make([][]float64, steps)
-	for s := range grads {
-		grads[s] = heavyTailedGrad(d, int64(100+s))
-	}
-
-	for _, name := range CompressorNames {
-		for _, ec := range []bool{false, true} {
-			label := name
-			serial := MustCompressor(name, 42)
-			parallel := MustCompressor(name, 42)
-			var sc, pc compress.Compressor = serial, parallel
-			if ec {
-				label += "+ec"
-				sc = compress.NewErrorFeedback(serial)
-				pc = compress.NewErrorFeedback(parallel)
-			}
-			if !compress.SetParallelism(pc, 8) {
-				t.Fatalf("%s: compressor does not accept a parallelism knob", label)
-			}
-			// Setting P=1 explicitly must also be accepted and harmless.
-			if !compress.SetParallelism(sc, 1) {
-				t.Fatalf("%s: P=1 rejected", label)
-			}
-			var ds, dp tensor.Sparse
-			for s := 0; s < steps; s++ {
-				if err := sc.CompressInto(&ds, grads[s], delta); err != nil {
-					t.Fatalf("%s step %d serial: %v", label, s, err)
-				}
-				if err := pc.CompressInto(&dp, grads[s], delta); err != nil {
-					t.Fatalf("%s step %d parallel: %v", label, s, err)
-				}
-				sparseEqual(t, label, s, &ds, &dp)
-			}
-		}
-	}
 }
 
 // TestErrorFeedbackWireFormat checks the quantized-wire EC contract: the

@@ -7,21 +7,38 @@ import (
 
 // sumBlock is the fixed accumulation granularity of every mean/variance
 // reduction in this package: partial sums are computed per 4096-element
-// block and combined in block order. The block structure is independent
-// of how many workers compute the partials, which is what makes the Par
-// variants bit-identical to the serial functions at any parallelism.
+// block and combined in block order. The grouping is part of every
+// result's bits, and through the thresholds of every selection: changing
+// it moves run digests and golden losses.
 const sumBlock = 4096
 
 // A blockKernel reduces one sumBlock of a vector to at most three
 // partial sums (unused slots stay zero). c is the kernel's constant — a
 // centre or a location — for the kernels that take one. Each reduction's
-// per-element loop is written once, here, and driven by Par.reduce for
-// the serial functions and the Par methods alike.
+// per-element loop is written once, here, and driven by reduce.
 //
 // Given g, the same block of a second vector, the first-stage kernels
 // (abs, absSq, gamma) store v = blk[i] + g[i] back into blk and accumulate
 // on v as they do on x: "blk += g, then reduce" in one sweep, same bits.
 type blockKernel func(blk, g []float64, c float64) [3]float64
+
+// reduce applies k to every sumBlock of xs (and of g, when not nil) and
+// adds the partials in block order. An empty xs reduces to zeros, which is
+// what makes every mean below NaN (0/0) on empty input without a check.
+func reduce(xs, g []float64, k blockKernel, c float64) (total [3]float64) {
+	for lo := 0; lo < len(xs); lo += sumBlock {
+		hi := min(lo+sumBlock, len(xs))
+		var gb []float64
+		if g != nil {
+			gb = g[lo:hi]
+		}
+		p := k(xs[lo:hi], gb, c)
+		for i := range total {
+			total[i] += p[i]
+		}
+	}
+	return total
+}
 
 // sumKernel: Σx.
 func sumKernel(blk, _ []float64, _ float64) [3]float64 {
@@ -169,12 +186,14 @@ func meanVar(sum, sumSq, n float64) (mean, variance float64) {
 }
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
-func Mean(xs []float64) float64 { return serial.Mean(xs) }
+func Mean(xs []float64) float64 { return reduce(xs, nil, sumKernel, 0)[0] / float64(len(xs)) }
 
 // Variance returns the population variance (divide by n) of xs, matching
 // the moment estimators used in the paper's closed-form fitters. It returns
 // NaN for empty input.
-func Variance(xs []float64) float64 { return serial.Variance(xs) }
+func Variance(xs []float64) float64 {
+	return reduce(xs, nil, shiftedKernel, Mean(xs))[1] / float64(len(xs))
+}
 
 // SampleVariance returns the unbiased sample variance (divide by n-1) of
 // xs, or NaN when fewer than two observations are supplied.
@@ -197,11 +216,11 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // MeanAbs returns the mean of |x| over xs — the maximum-likelihood scale
 // estimate for Laplace-distributed data (Corollary 1.1). It returns NaN for
 // empty input.
-func MeanAbs(xs []float64) float64 { return serial.MeanAbs(xs) }
+func MeanAbs(xs []float64) float64 { return AccumulateMeanAbs(xs, nil) }
 
 // MeanVarAbs returns the mean and population variance of |x| over xs in a
 // single pass — the two moments the GP moment-matching fitter consumes.
-func MeanVarAbs(xs []float64) (mean, variance float64) { return serial.MeanVarAbs(xs) }
+func MeanVarAbs(xs []float64) (mean, variance float64) { return AccumulateMeanVarAbs(xs, nil) }
 
 // GammaMoments returns, from one pass over xs, the mean of |x| (bit-equal
 // to MeanAbs) and the mean of log|x| over the non-zero entries — the two
@@ -210,7 +229,29 @@ func MeanVarAbs(xs []float64) (mean, variance float64) { return serial.MeanVarAb
 // log-mean (log 0 would poison the sum; in SIDCo they correspond to
 // exactly-zero gradients, which carry no shape information): it is NaN if
 // all entries are zero or xs is empty.
-func GammaMoments(xs []float64) (meanAbs, meanLogAbs float64) { return serial.GammaMoments(xs) }
+func GammaMoments(xs []float64) (meanAbs, meanLogAbs float64) {
+	return AccumulateGammaMoments(xs, nil)
+}
+
+// AccumulateMeanAbs adds g into acc (acc[i] += g[i]; a nil g adds nothing)
+// and returns MeanAbs of the sum in the same sweep: acc and the mean are
+// bit-equal to adding first and calling MeanAbs(acc) after.
+func AccumulateMeanAbs(acc, g []float64) float64 {
+	return reduce(acc, g, absKernel, 0)[0] / float64(len(acc))
+}
+
+// AccumulateMeanVarAbs is AccumulateMeanAbs for MeanVarAbs.
+func AccumulateMeanVarAbs(acc, g []float64) (mean, variance float64) {
+	s := reduce(acc, g, absSqKernel, 0)
+	return meanVar(s[0], s[1], float64(len(acc)))
+}
+
+// AccumulateGammaMoments is AccumulateMeanAbs for GammaMoments.
+func AccumulateGammaMoments(acc, g []float64) (meanAbs, meanLogAbs float64) {
+	s := reduce(acc, g, gammaKernel, 0)
+	// s[2] counts the non-zero entries: 0/0 is the all-zero NaN.
+	return s[0] / float64(len(acc)), s[1] / s[2]
+}
 
 // MinMax returns the minimum and maximum of xs, or (NaN, NaN) for empty
 // input.

@@ -89,12 +89,13 @@ func FitGPExcess(sum, sumSq, n float64) GPParams {
 // >= loc) after shifting by loc, per Lemma 2: the moments are those of
 // |g| - loc.
 func FitGPExceedance(absXS []float64, loc float64) GPParams {
-	return serial.FitGPExceedance(absXS, loc)
+	s := reduce(absXS, nil, shiftedKernel, loc)
+	return FitGPExcess(s[0], s[1], float64(len(absXS)))
 }
 
 // FitGaussian fits a normal distribution to xs by maximum likelihood
 // (sample mean and population standard deviation). The GaussianKSGD
 // baseline uses this on raw gradients.
 func FitGaussian(xs []float64) Gaussian {
-	return serial.FitGaussian(xs)
+	return Gaussian{Mu: Mean(xs), Sigma: math.Sqrt(Variance(xs))}
 }

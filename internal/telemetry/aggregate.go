@@ -80,6 +80,10 @@ type NodeCounters struct {
 	// optimizer applies per step: about Workers*k on the sparse route, d on
 	// the dense one.
 	ApplyElems int64
+	// Recoveries counts the node's agreed membership renegotiations and
+	// PeersLost the members they dropped from its group.
+	Recoveries int64
+	PeersLost  int64
 }
 
 // SpanSummary is one span kind's aggregate, with percentiles over the
@@ -185,6 +189,10 @@ func (a *Aggregator) Emit(e Event) {
 			nc.SelectSweepFallbacks += e.Value
 		case CounterApplyElems:
 			nc.ApplyElems += e.Value
+		case CounterRecoveries:
+			nc.Recoveries += e.Value
+		case CounterPeersLost:
+			nc.PeersLost += e.Value
 		}
 	}
 }
@@ -385,6 +393,8 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 	writeTotal("sidco_select_list_corrections_total", "Steps whose threshold estimate missed the band and was re-taken exactly from an exceedance list.", totals[CounterSelectListCorrections])
 	writeTotal("sidco_select_sweep_fallbacks_total", "Steps that had no such list and paid an exact selection over the whole gradient.", totals[CounterSelectSweepFallbacks])
 	writeTotal("sidco_apply_elems_total", "Gradient elements the optimizer updates were handed: the merged sparse mean's non-zeros on a sparse-applied step, the model dimension on a dense one.", totals[CounterApplyElems])
+	writeTotal("sidco_recoveries_total", "Agreed membership renegotiations after a failed step (fault path).", totals[CounterRecoveries])
+	writeTotal("sidco_peers_lost_total", "Members the agreed renegotiations dropped from the group.", totals[CounterPeersLost])
 	fmt.Fprintf(bw, "# HELP sidco_recv_wait_seconds_total Wall-clock time blocked in Recv (straggler + network wait).\n")
 	fmt.Fprintf(bw, "# TYPE sidco_recv_wait_seconds_total counter\n")
 	fmt.Fprintf(bw, "sidco_recv_wait_seconds_total %s\n", seconds(totals[CounterRecvWaitNanos]))
@@ -453,6 +463,8 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 			{"sidco_node_select_list_corrections_total", "The node's steps corrected from an exceedance list.", func(nc NodeCounters) int64 { return nc.SelectListCorrections }},
 			{"sidco_node_select_sweep_fallbacks_total", "The node's steps that fell back to an exact selection over the gradient.", func(nc NodeCounters) int64 { return nc.SelectSweepFallbacks }},
 			{"sidco_node_apply_elems_total", "Gradient elements the node's optimizer updates were handed.", func(nc NodeCounters) int64 { return nc.ApplyElems }},
+			{"sidco_node_recoveries_total", "The node's agreed membership renegotiations.", func(nc NodeCounters) int64 { return nc.Recoveries }},
+			{"sidco_node_peers_lost_total", "Members the node's renegotiations dropped from its group.", func(nc NodeCounters) int64 { return nc.PeersLost }},
 		} {
 			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
 			for _, n := range nodes {

@@ -149,6 +149,13 @@ const (
 	// step stayed sparse after the selection, the model dimension d when it
 	// applied a dense aggregate.
 	CounterApplyElems
+	// CounterRecoveries counts a cluster node's agreed membership
+	// renegotiations (Node = the node): one per step failure it survived
+	// by shrinking the group.
+	CounterRecoveries
+	// CounterPeersLost counts the members those renegotiations dropped
+	// from the node's group (Node = the node).
+	CounterPeersLost
 
 	numCounterKinds
 )
@@ -185,6 +192,10 @@ func (k CounterKind) String() string {
 		return "select_sweep_fallbacks"
 	case CounterApplyElems:
 		return "apply_elems"
+	case CounterRecoveries:
+		return "recoveries"
+	case CounterPeersLost:
+		return "peers_lost"
 	default:
 		return "unknown"
 	}

@@ -43,6 +43,8 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	tr.Count(CounterSelectSweepFallbacks, 4, -1, 1)
 	tr.Count(CounterApplyElems, 3, -1, 380)
 	tr.Count(CounterApplyElems, 3, -1, 10000)
+	tr.Count(CounterRecoveries, 5, -1, 1)
+	tr.Count(CounterPeersLost, 5, -1, 2)
 	// A zero delta must be dropped, not recorded as a touched link.
 	tr.Count(CounterSentBytes, 8, 9, 0)
 
@@ -76,6 +78,9 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	}
 	if nc := agg.NodeTotals(4); nc.SelectSweepFallbacks != 1 || agg.Total(CounterSelectSweepFallbacks) != 1 {
 		t.Errorf("node 4 selection counters = %+v", nc)
+	}
+	if nc := agg.NodeTotals(5); nc.Recoveries != 1 || nc.PeersLost != 2 || agg.Total(CounterPeersLost) != 2 {
+		t.Errorf("node 5 fault-path counters = %+v", nc)
 	}
 	// Node-attributed counters touch no link, so only the two traffic links
 	// exist, sorted by (from, to).
@@ -164,6 +169,8 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	tr.Count(CounterSelectListCorrections, 1, -1, 2)
 	tr.Count(CounterSelectSweepFallbacks, 0, -1, 1)
 	tr.Count(CounterApplyElems, 1, -1, 8200)
+	tr.Count(CounterRecoveries, 2, -1, 1)
+	tr.Count(CounterPeersLost, 2, -1, 1)
 	agg.Emit(Event{Type: EventSpan, Span: SpanStep, DurNanos: 1_000_000})
 
 	var buf bytes.Buffer
@@ -196,6 +203,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		`sidco_node_select_sweep_fallbacks_total{node="0"}`:  1,
 		"sidco_apply_elems_total":                            8200,
 		`sidco_node_apply_elems_total{node="1"}`:             8200,
+		"sidco_recoveries_total":                             1,
+		"sidco_peers_lost_total":                             1,
+		`sidco_node_recoveries_total{node="2"}`:              1,
+		`sidco_node_peers_lost_total{node="2"}`:              1,
 		`sidco_span_duration_seconds_count{span="step"}`:     1,
 		`sidco_span_duration_seconds_sum{span="step"}`:       0.001,
 	}
@@ -231,16 +242,16 @@ func TestJSONLSchema(t *testing.T) {
 	sp.End()
 	tr.CountSeq(CounterSentBytes, 0, 3, 4096, 12, 11)
 	tr.Virtual(SpanSend, 0, 3, -1, 11, 12, 4096, 976.5625, 1953.125)
-	selection := []CounterKind{CounterSelectedElems, CounterTargetElems, CounterSelectListCorrections, CounterSelectSweepFallbacks, CounterApplyElems}
-	for i, kind := range selection {
+	nodeKinds := []CounterKind{CounterSelectedElems, CounterTargetElems, CounterSelectListCorrections, CounterSelectSweepFallbacks, CounterApplyElems, CounterRecoveries, CounterPeersLost}
+	for i, kind := range nodeKinds {
 		tr.Count(kind, 2, -1, int64(100+i))
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("got %d lines, want meta+span+counter+virtual+5 node-attributed counters:\n%s", len(lines), buf.String())
+	if len(lines) != 11 {
+		t.Fatalf("got %d lines, want meta+span+counter+virtual+7 node-attributed counters:\n%s", len(lines), buf.String())
 	}
 	meta, evs, err := DecodeJSONL(strings.NewReader(buf.String()))
 	if err != nil {
@@ -250,10 +261,10 @@ func TestJSONLSchema(t *testing.T) {
 		meta.GoVersion == "" || meta.EpochNanos == 0 {
 		t.Errorf("meta = %+v", meta)
 	}
-	if len(evs) != 8 {
-		t.Fatalf("decoded %d events, want 8", len(evs))
+	if len(evs) != 10 {
+		t.Fatalf("decoded %d events, want 10", len(evs))
 	}
-	for i, kind := range selection {
+	for i, kind := range nodeKinds {
 		if e := evs[3+i]; e.Type != EventCounter || e.Counter != kind || e.Node != 2 || e.Peer != -1 || e.Value != int64(100+i) || e.Seq != -1 {
 			t.Errorf("%v counter event = %+v", kind, e)
 		}

@@ -97,9 +97,9 @@ func sameIdx(t *testing.T, what string, got, want []int32) {
 // TestPairsAboveMatchesNaive holds the blocked store-then-advance gather
 // bit-equal to the naive loop, magnitudes, indices and excess moments:
 // block-boundary lengths, degenerate thresholds, special values, non-empty
-// and exact-capacity lists, a non-zero base, the Par fan-out on top — and
-// CompactPairsAbove, which leaves its source intact, against a second
-// naive gather at a higher threshold.
+// and exact-capacity lists, a non-zero base — and CompactPairsAbove,
+// which leaves its source intact, against a second naive gather at a
+// higher threshold.
 func TestPairsAboveMatchesNaive(t *testing.T) {
 	lengths := []int{0, 1, gatherBlock - 1, gatherBlock, gatherBlock + 1, 3*gatherBlock + 17}
 	if !testing.Short() {
@@ -114,58 +114,51 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 		Fill(inputs["ones"], -1)
 		for name, x := range inputs {
 			for _, eta := range []float64{0, math.NaN(), math.Inf(1), 0.75, 0.5, 1, -1} {
-				for _, p := range []int{1, 2, 3} {
-					what := fmt.Sprintf("%s d=%d eta=%v P=%d", name, d, eta, p)
-					pp := &Par{P: p}
+				what := fmt.Sprintf("%s d=%d eta=%v", name, d, eta)
+				wantM, wantI := naivePairsAbove(x, eta, 0, nil, nil)
+				wantEx := naiveExcess(x, eta)
+				gotM, gotI, gotEx := PairsAboveThreshold(x, eta, 0, nil, nil)
+				sameBits(t, what, gotM, wantM)
+				sameIdx(t, what, gotI, wantI)
+				sameExcess(t, what, gotEx, wantEx)
 
-					wantM, wantI := naivePairsAbove(x, eta, 0, nil, nil)
-					wantEx := naiveExcess(x, eta)
-					gotM, gotI, gotEx := pp.PairsAbove(x, eta, nil, nil)
-					sameBits(t, what, gotM, wantM)
-					sameIdx(t, what, gotI, wantI)
-					sameExcess(t, what, gotEx, wantEx)
+				preM, preI := []float64{7, -8, math.NaN()}, []int32{5, 4, 3}
+				wantM, wantI = naivePairsAbove(x, eta, 0, append([]float64(nil), preM...), append([]int32(nil), preI...))
+				gotM, gotI, gotEx = PairsAboveThreshold(x, eta, 0, append([]float64(nil), preM...), append([]int32(nil), preI...))
+				sameBits(t, what+" lists non-empty", gotM, wantM)
+				sameIdx(t, what+" lists non-empty", gotI, wantI)
+				sameExcess(t, what+" lists non-empty", gotEx, wantEx) // of what was appended only
 
-					preM, preI := []float64{7, -8, math.NaN()}, []int32{5, 4, 3}
-					wantM, wantI = naivePairsAbove(x, eta, 0, append([]float64(nil), preM...), append([]int32(nil), preI...))
-					gotM, gotI, gotEx = pp.PairsAbove(x, eta, append([]float64(nil), preM...), append([]int32(nil), preI...))
-					sameBits(t, what+" lists non-empty", gotM, wantM)
-					sameIdx(t, what+" lists non-empty", gotI, wantI)
-					sameExcess(t, what+" lists non-empty", gotEx, wantEx) // of what was appended only
+				// Exact-capacity lists: every block must grow them.
+				gotM, gotI, _ = PairsAboveThreshold(x, eta, 0, preM[:3:3], preI[:3:3])
+				sameBits(t, what+" lists full", gotM, wantM)
+				sameIdx(t, what+" lists full", gotI, wantI)
 
-					// Exact-capacity lists: every block must grow them.
-					gotM, gotI, _ = pp.PairsAbove(x, eta, preM[:3:3], preI[:3:3])
-					sameBits(t, what+" lists full", gotM, wantM)
-					sameIdx(t, what+" lists full", gotI, wantI)
+				wantM, wantI = naivePairsAbove(x, eta, 11, nil, nil)
+				gotM, gotI, _ = PairsAboveThreshold(x, eta, 11, nil, nil)
+				sameBits(t, what+" base 11", gotM, wantM)
+				sameIdx(t, what+" base 11", gotI, wantI)
 
-					if p > 1 {
-						continue // the rest is serial code
-					}
-					wantM, wantI = naivePairsAbove(x, eta, 11, nil, nil)
-					gotM, gotI, _ = PairsAboveThreshold(x, eta, 11, nil, nil)
-					sameBits(t, what+" base 11", gotM, wantM)
-					sameIdx(t, what+" base 11", gotI, wantI)
-
-					// Compaction of that list at each threshold of the grid, into
-					// empty and into exact-capacity storage; the source survives.
-					for _, eta2 := range []float64{0, math.NaN(), math.Inf(1), 0.75, 1, 1.5} {
-						what := fmt.Sprintf("%s compact eta2=%v", what, eta2)
-						keepM, keepI := append([]float64(nil), preM...), append([]int32(nil), preI...)
-						for i, a := range wantM {
-							if a > eta2 {
-								keepM, keepI = append(keepM, a), append(keepI, wantI[i])
-							}
+				// Compaction of that list at each threshold of the grid, into
+				// empty and into exact-capacity storage; the source survives.
+				for _, eta2 := range []float64{0, math.NaN(), math.Inf(1), 0.75, 1, 1.5} {
+					what := fmt.Sprintf("%s compact eta2=%v", what, eta2)
+					keepM, keepI := append([]float64(nil), preM...), append([]int32(nil), preI...)
+					for i, a := range wantM {
+						if a > eta2 {
+							keepM, keepI = append(keepM, a), append(keepI, wantI[i])
 						}
-						srcM, srcI := append([]float64(nil), wantM...), append([]int32(nil), wantI...)
-						cM, cI, cEx := CompactPairsAbove(nil, nil, srcM, srcI, eta2)
-						sameBits(t, what, cM, keepM[3:])
-						sameIdx(t, what, cI, keepI[3:])
-						sameExcess(t, what, cEx, naiveExcess(wantM, eta2))
-						cM, cI, _ = CompactPairsAbove(preM[:3:3], preI[:3:3], srcM, srcI, eta2)
-						sameBits(t, what+" lists full", cM, keepM)
-						sameIdx(t, what+" lists full", cI, keepI)
-						sameBits(t, what+" source", srcM, wantM)
-						sameIdx(t, what+" source", srcI, wantI)
 					}
+					srcM, srcI := append([]float64(nil), wantM...), append([]int32(nil), wantI...)
+					cM, cI, cEx := CompactPairsAbove(nil, nil, srcM, srcI, eta2)
+					sameBits(t, what, cM, keepM[3:])
+					sameIdx(t, what, cI, keepI[3:])
+					sameExcess(t, what, cEx, naiveExcess(wantM, eta2))
+					cM, cI, _ = CompactPairsAbove(preM[:3:3], preI[:3:3], srcM, srcI, eta2)
+					sameBits(t, what+" lists full", cM, keepM)
+					sameIdx(t, what+" lists full", cI, keepI)
+					sameBits(t, what+" source", srcM, wantM)
+					sameIdx(t, what+" source", srcI, wantI)
 				}
 			}
 		}

@@ -3,49 +3,20 @@ package tensor
 import (
 	"math"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // Selector carries the scratch of the radix top-k selection — the 64K
 // first-digit histogram, the candidate-bit buffer, the quickselect |g|
 // copy for small inputs and the cutoff-tie side lists — so steady-state
 // selections allocate nothing. The zero value is ready; each compressor
-// instance owns one (Selector is not concurrency-safe: parallelism is
-// internal, via SetParallelism).
+// instance owns one (Selector is not concurrency-safe, and every pass runs
+// on the calling goroutine).
 type Selector struct {
 	counts  []int
 	cands   []uint64
 	abs     []float64
 	tieIdx  []int32
 	tieVals []float64
-	par     int
-	workers []selWorker
-}
-
-// selWorker is one worker's private scratch for the parallel counting,
-// gather and filter passes.
-type selWorker struct {
-	counts  []int
-	cands   []uint64
-	idx     []int32
-	vals    []float64
-	tieIdx  []int32
-	tieVals []float64
-}
-
-// SetParallelism sets how many goroutines the selection passes fan out
-// over; p <= 1 selects the serial paths. Results are bit-identical at
-// every p: workers own fixed contiguous index ranges (the par.RangeBounds
-// split) and their integer counts, gathers and tie lists merge in worker
-// order, reproducing exactly the order a single left-to-right pass
-// produces.
-func (sel *Selector) SetParallelism(p int) { sel.par = p }
-
-func (sel *Selector) growWorkers(p int) {
-	if len(sel.workers) < p {
-		sel.workers = append(sel.workers, make([]selWorker, p-len(sel.workers))...)
-	}
 }
 
 // TopKSelect returns the indices and values of the k elements of g with
@@ -97,25 +68,21 @@ func (sel *Selector) TopKInto(dst *Sparse, g []float64, k int) {
 	// on the masked bit patterns (order-isomorphic for non-negative
 	// floats), keeping the loop branch-cheap.
 	cb := math.Float64bits(cutoff)
-	if p := sel.par; p > 1 && len(g) >= radixMin {
-		sel.filterPar(dst, g, k, cb, p)
-	} else {
-		tieIdx, tieVals := sel.tieIdx[:0], sel.tieVals[:0]
-		for i, gi := range g {
-			bits := math.Float64bits(gi) & absMask
-			if bits > cb {
-				dst.Append(int32(i), gi)
-			} else if bits == cb && len(tieIdx) < k {
-				// At most k ties can be kept (need = k - len(idx) <= k), so
-				// capping here bounds the temporaries at O(k) even when the
-				// cutoff magnitude is shared by most of g (e.g. a mostly-zero
-				// gradient).
-				tieIdx = append(tieIdx, int32(i))
-				tieVals = append(tieVals, gi)
-			}
+	tieIdx, tieVals := sel.tieIdx[:0], sel.tieVals[:0]
+	for i, gi := range g {
+		bits := math.Float64bits(gi) & absMask
+		if bits > cb {
+			dst.Append(int32(i), gi)
+		} else if bits == cb && len(tieIdx) < k {
+			// At most k ties can be kept (need = k - len(idx) <= k), so
+			// capping here bounds the temporaries at O(k) even when the
+			// cutoff magnitude is shared by most of g (e.g. a mostly-zero
+			// gradient).
+			tieIdx = append(tieIdx, int32(i))
+			tieVals = append(tieVals, gi)
 		}
-		sel.tieIdx, sel.tieVals = tieIdx, tieVals
 	}
+	sel.tieIdx, sel.tieVals = tieIdx, tieVals
 	// Fill the remainder with the lowest-index ties, merging the two
 	// ascending lists in place from the back.
 	if need := k - (len(dst.Idx) - base); need > 0 {
@@ -256,103 +223,34 @@ func (sel *Selector) AbsKth(g []float64, k int) float64 {
 		sel.counts = make([]int, 1<<16)
 	}
 	counts := sel.counts
-	var cands []uint64
-	if p := sel.par; p > 1 {
-		var chosen uint64
-		chosen, k = sel.histogramPar(g, k, p)
-		cands = sel.gatherPar(g, chosen, p)
-	} else {
-		for _, gi := range g {
-			counts[(math.Float64bits(gi)&absMask)>>48]++
-		}
-		chosen, rem := pickBucket16(counts, k)
-		bucketLen := counts[chosen]
-		// The histogram is cleared before the next phase so the Selector is
-		// reusable; a 512 KiB memclr is noise next to the counting pass.
-		clear(counts)
-		if cap(sel.cands) < bucketLen {
-			sel.cands = make([]uint64, 0, bucketLen)
-		}
-		cands = sel.cands[:0]
-		for _, gi := range g {
-			bits := math.Float64bits(gi) & absMask
-			if bits>>48 == chosen {
-				cands = append(cands, bits)
-			}
-		}
-		k = rem
+	for _, gi := range g {
+		counts[(math.Float64bits(gi)&absMask)>>48]++
 	}
-	return sel.refine(cands, k)
+	chosen, rem := pickBucket16(counts, k)
+	bucketLen := counts[chosen]
+	// The histogram is cleared before the next phase so the Selector is
+	// reusable; a 512 KiB memclr is noise next to the counting pass.
+	clear(counts)
+	if cap(sel.cands) < bucketLen {
+		sel.cands = make([]uint64, 0, bucketLen)
+	}
+	cands := sel.cands[:0]
+	for _, gi := range g {
+		bits := math.Float64bits(gi) & absMask
+		if bits>>48 == chosen {
+			cands = append(cands, bits)
+		}
+	}
+	return sel.refine(cands, rem)
 }
 
 // Below this size the 64K-bucket histogram costs more than the
-// selection (and fork-join overhead more than a pass over g);
-// quickselect on an |g| copy wins and every pass stays serial.
+// selection; quickselect on an |g| copy wins.
 const radixMin = 1 << 14
 
-// histogramPar runs the level-0 counting pass on p workers over fixed
-// contiguous ranges of g. Bucket counts are integers, so summing the
-// per-worker histograms gives exactly the serial histogram; the merge
-// itself fans out over bucket ranges (and clears the worker histograms
-// in the same pass) to keep the 64K x p additions off the critical path.
-func (sel *Selector) histogramPar(g []float64, k, p int) (chosen uint64, rem int) {
-	sel.growWorkers(p)
-	counts := sel.counts
-	par.Do(p, func(w int) {
-		c := counts
-		if w > 0 {
-			if sel.workers[w].counts == nil {
-				sel.workers[w].counts = make([]int, 1<<16)
-			}
-			c = sel.workers[w].counts
-		}
-		lo, hi := par.RangeBounds(len(g), p, w)
-		for _, gi := range g[lo:hi] {
-			c[(math.Float64bits(gi)&absMask)>>48]++
-		}
-	})
-	par.Do(p, func(w int) {
-		blo, bhi := par.RangeBounds(1<<16, p, w)
-		for x := 1; x < p; x++ {
-			wc := sel.workers[x].counts
-			for b := blo; b < bhi; b++ {
-				counts[b] += wc[b]
-				wc[b] = 0
-			}
-		}
-	})
-	chosen, rem = pickBucket16(counts, k)
-	clear(counts)
-	return chosen, rem
-}
-
-// gatherPar collects the chosen bucket's candidate bit patterns with p
-// workers gathering their own ranges, concatenated in worker order —
-// the same left-to-right candidate order the serial gather produces.
-func (sel *Selector) gatherPar(g []float64, chosen uint64, p int) []uint64 {
-	sel.growWorkers(p)
-	par.Do(p, func(w int) {
-		lo, hi := par.RangeBounds(len(g), p, w)
-		out := sel.workers[w].cands[:0]
-		for _, gi := range g[lo:hi] {
-			bits := math.Float64bits(gi) & absMask
-			if bits>>48 == chosen {
-				out = append(out, bits)
-			}
-		}
-		sel.workers[w].cands = out
-	})
-	cands := sel.cands[:0]
-	for w := 0; w < p; w++ {
-		cands = append(cands, sel.workers[w].cands...)
-	}
-	sel.cands = cands
-	return cands
-}
-
-// refine walks the remaining 8-bit digits of the candidate set serially
-// (the set shrinks geometrically, so this is never the hot pass) and
-// returns the k-th largest magnitude.
+// refine walks the remaining 8-bit digits of the candidate set (the set
+// shrinks geometrically, so this is never the hot pass) and returns the
+// k-th largest magnitude.
 func (sel *Selector) refine(cands []uint64, k int) float64 {
 	for shift := 40; shift >= 0 && len(cands) > 1; shift -= 8 {
 		var c [256]int
@@ -375,47 +273,6 @@ func (sel *Selector) refine(cands []uint64, k int) float64 {
 	kth := math.Float64frombits(cands[0])
 	sel.cands = cands[:0]
 	return kth
-}
-
-// filterPar is TopKInto's keep/tie pass at parallelism p: each worker
-// filters its own contiguous range into private keep and tie lists
-// (ties capped at k per worker — a worker that drops a tie has k kept
-// ties before it, so the dropped tie's global rank exceeds k and the
-// serial pass would never have kept it either), then the lists
-// concatenate in worker order, reproducing the serial left-to-right
-// output exactly.
-func (sel *Selector) filterPar(dst *Sparse, g []float64, k int, cb uint64, p int) {
-	sel.growWorkers(p)
-	par.Do(p, func(w int) {
-		lo, hi := par.RangeBounds(len(g), p, w)
-		ws := &sel.workers[w]
-		idx, vals := ws.idx[:0], ws.vals[:0]
-		tieIdx, tieVals := ws.tieIdx[:0], ws.tieVals[:0]
-		for i := lo; i < hi; i++ {
-			gi := g[i]
-			bits := math.Float64bits(gi) & absMask
-			if bits > cb {
-				idx = append(idx, int32(i))
-				vals = append(vals, gi)
-			} else if bits == cb && len(tieIdx) < k {
-				tieIdx = append(tieIdx, int32(i))
-				tieVals = append(tieVals, gi)
-			}
-		}
-		ws.idx, ws.vals, ws.tieIdx, ws.tieVals = idx, vals, tieIdx, tieVals
-	})
-	tieIdx, tieVals := sel.tieIdx[:0], sel.tieVals[:0]
-	for w := 0; w < p; w++ {
-		ws := &sel.workers[w]
-		for i := range ws.idx {
-			dst.Append(ws.idx[i], ws.vals[i])
-		}
-		for i := 0; i < len(ws.tieIdx) && len(tieIdx) < k; i++ {
-			tieIdx = append(tieIdx, ws.tieIdx[i])
-			tieVals = append(tieVals, ws.tieVals[i])
-		}
-	}
-	sel.tieIdx, sel.tieVals = tieIdx, tieVals
 }
 
 // pickBucket walks bucket counts from high byte value to low and returns

@@ -55,6 +55,62 @@ func TestSelectorMatchesTopKSelect(t *testing.T) {
 	}
 }
 
+// heavyTailed builds a gradient-like vector with repeated magnitudes
+// (tie pressure), exact zeros and a heavy tail.
+func heavyTailed(d int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	g := make([]float64, d)
+	for i := range g {
+		switch rng.Intn(8) {
+		case 0:
+			g[i] = 0
+		case 1:
+			g[i] = 0.5 // many exact ties
+		case 2:
+			g[i] = -0.5
+		default:
+			g[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64()*3)
+		}
+	}
+	return g
+}
+
+// TestSelectorTieHeavyMatchesSortOracle holds TopKInto and AbsKth on
+// tie-heavy inputs above the radix threshold to the sort-based oracle,
+// element for element: the cutoff ties go to the lowest indices, exactly
+// as a stable sort by magnitude keeps them. Each Selector is used twice,
+// so stale scratch from the first pass would show in the second.
+func TestSelectorTieHeavyMatchesSortOracle(t *testing.T) {
+	for _, d := range []int{1 << 14, 1<<16 + 917} {
+		g := heavyTailed(d, int64(d))
+		for _, k := range []int{1, 7, d / 100, d / 3} {
+			wantIdx, wantVals := TopKSort(g, k)
+			var sel Selector
+			for pass := 0; pass < 2; pass++ {
+				got := &Sparse{}
+				got.Reset(d)
+				sel.TopKInto(got, g, k)
+				if got.NNZ() != len(wantIdx) {
+					t.Fatalf("d=%d k=%d pass %d: nnz %d, oracle %d", d, k, pass, got.NNZ(), len(wantIdx))
+				}
+				for i := range wantIdx {
+					if got.Idx[i] != wantIdx[i] || math.Float64bits(got.Vals[i]) != math.Float64bits(wantVals[i]) {
+						t.Fatalf("d=%d k=%d pass %d: element %d = (%d,%v), oracle (%d,%v)",
+							d, k, pass, i, got.Idx[i], got.Vals[i], wantIdx[i], wantVals[i])
+					}
+				}
+				kth := math.Inf(1)
+				for _, v := range wantVals {
+					kth = math.Min(kth, math.Abs(v))
+				}
+				if got := sel.AbsKth(g, k); got != kth {
+					t.Fatalf("d=%d k=%d pass %d: AbsKth %v, oracle %v", d, k, pass, got, kth)
+				}
+			}
+		}
+	}
+}
+
 // TestSelectorAbsKthMatchesReference checks the reusable radix select
 // against the package-level function across the size crossover.
 func TestSelectorAbsKthMatchesReference(t *testing.T) {
