@@ -53,6 +53,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -351,20 +352,11 @@ func runNode(opt options) error {
 		return err
 	}
 	if opt.node == workers { // parameter-server rank
-		first := 0
-		if opt.resume != "" {
-			// The server is stateless; it only needs the step the workers
-			// resume at, which it reads off worker 0's checkpoint (same
-			// filesystem under -launch; multi-host operators adjust -iters
-			// instead).
-			ck, err := dist.LoadCheckpoint(fmt.Sprintf("%s.rank0", opt.resume))
-			if err != nil {
-				return fmt.Errorf("-resume on the server rank reads rank 0's checkpoint for the round offset: %w", err)
-			}
-			first = ck.Step
-			if first >= opt.iters {
-				return fmt.Errorf("-resume: checkpoint already at step %d, -iters %d (total) leaves nothing to serve", ck.Step, opt.iters)
-			}
+		// The server is stateless; it only needs the step the workers
+		// resume at.
+		first, err := resumeStep(opt)
+		if err != nil {
+			return err
 		}
 		if err := nd.Serve(first, opt.iters-first); err != nil {
 			return err
@@ -425,7 +417,7 @@ func runNode(opt options) error {
 		}
 	}
 	if opt.node == 0 {
-		printLosses(opt, coll, losses)
+		printLosses(os.Stdout, opt, coll, losses, start)
 	}
 	fmt.Printf("node %d: final global loss %.17g over %d iterations\n", opt.node, losses[len(losses)-1], opt.iters)
 	if opt.check {
@@ -446,16 +438,35 @@ func resolveCollective(opt options, coll netsim.Collective) netsim.Collective {
 	return netsim.CollectiveRing
 }
 
-// printLosses renders rank 0's view of the run.
-func printLosses(opt options, coll netsim.Collective, losses []float64) {
+// printLosses renders rank 0's view of the run: losses[i] is global step
+// start+i, so a resumed run's rows carry the steps it actually ran.
+func printLosses(w io.Writer, opt options, coll netsim.Collective, losses []float64, start int) {
 	tbl := harness.NewTable(
 		fmt.Sprintf("Multi-process run — %s over TCP, %s, N from host list, delta=%g: global loss per iteration",
 			coll, opt.compressor, opt.delta),
 		"iter", "global loss")
 	for i, l := range losses {
-		tbl.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%.17g", l))
+		tbl.AddRow(fmt.Sprintf("%d", start+i), fmt.Sprintf("%.17g", l))
 	}
-	tbl.Render(os.Stdout)
+	tbl.Render(w)
+}
+
+// resumeStep is the step a -resume run starts at, 0 without -resume. It
+// reads worker 0's checkpoint, which is what the stateless server rank
+// and the launcher's trace check go by (same filesystem under -launch;
+// multi-host operators adjust -iters instead).
+func resumeStep(opt options) (int, error) {
+	if opt.resume == "" {
+		return 0, nil
+	}
+	ck, err := dist.LoadCheckpoint(fmt.Sprintf("%s.rank0", opt.resume))
+	if err != nil {
+		return 0, fmt.Errorf("-resume reads rank 0's checkpoint for the resume step: %w", err)
+	}
+	if ck.Step >= opt.iters {
+		return 0, fmt.Errorf("-resume: checkpoint already at step %d, -iters %d (total) leaves nothing to run", ck.Step, opt.iters)
+	}
+	return ck.Step, nil
 }
 
 // resumeNotBitwise names the compressors that carry state across steps
@@ -723,6 +734,12 @@ func runLaunch(opt options) error {
 			return err
 		}
 	}
+	// Read before the children run: a -ckpt on the same prefix rewrites
+	// the checkpoint as they go.
+	start, err := resumeStep(opt)
+	if err != nil {
+		return err
+	}
 	cfg, err := clusterConfig(opt, opt.launch, coll)
 	if err != nil {
 		return err
@@ -872,7 +889,7 @@ func runLaunch(opt options) error {
 	}
 	fmt.Printf("launch: all %d processes finished cleanly\n", nodes)
 	if opt.telemetryPath != "" && opt.check {
-		if err := checkLaunchTraces(opt, coll, nodes); err != nil {
+		if err := checkLaunchTraces(opt, coll, nodes, opt.iters-start); err != nil {
 			return err
 		}
 	}
@@ -885,7 +902,10 @@ func parseKillRank(s string) (rank, step int, err error) {
 	if s == "" {
 		return -1, -1, nil
 	}
-	if _, serr := fmt.Sscanf(s, "%d@%d", &rank, &step); serr != nil || rank < 0 || step < 0 {
+	r, k, ok := strings.Cut(s, "@")
+	rank, rerr := strconv.Atoi(r)
+	step, kerr := strconv.Atoi(k)
+	if !ok || rerr != nil || kerr != nil || rank < 0 || step < 0 {
 		return -1, -1, fmt.Errorf("-kill-rank %q: want R@K with rank R and step K both >= 0", s)
 	}
 	return rank, step, nil
@@ -950,10 +970,11 @@ func checkSurvivorAgreement(nodes, killR, serverRank int, output func(rank int) 
 // into one global timeline and gates the deployment on it: every
 // gradient message and every TCP frame the ranks sent must pair with
 // exactly one receive on the peer's stream, and the paired gradient
-// total must equal iters exchanges of the collective's closed-form
-// message count — the cross-process half of the traffic accounting each
-// child already verified locally.
-func checkLaunchTraces(opt options, coll netsim.Collective, nodes int) error {
+// total must equal steps exchanges (the ones this launch ran, after any
+// resume) of the collective's closed-form message count — the
+// cross-process half of the traffic accounting each child already
+// verified locally.
+func checkLaunchTraces(opt options, coll netsim.Collective, nodes, steps int) error {
 	streams := make([]*traceview.Stream, 0, nodes)
 	for rank := 0; rank < nodes; rank++ {
 		s, err := traceview.ReadFile(fmt.Sprintf("%s.rank%d", opt.telemetryPath, rank))
@@ -970,7 +991,7 @@ func checkLaunchTraces(opt options, coll netsim.Collective, nodes int) error {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
 	resolved := resolveCollective(opt, coll)
-	if err := traceview.CheckMessageCount(tl, resolved, opt.launch, opt.iters); err != nil {
+	if err := traceview.CheckMessageCount(tl, resolved, opt.launch, steps); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
 	paired, _, _ := tl.PairStats(false)

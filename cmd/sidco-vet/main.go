@@ -1,7 +1,10 @@
-// Command sidco-vet runs the repo's static-analysis suite — the four
+// Command sidco-vet runs the repo's static-analysis suite — the five
 // analyzers in internal/analysis that enforce the determinism,
-// zero-alloc, lock-discipline and error-taxonomy invariants — over a
-// set of package patterns, in the style of a go/analysis multichecker.
+// zero-alloc, lock-discipline and error-taxonomy invariants and keep
+// exports nothing ships deleted — over a set of package patterns, in
+// the style of a go/analysis multichecker. deadexport indexes uses
+// across the whole repo (root and nested modules) whatever the
+// patterns, so its findings do not depend on them.
 //
 // Usage:
 //
@@ -15,7 +18,7 @@
 // and any finding makes the process exit 1, so the CI quick gate can
 // run `go run ./cmd/sidco-vet ./...` and fail the build on a
 // violation. -c restricts the run to a comma-separated subset of
-// analyzers (determinism, hotpath, lockcheck, errclass).
+// analyzers (determinism, hotpath, lockcheck, errclass, deadexport).
 package main
 
 import (

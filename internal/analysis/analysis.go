@@ -1,7 +1,8 @@
-// Package analysis is the repo's static-analysis suite: four analyzers
+// Package analysis is the repo's static-analysis suite: five analyzers
 // that enforce at compile time the invariants the runtime test matrix
 // (AllocsPerRun guards, -race, bitwise loss comparisons) can only catch
-// on exercised paths.
+// on exercised paths, and the design rule that no API is kept alive
+// only by its own tests.
 //
 //   - determinism flags wall-clock reads (time.Now/Since/...), global
 //     math/rand top-level functions, and map iteration whose body
@@ -33,6 +34,11 @@
 //     unclassified errors (errors.New, fmt.Errorf with no error
 //     operand) defeat the retry logic's recoverable-vs-fatal split and
 //     need a `//sidco:errclass <reason>` exemption.
+//   - deadexport flags, in packages under internal/, an exported
+//     identifier (or an exported method that implements no interface
+//     method) that no non-test file of the root or the nested bench
+//     module references outside its own declaration. Exports kept on
+//     purpose for tests carry `//sidco:oracle <reason>`.
 //
 // The types here deliberately mirror golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic), but the implementation is stdlib-only:
@@ -106,9 +112,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// ObjectOf resolves an identifier to its object, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.TypesInfo.ObjectOf(id) }
-
 // RunAnalyzers applies each analyzer to each package and returns every
 // finding sorted by position. Analyzer errors abort the run.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -154,5 +157,5 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DeterminismAnalyzer, HotpathAnalyzer, LockcheckAnalyzer, ErrclassAnalyzer}
+	return []*Analyzer{DeterminismAnalyzer, HotpathAnalyzer, LockcheckAnalyzer, ErrclassAnalyzer, DeadexportAnalyzer}
 }

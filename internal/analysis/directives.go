@@ -14,15 +14,17 @@ import (
 //	//sidco:locked <mu> [why]  function runs with <mu> already held
 //	//sidco:nolock <reason>    suppress a lockcheck finding
 //	//sidco:errclass <reason>  suppress an errclass finding
+//	//sidco:oracle <reason>    keep an export only tests use
 //	// guarded by <mu>         struct field protected by sibling mutex
 //
 // The sidco: forms follow the Go directive-comment convention (no
 // space after //, so gofmt leaves them alone). A suppression directive
 // covers the line it sits on and the line below it, so it can trail a
 // statement or sit on its own line above one; nondet, hotpath, locked
-// and errclass also apply function-wide from a function's doc comment.
+// and errclass also apply function-wide from a function's doc comment,
+// and oracle from anywhere in a declaration's doc comment.
 type Directive struct {
-	Name string // "nondet", "hotpath", "alloc", "locked", "nolock", "errclass"
+	Name string // "nondet", "hotpath", "alloc", "locked", "nolock", "errclass", "oracle"
 	Arg  string // remainder of the comment, trimmed
 	Pos  token.Pos
 }
@@ -42,7 +44,7 @@ func parseDirective(c *ast.Comment) (Directive, bool) {
 		name, arg = rest[:i], strings.TrimSpace(rest[i+1:])
 	}
 	switch name {
-	case "nondet", "hotpath", "alloc", "locked", "nolock", "errclass":
+	case "nondet", "hotpath", "alloc", "locked", "nolock", "errclass", "oracle":
 		return Directive{Name: name, Arg: arg, Pos: c.Pos()}, true
 	}
 	return Directive{}, false
@@ -93,10 +95,16 @@ func (p *Pass) DirectiveAt(pos token.Pos, name string) (Directive, bool) {
 // FuncDirective returns the directive of the given name in a function
 // declaration's doc comment.
 func FuncDirective(fn *ast.FuncDecl, name string) (Directive, bool) {
-	if fn.Doc == nil {
+	return commentDirective(fn.Doc, name)
+}
+
+// commentDirective returns the directive of the given name in a comment
+// group, which may be nil.
+func commentDirective(cg *ast.CommentGroup, name string) (Directive, bool) {
+	if cg == nil {
 		return Directive{}, false
 	}
-	for _, c := range fn.Doc.List {
+	for _, c := range cg.List {
 		if d, ok := parseDirective(c); ok && d.Name == name {
 			return d, true
 		}

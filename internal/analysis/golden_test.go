@@ -10,6 +10,12 @@ func TestLockcheckGolden(t *testing.T) { runGolden(t, LockcheckAnalyzer, "lockch
 
 func TestErrclassGolden(t *testing.T) { runGolden(t, ErrclassAnalyzer, "errclass") }
 
+// The deadexport corpus is a module of its own (with a nested module),
+// since the analyzer indexes uses across the whole repo around a package.
+func TestDeadexportGolden(t *testing.T) {
+	runGolden(t, DeadexportAnalyzer, "deadexport/internal/lib")
+}
+
 // TestSuiteCleanOnRepo is the acceptance gate sidco-vet enforces in
 // CI: the full analyzer suite over the whole module must be silent —
 // every genuine finding fixed, every intentional one annotated with a

@@ -168,6 +168,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // package graph, and may import the standard library — imports are
 // resolved through `go list -export` run from dir (any directory of
 // this repo works, since stdlib resolution only needs a Go toolchain).
+//
+//sidco:oracle the golden-package loader of the analyzers' own tests
 func LoadDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -44,6 +44,8 @@ type FaultTransport struct {
 
 // NewFaultTransport wraps inner with plan. The zero plan injects
 // nothing: the wrapper is then a transparent pass-through.
+//
+//sidco:oracle the fault injector the recovery tests drive
 func NewFaultTransport(inner Transport, plan FaultPlan) *FaultTransport {
 	return &FaultTransport{inner: inner, plan: plan, sent: make(map[Link]int)}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,7 +181,7 @@ func (t *Instrumented) Send(from, to int, payload []byte) error {
 	t.tel.CountSeq(telemetry.CounterSentMessages, from, to, 1, seq, step)
 	t.tel.CountSeq(telemetry.CounterSentBytes, from, to, int64(len(payload)), seq, step)
 	if hasVirtual {
-		t.tel.Virtual(telemetry.SpanSend, from, to, -1, step, seq, int64(len(payload)),
+		t.tel.Virtual(telemetry.SpanSend, from, to, step, seq, int64(len(payload)),
 			vStart*1e9, vEnd*1e9)
 	}
 	return t.inner.Send(from, to, payload)
@@ -253,7 +252,7 @@ func (t *Instrumented) recv(to, from int, timeout time.Duration) ([]byte, error)
 		t.tel.CountSeq(telemetry.CounterRecvMessages, from, to, 1, seq, step)
 		t.tel.CountSeq(telemetry.CounterRecvBytes, from, to, int64(len(payload)), seq, step)
 		if hasVirtual {
-			t.tel.Virtual(telemetry.SpanRecv, to, from, -1, step, seq, int64(len(payload)),
+			t.tel.Virtual(telemetry.SpanRecv, to, from, step, seq, int64(len(payload)),
 				vStart*1e9, vEnd*1e9)
 		}
 	}
@@ -275,7 +274,7 @@ func (t *Instrumented) Compute(node int, seconds float64) {
 	t.clock[node] = start + seconds*t.straggler(node)
 	end := t.clock[node]
 	t.mu.Unlock()
-	t.tel.Virtual(telemetry.SpanCompute, node, -1, -1, t.step.Load(), -1, 0,
+	t.tel.Virtual(telemetry.SpanCompute, node, -1, t.step.Load(), -1, 0,
 		start*1e9, end*1e9)
 }
 
@@ -289,6 +288,8 @@ func (t *Instrumented) straggler(node int) float64 {
 }
 
 // LinkStats returns the sent traffic of one directed link.
+//
+//sidco:oracle per-link traffic the exact-traffic tests compare with netsim
 func (t *Instrumented) LinkStats(from, to int) LinkStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -300,6 +301,8 @@ func (t *Instrumented) LinkStats(from, to int) LinkStats {
 
 // RecvLinkStats returns the received traffic of one directed link —
 // messages this wrapper's Recv actually delivered at node to.
+//
+//sidco:oracle per-link receipts the exact-traffic tests compare with sends
 func (t *Instrumented) RecvLinkStats(from, to int) LinkStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -338,22 +341,10 @@ func (t *Instrumented) Elapsed() float64 {
 	return max
 }
 
-// NodeTime returns one node's virtual clock.
-//
-//sidco:errclass caller-misuse validation, deliberately fatal
-func (t *Instrumented) NodeTime(node int) (float64, error) {
-	// The slice header itself is immutable after construction; only the
-	// element values are guarded by mu.
-	if node < 0 || node >= len(t.clock) { //sidco:nolock immutable slice header, bounds check only
-		return 0, fmt.Errorf("cluster: node %d outside %d", node, len(t.clock))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clock[node], nil
-}
-
 // Reset clears traffic counters and virtual clocks, typically between
 // steps so per-step measurements stay independent.
+//
+//sidco:oracle lets the traffic tests measure one step in isolation
 func (t *Instrumented) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

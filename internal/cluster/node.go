@@ -63,7 +63,7 @@ type nodeScratch struct {
 // aggregated mean where the job says. The whole round is traced as one
 // collective span per node.
 func (n *Node) runWorker(jb job) error {
-	span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(jb.step))
+	span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, int64(jb.step))
 	err := n.runCollective(jb)
 	span.End()
 	return err
@@ -172,7 +172,7 @@ func (n *Node) encodeLocal(jb job) error {
 	if err != nil {
 		return err
 	}
-	es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, n.cfg.Rank, -1, -1, int64(jb.step)).WithValue(int64(n.format))
+	es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, n.cfg.Rank, -1, int64(jb.step)).WithValue(int64(n.format))
 	n.sc.enc, err = encoding.EncodeTo(n.sc.enc[:0], sp, n.format)
 	es.End()
 	return err
@@ -547,7 +547,7 @@ func (n *Node) Serve(first, rounds int) error {
 func (n *Node) serveRound(step int) error {
 	n.tp.SetStep(int64(step))
 	for attempt := 0; ; attempt++ {
-		span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(step))
+		span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, int64(step))
 		recv := interceptRecv(n.tp, n.stepDeadline())
 		err := n.srv.round(n.tp, recv, n.server, n.workers, n.format)
 		span.End()

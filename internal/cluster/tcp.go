@@ -170,18 +170,6 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 // Nodes implements Transport.
 func (t *TCPTransport) Nodes() int { return t.n }
 
-// Addr returns the address node listens on (with any port 0 resolved to
-// the bound port) — what a single-process launcher passes to the host
-// list of its children.
-//
-//sidco:errclass caller-misuse validation, deliberately fatal
-func (t *TCPTransport) Addr(node int) (string, error) {
-	if node < 0 || node >= t.n {
-		return "", fmt.Errorf("cluster: node %d outside %d nodes", node, t.n)
-	}
-	return t.addrs[node], nil
-}
-
 func (t *TCPTransport) closed() bool {
 	select {
 	case <-t.done:
@@ -279,7 +267,7 @@ func (t *TCPTransport) sendLink(from, to int) *tcpSendLink {
 // Peers of a multi-process launch start at different times, so refused
 // connections are retried with backoff until DialTimeout.
 func (t *TCPTransport) dial(from, to int) (net.Conn, error) {
-	span := t.tel.Begin(telemetry.SpanDial, from, to, -1, -1)
+	span := t.tel.Begin(telemetry.SpanDial, from, to, -1)
 	deadline := time.Now().Add(t.dialTimeout) //sidco:nondet dial deadline, connection setup only
 	backoff := 10 * time.Millisecond
 	for {
@@ -535,6 +523,8 @@ func (t *TCPTransport) noteHandshakeErr(err error) {
 // far: connections that were established but never delivered a valid
 // handshake frame. A peer that accepts-but-stalls surfaces here as an
 // error wrapping ErrHandshakeTimeout naming the remote address.
+//
+//sidco:oracle what the stalled-handshake tests observe
 func (t *TCPTransport) HandshakeErrors() []error {
 	t.hsMu.Lock()
 	defer t.hsMu.Unlock()

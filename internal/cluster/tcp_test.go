@@ -180,12 +180,6 @@ func TestTCPTransportValidation(t *testing.T) {
 	if err := tp.Send(0, 0, nil); err == nil {
 		t.Error("self-send should error")
 	}
-	if a, err := tp.Addr(0); err != nil || a == "" {
-		t.Errorf("Addr(0) = %q, %v", a, err)
-	}
-	if _, err := tp.Addr(5); err == nil {
-		t.Error("out-of-range Addr should error")
-	}
 }
 
 // TestTCPEngineMatchesChanBitwise runs the same exchange through an

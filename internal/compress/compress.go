@@ -133,28 +133,6 @@ func (t *TopK) CompressInto(dst *tensor.Sparse, g []float64, delta float64) erro
 	return nil
 }
 
-// Threshold keeps every element with |g_i| >= Eta, regardless of delta —
-// the raw compression operator C_eta of Section 2.3, exposed for tests and
-// for estimators that compute eta themselves.
-type Threshold struct {
-	Eta float64
-}
-
-// Name implements Compressor.
-func (Threshold) Name() string { return "threshold" }
-
-// CompressInto implements Compressor; delta is ignored.
-//
-//sidco:hotpath
-func (t Threshold) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
-	if len(g) == 0 {
-		return errEmptyGradient
-	}
-	dst.Reset(len(g))
-	dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, t.Eta, dst.Idx, dst.Vals)
-	return nil
-}
-
 // Correction says what replaced a threshold estimate whose selection
 // missed the tolerance band around k.
 type Correction uint8

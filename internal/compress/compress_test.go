@@ -115,17 +115,6 @@ func TestTopKDoesNotModifyInput(t *testing.T) {
 	}
 }
 
-func TestThresholdCompressor(t *testing.T) {
-	g := []float64{0.5, -1.5, 0.2}
-	s, err := FreshCompress(Threshold{Eta: 0.5}, g, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NNZ() != 2 {
-		t.Fatalf("NNZ = %d", s.NNZ())
-	}
-}
-
 func TestRandomKCountAndScaling(t *testing.T) {
 	g := laplaceVec(5000, 1, 3)
 	c := NewRandomK(7, false)
@@ -331,7 +320,7 @@ func TestGaussianKSGDFactorClamped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f := c.Factor(); f < 1e-2 || f > 1e2 {
+	if f := c.factor; f < 1e-2 || f > 1e2 {
 		t.Errorf("factor escaped clamp: %v", f)
 	}
 }
@@ -379,7 +368,6 @@ func TestCompressIntoMatchesCompress(t *testing.T) {
 	}{
 		{"none", None{}, None{}},
 		{"topk", NewTopK(), NewTopK()},
-		{"threshold", Threshold{Eta: 0.8}, Threshold{Eta: 0.8}},
 		{"dgc", NewDGC(5), NewDGC(5)},
 		{"redsync", NewRedSync(), NewRedSync()},
 		{"gaussiank", NewGaussianKSGD(), NewGaussianKSGD()},

@@ -52,9 +52,6 @@ func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 	e.wireSet = true
 }
 
-// ClearWireFormat restores plain sparsification-only error feedback.
-func (e *ErrorFeedback) ClearWireFormat() { e.wireSet = false }
-
 // LastSelection implements SelectionReporter by forwarding to the wrapped
 // compressor.
 func (e *ErrorFeedback) LastSelection() Selection {
@@ -131,11 +128,4 @@ func (e *ErrorFeedback) RestoreResidual(r []float64) {
 		return
 	}
 	e.residual = append(e.residual[:0], r...)
-}
-
-// Reset clears the residual, e.g. between independent training runs.
-func (e *ErrorFeedback) Reset() {
-	if e.residual != nil {
-		tensor.Zero(e.residual)
-	}
 }

@@ -84,11 +84,3 @@ func (c *GaussianKSGD) CompressInto(dst *tensor.Sparse, g []float64, delta float
 	}
 	return nil
 }
-
-// Factor exposes the current correction factor for tests and diagnostics.
-func (c *GaussianKSGD) Factor() float64 {
-	if c.factor == 0 {
-		return 1
-	}
-	return c.factor
-}

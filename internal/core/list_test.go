@@ -247,7 +247,9 @@ func TestListSelectionSpecialsAndLengths(t *testing.T) {
 		return g
 	}
 	equal := make([]float64, 20000)
-	tensor.Fill(equal, -0.5)
+	for i := range equal {
+		equal[i] = -0.5
+	}
 	inputs := map[string][]float64{
 		"zeros-salted": salted(30000, 0, math.Copysign(0, -1)),
 		"inf-salted":   salted(30000, math.Inf(1), math.Inf(-1), 0),

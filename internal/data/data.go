@@ -1,10 +1,9 @@
 // Package data provides deterministic synthetic datasets standing in for
 // the paper's benchmarks: class-conditional images (CIFAR-10 / ImageNet
-// stand-in), a Zipfian Markov token corpus (PTB stand-in), and
-// frame-labelled feature sequences (AN4 stand-in). The tasks are learnable
-// but noisy, so training-loss curves have the monotone-but-slowing shape
-// real benchmarks show, and they degrade under bad gradient compression
-// exactly as the paper's Figure 4 illustrates.
+// stand-in) and a Zipfian Markov token corpus (PTB stand-in). The tasks
+// are learnable but noisy, so training-loss curves have the
+// monotone-but-slowing shape real benchmarks show, and they degrade under
+// bad gradient compression exactly as the paper's Figure 4 illustrates.
 package data
 
 import (
@@ -94,9 +93,6 @@ func NewImages(cfg ImagesConfig) *Images {
 	return d
 }
 
-// Len returns the number of samples.
-func (d *Images) Len() int { return d.N }
-
 // Batch samples a batch of the given size (with replacement) using rng and
 // returns the pixel tensor [B, C, H, W] and the labels.
 func (d *Images) Batch(rng *rand.Rand, size int) (*nn.Tensor, []int) {
@@ -108,14 +104,6 @@ func (d *Images) Batch(rng *rand.Rand, size int) (*nn.Tensor, []int) {
 		copy(x.Data[b*vol:(b+1)*vol], d.pixels[n*vol:(n+1)*vol])
 		labels[b] = d.labels[n]
 	}
-	return x, labels
-}
-
-// All returns the full dataset as one batch (for evaluation).
-func (d *Images) All() (*nn.Tensor, []int) {
-	x := nn.NewTensor(d.N, d.C, d.H, d.W)
-	copy(x.Data, d.pixels)
-	labels := append([]int(nil), d.labels...)
 	return x, labels
 }
 
@@ -165,9 +153,6 @@ func NewCorpus(cfg CorpusConfig) *Corpus {
 	return c
 }
 
-// Len returns the stream length.
-func (c *Corpus) Len() int { return len(c.tokens) }
-
 // Batch samples contiguous windows: x is [B, T] token ids, targets are the
 // next tokens (one per position, length B*T).
 func (c *Corpus) Batch(rng *rand.Rand, batch, T int) (*nn.Tensor, []int) {
@@ -179,89 +164,6 @@ func (c *Corpus) Batch(rng *rand.Rand, batch, T int) (*nn.Tensor, []int) {
 			x.Data[b*T+t] = float64(c.tokens[start+t])
 			targets[b*T+t] = c.tokens[start+t+1]
 		}
-	}
-	return x, targets
-}
-
-// Sequences is a synthetic frame-labelled sequence dataset standing in for
-// AN4 speech: input frames are noisy embeddings of hidden phoneme-like
-// states that evolve as a Markov chain, and the task is per-frame state
-// classification (a CTC-free stand-in for acoustic modelling).
-type Sequences struct {
-	N, T, Feat, States int
-
-	frames []float64 // [N, T, Feat]
-	labels []int     // [N, T]
-}
-
-// SequencesConfig parameterises NewSequences.
-type SequencesConfig struct {
-	// N is the number of utterances, T frames each.
-	N, T int
-	// Feat is the frame feature dimension (default 8).
-	Feat int
-	// States is the number of hidden states (default 6).
-	States int
-	// Noise is the frame noise standard deviation (default 0.5).
-	Noise float64
-	// Seed fixes the dataset.
-	Seed int64
-}
-
-// NewSequences builds the dataset.
-func NewSequences(cfg SequencesConfig) *Sequences {
-	if cfg.Feat == 0 {
-		cfg.Feat = 8
-	}
-	if cfg.States == 0 {
-		cfg.States = 6
-	}
-	if cfg.Noise == 0 {
-		cfg.Noise = 0.5
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// State embeddings.
-	emb := make([][]float64, cfg.States)
-	for s := range emb {
-		emb[s] = make([]float64, cfg.Feat)
-		for j := range emb[s] {
-			emb[s][j] = rng.NormFloat64()
-		}
-	}
-	d := &Sequences{
-		N: cfg.N, T: cfg.T, Feat: cfg.Feat, States: cfg.States,
-		frames: make([]float64, cfg.N*cfg.T*cfg.Feat),
-		labels: make([]int, cfg.N*cfg.T),
-	}
-	for n := 0; n < cfg.N; n++ {
-		state := rng.Intn(cfg.States)
-		for t := 0; t < cfg.T; t++ {
-			// Sticky Markov dynamics: stay with probability 0.7.
-			if rng.Float64() > 0.7 {
-				state = rng.Intn(cfg.States)
-			}
-			d.labels[n*cfg.T+t] = state
-			for j := 0; j < cfg.Feat; j++ {
-				d.frames[(n*cfg.T+t)*cfg.Feat+j] = emb[state][j] + rng.NormFloat64()*cfg.Noise
-			}
-		}
-	}
-	return d
-}
-
-// Len returns the number of utterances.
-func (d *Sequences) Len() int { return d.N }
-
-// Batch samples utterances with replacement: x is [B, T, Feat], targets
-// are per-frame labels (length B*T).
-func (d *Sequences) Batch(rng *rand.Rand, size int) (*nn.Tensor, []int) {
-	x := nn.NewTensor(size, d.T, d.Feat)
-	targets := make([]int, size*d.T)
-	vol := d.T * d.Feat
-	for b := 0; b < size; b++ {
-		n := rng.Intn(d.N)
-		copy(x.Data[b*vol:(b+1)*vol], d.frames[n*vol:(n+1)*vol])
-		copy(targets[b*d.T:(b+1)*d.T], d.labels[n*d.T:(n+1)*d.T])
 	}
 	return x, targets
 }

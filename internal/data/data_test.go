@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -10,24 +11,18 @@ import (
 func TestImagesDeterministic(t *testing.T) {
 	a := NewImages(ImagesConfig{N: 50, Seed: 1})
 	b := NewImages(ImagesConfig{N: 50, Seed: 1})
-	xa, la := a.All()
-	xb, lb := b.All()
-	for i := range xa.Data {
-		if xa.Data[i] != xb.Data[i] {
-			t.Fatal("same seed, different pixels")
-		}
+	if !slices.Equal(a.pixels, b.pixels) {
+		t.Fatal("same seed, different pixels")
 	}
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatal("same seed, different labels")
-		}
+	if !slices.Equal(a.labels, b.labels) {
+		t.Fatal("same seed, different labels")
 	}
 }
 
 func TestImagesBatchShapes(t *testing.T) {
 	d := NewImages(ImagesConfig{N: 100, C: 3, H: 12, W: 12, Classes: 10, Seed: 2})
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d", d.Len())
+	if d.N != 100 || len(d.labels) != 100 {
+		t.Fatalf("N = %d, %d labels", d.N, len(d.labels))
 	}
 	rng := rand.New(rand.NewSource(3))
 	x, labels := d.Batch(rng, 16)
@@ -59,21 +54,27 @@ func TestImagesAreLearnable(t *testing.T) {
 	opt := &nn.SGD{LR: 0.05}
 	for step := 0; step < 150; step++ {
 		x, labels := d.Batch(rng, 32)
-		model.ZeroGrad()
 		loss.Forward(model.Forward(x), labels)
 		model.Backward(loss.Backward())
-		opt.Step(model.Params())
+		opt.Step(model.Params()) // consumes and zeroes every G
 	}
-	x, labels := d.All()
-	acc := nn.Accuracy(model.Forward(x), labels)
-	if acc < 0.6 {
+	x := &nn.Tensor{Shape: []int{d.N, d.C, d.H, d.W}, Data: d.pixels}
+	y := model.Forward(x)
+	correct := 0
+	for n, label := range d.labels {
+		row := y.Data[4*n : 4*n+4]
+		if slices.Index(row, slices.Max(row)) == label {
+			correct++
+		}
+	}
+	if acc := float64(correct) / float64(d.N); acc < 0.6 {
 		t.Errorf("accuracy after training = %v, want > 0.6 (chance 0.25)", acc)
 	}
 }
 
 func TestCorpusBatchAndTargets(t *testing.T) {
 	c := NewCorpus(CorpusConfig{Tokens: 5000, Vocab: 30, Seed: 6})
-	if c.Len() != 5000 || c.Vocab != 30 {
+	if len(c.tokens) != 5000 || c.Vocab != 30 {
 		t.Fatalf("corpus meta wrong")
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -100,7 +101,7 @@ func TestCorpusHasLearnableStructure(t *testing.T) {
 	for i := range counts {
 		counts[i] = make([]float64, 20)
 	}
-	for i := 0; i+1 < c.Len(); i++ {
+	for i := 0; i+1 < len(c.tokens); i++ {
 		counts[c.tokens[i]][c.tokens[i+1]]++
 	}
 	// Mean max-transition probability across rows.
@@ -119,49 +120,5 @@ func TestCorpusHasLearnableStructure(t *testing.T) {
 	}
 	if avg := sum / 20; avg < 0.3 {
 		t.Errorf("mean argmax transition prob = %v; corpus too random to learn", avg)
-	}
-}
-
-func TestSequencesShapesAndLabels(t *testing.T) {
-	d := NewSequences(SequencesConfig{N: 40, T: 12, Seed: 9})
-	if d.Len() != 40 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	rng := rand.New(rand.NewSource(10))
-	x, targets := d.Batch(rng, 8)
-	if x.Shape[0] != 8 || x.Shape[1] != 12 || x.Shape[2] != d.Feat {
-		t.Fatalf("shape %v", x.Shape)
-	}
-	if len(targets) != 8*12 {
-		t.Fatalf("targets %d", len(targets))
-	}
-	for _, l := range targets {
-		if l < 0 || l >= d.States {
-			t.Fatalf("label %d out of range", l)
-		}
-	}
-}
-
-func TestSequencesAreLearnable(t *testing.T) {
-	d := NewSequences(SequencesConfig{N: 200, T: 10, Noise: 0.3, Seed: 11})
-	rng := rand.New(rand.NewSource(12))
-	model := nn.NewSequential(
-		nn.NewSimpleRNN("r1", d.Feat, 16, rng),
-		nn.NewTimeDistributed(nn.NewDense("out", 16, d.States, rng)),
-	)
-	loss := &nn.SoftmaxCrossEntropy{}
-	opt := &nn.Momentum{LR: 0.05, Mu: 0.9, Nesterov: true}
-	var final float64
-	for step := 0; step < 200; step++ {
-		x, targets := d.Batch(rng, 16)
-		model.ZeroGrad()
-		final = loss.Forward(model.Forward(x), targets)
-		model.Backward(loss.Backward())
-		nn.ClipGradNorm(model.Params(), 5)
-		opt.Step(model.Params())
-	}
-	// Chance loss is log(6) ~ 1.79; the model should roughly halve it.
-	if final > 1.0 {
-		t.Errorf("sequence loss after training = %v", final)
 	}
 }

@@ -88,7 +88,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			var tracer *telemetry.Tracer
 			agg := telemetry.NewAggregator()
 			if tc.traced {
-				tracer = telemetry.New(agg, telemetry.NewJSONL(io.Discard))
+				tracer = telemetry.New(agg, telemetry.NewJSONLForNode(io.Discard, -1))
 			}
 			tr := allocTrainer(t, tc.workers, tc.factory, tracer)
 			if tc.dense {

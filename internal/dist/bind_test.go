@@ -16,7 +16,7 @@ import (
 // TestTrainerGradientMatchesUnboundReplica checks that binding the
 // parameters' G into each worker's flat buffer changed where gradients
 // land and nothing else. An independent replica steps the same model the
-// way the Trainer did before the bind — ZeroGrad, forward, backward, copy
+// way the Trainer did before the bind — clear G, forward, backward, copy
 // every G out — through the same compressors, reducer and optimizer; the
 // Trainer's OnGradient tap and per-step losses must equal the replica's
 // bit for bit, with several workers rebinding one model and with the
@@ -92,7 +92,9 @@ func TestTrainerGradientMatchesUnboundReplica(t *testing.T) {
 					sum := 0.0
 					for w := 0; w < workers; w++ {
 						x, targets := ds.Batch(rngs[w], batch)
-						model.ZeroGrad()
+						for _, p := range params {
+							clear(p.G)
+						}
 						sum += loss.Forward(model.Forward(x), targets)
 						model.Backward(loss.Backward())
 						flat := ins[w].Dense

@@ -64,9 +64,6 @@ func (t *Trainer) Checkpoint() (*Checkpoint, error) {
 	return c, nil
 }
 
-// Iter returns the number of completed steps.
-func (t *Trainer) Iter() int { return t.iter }
-
 // Restore rewinds a freshly constructed trainer onto a checkpoint:
 // weights and per-worker EC residuals are overwritten, and each
 // worker's RNG stream is fast-forwarded by replaying the completed

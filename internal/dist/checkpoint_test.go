@@ -120,8 +120,8 @@ func resumeBitIdentical(t *testing.T, comp string) {
 	if err := resumed.Restore(loaded); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Iter() != cut {
-		t.Fatalf("resumed trainer at iter %d, want %d", resumed.Iter(), cut)
+	if resumed.iter != cut {
+		t.Fatalf("resumed trainer at iter %d, want %d", resumed.iter, cut)
 	}
 	for it := cut; it < total; it++ {
 		loss, err := resumed.Step()

@@ -279,6 +279,8 @@ func (t *Trainer) Dim() int { return t.dim }
 // parameter's G aliases the flat gradient buffer of the last worker to
 // run its pass, which clipping and compression have rewritten since: read
 // gradients through OnGradient, not through G.
+//
+//sidco:oracle the weights the bit-identity and resume tests compare
 func (t *Trainer) Params() []*nn.Param { return t.params }
 
 // localGradient runs one worker's half-step: batch draw, forward,
@@ -289,7 +291,7 @@ func (t *Trainer) localGradient(w *worker) error {
 	// The model pass includes lock wait: with several workers the mutex
 	// serialises the passes, and that contention is part of what the
 	// compute span is for.
-	cs := t.cfg.Telemetry.Begin(telemetry.SpanCompute, w.id, -1, -1, int64(t.iter))
+	cs := t.cfg.Telemetry.Begin(telemetry.SpanCompute, w.id, -1, int64(t.iter))
 	x, targets := t.cfg.Batch(w.id, w.rng)
 
 	// Backward lands straight in this worker's flat buffer: the
@@ -318,7 +320,7 @@ func (t *Trainer) localGradient(w *worker) error {
 	// The selection lands in the worker's reused sparse scratch: the
 	// exchange consumes it synchronously inside Step, so by the next
 	// iteration no one holds a reference and the storage can be recycled.
-	ks := t.cfg.Telemetry.Begin(telemetry.SpanCompress, w.id, -1, -1, int64(t.iter))
+	ks := t.cfg.Telemetry.Begin(telemetry.SpanCompress, w.id, -1, int64(t.iter))
 	err := w.comp.CompressInto(w.sparse, w.flat, t.cfg.Delta)
 	ks.End()
 	if err != nil {
@@ -375,7 +377,7 @@ func (t *Trainer) stepWorker(w *worker) {
 //
 //sidco:hotpath
 func (t *Trainer) Step() (float64, error) {
-	ss := t.cfg.Telemetry.Begin(telemetry.SpanStep, t.cfg.FirstWorker, -1, -1, int64(t.iter))
+	ss := t.cfg.Telemetry.Begin(telemetry.SpanStep, t.cfg.FirstWorker, -1, int64(t.iter))
 	if len(t.workers) == 1 {
 		// Single-worker training needs no barrier; running inline keeps
 		// the steady-state step allocation-free.
@@ -406,7 +408,7 @@ func (t *Trainer) Step() (float64, error) {
 		loss += w.loss
 		ratio += w.ratio
 	}
-	xs := t.cfg.Telemetry.Begin(telemetry.SpanExchange, t.cfg.FirstWorker, -1, -1, int64(t.iter))
+	xs := t.cfg.Telemetry.Begin(telemetry.SpanExchange, t.cfg.FirstWorker, -1, int64(t.iter))
 	sparse, err := t.exchangeRound()
 	xs.End()
 	if err != nil {
@@ -416,7 +418,7 @@ func (t *Trainer) Step() (float64, error) {
 	loss *= inv
 	t.LastRatio = ratio * inv
 
-	as := t.cfg.Telemetry.Begin(telemetry.SpanApply, t.cfg.FirstWorker, -1, -1, int64(t.iter))
+	as := t.cfg.Telemetry.Begin(telemetry.SpanApply, t.cfg.FirstWorker, -1, int64(t.iter))
 	applied := t.dim
 	if sparse {
 		t.sparseOpt.StepSparse(t.params, t.mean.Idx, t.mean.Vals)

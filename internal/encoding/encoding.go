@@ -178,7 +178,9 @@ func BestFormat(d, k int, value Format) (Format, int) {
 	return best, size
 }
 
-// Encode serialises s in the given format.
+// Encode serialises s in the given format into a fresh buffer.
+//
+//sidco:oracle the allocating encode the round-trip and fuzz tests use
 func Encode(s *tensor.Sparse, f Format) ([]byte, error) {
 	return EncodeTo(nil, s, f)
 }
@@ -214,13 +216,6 @@ func EncodeTo(dst []byte, s *tensor.Sparse, f Format) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("encoding: unknown format %d", f) //sidco:alloc input-validation error path, not steady state
 	}
-}
-
-// EncodeBest serialises s in whichever float32-precision format is
-// smallest.
-func EncodeBest(s *tensor.Sparse) ([]byte, error) {
-	f, _ := BestFormat(s.Dim, s.NNZ(), FormatPairs)
-	return Encode(s, f)
 }
 
 // extend grows dst by n bytes and returns the full buffer plus the
@@ -289,6 +284,8 @@ func appendDense(dst []byte, s *tensor.Sparse) []byte {
 // fields are validated against the buffer length before any
 // size-proportional allocation, so hostile headers claiming huge
 // dimensions or counts fail cleanly.
+//
+//sidco:oracle the allocating decode the round-trip and fuzz tests compare against
 func Decode(buf []byte) (*tensor.Sparse, error) {
 	s := &tensor.Sparse{}
 	if err := DecodeInto(s, buf); err != nil {

@@ -111,7 +111,8 @@ func TestBestFormatCrossovers(t *testing.T) {
 func TestEncodeBestRoundTrip(t *testing.T) {
 	for _, k := range []int{1, 100, 5000, 10000} {
 		s := randomSparse(t, 10000, k, int64(k))
-		buf, err := EncodeBest(s)
+		f, _ := BestFormat(s.Dim, s.NNZ(), FormatPairs)
+		buf, err := Encode(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}

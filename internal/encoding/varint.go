@@ -16,20 +16,6 @@ import (
 // delta = 0.001 is ~5.5 bytes/element vs 8 for pairs.
 const FormatDeltaVarint Format = 3
 
-// DeltaVarintMaxSize bounds the encoded size (header + values + worst
-// case 5 bytes per gap for int32 gaps).
-func DeltaVarintMaxSize(d, k int) int { return headerSize + 4*k + 5*k }
-
-// EncodeDeltaVarint serialises s with varint index gaps. Unlike the
-// fixed-layout formats its exact size is data-dependent; use the returned
-// buffer's length for accounting.
-func EncodeDeltaVarint(s *tensor.Sparse) ([]byte, error) {
-	if s.Dim > math.MaxUint32 || s.NNZ() > math.MaxUint32 {
-		return nil, fmt.Errorf("encoding: vector too large")
-	}
-	return appendDeltaVarint(nil, s), nil
-}
-
 func appendDeltaVarint(dst []byte, s *tensor.Sparse) []byte {
 	buf, hdr := extend(dst, headerSize)
 	putHeader(hdr, FormatDeltaVarint, s.Dim, s.NNZ())
@@ -49,7 +35,7 @@ func appendDeltaVarint(dst []byte, s *tensor.Sparse) []byte {
 	return buf
 }
 
-// decodeDeltaVarint is the counterpart of EncodeDeltaVarint; it is wired
+// decodeDeltaVarint is the counterpart of appendDeltaVarint; it is wired
 // into DecodeInto via the format byte.
 func decodeDeltaVarint(s *tensor.Sparse, buf []byte, dim, nnz int) error {
 	// Every gap takes at least one byte and every value exactly four, so a

@@ -7,7 +7,7 @@ import (
 func TestDeltaVarintRoundTrip(t *testing.T) {
 	for _, k := range []int{1, 10, 500, 5000} {
 		s := randomSparse(t, 10000, k, int64(100+k))
-		buf, err := EncodeDeltaVarint(s)
+		buf, err := Encode(s, FormatDeltaVarint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestDeltaVarintBeatsPairsAtAggressiveSparsity(t *testing.T) {
 	// bytes: ~6 bytes/element vs 8 for pairs.
 	const d, k = 1_000_000, 1000
 	s := randomSparse(t, d, k, 102)
-	buf, err := EncodeDeltaVarint(s)
+	buf, err := Encode(s, FormatDeltaVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +54,15 @@ func TestDeltaVarintBeatsPairsAtAggressiveSparsity(t *testing.T) {
 	if len(buf) >= pairs {
 		t.Errorf("delta-varint %d bytes >= pairs %d bytes", len(buf), pairs)
 	}
-	if len(buf) > DeltaVarintMaxSize(d, k) {
-		t.Errorf("encoded size %d exceeds documented bound %d", len(buf), DeltaVarintMaxSize(d, k))
+	// Worst case: header, 4 value bytes and a 5-byte gap per element.
+	if bound := headerSize + 9*k; len(buf) > bound {
+		t.Errorf("encoded size %d exceeds the worst-case bound %d", len(buf), bound)
 	}
 }
 
 func TestDeltaVarintCorruptionDetected(t *testing.T) {
 	s := randomSparse(t, 1000, 20, 103)
-	buf, err := EncodeDeltaVarint(s)
+	buf, err := Encode(s, FormatDeltaVarint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,18 +80,16 @@ func TestErrorFeedbackWireFormat(t *testing.T) {
 		}
 	}
 
-	// ClearWireFormat restores plain EC: emitted values are the corrected
+	// Without a wire format EC is plain: emitted values are the corrected
 	// gradient values untouched.
 	ec := compress.NewErrorFeedback(compress.NewTopK())
-	ec.SetWireFormat(encoding.FormatPairsI8)
-	ec.ClearWireFormat()
 	var dst tensor.Sparse
 	if err := ec.CompressInto(&dst, g, delta); err != nil {
 		t.Fatal(err)
 	}
 	for i, j := range dst.Idx {
 		if math.Float64bits(dst.Vals[i]) != math.Float64bits(g[j]) {
-			t.Fatalf("cleared wire format still rounds: val[%d]=%v want %v", i, dst.Vals[i], g[j])
+			t.Fatalf("plain EC rounds: val[%d]=%v want %v", i, dst.Vals[i], g[j])
 		}
 	}
 }

@@ -23,11 +23,6 @@ func Cluster25GbE(workers int) Network {
 	return Network{Workers: workers, BandwidthBps: 25e9, LatencySec: 20e-6}
 }
 
-// Cluster10GbE returns the 10 Gbps configuration of Section 4.1.
-func Cluster10GbE(workers int) Network {
-	return Network{Workers: workers, BandwidthBps: 10e9, LatencySec: 30e-6}
-}
-
 // NVLinkNode returns the shared multi-GPU single-node fabric of the
 // Figure 13 experiment (fast intra-node interconnect).
 func NVLinkNode(workers int) Network {
@@ -45,6 +40,8 @@ func NVLinkNode(workers int) Network {
 // critical paths must equal these formulas exactly, not approximately.
 // (~128 Mbps with ~1 microsecond latency — a plausible slow fabric, but
 // chosen for representability, not realism.)
+//
+//sidco:oracle the exact fabric the trace-assembly tests compare against
 func DyadicLab(workers int) Network {
 	return Network{Workers: workers, BandwidthBps: 1 << 27, LatencySec: 1.0 / (1 << 20)}
 }

@@ -197,9 +197,6 @@ func TestPresetClusters(t *testing.T) {
 	if c := Cluster25GbE(8); c.Workers != 8 || c.BandwidthBps != 25e9 {
 		t.Error("25GbE preset wrong")
 	}
-	if c := Cluster10GbE(8); c.BandwidthBps != 10e9 {
-		t.Error("10GbE preset wrong")
-	}
 	if c := NVLinkNode(8); c.BandwidthBps <= 25e9 {
 		t.Error("NVLink preset should be much faster than Ethernet")
 	}

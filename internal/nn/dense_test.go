@@ -203,8 +203,8 @@ func TestDenseKernelsMatchRowAtATime(t *testing.T) {
 						y = d.Forward(x)
 						gradIn = d.Backward(gradOut)
 					} else {
-						y = td.Forward(x.Reshape(1, batch, in))
-						gradIn = td.Backward(gradOut.Reshape(1, batch, out))
+						y = td.Forward(&Tensor{Shape: []int{1, batch, in}, Data: x.Data})
+						gradIn = td.Backward(&Tensor{Shape: []int{1, batch, out}, Data: gradOut.Data})
 					}
 					wantY := refDenseForward(in, out, d.W.W, d.B.W, x.Data, batch)
 					wantGI := refDenseBackward(in, out, d.W.W, refWG, refBG, x.Data, gradOut.Data, batch)
@@ -273,7 +273,7 @@ func boundGradient(model *Sequential, x *Tensor, targets []int) []float64 {
 // cleared, accumulated into by Backward, and copied out in parameter order —
 // the gradients this package produced before G could be unwritten.
 func ownGradient(model *Sequential, x *Tensor, targets []int) []float64 {
-	model.ZeroGrad()
+	zeroGrad(model)
 	loss := &SoftmaxCrossEntropy{}
 	loss.Forward(model.Forward(x), targets)
 	model.Backward(loss.Backward())
@@ -290,7 +290,7 @@ func ownGradient(model *Sequential, x *Tensor, targets []int) []float64 {
 // keep accumulate-into-cleared and must get a ∂x-computing Backward where
 // one is needed), a Dense behind a parameter-free layer, and a Dense
 // nested in a Sequential all give, bit for bit, the gradient of a twin
-// model run through ZeroGrad and Backward.
+// model run through a cleared G and Backward.
 func TestBoundGradientsMatchOwnG(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -316,7 +316,7 @@ func TestBoundGradientsMatchOwnG(t *testing.T) {
 			return NewSequential(&Flatten{}, NewDense("d1", 12, 9, rng), &ReLU{}, NewDense("d2", 9, 4, rng))
 		}, func(rng *rand.Rand) (*Tensor, []int) { return randTensor(rng, 7, 3, 4), randTargets(rng, 7, 4) }},
 		{"nested", func(rng *rand.Rand) *Sequential {
-			return NewSequential(&Flatten{}, NewSequential(NewDense("d1", 12, 9, rng), &Tanh{}), NewDense("d2", 9, 4, rng))
+			return NewSequential(&Flatten{}, NewSequential(NewDense("d1", 12, 9, rng), &ReLU{}), NewDense("d2", 9, 4, rng))
 		}, func(rng *rand.Rand) (*Tensor, []int) { return randTensor(rng, 5, 12), randTargets(rng, 5, 4) }},
 	}
 	for _, tc := range cases {
@@ -340,7 +340,7 @@ func TestBoundGradientsMatchOwnG(t *testing.T) {
 func TestSharedDenseBindsLikeAccumulateIntoCleared(t *testing.T) {
 	build := func() (*Sequential, *Dense) {
 		d := NewDense("shared", 6, 6, rand.New(rand.NewSource(8)))
-		return NewSequential(d, &Tanh{}, d), d
+		return NewSequential(d, &ReLU{}, d), d
 	}
 	rng := rand.New(rand.NewSource(9))
 	x, targets := randTensor(rng, 5, 6), randTargets(rng, 5, 6)

@@ -103,13 +103,6 @@ func (s *Sequential) Params() []*Param {
 	return out
 }
 
-// ZeroGrad clears all parameter gradients.
-func (s *Sequential) ZeroGrad() {
-	for _, p := range s.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // initUniform fills w with Glorot/Xavier uniform values for the given fan
 // counts.
 func initUniform(rng *rand.Rand, w []float64, fanIn, fanOut int) {
@@ -159,68 +152,6 @@ func (r *ReLU) Backward(gradOut *Tensor) *Tensor {
 
 // Params implements Layer.
 func (*ReLU) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	out          []float64
-	outT, gradIn *Tensor
-}
-
-// Name implements Layer.
-func (*Tanh) Name() string { return "tanh" }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *Tensor) *Tensor {
-	out := ensure(&t.outT, x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	t.out = append(t.out[:0], out.Data...)
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(gradOut *Tensor) *Tensor {
-	in := ensure(&t.gradIn, gradOut.Shape...)
-	for i, g := range gradOut.Data {
-		in.Data[i] = g * (1 - t.out[i]*t.out[i])
-	}
-	return in
-}
-
-// Params implements Layer.
-func (*Tanh) Params() []*Param { return nil }
-
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	out          []float64
-	outT, gradIn *Tensor
-}
-
-// Name implements Layer.
-func (*Sigmoid) Name() string { return "sigmoid" }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *Tensor) *Tensor {
-	out := ensure(&s.outT, x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	s.out = append(s.out[:0], out.Data...)
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(gradOut *Tensor) *Tensor {
-	in := ensure(&s.gradIn, gradOut.Shape...)
-	for i, g := range gradOut.Data {
-		in.Data[i] = g * s.out[i] * (1 - s.out[i])
-	}
-	return in
-}
-
-// Params implements Layer.
-func (*Sigmoid) Params() []*Param { return nil }
 
 // Flatten collapses all axes after the batch axis.
 type Flatten struct {

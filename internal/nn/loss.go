@@ -108,68 +108,3 @@ func (s *SoftmaxCrossEntropy) Backward() *Tensor {
 // Perplexity converts a mean cross-entropy (nats) to perplexity — the
 // quality metric of the PTB benchmark.
 func Perplexity(meanXent float64) float64 { return math.Exp(meanXent) }
-
-// MSE is the mean squared error loss over flat outputs; targets index into
-// a caller-provided table via SetTargetValues, or more simply targets are
-// ignored and explicit values are set.
-type MSE struct {
-	y      *Tensor
-	values []float64
-	grad   *Tensor
-}
-
-// Name implements Loss.
-func (*MSE) Name() string { return "mse" }
-
-// SetTargetValues provides the regression targets (same length as the
-// output tensor) before calling Forward.
-func (m *MSE) SetTargetValues(v []float64) { m.values = v }
-
-// Forward implements Loss; the targets argument is unused (regression
-// targets come from SetTargetValues).
-func (m *MSE) Forward(y *Tensor, _ []int) float64 {
-	if len(m.values) != y.Len() {
-		panic(fmt.Sprintf("nn: mse: %d target values for %d outputs", len(m.values), y.Len()))
-	}
-	m.y = y
-	sum := 0.0
-	for i, v := range y.Data {
-		d := v - m.values[i]
-		sum += d * d
-	}
-	return sum / float64(y.Len())
-}
-
-// Backward implements Loss.
-func (m *MSE) Backward() *Tensor {
-	grad := ensure(&m.grad, m.y.Shape...)
-	inv := 2.0 / float64(m.y.Len())
-	for i, v := range m.y.Data {
-		grad.Data[i] = (v - m.values[i]) * inv
-	}
-	return grad
-}
-
-// Accuracy returns the fraction of rows of logits [N, C] whose argmax
-// matches the target class.
-func Accuracy(y *Tensor, targets []int) float64 {
-	classes := y.Shape[len(y.Shape)-1]
-	rows := y.Len() / classes
-	if rows == 0 {
-		return math.NaN()
-	}
-	correct := 0
-	for r := 0; r < rows; r++ {
-		row := y.Data[r*classes : (r+1)*classes]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		if best == targets[r] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(rows)
-}

@@ -175,29 +175,9 @@ func (m *Momentum) StepFlat(params []*Param, flat []float64) {
 	}
 }
 
-// ClipGradNorm rescales all parameter gradients so their global L2 norm is
-// at most maxNorm (the RNN benchmarks train with gradient clipping). It
-// returns the pre-clip norm.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	sum := 0.0
-	for _, p := range params {
-		for _, g := range p.G {
-			sum += g * g
-		}
-	}
-	norm := math.Sqrt(sum)
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range params {
-			for i := range p.G {
-				p.G[i] *= scale
-			}
-		}
-	}
-	return norm
-}
-
-// ClipFlatNorm is ClipGradNorm for a flat gradient vector.
+// ClipFlatNorm rescales a flat gradient vector so its L2 norm is at most
+// maxNorm (the RNN benchmarks train with gradient clipping). It returns
+// the pre-clip norm.
 func ClipFlatNorm(flat []float64, maxNorm float64) float64 {
 	sum := 0.0
 	for _, g := range flat {

@@ -6,130 +6,6 @@ import (
 	"math/rand"
 )
 
-// SimpleRNN is a tanh recurrence over [B, T, In] producing the full hidden
-// sequence [B, T, H]: h_t = tanh(x_t Wx + h_{t-1} Wh + b).
-type SimpleRNN struct {
-	In, Hidden int
-	Wx         *Param // [In, H]
-	Wh         *Param // [H, H]
-	B          *Param // [H]
-
-	x           *Tensor
-	hs          []float64 // cached hidden states, [B, T, H]
-	out, gradIn *Tensor
-	dhNext, da  []float64 // BPTT scratch
-}
-
-// NewSimpleRNN creates the recurrence with Glorot init.
-func NewSimpleRNN(name string, in, hidden int, rng *rand.Rand) *SimpleRNN {
-	r := &SimpleRNN{
-		In:     in,
-		Hidden: hidden,
-		Wx:     newParam(name+".Wx", in, hidden),
-		Wh:     newParam(name+".Wh", hidden, hidden),
-		B:      newParam(name+".b", hidden),
-	}
-	initUniform(rng, r.Wx.W, in, hidden)
-	initUniform(rng, r.Wh.W, hidden, hidden)
-	return r
-}
-
-// Name implements Layer.
-func (r *SimpleRNN) Name() string { return r.Wx.Name[:len(r.Wx.Name)-3] }
-
-// Forward implements Layer.
-func (r *SimpleRNN) Forward(x *Tensor) *Tensor {
-	if len(x.Shape) != 3 || x.Shape[2] != r.In {
-		panic(fmt.Sprintf("nn: rnn %s: input shape %v, want [B, T, %d]", r.Name(), x.Shape, r.In))
-	}
-	r.x = x
-	batch, T, H := x.Shape[0], x.Shape[1], r.Hidden
-	out := ensure(&r.out, batch, T, H)
-	for b := 0; b < batch; b++ {
-		var prev []float64
-		for t := 0; t < T; t++ {
-			xRow := x.Data[(b*T+t)*r.In : (b*T+t+1)*r.In]
-			hRow := out.Data[(b*T+t)*H : (b*T+t+1)*H]
-			copy(hRow, r.B.W)
-			for i, xv := range xRow {
-				if xv == 0 {
-					continue
-				}
-				w := r.Wx.W[i*H : (i+1)*H]
-				for j := range hRow {
-					hRow[j] += xv * w[j]
-				}
-			}
-			for i, hv := range prev {
-				if hv == 0 {
-					continue
-				}
-				w := r.Wh.W[i*H : (i+1)*H]
-				for j := range hRow {
-					hRow[j] += hv * w[j]
-				}
-			}
-			for j := range hRow {
-				hRow[j] = math.Tanh(hRow[j])
-			}
-			prev = hRow
-		}
-	}
-	r.hs = out.Data
-	return out
-}
-
-// Backward implements Layer (truncated BPTT over the full sequence).
-func (r *SimpleRNN) Backward(gradOut *Tensor) *Tensor {
-	x := r.x
-	batch, T, H := x.Shape[0], x.Shape[1], r.Hidden
-	gradIn := ensure(&r.gradIn, batch, T, r.In)
-	for b := 0; b < batch; b++ {
-		dhNext := scratch(&r.dhNext, H)
-		for t := T - 1; t >= 0; t-- {
-			h := r.hs[(b*T+t)*H : (b*T+t+1)*H]
-			da := scratch(&r.da, H)
-			for j := 0; j < H; j++ {
-				dh := gradOut.Data[(b*T+t)*H+j] + dhNext[j]
-				da[j] = dh * (1 - h[j]*h[j])
-				r.B.G[j] += da[j]
-			}
-			xRow := x.Data[(b*T+t)*r.In : (b*T+t+1)*r.In]
-			giRow := gradIn.Data[(b*T+t)*r.In : (b*T+t+1)*r.In]
-			for i, xv := range xRow {
-				w := r.Wx.W[i*H : (i+1)*H]
-				wg := r.Wx.G[i*H : (i+1)*H]
-				sum := 0.0
-				for j, dv := range da {
-					wg[j] += xv * dv
-					sum += w[j] * dv
-				}
-				giRow[i] = sum
-			}
-			for j := range dhNext {
-				dhNext[j] = 0
-			}
-			if t > 0 {
-				hPrev := r.hs[(b*T+t-1)*H : (b*T+t)*H]
-				for i, hv := range hPrev {
-					w := r.Wh.W[i*H : (i+1)*H]
-					wg := r.Wh.G[i*H : (i+1)*H]
-					sum := 0.0
-					for j, dv := range da {
-						wg[j] += hv * dv
-						sum += w[j] * dv
-					}
-					dhNext[i] = sum
-				}
-			}
-		}
-	}
-	return gradIn
-}
-
-// Params implements Layer.
-func (r *SimpleRNN) Params() []*Param { return []*Param{r.Wx, r.Wh, r.B} }
-
 // LSTM is a single-layer long short-term memory recurrence over
 // [B, T, In] producing [B, T, H] — the architecture of the paper's PTB
 // and AN4 benchmarks. Gate pre-activations are packed as [i, f, g, o]

@@ -1,6 +1,6 @@
 // Package nn is a small, exact neural-network library: dense,
 // convolutional and recurrent layers with hand-derived backpropagation,
-// softmax cross-entropy and MSE losses, and SGD-family optimizers. It
+// a softmax cross-entropy loss, and SGD-family optimizers. It
 // exists to produce genuine non-stationary gradient streams for the
 // compression experiments — the substitution for the PyTorch models the
 // paper trains — so correctness (verified by finite-difference gradient
@@ -44,27 +44,8 @@ func Volume(shape []int) int {
 	return v
 }
 
-// Dim returns the size of axis i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := &Tensor{Shape: append([]int(nil), t.Shape...), Data: make([]float64, len(t.Data))}
-	copy(out.Data, t.Data)
-	return out
-}
-
-// Reshape returns a view with a new shape of equal volume. The data is
-// shared.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	if Volume(shape) != len(t.Data) {
-		panic(fmt.Sprintf("nn: reshape %v -> %v changes volume", t.Shape, shape))
-	}
-	return &Tensor{Shape: shape, Data: t.Data}
-}
 
 // ensure returns the cached tensor resized to shape with zeroed storage —
 // the steady-state replacement for NewTensor inside layer Forward and
@@ -137,8 +118,7 @@ type Param struct {
 	// buffer (which compression and clipping have since rewritten).
 	// Between a BindGrads and the owning layer's next Backward the G of a
 	// Dense parameter is unwritten — stale values that Backward will
-	// overwrite, not add to (see BindGrads); ZeroGrad makes it an ordinary
-	// cleared G again.
+	// overwrite, not add to (see BindGrads).
 	G []float64
 	// Shape documents the logical shape of W.
 	Shape []int
@@ -156,12 +136,6 @@ type Param struct {
 func newParam(name string, shape ...int) *Param {
 	n := Volume(shape)
 	return &Param{Name: name, W: make([]float64, n), G: make([]float64, n), Shape: shape}
-}
-
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() {
-	clear(p.G)
-	p.unwritten = false
 }
 
 // takeUnwritten reports whether G is marked unwritten and clears the mark:
@@ -186,7 +160,7 @@ func ParamCount(params []*Param) int {
 // in the caller's flat gradient vector — the one handed to the compressor
 // each iteration — with no copy out afterwards. The caller does not clear
 // flat. Spans of parameters whose layer accumulates (Conv2D, LSTM,
-// SimpleRNN, Embedding) are cleared here; spans of parameters whose layer
+// Embedding) are cleared here; spans of parameters whose layer
 // opted in to the unwritten-G contract (Dense) are not touched at all but
 // marked unwritten: the layer's first Backward after the bind assigns them
 // — one write of ∂W where clear-then-accumulate costs a write, a read and
@@ -221,6 +195,8 @@ func BindGrads(params []*Param, flat []float64) {
 
 // FlattenWeights concatenates all weights (for checkpoint comparison in
 // tests).
+//
+//sidco:oracle the weight snapshot the bit-identity and resume tests compare
 func FlattenWeights(params []*Param, dst []float64) []float64 {
 	n := ParamCount(params)
 	if dst == nil {

@@ -90,9 +90,6 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// Iter returns the current iteration counter (number of vectors produced).
-func (g *Generator) Iter() int { return g.iter }
-
 // scaleAt returns the distribution scale at iteration i.
 func (g *Generator) scaleAt(i int) float64 {
 	return g.cfg.Scale / (1 + g.cfg.ScaleDecay*float64(i))
@@ -155,22 +152,6 @@ func (g *Generator) Fill(dst []float64) {
 		}
 	}
 	g.iter++
-}
-
-// TheoreticalThreshold returns the exact Top-k threshold (the 1-delta
-// quantile of |G|) for the distribution in force at iteration i — the
-// oracle against which estimators are scored in tests.
-func (g *Generator) TheoreticalThreshold(i int, delta float64) float64 {
-	switch d := g.dist(i).(type) {
-	case stats.Laplace:
-		return d.Abs().Quantile(1 - delta)
-	case stats.DoubleGamma:
-		return d.Abs().Quantile(1 - delta)
-	case stats.DoubleGP:
-		return d.Abs().Quantile(1 - delta)
-	default:
-		return math.NaN()
-	}
 }
 
 // PowerLawFit estimates the decay exponent p of sortedAbs (|g| sorted

@@ -195,24 +195,6 @@ func Variance(xs []float64) float64 {
 	return reduce(xs, nil, shiftedKernel, Mean(xs))[1] / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (divide by n-1) of
-// xs, or NaN when fewer than two observations are supplied.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanAbs returns the mean of |x| over xs — the maximum-likelihood scale
 // estimate for Laplace-distributed data (Corollary 1.1). It returns NaN for
 // empty input.
@@ -253,24 +235,6 @@ func AccumulateGammaMoments(acc, g []float64) (meanAbs, meanLogAbs float64) {
 	return s[0] / float64(len(acc)), s[1] / s[2]
 }
 
-// MinMax returns the minimum and maximum of xs, or (NaN, NaN) for empty
-// input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // MaxAbs returns the largest absolute value in xs, or NaN for empty input.
 func MaxAbs(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -288,6 +252,8 @@ func MaxAbs(xs []float64) float64 {
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the numpy default). The
 // input need not be sorted; a copy is sorted internally.
+//
+//sidco:oracle the allocating reference QuantileSorted is tested against
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 || math.IsNaN(q) || q < 0 || q > 1 {
 		return math.NaN()
@@ -316,27 +282,4 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Kurtosis returns the excess kurtosis of xs (zero for a Gaussian), used
-// by tests and the SID-selection ablation to characterise gradient tails.
-func Kurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	m2, m4 := 0.0, 0.0
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return math.NaN()
-	}
-	return m4/(m2*m2) - 3
 }

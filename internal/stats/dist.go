@@ -95,6 +95,8 @@ func (l Laplace) Mean() float64 { return 0 }
 
 // Abs returns the distribution of |X| for X ~ Laplace(beta), which is
 // Exponential(beta).
+//
+//sidco:oracle the exact |G| law simgrad's threshold test takes quantiles of
 func (l Laplace) Abs() Exponential { return Exponential{Scale: l.Scale} }
 
 // Sample implements Distribution.
@@ -226,6 +228,8 @@ func (d DoubleGamma) Quantile(p float64) float64 {
 func (d DoubleGamma) Mean() float64 { return 0 }
 
 // Abs returns the distribution of |X|: Gamma(alpha, beta).
+//
+//sidco:oracle the exact |G| law simgrad's threshold test takes quantiles of
 func (d DoubleGamma) Abs() Gamma { return Gamma{d.Shape, d.Scale} }
 
 // Sample implements Distribution.
@@ -347,6 +351,8 @@ func (d DoubleGP) Quantile(p float64) float64 {
 func (d DoubleGP) Mean() float64 { return 0 }
 
 // Abs returns the distribution of |X|: GP(alpha, beta, 0).
+//
+//sidco:oracle the exact |G| law simgrad's threshold test takes quantiles of
 func (d DoubleGP) Abs() GeneralizedPareto {
 	return GeneralizedPareto{d.Shape, d.Scale, 0}
 }

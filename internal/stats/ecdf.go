@@ -6,8 +6,7 @@ import (
 )
 
 // ECDF is an empirical cumulative distribution function built from a
-// sample. It supports evaluation, quantiles, Kolmogorov–Smirnov distance
-// to a model distribution, and histogram export for the fitting figures.
+// sample: the Kolmogorov–Smirnov distance of the fitting figures.
 type ECDF struct {
 	sorted []float64
 }
@@ -18,28 +17,6 @@ func NewECDF(xs []float64) *ECDF {
 	copy(s, xs)
 	sort.Float64s(s)
 	return &ECDF{sorted: s}
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// At returns the empirical CDF value at x: the fraction of samples <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; advance
-	// past equal elements so the CDF counts samples <= x.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the empirical q-quantile with linear interpolation.
-func (e *ECDF) Quantile(q float64) float64 {
-	return QuantileSorted(e.sorted, q)
 }
 
 // KSDistance returns the Kolmogorov–Smirnov statistic sup_x |F_n(x) -
@@ -64,38 +41,3 @@ func (e *ECDF) KSDistance(d Distribution) float64 {
 	}
 	return maxDiff
 }
-
-// Histogram bins the sample into nBins equal-width bins over [lo, hi] and
-// returns the bin centers and normalized densities (integrating to one
-// over the covered range). Samples outside [lo, hi] are dropped.
-func (e *ECDF) Histogram(lo, hi float64, nBins int) (centers, density []float64) {
-	if nBins <= 0 || hi <= lo {
-		return nil, nil
-	}
-	counts := make([]int, nBins)
-	total := 0
-	width := (hi - lo) / float64(nBins)
-	for _, x := range e.sorted {
-		if x < lo || x > hi {
-			continue
-		}
-		b := int((x - lo) / width)
-		if b == nBins {
-			b--
-		}
-		counts[b]++
-		total++
-	}
-	centers = make([]float64, nBins)
-	density = make([]float64, nBins)
-	for i := range counts {
-		centers[i] = lo + (float64(i)+0.5)*width
-		if total > 0 {
-			density[i] = float64(counts[i]) / (float64(total) * width)
-		}
-	}
-	return centers, density
-}
-
-// Sorted returns the underlying sorted sample. Callers must not modify it.
-func (e *ECDF) Sorted() []float64 { return e.sorted }

@@ -2,39 +2,35 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2, 2})
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
+	xs := []float64{3, 1, 2, 2}
+	e := NewECDF(xs)
+	if !slices.Equal(e.sorted, []float64{1, 2, 2, 3}) {
+		t.Errorf("sorted sample = %v", e.sorted)
 	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
+	if xs[0] != 3 {
+		t.Error("NewECDF sorted its input in place")
 	}
 }
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if got := e.At(1); !math.IsNaN(got) {
-		t.Errorf("empty At = %v, want NaN", got)
-	}
 	if got := e.KSDistance(Exponential{Scale: 1}); !math.IsNaN(got) {
 		t.Errorf("empty KS = %v, want NaN", got)
 	}
 }
 
+// TestECDFQuantileMatchesQuantile: the sorted sample an ECDF holds gives
+// the same interpolated quantiles as Quantile over the raw sample.
 func TestECDFQuantileMatchesQuantile(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	e := NewECDF(xs)
 	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if got, want := e.Quantile(q), Quantile(xs, q); math.Abs(got-want) > 1e-12 {
+		if got, want := QuantileSorted(e.sorted, q), Quantile(xs, q); math.Abs(got-want) > 1e-12 {
 			t.Errorf("Quantile(%v): %v vs %v", q, got, want)
 		}
 	}
@@ -66,38 +62,5 @@ func TestKSDistanceExactSmallSample(t *testing.T) {
 	want := math.Max(d.CDF(1), 1-d.CDF(1))
 	if got := e.KSDistance(d); math.Abs(got-want) > 1e-12 {
 		t.Errorf("KS = %v, want %v", got, want)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	e := NewECDF([]float64{0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 5 /* out of range */})
-	centers, density := e.Histogram(0, 1, 2)
-	if len(centers) != 2 || len(density) != 2 {
-		t.Fatalf("unexpected lengths: %d %d", len(centers), len(density))
-	}
-	if centers[0] != 0.25 || centers[1] != 0.75 {
-		t.Errorf("centers = %v", centers)
-	}
-	// 3 of 6 in-range samples per bin, width 0.5 -> density 1.0 each.
-	if math.Abs(density[0]-1) > 1e-12 || math.Abs(density[1]-1) > 1e-12 {
-		t.Errorf("density = %v", density)
-	}
-	// Total mass integrates to 1 over the covered range.
-	sum := 0.0
-	for _, d := range density {
-		sum += d * 0.5
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("total mass = %v", sum)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	e := NewECDF([]float64{1, 2})
-	if c, d := e.Histogram(1, 1, 3); c != nil || d != nil {
-		t.Error("hi <= lo should return nil")
-	}
-	if c, d := e.Histogram(0, 1, 0); c != nil || d != nil {
-		t.Error("nBins <= 0 should return nil")
 	}
 }

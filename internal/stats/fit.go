@@ -9,13 +9,6 @@ func FitExponentialAbs(xs []float64) Exponential {
 	return Exponential{Scale: MeanAbs(xs)}
 }
 
-// FitExponentialShifted fits a shifted exponential to exceedance data:
-// given |x| values all >= loc, it estimates the scale of |X| - loc ~
-// Exp(beta) as mean(|x|) - loc (Corollary 2.1, eq. 11).
-func FitExponentialShifted(absXS []float64, loc float64) Exponential {
-	return Exponential{Scale: Mean(absXS) - loc}
-}
-
 // GammaParams holds the shape/scale estimates of a gamma fit.
 type GammaParams struct {
 	Shape float64
@@ -79,18 +72,12 @@ func FitGPAbs(xs []float64) GPParams {
 	return FitGPMoments(mu, v)
 }
 
-// FitGPExcess is FitGPExceedance from the sums a gather over the threshold
-// already took: Σ(|x|-loc) and Σ(|x|-loc)² over n exceedances.
+// FitGPExcess fits GP(alpha, beta) to exceedances over a threshold loc,
+// per Lemma 2 (the moments are those of |g| - loc), from the sums a gather
+// over the threshold already took: Σ(|x|-loc) and Σ(|x|-loc)² over n
+// exceedances.
 func FitGPExcess(sum, sumSq, n float64) GPParams {
 	return FitGPMoments(meanVar(sum, sumSq, n))
-}
-
-// FitGPExceedance fits GP(alpha, beta) to exceedance magnitudes absXS (all
-// >= loc) after shifting by loc, per Lemma 2: the moments are those of
-// |g| - loc.
-func FitGPExceedance(absXS []float64, loc float64) GPParams {
-	s := reduce(absXS, nil, shiftedKernel, loc)
-	return FitGPExcess(s[0], s[1], float64(len(absXS)))
 }
 
 // FitGaussian fits a normal distribution to xs by maximum likelihood

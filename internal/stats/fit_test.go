@@ -25,24 +25,6 @@ func TestFitExponentialAbsRecoversScale(t *testing.T) {
 	}
 }
 
-func TestFitExponentialShifted(t *testing.T) {
-	// Exceedances of an exponential over a threshold are shifted
-	// exponential with the same scale (memorylessness, Corollary 2.1).
-	const beta, eta = 0.8, 1.2
-	rng := rand.New(rand.NewSource(2))
-	var exceed []float64
-	for len(exceed) < 50000 {
-		x := rng.ExpFloat64() * beta
-		if x > eta {
-			exceed = append(exceed, x)
-		}
-	}
-	fit := FitExponentialShifted(exceed, eta)
-	if math.Abs(fit.Scale-beta)/beta > 0.03 {
-		t.Errorf("shifted fit: got scale %v, want %v", fit.Scale, beta)
-	}
-}
-
 func TestFitGammaAbsRecoversParams(t *testing.T) {
 	for _, c := range []struct{ shape, scale float64 }{
 		{0.5, 1.0}, {0.8, 0.01}, {1.0, 2.0}, {2.5, 0.5},
@@ -122,7 +104,7 @@ func TestFitGPMomentsDegenerate(t *testing.T) {
 	if fit := FitGPMoments(1, 0); !math.IsNaN(fit.Shape) {
 		t.Errorf("zero variance: %+v", fit)
 	}
-	if fit := FitGPExceedance(nil, 1); !math.IsNaN(fit.Shape) {
+	if fit := FitGPExcess(0, 0, 0); !math.IsNaN(fit.Shape) {
 		t.Errorf("empty exceedance: %+v", fit)
 	}
 }
@@ -134,14 +116,15 @@ func TestFitGPExceedanceRecoversTail(t *testing.T) {
 	gp := GeneralizedPareto{Shape: shape, Scale: scale, Loc: 0}
 	rng := rand.New(rand.NewSource(6))
 	const eta = 2.0
-	var exceed []float64
-	for len(exceed) < 200000 {
-		x := gp.Sample(rng)
-		if x > eta {
-			exceed = append(exceed, x)
+	var sum, sumSq, n float64
+	for n < 200000 {
+		if x := gp.Sample(rng); x > eta {
+			sum += x - eta
+			sumSq += (x - eta) * (x - eta)
+			n++
 		}
 	}
-	fit := FitGPExceedance(exceed, eta)
+	fit := FitGPExcess(sum, sumSq, n)
 	if math.Abs(fit.Shape-shape) > 0.05 {
 		t.Errorf("tail shape: got %v, want %v", fit.Shape, shape)
 	}

@@ -19,9 +19,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
 // Mean returns the running mean, or NaN before any observation.
 func (r *Running) Mean() float64 {
 	if r.n == 0 {
@@ -54,9 +51,6 @@ func (r *Running) ConfidenceInterval(level float64) float64 {
 	return z * r.StdDev() / math.Sqrt(float64(r.n))
 }
 
-// Reset clears the accumulator.
-func (r *Running) Reset() { *r = Running{} }
-
 // EWMA is an exponentially-weighted moving average used to produce the
 // "smoothed compression ratio" series of Figure 9. The zero value with
 // Alpha set is ready to use.
@@ -76,13 +70,5 @@ func (e *EWMA) Add(x float64) float64 {
 		return e.value
 	}
 	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average, or NaN before any observation.
-func (e *EWMA) Value() float64 {
-	if !e.seen {
-		return math.NaN()
-	}
 	return e.value
 }

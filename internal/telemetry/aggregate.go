@@ -198,6 +198,8 @@ func (a *Aggregator) Emit(e Event) {
 }
 
 // Total returns the exact sum of one counter kind over all events.
+//
+//sidco:oracle the exact counter sums the telemetry tests check
 func (a *Aggregator) Total(kind CounterKind) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -208,6 +210,8 @@ func (a *Aggregator) Total(kind CounterKind) int64 {
 }
 
 // LinkTotals returns one directed link's aggregated counters.
+//
+//sidco:oracle per-link counters the tests match against the transport
 func (a *Aggregator) LinkTotals(from, to int) LinkCounters {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -219,6 +223,8 @@ func (a *Aggregator) LinkTotals(from, to int) LinkCounters {
 
 // LinksSeen returns every directed link with recorded traffic, sorted
 // by (from, to).
+//
+//sidco:oracle the link set the tests match against the collective
 func (a *Aggregator) LinksSeen() []Link {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -236,6 +242,8 @@ func (a *Aggregator) LinksSeen() []Link {
 }
 
 // NodeTotals returns one node's node-attributed counters.
+//
+//sidco:oracle per-node counters the recovery and selection tests check
 func (a *Aggregator) NodeTotals(node int) NodeCounters {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 func TestDisabledTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Begin(SpanStep, 0, -1, -1, 7)
+		sp := tr.Begin(SpanStep, 0, -1, 7)
 		tr.Count(CounterSentMessages, 0, 1, 1)
 		tr.Count(CounterSentBytes, 0, 1, 4096)
 		tr.CountSeq(CounterRecvMessages, 0, 1, 1, 3, 7)
@@ -23,8 +23,8 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 		tr.Count(CounterApplyElems, 0, -1, 4194)
 		tr.Count(CounterRecoveries, 0, -1, 1)
 		tr.Count(CounterPeersLost, 0, -1, 1)
-		tr.Virtual(SpanSend, 0, 1, -1, 7, 3, 4096, 976.5625, 1953.125)
-		inner := tr.Begin(SpanExchange, 0, 1, 2, 7)
+		tr.Virtual(SpanSend, 0, 1, 7, 3, 4096, 976.5625, 1953.125)
+		inner := tr.Begin(SpanExchange, 0, 1, 7)
 		inner.End()
 		sp.End()
 	})
@@ -39,10 +39,10 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 // allocation-free too.
 func TestEnabledTracerSteadyStateZeroAllocs(t *testing.T) {
 	agg := NewAggregator()
-	j := NewJSONL(io.Discard)
+	j := NewJSONLForNode(io.Discard, -1)
 	tr := New(agg, j)
 	emit := func() {
-		sp := tr.Begin(SpanStep, 0, -1, -1, 7)
+		sp := tr.Begin(SpanStep, 0, -1, 7)
 		tr.Count(CounterSentMessages, 0, 1, 1)
 		tr.Count(CounterSentBytes, 0, 1, 4096)
 		tr.CountSeq(CounterRecvMessages, 0, 1, 1, 3, 7)
@@ -53,8 +53,8 @@ func TestEnabledTracerSteadyStateZeroAllocs(t *testing.T) {
 		tr.Count(CounterApplyElems, 0, -1, 4194)
 		tr.Count(CounterRecoveries, 0, -1, 1)
 		tr.Count(CounterPeersLost, 0, -1, 1)
-		tr.Virtual(SpanSend, 0, 1, -1, 7, 3, 4096, 976.5625, 1953.125)
-		inner := tr.Begin(SpanExchange, 0, 1, 2, 7)
+		tr.Virtual(SpanSend, 0, 1, 7, 3, 4096, 976.5625, 1953.125)
+		inner := tr.Begin(SpanExchange, 0, 1, 7)
 		inner.End()
 		sp.End()
 	}

@@ -44,10 +44,10 @@ var counterKindNames = func() map[string]CounterKind {
 	return m
 }()
 
-// jsonlLine is the union of every field any v2 line may carry. Decoding
-// is strict per line type: a second pass with DisallowUnknownFields
-// into the type's own struct rejects stray fields, so schema drift
-// fails loudly instead of being silently ignored.
+// The jsonl* structs are the fields of each line type. Decoding is strict
+// per line type: a second pass with DisallowUnknownFields into the type's
+// own struct rejects stray fields, so schema drift fails loudly instead of
+// being silently ignored.
 type jsonlType struct {
 	Type string `json:"type"`
 }
@@ -68,7 +68,6 @@ type jsonlSpan struct {
 	Span  string `json:"span"`
 	Node  int32  `json:"node"`
 	Peer  int32  `json:"peer"`
-	Chunk int32  `json:"chunk"`
 	Step  int64  `json:"step"`
 	DurNS int64  `json:"dur_ns"`
 }
@@ -90,7 +89,6 @@ type jsonlVirtual struct {
 	Span     string  `json:"span"`
 	Node     int32   `json:"node"`
 	Peer     int32   `json:"peer"`
-	Chunk    int32   `json:"chunk"`
 	Step     int64   `json:"step"`
 	Seq      int64   `json:"seq"`
 	Value    int64   `json:"value"`
@@ -152,7 +150,7 @@ func DecodeJSONL(r io.Reader) (Meta, []Event, error) {
 			}
 			events = append(events, Event{
 				WallNanos: l.TS, Type: EventSpan, Span: kind,
-				Node: l.Node, Peer: l.Peer, Chunk: l.Chunk,
+				Node: l.Node, Peer: l.Peer,
 				Step: l.Step, DurNanos: l.DurNS, Seq: -1,
 			})
 		case "counter":
@@ -166,7 +164,7 @@ func DecodeJSONL(r io.Reader) (Meta, []Event, error) {
 			}
 			events = append(events, Event{
 				WallNanos: l.TS, Type: EventCounter, Counter: kind,
-				Node: l.Node, Peer: l.Peer, Chunk: -1,
+				Node: l.Node, Peer: l.Peer,
 				Step: l.Step, Value: l.Value, Seq: l.Seq,
 			})
 		case "virtual":
@@ -180,7 +178,7 @@ func DecodeJSONL(r io.Reader) (Meta, []Event, error) {
 			}
 			events = append(events, Event{
 				WallNanos: l.TS, Type: EventVirtual, Span: kind,
-				Node: l.Node, Peer: l.Peer, Chunk: l.Chunk,
+				Node: l.Node, Peer: l.Peer,
 				Step: l.Step, Value: l.Value, Seq: l.Seq,
 				VStartNanos: l.VStartNS, VEndNanos: l.VEndNS,
 			})

@@ -12,39 +12,36 @@ import (
 // SchemaVersion is the JSONL stream schema this package writes and
 // DecodeJSONL understands. Version 2 added the leading meta record,
 // per-message link sequence numbers (seq) and step tags on counter
-// lines, and virtual-clock events.
-const SchemaVersion = 2
+// lines, and virtual-clock events; version 3 dropped the reserved chunk
+// field of span and virtual lines.
+const SchemaVersion = 3
 
 // JSONL is the streaming Sink: a leading meta record that makes the
 // stream self-describing, then one JSON object per event, one event per
 // line, in the order events arrive at this sink. The schema is stable
 // and documented in the README's Observability section:
 //
-//	{"type":"meta","schema":2,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":<unix-nanos>}
-//	{"ts":<unix-nanos>,"type":"span","span":"exchange","node":0,"peer":-1,"chunk":-1,"step":3,"dur_ns":152340}
+//	{"type":"meta","schema":3,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":<unix-nanos>}
+//	{"ts":<unix-nanos>,"type":"span","span":"exchange","node":0,"peer":-1,"step":3,"dur_ns":152340}
 //	{"ts":<unix-nanos>,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":3,"seq":12,"value":8192}
-//	{"ts":<unix-nanos>,"type":"virtual","span":"send","node":0,"peer":1,"chunk":-1,"step":3,"seq":12,"value":8192,"v_start_ns":976.5625,"v_end_ns":1953.125}
+//	{"ts":<unix-nanos>,"type":"virtual","span":"send","node":0,"peer":1,"step":3,"seq":12,"value":8192,"v_start_ns":976.5625,"v_end_ns":1953.125}
 //
-// Span events carry chunk (reserved, always -1), step and dur_ns;
-// counter events carry step, seq and value (seq is the per-directed-link
-// monotone message sequence, -1 when the counter is not a link
-// message); virtual events carry chunk (reserved, as on spans) and the
-// Instrumented alpha-beta clock window as float64 nanoseconds, printed
-// with 'g'/-1 so the exact dyadic values round-trip. node and peer are
-// -1 when unattributed. Encoding is manual (strconv appends into a
-// reused buffer), so the steady-state emit path allocates nothing;
-// writes go through an internal bufio.Writer — call Flush (or Close on
-// the owner of the underlying writer) once the tracer has quiesced.
+// Span events carry step and dur_ns; counter events carry step, seq and
+// value (seq is the per-directed-link monotone message sequence, -1 when
+// the counter is not a link message); virtual events carry the same
+// three and the Instrumented alpha-beta clock window as float64
+// nanoseconds, printed with 'g'/-1 so the exact dyadic values
+// round-trip. node and peer are -1 when unattributed. Encoding is manual
+// (strconv appends into a reused buffer), so the steady-state emit path
+// allocates nothing; writes go through an internal bufio.Writer — call
+// Flush (or Close on the owner of the underlying writer) once the tracer
+// has quiesced.
 type JSONL struct {
 	mu  sync.Mutex
 	w   *bufio.Writer // guarded by mu
 	buf []byte        // guarded by mu
 	err error         // guarded by mu; sticky write failure
 }
-
-// NewJSONL builds a JSONL sink over w with an unattributed meta record
-// (node -1); use NewJSONLForNode for per-rank streams.
-func NewJSONL(w io.Writer) *JSONL { return NewJSONLForNode(w, -1) }
 
 // NewJSONLForNode builds a JSONL sink over w and immediately writes the
 // meta record identifying the stream: schema version, owning node/rank,
@@ -88,15 +85,11 @@ func (j *JSONL) Emit(e Event) {
 	b = strconv.AppendInt(b, int64(e.Peer), 10)
 	switch e.Type {
 	case EventSpan:
-		b = append(b, `,"chunk":`...)
-		b = strconv.AppendInt(b, int64(e.Chunk), 10)
 		b = append(b, `,"step":`...)
 		b = strconv.AppendInt(b, e.Step, 10)
 		b = append(b, `,"dur_ns":`...)
 		b = strconv.AppendInt(b, e.DurNanos, 10)
 	case EventVirtual:
-		b = append(b, `,"chunk":`...)
-		b = strconv.AppendInt(b, int64(e.Chunk), 10)
 		b = append(b, `,"step":`...)
 		b = strconv.AppendInt(b, e.Step, 10)
 		b = append(b, `,"seq":`...)

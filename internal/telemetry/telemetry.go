@@ -236,8 +236,6 @@ type Event struct {
 	Node int32
 	// Peer is the link peer for link-attributed events, else -1.
 	Peer int32
-	// Chunk is reserved: no producer sets it, it is always -1.
-	Chunk int32
 	// Step is the training iteration of step-scoped spans, else -1.
 	Step int64
 	// DurNanos is an EventSpan's monotonic duration.
@@ -310,7 +308,6 @@ type Span struct {
 	kind  SpanKind
 	node  int32
 	peer  int32
-	chunk int32
 }
 
 // WithValue attaches a span-kind-specific tag carried in the emitted
@@ -325,11 +322,11 @@ func (s Span) WithValue(v int64) Span {
 }
 
 // Begin starts a span of the given kind. node and peer may be -1 when
-// the dimension does not apply; chunk is reserved (the JSONL field every
-// producer writes -1 into); step is the training iteration or -1. On a nil tracer it returns the zero Span.
+// the dimension does not apply; step is the training iteration or -1.
+// On a nil tracer it returns the zero Span.
 //
 //sidco:hotpath
-func (t *Tracer) Begin(kind SpanKind, node, peer, chunk int, step int64) Span {
+func (t *Tracer) Begin(kind SpanKind, node, peer int, step int64) Span {
 	if t == nil {
 		return Span{}
 	}
@@ -340,7 +337,6 @@ func (t *Tracer) Begin(kind SpanKind, node, peer, chunk int, step int64) Span {
 		kind:  kind,
 		node:  int32(node),
 		peer:  int32(peer),
-		chunk: int32(chunk),
 	}
 }
 
@@ -358,7 +354,6 @@ func (s Span) End() {
 		Span:      s.kind,
 		Node:      s.node,
 		Peer:      s.peer,
-		Chunk:     s.chunk,
 		Step:      s.step,
 		DurNanos:  end - s.start,
 		Value:     s.value,
@@ -391,7 +386,6 @@ func (t *Tracer) CountSeq(kind CounterKind, node, peer int, delta, seq, step int
 		Counter:   kind,
 		Node:      int32(node),
 		Peer:      int32(peer),
-		Chunk:     -1,
 		Step:      step,
 		Value:     delta,
 		Seq:       seq,
@@ -407,7 +401,7 @@ func (t *Tracer) CountSeq(kind CounterKind, node, peer int, delta, seq, step int
 // tracer.
 //
 //sidco:hotpath
-func (t *Tracer) Virtual(kind SpanKind, node, peer, chunk int, step, seq, value int64, startNanos, endNanos float64) {
+func (t *Tracer) Virtual(kind SpanKind, node, peer int, step, seq, value int64, startNanos, endNanos float64) {
 	if t == nil {
 		return
 	}
@@ -417,7 +411,6 @@ func (t *Tracer) Virtual(kind SpanKind, node, peer, chunk int, step, seq, value 
 		Span:        kind,
 		Node:        int32(node),
 		Peer:        int32(peer),
-		Chunk:       int32(chunk),
 		Step:        step,
 		Value:       value,
 		Seq:         seq,

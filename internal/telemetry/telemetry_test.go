@@ -15,7 +15,7 @@ func TestNilTracerIsDisabledAndSafe(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nil tracer reports enabled")
 	}
-	s := tr.Begin(SpanStep, 0, -1, -1, 3)
+	s := tr.Begin(SpanStep, 0, -1, 3)
 	s.End()
 	tr.Count(CounterSentBytes, 0, 1, 64)
 	if !New().Enabled() {
@@ -140,7 +140,7 @@ func TestAggregatorRingIsBounded(t *testing.T) {
 func TestSpanEmitsDuration(t *testing.T) {
 	agg := NewAggregator()
 	tr := New(agg)
-	sp := tr.Begin(SpanCompress, 3, -1, 2, 9)
+	sp := tr.Begin(SpanCompress, 3, -1, 9)
 	time.Sleep(time.Millisecond)
 	sp.End()
 	s := agg.Spans()
@@ -238,10 +238,10 @@ func TestJSONLSchema(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONLForNode(&buf, 2)
 	tr := New(j)
-	sp := tr.Begin(SpanEncode, 2, -1, 5, 11)
+	sp := tr.Begin(SpanEncode, 2, -1, 11)
 	sp.End()
 	tr.CountSeq(CounterSentBytes, 0, 3, 4096, 12, 11)
-	tr.Virtual(SpanSend, 0, 3, -1, 11, 12, 4096, 976.5625, 1953.125)
+	tr.Virtual(SpanSend, 0, 3, 11, 12, 4096, 976.5625, 1953.125)
 	nodeKinds := []CounterKind{CounterSelectedElems, CounterTargetElems, CounterSelectListCorrections, CounterSelectSweepFallbacks, CounterApplyElems, CounterRecoveries, CounterPeersLost}
 	for i, kind := range nodeKinds {
 		tr.Count(kind, 2, -1, int64(100+i))
@@ -271,7 +271,7 @@ func TestJSONLSchema(t *testing.T) {
 	}
 	span, counter, virt := evs[0], evs[1], evs[2]
 	if span.Type != EventSpan || span.Span != SpanEncode || span.Node != 2 || span.Peer != -1 ||
-		span.Chunk != 5 || span.Step != 11 || span.DurNanos < 0 || span.WallNanos == 0 || span.Seq != -1 {
+		span.Step != 11 || span.DurNanos < 0 || span.WallNanos == 0 || span.Seq != -1 {
 		t.Errorf("span event = %+v", span)
 	}
 	if counter.Type != EventCounter || counter.Counter != CounterSentBytes || counter.Node != 0 ||
@@ -295,13 +295,15 @@ func TestDecodeJSONLRejects(t *testing.T) {
 	cases := map[string]string{
 		"empty stream":     "",
 		"no meta record":   `{"ts":1,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":-1,"seq":-1,"value":1}` + "\n",
+		"v2 stream":        `{"type":"meta","schema":2,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n",
 		"unknown schema":   `{"type":"meta","schema":99,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n",
 		"duplicate meta":   validMeta + validMeta,
 		"unknown type":     validMeta + `{"ts":1,"type":"gauge","node":0,"peer":-1}` + "\n",
 		"unknown counter":  validMeta + `{"ts":1,"type":"counter","counter":"bogus","node":0,"peer":1,"step":-1,"seq":-1,"value":1}` + "\n",
-		"unknown span":     validMeta + `{"ts":1,"type":"span","span":"bogus","node":0,"peer":-1,"chunk":-1,"step":-1,"dur_ns":1}` + "\n",
+		"unknown span":     validMeta + `{"ts":1,"type":"span","span":"bogus","node":0,"peer":-1,"step":-1,"dur_ns":1}` + "\n",
+		"v2 chunk field":   validMeta + `{"ts":1,"type":"span","span":"step","node":0,"peer":-1,"chunk":-1,"step":-1,"dur_ns":1}` + "\n",
 		"unknown field":    validMeta + `{"ts":1,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":-1,"seq":-1,"value":1,"extra":true}` + "\n",
-		"meta extra field": `{"type":"meta","schema":2,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1,"extra":1}` + "\n",
+		"meta extra field": `{"type":"meta","schema":3,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1,"extra":1}` + "\n",
 	}
 	for name, stream := range cases {
 		if _, _, err := DecodeJSONL(strings.NewReader(stream)); err == nil {
@@ -313,7 +315,7 @@ func TestDecodeJSONLRejects(t *testing.T) {
 	}
 }
 
-const validMeta = `{"type":"meta","schema":2,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n"
+const validMeta = `{"type":"meta","schema":3,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n"
 
 // TestAggregatorDroppedSamplesCounter pins the satellite: once the span
 // ring overflows, the overwritten sample count is exact, surfaces in
@@ -370,7 +372,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestJSONLStickyError(t *testing.T) {
-	j := NewJSONL(&errWriter{n: 0})
+	j := NewJSONLForNode(&errWriter{n: 0}, -1)
 	tr := New(j)
 	for i := 0; i < 2000; i++ { // enough to overflow the bufio buffer
 		tr.Count(CounterSentBytes, 0, 1, 1)
@@ -385,7 +387,7 @@ func TestJSONLStickyError(t *testing.T) {
 // this is the concurrency contract's regression test.
 func TestConcurrentEmit(t *testing.T) {
 	agg := NewAggregator()
-	j := NewJSONL(io.Discard)
+	j := NewJSONLForNode(io.Discard, -1)
 	tr := New(agg, j)
 	const goroutines, per = 8, 500
 	var wg sync.WaitGroup
@@ -394,7 +396,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				sp := tr.Begin(SpanCollective, g, -1, -1, int64(i))
+				sp := tr.Begin(SpanCollective, g, -1, int64(i))
 				tr.Count(CounterSentMessages, g, (g+1)%goroutines, 1)
 				tr.Count(CounterSentBytes, g, (g+1)%goroutines, 8)
 				sp.End()

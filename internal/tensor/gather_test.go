@@ -111,7 +111,9 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 			"ones":     make([]float64, d),      // all-above at eta < 1, none-above at eta >= 1
 			"finite":   gaussMix(d, int64(d)+2), // no NaN or Inf: the moments are numbers, so their order shows
 		}
-		Fill(inputs["ones"], -1)
+		for i := range inputs["ones"] {
+			inputs["ones"][i] = -1
+		}
 		for name, x := range inputs {
 			for _, eta := range []float64{0, math.NaN(), math.Inf(1), 0.75, 0.5, 1, -1} {
 				what := fmt.Sprintf("%s d=%d eta=%v", name, d, eta)

@@ -299,9 +299,10 @@ func pickBucket16(counts []int, k int) (uint64, int) {
 	panic("tensor: radix bucket walk exhausted") // unreachable: sum(counts) >= k
 }
 
-// TopKSort is a sort-based O(d log d) top-k used as a differential-testing
-// oracle for TopKSelect and as the "slow Top-k" arm of the device model.
-// Indices are returned in ascending order.
+// TopKSort is a sort-based O(d log d) top-k, the differential-testing
+// oracle for the radix selection. Indices are returned in ascending order.
+//
+//sidco:oracle the reference selection TopKInto is tested against
 func TopKSort(g []float64, k int) (idx []int32, vals []float64) {
 	d := len(g)
 	if k <= 0 || d == 0 {

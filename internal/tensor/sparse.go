@@ -16,6 +16,8 @@ type Sparse struct {
 
 // NewSparse constructs a Sparse after validating the invariants: equal
 // index/value lengths, indices in [0, dim) and strictly ascending.
+//
+//sidco:oracle the validating constructor tests build their fixtures with
 func NewSparse(dim int, idx []int32, vals []float64) (*Sparse, error) {
 	s := &Sparse{Dim: dim, Idx: idx, Vals: vals}
 	if err := s.Validate(); err != nil {
@@ -89,6 +91,8 @@ func (s *Sparse) CopyFrom(o *Sparse) {
 func (s *Sparse) NNZ() int { return len(s.Idx) }
 
 // Dense scatters the sparse vector into a fresh dense slice of length Dim.
+//
+//sidco:oracle the dense view tests compare a selection through
 func (s *Sparse) Dense() []float64 {
 	out := make([]float64, s.Dim)
 	for i, j := range s.Idx {
@@ -104,13 +108,6 @@ func (s *Sparse) AddTo(dst []float64) {
 	}
 	for i, j := range s.Idx {
 		dst[j] += s.Vals[i]
-	}
-}
-
-// Scale multiplies all stored values by a in place.
-func (s *Sparse) Scale(a float64) {
-	for i := range s.Vals {
-		s.Vals[i] *= a
 	}
 }
 

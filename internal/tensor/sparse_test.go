@@ -48,7 +48,7 @@ func TestSparseAddToAndScale(t *testing.T) {
 	if dst[0] != 11 || dst[1] != 10 || dst[2] != 12 {
 		t.Fatalf("AddTo = %v", dst)
 	}
-	s.Scale(2)
+	Scale(2, s.Vals)
 	if s.Vals[0] != 2 || s.Vals[1] != 4 {
 		t.Fatalf("Scale = %v", s.Vals)
 	}

@@ -30,17 +30,7 @@ func Scale(a float64, x []float64) {
 // Add computes y += x elementwise.
 func Add(x, y []float64) { Axpy(1, x, y) }
 
-// Sub computes y -= x elementwise.
-func Sub(x, y []float64) { Axpy(-1, x, y) }
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Zero sets every element of x to 0 (clear is a memclr; Fill's loop is not).
+// Zero sets every element of x to 0.
 func Zero(x []float64) { clear(x) }
 
 // Clone returns a copy of x.
@@ -65,18 +55,6 @@ func Abs(x, dst []float64) []float64 {
 	return dst
 }
 
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
-	}
-	sum := 0.0
-	for i, xi := range x {
-		sum += xi * y[i]
-	}
-	return sum
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	sum := 0.0
@@ -84,26 +62,6 @@ func Norm2(x []float64) float64 {
 		sum += xi * xi
 	}
 	return math.Sqrt(sum)
-}
-
-// Norm1 returns the l1 norm of x.
-func Norm1(x []float64) float64 {
-	sum := 0.0
-	for _, xi := range x {
-		sum += math.Abs(xi)
-	}
-	return sum
-}
-
-// NormInf returns the l-infinity norm of x.
-func NormInf(x []float64) float64 {
-	max := 0.0
-	for _, xi := range x {
-		if a := math.Abs(xi); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // CountAboveThreshold returns the number of elements with |x_i| >= eta —

@@ -75,9 +75,6 @@ func BuildChromeTrace(tl *Timeline) *ChromeTrace {
 			args["bytes"] = a.Bytes
 			args["peer"] = a.Peer
 		}
-		if a.Chunk >= 0 {
-			args["chunk"] = a.Chunk
-		}
 		name := a.Kind.String()
 		switch a.Kind {
 		case telemetry.SpanSend:

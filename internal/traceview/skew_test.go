@@ -19,7 +19,7 @@ const (
 func counterEvt(k telemetry.CounterKind, from, to int32, seq, ts int64) telemetry.Event {
 	return telemetry.Event{
 		WallNanos: ts, Type: telemetry.EventCounter, Counter: k,
-		Node: from, Peer: to, Chunk: -1, Step: 0, Seq: seq, Value: 64,
+		Node: from, Peer: to, Step: 0, Seq: seq, Value: 64,
 	}
 }
 

@@ -65,8 +65,6 @@ type Activity struct {
 	// Node is the owning node; Peer the link peer for send/recv
 	// (send: Peer=to, recv: Peer=from), else -1.
 	Node, Peer int32
-	// Chunk is the event's reserved chunk field, always -1.
-	Chunk int32
 	// Step is the training iteration, -1 when unscoped.
 	Step int64
 	// Seq is the link sequence number for send/recv, else -1.
@@ -224,7 +222,7 @@ func Assemble(streams []*Stream) (*Timeline, error) {
 			switch e.Type {
 			case telemetry.EventVirtual:
 				a := Activity{
-					Kind: e.Span, Node: e.Node, Peer: e.Peer, Chunk: e.Chunk,
+					Kind: e.Span, Node: e.Node, Peer: e.Peer,
 					Step: e.Step, Seq: e.Seq, Bytes: e.Value,
 					Start: e.VStartNanos, End: e.VEndNanos,
 					Stream: si,
@@ -254,7 +252,7 @@ func Assemble(streams []*Stream) (*Timeline, error) {
 				}
 				ts := float64(e.WallNanos) + off
 				tl.Activities = append(tl.Activities, Activity{
-					Kind: e.Span, Node: e.Node, Peer: e.Peer, Chunk: e.Chunk,
+					Kind: e.Span, Node: e.Node, Peer: e.Peer,
 					Step: e.Step, Seq: -1,
 					Start: ts - float64(e.DurNanos), End: ts, Stream: si,
 				})
@@ -311,7 +309,7 @@ func Assemble(streams []*Stream) (*Timeline, error) {
 				d.m.SendAct = len(tl.Activities)
 				tl.Activities = append(tl.Activities, Activity{
 					Kind: telemetry.SpanSend, Node: d.m.From, Peer: d.m.To,
-					Chunk: -1, Step: d.sendStep, Seq: d.m.Seq, Bytes: d.m.Bytes,
+					Step: d.sendStep, Seq: d.m.Seq, Bytes: d.m.Bytes,
 					Start: d.m.SendStart, End: d.m.SendEnd, Stream: d.m.SendStream,
 				})
 			}
@@ -319,7 +317,7 @@ func Assemble(streams []*Stream) (*Timeline, error) {
 				d.m.RecvAct = len(tl.Activities)
 				tl.Activities = append(tl.Activities, Activity{
 					Kind: telemetry.SpanRecv, Node: d.m.To, Peer: d.m.From,
-					Chunk: -1, Step: d.recvStep, Seq: d.m.Seq, Bytes: d.m.Bytes,
+					Step: d.recvStep, Seq: d.m.Seq, Bytes: d.m.Bytes,
 					Start: d.m.RecvStart, End: d.m.RecvEnd, Stream: d.m.RecvStream,
 				})
 			}

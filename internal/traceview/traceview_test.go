@@ -60,7 +60,7 @@ func denseInputs(dim int) []dist.ExchangeInput {
 func runEngineTrace(t *testing.T, cfg cluster.Config, ins []dist.ExchangeInput, dim, iters int) (*Stream, float64) {
 	t.Helper()
 	var buf bytes.Buffer
-	jl := telemetry.NewJSONL(&buf)
+	jl := telemetry.NewJSONLForNode(&buf, -1)
 	cfg.Workers = workers
 	cfg.Scenario = cluster.ScenarioFromNetwork(netsim.DyadicLab(workers))
 	cfg.Telemetry = telemetry.New(jl)
@@ -236,11 +236,11 @@ func TestCriticalPathWallCompressGatesSend(t *testing.T) {
 	counter := func(k telemetry.CounterKind, node, peer int32, ts, value int64) telemetry.Event {
 		return telemetry.Event{
 			WallNanos: ts, Type: telemetry.EventCounter, Counter: k,
-			Node: node, Peer: peer, Chunk: -1, Step: 0, Seq: 0, Value: value,
+			Node: node, Peer: peer, Step: 0, Seq: 0, Value: value,
 		}
 	}
 	s := &Stream{Meta: telemetry.Meta{Schema: telemetry.SchemaVersion, Node: 0}, Events: []telemetry.Event{
-		{WallNanos: 1000, Type: telemetry.EventSpan, Span: telemetry.SpanCompress, Node: 0, Peer: -1, Chunk: -1, Step: 0, DurNanos: 800, Seq: -1},
+		{WallNanos: 1000, Type: telemetry.EventSpan, Span: telemetry.SpanCompress, Node: 0, Peer: -1, Step: 0, DurNanos: 800, Seq: -1},
 		counter(telemetry.CounterSentMessages, 0, 1, 1000, 1),
 		counter(telemetry.CounterSentBytes, 0, 1, 1000, 64),
 		counter(telemetry.CounterRecvMessages, 0, 1, 1500, 1),
