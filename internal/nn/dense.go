@@ -44,6 +44,27 @@ func (d *Dense) Name() string { return d.W.Name[:len(d.W.Name)-2] }
 // those loops as the reference.
 const denseBlock = 4
 
+// denseKernels are the kernels over one row of W that have an AVX2 body
+// (dense_amd64.s), each with its Go twin's signature.
+type denseKernels struct {
+	axpy1     func(w []float64, x0 float64, o0 []float64)
+	axpy2     func(w []float64, x0, x1 float64, o0, o1 []float64)
+	axpy3     func(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64)
+	axpy4     func(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64)
+	gradW4    func(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
+	backward4 func(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
+}
+
+// goKernels are the Go loops below: the path on a machine without AVX2 and
+// the oracle the AVX2 bodies are tested against. Called through these
+// values they are never inlined, so each is one compiled body with one
+// operand order (package doc).
+var goKernels = denseKernels{axpy1, axpy2, axpy3, axpy4, gradW4, backward4}
+
+// kernels is what Dense calls: goKernels, or the AVX2 bodies when
+// dense_amd64.go's init finds the CPU and OS support them.
+var kernels = &goKernels
+
 // Forward implements Layer.
 //
 //sidco:hotpath
@@ -55,6 +76,7 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 	batch := x.Shape[0]
 	out := ensure(&d.out, batch, d.Out)
 	in, width := d.In, d.Out
+	k := kernels
 	for b0 := 0; b0 < batch; b0 += denseBlock {
 		nb := min(denseBlock, batch-b0)
 		for b := b0; b < b0+nb; b++ {
@@ -77,13 +99,13 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 			w := d.W.W[i*width : (i+1)*width]
 			switch n {
 			case 1:
-				axpy1(w, xs[0], os[0])
+				k.axpy1(w, xs[0], os[0])
 			case 2:
-				axpy2(w, xs[0], xs[1], os[0], os[1])
+				k.axpy2(w, xs[0], xs[1], os[0], os[1])
 			case 3:
-				axpy3(w, xs[0], xs[1], xs[2], os[0], os[1], os[2])
+				k.axpy3(w, xs[0], xs[1], xs[2], os[0], os[1], os[2])
 			case 4:
-				axpy4(w, xs[0], xs[1], xs[2], xs[3], os[0], os[1], os[2], os[3])
+				k.axpy4(w, xs[0], xs[1], xs[2], xs[3], os[0], os[1], os[2], os[3])
 			}
 		}
 	}
@@ -154,6 +176,7 @@ func (d *Dense) backward(gradOut *Tensor, gi []float64) {
 	in, width := d.In, d.Out
 	x := d.x.Data
 	assignW, assignB := d.W.takeUnwritten(), d.B.takeUnwritten()
+	k := kernels
 	if batch == 0 {
 		// No block will write them: an empty batch's gradient is zero.
 		if assignW {
@@ -196,7 +219,7 @@ func (d *Dense) backward(gradOut *Tensor, gi []float64) {
 				case 3:
 					gradW3(wg, assign, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
 				case 4:
-					gradW4(wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+					k.gradW4(wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
 				}
 				continue
 			}
@@ -209,7 +232,7 @@ func (d *Dense) backward(gradOut *Tensor, gi []float64) {
 			case 3:
 				gi[r0+i], gi[r1+i], gi[r2+i] = backward3(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
 			case 4:
-				gi[r0+i], gi[r1+i], gi[r2+i], gi[r3+i] = backward4(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+				gi[r0+i], gi[r1+i], gi[r2+i], gi[r3+i] = k.backward4(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
 			}
 		}
 	}

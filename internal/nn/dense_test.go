@@ -10,13 +10,33 @@ import (
 // benchLoss keeps the benchmarked pass's result live.
 var benchLoss float64
 
+// onEachKernelPath calls run once per set of Dense kernels this machine
+// can run — "portable" (the Go loops) and, where init chose the AVX2
+// bodies, "avx2" — with Dense pointed at that set, as init would point it,
+// and restores init's choice after.
+func onEachKernelPath(run func(path string)) {
+	chosen := kernels
+	defer func() { kernels = chosen }()
+	kernels = &goKernels
+	run("portable")
+	if chosen != &goKernels {
+		kernels = chosen
+		run("avx2")
+	}
+}
+
 // BenchmarkDenseFwdBwd is one worker's model pass at the step benchmark's
 // shape (768-1024-1024-10, batch 4) exactly as dist.Trainer runs it: bind
 // the parameters to the flat gradient buffer (no clear: Dense assigns),
 // forward, loss, backward — through BackwardParams, the trainer's entry,
-// and through Backward, which also computes the first layer's ∂x. The
-// microbench row under nn.fwdbwd_ms; -benchmem must read 0 allocs/op.
+// and through Backward, which also computes the first layer's ∂x — on each
+// kernel path. The microbench row under nn.fwdbwd_ms; -benchmem must read
+// 0 allocs/op.
 func BenchmarkDenseFwdBwd(b *testing.B) {
+	onEachKernelPath(func(path string) { b.Run(path, benchmarkDenseFwdBwd) })
+}
+
+func benchmarkDenseFwdBwd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	model := NewSequential(
 		NewDense("d1", 768, 1024, rng),
@@ -158,8 +178,13 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // by BindGrads to a buffer of NaNs, the first call must leave what the
 // reference leaves in a cleared G — its first block assigning (a -0 product
 // or a -0 output gradient landing as +0), any later block accumulating —
-// and a second call before the next bind must accumulate on top.
+// and a second call before the next bind must accumulate on top. Both
+// kernel paths run it.
 func TestDenseKernelsMatchRowAtATime(t *testing.T) {
+	onEachKernelPath(func(path string) { t.Run(path, denseKernelsMatchRowAtATime) })
+}
+
+func denseKernelsMatchRowAtATime(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	sizes := []int{1, 3, 10, 64, 65}
 	for _, in := range sizes {
@@ -290,7 +315,7 @@ func ownGradient(model *Sequential, x *Tensor, targets []int) []float64 {
 // keep accumulate-into-cleared and must get a ∂x-computing Backward where
 // one is needed), a Dense behind a parameter-free layer, and a Dense
 // nested in a Sequential all give, bit for bit, the gradient of a twin
-// model run through a cleared G and Backward.
+// model run through a cleared G and Backward, on both kernel paths.
 func TestBoundGradientsMatchOwnG(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -321,12 +346,16 @@ func TestBoundGradientsMatchOwnG(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bound, own := tc.build(rand.New(rand.NewSource(3))), tc.build(rand.New(rand.NewSource(3)))
-			rng := rand.New(rand.NewSource(4))
-			for pass := 0; pass < 2; pass++ { // the second pass rebinds over the first's values
-				x, targets := tc.input(rng)
-				bitsEqual(t, fmt.Sprintf("pass %d gradient", pass), boundGradient(bound, x, targets), ownGradient(own, x, targets))
-			}
+			onEachKernelPath(func(path string) {
+				t.Run(path, func(t *testing.T) {
+					bound, own := tc.build(rand.New(rand.NewSource(3))), tc.build(rand.New(rand.NewSource(3)))
+					rng := rand.New(rand.NewSource(4))
+					for pass := 0; pass < 2; pass++ { // the second pass rebinds over the first's values
+						x, targets := tc.input(rng)
+						bitsEqual(t, fmt.Sprintf("pass %d gradient", pass), boundGradient(bound, x, targets), ownGradient(own, x, targets))
+					}
+				})
+			})
 		})
 	}
 }
@@ -336,8 +365,12 @@ func TestBoundGradientsMatchOwnG(t *testing.T) {
 // two spans for them; G ends up on the second, which receives both uses'
 // gradients — the first use assigning, the second accumulating — and the
 // abandoned first span reads as zero, exactly what clearing flat and
-// accumulating gave.
+// accumulating gave. Both kernel paths run it.
 func TestSharedDenseBindsLikeAccumulateIntoCleared(t *testing.T) {
+	onEachKernelPath(func(path string) { t.Run(path, sharedDenseBindsLikeAccumulateIntoCleared) })
+}
+
+func sharedDenseBindsLikeAccumulateIntoCleared(t *testing.T) {
 	build := func() (*Sequential, *Dense) {
 		d := NewDense("shared", 6, 6, rand.New(rand.NewSource(8)))
 		return NewSequential(d, &ReLU{}, d), d

@@ -13,6 +13,19 @@
 // (Sequential.BackwardParams). None of it changes a bit of any result: the
 // kernels are held to the row-at-a-time loops on math.Float64bits by
 // TestDenseKernelsMatchRowAtATime.
+//
+// On an amd64 CPU with AVX2 (CPUID and XGETBV, read once at init; there is
+// no setting) Dense's full-block kernels and the narrower forward ones run
+// from dense_amd64.s, four lanes per instruction. The rule that keeps them
+// bit for bit the Go loops: every lane computes exactly the operations the
+// Go loop computes for one element, in its order — a multiply rounded,
+// then an add rounded, never a fused multiply-add — and with each
+// operation's two operands in the order the Go compiler emits them in an
+// optimised, uninstrumented build, which decides the result's payload when
+// both are NaNs. ∂W's lanes are four
+// consecutive j; the ∂x dot products' lanes are the four batch rows, each
+// still summed over j in ascending order. TestAVX2KernelsMatchGo holds
+// each body to its Go twin, and the model-level tests run on both paths.
 package nn
 
 import "fmt"

@@ -151,13 +151,8 @@ func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, i
 			//sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
 			mags, idx = slices.Grow(mags[:n], len(blk)), slices.Grow(idx[:n], len(blk))
 		}
-		outM, outI := mags[n:n+len(blk)], idx[n:n+len(blk)]
-		m := 0
-		for i, xi := range blk {
-			a := math.Abs(xi)
-			outM[m], outI[m] = a, base+int32(i)
-			m += b2i(a > eta)
-		}
+		outM := mags[n : n+len(blk)]
+		m := pairsAbove(blk, eta, base, outM, idx[n:n+len(blk)])
 		ex.add(outM[:m], eta)
 		n += m
 		base += int32(len(blk))
@@ -183,16 +178,41 @@ func CompactPairsAbove(dstM []float64, dstI []int32, mags []float64, idx []int32
 			//sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
 			dstM, dstI = slices.Grow(dstM[:n], len(blkM)), slices.Grow(dstI[:n], len(blkM))
 		}
-		outM, outI := dstM[n:n+len(blkM)], dstI[n:n+len(blkM)]
-		m := 0
-		for i, a := range blkM {
-			outM[m], outI[m] = a, blkI[i]
-			m += b2i(a > eta)
-		}
+		outM := dstM[n : n+len(blkM)]
+		m := compactAbove(blkM, blkI, eta, outM, dstI[n:n+len(blkM)])
 		ex.add(outM[:m], eta)
 		n += m
 	}
 	return dstM[:n], dstI[:n], ex
+}
+
+// pairsAbove and compactAbove are the element loops of PairsAboveThreshold
+// and CompactPairsAbove over one block: store every pair at the cursor m,
+// advance m by the comparison, return m. They stay out of line because in
+// their callers' frames the compiler kept m on the stack, a store and a
+// reload on every element's dependency chain.
+//
+//go:noinline
+func pairsAbove(blk []float64, eta float64, base int32, outM []float64, outI []int32) int {
+	outM, outI = outM[:len(blk)], outI[:len(blk)]
+	m := 0
+	for i, xi := range blk {
+		a := math.Abs(xi)
+		outM[m], outI[m] = a, base+int32(i)
+		m += b2i(a > eta)
+	}
+	return m
+}
+
+//go:noinline
+func compactAbove(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int {
+	blkI, outM, outI = blkI[:len(blkM)], outM[:len(blkM)], outI[:len(blkM)]
+	m := 0
+	for i, a := range blkM {
+		outM[m], outI[m] = a, blkI[i]
+		m += b2i(a > eta)
+	}
+	return m
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag
