@@ -1,5 +1,7 @@
 package nn
 
+import "repro/internal/cpu"
+
 // avx2Kernels are the bodies in dense_amd64.s. Each runs its Go twin's
 // loop four values of j to an instruction — or, for backward4's ∂x dot
 // products, four batch rows — as the same VMULPD and VADDPD, never a fused
@@ -8,33 +10,10 @@ package nn
 var avx2Kernels = denseKernels{axpy1AVX2, axpy2AVX2, axpy3AVX2, axpy4AVX2, gradW4AVX2, backward4AVX2}
 
 func init() {
-	if hasAVX2() {
+	if cpu.AVX2 {
 		kernels = &avx2Kernels
 	}
 }
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches.
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	const xmmState, ymmState = 1 << 1, 1 << 2
-	if xcr0, _ := xgetbv(); xcr0&(xmmState|ymmState) != xmmState|ymmState {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
 
 //go:noescape
 func axpy1AVX2(w []float64, x0 float64, o0 []float64)

@@ -11,25 +11,6 @@
 // The bodies trust their caller: every slice holds at least len(w) — for
 // gradW4, len(wg) — elements, as the rows of one Dense do.
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // AXPY adds one output row's share of w (Y4 / X4) at index AX:
 // p = w * x, then o = p + o, as axpy1…axpy4 compile.
 #define AXPY(x, o, p) \

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // kernelArgs are one kernel call's inputs: a row of W and of ∂W, four x,
@@ -167,7 +169,7 @@ func instrumentedBuild() string {
 // vector body and of the scalar tail: only the Go compiler's operand order
 // returns the payload its loop returns.
 func TestAVX2KernelsMatchGo(t *testing.T) {
-	if !hasAVX2() {
+	if !cpu.AVX2 {
 		t.Skip("no AVX2 on this CPU: Dense runs the Go kernels")
 	}
 	if flag := instrumentedBuild(); flag != "" {

@@ -14,8 +14,8 @@
 // kernels are held to the row-at-a-time loops on math.Float64bits by
 // TestDenseKernelsMatchRowAtATime.
 //
-// On an amd64 CPU with AVX2 (CPUID and XGETBV, read once at init; there is
-// no setting) Dense's full-block kernels and the narrower forward ones run
+// On an amd64 CPU with AVX2 (internal/cpu's CPUID and XGETBV probe, read
+// once at init; there is no setting) Dense's full-block kernels and the narrower forward ones run
 // from dense_amd64.s, four lanes per instruction. The rule that keeps them
 // bit for bit the Go loops: every lane computes exactly the operations the
 // Go loop computes for one element, in its order — a multiply rounded,

@@ -94,13 +94,32 @@ func sameIdx(t *testing.T, what string, got, want []int32) {
 	}
 }
 
+// onEachGatherPath calls run once per set of gather kernels this machine
+// can run — "portable" (the Go loops) and, where init chose the AVX2
+// bodies, "avx2" — with the exceedance path pointed at that set, as init
+// would point it, and restores init's choice after.
+func onEachGatherPath(run func(path string)) {
+	chosen := gather
+	defer func() { gather = chosen }()
+	gather = &goGather
+	run("portable")
+	if chosen != &goGather {
+		gather = chosen
+		run("avx2")
+	}
+}
+
 // TestPairsAboveMatchesNaive holds the blocked store-then-advance gather
 // bit-equal to the naive loop, magnitudes, indices and excess moments:
 // block-boundary lengths, degenerate thresholds, special values, non-empty
 // and exact-capacity lists, a non-zero base — and CompactPairsAbove,
 // which leaves its source intact, against a second naive gather at a
-// higher threshold.
+// higher threshold. It runs on each kernel path.
 func TestPairsAboveMatchesNaive(t *testing.T) {
+	onEachGatherPath(func(path string) { t.Run(path, testPairsAboveMatchesNaive) })
+}
+
+func testPairsAboveMatchesNaive(t *testing.T) {
 	lengths := []int{0, 1, gatherBlock - 1, gatherBlock, gatherBlock + 1, 3*gatherBlock + 17}
 	if !testing.Short() {
 		lengths = append(lengths, 1<<21)
@@ -169,8 +188,12 @@ func TestPairsAboveMatchesNaive(t *testing.T) {
 
 // TestPairsAboveSteadyStateAllocs pins the reuse contract: once the
 // lists have room for the exceedances plus one block of headroom, neither
-// the gather nor the compaction allocates.
+// the gather nor the compaction allocates, on either kernel path.
 func TestPairsAboveSteadyStateAllocs(t *testing.T) {
+	onEachGatherPath(func(path string) { t.Run(path, testPairsAboveSteadyStateAllocs) })
+}
+
+func testPairsAboveSteadyStateAllocs(t *testing.T) {
 	x := specials(1<<16, 9)
 	mags, idx, _ := PairsAboveThreshold(x, 0.5, 0, nil, nil)
 	var mags2 []float64
@@ -222,37 +245,28 @@ func valuesOnlyAbove(x []float64, eta float64, dst []float64) []float64 {
 // BenchmarkPairsAbove is the stage-1 exceedance gather at d = 2^21 and
 // the ~30% selectivity of SIDCo's first stage (delta1 = 0.25 plus the
 // fit's over-selection), where the comparison is a coin flip to a branch
-// predictor: the index- and moment-carrying kernel, the values-only body
-// it replaced and the naive branchy loop, then the compaction of that list
-// to the next stage's ~25% of it.
+// predictor: on each kernel path, the index- and moment-carrying gather
+// and the compaction of its list to the next stage's ~25% of it; then the
+// values-only Go body the gather replaced and the naive branchy loop.
 func BenchmarkPairsAbove(b *testing.B) {
 	g := gaussMix(1<<21, 3)
 	eta := quantileEta(g, 0.30)
+	eta2 := quantileEta(g, 0.075)
+	listM, listI, _ := PairsAboveThreshold(g, eta, 0, nil, nil)
 	mags, idx := make([]float64, 0, len(g)), make([]int32, 0, len(g))
-	for _, k := range []struct {
-		name string
-		fn   func()
-	}{
-		{"pairs", func() { sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) }},
-		{"values-only", func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) }},
-		{"naive", func() { sinkVals, sinkIdx = naivePairsAbove(g, eta, 0, mags[:0], idx[:0]) }},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			b.SetBytes(int64(8 * len(g)))
+	run := func(name string, bytes int, fn func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(bytes))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k.fn()
+				fn()
 			}
 		})
 	}
-	b.Run("compact", func(b *testing.B) {
-		eta2 := quantileEta(g, 0.075)
-		listM, listI, _ := PairsAboveThreshold(g, eta, 0, nil, nil)
-		b.SetBytes(int64(12 * len(listM)))
-		b.ReportAllocs()
-		b.ResetTimer() // the quantile and the list above are set-up
-		for i := 0; i < b.N; i++ {
-			sinkVals, sinkIdx, _ = CompactPairsAbove(mags[:0], idx[:0], listM, listI, eta2)
-		}
+	onEachGatherPath(func(path string) {
+		run(path+"/pairs", 8*len(g), func() { sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) })
+		run(path+"/compact", 12*len(listM), func() { sinkVals, sinkIdx, _ = CompactPairsAbove(mags[:0], idx[:0], listM, listI, eta2) })
 	})
+	run("values-only", 8*len(g), func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) })
+	run("naive", 8*len(g), func() { sinkVals, sinkIdx = naivePairsAbove(g, eta, 0, mags[:0], idx[:0]) })
 }

@@ -2,6 +2,23 @@
 // compression: elementwise operations, exact top-k selection via
 // quickselect and sorting, threshold filtering, and a sparse vector type
 // that carries (index, value) pairs between compressor and collective.
+//
+// On an amd64 CPU with AVX2 (internal/cpu, probed once at start-up; there
+// is no setting) the exceedance path — the gather of PairsAboveThreshold,
+// the compaction of CompactPairsAbove and the excess sums both carry —
+// runs each block's whole groups of four from gather_amd64.s, four
+// elements to an instruction, and the last len%4 in Go. The rule that
+// keeps them bit for bit the Go loops: a kept pair is moved, never
+// computed (|x| is x with the sign bit cleared, as math.Abs gives, and the
+// comparison is false on a NaN, as Go's > is), and each excess lane holds
+// the elements the Go loop puts in it and does what that loop does to
+// them — a subtract, an add, a multiply and an add, each rounded on its
+// own, never a fused multiply-add. The stores are full-width: one lands
+// up to 3 slots past the write cursor, but the cursor never runs ahead of
+// the element index, so no store passes the block — which is why the
+// lists' backing arrays beyond the returned lengths are scratch.
+// TestAVX2GatherMatchesGo holds each body to its Go twin, and the gather's
+// tests run on both paths.
 package tensor
 
 import (
@@ -110,19 +127,45 @@ type Excess struct{ Sum, SumSq float64 }
 //
 //sidco:hotpath
 func (e *Excess) add(kept []float64, eta float64) {
+	v := len(kept) &^ 3
+	s, q := gather.excess(kept[:v], eta)
+	for _, a := range kept[v:] {
+		x := a - eta
+		s[0] += x
+		q[0] += x * x
+	}
+	e.Sum += (s[0] + s[1]) + (s[2] + s[3])
+	e.SumSq += (q[0] + q[1]) + (q[2] + q[3])
+}
+
+// gatherKernels are the exceedance loops that have an AVX2 body
+// (gather_amd64.s), each with its Go twin's signature. Their callers hand
+// them the whole groups of four at the front of a block, len &^ 3
+// elements, and finish the rest with the Go loop.
+type gatherKernels struct {
+	pairs   func(blk []float64, eta float64, base int32, outM []float64, outI []int32) int
+	compact func(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int
+	excess  func(kept []float64, eta float64) (s, q [4]float64)
+}
+
+// goGather are the Go loops below: the path on a machine without AVX2 and
+// the oracle the AVX2 bodies are tested against.
+var goGather = gatherKernels{pairsAbove, compactAbove, excessLanes}
+
+// gather is what the exceedance path calls: goGather, or the AVX2 bodies
+// when gather_amd64.go's init finds the CPU and OS support them.
+var gather = &goGather
+
+// excessLanes sums a-eta and (a-eta)² over kept, whose length is a
+// multiple of four, element j into lane j%4 of s and q.
+func excessLanes(kept []float64, eta float64) (s, q [4]float64) {
 	var s0, s1, s2, s3, q0, q1, q2, q3 float64
 	for ; len(kept) >= 4; kept = kept[4:] {
 		x0, x1, x2, x3 := kept[0]-eta, kept[1]-eta, kept[2]-eta, kept[3]-eta
 		s0, s1, s2, s3 = s0+x0, s1+x1, s2+x2, s3+x3
 		q0, q1, q2, q3 = q0+x0*x0, q1+x1*x1, q2+x2*x2, q3+x3*x3
 	}
-	for _, a := range kept {
-		x := a - eta
-		s0 += x
-		q0 += x * x
-	}
-	e.Sum += (s0 + s1) + (s2 + s3)
-	e.SumSq += (q0 + q1) + (q2 + q3)
+	return [4]float64{s0, s1, s2, s3}, [4]float64{q0, q1, q2, q3}
 }
 
 // PairsAboveThreshold appends, for every element with |x_i| > eta, |x_i|
@@ -138,7 +181,8 @@ func (e *Excess) add(kept []float64, eta float64) {
 // the ~25-30% selectivity of a first SIDCo stage that branch is
 // unpredictable and cost 7x the count-only pass. The moments are summed
 // over each block's kept run while it is still in L1. The lists' backing
-// arrays beyond the returned lengths are scratch.
+// arrays beyond the returned lengths are scratch: a store may land up to 3
+// slots past the cursor, never past the block (package doc).
 //
 //sidco:hotpath
 func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, idx []int32) ([]float64, []int32, Excess) {
@@ -151,8 +195,10 @@ func PairsAboveThreshold(x []float64, eta float64, base int32, mags []float64, i
 			//sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
 			mags, idx = slices.Grow(mags[:n], len(blk)), slices.Grow(idx[:n], len(blk))
 		}
-		outM := mags[n : n+len(blk)]
-		m := pairsAbove(blk, eta, base, outM, idx[n:n+len(blk)])
+		outM, outI := mags[n:n+len(blk)], idx[n:n+len(blk)]
+		v := len(blk) &^ 3
+		m := gather.pairs(blk[:v], eta, base, outM, outI)
+		m += pairsAbove(blk[v:], eta, base+int32(v), outM[m:], outI[m:])
 		ex.add(outM[:m], eta)
 		n += m
 		base += int32(len(blk))
@@ -178,8 +224,10 @@ func CompactPairsAbove(dstM []float64, dstI []int32, mags []float64, idx []int32
 			//sidco:alloc amortised growth of caller-owned storage, by append's policy; steady state reuses it
 			dstM, dstI = slices.Grow(dstM[:n], len(blkM)), slices.Grow(dstI[:n], len(blkM))
 		}
-		outM := dstM[n : n+len(blkM)]
-		m := compactAbove(blkM, blkI, eta, outM, dstI[n:n+len(blkM)])
+		outM, outI := dstM[n:n+len(blkM)], dstI[n:n+len(blkM)]
+		v := len(blkM) &^ 3
+		m := gather.compact(blkM[:v], blkI[:v], eta, outM, outI)
+		m += compactAbove(blkM[v:], blkI[v:], eta, outM[m:], outI[m:])
 		ex.add(outM[:m], eta)
 		n += m
 	}
@@ -187,10 +235,11 @@ func CompactPairsAbove(dstM []float64, dstI []int32, mags []float64, idx []int32
 }
 
 // pairsAbove and compactAbove are the element loops of PairsAboveThreshold
-// and CompactPairsAbove over one block: store every pair at the cursor m,
-// advance m by the comparison, return m. They stay out of line because in
-// their callers' frames the compiler kept m on the stack, a store and a
-// reload on every element's dependency chain.
+// and CompactPairsAbove: store every pair at the cursor m, advance m by the
+// comparison, return m. They run a block's last len%4 elements, and the
+// rest of it too where the AVX2 bodies do not. They stay out of line
+// because in their callers' frames the compiler kept m on the stack, a
+// store and a reload on every element's dependency chain.
 //
 //go:noinline
 func pairsAbove(blk []float64, eta float64, base int32, outM []float64, outI []int32) int {
