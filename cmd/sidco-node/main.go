@@ -140,21 +140,6 @@ func main() {
 	}
 }
 
-func parseCollective(name string) (netsim.Collective, error) {
-	switch name {
-	case "auto":
-		return netsim.CollectiveAuto, nil
-	case "ring":
-		return netsim.CollectiveRing, nil
-	case "allgather":
-		return netsim.CollectiveAllGather, nil
-	case "ps":
-		return netsim.CollectivePS, nil
-	default:
-		return 0, fmt.Errorf("unknown collective %q (want auto, ring, allgather or ps)", name)
-	}
-}
-
 func parseHosts(opt options) ([]string, error) {
 	if opt.hosts != "" && opt.hostfile != "" {
 		return nil, fmt.Errorf("pass -hosts or -hostfile, not both")
@@ -306,7 +291,7 @@ func runNode(opt options) error {
 	if opt.ckptEvery < 1 {
 		return fmt.Errorf("-ckpt-every %d, need >= 1", opt.ckptEvery)
 	}
-	coll, err := parseCollective(opt.collective)
+	coll, err := netsim.ParseCollective(opt.collective)
 	if err != nil {
 		return err
 	}
@@ -426,17 +411,9 @@ func runNode(opt options) error {
 	return nil
 }
 
-// resolveCollective maps CollectiveAuto to the schedule the run will
-// actually execute: all-gather for compressed training, ring otherwise.
-func resolveCollective(opt options, coll netsim.Collective) netsim.Collective {
-	if coll != netsim.CollectiveAuto {
-		return coll
-	}
-	if opt.compressor != "" && opt.compressor != "none" {
-		return netsim.CollectiveAllGather
-	}
-	return netsim.CollectiveRing
-}
+// compressed reports whether the run trains with a compressor, which is
+// what CollectiveAuto resolves on.
+func compressed(opt options) bool { return opt.compressor != "" && opt.compressor != "none" }
 
 // printLosses renders rank 0's view of the run: losses[i] is global step
 // start+i, so a resumed run's rows carry the steps it actually ran.
@@ -493,10 +470,9 @@ func checkViable(opt options, coll netsim.Collective) error {
 	// what the reference computes. The parameter server re-encodes the
 	// aggregated mean on the pull side — a mean of wire fixed points is not
 	// itself one — so only the lossless wire stays exact there.
-	compressed := opt.compressor != "" && opt.compressor != "none"
-	switch resolveCollective(opt, coll) {
+	switch coll.Resolve(compressed(opt)) {
 	case netsim.CollectiveAllGather:
-		if wire != cluster.WireLossless && !compressed {
+		if wire != cluster.WireLossless && !compressed(opt) {
 			return fmt.Errorf("-check: -format %s is lossy and no compressor pre-rounds to it, so no bit-exact reference exists; use -format lossless, a compressor, or drop -check", opt.format)
 		}
 	case netsim.CollectivePS:
@@ -529,7 +505,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 		return err
 	}
 	want = want[start:]
-	resolved := resolveCollective(opt, coll)
+	resolved := coll.Resolve(compressed(opt))
 	bitwise := resolved == netsim.CollectiveAllGather || resolved == netsim.CollectivePS
 	for i := range want {
 		if bitwise && losses[i] != want[i] {
@@ -692,13 +668,13 @@ func runLaunch(opt options) error {
 	if opt.iters < 1 {
 		return fmt.Errorf("-iters %d, need >= 1", opt.iters)
 	}
-	coll, err := parseCollective(opt.collective)
+	coll, err := netsim.ParseCollective(opt.collective)
 	if err != nil {
 		return err
 	}
 	nodes := cluster.NodeCount(opt.launch, coll)
 	serverRank := -1
-	if resolveCollective(opt, coll) == netsim.CollectivePS {
+	if coll == netsim.CollectivePS {
 		serverRank = nodes - 1
 	}
 	killR, killStep, err := parseKillRank(opt.killRank)
@@ -990,7 +966,7 @@ func checkLaunchTraces(opt options, coll netsim.Collective, nodes, steps int) er
 	if err := traceview.CheckComplete(tl); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
-	resolved := resolveCollective(opt, coll)
+	resolved := coll.Resolve(compressed(opt))
 	if err := traceview.CheckMessageCount(tl, resolved, opt.launch, steps); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}

@@ -53,6 +53,19 @@ func run(chromePath string, report bool, step int64, check bool, collective stri
 	if len(paths) == 0 {
 		return fmt.Errorf("no trace files; pass one JSONL stream per rank (see -h)")
 	}
+	var coll netsim.Collective
+	if check && collective != "" {
+		var err error
+		if coll, err = netsim.ParseCollective(collective); err != nil {
+			return err
+		}
+		if coll == netsim.CollectiveAuto {
+			return fmt.Errorf("-check -collective auto: an unresolved schedule has no message count; pass ring, allgather or ps")
+		}
+		if workers < 1 {
+			return fmt.Errorf("-check -collective needs -workers")
+		}
+	}
 	streams := make([]*traceview.Stream, 0, len(paths))
 	for _, p := range paths {
 		s, err := traceview.ReadFile(p)
@@ -71,13 +84,6 @@ func run(chromePath string, report bool, step int64, check bool, collective stri
 			return err
 		}
 		if collective != "" {
-			coll, err := parseCollective(collective)
-			if err != nil {
-				return err
-			}
-			if workers < 1 {
-				return fmt.Errorf("-check -collective needs -workers")
-			}
 			if err := traceview.CheckMessageCount(tl, coll, workers, iters); err != nil {
 				return err
 			}
@@ -112,16 +118,4 @@ func run(chromePath string, report bool, step int64, check bool, collective stri
 		}
 	}
 	return nil
-}
-
-func parseCollective(name string) (netsim.Collective, error) {
-	switch name {
-	case "ring":
-		return netsim.CollectiveRing, nil
-	case "allgather":
-		return netsim.CollectiveAllGather, nil
-	case "ps":
-		return netsim.CollectivePS, nil
-	}
-	return 0, fmt.Errorf("unknown collective %q (ring, allgather, ps)", name)
 }

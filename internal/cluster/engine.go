@@ -70,7 +70,8 @@ type Config struct {
 	// The surviving workers rescale the aggregated mean to their count.
 	// 0 keeps the fail-stop behaviour. Requires StepTimeout > 0: without
 	// deadlines, survivors that are not adjacent to the dead peer would
-	// block forever instead of joining the renegotiation.
+	// block forever instead of joining the renegotiation. It also
+	// requires at most 64 nodes: the membership view is a 64-bit mask.
 	MaxStepRetries int
 	// Telemetry, if non-nil, traces every round (per-node collective
 	// and encode spans) and the gradient traffic on the
@@ -119,10 +120,13 @@ func (c Config) Validate() error {
 	if c.MaxStepRetries > 0 && c.StepTimeout <= 0 {
 		return fmt.Errorf("cluster: MaxStepRetries = %d requires StepTimeout > 0 (recovery needs receive deadlines to detect a dead peer from every rank)", c.MaxStepRetries)
 	}
+	nodes := NodeCount(c.Workers, c.Collective)
+	if c.MaxStepRetries > 0 && nodes > maxMembers {
+		return fmt.Errorf("cluster: MaxStepRetries = %d over %d nodes: elastic membership holds at most %d", c.MaxStepRetries, nodes, maxMembers)
+	}
 	if c.Rank == c.Workers && c.Collective != netsim.CollectivePS {
 		return fmt.Errorf("cluster: Rank = %d is the server slot, which only CollectivePS has", c.Rank)
 	}
-	nodes := NodeCount(c.Workers, c.Collective)
 	if c.Rank < 0 || c.Rank >= nodes {
 		return fmt.Errorf("cluster: Rank = %d outside the %d-node deployment", c.Rank, nodes)
 	}
@@ -232,27 +236,14 @@ func (w Wire) Format() (encoding.Format, error) {
 	}
 }
 
-// resolveCollective resolves Auto against the round's inputs (sparse:
-// all-gather, dense: ring). Resolution happens once per round, never per
-// node — per-node resolution could diverge on a mixed dense/sparse input
-// set and deadlock the schedule, which is why Engine resolves for all its
-// Nodes.
-func resolveCollective(c netsim.Collective, sparse bool) netsim.Collective {
-	if c != netsim.CollectiveAuto {
-		return c
-	}
-	if sparse {
-		return netsim.CollectiveAllGather
-	}
-	return netsim.CollectiveRing
-}
-
 // resolveSparse resolves a round for ExchangeSparse, which runs it only when
 // the aggregate is sparse by nature: a compressed selection over all-gather
 // or the parameter server. A dense contribution or a ring all-reduce is not
-// (ok false), and is declined.
+// (ok false), and is declined. Like every round's Auto, it is resolved once
+// per round from rank 0's input, never per node — per-node resolution could
+// diverge on a mixed dense/sparse input set and deadlock the schedule.
 func resolveSparse(c netsim.Collective, sp *tensor.Sparse) (coll netsim.Collective, ok bool) {
-	coll = resolveCollective(c, sp != nil)
+	coll = c.Resolve(sp != nil)
 	return coll, sp != nil && coll != netsim.CollectiveRing
 }
 
@@ -344,7 +335,7 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 	if err := e.checkExchange(ins); err != nil {
 		return err
 	}
-	coll := resolveCollective(e.cfg.Collective, ins[0].Sparse != nil)
+	coll := e.cfg.Collective.Resolve(ins[0].Sparse != nil)
 	err := e.run(step, coll, ins, len(agg), agg, nil)
 	if err == nil && e.cfg.Verify {
 		for w := 1; w < e.cfg.Workers && err == nil; w++ {

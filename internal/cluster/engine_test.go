@@ -296,6 +296,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-step-timeout", Config{Workers: 2, StepTimeout: -time.Second}, "StepTimeout"},
 		{"negative-retries", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: -1}, "MaxStepRetries = -1"},
 		{"retries-without-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, MaxStepRetries: 1}, "requires StepTimeout"},
+		{"retries-at-64-nodes", Config{Workers: 63, Collective: netsim.CollectivePS, StepTimeout: time.Second, MaxStepRetries: 1}, ""},
+		{"retries-over-64-nodes", Config{Workers: 64, Collective: netsim.CollectivePS, StepTimeout: time.Second, MaxStepRetries: 1}, "over 65 nodes"},
+		{"no-retries-over-64-nodes", Config{Workers: 100}, ""},
 		{"rank-negative", Config{Workers: 2, Rank: -1}, "outside the 2-node deployment"},
 		{"rank-out-of-range", Config{Workers: 2, Rank: 4, Collective: netsim.CollectivePS}, "outside the 3-node deployment"},
 		{"server-slot-without-ps", Config{Workers: 2, Rank: 2, Collective: netsim.CollectiveAllGather}, "server slot"},

@@ -28,11 +28,9 @@ type FaultPlan struct {
 }
 
 // FaultTransport wraps any Transport with the deterministic failure
-// injection of a FaultPlan. It implements TimeoutRecver (forwarding to
-// the inner transport's implementation) and consumes the step tags an
-// Instrumented wrapper forwards down via SetStep, so step-triggered
-// kills fire at exchange boundaries — before any payload of the fatal
-// step is sent.
+// injection of a FaultPlan. It consumes the step tags an Instrumented
+// wrapper forwards down via SetStep, so step-triggered kills fire at
+// exchange boundaries — before any payload of the fatal step is sent.
 type FaultTransport struct {
 	inner Transport
 	plan  FaultPlan
@@ -100,56 +98,34 @@ func (t *FaultTransport) Send(from, to int, payload []byte) error {
 	return nil
 }
 
-// drainOrFail delivers any payload the inner transport already queued on
-// a now-dead link (per-link FIFO: pre-death payloads still count), then
-// reports the peer lost.
-func (t *FaultTransport) drainOrFail(to, from int, cause string) ([]byte, error) {
-	if tr, ok := t.inner.(TimeoutRecver); ok {
-		p, err := tr.RecvTimeout(to, from, 0)
-		if err == nil {
-			return p, nil
-		}
-		if !errors.Is(err, ErrTimeout) {
-			return nil, err
-		}
+// Recv implements Transport with the plan applied.
+func (t *FaultTransport) Recv(to, from int) ([]byte, error) { return t.recv(to, from, recvBlock) }
+
+// RecvTimeout implements Transport with the plan applied.
+func (t *FaultTransport) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
+	return t.recv(to, from, max(timeout, 0))
+}
+
+// recv applies the plan, then forwards: a dead receiver fails its own
+// call (ErrClosed class), while receiving from a dead peer or over a
+// broken link drains what the inner transport already queued (per-link
+// FIFO: pre-fault payloads still count) and then fails with ErrPeerLost.
+func (t *FaultTransport) recv(to, from int, timeout time.Duration) ([]byte, error) {
+	var cause string
+	switch {
+	case t.dead(to):
+		return nil, fmt.Errorf("cluster: fault: node %d killed at step %d: %w", to, t.plan.KillRank[to], ErrClosed)
+	case t.dead(from):
+		cause = "peer killed"
+	case t.linkBroken(from, to):
+		cause = "link killed"
+	default:
+		return recvOn(t.inner, to, from, timeout)
+	}
+	if p, err := t.inner.RecvTimeout(to, from, 0); !errors.Is(err, ErrTimeout) {
+		return p, err
 	}
 	return nil, fmt.Errorf("cluster: fault: recv %d->%d: %s: %w", to, from, cause, ErrPeerLost)
-}
-
-// Recv implements Transport with the plan applied: a dead receiver
-// fails its own call (ErrClosed class), while receiving from a dead
-// peer or over a broken link drains pre-fault payloads and then fails
-// with ErrPeerLost.
-func (t *FaultTransport) Recv(to, from int) ([]byte, error) {
-	if t.dead(to) {
-		return nil, fmt.Errorf("cluster: fault: node %d killed at step %d: %w", to, t.plan.KillRank[to], ErrClosed)
-	}
-	if t.dead(from) {
-		return t.drainOrFail(to, from, "peer killed")
-	}
-	if t.linkBroken(from, to) {
-		return t.drainOrFail(to, from, "link killed")
-	}
-	return t.inner.Recv(to, from)
-}
-
-// RecvTimeout implements TimeoutRecver, applying the plan before
-// forwarding. An inner transport without timeout support degrades to
-// the blocking Recv.
-func (t *FaultTransport) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
-	if t.dead(to) {
-		return nil, fmt.Errorf("cluster: fault: node %d killed at step %d: %w", to, t.plan.KillRank[to], ErrClosed)
-	}
-	if t.dead(from) {
-		return t.drainOrFail(to, from, "peer killed")
-	}
-	if t.linkBroken(from, to) {
-		return t.drainOrFail(to, from, "link killed")
-	}
-	if tr, ok := t.inner.(TimeoutRecver); ok {
-		return tr.RecvTimeout(to, from, timeout)
-	}
-	return t.inner.Recv(to, from)
 }
 
 // Close implements Transport.

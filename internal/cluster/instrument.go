@@ -190,14 +190,13 @@ func (t *Instrumented) Send(from, to int, payload []byte) error {
 // Recv implements Transport, advancing the receiver's clock once the
 // payload arrives.
 func (t *Instrumented) Recv(to, from int) ([]byte, error) {
-	return t.recv(to, from, -1)
+	return t.recv(to, from, recvBlock)
 }
 
-// RecvTimeout implements TimeoutRecver when the wrapped transport does,
-// with identical accounting: a timed-out call delivers nothing and
-// counts nothing. Without inner support it degrades to blocking Recv.
+// RecvTimeout implements Transport with identical accounting: a
+// timed-out call delivers nothing and counts nothing.
 func (t *Instrumented) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
-	return t.recv(to, from, timeout)
+	return t.recv(to, from, max(timeout, 0))
 }
 
 // recv is the shared receive path; timeout < 0 blocks.
@@ -206,13 +205,7 @@ func (t *Instrumented) recv(to, from int, timeout time.Duration) ([]byte, error)
 	if t.tel.Enabled() {
 		t0 = telemetry.Monotonic()
 	}
-	var payload []byte
-	var err error
-	if tr, ok := t.inner.(TimeoutRecver); ok && timeout >= 0 {
-		payload, err = tr.RecvTimeout(to, from, timeout)
-	} else {
-		payload, err = t.inner.Recv(to, from)
-	}
+	payload, err := recvOn(t.inner, to, from, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -41,6 +41,10 @@ const memberRounds = 2
 // mask u64, little-endian.
 const memberFrameLen = 20
 
+// maxMembers bounds the node ids a view can hold: the mask is one u64,
+// so Config.Validate refuses elastic recovery over more nodes.
+const maxMembers = 64
+
 // memberFrame is one membership protocol message: the sender's current
 // view of the deployment as a node-id bitmask, tagged with the
 // renegotiation epoch and protocol round.
@@ -88,20 +92,15 @@ func (e *peerRenegotiating) Error() string {
 
 func (e *peerRenegotiating) Unwrap() error { return ErrPeerLost }
 
-// recvDeadline is one blocking receive bounded by an absolute deadline:
-// zero deadline (or a transport without timeout support) blocks
-// indefinitely, otherwise the remaining budget is applied per receive,
-// so every receive of a schedule run shares one step deadline.
+// recvDeadline is one receive bounded by an absolute deadline: a zero
+// deadline blocks indefinitely, otherwise the remaining budget is
+// applied per receive (a spent one polls), so every receive of a
+// schedule run shares one step deadline.
 func recvDeadline(tp Transport, to, from int, deadline time.Time) ([]byte, error) {
-	tr, ok := tp.(TimeoutRecver)
-	if deadline.IsZero() || !ok {
+	if deadline.IsZero() {
 		return tp.Recv(to, from)
 	}
-	remaining := time.Until(deadline) //sidco:nondet converts a fault-detection deadline to a timeout
-	if remaining < 0 {
-		remaining = 0
-	}
-	return tr.RecvTimeout(to, from, remaining)
+	return tp.RecvTimeout(to, from, time.Until(deadline)) //sidco:nondet converts a fault-detection deadline to a timeout
 }
 
 // interceptRecv builds the schedule receive hook: deadline-bounded
@@ -130,7 +129,7 @@ func maskOf(members []int) uint64 {
 
 func maskMembers(mask uint64) []int {
 	var ids []int
-	for id := 0; id < 64; id++ {
+	for id := 0; id < maxMembers; id++ {
 		if mask&(1<<uint(id)) != 0 {
 			ids = append(ids, id)
 		}
@@ -171,17 +170,7 @@ func (ng *negotiator) frameFrom(tp Transport, self, id int, epoch, round uint32,
 	}
 	deadline := time.Now().Add(timeout) //sidco:nondet renegotiation deadline, fault path only
 	for {
-		remaining := time.Until(deadline) //sidco:nondet renegotiation deadline, fault path only
-		if remaining < 0 {
-			remaining = 0
-		}
-		var p []byte
-		var err error
-		if tr, ok := tp.(TimeoutRecver); ok {
-			p, err = tr.RecvTimeout(self, id, remaining)
-		} else {
-			p, err = tp.Recv(self, id)
-		}
+		p, err := recvDeadline(tp, self, id, deadline)
 		if err != nil {
 			if Recoverable(err) {
 				return memberFrame{}, false, nil

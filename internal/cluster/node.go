@@ -358,7 +358,7 @@ func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error
 	if err := n.checkExchange(ins); err != nil {
 		return err
 	}
-	coll := resolveCollective(n.cfg.Collective, ins[0].Sparse != nil)
+	coll := n.cfg.Collective.Resolve(ins[0].Sparse != nil)
 	return n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll, out: agg})
 }
 

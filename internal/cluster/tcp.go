@@ -179,26 +179,13 @@ func (t *TCPTransport) closed() bool {
 	}
 }
 
-// check validates a link's endpoints.
-//
-//sidco:errclass caller-misuse validation, deliberately fatal
-func (t *TCPTransport) check(from, to int) error {
-	if from < 0 || from >= t.n || to < 0 || to >= t.n {
-		return fmt.Errorf("cluster: link %d->%d outside %d nodes", from, to, t.n)
-	}
-	if from == to {
-		return fmt.Errorf("cluster: node %d sending to itself", from)
-	}
-	return nil
-}
-
 // Send implements Transport: it lazily dials the link's connection (with
 // retries, so peers may come up later) and writes one framed payload.
 // TCP flow control provides the link-capacity backpressure: when the
 // receiver's inbox is full its reader stops draining the socket, and the
 // write here eventually blocks.
 func (t *TCPTransport) Send(from, to int, payload []byte) error {
-	if err := t.check(from, to); err != nil {
+	if err := checkLink(t.n, from, to); err != nil {
 		return err
 	}
 	if !t.local[from] {
@@ -318,97 +305,23 @@ func (t *TCPTransport) dial(from, to int) (net.Conn, error) {
 // reader's poison pill — the peer's connection broke (its process died
 // or dropped the link), so Recv fails instead of blocking forever on an
 // inbox no one will ever feed again.
-func (t *TCPTransport) Recv(to, from int) ([]byte, error) {
-	if err := t.check(from, to); err != nil {
-		return nil, err
-	}
-	if !t.local[to] {
-		return nil, fmt.Errorf("cluster: recv at node %d, which this transport does not host", to) //sidco:errclass caller misuse, deliberately fatal
-	}
-	ch := t.inbox[Link{from, to}]
-	deliver := func(p []byte) ([]byte, error) {
-		if p == nil {
-			// Keep the death signal sticky for subsequent Recvs.
-			select {
-			case ch <- nil:
-			default:
-			}
-			if t.closed() {
-				// Local Close raced the reader's poison: report closure,
-				// the deterministic signal the contract promises.
-				return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
-			}
-			return nil, fmt.Errorf("cluster: recv %d->%d: link broke: %w", to, from, ErrPeerLost)
-		}
-		return p, nil
-	}
-	select {
-	case p := <-ch:
-		return deliver(p)
-	default:
-	}
-	select {
-	case p := <-ch:
-		return deliver(p)
-	case <-t.done:
-		select {
-		case p := <-ch:
-			return deliver(p)
-		default:
-			return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
-		}
-	}
+func (t *TCPTransport) Recv(to, from int) ([]byte, error) { return t.recv(to, from, recvBlock) }
+
+// RecvTimeout implements Transport over the same inbox as Recv:
+// delivered payloads win over the close error and the timeout; a nil
+// poison still reports the lost link.
+func (t *TCPTransport) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
+	return t.recv(to, from, max(timeout, 0))
 }
 
-// RecvTimeout implements TimeoutRecver over the same inbox machinery as
-// Recv: delivered payloads win over the close error and the timeout; a
-// nil poison still reports the lost link.
-func (t *TCPTransport) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
-	if err := t.check(from, to); err != nil {
+func (t *TCPTransport) recv(to, from int, timeout time.Duration) ([]byte, error) {
+	if err := checkLink(t.n, from, to); err != nil {
 		return nil, err
 	}
 	if !t.local[to] {
 		return nil, fmt.Errorf("cluster: recv at node %d, which this transport does not host", to) //sidco:errclass caller misuse, deliberately fatal
 	}
-	ch := t.inbox[Link{from, to}]
-	deliver := func(p []byte) ([]byte, error) {
-		if p == nil {
-			select {
-			case ch <- nil:
-			default:
-			}
-			if t.closed() {
-				return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
-			}
-			return nil, fmt.Errorf("cluster: recv %d->%d: link broke: %w", to, from, ErrPeerLost)
-		}
-		return p, nil
-	}
-	select {
-	case p := <-ch:
-		return deliver(p)
-	default:
-	}
-	timer := time.NewTimer(timeout) //sidco:nondet receive timeout, fault detection only
-	defer timer.Stop()
-	select {
-	case p := <-ch:
-		return deliver(p)
-	case <-t.done:
-		select {
-		case p := <-ch:
-			return deliver(p)
-		default:
-			return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
-		}
-	case <-timer.C:
-		select {
-		case p := <-ch:
-			return deliver(p)
-		default:
-			return nil, fmt.Errorf("cluster: recv %d->%d after %v: %w", to, from, timeout, ErrTimeout)
-		}
-	}
+	return recvLink(t.inbox[Link{from, to}], t.done, true, to, from, timeout)
 }
 
 // acceptLoop owns one hosted node's listener: each accepted connection

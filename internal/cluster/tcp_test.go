@@ -72,36 +72,6 @@ func TestTCPTransportFIFO(t *testing.T) {
 	}
 }
 
-// TestTCPRecvPrefersDeliveredPayloads exercises the close contract's
-// receive side over real sockets: a payload that reached the local inbox
-// before Close must be returned, not the closure error.
-func TestTCPRecvPrefersDeliveredPayloads(t *testing.T) {
-	tp := localTCP(t, 2)
-	if err := tp.Send(0, 1, []byte{42}); err != nil {
-		t.Fatal(err)
-	}
-	// First recv proves the frame made it into the inbox pipeline; the
-	// second payload then sits delivered when Close lands.
-	if _, err := tp.Recv(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.Send(0, 1, []byte{43}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // generous: loopback delivery is microseconds
-	tp.Close()
-	p, err := tp.Recv(1, 0)
-	if err != nil {
-		t.Fatalf("recv of pre-close payload failed: %v", err)
-	}
-	if len(p) != 1 || p[0] != 43 {
-		t.Fatalf("got %v, want [43]", p)
-	}
-	if _, err := tp.Recv(1, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("drained recv error = %v, want ErrClosed", err)
-	}
-}
-
 // TestTCPPeerDeathFailsRecv pins the dead-peer behaviour: when the
 // remote side of a link goes away mid-run (its process dies, its
 // transport closes), a blocked or subsequent Recv on that link must fail

@@ -34,14 +34,16 @@
 //
 // The package also survives dead peers. Errors classify into a
 // recoverable class (ErrPeerLost, ErrTimeout — see Recoverable) and the
-// fatal local-shutdown class (ErrClosed); Config.StepTimeout bounds
-// every schedule receive, and Config.MaxStepRetries enables elastic
-// membership: survivors of a recoverable failure agree on the live
-// member set (a fixed-round mask exchange that doubles as a link drain),
-// re-run the step over the surviving group, and rescale the aggregate to
-// the survivor count. FaultTransport injects deterministic link/node
-// failures for tests, and dist's checkpointing restores a killed rank's
-// training state for rejoin.
+// fatal local-shutdown class (ErrClosed). The deadline-bounded receive
+// (RecvTimeout) is part of the Transport contract, so Config.StepTimeout
+// bounds every schedule receive on every transport, and
+// Config.MaxStepRetries enables elastic membership: survivors of a
+// recoverable failure agree on the live member set (a fixed-round mask
+// exchange that doubles as a link drain), re-run the step over the
+// surviving group, and rescale the aggregate to the survivor count.
+// FaultTransport injects deterministic link/node failures for tests, and
+// dist's checkpointing restores a killed rank's training state for
+// rejoin.
 package cluster
 
 import (
@@ -79,12 +81,14 @@ func Recoverable(err error) bool {
 	return errors.Is(err, ErrPeerLost) || errors.Is(err, ErrTimeout)
 }
 
-// TimeoutRecver is the optional Transport capability the per-step
-// timeout rides on: RecvTimeout behaves like Recv but fails with an
-// error wrapping ErrTimeout once the timeout elapses with no payload
-// deliverable. A timed-out call consumes nothing — a payload arriving
-// later stays queued for the next receive, preserving per-link FIFO.
-// Both ChanTransport and TCPTransport implement it.
+// TimeoutRecver is the deadline-bounded receive the per-step timeout
+// rides on; every Transport has it. RecvTimeout behaves like Recv but
+// fails with an error wrapping ErrTimeout once the timeout elapses with
+// no payload deliverable, and a timeout <= 0 polls: a payload already
+// queued is returned, else the call fails at once. A timed-out call
+// consumes nothing — a payload arriving later stays queued for the next
+// receive, preserving per-link FIFO — and a closed, empty link reports
+// ErrClosed, never ErrTimeout.
 type TimeoutRecver interface {
 	RecvTimeout(to, from int, timeout time.Duration) ([]byte, error)
 }
@@ -96,13 +100,14 @@ type TimeoutRecver interface {
 //
 // Close semantics are deterministic, so a schedule torn down mid-flight
 // fails the same way every run: delivery is preferred over the shutdown
-// error. A Recv whose payload was already delivered locally returns that
-// payload, not the close error; a Send that has free link capacity at
-// the moment it observes the close still completes (the payload is
-// simply never read). Operations fail with an error wrapping ErrClosed
-// only when the transport is closed AND the operation would have to
-// block. TCPTransport matches this contract on the receive side exactly;
-// its sends additionally fail once the underlying sockets are torn down.
+// error. A receive whose payload was already delivered locally returns
+// that payload, not the close error or a timeout; a Send that has free
+// link capacity at the moment it observes the close still completes (the
+// payload is simply never read). Operations fail with an error wrapping
+// ErrClosed only when the transport is closed AND the operation would
+// have to block. TCPTransport matches this contract on the receive side
+// exactly; its sends additionally fail once the underlying sockets are
+// torn down.
 type Transport interface {
 	// Nodes returns the number of addressable nodes.
 	Nodes() int
@@ -113,10 +118,98 @@ type Transport interface {
 	Send(from, to int, payload []byte) error
 	// Recv blocks until a payload arrives on the link from -> to, and
 	// errors once the transport is closed (and no payload is
-	// deliverable) or on an invalid node id.
+	// deliverable) or on an invalid node id. It starts no timer.
 	Recv(to, from int) ([]byte, error)
+	// TimeoutRecver is Recv bounded by a timeout (<= 0 polls).
+	TimeoutRecver
 	// Close tears the transport down, unblocking pending operations.
 	Close() error
+}
+
+// recvBlock is the timeout the transports' private receive bodies take
+// for Recv: negative waits with no timer. RecvTimeout never passes one
+// on; it clamps its timeout to >= 0, so a timeout <= 0 polls.
+const recvBlock time.Duration = -1
+
+// recvOn forwards a private receive body's call to a wrapped transport.
+func recvOn(tp Transport, to, from int, timeout time.Duration) ([]byte, error) {
+	if timeout < 0 {
+		return tp.Recv(to, from)
+	}
+	return tp.RecvTimeout(to, from, timeout)
+}
+
+// recvLink is the one receive body of ChanTransport and TCPTransport:
+// it takes the next payload off a link's inbox q, where done is the
+// transport's close signal. Delivery always wins: a payload already in q
+// is returned even when done or the timer fired first. timeout < 0
+// blocks with no timer, 0 polls. A closed, empty link reports ErrClosed,
+// never ErrTimeout. With poison set a nil payload is TCP's dead-link
+// signal, not a payload: it goes back into q, so every later receive
+// fails too, and reports ErrPeerLost (ErrClosed once done is closed).
+func recvLink(q chan []byte, done <-chan struct{}, poison bool, to, from int, timeout time.Duration) ([]byte, error) {
+	select {
+	case p := <-q:
+		return taken(q, done, poison, to, from, p)
+	default:
+	}
+	if timeout != 0 {
+		var expired <-chan time.Time // nil: Recv waits with no timer
+		if timeout > 0 {
+			timer := time.NewTimer(timeout) //sidco:nondet receive timeout, fault detection only
+			defer timer.Stop()
+			expired = timer.C
+		}
+		select {
+		case p := <-q:
+			return taken(q, done, poison, to, from, p)
+		case <-done:
+		case <-expired:
+		}
+		select {
+		case p := <-q:
+			return taken(q, done, poison, to, from, p)
+		default:
+		}
+	}
+	select {
+	case <-done:
+		return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
+	default:
+		return nil, fmt.Errorf("cluster: recv %d->%d after %v: %w", to, from, timeout, ErrTimeout)
+	}
+}
+
+// taken is recvLink's result for a payload p taken off q.
+func taken(q chan []byte, done <-chan struct{}, poison bool, to, from int, p []byte) ([]byte, error) {
+	if p != nil || !poison {
+		return p, nil
+	}
+	select {
+	case q <- nil: // keep the death signal sticky for later receives
+	default:
+	}
+	select {
+	case <-done:
+		// Local Close raced the reader's poison: report closure, the
+		// deterministic signal the contract promises.
+		return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
+	default:
+		return nil, fmt.Errorf("cluster: recv %d->%d: link broke: %w", to, from, ErrPeerLost)
+	}
+}
+
+// checkLink validates a link's endpoints among n nodes.
+//
+//sidco:errclass caller-misuse validation, deliberately fatal
+func checkLink(n, from, to int) error {
+	if from < 0 || from >= n || to < 0 || to >= n {
+		return fmt.Errorf("cluster: link %d->%d outside %d nodes", from, to, n)
+	}
+	if from == to {
+		return fmt.Errorf("cluster: node %d sending to itself", from)
+	}
+	return nil
 }
 
 // ChanTransport is the in-process Transport: one buffered Go channel per
@@ -159,26 +252,13 @@ func NewChanTransport(nodes int) (*ChanTransport, error) {
 // Nodes implements Transport.
 func (t *ChanTransport) Nodes() int { return t.n }
 
-// check validates a link's endpoints.
-//
-//sidco:errclass caller-misuse validation, deliberately fatal
-func (t *ChanTransport) check(from, to int) error {
-	if from < 0 || from >= t.n || to < 0 || to >= t.n {
-		return fmt.Errorf("cluster: link %d->%d outside %d nodes", from, to, t.n)
-	}
-	if from == to {
-		return fmt.Errorf("cluster: node %d sending to itself", from)
-	}
-	return nil
-}
-
 // Send implements Transport. The two-phase select makes the close race
 // deterministic: a select listing the link and done together lets Go's
 // random case choice report closure even while capacity is free, so the
 // link case is tried alone first, and retried once more after done fires
 // — Send fails only if the link is genuinely full at shutdown.
 func (t *ChanTransport) Send(from, to int, payload []byte) error {
-	if err := t.check(from, to); err != nil {
+	if err := checkLink(t.n, from, to); err != nil {
 		return err
 	}
 	select {
@@ -201,61 +281,20 @@ func (t *ChanTransport) Send(from, to int, payload []byte) error {
 
 // Recv implements Transport, with the same deterministic preference for
 // delivery: a payload already sitting in the link is returned even when
-// the done case fired first in the combined select.
-func (t *ChanTransport) Recv(to, from int) ([]byte, error) {
-	if err := t.check(from, to); err != nil {
-		return nil, err
-	}
-	select {
-	case p := <-t.links[from][to]:
-		return p, nil
-	default:
-	}
-	select {
-	case p := <-t.links[from][to]:
-		return p, nil
-	case <-t.done:
-		select {
-		case p := <-t.links[from][to]:
-			return p, nil
-		default:
-			return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
-		}
-	}
+// the close fired first. A nil payload is delivered as a payload.
+func (t *ChanTransport) Recv(to, from int) ([]byte, error) { return t.recv(to, from, recvBlock) }
+
+// RecvTimeout implements Transport: a payload already in the link wins
+// over both the shutdown error and the timeout.
+func (t *ChanTransport) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
+	return t.recv(to, from, max(timeout, 0))
 }
 
-// RecvTimeout implements TimeoutRecver with the same deterministic
-// delivery preference as Recv: a payload already in the link wins over
-// both the shutdown error and the timeout.
-func (t *ChanTransport) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
-	if err := t.check(from, to); err != nil {
+func (t *ChanTransport) recv(to, from int, timeout time.Duration) ([]byte, error) {
+	if err := checkLink(t.n, from, to); err != nil {
 		return nil, err
 	}
-	select {
-	case p := <-t.links[from][to]:
-		return p, nil
-	default:
-	}
-	timer := time.NewTimer(timeout) //sidco:nondet receive timeout, fault detection only
-	defer timer.Stop()
-	select {
-	case p := <-t.links[from][to]:
-		return p, nil
-	case <-t.done:
-		select {
-		case p := <-t.links[from][to]:
-			return p, nil
-		default:
-			return nil, fmt.Errorf("cluster: recv %d->%d: %w", to, from, ErrClosed)
-		}
-	case <-timer.C:
-		select {
-		case p := <-t.links[from][to]:
-			return p, nil
-		default:
-			return nil, fmt.Errorf("cluster: recv %d->%d after %v: %w", to, from, timeout, ErrTimeout)
-		}
-	}
+	return recvLink(t.links[from][to], t.done, false, to, from, timeout)
 }
 
 // Close implements Transport.

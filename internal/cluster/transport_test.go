@@ -3,51 +3,218 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestChanTransportCloseSemantics pins the deterministic close contract:
-// delivery wins over the shutdown error whenever the link operation is
-// ready, every single time — no dependence on Go's random select choice.
-func TestChanTransportCloseSemantics(t *testing.T) {
-	for trial := 0; trial < 200; trial++ {
-		tp, err := NewChanTransport(2)
+// contractLink is one transport of the contract table, opened over two
+// nodes. queued(n) waits until n payloads sit in link 0->1's inbox, so a
+// test can Close with them delivered; kill breaks link 0->1 from the
+// sending side the way a dead peer does, and is nil on channel-backed
+// transports, which have no peer to lose.
+type contractLink struct {
+	tp     Transport
+	queued func(n int)
+	kill   func()
+}
+
+// contractRow is one transport of the contract table: ChanTransport or
+// an all-local TCPTransport, under an optional wrapper.
+type contractRow struct {
+	name string
+	tcp  bool
+	wrap func(Transport) Transport
+}
+
+var contractRows = []contractRow{
+	{"chan", false, nil},
+	{"tcp", true, nil},
+	{"fault-chan", false, func(tp Transport) Transport { return NewFaultTransport(tp, FaultPlan{}) }},
+	{"instrumented-chan", false, func(tp Transport) Transport { return NewInstrumented(tp, nil) }},
+	{"instrumented-tcp", true, func(tp Transport) Transport { return NewInstrumented(tp, nil) }},
+}
+
+func (row contractRow) open(t *testing.T) contractLink {
+	t.Helper()
+	wrap := func(tp Transport) Transport {
+		if row.wrap == nil {
+			return tp
+		}
+		return row.wrap(tp)
+	}
+	if !row.tcp {
+		ch, err := NewChanTransport(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two payloads sit in the link when Close lands: both must come
-		// out, in order, before Recv reports the closure.
-		if err := tp.Send(0, 1, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tp.Send(0, 1, []byte{2}); err != nil {
-			t.Fatal(err)
-		}
-		tp.Close()
-		for want := byte(1); want <= 2; want++ {
-			p, err := tp.Recv(1, 0)
-			if err != nil {
-				t.Fatalf("trial %d: recv of pre-close payload %d failed: %v", trial, want, err)
+		return contractLink{tp: wrap(ch), queued: func(int) {}}
+	}
+	tcp := localTCP(t, 2)
+	t.Cleanup(func() { tcp.Close() })
+	return contractLink{
+		tp: wrap(tcp),
+		queued: func(n int) {
+			deadline := time.Now().Add(10 * time.Second)
+			for len(tcp.inbox[Link{0, 1}]) < n {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d payloads never reached the inbox", n)
+				}
+				time.Sleep(time.Millisecond)
 			}
-			if len(p) != 1 || p[0] != want {
-				t.Fatalf("trial %d: got payload %v, want [%d] (FIFO across close)", trial, p, want)
+		},
+		kill: func() {
+			sl := tcp.sendLink(0, 1)
+			sl.mu.Lock()
+			sl.conn.Close()
+			sl.mu.Unlock()
+		},
+	}
+}
+
+// TestTransportContract is the one table of the receive contract every
+// Transport keeps: delivery wins over the close and the timeout, every
+// time (no dependence on Go's random select choice); a timeout <= 0
+// polls and a timed-out receive consumes nothing; a closed, empty link
+// says ErrClosed, never ErrTimeout; and a dead TCP peer fails both
+// receives with ErrPeerLost, stickily.
+func TestTransportContract(t *testing.T) {
+	send := func(t *testing.T, tp Transport, b ...byte) {
+		t.Helper()
+		for _, v := range b {
+			if err := tp.Send(0, 1, []byte{v}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, err := tp.Recv(1, 0); !errors.Is(err, ErrClosed) {
-			t.Fatalf("trial %d: drained recv error = %v, want ErrClosed", trial, err)
+	}
+	expect := func(t *testing.T, what string, p []byte, err error, want byte) {
+		t.Helper()
+		if err != nil || len(p) != 1 || p[0] != want {
+			t.Fatalf("%s: got %v, %v; want [%d]", what, p, err, want)
 		}
-		// Send after close with free link capacity completes (delivery
-		// preferred); once the link is full it reports the closure.
-		for i := 0; i < linkDepth; i++ {
-			if err := tp.Send(1, 0, []byte{3}); err != nil {
-				t.Fatalf("trial %d: post-close send %d with free capacity failed: %v", trial, i, err)
+	}
+	expectErr := func(t *testing.T, what string, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: error %v, want %v", what, err, want)
+		}
+	}
+	// Every way to receive on link 0->1: a closed or broken link must fail
+	// them all the same way.
+	everyRecv := func(tp Transport) map[string]func() ([]byte, error) {
+		return map[string]func() ([]byte, error){
+			"Recv":                func() ([]byte, error) { return tp.Recv(1, 0) },
+			"RecvTimeout(0)":      func() ([]byte, error) { return tp.RecvTimeout(1, 0, 0) },
+			"RecvTimeout(-1)":     func() ([]byte, error) { return tp.RecvTimeout(1, 0, -1) },
+			"RecvTimeout(minute)": func() ([]byte, error) { return tp.RecvTimeout(1, 0, time.Minute) },
+		}
+	}
+	for _, row := range contractRows {
+		t.Run(row.name, func(t *testing.T) {
+			trials := 100
+			if row.tcp {
+				trials = 3
 			}
-		}
-		if err := tp.Send(1, 0, []byte{4}); !errors.Is(err, ErrClosed) {
-			t.Fatalf("trial %d: post-close send on full link error = %v, want ErrClosed", trial, err)
-		}
+			for _, drain := range []string{"Recv", "RecvTimeout(0)"} {
+				t.Run("drain-after-close/"+strings.TrimSuffix(drain, "(0)"), func(t *testing.T) {
+					for trial := 0; trial < trials; trial++ {
+						l := row.open(t)
+						send(t, l.tp, 1, 2, 3)
+						l.queued(3)
+						l.tp.Close()
+						for want := byte(1); want <= 3; want++ {
+							p, err := everyRecv(l.tp)[drain]()
+							expect(t, fmt.Sprintf("trial %d: pre-close payload %d", trial, want), p, err, want)
+						}
+						for name, recv := range everyRecv(l.tp) {
+							_, err := recv()
+							expectErr(t, fmt.Sprintf("trial %d: drained %s", trial, name), err, ErrClosed)
+						}
+						if l.kill != nil {
+							continue
+						}
+						// Channels: a send after Close with free link
+						// capacity completes; on a full link it reports
+						// the closure.
+						for i := 0; i < linkDepth; i++ {
+							if err := l.tp.Send(1, 0, []byte{4}); err != nil {
+								t.Fatalf("trial %d: post-close send %d with free capacity: %v", trial, i, err)
+							}
+						}
+						expectErr(t, fmt.Sprintf("trial %d: post-close send on a full link", trial), l.tp.Send(1, 0, []byte{5}), ErrClosed)
+					}
+				})
+			}
+			t.Run("closed-empty", func(t *testing.T) {
+				l := row.open(t)
+				l.tp.Close()
+				for name, recv := range everyRecv(l.tp) {
+					_, err := recv()
+					expectErr(t, name, err, ErrClosed)
+				}
+			})
+			t.Run("poll-consumes-nothing", func(t *testing.T) {
+				l := row.open(t)
+				defer l.tp.Close()
+				send(t, l.tp, 1)
+				p, err := l.tp.Recv(1, 0)
+				expect(t, "first payload", p, err, 1)
+				for _, timeout := range []time.Duration{0, -1, 5 * time.Millisecond} {
+					_, err := l.tp.RecvTimeout(1, 0, timeout)
+					expectErr(t, fmt.Sprintf("RecvTimeout(%v) on an empty link", timeout), err, ErrTimeout)
+				}
+				send(t, l.tp, 2, 3)
+				p, err = l.tp.Recv(1, 0)
+				expect(t, "first payload after the timeouts", p, err, 2)
+				p, err = l.tp.RecvTimeout(1, 0, time.Minute)
+				expect(t, "second payload after the timeouts", p, err, 3)
+			})
+			t.Run("arrives-before-deadline", func(t *testing.T) {
+				l := row.open(t)
+				defer l.tp.Close()
+				sent := make(chan error, 1)
+				go func() {
+					time.Sleep(20 * time.Millisecond)
+					sent <- l.tp.Send(0, 1, []byte{9})
+				}()
+				p, err := l.tp.RecvTimeout(1, 0, time.Minute)
+				expect(t, "payload sent before the deadline", p, err, 9)
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+			})
+			if l := row.open(t); l.kill == nil {
+				t.Run("nil-payload", func(t *testing.T) {
+					defer l.tp.Close()
+					for name, recv := range everyRecv(l.tp) {
+						if err := l.tp.Send(0, 1, nil); err != nil {
+							t.Fatal(err)
+						}
+						if p, err := recv(); p != nil || err != nil {
+							t.Fatalf("%s of a nil payload: got %v, %v; want nil, nil", name, p, err)
+						}
+					}
+				})
+			} else {
+				t.Run("peer-lost", func(t *testing.T) {
+					defer l.tp.Close()
+					send(t, l.tp, 1)
+					l.queued(1)
+					l.kill()
+					p, err := l.tp.Recv(1, 0)
+					expect(t, "payload delivered before the peer died", p, err, 1)
+					_, err = l.tp.Recv(1, 0) // waits for the reader to see the death
+					expectErr(t, "Recv from a dead peer", err, ErrPeerLost)
+					for round := 0; round < 2; round++ { // sticky
+						for name, recv := range everyRecv(l.tp) {
+							_, err := recv()
+							expectErr(t, fmt.Sprintf("round %d: %s from a dead peer", round, name), err, ErrPeerLost)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -124,7 +124,8 @@ const (
 	CollectivePS
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer; the names are what ParseCollective
+// accepts.
 func (c Collective) String() string {
 	switch c {
 	case CollectiveAuto:
@@ -140,12 +141,38 @@ func (c Collective) String() string {
 	}
 }
 
+// ParseCollective resolves a collective name (the String values) — the
+// -collective flags of the binaries.
+func ParseCollective(name string) (Collective, error) {
+	for c := CollectiveAuto; c <= CollectivePS; c++ {
+		if c.String() == name {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown collective %q (want auto, ring, allgather or ps)", name)
+}
+
+// Resolve names the schedule an exchange over c runs: CollectiveAuto is
+// all-gather when the exchange is compressed (sparse) and ring
+// all-reduce when dense; every other collective is itself.
+func (c Collective) Resolve(compressed bool) Collective {
+	switch {
+	case c != CollectiveAuto:
+		return c
+	case compressed:
+		return CollectiveAllGather
+	default:
+		return CollectiveRing
+	}
+}
+
 // CollectiveTime prices one gradient exchange over the chosen collective.
 // denseBytes is the full-model payload (used by ring and as the PS pull
 // size), sparseBytes the per-worker encoded payload (used by all-gather
-// and as the PS push size when compressed).
+// and as the PS push size when compressed). An unknown collective, like
+// an invalid network, costs 0.
 func (n Network) CollectiveTime(c Collective, denseBytes, sparseBytes int, compressed bool) float64 {
-	switch c {
+	switch c.Resolve(compressed) {
 	case CollectiveRing:
 		return n.AllReduceDense(denseBytes)
 	case CollectiveAllGather:
@@ -156,12 +183,8 @@ func (n Network) CollectiveTime(c Collective, denseBytes, sparseBytes int, compr
 			push = sparseBytes
 		}
 		return n.ParameterServer(push, denseBytes)
-	default:
-		if compressed {
-			return n.AllGatherSparse(sparseBytes)
-		}
-		return n.AllReduceDense(denseBytes)
 	}
+	return 0
 }
 
 // Message-count formulas of the three collectives, shared with

@@ -190,6 +190,33 @@ func TestCollectiveStrings(t *testing.T) {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), want)
 		}
+		if got, err := ParseCollective(want); got != c || err != nil {
+			t.Errorf("ParseCollective(%q) = %v, %v; want %v", want, got, err, c)
+		}
+	}
+	for _, name := range []string{"", "Ring", "all-gather", "collective(4)"} {
+		if _, err := ParseCollective(name); err == nil {
+			t.Errorf("ParseCollective(%q) accepted", name)
+		}
+	}
+}
+
+func TestCollectiveResolve(t *testing.T) {
+	for _, c := range []struct {
+		c          Collective
+		compressed bool
+		want       Collective
+	}{
+		{CollectiveAuto, true, CollectiveAllGather},
+		{CollectiveAuto, false, CollectiveRing},
+		{CollectiveRing, true, CollectiveRing},
+		{CollectiveAllGather, false, CollectiveAllGather},
+		{CollectivePS, true, CollectivePS},
+		{CollectivePS, false, CollectivePS},
+	} {
+		if got := c.c.Resolve(c.compressed); got != c.want {
+			t.Errorf("%v.Resolve(%v) = %v, want %v", c.c, c.compressed, got, c.want)
+		}
 	}
 }
 
