@@ -6,6 +6,6 @@ package cpu
 
 // AVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches: the condition for running the
-// *_amd64.s kernels of internal/nn and internal/tensor. It is false on
-// every other GOARCH.
+// *_amd64.s kernels of internal/nn, internal/stats and internal/tensor.
+// It is false on every other GOARCH.
 var AVX2 = hasAVX2()

@@ -129,10 +129,12 @@ func (p Profile) CompressLatency(name string, d int, delta float64, stages int) 
 		// The gamma/GP variants read g once in the first stage, like
 		// sidco-e, but accumulate a second moment — for the gamma fit a
 		// log-moment, taken from exponent sums and mantissa products
-		// with no logarithm per element — so the pass does the work of
+		// with no logarithm per element — so the Go loop does the work of
 		// two to three plain ones (4.4 ms against 1.6 ms for the mean
 		// alone at d = 2^21 on the reference CPU; it was 21 ms, thirteen
-		// passes, with a math.Log per element).
+		// passes, with a math.Log per element). The AVX2 body
+		// (stats/gamma_amd64.s) runs it at about the speed of the plain
+		// pass; this model still charges two.
 		return p.sidco(d, stages, 2), nil
 	case "randomk", "randomk+ec":
 		return p.gather(k), nil

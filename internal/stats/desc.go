@@ -77,7 +77,7 @@ func absSqKernel(blk, g []float64, _ float64) [3]float64 {
 		for _, x := range blk {
 			a := math.Abs(x)
 			s += a
-			s2 += a * a
+			s2 += float64(a * a)
 		}
 		return [3]float64{s, s2}
 	}
@@ -86,7 +86,7 @@ func absSqKernel(blk, g []float64, _ float64) [3]float64 {
 		blk[i] = v
 		a := math.Abs(v)
 		s += a
-		s2 += a * a
+		s2 += float64(a * a)
 	}
 	return [3]float64{s, s2}
 }
@@ -97,7 +97,7 @@ func shiftedKernel(blk, _ []float64, c float64) [3]float64 {
 	for _, x := range blk {
 		d := x - c
 		s += d
-		s2 += d * d
+		s2 += float64(d * d)
 	}
 	return [3]float64{s, s2}
 }
@@ -121,64 +121,107 @@ const (
 // logSub elements. Zeros are skipped; subnormals, ±Inf and NaN take
 // math.Log directly. Σ|x| adds in absKernel's order, so the mean is
 // bit-identical to MeanAbs. Sub-block bounds and accumulator turns
-// depend only on the block's contents, never on who computes it.
+// depend only on the block's contents, never on who computes it: the
+// AVX2 body runs what it can of a sub-block and gammaLoop the rest, onto
+// the same state (package doc).
 //
 //sidco:hotpath
 func gammaKernel(blk, g []float64, _ float64) [3]float64 {
-	abs, logs := 0.0, 0.0
-	exp, n := 0, 0
-	for len(blk) > 0 {
-		sub := blk[:min(logSub, len(blk))]
-		blk = blk[len(sub):]
-		p0, p1 := 1.0, 1.0
-		if g == nil {
-			for _, x := range sub {
-				b := math.Float64bits(x) & absMask
-				a := math.Float64frombits(b)
-				abs += a
-				e := b >> 52
-				if e-1 >= 2*expBias { // zero or subnormal (e = 0), Inf or NaN (e = 2047)
-					if b != 0 {
-						logs += math.Log(a)
-						n++
-					}
-					continue
-				}
-				p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
-				exp += int(e) - expBias
-				n++
+	var s gammaState
+	for lo := 0; lo < len(blk); lo += logSub {
+		hi := min(lo+logSub, len(blk))
+		s.p0, s.p1 = 1, 1
+		for i := lo; i < hi; {
+			var k int
+			s, k = gammaSweep(blk[i:hi], window(g, i, hi), s)
+			if i += k; i < hi {
+				// The group the AVX2 body stopped at, or the last len%4.
+				j := min(i+4, hi)
+				s, _ = gammaLoop(blk[i:j], window(g, i, j), s)
+				i = j
 			}
-		} else {
-			for i, x := range g[:len(sub)] {
-				v := sub[i] + x
-				sub[i] = v
-				b := math.Float64bits(v) & absMask
-				a := math.Float64frombits(b)
-				abs += a
-				e := b >> 52
-				if e-1 >= 2*expBias {
-					if b != 0 {
-						logs += math.Log(a)
-						n++
-					}
-					continue
-				}
-				p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
-				exp += int(e) - expBias
-				n++
-			}
-			g = g[len(sub):]
 		}
-		logs += math.Log(p0 * p1)
+		s.logs += math.Log(s.p0 * s.p1)
 	}
-	return [3]float64{abs, math.Ln2*float64(exp) + logs, float64(n)}
+	return [3]float64{s.abs, float64(math.Ln2*float64(s.exp)) + s.logs, float64(s.n)}
+}
+
+// gammaState is gammaKernel's running state. The field order is read by
+// gamma_amd64.s.
+type gammaState struct {
+	abs    float64 // Σ|x|, in element order
+	p0, p1 float64 // the sub-block's mantissa products; p0 takes the next normal
+	exp, n int     // Σ(e - expBias) over the normals; the non-zero count
+	logs   float64 // the logarithms taken so far
+}
+
+// gammaSweep is what gammaKernel hands a sub-block's elements: gammaLoop,
+// or the AVX2 body when gamma_amd64.go's init finds the CPU and OS support
+// it. Either returns the state after the first k elements, and k.
+var gammaSweep = gammaLoop
+
+// gammaLoop is gammaKernel's element loop over sub (when g is not nil,
+// v = sub[i] + g[i] is stored back first and reduced in place of sub[i]):
+// the path on a machine without AVX2 and the oracle of the AVX2 body. It
+// runs all of sub, so k = len(sub).
+//
+//sidco:hotpath
+func gammaLoop(sub, g []float64, s gammaState) (gammaState, int) {
+	abs, logs, p0, p1 := s.abs, s.logs, s.p0, s.p1
+	exp, n := s.exp, s.n
+	if g == nil {
+		for _, x := range sub {
+			b := math.Float64bits(x) & absMask
+			a := math.Float64frombits(b)
+			abs += a
+			e := b >> 52
+			if e-1 >= 2*expBias { // zero or subnormal (e = 0), Inf or NaN (e = 2047)
+				if b != 0 {
+					logs += math.Log(a)
+					n++
+				}
+				continue
+			}
+			p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
+			exp += int(e) - expBias
+			n++
+		}
+	} else {
+		for i, x := range g[:len(sub)] {
+			v := sub[i] + x
+			sub[i] = v
+			b := math.Float64bits(v) & absMask
+			a := math.Float64frombits(b)
+			abs += a
+			e := b >> 52
+			if e-1 >= 2*expBias {
+				if b != 0 {
+					logs += math.Log(a)
+					n++
+				}
+				continue
+			}
+			p0, p1 = p1, p0*math.Float64frombits(b&mantMask|expBias<<52)
+			exp += int(e) - expBias
+			n++
+		}
+	}
+	return gammaState{abs, p0, p1, exp, n, logs}, len(sub)
+}
+
+// window is g[i:j], or nil for a nil g (no second vector).
+func window(g []float64, i, j int) []float64 {
+	if g == nil {
+		return nil
+	}
+	return g[i:j]
 }
 
 // meanVar turns Σv, Σv² and the count into the mean and the population
 // variance, clamped at zero against catastrophic cancellation.
 func meanVar(sum, sumSq, n float64) (mean, variance float64) {
 	mean = sum / n
-	variance = sumSq/n - mean*mean
+	variance = sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -274,12 +317,12 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }

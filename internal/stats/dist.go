@@ -75,7 +75,7 @@ func (l Laplace) CDF(x float64) float64 {
 	if x < 0 {
 		return 0.5 * math.Exp(x/l.Scale)
 	}
-	return 1 - 0.5*math.Exp(-x/l.Scale)
+	return 1 - float64(0.5*math.Exp(-x/l.Scale))
 }
 
 // Quantile implements Distribution.
@@ -132,7 +132,7 @@ func (g Gamma) PDF(x float64) float64 {
 		}
 	}
 	lg, _ := math.Lgamma(g.Shape)
-	return math.Exp((g.Shape-1)*math.Log(x) - x/g.Scale - g.Shape*math.Log(g.Scale) - lg)
+	return math.Exp(float64((g.Shape-1)*math.Log(x)) - x/g.Scale - float64(g.Shape*math.Log(g.Scale)) - lg)
 }
 
 // CDF implements Distribution: F(x) = P(alpha, x/beta).
@@ -173,17 +173,17 @@ func (g Gamma) Sample(rng *rand.Rand) float64 {
 		var x, v float64
 		for {
 			x = rng.NormFloat64()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return boost * d * v * g.Scale
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return boost * d * v * g.Scale
 		}
 	}
@@ -208,7 +208,7 @@ func (d DoubleGamma) CDF(x float64) float64 {
 	if x < 0 {
 		return 0.5 * (1 - g.CDF(-x))
 	}
-	return 0.5 + 0.5*g.CDF(x)
+	return 0.5 + float64(0.5*g.CDF(x))
 }
 
 // Quantile implements Distribution.
@@ -264,7 +264,7 @@ func (g GeneralizedPareto) PDF(x float64) float64 {
 	if g.Shape == 0 {
 		return math.Exp(-z) / g.Scale
 	}
-	t := 1 + g.Shape*z
+	t := 1 + float64(g.Shape*z)
 	if t <= 0 {
 		return 0
 	}
@@ -280,7 +280,7 @@ func (g GeneralizedPareto) CDF(x float64) float64 {
 	if g.Shape == 0 {
 		return -math.Expm1(-z)
 	}
-	t := 1 + g.Shape*z
+	t := 1 + float64(g.Shape*z)
 	if t <= 0 {
 		return 1 // above the upper support bound (alpha < 0)
 	}
@@ -294,9 +294,9 @@ func (g GeneralizedPareto) Quantile(p float64) float64 {
 		return math.NaN()
 	}
 	if g.Shape == 0 {
-		return g.Loc - g.Scale*math.Log1p(-p)
+		return g.Loc - float64(g.Scale*math.Log1p(-p))
 	}
-	return g.Loc + g.Scale/g.Shape*math.Expm1(-g.Shape*math.Log1p(-p))
+	return g.Loc + float64(g.Scale/g.Shape*math.Expm1(-g.Shape*math.Log1p(-p)))
 }
 
 // Mean implements Distribution. The mean is finite only for alpha < 1.
@@ -331,7 +331,7 @@ func (d DoubleGP) CDF(x float64) float64 {
 	if x < 0 {
 		return 0.5 * (1 - g.CDF(-x))
 	}
-	return 0.5 + 0.5*g.CDF(x)
+	return 0.5 + float64(0.5*g.CDF(x))
 }
 
 // Quantile implements Distribution.
@@ -386,7 +386,7 @@ func (g Gaussian) CDF(x float64) float64 {
 
 // Quantile implements Distribution.
 func (g Gaussian) Quantile(p float64) float64 {
-	return g.Mu + g.Sigma*NormalQuantile(p)
+	return g.Mu + float64(g.Sigma*NormalQuantile(p))
 }
 
 // Mean implements Distribution.
@@ -394,5 +394,5 @@ func (g Gaussian) Mean() float64 { return g.Mu }
 
 // Sample implements Distribution.
 func (g Gaussian) Sample(rng *rand.Rand) float64 {
-	return g.Mu + g.Sigma*rng.NormFloat64()
+	return g.Mu + float64(g.Sigma*rng.NormFloat64())
 }

@@ -35,7 +35,7 @@ func GammaFromMoments(meanAbs, meanLogAbs float64) GammaParams {
 	if !(s > 0) {
 		return GammaParams{Shape: math.NaN(), Scale: math.NaN()}
 	}
-	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
+	alpha := (3 - s + math.Sqrt(float64((s-3)*(s-3))+float64(24*s))) / (12 * s)
 	return GammaParams{Shape: alpha, Scale: meanAbs / alpha}
 }
 

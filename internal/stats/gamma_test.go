@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // refMeanLogAbs is the loop gammaKernel replaced: one math.Log per
@@ -59,11 +61,57 @@ func checkGammaMoments(t *testing.T, name string, xs []float64, tol float64) {
 	}
 }
 
+// gammaPartials runs gammaKernel's reduction with body as its sweep over a
+// copy of xs (g added in, when not nil) and returns the three partials and
+// the copy.
+func gammaPartials(body func(sub, g []float64, s gammaState) (gammaState, int), xs, g []float64) ([3]float64, []float64) {
+	chosen := gammaSweep
+	defer func() { gammaSweep = chosen }()
+	gammaSweep = body
+	acc := append([]float64(nil), xs...)
+	return reduce(acc, g, gammaKernel, 0), acc
+}
+
+// sameGammaBits fails t unless two runs of gammaPartials agree on
+// math.Float64bits, partials and stored-back vector alike.
+func sameGammaBits(t *testing.T, what string, got, want [3]float64, gotAcc, wantAcc []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: partial %d = %v (%#x), Go loop %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	for i := range wantAcc {
+		if math.Float64bits(gotAcc[i]) != math.Float64bits(wantAcc[i]) {
+			t.Fatalf("%s: acc[%d] = %v, Go loop %v", what, i, gotAcc[i], wantAcc[i])
+		}
+	}
+}
+
 // gammaLengths straddle the kernel's sub-block (512) and the reduction
 // block (4096).
 var gammaLengths = []int{0, 1, 511, 512, 513, 4095, 4096, 4097, 2*4096 + 1}
 
+// onEachGammaPath calls run once per gamma moment body this machine can
+// run — "portable" (the Go loop) and, where init chose the AVX2 body,
+// "avx2" — with gammaKernel pointed at that body, as init would point it,
+// and restores init's choice after.
+func onEachGammaPath(run func(path string)) {
+	chosen := gammaSweep
+	defer func() { gammaSweep = chosen }()
+	gammaSweep = gammaLoop
+	run("portable")
+	if cpu.AVX2 {
+		gammaSweep = chosen
+		run("avx2")
+	}
+}
+
 func TestGammaMomentsMatchesPerElementLog(t *testing.T) {
+	onEachGammaPath(func(path string) { t.Run(path, testGammaMomentsMatchesPerElementLog) })
+}
+
+func testGammaMomentsMatchesPerElementLog(t *testing.T) {
 	const sub = 0x1p-1074 // smallest subnormal
 	fills := map[string]func(i int, rng *rand.Rand) float64{
 		"gradient-like": func(_ int, rng *rand.Rand) float64 { return rng.NormFloat64() * 1e-3 * math.Exp(rng.NormFloat64()) },
@@ -131,9 +179,11 @@ func FuzzGammaMoments(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
 		// The vector cycles through the 8-byte words of data, so a short
-		// input still reaches past a block boundary.
+		// input still reaches past a block boundary; g is the same cycle
+		// one word on.
 		words := len(data) / 8
 		xs := make([]float64, 0, int(n)%(2*sumBlock+2))
+		g := make([]float64, 0, cap(xs))
 		tol := 1e-12
 		for i := 0; words > 0 && i < cap(xs); i++ {
 			x := math.Float64frombits(binary.LittleEndian.Uint64(data[i%words*8:]))
@@ -143,8 +193,14 @@ func FuzzGammaMoments(f *testing.F) {
 				tol = 1e-9
 			}
 			xs = append(xs, x)
+			g = append(g, math.Float64frombits(binary.LittleEndian.Uint64(data[(i+1)%words*8:])))
 		}
 		checkGammaMoments(t, "fuzz", xs, tol)
+		for _, g := range [][]float64{nil, g} {
+			want, wantAcc := gammaPartials(gammaLoop, xs, g)
+			got, gotAcc := gammaPartials(gammaSweep, xs, g)
+			sameGammaBits(t, "fuzz", got, want, gotAcc, wantAcc)
+		}
 	})
 }
 

@@ -16,7 +16,7 @@ func (r *Running) Add(x float64) {
 	r.n++
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.m2 += float64(delta * (x - r.mean))
 }
 
 // Mean returns the running mean, or NaN before any observation.
@@ -47,7 +47,7 @@ func (r *Running) ConfidenceInterval(level float64) float64 {
 	if r.n < 2 || level <= 0 || level >= 1 {
 		return 0
 	}
-	z := NormalQuantile(0.5 + level/2)
+	z := NormalQuantile(0.5 + float64(level/2))
 	return z * r.StdDev() / math.Sqrt(float64(r.n))
 }
 
@@ -69,6 +69,6 @@ func (e *EWMA) Add(x float64) float64 {
 		e.seen = true
 		return e.value
 	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
+	e.value = float64(e.Alpha*x) + float64((1-e.Alpha)*e.value)
 	return e.value
 }

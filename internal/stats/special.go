@@ -5,6 +5,26 @@
 //
 // Everything is implemented from scratch on top of the Go standard library
 // (math, math/rand) so the repository is self-contained and offline.
+//
+// Every product that feeds an add or a subtract is converted explicitly,
+// float64(x*y), so that no compiler fuses the two into one rounding: the
+// arm64 build, whose compiler would, computes what the amd64 one does.
+//
+// On an amd64 CPU with AVX2 (internal/cpu, probed once at start-up; there
+// is no setting) the gamma moment sweep behind GammaMoments and
+// AccumulateGammaMoments runs each sub-block's groups of four from
+// gamma_amd64.s, up to a group holding a subnormal, ±Inf or NaN, which
+// the Go loop takes (it needs math.Log), as it takes the last len%4. The
+// rule that keeps the body bit for bit the Go loop: every sum keeps the
+// loop's order — Σ|x| one scalar add per element in element order; each
+// normal mantissa multiplied into the chain the loop's alternation gives
+// it (the body's two chains are the two lanes of one register, swapped
+// after a group with an odd count of normals, and a zero's lane
+// multiplies by an exact 1.0); the exponents an integer sum — and never a
+// fused multiply-add. With a second vector the sum v = r + g is stored
+// back only for a group the body runs, and such a group holds no NaN, so
+// no operand order decides a payload. TestAVX2GammaMatchesGo holds the
+// body to the Go loop, and the gamma tests run on both paths.
 package stats
 
 import "math"
@@ -43,13 +63,13 @@ func gammaPSeries(a, x float64) float64 {
 	del := sum
 	for i := 0; i < specialMaxIter; i++ {
 		ap++
-		del *= x / ap
+		del = float64(del * (x / ap))
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*specialEps {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 }
 
 // gammaQContinuedFraction evaluates Q(a,x) by its continued fraction
@@ -64,7 +84,7 @@ func gammaQContinuedFraction(a, x float64) float64 {
 	for i := 1; i <= specialMaxIter; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -73,13 +93,13 @@ func gammaQContinuedFraction(a, x float64) float64 {
 			c = tiny
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < specialEps {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return math.Exp(-x+float64(a*math.Log(x))-lg) * h
 }
 
 // InverseRegularizedGammaP returns x such that P(a, x) = p for a > 0 and
@@ -87,8 +107,9 @@ func gammaQContinuedFraction(a, x float64) float64 {
 // with Halley-accelerated Newton iterations on P(a,x) - p.
 //
 // This is the exact quantile route for the gamma-distributed absolute
-// gradients of Corollary 1.2; SIDCo's hot path uses the closed-form
-// approximation instead, and tests compare the two.
+// gradients of Corollary 1.2, and SIDCo-GP's first stage by default
+// (core.ThresholdGammaExact); core.Config.ApproxGamma selects the
+// closed-form approximation instead, and tests compare the two.
 func InverseRegularizedGammaP(a, p float64) float64 {
 	switch {
 	case a <= 0 || math.IsNaN(a) || math.IsNaN(p) || p < 0 || p >= 1:
@@ -116,14 +137,14 @@ func InverseRegularizedGammaP(a, p float64) float64 {
 	for i := 0; i < 60; i++ {
 		f := RegularizedGammaP(a, x) - p
 		// dP/dx = x^(a-1) e^-x / Gamma(a)
-		lpdf := (a-1)*math.Log(x) - x - lg
+		lpdf := float64((a-1)*math.Log(x)) - x - lg
 		df := math.Exp(lpdf)
 		if df == 0 {
 			break
 		}
 		// Halley step: second derivative factor ((a-1)/x - 1).
 		u := f / df
-		step := u / (1 - 0.5*math.Min(1, math.Max(-1, u*((a-1)/x-1))))
+		step := u / (1 - float64(0.5*math.Min(1, math.Max(-1, u*((a-1)/x-1)))))
 		xNew := x - step
 		if xNew <= 0 {
 			xNew = x / 2
@@ -150,35 +171,44 @@ func NormalQuantile(p float64) float64 {
 		return math.Inf(1)
 	}
 
-	// Acklam coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-
 	const pLow = 0.02425
 	var x float64
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		x = horner(q, acklamC[:]) / horner(q, acklamD[:])
 	case p <= 1-pLow:
 		q := p - 0.5
 		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		x = horner(r, acklamA[:]) * q / horner(r, acklamB[:])
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		x = -horner(q, acklamC[:]) / horner(q, acklamD[:])
 	}
 
 	// One Halley refinement against the exact CDF.
-	e := 0.5*math.Erfc(-x/math.Sqrt2) - p
+	e := float64(0.5*math.Erfc(-x/math.Sqrt2)) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
+	x = x - u/(1+float64(x*u/2))
 	return x
+}
+
+// Acklam's coefficients, highest power first; the denominators end in 1.
+var (
+	acklamA = [...]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
+	acklamB = [...]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01, 1}
+	acklamC = [...]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
+	acklamD = [...]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00, 1}
+)
+
+// horner evaluates the polynomial with coefficients c, highest power
+// first, at x by Horner's rule, each product rounded before its add.
+func horner(x float64, c []float64) float64 {
+	r := c[0]
+	for _, ci := range c[1:] {
+		r = float64(r*x) + ci
+	}
+	return r
 }
 
 // NormalCDF returns the standard normal cumulative distribution function
