@@ -17,10 +17,10 @@
 //     synchronous step.
 //  4. Topology study: the analytic comm-time comparison across
 //     collectives for the Table 1 workloads.
-//  5. Loopback study: the same training run over in-process channels,
-//     loopback TCP sockets (engine) and the per-rank node topology of
-//     cmd/sidco-node — four bit-identical loss columns plus an exact
-//     traffic cross-check over real sockets.
+//  5. Loopback study: the same training run in process, over in-process
+//     channels and over loopback TCP sockets (engine) — three
+//     bit-identical loss columns plus an exact traffic cross-check over
+//     real sockets.
 //
 // Usage:
 //
@@ -150,15 +150,13 @@ func measuredVsPredicted(workers, dim int, delta float64, seed int64) error {
 		}
 		msgs, bytes := e.Transport().Totals()
 		virtual := e.Transport().Elapsed()
-		var wantMsgs, wantBytes int
+		wantMsgs, wantBytes := coll.Messages(workers), 0
 		var predicted float64
 		switch coll {
 		case netsim.CollectiveRing:
-			wantMsgs = workers * netsim.RingMessages(workers)
 			wantBytes = netsim.RingTrafficBytes(workers, 8*dim)
 			predicted = net.AllReduceDense(8 * dim)
 		case netsim.CollectiveAllGather:
-			wantMsgs = workers * netsim.AllGatherMessages(workers)
 			wantBytes = workers * netsim.AllGatherTrafficBytes(workers, encoding.Pairs64Size(dim, nnz))
 			predicted = net.AllGatherSparse(encoding.Pairs64Size(dim, nnz))
 		case netsim.CollectivePS:
@@ -168,7 +166,6 @@ func measuredVsPredicted(workers, dim int, delta float64, seed int64) error {
 					aggNNZ++
 				}
 			}
-			wantMsgs = netsim.PSMessages(workers)
 			wantBytes = netsim.PSTrafficBytes(workers, encoding.Pairs64Size(dim, nnz), encoding.Pairs64Size(dim, aggNNZ))
 			predicted = net.ParameterServer(encoding.Pairs64Size(dim, nnz), encoding.Pairs64Size(dim, aggNNZ))
 		}

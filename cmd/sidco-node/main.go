@@ -27,7 +27,8 @@
 //
 // -launch spawns the whole deployment on this machine (kernel-assigned
 // loopback ports) and exits non-zero if any process fails its checks —
-// the CI quick gate runs exactly that.
+// the CI quick gate runs exactly that. Every child gets the flags the
+// launcher was given, less the launcher's own.
 //
 // Observability: -metrics ADDR serves this process's live telemetry
 // over HTTP (/metrics in Prometheus plaintext, /healthz, /debug/pprof;
@@ -39,10 +40,15 @@
 // message formula — the exporter is gated end to end, not just the
 // in-memory counters. Under -launch both flags are forwarded to every
 // child (-telemetry FILE becomes FILE.rankR per process).
+//
+// Exit status: 0 for a finished run (and -h), 1 for a refused or failed
+// one, 2 for a flag that does not parse, 3 for the planned death of a
+// -kill-at-step node.
 package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,6 +63,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"repro/internal/cluster"
 	"repro/internal/compress"
@@ -69,6 +76,7 @@ import (
 	"repro/internal/traceview"
 )
 
+// options are the flags as given.
 type options struct {
 	node          int
 	hosts         string
@@ -94,52 +102,227 @@ type options struct {
 	resume        string
 }
 
+// deployment is the run the flags describe, parsed and checked once by
+// resolve: the viability check, the trainers, the cluster configuration,
+// the node's self-check and the launcher's trace check all read it and
+// parse nothing themselves.
+type deployment struct {
+	options
+	flags      *flag.FlagSet // bound to options; the launcher forwards what was set
+	coll       netsim.Collective
+	resolved   netsim.Collective // coll with auto resolved on compressed
+	wire       cluster.Wire
+	compressed bool     // a compressor is on, which is what auto resolves on
+	addrs      []string // node mode: the host list
+	workers    int      // training workers: -launch, or the host list less the ps server
+	nodes      int      // transport size: workers plus the ps server
+	killR      int      // -kill-rank's target rank, -1 without
+	killStep   int
+	resumed    *dist.Checkpoint // the checkpoint -resume starts from, nil without
+	start      int              // its step, 0 without -resume
+}
+
 // killExitCode is the exit status of a process that self-killed on its
 // -kill-at-step schedule: the launcher distinguishes the planned death
 // of the fault-injection target from a genuine child failure by it.
 const killExitCode = 3
 
-func main() {
-	var opt options
-	flag.IntVar(&opt.node, "node", -1, "this process's rank in the host list (0-based)")
-	flag.StringVar(&opt.hosts, "hosts", "", "comma-separated host:port list, entry i = node i")
-	flag.StringVar(&opt.hostfile, "hostfile", "", "file with one host:port per line (alternative to -hosts)")
-	flag.IntVar(&opt.launch, "launch", 0, "spawn this many worker processes over loopback instead of being one node")
-	flag.StringVar(&opt.collective, "collective", "allgather", "collective schedule: auto, ring, allgather or ps")
-	flag.IntVar(&opt.iters, "iters", 6, "training iterations")
-	flag.StringVar(&opt.compressor, "compressor", "sidco-e", "registry compressor (none: dense training)")
-	flag.Float64Var(&opt.delta, "delta", 0.05, "compression ratio k/d")
-	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
-	flag.StringVar(&opt.format, "format", "lossless", "gradient wire format: lossless, pairs, bitmap, dense, delta-varint, pairs-f16, pairs-bf16 or pairs-i8 (lossy wires pair with error feedback, which absorbs the rounding residual)")
-	flag.BoolVar(&opt.check, "check", false, "verify global losses bit-identical to the in-process trainer and per-node traffic against the collective formulas")
-	flag.StringVar(&opt.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
-	flag.StringVar(&opt.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")
-	flag.DurationVar(&opt.dialTimeout, "dial-timeout", 10*time.Second, "per-link lazy-dial retry budget (peers may start later)")
-	flag.DurationVar(&opt.launchTimeout, "launch-timeout", 2*time.Minute, "watchdog for -launch: kill the deployment and fail if it has not finished by then")
-	flag.DurationVar(&opt.stepTimeout, "step-timeout", 0, "per-collective-step receive budget; 0 blocks forever. Fault-tolerant runs need it to detect dead peers")
-	flag.IntVar(&opt.stepRetries, "step-retries", 0, "elastic recovery: retry a failed step this many times over the renegotiated survivor group (needs -step-timeout > 0)")
-	flag.IntVar(&opt.killAtStep, "kill-at-step", -1, fmt.Sprintf("fault injection: exit with code %d immediately before this step's exchange", killExitCode))
-	flag.StringVar(&opt.killRank, "kill-rank", "", "launch mode, R@K: forward -kill-at-step K to rank R and gate on the survivors finishing with identical final losses")
-	flag.StringVar(&opt.ckpt, "ckpt", "", "write this rank's resume state to PREFIX.rankR (atomic replace) every -ckpt-every steps and after the final step")
-	flag.IntVar(&opt.ckptEvery, "ckpt-every", 1, "checkpoint cadence in steps for -ckpt")
-	flag.StringVar(&opt.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, redsync, none, sidco-*; not dgc, randomk or gaussiank, which -check therefore refuses)")
-	flag.Parse()
+// errKilled is what a node returns when it dies on its -kill-at-step
+// schedule; run turns it into killExitCode.
+var errKilled = errors.New("fault injection: died on schedule")
 
-	var err error
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	d := newDeployment(stderr)
+	if err := d.flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	err := d.resolve()
+	if err == nil && d.launch > 0 {
+		err = runLaunch(d, stdout, stderr)
+	} else if err == nil {
+		err = runNode(d, stdout)
+	}
 	switch {
-	case opt.launch > 0:
-		err = runLaunch(opt)
-	case opt.node >= 0:
-		err = runNode(opt)
-	default:
-		err = fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
+	case err == nil:
+		return 0
+	case errors.Is(err, errKilled):
+		return killExitCode
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sidco-node: %v\n", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(stderr, "sidco-node: %v\n", err)
+	return 1
 }
 
+// newDeployment returns a deployment whose flag set is bound to its
+// options, printing usage and parse errors to stderr.
+func newDeployment(stderr io.Writer) *deployment {
+	d := &deployment{killR: -1}
+	fs := flag.NewFlagSet("sidco-node", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&d.node, "node", -1, "this process's rank in the host list (0-based)")
+	fs.StringVar(&d.hosts, "hosts", "", "comma-separated host:port list, entry i = node i")
+	fs.StringVar(&d.hostfile, "hostfile", "", "file with one host:port per line (alternative to -hosts)")
+	fs.IntVar(&d.launch, "launch", 0, "spawn this many worker processes over loopback instead of being one node")
+	fs.StringVar(&d.collective, "collective", "allgather", "collective schedule: auto, ring, allgather or ps")
+	fs.IntVar(&d.iters, "iters", 6, "training iterations")
+	fs.StringVar(&d.compressor, "compressor", "sidco-e", "registry compressor (none: dense training)")
+	fs.Float64Var(&d.delta, "delta", 0.05, "compression ratio k/d")
+	fs.Int64Var(&d.seed, "seed", 1, "random seed")
+	fs.StringVar(&d.format, "format", "lossless", "gradient wire format: lossless, pairs, bitmap, dense, delta-varint, pairs-f16, pairs-bf16 or pairs-i8 (lossy wires pair with error feedback, which absorbs the rounding residual)")
+	fs.BoolVar(&d.check, "check", false, "verify global losses bit-identical to the in-process trainer and per-node traffic against the collective formulas")
+	fs.StringVar(&d.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
+	fs.StringVar(&d.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")
+	fs.DurationVar(&d.dialTimeout, "dial-timeout", 10*time.Second, "per-link lazy-dial retry budget (peers may start later)")
+	fs.DurationVar(&d.launchTimeout, "launch-timeout", 2*time.Minute, "watchdog for -launch: kill the deployment and fail if it has not finished by then")
+	fs.DurationVar(&d.stepTimeout, "step-timeout", 0, "per-collective-step receive budget; 0 blocks forever. Fault-tolerant runs need it to detect dead peers")
+	fs.IntVar(&d.stepRetries, "step-retries", 0, "elastic recovery: retry a failed step this many times over the renegotiated survivor group (needs -step-timeout > 0)")
+	fs.IntVar(&d.killAtStep, "kill-at-step", -1, fmt.Sprintf("fault injection: exit with code %d immediately before this step's exchange", killExitCode))
+	fs.StringVar(&d.killRank, "kill-rank", "", "launch mode, R@K: forward -kill-at-step K to rank R and gate on the survivors finishing with identical final losses")
+	fs.StringVar(&d.ckpt, "ckpt", "", "write this rank's resume state to PREFIX.rankR (atomic replace) every -ckpt-every steps and after the final step")
+	fs.IntVar(&d.ckptEvery, "ckpt-every", 1, "checkpoint cadence in steps for -ckpt")
+	fs.StringVar(&d.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, redsync, none, sidco-*; not dgc, randomk or gaussiank, which -check therefore refuses)")
+	d.flags = fs
+	return d
+}
+
+// resolve parses and checks the flags once and refuses, before a port is
+// reserved, a socket dialled or a child spawned, every run that cannot
+// work: an unknown collective, wire or compressor, a ratio the trainer
+// rejects, a checkpoint cadence below 1, a host list or kill target that
+// does not fit, a -check no run could pass (checkViable), a resume with
+// nothing left to run, and a cluster configuration cluster.Config.Validate
+// refuses.
+func (d *deployment) resolve() error {
+	if d.launch <= 0 && d.node < 0 {
+		return fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
+	}
+	if d.iters < 1 {
+		return fmt.Errorf("-iters %d, need >= 1", d.iters)
+	}
+	if d.ckptEvery < 1 {
+		return fmt.Errorf("-ckpt-every %d, need >= 1", d.ckptEvery)
+	}
+	var err error
+	if d.coll, err = netsim.ParseCollective(d.collective); err != nil {
+		return err
+	}
+	if d.wire, err = cluster.ParseWire(d.format); err != nil {
+		return err
+	}
+	d.compressed = d.compressor != "" && d.compressor != "none"
+	d.resolved = d.coll.Resolve(d.compressed)
+	// Whatever every rank's trainer would refuse — an unknown compressor,
+	// a ratio outside (0, 1] — one trainer built here refuses first.
+	if _, err := trainerFor(d, 1, 0, nil, nil); err != nil {
+		return err
+	}
+	if d.launch > 0 {
+		err = d.sizeLaunch()
+	} else {
+		err = d.sizeNode()
+	}
+	if err != nil {
+		return err
+	}
+	// Under -kill-rank the children run without -check (membership
+	// shrinks mid-run); the launcher gates on survivor agreement instead.
+	if d.killR < 0 {
+		if err := checkViable(d); err != nil {
+			return err
+		}
+	}
+	if err := d.loadResume(); err != nil {
+		return err
+	}
+	return clusterConfig(d).Validate()
+}
+
+// sizeLaunch sizes a -launch deployment and checks its kill target.
+func (d *deployment) sizeLaunch() error {
+	d.workers = d.launch
+	d.nodes = cluster.NodeCount(d.workers, d.coll)
+	if d.killAtStep >= 0 {
+		return fmt.Errorf("-kill-at-step is one node's flag; under -launch pass -kill-rank R@K")
+	}
+	var err error
+	if d.killR, d.killStep, err = parseKillRank(d.killRank); err != nil || d.killR < 0 {
+		return err
+	}
+	if d.killR >= d.nodes {
+		return fmt.Errorf("-kill-rank %d outside the %d-node deployment", d.killR, d.nodes)
+	}
+	if d.coll == netsim.CollectivePS && d.killR == d.nodes-1 {
+		return fmt.Errorf("-kill-rank %d is the parameter server; losing it is unrecoverable by design — kill a worker rank", d.killR)
+	}
+	if d.killStep >= d.iters {
+		return fmt.Errorf("-kill-rank step %d >= -iters %d: the target would never die", d.killStep, d.iters)
+	}
+	// Fault injection needs failure detection and recovery budget;
+	// default both on so the quickstart gate works out of the box. Set
+	// through the flag set, so the children get them too; the constant
+	// values always parse.
+	if d.stepTimeout <= 0 {
+		_ = d.flags.Set("step-timeout", "2s")
+	}
+	if d.stepRetries == 0 {
+		_ = d.flags.Set("step-retries", "2")
+	}
+	return nil
+}
+
+// sizeNode reads the host list and places this node in it.
+func (d *deployment) sizeNode() error {
+	var err error
+	if d.addrs, err = parseHosts(d.options); err != nil {
+		return err
+	}
+	d.nodes, d.workers = len(d.addrs), len(d.addrs)
+	if d.coll == netsim.CollectivePS {
+		if d.workers--; d.workers < 1 {
+			return fmt.Errorf("ps needs at least 2 hosts (workers + server), got %d", len(d.addrs))
+		}
+	}
+	if d.node >= len(d.addrs) {
+		return fmt.Errorf("-node %d outside the %d-host list", d.node, len(d.addrs))
+	}
+	return nil
+}
+
+// loadResume reads the checkpoint a -resume run starts from: a worker
+// node's own, which it restores; rank 0's for the stateless server and
+// the launcher, which only need its step (same filesystem under -launch;
+// multi-host operators adjust -iters instead). The launcher reads it
+// before any child runs: a -ckpt on the same prefix rewrites it as they
+// go.
+func (d *deployment) loadResume() error {
+	if d.resume == "" {
+		return nil
+	}
+	rank := 0
+	if d.launch == 0 && d.node < d.workers {
+		rank = d.node
+	}
+	ck, err := dist.LoadCheckpoint(rankPath(d.resume, rank))
+	if err != nil {
+		return fmt.Errorf("-resume: %w", err)
+	}
+	if ck.Step >= d.iters {
+		return fmt.Errorf("-resume: checkpoint already at step %d, -iters %d (total) leaves nothing to run", ck.Step, d.iters)
+	}
+	d.resumed, d.start = ck, ck.Step
+	return nil
+}
+
+// rankPath is rank's file under a per-rank prefix (-ckpt, -resume,
+// -telemetry under -launch).
+func rankPath(prefix string, rank int) string { return fmt.Sprintf("%s.rank%d", prefix, rank) }
+
+// parseHosts reads the host list of -hosts or -hostfile: entries split on
+// commas and white space, so a hostfile has one per line.
 func parseHosts(opt options) ([]string, error) {
 	if opt.hosts != "" && opt.hostfile != "" {
 		return nil, fmt.Errorf("pass -hosts or -hostfile, not both")
@@ -150,14 +333,9 @@ func parseHosts(opt options) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw = strings.ReplaceAll(strings.TrimSpace(string(data)), "\n", ",")
+		raw = string(data)
 	}
-	var hosts []string
-	for _, h := range strings.Split(raw, ",") {
-		if h = strings.TrimSpace(h); h != "" {
-			hosts = append(hosts, h)
-		}
-	}
+	hosts := strings.FieldsFunc(raw, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("empty host list")
 	}
@@ -169,7 +347,6 @@ func parseHosts(opt options) ([]string, error) {
 // and an optional JSONL stream.
 type nodeTelemetry struct {
 	tracer *telemetry.Tracer
-	agg    *telemetry.Aggregator
 	jsonl  *telemetry.JSONL
 	file   *os.File
 	srv    *http.Server
@@ -178,16 +355,15 @@ type nodeTelemetry struct {
 
 // setupTelemetry builds the stack for the flags; with neither flag set
 // it returns a disabled stack (nil tracer — the zero-cost path).
-func setupTelemetry(opt options) (*nodeTelemetry, error) {
+func setupTelemetry(d *deployment, stdout io.Writer) (*nodeTelemetry, error) {
 	nt := &nodeTelemetry{}
-	if opt.metrics == "" && opt.telemetryPath == "" {
+	if d.metrics == "" && d.telemetryPath == "" {
 		return nt, nil
 	}
-	var sinks []telemetry.Sink
-	nt.agg = telemetry.NewAggregator()
-	sinks = append(sinks, nt.agg)
-	if opt.telemetryPath != "" {
-		f, err := os.Create(opt.telemetryPath)
+	agg := telemetry.NewAggregator()
+	sinks := []telemetry.Sink{agg}
+	if d.telemetryPath != "" {
+		f, err := os.Create(d.telemetryPath)
 		if err != nil {
 			return nil, fmt.Errorf("-telemetry: %w", err)
 		}
@@ -195,24 +371,24 @@ func setupTelemetry(opt options) (*nodeTelemetry, error) {
 		// The per-rank node id in the stream's meta record is what lets
 		// sidco-trace match message sides to streams when it aligns the
 		// ranks' clocks.
-		nt.jsonl = telemetry.NewJSONLForNode(f, opt.node)
+		nt.jsonl = telemetry.NewJSONLForNode(f, d.node)
 		sinks = append(sinks, nt.jsonl)
 	}
 	nt.tracer = telemetry.New(sinks...)
-	if opt.metrics != "" {
-		addr := opt.metrics
+	if d.metrics != "" {
+		addr := d.metrics
 		if addr == "auto" {
 			addr = "127.0.0.1:0"
 		}
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			nt.close()
-			return nil, fmt.Errorf("-metrics %s: %w", opt.metrics, err)
+			return nil, fmt.Errorf("-metrics %s: %w", d.metrics, err)
 		}
 		nt.addr = ln.Addr().String()
-		nt.srv = &http.Server{Handler: telemetry.Handler(nt.agg)}
+		nt.srv = &http.Server{Handler: telemetry.Handler(agg)}
 		go nt.srv.Serve(ln)
-		fmt.Printf("node %d: metrics on http://%s/metrics\n", opt.node, nt.addr)
+		fmt.Fprintf(stdout, "node %d: metrics on http://%s/metrics\n", d.node, nt.addr)
 	}
 	return nt, nil
 }
@@ -242,14 +418,10 @@ func (nt *nodeTelemetry) close() {
 // quantization residual feeds back into the next step, and — because the
 // emitted values are fixed points of the wire's rounding — what the
 // sockets deliver is exactly what the in-process reference computes.
-func trainerFor(opt options, workers, firstWorker int, ex dist.GradientExchange, tel *telemetry.Tracer) (*dist.Trainer, error) {
-	wire, err := cluster.ParseWire(opt.format)
-	if err != nil {
-		return nil, err
-	}
+func trainerFor(d *deployment, workers, firstWorker int, ex dist.GradientExchange, tel *telemetry.Tracer) (*dist.Trainer, error) {
 	var ecWire *encoding.Format
-	if opt.compressor != "" && opt.compressor != "none" && wire != cluster.WireLossless {
-		f, err := wire.Format()
+	if d.compressed && d.wire != cluster.WireLossless {
+		f, err := d.wire.Format()
 		if err != nil {
 			return nil, err
 		}
@@ -258,129 +430,77 @@ func trainerFor(opt options, workers, firstWorker int, ex dist.GradientExchange,
 	return harness.DemoTrainer(dist.TrainerConfig{
 		Workers:     workers,
 		FirstWorker: firstWorker,
-		Delta:       opt.delta,
+		Delta:       d.delta,
 		ECWire:      ecWire,
-		Seed:        opt.seed,
+		Seed:        d.seed,
 		Exchange:    ex,
 		Telemetry:   tel,
-	}, opt.compressor)
+	}, d.compressor)
 }
 
 // clusterConfig is the deployment's cluster configuration as the flags
-// give it: what the launcher validates before it spawns anything, and
-// what every rank binds to its own transport.
-func clusterConfig(opt options, workers int, coll netsim.Collective) (cluster.Config, error) {
-	wire, err := cluster.ParseWire(opt.format)
-	if err != nil {
-		return cluster.Config{}, err
-	}
+// give it: what resolve validates before anything starts, and what every
+// rank binds to its own transport.
+func clusterConfig(d *deployment) cluster.Config {
 	return cluster.Config{
-		Workers:        workers,
-		Collective:     coll,
-		Format:         wire,
-		StepTimeout:    opt.stepTimeout,
-		MaxStepRetries: opt.stepRetries,
-	}, nil
+		Workers:        d.workers,
+		Collective:     d.coll,
+		Format:         d.wire,
+		StepTimeout:    d.stepTimeout,
+		MaxStepRetries: d.stepRetries,
+	}
 }
 
 // runNode is one process of the deployment: worker or parameter server.
-func runNode(opt options) error {
-	if opt.iters < 1 {
-		return fmt.Errorf("-iters %d, need >= 1", opt.iters)
-	}
-	if opt.ckptEvery < 1 {
-		return fmt.Errorf("-ckpt-every %d, need >= 1", opt.ckptEvery)
-	}
-	coll, err := netsim.ParseCollective(opt.collective)
-	if err != nil {
-		return err
-	}
-	if err := checkViable(opt, coll); err != nil {
-		return err
-	}
-	hosts, err := parseHosts(opt)
-	if err != nil {
-		return err
-	}
-	workers := len(hosts)
-	if coll == netsim.CollectivePS {
-		workers--
-		if workers < 1 {
-			return fmt.Errorf("ps needs at least 2 hosts (workers + server), got %d", len(hosts))
-		}
-	}
-	if opt.node >= len(hosts) {
-		return fmt.Errorf("-node %d outside the %d-host list", opt.node, len(hosts))
-	}
-	cfg, err := clusterConfig(opt, workers, coll)
-	if err != nil {
-		return err
-	}
-	nt, err := setupTelemetry(opt)
+func runNode(d *deployment, stdout io.Writer) error {
+	nt, err := setupTelemetry(d, stdout)
 	if err != nil {
 		return err
 	}
 	defer nt.close()
 	tp, err := cluster.NewTCPTransport(cluster.TCPConfig{
-		Addrs:       hosts,
-		Local:       []int{opt.node},
-		DialTimeout: opt.dialTimeout,
+		Addrs:       d.addrs,
+		Local:       []int{d.node},
+		DialTimeout: d.dialTimeout,
 		Telemetry:   nt.tracer,
 	})
 	if err != nil {
 		return err
 	}
 	defer tp.Close()
-	cfg.Rank, cfg.Transport, cfg.Telemetry = opt.node, tp, nt.tracer
+	cfg := clusterConfig(d)
+	cfg.Rank, cfg.Transport, cfg.Telemetry = d.node, tp, nt.tracer
 	nd, err := cluster.NewNode(cfg)
 	if err != nil {
 		return err
 	}
-	if opt.node == workers { // parameter-server rank
+	if d.node == d.workers { // parameter-server rank
 		// The server is stateless; it only needs the step the workers
 		// resume at.
-		first, err := resumeStep(opt)
-		if err != nil {
+		if err := nd.Serve(d.start, d.iters-d.start); err != nil {
 			return err
 		}
-		if err := nd.Serve(first, opt.iters-first); err != nil {
-			return err
-		}
-		fmt.Printf("node %d (server): served %d rounds\n", opt.node, opt.iters-first)
+		fmt.Fprintf(stdout, "node %d (server): served %d rounds\n", d.node, d.iters-d.start)
 		return nil
 	}
-	tr, err := trainerFor(opt, 1, opt.node, nd, nt.tracer)
+	tr, err := trainerFor(d, 1, d.node, nd, nt.tracer)
 	if err != nil {
 		return err
 	}
-	ckptPath := ""
-	if opt.ckpt != "" {
-		ckptPath = fmt.Sprintf("%s.rank%d", opt.ckpt, opt.node)
-	}
-	start := 0
-	if opt.resume != "" {
-		ck, err := dist.LoadCheckpoint(fmt.Sprintf("%s.rank%d", opt.resume, opt.node))
-		if err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		if ck.Step >= opt.iters {
-			return fmt.Errorf("-resume: checkpoint already at step %d, -iters %d (total) leaves nothing to run", ck.Step, opt.iters)
-		}
-		if err := tr.Restore(ck); err != nil {
+	if d.resumed != nil {
+		if err := tr.Restore(d.resumed); err != nil {
 			return err
 		}
-		start = ck.Step
-		fmt.Printf("node %d: resumed at step %d\n", opt.node, start)
+		fmt.Fprintf(stdout, "node %d: resumed at step %d\n", d.node, d.start)
 	}
-	losses := make([]float64, 0, opt.iters-start)
-	for it := start; it < opt.iters; it++ {
-		if opt.killAtStep >= 0 && it == opt.killAtStep {
+	losses := make([]float64, 0, d.iters-d.start)
+	for it := d.start; it < d.iters; it++ {
+		if it == d.killAtStep {
 			// Die at the START of step it: step it-1 fully completed, nothing
 			// of step it sent yet — the deterministic point the fault-injection
 			// schedule and the elastic-recovery tests are defined against.
-			fmt.Printf("node %d: fault injection — dying before step %d\n", opt.node, it)
-			nt.close()
-			os.Exit(killExitCode)
+			fmt.Fprintf(stdout, "node %d: fault injection — dying before step %d\n", d.node, it)
+			return errKilled
 		}
 		local, err := tr.Step()
 		if err != nil {
@@ -391,59 +511,37 @@ func runNode(opt options) error {
 			return err
 		}
 		losses = append(losses, global)
-		if ckptPath != "" && ((it+1)%opt.ckptEvery == 0 || it+1 == opt.iters) {
+		if d.ckpt != "" && ((it+1)%d.ckptEvery == 0 || it+1 == d.iters) {
 			ck, err := tr.Checkpoint()
 			if err != nil {
 				return err
 			}
-			if err := dist.SaveCheckpoint(ckptPath, ck); err != nil {
+			if err := dist.SaveCheckpoint(rankPath(d.ckpt, d.node), ck); err != nil {
 				return err
 			}
 		}
 	}
-	if opt.node == 0 {
-		printLosses(os.Stdout, opt, coll, losses, start)
+	if d.node == 0 {
+		printLosses(stdout, d, losses)
 	}
-	fmt.Printf("node %d: final global loss %.17g over %d iterations\n", opt.node, losses[len(losses)-1], opt.iters)
-	if opt.check {
-		return checkNodeRun(opt, coll, workers, nd, nt, losses, start)
+	fmt.Fprintf(stdout, "node %d: final global loss %.17g over %d iterations\n", d.node, losses[len(losses)-1], d.iters)
+	if d.check {
+		return checkNodeRun(d, nd, nt, losses, stdout)
 	}
 	return nil
 }
 
-// compressed reports whether the run trains with a compressor, which is
-// what CollectiveAuto resolves on.
-func compressed(opt options) bool { return opt.compressor != "" && opt.compressor != "none" }
-
 // printLosses renders rank 0's view of the run: losses[i] is global step
-// start+i, so a resumed run's rows carry the steps it actually ran.
-func printLosses(w io.Writer, opt options, coll netsim.Collective, losses []float64, start int) {
+// d.start+i, so a resumed run's rows carry the steps it actually ran.
+func printLosses(w io.Writer, d *deployment, losses []float64) {
 	tbl := harness.NewTable(
 		fmt.Sprintf("Multi-process run — %s over TCP, %s, N from host list, delta=%g: global loss per iteration",
-			coll, opt.compressor, opt.delta),
+			d.coll, d.compressor, d.delta),
 		"iter", "global loss")
 	for i, l := range losses {
-		tbl.AddRow(fmt.Sprintf("%d", start+i), fmt.Sprintf("%.17g", l))
+		tbl.AddRow(fmt.Sprintf("%d", d.start+i), fmt.Sprintf("%.17g", l))
 	}
 	tbl.Render(w)
-}
-
-// resumeStep is the step a -resume run starts at, 0 without -resume. It
-// reads worker 0's checkpoint, which is what the stateless server rank
-// and the launcher's trace check go by (same filesystem under -launch;
-// multi-host operators adjust -iters instead).
-func resumeStep(opt options) (int, error) {
-	if opt.resume == "" {
-		return 0, nil
-	}
-	ck, err := dist.LoadCheckpoint(fmt.Sprintf("%s.rank0", opt.resume))
-	if err != nil {
-		return 0, fmt.Errorf("-resume reads rank 0's checkpoint for the resume step: %w", err)
-	}
-	if ck.Step >= opt.iters {
-		return 0, fmt.Errorf("-resume: checkpoint already at step %d, -iters %d (total) leaves nothing to run", ck.Step, opt.iters)
-	}
-	return ck.Step, nil
 }
 
 // resumeNotBitwise names the compressors that carry state across steps
@@ -453,16 +551,12 @@ func resumeStep(opt options) (int, error) {
 var resumeNotBitwise = map[string]bool{"dgc": true, "randomk": true, "gaussiank": true}
 
 // checkViable refuses a -check that cannot pass, before anything trains:
-// the launcher calls it before it spawns a child and every node before
-// its first step, so an impossible gate costs nothing instead of a whole
-// run. It says nothing without -check.
-func checkViable(opt options, coll netsim.Collective) error {
-	if !opt.check {
+// resolve calls it in the launcher before a child spawns and in every
+// node before its first step, so an impossible gate costs nothing
+// instead of a whole run. It says nothing without -check.
+func checkViable(d *deployment) error {
+	if !d.check {
 		return nil
-	}
-	wire, err := cluster.ParseWire(opt.format)
-	if err != nil {
-		return err
 	}
 	// The all-gather replays each worker's selection verbatim, and under a
 	// lossy wire with a compressor on, error feedback has pre-rounded it to
@@ -470,18 +564,18 @@ func checkViable(opt options, coll netsim.Collective) error {
 	// what the reference computes. The parameter server re-encodes the
 	// aggregated mean on the pull side — a mean of wire fixed points is not
 	// itself one — so only the lossless wire stays exact there.
-	switch coll.Resolve(compressed(opt)) {
+	switch d.resolved {
 	case netsim.CollectiveAllGather:
-		if wire != cluster.WireLossless && !compressed(opt) {
-			return fmt.Errorf("-check: -format %s is lossy and no compressor pre-rounds to it, so no bit-exact reference exists; use -format lossless, a compressor, or drop -check", opt.format)
+		if d.wire != cluster.WireLossless && !d.compressed {
+			return fmt.Errorf("-check: -format %s is lossy and no compressor pre-rounds to it, so no bit-exact reference exists; use -format lossless, a compressor, or drop -check", d.format)
 		}
 	case netsim.CollectivePS:
-		if wire != cluster.WireLossless {
-			return fmt.Errorf("-check: -format %s under ps re-encodes the mean on the pull, so no bit-exact reference exists; use -format lossless or drop -check", opt.format)
+		if d.wire != cluster.WireLossless {
+			return fmt.Errorf("-check: -format %s under ps re-encodes the mean on the pull, so no bit-exact reference exists; use -format lossless or drop -check", d.format)
 		}
 	}
-	if opt.resume != "" && resumeNotBitwise[opt.compressor] {
-		return fmt.Errorf("-check: -resume with %s cannot be bit-identical: its cross-step state beyond the error-feedback residual is not in the checkpoint; use topk, redsync or a sidco-* compressor, or drop -check", opt.compressor)
+	if d.resume != "" && resumeNotBitwise[d.compressor] {
+		return fmt.Errorf("-check: -resume with %s cannot be bit-identical: its cross-step state beyond the error-feedback residual is not in the checkpoint; use topk, redsync or a sidco-* compressor, or drop -check", d.compressor)
 	}
 	return nil
 }
@@ -492,21 +586,20 @@ func checkViable(opt options, coll netsim.Collective) error {
 // traffic matching the collective step formulas. With -metrics it
 // additionally scrapes this process's own HTTP endpoint and asserts
 // the exported counters agree. Under -resume the reference runs the
-// full opt.iters from scratch and the comparison covers the resumed
+// full -iters from scratch and the comparison covers the resumed
 // tail — a bitwise pass proves checkpoint-resume reproduced the
 // uninterrupted run exactly.
-func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.Node, nt *nodeTelemetry, losses []float64, start int) error {
-	ref, err := trainerFor(opt, workers, 0, nil, nil)
+func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []float64, stdout io.Writer) error {
+	ref, err := trainerFor(d, d.workers, 0, nil, nil)
 	if err != nil {
 		return err
 	}
-	want, _, err := ref.Run(opt.iters)
+	want, _, err := ref.Run(d.iters)
 	if err != nil {
 		return err
 	}
-	want = want[start:]
-	resolved := coll.Resolve(compressed(opt))
-	bitwise := resolved == netsim.CollectiveAllGather || resolved == netsim.CollectivePS
+	want = want[d.start:]
+	bitwise := d.resolved == netsim.CollectiveAllGather || d.resolved == netsim.CollectivePS
 	for i := range want {
 		if bitwise && losses[i] != want[i] {
 			return fmt.Errorf("check: loss[%d] = %.17g, in-process trainer says %.17g (must be bit-identical)", i, losses[i], want[i])
@@ -515,16 +608,13 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 			return fmt.Errorf("check: loss[%d] = %.17g, in-process trainer says %.17g (outside ring tolerance)", i, losses[i], want[i])
 		}
 	}
-	exchanges := opt.iters - start
-	var wantMsgs int
-	switch resolved {
-	case netsim.CollectiveAllGather:
-		wantMsgs = exchanges * netsim.AllGatherMessages(workers)
-	case netsim.CollectiveRing:
-		wantMsgs = exchanges * netsim.RingMessages(workers)
-	case netsim.CollectivePS:
-		wantMsgs = exchanges
+	// Every ring node sends the same share of the exchange's messages; a
+	// parameter-server worker sends one push (the pulls are the server's).
+	perExchange := d.resolved.Messages(d.workers) / d.workers
+	if d.resolved == netsim.CollectivePS {
+		perExchange = 1
 	}
+	wantMsgs := (d.iters - d.start) * perExchange
 	if msgs, _ := nd.Transport().Totals(); msgs != wantMsgs {
 		return fmt.Errorf("check: sent %d gradient messages, formula says %d", msgs, wantMsgs)
 	}
@@ -537,13 +627,13 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 		// handed the merged mean, at most every worker's selection. The
 		// size of a selection is bounded for the compressors that promise
 		// one — exact top-k and the band-held SIDCo family.
-		sidco := strings.HasPrefix(opt.compressor, "sidco-")
+		sidco := strings.HasPrefix(d.compressor, "sidco-")
 		applyMax := 0.0
-		if bitwise && (sidco || opt.compressor == "topk") {
-			k := compress.TargetK(ref.Dim(), opt.delta)
-			applyMax = float64(workers*k) * (1 + core.Config{}.Default().EpsilonH)
+		if bitwise && (sidco || d.compressor == "topk") {
+			k := compress.TargetK(ref.Dim(), d.delta)
+			applyMax = float64(d.workers*k) * (1 + core.Config{}.Default().EpsilonH)
 		}
-		if err := checkMetricsEndpoint(nt.addr, nd, wantMsgs, sidco, applyMax); err != nil {
+		if err := checkMetricsEndpoint(stdout, nt.addr, nd, wantMsgs, sidco, applyMax); err != nil {
 			return err
 		}
 	}
@@ -551,7 +641,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 	if !bitwise {
 		mode = "within ring tolerance of in-process"
 	}
-	fmt.Printf("node %d: check passed — losses %s, traffic exact (%d msgs)\n", opt.node, mode, wantMsgs)
+	fmt.Fprintf(stdout, "node %d: check passed — losses %s, traffic exact (%d msgs)\n", d.node, mode, wantMsgs)
 	return nil
 }
 
@@ -566,7 +656,7 @@ func checkNodeRun(opt options, coll netsim.Collective, workers int, nd *cluster.
 // elements the optimizer was handed per step and, when applyMax > 0, fails a
 // run that handed it more: a step that should have stayed sparse after the
 // selection went dense.
-func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco bool, applyMax float64) error {
+func checkMetricsEndpoint(stdout io.Writer, addr string, nd *cluster.Node, wantMsgs int, sidco bool, applyMax float64) error {
 	get := func(path string) (string, error) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -640,7 +730,7 @@ func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco boo
 			return fmt.Errorf("check: /metrics selected/target elements = %v/%v = %.3f, outside the estimator's band [%.2f, %.2f]",
 				vals["sidco_selected_elems_total"], vals["sidco_target_elems_total"], ratio, 1-band.EpsilonL, 1+band.EpsilonH)
 		}
-		fmt.Printf("metrics endpoint verified: k-hat/k = %.3f in band, %v list corrections, %v sweep fallbacks\n",
+		fmt.Fprintf(stdout, "metrics endpoint verified: k-hat/k = %.3f in band, %v list corrections, %v sweep fallbacks\n",
 			ratio, vals["sidco_select_list_corrections_total"], vals["sidco_select_sweep_fallbacks_total"])
 	}
 	applied := vals["sidco_apply_elems_total"] / vals["sidco_steps_total"]
@@ -648,82 +738,56 @@ func checkMetricsEndpoint(addr string, nd *cluster.Node, wantMsgs int, sidco boo
 		return fmt.Errorf("check: /metrics apply elems/step = %v/%v = %.1f, above the %.1f the workers' selections can merge to: the step did not stay sparse after the selection",
 			vals["sidco_apply_elems_total"], vals["sidco_steps_total"], applied, applyMax)
 	}
-	fmt.Printf("metrics endpoint verified: apply elems/step = %.1f", applied)
+	fmt.Fprintf(stdout, "metrics endpoint verified: apply elems/step = %.1f", applied)
 	if applyMax > 0 {
-		fmt.Printf(" <= %.1f (sparse after the selection)", applyMax)
+		fmt.Fprintf(stdout, " <= %.1f (sparse after the selection)", applyMax)
 	}
-	fmt.Println()
-	fmt.Printf("metrics endpoint verified: %d msgs, %d bytes sent match formula + instrumented totals\n", sentMsgs, sentBytes)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "metrics endpoint verified: %d msgs, %d bytes sent match formula + instrumented totals\n", sentMsgs, sentBytes)
 	return nil
+}
+
+// childArgs is rank's command line: every flag set on the launcher's, less
+// the launcher's own, with the per-rank rewrites — its rank and the host
+// list; its own kernel-assigned metrics port, since children cannot share
+// a fixed address; its own telemetry file; the fault-injection step for
+// the -kill-rank target, and no -check under -kill-rank.
+func childArgs(d *deployment, rank int, addrs []string) []string {
+	args := []string{"-node", strconv.Itoa(rank), "-hosts", strings.Join(addrs, ",")}
+	d.flags.Visit(func(f *flag.Flag) {
+		v := f.Value.String()
+		switch f.Name {
+		case "launch", "launch-timeout", "kill-rank", "node", "hosts", "hostfile":
+			return
+		case "check":
+			if d.killR >= 0 {
+				return
+			}
+		case "metrics":
+			if v != "" {
+				v = "127.0.0.1:0"
+			}
+		case "telemetry":
+			if v != "" {
+				v = rankPath(v, rank)
+			}
+		}
+		args = append(args, "-"+f.Name+"="+v)
+	})
+	if rank == d.killR {
+		args = append(args, "-kill-at-step", strconv.Itoa(d.killStep))
+	}
+	return args
 }
 
 // runLaunch spawns the whole deployment on this machine: -launch N
 // worker processes (plus a server process under ps) over kernel-assigned
-// loopback ports, forwarding the workload flags to every child. The
-// first failing child takes the rest of the deployment down with it, and
-// a watchdog kills everything if the run overstays -launch-timeout — a
-// hung deployment fails fast instead of pinning CI until its global
-// timeout.
-func runLaunch(opt options) error {
-	if opt.iters < 1 {
-		return fmt.Errorf("-iters %d, need >= 1", opt.iters)
-	}
-	coll, err := netsim.ParseCollective(opt.collective)
-	if err != nil {
-		return err
-	}
-	nodes := cluster.NodeCount(opt.launch, coll)
-	serverRank := -1
-	if coll == netsim.CollectivePS {
-		serverRank = nodes - 1
-	}
-	killR, killStep, err := parseKillRank(opt.killRank)
-	if err != nil {
-		return err
-	}
-	if killR >= 0 {
-		if killR >= nodes {
-			return fmt.Errorf("-kill-rank %d outside the %d-node deployment", killR, nodes)
-		}
-		if killR == serverRank {
-			return fmt.Errorf("-kill-rank %d is the parameter server; losing it is unrecoverable by design — kill a worker rank", killR)
-		}
-		if killStep >= opt.iters {
-			return fmt.Errorf("-kill-rank step %d >= -iters %d: the target would never die", killStep, opt.iters)
-		}
-		// Fault injection needs failure detection and recovery budget;
-		// default both on so the quickstart gate works out of the box.
-		if opt.stepTimeout <= 0 {
-			opt.stepTimeout = 2 * time.Second
-		}
-		if opt.stepRetries == 0 {
-			opt.stepRetries = 2
-		}
-		if opt.check {
-			fmt.Printf("kill-rank: per-child bitwise -check is off (membership shrinks mid-run); gating on survivor agreement instead\n")
-		}
-	}
-	// Pre-flight: refuse an unsupported combination here, once, instead
-	// of in every child after the deployment is up.
-	if killR < 0 {
-		if err := checkViable(opt, coll); err != nil {
-			return err
-		}
-	}
-	// Read before the children run: a -ckpt on the same prefix rewrites
-	// the checkpoint as they go.
-	start, err := resumeStep(opt)
-	if err != nil {
-		return err
-	}
-	cfg, err := clusterConfig(opt, opt.launch, coll)
-	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	addrs, err := cluster.FreeLoopbackAddrs(nodes)
+// loopback ports. The first failing child takes the rest of the
+// deployment down with it, and a watchdog kills everything if the run
+// overstays -launch-timeout — a hung deployment fails fast instead of
+// pinning CI until its global timeout.
+func runLaunch(d *deployment, stdout, stderr io.Writer) error {
+	addrs, err := cluster.FreeLoopbackAddrs(d.nodes)
 	if err != nil {
 		return err
 	}
@@ -733,141 +797,90 @@ func runLaunch(opt options) error {
 	}
 	// Catch Ctrl-C / SIGTERM before spawning: an interrupted launcher must
 	// take its children with it instead of leaking orphan ranks that hold
-	// their loopback ports until the schedule deadlocks.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	fmt.Printf("launching %d processes over loopback (%s)\n", nodes, strings.Join(addrs, ", "))
+	// their loopback ports until the schedule deadlocks. The watchdog and
+	// a child's genuine failure take the deployment down the same way.
+	interrupt, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx, killAll := context.WithTimeout(interrupt, d.launchTimeout)
+	defer killAll()
+	if d.killR >= 0 && d.check {
+		fmt.Fprintf(stdout, "kill-rank: per-child bitwise -check is off (membership shrinks mid-run); gating on survivor agreement instead\n")
+	}
+	fmt.Fprintf(stdout, "launching %d processes over loopback (%s)\n", d.nodes, strings.Join(addrs, ", "))
 	type child struct {
 		rank int
 		cmd  *exec.Cmd
 		out  bytes.Buffer
 		err  error
 	}
-	children := make([]*child, nodes)
-	exits := make(chan *child, nodes)
-	for rank := 0; rank < nodes; rank++ {
-		args := []string{
-			"-node", fmt.Sprint(rank),
-			"-hosts", strings.Join(addrs, ","),
-			"-collective", opt.collective,
-			"-iters", fmt.Sprint(opt.iters),
-			"-compressor", opt.compressor,
-			"-delta", fmt.Sprint(opt.delta),
-			"-seed", fmt.Sprint(opt.seed),
-			"-format", opt.format,
-			"-dial-timeout", opt.dialTimeout.String(),
-			"-step-timeout", opt.stepTimeout.String(),
-			"-step-retries", fmt.Sprint(opt.stepRetries),
-		}
-		if rank == killR {
-			args = append(args, "-kill-at-step", fmt.Sprint(killStep))
-		}
-		if opt.ckpt != "" {
-			args = append(args, "-ckpt", opt.ckpt, "-ckpt-every", fmt.Sprint(opt.ckptEvery))
-		}
-		if opt.resume != "" {
-			args = append(args, "-resume", opt.resume)
-		}
-		if opt.check && killR < 0 {
-			args = append(args, "-check")
-		}
-		if opt.metrics != "" {
-			// Children cannot share a fixed address; each binds its own
-			// kernel-assigned loopback port (printed in its output).
-			args = append(args, "-metrics", "127.0.0.1:0")
-		}
-		if opt.telemetryPath != "" {
-			args = append(args, "-telemetry", fmt.Sprintf("%s.rank%d", opt.telemetryPath, rank))
-		}
-		c := &child{rank: rank, cmd: exec.Command(exe, args...)}
-		c.cmd.Stdout = &c.out
-		c.cmd.Stderr = &c.out
+	children := make([]*child, d.nodes)
+	exits := make(chan *child, d.nodes)
+	for rank := range children {
+		c := &child{rank: rank, cmd: exec.CommandContext(ctx, exe, childArgs(d, rank, addrs)...)}
+		c.cmd.Stdout, c.cmd.Stderr = &c.out, &c.out
 		if err := c.cmd.Start(); err != nil {
-			for _, prev := range children[:rank] {
-				prev.cmd.Process.Kill()
-			}
-			return fmt.Errorf("starting node %d: %w", rank, err)
+			return fmt.Errorf("starting node %d: %w", rank, err) // killAll takes the started ones down
 		}
 		children[rank] = c
-	}
-	for _, c := range children {
-		go func(c *child) {
+		go func() {
 			c.err = c.cmd.Wait()
 			exits <- c
-		}(c)
-	}
-	killAll := func() {
-		for _, c := range children {
-			c.cmd.Process.Kill()
-		}
+		}()
 	}
 	// expectedKill: the fault-injection target dying with its designated
 	// exit code is the plan, not a failure — the survivors keep running.
 	expectedKill := func(c *child) bool {
-		return c.rank == killR && exitStatus(c.err) == killExitCode
+		var ee *exec.ExitError
+		return c.rank == d.killR && errors.As(c.err, &ee) && ee.ExitCode() == killExitCode
 	}
-	watchdog := time.After(opt.launchTimeout) //sidco:nondet process-supervision timeout, not training state
-	failed, timedOut, interrupted := 0, false, false
-	for collected := 0; collected < nodes; {
-		select {
-		case c := <-exits:
-			collected++
-			if c.err == nil {
-				continue
-			}
-			if expectedKill(c) {
-				fmt.Printf("launch: rank %d died on schedule before step %d\n", killR, killStep)
-				continue
-			}
+	failed := 0
+	for range children {
+		switch c := <-exits; {
+		case c.err == nil:
+		case expectedKill(c):
+			fmt.Fprintf(stdout, "launch: rank %d died on schedule before step %d\n", d.killR, d.killStep)
+		default:
 			failed++
 			// One dead node stalls its peers mid-schedule; take the
 			// deployment down so every Wait returns promptly.
-			killAll()
-		case <-watchdog:
-			timedOut = true
-			killAll()
-			watchdog = nil // keep draining exits; children are dying now
-		case sig := <-sigc:
-			interrupted = true
-			fmt.Fprintf(os.Stderr, "launch: caught %v, killing %d children\n", sig, nodes)
 			killAll()
 		}
 	}
 	for _, c := range children {
 		genuineFail := c.err != nil && !expectedKill(c)
 		if c.rank == 0 || genuineFail {
-			os.Stdout.Write(c.out.Bytes())
+			stdout.Write(c.out.Bytes())
 		}
 		if genuineFail {
-			fmt.Fprintf(os.Stderr, "node %d exited with %v\n", c.rank, c.err)
+			fmt.Fprintf(stderr, "node %d exited with %v\n", c.rank, c.err)
 		}
 	}
-	if interrupted {
+	switch {
+	case interrupt.Err() != nil:
 		return fmt.Errorf("interrupted; deployment killed")
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return fmt.Errorf("deployment killed after %v watchdog", d.launchTimeout)
+	case failed > 0:
+		return fmt.Errorf("%d of %d processes failed", failed, d.nodes)
 	}
-	if timedOut {
-		return fmt.Errorf("deployment killed after %v watchdog", opt.launchTimeout)
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d processes failed", failed, nodes)
-	}
-	if killR >= 0 {
-		kc := children[killR]
+	if d.killR >= 0 {
+		kc := children[d.killR]
 		if !expectedKill(kc) {
-			return fmt.Errorf("kill-rank: rank %d was scheduled to die before step %d but exited with %v", killR, killStep, kc.err)
+			return fmt.Errorf("kill-rank: rank %d was scheduled to die before step %d but exited with %v", d.killR, d.killStep, kc.err)
 		}
-		if err := checkSurvivorAgreement(nodes, killR, serverRank, func(r int) []byte { return children[r].out.Bytes() }); err != nil {
+		serverRank := -1
+		if d.coll == netsim.CollectivePS {
+			serverRank = d.nodes - 1
+		}
+		if err := checkSurvivorAgreement(stdout, d.nodes, d.killR, serverRank, func(r int) []byte { return children[r].out.Bytes() }); err != nil {
 			return err
 		}
-		fmt.Printf("launch: rank %d killed at step %d, %d survivors finished cleanly\n", killR, killStep, nodes-1)
+		fmt.Fprintf(stdout, "launch: rank %d killed at step %d, %d survivors finished cleanly\n", d.killR, d.killStep, d.nodes-1)
 		return nil
 	}
-	fmt.Printf("launch: all %d processes finished cleanly\n", nodes)
-	if opt.telemetryPath != "" && opt.check {
-		if err := checkLaunchTraces(opt, coll, nodes, opt.iters-start); err != nil {
-			return err
-		}
+	fmt.Fprintf(stdout, "launch: all %d processes finished cleanly\n", d.nodes)
+	if d.telemetryPath != "" && d.check {
+		return checkLaunchTraces(d, stdout)
 	}
 	return nil
 }
@@ -885,16 +898,6 @@ func parseKillRank(s string) (rank, step int, err error) {
 		return -1, -1, fmt.Errorf("-kill-rank %q: want R@K with rank R and step K both >= 0", s)
 	}
 	return rank, step, nil
-}
-
-// exitStatus extracts a child's exit code, or -1 when it did not exit
-// normally (nil error, signal death, start failure).
-func exitStatus(err error) int {
-	var ee *exec.ExitError
-	if errors.As(err, &ee) {
-		return ee.ExitCode()
-	}
-	return -1
 }
 
 // finalLoss scans a child's output for its "final global loss" line.
@@ -920,7 +923,7 @@ func finalLoss(out []byte) (float64, bool) {
 // rescaled mean everywhere — those losses must agree bit for bit. A
 // survivor that silently diverged after the membership change fails the
 // launch here even though its process exited zero.
-func checkSurvivorAgreement(nodes, killR, serverRank int, output func(rank int) []byte) error {
+func checkSurvivorAgreement(w io.Writer, nodes, killR, serverRank int, output func(rank int) []byte) error {
 	ref, refRank := 0.0, -1
 	for r := 0; r < nodes; r++ {
 		if r == killR || r == serverRank {
@@ -938,7 +941,7 @@ func checkSurvivorAgreement(nodes, killR, serverRank int, output func(rank int) 
 			return fmt.Errorf("kill-rank: survivor rank %d finished at loss %.17g, rank %d at %.17g — survivors diverged", r, loss, refRank, ref)
 		}
 	}
-	fmt.Printf("kill-rank check passed: survivors agree on final global loss %.17g\n", ref)
+	fmt.Fprintf(w, "kill-rank check passed: survivors agree on final global loss %.17g\n", ref)
 	return nil
 }
 
@@ -946,14 +949,13 @@ func checkSurvivorAgreement(nodes, killR, serverRank int, output func(rank int) 
 // into one global timeline and gates the deployment on it: every
 // gradient message and every TCP frame the ranks sent must pair with
 // exactly one receive on the peer's stream, and the paired gradient
-// total must equal steps exchanges (the ones this launch ran, after any
-// resume) of the collective's closed-form message count — the
-// cross-process half of the traffic accounting each child already
-// verified locally.
-func checkLaunchTraces(opt options, coll netsim.Collective, nodes, steps int) error {
-	streams := make([]*traceview.Stream, 0, nodes)
-	for rank := 0; rank < nodes; rank++ {
-		s, err := traceview.ReadFile(fmt.Sprintf("%s.rank%d", opt.telemetryPath, rank))
+// total must equal the exchanges this launch ran (after any resume) of
+// the collective's closed-form message count — the cross-process half of
+// the traffic accounting each child already verified locally.
+func checkLaunchTraces(d *deployment, stdout io.Writer) error {
+	streams := make([]*traceview.Stream, 0, d.nodes)
+	for rank := 0; rank < d.nodes; rank++ {
+		s, err := traceview.ReadFile(rankPath(d.telemetryPath, rank))
 		if err != nil {
 			return fmt.Errorf("launch trace check: %w", err)
 		}
@@ -966,13 +968,12 @@ func checkLaunchTraces(opt options, coll netsim.Collective, nodes, steps int) er
 	if err := traceview.CheckComplete(tl); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
-	resolved := coll.Resolve(compressed(opt))
-	if err := traceview.CheckMessageCount(tl, resolved, opt.launch, steps); err != nil {
+	if err := traceview.CheckMessageCount(tl, d.resolved, d.workers, d.iters-d.start); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
 	paired, _, _ := tl.PairStats(false)
 	wirePaired, _, _ := tl.PairStats(true)
-	fmt.Printf("launch trace check: %d gradient + %d wire messages assembled across %d ranks, all paired, counts match the %s formula\n",
-		paired, wirePaired, nodes, resolved)
+	fmt.Fprintf(stdout, "launch trace check: %d gradient + %d wire messages assembled across %d ranks, all paired, counts match the %s formula\n",
+		paired, wirePaired, d.nodes, d.resolved)
 	return nil
 }

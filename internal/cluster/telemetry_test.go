@@ -14,20 +14,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// totalMessagesPerExchange is the netsim closed form for the whole
-// transport (every sending node), per exchange.
-func totalMessagesPerExchange(coll netsim.Collective, workers int) int {
-	switch coll {
-	case netsim.CollectiveRing:
-		return workers * netsim.RingMessages(workers)
-	case netsim.CollectiveAllGather:
-		return workers * netsim.AllGatherMessages(workers)
-	case netsim.CollectivePS:
-		return netsim.PSMessages(workers)
-	}
-	return 0
-}
-
 // TestEngineTelemetryMatchesInstrumentedAndFormulas is the tentpole
 // exactness cross-check: for every collective, the telemetry
 // aggregator's message/byte totals must equal the Instrumented
@@ -68,7 +54,7 @@ func TestEngineTelemetryMatchesInstrumentedAndFormulas(t *testing.T) {
 				}
 			}
 
-			wantMsgs := iters * totalMessagesPerExchange(tc.coll, workers)
+			wantMsgs := iters * tc.coll.Messages(workers)
 			msgs, bytes := e.Transport().Totals()
 			rmsgs, rbytes := e.Transport().RecvTotals()
 			if msgs != wantMsgs {

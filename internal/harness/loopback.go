@@ -42,15 +42,14 @@ func (c LoopbackStudyConfig) withDefaults() LoopbackStudyConfig {
 	return c
 }
 
-// LoopbackStudy runs the same compressed training workload four ways —
-// the in-process reducer, the cluster engine over in-process channels,
-// the cluster engine over loopback TCP sockets, and the multi-process
-// topology (one Node, one single-worker trainer and one single-rank
-// TCPTransport per worker, exactly cmd/sidco-node's shape minus process
-// isolation) — and tabulates the per-iteration global losses. Over the
-// lossless wire all four columns must agree bit-for-bit, and the
-// engine-over-TCP traffic must match netsim's all-gather formula
-// exactly; the study prints both checks per row.
+// LoopbackStudy runs the same compressed training workload three ways —
+// the in-process reducer, the cluster engine over in-process channels and
+// the cluster engine over loopback TCP sockets — and tabulates the
+// per-iteration global losses. Over the lossless wire all three columns
+// must agree bit-for-bit, and the engine-over-TCP traffic must match
+// netsim's all-gather formula exactly; the study prints both checks. The
+// per-rank topology (one process per node) is cmd/sidco-node's, tested
+// there.
 func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	cfg = cfg.withDefaults()
 
@@ -102,23 +101,16 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	if err != nil {
 		return fmt.Errorf("harness: loopback study, tcp engine: %w", err)
 	}
-	nodeLoss, err := loopbackNodes(cfg)
-	if err != nil {
-		return fmt.Errorf("harness: loopback study, per-rank nodes: %w", err)
-	}
-
-	wantMsgs := cfg.Iters * cfg.Workers * netsim.AllGatherMessages(cfg.Workers)
+	wantMsgs := cfg.Iters * netsim.CollectiveAllGather.Messages(cfg.Workers)
 	tbl := NewTable(
-		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g: global loss, in-process vs channels vs TCP sockets vs per-rank nodes",
+		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g: global loss, in-process vs channels vs TCP sockets",
 			cfg.Compressor, cfg.Workers, cfg.Delta),
-		"iter", "in-process", "chan engine", "tcp engine", "tcp nodes", "max |diff|")
+		"iter", "in-process", "chan engine", "tcp engine", "max |diff|")
 	for i := range refLoss {
-		diff := math.Max(math.Abs(chanLoss[i]-refLoss[i]),
-			math.Max(math.Abs(tcpLoss[i]-refLoss[i]), math.Abs(nodeLoss[i]-refLoss[i])))
+		diff := math.Max(math.Abs(chanLoss[i]-refLoss[i]), math.Abs(tcpLoss[i]-refLoss[i]))
 		tbl.AddRow(fmt.Sprintf("%d", i),
 			fmt.Sprintf("%.17g", refLoss[i]), fmt.Sprintf("%.17g", chanLoss[i]),
-			fmt.Sprintf("%.17g", tcpLoss[i]), fmt.Sprintf("%.17g", nodeLoss[i]),
-			fmt.Sprintf("%g", diff))
+			fmt.Sprintf("%.17g", tcpLoss[i]), fmt.Sprintf("%g", diff))
 	}
 	tbl.Render(w)
 	fmt.Fprintf(w, "tcp engine traffic: %d messages, formula %d, exact=%v\n\n",
@@ -134,7 +126,7 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 // come out at any (Workers, FirstWorker) split — N single-worker
 // trainers draw exactly the batches of one N-worker trainer. compressor
 // is a registry name; "" or "none" trains dense, anything else gets
-// error feedback.
+// error feedback, and a name the registry lacks is an error.
 func DemoTrainer(base dist.TrainerConfig, compressor string) (*dist.Trainer, error) {
 	rng := rand.New(rand.NewSource(base.Seed))
 	base.Model = nn.NewSequential(
@@ -156,83 +148,11 @@ func DemoTrainer(base dist.TrainerConfig, compressor string) (*dist.Trainer, err
 		return x, targets
 	}
 	if compressor != "" && compressor != "none" {
+		if _, err := NewCompressor(compressor, base.Seed); err != nil {
+			return nil, err
+		}
 		base.NewCompressor = Factory(compressor, base.Seed)
 		base.EC = true
 	}
 	return dist.NewTrainer(base)
-}
-
-// loopbackNodes runs the multi-process topology in-process: one
-// TCPTransport, Node and Workers=1 trainer per rank, each goroutine
-// owning only its rank, global losses reduced through Node.MeanScalar.
-// It returns rank 0's global loss sequence after checking all ranks
-// agree bitwise.
-func loopbackNodes(cfg LoopbackStudyConfig) ([]float64, error) {
-	addrs, err := cluster.FreeLoopbackAddrs(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	type rankOut struct {
-		rank   int
-		losses []float64
-		err    error
-	}
-	results := make(chan rankOut, cfg.Workers)
-	for rank := 0; rank < cfg.Workers; rank++ {
-		go func(rank int) {
-			out := rankOut{rank: rank}
-			defer func() { results <- out }()
-			tp, err := cluster.NewTCPTransport(cluster.TCPConfig{Addrs: addrs, Local: []int{rank}})
-			if err != nil {
-				out.err = err
-				return
-			}
-			defer tp.Close()
-			nd, err := cluster.NewNode(cluster.NodeConfig{
-				Workers:    cfg.Workers,
-				Rank:       rank,
-				Collective: netsim.CollectiveAllGather,
-				Transport:  tp,
-			})
-			if err != nil {
-				out.err = err
-				return
-			}
-			tr, err := DemoTrainer(dist.TrainerConfig{Workers: 1, FirstWorker: rank, Delta: cfg.Delta, Seed: cfg.Seed, Exchange: nd}, cfg.Compressor)
-			if err != nil {
-				out.err = err
-				return
-			}
-			for it := 0; it < cfg.Iters; it++ {
-				local, err := tr.Step()
-				if err != nil {
-					out.err = err
-					return
-				}
-				global, err := nd.MeanScalar(local)
-				if err != nil {
-					out.err = err
-					return
-				}
-				out.losses = append(out.losses, global)
-			}
-		}(rank)
-	}
-	byRank := make([][]float64, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		out := <-results
-		if out.err != nil {
-			return nil, fmt.Errorf("rank %d: %w", out.rank, out.err)
-		}
-		byRank[out.rank] = out.losses
-	}
-	for rank := 1; rank < cfg.Workers; rank++ {
-		for it := range byRank[0] {
-			if byRank[rank][it] != byRank[0][it] {
-				return nil, fmt.Errorf("rank %d loss[%d] = %v disagrees with rank 0's %v",
-					rank, it, byRank[rank][it], byRank[0][it])
-			}
-		}
-	}
-	return byRank[0], nil
 }

@@ -192,6 +192,23 @@ func (n Network) CollectiveTime(c Collective, denseBytes, sparseBytes int, compr
 // charges one latency alpha per step, and the message-passing engine must
 // put exactly that many messages on the wire.
 
+// Messages returns the gradient messages one exchange over c puts on the
+// wire across every sending node with the given workers — the count the
+// instrumented transport's totals and an assembled trace's pairs must
+// equal per exchange. It is 0 for CollectiveAuto (resolve it first) and
+// for an unknown value.
+func (c Collective) Messages(workers int) int {
+	switch c {
+	case CollectiveRing:
+		return workers * RingMessages(workers)
+	case CollectiveAllGather:
+		return workers * AllGatherMessages(workers)
+	case CollectivePS:
+		return PSMessages(workers)
+	}
+	return 0
+}
+
 // RingMessages returns the messages each node sends in a ring all-reduce
 // of n workers: N-1 reduce-scatter steps plus N-1 all-gather steps.
 func RingMessages(n int) int {

@@ -182,6 +182,27 @@ func TestCollectiveMessageFormulas(t *testing.T) {
 	}
 }
 
+// TestCollectiveMessages pins the per-exchange total against the three
+// per-node formulas it is built from, and 0 for an unresolved schedule.
+func TestCollectiveMessages(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		for _, c := range []struct {
+			coll Collective
+			want int
+		}{
+			{CollectiveRing, n * RingMessages(n)},
+			{CollectiveAllGather, n * AllGatherMessages(n)},
+			{CollectivePS, PSMessages(n)},
+			{CollectiveAuto, 0},
+			{CollectivePS + 1, 0},
+		} {
+			if got := c.coll.Messages(n); got != c.want {
+				t.Errorf("%v.Messages(%d) = %d, want %d", c.coll, n, got, c.want)
+			}
+		}
+	}
+}
+
 func TestCollectiveStrings(t *testing.T) {
 	for c, want := range map[Collective]string{
 		CollectiveAuto: "auto", CollectiveRing: "ring",

@@ -21,26 +21,11 @@ func CheckComplete(tl *Timeline) error {
 	return nil
 }
 
-// ExpectedGradientMessages returns the gradient messages one exchange
-// of the collective puts on the wire across every sending node — the
-// netsim alpha-count, which the assembled pair count must equal exactly
-// per iteration.
-func ExpectedGradientMessages(coll netsim.Collective, workers int) int {
-	switch coll {
-	case netsim.CollectiveRing:
-		return workers * netsim.RingMessages(workers)
-	case netsim.CollectiveAllGather:
-		return workers * netsim.AllGatherMessages(workers)
-	case netsim.CollectivePS:
-		return netsim.PSMessages(workers)
-	}
-	return 0
-}
-
 // CheckMessageCount verifies the paired gradient-message total equals
-// iters exchanges of the collective's closed-form count.
+// iters exchanges of the collective's closed-form count
+// (netsim.Collective.Messages).
 func CheckMessageCount(tl *Timeline, coll netsim.Collective, workers, iters int) error {
-	want := iters * ExpectedGradientMessages(coll, workers)
+	want := iters * coll.Messages(workers)
 	paired, _, _ := tl.PairStats(false)
 	if paired != want {
 		return fmt.Errorf("traceview: %d paired gradient messages, %s formula says %d (%d iters x %d workers)",
