@@ -1,7 +1,7 @@
 // Command sidco-fig regenerates the paper's tables and figures: the
-// distributed-training evaluation on the timeline simulator (Table 1,
-// Figures 3-6, 9-11, 13, 18), the gradient-statistics studies on live
-// training (Figures 2, 7, 8 and the ablation suite), and the
+// distributed-training evaluation on the iteration model (Table 1,
+// Figures 3, 5, 6, 9-11, 13, 18), the gradient-statistics studies on
+// live training (Figures 2, 4, 7, 8 and the ablation suite), and the
 // micro-benchmarks (Figures 1, 12, 14-17 plus a real Go wall-clock
 // measurement on this machine).
 //

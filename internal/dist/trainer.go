@@ -1,17 +1,13 @@
 // Package dist implements the distributed side of the reproduction: a
 // goroutine-per-worker synchronous data-parallel training engine with
 // pluggable gradient compression and per-worker error feedback, plus the
-// Table 1 workload catalog and the timeline simulator that prices one
-// training iteration (compute + compress + communicate) on a modelled
-// device and network.
+// Table 1 workload catalog.
 //
-// The Trainer runs real backpropagation through internal/nn; the
-// simulator drives internal/simgrad statistical gradients through the
-// same Compressor interface and converts achieved sparsity into
-// communication time via internal/netsim. Both are deterministic for a
-// fixed Seed, including with Workers > 1. Each worker compresses on its
-// own goroutine and a compressor never fans out further: a worker is one
-// core, which is what a deployment of one rank per core wants.
+// The Trainer runs real backpropagation through internal/nn and is
+// deterministic for a fixed Seed, including with Workers > 1. Each
+// worker compresses on its own goroutine and a compressor never fans out
+// further: a worker is one core, which is what a deployment of one rank
+// per core wants.
 //
 // Gradient aggregation is a strategy: the default GradientExchange is
 // the in-process shared-memory reducer, and internal/cluster substitutes

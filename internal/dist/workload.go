@@ -7,7 +7,8 @@ import (
 )
 
 // GradProfile describes the statistical character of a workload's
-// gradient stream (fed to internal/simgrad by the simulator). The
+// gradient stream (internal/simgrad), which the figures' iteration model
+// and the step benchmark's gradient workloads compress. The
 // parameters follow the paper's fitting study: all benchmarks are
 // well-described by sparsity-inducing double-sided distributions whose
 // scale decays and whose tail sharpens as training progresses.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/simgrad"
 	"repro/internal/stats"
 )
@@ -78,7 +77,6 @@ func AblationStages(w io.Writer, opt Options) error {
 func AblationDelta1(w io.Writer, opt Options) error {
 	opt = opt.withDefaults()
 	const dim, delta = 200000, 0.001
-	dev := device.GPU()
 	tbl := NewTable("Ablation: first-stage ratio delta1 at delta=0.001",
 		"delta1", "mean k-hat/k", "|log err|", "stages", "GPU latency (model)")
 	for _, d1 := range []float64{0.05, 0.1, 0.25, 0.5} {
@@ -88,7 +86,7 @@ func AblationDelta1(w io.Writer, opt Options) error {
 			return err
 		}
 		stages := c.LastSelection().Stages
-		lat, err := dev.CompressLatency("sidco-e", 14982987, delta, stages)
+		lat, err := gpu.latency("sidco-e", 14982987, delta, stages)
 		if err != nil {
 			return err
 		}

@@ -30,10 +30,9 @@ func buildConvTrainer(compName string, delta float64, ec bool, opt Options, tap 
 		nn.NewDense("d1", 8*3*3, 10, rng),
 	)
 	ds := data.NewImages(data.ImagesConfig{N: 512, Classes: 10, Seed: opt.Seed})
-	var factory func() compress.Compressor
+	var newComp func() compress.Compressor
 	if compName != "" && compName != "none" {
-		name := compName
-		factory = Factory(name, opt.Seed)
+		newComp = factory(compName, opt.Seed)
 	}
 	return dist.NewTrainer(dist.TrainerConfig{
 		Workers: 4,
@@ -43,9 +42,9 @@ func buildConvTrainer(compName string, delta float64, ec bool, opt Options, tap 
 		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
 			return ds.Batch(rng, 16)
 		},
-		NewCompressor: factory,
+		NewCompressor: newComp,
 		Delta:         delta,
-		EC:            ec && factory != nil,
+		EC:            ec && newComp != nil,
 		Seed:          opt.Seed,
 		OnGradient:    tap,
 	})
@@ -62,10 +61,9 @@ func buildLMTrainer(compName string, delta float64, opt Options) (*dist.Trainer,
 		nn.NewTimeDistributed(nn.NewDense("out", hidden, vocab, rng)),
 	)
 	corpus := data.NewCorpus(data.CorpusConfig{Tokens: 30000, Vocab: vocab, Seed: opt.Seed})
-	var factory func() compress.Compressor
+	var newComp func() compress.Compressor
 	if compName != "" && compName != "none" {
-		name := compName
-		factory = Factory(name, opt.Seed)
+		newComp = factory(compName, opt.Seed)
 	}
 	return dist.NewTrainer(dist.TrainerConfig{
 		Workers: 4,
@@ -75,9 +73,9 @@ func buildLMTrainer(compName string, delta float64, opt Options) (*dist.Trainer,
 		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
 			return corpus.Batch(rng, 8, T)
 		},
-		NewCompressor: factory,
+		NewCompressor: newComp,
 		Delta:         delta,
-		EC:            factory != nil,
+		EC:            newComp != nil,
 		ClipNorm:      5,
 		Seed:          opt.Seed,
 	})
@@ -210,7 +208,7 @@ func Fig4(w io.Writer, opt Options) error {
 }
 
 // Fig10 reproduces Figure 10: training loss against simulated wall time,
-// combining the real loss curves with the timeline model of the LSTM-PTB
+// combining the real loss curves with the iteration model of the LSTM-PTB
 // workload.
 func Fig10(w io.Writer, opt Options) error {
 	opt = opt.withDefaults()
@@ -222,16 +220,7 @@ func Fig10(w io.Writer, opt Options) error {
 	tbl := NewTable("Fig 10: loss vs simulated wall time, LSTM-PTB timeline, delta=0.01",
 		"compressor", "iter time", "final loss", "sim. time to loss<=2.5")
 	for _, cName := range []string{"none", "topk", "dgc", "sidco-e"} {
-		res, err := dist.SimulateWorkload(dist.SimConfig{
-			Workload:      wl,
-			Net:           defaultNet(),
-			Dev:           deviceGPU(),
-			NewCompressor: Factory(cName, opt.Seed),
-			Delta:         delta,
-			Iters:         opt.Iters,
-			SimScale:      opt.SimScale,
-			Seed:          opt.Seed,
-		})
+		res, err := paperCluster.run(wl, cName, delta, opt)
 		if err != nil {
 			return err
 		}
@@ -246,7 +235,7 @@ func Fig10(w io.Writer, opt Options) error {
 		timeTo := -1.0
 		for i, l := range losses {
 			if l <= 2.5 {
-				timeTo = float64(i+1) * res.IterTime
+				timeTo = float64(i+1) * res.iter
 				break
 			}
 		}
@@ -254,7 +243,7 @@ func Fig10(w io.Writer, opt Options) error {
 		if timeTo >= 0 {
 			timeStr = FmtSecs(timeTo)
 		}
-		tbl.AddRow(cName, FmtSecs(res.IterTime), fmt.Sprintf("%.4f", meanTail(losses, 10)), timeStr)
+		tbl.AddRow(cName, FmtSecs(res.iter), fmt.Sprintf("%.4f", meanTail(losses, 10)), timeStr)
 	}
 	tbl.Render(w)
 	return nil

@@ -151,7 +151,7 @@ func DemoTrainer(base dist.TrainerConfig, compressor string) (*dist.Trainer, err
 		if _, err := NewCompressor(compressor, base.Seed); err != nil {
 			return nil, err
 		}
-		base.NewCompressor = Factory(compressor, base.Seed)
+		base.NewCompressor = factory(compressor, base.Seed)
 		base.EC = true
 	}
 	return dist.NewTrainer(base)

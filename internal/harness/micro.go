@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/compress"
-	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/simgrad"
 	"repro/internal/stats"
@@ -36,13 +35,17 @@ func (o Options) withDefaults() Options {
 // Ratios are the paper's three target compression ratios.
 var Ratios = []float64{0.1, 0.01, 0.001}
 
-// sidcoStagesFor is the stage count SIDCo-E's count-driven plan runs at a
-// target ratio on the estimation-quality stream (used by the analytic
-// latency model when no statistical run is at hand).
-func sidcoStagesFor(delta float64) int {
-	_, _, stages, err := estimationQuality("sidco-e", 1<<16, delta, Options{Iters: 1})
-	if err != nil {
-		panic(err) // "sidco-e" is in the registry
+// sidcoStages maps each of Ratios to the stage count SIDCo-E's
+// count-driven plan runs at it on the estimation-quality stream: what the
+// latency model charges when no statistical run is at hand.
+func sidcoStages() map[float64]int {
+	stages := make(map[float64]int, len(Ratios))
+	for _, delta := range Ratios {
+		_, _, m, err := estimationQuality("sidco-e", 1<<16, delta, Options{Iters: 1})
+		if err != nil {
+			panic(err) // "sidco-e" is in the registry
+		}
+		stages[delta] = m
 	}
 	return stages
 }
@@ -87,18 +90,18 @@ func Fig1(w io.Writer, opt Options) error {
 	dim := vgg.Dim
 	simDim := dim / opt.SimScale
 	names := []string{"dgc", "redsync", "gaussiank", "sidco-e"}
-
-	for _, dev := range []device.Profile{device.GPU(), device.CPU()} {
-		tbl := NewTable(fmt.Sprintf("Fig 1 (%s): compression speed-up over Top-k, VGG16 (d=%d)", dev.Name, dim),
-			append([]string{"compressor"}, ratioHeaders()...)...)
+	stages := sidcoStages()
+	for _, dev := range []device{gpu, cpu} {
+		tbl := NewTable(fmt.Sprintf("Fig 1 (%s): compression speed-up over Top-k, VGG16 (d=%d)", dev.name, dim),
+			ratioColumns(Ratios)...)
 		for _, name := range names {
 			row := []string{name}
 			for _, delta := range Ratios {
-				topk, err := dev.CompressLatency("topk", dim, delta, 1)
+				topk, err := dev.latency("topk", dim, delta, 1)
 				if err != nil {
 					return err
 				}
-				lat, err := dev.CompressLatency(name, dim, delta, sidcoStagesFor(delta))
+				lat, err := dev.latency(name, dim, delta, stages[delta])
 				if err != nil {
 					return err
 				}
@@ -110,7 +113,7 @@ func Fig1(w io.Writer, opt Options) error {
 	}
 
 	tbl := NewTable("Fig 1c: threshold estimation quality (mean k-hat/k, 90% CI)",
-		append([]string{"compressor"}, ratioHeaders()...)...)
+		ratioColumns(Ratios)...)
 	for _, name := range names {
 		row := []string{name}
 		for _, delta := range Ratios {
@@ -126,10 +129,11 @@ func Fig1(w io.Writer, opt Options) error {
 	return nil
 }
 
-func ratioHeaders() []string {
-	out := make([]string, len(Ratios))
-	for i, r := range Ratios {
-		out[i] = fmt.Sprintf("delta=%g", r)
+// ratioColumns is the header of a compressor-by-ratio table.
+func ratioColumns(ratios []float64) []string {
+	out := []string{"compressor"}
+	for _, r := range ratios {
+		out = append(out, fmt.Sprintf("delta=%g", r))
 	}
 	return out
 }
@@ -147,16 +151,17 @@ func Fig14And15(w io.Writer, opt Options) error {
 		{"lstm", 66034000},
 	}
 	names := []string{"topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"}
-	for _, dev := range []device.Profile{device.GPU(), device.CPU()} {
+	stages := sidcoStages()
+	for _, dev := range []device{gpu, cpu} {
 		for _, m := range models {
-			tbl := NewTable(fmt.Sprintf("Fig 14/15 (%s, %s d=%d): latency and speed-up over Top-k", dev.Name, m.name, m.dim),
+			tbl := NewTable(fmt.Sprintf("Fig 14/15 (%s, %s d=%d): latency and speed-up over Top-k", dev.name, m.name, m.dim),
 				"compressor", "delta=0.1", "delta=0.01", "delta=0.001", "speedup@0.001")
 			var topkLat float64
 			for _, name := range names {
 				row := []string{name}
 				var last float64
 				for _, delta := range Ratios {
-					lat, err := dev.CompressLatency(name, m.dim, delta, sidcoStagesFor(delta))
+					lat, err := dev.latency(name, m.dim, delta, stages[delta])
 					if err != nil {
 						return err
 					}
@@ -181,14 +186,15 @@ func Fig16And17(w io.Writer, opt Options) error {
 	sizes := []int{260_000, 2_600_000, 26_000_000, 260_000_000}
 	names := []string{"topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"}
 	const delta = 0.001
-	for _, dev := range []device.Profile{device.GPU(), device.CPU()} {
-		tbl := NewTable(fmt.Sprintf("Fig 16/17 (%s): synthetic tensors, delta=%g", dev.Name, delta),
+	stages := sidcoStages()
+	for _, dev := range []device{gpu, cpu} {
+		tbl := NewTable(fmt.Sprintf("Fig 16/17 (%s): synthetic tensors, delta=%g", dev.name, delta),
 			"compressor", "0.26M", "2.6M", "26M", "260M", "speedup@26M")
 		for _, name := range names {
 			row := []string{name}
 			var at26 float64
 			for _, d := range sizes {
-				lat, err := dev.CompressLatency(name, d, delta, sidcoStagesFor(delta))
+				lat, err := dev.latency(name, d, delta, stages[delta])
 				if err != nil {
 					return err
 				}
@@ -197,7 +203,7 @@ func Fig16And17(w io.Writer, opt Options) error {
 				}
 				row = append(row, FmtSecs(lat))
 			}
-			topk, err := dev.CompressLatency("topk", 26_000_000, delta, 1)
+			topk, err := dev.latency("topk", 26_000_000, delta, 1)
 			if err != nil {
 				return err
 			}
@@ -211,7 +217,7 @@ func Fig16And17(w io.Writer, opt Options) error {
 
 // GoWallClock measures the *actual Go implementation* wall-clock of each
 // compressor on this machine for a given dimension, complementing the
-// analytic device model with real numbers (reported alongside Figure 1).
+// latency model with real numbers (reported alongside Figure 1).
 func GoWallClock(w io.Writer, dim int, delta float64, iters int, seed int64) error {
 	if iters <= 0 {
 		iters = 3
@@ -261,54 +267,36 @@ func timeIt(n int, f func()) float64 {
 	return (now() - t0) / float64(n)
 }
 
-// Fig12 reproduces Figure 12: training throughput with the CPU as the
-// compression device.
+// Fig12 reproduces Figure 12: training throughput (samples/s) with the
+// CPU as the compression device.
 func Fig12(w io.Writer, opt Options) error {
 	opt = opt.withDefaults()
-	return deviceThroughputFigure(w, opt, device.CPU(),
-		"Fig 12: training throughput, CPU compression device (samples/s)",
-		[]string{"resnet20-cifar10", "vgg16-cifar10", "lstm-ptb"},
-		[]string{"topk", "dgc", "sidco-e"})
-}
-
-func deviceThroughputFigure(w io.Writer, opt Options, dev device.Profile, title string, workloads, compressors []string) error {
-	tbl := NewTable(title, append([]string{"workload"}, headerFor(compressors)...)...)
-	for _, wl := range workloads {
-		wk, err := dist.WorkloadByName(wl)
+	model := iterModel{net: paperCluster.net, dev: cpu}
+	compressors := []string{"topk", "dgc", "sidco-e"}
+	hdr := []string{"workload"}
+	for _, c := range compressors {
+		for _, r := range Ratios {
+			hdr = append(hdr, fmt.Sprintf("%s@%g", c, r))
+		}
+	}
+	tbl := NewTable("Fig 12: training throughput, CPU compression device (samples/s)", hdr...)
+	for _, wlName := range []string{"resnet20-cifar10", "vgg16-cifar10", "lstm-ptb"} {
+		wl, err := dist.WorkloadByName(wlName)
 		if err != nil {
 			return err
 		}
-		row := []string{wl}
+		row := []string{wlName}
 		for _, cName := range compressors {
 			for _, delta := range Ratios {
-				res, err := dist.SimulateWorkload(dist.SimConfig{
-					Workload:      wk,
-					Net:           defaultNet(),
-					Dev:           dev,
-					NewCompressor: Factory(cName, opt.Seed),
-					Delta:         delta,
-					Iters:         opt.Iters,
-					SimScale:      opt.SimScale,
-					Seed:          opt.Seed,
-				})
+				res, err := model.run(wl, cName, delta, opt)
 				if err != nil {
 					return err
 				}
-				row = append(row, fmt.Sprintf("%.0f", res.Throughput))
+				row = append(row, fmt.Sprintf("%.0f", res.throughput))
 			}
 		}
 		tbl.AddRow(row...)
 	}
 	tbl.Render(w)
 	return nil
-}
-
-func headerFor(compressors []string) []string {
-	var out []string
-	for _, c := range compressors {
-		for _, r := range Ratios {
-			out = append(out, fmt.Sprintf("%s@%g", c, r))
-		}
-	}
-	return out
 }

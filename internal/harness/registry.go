@@ -1,4 +1,5 @@
-// Package harness assembles the experiments: a compressor registry, ASCII
+// Package harness assembles the experiments: a compressor registry, the
+// iteration model the simulated figures are priced with (model.go), ASCII
 // table/series rendering, and one entry point per paper table/figure. The
 // cmd/ binaries and the benchmark suite are thin wrappers over these
 // functions, so `go test -bench` and the CLIs print the same numbers.
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/device"
 )
 
 // CompressorNames lists the registry in the paper's presentation order.
@@ -53,11 +53,7 @@ func MustCompressor(name string, seed int64) compress.Compressor {
 	return c
 }
 
-// Factory returns a constructor closure for dist.SimConfig.NewCompressor.
-func Factory(name string, seed int64) func() compress.Compressor {
+// factory returns a constructor closure for dist.TrainerConfig.NewCompressor.
+func factory(name string, seed int64) func() compress.Compressor {
 	return func() compress.Compressor { return MustCompressor(name, seed) }
 }
-
-// deviceGPU returns the default GPU device profile (indirection keeps the
-// figure code free of repeated imports).
-func deviceGPU() device.Profile { return device.GPU() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/netsim"
 )
@@ -19,8 +18,8 @@ var topologyCollectives = []netsim.Collective{
 // TopologyStudy compares the three collective topologies on every
 // requested workload: per-iteration communication time and speedup over
 // the dense ring baseline, at each compression ratio. It is the analytic
-// counterpart of cmd/sidco-cluster's measured exchanges — the same
-// SimConfig.Collective knob any harness figure can now set.
+// counterpart of cmd/sidco-cluster's measured exchanges, priced by the
+// figures' iteration model under each collective.
 func TopologyStudy(w io.Writer, workloads []string, compressor string, opt Options) error {
 	opt = opt.withDefaults()
 	if len(workloads) == 0 {
@@ -39,34 +38,28 @@ func TopologyStudy(w io.Writer, workloads []string, compressor string, opt Optio
 			"collective", "dense comm",
 			fmt.Sprintf("comm d=%g", Ratios[0]), fmt.Sprintf("comm d=%g", Ratios[2]),
 			fmt.Sprintf("speedup d=%g", Ratios[0]), fmt.Sprintf("speedup d=%g", Ratios[2]))
-		base, err := dist.SimulateWorkload(dist.SimConfig{
-			Workload: wl, Collective: netsim.CollectiveRing,
-			Iters: opt.Iters, SimScale: opt.SimScale, Seed: opt.Seed,
-		})
+		ring := paperCluster
+		ring.coll = netsim.CollectiveRing
+		base, err := ring.run(wl, "none", 1, opt)
 		if err != nil {
 			return err
 		}
 		for _, coll := range topologyCollectives {
-			dense, err := dist.SimulateWorkload(dist.SimConfig{
-				Workload: wl, Collective: coll,
-				Iters: opt.Iters, SimScale: opt.SimScale, Seed: opt.Seed,
-			})
+			model := paperCluster
+			model.coll = coll
+			dense, err := model.run(wl, "none", 1, opt)
 			if err != nil {
 				return err
 			}
-			row := []string{coll.String(), FmtSecs(dense.CommTime)}
+			row := []string{coll.String(), FmtSecs(dense.comm)}
 			var comms, speeds []string
 			for _, delta := range []float64{Ratios[0], Ratios[2]} {
-				res, err := dist.SimulateWorkload(dist.SimConfig{
-					Workload: wl, Collective: coll, Dev: device.GPU(),
-					NewCompressor: Factory(compressor, opt.Seed), Delta: delta,
-					Iters: opt.Iters, SimScale: opt.SimScale, Seed: opt.Seed,
-				})
+				res, err := model.run(wl, compressor, delta, opt)
 				if err != nil {
 					return err
 				}
-				comms = append(comms, FmtSecs(res.CommTime))
-				speeds = append(speeds, FmtX(dist.Speedup(res, base)))
+				comms = append(comms, FmtSecs(res.comm))
+				speeds = append(speeds, FmtX(res.speedup(base)))
 			}
 			row = append(row, comms...)
 			row = append(row, speeds...)

@@ -5,13 +5,10 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 )
-
-func defaultNet() netsim.Network { return netsim.Cluster25GbE(8) }
 
 // now reads the wall clock for throughput reporting.
 //
@@ -31,14 +28,13 @@ func Table1Catalog(w io.Writer) {
 }
 
 // TrainingFigureConfig drives the simulated training figures (3, 5, 6, 13,
-// 18).
+// 18). A zero Net is the paper's cluster.
 type TrainingFigureConfig struct {
 	Title       string
 	Workloads   []string
 	Ratios      []float64
 	Compressors []string
 	Net         netsim.Network
-	Dev         device.Profile
 	Opt         Options
 }
 
@@ -47,11 +43,9 @@ type TrainingFigureConfig struct {
 // Figures 3, 5, 6, 13 and 18.
 func TrainingFigure(w io.Writer, cfg TrainingFigureConfig) error {
 	cfg.Opt = cfg.Opt.withDefaults()
-	if cfg.Net.Workers == 0 {
-		cfg.Net = defaultNet()
-	}
-	if cfg.Dev.Name == "" {
-		cfg.Dev = device.GPU()
+	model := paperCluster
+	if cfg.Net.Workers != 0 {
+		model.net = cfg.Net
 	}
 	if len(cfg.Ratios) == 0 {
 		cfg.Ratios = Ratios
@@ -64,38 +58,28 @@ func TrainingFigure(w io.Writer, cfg TrainingFigureConfig) error {
 		if err != nil {
 			return err
 		}
-		ratioHdr := make([]string, len(cfg.Ratios))
-		for i, r := range cfg.Ratios {
-			ratioHdr[i] = fmt.Sprintf("delta=%g", r)
-		}
-		speed := NewTable(fmt.Sprintf("%s — %s: normalized training speed-up (vs no compression)", cfg.Title, wlName),
-			append([]string{"compressor"}, ratioHdr...)...)
-		tput := NewTable(fmt.Sprintf("%s — %s: normalized average training throughput", cfg.Title, wlName),
-			append([]string{"compressor"}, ratioHdr...)...)
-		qual := NewTable(fmt.Sprintf("%s — %s: estimation quality (mean k-hat/k, 90%% CI)", cfg.Title, wlName),
-			append([]string{"compressor"}, ratioHdr...)...)
+		cols := ratioColumns(cfg.Ratios)
+		speed := NewTable(fmt.Sprintf("%s — %s: normalized training speed-up (vs no compression)", cfg.Title, wlName), cols...)
+		tput := NewTable(fmt.Sprintf("%s — %s: normalized average training throughput", cfg.Title, wlName), cols...)
+		qual := NewTable(fmt.Sprintf("%s — %s: estimation quality (mean k-hat/k, 90%% CI)", cfg.Title, wlName), cols...)
 
-		baselines := make(map[float64]*dist.SimResult)
-		for _, delta := range cfg.Ratios {
-			base, err := dist.SimulateWorkload(simConfig(cfg, wl, "none", delta))
-			if err != nil {
-				return err
-			}
-			baselines[delta] = base
+		// No compression prices the same iteration at every ratio.
+		base, err := model.run(wl, "none", 1, cfg.Opt)
+		if err != nil {
+			return err
 		}
 		for _, cName := range cfg.Compressors {
 			speedRow := []string{cName}
 			tputRow := []string{cName}
 			qualRow := []string{cName}
 			for _, delta := range cfg.Ratios {
-				res, err := dist.SimulateWorkload(simConfig(cfg, wl, cName, delta))
+				res, err := model.run(wl, cName, delta, cfg.Opt)
 				if err != nil {
 					return err
 				}
-				base := baselines[delta]
-				speedRow = append(speedRow, FmtX(dist.Speedup(res, base)))
-				tputRow = append(tputRow, FmtX(res.Throughput/base.Throughput))
-				qualRow = append(qualRow, FmtRatio(res.MeanRatio, res.CI90))
+				speedRow = append(speedRow, FmtX(res.speedup(base)))
+				tputRow = append(tputRow, FmtX(res.throughput/base.throughput))
+				qualRow = append(qualRow, FmtRatio(res.meanRatio, res.ci90))
 			}
 			speed.AddRow(speedRow...)
 			tput.AddRow(tputRow...)
@@ -106,19 +90,6 @@ func TrainingFigure(w io.Writer, cfg TrainingFigureConfig) error {
 		qual.Render(w)
 	}
 	return nil
-}
-
-func simConfig(cfg TrainingFigureConfig, wl dist.Workload, cName string, delta float64) dist.SimConfig {
-	return dist.SimConfig{
-		Workload:      wl,
-		Net:           cfg.Net,
-		Dev:           cfg.Dev,
-		NewCompressor: Factory(cName, cfg.Opt.Seed),
-		Delta:         delta,
-		Iters:         cfg.Opt.Iters,
-		SimScale:      cfg.Opt.SimScale,
-		Seed:          cfg.Opt.Seed,
-	}
 }
 
 // Fig3 renders the RNN benchmarks (LSTM-PTB, LSTM-AN4).
@@ -191,22 +162,13 @@ func Fig9(w io.Writer, opt Options) error {
 			tbl := NewTable(fmt.Sprintf("Fig 9 — %s, delta=%g: smoothed achieved ratio over training", wlName, delta),
 				"compressor", "iter 25%", "iter 50%", "iter 75%", "iter 100%", "geo-mean")
 			for _, cName := range names {
-				res, err := dist.SimulateWorkload(dist.SimConfig{
-					Workload:      wl,
-					Net:           defaultNet(),
-					Dev:           device.GPU(),
-					NewCompressor: Factory(cName, opt.Seed),
-					Delta:         delta,
-					Iters:         opt.Iters,
-					SimScale:      opt.SimScale,
-					Seed:          opt.Seed,
-				})
+				res, err := paperCluster.run(wl, cName, delta, opt)
 				if err != nil {
 					return err
 				}
 				e := stats.EWMA{Alpha: 0.1}
-				smoothed := make([]float64, len(res.RatioSeries))
-				for i, r := range res.RatioSeries {
+				smoothed := make([]float64, len(res.ratios))
+				for i, r := range res.ratios {
 					smoothed[i] = e.Add(r * delta) // absolute achieved ratio, as the paper plots
 				}
 				n := len(smoothed)
@@ -215,7 +177,7 @@ func Fig9(w io.Writer, opt Options) error {
 					fmt.Sprintf("%.2e", smoothed[n/2]),
 					fmt.Sprintf("%.2e", smoothed[3*n/4]),
 					fmt.Sprintf("%.2e", smoothed[n-1]),
-					fmt.Sprintf("%.3f", res.GeoMeanRatio))
+					fmt.Sprintf("%.3f", res.geoMeanRatio))
 			}
 			tbl.Render(w)
 		}
@@ -234,24 +196,15 @@ func Fig11(w io.Writer, opt Options) error {
 	tbl := NewTable("Fig 11 — VGG19 ImageNet, delta=0.001: ratio quality and iteration breakdown",
 		"compressor", "mean ratio", "geo-mean", "compute", "compress", "comm", "iter")
 	for _, cName := range []string{"none", "topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"} {
-		res, err := dist.SimulateWorkload(dist.SimConfig{
-			Workload:      wl,
-			Net:           defaultNet(),
-			Dev:           device.GPU(),
-			NewCompressor: Factory(cName, opt.Seed),
-			Delta:         0.001,
-			Iters:         opt.Iters,
-			SimScale:      opt.SimScale,
-			Seed:          opt.Seed,
-		})
+		res, err := paperCluster.run(wl, cName, 0.001, opt)
 		if err != nil {
 			return err
 		}
 		tbl.AddRow(cName,
-			fmt.Sprintf("%.3f", res.MeanRatio),
-			fmt.Sprintf("%.3f", res.GeoMeanRatio),
-			FmtSecs(res.ComputeTime), FmtSecs(res.CompressTime),
-			FmtSecs(res.CommTime), FmtSecs(res.IterTime))
+			fmt.Sprintf("%.3f", res.meanRatio),
+			fmt.Sprintf("%.3f", res.geoMeanRatio),
+			FmtSecs(res.compute), FmtSecs(res.compress),
+			FmtSecs(res.comm), FmtSecs(res.iter))
 	}
 	tbl.Render(w)
 	return nil
