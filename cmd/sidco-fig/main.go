@@ -1,9 +1,11 @@
 // Command sidco-fig regenerates the paper's tables and figures: the
 // distributed-training evaluation on the iteration model (Table 1,
-// Figures 3, 5, 6, 9-11, 13, 18), the gradient-statistics studies on
-// live training (Figures 2, 4, 7, 8 and the ablation suite), and the
-// micro-benchmarks (Figures 1, 12, 14-17 plus a real Go wall-clock
-// measurement on this machine).
+// Figures 3, 5, 6, 9-11, 13, 18 and the collective topology study), the
+// gradient-statistics studies on live training (Figures 2, 4, 7, 8 and
+// the ablation suite), the micro-benchmarks (Figures 1, 12, 14-17 plus a
+// real Go wall-clock measurement on this machine) and the cluster
+// engine's measured exchanges (traffic and scenario tables, and the
+// bit-identity run in process, over channels and over loopback TCP).
 //
 // Usage:
 //
@@ -13,10 +15,15 @@
 //	sidco-fig -fig ablations      # all ablation tables
 //	sidco-fig -fig 14             # per-model latency/speedup (also 15)
 //	sidco-fig -fig wallclock -dim 200000
+//	sidco-fig -fig topology       # comm time per collective, modelled
+//	sidco-fig -fig collectives    # measured traffic vs netsim, scenario knobs
+//	sidco-fig -fig loopback       # losses in process vs channels vs TCP
 //	sidco-fig -fig all
 //
 // -iters 0 (the default) runs each figure at its own default: 200
-// training iterations for 2, 7, 8 and the ablations, 100 otherwise.
+// training iterations for 2, 7, 8 and the ablations, 30 for topology, 6
+// for loopback, 100 otherwise. -dim and -scale below 1 and a negative
+// -iters are refused before any figure runs.
 package main
 
 import (
@@ -63,6 +70,9 @@ func figures(dim int) []figure {
 		{"wallclock", 100, func(w io.Writer, opt harness.Options) error {
 			return harness.GoWallClock(w, dim, 0.001, 3, opt.Seed)
 		}},
+		{"topology", 30, harness.TopologyStudy},
+		{"collectives", 100, harness.CollectiveStudy},
+		{"loopback", 6, harness.LoopbackStudy},
 	}
 }
 
@@ -96,7 +106,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sidco-fig", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "figure: 1-18, table1, ablations, wallclock, all")
+	fig := fs.String("fig", "all", "figure: 1-18, table1, ablations, wallclock, topology, collectives, loopback, all")
 	list := fs.Bool("list", false, "print the Table 1 workload catalog and exit")
 	iters := fs.Int("iters", 0, "iterations per run (0: the figure's own default)")
 	scale := fs.Int("scale", 100, "dimension divisor for statistical streams")
@@ -107,6 +117,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	for _, c := range []struct {
+		name   string
+		v, min int
+	}{{"iters", *iters, 0}, {"scale", *scale, 1}, {"dim", *dim, 1}} {
+		if c.v < c.min {
+			fmt.Fprintf(stderr, "sidco-fig: -%s %d: must be at least %d\n", c.name, c.v, c.min)
+			return 2
+		}
 	}
 	if *list {
 		harness.Table1Catalog(stdout)

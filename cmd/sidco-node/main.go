@@ -407,7 +407,7 @@ func (nt *nodeTelemetry) close() {
 }
 
 // trainerFor builds the demo workload (harness.DemoTrainer: the same
-// model and batch stream as cmd/sidco-cluster) at any (workers,
+// model and batch stream as the loopback study) at any (workers,
 // firstWorker) split, so N single-worker processes draw exactly the
 // batches of one N-worker in-process trainer. tel is nil for the
 // telemetry-free reference run.

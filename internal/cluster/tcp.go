@@ -212,6 +212,11 @@ func (t *TCPTransport) Send(from, to int, payload []byte) error {
 		sl.conn = conn
 		sl.seq = 1 // the handshake carried wire sequence 0
 	}
+	// The send is stamped before the write: the peer's reader may stamp
+	// its receive before a Write returns here, and trace assembly aligns
+	// process clocks on send-before-receive.
+	t.tel.CountSeq(telemetry.CounterWireSentBytes, from, to, int64(4+len(payload)), sl.seq, -1)
+	sl.seq++
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := sl.conn.Write(hdr[:]); err != nil {
@@ -220,9 +225,6 @@ func (t *TCPTransport) Send(from, to int, payload []byte) error {
 	if _, err := sl.conn.Write(payload); err != nil {
 		return t.sendErr(from, to, err)
 	}
-	seq := sl.seq
-	sl.seq++
-	t.tel.CountSeq(telemetry.CounterWireSentBytes, from, to, int64(4+len(payload)), seq, -1)
 	return nil
 }
 
@@ -268,6 +270,10 @@ func (t *TCPTransport) dial(from, to int) (net.Conn, error) {
 			binary.LittleEndian.PutUint32(hs[0:], tcpMagic)
 			binary.LittleEndian.PutUint32(hs[4:], uint32(from))
 			binary.LittleEndian.PutUint32(hs[8:], uint32(to))
+			// The handshake is wire sequence 0 on its directed link: the
+			// first paired event trace assembly aligns process clocks
+			// with, so it is stamped before the write, as frames are.
+			t.tel.CountSeq(telemetry.CounterWireSentBytes, from, to, int64(len(hs)), 0, -1)
 			if _, werr := conn.Write(hs[:]); werr != nil {
 				conn.Close()
 				return nil, fmt.Errorf("cluster: dial %d->%d handshake: %w", from, to, werr)
@@ -279,9 +285,6 @@ func (t *TCPTransport) dial(from, to int) (net.Conn, error) {
 				conn.Close()
 				return nil, fmt.Errorf("cluster: dial %d->%d: %w", from, to, ErrClosed)
 			}
-			// The handshake is wire sequence 0 on its directed link: the
-			// first paired event trace assembly aligns process clocks with.
-			t.tel.CountSeq(telemetry.CounterWireSentBytes, from, to, int64(len(hs)), 0, -1)
 			span.End() // only successful establishments are recorded
 			return conn, nil
 		}

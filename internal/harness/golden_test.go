@@ -32,7 +32,7 @@ func TestModelFiguresGolden(t *testing.T) {
 		{"fig14", func(w io.Writer) error { return Fig14And15(w, opt) }},
 		{"fig16", func(w io.Writer) error { return Fig16And17(w, opt) }},
 		{"fig18", func(w io.Writer) error { return Fig18(w, opt) }},
-		{"topology", func(w io.Writer) error { return TopologyStudy(w, nil, "", opt) }},
+		{"topology", func(w io.Writer) error { return TopologyStudy(w, opt) }},
 		{"delta1", func(w io.Writer) error { return AblationDelta1(w, opt) }},
 	}
 	var got bytes.Buffer

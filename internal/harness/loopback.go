@@ -12,60 +12,39 @@ import (
 	"repro/internal/nn"
 )
 
-// LoopbackStudyConfig parameterises the TCP loopback study.
-type LoopbackStudyConfig struct {
-	// Workers is the cluster size N (default 4).
-	Workers int
-	// Iters is the number of training iterations compared (default 6).
-	Iters int
-	// Compressor is the registry compressor (default "sidco-e").
-	Compressor string
-	// Delta is the compression ratio (default 0.05).
-	Delta float64
-	// Seed fixes every random stream.
-	Seed int64
-}
+// The loopback study's fixed workload: N workers training the demo net
+// with SIDCo-E at ratio delta.
+const (
+	loopbackWorkers    = 4
+	loopbackCompressor = "sidco-e"
+	loopbackDelta      = 0.05
+)
 
-func (c LoopbackStudyConfig) withDefaults() LoopbackStudyConfig {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Iters <= 0 {
-		c.Iters = 6
-	}
-	if c.Compressor == "" {
-		c.Compressor = "sidco-e"
-	}
-	if c.Delta <= 0 || c.Delta > 1 {
-		c.Delta = 0.05
-	}
-	return c
-}
-
-// LoopbackStudy runs the same compressed training workload three ways —
-// the in-process reducer, the cluster engine over in-process channels and
-// the cluster engine over loopback TCP sockets — and tabulates the
-// per-iteration global losses. Over the lossless wire all three columns
-// must agree bit-for-bit, and the engine-over-TCP traffic must match
-// netsim's all-gather formula exactly; the study prints both checks. The
-// per-rank topology (one process per node) is cmd/sidco-node's, tested
-// there.
-func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
-	cfg = cfg.withDefaults()
-
-	ref, err := DemoTrainer(dist.TrainerConfig{Workers: cfg.Workers, Delta: cfg.Delta, Seed: cfg.Seed}, cfg.Compressor)
+// LoopbackStudy runs the same compressed training workload four ways —
+// the in-process reducer, the cluster engine's all-gather and
+// parameter-server collectives over in-process channels, and its
+// all-gather over loopback TCP sockets — for opt.Iters iterations and
+// tabulates the per-iteration global losses. Over the lossless wire
+// every column must agree bit-for-bit with the in-process one, and the
+// engine-over-TCP traffic must match netsim's all-gather formula
+// exactly; the study prints both checks. The per-rank topology
+// (one process per node) is cmd/sidco-node's, tested there.
+func LoopbackStudy(w io.Writer, opt Options) error {
+	iters := opt.withDefaults().Iters
+	cfg := dist.TrainerConfig{Workers: loopbackWorkers, Delta: loopbackDelta, Seed: opt.Seed}
+	ref, err := DemoTrainer(cfg, loopbackCompressor)
 	if err != nil {
 		return err
 	}
-	refLoss, _, err := ref.Run(cfg.Iters)
+	refLoss, _, err := ref.Run(iters)
 	if err != nil {
 		return err
 	}
 
-	engineRun := func(tp cluster.Transport) ([]float64, int, error) {
+	engineRun := func(coll netsim.Collective, tp cluster.Transport) ([]float64, int, error) {
 		e, err := cluster.New(cluster.Config{
-			Workers:    cfg.Workers,
-			Collective: netsim.CollectiveAllGather,
+			Workers:    loopbackWorkers,
+			Collective: coll,
 			Transport:  tp,
 			Verify:     true,
 		})
@@ -73,11 +52,13 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 			return nil, 0, err
 		}
 		defer e.Close()
-		tr, err := DemoTrainer(dist.TrainerConfig{Workers: cfg.Workers, Delta: cfg.Delta, Seed: cfg.Seed, Exchange: e}, cfg.Compressor)
+		cfg := cfg
+		cfg.Exchange = e
+		tr, err := DemoTrainer(cfg, loopbackCompressor)
 		if err != nil {
 			return nil, 0, err
 		}
-		losses, _, err := tr.Run(cfg.Iters)
+		losses, _, err := tr.Run(iters)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -85,11 +66,15 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 		return losses, msgs, nil
 	}
 
-	chanLoss, _, err := engineRun(nil)
+	agLoss, _, err := engineRun(netsim.CollectiveAllGather, nil)
 	if err != nil {
-		return fmt.Errorf("harness: loopback study, channel engine: %w", err)
+		return fmt.Errorf("harness: loopback study, channel all-gather: %w", err)
 	}
-	tcpAddrs := make([]string, cfg.Workers)
+	psLoss, _, err := engineRun(netsim.CollectivePS, nil)
+	if err != nil {
+		return fmt.Errorf("harness: loopback study, channel ps: %w", err)
+	}
+	tcpAddrs := make([]string, loopbackWorkers)
 	for i := range tcpAddrs {
 		tcpAddrs[i] = "127.0.0.1:0"
 	}
@@ -97,20 +82,24 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	if err != nil {
 		return err
 	}
-	tcpLoss, tcpMsgs, err := engineRun(tcpTransport)
+	tcpLoss, tcpMsgs, err := engineRun(netsim.CollectiveAllGather, tcpTransport)
 	if err != nil {
-		return fmt.Errorf("harness: loopback study, tcp engine: %w", err)
+		return fmt.Errorf("harness: loopback study, tcp all-gather: %w", err)
 	}
-	wantMsgs := cfg.Iters * netsim.CollectiveAllGather.Messages(cfg.Workers)
+	wantMsgs := iters * netsim.CollectiveAllGather.Messages(loopbackWorkers)
 	tbl := NewTable(
-		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g: global loss, in-process vs channels vs TCP sockets",
-			cfg.Compressor, cfg.Workers, cfg.Delta),
-		"iter", "in-process", "chan engine", "tcp engine", "max |diff|")
-	for i := range refLoss {
-		diff := math.Max(math.Abs(chanLoss[i]-refLoss[i]), math.Abs(tcpLoss[i]-refLoss[i]))
+		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g: global loss, in-process vs cluster engine over channels and TCP sockets",
+			loopbackCompressor, loopbackWorkers, loopbackDelta),
+		"iter", "in-process", "allgather chan", "ps chan", "allgather tcp", "max |diff|")
+	for i, want := range refLoss {
+		diff := 0.0
+		for _, got := range []float64{agLoss[i], psLoss[i], tcpLoss[i]} {
+			diff = math.Max(diff, math.Abs(got-want))
+		}
 		tbl.AddRow(fmt.Sprintf("%d", i),
-			fmt.Sprintf("%.17g", refLoss[i]), fmt.Sprintf("%.17g", chanLoss[i]),
-			fmt.Sprintf("%.17g", tcpLoss[i]), fmt.Sprintf("%g", diff))
+			fmt.Sprintf("%.17g", want), fmt.Sprintf("%.17g", agLoss[i]),
+			fmt.Sprintf("%.17g", psLoss[i]), fmt.Sprintf("%.17g", tcpLoss[i]),
+			fmt.Sprintf("%g", diff))
 	}
 	tbl.Render(w)
 	fmt.Fprintf(w, "tcp engine traffic: %d messages, formula %d, exact=%v\n\n",
@@ -119,14 +108,14 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 }
 
 // DemoTrainer builds the demo workload every cluster surface trains (the
-// loopback study, cmd/sidco-cluster, cmd/sidco-node and its -check
-// reference): a small dense net on synthetic class-shifted data. It
-// fills Model, Loss, Opt, Batch, NewCompressor and EC over whatever the
-// caller set in base, so the same model and per-worker batch streams
-// come out at any (Workers, FirstWorker) split — N single-worker
-// trainers draw exactly the batches of one N-worker trainer. compressor
-// is a registry name; "" or "none" trains dense, anything else gets
-// error feedback, and a name the registry lacks is an error.
+// loopback study, cmd/sidco-node and its -check reference): a small
+// dense net on synthetic class-shifted data. It fills Model, Loss, Opt,
+// Batch, NewCompressor and EC over whatever the caller set in base, so
+// the same model and per-worker batch streams come out at any (Workers,
+// FirstWorker) split — N single-worker trainers draw exactly the batches
+// of one N-worker trainer. compressor is a registry name; "" or "none"
+// trains dense, anything else gets error feedback, and a name the
+// registry lacks is an error.
 func DemoTrainer(base dist.TrainerConfig, compressor string) (*dist.Trainer, error) {
 	rng := rand.New(rand.NewSource(base.Seed))
 	base.Model = nn.NewSequential(

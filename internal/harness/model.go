@@ -77,8 +77,6 @@ func (p device) latency(name string, d int, delta float64, stages int) (float64,
 		// a hierarchical trim over the ~2k exceedances.
 		s := int(math.Max(256, 0.01*float64(d)))
 		return p.gatherCost(d) + p.sortCost(s) + p.pass(d) + p.topk(2*k), nil
-	case "randomk":
-		return p.gatherCost(k), nil
 	case "redsync":
 		// Mean+max pass, ~5 effective half-vector probes of the bounded
 		// binary search, then the filter pass.

@@ -114,9 +114,8 @@ func TestUnknownCompressorErrors(t *testing.T) {
 	if _, err := paperCluster.run(wl, "bogus", 0.01, opt); err == nil {
 		t.Error("an unknown compressor should fail the run")
 	}
-	// Every registry name is priced: sidco-cluster's topology section
-	// takes any of them from its -compressor flag.
-	for _, name := range append([]string{"none", "randomk"}, CompressorNames...) {
+	// Every name the figures sweep is priced.
+	for _, name := range append([]string{"none"}, CompressorNames...) {
 		if _, err := paperCluster.run(wl, name, 0.01, opt); err != nil {
 			t.Errorf("run(%q): %v", name, err)
 		}

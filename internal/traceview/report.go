@@ -43,6 +43,8 @@ func WriteReport(w io.Writer, tl *Timeline) error {
 	for i, s := range tl.Streams {
 		bound := "exact"
 		switch {
+		case math.IsNaN(s.SkewBoundNanos): // crossedBound
+			bound = "crossed stamps, no bound"
 		case math.IsInf(s.SkewBoundNanos, 1):
 			// One-directional traffic only: the offset satisfies the
 			// causality constraints but the interval is unbounded above.

@@ -2,6 +2,7 @@ package traceview
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -119,5 +120,38 @@ func TestClockSkewUnreachableStream(t *testing.T) {
 	}
 	if lone.SkewBoundNanos != -1 {
 		t.Fatalf("unreachable stream should report SkewBoundNanos -1, got %v", lone.SkewBoundNanos)
+	}
+}
+
+// TestClockSkewCrossedStamps pins the empty-interval case: when a send
+// is stamped after the peer stamped its receive, the two one-sided
+// constraints cross (hi < lo). The stream is still placed at the
+// interval's midpoint, but its bound reads as crossed, neither a
+// negative width nor "unaligned".
+func TestClockSkewCrossedStamps(t *testing.T) {
+	s0 := &Stream{Meta: telemetry.Meta{Schema: telemetry.SchemaVersion, Node: 0}}
+	s1 := &Stream{Meta: telemetry.Meta{Schema: telemetry.SchemaVersion, Node: 1}}
+	// 0→1: sent at 1000, received at 900 → off_1 − off_0 ≥ 100.
+	s0.Events = append(s0.Events, counterEvt(telemetry.CounterWireSentBytes, 0, 1, 0, 1000))
+	s1.Events = append(s1.Events, counterEvt(telemetry.CounterWireRecvBytes, 0, 1, 0, 900))
+	// 1→0: sent at 1000, received at 950 → off_1 − off_0 ≤ −50.
+	s1.Events = append(s1.Events, counterEvt(telemetry.CounterWireSentBytes, 1, 0, 0, 1000))
+	s0.Events = append(s0.Events, counterEvt(telemetry.CounterWireRecvBytes, 1, 0, 0, 950))
+	tl, err := Assemble([]*Stream{s0, s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(s1.SkewBoundNanos) {
+		t.Fatalf("crossed constraints: SkewBoundNanos = %v, want crossedBound (NaN)", s1.SkewBoundNanos)
+	}
+	if s1.OffsetNanos != 25 {
+		t.Errorf("offset = %v, want the midpoint of [100, -50], 25", s1.OffsetNanos)
+	}
+	var rep strings.Builder
+	if err := WriteReport(&rep, tl); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.String(), "stream 1: node 1, 2 events, clock offset +25ns (crossed stamps, no bound)") {
+		t.Errorf("report does not name the crossed interval:\n%s", rep.String())
 	}
 }

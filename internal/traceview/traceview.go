@@ -38,7 +38,9 @@ type Stream struct {
 	// SkewBoundNanos bounds the offset estimation error: half the
 	// width of the feasible interval the message constraints leave,
 	// accumulated along the alignment spanning tree. -1 when the
-	// stream could not be aligned (no paired messages reach it).
+	// stream could not be aligned (no paired messages reach it); NaN
+	// when a hop on its path has an empty interval (some send stamped
+	// after its own receive), where no bound holds.
 	SkewBoundNanos float64
 }
 
@@ -399,6 +401,11 @@ func Assemble(streams []*Stream) (*Timeline, error) {
 	return tl, nil
 }
 
+// crossedBound marks a SkewBoundNanos whose alignment path crosses an
+// empty interval: the one-sided constraints contradict each other, so
+// the offset is the midpoint of that contradiction and unbounded.
+var crossedBound = math.NaN()
+
 // alignClocks estimates per-stream monotonic-clock offsets onto stream
 // 0's axis. Every observed i→j message (wire or gradient layer) gives
 // the one-sided constraint off_j − off_i ≥ sendTS_i − recvTS_j, since
@@ -530,6 +537,8 @@ func alignClocks(streams []*Stream, virtual bool) error {
 			}
 			var rel, halfWidth float64
 			switch {
+			case seen[i][j] && seen[j][i] && hi < lo:
+				rel, halfWidth = (lo+hi)/2, crossedBound
 			case seen[i][j] && seen[j][i]:
 				rel, halfWidth = (lo+hi)/2, (hi-lo)/2
 			case seen[i][j]:
