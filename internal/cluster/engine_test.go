@@ -340,11 +340,12 @@ func TestEngineMisuse(t *testing.T) {
 	}
 }
 
-// TestEngineExchangeSteadyStateAllocs guards the hot path: the ceilings
-// are what the goroutine-per-node Engine measured before it became N
-// Nodes (ring pays one raw chunk buffer per send, 2(N-1) sends per node;
-// the encoded collectives reuse everything). In particular the PS round
-// must not rebuild the worker member list per call.
+// TestEngineExchangeSteadyStateAllocs guards the hot path: the ring pays
+// one fresh buffer per node per round, for the chunk it owns after the
+// reduce-scatter (every other send is a view of the gradient or a
+// forwarded payload); the encoded collectives reuse everything. In
+// particular the PS round must not rebuild the worker member list per
+// call.
 func TestEngineExchangeSteadyStateAllocs(t *testing.T) {
 	const workers, dim = 4, 512
 	for _, tc := range []struct {
@@ -353,7 +354,7 @@ func TestEngineExchangeSteadyStateAllocs(t *testing.T) {
 		delta   float64
 		ceiling float64
 	}{
-		{"ring", netsim.CollectiveRing, 0, workers * 2 * (workers - 1)},
+		{"ring", netsim.CollectiveRing, 0, workers},
 		{"allgather", netsim.CollectiveAllGather, 0.05, 0},
 		{"ps", netsim.CollectivePS, 0.05, 0},
 	} {

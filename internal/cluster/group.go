@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The collective schedules below are written from one node's
@@ -68,34 +69,62 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 	return pos, nil
 }
 
-// ringAllReduceGroup runs the bandwidth-optimal ring all-reduce in place
-// over the member list: m-1 reduce-scatter steps followed by m-1
-// all-gather steps, each node sending one ~d/m-element chunk to its ring
-// successor. On return, data holds the elementwise sum over all members'
-// inputs.
+// ringAllReduceGroup runs the bandwidth-optimal ring all-reduce over the
+// member list and leaves the mean of the members' src vectors in out (both
+// d elements; out may be src itself): m-1 reduce-scatter steps followed by
+// m-1 all-gather steps, each node sending one ~d/m-element chunk to its
+// ring successor.
 //
-// The reduction for chunk c accumulates contributions in ring order
-// starting at position c — a rotation of worker-index order — so results
-// equal the in-process reducer's only up to floating-point
-// reassociation. Training paths that need bit-identity use the
-// all-gather or parameter-server collectives instead.
-func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, data []float64) error {
+// Reduce-scatter step s writes out = src + received on a chunk no earlier
+// step touched, so out needs no copy of src first; the last step writes
+// (src + received) * (1/m) on the chunk this node then owns, and the
+// all-gather circulates chunks that are already scaled. Every element is
+// the ring-order sum times 1/m. The reduction for chunk c accumulates
+// contributions in ring order starting at position c — a rotation of
+// worker-index order — so results equal the in-process reducer's only up
+// to floating-point reassociation. Training paths that need bit-identity
+// use the all-gather or parameter-server collectives instead.
+//
+// Reduce-scatter sends views of src and out, not copies (ringWire), as the
+// Transport's reuse rule allows. Counting the 2(m-1) steps of both phases
+// together, the successor reads the chunk sent at step s within its own
+// step s, and this node writes that chunk again (at step s+m-1, or in the
+// caller's next round) only after receiving what its predecessor sent at
+// step s+m-1, a message that follows the read m-1 hops around the ring.
+// The owned chunk is the exception: the successor copies it at the
+// all-gather's first step, which at m = 2 is also this node's last, so no
+// message orders the copy before the caller rewrites out. It goes out from
+// one fresh buffer per round, and the later all-gather steps forward the
+// payload received, unchanged.
+func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, src, out []float64) error {
 	pos, err := checkMember(tp, members, self)
 	if err != nil {
 		return err
 	}
+	d := len(out)
+	if len(src) != d {
+		return fmt.Errorf("cluster: dense gradient has %d elements, want %d", len(src), d) //sidco:errclass geometry violation means a buggy caller, deliberately fatal
+	}
 	m := len(members)
 	if m == 1 {
+		copy(out, src)
 		return nil
 	}
-	d := len(data)
+	inv := 1 / float64(m)
 	next, prev := members[(pos+1)%m], members[(pos+m-1)%m]
 	// Reduce-scatter: after step s, the chunk this node just received
-	// carries the partial sum of s+2 ring predecessors.
+	// carries the partial sum of s+2 ring predecessors. Step 0 sends this
+	// node's own contribution, each later step the sum written the step
+	// before.
+	var owned []byte
 	for s := 0; s < m-1; s++ {
 		sc := (pos + m - s) % m
 		lo, hi := chunkBounds(d, m, sc)
-		if err := tp.Send(self, next, f64Bytes(data[lo:hi])); err != nil {
+		from := out
+		if s == 0 {
+			from = src
+		}
+		if err := tp.Send(self, next, ringWire(from[lo:hi])); err != nil {
 			return err
 		}
 		rc := (pos + m - s - 1) % m
@@ -104,24 +133,28 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, da
 		if err != nil {
 			return err
 		}
-		if err := f64Add(data[lo:hi], buf); err != nil {
+		if s < m-2 {
+			err = f64Sum(out[lo:hi], src[lo:hi], buf)
+		} else {
+			owned, err = f64Mean(out[lo:hi], src[lo:hi], buf, inv)
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: ring reduce chunk %d: %w", rc, err)
 		}
 	}
-	// All-gather: circulate the fully reduced chunks.
+	// All-gather: circulate the reduced chunks, the owned one first.
+	cur := owned
 	for s := 0; s < m-1; s++ {
-		sc := (pos + m + 1 - s) % m
-		lo, hi := chunkBounds(d, m, sc)
-		if err := tp.Send(self, next, f64Bytes(data[lo:hi])); err != nil {
+		if err := tp.Send(self, next, cur); err != nil {
 			return err
 		}
 		rc := (pos + m - s) % m
-		lo, hi = chunkBounds(d, m, rc)
-		buf, err := recv(self, prev)
+		lo, hi := chunkBounds(d, m, rc)
+		cur, err = recv(self, prev)
 		if err != nil {
 			return err
 		}
-		if err := f64Copy(data[lo:hi], buf); err != nil {
+		if err := f64Copy(out[lo:hi], cur); err != nil {
 			return fmt.Errorf("cluster: ring gather chunk %d: %w", rc, err)
 		}
 	}
@@ -194,8 +227,30 @@ func chunkBounds(d, n, c int) (lo, hi int) {
 	return c * d / n, (c + 1) * d / n
 }
 
-// f64Bytes serialises a float64 slice little-endian. A ring chunk is raw
-// (headerless): both ends of a ring step know the chunk geometry.
+// littleEndian reports whether this host keeps a float64 in memory in the
+// ring's wire byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// ringWire returns a reduce-scatter chunk's wire bytes: a view of xs on a
+// little-endian host, a little-endian copy elsewhere.
+func ringWire(xs []float64) []byte {
+	if littleEndian {
+		return f64View(xs)
+	}
+	return f64Bytes(xs)
+}
+
+// f64View reinterprets xs's memory as bytes, without copying; on a
+// little-endian host they are exactly f64Bytes(xs). It is the package's one
+// use of unsafe. The view aliases xs, so it may be sent only under the
+// Transport's reuse rule (receivers never write a payload).
+func f64View(xs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
+}
+
+// f64Bytes serialises a float64 slice little-endian into a fresh buffer. A
+// ring chunk is raw (headerless): both ends of a ring step know the chunk
+// geometry.
 func f64Bytes(xs []float64) []byte {
 	buf := make([]byte, 8*len(xs))
 	for i, x := range xs {
@@ -204,15 +259,36 @@ func f64Bytes(xs []float64) []byte {
 	return buf
 }
 
+// f64Sum writes dst = src + buf elementwise.
+//
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-func f64Add(dst []float64, buf []byte) error {
+func f64Sum(dst, src []float64, buf []byte) error {
 	if len(buf) != 8*len(dst) {
 		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
 	}
+	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		dst[i] = src[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return nil
+}
+
+// f64Mean writes dst = (src + buf) * inv elementwise and returns the same
+// values' wire bytes in a fresh buffer.
+//
+//sidco:errclass geometry violation means a buggy peer, deliberately fatal
+func f64Mean(dst, src []float64, buf []byte, inv float64) ([]byte, error) {
+	if len(buf) != 8*len(dst) {
+		return nil, fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
+	}
+	src = src[:len(dst)]
+	wire := make([]byte, len(buf))
+	for i := range dst {
+		v := (src[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))) * inv
+		dst[i] = v
+		binary.LittleEndian.PutUint64(wire[8*i:], math.Float64bits(v))
+	}
+	return wire, nil
 }
 
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal

@@ -57,7 +57,7 @@ func TestGroupSchedulesRejectBadMembership(t *testing.T) {
 		"negative member":   {[]int{-1, 0}, 0},
 		"self not a member": {[]int{0, 2}, 1},
 	} {
-		if err := ringAllReduceGroup(tp, tp.Recv, tc.members, tc.self, make([]float64, 4)); err == nil {
+		if err := ringAllReduceGroup(tp, tp.Recv, tc.members, tc.self, make([]float64, 4), make([]float64, 4)); err == nil {
 			t.Errorf("%s: ring all-reduce accepted it", name)
 		}
 		if _, err := allGatherGroup(tp, tp.Recv, tc.members, tc.self, []byte{1}, nil); err == nil {
@@ -66,38 +66,50 @@ func TestGroupSchedulesRejectBadMembership(t *testing.T) {
 	}
 }
 
+// TestRingAllReduceSums: every node ends with the members' mean, into an
+// out of its own or in place over its input, and a separate input is left
+// as it was.
 func TestRingAllReduceSums(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		for _, d := range []int{1, 5, 16, 33} {
-			tp, err := NewChanTransport(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Integer-valued data keeps float addition exact regardless of
-			// reduction order, so the sum check is bitwise.
-			data := make([][]float64, n)
-			want := make([]float64, d)
-			for i := range data {
-				data[i] = make([]float64, d)
-				for j := range data[i] {
-					data[i][j] = float64((i+1)*(j+3)%17 - 8)
-					want[j] += data[i][j]
+			for _, inPlace := range []bool{false, true} {
+				tp, err := NewChanTransport(n)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if err := runAll(n, func(node int) error {
-				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
-			}); err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			for i := range data {
-				for j := range want {
-					if data[i][j] != want[j] {
-						t.Fatalf("n=%d d=%d: node %d element %d = %v, want %v",
-							n, d, i, j, data[i][j], want[j])
+				// Integer-valued data keeps float addition exact regardless
+				// of reduction order, so the mean check is bitwise.
+				src, out := make([][]float64, n), make([][]float64, n)
+				sum := make([]float64, d)
+				for i := range src {
+					src[i] = make([]float64, d)
+					for j := range src[i] {
+						src[i][j] = float64((i+1)*(j+3)%17 - 8)
+						sum[j] += src[i][j]
+					}
+					out[i] = make([]float64, d)
+					if inPlace {
+						out[i] = src[i]
 					}
 				}
+				if err := runAll(n, func(node int) error {
+					return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, src[node], out[node])
+				}); err != nil {
+					t.Fatalf("n=%d d=%d: %v", n, d, err)
+				}
+				for i := range out {
+					for j := range sum {
+						if want := sum[j] * (1 / float64(n)); out[i][j] != want {
+							t.Fatalf("n=%d d=%d in place %v: node %d element %d = %v, want %v",
+								n, d, inPlace, i, j, out[i][j], want)
+						}
+						if !inPlace && src[i][j] != float64((i+1)*(j+3)%17-8) {
+							t.Fatalf("n=%d d=%d: node %d input element %d rewritten to %v", n, d, i, j, src[i][j])
+						}
+					}
+				}
+				tp.Close()
 			}
-			tp.Close()
 		}
 	}
 }
@@ -184,7 +196,7 @@ func TestCollectiveMessageCountsMatchNetsimFormulas(t *testing.T) {
 				data[i] = make([]float64, d)
 			}
 			if err := runAll(n, func(node int) error {
-				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
+				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node])
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +288,7 @@ func TestVirtualTimeMatchesNetsimAlphaBeta(t *testing.T) {
 			data[i] = make([]float64, d)
 		}
 		if err := runAll(n, func(node int) error {
-			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
+			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node])
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +354,7 @@ func TestScenarioKnobs(t *testing.T) {
 		}
 		if err := runAll(n, func(node int) error {
 			tp.Compute(node, compute[node])
-			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node])
+			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node])
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -416,4 +428,32 @@ func relErr(got, want float64) float64 {
 		return math.Abs(got)
 	}
 	return math.Abs(got-want) / math.Abs(want)
+}
+
+// TestRingWireMatchesF64Bytes: a reduce-scatter chunk leaves as a view of
+// the gradient on little-endian hosts, and its bytes must be exactly the
+// serialisation every host puts on the wire, edge values included.
+func TestRingWireMatchesF64Bytes(t *testing.T) {
+	for name, xs := range map[string][]float64{
+		"empty":     {},
+		"zeros":     {0, math.Copysign(0, -1)},
+		"infinity":  {math.Inf(1), math.Inf(-1)},
+		"nan":       {math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef)},
+		"subnormal": {math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff)},
+		"extremes":  {math.MaxFloat64, -math.MaxFloat64, 1, -1, 0x1p-1022},
+	} {
+		got, want := ringWire(xs), f64Bytes(xs)
+		if string(got) != string(want) {
+			t.Errorf("%s: wire bytes %x, want %x", name, got, want)
+		}
+		back := make([]float64, len(xs))
+		if err := f64Copy(back, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range xs {
+			if math.Float64bits(back[i]) != math.Float64bits(xs[i]) {
+				t.Errorf("%s: element %d comes back as %#x, want %#x", name, i, math.Float64bits(back[i]), math.Float64bits(xs[i]))
+			}
+		}
+	}
 }

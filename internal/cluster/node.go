@@ -45,14 +45,19 @@ func (jb job) meanInto(scratch *tensor.Sparse) *tensor.Sparse {
 	return jb.mean
 }
 
-// nodeScratch is one node's reusable storage: the encode buffer, the
-// all-gather result slots, one decode target per origin, the round's
-// merged mean, and the identity index ramp backing dense-as-sparse views.
+// nodeScratch is one node's reusable storage: the encode buffer and the
+// all-gather's second one, the all-gather result slots, one decode target
+// per origin, the round's merged mean, and the identity index ramp backing
+// dense-as-sparse views.
 type nodeScratch struct {
-	enc    []byte
-	gather [][]byte
-	full   tensor.Sparse // full-support view of a dense gradient
-	ident  []int32       // 0..dim-1 ramp for dense-as-sparse views
+	enc []byte
+	// encPrev is the payload of the node's last all-gather round, which a
+	// peer may still be decoding; exchange swaps it with enc at the start
+	// of every all-gather round.
+	encPrev []byte
+	gather  [][]byte
+	full    tensor.Sparse // full-support view of a dense gradient
+	ident   []int32       // 0..dim-1 ramp for dense-as-sparse views
 
 	// Decoded origins and their merge under all-gather; under PS mean
 	// alone, holding the server's reply.
@@ -78,22 +83,16 @@ func (n *Node) runCollective(jb job) error {
 	recv := interceptRecv(n.tp, jb.deadline)
 	switch jb.coll {
 	case netsim.CollectiveRing:
-		// Dense in-ring reduction: start from the local dense gradient
-		// (densifying the sparse selection if the caller forced ring).
+		// Dense in-ring reduction of the local dense gradient into the
+		// mean; a sparse selection (the caller forced ring) is densified
+		// into out and reduced in place.
+		src := jb.dense
 		if jb.sparse != nil {
 			tensor.Zero(out)
 			jb.sparse.AddTo(out)
-		} else {
-			if len(jb.dense) != jb.dim {
-				return fmt.Errorf("dense gradient has %d elements, want %d", len(jb.dense), jb.dim) //sidco:errclass geometry violation means a buggy caller, deliberately fatal
-			}
-			copy(out, jb.dense)
+			src = out
 		}
-		if err := ringAllReduceGroup(n.tp, recv, members, w, out); err != nil {
-			return err
-		}
-		tensor.Scale(1/float64(len(members)), out)
-		return nil
+		return ringAllReduceGroup(n.tp, recv, members, w, src, out)
 
 	case netsim.CollectiveAllGather:
 		return n.runAllGather(jb)
@@ -406,6 +405,15 @@ func (n *Node) exchange(jb job) error {
 	// first send: rounds are synchronous, so no message of another step
 	// is in flight on this node's links.
 	n.tp.SetStep(int64(jb.step))
+	if jb.coll == netsim.CollectiveAllGather {
+		// Every peer decodes this node's payload after its own gather, so
+		// one may still be reading last round's. The buffer of the round
+		// before is free (the Transport's reuse rule): every peer's last
+		// payload has arrived here, each sent after that peer decoded this
+		// node's payload of that round. Swapped per round, not per
+		// attempt: a retry follows a renegotiation with every survivor.
+		n.sc.enc, n.sc.encPrev = n.sc.encPrev, n.sc.enc
+	}
 	for attempt := 0; ; attempt++ {
 		jb.deadline = n.stepDeadline()
 		err := n.runWorker(jb)

@@ -98,6 +98,16 @@ type TimeoutRecver interface {
 // Payloads are immutable by convention: receivers must not modify them,
 // which lets ring schedules forward buffers without copying.
 //
+// A transport need not copy a payload (ChanTransport hands the receiver
+// the sender's slice), so a sent buffer stays the sender's to read but not
+// to write: the sender may reuse it only after receiving a message that
+// the receiver sent after it took the buffer, or one sent by a node that
+// had received such a message, and so on. Two schedules rely on the rule:
+// the ring all-reduce sends views of the caller's gradient and mean
+// (ringAllReduceGroup), and a node's all-gather alternates two encode
+// buffers, because every peer decodes a payload after its own gather
+// (Node.exchange).
+//
 // Close semantics are deterministic, so a schedule torn down mid-flight
 // fails the same way every run: delivery is preferred over the shutdown
 // error. A receive whose payload was already delivered locally returns
