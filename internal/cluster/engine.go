@@ -39,10 +39,15 @@ type Config struct {
 	// deployment's shared host list; New defaults to an in-process
 	// channel transport.
 	//
-	// A Node reuses its encode buffers across exchanges. A TCPTransport
-	// copies every payload through the socket, so reuse is always safe
-	// there; Nodes sharing a by-reference transport (ChanTransport) need
-	// a barrier between rounds, and Engine's Exchange is that barrier.
+	// A Node reuses its send buffers across exchanges under the
+	// Transport's send rule, so Nodes need no barrier between rounds on
+	// either transport. A TCPTransport, bare or under Instrumented and
+	// FaultTransport, has copied a payload when Send returns and lends its
+	// receive frames: there a Node also sends the ring's owned chunk as a
+	// view and hands every frame back once read, and a steady-state
+	// exchange allocates nothing. Over channels, or under a wrapper that
+	// forwards only the Transport methods, received payloads are the
+	// Node's to keep and the ring allocates its owned chunk per round.
 	Transport Transport
 	// Scenario enables the virtual-time model on the instrumented
 	// transport (nil: traffic counting only). It is meaningful where one

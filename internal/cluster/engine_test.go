@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -340,12 +342,14 @@ func TestEngineMisuse(t *testing.T) {
 	}
 }
 
-// TestEngineExchangeSteadyStateAllocs guards the hot path: the ring pays
-// one fresh buffer per node per round, for the chunk it owns after the
-// reduce-scatter (every other send is a view of the gradient or a
-// forwarded payload); the encoded collectives reuse everything. In
-// particular the PS round must not rebuild the worker member list per
-// call.
+// TestEngineExchangeSteadyStateAllocs guards the hot path over channels:
+// the ring pays one fresh buffer per node per round, for the chunk it owns
+// after the reduce-scatter, because a channel hands the successor that
+// buffer itself (every other send is a view of the gradient or a forwarded
+// payload); the encoded collectives reuse everything. In particular the PS
+// round must not rebuild the worker member list per call. Over TCP the
+// owned chunk is a view too, and TestEngineTCPExchangeSteadyStateBytes
+// holds every collective at (almost) nothing.
 func TestEngineExchangeSteadyStateAllocs(t *testing.T) {
 	const workers, dim = 4, 512
 	for _, tc := range []struct {
@@ -379,6 +383,149 @@ func TestEngineExchangeSteadyStateAllocs(t *testing.T) {
 		}
 		e.Close()
 	}
+}
+
+// TestEngineTCPExchangeSteadyStateBytes guards the hot path of the
+// transport that ships. Over loopback sockets every received frame goes
+// back to its link once read, and the link reads a later frame into it;
+// the ring sends its owned chunk as a view. So in steady state an exchange
+// at d = 2^16 allocates under 1 KiB, counted as MemStats.TotalAlloc, which
+// also sees the transport's reader goroutines. A frame kept (not released)
+// costs a whole frame per exchange: 128 KiB for a 4-way ring chunk.
+//
+// When the steady state starts is the ranks' timing: a link's free list
+// grows by a frame the first time a frame arrives before the one before
+// it went back, which at GOMAXPROCS=1 took up to 70 exchanges. That growth
+// is bounded, a kept frame is not: so some window of exchanges, out of
+// the first few, must stay under the ceiling.
+func TestEngineTCPExchangeSteadyStateBytes(t *testing.T) {
+	const dim, window, windows, ceiling = 1 << 16, 50, 20, 1 << 10
+	for _, tc := range []struct {
+		name  string
+		coll  netsim.Collective
+		delta float64
+	}{
+		{"ring", netsim.CollectiveRing, 0},
+		{"allgather", netsim.CollectiveAllGather, 0.1},
+		{"ps", netsim.CollectivePS, 0.1},
+	} {
+		for _, workers := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, workers), func(t *testing.T) {
+				ins := randomInputs(t, workers, dim, tc.delta, 7)
+				e, err := New(Config{Workers: workers, Collective: tc.coll, Transport: localTCP(t, NodeCount(workers, tc.coll))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				agg := make([]float64, dim)
+				step := 0
+				exchange := func() {
+					if err := e.Exchange(step, ins, agg); err != nil {
+						t.Fatal(err)
+					}
+					step++
+				}
+				for i := 0; i < 3; i++ {
+					exchange() // grow every node's scratch
+				}
+				var per uint64
+				for w := 0; w < windows; w++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for i := 0; i < window; i++ {
+						exchange()
+					}
+					runtime.ReadMemStats(&after)
+					if per = (after.TotalAlloc - before.TotalAlloc) / window; per < ceiling {
+						t.Logf("%d bytes allocated per exchange over exchanges %d-%d", per, step-window, step-1)
+						return
+					}
+				}
+				t.Errorf("%d bytes allocated per exchange in the last of %d windows of %d, ceiling %d", per, windows, window, ceiling)
+			})
+		}
+	}
+}
+
+// TestChannelExchangesLeaveInputsIntact: a channel hands the receiver the
+// sender's own slice, so no wrapper over one may claim to lend its frames
+// (releaserOf): the ring would then send its owned chunk as a view of a
+// buffer the caller rewrites, with nothing ordering the peer's copy first.
+// A method-presence check on the wrappers always finds one, and over
+// channels that corrupts the caller's gradients. Engines over channels,
+// bare and through FaultTransport (each inside Engine's Instrumented),
+// must leave every input bit for bit as it was, on every collective.
+func TestChannelExchangesLeaveInputsIntact(t *testing.T) {
+	const workers, dim = 3, 101
+	wrappers := []struct {
+		name string
+		wrap func(Transport) Transport
+	}{
+		{"chan", func(tp Transport) Transport { return tp }},
+		{"fault-chan", func(tp Transport) Transport { return NewFaultTransport(tp, FaultPlan{}) }},
+	}
+	for _, w := range wrappers {
+		for _, tc := range []struct {
+			coll  netsim.Collective
+			delta float64
+		}{
+			{netsim.CollectiveRing, 0},
+			{netsim.CollectiveAllGather, 0.2},
+			{netsim.CollectivePS, 0.2},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", w.name, tc.coll), func(t *testing.T) {
+				ch, err := NewChanTransport(NodeCount(workers, tc.coll))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(Config{Workers: workers, Collective: tc.coll, Transport: w.wrap(ch), Verify: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if releaserOf(e.Transport()) != nil {
+					t.Fatal("the engine's transport over channels lends its frames")
+				}
+				ins := randomInputs(t, workers, dim, tc.delta, 3)
+				keep := make([]dist.ExchangeInput, workers)
+				for i, in := range ins {
+					keep[i].Dense = append([]float64(nil), in.Dense...)
+					if in.Sparse != nil {
+						keep[i].Sparse = &tensor.Sparse{}
+						keep[i].Sparse.CopyFrom(in.Sparse)
+					}
+				}
+				agg := make([]float64, dim)
+				for step := 0; step < 4; step++ {
+					if err := e.Exchange(step, ins, agg); err != nil {
+						t.Fatal(err)
+					}
+					for i, in := range ins {
+						if !sameBits(in.Dense, keep[i].Dense) {
+							t.Fatalf("step %d: worker %d's dense gradient changed", step, i)
+						}
+						if in.Sparse != nil && (!sameBits(in.Sparse.Vals, keep[i].Sparse.Vals) ||
+							!slices.Equal(in.Sparse.Idx, keep[i].Sparse.Idx) || in.Sparse.Dim != keep[i].Sparse.Dim) {
+							t.Fatalf("step %d: worker %d's selection changed", step, i)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEngineFailStopOnBadInput(t *testing.T) {

@@ -33,6 +33,7 @@ type FaultPlan struct {
 // exchange boundaries — before any payload of the fatal step is sent.
 type FaultTransport struct {
 	inner Transport
+	rel   releaser // inner's release capability, nil when it has none
 	plan  FaultPlan
 	step  atomic.Int64
 
@@ -45,8 +46,12 @@ type FaultTransport struct {
 //
 //sidco:oracle the fault injector the recovery tests drive
 func NewFaultTransport(inner Transport, plan FaultPlan) *FaultTransport {
-	return &FaultTransport{inner: inner, plan: plan, sent: make(map[Link]int)}
+	return &FaultTransport{inner: inner, rel: releaserOf(inner), plan: plan, sent: make(map[Link]int)}
 }
+
+// innerReleaser implements releaseForwarder: the wrapper lends receive
+// frames exactly when the transport it wraps does.
+func (t *FaultTransport) innerReleaser() releaser { return t.rel }
 
 // Nodes implements Transport.
 func (t *FaultTransport) Nodes() int { return t.inner.Nodes() }

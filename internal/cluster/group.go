@@ -93,9 +93,15 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 // step s+m-1, a message that follows the read m-1 hops around the ring.
 // The owned chunk is the exception: the successor copies it at the
 // all-gather's first step, which at m = 2 is also this node's last, so no
-// message orders the copy before the caller rewrites out. It goes out from
-// one fresh buffer per round, and the later all-gather steps forward the
-// payload received, unchanged.
+// message orders the copy before the caller rewrites out. On a transport
+// that lends its receive frames (releaserOf), Send has copied it before
+// returning, so it goes out as a view too; elsewhere it goes out from one
+// fresh buffer per round. The later all-gather steps forward the payload
+// received, unchanged.
+//
+// On a lending transport every received frame goes back: a reduce-scatter
+// frame once it is reduced, an all-gather frame once it is copied into out
+// and, but for the last, forwarded.
 func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, src, out []float64) error {
 	pos, err := checkMember(tp, members, self)
 	if err != nil {
@@ -111,12 +117,12 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, sr
 		return nil
 	}
 	inv := 1 / float64(m)
+	rel := releaserOf(tp)
 	next, prev := members[(pos+1)%m], members[(pos+m-1)%m]
 	// Reduce-scatter: after step s, the chunk this node just received
 	// carries the partial sum of s+2 ring predecessors. Step 0 sends this
 	// node's own contribution, each later step the sum written the step
 	// before.
-	var owned []byte
 	for s := 0; s < m-1; s++ {
 		sc := (pos + m - s) % m
 		lo, hi := chunkBounds(d, m, sc)
@@ -136,17 +142,28 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, sr
 		if s < m-2 {
 			err = f64Sum(out[lo:hi], src[lo:hi], buf)
 		} else {
-			owned, err = f64Mean(out[lo:hi], src[lo:hi], buf, inv)
+			err = f64Mean(out[lo:hi], src[lo:hi], buf, inv)
 		}
+		release(rel, self, prev, buf)
 		if err != nil {
 			return fmt.Errorf("cluster: ring reduce chunk %d: %w", rc, err)
 		}
 	}
-	// All-gather: circulate the reduced chunks, the owned one first.
-	cur := owned
+	// All-gather: circulate the reduced chunks, the owned one (the last
+	// step's) first.
+	lo, hi := chunkBounds(d, m, (pos+1)%m)
+	var cur []byte
+	if rel != nil {
+		cur = ringWire(out[lo:hi])
+	} else {
+		cur = f64Bytes(out[lo:hi])
+	}
 	for s := 0; s < m-1; s++ {
 		if err := tp.Send(self, next, cur); err != nil {
 			return err
+		}
+		if s > 0 {
+			release(rel, self, prev, cur)
 		}
 		rc := (pos + m - s) % m
 		lo, hi := chunkBounds(d, m, rc)
@@ -158,6 +175,7 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, sr
 			return fmt.Errorf("cluster: ring gather chunk %d: %w", rc, err)
 		}
 	}
+	release(rel, self, prev, cur)
 	return nil
 }
 
@@ -193,19 +211,39 @@ func allGatherGroup(tp Transport, recv linkRecv, members []int, self int, own []
 	return bufs, nil
 }
 
+// releaseGathered hands back, on a lending transport, the payloads
+// allGatherGroup received into bufs: every slot but self's own, all of
+// them off the link from self's ring predecessor.
+func releaseGathered(rel releaser, members []int, self int, bufs [][]byte) {
+	if rel == nil {
+		return
+	}
+	m, pos := len(members), memberPos(members, self)
+	prev := members[(pos+m-1)%m]
+	for p, b := range bufs {
+		if p != pos {
+			rel.Release(self, prev, b)
+		}
+	}
+}
+
 // psServeGroup is the server half of the parameter-server exchange: one
 // push per surviving worker, received in member (ascending-rank) order —
 // the order that keeps aggregation deterministic — then the reply
 // broadcast to the same set; 2N messages across both halves. combine sees
 // both the member position (0 = first survivor, which defines the round's
-// dimension) and the worker's node id.
+// dimension) and the worker's node id; a push goes back to a lending
+// transport once combine returns.
 func psServeGroup(tp Transport, recv linkRecv, server int, workers []int, combine func(pos, worker int, payload []byte) error, reply func() ([]byte, error)) error {
+	rel := releaserOf(tp)
 	for pos, w := range workers {
 		payload, err := recv(server, w)
 		if err != nil {
 			return err
 		}
-		if err := combine(pos, w, payload); err != nil {
+		err = combine(pos, w, payload)
+		release(rel, server, w, payload)
+		if err != nil {
 			return fmt.Errorf("cluster: ps combine worker %d: %w", w, err)
 		}
 	}
@@ -273,22 +311,18 @@ func f64Sum(dst, src []float64, buf []byte) error {
 	return nil
 }
 
-// f64Mean writes dst = (src + buf) * inv elementwise and returns the same
-// values' wire bytes in a fresh buffer.
+// f64Mean writes dst = (src + buf) * inv elementwise.
 //
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-func f64Mean(dst, src []float64, buf []byte, inv float64) ([]byte, error) {
+func f64Mean(dst, src []float64, buf []byte, inv float64) error {
 	if len(buf) != 8*len(dst) {
-		return nil, fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
+		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
 	}
 	src = src[:len(dst)]
-	wire := make([]byte, len(buf))
 	for i := range dst {
-		v := (src[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))) * inv
-		dst[i] = v
-		binary.LittleEndian.PutUint64(wire[8*i:], math.Float64bits(v))
+		dst[i] = (src[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))) * inv
 	}
-	return wire, nil
+	return nil
 }
 
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal

@@ -81,6 +81,7 @@ func (s *Scenario) transfer(from, to, bytes int) float64 {
 // the two queues aligned.
 type Instrumented struct {
 	inner Transport
+	rel   releaser // inner's release capability, nil when it has none
 	scen  *Scenario
 	tel   *telemetry.Tracer
 	step  atomic.Int64 // current training step for emitted message events, -1 outside steps
@@ -106,6 +107,7 @@ func NewInstrumented(inner Transport, scen *Scenario) *Instrumented {
 	n := inner.Nodes()
 	t := &Instrumented{
 		inner:   inner,
+		rel:     releaserOf(inner),
 		scen:    scen,
 		stats:   make(map[Link]*LinkStats),
 		rstats:  make(map[Link]*LinkStats),
@@ -133,6 +135,10 @@ func (t *Instrumented) SetStep(step int64) {
 		s.SetStep(step)
 	}
 }
+
+// innerReleaser implements releaseForwarder: the wrapper lends receive
+// frames exactly when the transport it wraps does.
+func (t *Instrumented) innerReleaser() releaser { return t.rel }
 
 // WithTelemetry attaches a tracer and returns the receiver: every Send
 // emits sent-message/byte counter events and every Recv emits

@@ -108,23 +108,31 @@ func (n *Node) runCollective(jb job) error {
 		if err != nil {
 			return err
 		}
-		mean := jb.meanInto(&sc.mean)
-		if mean == nil {
-			return nil // took delivery of the reply; rank 0 decodes the same bytes
-		}
-		if err := encoding.DecodeInto(mean, reply); err != nil {
-			return fmt.Errorf("decoding server reply: %w", err)
-		}
-		if mean.Dim != jb.dim {
-			return fmt.Errorf("server reply has dim %d, want %d", mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-		}
-		if out != nil {
-			tensor.Zero(out)
-			scatter(mean, out)
-		}
-		return nil
+		err = n.takeReply(jb, reply)
+		release(n.rel, w, n.server, reply)
+		return err
 	}
 	return fmt.Errorf("unreachable collective") //sidco:errclass internal invariant, deliberately fatal
+}
+
+// takeReply leaves the server's reply where the job says: decoded into the
+// merged mean, and assigned into a dense out.
+func (n *Node) takeReply(jb job, reply []byte) error {
+	mean := jb.meanInto(&n.sc.mean)
+	if mean == nil {
+		return nil // took delivery of the reply; rank 0 decodes the same bytes
+	}
+	if err := encoding.DecodeInto(mean, reply); err != nil {
+		return fmt.Errorf("decoding server reply: %w", err)
+	}
+	if mean.Dim != jb.dim {
+		return fmt.Errorf("server reply has dim %d, want %d", mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+	}
+	if out := jb.out; out != nil {
+		tensor.Zero(out)
+		scatter(mean, out)
+	}
+	return nil
 }
 
 // runAllGather executes the sparse all-gather for one node: encode the
@@ -143,6 +151,15 @@ func (n *Node) runAllGather(jb job) error {
 	if err != nil {
 		return err
 	}
+	err = n.mergeGathered(jb)
+	releaseGathered(n.rel, members, n.cfg.Rank, sc.gather)
+	return err
+}
+
+// mergeGathered decodes the gathered payloads and merges them into the
+// job's mean, and a dense out.
+func (n *Node) mergeGathered(jb job) error {
+	sc, members := &n.sc, n.workers
 	mean := jb.meanInto(&sc.mean)
 	if mean == nil {
 		return nil // forwarded its share; rank 0 decodes the same bytes
@@ -285,6 +302,7 @@ type Node struct {
 	server int           // server node id under PS, else -1
 	tp     *Instrumented // shared with every other Node of an Engine
 	raw    Transport
+	rel    releaser // raw's release capability, nil when it has none
 	sc     nodeScratch
 	srv    psServer // server rank only
 	scalar [8]byte
@@ -318,7 +336,7 @@ func NewNode(cfg Config) (*Node, error) {
 // Engine shares between all its Nodes.
 func newNode(cfg Config, tp *Instrumented) *Node {
 	format, _ := cfg.Format.Format() // cfg is validated
-	n := &Node{cfg: cfg, format: format, server: -1, tp: tp, raw: tp.inner}
+	n := &Node{cfg: cfg, format: format, server: -1, tp: tp, raw: tp.inner, rel: tp.rel}
 	if cfg.Collective == netsim.CollectivePS {
 		n.server = cfg.Workers
 	}
@@ -507,13 +525,11 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 		sgath, err := allGatherGroup(n.raw, recv, members, n.cfg.Rank, n.scalar[:], n.sgath)
 		if err == nil {
 			n.sgath = sgath
-			sum := 0.0
-			for pos := range members {
-				if len(sgath[pos]) != 8 {
-					n.Close()
-					return 0, fmt.Errorf("cluster: node %d scalar reduce: origin %d payload has %d bytes", n.cfg.Rank, members[pos], len(sgath[pos])) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-				}
-				sum += math.Float64frombits(binary.LittleEndian.Uint64(sgath[pos]))
+			sum, err := scalarSum(members, sgath)
+			releaseGathered(n.rel, members, n.cfg.Rank, sgath)
+			if err != nil {
+				n.Close()
+				return 0, fmt.Errorf("cluster: node %d scalar reduce: %w", n.cfg.Rank, err)
 			}
 			return sum * (1 / float64(len(members))), nil
 		}
@@ -521,6 +537,18 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 			return 0, err
 		}
 	}
+}
+
+// scalarSum sums the gathered scalars in member order.
+func scalarSum(members []int, sgath [][]byte) (float64, error) {
+	sum := 0.0
+	for pos, p := range sgath {
+		if len(p) != 8 {
+			return 0, fmt.Errorf("origin %d payload has %d bytes", members[pos], len(p)) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		}
+		sum += math.Float64frombits(binary.LittleEndian.Uint64(p))
+	}
+	return sum, nil
 }
 
 // Serve runs the parameter-server loop (Rank == Workers): one

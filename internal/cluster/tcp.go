@@ -58,6 +58,11 @@ const tcpMagic = 0x53444331 // "SDC1"
 // attempting an absurd allocation.
 const tcpMaxFrame = 1 << 30
 
+// tcpGrowStep is the first allocation of a frame no released frame fits:
+// readFrame grows it no faster than the bytes arrive, so a length prefix
+// commits memory only as the peer backs it with payload.
+const tcpGrowStep = 1 << 20
+
 // TCPTransport is the real-socket Transport: length-prefix-framed
 // payloads over one TCP connection per directed link, with a listener
 // per hosted node. Per-link FIFO follows from TCP's byte-stream order
@@ -70,7 +75,9 @@ const tcpMaxFrame = 1 << 30
 // process for loopback tests — either way every payload crosses a real
 // socket. Close follows the Transport contract on the receive side
 // (payloads already delivered to an inbox are preferred over the close
-// error); sends fail once the sockets are torn down.
+// error); sends fail once the sockets are torn down. It lends its receive
+// frames (the Transport's receive rule): a receiver that hands a payload
+// back with Release lets the link read a later frame into it.
 type TCPTransport struct {
 	n           int
 	addrs       []string
@@ -80,6 +87,7 @@ type TCPTransport struct {
 
 	lns   []net.Listener       // per hosted node, nil elsewhere
 	inbox map[Link]chan []byte // links into hosted nodes
+	free  map[Link]chan []byte // released frames per inbox link: linkDepth, as many as the inbox holds
 	done  chan struct{}
 	once  sync.Once
 
@@ -101,6 +109,7 @@ type tcpSendLink struct {
 	conn net.Conn // guarded by mu
 	seq  int64    // guarded by mu; next wire sequence number; the handshake took 0
 	err  error    // guarded by mu; sticky dial failure
+	hdr  [4]byte  // guarded by mu; the frame header being written
 }
 
 // NewTCPTransport binds a listener for every hosted node and starts
@@ -121,6 +130,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		tel:         cfg.Telemetry,
 		lns:         make([]net.Listener, n),
 		inbox:       make(map[Link]chan []byte),
+		free:        make(map[Link]chan []byte),
 		done:        make(chan struct{}),
 		sends:       make(map[Link]*tcpSendLink),
 		conns:       make(map[net.Conn]struct{}),
@@ -154,6 +164,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		for from := 0; from < n; from++ {
 			if from != node {
 				t.inbox[Link{from, node}] = make(chan []byte, linkDepth)
+				t.free[Link{from, node}] = make(chan []byte, linkDepth)
 			}
 		}
 	}
@@ -183,7 +194,8 @@ func (t *TCPTransport) closed() bool {
 // retries, so peers may come up later) and writes one framed payload.
 // TCP flow control provides the link-capacity backpressure: when the
 // receiver's inbox is full its reader stops draining the socket, and the
-// write here eventually blocks.
+// write here eventually blocks. The payload has been copied into the
+// socket when Send returns, so the caller may write it at once.
 func (t *TCPTransport) Send(from, to int, payload []byte) error {
 	if err := checkLink(t.n, from, to); err != nil {
 		return err
@@ -217,9 +229,8 @@ func (t *TCPTransport) Send(from, to int, payload []byte) error {
 	// process clocks on send-before-receive.
 	t.tel.CountSeq(telemetry.CounterWireSentBytes, from, to, int64(4+len(payload)), sl.seq, -1)
 	sl.seq++
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := sl.conn.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(sl.hdr[:], uint32(len(payload)))
+	if _, err := sl.conn.Write(sl.hdr[:]); err != nil {
 		return t.sendErr(from, to, err)
 	}
 	if _, err := sl.conn.Write(payload); err != nil {
@@ -327,6 +338,21 @@ func (t *TCPTransport) recv(to, from int, timeout time.Duration) ([]byte, error)
 	return recvLink(t.inbox[Link{from, to}], t.done, true, to, from, timeout)
 }
 
+// Release implements releaser: p, a payload received on link from -> to,
+// backs a later frame of that link. The link keeps at most linkDepth
+// released frames and drops the rest; releasing nil, the poison, or on a
+// link this transport does not host does nothing, and neither does
+// releasing after Close.
+func (t *TCPTransport) Release(to, from int, p []byte) {
+	if cap(p) == 0 {
+		return
+	}
+	select {
+	case t.free[Link{from, to}] <- p[:0]: // a nil channel (no such link) never takes it
+	default:
+	}
+}
+
 // acceptLoop owns one hosted node's listener: each accepted connection
 // is handshake-validated and handed to a reader goroutine for the life
 // of the link.
@@ -350,7 +376,8 @@ func (t *TCPTransport) acceptLoop(node int, ln net.Listener) {
 }
 
 // readLoop validates a connection's handshake and then pumps its frames
-// into the link's inbox until the connection or the transport closes. A
+// into the link's inbox until the connection or the transport closes,
+// reading each into a frame the receiver released when one fits. A
 // connection that breaks after carrying the link (peer crash, dropped
 // socket) poisons the inbox with a nil payload so blocked Recvs fail
 // fast instead of waiting on a dead peer forever.
@@ -390,7 +417,7 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 	// write order, and this goroutine is the link's only reader.
 	t.tel.CountSeq(telemetry.CounterWireRecvBytes, from, to, int64(len(hs)), 0, -1)
 	wireSeq := int64(1)
-	ch := t.inbox[Link{from, to}]
+	ch, free := t.inbox[Link{from, to}], t.free[Link{from, to}]
 	fail := func() {
 		conn.Close()
 		if t.closed() {
@@ -412,8 +439,13 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 			fail()
 			return
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		var frame []byte
+		select {
+		case frame = <-free:
+		default:
+		}
+		payload, err := readFrame(conn, frame, int(size))
+		if err != nil {
 			fail()
 			return
 		}
@@ -425,6 +457,31 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 			conn.Close()
 			return
 		}
+	}
+}
+
+// readFrame reads a size-byte payload from r into frame, a released frame
+// or nil. A frame that fits is read into as it is: ReadFull overwrites
+// every byte, so it needs no zeroing. Otherwise a fresh one grows as the
+// bytes arrive, from tcpGrowStep by doubling up to exactly size, so a
+// hostile length prefix followed by nothing commits one step, not the
+// declared size.
+func readFrame(r io.Reader, frame []byte, size int) ([]byte, error) {
+	if frame == nil || cap(frame) < size {
+		frame = make([]byte, 0, min(size, tcpGrowStep)) // never nil: nil is the poison
+	}
+	for {
+		got := len(frame)
+		frame = frame[:cap(frame)]
+		if _, err := io.ReadFull(r, frame[got:min(size, len(frame))]); err != nil {
+			return nil, err
+		}
+		if size <= len(frame) {
+			return frame[:size], nil
+		}
+		grown := make([]byte, len(frame), min(size, 2*len(frame)))
+		copy(grown, frame)
+		frame = grown
 	}
 }
 

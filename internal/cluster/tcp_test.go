@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -597,5 +599,38 @@ func TestHandshakeTimeoutNamed(t *testing.T) {
 			t.Fatal("no handshake error recorded within 5s of a silent connection")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestTCPHostileLengthPrefix: a peer that completes the handshake, declares
+// a frame just under tcpMaxFrame and closes without sending a payload byte
+// must not make the reader commit the declared size. With no released
+// frame to fit, a frame grows only as its bytes arrive, and the link
+// reports the lost peer.
+func TestTCPHostileLengthPrefix(t *testing.T) {
+	tp := localTCP(t, 2)
+	defer tp.Close()
+	conn, err := net.Dial("tcp", tp.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg [16]byte
+	binary.LittleEndian.PutUint32(msg[0:], tcpMagic)
+	binary.LittleEndian.PutUint32(msg[4:], 0) // from
+	binary.LittleEndian.PutUint32(msg[8:], 1) // to
+	binary.LittleEndian.PutUint32(msg[12:], tcpMaxFrame-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(msg[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	_, err = tp.RecvTimeout(1, 0, 10*time.Second)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrPeerLost) {
+		t.Fatalf("Recv after a truncated frame: %v, want ErrPeerLost", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("reader allocated %d bytes on a %d-byte length prefix backed by nothing", grew, tcpMaxFrame-1)
 	}
 }

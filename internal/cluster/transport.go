@@ -95,18 +95,27 @@ type TimeoutRecver interface {
 
 // Transport moves opaque byte payloads between numbered nodes over
 // directed links. Implementations must preserve per-link FIFO order.
-// Payloads are immutable by convention: receivers must not modify them,
-// which lets ring schedules forward buffers without copying.
 //
-// A transport need not copy a payload (ChanTransport hands the receiver
-// the sender's slice), so a sent buffer stays the sender's to read but not
-// to write: the sender may reuse it only after receiving a message that
-// the receiver sent after it took the buffer, or one sent by a node that
-// had received such a message, and so on. Two schedules rely on the rule:
-// the ring all-reduce sends views of the caller's gradient and mean
-// (ringAllReduceGroup), and a node's all-gather alternates two encode
-// buffers, because every peer decodes a payload after its own gather
-// (Node.exchange).
+// The send rule. A transport need not copy a payload (ChanTransport hands
+// the receiver the sender's slice), so a sent buffer stays the sender's to
+// read but not to write: the sender may reuse it only after receiving a
+// message that the receiver sent after it took the buffer, or one sent by
+// a node that had received such a message, and so on. Two schedules rely
+// on the rule: the ring all-reduce sends views of the caller's gradient
+// and mean (ringAllReduceGroup), and a node's all-gather alternates two
+// encode buffers, because every peer decodes a payload after its own
+// gather (Node.exchange).
+//
+// The receive rule. No receiver writes a received payload; it may read it
+// and forward it with Send. By default a payload is the receiver's to keep
+// (over channels it is the sender's buffer, read-only). A transport that
+// lends its receive frames (a releaser: TCPTransport, and a wrapper over
+// one, see releaserOf) keeps ownership instead: the payload is the
+// receiver's until it hands it back with Release, after its last read and
+// after any Send of it has returned. It is released at most once, and from
+// then on only the transport writes it, reading the link's next frame into
+// it. A missed release is always safe: the frame is garbage collected and
+// the link reads into a fresh one.
 //
 // Close semantics are deterministic, so a schedule torn down mid-flight
 // fails the same way every run: delivery is preferred over the shutdown
@@ -134,6 +143,40 @@ type Transport interface {
 	TimeoutRecver
 	// Close tears the transport down, unblocking pending operations.
 	Close() error
+}
+
+// releaser is the optional half of the receive rule (see Transport): a
+// transport that lends its receive frames takes them back with Release.
+// Lending implies copying: such a transport has copied a payload by the
+// time its Send returns, so the sender may write the buffer at once.
+type releaser interface {
+	// Release hands back p, a payload received on link from -> to.
+	// Releasing nil or after Close does nothing.
+	Release(to, from int, p []byte)
+}
+
+// releaseForwarder is a wrapper whose release capability is its inner
+// transport's, resolved once when the wrapper is built: a method set
+// cannot say whether the inner transport has one.
+type releaseForwarder interface {
+	innerReleaser() releaser
+}
+
+// releaserOf resolves tp's release capability: nil unless tp, or the
+// transport its wrappers end in, lends its receive frames.
+func releaserOf(tp Transport) releaser {
+	if w, ok := tp.(releaseForwarder); ok {
+		return w.innerReleaser()
+	}
+	r, _ := tp.(releaser)
+	return r
+}
+
+// release hands p back on link from -> to when rel lends frames.
+func release(rel releaser, to, from int, p []byte) {
+	if rel != nil {
+		rel.Release(to, from, p)
+	}
 }
 
 // recvBlock is the timeout the transports' private receive bodies take

@@ -32,6 +32,7 @@ var contractRows = []contractRow{
 	{"chan", false, nil},
 	{"tcp", true, nil},
 	{"fault-chan", false, func(tp Transport) Transport { return NewFaultTransport(tp, FaultPlan{}) }},
+	{"fault-tcp", true, func(tp Transport) Transport { return NewFaultTransport(tp, FaultPlan{}) }},
 	{"instrumented-chan", false, func(tp Transport) Transport { return NewInstrumented(tp, nil) }},
 	{"instrumented-tcp", true, func(tp Transport) Transport { return NewInstrumented(tp, nil) }},
 }
@@ -77,8 +78,11 @@ func (row contractRow) open(t *testing.T) contractLink {
 // Transport keeps: delivery wins over the close and the timeout, every
 // time (no dependence on Go's random select choice); a timeout <= 0
 // polls and a timed-out receive consumes nothing; a closed, empty link
-// says ErrClosed, never ErrTimeout; and a dead TCP peer fails both
-// receives with ErrPeerLost, stickily.
+// says ErrClosed, never ErrTimeout; a dead TCP peer fails both receives
+// with ErrPeerLost, stickily; and only TCP, bare or wrapped, lends its
+// receive frames: a released frame backs the link's next receive, one
+// still held is never handed out again, and releasing nil, the poison or
+// after Close does nothing.
 func TestTransportContract(t *testing.T) {
 	send := func(t *testing.T, tp Transport, b ...byte) {
 		t.Helper()
@@ -183,6 +187,47 @@ func TestTransportContract(t *testing.T) {
 				if err := <-sent; err != nil {
 					t.Fatal(err)
 				}
+			})
+			t.Run("release", func(t *testing.T) {
+				l := row.open(t)
+				defer l.tp.Close()
+				rel := releaserOf(l.tp)
+				if rel == nil {
+					if row.tcp {
+						t.Fatal("no release capability over TCP")
+					}
+					return
+				}
+				if !row.tcp {
+					t.Fatal("a transport over channels lends its frames")
+				}
+				send(t, l.tp, 1)
+				p1, err := l.tp.Recv(1, 0)
+				expect(t, "first payload", p1, err, 1)
+				frame := &p1[0]
+				rel.Release(1, 0, p1)
+				rel.Release(1, 0, nil)
+				send(t, l.tp, 2)
+				p2, err := l.tp.Recv(1, 0)
+				expect(t, "payload after a release", p2, err, 2)
+				if &p2[0] != frame {
+					t.Fatal("the released frame does not back the link's next receive")
+				}
+				send(t, l.tp, 3)
+				p3, err := l.tp.Recv(1, 0)
+				expect(t, "payload while the last frame is held", p3, err, 3)
+				if &p3[0] == frame {
+					t.Fatal("a held frame was handed out again")
+				}
+				l.kill()
+				p, err := l.tp.Recv(1, 0)
+				expectErr(t, "Recv from a dead peer", err, ErrPeerLost)
+				rel.Release(1, 0, p) // the poison
+				_, err = l.tp.RecvTimeout(1, 0, 0)
+				expectErr(t, "Recv after releasing the poison", err, ErrPeerLost)
+				l.tp.Close()
+				rel.Release(1, 0, p3)
+				rel.Release(1, 0, p2)
 			})
 			if l := row.open(t); l.kill == nil {
 				t.Run("nil-payload", func(t *testing.T) {
