@@ -447,6 +447,86 @@ func TestEngineTCPExchangeSteadyStateBytes(t *testing.T) {
 	}
 }
 
+// TestTrainerTCPRingSteadyStateBytes guards the deployed dense step: one
+// Workers=1 trainer per rank, each over its own Node on its own loopback
+// TCP transport, the ring forced, so every step takes the spans route —
+// the ring hands each chunk of the mean to the optimizer where it lands,
+// the last one straight from its frame, through the closure the trainer
+// bound once when it was built. Batches reuse their tensors. As in
+// TestEngineTCPExchangeSteadyStateBytes, some window of steps out of the
+// first few must allocate nothing at all (MemStats.Mallocs, transport
+// readers included); a frame kept instead of released would cost a 40 KiB
+// chunk per step at d = 10 k.
+func TestTrainerTCPRingSteadyStateBytes(t *testing.T) {
+	const window, windows = 50, 20
+	for _, workers := range []int{2, 3} {
+		t.Run(fmt.Sprintf("n%d", workers), func(t *testing.T) {
+			ranks := ringDeployment(t, rankTCP(t, workers), Config{}, func(c *dist.TrainerConfig) {
+				rng := rand.New(rand.NewSource(int64(c.FirstWorker)))
+				c.Model = nn.NewSequential(nn.NewDense("d1", 64, 150, rng), &nn.ReLU{}, nn.NewDense("d2", 150, 4, rng))
+				x, targets := nn.NewTensor(8, 64), make([]int, 8)
+				c.Batch = func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
+					for i := range targets {
+						targets[i] = rng.Intn(4)
+						for j := 0; j < 64; j++ {
+							x.Data[i*64+j] = rng.NormFloat64() + float64(targets[i])
+						}
+					}
+					return x, targets
+				}
+			})
+			// One goroutine per rank for the whole test: spawning them per
+			// step would be the only allocation left.
+			start, done := make(chan struct{}), make(chan error)
+			defer close(start)
+			for _, rk := range ranks {
+				go func() {
+					for range start {
+						_, err := rk.tr.Step()
+						done <- err
+					}
+				}()
+			}
+			step := func() {
+				for range ranks {
+					start <- struct{}{}
+				}
+				for range ranks {
+					if err := <-done; err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 3; i++ {
+				step() // grow every scratch buffer and free list
+			}
+			for _, rk := range ranks {
+				rk.rec.reset()
+			}
+			var mallocs, bytes uint64
+			for w := 0; w < windows; w++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < window; i++ {
+					step()
+				}
+				runtime.ReadMemStats(&after)
+				mallocs, bytes = after.Mallocs-before.Mallocs, (after.TotalAlloc-before.TotalAlloc)/window
+				if mallocs == 0 {
+					t.Logf("no allocation over steps %d-%d", 3+w*window, 3+(w+1)*window-1)
+					for r, rk := range ranks {
+						if rk.rec.flats != 0 || rk.rec.spans != (w+1)*window*workers {
+							t.Fatalf("rank %d: %d StepFlat and %d StepSpan calls, want the spans route every step", r, rk.rec.flats, rk.rec.spans)
+						}
+					}
+					return
+				}
+			}
+			t.Errorf("%d allocations (%d bytes per step) in the last of %d windows of %d steps, want none", mallocs, bytes, windows, window)
+		})
+	}
+}
+
 // TestChannelExchangesLeaveInputsIntact: a channel hands the receiver the
 // sender's own slice, so no wrapper over one may claim to lend its frames
 // (releaserOf): the ring would then send its owned chunk as a view of a

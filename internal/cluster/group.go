@@ -75,6 +75,14 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 // m-1 all-gather steps, each node sending one ~d/m-element chunk to its
 // ring successor.
 //
+// With apply set the mean is not gathered whole: once the last all-gather
+// receive has succeeded, apply gets every chunk where it sits — the owned
+// and the forwarded ones in out, the last one received straight from its
+// frame (f64Frame: a view on a little-endian host when the frame is 8-byte
+// aligned, else decoded into out first) — and out is left without that
+// last chunk. A run that fails has called apply never; at m = 1 apply gets
+// src whole.
+//
 // Reduce-scatter step s writes out = src + received on a chunk no earlier
 // step touched, so out needs no copy of src first; the last step writes
 // (src + received) * (1/m) on the chunk this node then owns, and the
@@ -101,8 +109,8 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 //
 // On a lending transport every received frame goes back: a reduce-scatter
 // frame once it is reduced, an all-gather frame once it is copied into out
-// and, but for the last, forwarded.
-func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, src, out []float64) error {
+// and, but for the last, forwarded; the last once applied.
+func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, src, out []float64, apply func(off int, mean []float64)) error {
 	pos, err := checkMember(tp, members, self)
 	if err != nil {
 		return err
@@ -113,7 +121,11 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, sr
 	}
 	m := len(members)
 	if m == 1 {
-		copy(out, src)
+		if apply != nil {
+			apply(0, src)
+		} else {
+			copy(out, src)
+		}
 		return nil
 	}
 	inv := 1 / float64(m)
@@ -171,8 +183,26 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, sr
 		if err != nil {
 			return err
 		}
+		if apply != nil && s == m-2 {
+			break // applied from the frame below
+		}
 		if err := f64Copy(out[lo:hi], cur); err != nil {
 			return fmt.Errorf("cluster: ring gather chunk %d: %w", rc, err)
+		}
+	}
+	if apply != nil {
+		last := (pos + 2) % m
+		lo, hi = chunkBounds(d, m, last)
+		mean, err := f64Frame(out[lo:hi], cur)
+		if err != nil {
+			return fmt.Errorf("cluster: ring gather chunk %d: %w", last, err)
+		}
+		apply(lo, mean)
+		for c := 0; c < m; c++ {
+			if c != last {
+				lo, hi := chunkBounds(d, m, c)
+				apply(lo, out[lo:hi])
+			}
 		}
 	}
 	release(rel, self, prev, cur)
@@ -279,11 +309,29 @@ func ringWire(xs []float64) []byte {
 }
 
 // f64View reinterprets xs's memory as bytes, without copying; on a
-// little-endian host they are exactly f64Bytes(xs). It is the package's one
-// use of unsafe. The view aliases xs, so it may be sent only under the
-// Transport's reuse rule (receivers never write a payload).
+// little-endian host they are exactly f64Bytes(xs). It and f64Frame are the
+// package's uses of unsafe. The view aliases xs, so it may be sent only
+// under the Transport's reuse rule (receivers never write a payload).
 func f64View(xs []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
+}
+
+// f64Frame returns a received ring chunk's values: buf itself, viewed as
+// float64s without copying, on a little-endian host when buf starts on an
+// 8-byte boundary; else decoded into dst (f64Copy), which it returns. The
+// view aliases buf, so it is read only while the receiver still holds the
+// frame.
+//
+//sidco:errclass geometry violation means a buggy peer, deliberately fatal
+func f64Frame(dst []float64, buf []byte) ([]float64, error) {
+	if len(buf) != 8*len(dst) {
+		return nil, fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
+	}
+	p := unsafe.Pointer(unsafe.SliceData(buf))
+	if littleEndian && len(buf) > 0 && uintptr(p)%8 == 0 {
+		return unsafe.Slice((*float64)(p), len(dst)), nil
+	}
+	return dst, f64Copy(dst, buf)
 }
 
 // f64Bytes serialises a float64 slice little-endian into a fresh buffer. A

@@ -57,7 +57,7 @@ func TestGroupSchedulesRejectBadMembership(t *testing.T) {
 		"negative member":   {[]int{-1, 0}, 0},
 		"self not a member": {[]int{0, 2}, 1},
 	} {
-		if err := ringAllReduceGroup(tp, tp.Recv, tc.members, tc.self, make([]float64, 4), make([]float64, 4)); err == nil {
+		if err := ringAllReduceGroup(tp, tp.Recv, tc.members, tc.self, make([]float64, 4), make([]float64, 4), nil); err == nil {
 			t.Errorf("%s: ring all-reduce accepted it", name)
 		}
 		if _, err := allGatherGroup(tp, tp.Recv, tc.members, tc.self, []byte{1}, nil); err == nil {
@@ -93,7 +93,7 @@ func TestRingAllReduceSums(t *testing.T) {
 					}
 				}
 				if err := runAll(n, func(node int) error {
-					return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, src[node], out[node])
+					return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, src[node], out[node], nil)
 				}); err != nil {
 					t.Fatalf("n=%d d=%d: %v", n, d, err)
 				}
@@ -196,7 +196,7 @@ func TestCollectiveMessageCountsMatchNetsimFormulas(t *testing.T) {
 				data[i] = make([]float64, d)
 			}
 			if err := runAll(n, func(node int) error {
-				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node])
+				return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node], nil)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -288,7 +288,7 @@ func TestVirtualTimeMatchesNetsimAlphaBeta(t *testing.T) {
 			data[i] = make([]float64, d)
 		}
 		if err := runAll(n, func(node int) error {
-			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node])
+			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node], nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestScenarioKnobs(t *testing.T) {
 		}
 		if err := runAll(n, func(node int) error {
 			tp.Compute(node, compute[node])
-			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node])
+			return ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data[node], data[node], nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -455,5 +455,37 @@ func TestRingWireMatchesF64Bytes(t *testing.T) {
 				t.Errorf("%s: element %d comes back as %#x, want %#x", name, i, math.Float64bits(back[i]), math.Float64bits(xs[i]))
 			}
 		}
+	}
+}
+
+// TestF64FrameViewsOnlyAlignedFrames: the last all-gather chunk is read in
+// place only from a frame that starts on an 8-byte boundary of a
+// little-endian host; any other frame is decoded into the destination.
+// Either way the values are the wire's bit for bit, and a frame of the
+// wrong length is refused before anything is read.
+func TestF64FrameViewsOnlyAlignedFrames(t *testing.T) {
+	xs := []float64{math.Copysign(0, -1), math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64, -1.5}
+	wire := f64Bytes(xs)
+	buf := make([]byte, len(wire)+1)
+	for _, shift := range []int{0, 1} {
+		frame := buf[shift : shift+len(wire)]
+		copy(frame, wire)
+		dst := make([]float64, len(xs))
+		got, err := f64Frame(dst, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inPlace := &got[0] != &dst[0]
+		if want := littleEndian && shift == 0; inPlace != want {
+			t.Errorf("offset %d: read in place = %v, want %v", shift, inPlace, want)
+		}
+		for i := range xs {
+			if math.Float64bits(got[i]) != math.Float64bits(xs[i]) {
+				t.Errorf("offset %d: element %d = %#x, want %#x", shift, i, math.Float64bits(got[i]), math.Float64bits(xs[i]))
+			}
+		}
+	}
+	if _, err := f64Frame(make([]float64, len(xs)), wire[:len(wire)-8]); err == nil {
+		t.Error("a short frame was accepted")
 	}
 }

@@ -30,9 +30,12 @@ type job struct {
 	// is touched. With neither, the node sends, forwards and receives its
 	// whole share of the schedule but neither decodes nor reduces what
 	// arrives: an Engine rank whose aggregate nobody reads (the rank that
-	// does keep one is handed the same bytes).
-	out  []float64
-	mean *tensor.Sparse
+	// does keep one is handed the same bytes). apply, on the ring only,
+	// takes the mean chunk by chunk where it lands instead, out being the
+	// ring's working storage (dist.ApplyExchange).
+	out   []float64
+	mean  *tensor.Sparse
+	apply func(off int, mean []float64)
 }
 
 // meanInto names where the round's merged sparse mean goes: the caller's
@@ -92,7 +95,7 @@ func (n *Node) runCollective(jb job) error {
 			jb.sparse.AddTo(out)
 			src = out
 		}
-		return ringAllReduceGroup(n.tp, recv, members, w, src, out)
+		return ringAllReduceGroup(n.tp, recv, members, w, src, out, jb.apply)
 
 	case netsim.CollectiveAllGather:
 		return n.runAllGather(jb)
@@ -395,6 +398,24 @@ func (n *Node) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor.S
 		return false, nil
 	}
 	return true, n.exchange(job{step: step, sparse: sp, dim: sp.Dim, coll: coll, mean: mean})
+}
+
+// ExchangeApply implements dist.ApplyExchange: when the round resolves to
+// the ring all-reduce, it runs in agg and apply gets each chunk of the mean
+// where it lands — the chunks this node owned or forwarded from agg, the
+// last one received from its frame — once the round's last receive has
+// succeeded, so a failed attempt, retried over a renegotiated group or
+// returned, has applied nothing. Any other round is declined before a byte
+// moves.
+func (n *Node) ExchangeApply(step int, ins []dist.ExchangeInput, agg []float64, apply func(off int, mean []float64)) (bool, error) {
+	if err := n.checkExchange(ins); err != nil {
+		return false, err
+	}
+	coll := n.cfg.Collective.Resolve(ins[0].Sparse != nil)
+	if coll != netsim.CollectiveRing {
+		return false, nil
+	}
+	return true, n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll, out: agg, apply: apply})
 }
 
 // checkExchange refuses an exchange this node cannot run: a closed node,

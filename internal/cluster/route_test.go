@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/netsim"
@@ -14,9 +16,10 @@ import (
 
 // exchangeOnly and stepFlatOnly are what a decorator written before the
 // optional interfaces existed looks like — the step benchmark's timing
-// wrappers, a user's logging wrapper: they forward Exchange, or StepFlat,
-// and nothing else, which hides ExchangeSparse / StepSparse from
-// dist.Trainer and forces its dense route.
+// wrappers, a user's logging wrapper: they forward Exchange, or the
+// Optimizer methods, and nothing else, which hides ExchangeSparse and
+// ExchangeApply, or StepSparse, from dist.Trainer and forces its dense
+// route.
 type exchangeOnly struct{ inner dist.GradientExchange }
 
 func (x exchangeOnly) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
@@ -28,6 +31,9 @@ type stepFlatOnly struct{ inner nn.Optimizer }
 func (o stepFlatOnly) Name() string                                { return o.inner.Name() }
 func (o stepFlatOnly) Step(params []*nn.Param)                     { o.inner.Step(params) }
 func (o stepFlatOnly) StepFlat(params []*nn.Param, flat []float64) { o.inner.StepFlat(params, flat) }
+func (o stepFlatOnly) StepSpan(params []*nn.Param, off int, grad []float64) {
+	o.inner.StepSpan(params, off, grad)
+}
 
 // routes are the trainer configurations whose results must coincide: the
 // sparse route as built, and the dense route forced from either side.
@@ -246,5 +252,313 @@ func TestDenseRoundsKeepParentLosses(t *testing.T) {
 				t.Errorf("weight sum = %v (%#x), the parent trained %#x", sum, got, tc.want[iters])
 			}
 		})
+	}
+}
+
+// applyRecorder forwards an optimizer and records how the trainer handed it
+// each step's mean: the StepFlat calls, the StepSpan calls, and per element
+// how many StepSpan calls covered it.
+type applyRecorder struct {
+	nn.Optimizer
+	flats, spans int
+	hits         []int
+}
+
+func (r *applyRecorder) StepFlat(params []*nn.Param, flat []float64) {
+	r.flats++
+	r.Optimizer.StepFlat(params, flat)
+}
+
+func (r *applyRecorder) StepSpan(params []*nn.Param, off int, grad []float64) {
+	r.spans++
+	for i := range grad {
+		r.hits[off+i]++
+	}
+	r.Optimizer.StepSpan(params, off, grad)
+}
+
+// requireStep fails unless the step just taken applied the mean the way
+// asked, and clears the record for the next: chunks > 0 wants that many
+// StepSpan calls covering every element exactly once and no StepFlat, 0
+// wants one StepFlat and no span.
+func (r *applyRecorder) requireStep(t *testing.T, what string, chunks int) {
+	t.Helper()
+	if chunks == 0 && (r.flats != 1 || r.spans != 0) {
+		t.Fatalf("%s: %d StepFlat and %d StepSpan calls, want the gathered mean applied once", what, r.flats, r.spans)
+	}
+	if chunks > 0 && (r.flats != 0 || r.spans != chunks) {
+		t.Fatalf("%s: %d StepFlat and %d StepSpan calls, want %d spans", what, r.flats, r.spans, chunks)
+	}
+	for i, h := range r.hits {
+		if chunks > 0 && h != 1 {
+			t.Fatalf("%s: element %d applied %d times, want once", what, i, h)
+		}
+	}
+	r.reset()
+}
+
+// reset clears the record.
+func (r *applyRecorder) reset() {
+	clear(r.hits)
+	r.flats, r.spans = 0, 0
+}
+
+// ringRank is one rank of a dense ring deployment run in one process: its
+// Node, the Workers=1 trainer over it, and that trainer's recorded applies.
+type ringRank struct {
+	node *Node
+	tr   *dist.Trainer
+	rec  *applyRecorder
+}
+
+// ringDeployment builds one ring rank per transport in tps (ranks may share
+// one), each node configured as base says beyond the deployment's shape,
+// each trainer the tiny dense one (no compressor) with mutate applied and
+// its optimizer recorded.
+func ringDeployment(t *testing.T, tps []Transport, base Config, mutate func(*dist.TrainerConfig)) []ringRank {
+	t.Helper()
+	ranks := make([]ringRank, len(tps))
+	for rank, tp := range tps {
+		c := base
+		c.Workers, c.Rank, c.Collective, c.Transport = len(tps), rank, netsim.CollectiveRing, tp
+		nd, err := NewNode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyTrainerCfg(1, rank, "", 0, 11, nd)
+		mutate(&cfg)
+		rec := &applyRecorder{Optimizer: cfg.Opt}
+		cfg.Opt = rec
+		tr, err := dist.NewTrainer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.hits = make([]int, tr.Dim())
+		ranks[rank] = ringRank{nd, tr, rec}
+	}
+	return ranks
+}
+
+// stepRanks runs one Step on every listed rank concurrently and returns
+// each one's error, by rank.
+func stepRanks(ranks []ringRank, live []int) map[int]error {
+	errs := make([]error, len(live))
+	var wg sync.WaitGroup
+	for i, r := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = ranks[r].tr.Step()
+		}()
+	}
+	wg.Wait()
+	out := make(map[int]error, len(live))
+	for i, r := range live {
+		out[r] = errs[i]
+	}
+	return out
+}
+
+// rankTCP returns n loopback TCP transports, each hosting one rank over the
+// shared host list, as n sidco-node processes would.
+func rankTCP(t *testing.T, n int) []Transport {
+	t.Helper()
+	addrs, err := FreeLoopbackAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tps := make([]Transport, n)
+	for i := range tps {
+		tp, err := NewTCPTransport(TCPConfig{Addrs: addrs, Local: []int{i}, DialTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tp.Close() })
+		tps[i] = tp
+	}
+	return tps
+}
+
+// sharedChan returns one channel transport n times, wrapped by wrap.
+func sharedChan(t *testing.T, n int, wrap func(Transport) Transport) []Transport {
+	t.Helper()
+	ch, err := NewChanTransport(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ch.Close() })
+	tps := make([]Transport, n)
+	for i := range tps {
+		tps[i] = wrap(ch)
+	}
+	return tps
+}
+
+// oddFrames hands over every received payload from a copy that starts one
+// byte into its buffer, as a transport framing payloads behind an odd-sized
+// header would: no float64 view of it is aligned, so the ring decodes its
+// last all-gather chunk (f64Frame's fallback) instead of applying the frame.
+type oddFrames struct{ Transport }
+
+func (o oddFrames) Recv(to, from int) ([]byte, error) { return odd(o.Transport.Recv(to, from)) }
+
+func (o oddFrames) RecvTimeout(to, from int, timeout time.Duration) ([]byte, error) {
+	return odd(o.Transport.RecvTimeout(to, from, timeout))
+}
+
+func odd(p []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, len(p)+1)
+	copy(b[1:], p)
+	return b[1:], nil
+}
+
+// TestApplyRouteMatchesExchangeRoute: a dense ring that hands each chunk
+// of the mean to the optimizer where it lands (Node.ExchangeApply, then
+// StepSpan per chunk) trains the same weights bit for bit as gathering the
+// mean whole and applying it once (a wrapper that forwards only Exchange,
+// then StepFlat). Per-rank Nodes, one trainer each, over channels, over
+// channels handing every frame over unaligned (the decode fallback) and
+// over TCP (the frame applied in place); 1 to 4 ranks; plain SGD, SGD with
+// weight decay, Nesterov momentum with decay. Every step must show the
+// route it took: one span per rank covering each element once, or one
+// StepFlat.
+func TestApplyRouteMatchesExchangeRoute(t *testing.T) {
+	const iters = 5
+	opts := []struct {
+		name string
+		opt  func() nn.Optimizer
+	}{
+		{"sgd", func() nn.Optimizer { return &nn.SGD{LR: 0.05} }},
+		{"sgd-decay", func() nn.Optimizer { return &nn.SGD{LR: 0.05, WeightDecay: 1e-3} }},
+		{"nesterov", func() nn.Optimizer { return &nn.Momentum{LR: 0.05, Mu: 0.9, Nesterov: true, WeightDecay: 1e-3} }},
+	}
+	transports := []struct {
+		name  string
+		build func(t *testing.T, n int) []Transport
+	}{
+		{"chan", func(t *testing.T, n int) []Transport {
+			return sharedChan(t, n, func(tp Transport) Transport { return tp })
+		}},
+		{"chan-odd", func(t *testing.T, n int) []Transport {
+			return sharedChan(t, n, func(tp Transport) Transport { return oddFrames{tp} })
+		}},
+		{"tcp", rankTCP},
+	}
+	for _, o := range opts {
+		for _, tc := range transports {
+			for n := 1; n <= 4; n++ {
+				t.Run(fmt.Sprintf("%s/%s/n%d", o.name, tc.name, n), func(t *testing.T) {
+					var want [][]float64
+					for _, spans := range []bool{false, true} {
+						ranks := ringDeployment(t, tc.build(t, n), Config{}, func(c *dist.TrainerConfig) {
+							c.Opt = o.opt()
+							if !spans {
+								c.Exchange = exchangeOnly{c.Exchange}
+							}
+						})
+						chunks := 0
+						if spans {
+							chunks = n
+						}
+						live := make([]int, n)
+						for r := range live {
+							live[r] = r
+						}
+						for step := 0; step < iters; step++ {
+							for r, err := range stepRanks(ranks, live) {
+								if err != nil {
+									t.Fatalf("rank %d step %d: %v", r, step, err)
+								}
+								ranks[r].rec.requireStep(t, fmt.Sprintf("rank %d step %d", r, step), chunks)
+							}
+						}
+						for r, rk := range ranks {
+							got := nn.FlattenWeights(rk.tr.Params(), nil)
+							if !spans {
+								want = append(want, got)
+								continue
+							}
+							requireBitIdentical(t, fmt.Sprintf("rank %d weight", r), got, want[r])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestApplyRouteRetriesExactly: the ring applies nothing before the
+// round's last receive, so a step that fails part way through the
+// all-gather and is retried over a renegotiated group applies its mean
+// exactly once. Four ranks over TCP; the link 1->2 breaks at its first
+// all-gather send of step 2, after ranks 0 and 3 have received chunks of
+// that round. Rank 2 times out, every rank fails the attempt and
+// renegotiates; ranks 0, 2 and 3 agree on a group without rank 1 and
+// retry, rank 1 runs out of retries. Every survivor's failed attempt
+// applied nothing and its retry applied each element once, over three
+// chunks, and their weights equal, bit for bit, those of the Exchange-only
+// route under the same plan.
+func TestApplyRouteRetriesExactly(t *testing.T) {
+	const workers, iters, failStep, lost = 4, 4, 2, 1
+	// The ring sends 2(N-1) messages a step on each link, the all-gather's
+	// N-1 last.
+	plan := FaultPlan{KillLink: map[Link]int{{lost, lost + 1}: 2*(workers-1)*failStep + workers - 1}}
+	var want [][]float64
+	for _, spans := range []bool{false, true} {
+		tps := rankTCP(t, workers)
+		for i := range tps {
+			tps[i] = NewFaultTransport(tps[i], plan)
+		}
+		counters := telemetry.NewAggregator()
+		base := Config{StepTimeout: 300 * time.Millisecond, MaxStepRetries: 1, Telemetry: telemetry.New(counters)}
+		ranks := ringDeployment(t, tps, base, func(c *dist.TrainerConfig) {
+			c.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9, Nesterov: true}
+			if !spans {
+				c.Exchange = exchangeOnly{c.Exchange}
+			}
+		})
+		live := []int{0, 1, 2, 3}
+		for step := 0; step < iters; step++ {
+			for r, err := range stepRanks(ranks, live) {
+				if r == lost && step == failStep {
+					if err == nil {
+						t.Fatalf("rank %d finished step %d over its broken link", r, step)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("rank %d step %d: %v", r, step, err)
+				}
+				chunks := 0
+				if spans {
+					chunks = len(live)
+					if step >= failStep {
+						chunks = workers - 1
+					}
+				}
+				ranks[r].rec.requireStep(t, fmt.Sprintf("rank %d step %d", r, step), chunks)
+			}
+			if step == failStep {
+				live = []int{0, 2, 3}
+			}
+		}
+		var got [][]float64
+		for _, r := range live {
+			if nc := counters.NodeTotals(r); nc.Recoveries != 1 || nc.PeersLost != 1 {
+				t.Fatalf("survivor %d counted %d recoveries and %d lost peers, want 1 and 1", r, nc.Recoveries, nc.PeersLost)
+			}
+			got = append(got, nn.FlattenWeights(ranks[r].tr.Params(), nil))
+			requireBitIdentical(t, fmt.Sprintf("survivor %d weight", r), got[len(got)-1], got[0])
+		}
+		if !spans {
+			want = got
+			continue
+		}
+		for i, r := range live {
+			requireBitIdentical(t, fmt.Sprintf("survivor %d weight", r), got[i], want[i])
+		}
 	}
 }

@@ -327,7 +327,7 @@ func TestTransportCloseMidScheduleRace(t *testing.T) {
 							data[i] = float64(node*dim + i)
 						}
 						for step := 0; step < steps; step++ {
-							if err := ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data, data); err != nil {
+							if err := ringAllReduceGroup(tp, tp.Recv, identityMembers(n), node, data, data, nil); err != nil {
 								errs[node] = err
 								return
 							}

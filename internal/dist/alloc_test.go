@@ -64,8 +64,10 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor,
 // single-worker case runs inline and must be allocation-free — with a
 // live tracer too, spans, selection counters and all — on the sparse route
 // (the merged mean handed to SGD.StepSparse, which every compressed case
-// here takes by default) and on the dense one, forced by hiding the
-// exchange's sparse form.
+// here takes by default), on the dense one, forced by hiding the
+// exchange's sparse form, and on the spans route of a dense trainer, whose
+// exchange hands the mean over chunk by chunk through the closure the
+// trainer bound once.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -74,14 +76,17 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		budget  float64
 		traced  bool
 		dense   bool // force the dense route on a compressed trainer
+		spans   bool // exchange through spanExchange
 	}{
-		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0, false, false},
-		{"1worker-sidco-ec-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, false},
-		{"1worker-sidco-ec-dense-route", 1, func() compress.Compressor { return core.NewE() }, 0, false, true},
-		{"1worker-sidco-ec-dense-route-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, true},
-		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8, false, false},
-		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8, false, false},
-		{"2workers-dense", 2, nil, 8, false, false},
+		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0, false, false, false},
+		{"1worker-sidco-ec-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, false, false},
+		{"1worker-sidco-ec-dense-route", 1, func() compress.Compressor { return core.NewE() }, 0, false, true, false},
+		{"1worker-sidco-ec-dense-route-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, true, false},
+		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8, false, false, false},
+		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8, false, false, false},
+		{"2workers-dense", 2, nil, 8, false, false, false},
+		{"1worker-dense-spans-route", 1, nil, 0, false, false, true},
+		{"1worker-dense-spans-route-traced", 1, nil, 0, true, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +98,12 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			tr := allocTrainer(t, tc.workers, tc.factory, tracer)
 			if tc.dense {
 				tr.useExchange(&exchangeRecorder{})
+			}
+			if tc.spans {
+				tr.useExchange(spanExchange{})
+			}
+			if (tr.applyEx != nil) != tc.spans {
+				t.Fatalf("trainer on the spans route = %v, want %v", tr.applyEx != nil, tc.spans)
 			}
 			if sparse := tc.factory != nil && !tc.dense; (tr.sparseEx != nil) != sparse {
 				t.Fatalf("trainer on the sparse route = %v, want %v", tr.sparseEx != nil, sparse)
@@ -111,16 +122,23 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 				t.Errorf("Step allocates %v objects/op in steady state, budget %v", allocs, tc.budget)
 			}
 			nc := agg.NodeTotals(0)
-			if tc.traced && (nc.TargetElems != nc.Steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc.SelectedElems == 0) {
+			if tc.traced && tc.factory != nil && (nc.TargetElems != nc.Steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc.SelectedElems == 0) {
 				t.Errorf("traced run counted %+v", nc)
 			}
 			// One worker: the merged mean is its selection, the dense
 			// aggregate is the model.
-			if want := nc.SelectedElems; tc.traced && !tc.dense && nc.ApplyElems != want {
+			if want := nc.SelectedElems; tc.traced && tc.factory != nil && !tc.dense && nc.ApplyElems != want {
 				t.Errorf("sparse route applied %d elements, the worker selected %d", nc.ApplyElems, want)
 			}
-			if want := nc.Steps * int64(tr.Dim()); tc.traced && tc.dense && nc.ApplyElems != want {
+			if want := nc.Steps * int64(tr.Dim()); tc.traced && (tc.dense || tc.spans) && nc.ApplyElems != want {
 				t.Errorf("dense route applied %d elements over %d steps, want d = %d per step", nc.ApplyElems, nc.Steps, tr.Dim())
+			}
+			if spans := agg.Spans(); tc.traced && tc.spans {
+				for _, sp := range spans {
+					if sp.Kind == telemetry.SpanApply && sp.Count != 3*nc.Steps {
+						t.Errorf("spans route traced %d apply spans over %d steps, want one per chunk", sp.Count, nc.Steps)
+					}
+				}
 			}
 		})
 	}

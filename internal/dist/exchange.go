@@ -33,7 +33,8 @@ type ExchangeInput struct {
 //
 // The default is the in-process reducer below; internal/cluster provides
 // message-passing implementations that ship encoded buffers through real
-// transports. All three also offer the optional SparseExchange form.
+// transports. All three also offer the optional SparseExchange form, and
+// cluster.Node the ApplyExchange form.
 type GradientExchange interface {
 	Exchange(step int, ins []ExchangeInput, agg []float64) error
 }
@@ -56,6 +57,31 @@ type GradientExchange interface {
 type SparseExchange interface {
 	GradientExchange
 	ExchangeSparse(step int, ins []ExchangeInput, mean *tensor.Sparse) (sparse bool, err error)
+}
+
+// ApplyExchange is the optional form of GradientExchange for a dense ring
+// all-reduce, whose mean ends the round in chunks: each lands where the
+// schedule last wrote or received it. ExchangeApply runs such a round and
+// hands apply every chunk where it sits — disjoint spans mean[0:n] of the
+// mean's elements [off, off+n), together covering the model's dimension,
+// each the same value bit for bit that Exchange would leave in agg there —
+// instead of first gathering them into agg. agg is the round's working
+// storage (the ring reduces in it), unspecified afterwards; a span may
+// alias it or a received frame, and is valid only during its apply call.
+//
+// apply runs only once the round has received its last byte, so an attempt
+// that fails, and is retried or returned, has applied nothing. A round
+// that is not a ring is declined: it returns false before any byte moves
+// and the caller runs Exchange. Retries, renegotiation and the error
+// contract are Exchange's.
+//
+// Trainer takes this route whenever the exchange offers it, handing each
+// span to nn.Optimizer.StepSpan; an exchange that does not (InProcess,
+// cluster.Engine, a wrapper that forwards only Exchange) keeps Exchange
+// and StepFlat, with the same weights.
+type ApplyExchange interface {
+	GradientExchange
+	ExchangeApply(step int, ins []ExchangeInput, agg []float64, apply func(off int, mean []float64)) (applied bool, err error)
 }
 
 // InProcess is the shared-memory reducer: sparse contributions are

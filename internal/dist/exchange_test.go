@@ -135,8 +135,41 @@ func (x *scribblingSparseExchange) ExchangeSparse(step int, ins []ExchangeInput,
 	return InProcess{}.ExchangeSparse(step, ins, mean)
 }
 
+// spanExchange is an ApplyExchange in process: InProcess's mean, handed to
+// apply in three chunks out of order, as a ring hands over its own.
+type spanExchange struct{}
+
+func (spanExchange) Exchange(step int, ins []ExchangeInput, agg []float64) error {
+	return InProcess{}.Exchange(step, ins, agg)
+}
+
+func (spanExchange) ExchangeApply(step int, ins []ExchangeInput, agg []float64, apply func(off int, mean []float64)) (bool, error) {
+	if err := (InProcess{}).Exchange(step, ins, agg); err != nil {
+		return true, err
+	}
+	d := len(agg)
+	for _, c := range [][2]int{{2 * d / 3, d}, {0, d / 3}, {d / 3, 2 * d / 3}} {
+		apply(c[0], agg[c[0]:c[1]])
+	}
+	return true, nil
+}
+
+// scribblingApplyExchange is scribblingExchange on the spans route: its
+// first ExchangeApply fails after leaving agg full of NaNs, having applied
+// nothing, as the contract says a failed round does.
+type scribblingApplyExchange struct {
+	scribblingExchange
+}
+
+func (x *scribblingApplyExchange) ExchangeApply(step int, ins []ExchangeInput, agg []float64, apply func(off int, mean []float64)) (bool, error) {
+	if !x.failed {
+		return true, x.Exchange(step, ins, agg)
+	}
+	return spanExchange{}.ExchangeApply(step, ins, agg, apply)
+}
+
 // TestTrainerNeverAppliesFailedExchange holds Trainer.Step to the
-// GradientExchange error contract on both routes: a failed exchange's agg
+// GradientExchange error contract on every route: a failed exchange's agg
 // (or merged mean) is never applied and never leaks into a later step.
 // Each worker redraws one fixed batch and top-k keeps no state, so the
 // failed step has nothing else to leave behind and the retry can be
@@ -144,6 +177,7 @@ func (x *scribblingSparseExchange) ExchangeSparse(step int, ins []ExchangeInput,
 func TestTrainerNeverAppliesFailedExchange(t *testing.T) {
 	t.Run("dense", func(t *testing.T) { neverAppliesFailedExchange(t, &scribblingExchange{}, false) })
 	t.Run("sparse", func(t *testing.T) { neverAppliesFailedExchange(t, &scribblingSparseExchange{}, true) })
+	t.Run("spans", func(t *testing.T) { neverAppliesFailedExchange(t, &scribblingApplyExchange{}, false) })
 }
 
 func neverAppliesFailedExchange(t *testing.T, failing GradientExchange, sparse bool) {

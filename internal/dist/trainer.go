@@ -39,20 +39,34 @@ import (
 
 // TrainerConfig assembles a synchronous data-parallel training run.
 type TrainerConfig struct {
-	// Workers is the number of data-parallel workers N (>= 1).
+	// Workers is the number of data-parallel workers N (>= 1). Workers > 1
+	// trains them all in this process, one goroutine each, over the
+	// in-process reducer or a cluster.Engine: it is the reference a
+	// multi-process deployment (one Workers=1 trainer per rank, see
+	// FirstWorker) is held to. cmd/sidco-node -check trains one such
+	// trainer with the deployment's settings (checkNodeRun) and compares
+	// every global loss with it, bit for bit over the order-preserving
+	// collectives.
 	Workers int
 	// Model is the shared model replica. Weights are read by all workers
 	// during the gradient phase and updated once per step by Opt.
 	Model *nn.Sequential
 	// Loss scores model outputs against integer targets.
 	Loss nn.Loss
-	// Opt applies the aggregated gradient once per step. When it is an
-	// nn.SparseStepper that can step sparsely (plain nn.SGD), every worker
-	// compresses and Exchange is a SparseExchange, the step hands the
-	// exchange's merged sparse mean straight to it and nothing of the
-	// model's dimension is cleared, scattered or swept after the
-	// selection; otherwise the dense aggregate goes through StepFlat. The
-	// weights are the same bit for bit either way.
+	// Opt applies the aggregated gradient once per step, by one of three
+	// routes, resolved once from what Exchange and Opt offer:
+	//   - sparse: when Opt is an nn.SparseStepper that can step sparsely
+	//     (plain nn.SGD), every worker compresses and Exchange is a
+	//     SparseExchange, the exchange's merged sparse mean goes straight to
+	//     StepSparse and nothing of the model's dimension is cleared,
+	//     scattered or swept after the selection;
+	//   - spans: when Exchange is an ApplyExchange (cluster.Node) and the
+	//     round is a dense ring, each chunk of the mean goes to StepSpan
+	//     where the ring left it, and no gathered aggregate is swept again;
+	//   - dense: otherwise the aggregate is gathered whole and goes through
+	//     StepFlat.
+	// A round the first route declines falls to the next. The weights are
+	// the same bit for bit on every route.
 	Opt nn.Optimizer
 	// Batch draws one worker's batch. It is called concurrently for
 	// different workers and must only use the provided per-worker rng for
@@ -98,16 +112,19 @@ type TrainerConfig struct {
 	// in-process losses bit-for-bit. An exchange that also implements
 	// SparseExchange (the in-process reducer and both cluster ones do) is
 	// asked for the merged sparse mean instead of a dense aggregate
-	// whenever Opt can apply one; see Opt.
+	// whenever Opt can apply one, and one that implements ApplyExchange
+	// (cluster.Node) to hand a ring's chunks to Opt where they land; see
+	// Opt.
 	Exchange GradientExchange
 	// Telemetry, if non-nil, traces every step's phases: a step span
 	// plus per-worker compute and compress spans, trainer-level
-	// exchange and apply spans, a steps counter and the apply's element
-	// count (N*k-hat when the sparse mean was applied, d for a dense
-	// aggregate; both node-attributed to FirstWorker) and, beside each
-	// compress span, the worker's selected
-	// and target element counts (k-hat and k) with a count of the steps
-	// whose estimate was corrected, for compressors that report it
+	// exchange and apply spans (on the spans route one apply span per
+	// chunk, inside the exchange span), a steps counter and the apply's
+	// element count (N*k-hat when the sparse mean was applied, d on the
+	// other routes; all node-attributed to FirstWorker) and, beside each
+	// compress span, the worker's selected and target element counts
+	// (k-hat and k) with a count of the steps whose estimate was
+	// corrected, for compressors that report it
 	// (compress.SelectionReporter). A nil tracer is free: the
 	// instrumentation calls are no-ops and the steady-state step stays
 	// allocation-free.
@@ -165,9 +182,14 @@ type Trainer struct {
 	sparseEx  SparseExchange
 	sparseOpt nn.SparseStepper
 	mean      tensor.Sparse
-	tapBuf    []float64
-	iter      int
-	wg        sync.WaitGroup // reused per-step barrier
+	// The spans route: applyEx is nil unless the exchange can hand the mean
+	// over chunk by chunk; apply is applySpan, bound once so a round passes
+	// it without allocating.
+	applyEx ApplyExchange
+	apply   func(off int, mean []float64)
+	tapBuf  []float64
+	iter    int
+	wg      sync.WaitGroup // reused per-step barrier
 }
 
 // NewTrainer validates the configuration and allocates per-worker state.
@@ -235,16 +257,19 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if cfg.Exchange == nil {
 		cfg.Exchange = InProcess{}
 	}
+	t.apply = t.applySpan
 	t.useExchange(cfg.Exchange)
 	return t, nil
 }
 
-// useExchange installs the exchange and resolves the step's route once: the
-// sparse one only when the exchange can hand back a merged sparse mean, the
-// optimizer can apply one exactly, and every worker compresses. Anything
-// that hides either optional interface keeps the dense route.
+// useExchange installs the exchange and resolves the step's routes once:
+// the spans route whenever the exchange offers it, the sparse one only when
+// the exchange can hand back a merged sparse mean, the optimizer can apply
+// one exactly, and every worker compresses. Anything that hides an optional
+// interface keeps the dense route.
 func (t *Trainer) useExchange(ex GradientExchange) {
 	t.exchange, t.sparseEx, t.sparseOpt = ex, nil, nil
+	t.applyEx, _ = ex.(ApplyExchange)
 	for _, w := range t.workers {
 		if w.comp == nil {
 			return
@@ -405,7 +430,7 @@ func (t *Trainer) Step() (float64, error) {
 		ratio += w.ratio
 	}
 	xs := t.cfg.Telemetry.Begin(telemetry.SpanExchange, t.cfg.FirstWorker, -1, int64(t.iter))
-	sparse, err := t.exchangeRound()
+	rt, err := t.exchangeRound()
 	xs.End()
 	if err != nil {
 		return 0, fmt.Errorf("dist: exchange at step %d: %w", t.iter, err) //sidco:alloc exchange-failure error path, not steady state
@@ -414,15 +439,19 @@ func (t *Trainer) Step() (float64, error) {
 	loss *= inv
 	t.LastRatio = ratio * inv
 
-	as := t.cfg.Telemetry.Begin(telemetry.SpanApply, t.cfg.FirstWorker, -1, int64(t.iter))
+	// On the spans route the round applied the mean itself, span by span,
+	// each traced on its own (applySpan).
 	applied := t.dim
-	if sparse {
-		t.sparseOpt.StepSparse(t.params, t.mean.Idx, t.mean.Vals)
-		applied = t.mean.NNZ()
-	} else {
-		t.cfg.Opt.StepFlat(t.params, t.agg)
+	if rt != routeSpans {
+		as := t.cfg.Telemetry.Begin(telemetry.SpanApply, t.cfg.FirstWorker, -1, int64(t.iter))
+		if rt == routeSparse {
+			t.sparseOpt.StepSparse(t.params, t.mean.Idx, t.mean.Vals)
+			applied = t.mean.NNZ()
+		} else {
+			t.cfg.Opt.StepFlat(t.params, t.agg)
+		}
+		as.End()
 	}
-	as.End()
 	t.cfg.Telemetry.Count(telemetry.CounterApplyElems, t.cfg.FirstWorker, -1, int64(applied))
 	t.iter++
 	t.cfg.Telemetry.Count(telemetry.CounterSteps, t.cfg.FirstWorker, -1, 1)
@@ -430,20 +459,44 @@ func (t *Trainer) Step() (float64, error) {
 	return loss, nil
 }
 
-// exchangeRound aggregates t.ins: into t.mean when the sparse route is open
-// and the exchange runs the round sparse (true), else into the dense t.agg.
+// route names where a round left the mean for the optimizer.
+type route uint8
+
+const (
+	routeDense  route = iota // gathered whole into t.agg, for StepFlat
+	routeSparse              // merged into t.mean, for StepSparse
+	routeSpans               // already applied, chunk by chunk (applySpan)
+)
+
+// exchangeRound aggregates t.ins by the first open route whose exchange
+// takes the round: sparse, then spans, then dense.
 //
 //sidco:hotpath
-func (t *Trainer) exchangeRound() (sparse bool, err error) {
+func (t *Trainer) exchangeRound() (route, error) {
 	if t.sparseEx != nil {
-		if sparse, err = t.sparseEx.ExchangeSparse(t.iter, t.ins, &t.mean); sparse || err != nil {
-			return sparse, err
+		if sparse, err := t.sparseEx.ExchangeSparse(t.iter, t.ins, &t.mean); sparse || err != nil {
+			return routeSparse, err
 		}
 	}
 	if t.agg == nil {
 		t.agg = make([]float64, t.dim) //sidco:alloc the first dense round only
 	}
-	return false, t.exchange.Exchange(t.iter, t.ins, t.agg)
+	if t.applyEx != nil {
+		if applied, err := t.applyEx.ExchangeApply(t.iter, t.ins, t.agg, t.apply); applied || err != nil {
+			return routeSpans, err
+		}
+	}
+	return routeDense, t.exchange.Exchange(t.iter, t.ins, t.agg)
+}
+
+// applySpan is the spans route's hand-over of one chunk of the round's mean
+// to the optimizer, traced as an apply span of its own.
+//
+//sidco:hotpath
+func (t *Trainer) applySpan(off int, mean []float64) {
+	as := t.cfg.Telemetry.Begin(telemetry.SpanApply, t.cfg.FirstWorker, -1, int64(t.iter))
+	t.cfg.Opt.StepSpan(t.params, off, mean)
+	as.End()
 }
 
 // Run executes iters steps and returns the per-iteration mean losses and

@@ -13,8 +13,24 @@ type Optimizer interface {
 	Step(params []*Param)
 	// StepFlat applies one update from a flat aggregated gradient (the
 	// distributed path: gradients arrive from the collective, not from
-	// local Backward).
+	// local Backward). It is StepSpan over the whole vector.
 	StepFlat(params []*Param, flat []float64)
+	// StepSpan applies one update to the elements [off, off+len(grad)) of
+	// the flat parameter vector from their gradient grad and leaves every
+	// other weight alone. An element's update reads only that element's
+	// gradient, weight and state, so disjoint spans covering the vector, in
+	// any order, leave the weights bit for bit where StepFlat over their
+	// concatenation does: a dense ring hands over each chunk of the mean
+	// where it landed (dist.ApplyExchange).
+	StepSpan(params []*Param, off int, grad []float64)
+}
+
+// spanOf returns the part of a parameter of n elements, whose first element
+// sits at start of the flat vector, that the span [off, end) covers: its
+// indices [lo, hi), empty when the two do not meet.
+func spanOf(start, n, off, end int) (lo, hi int) {
+	lo = min(max(off-start, 0), n)
+	return lo, min(max(end-start, lo), n)
 }
 
 // SparseStepper is the optional form of Optimizer.StepFlat for an
@@ -57,17 +73,22 @@ func (s *SGD) Step(params []*Param) {
 }
 
 // StepFlat implements Optimizer.
-func (s *SGD) StepFlat(params []*Param, flat []float64) {
-	off := 0
+func (s *SGD) StepFlat(params []*Param, flat []float64) { s.StepSpan(params, 0, flat) }
+
+// StepSpan implements Optimizer.
+func (s *SGD) StepSpan(params []*Param, off int, grad []float64) {
+	start, end := 0, off+len(grad)
 	for _, p := range params {
-		// One reslice per parameter keeps the d-sized loop check-free.
-		w := p.W
-		f := flat[off : off+len(w)]
-		for i := range w {
-			g := f[i] + s.WeightDecay*w[i]
-			w[i] -= s.LR * g
+		if lo, hi := spanOf(start, len(p.W), off, end); lo < hi {
+			// One reslice per parameter keeps the d-sized loop check-free.
+			w := p.W[lo:hi]
+			f := grad[start+lo-off:][:len(w)]
+			for i := range w {
+				g := f[i] + s.WeightDecay*w[i]
+				w[i] -= s.LR * g
+			}
 		}
-		off += len(w)
+		start += len(p.W)
 	}
 }
 
@@ -155,23 +176,28 @@ func (m *Momentum) Step(params []*Param) {
 }
 
 // StepFlat implements Optimizer.
-func (m *Momentum) StepFlat(params []*Param, flat []float64) {
-	off := 0
+func (m *Momentum) StepFlat(params []*Param, flat []float64) { m.StepSpan(params, 0, flat) }
+
+// StepSpan implements Optimizer.
+func (m *Momentum) StepSpan(params []*Param, off int, grad []float64) {
+	start, end := 0, off+len(grad)
 	for _, p := range params {
-		// One reslice per parameter keeps the d-sized loop check-free.
-		w := p.W
-		f := flat[off : off+len(w)]
-		v := m.velocity(p)[:len(w)]
-		for i := range w {
-			g := f[i] + m.WeightDecay*w[i]
-			v[i] = m.Mu*v[i] + g
-			if m.Nesterov {
-				w[i] -= m.LR * (g + m.Mu*v[i])
-			} else {
-				w[i] -= m.LR * v[i]
+		if lo, hi := spanOf(start, len(p.W), off, end); lo < hi {
+			// One reslice per parameter keeps the d-sized loop check-free.
+			w := p.W[lo:hi]
+			f := grad[start+lo-off:][:len(w)]
+			v := m.velocity(p)[lo:][:len(w)]
+			for i := range w {
+				g := f[i] + m.WeightDecay*w[i]
+				v[i] = m.Mu*v[i] + g
+				if m.Nesterov {
+					w[i] -= m.LR * (g + m.Mu*v[i])
+				} else {
+					w[i] -= m.LR * v[i]
+				}
 			}
 		}
-		off += len(w)
+		start += len(p.W)
 	}
 }
 

@@ -193,6 +193,56 @@ func TestStepSparseMatchesStepFlat(t *testing.T) {
 	decayed.StepSparse(build(), []int32{0}, []float64{1})
 }
 
+// TestStepSpanMatchesStepFlat holds StepSpan to StepFlat on
+// math.Float64bits: the vector cut into disjoint spans — one inside a
+// parameter, ones across a boundary, an empty one, the whole vector — and
+// the spans applied out of order, over three steps so momentum carries
+// velocity from one to the next, for every optimizer setting the trainer
+// hands a dense ring's chunks to.
+func TestStepSpanMatchesStepFlat(t *testing.T) {
+	build := func() []*Param {
+		rng := rand.New(rand.NewSource(21))
+		params := []*Param{newParam("a", 3), newParam("b", 1), newParam("c", 2, 2)}
+		for _, p := range params {
+			for i := range p.W {
+				p.W[i] = rng.NormFloat64()
+			}
+		}
+		return params
+	}
+	cuts := map[string][][2]int{
+		"whole":    {{0, 8}},
+		"boundary": {{5, 8}, {2, 5}, {0, 2}},
+		"inside":   {{4, 4}, {6, 8}, {1, 2}, {0, 1}, {3, 6}, {2, 3}},
+	}
+	opts := map[string]func() Optimizer{
+		"sgd":      func() Optimizer { return &SGD{LR: 0.1} },
+		"sgd-wd":   func() Optimizer { return &SGD{LR: 0.1, WeightDecay: 1e-2} },
+		"momentum": func() Optimizer { return &Momentum{LR: 0.1, Mu: 0.9} },
+		"nesterov": func() Optimizer { return &Momentum{LR: 0.1, Mu: 0.9, Nesterov: true, WeightDecay: 1e-2} },
+	}
+	for on, newOpt := range opts {
+		for cn, spans := range cuts {
+			t.Run(on+"/"+cn, func(t *testing.T) {
+				flat, spanned := build(), build()
+				fo, so := newOpt(), newOpt()
+				rng := rand.New(rand.NewSource(5))
+				grad := make([]float64, ParamCount(flat))
+				for step := 0; step < 3; step++ {
+					for i := range grad {
+						grad[i] = rng.NormFloat64()
+					}
+					fo.StepFlat(flat, grad)
+					for _, sp := range spans {
+						so.StepSpan(spanned, sp[0], grad[sp[0]:sp[1]])
+					}
+				}
+				bitsEqual(t, "weights", FlattenWeights(spanned, nil), FlattenWeights(flat, nil))
+			})
+		}
+	}
+}
+
 // TestMomentumIsNotASparseStepper: its velocity decays where the gradient
 // is zero, so it must keep getting the dense aggregate.
 func TestMomentumIsNotASparseStepper(t *testing.T) {

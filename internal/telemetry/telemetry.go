@@ -47,7 +47,8 @@ const (
 	SpanExchange
 	// SpanApply is the optimizer update: StepSparse over the merged sparse
 	// mean or StepFlat over a dense aggregate (CounterApplyElems says
-	// which, by size).
+	// which, by size), or one StepSpan over a chunk a dense ring handed
+	// over inside the exchange (one span per chunk).
 	SpanApply
 	// SpanCollective is one node's share of one collective round
 	// (cluster's sched: ring / all-gather / parameter-server), or one
@@ -147,7 +148,7 @@ const (
 	// update was handed (Node = the trainer's first worker), step by step:
 	// the merged sparse mean's non-zeros, at most Workers*k-hat, when the
 	// step stayed sparse after the selection, the model dimension d when it
-	// applied a dense aggregate.
+	// applied a dense aggregate, whole or a ring's chunks one by one.
 	CounterApplyElems
 	// CounterRecoveries counts a cluster node's agreed membership
 	// renegotiations (Node = the node): one per step failure it survived
