@@ -109,7 +109,9 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 //
 // On a lending transport every received frame goes back: a reduce-scatter
 // frame once it is reduced, an all-gather frame once it is copied into out
-// and, but for the last, forwarded; the last once applied.
+// and, but for the last, forwarded; the last once applied. Every received
+// chunk is read where it landed when the host's byte order and the frame's
+// alignment allow (f64sOf): reduced, copied or applied straight from it.
 func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, src, out []float64, apply func(off int, mean []float64)) error {
 	pos, err := checkMember(tp, members, self)
 	if err != nil {
@@ -309,27 +311,37 @@ func ringWire(xs []float64) []byte {
 }
 
 // f64View reinterprets xs's memory as bytes, without copying; on a
-// little-endian host they are exactly f64Bytes(xs). It and f64Frame are the
+// little-endian host they are exactly f64Bytes(xs). It and f64sOf are the
 // package's uses of unsafe. The view aliases xs, so it may be sent only
 // under the Transport's reuse rule (receivers never write a payload).
 func f64View(xs []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
 }
 
-// f64Frame returns a received ring chunk's values: buf itself, viewed as
-// float64s without copying, on a little-endian host when buf starts on an
-// 8-byte boundary; else decoded into dst (f64Copy), which it returns. The
-// view aliases buf, so it is read only while the receiver still holds the
-// frame.
+// f64sOf reinterprets a received ring chunk's bytes as its float64 values,
+// without copying: ok only on a little-endian host and when buf starts on an
+// 8-byte boundary (a Go allocation of 8 bytes or more does; a payload sliced
+// out of a larger frame need not). The view aliases buf, so it is read only
+// while the receiver still holds the payload.
+func f64sOf(buf []byte) (xs []float64, ok bool) {
+	p := unsafe.Pointer(unsafe.SliceData(buf))
+	if !littleEndian || uintptr(p)%8 != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float64)(p), len(buf)/8), true
+}
+
+// f64Frame returns a received ring chunk's values where they are: buf
+// itself (f64sOf) or, where it cannot be viewed, buf decoded into dst,
+// which it returns.
 //
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 func f64Frame(dst []float64, buf []byte) ([]float64, error) {
 	if len(buf) != 8*len(dst) {
 		return nil, fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
 	}
-	p := unsafe.Pointer(unsafe.SliceData(buf))
-	if littleEndian && len(buf) > 0 && uintptr(p)%8 == 0 {
-		return unsafe.Slice((*float64)(p), len(dst)), nil
+	if xs, ok := f64sOf(buf); ok {
+		return xs, nil
 	}
 	return dst, f64Copy(dst, buf)
 }
@@ -345,7 +357,9 @@ func f64Bytes(xs []float64) []byte {
 	return buf
 }
 
-// f64Sum writes dst = src + buf elementwise.
+// f64Sum writes dst = src + buf elementwise, reading buf in place where
+// f64sOf can view it (dst and src may alias, so a view cannot be made by
+// decoding into dst first).
 //
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 func f64Sum(dst, src []float64, buf []byte) error {
@@ -353,13 +367,21 @@ func f64Sum(dst, src []float64, buf []byte) error {
 		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
 	}
 	src = src[:len(dst)]
+	if xs, ok := f64sOf(buf); ok {
+		xs = xs[:len(dst)]
+		for i := range dst {
+			dst[i] = src[i] + xs[i]
+		}
+		return nil
+	}
 	for i := range dst {
 		dst[i] = src[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return nil
 }
 
-// f64Mean writes dst = (src + buf) * inv elementwise.
+// f64Mean writes dst = (src + buf) * inv elementwise, reading buf as f64Sum
+// does.
 //
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 func f64Mean(dst, src []float64, buf []byte, inv float64) error {
@@ -367,16 +389,30 @@ func f64Mean(dst, src []float64, buf []byte, inv float64) error {
 		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
 	}
 	src = src[:len(dst)]
+	if xs, ok := f64sOf(buf); ok {
+		xs = xs[:len(dst)]
+		for i := range dst {
+			dst[i] = (src[i] + xs[i]) * inv
+		}
+		return nil
+	}
 	for i := range dst {
 		dst[i] = (src[i] + math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))) * inv
 	}
 	return nil
 }
 
+// f64Copy decodes buf into dst: a copy of the viewed values where f64sOf
+// can view buf.
+//
 //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 func f64Copy(dst []float64, buf []byte) error {
 	if len(buf) != 8*len(dst) {
 		return fmt.Errorf("payload %d bytes, want %d", len(buf), 8*len(dst))
+	}
+	if xs, ok := f64sOf(buf); ok {
+		copy(dst, xs)
+		return nil
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))

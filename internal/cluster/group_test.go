@@ -458,15 +458,25 @@ func TestRingWireMatchesF64Bytes(t *testing.T) {
 	}
 }
 
-// TestF64FrameViewsOnlyAlignedFrames: the last all-gather chunk is read in
+// TestF64FrameViewsOnlyAlignedFrames: a received ring chunk is read in
 // place only from a frame that starts on an 8-byte boundary of a
-// little-endian host; any other frame is decoded into the destination.
-// Either way the values are the wire's bit for bit, and a frame of the
-// wrong length is refused before anything is read.
+// little-endian host; any other frame is decoded. Either way f64Frame,
+// f64Copy, f64Sum and f64Mean compute the wire's values bit for bit (the
+// reduces also with dst aliasing src, as the ring's in-place callers do),
+// and a frame of the wrong length is refused before anything is read.
 func TestF64FrameViewsOnlyAlignedFrames(t *testing.T) {
 	xs := []float64{math.Copysign(0, -1), math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64, -1.5}
+	src := []float64{0, -1, 2, math.SmallestNonzeroFloat64, 1e300}
 	wire := f64Bytes(xs)
 	buf := make([]byte, len(wire)+1)
+	same := func(what string, shift int, got []float64, want func(i int) float64) {
+		t.Helper()
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want(i)) {
+				t.Errorf("offset %d: %s element %d = %#x, want %#x", shift, what, i, math.Float64bits(got[i]), math.Float64bits(want(i)))
+			}
+		}
+	}
 	for _, shift := range []int{0, 1} {
 		frame := buf[shift : shift+len(wire)]
 		copy(frame, wire)
@@ -479,13 +489,28 @@ func TestF64FrameViewsOnlyAlignedFrames(t *testing.T) {
 		if want := littleEndian && shift == 0; inPlace != want {
 			t.Errorf("offset %d: read in place = %v, want %v", shift, inPlace, want)
 		}
-		for i := range xs {
-			if math.Float64bits(got[i]) != math.Float64bits(xs[i]) {
-				t.Errorf("offset %d: element %d = %#x, want %#x", shift, i, math.Float64bits(got[i]), math.Float64bits(xs[i]))
-			}
+		same("frame", shift, got, func(i int) float64 { return xs[i] })
+		if err := f64Copy(dst, frame); err != nil {
+			t.Fatal(err)
 		}
+		same("copy", shift, dst, func(i int) float64 { return xs[i] })
+		sum := append([]float64(nil), src...)
+		if err := f64Sum(sum, sum, frame); err != nil {
+			t.Fatal(err)
+		}
+		same("sum", shift, sum, func(i int) float64 { return src[i] + xs[i] })
+		mean := append([]float64(nil), src...)
+		if err := f64Mean(mean, mean, frame, 0.25); err != nil {
+			t.Fatal(err)
+		}
+		same("mean", shift, mean, func(i int) float64 { return (src[i] + xs[i]) * 0.25 })
 	}
-	if _, err := f64Frame(make([]float64, len(xs)), wire[:len(wire)-8]); err == nil {
+	short := wire[:len(wire)-8]
+	if _, err := f64Frame(make([]float64, len(xs)), short); err == nil {
 		t.Error("a short frame was accepted")
+	}
+	if f64Copy(make([]float64, len(xs)), short) == nil || f64Sum(make([]float64, len(xs)), src, short) == nil ||
+		f64Mean(make([]float64, len(xs)), src, short, 1) == nil {
+		t.Error("a short frame was reduced or copied")
 	}
 }
