@@ -7,9 +7,9 @@
 // Over the lossless wire format
 // the deployment reproduces the single-process in-process trainer's
 // global loss sequence bit-for-bit, which -check asserts per process —
-// and over the quantized all-gather wires (-format pairs, pairs-f16,
-// pairs-bf16, pairs-i8) too, because error feedback pre-rounds every
-// selected value to wire precision before it ships.
+// and over the lossy all-gather wires (-format bitmap, pairs-bf16) too,
+// because error feedback pre-rounds every selected value to wire
+// precision before it ships.
 //
 // Host list: a comma-separated -hosts value or a -hostfile with one
 // host:port per line; entry i is node i's listen address. Under
@@ -22,7 +22,7 @@
 //	sidco-node -launch 4 -collective ps -compressor topk
 //	sidco-node -node 0 -hosts host0:7000,host1:7000,host2:7000 -iters 8
 //	sidco-node -node 2 -hostfile hosts.txt -collective allgather -check
-//	sidco-node -launch 4 -format pairs-i8 -check    # int8 wire (~8x fewer value bytes), still bit-gated via EC pre-rounding
+//	sidco-node -launch 4 -format pairs-bf16 -check  # bfloat16 wire (4x fewer value bytes), still bit-gated via EC pre-rounding
 //	sidco-node -launch 4 -metrics auto -check   # + per-process /metrics endpoints, scrape-verified
 //
 // -launch spawns the whole deployment on this machine (kernel-assigned
@@ -172,7 +172,7 @@ func newDeployment(stderr io.Writer) *deployment {
 	fs.StringVar(&d.compressor, "compressor", "sidco-e", "registry compressor (none: dense training)")
 	fs.Float64Var(&d.delta, "delta", 0.05, "compression ratio k/d")
 	fs.Int64Var(&d.seed, "seed", 1, "random seed")
-	fs.StringVar(&d.format, "format", "lossless", "gradient wire format: lossless, pairs, bitmap, dense, delta-varint, pairs-f16, pairs-bf16 or pairs-i8 (lossy wires pair with error feedback, which absorbs the rounding residual)")
+	fs.StringVar(&d.format, "format", "lossless", "gradient wire format: lossless (float64 pairs), bitmap (float32) or pairs-bf16 (lossy wires pair with error feedback, which absorbs the rounding residual)")
 	fs.BoolVar(&d.check, "check", false, "verify global losses bit-identical to the in-process trainer and per-node traffic against the collective formulas")
 	fs.StringVar(&d.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
 	fs.StringVar(&d.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")

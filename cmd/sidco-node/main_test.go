@@ -74,12 +74,12 @@ func TestCheckViable(t *testing.T) {
 		{"lossless all-gather", netsim.CollectiveAllGather, nil, ""},
 		{"lossless ps", netsim.CollectivePS, nil, ""},
 		{"ring, lossless", netsim.CollectiveRing, nil, ""},
-		{"int8 all-gather, pre-rounded by EC", netsim.CollectiveAllGather, []string{"-format", "pairs-i8"}, ""},
-		{"lossy ps re-encodes the mean", netsim.CollectivePS, []string{"-format", "pairs"}, "re-encodes"},
-		{"lossy all-gather, nothing pre-rounds", netsim.CollectiveAllGather, []string{"-format", "pairs", "-compressor", "none"}, "lossy"},
-		{"auto, dense, lossy: the ring keeps its tolerance", netsim.CollectiveAuto, []string{"-format", "pairs", "-compressor", "none"}, ""},
-		{"auto, compressed, lossy: an all-gather EC pre-rounds for", netsim.CollectiveAuto, []string{"-format", "pairs-f16"}, ""},
-		{"lossy ps without -check", netsim.CollectivePS, []string{"-format", "pairs", "-check=false"}, ""},
+		{"bf16 all-gather, pre-rounded by EC", netsim.CollectiveAllGather, []string{"-format", "pairs-bf16"}, ""},
+		{"lossy ps re-encodes the mean", netsim.CollectivePS, []string{"-format", "bitmap"}, "re-encodes"},
+		{"lossy all-gather, nothing pre-rounds", netsim.CollectiveAllGather, []string{"-format", "bitmap", "-compressor", "none"}, "lossy"},
+		{"auto, dense, lossy: the ring keeps its tolerance", netsim.CollectiveAuto, []string{"-format", "bitmap", "-compressor", "none"}, ""},
+		{"auto, compressed, lossy: an all-gather EC pre-rounds for", netsim.CollectiveAuto, []string{"-format", "bitmap"}, ""},
+		{"lossy ps without -check", netsim.CollectivePS, []string{"-format", "bitmap", "-check=false"}, ""},
 		{"unknown wire", netsim.CollectiveAllGather, []string{"-format", "nope"}, "nope"},
 		{"resume topk", netsim.CollectiveAllGather, []string{"-resume", ck, "-compressor", "topk"}, ""},
 		{"resume redsync", netsim.CollectiveAllGather, []string{"-resume", ck, "-compressor", "redsync"}, ""},
@@ -109,7 +109,7 @@ func TestCheckViable(t *testing.T) {
 // pass fails at once.
 func TestLaunchRefusesUnviableCheck(t *testing.T) {
 	for _, args := range [][]string{
-		{"-launch", "2", "-collective", "ps", "-format", "pairs", "-iters", "30", "-check"},
+		{"-launch", "2", "-collective", "ps", "-format", "bitmap", "-iters", "30", "-check"},
 		{"-launch", "2", "-compressor", "dgc", "-iters", "8", "-resume", "ck", "-check"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -132,6 +132,12 @@ func TestRefusedBeforeAnythingStarts(t *testing.T) {
 		{[]string{"-compressor", "nope"}, `unknown compressor "nope"`},
 		{[]string{"-delta", "2"}, "Delta = 2 outside (0, 1]"},
 		{[]string{"-ckpt", "ck", "-ckpt-every", "0"}, "-ckpt-every 0"},
+		// The retired wire formats.
+		{[]string{"-format", "pairs"}, `unknown wire format "pairs"`},
+		{[]string{"-format", "dense"}, `unknown wire format "dense"`},
+		{[]string{"-format", "delta-varint"}, `unknown wire format "delta-varint"`},
+		{[]string{"-format", "pairs-f16"}, `unknown wire format "pairs-f16"`},
+		{[]string{"-format", "pairs-i8"}, `unknown wire format "pairs-i8"`},
 	} {
 		for _, mode := range [][]string{{"-launch", "2"}, {"-node", "0", "-hosts", "127.0.0.1:1,127.0.0.1:2"}} {
 			args := append(slices.Clone(mode), c.args...)
@@ -247,7 +253,7 @@ func TestRanksInProcess(t *testing.T) {
 		{"allgather", 4, same("-check"), "node 0: final global loss 1.5272474477263176 over 6 iterations"},
 		{"ps", 3, same("-collective", "ps", "-compressor", "topk", "-check"), "bit-identical to in-process"},
 		{"ring", 3, same("-collective", "ring", "-compressor", "none", "-check"), "within ring tolerance of in-process"},
-		{"pairs-i8", 3, same("-format", "pairs-i8", "-check"), "bit-identical to in-process"},
+		{"pairs-bf16", 3, same("-format", "pairs-bf16", "-check"), "bit-identical to in-process"},
 		{"metrics and telemetry", 3, func(r int) []string {
 			return []string{"-metrics", "127.0.0.1:0", "-telemetry", rankPath(tel, r), "-check"}
 		}, "(sparse after the selection)"},

@@ -31,8 +31,10 @@ type Config struct {
 	// Format is the wire format for encoded gradient payloads. The zero
 	// value WireLossless (encoding.FormatPairs64) makes all-gather and
 	// parameter-server exchanges reproduce the in-process reducer
-	// bit-for-bit; the float32 wires model what production fabrics
-	// actually ship.
+	// bit-for-bit. WireBitmap (float32 values) is the parameter server's
+	// cheapest wire at moderate densities, and WirePairsBF16 the
+	// all-gather's on a slow link; with error feedback pre-rounding to
+	// either, the all-gather stays bit-identical too.
 	Format Wire
 	// Transport must span NodeCount(Workers, Collective) nodes. NewNode
 	// requires one — typically a TCPTransport hosting this rank over the
@@ -158,24 +160,12 @@ const (
 	// WireLossless ships encoding.FormatPairs64: 12 bytes per element,
 	// float64 values bit-for-bit.
 	WireLossless Wire = iota
-	// WirePairs ships encoding.FormatPairs: 8 bytes per element, float32.
-	WirePairs
-	// WireBitmap ships encoding.FormatBitmap.
+	// WireBitmap ships encoding.FormatBitmap: a d-bit presence bitmap
+	// plus 4 bytes per element, float32 values.
 	WireBitmap
-	// WireDense ships encoding.FormatDense.
-	WireDense
-	// WireDeltaVarint ships encoding.FormatDeltaVarint.
-	WireDeltaVarint
-	// WirePairsF16 ships encoding.FormatPairsF16: 6 bytes per element,
-	// IEEE binary16 values.
-	WirePairsF16
 	// WirePairsBF16 ships encoding.FormatPairsBF16: 6 bytes per
 	// element, bfloat16 values.
 	WirePairsBF16
-	// WirePairsI8 ships encoding.FormatPairsI8: 5 bytes per element
-	// plus a 4-byte payload-wide scale, absmax-scaled int8 values — the
-	// most aggressive quantized wire (8x smaller values than lossless).
-	WirePairsI8
 )
 
 // String implements fmt.Stringer; the names are what ParseWire accepts.
@@ -183,20 +173,10 @@ func (w Wire) String() string {
 	switch w {
 	case WireLossless:
 		return "lossless"
-	case WirePairs:
-		return "pairs"
 	case WireBitmap:
 		return "bitmap"
-	case WireDense:
-		return "dense"
-	case WireDeltaVarint:
-		return "delta-varint"
-	case WirePairsF16:
-		return "pairs-f16"
 	case WirePairsBF16:
 		return "pairs-bf16"
-	case WirePairsI8:
-		return "pairs-i8"
 	default:
 		return fmt.Sprintf("wire(%d)", int(w))
 	}
@@ -207,12 +187,12 @@ func (w Wire) String() string {
 //
 //sidco:errclass flag validation, deliberately fatal
 func ParseWire(name string) (Wire, error) {
-	for w := WireLossless; w <= WirePairsI8; w++ {
+	for w := WireLossless; w <= WirePairsBF16; w++ {
 		if w.String() == name {
 			return w, nil
 		}
 	}
-	return 0, fmt.Errorf("cluster: unknown wire format %q (want lossless, pairs, bitmap, dense, delta-varint, pairs-f16, pairs-bf16 or pairs-i8)", name)
+	return 0, fmt.Errorf("cluster: unknown wire format %q (want lossless, bitmap or pairs-bf16)", name)
 }
 
 // Format maps the wire selector onto its encoding format.
@@ -222,20 +202,10 @@ func (w Wire) Format() (encoding.Format, error) {
 	switch w {
 	case WireLossless:
 		return encoding.FormatPairs64, nil
-	case WirePairs:
-		return encoding.FormatPairs, nil
 	case WireBitmap:
 		return encoding.FormatBitmap, nil
-	case WireDense:
-		return encoding.FormatDense, nil
-	case WireDeltaVarint:
-		return encoding.FormatDeltaVarint, nil
-	case WirePairsF16:
-		return encoding.FormatPairsF16, nil
 	case WirePairsBF16:
 		return encoding.FormatPairsBF16, nil
-	case WirePairsI8:
-		return encoding.FormatPairsI8, nil
 	default:
 		return 0, fmt.Errorf("cluster: unknown wire format %d", int(w))
 	}

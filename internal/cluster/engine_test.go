@@ -219,16 +219,6 @@ func TestEngineBytesPerStepMatchEncodingAccounting(t *testing.T) {
 			e.Close()
 		}
 	})
-	t.Run("allgather-pairs32", func(t *testing.T) {
-		_, e := engineExchange(t, Config{
-			Workers: workers, Collective: netsim.CollectiveAllGather, Format: WirePairs,
-		}, ins, dim)
-		defer e.Close()
-		_, bytes := e.Transport().Totals()
-		if want := (workers - 1) * workers * encoding.PairsSize(dim, nnz); bytes != want {
-			t.Errorf("measured %d bytes, encoding accounting says %d", bytes, want)
-		}
-	})
 	t.Run("ps-pairs64", func(t *testing.T) {
 		e, err := New(Config{Workers: workers, Collective: netsim.CollectivePS})
 		if err != nil {

@@ -270,7 +270,7 @@ func (t *Instrumented) Compute(node int, seconds float64) {
 	}
 	t.mu.Lock()
 	start := t.clock[node]
-	t.clock[node] = start + seconds*t.straggler(node)
+	t.clock[node] = start + float64(seconds*t.straggler(node))
 	end := t.clock[node]
 	t.mu.Unlock()
 	t.tel.Virtual(telemetry.SpanCompute, node, -1, t.step.Load(), -1, 0,

@@ -16,7 +16,7 @@ import (
 func TestQuantizedWireTrafficMatchesAccounting(t *testing.T) {
 	const dim, workers = 400, 4
 	ins := randomInputs(t, workers, dim, 0.05, 23)
-	for _, wire := range []Wire{WireLossless, WirePairs, WirePairsF16, WirePairsBF16, WirePairsI8} {
+	for _, wire := range []Wire{WireLossless, WirePairsBF16} {
 		format, err := wire.Format()
 		if err != nil {
 			t.Fatal(err)
@@ -45,18 +45,16 @@ func TestQuantizedWireTrafficMatchesAccounting(t *testing.T) {
 
 // TestQuantizedWireTrainingValueExact: with error feedback pre-rounding
 // each selection to the wire's decoded precision, training over the
-// pairs-i8 all-gather is bit-identical — losses and final weights — to
+// pairs-bf16 all-gather is bit-identical — losses and final weights — to
 // the in-process trainer fed the same pre-rounded selections, for every
-// registry compressor. A selection is always encoded whole, so the int8
-// scale the wire derives is the one the pre-round used; there is no
-// configuration of the all-gather this does not hold for.
+// registry compressor.
 func TestQuantizedWireTrainingValueExact(t *testing.T) {
 	const workers, iters = 4, 5
-	format := encoding.FormatPairsI8
+	format := encoding.FormatPairsBF16
 	for _, comp := range registryNames {
 		t.Run(comp, func(t *testing.T) {
 			e, err := New(Config{
-				Workers: workers, Collective: netsim.CollectiveAllGather, Format: WirePairsI8, Verify: true,
+				Workers: workers, Collective: netsim.CollectiveAllGather, Format: WirePairsBF16, Verify: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +76,7 @@ func TestQuantizedWireTrainingValueExact(t *testing.T) {
 func TestQuantizedWireAggregates(t *testing.T) {
 	const dim, workers = 257, 3
 	ins := randomInputs(t, workers, dim, 0.1, 29)
-	for _, wire := range []Wire{WirePairsF16, WirePairsBF16, WirePairsI8} {
+	for _, wire := range []Wire{WirePairsBF16} {
 		format, err := wire.Format()
 		if err != nil {
 			t.Fatal(err)

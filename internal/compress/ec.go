@@ -43,10 +43,9 @@ func NewErrorFeedback(inner Compressor) *ErrorFeedback {
 }
 
 // SetWireFormat makes the wrapper pre-round selected values to format
-// f's decoded precision before computing the residual. A selection is
-// encoded whole, so the rounding is wire-exact for every format —
-// including FormatPairsI8, whose scale derives from the whole value
-// stream.
+// f's decoded precision before computing the residual. Every format
+// rounds each value on its own, so the pre-round is wire-exact however
+// the selection is later encoded.
 func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 	e.wire = f
 	e.wireSet = true

@@ -58,7 +58,7 @@ func (c *GaussianKSGD) CompressInto(dst *tensor.Sparse, g []float64, delta float
 	k := TargetK(d, delta)
 
 	fit := stats.FitGaussian(g)
-	base := math.Abs(fit.Mu) + fit.Sigma*stats.NormalQuantile(1-delta/2)
+	base := math.Abs(fit.Mu) + float64(fit.Sigma*stats.NormalQuantile(1-float64(delta/2)))
 	if base <= 0 || math.IsNaN(base) {
 		base = stats.MaxAbs(g)
 	}

@@ -56,10 +56,10 @@ func (r *RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) e
 	}
 
 	lo, hi := 0.0, 1.0
-	eta := mean + 0.5*(max-mean)
+	eta := mean + float64(0.5*(max-mean))
 	for iter := 0; iter < r.MaxIters; iter++ {
 		ratio := (lo + hi) / 2
-		eta = mean + ratio*(max-mean)
+		eta = mean + float64(ratio*(max-mean))
 		nnz := tensor.CountAboveThreshold(g, eta)
 		if float64(nnz) >= float64(k) && float64(nnz) <= r.AcceptFactor*float64(k) {
 			break

@@ -118,7 +118,7 @@ func TestFusedAccumulateMatchesUnfused(t *testing.T) {
 		for _, sid := range fusedSIDs {
 			for _, delta := range []float64{0.1, 0.01, 0.001} {
 				for maxStages := 0; maxStages <= 4; maxStages++ {
-					for _, wire := range []encoding.Format{wireUnset, encoding.FormatPairsF16, encoding.FormatPairsI8} {
+					for _, wire := range []encoding.Format{wireUnset, encoding.FormatBitmap, encoding.FormatPairsBF16} {
 						if n++; n%stride != 0 {
 							continue
 						}
@@ -144,9 +144,9 @@ func TestFusedAccumulateMatchesUnfusedD2M(t *testing.T) {
 	for _, workload := range fusedWorkloads {
 		gen := profileGenerator(t, workload, 1<<21)
 		pairs := []*fusedPair{
-			newFusedPair(core.SIDExponential, 0.001, 5, encoding.FormatPairsI8),
+			newFusedPair(core.SIDExponential, 0.001, 5, encoding.FormatPairsBF16),
 			newFusedPair(core.SIDGammaGP, 0.001, 0, wireUnset),
-			newFusedPair(core.SIDGP, 0.01, 3, encoding.FormatPairsF16),
+			newFusedPair(core.SIDGP, 0.01, 3, encoding.FormatBitmap),
 		}
 		g := make([]float64, 1<<21)
 		for i := 0; i < fusedSteps; i++ {

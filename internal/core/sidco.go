@@ -388,7 +388,7 @@ func (s *SIDCo) nextStageThreshold(l *exceedList, delta float64) float64 {
 // Corollary 1.1: eta = beta * log(1/delta), with beta the MLE scale
 // (mean absolute gradient).
 func ThresholdExp(beta, delta float64) float64 {
-	return beta * math.Log(1/delta)
+	return float64(beta * math.Log(1/delta)) // rounded: callers add to it
 }
 
 // ThresholdGamma is the closed-form approximation of Corollary 1.2:

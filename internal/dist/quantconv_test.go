@@ -42,28 +42,32 @@ func quantTrainer(t *testing.T, wire *encoding.Format, seed int64) *Trainer {
 	return tr
 }
 
-// TestInt8WireConverges trains the conv workload over the int8 EC wire
-// and requires the final loss within a small tolerance of the fp64-wire
-// run: the quantization residual is fed back, so 8x narrower values do
+// TestQuantizedWireConverges trains the conv workload over each lossy
+// EC wire and requires the final loss within a small tolerance of the
+// fp64-wire run: the rounding residual is fed back, so narrower values do
 // not change where training lands, only its rounding path.
-func TestInt8WireConverges(t *testing.T) {
+func TestQuantizedWireConverges(t *testing.T) {
 	const iters = 60
-	run := func(wire *encoding.Format) []float64 {
+	run := func(t *testing.T, wire *encoding.Format) []float64 {
 		losses, _, err := quantTrainer(t, wire, 9).Run(iters)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return losses
 	}
-	ref := run(nil)
-	i8 := encoding.FormatPairsI8
-	quant := run(&i8)
-	refTail, quantTail := mean(ref[iters-10:]), mean(quant[iters-10:])
-	if quantTail > refTail*1.10+0.02 {
-		t.Errorf("int8 wire final loss %v, fp64 wire %v: more than 10%% worse", quantTail, refTail)
-	}
-	// And it must actually have trained.
-	if head := mean(quant[:10]); quantTail >= head {
-		t.Errorf("int8 wire loss did not decrease: first-10 mean %v, last-10 mean %v", head, quantTail)
+	ref := run(t, nil)
+	refTail := mean(ref[iters-10:])
+	for _, wire := range []encoding.Format{encoding.FormatPairsBF16, encoding.FormatBitmap} {
+		t.Run(wire.String(), func(t *testing.T) {
+			quant := run(t, &wire)
+			quantTail := mean(quant[iters-10:])
+			if quantTail > refTail*1.10+0.02 {
+				t.Errorf("%v wire final loss %v, fp64 wire %v: more than 10%% worse", wire, quantTail, refTail)
+			}
+			// And it must actually have trained.
+			if head := mean(quant[:10]); quantTail >= head {
+				t.Errorf("%v wire loss did not decrease: first-10 mean %v, last-10 mean %v", wire, head, quantTail)
+			}
+		})
 	}
 }

@@ -273,7 +273,7 @@ func TestNewTrainerValidation(t *testing.T) {
 	// Settings that used to be dropped silently: a lossy wire configured
 	// this way shipped values the receiver rounded and nobody fed back. The
 	// refusal names the fields to fix.
-	wire := encoding.FormatPairsF16
+	wire := encoding.FormatPairsBF16
 	topk := func() compress.Compressor { return compress.NewTopK() }
 	for _, c := range []struct {
 		name   string

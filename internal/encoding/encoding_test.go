@@ -42,7 +42,7 @@ func randomSparse(t *testing.T, dim, k int, seed int64) *tensor.Sparse {
 
 func TestRoundTripAllFormats(t *testing.T) {
 	s := randomSparse(t, 1000, 50, 1)
-	for _, f := range []Format{FormatPairs, FormatBitmap, FormatDense} {
+	for _, f := range []Format{FormatBitmap, FormatPairs64, FormatPairsBF16} {
 		buf, err := Encode(s, f)
 		if err != nil {
 			t.Fatalf("format %d: %v", f, err)
@@ -54,8 +54,12 @@ func TestRoundTripAllFormats(t *testing.T) {
 		if got.Dim != s.Dim || got.NNZ() != s.NNZ() {
 			t.Fatalf("format %d: dim/nnz mismatch", f)
 		}
+		want := append([]float64(nil), s.Vals...)
+		if err := RoundTripValues(f, want); err != nil {
+			t.Fatal(err)
+		}
 		for i := range s.Idx {
-			if got.Idx[i] != s.Idx[i] || got.Vals[i] != s.Vals[i] {
+			if got.Idx[i] != s.Idx[i] || got.Vals[i] != want[i] {
 				t.Fatalf("format %d: element %d mismatch", f, i)
 			}
 		}
@@ -65,9 +69,7 @@ func TestRoundTripAllFormats(t *testing.T) {
 func TestEncodedSizesMatchAccounting(t *testing.T) {
 	s := randomSparse(t, 777, 33, 2)
 	for f, want := range map[Format]int{
-		FormatPairs:  PairsSize(777, 33),
 		FormatBitmap: BitmapSize(777, 33),
-		FormatDense:  DenseSize(777),
 	} {
 		buf, err := Encode(s, f)
 		if err != nil {
@@ -82,53 +84,9 @@ func TestEncodedSizesMatchAccounting(t *testing.T) {
 	}
 }
 
-func TestBestFormatCrossovers(t *testing.T) {
-	// Aggressive sparsity: pairs wins. Moderate: bitmap. Dense: dense.
-	d := 100000
-	if f, _ := BestFormat(d, d/1000, FormatPairs); f != FormatPairs {
-		t.Errorf("0.1%% density: got format %d", f)
-	}
-	if f, _ := BestFormat(d, d/4, FormatPairs); f != FormatBitmap {
-		t.Errorf("25%% density: got format %d", f)
-	}
-	if f, _ := BestFormat(d, d, FormatPairs); f != FormatDense {
-		t.Errorf("100%% density: got format %d", f)
-	}
-	// BestFormat size must be the min of the three.
-	_, size := BestFormat(d, d/10, FormatPairs)
-	min := PairsSize(d, d/10)
-	if s := BitmapSize(d, d/10); s < min {
-		min = s
-	}
-	if s := DenseSize(d); s < min {
-		min = s
-	}
-	if size != min {
-		t.Errorf("BestFormat size %d, want %d", size, min)
-	}
-}
-
-func TestEncodeBestRoundTrip(t *testing.T) {
-	for _, k := range []int{1, 100, 5000, 10000} {
-		s := randomSparse(t, 10000, k, int64(k))
-		f, _ := BestFormat(s.Dim, s.NNZ(), FormatPairs)
-		buf, err := Encode(s, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Decode(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NNZ() != s.NNZ() {
-			t.Fatalf("k=%d: NNZ %d != %d", k, got.NNZ(), s.NNZ())
-		}
-	}
-}
-
 func TestPairs64RoundTripIsLossless(t *testing.T) {
 	// Values chosen to NOT be float32-representable: pairs64 must return
-	// them bit-for-bit while every float32 format would perturb them.
+	// them bit-for-bit while the float32 bitmap format would perturb them.
 	vals := []float64{1e-300, math.Pi, -2.0000000000000004, math.Nextafter(1, 2)}
 	s, err := tensor.NewSparse(50, []int32{1, 7, 20, 49}, vals)
 	if err != nil {
@@ -150,8 +108,8 @@ func TestPairs64RoundTripIsLossless(t *testing.T) {
 			t.Errorf("value %d: %v != %v (lossy round-trip)", i, got.Vals[i], vals[i])
 		}
 	}
-	// Sanity: the float32 pair format really would lose these values.
-	lossy, _ := Encode(s, FormatPairs)
+	// Sanity: the float32 bitmap format really would lose these values.
+	lossy, _ := Encode(s, FormatBitmap)
 	back, _ := Decode(lossy)
 	if back.Vals[0] == vals[0] {
 		t.Error("expected float32 round-trip to perturb 1e-300")
@@ -168,8 +126,8 @@ func TestDecodeRejectsHostileHeaders(t *testing.T) {
 		return buf
 	}
 	cases := [][]byte{
-		mk(FormatPairs, 100, 200, 0),                       // nnz > dim
-		mk(FormatDeltaVarint, 1<<31, 1<<30, 64),            // huge nnz, tiny buffer
+		mk(FormatPairs64, 100, 200, 0),                     // nnz > dim
+		mk(FormatPairsBF16, 1<<31, 1<<30, 64),              // huge nnz, tiny buffer
 		mk(FormatPairs64, 4_000_000_000, 3_000_000_000, 8), // huge lossless claim
 		mk(FormatBitmap, 4_000_000_000, 10, 8),             // huge bitmap claim
 	}
@@ -188,14 +146,44 @@ func TestDecodeErrors(t *testing.T) {
 		t.Error("short buffer should error")
 	}
 	s := randomSparse(t, 100, 10, 3)
-	buf, _ := Encode(s, FormatPairs)
+	buf, _ := Encode(s, FormatPairs64)
 	buf[0] = 99
 	if _, err := Decode(buf); err == nil {
 		t.Error("bad format byte should error")
 	}
-	buf[0] = byte(FormatPairs)
+	buf[0] = byte(FormatPairs64)
 	if _, err := Decode(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated payload should error")
+	}
+}
+
+// TestDecodeRefusesRetiredFormats: a frame of a retired format, well
+// formed in its old layout, is refused by DecodeInto before anything is
+// decoded into the target, and no other entry point takes the byte.
+func TestDecodeRefusesRetiredFormats(t *testing.T) {
+	for _, rf := range retiredFrames() {
+		t.Run(rf.name, func(t *testing.T) {
+			f := Format(rf.frame[0])
+			if !retired(rf.frame[0]) {
+				t.Fatalf("format byte %d is not in the retired set", f)
+			}
+			s := &tensor.Sparse{Dim: 3, Idx: []int32{1}, Vals: []float64{9}}
+			if err := DecodeInto(s, rf.frame); err == nil {
+				t.Fatal("retired format decoded")
+			}
+			if s.Dim != 3 || len(s.Idx) != 1 || s.Idx[0] != 1 || len(s.Vals) != 1 || s.Vals[0] != 9 {
+				t.Fatalf("the refused frame was decoded into the target: %+v", s)
+			}
+			if _, err := Size(f, 8, 2); err == nil {
+				t.Error("Size accepts the retired format")
+			}
+			if _, err := Encode(s, f); err == nil {
+				t.Error("Encode accepts the retired format")
+			}
+			if err := RoundTripValues(f, []float64{1}); err == nil {
+				t.Error("RoundTripValues accepts the retired format")
+			}
+		})
 	}
 }
 
@@ -203,26 +191,6 @@ func TestEncodeUnknownFormat(t *testing.T) {
 	s := randomSparse(t, 10, 2, 4)
 	if _, err := Encode(s, Format(42)); err == nil {
 		t.Error("unknown format should error")
-	}
-}
-
-func TestDenseDropsExplicitZeros(t *testing.T) {
-	// A stored value that rounds to float32 zero disappears through the
-	// dense format; sizes still match the header accounting.
-	s, err := tensor.NewSparse(4, []int32{0, 2}, []float64{1, 1e-60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := Encode(s, FormatDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ() != 1 {
-		t.Errorf("NNZ = %d, want 1 (float32 underflow drops the tiny value)", got.NNZ())
 	}
 }
 
@@ -256,7 +224,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, format := range []Format{FormatPairs, FormatBitmap} {
+		for _, format := range []Format{FormatBitmap, FormatPairs64} {
 			buf, err := Encode(s, format)
 			if err != nil {
 				return false

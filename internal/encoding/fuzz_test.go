@@ -9,23 +9,23 @@ import (
 	"repro/internal/tensor"
 )
 
+// keptFormats are the formats Encode and DecodeInto accept.
+var keptFormats = []Format{FormatBitmap, FormatPairs64, FormatPairsBF16}
+
 // FuzzDecode drives Decode with arbitrary buffers: it must never panic,
-// must reject malformed and truncated input with a clean error, and any
-// buffer it accepts must decode to a Sparse that satisfies the package
-// invariants and re-encodes to the same bytes in its own format.
+// must reject malformed and truncated input and every retired format
+// byte with a clean error, and any buffer it accepts must decode to a
+// Sparse that satisfies the package invariants and re-encodes to the same
+// bytes in its own format.
 func FuzzDecode(f *testing.F) {
 	s, err := tensor.NewSparse(64, []int32{0, 3, 17, 40, 63}, []float64{1, -2.5, 0.25, 3, -4})
 	if err != nil {
 		f.Fatal(err)
 	}
 	// Seed corpus: one valid encoding per format, plus a truncation and a
-	// header corruption of each so the fuzzer starts at the error paths.
-	for _, format := range []Format{FormatPairs, FormatBitmap, FormatDense, FormatDeltaVarint,
-		FormatPairs64, FormatPairsF16, FormatPairsBF16, FormatPairsI8} {
-		buf, err := Encode(s, format)
-		if err != nil {
-			f.Fatal(err)
-		}
+	// header corruption of each so the fuzzer starts at the error paths;
+	// the same three of each retired format, which must all be refused.
+	for _, buf := range seedFrames(f, s) {
 		f.Add(buf)
 		f.Add(buf[:len(buf)-1])
 		bad := append([]byte(nil), buf...)
@@ -33,21 +33,16 @@ func FuzzDecode(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{byte(FormatDeltaVarint), 255, 255, 255, 255, 255, 255, 255, 255})
-	// Hostile int8 scale fields: NaN, +Inf and negative steps must all be
-	// rejected before any value is materialised.
-	for _, scale := range []float32{float32(math.NaN()), float32(math.Inf(1)), -1} {
-		buf, err := Encode(s, FormatPairsI8)
-		if err != nil {
-			f.Fatal(err)
-		}
-		bad := append([]byte(nil), buf...)
-		binary.LittleEndian.PutUint32(bad[9:13], math.Float32bits(scale))
+	f.Add([]byte{3, 255, 255, 255, 255, 255, 255, 255, 255}) // a retired header alone
+	for _, bad := range hostileBitmaps(f) {
 		f.Add(bad)
 	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		s, err := Decode(buf)
+		if err == nil && retired(buf[0]) {
+			t.Fatalf("retired format byte %d decoded", buf[0])
+		}
 		if err != nil {
 			if s != nil {
 				t.Fatal("non-nil Sparse alongside error")
@@ -65,13 +60,9 @@ func FuzzDecode(f *testing.F) {
 			prev = j
 		}
 		// Accepted buffers must round-trip bytewise through their own
-		// format. Three exemptions: the dense format re-derives nnz from
-		// the payload, NaN payload bits are not preserved through the
-		// float32<->float64 conversions of the lossy formats (signaling
-		// NaNs quiet on conversion), and the int8 format's re-encode
-		// derives a fresh absmax step from the decoded values, which need
-		// not match an arbitrary accepted step (e.g. a subnormal step whose
-		// ideal replacement differs after rounding).
+		// format, except NaN payload bits: they are not preserved through
+		// the float32<->float64 conversions of the lossy formats
+		// (signaling NaNs quiet on conversion).
 		format := Format(buf[0])
 		for _, v := range s.Vals {
 			if math.IsNaN(v) {
@@ -82,7 +73,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted buffer failed: %v", err)
 		}
-		if format != FormatDense && format != FormatPairsI8 && !bytes.Equal(re, buf) {
+		if !bytes.Equal(re, buf) {
 			t.Fatalf("format %d: re-encode differs from accepted input", format)
 		}
 	})
@@ -99,12 +90,7 @@ func FuzzEncodeToDecodeIntoReuse(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, format := range []Format{FormatPairs, FormatBitmap, FormatDense, FormatDeltaVarint,
-		FormatPairs64, FormatPairsF16, FormatPairsBF16, FormatPairsI8} {
-		buf, err := Encode(s, format)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, buf := range seedFrames(f, s) {
 		f.Add(buf)
 		f.Add(buf[:len(buf)-1])
 	}
@@ -115,6 +101,9 @@ func FuzzEncodeToDecodeIntoReuse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		fresh, freshErr := Decode(buf)
+		if freshErr == nil && retired(buf[0]) {
+			t.Fatalf("retired format byte %d decoded", buf[0])
+		}
 
 		// Decode into storage polluted by a previous unrelated decode.
 		dirty := &tensor.Sparse{Dim: 999, Idx: []int32{5, 6, 900}, Vals: []float64{math.NaN(), 7, -1}}
@@ -141,9 +130,8 @@ func FuzzEncodeToDecodeIntoReuse(f *testing.F) {
 		// garbage-prefilled destination buffer, twice back to back: both
 		// passes must match the allocating Encode bytewise (the second
 		// pass catches stale state the first one left behind, e.g. bitmap
-		// bits or varint tails surviving a shorter re-encode).
-		for _, format := range []Format{FormatPairs, FormatBitmap, FormatDense, FormatDeltaVarint,
-			FormatPairs64, FormatPairsF16, FormatPairsBF16, FormatPairsI8} {
+		// bits surviving a shorter re-encode).
+		for _, format := range keptFormats {
 			want, err := Encode(fresh, format)
 			if err != nil {
 				t.Fatalf("format %d: Encode failed: %v", format, err)
@@ -191,4 +179,63 @@ func hostileBitmaps(tb testing.TB) [][]byte {
 		mutate(8, 0x0F), // ... and inside the byte tail
 		mutate(9, 0x80), // padding bit 79 set, dim is 77
 	}
+}
+
+// seedFrames returns s encoded in every kept format, then one frame of
+// each retired format.
+func seedFrames(tb testing.TB, s *tensor.Sparse) [][]byte {
+	tb.Helper()
+	var frames [][]byte
+	for _, format := range keptFormats {
+		buf, err := Encode(s, format)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, buf)
+	}
+	for _, rf := range retiredFrames() {
+		frames = append(frames, rf.frame)
+	}
+	return frames
+}
+
+// retiredFrame is a frame of a retired format, well formed in that
+// format's old layout.
+type retiredFrame struct {
+	name  string
+	frame []byte
+}
+
+// retiredFrames returns one frame per retired format byte, each carrying
+// the dim-8 vector {1: 1.0, 6: -2.5} in the layout the format had.
+func retiredFrames() []retiredFrame {
+	le32 := binary.LittleEndian.AppendUint32
+	le16 := binary.LittleEndian.AppendUint16
+	f32 := func(b []byte, v float32) []byte { return le32(b, math.Float32bits(v)) }
+	hdr := func(f byte) []byte { return le32(le32([]byte{f}, 8), 2) }
+	dense := hdr(2)
+	for _, v := range [8]float32{1: 1, 6: -2.5} {
+		dense = f32(dense, v)
+	}
+	return []retiredFrame{
+		// (uint32 index, float32 value) per element.
+		{"pairs", f32(le32(f32(le32(hdr(0), 1), 1), 6), -2.5)},
+		// all d values as float32.
+		{"dense", dense},
+		// uvarint index gaps from -1, then the float32 values.
+		{"delta-varint", f32(f32(append(hdr(3), 2, 5), 1), -2.5)},
+		// (uint32 index, binary16 value): 1.0 is 0x3C00, -2.5 is 0xC100.
+		{"pairs-f16", le16(le32(le16(le32(hdr(5), 1), 0x3C00), 6), 0xC100)},
+		// a float32 step absmax/127, then (uint32 index, int8 quantum).
+		{"pairs-i8", append(le32(append(le32(f32(hdr(7), 2.5/127), 1), 51), 6), 0x81)},
+	}
+}
+
+// retired reports whether b is a retired format byte.
+func retired(b byte) bool {
+	switch b {
+	case 0, 2, 3, 5, 7:
+		return true
+	}
+	return false
 }

@@ -84,11 +84,7 @@ func TestEncodeToDecodeIntoSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	formats := []encoding.Format{
-		encoding.FormatPairs, encoding.FormatBitmap, encoding.FormatDense,
-		encoding.FormatDeltaVarint, encoding.FormatPairs64,
-		encoding.FormatPairsF16, encoding.FormatPairsBF16, encoding.FormatPairsI8,
-	}
+	formats := []encoding.Format{encoding.FormatBitmap, encoding.FormatPairs64, encoding.FormatPairsBF16}
 	for _, f := range formats {
 		var buf []byte
 		var dec tensor.Sparse

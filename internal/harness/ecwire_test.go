@@ -46,10 +46,7 @@ func TestErrorFeedbackWireFormat(t *testing.T) {
 	const delta = 0.05
 	g := heavyTailedGrad(d, 7)
 
-	for _, f := range []encoding.Format{
-		encoding.FormatPairs, encoding.FormatPairsF16,
-		encoding.FormatPairsBF16, encoding.FormatPairsI8,
-	} {
+	for _, f := range []encoding.Format{encoding.FormatBitmap, encoding.FormatPairsBF16} {
 		ec := compress.NewErrorFeedback(compress.NewTopK())
 		ec.SetWireFormat(f)
 		var dst tensor.Sparse

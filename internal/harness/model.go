@@ -11,6 +11,10 @@ import (
 	"repro/internal/stats"
 )
 
+// wireHeader is the 9-byte frame header of every encoding format (format
+// byte, uint32 dim, uint32 nnz); the modelled float32 wire carries it too.
+const wireHeader = 9
+
 // device is a compression device, described by the throughput of its
 // primitive operations. The paper's micro-benchmarks (Figures 1, 12 and
 // 14-17) hinge on two facts it encodes: sorting (Top-k) is
@@ -161,7 +165,7 @@ func (m iterModel) run(wl dist.Workload, name string, delta float64, opt Options
 	// (1-ov)/ov. m.net then prices only communication, so a faster
 	// fabric makes the same workload compute-bound rather than shrinking
 	// compute with it.
-	denseBytes := encoding.DenseSize(wl.Dim)
+	denseBytes := wireHeader + 4*wl.Dim // all d values as float32
 	refComm := netsim.Cluster25GbE(8).CommTime(denseBytes, 0, false)
 	compute := refComm * (1 - wl.CommOverhead) / wl.CommOverhead
 	commDense := m.net.CollectiveTime(m.coll, denseBytes, denseBytes, false)
@@ -199,9 +203,11 @@ func (m iterModel) run(wl dist.Workload, name string, delta float64, opt Options
 		commLat := commDense
 		if name != "none" {
 			// The achieved sparsity at the full model dimension, in the
-			// smallest wire format, over the sparse collective.
+			// paper's float32 wire at its smallest — (uint32 index,
+			// float32 value) pairs, a bitmap or dense — over the sparse
+			// collective.
 			nnzFull := min(max(int(math.Round(ratio*float64(kFull))), 1), wl.Dim)
-			_, bytes := encoding.BestFormat(wl.Dim, nnzFull, encoding.FormatPairs)
+			bytes := min(wireHeader+8*nnzFull, encoding.BitmapSize(wl.Dim, nnzFull), denseBytes)
 			commLat = m.net.CollectiveTime(m.coll, denseBytes, bytes, true)
 		}
 		sumComp += compressLat
