@@ -65,8 +65,8 @@ func (*SGD) Name() string { return "sgd" }
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		for i := range p.W {
-			g := p.G[i] + s.WeightDecay*p.W[i]
-			p.W[i] -= s.LR * g
+			g := p.G[i] + float64(s.WeightDecay*p.W[i])
+			p.W[i] -= float64(s.LR * g)
 			p.G[i] = 0
 		}
 	}
@@ -80,15 +80,49 @@ func (s *SGD) StepSpan(params []*Param, off int, grad []float64) {
 	start, end := 0, off+len(grad)
 	for _, p := range params {
 		if lo, hi := spanOf(start, len(p.W), off, end); lo < hi {
-			// One reslice per parameter keeps the d-sized loop check-free.
-			w := p.W[lo:hi]
-			f := grad[start+lo-off:][:len(w)]
-			for i := range w {
-				g := f[i] + s.WeightDecay*w[i]
-				w[i] -= s.LR * g
-			}
+			sgdStep(s.LR, s.WeightDecay, p.W[lo:hi], grad[start+lo-off:][:hi-lo])
 		}
 		start += len(p.W)
+	}
+}
+
+// streamBlock is the block length of sgdStep's four streams.
+const streamBlock = 4096
+
+// sgdStep applies SGD's update to the weights w from their gradient f,
+// four consecutive streamBlocks side by side (four streams in flight
+// instead of one), then the rest one element at a time. Each element's
+// update reads only that element, so every form gives the same bits.
+//
+//sidco:hotpath
+func sgdStep(lr, wd float64, w, f []float64) {
+	lo := 0
+	for ; len(w)-lo >= 4*streamBlock; lo += 4 * streamBlock {
+		sgdQuad(lr, wd, w[lo:], f[lo:])
+	}
+	w, f = w[lo:], f[lo:len(w)]
+	for i := range w {
+		g := f[i] + float64(wd*w[i])
+		w[i] -= float64(lr * g)
+	}
+}
+
+// sgdQuad is sgdStep's element loop over the first four streamBlocks of
+// w and f, one named block per stream.
+func sgdQuad(lr, wd float64, w, f []float64) {
+	w0, w1 := (*[streamBlock]float64)(w), (*[streamBlock]float64)(w[streamBlock:])
+	w2, w3 := (*[streamBlock]float64)(w[2*streamBlock:]), (*[streamBlock]float64)(w[3*streamBlock:])
+	f0, f1 := (*[streamBlock]float64)(f), (*[streamBlock]float64)(f[streamBlock:])
+	f2, f3 := (*[streamBlock]float64)(f[2*streamBlock:]), (*[streamBlock]float64)(f[3*streamBlock:])
+	for i := range w0 {
+		g0 := f0[i] + float64(wd*w0[i])
+		g1 := f1[i] + float64(wd*w1[i])
+		g2 := f2[i] + float64(wd*w2[i])
+		g3 := f3[i] + float64(wd*w3[i])
+		w0[i] -= float64(lr * g0)
+		w1[i] -= float64(lr * g1)
+		w2[i] -= float64(lr * g2)
+		w3[i] -= float64(lr * g3)
 	}
 }
 
@@ -113,8 +147,8 @@ func (s *SGD) StepSparse(params []*Param, idx []int32, vals []float64) {
 			i := int(idx[at]) - off
 			// StepFlat's expression, zero decay term included: a -0
 			// gradient moves the same bits there and here.
-			g := vals[at] + s.WeightDecay*w[i]
-			w[i] -= s.LR * g
+			g := vals[at] + float64(s.WeightDecay*w[i])
+			w[i] -= float64(s.LR * g)
 		}
 		off = end
 	}

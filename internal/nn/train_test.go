@@ -243,6 +243,77 @@ func TestStepSpanMatchesStepFlat(t *testing.T) {
 	}
 }
 
+// TestSGDStepSpanMatchesOneBlock holds SGD's four-block StepSpan to its
+// one-element update over the covered elements, weight by weight by
+// nanOrSameBits. A parameter of n weights sits between two small ones
+// (n around one block, around one group of four, a group and a tail of
+// more than a block, train-sidco-tcp's d and 2^21); the spans are the
+// whole vector and ones that begin and end inside a parameter and inside
+// a block; the weights and gradient are plain, then salted in each lane;
+// with and without weight decay.
+func TestSGDStepSpanMatchesOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 4*4096 - 1, 4 * 4096, 4*4096 + 1, 5*4096 + 7, 1847306, 1 << 21} {
+		for _, salted := range []bool{false, true} {
+			params := []*Param{newParam("a", 5), newParam("b", n), newParam("c", 3)}
+			d := ParamCount(params)
+			w0, grad := make([]float64, d), make([]float64, d)
+			for i := range w0 {
+				w0[i], grad[i] = rng.NormFloat64(), rng.NormFloat64()*math.Exp(rng.NormFloat64()*4)
+			}
+			if salted {
+				saltLanes(rng, w0)
+				saltLanes(rng, grad)
+			}
+			spans := [][2]int{{0, d}, {3, d - 1}}
+			if d > 1005+2100 {
+				spans = append(spans, [2]int{1005, d - 2100})
+			}
+			for _, wd := range []float64{0, 1e-2} {
+				opt := &SGD{LR: 0.1, WeightDecay: wd}
+				for _, sp := range spans {
+					off, end := sp[0], sp[1]
+					want := append([]float64(nil), w0...)
+					for i := off; i < end; i++ {
+						g := grad[i] + float64(wd*want[i])
+						want[i] -= float64(opt.LR * g)
+					}
+					at := 0
+					for _, p := range params {
+						at += copy(p.W, w0[at:])
+					}
+					opt.StepSpan(params, off, grad[off:end])
+					got := FlattenWeights(params, nil)
+					for i := range want {
+						if !nanOrSameBits(got[i], want[i]) {
+							t.Fatalf("n=%d salted=%v wd=%v span [%d, %d): w[%d] = %v, one element at a time %v", n, salted, wd, off, end, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// saltLanes puts, in every streamBlock of xs, so in each lane of every
+// group of four blocks, -0, subnormals, ±Inf and a NaN whose payload
+// names the lane.
+func saltLanes(rng *rand.Rand, xs []float64) {
+	for lo := 0; lo < len(xs); lo += streamBlock {
+		nan := math.Float64frombits(0x7ff8000000000001 + uint64(lo/streamBlock%4))
+		n := min(streamBlock, len(xs)-lo)
+		for _, v := range []float64{math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1), nan} {
+			xs[lo+rng.Intn(n)] = v
+		}
+	}
+}
+
+// nanOrSameBits is bit equality, except that any NaN meets any NaN: Go
+// leaves which payload an add of two NaNs keeps to the compiler.
+func nanOrSameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
 // TestMomentumIsNotASparseStepper: its velocity decays where the gradient
 // is zero, so it must keep getting the dense aggregate.
 func TestMomentumIsNotASparseStepper(t *testing.T) {
@@ -285,6 +356,25 @@ func BenchmarkStepFlat(b *testing.B) {
 		flat[j] = vals[i]
 	}
 	opt := &SGD{LR: 1e-3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.StepFlat(params, flat)
+	}
+}
+
+// BenchmarkStepFlatDense is the dense apply at train-dense-tcp's shape:
+// SGD over the full gradient of 768-1024-1024-10, d = 1 847 306.
+func BenchmarkStepFlatDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	params := []*Param{newParam("w1", 1024, 768), newParam("b1", 1024), newParam("w2", 1024, 1024),
+		newParam("b2", 1024), newParam("w3", 10, 1024), newParam("b3", 10)}
+	flat := make([]float64, ParamCount(params))
+	for i := range flat {
+		flat[i] = rng.NormFloat64()
+	}
+	opt := &SGD{LR: 1e-3}
+	b.SetBytes(8 * int64(len(flat)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -68,6 +68,98 @@ func testAccumulateMatchesAddThenMoments(t *testing.T) {
 	}
 }
 
+// streamLengths are the lengths the four-block loops are held to their
+// one-block form at: around one block, around one group of four, a group
+// and a tail of more than a block, train-sidco-tcp's d and 2^21.
+var streamLengths = []int{0, 1, 4095, 4096, 4097, 4*4096 - 1, 4 * 4096, 4*4096 + 1, 5*4096 + 7, 1847306, 1 << 21}
+
+// saltLanes puts, in every block of xs, so in each lane of every group of
+// four blocks, the values an add chain can get wrong: -0, subnormals,
+// ±Inf and a NaN whose payload names the lane.
+func saltLanes(rng *rand.Rand, xs []float64) {
+	for lo := 0; lo < len(xs); lo += sumBlock {
+		nan := math.Float64frombits(0x7ff8000000000001 + uint64(lo/sumBlock%4))
+		n := min(sumBlock, len(xs)-lo)
+		for _, v := range []float64{math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1), nan} {
+			xs[lo+rng.Intn(n)] = v
+		}
+	}
+}
+
+// nanOrSameBits is bit equality, except that any NaN meets any NaN: Go
+// leaves which payload an add of two NaNs keeps to the compiler (the add
+// commutes, and register allocation picks the operand order).
+func nanOrSameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// TestAbsSumMatchesOneBlock holds absSum, the four-block Σ|x| sweep of
+// AccumulateMeanAbs, to reduce's one-block loop over absKernel: the sum
+// and the updated acc by nanOrSameBits, at every streamLength, plain and
+// with each lane salted, and with acc passed as its own addend.
+func TestAbsSumMatchesOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range streamLengths {
+		for _, salted := range []bool{false, true} {
+			acc0, g := make([]float64, n), make([]float64, n)
+			scale := 1.0
+			for i := range g {
+				if i%sumBlock == 0 {
+					// Block partials of every size: the order they add in shows in the total.
+					scale = math.Exp(rng.NormFloat64() * 12)
+				}
+				acc0[i], g[i] = scale*rng.NormFloat64(), scale*rng.NormFloat64()
+			}
+			if salted {
+				saltLanes(rng, acc0)
+				saltLanes(rng, g)
+			}
+			for _, alias := range []bool{false, true} {
+				want, acc := append([]float64(nil), acc0...), append([]float64(nil), acc0...)
+				wantG, gotG := g, g
+				if alias {
+					wantG, gotG = want, acc
+				}
+				wantSum := reduce(want, wantG, absKernel, 0)[0]
+				what := fmt.Sprintf("n=%d salted=%v alias=%v", n, salted, alias)
+				if got := absSum(acc, gotG); !nanOrSameBits(got, wantSum) {
+					t.Fatalf("%s: Σ|acc+g| = %v, one block at a time %v", what, got, wantSum)
+				}
+				for i := range want {
+					if !nanOrSameBits(acc[i], want[i]) {
+						t.Fatalf("%s: acc[%d] = %v, one block at a time %v", what, i, acc[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAbsSumAddsPartialsInBlockOrder holds absSum to reduce on every
+// prefix of whole groups of four blocks up to 2^19 elements. Partials
+// much smaller than the running total round the same in any order (the
+// total's ulp sets every rounding), so each group's entries are twice the
+// last group's, which keeps the partials a quarter of the total; and a
+// later total can round a difference away, so each group's total is
+// checked where it is made.
+func TestAbsSumAddsPartialsInBlockOrder(t *testing.T) {
+	const group = 4 * sumBlock
+	rng := rand.New(rand.NewSource(41))
+	acc0, g := make([]float64, 32*group), make([]float64, 32*group)
+	for i := range g {
+		scale := math.Ldexp(1, i/group)
+		acc0[i], g[i] = scale*rng.NormFloat64(), scale*rng.NormFloat64()
+	}
+	acc, want := make([]float64, len(acc0)), make([]float64, len(acc0))
+	for n := group; n <= len(acc0); n += group {
+		copy(acc, acc0)
+		copy(want, acc0)
+		if got, w := absSum(acc[:n], g[:n]), reduce(want[:n], g[:n], absKernel, 0)[0]; math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("n=%d: Σ|acc+g| = %v, one block at a time %v", n, got, w)
+		}
+	}
+}
+
 // TestAccumulateSteadyStateAllocs pins the accumulating reductions at
 // zero allocations, on each gamma body.
 func TestAccumulateSteadyStateAllocs(t *testing.T) {
@@ -93,6 +185,8 @@ var sinkMoment float64
 // "add+moments" is the add as its own sweep followed by the one-operand
 // pass — what ErrorFeedback runs over a compressor that does not offer
 // the fused form. The difference is the fused add's standalone saving.
+// "MeanAbs/fused-one-block" is the fused Σ|x| sweep one block at a time,
+// the loop four-block absSum is held to.
 // GammaMoments runs on each body (portable: the Go loop; avx2:
 // gamma_amd64.s), over the dense gradient and over one with half its
 // entries zero at random ("sparse"), whose groups of four mix normal and
@@ -136,6 +230,11 @@ func BenchmarkAccumulate(b *testing.B) {
 			})
 		} else {
 			b.Run(k.name+"/fused", func(b *testing.B) { run(b, g, k.fused) })
+		}
+		if k.name == "MeanAbs" {
+			b.Run(k.name+"/fused-one-block", func(b *testing.B) {
+				run(b, g, func(acc, g []float64) { sinkMoment = reduce(acc, g, absKernel, 0)[0] / float64(len(acc)) })
+			})
 		}
 		b.Run(k.name+"/add+moments", func(b *testing.B) {
 			run(b, g, func(acc, g []float64) {

@@ -6,10 +6,13 @@ import (
 )
 
 // sumBlock is the fixed accumulation granularity of every mean/variance
-// reduction in this package: partial sums are computed per 4096-element
-// block and combined in block order. The grouping is part of every
+// reduction in this package: each 4096-element block is one add chain
+// per sum, started at 0.0 and run in element order, and the block
+// partials are combined in block order. The grouping is part of every
 // result's bits, and through the thresholds of every selection: changing
-// it moves run digests and golden losses.
+// it, or the order inside a block, moves run digests and golden losses.
+// The chain is serial only inside a block, so blocks may be summed side
+// by side (absSum) as long as their partials still add in block order.
 const sumBlock = 4096
 
 // A blockKernel reduces one sumBlock of a vector to at most three
@@ -262,7 +265,56 @@ func GammaMoments(xs []float64) (meanAbs, meanLogAbs float64) {
 // and returns MeanAbs of the sum in the same sweep: acc and the mean are
 // bit-equal to adding first and calling MeanAbs(acc) after.
 func AccumulateMeanAbs(acc, g []float64) float64 {
-	return reduce(acc, g, absKernel, 0)[0] / float64(len(acc))
+	if g == nil {
+		return reduce(acc, nil, absKernel, 0)[0] / float64(len(acc))
+	}
+	return absSum(acc, g) / float64(len(acc))
+}
+
+// absSum is reduce(acc, g, absKernel, 0)[0], acc += g included, bit for
+// bit, four blocks at a time: absQuad runs four consecutive blocks' chains
+// side by side, each from 0.0 in its own element order, and their
+// partials add to the total in block order. One chain waits on the
+// adder's latency; four keep it busy and keep four streams in flight. The
+// last len%(4·sumBlock) elements go block by block through absKernel.
+//
+//sidco:hotpath
+func absSum(acc, g []float64) float64 {
+	g = g[:len(acc)]
+	total, lo := 0.0, 0
+	for ; len(acc)-lo >= 4*sumBlock; lo += 4 * sumBlock {
+		s0, s1, s2, s3 := absQuad(acc[lo:], g[lo:])
+		total += s0
+		total += s1
+		total += s2
+		total += s3
+	}
+	for ; lo < len(acc); lo += sumBlock {
+		hi := min(lo+sumBlock, len(acc))
+		total += absKernel(acc[lo:hi], g[lo:hi], 0)[0]
+	}
+	return total
+}
+
+// absQuad is absKernel with g over the first four blocks of blk, one
+// accumulator and one named block per chain (an array of
+// accumulators spills to the stack).
+//
+//sidco:hotpath
+func absQuad(blk, g []float64) (s0, s1, s2, s3 float64) {
+	b0, b1 := (*[sumBlock]float64)(blk), (*[sumBlock]float64)(blk[sumBlock:])
+	b2, b3 := (*[sumBlock]float64)(blk[2*sumBlock:]), (*[sumBlock]float64)(blk[3*sumBlock:])
+	g0, g1 := (*[sumBlock]float64)(g), (*[sumBlock]float64)(g[sumBlock:])
+	g2, g3 := (*[sumBlock]float64)(g[2*sumBlock:]), (*[sumBlock]float64)(g[3*sumBlock:])
+	for i := range b0 {
+		v0, v1, v2, v3 := b0[i]+g0[i], b1[i]+g1[i], b2[i]+g2[i], b3[i]+g3[i]
+		b0[i], b1[i], b2[i], b3[i] = v0, v1, v2, v3
+		s0 += math.Abs(v0)
+		s1 += math.Abs(v1)
+		s2 += math.Abs(v2)
+		s3 += math.Abs(v3)
+	}
+	return s0, s1, s2, s3
 }
 
 // AccumulateMeanVarAbs is AccumulateMeanAbs for MeanVarAbs.

@@ -10,6 +10,14 @@
 // float64(x*y), so that no compiler fuses the two into one rounding: the
 // arm64 build, whose compiler would, computes what the amd64 one does.
 //
+// Every reduction over a vector keeps one summation order, whoever
+// computes it: each sumBlock is one add chain per sum, started at 0.0 and
+// run in element order, and the block partials add in block order. The
+// chain is serial only inside a block, so blocks may run side by side —
+// AccumulateMeanAbs sums four consecutive blocks at once, four chains in
+// flight — but no order inside a block may change: that moves every
+// digest.
+//
 // On an amd64 CPU with AVX2 (internal/cpu, probed once at start-up; there
 // is no setting) the gamma moment sweep behind GammaMoments and
 // AccumulateGammaMoments runs each sub-block's groups of four from

@@ -19,6 +19,18 @@
 // lists' backing arrays beyond the returned lengths are scratch.
 // TestAVX2GatherMatchesGo holds each body to its Go twin, and the gather's
 // tests run on both paths.
+//
+// Every product that feeds an add is converted explicitly, float64(x*y),
+// so that no compiler fuses the two into one rounding: the arm64 build
+// computes what the amd64 one does.
+//
+// Axpy walks four consecutive streamBlocks side by side: four streams in
+// flight instead of one. Its elements are independent, so each still
+// gets the one multiply and add the one-block loop gives it, bit for
+// bit. A sum is different: its order is part of its bits. The rule the
+// excess moments follow (and package stats' sweeps) is one fixed order
+// per block, block partials added in block order; so blocks may be
+// computed side by side, but no order inside a block may change.
 package tensor
 
 import (
@@ -27,13 +39,39 @@ import (
 )
 
 // Axpy computes y += a*x elementwise. The two slices must have equal
-// length.
+// length, and be the same slice or not overlap.
+//
+//sidco:hotpath
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
+	lo := 0
+	for ; len(x)-lo >= 4*streamBlock; lo += 4 * streamBlock {
+		axpyQuad(a, x[lo:], y[lo:])
+	}
+	x, y = x[lo:], y[lo:len(x)]
 	for i, xi := range x {
-		y[i] += a * xi
+		y[i] += float64(a * xi)
+	}
+}
+
+// streamBlock is the block length of the d-sized loops that walk four
+// consecutive blocks side by side (package doc).
+const streamBlock = 4096
+
+// axpyQuad is Axpy's element loop over the first four streamBlocks of x
+// and y, one named block per stream.
+func axpyQuad(a float64, x, y []float64) {
+	x0, x1 := (*[streamBlock]float64)(x), (*[streamBlock]float64)(x[streamBlock:])
+	x2, x3 := (*[streamBlock]float64)(x[2*streamBlock:]), (*[streamBlock]float64)(x[3*streamBlock:])
+	y0, y1 := (*[streamBlock]float64)(y), (*[streamBlock]float64)(y[streamBlock:])
+	y2, y3 := (*[streamBlock]float64)(y[2*streamBlock:]), (*[streamBlock]float64)(y[3*streamBlock:])
+	for i := range x0 {
+		y0[i] += float64(a * x0[i])
+		y1[i] += float64(a * x1[i])
+		y2[i] += float64(a * x2[i])
+		y3[i] += float64(a * x3[i])
 	}
 }
 
@@ -76,7 +114,7 @@ func Abs(x, dst []float64) []float64 {
 func Norm2(x []float64) float64 {
 	sum := 0.0
 	for _, xi := range x {
-		sum += xi * xi
+		sum += float64(xi * xi)
 	}
 	return math.Sqrt(sum)
 }
@@ -132,7 +170,7 @@ func (e *Excess) add(kept []float64, eta float64) {
 	for _, a := range kept[v:] {
 		x := a - eta
 		s[0] += x
-		q[0] += x * x
+		q[0] += float64(x * x)
 	}
 	e.Sum += (s[0] + s[1]) + (s[2] + s[3])
 	e.SumSq += (q[0] + q[1]) + (q[2] + q[3])
@@ -163,7 +201,7 @@ func excessLanes(kept []float64, eta float64) (s, q [4]float64) {
 	for ; len(kept) >= 4; kept = kept[4:] {
 		x0, x1, x2, x3 := kept[0]-eta, kept[1]-eta, kept[2]-eta, kept[3]-eta
 		s0, s1, s2, s3 = s0+x0, s1+x1, s2+x2, s3+x3
-		q0, q1, q2, q3 = q0+x0*x0, q1+x1*x1, q2+x2*x2, q3+x3*x3
+		q0, q1, q2, q3 = q0+float64(x0*x0), q1+float64(x1*x1), q2+float64(x2*x2), q3+float64(x3*x3)
 	}
 	return [4]float64{s0, s1, s2, s3}, [4]float64{q0, q1, q2, q3}
 }
@@ -284,7 +322,7 @@ func SparsificationError(g []float64, kept []int32) float64 {
 	sum := 0.0
 	for i, gi := range g {
 		if _, ok := keptSet[int32(i)]; !ok {
-			sum += gi * gi
+			sum += float64(gi * gi)
 		}
 	}
 	return math.Sqrt(sum)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,6 +30,85 @@ func TestAxpyScaleAddSub(t *testing.T) {
 	if y[0] != 6 {
 		t.Fatalf("Add: %v", y)
 	}
+}
+
+// saltLanes puts, in every streamBlock of xs, so in each lane of every
+// group of four blocks, -0, subnormals, ±Inf and a NaN whose payload
+// names the lane.
+func saltLanes(rng *rand.Rand, xs []float64) {
+	for lo := 0; lo < len(xs); lo += streamBlock {
+		nan := math.Float64frombits(0x7ff8000000000001 + uint64(lo/streamBlock%4))
+		n := min(streamBlock, len(xs)-lo)
+		for _, v := range []float64{math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1), nan} {
+			xs[lo+rng.Intn(n)] = v
+		}
+	}
+}
+
+// nanOrSameBits is bit equality, except that any NaN meets any NaN: Go
+// leaves which payload an add of two NaNs keeps to the compiler.
+func nanOrSameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// TestAxpyMatchesOneBlock holds the four-block Axpy to its one-element
+// loop, element by element by nanOrSameBits: around one block, around
+// one group of four, a group and a tail of more than a block,
+// train-sidco-tcp's d and 2^21; plain and with each lane salted, for
+// Add's a = 1 and an apply's small negative a, and with x and y the same
+// slice.
+func TestAxpyMatchesOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 4*4096 - 1, 4 * 4096, 4*4096 + 1, 5*4096 + 7, 1847306, 1 << 21} {
+		for _, salted := range []bool{false, true} {
+			x, y0 := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i], y0[i] = rng.NormFloat64()*math.Exp(rng.NormFloat64()*4), rng.NormFloat64()
+			}
+			if salted {
+				saltLanes(rng, x)
+				saltLanes(rng, y0)
+			}
+			for _, a := range []float64{1, -1e-3} {
+				for _, alias := range []bool{false, true} {
+					want, y := append([]float64(nil), y0...), append([]float64(nil), y0...)
+					wantX, gotX := x, x
+					if alias {
+						wantX, gotX = want, y
+					}
+					for i, xi := range wantX {
+						want[i] += float64(a * xi)
+					}
+					Axpy(a, gotX, y)
+					for i := range want {
+						if !nanOrSameBits(y[i], want[i]) {
+							t.Fatalf("%s: y[%d] = %v, one element at a time %v", fmt.Sprintf("n=%d salted=%v a=%v alias=%v", n, salted, a, alias), i, y[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+var sinkAxpy []float64
+
+// BenchmarkAxpy is the apply y += a*x at d = 2^21, the sign of a
+// alternating so y neither grows nor cancels.
+func BenchmarkAxpy(b *testing.B) {
+	const d = 1 << 21
+	rng := rand.New(rand.NewSource(1))
+	x, y := make([]float64, d), make([]float64, d)
+	for i := range x {
+		x[i], y[i] = rng.NormFloat64()*1e-2, rng.NormFloat64()
+	}
+	b.SetBytes(8 * d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Axpy(float64(1-2*(i%2))*1e-3, x, y)
+	}
+	sinkAxpy = y
 }
 
 func TestAxpyLengthMismatchPanics(t *testing.T) {
