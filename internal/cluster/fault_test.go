@@ -507,8 +507,9 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 					if r.scalar != wantScalar {
 						t.Fatalf("survivor %d scalar = %v, want %v", r.rank, r.scalar, wantScalar)
 					}
-					if nc := counters.NodeTotals(r.rank); nc.Recoveries != 1 || nc.PeersLost != 1 {
-						t.Fatalf("survivor %d counted %d recoveries and %d lost peers, want 1 and 1", r.rank, nc.Recoveries, nc.PeersLost)
+					_, _, nodes := counters.Snapshot()
+					if nc := nodes[int32(r.rank)]; nc[telemetry.CounterRecoveries] != 1 || nc[telemetry.CounterPeersLost] != 1 {
+						t.Fatalf("survivor %d counted %d recoveries and %d lost peers, want 1 and 1", r.rank, nc[telemetry.CounterRecoveries], nc[telemetry.CounterPeersLost])
 					}
 				case <-time.After(30 * time.Second):
 					t.Fatal("a survivor hung during elastic recovery")

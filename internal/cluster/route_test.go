@@ -61,8 +61,9 @@ func appliedPerStep(cfg *dist.TrainerConfig) func() float64 {
 	cfg.Telemetry = telemetry.New(agg)
 	node := cfg.FirstWorker
 	return func() float64 {
-		nc := agg.NodeTotals(node)
-		return float64(nc.ApplyElems) / float64(nc.Steps)
+		_, _, nodes := agg.Snapshot()
+		nc := nodes[int32(node)]
+		return float64(nc[telemetry.CounterApplyElems]) / float64(nc[telemetry.CounterSteps])
 	}
 }
 
@@ -240,7 +241,8 @@ func TestDenseRoundsKeepParentLosses(t *testing.T) {
 				if got := math.Float64bits(loss); got != tc.want[step] {
 					t.Errorf("loss[%d] = %v (%#x), the parent trained %#x", step, loss, got, tc.want[step])
 				}
-				total := agg.NodeTotals(0).ApplyElems
+				_, _, nodes := agg.Snapshot()
+				total := nodes[0][telemetry.CounterApplyElems]
 				requireRoute(t, tc.sparse(step), float64(total-applied), tr.Dim())
 				applied = total
 			}
@@ -546,9 +548,10 @@ func TestApplyRouteRetriesExactly(t *testing.T) {
 			}
 		}
 		var got [][]float64
+		_, _, nodes := counters.Snapshot()
 		for _, r := range live {
-			if nc := counters.NodeTotals(r); nc.Recoveries != 1 || nc.PeersLost != 1 {
-				t.Fatalf("survivor %d counted %d recoveries and %d lost peers, want 1 and 1", r, nc.Recoveries, nc.PeersLost)
+			if nc := nodes[int32(r)]; nc[telemetry.CounterRecoveries] != 1 || nc[telemetry.CounterPeersLost] != 1 {
+				t.Fatalf("survivor %d counted %d recoveries and %d lost peers, want 1 and 1", r, nc[telemetry.CounterRecoveries], nc[telemetry.CounterPeersLost])
 			}
 			got = append(got, nn.FlattenWeights(ranks[r].tr.Params(), nil))
 			requireBitIdentical(t, fmt.Sprintf("survivor %d weight", r), got[len(got)-1], got[0])

@@ -60,36 +60,36 @@ func TestEngineTelemetryMatchesInstrumentedAndFormulas(t *testing.T) {
 			if msgs != wantMsgs {
 				t.Errorf("instrumented sent %d messages, formula says %d", msgs, wantMsgs)
 			}
-			if got := agg.Total(telemetry.CounterSentMessages); got != int64(msgs) {
+			totals, links, _ := agg.Snapshot()
+			if got := totals[telemetry.CounterSentMessages]; got != int64(msgs) {
 				t.Errorf("telemetry sent messages = %d, instrumented counted %d", got, msgs)
 			}
-			if got := agg.Total(telemetry.CounterSentBytes); got != int64(bytes) {
+			if got := totals[telemetry.CounterSentBytes]; got != int64(bytes) {
 				t.Errorf("telemetry sent bytes = %d, instrumented counted %d", got, bytes)
 			}
-			if got := agg.Total(telemetry.CounterRecvMessages); got != int64(rmsgs) {
+			if got := totals[telemetry.CounterRecvMessages]; got != int64(rmsgs) {
 				t.Errorf("telemetry recv messages = %d, instrumented counted %d", got, rmsgs)
 			}
-			if got := agg.Total(telemetry.CounterRecvBytes); got != int64(rbytes) {
+			if got := totals[telemetry.CounterRecvBytes]; got != int64(rbytes) {
 				t.Errorf("telemetry recv bytes = %d, instrumented counted %d", got, rbytes)
 			}
 
 			// Per-link attribution must match link for link, and the links
 			// must partition the totals.
 			var linkMsgSum, linkByteSum int64
-			for _, l := range agg.LinksSeen() {
-				lc := agg.LinkTotals(int(l.From), int(l.To))
+			for l, lc := range links {
 				st := e.Transport().LinkStats(int(l.From), int(l.To))
-				if lc.SentMessages != int64(st.Messages) || lc.SentBytes != int64(st.Bytes) {
+				if lc[telemetry.CounterSentMessages] != int64(st.Messages) || lc[telemetry.CounterSentBytes] != int64(st.Bytes) {
 					t.Errorf("link %d->%d: telemetry %d msgs/%d bytes, instrumented %d/%d",
-						l.From, l.To, lc.SentMessages, lc.SentBytes, st.Messages, st.Bytes)
+						l.From, l.To, lc[telemetry.CounterSentMessages], lc[telemetry.CounterSentBytes], st.Messages, st.Bytes)
 				}
 				rst := e.Transport().RecvLinkStats(int(l.From), int(l.To))
-				if lc.RecvMessages != int64(rst.Messages) || lc.RecvBytes != int64(rst.Bytes) {
+				if lc[telemetry.CounterRecvMessages] != int64(rst.Messages) || lc[telemetry.CounterRecvBytes] != int64(rst.Bytes) {
 					t.Errorf("link %d->%d recv: telemetry %d msgs/%d bytes, instrumented %d/%d",
-						l.From, l.To, lc.RecvMessages, lc.RecvBytes, rst.Messages, rst.Bytes)
+						l.From, l.To, lc[telemetry.CounterRecvMessages], lc[telemetry.CounterRecvBytes], rst.Messages, rst.Bytes)
 				}
-				linkMsgSum += lc.SentMessages
-				linkByteSum += lc.SentBytes
+				linkMsgSum += lc[telemetry.CounterSentMessages]
+				linkByteSum += lc[telemetry.CounterSentBytes]
 			}
 			if linkMsgSum != int64(msgs) || linkByteSum != int64(bytes) {
 				t.Errorf("links sum to %d msgs/%d bytes, totals are %d/%d", linkMsgSum, linkByteSum, msgs, bytes)
@@ -263,13 +263,15 @@ func TestTCPWireBytesExact(t *testing.T) {
 	}
 
 	want := int64(payloadBytes + 4*msgs + 12) // frames + one handshake
-	if got := aAgg.Total(telemetry.CounterWireSentBytes); got != want {
+	aTotals, aLinks, _ := aAgg.Snapshot()
+	bTotals, _, _ := bAgg.Snapshot()
+	if got := aTotals[telemetry.CounterWireSentBytes]; got != want {
 		t.Errorf("sender wire bytes = %d, want %d (payload %d + 4*%d + 12)", got, want, payloadBytes, msgs)
 	}
-	if got := bAgg.Total(telemetry.CounterWireRecvBytes); got != want {
+	if got := bTotals[telemetry.CounterWireRecvBytes]; got != want {
 		t.Errorf("receiver wire bytes = %d, want %d", got, want)
 	}
-	if got := aAgg.LinkTotals(0, 1).WireSentBytes; got != want {
+	if got := aLinks[telemetry.Link{From: 0, To: 1}][telemetry.CounterWireSentBytes]; got != want {
 		t.Errorf("link 0->1 wire bytes = %d, want %d", got, want)
 	}
 	var dials int64
@@ -281,7 +283,7 @@ func TestTCPWireBytesExact(t *testing.T) {
 	if dials != 1 {
 		t.Errorf("recorded %d dial spans, want 1", dials)
 	}
-	if got := aAgg.Total(telemetry.CounterDialRetries); got != 0 {
+	if got := aTotals[telemetry.CounterDialRetries]; got != 0 {
 		t.Errorf("counted %d dial retries against a live listener, want 0", got)
 	}
 }
@@ -312,10 +314,11 @@ func TestTCPDialRetriesCounted(t *testing.T) {
 	if err := a.Send(0, 1, []byte{1}); err != nil { // blocks in the retry loop
 		t.Fatal(err)
 	}
-	if got := agg.Total(telemetry.CounterDialRetries); got < 1 {
+	totals, links, _ := agg.Snapshot()
+	if got := totals[telemetry.CounterDialRetries]; got < 1 {
 		t.Errorf("counted %d dial retries, want >= 1 (listener came up late)", got)
 	}
-	if got := agg.LinkTotals(0, 1).DialRetries; got < 1 {
+	if got := links[telemetry.Link{From: 0, To: 1}][telemetry.CounterDialRetries]; got < 1 {
 		t.Errorf("link 0->1 retries = %d, want >= 1", got)
 	}
 }

@@ -121,22 +121,24 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			if allocs > tc.budget {
 				t.Errorf("Step allocates %v objects/op in steady state, budget %v", allocs, tc.budget)
 			}
-			nc := agg.NodeTotals(0)
-			if tc.traced && tc.factory != nil && (nc.TargetElems != nc.Steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc.SelectedElems == 0) {
-				t.Errorf("traced run counted %+v", nc)
+			_, _, nodes := agg.Snapshot()
+			nc := nodes[0]
+			steps, applied := nc[telemetry.CounterSteps], nc[telemetry.CounterApplyElems]
+			if tc.traced && tc.factory != nil && (nc[telemetry.CounterTargetElems] != steps*int64(compress.TargetK(tr.Dim(), 0.05)) || nc[telemetry.CounterSelectedElems] == 0) {
+				t.Errorf("traced run counted %v", nc)
 			}
 			// One worker: the merged mean is its selection, the dense
 			// aggregate is the model.
-			if want := nc.SelectedElems; tc.traced && tc.factory != nil && !tc.dense && nc.ApplyElems != want {
-				t.Errorf("sparse route applied %d elements, the worker selected %d", nc.ApplyElems, want)
+			if want := nc[telemetry.CounterSelectedElems]; tc.traced && tc.factory != nil && !tc.dense && applied != want {
+				t.Errorf("sparse route applied %d elements, the worker selected %d", applied, want)
 			}
-			if want := nc.Steps * int64(tr.Dim()); tc.traced && (tc.dense || tc.spans) && nc.ApplyElems != want {
-				t.Errorf("dense route applied %d elements over %d steps, want d = %d per step", nc.ApplyElems, nc.Steps, tr.Dim())
+			if want := steps * int64(tr.Dim()); tc.traced && (tc.dense || tc.spans) && applied != want {
+				t.Errorf("dense route applied %d elements over %d steps, want d = %d per step", applied, steps, tr.Dim())
 			}
 			if spans := agg.Spans(); tc.traced && tc.spans {
 				for _, sp := range spans {
-					if sp.Kind == telemetry.SpanApply && sp.Count != 3*nc.Steps {
-						t.Errorf("spans route traced %d apply spans over %d steps, want one per chunk", sp.Count, nc.Steps)
+					if sp.Kind == telemetry.SpanApply && sp.Count != 3*steps {
+						t.Errorf("spans route traced %d apply spans over %d steps, want one per chunk", sp.Count, steps)
 					}
 				}
 			}

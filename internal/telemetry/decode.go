@@ -26,20 +26,20 @@ type Meta struct {
 	EpochNanos int64 `json:"epoch_ns"`
 }
 
-// spanKindNames / counterKindNames invert the String methods so the
-// decoder recovers kinds from their stable JSONL names.
+// spanKindNames / counterKindNames invert spanNames and counterRows so
+// the decoder recovers kinds from their stable JSONL names.
 var spanKindNames = func() map[string]SpanKind {
 	m := make(map[string]SpanKind, numSpanKinds)
-	for k := SpanKind(0); k < numSpanKinds; k++ {
-		m[k.String()] = k
+	for k, name := range spanNames {
+		m[name] = SpanKind(k)
 	}
 	return m
 }()
 
 var counterKindNames = func() map[string]CounterKind {
 	m := make(map[string]CounterKind, numCounterKinds)
-	for k := CounterKind(0); k < numCounterKinds; k++ {
-		m[k.String()] = k
+	for k, r := range counterRows {
+		m[r.name] = CounterKind(k)
 	}
 	return m
 }()

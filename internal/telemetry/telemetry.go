@@ -11,6 +11,13 @@
 // JSONL streams one JSON object per event to a writer, and Handler
 // serves an Aggregator over HTTP (/metrics, /healthz, /debug/pprof).
 //
+// Each kind is described once. spanNames names the span kinds;
+// counterRows gives each counter kind its name (the JSONL value and the
+// sidco_<name>_total family), its attribution (a directed link or a
+// node) and its help text. String, DecodeJSONL, the Aggregator's per-link
+// and per-node split and WritePrometheus all read these tables, so a new
+// kind is one constant and one row.
+//
 // The hot-path contract is that a nil *Tracer is a valid disabled
 // tracer: Begin returns a zero Span, End and Count return immediately,
 // and none of them allocate — instrumentation can stay unconditionally
@@ -67,38 +74,31 @@ const (
 	numSpanKinds
 )
 
-// String implements fmt.Stringer; the names are the JSONL and
-// Prometheus label values.
+// spanNames are the span kinds' JSONL values and Prometheus span labels.
+var spanNames = [numSpanKinds]string{
+	SpanStep:       "step",
+	SpanCompute:    "compute",
+	SpanCompress:   "compress",
+	SpanEncode:     "encode",
+	SpanExchange:   "exchange",
+	SpanApply:      "apply",
+	SpanCollective: "collective",
+	SpanDial:       "dial",
+	SpanSend:       "send",
+	SpanRecv:       "recv",
+}
+
+// String implements fmt.Stringer: the kind's spanNames entry.
 func (k SpanKind) String() string {
-	switch k {
-	case SpanStep:
-		return "step"
-	case SpanCompute:
-		return "compute"
-	case SpanCompress:
-		return "compress"
-	case SpanEncode:
-		return "encode"
-	case SpanExchange:
-		return "exchange"
-	case SpanApply:
-		return "apply"
-	case SpanCollective:
-		return "collective"
-	case SpanDial:
-		return "dial"
-	case SpanSend:
-		return "send"
-	case SpanRecv:
-		return "recv"
-	default:
+	if k >= numSpanKinds {
 		return "unknown"
 	}
+	return spanNames[k]
 }
 
 // CounterKind names a monotonic counter. Link-attributed kinds carry
 // the directed link in (Node, Peer) = (from, to); node-attributed kinds
-// carry the owning node in Node.
+// carry the owning node in Node. counterRows says which a kind is.
 type CounterKind uint8
 
 const (
@@ -161,45 +161,58 @@ const (
 	numCounterKinds
 )
 
-// String implements fmt.Stringer; the names are the JSONL and
-// Prometheus label values.
+// scope is how a counter kind is attributed and which /metrics families
+// carry it beside its total.
+type scope uint8
+
+const (
+	// nodeScope kinds belong to Node and are exported per node.
+	nodeScope scope = iota
+	// linkScope kinds belong to the directed link (Node, Peer) and are
+	// exported as a total only.
+	linkScope
+	// sentScope and recvScope are the gradient traffic of a directed
+	// link, exported per link once that direction carried a message.
+	sentScope
+	recvScope
+)
+
+// counterRow describes one counter kind. name is the JSONL value and,
+// as sidco_<name>_total, the Prometheus family (a _nanos name is
+// exported in seconds); help is the family's help text.
+type counterRow struct {
+	name  string
+	scope scope
+	help  string
+}
+
+// counterRows is the one description of every counter kind: the names,
+// the Aggregator's attribution and the /metrics families all read it.
+var counterRows = [numCounterKinds]counterRow{
+	CounterSentMessages:          {"sent_messages", sentScope, "Gradient messages sent"},
+	CounterSentBytes:             {"sent_bytes", sentScope, "Gradient payload bytes sent"},
+	CounterRecvMessages:          {"recv_messages", recvScope, "Gradient messages received"},
+	CounterRecvBytes:             {"recv_bytes", recvScope, "Gradient payload bytes received"},
+	CounterSteps:                 {"steps", nodeScope, "Completed training steps"},
+	CounterRecvWaitNanos:         {"recv_wait_nanos", nodeScope, "Wall-clock time blocked in Recv (straggler + network wait)"},
+	CounterDialRetries:           {"dial_retries", linkScope, "Retried TCP dial attempts"},
+	CounterWireSentBytes:         {"wire_sent_bytes", linkScope, "Raw TCP bytes written (payload + framing + handshake)"},
+	CounterWireRecvBytes:         {"wire_recv_bytes", linkScope, "Raw TCP bytes read (payload + framing + handshake)"},
+	CounterSelectedElems:         {"selected_elems", nodeScope, "Elements the compressors shipped (k-hat; over target_elems, the achieved-vs-target ratio k-hat/k)"},
+	CounterTargetElems:           {"target_elems", nodeScope, "Elements the compressors were asked for (k per worker per step)"},
+	CounterSelectListCorrections: {"select_list_corrections", nodeScope, "Steps whose threshold estimate missed the band and was re-taken exactly from an exceedance list"},
+	CounterSelectSweepFallbacks:  {"select_sweep_fallbacks", nodeScope, "Steps that had no exceedance list and paid an exact selection over the whole gradient"},
+	CounterApplyElems:            {"apply_elems", nodeScope, "Gradient elements the optimizer updates were handed (the merged sparse mean's non-zeros on a sparse step, the model dimension on a dense one)"},
+	CounterRecoveries:            {"recoveries", nodeScope, "Agreed membership renegotiations after a failed step (fault path)"},
+	CounterPeersLost:             {"peers_lost", nodeScope, "Members the agreed renegotiations dropped from the group"},
+}
+
+// String implements fmt.Stringer: the kind's counterRows name.
 func (k CounterKind) String() string {
-	switch k {
-	case CounterSentMessages:
-		return "sent_messages"
-	case CounterSentBytes:
-		return "sent_bytes"
-	case CounterRecvMessages:
-		return "recv_messages"
-	case CounterRecvBytes:
-		return "recv_bytes"
-	case CounterSteps:
-		return "steps"
-	case CounterRecvWaitNanos:
-		return "recv_wait_nanos"
-	case CounterDialRetries:
-		return "dial_retries"
-	case CounterWireSentBytes:
-		return "wire_sent_bytes"
-	case CounterWireRecvBytes:
-		return "wire_recv_bytes"
-	case CounterSelectedElems:
-		return "selected_elems"
-	case CounterTargetElems:
-		return "target_elems"
-	case CounterSelectListCorrections:
-		return "select_list_corrections"
-	case CounterSelectSweepFallbacks:
-		return "select_sweep_fallbacks"
-	case CounterApplyElems:
-		return "apply_elems"
-	case CounterRecoveries:
-		return "recoveries"
-	case CounterPeersLost:
-		return "peers_lost"
-	default:
+	if k >= numCounterKinds {
 		return "unknown"
 	}
+	return counterRows[k].name
 }
 
 // EventType discriminates the event shapes.

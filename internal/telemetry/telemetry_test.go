@@ -48,48 +48,48 @@ func TestAggregatorCounterTotalsAreExact(t *testing.T) {
 	// A zero delta must be dropped, not recorded as a touched link.
 	tr.Count(CounterSentBytes, 8, 9, 0)
 
-	if got := agg.Total(CounterSentMessages); got != 105 {
+	totals, links, nodes := agg.Snapshot()
+	if got := totals[CounterSentMessages]; got != 105 {
 		t.Errorf("sent messages = %d, want 105", got)
 	}
-	if got := agg.Total(CounterSentBytes); got != 4950 {
+	if got := totals[CounterSentBytes]; got != 4950 {
 		t.Errorf("sent bytes = %d, want 4950", got)
 	}
-	if got := agg.Total(CounterRecvBytes); got != 9900 {
+	if got := totals[CounterRecvBytes]; got != 9900 {
 		t.Errorf("recv bytes = %d, want 9900", got)
 	}
-	lc := agg.LinkTotals(0, 1)
-	if lc.SentMessages != 100 || lc.SentBytes != 4950 || lc.RecvMessages != 100 || lc.RecvBytes != 9900 {
-		t.Errorf("link 0->1 = %+v", lc)
+	lc := links[Link{0, 1}]
+	if lc[CounterSentMessages] != 100 || lc[CounterSentBytes] != 4950 || lc[CounterRecvMessages] != 100 || lc[CounterRecvBytes] != 9900 {
+		t.Errorf("link 0->1 = %v", lc)
 	}
-	if got := agg.LinkTotals(1, 2).SentMessages; got != 5 {
+	if got := links[Link{1, 2}][CounterSentMessages]; got != 5 {
 		t.Errorf("link 1->2 sent messages = %d, want 5", got)
 	}
-	if nc := agg.NodeTotals(0); nc.Steps != 7 {
-		t.Errorf("node 0 steps = %d, want 7", nc.Steps)
+	if nc := nodes[0]; nc[CounterSteps] != 7 {
+		t.Errorf("node 0 steps = %d, want 7", nc[CounterSteps])
 	}
-	if nc := agg.NodeTotals(2); nc.RecvWaitNanos != 1_500_000_000 {
-		t.Errorf("node 2 recv wait = %d", nc.RecvWaitNanos)
+	if nc := nodes[2]; nc[CounterRecvWaitNanos] != 1_500_000_000 {
+		t.Errorf("node 2 recv wait = %d", nc[CounterRecvWaitNanos])
 	}
-	if nc := agg.NodeTotals(3); nc.SelectedElems != 995 || nc.TargetElems != 1000 || nc.SelectListCorrections != 1 || nc.SelectSweepFallbacks != 0 {
-		t.Errorf("node 3 selection counters = %+v", nc)
+	if nc := nodes[3]; nc[CounterSelectedElems] != 995 || nc[CounterTargetElems] != 1000 || nc[CounterSelectListCorrections] != 1 || nc[CounterSelectSweepFallbacks] != 0 {
+		t.Errorf("node 3 selection counters = %v", nc)
 	}
-	if nc := agg.NodeTotals(3); nc.ApplyElems != 10380 || agg.Total(CounterApplyElems) != 10380 {
-		t.Errorf("node 3 apply elems = %+v", nc)
+	if nc := nodes[3]; nc[CounterApplyElems] != 10380 || totals[CounterApplyElems] != 10380 {
+		t.Errorf("node 3 apply elems = %v", nc)
 	}
-	if nc := agg.NodeTotals(4); nc.SelectSweepFallbacks != 1 || agg.Total(CounterSelectSweepFallbacks) != 1 {
-		t.Errorf("node 4 selection counters = %+v", nc)
+	if nc := nodes[4]; nc[CounterSelectSweepFallbacks] != 1 || totals[CounterSelectSweepFallbacks] != 1 {
+		t.Errorf("node 4 selection counters = %v", nc)
 	}
-	if nc := agg.NodeTotals(5); nc.Recoveries != 1 || nc.PeersLost != 2 || agg.Total(CounterPeersLost) != 2 {
-		t.Errorf("node 5 fault-path counters = %+v", nc)
+	if nc := nodes[5]; nc[CounterRecoveries] != 1 || nc[CounterPeersLost] != 2 || totals[CounterPeersLost] != 2 {
+		t.Errorf("node 5 fault-path counters = %v", nc)
 	}
 	// Node-attributed counters touch no link, so only the two traffic links
-	// exist, sorted by (from, to).
-	links := agg.LinksSeen()
-	if len(links) != 2 || links[0] != (Link{0, 1}) || links[1] != (Link{1, 2}) {
-		t.Errorf("LinksSeen = %v (want sorted 0->1, 1->2)", links)
+	// exist; TestPrometheusGolden pins their order.
+	if _, ok := links[Link{8, 9}]; len(links) != 2 || ok {
+		t.Errorf("links = %v (want 0->1, 1->2)", links)
 	}
 	agg.Reset()
-	if agg.Total(CounterSentMessages) != 0 || len(agg.LinksSeen()) != 0 {
+	if totals, links, _ := agg.Snapshot(); totals[CounterSentMessages] != 0 || len(links) != 0 {
 		t.Error("Reset left state behind")
 	}
 }
@@ -287,6 +287,108 @@ func TestJSONLSchema(t *testing.T) {
 	}
 }
 
+// TestJSONLKindNames pins every span and counter kind's schema-3 name
+// and sends each kind through JSONL and back through DecodeJSONL.
+func TestJSONLKindNames(t *testing.T) {
+	spans := []string{
+		SpanStep:       "step",
+		SpanCompute:    "compute",
+		SpanCompress:   "compress",
+		SpanEncode:     "encode",
+		SpanExchange:   "exchange",
+		SpanApply:      "apply",
+		SpanCollective: "collective",
+		SpanDial:       "dial",
+		SpanSend:       "send",
+		SpanRecv:       "recv",
+	}
+	counters := []string{
+		CounterSentMessages:          "sent_messages",
+		CounterSentBytes:             "sent_bytes",
+		CounterRecvMessages:          "recv_messages",
+		CounterRecvBytes:             "recv_bytes",
+		CounterSteps:                 "steps",
+		CounterRecvWaitNanos:         "recv_wait_nanos",
+		CounterDialRetries:           "dial_retries",
+		CounterWireSentBytes:         "wire_sent_bytes",
+		CounterWireRecvBytes:         "wire_recv_bytes",
+		CounterSelectedElems:         "selected_elems",
+		CounterTargetElems:           "target_elems",
+		CounterSelectListCorrections: "select_list_corrections",
+		CounterSelectSweepFallbacks:  "select_sweep_fallbacks",
+		CounterApplyElems:            "apply_elems",
+		CounterRecoveries:            "recoveries",
+		CounterPeersLost:             "peers_lost",
+	}
+	if len(spans) != int(numSpanKinds) || len(counters) != int(numCounterKinds) {
+		t.Fatalf("table lists %d span and %d counter kinds, the package has %d and %d",
+			len(spans), len(counters), numSpanKinds, numCounterKinds)
+	}
+	for _, names := range [][]string{spans, counters} {
+		seen := map[string]bool{}
+		for _, name := range names {
+			if name == "" || name == "unknown" || seen[name] {
+				t.Errorf("kind name %q is empty, unknown or repeated", name)
+			}
+			seen[name] = true
+		}
+	}
+	for k, r := range counterRows {
+		if r.help == "" {
+			t.Errorf("counter kind %d (%q) has no help text", k, r.name)
+		}
+	}
+	if numSpanKinds.String() != "unknown" || numCounterKinds.String() != "unknown" {
+		t.Errorf("out-of-range kinds print %q and %q, want unknown", numSpanKinds, numCounterKinds)
+	}
+
+	var buf bytes.Buffer
+	j := NewJSONLForNode(&buf, 0)
+	tr := New(j)
+	for k := SpanKind(0); k < numSpanKinds; k++ {
+		if k.String() != spans[k] {
+			t.Errorf("SpanKind %d prints %q, want %q", k, k, spans[k])
+		}
+		j.Emit(Event{Type: EventSpan, Span: k, Node: 0, Peer: -1, Step: int64(k), DurNanos: 1, Seq: -1})
+	}
+	for k := CounterKind(0); k < numCounterKinds; k++ {
+		if k.String() != counters[k] {
+			t.Errorf("CounterKind %d prints %q, want %q", k, k, counters[k])
+		}
+		tr.Count(k, 0, 1, int64(k)+1)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range spans {
+		if !strings.Contains(buf.String(), `"span":"`+name+`"`) {
+			t.Errorf("stream has no span line named %q", name)
+		}
+	}
+	for _, name := range counters {
+		if !strings.Contains(buf.String(), `"counter":"`+name+`"`) {
+			t.Errorf("stream has no counter line named %q", name)
+		}
+	}
+	_, evs, err := DecodeJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != len(spans)+len(counters) {
+		t.Fatalf("decoded %d events, want %d", len(evs), len(spans)+len(counters))
+	}
+	for k := range spans {
+		if e := evs[k]; e.Type != EventSpan || e.Span != SpanKind(k) {
+			t.Errorf("span %q decoded as %+v", spans[k], e)
+		}
+	}
+	for k := range counters {
+		if e := evs[len(spans)+k]; e.Type != EventCounter || e.Counter != CounterKind(k) || e.Value != int64(k)+1 {
+			t.Errorf("counter %q decoded as %+v", counters[k], e)
+		}
+	}
+}
+
 // TestDecodeJSONLRejects pins the strict-decode failure modes: streams
 // without a meta record, unknown schema versions, unknown line types,
 // unknown kinds, and unknown fields must all error rather than decode
@@ -407,10 +509,11 @@ func TestConcurrentEmit(t *testing.T) {
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := agg.Total(CounterSentMessages); got != goroutines*per {
+	totals, links, _ := agg.Snapshot()
+	if got := totals[CounterSentMessages]; got != goroutines*per {
 		t.Errorf("sent messages = %d, want %d", got, goroutines*per)
 	}
-	if got := agg.Total(CounterSentBytes); got != goroutines*per*8 {
+	if got := totals[CounterSentBytes]; got != goroutines*per*8 {
 		t.Errorf("sent bytes = %d, want %d", got, goroutines*per*8)
 	}
 	spans := agg.Spans()
@@ -418,8 +521,8 @@ func TestConcurrentEmit(t *testing.T) {
 		t.Errorf("spans = %+v, want %d collective spans", spans, goroutines*per)
 	}
 	for g := 0; g < goroutines; g++ {
-		if lc := agg.LinkTotals(g, (g+1)%goroutines); lc.SentMessages != per {
-			t.Errorf("link %d->%d = %d messages, want %d", g, (g+1)%goroutines, lc.SentMessages, per)
+		if lc := links[Link{int32(g), int32((g + 1) % goroutines)}]; lc[CounterSentMessages] != per {
+			t.Errorf("link %d->%d = %d messages, want %d", g, (g+1)%goroutines, lc[CounterSentMessages], per)
 		}
 	}
 }
