@@ -197,12 +197,12 @@ func (m *Momentum) Step(params []*Param) {
 	for _, p := range params {
 		v := m.velocity(p)
 		for i := range p.W {
-			g := p.G[i] + m.WeightDecay*p.W[i]
-			v[i] = m.Mu*v[i] + g
+			g := p.G[i] + float64(m.WeightDecay*p.W[i])
+			v[i] = float64(m.Mu*v[i]) + g
 			if m.Nesterov {
-				p.W[i] -= m.LR * (g + m.Mu*v[i])
+				p.W[i] -= float64(m.LR * (g + float64(m.Mu*v[i])))
 			} else {
-				p.W[i] -= m.LR * v[i]
+				p.W[i] -= float64(m.LR * v[i])
 			}
 			p.G[i] = 0
 		}
@@ -222,12 +222,12 @@ func (m *Momentum) StepSpan(params []*Param, off int, grad []float64) {
 			f := grad[start+lo-off:][:len(w)]
 			v := m.velocity(p)[lo:][:len(w)]
 			for i := range w {
-				g := f[i] + m.WeightDecay*w[i]
-				v[i] = m.Mu*v[i] + g
+				g := f[i] + float64(m.WeightDecay*w[i])
+				v[i] = float64(m.Mu*v[i]) + g
 				if m.Nesterov {
-					w[i] -= m.LR * (g + m.Mu*v[i])
+					w[i] -= float64(m.LR * (g + float64(m.Mu*v[i])))
 				} else {
-					w[i] -= m.LR * v[i]
+					w[i] -= float64(m.LR * v[i])
 				}
 			}
 		}
@@ -241,7 +241,7 @@ func (m *Momentum) StepSpan(params []*Param, off int, grad []float64) {
 func ClipFlatNorm(flat []float64, maxNorm float64) float64 {
 	sum := 0.0
 	for _, g := range flat {
-		sum += g * g
+		sum += float64(g * g)
 	}
 	norm := math.Sqrt(sum)
 	if norm > maxNorm && norm > 0 {

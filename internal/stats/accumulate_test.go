@@ -160,6 +160,100 @@ func TestAbsSumAddsPartialsInBlockOrder(t *testing.T) {
 	}
 }
 
+// saltGroups puts, in each block of xs, the values gammaKernel must leave
+// to gammaLoop or take on its long path — 0, -0, two subnormals, ±Inf and
+// a NaN whose payload names the lane — at every lane of a group, each at
+// a group index no other block of its group of four blocks salts: the
+// fallback fires inside one block while the other three are clean.
+func saltGroups(xs []float64) {
+	for lo := 0; lo < len(xs); lo += sumBlock {
+		n := min(sumBlock, len(xs)-lo)
+		for lane := range 4 {
+			nan := math.Float64frombits(0x7ff8000000000001 + uint64(lane))
+			for j, v := range []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, math.Inf(1), math.Inf(-1), nan} {
+				if i := 4*(1+8*(7*lane+j)+2*(lo/sumBlock%4)) + lane; i < n {
+					xs[lo+i] = v
+				}
+			}
+		}
+	}
+}
+
+// TestGammaSumMatchesOneBlock holds gammaSum, the four-block gamma sweep
+// of AccumulateGammaMoments, to the one-block loop over the Go body
+// alone (reduce over gammaKernel with gammaLoop): the three partials and
+// the updated vector by nanOrSameBits, at every streamLength, with g nil
+// and not nil, on a plain vector, one salted by saltGroups and one with
+// half its entries zero (groups that mix normal and zero lanes).
+func TestGammaSumMatchesOneBlock(t *testing.T) {
+	onEachGammaPath(func(path string) {
+		rng := rand.New(rand.NewSource(45))
+		for _, n := range streamLengths {
+			for _, fill := range []string{"plain", "salted", "half-zero"} {
+				v := make([]float64, n)
+				scale := 1.0
+				for i := range v {
+					if i%sumBlock == 0 {
+						scale = math.Exp(rng.NormFloat64() * 12)
+					}
+					v[i] = scale * rng.NormFloat64()
+					if fill == "half-zero" && rng.Intn(2) == 0 {
+						v[i] = 0
+					}
+				}
+				if fill == "salted" {
+					saltGroups(v)
+				}
+				acc, g := gammaAddends(rng, v)
+				for _, c := range []struct {
+					what   string
+					acc, g []float64
+				}{{"nil g", v, nil}, {"with g", acc, g}} {
+					what := fmt.Sprintf("%s n=%d %s %s", path, n, fill, c.what)
+					want, wantAcc := gammaPartials(gammaLoop, c.acc, c.g)
+					gotAcc := append([]float64(nil), c.acc...)
+					got := gammaSum(gotAcc, c.g)
+					for i := range want {
+						if !nanOrSameBits(got[i], want[i]) {
+							t.Fatalf("%s: partial %d = %v, one block at a time %v", what, i, got[i], want[i])
+						}
+					}
+					for i := range wantAcc {
+						if !nanOrSameBits(gotAcc[i], wantAcc[i]) {
+							t.Fatalf("%s: acc[%d] = %v, one block at a time %v", what, i, gotAcc[i], wantAcc[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGammaSumAddsPartialsInBlockOrder is TestAbsSumAddsPartialsInBlockOrder
+// for gammaSum: every prefix of whole groups of four blocks up to 2^19
+// elements, each group's entries twice the last group's, all three
+// partials checked against reduce's where each group's total is made.
+func TestGammaSumAddsPartialsInBlockOrder(t *testing.T) {
+	const group = 4 * sumBlock
+	rng := rand.New(rand.NewSource(46))
+	acc0, g := make([]float64, 32*group), make([]float64, 32*group)
+	for i := range g {
+		scale := math.Ldexp(1, i/group)
+		acc0[i], g[i] = scale*rng.NormFloat64(), scale*rng.NormFloat64()
+	}
+	acc, want := make([]float64, len(acc0)), make([]float64, len(acc0))
+	for n := group; n <= len(acc0); n += group {
+		copy(acc, acc0)
+		copy(want, acc0)
+		got, w := gammaSum(acc[:n], g[:n]), reduce(want[:n], g[:n], gammaKernel, 0)
+		for i := range w {
+			if math.Float64bits(got[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("n=%d: partial %d = %v, one block at a time %v", n, i, got[i], w[i])
+			}
+		}
+	}
+}
+
 // TestAccumulateSteadyStateAllocs pins the accumulating reductions at
 // zero allocations, on each gamma body.
 func TestAccumulateSteadyStateAllocs(t *testing.T) {
@@ -185,8 +279,9 @@ var sinkMoment float64
 // "add+moments" is the add as its own sweep followed by the one-operand
 // pass — what ErrorFeedback runs over a compressor that does not offer
 // the fused form. The difference is the fused add's standalone saving.
-// "MeanAbs/fused-one-block" is the fused Σ|x| sweep one block at a time,
-// the loop four-block absSum is held to.
+// "MeanAbs/fused-one-block" and "GammaMoments/avx2/fused-one-block" are
+// the fused sweeps one block at a time, the loops four-block absSum and
+// gammaSum are held to.
 // GammaMoments runs on each body (portable: the Go loop; avx2:
 // gamma_amd64.s), over the dense gradient and over one with half its
 // entries zero at random ("sparse"), whose groups of four mix normal and
@@ -201,13 +296,15 @@ func BenchmarkAccumulate(b *testing.B) {
 			sparse[i] = 0
 		}
 	}
-	run := func(b *testing.B, g []float64, step func(acc, g []float64)) {
+	// bytes is what a row moves an element: a fused row reads acc and g
+	// and writes acc, 24 bytes; add+moments then reads acc again, 32.
+	run := func(b *testing.B, g []float64, bytes int64, step func(acc, g []float64)) {
 		flip := [2][]float64{make([]float64, d), make([]float64, d)}
 		for i, x := range g {
 			flip[0][i], flip[1][i] = -2*x, 2*x
 		}
 		acc := append([]float64(nil), g...)
-		b.SetBytes(8 * d)
+		b.SetBytes(bytes * d)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -225,19 +322,24 @@ func BenchmarkAccumulate(b *testing.B) {
 	} {
 		if k.name == "GammaMoments" {
 			onEachGammaPath(func(path string) {
-				b.Run(k.name+"/"+path+"/fused", func(b *testing.B) { run(b, g, k.fused) })
-				b.Run(k.name+"/"+path+"/sparse", func(b *testing.B) { run(b, sparse, k.fused) })
+				b.Run(k.name+"/"+path+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })
+				b.Run(k.name+"/"+path+"/sparse", func(b *testing.B) { run(b, sparse, 24, k.fused) })
+				if path == "avx2" {
+					b.Run(k.name+"/"+path+"/fused-one-block", func(b *testing.B) {
+						run(b, g, 24, func(acc, g []float64) { sinkMoment = reduce(acc, g, gammaKernel, 0)[0] / float64(len(acc)) })
+					})
+				}
 			})
 		} else {
-			b.Run(k.name+"/fused", func(b *testing.B) { run(b, g, k.fused) })
+			b.Run(k.name+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })
 		}
 		if k.name == "MeanAbs" {
 			b.Run(k.name+"/fused-one-block", func(b *testing.B) {
-				run(b, g, func(acc, g []float64) { sinkMoment = reduce(acc, g, absKernel, 0)[0] / float64(len(acc)) })
+				run(b, g, 24, func(acc, g []float64) { sinkMoment = reduce(acc, g, absKernel, 0)[0] / float64(len(acc)) })
 			})
 		}
 		b.Run(k.name+"/add+moments", func(b *testing.B) {
-			run(b, g, func(acc, g []float64) {
+			run(b, g, 32, func(acc, g []float64) {
 				tensor.Add(g, acc)
 				k.plain(acc)
 			})

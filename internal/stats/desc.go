@@ -163,6 +163,10 @@ type gammaState struct {
 // it. Either returns the state after the first k elements, and k.
 var gammaSweep = gammaLoop
 
+// gammaQuadSweep is the four-block body gammaQuad drives
+// (gammaQuadAVX2), or nil where gamma_amd64.go's init finds none.
+var gammaQuadSweep func(blk, g []float64, n int, s [4]gammaState) ([4]gammaState, int, int)
+
 // gammaLoop is gammaKernel's element loop over sub (when g is not nil,
 // v = sub[i] + g[i] is stored back first and reduced in place of sub[i]):
 // the path on a machine without AVX2 and the oracle of the AVX2 body. It
@@ -325,9 +329,74 @@ func AccumulateMeanVarAbs(acc, g []float64) (mean, variance float64) {
 
 // AccumulateGammaMoments is AccumulateMeanAbs for GammaMoments.
 func AccumulateGammaMoments(acc, g []float64) (meanAbs, meanLogAbs float64) {
-	s := reduce(acc, g, gammaKernel, 0)
+	s := gammaSum(acc, g)
 	// s[2] counts the non-zero entries: 0/0 is the all-zero NaN.
 	return s[0] / float64(len(acc)), s[1] / s[2]
+}
+
+// gammaSum is reduce(xs, g, gammaKernel, 0), xs += g included, bit for
+// bit. Where there is a four-block body (gammaQuadSweep), gammaQuad runs
+// four consecutive blocks side by side and their partials add to the
+// total in block order; the last len%(4·sumBlock) elements, and all of
+// them where there is no such body, go block by block through
+// gammaKernel.
+//
+//sidco:hotpath
+func gammaSum(xs, g []float64) (total [3]float64) {
+	lo := 0
+	if gammaQuadSweep != nil {
+		for ; len(xs)-lo >= 4*sumBlock; lo += 4 * sumBlock {
+			for _, p := range gammaQuad(xs[lo:lo+4*sumBlock], window(g, lo, lo+4*sumBlock)) {
+				for i := range total {
+					total[i] += p[i]
+				}
+			}
+		}
+	}
+	for ; lo < len(xs); lo += sumBlock {
+		hi := min(lo+sumBlock, len(xs))
+		p := gammaKernel(xs[lo:hi], window(g, lo, hi), 0)
+		for i := range total {
+			total[i] += p[i]
+		}
+	}
+	return total
+}
+
+// gammaQuad is gammaKernel over the four blocks of blk (and g), each onto
+// its own state: the same sub-blocks, turns and one math.Log per
+// sub-block, which coincide across the blocks because each is sumBlock
+// long. gammaQuadSweep runs the four side by side; the group index it
+// stops at goes through gammaLoop for the blocks that have not run it,
+// and the sweep resumes after it.
+//
+//sidco:hotpath
+func gammaQuad(blk, g []float64) (p [4][3]float64) {
+	var s [4]gammaState
+	for lo := 0; lo < sumBlock; lo += logSub {
+		hi := lo + logSub
+		for b := range s {
+			s[b].p0, s[b].p1 = 1, 1
+		}
+		for i := lo; i < hi; {
+			var k, stop int
+			s, k, stop = gammaQuadSweep(blk[i:], window(g, i, len(blk)), hi-i, s)
+			if i += k; i < hi {
+				for b := stop; b < len(s); b++ {
+					j := b*sumBlock + i
+					s[b], _ = gammaLoop(blk[j:j+4], window(g, j, j+4), s[b])
+				}
+				i += 4
+			}
+		}
+		for b := range s {
+			s[b].logs += math.Log(s[b].p0 * s[b].p1)
+		}
+	}
+	for b, sb := range s {
+		p[b] = [3]float64{sb.abs, float64(math.Ln2*float64(sb.exp)) + sb.logs, float64(sb.n)}
+	}
+	return p
 }
 
 // MaxAbs returns the largest absolute value in xs, or NaN for empty input.

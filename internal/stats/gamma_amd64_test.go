@@ -171,3 +171,57 @@ func TestGammaBodiesStayInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestGammaQuadBodyStaysInBounds is TestGammaBodiesStayInBounds for the
+// four-block body: four exact-length windows, one at the front of each
+// block of an array that ends with the last window, sentinels after each
+// window and after the array's end. The body must touch nothing outside
+// the windows, and nothing of g (-0 in the windows, so that each sum
+// keeps its fill's kind); a fill of normals runs every whole group, a
+// fill of zeros every group on the long path, and a subnormal fill stops
+// at block 0.
+func TestGammaQuadBodyStaysInBounds(t *testing.T) {
+	if !cpu.AVX2 {
+		t.Skip("no AVX2 on this CPU: there is no four-block body")
+	}
+	const pad = 8
+	for n := range 13 {
+		for _, fill := range []float64{1.25, 0, -3e-310} {
+			size := 3*sumBlock + n
+			back, gback := make([]float64, size+pad), make([]float64, size+pad)
+			inWindow := func(i int) bool { return i < size && i%sumBlock < n }
+			for _, withG := range []bool{false, true} {
+				for i := range back {
+					back[i], gback[i] = 1.5, 0.5
+					if inWindow(i) {
+						back[i], gback[i] = fill, math.Copysign(0, -1)
+					}
+				}
+				var g []float64
+				if withG {
+					g = gback[:size:size]
+				}
+				var s [4]gammaState
+				for b := range s {
+					s[b].p0, s[b].p1 = 1, 1
+				}
+				_, k, stop := gammaQuadAVX2(back[:size:size], g, n, s)
+				wantK, wantStop := n&^3, 4
+				if fill < 0 && n >= 4 {
+					wantK, wantStop = 0, 0
+				}
+				if k != wantK || stop != wantStop {
+					t.Fatalf("n=%d fill=%v g=%v: k, stop = %d, %d; want %d, %d", n, fill, withG, k, stop, wantK, wantStop)
+				}
+				for i := range back {
+					if !inWindow(i) && back[i] != 1.5 {
+						t.Fatalf("n=%d fill=%v g=%v: wrote slot %d, outside every window", n, fill, withG, i)
+					}
+					if !inWindow(i) && gback[i] != 0.5 || inWindow(i) && math.Float64bits(gback[i]) != 1<<63 {
+						t.Fatalf("n=%d fill=%v g=%v: wrote g[%d]", n, fill, withG, i)
+					}
+				}
+			}
+		}
+	}
+}

@@ -93,16 +93,16 @@ func sameGammaBits(t *testing.T, what string, got, want [3]float64, gotAcc, want
 var gammaLengths = []int{0, 1, 511, 512, 513, 4095, 4096, 4097, 2*4096 + 1}
 
 // onEachGammaPath calls run once per gamma moment body this machine can
-// run — "portable" (the Go loop) and, where init chose the AVX2 body,
-// "avx2" — with gammaKernel pointed at that body, as init would point it,
-// and restores init's choice after.
+// run — "portable" (the Go loop, no four-block body) and, where init chose
+// the AVX2 bodies, "avx2" — with gammaKernel and gammaSum pointed at those
+// bodies, as init would point them, and restores init's choice after.
 func onEachGammaPath(run func(path string)) {
-	chosen := gammaSweep
-	defer func() { gammaSweep = chosen }()
-	gammaSweep = gammaLoop
+	chosen, chosenQuad := gammaSweep, gammaQuadSweep
+	defer func() { gammaSweep, gammaQuadSweep = chosen, chosenQuad }()
+	gammaSweep, gammaQuadSweep = gammaLoop, nil
 	run("portable")
 	if cpu.AVX2 {
-		gammaSweep = chosen
+		gammaSweep, gammaQuadSweep = chosen, chosenQuad
 		run("avx2")
 	}
 }
@@ -176,13 +176,14 @@ func FuzzGammaMoments(f *testing.F) {
 	f.Add(word(0x1p-1074, 3, math.Inf(1)), uint16(4097))
 	f.Add(word(math.NaN(), 1), uint16(7))
 	f.Add(word(0), uint16(100))
+	f.Add(word(1.5, 0, -2.5e-3, 5e-324, 7, math.Inf(-1), 0, 2), uint16(5*4096+1))
 	f.Add([]byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
 		// The vector cycles through the 8-byte words of data, so a short
 		// input still reaches past a block boundary; g is the same cycle
 		// one word on.
 		words := len(data) / 8
-		xs := make([]float64, 0, int(n)%(2*sumBlock+2))
+		xs := make([]float64, 0, int(n)%(5*sumBlock+2))
 		g := make([]float64, 0, cap(xs))
 		tol := 1e-12
 		for i := 0; words > 0 && i < cap(xs); i++ {
@@ -200,6 +201,18 @@ func FuzzGammaMoments(f *testing.F) {
 			want, wantAcc := gammaPartials(gammaLoop, xs, g)
 			got, gotAcc := gammaPartials(gammaSweep, xs, g)
 			sameGammaBits(t, "fuzz", got, want, gotAcc, wantAcc)
+			gotAcc = append(gotAcc[:0], xs...)
+			got = gammaSum(gotAcc, g)
+			for i := range want {
+				if !nanOrSameBits(got[i], want[i]) {
+					t.Fatalf("fuzz: four-block partial %d = %v, Go loop %v", i, got[i], want[i])
+				}
+			}
+			for i := range wantAcc {
+				if !nanOrSameBits(gotAcc[i], wantAcc[i]) {
+					t.Fatalf("fuzz: four-block acc[%d] = %v, Go loop %v", i, gotAcc[i], wantAcc[i])
+				}
+			}
 		}
 	})
 }

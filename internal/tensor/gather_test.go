@@ -248,11 +248,15 @@ func valuesOnlyAbove(x []float64, eta float64, dst []float64) []float64 {
 // predictor: on each kernel path, the index- and moment-carrying gather
 // and the compaction of its list to the next stage's ~25% of it; then the
 // values-only Go body the gather replaced and the naive branchy loop.
+// Each row counts the bytes it moves: what it reads (8 an element of the
+// vector, 12 a pair of a list) and the pairs it writes (12 each, 8 for
+// the values-only list).
 func BenchmarkPairsAbove(b *testing.B) {
 	g := gaussMix(1<<21, 3)
 	eta := quantileEta(g, 0.30)
 	eta2 := quantileEta(g, 0.075)
 	listM, listI, _ := PairsAboveThreshold(g, eta, 0, nil, nil)
+	kept2, _, _ := CompactPairsAbove(nil, nil, listM, listI, eta2)
 	mags, idx := make([]float64, 0, len(g)), make([]int32, 0, len(g))
 	run := func(name string, bytes int, fn func()) {
 		b.Run(name, func(b *testing.B) {
@@ -264,9 +268,9 @@ func BenchmarkPairsAbove(b *testing.B) {
 		})
 	}
 	onEachGatherPath(func(path string) {
-		run(path+"/pairs", 8*len(g), func() { sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) })
-		run(path+"/compact", 12*len(listM), func() { sinkVals, sinkIdx, _ = CompactPairsAbove(mags[:0], idx[:0], listM, listI, eta2) })
+		run(path+"/pairs", 8*len(g)+12*len(listM), func() { sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) })
+		run(path+"/compact", 12*len(listM)+12*len(kept2), func() { sinkVals, sinkIdx, _ = CompactPairsAbove(mags[:0], idx[:0], listM, listI, eta2) })
 	})
-	run("values-only", 8*len(g), func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) })
-	run("naive", 8*len(g), func() { sinkVals, sinkIdx = naivePairsAbove(g, eta, 0, mags[:0], idx[:0]) })
+	run("values-only", 8*len(g)+8*len(listM), func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) })
+	run("naive", 8*len(g)+12*len(listM), func() { sinkVals, sinkIdx = naivePairsAbove(g, eta, 0, mags[:0], idx[:0]) })
 }

@@ -94,7 +94,8 @@ func TestAxpyMatchesOneBlock(t *testing.T) {
 var sinkAxpy []float64
 
 // BenchmarkAxpy is the apply y += a*x at d = 2^21, the sign of a
-// alternating so y neither grows nor cancels.
+// alternating so y neither grows nor cancels. It moves 24 bytes an
+// element: x and y read, y written.
 func BenchmarkAxpy(b *testing.B) {
 	const d = 1 << 21
 	rng := rand.New(rand.NewSource(1))
@@ -102,7 +103,7 @@ func BenchmarkAxpy(b *testing.B) {
 	for i := range x {
 		x[i], y[i] = rng.NormFloat64()*1e-2, rng.NormFloat64()
 	}
-	b.SetBytes(8 * d)
+	b.SetBytes(24 * d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -238,6 +239,74 @@ func TestTopKMinimizesSparsificationError(t *testing.T) {
 		}
 		if SparsificationError(g, randIdx) < best-1e-12 {
 			t.Fatal("random subset beat Top-k")
+		}
+	}
+}
+
+var sinkStream float64
+
+// BenchmarkStream is the bound the d-sized sweeps are measured against:
+// the least a sweep can do per element, in plain Go at d = 2^21, four
+// streamBlocks side by side. "read" sums x, 8 bytes an element, the bytes
+// of a one-operand moment sweep; "read+write" adds x into y, 24 bytes an
+// element (two reads and a write), the bytes of a fused moment sweep with
+// a second vector and of Axpy. Every d-sized kernel row counts the bytes
+// it moves, so its MB/s compare with these.
+func BenchmarkStream(b *testing.B) {
+	const d = 1 << 21
+	rng := rand.New(rand.NewSource(1))
+	x, y := make([]float64, d), make([]float64, d)
+	for i := range x {
+		x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(8 * d)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkStream = streamRead(x)
+		}
+	})
+	b.Run("read+write", func(b *testing.B) {
+		b.SetBytes(24 * d)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			streamAdd(x, y)
+		}
+		sinkAxpy = y
+	})
+}
+
+// streamRead sums x four streamBlocks at a time, one chain per block (the
+// last len%(4·streamBlock) elements are dropped: the row needs only d).
+func streamRead(x []float64) float64 {
+	total := 0.0
+	for lo := 0; len(x)-lo >= 4*streamBlock; lo += 4 * streamBlock {
+		x0, x1 := (*[streamBlock]float64)(x[lo:]), (*[streamBlock]float64)(x[lo+streamBlock:])
+		x2, x3 := (*[streamBlock]float64)(x[lo+2*streamBlock:]), (*[streamBlock]float64)(x[lo+3*streamBlock:])
+		var s0, s1, s2, s3 float64
+		for i := range x0 {
+			s0 += x0[i]
+			s1 += x1[i]
+			s2 += x2[i]
+			s3 += x3[i]
+		}
+		total += s0 + s1 + s2 + s3
+	}
+	return total
+}
+
+// streamAdd is y += x four streamBlocks at a time, as axpyQuad walks them.
+func streamAdd(x, y []float64) {
+	for lo := 0; len(x)-lo >= 4*streamBlock; lo += 4 * streamBlock {
+		x0, x1 := (*[streamBlock]float64)(x[lo:]), (*[streamBlock]float64)(x[lo+streamBlock:])
+		x2, x3 := (*[streamBlock]float64)(x[lo+2*streamBlock:]), (*[streamBlock]float64)(x[lo+3*streamBlock:])
+		y0, y1 := (*[streamBlock]float64)(y[lo:]), (*[streamBlock]float64)(y[lo+streamBlock:])
+		y2, y3 := (*[streamBlock]float64)(y[lo+2*streamBlock:]), (*[streamBlock]float64)(y[lo+3*streamBlock:])
+		for i := range x0 {
+			y0[i] += x0[i]
+			y1[i] += x1[i]
+			y2[i] += x2[i]
+			y3[i] += x3[i]
 		}
 	}
 }
