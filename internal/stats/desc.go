@@ -12,7 +12,8 @@ import (
 // result's bits, and through the thresholds of every selection: changing
 // it, or the order inside a block, moves run digests and golden losses.
 // The chain is serial only inside a block, so blocks may be summed side
-// by side (absSum) as long as their partials still add in block order.
+// by side (absSum, gammaSum) as long as their partials still add in
+// block order.
 const sumBlock = 4096
 
 // A blockKernel reduces one sumBlock of a vector to at most three

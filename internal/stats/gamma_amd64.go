@@ -23,7 +23,7 @@ type gammaShuffle struct {
 	_     uint64    // 64 bytes an entry, so the body indexes by a shift
 }
 
-// gammaLanes is the body's table, one entry per mask.
+// gammaLanes is the bodies' table, one entry per mask.
 var gammaLanes = func() (t [16]gammaShuffle) {
 	for mask := range t {
 		e := &t[mask]

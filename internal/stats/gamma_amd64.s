@@ -1,7 +1,12 @@
 #include "textflag.h"
 
-// AVX2 body of gammaLoop (desc.go), one group of four elements to an
-// iteration, each sum in the Go loop's order:
+// AVX2 bodies of gammaLoop (desc.go). gammaGroupsAVX2 runs a sub-block
+// of one block, one group of four elements to an iteration: the blocks
+// gammaSum leaves to gammaKernel, the last len%(4·sumBlock) elements of a
+// sweep. gammaQuadAVX2, further down, runs four consecutive blocks side
+// by side, one group of each to an iteration, each block on its own
+// chains laid out as the one-block body's. In both, each sum keeps the Go
+// loop's order:
 //
 //   - Σ|x| is one scalar chain in X0: the group's |x| go to the frame and
 //     four VADDSD take them back, lanes 0 to 3.
@@ -133,7 +138,6 @@ done:
 	MOVQ         AX, k+144(FP)
 	VZEROUPPER
 	RET
-
 
 // The four-block body, gammaQuadAVX2, runs the same group work on four
 // consecutive sumBlocks side by side, one group of each block to an

@@ -14,25 +14,30 @@
 // computes it: each sumBlock is one add chain per sum, started at 0.0 and
 // run in element order, and the block partials add in block order. The
 // chain is serial only inside a block, so blocks may run side by side —
-// AccumulateMeanAbs sums four consecutive blocks at once, four chains in
-// flight — but no order inside a block may change: that moves every
-// digest.
+// AccumulateMeanAbs (with a second vector) and the gamma sweep sum four
+// consecutive blocks at once, four chains in flight, and the last
+// len%(4·sumBlock) elements one block at a time — but no order inside a
+// block may change: that moves every digest.
 //
 // On an amd64 CPU with AVX2 (internal/cpu, probed once at start-up; there
 // is no setting) the gamma moment sweep behind GammaMoments and
-// AccumulateGammaMoments runs each sub-block's groups of four from
-// gamma_amd64.s, up to a group holding a subnormal, ±Inf or NaN, which
-// the Go loop takes (it needs math.Log), as it takes the last len%4. The
-// rule that keeps the body bit for bit the Go loop: every sum keeps the
-// loop's order — Σ|x| one scalar add per element in element order; each
-// normal mantissa multiplied into the chain the loop's alternation gives
-// it (the body's two chains are the two lanes of one register, swapped
-// after a group with an odd count of normals, and a zero's lane
-// multiplies by an exact 1.0); the exponents an integer sum — and never a
-// fused multiply-add. With a second vector the sum v = r + g is stored
-// back only for a group the body runs, and such a group holds no NaN, so
-// no operand order decides a payload. TestAVX2GammaMatchesGo holds the
-// body to the Go loop, and the gamma tests run on both paths.
+// AccumulateGammaMoments runs from gamma_amd64.s: four blocks side by
+// side, each sub-block's groups of four up to a group holding a
+// subnormal, ±Inf or NaN, which the Go loop takes (it needs math.Log) for
+// the blocks that have not run it; the tail blocks go through the
+// one-block body, which leaves the Go loop the last len%4. The rule that
+// keeps the bodies bit for bit the Go loop: every sum keeps the loop's
+// order — Σ|x| one scalar add per element in element order; each normal
+// mantissa multiplied into the chain the loop's alternation gives it (a
+// block's two chains are the two lanes of one register, swapped after a
+// group with an odd count of normals, and a zero's lane multiplies by an
+// exact 1.0); the exponents an integer sum — and never a fused
+// multiply-add. With a second vector the sum v = r + g is stored back
+// only for a group the body runs, and such a group holds no NaN, so no
+// operand order decides a payload. TestAVX2GammaMatchesGo holds the
+// one-block body to the Go loop, TestGammaSumMatchesOneBlock the
+// four-block sweep to the one-block loop, and the gamma tests run on both
+// paths.
 package stats
 
 import "math"
