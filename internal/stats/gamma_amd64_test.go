@@ -53,25 +53,6 @@ func gammaInputs(rng *rand.Rand, n int) map[string][]float64 {
 	return in
 }
 
-// gammaAddends splits v into an accumulator and a gradient whose sum is
-// of v's kind lane by lane: a zero is an exact cancellation, a normal the
-// sum of two normals, anything else v plus -0 (which leaves it as it is).
-func gammaAddends(rng *rand.Rand, v []float64) (acc, g []float64) {
-	acc, g = make([]float64, len(v)), make([]float64, len(v))
-	for i, x := range v {
-		switch a := math.Abs(x); {
-		case a == 0:
-			r := rng.NormFloat64()
-			acc[i], g[i] = r, -r
-		case a >= 0x1p-1000 && a <= 0x1p1000:
-			acc[i], g[i] = x, x*0x1p-20*rng.NormFloat64()
-		default:
-			acc[i], g[i] = x, math.Copysign(0, -1)
-		}
-	}
-	return acc, g
-}
-
 // gammaStop is where the AVX2 body must stop on sub: the first group of
 // four with a subnormal, ±Inf or NaN lane after the add, else len&^3.
 func gammaStop(sub, g []float64) int {

@@ -72,6 +72,25 @@ func gammaPartials(body func(sub, g []float64, s gammaState) (gammaState, int), 
 	return reduce(acc, g, gammaKernel, 0), acc
 }
 
+// gammaAddends splits v into an accumulator and a gradient whose sum is
+// of v's kind lane by lane: a zero is an exact cancellation, a normal the
+// sum of two normals, anything else v plus -0 (which leaves it as it is).
+func gammaAddends(rng *rand.Rand, v []float64) (acc, g []float64) {
+	acc, g = make([]float64, len(v)), make([]float64, len(v))
+	for i, x := range v {
+		switch a := math.Abs(x); {
+		case a == 0:
+			r := rng.NormFloat64()
+			acc[i], g[i] = r, -r
+		case a >= 0x1p-1000 && a <= 0x1p1000:
+			acc[i], g[i] = x, x*0x1p-20*rng.NormFloat64()
+		default:
+			acc[i], g[i] = x, math.Copysign(0, -1)
+		}
+	}
+	return acc, g
+}
+
 // sameGammaBits fails t unless two runs of gammaPartials agree on
 // math.Float64bits, partials and stored-back vector alike.
 func sameGammaBits(t *testing.T, what string, got, want [3]float64, gotAcc, wantAcc []float64) {
