@@ -186,47 +186,45 @@ func saltGroups(xs []float64) {
 // and not nil, on a plain vector, one salted by saltGroups and one with
 // half its entries zero (groups that mix normal and zero lanes).
 func TestGammaSumMatchesOneBlock(t *testing.T) {
-	onEachGammaPath(func(path string) {
-		rng := rand.New(rand.NewSource(45))
-		for _, n := range streamLengths {
-			for _, fill := range []string{"plain", "salted", "half-zero"} {
-				v := make([]float64, n)
-				scale := 1.0
-				for i := range v {
-					if i%sumBlock == 0 {
-						scale = math.Exp(rng.NormFloat64() * 12)
-					}
-					v[i] = scale * rng.NormFloat64()
-					if fill == "half-zero" && rng.Intn(2) == 0 {
-						v[i] = 0
+	rng := rand.New(rand.NewSource(45))
+	for _, n := range streamLengths {
+		for _, fill := range []string{"plain", "salted", "half-zero"} {
+			v := make([]float64, n)
+			scale := 1.0
+			for i := range v {
+				if i%sumBlock == 0 {
+					scale = math.Exp(rng.NormFloat64() * 12)
+				}
+				v[i] = scale * rng.NormFloat64()
+				if fill == "half-zero" && rng.Intn(2) == 0 {
+					v[i] = 0
+				}
+			}
+			if fill == "salted" {
+				saltGroups(v)
+			}
+			acc, g := gammaAddends(rng, v)
+			for _, c := range []struct {
+				what   string
+				acc, g []float64
+			}{{"nil g", v, nil}, {"with g", acc, g}} {
+				what := fmt.Sprintf("n=%d %s %s", n, fill, c.what)
+				want, wantAcc := gammaPartials(gammaLoop, c.acc, c.g)
+				gotAcc := append([]float64(nil), c.acc...)
+				got := gammaSum(gotAcc, c.g)
+				for i := range want {
+					if !nanOrSameBits(got[i], want[i]) {
+						t.Fatalf("%s: partial %d = %v, one block at a time %v", what, i, got[i], want[i])
 					}
 				}
-				if fill == "salted" {
-					saltGroups(v)
-				}
-				acc, g := gammaAddends(rng, v)
-				for _, c := range []struct {
-					what   string
-					acc, g []float64
-				}{{"nil g", v, nil}, {"with g", acc, g}} {
-					what := fmt.Sprintf("%s n=%d %s %s", path, n, fill, c.what)
-					want, wantAcc := gammaPartials(gammaLoop, c.acc, c.g)
-					gotAcc := append([]float64(nil), c.acc...)
-					got := gammaSum(gotAcc, c.g)
-					for i := range want {
-						if !nanOrSameBits(got[i], want[i]) {
-							t.Fatalf("%s: partial %d = %v, one block at a time %v", what, i, got[i], want[i])
-						}
-					}
-					for i := range wantAcc {
-						if !nanOrSameBits(gotAcc[i], wantAcc[i]) {
-							t.Fatalf("%s: acc[%d] = %v, one block at a time %v", what, i, gotAcc[i], wantAcc[i])
-						}
+				for i := range wantAcc {
+					if !nanOrSameBits(gotAcc[i], wantAcc[i]) {
+						t.Fatalf("%s: acc[%d] = %v, one block at a time %v", what, i, gotAcc[i], wantAcc[i])
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestGammaSumAddsPartialsInBlockOrder is TestAbsSumAddsPartialsInBlockOrder
