@@ -243,8 +243,8 @@ GLOBL gammaOne<>(SB), RODATA|NOPTR, $32
 // mantissas packed through gammaLanes (R9), as ACCUMULATE packs them.
 // Clobbers Y15 and BX.
 #define QLONG(slot, A, P, E, N) \
-	VANDPD    gammaAbs<>(SB), Y12, Y13 \
-	VPAND     Y15, Y14, Y14 \
+	VANDPD       gammaAbs<>(SB), Y12, Y13 \
+	VPAND        Y15, Y14, Y14 \
 	QSUMS(slot, A, E) \
 	QMANTISSAS \
 	SHLQ         $6, BX \
