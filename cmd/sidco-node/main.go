@@ -4,10 +4,10 @@
 // global worker r through a Workers=1 dist.Trainer whose gradient
 // exchange is a cluster.Node over a TCPTransport, so the ring all-reduce
 // / all-gather / parameter-server schedules execute over real sockets.
-// Over the lossless wire format
-// the deployment reproduces the single-process in-process trainer's
-// global loss sequence bit-for-bit, which -check asserts per process —
-// and over the lossy all-gather wires (-format bitmap, pairs-bf16) too,
+// On every collective the deployment reproduces bit-for-bit the global
+// losses of one in-process trainer reducing in the collective's order
+// (cluster.RingOrder under the ring), which -check asserts per process —
+// over the lossy all-gather wires (-format bitmap, pairs-bf16) too,
 // because error feedback pre-rounds every selected value to wire
 // precision before it ships.
 //
@@ -173,7 +173,7 @@ func newDeployment(stderr io.Writer) *deployment {
 	fs.Float64Var(&d.delta, "delta", 0.05, "compression ratio k/d")
 	fs.Int64Var(&d.seed, "seed", 1, "random seed")
 	fs.StringVar(&d.format, "format", "lossless", "gradient wire format: lossless (float64 pairs), bitmap (float32) or pairs-bf16 (lossy wires pair with error feedback, which absorbs the rounding residual)")
-	fs.BoolVar(&d.check, "check", false, "verify global losses bit-identical to the in-process trainer and per-node traffic against the collective formulas")
+	fs.BoolVar(&d.check, "check", false, "verify global losses bit-identical to an in-process trainer reducing in the collective's order, and per-node traffic against the collective formulas")
 	fs.StringVar(&d.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
 	fs.StringVar(&d.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")
 	fs.DurationVar(&d.dialTimeout, "dial-timeout", 10*time.Second, "per-link lazy-dial retry budget (peers may start later)")
@@ -191,11 +191,11 @@ func newDeployment(stderr io.Writer) *deployment {
 
 // resolve parses and checks the flags once and refuses, before a port is
 // reserved, a socket dialled or a child spawned, every run that cannot
-// work: an unknown collective, wire or compressor, a ratio the trainer
-// rejects, a checkpoint cadence below 1, a host list or kill target that
-// does not fit, a -check no run could pass (checkViable), a resume with
-// nothing left to run, and a cluster configuration cluster.Config.Validate
-// refuses.
+// work: an unknown collective, wire or compressor, a lossy wire on the
+// ring, a ratio the trainer rejects, a checkpoint cadence below 1, a host
+// list or kill target that does not fit, a -check no run could pass
+// (checkViable), a resume with nothing left to run, and a cluster
+// configuration cluster.Config.Validate refuses.
 func (d *deployment) resolve() error {
 	if d.launch <= 0 && d.node < 0 {
 		return fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
@@ -215,6 +215,9 @@ func (d *deployment) resolve() error {
 	}
 	d.compressed = d.compressor != "" && d.compressor != "none"
 	d.resolved = d.coll.Resolve(d.compressed)
+	if d.resolved == netsim.CollectiveRing && d.wire != cluster.WireLossless {
+		return fmt.Errorf("-format %s: the ring all-reduce ships raw float64 and encodes nothing; use -format lossless", d.format)
+	}
 	// Whatever every rank's trainer would refuse — an unknown compressor,
 	// a ratio outside (0, 1] — one trainer built here refuses first.
 	if _, err := trainerFor(d, 1, 0, nil, nil); err != nil {
@@ -580,17 +583,20 @@ func checkViable(d *deployment) error {
 	return nil
 }
 
-// checkNodeRun asserts this process saw exactly the run the in-process
-// trainer produces: bit-identical global losses (for the
-// order-preserving collectives over a value-exact wire) and per-node
-// traffic matching the collective step formulas. With -metrics it
-// additionally scrapes this process's own HTTP endpoint and asserts
-// the exported counters agree. Under -resume the reference runs the
-// full -iters from scratch and the comparison covers the resumed
-// tail — a bitwise pass proves checkpoint-resume reproduced the
-// uninterrupted run exactly.
+// checkNodeRun asserts this process saw exactly the run of an in-process
+// trainer reducing in the collective's order (cluster.RingOrder under the
+// ring): bit-identical global losses and per-node traffic matching the
+// collective step formulas. With -metrics it additionally scrapes this
+// process's own HTTP endpoint and asserts the exported counters agree.
+// Under -resume the reference runs the full -iters from scratch and the
+// comparison covers the resumed tail — a bitwise pass proves
+// checkpoint-resume reproduced the uninterrupted run exactly.
 func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []float64, stdout io.Writer) error {
-	ref, err := trainerFor(d, d.workers, 0, nil, nil)
+	var ex dist.GradientExchange
+	if d.resolved == netsim.CollectiveRing {
+		ex = cluster.RingOrder{}
+	}
+	ref, err := trainerFor(d, d.workers, 0, ex, nil)
 	if err != nil {
 		return err
 	}
@@ -598,14 +604,9 @@ func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []f
 	if err != nil {
 		return err
 	}
-	want = want[d.start:]
-	bitwise := d.resolved == netsim.CollectiveAllGather || d.resolved == netsim.CollectivePS
-	for i := range want {
-		if bitwise && losses[i] != want[i] {
-			return fmt.Errorf("check: loss[%d] = %.17g, in-process trainer says %.17g (must be bit-identical)", i, losses[i], want[i])
-		}
-		if !bitwise && math.Abs(losses[i]-want[i]) > 1e-9 {
-			return fmt.Errorf("check: loss[%d] = %.17g, in-process trainer says %.17g (outside ring tolerance)", i, losses[i], want[i])
+	for i, w := range want[d.start:] {
+		if losses[i] != w {
+			return fmt.Errorf("check: loss[%d] = %.17g, in-process trainer says %.17g (must be bit-identical)", i, losses[i], w)
 		}
 	}
 	// Every ring node sends the same share of the exchange's messages; a
@@ -629,7 +630,7 @@ func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []f
 		// one — exact top-k and the band-held SIDCo family.
 		sidco := strings.HasPrefix(d.compressor, "sidco-")
 		applyMax := 0.0
-		if bitwise && (sidco || d.compressor == "topk") {
+		if d.resolved != netsim.CollectiveRing && (sidco || d.compressor == "topk") {
 			k := compress.TargetK(ref.Dim(), d.delta)
 			applyMax = float64(d.workers*k) * (1 + core.Config{}.Default().EpsilonH)
 		}
@@ -637,11 +638,7 @@ func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []f
 			return err
 		}
 	}
-	mode := "bit-identical to in-process"
-	if !bitwise {
-		mode = "within ring tolerance of in-process"
-	}
-	fmt.Fprintf(stdout, "node %d: check passed — losses %s, traffic exact (%d msgs)\n", d.node, mode, wantMsgs)
+	fmt.Fprintf(stdout, "node %d: check passed — losses bit-identical to in-process, traffic exact (%d msgs)\n", d.node, wantMsgs)
 	return nil
 }
 

@@ -77,7 +77,7 @@ func TestCheckViable(t *testing.T) {
 		{"bf16 all-gather, pre-rounded by EC", netsim.CollectiveAllGather, []string{"-format", "pairs-bf16"}, ""},
 		{"lossy ps re-encodes the mean", netsim.CollectivePS, []string{"-format", "bitmap"}, "re-encodes"},
 		{"lossy all-gather, nothing pre-rounds", netsim.CollectiveAllGather, []string{"-format", "bitmap", "-compressor", "none"}, "lossy"},
-		{"auto, dense, lossy: the ring keeps its tolerance", netsim.CollectiveAuto, []string{"-format", "bitmap", "-compressor", "none"}, ""},
+		{"auto, dense, lossy: the ring encodes nothing", netsim.CollectiveAuto, []string{"-format", "bitmap", "-compressor", "none"}, "ring all-reduce ships raw float64"},
 		{"auto, compressed, lossy: an all-gather EC pre-rounds for", netsim.CollectiveAuto, []string{"-format", "bitmap"}, ""},
 		{"lossy ps without -check", netsim.CollectivePS, []string{"-format", "bitmap", "-check=false"}, ""},
 		{"unknown wire", netsim.CollectiveAllGather, []string{"-format", "nope"}, "nope"},
@@ -132,6 +132,10 @@ func TestRefusedBeforeAnythingStarts(t *testing.T) {
 		{[]string{"-compressor", "nope"}, `unknown compressor "nope"`},
 		{[]string{"-delta", "2"}, "Delta = 2 outside (0, 1]"},
 		{[]string{"-ckpt", "ck", "-ckpt-every", "0"}, "-ckpt-every 0"},
+		// The ring ships raw float64: a lossy wire there rounds and saves
+		// nothing, named or as auto resolves a dense run.
+		{[]string{"-collective", "ring", "-compressor", "topk", "-format", "bitmap"}, "-format bitmap: the ring all-reduce ships raw float64"},
+		{[]string{"-collective", "auto", "-compressor", "none", "-format", "pairs-bf16"}, "-format pairs-bf16: the ring all-reduce ships raw float64"},
 		// The retired wire formats.
 		{[]string{"-format", "pairs"}, `unknown wire format "pairs"`},
 		{[]string{"-format", "dense"}, `unknown wire format "dense"`},
@@ -252,7 +256,7 @@ func TestRanksInProcess(t *testing.T) {
 	}{
 		{"allgather", 4, same("-check"), "node 0: final global loss 1.5272474477263176 over 6 iterations"},
 		{"ps", 3, same("-collective", "ps", "-compressor", "topk", "-check"), "bit-identical to in-process"},
-		{"ring", 3, same("-collective", "ring", "-compressor", "none", "-check"), "within ring tolerance of in-process"},
+		{"ring", 4, same("-collective", "ring", "-compressor", "none", "-check"), "bit-identical to in-process"},
 		{"pairs-bf16", 3, same("-format", "pairs-bf16", "-check"), "bit-identical to in-process"},
 		{"metrics and telemetry", 3, func(r int) []string {
 			return []string{"-metrics", "127.0.0.1:0", "-telemetry", rankPath(tel, r), "-check"}

@@ -34,7 +34,9 @@ type Config struct {
 	// bit-for-bit. WireBitmap (float32 values) is the parameter server's
 	// cheapest wire at moderate densities, and WirePairsBF16 the
 	// all-gather's on a slow link; with error feedback pre-rounding to
-	// either, the all-gather stays bit-identical too.
+	// either, the all-gather stays bit-identical too. The ring ships raw
+	// float64 and encodes nothing, so CollectiveRing takes WireLossless
+	// only.
 	Format Wire
 	// Transport must span NodeCount(Workers, Collective) nodes. NewNode
 	// requires one — typically a TCPTransport hosting this rank over the
@@ -117,6 +119,9 @@ func (c Config) Validate() error {
 	}
 	if _, err := c.Format.Format(); err != nil {
 		return err
+	}
+	if c.Collective == netsim.CollectiveRing && c.Format != WireLossless {
+		return fmt.Errorf("cluster: Format %v on the ring, which ships raw float64 and encodes nothing; use WireLossless", c.Format)
 	}
 	if c.StepTimeout < 0 {
 		return fmt.Errorf("cluster: StepTimeout = %v, need >= 0", c.StepTimeout)

@@ -95,19 +95,35 @@ func TestEngineMatchesInProcessBitwise(t *testing.T) {
 	}
 }
 
-func TestEngineRingDenseMatchesWithinReassociation(t *testing.T) {
-	const dim = 257
-	workers := 4
-	ins := randomInputs(t, workers, dim, 0, 9)
-	want := make([]float64, dim)
-	if err := (dist.InProcess{}).Exchange(0, ins, want); err != nil {
-		t.Fatal(err)
-	}
-	got, e := engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveRing, Verify: true}, ins, dim)
-	defer e.Close()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("element %d = %v, want %v within reassociation tolerance", i, got[i], want[i])
+// TestEngineRingMatchesRingOrderBitwise: the ring all-reduce leaves
+// exactly RingOrder's mean, bit for bit, at N = 1-5 — dense inputs, top-k
+// selections forced onto the ring, uneven chunks (d = 257, 513) and fewer
+// elements than ranks (d = 3). The dense inputs at N >= 3 must also tell
+// the ring's order from worker order somewhere, or the row proves nothing
+// about the order.
+func TestEngineRingMatchesRingOrderBitwise(t *testing.T) {
+	for _, dim := range []int{3, 257, 513} {
+		for workers := 1; workers <= 5; workers++ {
+			for _, delta := range []float64{0, 0.1} {
+				ins := randomInputs(t, workers, dim, delta, int64(10*workers+dim))
+				want := make([]float64, dim)
+				if err := (RingOrder{}).Exchange(0, ins, want); err != nil {
+					t.Fatal(err)
+				}
+				got, e := engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveRing, Verify: true}, ins, dim)
+				e.Close()
+				requireBitIdentical(t, fmt.Sprintf("d=%d N=%d delta=%g element", dim, workers, delta), got, want)
+				if delta > 0 || workers < 3 || dim < 257 {
+					continue
+				}
+				inProc := make([]float64, dim)
+				if err := (dist.InProcess{}).Exchange(0, ins, inProc); err != nil {
+					t.Fatal(err)
+				}
+				if slices.Equal(inProc, want) {
+					t.Errorf("d=%d N=%d: worker order and ring order agree on every element", dim, workers)
+				}
+			}
 		}
 	}
 }
@@ -285,6 +301,10 @@ func TestConfigValidate(t *testing.T) {
 		{"no-workers", Config{Workers: 0}, "Workers = 0"},
 		{"unknown-collective", Config{Workers: 2, Collective: netsim.Collective(99)}, "unknown collective"},
 		{"unknown-wire", Config{Workers: 2, Format: Wire(99)}, "unknown wire format"},
+		{"ring-lossless", Config{Workers: 2, Collective: netsim.CollectiveRing}, ""},
+		{"ring-bitmap", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: WireBitmap}, "Format bitmap on the ring"},
+		{"ring-bf16", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: WirePairsBF16}, "Format pairs-bf16 on the ring"},
+		{"auto-bitmap", Config{Workers: 2, Collective: netsim.CollectiveAuto, Format: WireBitmap}, ""},
 		{"negative-step-timeout", Config{Workers: 2, StepTimeout: -time.Second}, "StepTimeout"},
 		{"negative-retries", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: -1}, "MaxStepRetries = -1"},
 		{"retries-without-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, MaxStepRetries: 1}, "requires StepTimeout"},
@@ -723,30 +743,29 @@ func requireBitIdentical(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestTrainerDenseRingConverges covers the dense cluster path: ring
-// all-reduce reassociates float addition, so losses track the in-process
-// run closely but not bitwise.
-func TestTrainerDenseRingConverges(t *testing.T) {
-	const workers, iters = 4, 8
-	e, err := New(Config{Workers: workers, Collective: netsim.CollectiveRing, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	ref := tinyTrainer(t, workers, "", 0, 7, nil)
-	wantLoss, _, err := ref.Run(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tinyTrainer(t, workers, "", 0, 7, e)
-	gotLoss, _, err := tr.Run(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantLoss {
-		if math.Abs(gotLoss[i]-wantLoss[i]) > 1e-9 {
-			t.Fatalf("loss[%d] = %v, want %v within ring tolerance", i, gotLoss[i], wantLoss[i])
+// TestTrainerDenseRingBitIdentical: dense training over the ring
+// reproduces, bit for bit, the losses and weights of a trainer reducing
+// in-process in the ring's order (RingOrder).
+func TestTrainerDenseRingBitIdentical(t *testing.T) {
+	const iters = 8
+	for _, workers := range []int{3, 4, 5} {
+		e, err := New(Config{Workers: workers, Collective: netsim.CollectiveRing, Verify: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ref := tinyTrainer(t, workers, "", 0, 7, RingOrder{})
+		wantLoss, _, err := ref.Run(iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := tinyTrainer(t, workers, "", 0, 7, e)
+		gotLoss, _, err := tr.Run(iters)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("N=%d loss", workers), gotLoss, wantLoss)
+		requireBitIdentical(t, fmt.Sprintf("N=%d weight", workers), nn.FlattenWeights(tr.Params(), nil), nn.FlattenWeights(ref.Params(), nil))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -395,17 +396,25 @@ func sparseGrad(rank, dim int) *tensor.Sparse {
 // acceptance test: with retries enabled, the survivors of a mid-run
 // death renegotiate, exclude the dead rank from the next schedule, and
 // complete the step with the aggregate rescaled to the survivor count —
-// over both the fault transport and real TCP, into a dense aggregate
-// (Exchange) and into the merged sparse mean (ExchangeSparse), which must
-// be the mean of the survivors' selections over the surviving count. The
-// fault path reports itself: every survivor counts one recovery and one
-// lost peer on its telemetry.
+// over both the fault transport and real TCP. The all-gather's dense
+// aggregate (Exchange) and merged sparse mean (ExchangeSparse) must be
+// the survivors' mean in member order; the ring's (Exchange) must be
+// RingOrder's over the survivors' inputs in member order, on gradients
+// whose worker-order mean differs from it. The fault path reports itself:
+// every survivor counts one recovery and one lost peer on its telemetry.
 func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 	const workers, dim = 4, 32
 	const victim = 2
 	survivors := []int{0, 1, 3}
 	for _, env := range faultEnvs {
-		run := func(t *testing.T, sparse bool) {
+		run := func(t *testing.T, mode string) {
+			sparse, coll, grad := mode == "sparse", netsim.CollectiveAllGather, denseGrad
+			if mode == "ring" {
+				// Random values, whose sums round differently in different
+				// orders.
+				ring := randomInputs(t, workers, dim, 0, 1)
+				coll, grad = netsim.CollectiveRing, func(rank, _ int) []float64 { return ring[rank].Dense }
+			}
 			tps, kill := env.build(t, workers, victim)
 			counters := telemetry.NewAggregator()
 			tel := telemetry.New(counters)
@@ -421,7 +430,7 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 			for rank := 0; rank < workers; rank++ {
 				go func(rank int) {
 					nd, err := NewNode(NodeConfig{
-						Workers: workers, Rank: rank, Collective: netsim.CollectiveAllGather,
+						Workers: workers, Rank: rank, Collective: coll,
 						Transport: tps[rank], StepTimeout: 400 * time.Millisecond, MaxStepRetries: 2,
 						Telemetry: tel,
 					})
@@ -441,7 +450,7 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 								return out
 							}
 						} else {
-							in := []dist.ExchangeInput{{Worker: rank, Dense: denseGrad(rank, dim)}}
+							in := []dist.ExchangeInput{{Worker: rank, Dense: grad(rank, dim)}}
 							out.agg = make([]float64, dim)
 							if out.err = nd.Exchange(it, in, out.agg); out.err != nil {
 								return out
@@ -466,22 +475,30 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 			kill()
 			close(barrier)
 
-			// Expected survivor aggregate: contributions summed in member
-			// order and rescaled by the survivor count, exactly as the
-			// group schedule computes it.
+			// Expected survivor aggregate: the survivors' contributions in
+			// member order, reduced in the collective's order and rescaled
+			// by the survivor count, exactly as the group schedule
+			// computes it.
+			ins := make([]dist.ExchangeInput, len(survivors))
+			parts := make([]tensor.Sparse, len(survivors))
+			for p, r := range survivors {
+				ins[p] = dist.ExchangeInput{Worker: p, Dense: grad(r, dim)}
+				parts[p] = *sparseGrad(r, dim)
+			}
 			wantAgg := make([]float64, dim)
-			var wantMean tensor.Sparse
-			parts := make([]tensor.Sparse, 0, len(survivors))
-			for _, r := range survivors {
-				g := denseGrad(r, dim)
-				for i := range wantAgg {
-					wantAgg[i] += g[i]
+			if err := (dist.InProcess{}).Exchange(0, ins, wantAgg); err != nil {
+				t.Fatal(err)
+			}
+			if coll == netsim.CollectiveRing {
+				inProc := slices.Clone(wantAgg)
+				if err := (RingOrder{}).Exchange(0, ins, wantAgg); err != nil {
+					t.Fatal(err)
 				}
-				parts = append(parts, *sparseGrad(r, dim))
+				if slices.Equal(inProc, wantAgg) {
+					t.Fatal("worker order and ring order agree on every element: the row cannot tell them apart")
+				}
 			}
-			for i := range wantAgg {
-				wantAgg[i] *= 1 / float64(len(survivors))
-			}
+			var wantMean tensor.Sparse
 			tensor.MeanSparseInto(&wantMean, parts)
 			wantScalar := (0.0 + 1.0 + 3.0) * (1 / float64(3))
 
@@ -517,8 +534,9 @@ func TestElasticRecoverySurvivorsComplete(t *testing.T) {
 			}
 		}
 		t.Run(env.name, func(t *testing.T) {
-			t.Run("dense", func(t *testing.T) { run(t, false) })
-			t.Run("sparse", func(t *testing.T) { run(t, true) })
+			for _, mode := range []string{"dense", "sparse", "ring"} {
+				t.Run(mode, func(t *testing.T) { run(t, mode) })
+			}
 		})
 	}
 }

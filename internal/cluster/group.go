@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"repro/internal/dist"
 )
 
 // The collective schedules below are written from one node's
@@ -87,11 +89,10 @@ func checkMember(tp Transport, members []int, self int) (pos int, err error) {
 // step touched, so out needs no copy of src first; the last step writes
 // (src + received) * (1/m) on the chunk this node then owns, and the
 // all-gather circulates chunks that are already scaled. Every element is
-// the ring-order sum times 1/m. The reduction for chunk c accumulates
-// contributions in ring order starting at position c — a rotation of
-// worker-index order — so results equal the in-process reducer's only up
-// to floating-point reassociation. Training paths that need bit-identity
-// use the all-gather or parameter-server collectives instead.
+// the ring-order sum times 1/m: chunk c starts as the gradient of the
+// member at position c, each later member in ring order adds its own on
+// the left, and the last add is scaled. RingOrder states that order on its
+// own, and every result of this function is held to it bit for bit.
 //
 // Reduce-scatter sends views of src and out, not copies (ringWire), as the
 // Transport's reuse rule allows. Counting the 2(m-1) steps of both phases
@@ -208,6 +209,43 @@ func ringAllReduceGroup(tp Transport, recv linkRecv, members []int, self int, sr
 		}
 	}
 	release(rel, self, prev, cur)
+	return nil
+}
+
+// RingOrder is the in-process reference for the ring all-reduce: it
+// leaves in agg the mean ringAllReduceGroup computes over the same inputs,
+// bit for bit, without a transport. Chunk c of the m inputs (chunkBounds)
+// starts as input c's gradient, inputs c+1, ..., c+m-1 (mod m) each add
+// theirs on the left, and the sum is multiplied by 1/m. A selection is
+// densified first, as the ring densifies it; a group shrunk by elastic
+// recovery is the survivors' inputs in member order.
+type RingOrder struct{}
+
+// Exchange implements dist.GradientExchange.
+func (RingOrder) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
+	m, d := len(ins), len(agg)
+	if m == 0 {
+		return fmt.Errorf("cluster: exchange with no inputs") //sidco:errclass caller misuse, deliberately fatal
+	}
+	g := make([][]float64, m)
+	for w, in := range ins {
+		g[w] = in.Dense
+		if in.Sparse != nil {
+			g[w] = make([]float64, d)
+			in.Sparse.AddTo(g[w])
+		}
+	}
+	inv := 1 / float64(m)
+	for c := 0; c < m; c++ {
+		lo, hi := chunkBounds(d, m, c)
+		for i := lo; i < hi; i++ {
+			acc := g[c][i]
+			for j := 1; j < m; j++ {
+				acc = g[(c+j)%m][i] + acc
+			}
+			agg[i] = acc * inv
+		}
+	}
 	return nil
 }
 

@@ -421,12 +421,13 @@ func odd(p []byte, err error) ([]byte, error) {
 // of the mean to the optimizer where it lands (Node.ExchangeApply, then
 // StepSpan per chunk) trains the same weights bit for bit as gathering the
 // mean whole and applying it once (a wrapper that forwards only Exchange,
-// then StepFlat). Per-rank Nodes, one trainer each, over channels, over
-// channels handing every frame over unaligned (the decode fallback) and
-// over TCP (the frame applied in place); 1 to 4 ranks; plain SGD, SGD with
-// weight decay, Nesterov momentum with decay. Every step must show the
-// route it took: one span per rank covering each element once, or one
-// StepFlat.
+// then StepFlat), and both train those of one in-process trainer reducing
+// in the ring's order (RingOrder). Per-rank Nodes, one trainer each, over
+// channels, over channels handing every frame over unaligned (the decode
+// fallback) and over TCP (the frame applied in place); 1 to 4 ranks; plain
+// SGD, SGD with weight decay, Nesterov momentum with decay. Every step
+// must show the route it took: one span per rank covering each element
+// once, or one StepFlat.
 func TestApplyRouteMatchesExchangeRoute(t *testing.T) {
 	const iters = 5
 	opts := []struct {
@@ -453,7 +454,16 @@ func TestApplyRouteMatchesExchangeRoute(t *testing.T) {
 		for _, tc := range transports {
 			for n := 1; n <= 4; n++ {
 				t.Run(fmt.Sprintf("%s/%s/n%d", o.name, tc.name, n), func(t *testing.T) {
-					var want [][]float64
+					refCfg := tinyTrainerCfg(n, 0, "", 0, 11, RingOrder{})
+					refCfg.Opt = o.opt()
+					ref, err := dist.NewTrainer(refCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := ref.Run(iters); err != nil {
+						t.Fatal(err)
+					}
+					want := nn.FlattenWeights(ref.Params(), nil)
 					for _, spans := range []bool{false, true} {
 						ranks := ringDeployment(t, tc.build(t, n), Config{}, func(c *dist.TrainerConfig) {
 							c.Opt = o.opt()
@@ -478,12 +488,7 @@ func TestApplyRouteMatchesExchangeRoute(t *testing.T) {
 							}
 						}
 						for r, rk := range ranks {
-							got := nn.FlattenWeights(rk.tr.Params(), nil)
-							if !spans {
-								want = append(want, got)
-								continue
-							}
-							requireBitIdentical(t, fmt.Sprintf("rank %d weight", r), got, want[r])
+							requireBitIdentical(t, fmt.Sprintf("spans=%v rank %d weight", spans, r), nn.FlattenWeights(rk.tr.Params(), nil), want)
 						}
 					}
 				})

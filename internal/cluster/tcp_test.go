@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -203,8 +202,8 @@ func TestTCPEngineMatchesChanBitwise(t *testing.T) {
 // TestTCPTrainerAllCompressorsBitIdentical is the tentpole acceptance
 // sweep over real sockets: training through an engine whose transport is
 // TCP loopback must reproduce the in-process trainer's losses and final
-// weights bit-for-bit for every registry compressor, on both
-// order-preserving collectives.
+// weights bit-for-bit for every registry compressor, on all-gather and
+// parameter server.
 func TestTCPTrainerAllCompressorsBitIdentical(t *testing.T) {
 	const workers, iters = 4, 5
 	run := func(comp string, ex dist.GradientExchange) ([]float64, []float64) {
@@ -451,10 +450,11 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 	return got
 }
 
-// refLosses trains the in-process reference with the full worker count.
-func refLosses(t *testing.T, workers, iters int, comp string, delta float64, seed int64) ([]float64, []float64) {
+// refLosses trains the in-process reference with the full worker count,
+// reducing as ex does (nil: dist.InProcess).
+func refLosses(t *testing.T, workers, iters int, comp string, delta float64, seed int64, ex dist.GradientExchange) ([]float64, []float64) {
 	t.Helper()
-	tr := tinyTrainer(t, workers, comp, delta, seed, nil)
+	tr := tinyTrainer(t, workers, comp, delta, seed, ex)
 	losses, _, err := tr.Run(iters)
 	if err != nil {
 		t.Fatal(err)
@@ -466,21 +466,26 @@ func refLosses(t *testing.T, workers, iters int, comp string, delta float64, see
 // in miniature: N separate single-node transports over loopback TCP,
 // each training its own worker, must reproduce the in-process trainer's
 // global loss sequence and final weights bit-for-bit — all-gather (named
-// and as Auto resolves it) and parameter server.
+// and as Auto resolves it) and parameter server against the worker-order
+// reducer, the ring (dense, and with top-k selections forced onto it)
+// against RingOrder.
 func TestNodeDeploymentBitIdentical(t *testing.T) {
 	const workers, iters = 3, 4
 	cases := []struct {
 		name string
 		coll netsim.Collective
 		comp string
+		ref  dist.GradientExchange
 	}{
-		{"allgather", netsim.CollectiveAllGather, "sidco-e"},
-		{"auto", netsim.CollectiveAuto, "topk"}, // Auto resolves to all-gather on sparse rounds
-		{"ps", netsim.CollectivePS, "dgc"},
+		{"allgather", netsim.CollectiveAllGather, "sidco-e", nil},
+		{"auto", netsim.CollectiveAuto, "topk", nil}, // Auto resolves to all-gather on sparse rounds
+		{"ps", netsim.CollectivePS, "dgc", nil},
+		{"ring", netsim.CollectiveRing, "", RingOrder{}},
+		{"ring-topk", netsim.CollectiveRing, "topk", RingOrder{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, wantW := refLosses(t, workers, iters, tc.comp, 0.1, 42)
+			want, wantW := refLosses(t, workers, iters, tc.comp, 0.1, 42, tc.ref)
 			got := runTCPDeployment(t, workers, iters, tc.coll, tc.comp, 0.1, 42)
 			for i := range got {
 				if got[i].rank >= workers {
@@ -500,23 +505,6 @@ func TestNodeDeploymentBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestNodeDeploymentDenseRing covers the dense multi-process path: the
-// ring reassociates float addition, so ranks agree bitwise with each
-// other (asserted inside runTCPDeployment) and track the in-process
-// trainer within tolerance.
-func TestNodeDeploymentDenseRing(t *testing.T) {
-	const workers, iters = 3, 4
-	want, _ := refLosses(t, workers, iters, "", 0, 7)
-	got := runTCPDeployment(t, workers, iters, netsim.CollectiveRing, "", 0, 7)
-	for _, res := range got {
-		for it := range want {
-			if math.Abs(res.losses[it]-want[it]) > 1e-9 {
-				t.Fatalf("rank %d loss[%d] = %v, want %v within ring tolerance", res.rank, it, res.losses[it], want[it])
-			}
-		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/nn"
@@ -163,6 +165,10 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 }
 
 // ReadCheckpoint deserialises a checkpoint written by WriteCheckpoint.
+// The header's sizes are only claims: weights and residuals are read in
+// bounded pieces and their slices grow as the bytes arrive, so a short
+// file with a huge header fails on its missing bytes without first
+// allocating what the header promised.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -187,13 +193,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		Seed:        seed,
 		Workers:     int(workers),
 		FirstWorker: int(firstWorker),
-		Weights:     make([]float64, dim),
-		Residuals:   make([][]float64, workers),
 	}
-	if err := binary.Read(r, le, c.Weights); err != nil {
+	var err error
+	if c.Weights, err = readFloats(r, dim); err != nil {
 		return nil, fmt.Errorf("dist: reading checkpoint weights: %w", err)
 	}
-	for i := range c.Residuals {
+	for i := 0; i < c.Workers; i++ {
 		var rlen int64
 		if err := binary.Read(r, le, &rlen); err != nil {
 			return nil, fmt.Errorf("dist: reading residual %d length: %w", i, err)
@@ -201,15 +206,37 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if rlen < 0 || rlen > 1<<30 {
 			return nil, fmt.Errorf("dist: implausible residual length %d", rlen)
 		}
-		if rlen == 0 {
-			continue
-		}
-		c.Residuals[i] = make([]float64, rlen)
-		if err := binary.Read(r, le, c.Residuals[i]); err != nil {
+		res, err := readFloats(r, rlen)
+		if err != nil {
 			return nil, fmt.Errorf("dist: reading residual %d: %w", i, err)
 		}
+		c.Residuals = append(c.Residuals, res)
 	}
 	return c, nil
+}
+
+// ckptPiece is the most float64s ReadCheckpoint reads at once.
+const ckptPiece = 1 << 13
+
+// readFloats reads n little-endian float64s, at most ckptPiece at a time,
+// growing the result only by what each piece delivered.
+func readFloats(r io.Reader, n int64) ([]float64, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	var xs []float64
+	buf := make([]byte, 8*min(n, ckptPiece))
+	for rest := n; rest > 0; rest -= ckptPiece {
+		p := buf[:8*min(rest, ckptPiece)]
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, err
+		}
+		xs = slices.Grow(xs, len(p)/8)
+		for i := 0; i < len(p); i += 8 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(p[i:])))
+		}
+	}
+	return xs, nil
 }
 
 // SaveCheckpoint atomically writes c to path (temp file + rename, so a

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -68,6 +70,51 @@ func TestCheckpointWireRoundTrip(t *testing.T) {
 	if _, err := ReadCheckpoint(bytes.NewReader([]byte("NOTMAGIC________"))); err == nil {
 		t.Fatal("garbage input should fail the magic check")
 	}
+}
+
+// FuzzReadCheckpoint feeds ReadCheckpoint arbitrary bytes. It must refuse
+// or accept them without panicking, allocate in proportion to the bytes it
+// was given whatever sizes a header claims, and write back what it
+// accepts as the bytes it read. The seeds are a valid file, the same file
+// cut short, and 40 bytes of header claiming 2^30 weights and 2^31-1
+// residual slots.
+func FuzzReadCheckpoint(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteCheckpoint(&valid, &Checkpoint{
+		Step: 3, Seed: 9, Workers: 2, FirstWorker: 1,
+		Weights:   []float64{0.5, -1.25, 3e-17},
+		Residuals: [][]float64{{1, 2, 3}, nil},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-5])
+	huge := append([]byte(nil), ckptMagic[:]...)
+	huge = binary.LittleEndian.AppendUint64(huge, 0)       // step
+	huge = binary.LittleEndian.AppendUint64(huge, 0)       // seed
+	huge = binary.LittleEndian.AppendUint32(huge, 1<<31-1) // workers
+	huge = binary.LittleEndian.AppendUint32(huge, 0)       // firstWorker
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<30)   // dim
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := ReadCheckpoint(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); grew > limit {
+			t.Fatalf("reading %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteCheckpoint(&out, c); err != nil {
+			t.Fatalf("accepted checkpoint does not write back: %v", err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatal("accepted checkpoint writes back other bytes than it read")
+		}
+	})
 }
 
 // TestResumeBitIdentical is the checkpoint guarantee itself: a run that

@@ -21,9 +21,10 @@ type ExchangeInput struct {
 
 // GradientExchange is the strategy that turns per-worker gradients into
 // the aggregated mean the optimizer applies. Implementations must leave
-// the mean of the contributions in agg (zeroing it first) and must reduce
-// deterministically — the Trainer's bit-reproducibility guarantee extends
-// only to exchanges that sum contributions in worker-index order.
+// the mean of the contributions in agg and must reduce deterministically:
+// two exchanges give the same bits only when they add in the same order,
+// which is why cluster.RingOrder, not this package's worker-order
+// reducer, is the ring all-reduce's reference.
 //
 // After a non-nil error agg is unspecified: an exchange that fails part
 // way through a round (cluster.Engine, a Node that lost a peer) may leave

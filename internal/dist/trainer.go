@@ -12,8 +12,9 @@
 // Gradient aggregation is a strategy: the default GradientExchange is
 // the in-process shared-memory reducer, and internal/cluster substitutes
 // real message-passing collectives over a Transport without the Trainer
-// noticing (bit-identically, for the order-preserving collectives over a
-// lossless wire format).
+// noticing: bit-identically on every collective, each against an
+// in-process reducer that adds in its order (worker order for all-gather
+// and parameter server, cluster.RingOrder for the ring all-reduce).
 //
 // Checkpoint captures a Trainer's deterministic-resume state — weights,
 // per-worker error-feedback residuals, and the RNG stream positions
@@ -44,9 +45,9 @@ type TrainerConfig struct {
 	// in-process reducer or a cluster.Engine: it is the reference a
 	// multi-process deployment (one Workers=1 trainer per rank, see
 	// FirstWorker) is held to. cmd/sidco-node -check trains one such
-	// trainer with the deployment's settings (checkNodeRun) and compares
-	// every global loss with it, bit for bit over the order-preserving
-	// collectives.
+	// trainer with the deployment's settings and the collective's
+	// reduction order (checkNodeRun) and compares every global loss with
+	// it, bit for bit, on every collective.
 	Workers int
 	// Model is the shared model replica. Weights are read by all workers
 	// during the gradient phase and updated once per step by Opt.
@@ -106,10 +107,12 @@ type TrainerConfig struct {
 	FirstWorker int
 	// Exchange aggregates the workers' gradients each step. Nil selects
 	// the in-process shared-memory reducer; internal/cluster plugs real
-	// message-passing collectives in here. Exchanges that sum in
-	// worker-index order over a lossless wire format (all-gather and
-	// parameter-server over encoding.FormatPairs64) reproduce the
-	// in-process losses bit-for-bit. An exchange that also implements
+	// message-passing collectives in here. Each reproduces bit for bit the
+	// losses of an in-process exchange that adds in its order: all-gather
+	// and parameter server (over encoding.FormatPairs64, or a lossy wire
+	// EC pre-rounds to) those of the default, which adds in worker-index
+	// order, and the ring all-reduce those of cluster.RingOrder. An
+	// exchange that also implements
 	// SparseExchange (the in-process reducer and both cluster ones do) is
 	// asked for the merged sparse mean instead of a dense aggregate
 	// whenever Opt can apply one, and one that implements ApplyExchange
