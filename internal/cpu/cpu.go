@@ -9,3 +9,9 @@ package cpu
 // *_amd64.s kernels of internal/nn, internal/stats and internal/tensor.
 // It is false on every other GOARCH.
 var AVX2 = hasAVX2()
+
+// AVX512 reports whether, beyond AVX2, the CPU has AVX-512F and VL and
+// POPCNT, and the OS saves the opmask and ZMM registers: the condition
+// for running internal/tensor's gather512_amd64.s. It is false on every
+// other GOARCH.
+var AVX512 = AVX2 && hasAVX512()

@@ -3,3 +3,5 @@
 package cpu
 
 func hasAVX2() bool { return false }
+
+func hasAVX512() bool { return false }

@@ -7,8 +7,16 @@ import "repro/internal/cpu"
 // (package doc).
 var avx2Gather = gatherKernels{pairsAboveAVX2, compactAboveAVX2, excessLanesAVX2}
 
+// avx512Gather are the gathers in gather512_amd64.s, eight elements to an
+// instruction, beside the AVX2 excess sums: a compress instruction packs
+// the kept lanes where the AVX2 bodies look up a shuffle.
+var avx512Gather = gatherKernels{pairsAboveAVX512, compactAboveAVX512, excessLanesAVX2}
+
 func init() {
-	if cpu.AVX2 {
+	switch {
+	case cpu.AVX512:
+		gather = &avx512Gather
+	case cpu.AVX2:
 		gather = &avx2Gather
 	}
 }
@@ -43,6 +51,12 @@ func pairsAboveAVX2(blk []float64, eta float64, base int32, outM []float64, outI
 
 //go:noescape
 func compactAboveAVX2(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int
+
+//go:noescape
+func pairsAboveAVX512(blk []float64, eta float64, base int32, outM []float64, outI []int32) int
+
+//go:noescape
+func compactAboveAVX512(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int
 
 //go:noescape
 func excessLanesAVX2(kept []float64, eta float64) (s, q [4]float64)

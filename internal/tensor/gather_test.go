@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -94,18 +95,26 @@ func sameIdx(t *testing.T, what string, got, want []int32) {
 	}
 }
 
+// gatherPath is one set of gather kernels under the name its subtests and
+// benchmark rows carry; has reports whether this machine can run it.
+type gatherPath struct {
+	name string
+	k    *gatherKernels
+	has  bool
+}
+
 // onEachGatherPath calls run once per set of gather kernels this machine
-// can run — "portable" (the Go loops) and, where init chose the AVX2
-// bodies, "avx2" — with the exceedance path pointed at that set, as init
-// would point it, and restores init's choice after.
+// can run — "portable" (the Go loops), then each of vectorGathers the CPU
+// has — with the exceedance path pointed at that set, as init would point
+// it, and restores init's choice after.
 func onEachGatherPath(run func(path string)) {
 	chosen := gather
 	defer func() { gather = chosen }()
-	gather = &goGather
-	run("portable")
-	if chosen != &goGather {
-		gather = chosen
-		run("avx2")
+	for _, p := range append([]gatherPath{{"portable", &goGather, true}}, vectorGathers...) {
+		if p.has {
+			gather = p.k
+			run(p.name)
+		}
 	}
 }
 
@@ -245,9 +254,11 @@ func valuesOnlyAbove(x []float64, eta float64, dst []float64) []float64 {
 // BenchmarkPairsAbove is the stage-1 exceedance gather at d = 2^21 and
 // the ~30% selectivity of SIDCo's first stage (delta1 = 0.25 plus the
 // fit's over-selection), where the comparison is a coin flip to a branch
-// predictor: on each kernel path, the index- and moment-carrying gather
-// and the compaction of its list to the next stage's ~25% of it; then the
-// values-only Go body the gather replaced and the naive branchy loop.
+// predictor: on each kernel path, the index- and moment-carrying gather,
+// two such gathers of two vectors at once (pairs-x2: what the two workers
+// of a step do, sharing the memory bus) and the compaction of the list to
+// the next stage's ~25% of it; then the values-only Go body the gather
+// replaced and the naive branchy loop.
 // Each row counts the bytes it moves: what it reads (8 an element of the
 // vector, 12 a pair of a list) and the pairs it writes (12 each, 8 for
 // the values-only list).
@@ -258,6 +269,10 @@ func BenchmarkPairsAbove(b *testing.B) {
 	listM, listI, _ := PairsAboveThreshold(g, eta, 0, nil, nil)
 	kept2, _, _ := CompactPairsAbove(nil, nil, listM, listI, eta2)
 	mags, idx := make([]float64, 0, len(g)), make([]int32, 0, len(g))
+	g2 := gaussMix(1<<21, 4)
+	eta2nd := quantileEta(g2, 0.30)
+	listM2, _, _ := PairsAboveThreshold(g2, eta2nd, 0, nil, nil)
+	mags2, idx2 := make([]float64, 0, len(g2)), make([]int32, 0, len(g2))
 	run := func(name string, bytes int, fn func()) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(bytes))
@@ -269,6 +284,16 @@ func BenchmarkPairsAbove(b *testing.B) {
 	}
 	onEachGatherPath(func(path string) {
 		run(path+"/pairs", 8*len(g)+12*len(listM), func() { sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0]) })
+		run(path+"/pairs-x2", 8*len(g)+12*len(listM)+8*len(g2)+12*len(listM2), func() {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				PairsAboveThreshold(g2, eta2nd, 0, mags2[:0], idx2[:0])
+			}()
+			sinkVals, sinkIdx, _ = PairsAboveThreshold(g, eta, 0, mags[:0], idx[:0])
+			wg.Wait()
+		})
 		run(path+"/compact", 12*len(listM)+12*len(kept2), func() { sinkVals, sinkIdx, _ = CompactPairsAbove(mags[:0], idx[:0], listM, listI, eta2) })
 	})
 	run("values-only", 8*len(g)+8*len(listM), func() { sinkVals = valuesOnlyAbove(g, eta, mags[:0]) })

@@ -7,18 +7,24 @@
 // is no setting) the exceedance path — the gather of PairsAboveThreshold,
 // the compaction of CompactPairsAbove and the excess sums both carry —
 // runs each block's whole groups of four from gather_amd64.s, four
-// elements to an instruction, and the last len%4 in Go. The rule that
+// elements to an instruction, and the last len%4 in Go. Where the CPU also
+// has AVX-512F and VL, the gather and the compaction run from
+// gather512_amd64.s instead, eight elements to an instruction and a
+// trailing group of four, and the excess sums stay AVX2. The rule that
 // keeps them bit for bit the Go loops: a kept pair is moved, never
 // computed (|x| is x with the sign bit cleared, as math.Abs gives, and the
-// comparison is false on a NaN, as Go's > is), and each excess lane holds
-// the elements the Go loop puts in it and does what that loop does to
-// them — a subtract, an add, a multiply and an add, each rounded on its
-// own, never a fused multiply-add. The stores are full-width: one lands
-// up to 3 slots past the write cursor, but the cursor never runs ahead of
-// the element index, so no store passes the block — which is why the
-// lists' backing arrays beyond the returned lengths are scratch.
-// TestAVX2GatherMatchesGo holds each body to its Go twin, and the gather's
-// tests run on both paths.
+// comparison is false on a NaN, as Go's > is; the AVX2 bodies pack the
+// kept lanes with a table of shuffles, the AVX-512 ones with a compress
+// instruction, both in lane order), and each excess lane holds the
+// elements the Go loop puts in it and does what that loop does to them —
+// a subtract, an add, a multiply and an add, each rounded on its own,
+// never a fused multiply-add. The stores are full-width: one lands up to
+// 7 slots past the write cursor (3 in the AVX2 bodies), but the cursor
+// never runs ahead of the element index, so no store passes its group of
+// eight or four, which lies inside the block — which is why the lists'
+// backing arrays beyond the returned lengths are scratch.
+// TestAVX2GatherMatchesGo holds each vector body to its Go twin, and the
+// gather's tests run on every path the CPU has.
 //
 // Every product that feeds an add is converted explicitly, float64(x*y),
 // so that no compiler fuses the two into one rounding: the arm64 build
@@ -176,10 +182,11 @@ func (e *Excess) add(kept []float64, eta float64) {
 	e.SumSq += (q[0] + q[1]) + (q[2] + q[3])
 }
 
-// gatherKernels are the exceedance loops that have an AVX2 body
-// (gather_amd64.s), each with its Go twin's signature. Their callers hand
-// them the whole groups of four at the front of a block, len &^ 3
-// elements, and finish the rest with the Go loop.
+// gatherKernels are the exceedance loops that have assembly bodies
+// (gather_amd64.s, gather512_amd64.s), each with its Go twin's
+// signature. Their callers hand them the whole groups of four at the
+// front of a block, len &^ 3 elements, and finish the rest with the Go
+// loop.
 type gatherKernels struct {
 	pairs   func(blk []float64, eta float64, base int32, outM []float64, outI []int32) int
 	compact func(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int
@@ -187,11 +194,12 @@ type gatherKernels struct {
 }
 
 // goGather are the Go loops below: the path on a machine without AVX2 and
-// the oracle the AVX2 bodies are tested against.
+// the oracle the assembly bodies are tested against.
 var goGather = gatherKernels{pairsAbove, compactAbove, excessLanes}
 
-// gather is what the exceedance path calls: goGather, or the AVX2 bodies
-// when gather_amd64.go's init finds the CPU and OS support them.
+// gather is what the exceedance path calls: goGather, or the AVX-512 or
+// AVX2 bodies when gather_amd64.go's init finds the CPU and OS support
+// them.
 var gather = &goGather
 
 // excessLanes sums a-eta and (a-eta)² over kept, whose length is a
@@ -219,7 +227,7 @@ func excessLanes(kept []float64, eta float64) (s, q [4]float64) {
 // the ~25-30% selectivity of a first SIDCo stage that branch is
 // unpredictable and cost 7x the count-only pass. The moments are summed
 // over each block's kept run while it is still in L1. The lists' backing
-// arrays beyond the returned lengths are scratch: a store may land up to 3
+// arrays beyond the returned lengths are scratch: a store may land up to 7
 // slots past the cursor, never past the block (package doc).
 //
 //sidco:hotpath
@@ -275,7 +283,7 @@ func CompactPairsAbove(dstM []float64, dstI []int32, mags []float64, idx []int32
 // pairsAbove and compactAbove are the element loops of PairsAboveThreshold
 // and CompactPairsAbove: store every pair at the cursor m, advance m by the
 // comparison, return m. They run a block's last len%4 elements, and the
-// rest of it too where the AVX2 bodies do not. They stay out of line
+// rest of it too where no assembly body does. They stay out of line
 // because in their callers' frames the compiler kept m on the stack, a
 // store and a reload on every element's dependency chain.
 //
