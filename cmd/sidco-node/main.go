@@ -108,10 +108,9 @@ type options struct {
 // parse nothing themselves.
 type deployment struct {
 	options
-	flags      *flag.FlagSet // bound to options; the launcher forwards what was set
-	coll       netsim.Collective
-	resolved   netsim.Collective // coll with auto resolved on compressed
-	wire       cluster.Wire
+	flags      *flag.FlagSet     // bound to options; the launcher forwards what was set
+	coll       netsim.Collective // -collective, auto resolved on compressed
+	wire       encoding.Format
 	compressed bool     // a compressor is on, which is what auto resolves on
 	addrs      []string // node mode: the host list
 	workers    int      // training workers: -launch, or the host list less the ps server
@@ -189,13 +188,21 @@ func newDeployment(stderr io.Writer) *deployment {
 	return d
 }
 
+// wireFormats are -format's names for the wire formats.
+var wireFormats = map[string]encoding.Format{
+	"lossless":   encoding.FormatPairs64,
+	"bitmap":     encoding.FormatBitmap,
+	"pairs-bf16": encoding.FormatPairsBF16,
+}
+
 // resolve parses and checks the flags once and refuses, before a port is
 // reserved, a socket dialled or a child spawned, every run that cannot
-// work: an unknown collective, wire or compressor, a lossy wire on the
-// ring, a ratio the trainer rejects, a checkpoint cadence below 1, a host
-// list or kill target that does not fit, a -check no run could pass
-// (checkViable), a resume with nothing left to run, and a cluster
-// configuration cluster.Config.Validate refuses.
+// work: an unknown collective, wire or compressor, a ratio the trainer
+// rejects, a checkpoint cadence below 1, a host list or kill target that
+// does not fit, a -check no run could pass (checkViable), a resume with
+// nothing left to run, and a cluster configuration cluster.Config.Validate
+// refuses, a lossy wire on the ring among them. -collective auto is
+// resolved here, once, on whether a compressor is on.
 func (d *deployment) resolve() error {
 	if d.launch <= 0 && d.node < 0 {
 		return fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
@@ -206,18 +213,16 @@ func (d *deployment) resolve() error {
 	if d.ckptEvery < 1 {
 		return fmt.Errorf("-ckpt-every %d, need >= 1", d.ckptEvery)
 	}
-	var err error
-	if d.coll, err = netsim.ParseCollective(d.collective); err != nil {
+	coll, err := netsim.ParseCollective(d.collective)
+	if err != nil {
 		return err
 	}
-	if d.wire, err = cluster.ParseWire(d.format); err != nil {
-		return err
+	var ok bool
+	if d.wire, ok = wireFormats[d.format]; !ok {
+		return fmt.Errorf("unknown wire format %q (want lossless, bitmap or pairs-bf16)", d.format)
 	}
 	d.compressed = d.compressor != "" && d.compressor != "none"
-	d.resolved = d.coll.Resolve(d.compressed)
-	if d.resolved == netsim.CollectiveRing && d.wire != cluster.WireLossless {
-		return fmt.Errorf("-format %s: the ring all-reduce ships raw float64 and encodes nothing; use -format lossless", d.format)
-	}
+	d.coll = coll.Resolve(d.compressed)
 	// Whatever every rank's trainer would refuse — an unknown compressor,
 	// a ratio outside (0, 1] — one trainer built here refuses first.
 	if _, err := trainerFor(d, 1, 0, nil, nil); err != nil {
@@ -423,12 +428,8 @@ func (nt *nodeTelemetry) close() {
 // sockets deliver is exactly what the in-process reference computes.
 func trainerFor(d *deployment, workers, firstWorker int, ex dist.GradientExchange, tel *telemetry.Tracer) (*dist.Trainer, error) {
 	var ecWire *encoding.Format
-	if d.compressed && d.wire != cluster.WireLossless {
-		f, err := d.wire.Format()
-		if err != nil {
-			return nil, err
-		}
-		ecWire = &f
+	if d.compressed && d.wire != encoding.FormatPairs64 {
+		ecWire = &d.wire
 	}
 	return harness.DemoTrainer(dist.TrainerConfig{
 		Workers:     workers,
@@ -567,13 +568,13 @@ func checkViable(d *deployment) error {
 	// what the reference computes. The parameter server re-encodes the
 	// aggregated mean on the pull side — a mean of wire fixed points is not
 	// itself one — so only the lossless wire stays exact there.
-	switch d.resolved {
+	switch d.coll {
 	case netsim.CollectiveAllGather:
-		if d.wire != cluster.WireLossless && !d.compressed {
+		if d.wire != encoding.FormatPairs64 && !d.compressed {
 			return fmt.Errorf("-check: -format %s is lossy and no compressor pre-rounds to it, so no bit-exact reference exists; use -format lossless, a compressor, or drop -check", d.format)
 		}
 	case netsim.CollectivePS:
-		if d.wire != cluster.WireLossless {
+		if d.wire != encoding.FormatPairs64 {
 			return fmt.Errorf("-check: -format %s under ps re-encodes the mean on the pull, so no bit-exact reference exists; use -format lossless or drop -check", d.format)
 		}
 	}
@@ -593,7 +594,7 @@ func checkViable(d *deployment) error {
 // checkpoint-resume reproduced the uninterrupted run exactly.
 func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []float64, stdout io.Writer) error {
 	var ex dist.GradientExchange
-	if d.resolved == netsim.CollectiveRing {
+	if d.coll == netsim.CollectiveRing {
 		ex = cluster.RingOrder{}
 	}
 	ref, err := trainerFor(d, d.workers, 0, ex, nil)
@@ -611,8 +612,8 @@ func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []f
 	}
 	// Every ring node sends the same share of the exchange's messages; a
 	// parameter-server worker sends one push (the pulls are the server's).
-	perExchange := d.resolved.Messages(d.workers) / d.workers
-	if d.resolved == netsim.CollectivePS {
+	perExchange := d.coll.Messages(d.workers) / d.workers
+	if d.coll == netsim.CollectivePS {
 		perExchange = 1
 	}
 	wantMsgs := (d.iters - d.start) * perExchange
@@ -630,7 +631,7 @@ func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []f
 		// one — exact top-k and the band-held SIDCo family.
 		sidco := strings.HasPrefix(d.compressor, "sidco-")
 		applyMax := 0.0
-		if d.resolved != netsim.CollectiveRing && (sidco || d.compressor == "topk") {
+		if d.coll != netsim.CollectiveRing && (sidco || d.compressor == "topk") {
 			k := compress.TargetK(ref.Dim(), d.delta)
 			applyMax = float64(d.workers*k) * (1 + core.Config{}.Default().EpsilonH)
 		}
@@ -965,12 +966,12 @@ func checkLaunchTraces(d *deployment, stdout io.Writer) error {
 	if err := traceview.CheckComplete(tl); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
-	if err := traceview.CheckMessageCount(tl, d.resolved, d.workers, d.iters-d.start); err != nil {
+	if err := traceview.CheckMessageCount(tl, d.coll, d.workers, d.iters-d.start); err != nil {
 		return fmt.Errorf("launch trace check: %w", err)
 	}
 	paired, _, _ := tl.PairStats(false)
 	wirePaired, _, _ := tl.PairStats(true)
 	fmt.Fprintf(stdout, "launch trace check: %d gradient + %d wire messages assembled across %d ranks, all paired, counts match the %s formula\n",
-		paired, wirePaired, d.nodes, d.resolved)
+		paired, wirePaired, d.nodes, d.coll)
 	return nil
 }

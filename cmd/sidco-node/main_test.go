@@ -77,7 +77,7 @@ func TestCheckViable(t *testing.T) {
 		{"bf16 all-gather, pre-rounded by EC", netsim.CollectiveAllGather, []string{"-format", "pairs-bf16"}, ""},
 		{"lossy ps re-encodes the mean", netsim.CollectivePS, []string{"-format", "bitmap"}, "re-encodes"},
 		{"lossy all-gather, nothing pre-rounds", netsim.CollectiveAllGather, []string{"-format", "bitmap", "-compressor", "none"}, "lossy"},
-		{"auto, dense, lossy: the ring encodes nothing", netsim.CollectiveAuto, []string{"-format", "bitmap", "-compressor", "none"}, "ring all-reduce ships raw float64"},
+		{"auto, dense, lossy: the ring encodes nothing", netsim.CollectiveAuto, []string{"-format", "bitmap", "-compressor", "none"}, "Format bitmap on the ring, which ships raw float64"},
 		{"auto, compressed, lossy: an all-gather EC pre-rounds for", netsim.CollectiveAuto, []string{"-format", "bitmap"}, ""},
 		{"lossy ps without -check", netsim.CollectivePS, []string{"-format", "bitmap", "-check=false"}, ""},
 		{"unknown wire", netsim.CollectiveAllGather, []string{"-format", "nope"}, "nope"},
@@ -133,9 +133,10 @@ func TestRefusedBeforeAnythingStarts(t *testing.T) {
 		{[]string{"-delta", "2"}, "Delta = 2 outside (0, 1]"},
 		{[]string{"-ckpt", "ck", "-ckpt-every", "0"}, "-ckpt-every 0"},
 		// The ring ships raw float64: a lossy wire there rounds and saves
-		// nothing, named or as auto resolves a dense run.
-		{[]string{"-collective", "ring", "-compressor", "topk", "-format", "bitmap"}, "-format bitmap: the ring all-reduce ships raw float64"},
-		{[]string{"-collective", "auto", "-compressor", "none", "-format", "pairs-bf16"}, "-format pairs-bf16: the ring all-reduce ships raw float64"},
+		// nothing, named or as auto resolves a dense run. cluster.Config's
+		// Validate refuses it.
+		{[]string{"-collective", "ring", "-compressor", "topk", "-format", "bitmap"}, "cluster: Format bitmap on the ring, which ships raw float64"},
+		{[]string{"-collective", "auto", "-compressor", "none", "-format", "pairs-bf16"}, "cluster: Format pairs-bf16 on the ring, which ships raw float64"},
 		// The retired wire formats.
 		{[]string{"-format", "pairs"}, `unknown wire format "pairs"`},
 		{[]string{"-format", "dense"}, `unknown wire format "dense"`},

@@ -84,7 +84,7 @@ func BenchmarkExchange(b *testing.B) {
 		}
 	}
 	for _, sh := range pricedShapes {
-		for w := WireLossless; w <= WirePairsBF16; w++ {
+		for _, w := range []encoding.Format{encoding.FormatPairs64, encoding.FormatBitmap, encoding.FormatPairsBF16} {
 			b.Run(fmt.Sprintf("priced/%s/%s", sh.name, w), func(b *testing.B) {
 				benchPriced(b, sh, w)
 			})
@@ -126,12 +126,8 @@ var pricedLinks = []struct {
 // exchange through Engine: encodes, decodes, merge) plus the alpha-beta
 // time of the exact bytes Instrumented counted, per link. Ranks run in
 // parallel, so one rank's pre-round is on the critical path.
-func benchPriced(b *testing.B, sh pricedShape, w Wire) {
+func benchPriced(b *testing.B, sh pricedShape, format encoding.Format) {
 	const workers = 2
-	format, err := w.Format()
-	if err != nil {
-		b.Fatal(err)
-	}
 	wl, err := dist.WorkloadByName(sh.profile)
 	if err != nil {
 		b.Fatal(err)
@@ -149,7 +145,7 @@ func benchPriced(b *testing.B, sh pricedShape, w Wire) {
 		}
 		ins[r] = dist.ExchangeInput{Worker: r, Dense: g, Sparse: sp}
 	}
-	e, err := New(Config{Workers: workers, Collective: sh.coll, Format: w})
+	e, err := New(Config{Workers: workers, Collective: sh.coll, Format: format})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,20 +24,23 @@ type Config struct {
 	// which runs Serve instead of Exchange. New ignores it — an Engine
 	// hosts every rank.
 	Rank int
-	// Collective selects the exchange schedule. CollectiveAuto mirrors
-	// netsim: all-gather when a contribution is sparse, ring all-reduce
-	// when dense.
+	// Collective is the exchange schedule every round runs: ring,
+	// all-gather or parameter server. CollectiveAuto is refused: a caller
+	// that wants netsim's pairing (all-gather when it compresses, ring
+	// when it trains dense) resolves it with netsim.Collective.Resolve
+	// before it builds the cluster, because only the caller knows whether
+	// its trainer compresses.
 	Collective netsim.Collective
 	// Format is the wire format for encoded gradient payloads. The zero
-	// value WireLossless (encoding.FormatPairs64) makes all-gather and
-	// parameter-server exchanges reproduce the in-process reducer
-	// bit-for-bit. WireBitmap (float32 values) is the parameter server's
-	// cheapest wire at moderate densities, and WirePairsBF16 the
-	// all-gather's on a slow link; with error feedback pre-rounding to
-	// either, the all-gather stays bit-identical too. The ring ships raw
-	// float64 and encodes nothing, so CollectiveRing takes WireLossless
-	// only.
-	Format Wire
+	// value means encoding.FormatPairs64, the lossless format, which makes
+	// all-gather and parameter-server exchanges reproduce the in-process
+	// reducer bit-for-bit. encoding.FormatBitmap (float32 values) is the
+	// parameter server's cheapest wire at moderate densities, and
+	// encoding.FormatPairsBF16 the all-gather's on a slow link; with error
+	// feedback pre-rounding to either, the all-gather stays bit-identical
+	// too. The ring ships raw float64 and encodes nothing, so
+	// CollectiveRing takes the lossless format only.
+	Format encoding.Format
 	// Transport must span NodeCount(Workers, Collective) nodes. NewNode
 	// requires one — typically a TCPTransport hosting this rank over the
 	// deployment's shared host list; New defaults to an in-process
@@ -113,15 +116,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: Workers = %d, need >= 1", c.Workers)
 	}
 	switch c.Collective {
-	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
+	case netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
+	case netsim.CollectiveAuto:
+		return fmt.Errorf("cluster: Collective auto: resolve it first with netsim.Collective.Resolve, which knows whether the trainer compresses")
 	default:
 		return fmt.Errorf("cluster: unknown collective %v", c.Collective)
 	}
-	if _, err := c.Format.Format(); err != nil {
-		return err
+	format := c.wireFormat()
+	if _, err := encoding.Size(format, 0, 0); err != nil {
+		return fmt.Errorf("cluster: unknown wire format %d", int(format))
 	}
-	if c.Collective == netsim.CollectiveRing && c.Format != WireLossless {
-		return fmt.Errorf("cluster: Format %v on the ring, which ships raw float64 and encodes nothing; use WireLossless", c.Format)
+	if c.Collective == netsim.CollectiveRing && format != encoding.FormatPairs64 {
+		return fmt.Errorf("cluster: Format %v on the ring, which ships raw float64 and encodes nothing; use the lossless format", format)
 	}
 	if c.StepTimeout < 0 {
 		return fmt.Errorf("cluster: StepTimeout = %v, need >= 0", c.StepTimeout)
@@ -157,74 +163,32 @@ func NodeCount(workers int, c netsim.Collective) int {
 	return workers
 }
 
-// Wire selects the payload wire format. Its zero value is the lossless
-// default, so Config{} trains bit-identically to the in-process path.
-type Wire int
+// wireFormat is the format the payloads ship in: Format, with its zero
+// value resolved to the lossless encoding.FormatPairs64.
+func (c Config) wireFormat() encoding.Format {
+	if c.Format == 0 {
+		return encoding.FormatPairs64
+	}
+	return c.Format
+}
 
+// Wire is encoding.Format under the name the frozen bench adapter
+// spells. It goes, with WireLossless and WireBitmap, in ROADMAP item 1's
+// benchmark change; use encoding.Format.
+type Wire = encoding.Format
+
+// WireLossless and WireBitmap are the two formats the bench adapter names.
 const (
-	// WireLossless ships encoding.FormatPairs64: 12 bytes per element,
-	// float64 values bit-for-bit.
-	WireLossless Wire = iota
-	// WireBitmap ships encoding.FormatBitmap: a d-bit presence bitmap
-	// plus 4 bytes per element, float32 values.
-	WireBitmap
-	// WirePairsBF16 ships encoding.FormatPairsBF16: 6 bytes per
-	// element, bfloat16 values.
-	WirePairsBF16
+	WireLossless = encoding.FormatPairs64
+	WireBitmap   = encoding.FormatBitmap
 )
 
-// String implements fmt.Stringer; the names are what ParseWire accepts.
-func (w Wire) String() string {
-	switch w {
-	case WireLossless:
-		return "lossless"
-	case WireBitmap:
-		return "bitmap"
-	case WirePairsBF16:
-		return "pairs-bf16"
-	default:
-		return fmt.Sprintf("wire(%d)", int(w))
-	}
-}
-
-// ParseWire resolves a wire format name (the String values) — the
-// -format flag of cmd/sidco-node.
-//
-//sidco:errclass flag validation, deliberately fatal
-func ParseWire(name string) (Wire, error) {
-	for w := WireLossless; w <= WirePairsBF16; w++ {
-		if w.String() == name {
-			return w, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown wire format %q (want lossless, bitmap or pairs-bf16)", name)
-}
-
-// Format maps the wire selector onto its encoding format.
-//
-//sidco:errclass config validation, deliberately fatal
-func (w Wire) Format() (encoding.Format, error) {
-	switch w {
-	case WireLossless:
-		return encoding.FormatPairs64, nil
-	case WireBitmap:
-		return encoding.FormatBitmap, nil
-	case WirePairsBF16:
-		return encoding.FormatPairsBF16, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown wire format %d", int(w))
-	}
-}
-
-// resolveSparse resolves a round for ExchangeSparse, which runs it only when
-// the aggregate is sparse by nature: a compressed selection over all-gather
-// or the parameter server. A dense contribution or a ring all-reduce is not
-// (ok false), and is declined. Like every round's Auto, it is resolved once
-// per round from rank 0's input, never per node — per-node resolution could
-// diverge on a mixed dense/sparse input set and deadlock the schedule.
-func resolveSparse(c netsim.Collective, sp *tensor.Sparse) (coll netsim.Collective, ok bool) {
-	coll = c.Resolve(sp != nil)
-	return coll, sp != nil && coll != netsim.CollectiveRing
+// sparseRound reports whether ExchangeSparse runs a round: only when the
+// aggregate is sparse by nature, a compressed selection over all-gather or
+// the parameter server. A dense contribution or a ring all-reduce is not,
+// and is declined.
+func sparseRound(c netsim.Collective, sp *tensor.Sparse) bool {
+	return sp != nil && c != netsim.CollectiveRing
 }
 
 // Engine is a whole deployment in one process: NodeCount(Workers,
@@ -315,8 +279,7 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 	if err := e.checkExchange(ins); err != nil {
 		return err
 	}
-	coll := e.cfg.Collective.Resolve(ins[0].Sparse != nil)
-	err := e.run(step, coll, ins, len(agg), agg, nil)
+	err := e.run(step, ins, len(agg), agg, nil)
 	if err == nil && e.cfg.Verify {
 		for w := 1; w < e.cfg.Workers && err == nil; w++ {
 			for i := range agg {
@@ -340,11 +303,10 @@ func (e *Engine) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor
 	if err := e.checkExchange(ins); err != nil {
 		return false, err
 	}
-	coll, ok := resolveSparse(e.cfg.Collective, ins[0].Sparse)
-	if !ok {
+	if !sparseRound(e.cfg.Collective, ins[0].Sparse) {
 		return false, nil
 	}
-	err := e.run(step, coll, ins, ins[0].Sparse.Dim, nil, mean)
+	err := e.run(step, ins, ins[0].Sparse.Dim, nil, mean)
 	if err == nil && e.cfg.Verify {
 		for w := 1; w < e.cfg.Workers && err == nil; w++ {
 			err = sameSparse(w, &e.means[w], mean)
@@ -385,9 +347,9 @@ func (e *Engine) checkExchange(ins []dist.ExchangeInput) error {
 // reported. Rank 0 reduces into the caller's destination — agg or mean,
 // whichever is set; the other workers get one of their own of the same kind
 // only where something reads it (Verify, and the ring, which reduces in it).
-func (e *Engine) run(step int, coll netsim.Collective, ins []dist.ExchangeInput, dim int, agg []float64, mean *tensor.Sparse) error {
+func (e *Engine) run(step int, ins []dist.ExchangeInput, dim int, agg []float64, mean *tensor.Sparse) error {
 	for rank, ch := range e.rounds {
-		rd := job{step: step, coll: coll, dim: dim}
+		rd := job{step: step, dim: dim}
 		if rank < e.cfg.Workers {
 			rd.sparse, rd.dense = ins[rank].Sparse, ins[rank].Dense
 		}
@@ -396,7 +358,7 @@ func (e *Engine) run(step int, coll netsim.Collective, ins []dist.ExchangeInput,
 			rd.out, rd.mean = agg, mean
 		case rank >= e.cfg.Workers:
 			// the server: serves the step, keeps no aggregate
-		case agg != nil && (e.cfg.Verify || coll == netsim.CollectiveRing):
+		case agg != nil && (e.cfg.Verify || e.cfg.Collective == netsim.CollectiveRing):
 			if len(e.outs[rank]) != dim {
 				e.outs[rank] = make([]float64, dim)
 			}

@@ -128,49 +128,44 @@ func TestEngineRingMatchesRingOrderBitwise(t *testing.T) {
 	}
 }
 
-// TestEngineAutoMirrorsNetsim: one Auto engine resolves every round
-// against that round's inputs — sparse rounds take the all-gather
-// schedule (N-1 messages per node, no server, bit-identical to the
-// in-process reducer), dense rounds the ring — and stays live across the
-// switch.
+// TestEngineAutoMirrorsNetsim: New and NewNode refuse CollectiveAuto, and
+// an engine built on what netsim resolves it to runs netsim's schedule for
+// each kind of input — sparse inputs the all-gather (N-1 messages per
+// node, no server, bit-identical to the in-process reducer), dense inputs
+// the ring.
 func TestEngineAutoMirrorsNetsim(t *testing.T) {
 	const dim = 128
 	workers := 3
+	auto := Config{Workers: workers, Collective: netsim.CollectiveAuto}
+	if _, err := New(auto); err == nil || !strings.Contains(err.Error(), "netsim.Collective.Resolve") {
+		t.Errorf("New(auto) = %v, want the refusal naming netsim.Collective.Resolve", err)
+	}
+	if _, err := NewNode(auto); err == nil || !strings.Contains(err.Error(), "netsim.Collective.Resolve") {
+		t.Errorf("NewNode(auto) = %v, want the refusal naming netsim.Collective.Resolve", err)
+	}
 	sparse := randomInputs(t, workers, dim, 0.1, 3)
 	dense := randomInputs(t, workers, dim, 0, 3)
 	want := make([]float64, dim)
 	if err := (dist.InProcess{}).Exchange(0, sparse, want); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Workers: workers, Collective: netsim.CollectiveAuto, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	agg := make([]float64, dim)
-	for step, tc := range []struct {
+	for _, tc := range []struct {
 		name string
 		ins  []dist.ExchangeInput
 		msgs int
 	}{
 		{"sparse", sparse, workers * netsim.AllGatherMessages(workers)},
 		{"dense", dense, workers * netsim.RingMessages(workers)},
-		{"sparse again", sparse, workers * netsim.AllGatherMessages(workers)},
 	} {
-		e.Transport().Reset()
-		if err := e.Exchange(step, tc.ins, agg); err != nil {
-			t.Fatalf("auto %s: %v", tc.name, err)
+		coll := netsim.CollectiveAuto.Resolve(tc.ins[0].Sparse != nil)
+		agg, e := engineExchange(t, Config{Workers: workers, Collective: coll, Verify: true}, tc.ins, dim)
+		msgs, _ := e.Transport().Totals()
+		e.Close()
+		if msgs != tc.msgs {
+			t.Errorf("%s over %v: %d messages, want %d", tc.name, coll, msgs, tc.msgs)
 		}
-		if msgs, _ := e.Transport().Totals(); msgs != tc.msgs {
-			t.Errorf("auto %s: %d messages, want %d", tc.name, msgs, tc.msgs)
-		}
-		if tc.ins[0].Sparse == nil {
-			continue
-		}
-		for i := range want {
-			if agg[i] != want[i] {
-				t.Fatalf("auto %s: element %d = %v, want %v (must be bit-identical)", tc.name, i, agg[i], want[i])
-			}
+		if tc.ins[0].Sparse != nil {
+			requireBitIdentical(t, tc.name+" element", agg, want)
 		}
 	}
 }
@@ -187,12 +182,19 @@ func TestEngineBytesPerStepMatchEncodingAccounting(t *testing.T) {
 	}
 
 	t.Run("allgather-pairs64", func(t *testing.T) {
-		_, e := engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveAllGather}, ins, dim)
-		defer e.Close()
-		_, bytes := e.Transport().Totals()
-		// Each worker's encoded buffer traverses N-1 links.
-		if want := (workers - 1) * workers * encoding.Pairs64Size(dim, nnz); bytes != want {
-			t.Errorf("measured %d bytes, encoding accounting says %d", bytes, want)
+		// The zero Format is the lossless one: Config{} and a named
+		// collective ship exactly what FormatPairs64 names.
+		for _, format := range []encoding.Format{0, encoding.FormatPairs64} {
+			_, e := engineExchange(t, Config{Workers: workers, Collective: netsim.CollectiveAllGather, Format: format}, ins, dim)
+			msgs, bytes := e.Transport().Totals()
+			e.Close()
+			// Each worker's encoded buffer traverses N-1 links.
+			if want := (workers - 1) * workers; msgs != want {
+				t.Errorf("Format %d: %d messages, want %d", format, msgs, want)
+			}
+			if want := msgs * encoding.Pairs64Size(dim, nnz); bytes != want {
+				t.Errorf("Format %d: measured %d bytes, %d messages of encoding.Pairs64Size %d", format, bytes, msgs, encoding.Pairs64Size(dim, nnz))
+			}
 		}
 	})
 	t.Run("allgather-per-node", func(t *testing.T) {
@@ -295,23 +297,26 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string // "" = accepted
 	}{
-		{"defaults", Config{Workers: 2}, ""},
+		{"defaults", Config{Workers: 2, Collective: netsim.CollectiveAllGather}, ""},
 		{"ps-server-rank", Config{Workers: 2, Rank: 2, Collective: netsim.CollectivePS}, ""},
-		{"retries-with-timeout", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: 2}, ""},
+		{"retries-with-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, StepTimeout: time.Second, MaxStepRetries: 2}, ""},
 		{"no-workers", Config{Workers: 0}, "Workers = 0"},
+		{"auto", Config{Workers: 2, Collective: netsim.CollectiveAuto}, "resolve it first with netsim.Collective.Resolve"},
 		{"unknown-collective", Config{Workers: 2, Collective: netsim.Collective(99)}, "unknown collective"},
-		{"unknown-wire", Config{Workers: 2, Format: Wire(99)}, "unknown wire format"},
+		{"unknown-wire", Config{Workers: 2, Collective: netsim.CollectiveAllGather, Format: encoding.Format(99)}, "unknown wire format 99"},
+		{"retired-wire", Config{Workers: 2, Collective: netsim.CollectiveAllGather, Format: encoding.Format(2)}, "unknown wire format 2"},
 		{"ring-lossless", Config{Workers: 2, Collective: netsim.CollectiveRing}, ""},
-		{"ring-bitmap", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: WireBitmap}, "Format bitmap on the ring"},
-		{"ring-bf16", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: WirePairsBF16}, "Format pairs-bf16 on the ring"},
-		{"auto-bitmap", Config{Workers: 2, Collective: netsim.CollectiveAuto, Format: WireBitmap}, ""},
-		{"negative-step-timeout", Config{Workers: 2, StepTimeout: -time.Second}, "StepTimeout"},
-		{"negative-retries", Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: -1}, "MaxStepRetries = -1"},
+		{"ring-pairs64", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: encoding.FormatPairs64}, ""},
+		{"ring-bitmap", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: encoding.FormatBitmap}, "Format bitmap on the ring"},
+		{"ring-bf16", Config{Workers: 2, Collective: netsim.CollectiveRing, Format: encoding.FormatPairsBF16}, "Format pairs-bf16 on the ring"},
+		{"auto-bitmap", Config{Workers: 2, Collective: netsim.CollectiveAuto, Format: encoding.FormatBitmap}, "resolve it first with netsim.Collective.Resolve"},
+		{"negative-step-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, StepTimeout: -time.Second}, "StepTimeout"},
+		{"negative-retries", Config{Workers: 2, Collective: netsim.CollectiveAllGather, StepTimeout: time.Second, MaxStepRetries: -1}, "MaxStepRetries = -1"},
 		{"retries-without-timeout", Config{Workers: 2, Collective: netsim.CollectiveAllGather, MaxStepRetries: 1}, "requires StepTimeout"},
 		{"retries-at-64-nodes", Config{Workers: 63, Collective: netsim.CollectivePS, StepTimeout: time.Second, MaxStepRetries: 1}, ""},
 		{"retries-over-64-nodes", Config{Workers: 64, Collective: netsim.CollectivePS, StepTimeout: time.Second, MaxStepRetries: 1}, "over 65 nodes"},
-		{"no-retries-over-64-nodes", Config{Workers: 100}, ""},
-		{"rank-negative", Config{Workers: 2, Rank: -1}, "outside the 2-node deployment"},
+		{"no-retries-over-64-nodes", Config{Workers: 100, Collective: netsim.CollectiveAllGather}, ""},
+		{"rank-negative", Config{Workers: 2, Collective: netsim.CollectiveAllGather, Rank: -1}, "outside the 2-node deployment"},
 		{"rank-out-of-range", Config{Workers: 2, Rank: 4, Collective: netsim.CollectivePS}, "outside the 3-node deployment"},
 		{"server-slot-without-ps", Config{Workers: 2, Rank: 2, Collective: netsim.CollectiveAllGather}, "server slot"},
 		{"transport-too-small", Config{Workers: 2, Collective: netsim.CollectivePS, Transport: small}, "transport has 2 nodes, need 3"},
@@ -332,10 +337,10 @@ func TestConfigValidate(t *testing.T) {
 // refusals that are not configuration: a wrong input count, a second
 // Close, an exchange after Close.
 func TestEngineMisuse(t *testing.T) {
-	if _, err := New(Config{Workers: 2, MaxStepRetries: 2}); err == nil {
+	if _, err := New(Config{Workers: 2, Collective: netsim.CollectiveAllGather, MaxStepRetries: 2}); err == nil {
 		t.Error("New must refuse what Validate refuses")
 	}
-	e, err := New(Config{Workers: 2, Rank: 7}) // Rank is not New's: an Engine hosts every rank
+	e, err := New(Config{Workers: 2, Collective: netsim.CollectiveAllGather, Rank: 7}) // Rank is not New's: an Engine hosts every rank
 	if err != nil {
 		t.Fatal(err)
 	}

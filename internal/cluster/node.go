@@ -20,7 +20,6 @@ type job struct {
 	sparse *tensor.Sparse // nil on the dense path
 	dense  []float64
 	dim    int
-	coll   netsim.Collective // resolved collective, never Auto
 	// deadline, when non-zero, bounds every blocking receive of the
 	// schedule run; a receive past it fails with ErrTimeout.
 	deadline time.Time
@@ -84,11 +83,11 @@ func (n *Node) runCollective(jb job) error {
 	}
 	members := n.workers
 	recv := interceptRecv(n.tp, jb.deadline)
-	switch jb.coll {
+	switch n.cfg.Collective {
 	case netsim.CollectiveRing:
 		// Dense in-ring reduction of the local dense gradient into the
-		// mean; a sparse selection (the caller forced ring) is densified
-		// into out and reduced in place.
+		// mean; a sparse selection (a compressing trainer on a ring
+		// deployment) is densified into out and reduced in place.
 		src := jb.dense
 		if jb.sparse != nil {
 			tensor.Zero(out)
@@ -191,8 +190,9 @@ func (n *Node) encodeLocal(jb job) error {
 	if err != nil {
 		return err
 	}
-	es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, n.cfg.Rank, -1, int64(jb.step)).WithValue(int64(n.format))
-	n.sc.enc, err = encoding.EncodeTo(n.sc.enc[:0], sp, n.format)
+	format := n.cfg.wireFormat()
+	es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, n.cfg.Rank, -1, int64(jb.step)).WithValue(int64(format))
+	n.sc.enc, err = encoding.EncodeTo(n.sc.enc[:0], sp, format)
 	es.End()
 	return err
 }
@@ -301,7 +301,6 @@ func (s *psServer) round(tp Transport, recv linkRecv, server int, workers []int,
 // trainer bit-for-bit.
 type Node struct {
 	cfg    Config
-	format encoding.Format
 	server int           // server node id under PS, else -1
 	tp     *Instrumented // shared with every other Node of an Engine
 	raw    Transport
@@ -338,8 +337,7 @@ func NewNode(cfg Config) (*Node, error) {
 // newNode binds rank cfg.Rank of an already validated cfg to tp, which
 // Engine shares between all its Nodes.
 func newNode(cfg Config, tp *Instrumented) *Node {
-	format, _ := cfg.Format.Format() // cfg is validated
-	n := &Node{cfg: cfg, format: format, server: -1, tp: tp, raw: tp.inner, rel: tp.rel}
+	n := &Node{cfg: cfg, server: -1, tp: tp, raw: tp.inner, rel: tp.rel}
 	if cfg.Collective == netsim.CollectivePS {
 		n.server = cfg.Workers
 	}
@@ -371,19 +369,18 @@ func (n *Node) Transport() *Instrumented { return n.tp }
 // Exchange implements dist.GradientExchange for the single local worker:
 // ins must hold exactly one input — this rank's contribution — and agg
 // receives the global mean over all Workers contributions. Every worker
-// process must call Exchange for the same step with the same collective
-// resolution, or the interlocked schedules deadlock; the transport's
-// per-link FIFO keeps successive steps from interleaving.
+// process must call Exchange for the same step, or the interlocked
+// schedules deadlock; the transport's per-link FIFO keeps successive steps
+// from interleaving.
 func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
 	if err := n.checkExchange(ins); err != nil {
 		return err
 	}
-	coll := n.cfg.Collective.Resolve(ins[0].Sparse != nil)
-	return n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll, out: agg})
+	return n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), out: agg})
 }
 
 // ExchangeSparse implements dist.SparseExchange: when this rank's
-// contribution is a compressed selection and the round resolves to
+// contribution is a compressed selection and the collective is
 // all-gather or the parameter server, mean receives the global mean as the
 // merged sparse vector those collectives build anyway and nothing of the
 // model's dimension is cleared or written. Any other round — the ring, a
@@ -393,15 +390,14 @@ func (n *Node) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor.S
 		return false, err
 	}
 	sp := ins[0].Sparse
-	coll, ok := resolveSparse(n.cfg.Collective, sp)
-	if !ok {
+	if !sparseRound(n.cfg.Collective, sp) {
 		return false, nil
 	}
-	return true, n.exchange(job{step: step, sparse: sp, dim: sp.Dim, coll: coll, mean: mean})
+	return true, n.exchange(job{step: step, sparse: sp, dim: sp.Dim, mean: mean})
 }
 
-// ExchangeApply implements dist.ApplyExchange: when the round resolves to
-// the ring all-reduce, it runs in agg and apply gets each chunk of the mean
+// ExchangeApply implements dist.ApplyExchange: when the collective is the
+// ring all-reduce, it runs in agg and apply gets each chunk of the mean
 // where it lands — the chunks this node owned or forwarded from agg, the
 // last one received from its frame — once the round's last receive has
 // succeeded, so a failed attempt, retried over a renegotiated group or
@@ -411,11 +407,10 @@ func (n *Node) ExchangeApply(step int, ins []dist.ExchangeInput, agg []float64, 
 	if err := n.checkExchange(ins); err != nil {
 		return false, err
 	}
-	coll := n.cfg.Collective.Resolve(ins[0].Sparse != nil)
-	if coll != netsim.CollectiveRing {
+	if n.cfg.Collective != netsim.CollectiveRing {
 		return false, nil
 	}
-	return true, n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll, out: agg, apply: apply})
+	return true, n.exchange(job{step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), out: agg, apply: apply})
 }
 
 // checkExchange refuses an exchange this node cannot run: a closed node,
@@ -436,15 +431,15 @@ func (n *Node) checkExchange(ins []dist.ExchangeInput) error {
 	return nil
 }
 
-// exchange runs this worker's share of one round (jb.coll already
-// resolved, jb.deadline set here per attempt), retrying over the
+// exchange runs this worker's share of one round (jb.deadline set here
+// per attempt), retrying over the
 // renegotiated group while the failure is recoverable and retries remain.
 func (n *Node) exchange(jb job) error {
 	// Tag the round's telemetry message events with the step before the
 	// first send: rounds are synchronous, so no message of another step
 	// is in flight on this node's links.
 	n.tp.SetStep(int64(jb.step))
-	if jb.coll == netsim.CollectiveAllGather {
+	if n.cfg.Collective == netsim.CollectiveAllGather {
 		// Every peer decodes this node's payload after its own gather, so
 		// one may still be reading last round's. The buffer of the round
 		// before is free (the Transport's reuse rule): every peer's last
@@ -606,7 +601,7 @@ func (n *Node) serveRound(step int) error {
 	for attempt := 0; ; attempt++ {
 		span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, int64(step))
 		recv := interceptRecv(n.tp, n.stepDeadline())
-		err := n.srv.round(n.tp, recv, n.server, n.workers, n.format)
+		err := n.srv.round(n.tp, recv, n.server, n.workers, n.cfg.wireFormat())
 		span.End()
 		if err == nil {
 			return nil

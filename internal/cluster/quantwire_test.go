@@ -16,18 +16,14 @@ import (
 func TestQuantizedWireTrafficMatchesAccounting(t *testing.T) {
 	const dim, workers = 400, 4
 	ins := randomInputs(t, workers, dim, 0.05, 23)
-	for _, wire := range []Wire{WireLossless, WirePairsBF16} {
-		format, err := wire.Format()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, format := range []encoding.Format{encoding.FormatPairs64, encoding.FormatPairsBF16} {
 		_, e := engineExchange(t, Config{
-			Workers: workers, Collective: netsim.CollectiveAllGather, Format: wire,
+			Workers: workers, Collective: netsim.CollectiveAllGather, Format: format,
 		}, ins, dim)
 		msgs, bytes := e.Transport().Totals()
 		e.Close()
 		if want := workers * netsim.AllGatherMessages(workers); msgs != want {
-			t.Errorf("%v: %d messages, want %d", wire, msgs, want)
+			t.Errorf("%v: %d messages, want %d", format, msgs, want)
 		}
 		wantBytes := 0
 		for _, in := range ins {
@@ -38,7 +34,7 @@ func TestQuantizedWireTrafficMatchesAccounting(t *testing.T) {
 			wantBytes += netsim.AllGatherTrafficBytes(workers, sz)
 		}
 		if bytes != wantBytes {
-			t.Errorf("%v: %d bytes on the wire, accounting says %d", wire, bytes, wantBytes)
+			t.Errorf("%v: %d bytes on the wire, accounting says %d", format, bytes, wantBytes)
 		}
 	}
 }
@@ -54,7 +50,7 @@ func TestQuantizedWireTrainingValueExact(t *testing.T) {
 	for _, comp := range registryNames {
 		t.Run(comp, func(t *testing.T) {
 			e, err := New(Config{
-				Workers: workers, Collective: netsim.CollectiveAllGather, Format: WirePairsBF16, Verify: true,
+				Workers: workers, Collective: netsim.CollectiveAllGather, Format: format, Verify: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -76,11 +72,7 @@ func TestQuantizedWireTrainingValueExact(t *testing.T) {
 func TestQuantizedWireAggregates(t *testing.T) {
 	const dim, workers = 257, 3
 	ins := randomInputs(t, workers, dim, 0.1, 29)
-	for _, wire := range []Wire{WirePairsBF16} {
-		format, err := wire.Format()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, format := range []encoding.Format{encoding.FormatPairsBF16} {
 		want := make([]float64, dim)
 		for _, in := range ins {
 			vals := append([]float64(nil), in.Sparse.Vals...)
@@ -96,13 +88,13 @@ func TestQuantizedWireAggregates(t *testing.T) {
 		}
 		got, e := engineExchange(t, Config{
 			Workers: workers, Collective: netsim.CollectiveAllGather,
-			Format: wire, Verify: true,
+			Format: format, Verify: true,
 		}, ins, dim)
 		e.Close()
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%v: element %d = %v, want %v (decode-side mean diverges from RoundTripValues model)",
-					wire, i, got[i], want[i])
+					format, i, got[i], want[i])
 			}
 		}
 	}

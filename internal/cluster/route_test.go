@@ -165,8 +165,8 @@ func TestSparseRouteMatchesDenseRoute(t *testing.T) {
 
 // stripOdd makes one live trainer's rounds alternate: on odd steps it hands
 // the engine the workers' selections densified and without their sparse
-// form — a round Auto resolves to the ring and ExchangeSparse must decline —
-// and on even steps the inputs as they are.
+// form — a round ExchangeSparse must decline — and on even steps the inputs
+// as they are.
 type stripOdd struct{ inner *Engine }
 
 func (s stripOdd) strip(step int, ins []dist.ExchangeInput) []dist.ExchangeInput {
@@ -192,10 +192,10 @@ func (s stripOdd) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tenso
 // selection stays on the dense route and computes what it computed before
 // the sparse route existed. The losses (and the sum of the final weights)
 // of the tiny sidco-e trainer, as bit patterns recorded at the commit
-// before this route: a ring all-reduce forced onto sparse inputs, an Auto
-// engine whose rounds alternate sparse, dense, sparse on one live trainer,
-// SGD with weight decay, and Momentum. The per-step applied element count
-// shows the route each step took.
+// before this route: a ring all-reduce forced onto sparse inputs, an
+// all-gather engine whose rounds alternate sparse, dense, sparse on one
+// live trainer, SGD with weight decay, and Momentum. The per-step applied
+// element count shows the route each step took.
 func TestDenseRoundsKeepParentLosses(t *testing.T) {
 	const workers, iters = 4, 6
 	plain := []uint64{0x4003618ef0445890, 0x4009c735dd963ea3, 0x4002d3a956995daf, 0x3ffd7414eb65f9f5, 0x3ffbd4cde8c7a8e6, 0x3ff9675eb62f0a68, 0xbff6af7a34543208}
@@ -215,7 +215,7 @@ func TestDenseRoundsKeepParentLosses(t *testing.T) {
 	}{
 		{"sparse route", func(*dist.TrainerConfig) {}, func(int) bool { return true }, plain},
 		{"ring", func(c *dist.TrainerConfig) { c.Exchange = engine(netsim.CollectiveRing) }, func(int) bool { return false }, plain},
-		{"auto alternating", func(c *dist.TrainerConfig) { c.Exchange = stripOdd{engine(netsim.CollectiveAuto)} },
+		{"alternating", func(c *dist.TrainerConfig) { c.Exchange = stripOdd{engine(netsim.CollectiveAllGather)} },
 			func(step int) bool { return step%2 == 0 }, plain},
 		{"weight decay", func(c *dist.TrainerConfig) { c.Opt = &nn.SGD{LR: 0.05, WeightDecay: 1e-4} }, func(int) bool { return false },
 			[]uint64{0x4003618ef0445890, 0x4009c7280c9a1af7, 0x4002d396d59bd73e, 0x3ffd73f4ecfb88b1, 0x3ffbd4ab96b82462, 0x3ff96740bed641ce, 0xbff6af560a5107a7}},

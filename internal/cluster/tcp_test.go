@@ -379,18 +379,8 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 		res.weights = nn.FlattenWeights(tr.Params(), nil)
 		// Per-rank traffic share: this process only saw its own sends and
 		// receives, which must match the per-node slice of the formulas.
-		// Auto resolves the way the trainer's rounds did: all-gather when
-		// a compressor produced sparse contributions, ring otherwise.
-		effColl := coll
-		if effColl == netsim.CollectiveAuto {
-			if comp != "" {
-				effColl = netsim.CollectiveAllGather
-			} else {
-				effColl = netsim.CollectiveRing
-			}
-		}
 		var wantSent, wantRecv int
-		switch effColl {
+		switch coll {
 		case netsim.CollectiveAllGather:
 			wantSent = iters * netsim.AllGatherMessages(workers)
 			wantRecv = wantSent
@@ -465,10 +455,10 @@ func refLosses(t *testing.T, workers, iters int, comp string, delta float64, see
 // TestNodeDeploymentBitIdentical is the multi-process acceptance check
 // in miniature: N separate single-node transports over loopback TCP,
 // each training its own worker, must reproduce the in-process trainer's
-// global loss sequence and final weights bit-for-bit — all-gather (named
-// and as Auto resolves it) and parameter server against the worker-order
-// reducer, the ring (dense, and with top-k selections forced onto it)
-// against RingOrder.
+// global loss sequence and final weights bit-for-bit — all-gather (named,
+// and as a compressing caller resolves Auto) and parameter server against
+// the worker-order reducer, the ring (dense, and with top-k selections
+// forced onto it) against RingOrder.
 func TestNodeDeploymentBitIdentical(t *testing.T) {
 	const workers, iters = 3, 4
 	cases := []struct {
@@ -478,7 +468,7 @@ func TestNodeDeploymentBitIdentical(t *testing.T) {
 		ref  dist.GradientExchange
 	}{
 		{"allgather", netsim.CollectiveAllGather, "sidco-e", nil},
-		{"auto", netsim.CollectiveAuto, "topk", nil}, // Auto resolves to all-gather on sparse rounds
+		{"auto", netsim.CollectiveAuto.Resolve(true), "topk", nil}, // a compressing caller's Auto: the all-gather
 		{"ps", netsim.CollectivePS, "dgc", nil},
 		{"ring", netsim.CollectiveRing, "", RingOrder{}},
 		{"ring-topk", netsim.CollectiveRing, "topk", RingOrder{}},

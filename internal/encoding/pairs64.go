@@ -12,7 +12,8 @@ import (
 // bytes each. It is the only lossless format — values round-trip bitwise
 // instead of through float32 — so it is what internal/cluster ships when
 // a training run must stay bit-identical to the in-process aggregation
-// path. BestFormat never picks it: it exists for exactness, not size.
+// path, and the format the cluster's zero Config ships. It exists for
+// exactness, not size.
 const FormatPairs64 Format = 4
 
 // Pairs64Size returns the encoded size in bytes of k non-zeros of a
