@@ -15,6 +15,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/encoding"
 	"repro/internal/harness"
 	"repro/internal/nn"
 	"repro/internal/simgrad"
@@ -221,32 +222,40 @@ func BenchmarkCompressIntoSIDCoE(b *testing.B)  { benchCompressInto(b, core.NewE
 func BenchmarkCompressIntoSIDCoGP(b *testing.B) { benchCompressInto(b, core.NewGammaGP(), 0.001) }
 func BenchmarkCompressIntoSIDCoP(b *testing.B)  { benchCompressInto(b, core.NewGP(), 0.001) }
 
-// BenchmarkCompressIntoEC is the compress layer of the step benchmark's
-// two d2m workloads in their steady state: error feedback (the fused
-// accumulate arm) over a cycled pool of six d = 2^21 gradients of the
-// workload's Table 1 profile, at its ratio. The residual makes every
-// step's input differ from the fresh-gradient benches above — this is the
-// input the estimator is deployed on. Expected: 0 allocs/op.
+// BenchmarkCompressIntoEC is the compress layer of three step-benchmark
+// workloads in their steady state: error feedback (the fused accumulate
+// arm) over a cycled pool of six gradients of the workload's Table 1
+// profile, at its dimension and ratio — sidco-e and sidco-gp as the two
+// d2m workloads run them at d = 2^21, topk as grad-topk-bitmap-ps does at
+// ResNet-20's d = 269 467, pre-rounding to the bitmap wire. The residual
+// makes every step's input differ from the fresh-gradient benches above —
+// this is the input the compressor is deployed on. Expected: 0 allocs/op.
 func BenchmarkCompressIntoEC(b *testing.B) {
 	for _, w := range []struct {
 		name, profile string
 		mk            func() compress.Compressor
+		dim           int
 		delta         float64
+		wire          encoding.Format // pre-rounded to unless lossless
 	}{
-		{"sidco-e", "lstm-ptb", func() compress.Compressor { return core.NewE() }, 0.001},
-		{"sidco-gp", "vgg19-imagenet", func() compress.Compressor { return core.NewGammaGP() }, 0.01},
+		{"sidco-e", "lstm-ptb", func() compress.Compressor { return core.NewE() }, 1 << 21, 0.001, encoding.FormatPairs64},
+		{"sidco-gp", "vgg19-imagenet", func() compress.Compressor { return core.NewGammaGP() }, 1 << 21, 0.01, encoding.FormatPairs64},
+		{"topk", "resnet20-cifar10", func() compress.Compressor { return compress.NewTopK() }, 269467, 0.1, encoding.FormatBitmap},
 	} {
 		b.Run(w.name, func(b *testing.B) {
 			wl, err := dist.WorkloadByName(w.profile)
 			if err != nil {
 				b.Fatal(err)
 			}
-			gen := wl.Grad.Generator(1<<21, 1)
+			gen := wl.Grad.Generator(w.dim, 1)
 			var pool [6][]float64
 			for i := range pool {
 				pool[i] = gen.Next()
 			}
 			ec := compress.NewErrorFeedback(w.mk())
+			if w.wire != encoding.FormatPairs64 {
+				ec.SetWireFormat(w.wire)
+			}
 			dst := &tensor.Sparse{}
 			step := 0
 			next := func() {
@@ -258,7 +267,7 @@ func BenchmarkCompressIntoEC(b *testing.B) {
 			for step < 4*len(pool) { // the residual and every scratch buffer settle
 				next()
 			}
-			b.SetBytes(8 << 21)
+			b.SetBytes(int64(8 * w.dim))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

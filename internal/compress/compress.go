@@ -124,12 +124,27 @@ func (*TopK) Name() string { return "topk" }
 //
 //sidco:hotpath
 func (t *TopK) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
+	return t.compress(dst, g, nil, delta)
+}
+
+// CompressAccumulateInto implements AccumulateCompressor: acc += g rides
+// the selection's histogram pass. len(acc) must equal len(g).
+//
+//sidco:hotpath
+func (t *TopK) CompressAccumulateInto(dst *tensor.Sparse, acc, g []float64, delta float64) error {
+	return t.compress(dst, acc, g, delta)
+}
+
+// compress selects the top k of g, or of g += add when add is not nil.
+func (t *TopK) compress(dst *tensor.Sparse, g, add []float64, delta float64) error {
 	if err := validate(g, delta); err != nil {
+		if add != nil {
+			tensor.Add(add, g) // no selection will carry it
+		}
 		return err
 	}
-	k := TargetK(len(g), delta)
 	dst.Reset(len(g))
-	t.sel.TopKInto(dst, g, k)
+	t.sel.TopKAccumulateInto(dst, g, add, TargetK(len(g), delta))
 	return nil
 }
 

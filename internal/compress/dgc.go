@@ -84,7 +84,7 @@ func (c *DGC) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error
 	dst.Reset(d)
 	if fit.NNZ() > k {
 		c.trimmed.Reset(fit.NNZ())
-		c.sel.TopKInto(&c.trimmed, fit.Vals, k)
+		c.sel.TopKAccumulateInto(&c.trimmed, fit.Vals, nil, k)
 		dst.Grow(k)
 		for i, j := range c.trimmed.Idx {
 			dst.Append(fit.Idx[j], c.trimmed.Vals[i])

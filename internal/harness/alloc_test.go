@@ -51,9 +51,9 @@ func TestCompressIntoSteadyStateAllocs(t *testing.T) {
 		})
 		t.Run(name+"+ec", func(t *testing.T) {
 			c := compress.NewErrorFeedback(MustCompressor(name, 7))
-			// The sidco-* rows of this guard are the fused arm's: the add
-			// rides their first sweep through AccumulateCompressor.
-			if _, fused := c.Inner.(compress.AccumulateCompressor); fused != strings.HasPrefix(name, "sidco-") {
+			// The sidco-* and topk rows of this guard are the fused arm's:
+			// the add rides their first sweep through AccumulateCompressor.
+			if _, fused := c.Inner.(compress.AccumulateCompressor); fused != (strings.HasPrefix(name, "sidco-") || name == "topk") {
 				t.Fatalf("EC(%s) takes the fused arm: %v", name, fused)
 			}
 			dst := &tensor.Sparse{}

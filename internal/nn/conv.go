@@ -56,7 +56,7 @@ func (c *Conv2D) Forward(x *Tensor) *Tensor {
 							xRow := x.Data[((b*c.InC+ic)*h+oy+ky)*w+ox:]
 							wRow := c.W.W[((oc*c.InC+ic)*c.K+ky)*c.K:]
 							for kx := 0; kx < c.K; kx++ {
-								sum += xRow[kx] * wRow[kx]
+								sum += float64(xRow[kx] * wRow[kx])
 							}
 						}
 					}
@@ -90,8 +90,8 @@ func (c *Conv2D) Backward(gradOut *Tensor) *Tensor {
 							wgRow := c.W.G[((oc*c.InC+ic)*c.K+ky)*c.K:]
 							giRow := gradIn.Data[((b*c.InC+ic)*h+oy+ky)*w+ox:]
 							for kx := 0; kx < c.K; kx++ {
-								wgRow[kx] += g * xRow[kx]
-								giRow[kx] += g * wRow[kx]
+								wgRow[kx] += float64(g * xRow[kx])
+								giRow[kx] += float64(g * wRow[kx])
 							}
 						}
 					}

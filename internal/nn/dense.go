@@ -118,34 +118,34 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 func axpy1(w []float64, x0 float64, o0 []float64) {
 	o0 = o0[:len(w)]
 	for j, wv := range w {
-		o0[j] += x0 * wv
+		o0[j] += float64(x0 * wv)
 	}
 }
 
 func axpy2(w []float64, x0, x1 float64, o0, o1 []float64) {
 	o0, o1 = o0[:len(w)], o1[:len(w)]
 	for j, wv := range w {
-		o0[j] += x0 * wv
-		o1[j] += x1 * wv
+		o0[j] += float64(x0 * wv)
+		o1[j] += float64(x1 * wv)
 	}
 }
 
 func axpy3(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64) {
 	o0, o1, o2 = o0[:len(w)], o1[:len(w)], o2[:len(w)]
 	for j, wv := range w {
-		o0[j] += x0 * wv
-		o1[j] += x1 * wv
-		o2[j] += x2 * wv
+		o0[j] += float64(x0 * wv)
+		o1[j] += float64(x1 * wv)
+		o2[j] += float64(x2 * wv)
 	}
 }
 
 func axpy4(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64) {
 	o0, o1, o2, o3 = o0[:len(w)], o1[:len(w)], o2[:len(w)], o3[:len(w)]
 	for j, wv := range w {
-		o0[j] += x0 * wv
-		o1[j] += x1 * wv
-		o2[j] += x2 * wv
-		o3[j] += x3 * wv
+		o0[j] += float64(x0 * wv)
+		o1[j] += float64(x1 * wv)
+		o2[j] += float64(x2 * wv)
+		o3[j] += float64(x3 * wv)
 	}
 }
 
@@ -253,9 +253,9 @@ func backward1(w, wg []float64, assign bool, x0 float64, g0 []float64) (s0 float
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * gv0
+		acc += float64(x0 * gv0)
 		wg[j] = acc
-		s0 += wv * gv0
+		s0 += float64(wv * gv0)
 	}
 	return s0
 }
@@ -268,11 +268,11 @@ func backward2(w, wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) (
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * gv0
-		acc += x1 * gv1
+		acc += float64(x0 * gv0)
+		acc += float64(x1 * gv1)
 		wg[j] = acc
-		s0 += wv * gv0
-		s1 += wv * gv1
+		s0 += float64(wv * gv0)
+		s1 += float64(wv * gv1)
 	}
 	return s0, s1
 }
@@ -285,13 +285,13 @@ func backward3(w, wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []fl
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * gv0
-		acc += x1 * gv1
-		acc += x2 * gv2
+		acc += float64(x0 * gv0)
+		acc += float64(x1 * gv1)
+		acc += float64(x2 * gv2)
 		wg[j] = acc
-		s0 += wv * gv0
-		s1 += wv * gv1
-		s2 += wv * gv2
+		s0 += float64(wv * gv0)
+		s1 += float64(wv * gv1)
+		s2 += float64(wv * gv2)
 	}
 	return s0, s1, s2
 }
@@ -304,15 +304,15 @@ func backward4(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2,
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * gv0
-		acc += x1 * gv1
-		acc += x2 * gv2
-		acc += x3 * gv3
+		acc += float64(x0 * gv0)
+		acc += float64(x1 * gv1)
+		acc += float64(x2 * gv2)
+		acc += float64(x3 * gv3)
 		wg[j] = acc
-		s0 += wv * gv0
-		s1 += wv * gv1
-		s2 += wv * gv2
-		s3 += wv * gv3
+		s0 += float64(wv * gv0)
+		s1 += float64(wv * gv1)
+		s2 += float64(wv * gv2)
+		s3 += float64(wv * gv3)
 	}
 	return s0, s1, s2, s3
 }
@@ -327,7 +327,7 @@ func gradW1(wg []float64, assign bool, x0 float64, g0 []float64) {
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * g0[j]
+		acc += float64(x0 * g0[j])
 		wg[j] = acc
 	}
 }
@@ -339,8 +339,8 @@ func gradW2(wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) {
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * g0[j]
-		acc += x1 * g1[j]
+		acc += float64(x0 * g0[j])
+		acc += float64(x1 * g1[j])
 		wg[j] = acc
 	}
 }
@@ -352,9 +352,9 @@ func gradW3(wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []float64)
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * g0[j]
-		acc += x1 * g1[j]
-		acc += x2 * g2[j]
+		acc += float64(x0 * g0[j])
+		acc += float64(x1 * g1[j])
+		acc += float64(x2 * g2[j])
 		wg[j] = acc
 	}
 }
@@ -366,10 +366,10 @@ func gradW4(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []
 		if !assign {
 			acc = wg[j]
 		}
-		acc += x0 * g0[j]
-		acc += x1 * g1[j]
-		acc += x2 * g2[j]
-		acc += x3 * g3[j]
+		acc += float64(x0 * g0[j])
+		acc += float64(x1 * g1[j])
+		acc += float64(x2 * g2[j])
+		acc += float64(x3 * g3[j])
 		wg[j] = acc
 	}
 }

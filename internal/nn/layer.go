@@ -107,8 +107,13 @@ func (s *Sequential) Params() []*Param {
 // counts.
 func initUniform(rng *rand.Rand, w []float64, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
+	// Two loops: in one, the compiler would fuse the rng's scaling
+	// product into the subtraction on the platforms that fuse.
 	for i := range w {
-		w[i] = (2*rng.Float64() - 1) * limit
+		w[i] = rng.Float64()
+	}
+	for i, u := range w {
+		w[i] = (float64(2*u) - 1) * limit
 	}
 }
 

@@ -73,7 +73,7 @@ func (l *LSTM) Forward(x *Tensor) *Tensor {
 				}
 				w := l.Wx.W[i*H4 : (i+1)*H4]
 				for j := range a {
-					a[j] += xv * w[j]
+					a[j] += float64(xv * w[j])
 				}
 			}
 			if hPrev != nil {
@@ -83,7 +83,7 @@ func (l *LSTM) Forward(x *Tensor) *Tensor {
 					}
 					w := l.Wh.W[i*H4 : (i+1)*H4]
 					for j := range a {
-						a[j] += hv * w[j]
+						a[j] += float64(hv * w[j])
 					}
 				}
 			}
@@ -96,9 +96,9 @@ func (l *LSTM) Forward(x *Tensor) *Tensor {
 				gg := math.Tanh(a[2*H+j])
 				og := sigmoid(a[3*H+j])
 				gate[j], gate[H+j], gate[2*H+j], gate[3*H+j] = ig, fg, gg, og
-				cv := ig * gg
+				cv := float64(ig * gg)
 				if cPrev != nil {
-					cv += fg * cPrev[j]
+					cv += float64(fg * cPrev[j])
 				}
 				c[j] = cv
 				h[j] = og * math.Tanh(cv)
@@ -130,7 +130,7 @@ func (l *LSTM) Backward(gradOut *Tensor) *Tensor {
 				ig, fg, gg, og := gate[j], gate[H+j], gate[2*H+j], gate[3*H+j]
 				tc := math.Tanh(c[j])
 				dh := gradOut.Data[(b*T+t)*H+j] + dhNext[j]
-				dc := dcNext[j] + dh*og*(1-tc*tc)
+				dc := dcNext[j] + float64(dh*og*(1-float64(tc*tc)))
 				dog := dh * tc
 				dig := dc * gg
 				dgg := dc * ig
@@ -143,7 +143,7 @@ func (l *LSTM) Backward(gradOut *Tensor) *Tensor {
 				}
 				da[j] = dig * ig * (1 - ig)
 				da[H+j] = dfg * fg * (1 - fg)
-				da[2*H+j] = dgg * (1 - gg*gg)
+				da[2*H+j] = dgg * (1 - float64(gg*gg))
 				da[3*H+j] = dog * og * (1 - og)
 				l.B.G[j] += da[j]
 				l.B.G[H+j] += da[H+j]
@@ -157,8 +157,8 @@ func (l *LSTM) Backward(gradOut *Tensor) *Tensor {
 				wg := l.Wx.G[i*H4 : (i+1)*H4]
 				sum := 0.0
 				for j, dv := range da {
-					wg[j] += xv * dv
-					sum += w[j] * dv
+					wg[j] += float64(xv * dv)
+					sum += float64(w[j] * dv)
 				}
 				giRow[i] = sum
 			}
@@ -172,8 +172,8 @@ func (l *LSTM) Backward(gradOut *Tensor) *Tensor {
 					wg := l.Wh.G[i*H4 : (i+1)*H4]
 					sum := 0.0
 					for j, dv := range da {
-						wg[j] += hv * dv
-						sum += w[j] * dv
+						wg[j] += float64(hv * dv)
+						sum += float64(w[j] * dv)
 					}
 					dhNext[i] = sum
 				}

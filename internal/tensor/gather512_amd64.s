@@ -136,3 +136,46 @@ done:
 	MOVQ DX, ret+104(FP)
 	VZEROUPPER
 	RET
+
+// func atLeastAVX512(g []float64, floor uint64, base int32, vals []float64, idx []int32) int
+//
+// The top-k gather: every (x, index) whose masked bits are at least
+// floor, compared as unsigned integers (VPCMPUQ, predicate NLT), so a NaN
+// ranks above +Inf as in the Go loop. It keeps x itself, sign and all. It
+// runs the first len(g)&^7 elements; its caller leaves vals and idx 7
+// slots past the last kept pair for the full-width stores.
+TEXT ·atLeastAVX512(SB), NOSPLIT, $0-96
+	MOVQ         g_base+0(FP), SI
+	MOVQ         g_len+8(FP), CX
+	VPBROADCASTQ floor+24(FP), Z14
+	MOVL         base+32(FP), AX
+	VPBROADCASTD AX, Y13
+	VPADDD       laneIota8<>(SB), Y13, Y13
+	MOVQ         vals_base+40(FP), DI
+	MOVQ         idx_base+64(FP), R8
+	MOVL         $8, AX
+	VPBROADCASTD AX, Y12
+	MOVQ         $0x7fffffffffffffff, AX
+	VPBROADCASTQ AX, Z15
+	ANDQ         $-8, CX
+	XORQ         AX, AX
+	XORQ         DX, DX
+	CMPQ         AX, CX
+	JGE          done
+
+loop:
+	PREFETCHT0 1024(SI)(AX*8)
+	PREFETCHT0 512(DI)(DX*8)
+	VMOVUPD    (SI)(AX*8), Z0
+	VPANDQ     Z0, Z15, Z1
+	VPCMPUQ    $5, Z14, Z1, K1
+	PACK8
+	VPADDD     Y12, Y13, Y13
+	ADDQ       $8, AX
+	CMPQ       AX, CX
+	JLT        loop
+
+done:
+	MOVQ DX, ret+88(FP)
+	VZEROUPPER
+	RET

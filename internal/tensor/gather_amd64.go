@@ -5,12 +5,12 @@ import "repro/internal/cpu"
 // avx2Gather are the bodies in gather_amd64.s: four elements to an
 // instruction, each lane doing what the Go loop does for one element
 // (package doc).
-var avx2Gather = gatherKernels{pairsAboveAVX2, compactAboveAVX2, excessLanesAVX2}
+var avx2Gather = gatherKernels{pairsAboveAVX2, compactAboveAVX2, excessLanesAVX2, atLeast}
 
 // avx512Gather are the gathers in gather512_amd64.s, eight elements to an
 // instruction, beside the AVX2 excess sums: a compress instruction packs
 // the kept lanes where the AVX2 bodies look up a shuffle.
-var avx512Gather = gatherKernels{pairsAboveAVX512, compactAboveAVX512, excessLanesAVX2}
+var avx512Gather = gatherKernels{pairsAboveAVX512, compactAboveAVX512, excessLanesAVX2, atLeastAVX512}
 
 func init() {
 	switch {
@@ -57,6 +57,9 @@ func pairsAboveAVX512(blk []float64, eta float64, base int32, outM []float64, ou
 
 //go:noescape
 func compactAboveAVX512(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int
+
+//go:noescape
+func atLeastAVX512(g []float64, floor uint64, base int32, vals []float64, idx []int32) int
 
 //go:noescape
 func excessLanesAVX2(kept []float64, eta float64) (s, q [4]float64)

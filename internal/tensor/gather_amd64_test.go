@@ -59,7 +59,8 @@ func laneSalted(rng *rand.Rand, n, lane int, v float64) []float64 {
 // put every tail length on both sides of the eight- and four-lane loops,
 // 4095–4097 straddle a block's end. A NaN, ±0, ±Inf, a subnormal and ±eta
 // sit at every lane position mod 8, against eta 0, NaN, +Inf, -1 and
-// 0.75, with base 0, 11 and one that wraps int32.
+// 0.75, with base 0, 11 and one that wraps int32; the top-k gather takes
+// each eta's masked bits as its floor, and 0 and 2^63 besides.
 func TestAVX2GatherMatchesGo(t *testing.T) {
 	onEachVectorGather(t, testVectorGatherMatchesGo)
 }
@@ -94,6 +95,15 @@ func testVectorGatherMatchesGo(t *testing.T, k *gatherKernels) {
 					sameIdx(t, what+" pairs", gotI, wantI)
 					sameExcess(t, what+" pairs", gotEx, wantEx)
 				}
+				// The top-k gather compares masked bits against a floor and
+				// keeps the signed values.
+				for _, floor := range []uint64{0, math.Float64bits(eta) & absMask, 1 << 63} {
+					what := fmt.Sprintf("n=%d floor=%#x input %d atLeast", n, floor, i)
+					wantV, wantI := atLeastVia(&goGather, x, floor)
+					gotV, gotI := atLeastVia(k, x, floor)
+					sameBits(t, what, gotV, wantV)
+					sameIdx(t, what, gotI, wantI)
+				}
 				// The compaction reads its list as given: signed values, NaNs
 				// and all, with indices of their own.
 				idx := make([]int32, len(x))
@@ -114,13 +124,23 @@ func testVectorGatherMatchesGo(t *testing.T, k *gatherKernels) {
 	}
 }
 
+// atLeastVia is TopKAccumulateInto's gather over x with the kernels k:
+// the body over the whole groups of eight, the Go loop over the rest.
+func atLeastVia(k *gatherKernels, x []float64, floor uint64) ([]float64, []int32) {
+	vals, idx := make([]float64, len(x)+gatherSlack), make([]int32, len(x)+gatherSlack)
+	v := len(x) &^ 7
+	m := k.atLeast(x[:v], floor, 0, vals, idx)
+	m += atLeast(x[v:], floor, int32(v), vals[m:], idx[m:])
+	return vals[:m], idx[:m]
+}
+
 // TestGatherKernelsStayInBounds calls each gather body with outM and outI
 // exact-length windows onto larger arrays and checks that the sentinel
 // words after the windows are untouched: a body's full-width stores may
 // run past its cursor, never past the slices it was handed. Every element
 // kept, none kept and a mix, at every length 0–25: the bodies take the
-// whole groups of four and must not round a length up, to four or to
-// eight.
+// whole groups of four (the top-k gather's, of eight) and must not round a
+// length up, to four or to eight.
 func TestGatherKernelsStayInBounds(t *testing.T) {
 	t.Run("portable", func(t *testing.T) { testGatherKernelsStayInBounds(t, &goGather) })
 	onEachVectorGather(t, testGatherKernelsStayInBounds)
@@ -149,6 +169,24 @@ func testGatherKernelsStayInBounds(t *testing.T, k *gatherKernels) {
 			check("pairs")
 			k.compact(x, idx, eta, backM[:n:n], backI[:n:n])
 			check("compact")
+		}
+		// The top-k gather's window is what it keeps and gatherSlack more:
+		// measured on a wide one, then handed exactly.
+		for _, floor := range []uint64{0, math.Float64bits(0.5), 1 << 63} {
+			x := specials(n, int64(n))
+			wide := n + gatherSlack
+			kept := k.atLeast(x, floor, 0, make([]float64, wide), make([]int32, wide))
+			w := kept + gatherSlack
+			backM, backI := make([]float64, w+pad), make([]int32, w+pad)
+			for i := range backM {
+				backM[i], backI[i] = sentinel, -7
+			}
+			k.atLeast(x, floor, 0, backM[:w:w], backI[:w:w])
+			for i := w; i < w+pad; i++ {
+				if math.Float64bits(backM[i]) != math.Float64bits(sentinel) || backI[i] != -7 {
+					t.Fatalf("atLeast n=%d floor=%#x: kept %d, wrote slot %d past the window", n, floor, kept, i-w+1)
+				}
+			}
 		}
 	}
 }

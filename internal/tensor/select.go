@@ -1,114 +1,142 @@
 package tensor
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Selector carries the scratch of the radix top-k selection — the 64K
-// first-digit histogram, the candidate-bit buffer, the quickselect |g|
-// copy for small inputs and the cutoff-tie side lists — so steady-state
-// selections allocate nothing. The zero value is ready; each compressor
-// instance owns one (Selector is not concurrency-safe, and every pass runs
-// on the calling goroutine).
+// Selector carries the scratch of the radix top-k selection — the
+// first-digit histogram (the top 16 bits of |x|, whose sign bit is clear:
+// 32K counts) and the candidate-bit buffer the cutoff is refined in (for
+// small inputs, the bit copy quickselect reorders) — so
+// steady-state selections allocate nothing. The zero value is ready; each
+// compressor instance owns one (Selector is not concurrency-safe, and
+// every pass runs on the calling goroutine).
 type Selector struct {
-	counts  []int
-	cands   []uint64
-	abs     []float64
-	tieIdx  []int32
-	tieVals []float64
+	counts *[1 << 15]int32
+	cands  []uint64
 }
 
 // TopKSelect returns the indices and values of the k elements of g with
-// the largest absolute value, using an O(d) byte-wise radix select over
-// the IEEE-754 bit patterns to find the magnitude cutoff followed by a
-// filtering pass. Ties at the cutoff are broken by index order so exactly
-// k elements are returned (or all of them when k >= len(g)). The returned
-// indices are ascending.
+// the largest absolute value (TopKAccumulateInto's selection). Ties at the
+// cutoff are broken by index order so exactly k elements are returned (or
+// all of them when k >= len(g)). The returned indices are ascending.
 //
 // This is the exact Top-k operator T_k of Definition 1 and the reference
 // against which every threshold estimator is judged. It allocates its
-// scratch per call; hot paths hold a Selector and use TopKInto.
+// scratch per call; hot paths hold a Selector and use TopKAccumulateInto.
 func TopKSelect(g []float64, k int) (idx []int32, vals []float64) {
 	var sel Selector
 	s := &Sparse{}
-	sel.TopKInto(s, g, k)
+	sel.TopKAccumulateInto(s, g, nil, k)
 	if s.NNZ() == 0 {
 		return nil, nil
 	}
 	return s.Idx, s.Vals
 }
 
-// TopKInto appends the exact top-k selection of g to dst (which the
-// caller typically Resets first), reusing the Selector's scratch. The
-// selection — cutoff, tie-breaking, output order — is identical to
-// TopKSelect's.
+// TopKAccumulateInto appends the exact top-k selection of acc to dst
+// (which the caller typically Resets first), reusing the Selector's
+// scratch. With add not nil it first makes acc += add, to the bits
+// Add(add, acc) leaves, whatever k is; add must have acc's length.
+// Magnitudes rank on their masked bit patterns (order-isomorphic to |x|,
+// a NaN above +Inf), ties at the cutoff go to the lowest indices, and the
+// k pairs are appended in ascending index order with their signed values.
+//
+// Two passes over acc. The first counts the top 16 bits of each |x|,
+// doing the add on the way. The second stores every element at or above
+// the floor of the bucket the k-th largest falls in straight into dst's
+// storage, branch-free: the k - rem above the bucket and the bucket
+// itself. The cutoff is refined among the gathered bucket, and the run
+// compacted in place to everything above it plus the lowest-index ties.
+// Below radixMin a quickselect on a bit copy finds the cutoff instead of
+// the histogram, and the same gather and compaction follow.
 //
 //sidco:hotpath
-func (sel *Selector) TopKInto(dst *Sparse, g []float64, k int) {
-	d := len(g)
-	if k <= 0 || d == 0 {
+func (sel *Selector) TopKAccumulateInto(dst *Sparse, acc, add []float64, k int) {
+	if add != nil && len(add) != len(acc) {
+		panic("tensor: TopKAccumulateInto length mismatch")
+	}
+	d := len(acc)
+	k = min(k, d)
+	radix := d >= radixMin && k > 0
+	if add != nil && !radix {
+		Add(add, acc) // no histogram pass to carry it
+	}
+	if k <= 0 {
 		return
 	}
-	if k >= d {
-		dst.Grow(len(dst.Idx) + d)
-		for i, gi := range g {
-			dst.Append(int32(i), gi)
+	// The gather keeps the n elements whose masked bits reach floor; rem is
+	// the k-th largest's rank among those in floor's bucket.
+	var floor uint64
+	var n, rem int
+	if radix {
+		chosen, r, size := sel.histogram(acc, add, k)
+		floor, n, rem = chosen<<48, k-r+size, r
+	} else {
+		floor, rem = sel.quickCut(acc, k), k
+		for _, x := range acc {
+			b := math.Float64bits(x) & absMask
+			n += b2i(b >= floor)
+			rem -= b2i(b > floor)
 		}
-		return
 	}
-
-	cutoff := sel.AbsKth(g, k) // k-th largest magnitude
-
-	dst.Grow(len(dst.Idx) + k)
 	base := len(dst.Idx)
-	// One pass: keep everything strictly above the cutoff (guaranteed
-	// < k elements) and stash the cutoff-magnitude ties on the side, so
-	// the tie fill never needs a second scan of g. Magnitude compares run
-	// on the masked bit patterns (order-isomorphic for non-negative
-	// floats), keeping the loop branch-cheap.
-	cb := math.Float64bits(cutoff)
-	tieIdx, tieVals := sel.tieIdx[:0], sel.tieVals[:0]
-	for i, gi := range g {
-		bits := math.Float64bits(gi) & absMask
-		if bits > cb {
-			dst.Append(int32(i), gi)
-		} else if bits == cb && len(tieIdx) < k {
-			// At most k ties can be kept (need = k - len(idx) <= k), so
-			// capping here bounds the temporaries at O(k) even when the
-			// cutoff magnitude is shared by most of g (e.g. a mostly-zero
-			// gradient).
-			tieIdx = append(tieIdx, int32(i))
-			tieVals = append(tieVals, gi)
-		}
+	if end := base + n + gatherSlack; cap(dst.Idx) < end || cap(dst.Vals) < end {
+		// The headroom absorbs the bucket's size moving from call to call.
+		dst.Grow(end + n/4)
 	}
-	sel.tieIdx, sel.tieVals = tieIdx, tieVals
-	// Fill the remainder with the lowest-index ties, merging the two
-	// ascending lists in place from the back.
-	if need := k - (len(dst.Idx) - base); need > 0 {
-		mergeTiesInPlace(dst, base, sel.tieIdx[:need], sel.tieVals[:need])
+	vals, idx := dst.Vals[base:base+n+gatherSlack], dst.Idx[base:base+n+gatherSlack]
+	v := d &^ 7
+	m := gather.atLeast(acc[:v], floor, 0, vals, idx)
+	atLeast(acc[v:], floor, int32(v), vals[m:], idx[m:])
+	cut := floor
+	if radix {
+		cut, rem = refine(sel.bucketBits(vals[:n], floor>>48, n-(k-rem)), rem)
 	}
+	m = keepTop(vals[:n], idx[:n], cut, rem)
+	dst.Vals, dst.Idx = dst.Vals[:base+m], dst.Idx[:base+m]
 }
 
-// mergeTiesInPlace merges the ascending tie list into dst[base:], itself
-// ascending, walking backwards so no temporary output list is needed.
-func mergeTiesInPlace(dst *Sparse, base int, tieIdx []int32, tieVals []float64) {
-	na := len(dst.Idx) - base
-	nb := len(tieIdx)
-	dst.Grow(base + na + nb)
-	dst.Idx = dst.Idx[:base+na+nb]
-	dst.Vals = dst.Vals[:base+na+nb]
-	i, j, w := base+na-1, nb-1, base+na+nb-1
-	for j >= 0 {
-		if i >= base && dst.Idx[i] > tieIdx[j] {
-			dst.Idx[w], dst.Vals[w] = dst.Idx[i], dst.Vals[i]
-			i--
-		} else {
-			dst.Idx[w], dst.Vals[w] = tieIdx[j], tieVals[j]
-			j--
-		}
-		w--
+// gatherSlack is how far past the last kept pair the top-k gather may
+// store: the cursor's own slot in the Go loop, the rest of a full-width
+// store of eight in the AVX-512 body (gather512_amd64.s).
+const gatherSlack = 8
+
+// atLeast is the top-k gather's Go loop: it stores each (x, base+i) of g
+// at the cursor and advances the cursor when x's masked bits reach floor,
+// so that it has no data-dependent branch, and returns the number kept.
+// vals and idx hold every kept pair and gatherSlack slots more. It runs
+// the last len%8 elements, and all of them where no assembly body does;
+// it and keepTop stay out of line for the reason pairsAbove does.
+//
+//go:noinline
+func atLeast(g []float64, floor uint64, base int32, vals []float64, idx []int32) int {
+	m := 0
+	for i, x := range g {
+		vals[m], idx[m] = x, base+int32(i)
+		m += b2i(math.Float64bits(x)&absMask >= floor)
 	}
+	return m
+}
+
+// keepTop compacts the run (vals, idx) in place, in order, to its
+// elements above cut and the first need at it, and returns their count.
+//
+//go:noinline
+func keepTop(vals []float64, idx []int32, cut uint64, need int) int {
+	idx = idx[:len(vals)]
+	w, ties := 0, 0
+	for r, x := range vals {
+		b := math.Float64bits(x) & absMask
+		tie := b2i(b == cut)
+		vals[w], idx[w] = x, idx[r]
+		w += b2i(b > cut) | tie&b2i(ties < need)
+		ties += tie
+	}
+	return w
 }
 
 // QuickSelectKth returns the k-th largest value of xs (k is 1-based:
@@ -121,30 +149,37 @@ func QuickSelectKth(xs []float64, k int) float64 {
 	if k < 1 || k > len(xs) {
 		panic("tensor: QuickSelectKth k out of range")
 	}
+	return quickSelect(xs, k)
+}
+
+// quickSelect is QuickSelectKth for k in range, over values or over the
+// masked bit patterns the radix selection ranks.
+func quickSelect[T float64 | uint64](xs []T, k int) T {
 	// Select the element with descending rank k, i.e. ascending index
 	// len(xs)-k.
 	target := len(xs) - k
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
-		p := partition(xs, lo, hi)
+		lt, gt := partition(xs, lo, hi)
 		switch {
-		case p == target:
-			return xs[p]
-		case p < target:
-			lo = p + 1
+		case target < lt:
+			hi = lt - 1
+		case target > gt:
+			lo = gt + 1
 		default:
-			hi = p - 1
+			return xs[target]
 		}
 	}
 	return xs[target]
 }
 
-// partition performs Lomuto partition around a median-of-three pivot and
-// returns the pivot's final index.
-func partition(xs []float64, lo, hi int) int {
+// partition splits xs[lo..hi] three ways around a median-of-three pivot
+// — below it, equal to it, above it — and returns the bounds lt, gt of
+// the equal run. Equal keys end the search, so a vector of ties (a
+// mostly-zero gradient) costs one pass, not the quadratic walk a two-way
+// partition makes of it.
+func partition[T float64 | uint64](xs []T, lo, hi int) (lt, gt int) {
 	mid := lo + (hi-lo)/2
-	// Order xs[lo] <= xs[mid] <= xs[hi], then use xs[mid] as the pivot by
-	// stashing it at hi-1... simpler: move median to hi.
 	if xs[mid] < xs[lo] {
 		xs[mid], xs[lo] = xs[lo], xs[mid]
 	}
@@ -154,17 +189,22 @@ func partition(xs []float64, lo, hi int) int {
 	if xs[hi] < xs[mid] {
 		xs[hi], xs[mid] = xs[mid], xs[hi]
 	}
-	xs[mid], xs[hi] = xs[hi], xs[mid]
-	pivot := xs[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if xs[j] < pivot {
-			xs[i], xs[j] = xs[j], xs[i]
+	pivot := xs[mid]
+	lt, gt = lo, hi
+	for i := lo; i <= gt; {
+		switch {
+		case xs[i] < pivot:
+			xs[lt], xs[i] = xs[i], xs[lt]
+			lt++
+			i++
+		case pivot < xs[i]:
+			xs[i], xs[gt] = xs[gt], xs[i]
+			gt--
+		default:
 			i++
 		}
 	}
-	xs[i], xs[hi] = xs[hi], xs[i]
-	return i
+	return lt, gt
 }
 
 // TopKThreshold returns the magnitude of the k-th largest |g_i| — the
@@ -194,64 +234,95 @@ func RadixSelectAbsKth(g []float64, k int) float64 {
 }
 
 // AbsKth returns the k-th largest |g_i| (k is 1-based: k=1 returns the
-// max magnitude) without modifying g. It runs a most-
-// significant-byte-first radix select over the masked IEEE-754 bit
-// patterns: one counting pass over all of g, one gather of the candidate
-// bucket, then counting passes over geometrically shrinking candidate
-// sets. Unlike quickselect it is swap-free, scratch is reused across
-// calls, and the running time is O(d) worst case — on 1M-element
-// gradients it is ~5x faster than median-of-three quickselect.
-// It panics if k is out of range.
+// max magnitude) without modifying g, ranking the masked IEEE-754 bit
+// patterns as TopKAccumulateInto does. It runs a most-significant-digit-
+// first radix select: one counting pass over all of g, one gather of the
+// candidate bucket, then counting passes over geometrically shrinking
+// candidate sets. Unlike quickselect it is swap-free, scratch is reused
+// across calls, and the running time is O(d) worst case — on 1M-element
+// gradients it is ~5x faster than median-of-three quickselect. Below
+// radixMin it quickselects a bit copy. It panics if k is out of range.
 func (sel *Selector) AbsKth(g []float64, k int) float64 {
 	if k < 1 || k > len(g) {
 		panic("tensor: RadixSelectAbsKth k out of range")
 	}
 	if len(g) < radixMin {
-		abs := append(sel.abs[:0], g...)
-		for i, gi := range abs {
-			abs[i] = math.Abs(gi)
-		}
-		sel.abs = abs
-		return QuickSelectKth(abs, k)
+		return math.Float64frombits(sel.quickCut(g, k))
 	}
-	// Level 0 counts the top 16 bits (sign cleared: the full 11-bit
-	// exponent plus 5 mantissa bits) directly over g, avoiding a d-sized
-	// |g| copy. A byte-wide first digit is too coarse for gradients —
-	// heavy-tailed magnitudes concentrate within a few binades, which all
-	// share one top byte — while 16 bits splits every binade 32 ways.
-	if sel.counts == nil {
-		sel.counts = make([]int, 1<<16)
-	}
-	counts := sel.counts
-	for _, gi := range g {
-		counts[(math.Float64bits(gi)&absMask)>>48]++
-	}
-	chosen, rem := pickBucket16(counts, k)
-	bucketLen := counts[chosen]
-	// The histogram is cleared before the next phase so the Selector is
-	// reusable; a 512 KiB memclr is noise next to the counting pass.
-	clear(counts)
-	if cap(sel.cands) < bucketLen {
-		sel.cands = make([]uint64, 0, bucketLen)
-	}
-	cands := sel.cands[:0]
-	for _, gi := range g {
-		bits := math.Float64bits(gi) & absMask
-		if bits>>48 == chosen {
-			cands = append(cands, bits)
-		}
-	}
-	return sel.refine(cands, rem)
+	chosen, rem, size := sel.histogram(g, nil, k)
+	cut, _ := refine(sel.bucketBits(g, chosen, size), rem)
+	return math.Float64frombits(cut)
 }
 
-// Below this size the 64K-bucket histogram costs more than the
-// selection; quickselect on an |g| copy wins.
+// Below this size the histogram costs more than the selection;
+// quickselect on a bit copy wins.
 const radixMin = 1 << 14
+
+// quickCut returns the k-th largest masked bit pattern of g by
+// quickselect over a copy of the patterns in sel.cands.
+func (sel *Selector) quickCut(g []float64, k int) uint64 {
+	bits := sel.cands[:0]
+	for _, x := range g {
+		bits = append(bits, math.Float64bits(x)&absMask)
+	}
+	sel.cands = bits
+	return quickSelect(bits, k)
+}
+
+// histogram counts the top 16 bits of each |x| of g — the full 11-bit
+// exponent plus 5 mantissa bits, so that the few binades heavy-tailed
+// gradients concentrate in split 32 ways each — after g += add when add
+// is not nil. It returns the bucket the k-th largest falls in, k's
+// residual rank inside it and the bucket's size, and leaves the
+// histogram cleared for the next call (a 128 KiB memclr is noise next to
+// the counting pass).
+func (sel *Selector) histogram(g, add []float64, k int) (chosen uint64, rem, size int) {
+	if sel.counts == nil {
+		sel.counts = new([1 << 15]int32)
+	}
+	counts := sel.counts
+	if add == nil {
+		for _, x := range g {
+			counts[math.Float64bits(x)>>48&(1<<15-1)]++
+		}
+	} else {
+		add = add[:len(g)]
+		for i, x := range add {
+			v := g[i] + x
+			g[i] = v
+			counts[math.Float64bits(v)>>48&(1<<15-1)]++
+		}
+	}
+	chosen, rem = pickBucket16(counts, k)
+	size = int(counts[chosen])
+	clear(counts[:])
+	return chosen, rem, size
+}
+
+// bucketBits returns, in sel.cands, the masked bit patterns of the size
+// elements of xs whose top 16 bits are chosen, in order, storing each at
+// the cursor and advancing it on a match.
+func (sel *Selector) bucketBits(xs []float64, chosen uint64, size int) []uint64 {
+	if cap(sel.cands) <= size {
+		// Headroom, as for the gather: the bucket's size moves from call
+		// to call.
+		sel.cands = make([]uint64, size+1+size/4)
+	}
+	out := sel.cands[:size+1]
+	m := 0
+	for _, x := range xs {
+		b := math.Float64bits(x) & absMask
+		out[m] = b
+		m += b2i(b>>48 == chosen)
+	}
+	return out[:m]
+}
 
 // refine walks the remaining 8-bit digits of the candidate set (the set
 // shrinks geometrically, so this is never the hot pass) and returns the
-// k-th largest magnitude.
-func (sel *Selector) refine(cands []uint64, k int) float64 {
+// k-th largest bit pattern with how many candidates equal to it the top k
+// holds.
+func refine(cands []uint64, k int) (uint64, int) {
 	for shift := 40; shift >= 0 && len(cands) > 1; shift -= 8 {
 		var c [256]int
 		for _, b := range cands {
@@ -268,11 +339,9 @@ func (sel *Selector) refine(cands []uint64, k int) float64 {
 		}
 		cands = out
 	}
-	// Either one candidate remains or all surviving candidates share
-	// every byte and are equal.
-	kth := math.Float64frombits(cands[0])
-	sel.cands = cands[:0]
-	return kth
+	// Either one candidate remains (and k is 1) or all surviving
+	// candidates share every byte and are equal.
+	return cands[0], k
 }
 
 // pickBucket walks bucket counts from high byte value to low and returns
@@ -289,20 +358,23 @@ func pickBucket(counts *[256]int, k int) (byte, int) {
 }
 
 // pickBucket16 is pickBucket for the 16-bit first digit.
-func pickBucket16(counts []int, k int) (uint64, int) {
+func pickBucket16(counts *[1 << 15]int32, k int) (uint64, int) {
 	for b := len(counts) - 1; b >= 0; b-- {
-		if counts[b] >= k {
+		c := int(counts[b])
+		if c >= k {
 			return uint64(b), k
 		}
-		k -= counts[b]
+		k -= c
 	}
 	panic("tensor: radix bucket walk exhausted") // unreachable: sum(counts) >= k
 }
 
 // TopKSort is a sort-based O(d log d) top-k, the differential-testing
-// oracle for the radix selection. Indices are returned in ascending order.
+// oracle for the radix selection: a stable sort on the masked bit
+// patterns, so magnitude ties keep index order and a NaN ranks above
+// +Inf. Indices are returned in ascending order.
 //
-//sidco:oracle the reference selection TopKInto is tested against
+//sidco:oracle the reference selection TopKAccumulateInto is tested against
 func TopKSort(g []float64, k int) (idx []int32, vals []float64) {
 	d := len(g)
 	if k <= 0 || d == 0 {
@@ -315,11 +387,11 @@ func TopKSort(g []float64, k int) (idx []int32, vals []float64) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return math.Abs(g[order[a]]) > math.Abs(g[order[b]])
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Compare(math.Float64bits(g[b])&absMask, math.Float64bits(g[a])&absMask)
 	})
 	top := order[:k]
-	sort.Slice(top, func(a, b int) bool { return top[a] < top[b] })
+	slices.Sort(top)
 	idx = make([]int32, k)
 	vals = make([]float64, k)
 	for i, j := range top {

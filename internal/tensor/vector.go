@@ -1,7 +1,8 @@
 // Package tensor provides the dense/sparse vector substrate for gradient
-// compression: elementwise operations, exact top-k selection via
-// quickselect and sorting, threshold filtering, and a sparse vector type
-// that carries (index, value) pairs between compressor and collective.
+// compression: elementwise operations, exact top-k selection by a radix
+// select over the magnitudes' bit patterns (Selector), threshold
+// filtering, and a sparse vector type that carries (index, value) pairs
+// between compressor and collective.
 //
 // On an amd64 CPU with AVX2 (internal/cpu, probed once at start-up; there
 // is no setting) the exceedance path — the gather of PairsAboveThreshold,
@@ -22,7 +23,11 @@
 // 7 slots past the write cursor (3 in the AVX2 bodies), but the cursor
 // never runs ahead of the element index, so no store passes its group of
 // eight or four, which lies inside the block — which is why the lists'
-// backing arrays beyond the returned lengths are scratch.
+// backing arrays beyond the returned lengths are scratch. The top-k
+// gather (TopKAccumulateInto's second pass) has an AVX-512 body only; it
+// compares masked bits as unsigned integers, as its Go loop does, keeps x
+// itself, and runs whole groups of eight over the whole vector, so its
+// caller leaves gatherSlack slots past the last kept pair instead.
 // TestAVX2GatherMatchesGo holds each vector body to its Go twin, and the
 // gather's tests run on every path the CPU has.
 //
@@ -185,17 +190,19 @@ func (e *Excess) add(kept []float64, eta float64) {
 // gatherKernels are the exceedance loops that have assembly bodies
 // (gather_amd64.s, gather512_amd64.s), each with its Go twin's
 // signature. Their callers hand them the whole groups of four at the
-// front of a block, len &^ 3 elements, and finish the rest with the Go
+// front of a block, len &^ 3 elements (the top-k gather, atLeast, the
+// whole groups of eight of its vector), and finish the rest with the Go
 // loop.
 type gatherKernels struct {
 	pairs   func(blk []float64, eta float64, base int32, outM []float64, outI []int32) int
 	compact func(blkM []float64, blkI []int32, eta float64, outM []float64, outI []int32) int
 	excess  func(kept []float64, eta float64) (s, q [4]float64)
+	atLeast func(g []float64, floor uint64, base int32, vals []float64, idx []int32) int
 }
 
 // goGather are the Go loops below: the path on a machine without AVX2 and
 // the oracle the assembly bodies are tested against.
-var goGather = gatherKernels{pairsAbove, compactAbove, excessLanes}
+var goGather = gatherKernels{pairsAbove, compactAbove, excessLanes, atLeast}
 
 // gather is what the exceedance path calls: goGather, or the AVX-512 or
 // AVX2 bodies when gather_amd64.go's init finds the CPU and OS support
