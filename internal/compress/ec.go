@@ -29,12 +29,30 @@ type AccumulateCompressor interface {
 // what every rank applies, bit for bit, while the precision lost to the
 // narrow format is corrected over subsequent steps instead of discarded.
 type ErrorFeedback struct {
-	// Inner is the wrapped sparsifier.
+	// Inner is the wrapped sparsifier. Which optional interfaces it
+	// offers is read once, on the first CompressInto or LastSelection.
 	Inner Compressor
 
 	residual []float64
 	wire     encoding.Format
 	wireSet  bool
+	// Inner as an AccumulateCompressor and as a SelectionReporter, or nil,
+	// once resolved.
+	fused    AccumulateCompressor
+	reporter SelectionReporter
+	resolved bool
+}
+
+// resolve reads once which optional interfaces Inner offers. Asserted on
+// every call, an interface assertion allocates at a random step: the
+// runtime fills its per-site assertion cache on about one call in a
+// thousand until the type is in it.
+func (e *ErrorFeedback) resolve() {
+	if !e.resolved {
+		e.fused, _ = e.Inner.(AccumulateCompressor)
+		e.reporter, _ = e.Inner.(SelectionReporter)
+		e.resolved = true
+	}
 }
 
 // NewErrorFeedback wraps inner with a fresh (zero) residual.
@@ -54,8 +72,8 @@ func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 // LastSelection implements SelectionReporter by forwarding to the wrapped
 // compressor.
 func (e *ErrorFeedback) LastSelection() Selection {
-	if r, ok := e.Inner.(SelectionReporter); ok {
-		return r.LastSelection()
+	if e.resolve(); e.reporter != nil {
+		return e.reporter.LastSelection()
 	}
 	return Selection{}
 }
@@ -88,9 +106,10 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 	if len(e.residual) != len(g) {
 		return fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), len(g)) //sidco:alloc misuse error path, not steady state
 	}
+	e.resolve()
 	var err error
-	if ac, ok := e.Inner.(AccumulateCompressor); ok {
-		err = ac.CompressAccumulateInto(dst, e.residual, g, delta)
+	if e.fused != nil {
+		err = e.fused.CompressAccumulateInto(dst, e.residual, g, delta)
 	} else {
 		tensor.Add(g, e.residual)
 		err = e.Inner.CompressInto(dst, e.residual, delta)

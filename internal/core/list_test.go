@@ -443,3 +443,105 @@ func TestListTiesAtCorrectedThreshold(t *testing.T) {
 		}
 	}
 }
+
+// branchySelect is the append loop selectFromList replaced, kept as its
+// oracle: every list entry with magnitude >= eta, in list order.
+func branchySelect(dst *tensor.Sparse, g []float64, l *exceedList, eta float64) {
+	idx := l.idx[:len(l.mags)]
+	for i, a := range l.mags {
+		if a >= eta {
+			dst.Append(idx[i], g[idx[i]])
+		}
+	}
+}
+
+// TestSelectFromListMatchesBranchy holds selectFromList to branchySelect:
+// on exceedance lists PairsAboveThreshold gathers, at thresholds below, at
+// and above the list's own, at list magnitudes themselves (ties), at 0,
+// +Inf and NaN; on one whose magnitudes hold NaN at random; and on the
+// lists selectInBand corrects from, the last list and the list before it.
+// Each selection goes into the dst the one before it left.
+func TestSelectFromListMatchesBranchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var dst tensor.Sparse
+	check := func(what string, g []float64, l *exceedList, eta float64) {
+		t.Helper()
+		want := tensor.Sparse{Dim: len(g)}
+		branchySelect(&want, g, l, eta)
+		dst.Reset(len(g))
+		selectFromList(&dst, g, l, eta)
+		if !slices.Equal(dst.Idx, want.Idx) || len(dst.Vals) != len(want.Vals) {
+			t.Fatalf("%s, eta %v: %d indices, the branchy loop %d", what, eta, len(dst.Idx), len(want.Idx))
+		}
+		for i := range want.Vals {
+			if math.Float64bits(dst.Vals[i]) != math.Float64bits(want.Vals[i]) {
+				t.Fatalf("%s, eta %v: value %d = %v, the branchy loop %v", what, eta, i, dst.Vals[i], want.Vals[i])
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 7, 4097, 40000} {
+		g := sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, n, int64(n)+1)
+		for _, listEta := range []float64{0, 0.01, 0.05} {
+			l := &exceedList{eta: listEta}
+			l.mags, l.idx, l.ex = tensor.PairsAboveThreshold(g, listEta, 0, nil, nil)
+			etas := []float64{0, listEta / 2, listEta, math.Nextafter(listEta, 1), 2 * listEta, 0.2, math.Inf(1), math.NaN()}
+			for range 4 {
+				if len(l.mags) > 0 {
+					etas = append(etas, l.mags[rng.Intn(len(l.mags))])
+				}
+			}
+			what := fmt.Sprintf("n=%d list above %v", n, listEta)
+			for _, eta := range etas {
+				check(what, g, l, eta)
+			}
+			// NaN magnitudes: no comparison selects them.
+			nan := &exceedList{eta: listEta, mags: slices.Clone(l.mags), idx: l.idx}
+			for i := range nan.mags {
+				if rng.Intn(5) == 0 {
+					nan.mags[i] = math.NaN()
+				}
+			}
+			for _, eta := range etas {
+				check(what+" with NaN magnitudes", g, nan, eta)
+			}
+		}
+	}
+	// The lists selectInBand corrects from (TestListCorrectionDirections'
+	// cases): the last list, and the list before an overshoot.
+	for _, c := range []struct {
+		name     string
+		g        []float64
+		delta    float64
+		m        int
+		fromPrev bool
+	}{
+		{"last list", sampleVec(stats.DoubleGP{Shape: 0.45, Scale: 0.01}, 100000, 6), 0.001, 2, false},
+		{"list before an overshoot", cliff(40000, 100), 0.01, 0, true},
+	} {
+		k := compress.TargetK(len(c.g), c.delta)
+		s := capped(SIDExponential, c.m)
+		out := &tensor.Sparse{}
+		if err := s.CompressInto(out, c.g, c.delta); err != nil {
+			t.Fatal(err)
+		}
+		sel := s.LastSelection()
+		served := s.cur
+		if len(served.mags) < k {
+			served = s.prev
+		}
+		if sel.Correction != compress.CorrectionList || (served == s.prev) != c.fromPrev {
+			t.Fatalf("%s: %+v, served from the list before the last: %v", c.name, sel, served == s.prev)
+		}
+		want := tensor.Sparse{Dim: len(c.g)}
+		branchySelect(&want, c.g, served, sel.Threshold)
+		if !slices.Equal(out.Idx, want.Idx) || !slices.Equal(out.Vals, want.Vals) {
+			t.Fatalf("%s: shipped %d pairs, the branchy loop over the list %d", c.name, out.NNZ(), want.NNZ())
+		}
+		for _, l := range []*exceedList{s.cur, s.prev} {
+			if l != nil {
+				check(c.name, c.g, l, l.eta)
+				check(c.name, c.g, l, sel.Threshold)
+			}
+		}
+	}
+}

@@ -331,19 +331,36 @@ func (s *SIDCo) selectInBand(dst *tensor.Sparse, g []float64, eta float64, k int
 	return sel
 }
 
-// selectFromList appends the list's elements with magnitude >= eta to
-// dst, in index order. Everything >= eta is on the list while eta is above
-// the list's own threshold; at it, the selection is the whole list (a
-// value equal to a stage threshold is not an exceedance).
+// selectFromList writes the list's elements with magnitude >= eta into
+// dst, which selectInBand has just Reset, in index order. Everything >= eta
+// is on the list while eta is above the list's own threshold; at it, the
+// selection is the whole list (a value equal to a stage threshold is not
+// an exceedance).
 //
+// Like tensor.PairsAboveThreshold it stores every entry's pair at the
+// cursor and advances the cursor by the compare, so no branch depends on
+// a magnitude: dst is grown once to the list's length (and a quarter more
+// when it grows, so lists that wander do not regrow it) and cut to the
+// cursor at the end. It stays out of line, as pairsAbove does, so that no
+// caller's frame can put the cursor on the stack.
+//
+//go:noinline
 //sidco:hotpath
 func selectFromList(dst *tensor.Sparse, g []float64, l *exceedList, eta float64) {
-	idx := l.idx[:len(l.mags)]
+	n := len(l.mags)
+	if cap(dst.Idx) < n || cap(dst.Vals) < n {
+		dst.Grow(n + n/4)
+	}
+	outI, outV, idx := dst.Idx[:n], dst.Vals[:n], l.idx[:n]
+	m := 0
 	for i, a := range l.mags {
+		j := idx[i]
+		outI[m], outV[m] = j, g[j]
 		if a >= eta {
-			dst.Append(idx[i], g[idx[i]])
+			m++ // a conditional move, not a branch
 		}
 	}
+	dst.Idx, dst.Vals = outI[:m], outV[:m]
 }
 
 // firstStageThreshold computes the single-stage threshold from the full

@@ -157,6 +157,50 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodePairs64RefusesWhatValidateRefuses holds the one-loop pairs64
+// decode to the fill-then-Validate decode it replaced: on index streams
+// with a repeat, a descent, an index at and past dim and one at or above
+// 2³¹ (negative as an int32), at the front, the middle and the end, the
+// error text is Validate's on the same pairs, and a valid stream decodes.
+func TestDecodePairs64RefusesWhatValidateRefuses(t *testing.T) {
+	const dim = 50
+	for _, c := range []struct {
+		name string
+		idx  []uint32
+	}{
+		{"valid", []uint32{0, 3, 49}},
+		{"repeat at the front", []uint32{4, 4, 9}},
+		{"repeat at the end", []uint32{1, 7, 7}},
+		{"descent", []uint32{2, 9, 5, 11}},
+		{"at dim", []uint32{1, 2, dim}},
+		{"past dim, first", []uint32{dim + 7, dim + 8}},
+		{"2^31", []uint32{3, 1 << 31}},
+		{"2^32-1 first", []uint32{math.MaxUint32, 2}},
+	} {
+		buf := make([]byte, Pairs64Size(dim, len(c.idx)))
+		buf[0] = byte(FormatPairs64)
+		binary.LittleEndian.PutUint32(buf[1:5], dim)
+		binary.LittleEndian.PutUint32(buf[5:9], uint32(len(c.idx)))
+		ref := tensor.Sparse{Dim: dim}
+		for i, j := range c.idx {
+			binary.LittleEndian.PutUint32(buf[headerSize+12*i:], j)
+			binary.LittleEndian.PutUint64(buf[headerSize+12*i+4:], math.Float64bits(float64(i)+0.5))
+			ref.Append(int32(j), float64(i)+0.5)
+		}
+		want := ref.Validate()
+		var s tensor.Sparse
+		got := DecodeInto(&s, buf)
+		switch {
+		case want == nil && got != nil:
+			t.Errorf("%s: decode refused a valid stream: %v", c.name, got)
+		case want == nil && (len(s.Idx) != len(c.idx) || len(s.Vals) != len(c.idx)):
+			t.Errorf("%s: decoded %d indices and %d values, want %d", c.name, len(s.Idx), len(s.Vals), len(c.idx))
+		case want != nil && (got == nil || got.Error() != want.Error()):
+			t.Errorf("%s: decode says %v, Validate %v", c.name, got, want)
+		}
+	}
+}
+
 // TestDecodeRefusesRetiredFormats: a frame of a retired format, well
 // formed in its old layout, is refused by DecodeInto before anything is
 // decoded into the target, and no other entry point takes the byte.

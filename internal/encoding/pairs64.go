@@ -32,18 +32,29 @@ func appendPairs64(dst []byte, s *tensor.Sparse) []byte {
 	return dst
 }
 
+// decodePairs64 fills s's storage by index and checks, in the same loop,
+// what Sparse.Validate would after: indices strictly ascending and below
+// dim, refused with Validate's words.
 func decodePairs64(s *tensor.Sparse, buf []byte, dim, nnz int) error {
 	if len(buf) != Pairs64Size(dim, nnz) {
 		return fmt.Errorf("encoding: pairs64 size %d, want %d", len(buf), Pairs64Size(dim, nnz))
 	}
 	s.Reset(dim)
 	s.Grow(nnz)
-	off := headerSize
-	for i := 0; i < nnz; i++ {
-		j := int32(binary.LittleEndian.Uint32(buf[off:]))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-		s.Append(j, v)
-		off += 12
+	idx, vals := s.Idx[:nnz], s.Vals[:nnz]
+	pairs := buf[headerSize:]
+	prev := int32(-1)
+	for i := range idx {
+		j := int32(binary.LittleEndian.Uint32(pairs[12*i:]))
+		if j <= prev {
+			return fmt.Errorf("tensor: indices not strictly ascending at %d", j)
+		}
+		if int(j) >= dim {
+			return fmt.Errorf("tensor: index %d out of range for dim %d", j, dim)
+		}
+		idx[i], vals[i] = j, math.Float64frombits(binary.LittleEndian.Uint64(pairs[12*i+4:]))
+		prev = j
 	}
-	return s.Validate()
+	s.Idx, s.Vals = idx, vals
+	return nil
 }

@@ -13,9 +13,9 @@ import (
 // reductions to "add, then the one-operand reduction": the updated acc by
 // bit pattern, the moments by bit pattern, across block boundaries, with
 // the values a fused kernel can get wrong (zeros that the add creates or
-// destroys, subnormals, infinities, NaN, -0). It runs on each gamma body.
+// destroys, subnormals, infinities, NaN, -0). It runs on each path.
 func TestAccumulateMatchesAddThenMoments(t *testing.T) {
-	onEachGammaPath(func(path string) { t.Run(path, testAccumulateMatchesAddThenMoments) })
+	onEachPath(func(path string) { t.Run(path, testAccumulateMatchesAddThenMoments) })
 }
 
 func testAccumulateMatchesAddThenMoments(t *testing.T) {
@@ -94,13 +94,20 @@ func nanOrSameBits(a, b float64) bool {
 }
 
 // TestAbsSumMatchesOneBlock holds absSum, the four-block Σ|x| sweep of
-// AccumulateMeanAbs, to reduce's one-block loop over absKernel: the sum
-// and the updated acc by nanOrSameBits, at every streamLength, plain and
-// with each lane salted, and with acc passed as its own addend.
+// AccumulateMeanAbs, to reduce's one-block loop over absKernel on each
+// path (portable: absQuad; avx2: absQuadAVX2): the sum and the updated acc
+// by nanOrSameBits, at every streamLength, plain, with each lane salted
+// (saltLanes) and with every lane of a group salted in one block while
+// the other three are clean (saltGroups), and with acc passed as its own
+// addend.
 func TestAbsSumMatchesOneBlock(t *testing.T) {
+	onEachPath(func(path string) { t.Run(path, testAbsSumMatchesOneBlock) })
+}
+
+func testAbsSumMatchesOneBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, n := range streamLengths {
-		for _, salted := range []bool{false, true} {
+		for _, fill := range []string{"plain", "lanes", "groups"} {
 			acc0, g := make([]float64, n), make([]float64, n)
 			scale := 1.0
 			for i := range g {
@@ -110,9 +117,12 @@ func TestAbsSumMatchesOneBlock(t *testing.T) {
 				}
 				acc0[i], g[i] = scale*rng.NormFloat64(), scale*rng.NormFloat64()
 			}
-			if salted {
+			switch fill {
+			case "lanes":
 				saltLanes(rng, acc0)
 				saltLanes(rng, g)
+			case "groups":
+				saltGroups(acc0)
 			}
 			for _, alias := range []bool{false, true} {
 				want, acc := append([]float64(nil), acc0...), append([]float64(nil), acc0...)
@@ -121,7 +131,7 @@ func TestAbsSumMatchesOneBlock(t *testing.T) {
 					wantG, gotG = want, acc
 				}
 				wantSum := reduce(want, wantG, absKernel, 0)[0]
-				what := fmt.Sprintf("n=%d salted=%v alias=%v", n, salted, alias)
+				what := fmt.Sprintf("n=%d %s alias=%v", n, fill, alias)
 				if got := absSum(acc, gotG); !nanOrSameBits(got, wantSum) {
 					t.Fatalf("%s: Σ|acc+g| = %v, one block at a time %v", what, got, wantSum)
 				}
@@ -133,6 +143,36 @@ func TestAbsSumMatchesOneBlock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAbsQuadBodyStaysInBounds runs the four-block Σ|x| body of each path
+// on slices whose backing arrays run on past 4·sumBlock, every slot there a
+// sentinel: the body must write acc's first 4·sumBlock slots only, leave g
+// alone, and return absQuad's four partials.
+func TestAbsQuadBodyStaysInBounds(t *testing.T) {
+	onEachPath(func(path string) {
+		const n, pad = 4 * sumBlock, 64
+		sentinel := math.Float64frombits(0x7ff4dead0000beef)
+		rng := rand.New(rand.NewSource(47))
+		acc, g := make([]float64, n+pad), make([]float64, n+pad)
+		for i := range acc {
+			acc[i], g[i] = rng.NormFloat64(), rng.NormFloat64()
+			if i >= n {
+				acc[i], g[i] = sentinel, sentinel
+			}
+		}
+		wantAcc, gCopy := append([]float64(nil), acc...), append([]float64(nil), g...)
+		w0, w1, w2, w3 := absQuad(wantAcc[:n], g[:n])
+		s0, s1, s2, s3 := absQuadSweep(acc[:n], g[:n])
+		if got, want := [4]float64{s0, s1, s2, s3}, [4]float64{w0, w1, w2, w3}; got != want {
+			t.Fatalf("%s: partials %v, absQuad %v", path, got, want)
+		}
+		for i := range acc {
+			if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) || math.Float64bits(g[i]) != math.Float64bits(gCopy[i]) {
+				t.Fatalf("%s: slot %d: acc %v (want %v), g %v (want %v)", path, i, acc[i], wantAcc[i], g[i], gCopy[i])
+			}
+		}
+	})
 }
 
 // TestAbsSumAddsPartialsInBlockOrder holds absSum to reduce on every
@@ -253,9 +293,9 @@ func TestGammaSumAddsPartialsInBlockOrder(t *testing.T) {
 }
 
 // TestAccumulateSteadyStateAllocs pins the accumulating reductions at
-// zero allocations, on each gamma body.
+// zero allocations, on each path.
 func TestAccumulateSteadyStateAllocs(t *testing.T) {
-	onEachGammaPath(func(path string) { t.Run(path, testAccumulateSteadyStateAllocs) })
+	onEachPath(func(path string) { t.Run(path, testAccumulateSteadyStateAllocs) })
 }
 
 func testAccumulateSteadyStateAllocs(t *testing.T) {
@@ -280,8 +320,9 @@ var sinkMoment float64
 // "MeanAbs/fused-one-block" and "GammaMoments/avx2/fused-one-block" are
 // the fused sweeps one block at a time, the loops four-block absSum and
 // gammaSum are held to.
-// GammaMoments runs on each body (portable: the Go loop; avx2:
-// gamma_amd64.s), over the dense gradient and over one with half its
+// MeanAbs's fused row runs on each path (portable: absQuad; avx2:
+// abs_amd64.s). GammaMoments runs on each path (portable: the Go loop;
+// avx2: gamma_amd64.s), over the dense gradient and over one with half its
 // entries zero at random ("sparse"), whose groups of four mix normal and
 // zero lanes.
 func BenchmarkAccumulate(b *testing.B) {
@@ -319,7 +360,7 @@ func BenchmarkAccumulate(b *testing.B) {
 		{"GammaMoments", func(acc, g []float64) { sinkMoment, _ = AccumulateGammaMoments(acc, g) }, func(acc []float64) { sinkMoment, _ = GammaMoments(acc) }},
 	} {
 		if k.name == "GammaMoments" {
-			onEachGammaPath(func(path string) {
+			onEachPath(func(path string) {
 				b.Run(k.name+"/"+path+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })
 				b.Run(k.name+"/"+path+"/sparse", func(b *testing.B) { run(b, sparse, 24, k.fused) })
 				if path == "avx2" {
@@ -327,6 +368,10 @@ func BenchmarkAccumulate(b *testing.B) {
 						run(b, g, 24, func(acc, g []float64) { sinkMoment = reduce(acc, g, gammaKernel, 0)[0] / float64(len(acc)) })
 					})
 				}
+			})
+		} else if k.name == "MeanAbs" {
+			onEachPath(func(path string) {
+				b.Run(k.name+"/"+path+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })
 			})
 		} else {
 			b.Run(k.name+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })

@@ -277,8 +277,8 @@ func AccumulateMeanAbs(acc, g []float64) float64 {
 }
 
 // absSum is reduce(acc, g, absKernel, 0)[0], acc += g included, bit for
-// bit, four blocks at a time: absQuad runs four consecutive blocks' chains
-// side by side, each from 0.0 in its own element order, and their
+// bit, four blocks at a time: absQuadSweep runs four consecutive blocks'
+// chains side by side, each from 0.0 in its own element order, and their
 // partials add to the total in block order. One chain waits on the
 // adder's latency; four keep it busy and keep four streams in flight. The
 // last len%(4·sumBlock) elements go block by block through absKernel.
@@ -288,7 +288,7 @@ func absSum(acc, g []float64) float64 {
 	g = g[:len(acc)]
 	total, lo := 0.0, 0
 	for ; len(acc)-lo >= 4*sumBlock; lo += 4 * sumBlock {
-		s0, s1, s2, s3 := absQuad(acc[lo:], g[lo:])
+		s0, s1, s2, s3 := absQuadSweep(acc[lo:], g[lo:])
 		total += s0
 		total += s1
 		total += s2
@@ -301,9 +301,14 @@ func absSum(acc, g []float64) float64 {
 	return total
 }
 
+// absQuadSweep is absSum's four-block body: absQuad, or absQuadAVX2 when
+// abs_amd64.go's init finds the CPU and OS support AVX2.
+var absQuadSweep = absQuad
+
 // absQuad is absKernel with g over the first four blocks of blk, one
 // accumulator and one named block per chain (an array of
-// accumulators spills to the stack).
+// accumulators spills to the stack): the path on a machine without AVX2
+// and the oracle of the AVX2 body.
 //
 //sidco:hotpath
 func absQuad(blk, g []float64) (s0, s1, s2, s3 float64) {

@@ -111,23 +111,24 @@ func sameGammaBits(t *testing.T, what string, got, want [3]float64, gotAcc, want
 // block (4096).
 var gammaLengths = []int{0, 1, 511, 512, 513, 4095, 4096, 4097, 2*4096 + 1}
 
-// onEachGammaPath calls run once per gamma moment body this machine can
-// run — "portable" (the Go loop, no four-block body) and, where init chose
-// the AVX2 bodies, "avx2" — with gammaKernel and gammaSum pointed at those
+// onEachPath calls run once per set of vector bodies this machine can
+// run — "portable" (the Go loops: gammaLoop with no four-block gamma body,
+// absQuad) and, where init chose the AVX2 bodies, "avx2" (gamma_amd64.s,
+// abs_amd64.s) — with gammaKernel, gammaSum and absSum pointed at those
 // bodies, as init would point them, and restores init's choice after.
-func onEachGammaPath(run func(path string)) {
-	chosen, chosenQuad := gammaSweep, gammaQuadSweep
-	defer func() { gammaSweep, gammaQuadSweep = chosen, chosenQuad }()
-	gammaSweep, gammaQuadSweep = gammaLoop, nil
+func onEachPath(run func(path string)) {
+	chosen, chosenQuad, chosenAbs := gammaSweep, gammaQuadSweep, absQuadSweep
+	defer func() { gammaSweep, gammaQuadSweep, absQuadSweep = chosen, chosenQuad, chosenAbs }()
+	gammaSweep, gammaQuadSweep, absQuadSweep = gammaLoop, nil, absQuad
 	run("portable")
 	if cpu.AVX2 {
-		gammaSweep, gammaQuadSweep = chosen, chosenQuad
+		gammaSweep, gammaQuadSweep, absQuadSweep = chosen, chosenQuad, chosenAbs
 		run("avx2")
 	}
 }
 
 func TestGammaMomentsMatchesPerElementLog(t *testing.T) {
-	onEachGammaPath(func(path string) { t.Run(path, testGammaMomentsMatchesPerElementLog) })
+	onEachPath(func(path string) { t.Run(path, testGammaMomentsMatchesPerElementLog) })
 }
 
 func testGammaMomentsMatchesPerElementLog(t *testing.T) {

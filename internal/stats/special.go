@@ -20,8 +20,25 @@
 // block may change: that moves every digest.
 //
 // On an amd64 CPU with AVX2 (internal/cpu, probed once at start-up; there
-// is no setting) the gamma moment sweep behind GammaMoments and
-// AccumulateGammaMoments runs from gamma_amd64.s: four blocks side by
+// is no setting) two sweeps have vector bodies, each switched in by a
+// function variable its file's init sets, with the Go loop as the
+// portable path and the oracle:
+//
+//   - the fused Σ|x| sweep of AccumulateMeanAbs with a second vector
+//     (SIDCo-E's first stage under error feedback): absQuadAVX2 in
+//     abs_amd64.s;
+//   - the gamma moment sweep behind GammaMoments and
+//     AccumulateGammaMoments (SIDCo-GP's first stage): gammaQuadAVX2 and
+//     gammaGroupsAVX2 in gamma_amd64.s.
+//
+// The Σ|x| body runs the four blocks' chains as the four lanes of one
+// register: each group of four elements of each block is added to acc's,
+// stored back, stripped of its sign bit and transposed 4×4, so four
+// vector adds take each block's four elements into its lane in element
+// order, the chain the first operand as in the Go loop's s += |v|. It runs
+// every group, NaN included: Go leaves which payload an add of two NaNs
+// keeps to the compiler, so its tests meet any NaN with any NaN. The
+// gamma sweep runs from gamma_amd64.s: four blocks side by
 // side, each sub-block's groups of four up to a group holding a
 // subnormal, ±Inf or NaN, which the Go loop takes (it needs math.Log) for
 // the blocks that have not run it; the tail blocks go through the
@@ -37,7 +54,8 @@
 // operand order decides a payload. TestAVX2GammaMatchesGo holds the
 // one-block body to the Go loop, TestGammaSumMatchesOneBlock the
 // four-block sweep to the one-block loop, and the gamma tests run on both
-// paths.
+// paths; TestAbsSumMatchesOneBlock holds the Σ|x| body to the one-block
+// loop on both paths.
 package stats
 
 import "math"

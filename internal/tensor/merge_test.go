@@ -137,6 +137,100 @@ func TestMeanSparseIntoZeros(t *testing.T) {
 	}
 }
 
+// meanSparseScan is the N-way head scan MeanSparseInto ran before the
+// fold, kept as the oracle the fold is held to: per output index, one pass
+// over every part's head, adding the values of the parts that hold it in
+// part order onto 0, keeping the sum times 1/N when it is not zero.
+func meanSparseScan(parts []tensor.Sparse) tensor.Sparse {
+	out := tensor.Sparse{Dim: parts[0].Dim}
+	pos := make([]int, len(parts))
+	inv := 1 / float64(len(parts))
+	for {
+		next := math.MaxInt
+		for p := range parts {
+			if pos[p] < len(parts[p].Idx) {
+				next = min(next, int(parts[p].Idx[pos[p]]))
+			}
+		}
+		if next == math.MaxInt {
+			return out
+		}
+		sum := 0.0
+		for p := range parts {
+			if pos[p] < len(parts[p].Idx) && int(parts[p].Idx[pos[p]]) == next {
+				sum += parts[p].Vals[pos[p]]
+				pos[p]++
+			}
+		}
+		if sum != 0 {
+			out.Append(int32(next), sum*inv)
+		}
+	}
+}
+
+// mergeSalt are the values a merge can get wrong: zeros of both signs,
+// a pair that cancels, infinities of both signs (which cancel to NaN), a
+// NaN, a subnormal.
+var mergeSalt = []float64{0, math.Copysign(0, -1), 1.5, -1.5, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
+
+// TestMeanSparseIntoMatchesScan holds the fold to meanSparseScan at N ∈
+// {1, 2, 3, 8, 70} (two and more merges, so both halves of dst's storage
+// end a fold's odd and even merges): the merged indices exactly and the
+// values by nanOrSameBits, on disjoint, overlapping, identical and empty
+// supports and on overlapping ones with the middle part empty, with half
+// the values drawn from mergeSalt. Each case merges into the dst the case
+// before it left, storage and all.
+func TestMeanSparseIntoMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	const dim = 400
+	var dst tensor.Sparse
+	for _, n := range []int{1, 2, 3, 8, 70} {
+		for _, support := range []string{"disjoint", "overlapping", "identical", "empty", "middle-empty"} {
+			for trial := range 4 {
+				shared := make([]bool, dim)
+				for i := range shared {
+					shared[i] = rng.Intn(3) == 0
+				}
+				parts := make([]tensor.Sparse, n)
+				for p := range parts {
+					parts[p].Dim = dim
+					for i := range dim {
+						var holds bool
+						switch support {
+						case "disjoint":
+							holds = i%n == p && rng.Intn(2) == 0
+						case "overlapping", "middle-empty":
+							holds = rng.Intn(3) == 0 && !(support == "middle-empty" && p == n/2)
+						case "identical":
+							holds = shared[i]
+						}
+						if !holds {
+							continue
+						}
+						v := rng.NormFloat64()
+						if rng.Intn(2) == 0 {
+							v = mergeSalt[rng.Intn(len(mergeSalt))]
+						}
+						parts[p].Append(int32(i), v)
+					}
+				}
+				what := fmt.Sprintf("n=%d %s trial %d", n, support, trial)
+				want := meanSparseScan(parts)
+				tensor.MeanSparseInto(&dst, parts)
+				if dst.Dim != dim || len(dst.Idx) != len(want.Idx) || len(dst.Vals) != len(want.Idx) {
+					t.Fatalf("%s: dim %d, %d indices and %d values; the scan has %d pairs", what, dst.Dim, len(dst.Idx), len(dst.Vals), len(want.Idx))
+				}
+				for i, j := range want.Idx {
+					if dst.Idx[i] != j || !tensor.NanOrSameBits(dst.Vals[i], want.Vals[i]) {
+						t.Fatalf("%s: pair %d = (%d, %v %#x), the scan (%d, %v %#x)", what, i,
+							dst.Idx[i], dst.Vals[i], math.Float64bits(dst.Vals[i]), j, want.Vals[i], math.Float64bits(want.Vals[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMeanSparseIntoDimMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -159,20 +253,24 @@ func TestMeanSparseIntoSteadyStateAllocs(t *testing.T) {
 // BenchmarkMeanSparseInto is the reduce of one all-gather round at the
 // grad-sidcoe-d2m shape: 2 origins, ~3.6k selected of d = 2^21, against
 // the dense Zero + AddTo + Scale it replaced (which a receiver still
-// follows with a Zero + scatter of its own).
+// follows with a Zero + scatter of its own), and the fold at 8 origins.
+// Two more rows are the merges of the other sparse workloads:
+// train-sidco-tcp's (2 × ~18.5k of d = 1 847 306) and the parameter
+// server's in grad-topk-bitmap-ps (2 × ~27k of d = 269 467).
 func BenchmarkMeanSparseInto(b *testing.B) {
+	merge := func(b *testing.B, parts []tensor.Sparse) {
+		var dst tensor.Sparse
+		tensor.MeanSparseInto(&dst, parts) // size dst: steady state is what is measured
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tensor.MeanSparseInto(&dst, parts)
+		}
+	}
 	const dim = 1 << 21
 	for _, n := range []int{2, 8} {
 		parts := randomParts(rand.New(rand.NewSource(5)), n, dim, 3600.0/dim)
-		b.Run(fmt.Sprintf("merge-n%d", n), func(b *testing.B) {
-			var dst tensor.Sparse
-			tensor.MeanSparseInto(&dst, parts) // size dst: steady state is what is measured
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MeanSparseInto(&dst, parts)
-			}
-		})
+		b.Run(fmt.Sprintf("merge-n%d", n), func(b *testing.B) { merge(b, parts) })
 		b.Run(fmt.Sprintf("dense-n%d", n), func(b *testing.B) {
 			acc := make([]float64, dim)
 			b.ResetTimer()
@@ -184,5 +282,12 @@ func BenchmarkMeanSparseInto(b *testing.B) {
 				tensor.Scale(1/float64(n), acc)
 			}
 		})
+	}
+	for _, w := range []struct {
+		name     string
+		dim, nnz int
+	}{{"train-sidco-tcp", 1847306, 18500}, {"grad-topk-bitmap-ps", 269467, 27000}} {
+		parts := randomParts(rand.New(rand.NewSource(5)), 2, w.dim, float64(w.nnz)/float64(w.dim))
+		b.Run("merge-n2-"+w.name, func(b *testing.B) { merge(b, parts) })
 	}
 }

@@ -119,12 +119,24 @@ func (s *Sparse) AddTo(dst []float64) {
 // dense vector, the leading +0 included, so a lone -0 contribution sums to
 // +0 as it does there. Indices whose sum is exactly zero are dropped: the
 // dense reduction leaves +0 at them, which is what scattering dst into a
-// zeroed vector leaves too. The cost is O(N * output) — nothing scales
-// with Dim.
+// zeroed vector leaves too.
+//
+// It is a left fold of one two-way merge (mergePair): parts 0 and 1, that
+// and part 2, and so on; the last merge scales by 1/N, the others by 1,
+// which leaves every value's bits. A merge stores, at
+// each index of the union, (0 + a) + b with an absent side's value masked
+// to +0. That is exact: a partial sum 0 + v + ... is never -0, and
+// x + (+0) is x for every such x, so each index gets the sequence above
+// whichever parts hold it. A partial sum that cancels to +0 is dropped on
+// the spot; the next part's value then meets the same +0 the dense path
+// holds there. The cost is O(N · Σ nnz) at worst — nothing scales with
+// Dim — in straight-line loops with no data-dependent branch.
 //
 // Every part must have dst's dimension-to-be, parts[0].Dim (a mismatch is
 // a caller bug and panics, as AddTo does); dst must not be one of parts.
-// No parts gives the empty vector of dimension 0.
+// No parts gives the empty vector of dimension 0. From three parts on,
+// the fold ping-pongs between the two halves of dst's own storage, so
+// there is no scratch beyond it.
 //
 //sidco:hotpath
 func MeanSparseInto(dst *Sparse, parts []Sparse) {
@@ -133,59 +145,92 @@ func MeanSparseInto(dst *Sparse, parts []Sparse) {
 		return
 	}
 	dst.Reset(parts[0].Dim)
-	// Per part, the read cursor and the index under it (exhausted once
-	// the cursor runs off the end: no int32 index reaches math.MaxInt).
-	// Deployments are a few dozen ranks; the stack arrays keep the steady
-	// state allocation-free for them.
-	const exhausted = math.MaxInt
-	var stack [2][64]int
-	pos, heads := stack[0][:0], stack[1][:0]
-	if len(parts) > len(stack[0]) {
-		pos = make([]int, 0, 2*len(parts)) //sidco:alloc beyond 64 parts only; one small slice per merge
-		heads = pos[len(parts):len(parts)]
-	}
-	pos, heads = pos[:len(parts)], heads[:len(parts)]
-	largest := 0
+	total := 0
 	for p := range parts {
 		if parts[p].Dim != dst.Dim {
 			panic("tensor: MeanSparseInto dimension mismatch")
 		}
-		pos[p], heads[p] = 0, exhausted
-		if len(parts[p].Idx) > 0 {
-			heads[p] = int(parts[p].Idx[0])
-		}
-		largest = max(largest, len(parts[p].Idx))
+		total += len(parts[p].Idx)
 	}
-	// The union holds at least the largest part (cancelling sums aside):
-	// one allocation, not append's ladder, when dst starts empty.
-	dst.Grow(largest)
-	inv := 1 / float64(len(parts))
-	for {
-		next := exhausted
-		for _, h := range heads {
-			if h < next {
-				next = h
-			}
-		}
-		if next == exhausted {
-			return
-		}
-		sum := 0.0
-		for p, h := range heads {
-			if h != next {
-				continue
-			}
-			part := &parts[p]
-			at := pos[p]
-			sum += part.Vals[at]
-			at++
-			pos[p], heads[p] = at, exhausted
-			if at < len(part.Idx) {
-				heads[p] = int(part.Idx[at])
-			}
-		}
-		if sum != 0 {
-			dst.Append(int32(next), sum*inv)
-		}
+	// A merge writes at most the pairs it reads, so a half of total pairs
+	// holds any of them. The last merge writes the front half and the one
+	// before it the back, alternating; a quarter of headroom keeps
+	// supports that wander from regrowing the storage.
+	need := total
+	if len(parts) > 2 {
+		need = 2 * total
 	}
+	if cap(dst.Idx) < need || cap(dst.Vals) < need {
+		dst.Grow(need + need/4)
+	}
+	idx, vals := dst.Idx[:need], dst.Vals[:need]
+	ai, av := parts[0].Idx, parts[0].Vals
+	for m := 1; m < len(parts)-1; m++ {
+		half := total * ((len(parts) - 1 - m) % 2)
+		n := mergePair(idx[half:half+total], vals[half:half+total], ai, av, parts[m].Idx, parts[m].Vals, 1)
+		ai, av = idx[half:half+n], vals[half:half+n]
+	}
+	var bi []int32
+	var bv []float64
+	if last := len(parts) - 1; last > 0 {
+		bi, bv = parts[last].Idx, parts[last].Vals
+	}
+	n := mergePair(idx[:total], vals[:total], ai, av, bi, bv, 1/float64(len(parts)))
+	dst.Idx, dst.Vals = idx[:n], vals[:n]
+}
+
+// mergePair merges the ascending pairs (ai, av) and (bi, bv) into the
+// front of outI and outV, which must hold len(ai) + len(bi) pairs, and
+// returns how many it kept: mergeHeads while both sides have pairs, then
+// mergeTail over the rest of the one that does.
+func mergePair(outI []int32, outV []float64, ai []int32, av []float64, bi []int32, bv []float64, scale float64) int {
+	n, pa, pb := mergeHeads(outI, outV, ai, av, bi, bv, scale)
+	n += mergeTail(outI[n:], outV[n:], ai[pa:], av[pa:], scale)
+	return n + mergeTail(outI[n:], outV[n:], bi[pb:], bv[pb:], scale)
+}
+
+// mergeHeads is mergePair's loop while both sides have pairs. At the
+// cursor n it stores the smaller head index and s·scale, s = (0 + a) + b
+// with the side that does not hold the index masked to +0; it advances
+// each side by its own compare and the cursor by s != 0. It returns the
+// cursor and both read positions. Like pairsAbove it stays out of line:
+// in mergePair's frame the compiler kept the three positions on the stack,
+// a store and a reload on the loop's dependency chain.
+//
+//go:noinline
+func mergeHeads(outI []int32, outV []float64, ai []int32, av []float64, bi []int32, bv []float64, scale float64) (n, pa, pb int) {
+	na, nb := len(ai), len(bi)
+	av, bv = av[:na], bv[:nb]
+	outI, outV = outI[:na+nb], outV[:na+nb]
+	for pa < na && pb < nb {
+		ia, ib := ai[pa], bi[pb]
+		va, vb := av[pa], bv[pb]
+		ta, tb := b2i(ia <= ib), b2i(ib <= ia)
+		m := ib
+		if ta == 1 {
+			m = ia // a conditional move
+		}
+		a := math.Float64frombits(math.Float64bits(va) & -uint64(ta))
+		b := math.Float64frombits(math.Float64bits(vb) & -uint64(tb))
+		s := (0 + a) + b
+		outI[n] = m
+		outV[n] = s * scale
+		n += b2i(s != 0)
+		pa += ta
+		pb += tb
+	}
+	return n, pa, pb
+}
+
+// mergeTail is mergePair's store for the pairs of one side alone: there
+// (0 + v) + 0 is 0 + v, the partial sum never being -0.
+func mergeTail(outI []int32, outV []float64, ti []int32, tv []float64, scale float64) int {
+	outI, outV, tv = outI[:len(ti)], outV[:len(ti)], tv[:len(ti)]
+	n := 0
+	for i, j := range ti {
+		s := 0 + tv[i]
+		outI[n], outV[n] = j, s*scale
+		n += b2i(s != 0)
+	}
+	return n
 }

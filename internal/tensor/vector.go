@@ -31,6 +31,15 @@
 // TestAVX2GatherMatchesGo holds each vector body to its Go twin, and the
 // gather's tests run on every path the CPU has.
 //
+// The sparse loops have no data-dependent branch either. MeanSparseInto
+// folds its parts left through one two-way merge that stores the smaller
+// head index and (0 + a) + b at a cursor, an absent side's value masked
+// to +0, and advances each side by its own compare and the cursor by the
+// sum's being non-zero. The mask is exact: a partial sum that starts at
+// +0 is never -0, and adding +0 to anything but -0 leaves its bits, so
+// every index gets the per-index order of Zero, AddTo in part order and
+// Scale.
+//
 // Every product that feeds an add is converted explicitly, float64(x*y),
 // so that no compiler fuses the two into one rounding: the arm64 build
 // computes what the amd64 one does.

@@ -51,6 +51,9 @@ func nanOrSameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
+// NanOrSameBits is nanOrSameBits for the external tests (merge_test.go).
+var NanOrSameBits = nanOrSameBits
+
 // TestAxpyMatchesOneBlock holds the four-block Axpy to its one-element
 // loop, element by element by nanOrSameBits: around one block, around
 // one group of four, a group and a tail of more than a block,
