@@ -200,7 +200,8 @@ var wireFormats = map[string]encoding.Format{
 // work: an unknown collective, wire or compressor, a ratio the trainer
 // rejects, a checkpoint cadence below 1, a host list or kill target that
 // does not fit, a -check no run could pass (checkViable), a resume with
-// nothing left to run, and a cluster configuration cluster.Config.Validate
+// nothing left to run, a kill step the run never reaches or the resume has
+// already passed, and a cluster configuration cluster.Config.Validate
 // refuses, a lossy wire on the ring among them. -collective auto is
 // resolved here, once, on whether a compressor is on.
 func (d *deployment) resolve() error {
@@ -246,6 +247,13 @@ func (d *deployment) resolve() error {
 	if err := d.loadResume(); err != nil {
 		return err
 	}
+	kill, flag := d.killAtStep, "-kill-at-step"
+	if d.launch > 0 {
+		kill, flag = d.killStep, "-kill-rank step"
+	}
+	if kill >= 0 && (kill < d.start || kill >= d.iters) {
+		return fmt.Errorf("%s %d outside the steps this run trains, [%d, %d): the target would never die", flag, kill, d.start, d.iters)
+	}
 	return clusterConfig(d).Validate()
 }
 
@@ -265,9 +273,6 @@ func (d *deployment) sizeLaunch() error {
 	}
 	if d.coll == netsim.CollectivePS && d.killR == d.nodes-1 {
 		return fmt.Errorf("-kill-rank %d is the parameter server; losing it is unrecoverable by design — kill a worker rank", d.killR)
-	}
-	if d.killStep >= d.iters {
-		return fmt.Errorf("-kill-rank step %d >= -iters %d: the target would never die", d.killStep, d.iters)
 	}
 	// Fault injection needs failure detection and recovery budget;
 	// default both on so the quickstart gate works out of the box. Set
@@ -633,7 +638,7 @@ func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []f
 		applyMax := 0.0
 		if d.coll != netsim.CollectiveRing && (sidco || d.compressor == "topk") {
 			k := compress.TargetK(ref.Dim(), d.delta)
-			applyMax = float64(d.workers*k) * (1 + core.Config{}.Default().EpsilonH)
+			applyMax = float64(d.workers*k) * (1 + core.Epsilon)
 		}
 		if err := checkMetricsEndpoint(stdout, nt.addr, nd, wantMsgs, sidco, applyMax); err != nil {
 			return err
@@ -722,11 +727,10 @@ func checkMetricsEndpoint(stdout io.Writer, addr string, nd *cluster.Node, wantM
 			linkSent, linkRecv, sentBytes, recvBytes)
 	}
 	if sidco {
-		band := core.Config{}.Default()
 		ratio := vals["sidco_selected_elems_total"] / vals["sidco_target_elems_total"]
-		if !(ratio >= 1-band.EpsilonL && ratio <= 1+band.EpsilonH) {
+		if !(ratio >= 1-core.Epsilon && ratio <= 1+core.Epsilon) {
 			return fmt.Errorf("check: /metrics selected/target elements = %v/%v = %.3f, outside the estimator's band [%.2f, %.2f]",
-				vals["sidco_selected_elems_total"], vals["sidco_target_elems_total"], ratio, 1-band.EpsilonL, 1+band.EpsilonH)
+				vals["sidco_selected_elems_total"], vals["sidco_target_elems_total"], ratio, 1-core.Epsilon, 1+core.Epsilon)
 		}
 		fmt.Fprintf(stdout, "metrics endpoint verified: k-hat/k = %.3f in band, %v list corrections, %v sweep fallbacks\n",
 			ratio, vals["sidco_select_list_corrections_total"], vals["sidco_select_sweep_fallbacks_total"])

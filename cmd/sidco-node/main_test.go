@@ -157,8 +157,13 @@ func TestRefusedBeforeAnythingStarts(t *testing.T) {
 
 // TestRunExitCodes pins the exit status contract: 0 for a finished run
 // and for -h, 1 for a refusal, 2 for a flag that does not parse (the
-// removed execution-mode flags among them), 3 for a planned death.
+// removed execution-mode flags among them), 3 for a planned death. A kill
+// step the run never reaches (behind the step a -resume starts at, or at
+// -iters) is a refusal, as a launcher and as a node; a kill at the resume
+// step itself dies on schedule.
 func TestRunExitCodes(t *testing.T) {
+	ck := checkpointAt(t, 4)
+	node := []string{"-node", "0", "-hosts", "127.0.0.1:0", "-iters", "8", "-compressor", "topk"}
 	for _, c := range []struct {
 		name   string
 		args   []string
@@ -173,6 +178,12 @@ func TestRunExitCodes(t *testing.T) {
 		{"removed -chunks", []string{"-launch", "4", "-chunks", "4"}, 2, "flag provided but not defined: -chunks"},
 		{"removed -parallel", []string{"-launch", "4", "-parallel", "2"}, 2, "flag provided but not defined: -parallel"},
 		{"planned kill", []string{"-node", "0", "-hosts", "127.0.0.1:0", "-kill-at-step", "1"}, killExitCode, ""},
+		{"kill-rank behind the resume", []string{"-launch", "2", "-iters", "8", "-compressor", "topk", "-resume", ck, "-kill-rank", "1@2"}, 1,
+			"-kill-rank step 2 outside the steps this run trains, [4, 8)"},
+		{"kill-at-step behind the resume", append(slices.Clone(node), "-resume", ck, "-kill-at-step", "2"), 1,
+			"-kill-at-step 2 outside the steps this run trains, [4, 8)"},
+		{"kill-at-step at -iters", append(slices.Clone(node), "-kill-at-step", "8"), 1, "[0, 8)"},
+		{"planned kill at the resume step", append(slices.Clone(node), "-resume", ck, "-kill-at-step", "4"), killExitCode, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

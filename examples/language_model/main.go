@@ -37,7 +37,7 @@ func main() {
 		Workers: 4,
 		Model:   model,
 		Loss:    &nn.SoftmaxCrossEntropy{},
-		Opt:     &nn.Momentum{LR: 0.2, Mu: 0.9, Nesterov: true},
+		Opt:     &nn.Momentum{LR: 0.2, Mu: 0.9},
 		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
 			return corpus.Batch(rng, 8, seqLen)
 		},

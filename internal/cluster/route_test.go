@@ -28,28 +28,30 @@ func (x exchangeOnly) Exchange(step int, ins []dist.ExchangeInput, agg []float64
 
 type stepFlatOnly struct{ inner nn.Optimizer }
 
-func (o stepFlatOnly) Name() string                                { return o.inner.Name() }
-func (o stepFlatOnly) Step(params []*nn.Param)                     { o.inner.Step(params) }
 func (o stepFlatOnly) StepFlat(params []*nn.Param, flat []float64) { o.inner.StepFlat(params, flat) }
 func (o stepFlatOnly) StepSpan(params []*nn.Param, off int, grad []float64) {
 	o.inner.StepSpan(params, off, grad)
 }
 
-// routes are the trainer configurations whose results must coincide: the
-// sparse route as built, and the dense route forced from either side.
+// routes are the trainer configurations TestSparseRouteMatchesDenseRoute
+// runs: the sparse route as built and the dense route forced from either
+// side, whose results must coincide, and Momentum, which offers no sparse
+// form and takes the dense route to results of its own (own).
 var routes = []struct {
 	name   string
 	sparse bool
+	own    bool
 	mutate func(*dist.TrainerConfig)
 }{
-	{"sparse", true, func(*dist.TrainerConfig) {}},
-	{"dense-exchange", false, func(c *dist.TrainerConfig) {
+	{"sparse", true, false, func(*dist.TrainerConfig) {}},
+	{"dense-exchange", false, false, func(c *dist.TrainerConfig) {
 		if c.Exchange == nil {
 			c.Exchange = dist.InProcess{}
 		}
 		c.Exchange = exchangeOnly{c.Exchange}
 	}},
-	{"dense-optimizer", false, func(c *dist.TrainerConfig) { c.Opt = stepFlatOnly{c.Opt} }},
+	{"dense-optimizer", false, false, func(c *dist.TrainerConfig) { c.Opt = stepFlatOnly{c.Opt} }},
+	{"momentum", false, true, func(c *dist.TrainerConfig) { c.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9} }},
 }
 
 // appliedPerStep traces cfg's trainer into a fresh aggregator and returns
@@ -88,7 +90,9 @@ func requireRoute(t *testing.T, sparse bool, applied float64, dim int) {
 // same losses and the same final weights, bit for bit, whether the trainer
 // takes the sparse route or has it hidden by a wrapper that forwards only
 // Exchange or only StepFlat — which is also what the step benchmark's
-// decorated world does. Each run's telemetry must show the route it took.
+// decorated world does. Momentum takes the dense route everywhere and
+// trains the same on each runner as in process. Each run's telemetry must
+// show the route it took.
 func TestSparseRouteMatchesDenseRoute(t *testing.T) {
 	const workers, iters, delta, seed = 3, 4, 0.1, 42
 	type result struct{ losses, weights []float64 }
@@ -110,18 +114,28 @@ func TestSparseRouteMatchesDenseRoute(t *testing.T) {
 			requireRoute(t, sparse, applied(), dim)
 			return result{losses, nn.FlattenWeights(tr.Params(), nil)}
 		}
+		// want[i] is what route i must train: the sparse route's results,
+		// or its own in process.
+		want := make([]result, len(routes))
+		for i, rt := range routes {
+			want[i] = want[0]
+			if i == 0 || rt.own {
+				want[i] = inproc(t, rt.sparse, rt.mutate)
+			}
+		}
 		t.Run(comp+"/inprocess", func(t *testing.T) {
-			want := inproc(t, true, routes[0].mutate)
 			for _, rt := range routes[1:] {
+				if rt.own {
+					continue
+				}
 				got := inproc(t, rt.sparse, rt.mutate)
-				requireBitIdentical(t, rt.name+" loss", got.losses, want.losses)
-				requireBitIdentical(t, rt.name+" weight", got.weights, want.weights)
+				requireBitIdentical(t, rt.name+" loss", got.losses, want[0].losses)
+				requireBitIdentical(t, rt.name+" weight", got.weights, want[0].weights)
 			}
 		})
-		want := inproc(t, true, routes[0].mutate)
 		for _, coll := range []netsim.Collective{netsim.CollectiveAllGather, netsim.CollectivePS} {
 			t.Run(fmt.Sprintf("%s/engine-%v", comp, coll), func(t *testing.T) {
-				for _, rt := range routes {
+				for i, rt := range routes {
 					e, err := New(Config{Workers: workers, Collective: coll, Verify: true})
 					if err != nil {
 						t.Fatal(err)
@@ -139,12 +153,12 @@ func TestSparseRouteMatchesDenseRoute(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireRoute(t, rt.sparse, applied(), dim)
-					requireBitIdentical(t, rt.name+" loss", losses, want.losses)
-					requireBitIdentical(t, rt.name+" weight", nn.FlattenWeights(tr.Params(), nil), want.weights)
+					requireBitIdentical(t, rt.name+" loss", losses, want[i].losses)
+					requireBitIdentical(t, rt.name+" weight", nn.FlattenWeights(tr.Params(), nil), want[i].weights)
 				}
 			})
 			t.Run(fmt.Sprintf("%s/nodes-tcp-%v", comp, coll), func(t *testing.T) {
-				for _, rt := range routes {
+				for i, rt := range routes {
 					applied := make([]func() float64, workers)
 					got := runTCPDeployment(t, workers, iters, coll, comp, delta, seed, rt.mutate, func(c *dist.TrainerConfig) {
 						applied[c.FirstWorker] = appliedPerStep(c)
@@ -154,8 +168,8 @@ func TestSparseRouteMatchesDenseRoute(t *testing.T) {
 							continue
 						}
 						requireRoute(t, rt.sparse, applied[res.rank](), dim)
-						requireBitIdentical(t, fmt.Sprintf("%s rank %d loss", rt.name, res.rank), res.losses, want.losses)
-						requireBitIdentical(t, fmt.Sprintf("%s rank %d weight", rt.name, res.rank), res.weights, want.weights)
+						requireBitIdentical(t, fmt.Sprintf("%s rank %d loss", rt.name, res.rank), res.losses, want[i].losses)
+						requireBitIdentical(t, fmt.Sprintf("%s rank %d weight", rt.name, res.rank), res.weights, want[i].weights)
 					}
 				}
 			})
@@ -194,8 +208,10 @@ func (s stripOdd) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tenso
 // of the tiny sidco-e trainer, as bit patterns recorded at the commit
 // before this route: a ring all-reduce forced onto sparse inputs, an
 // all-gather engine whose rounds alternate sparse, dense, sparse on one
-// live trainer, SGD with weight decay, and Momentum. The per-step applied
-// element count shows the route each step took.
+// live trainer, and SGD behind a wrapper that hides StepSparse; Momentum's
+// were recorded with its Nesterov update at the commit before the classical
+// one was deleted. The per-step applied element count shows the route each
+// step took.
 func TestDenseRoundsKeepParentLosses(t *testing.T) {
 	const workers, iters = 4, 6
 	plain := []uint64{0x4003618ef0445890, 0x4009c735dd963ea3, 0x4002d3a956995daf, 0x3ffd7414eb65f9f5, 0x3ffbd4cde8c7a8e6, 0x3ff9675eb62f0a68, 0xbff6af7a34543208}
@@ -217,10 +233,9 @@ func TestDenseRoundsKeepParentLosses(t *testing.T) {
 		{"ring", func(c *dist.TrainerConfig) { c.Exchange = engine(netsim.CollectiveRing) }, func(int) bool { return false }, plain},
 		{"alternating", func(c *dist.TrainerConfig) { c.Exchange = stripOdd{engine(netsim.CollectiveAllGather)} },
 			func(step int) bool { return step%2 == 0 }, plain},
-		{"weight decay", func(c *dist.TrainerConfig) { c.Opt = &nn.SGD{LR: 0.05, WeightDecay: 1e-4} }, func(int) bool { return false },
-			[]uint64{0x4003618ef0445890, 0x4009c7280c9a1af7, 0x4002d396d59bd73e, 0x3ffd73f4ecfb88b1, 0x3ffbd4ab96b82462, 0x3ff96740bed641ce, 0xbff6af560a5107a7}},
+		{"optimizer without the sparse form", func(c *dist.TrainerConfig) { c.Opt = stepFlatOnly{c.Opt} }, func(int) bool { return false }, plain},
 		{"momentum", func(c *dist.TrainerConfig) { c.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9} }, func(int) bool { return false },
-			[]uint64{0x4003618ef0445890, 0x4009c735dd963ea3, 0x400309690f12f7c4, 0x3ff65cd7fb45d2e9, 0x3ffadbaaa54085c1, 0x3ff9f7e5e503a546, 0xc01508f27a144026}},
+			[]uint64{0x4003618ef0445890, 0x40091b4113cde482, 0x3ffba7637e1f3f1c, 0x3ff65bb82cbed836, 0x3ffba7bf60868cdf, 0x3ff7604bd6e42b98, 0xc0181de3fca5e564}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -424,10 +439,9 @@ func odd(p []byte, err error) ([]byte, error) {
 // then StepFlat), and both train those of one in-process trainer reducing
 // in the ring's order (RingOrder). Per-rank Nodes, one trainer each, over
 // channels, over channels handing every frame over unaligned (the decode
-// fallback) and over TCP (the frame applied in place); 1 to 4 ranks; plain
-// SGD, SGD with weight decay, Nesterov momentum with decay. Every step
-// must show the route it took: one span per rank covering each element
-// once, or one StepFlat.
+// fallback) and over TCP (the frame applied in place); 1 to 4 ranks; SGD
+// and Nesterov momentum. Every step must show the route it took: one span
+// per rank covering each element once, or one StepFlat.
 func TestApplyRouteMatchesExchangeRoute(t *testing.T) {
 	const iters = 5
 	opts := []struct {
@@ -435,8 +449,7 @@ func TestApplyRouteMatchesExchangeRoute(t *testing.T) {
 		opt  func() nn.Optimizer
 	}{
 		{"sgd", func() nn.Optimizer { return &nn.SGD{LR: 0.05} }},
-		{"sgd-decay", func() nn.Optimizer { return &nn.SGD{LR: 0.05, WeightDecay: 1e-3} }},
-		{"nesterov", func() nn.Optimizer { return &nn.Momentum{LR: 0.05, Mu: 0.9, Nesterov: true, WeightDecay: 1e-3} }},
+		{"nesterov", func() nn.Optimizer { return &nn.Momentum{LR: 0.05, Mu: 0.9} }},
 	}
 	transports := []struct {
 		name  string
@@ -522,7 +535,7 @@ func TestApplyRouteRetriesExactly(t *testing.T) {
 		counters := telemetry.NewAggregator()
 		base := Config{StepTimeout: 300 * time.Millisecond, MaxStepRetries: 1, Telemetry: telemetry.New(counters)}
 		ranks := ringDeployment(t, tps, base, func(c *dist.TrainerConfig) {
-			c.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9, Nesterov: true}
+			c.Opt = &nn.Momentum{LR: 0.05, Mu: 0.9}
 			if !spans {
 				c.Exchange = exchangeOnly{c.Exchange}
 			}

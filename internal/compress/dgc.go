@@ -8,22 +8,17 @@ import (
 )
 
 // DGC implements the Deep Gradient Compression sparsifier (Lin et al.,
-// ICLR 2018): sample a random sub-population of the gradient (1% by
-// default), run Top-k on the sample to obtain a threshold, select all
-// elements above it, and — if the selection overshoots the target — run a
-// second, hierarchical Top-k on the exceedances to trim to exactly k.
+// ICLR 2018): sample a random sub-population of the gradient (1%, at
+// least 256 elements), run Top-k on the sample to obtain a threshold,
+// select all elements above it, and — if the selection overshoots the
+// target — run a second, hierarchical Top-k on the exceedances to trim to
+// exactly k.
 //
 // DGC estimates the threshold well (the sample quantile is consistent)
 // but pays for the random gather: fast on GPU-like devices, punishing on
 // CPUs (Figure 1b).
 type DGC struct {
 	rng *rand.Rand
-	// SampleRatio is the fraction of elements sampled for threshold
-	// estimation (paper default 0.01).
-	SampleRatio float64
-	// MinSample floors the sample size so tiny layers still estimate a
-	// usable threshold.
-	MinSample int
 
 	// Per-instance scratch of the streaming fast path.
 	sample  []float64
@@ -32,10 +27,16 @@ type DGC struct {
 	trimmed tensor.Sparse // Top-k over the exceedance values
 }
 
-// NewDGC creates a DGC compressor with the paper's defaults (1% sample,
-// 256-element floor) and a deterministic random stream.
+// DGC's sample: the paper's fraction of the elements, floored so tiny
+// layers still estimate a usable threshold.
+const (
+	dgcSampleRatio float64 = 0.01
+	dgcMinSample           = 256
+)
+
+// NewDGC creates a DGC compressor with a deterministic random stream.
 func NewDGC(seed int64) *DGC {
-	return &DGC{rng: rand.New(rand.NewSource(seed)), SampleRatio: 0.01, MinSample: 256}
+	return &DGC{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Compressor.
@@ -52,13 +53,7 @@ func (c *DGC) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error
 	k := TargetK(d, delta)
 
 	// Stage 1: random sub-sample of magnitudes.
-	s := int(math.Ceil(c.SampleRatio * float64(d)))
-	if s < c.MinSample {
-		s = c.MinSample
-	}
-	if s > d {
-		s = d
-	}
+	s := min(max(int(math.Ceil(dgcSampleRatio*float64(d))), dgcMinSample), d)
 	if cap(c.sample) < s {
 		c.sample = make([]float64, s) //sidco:alloc sample scratch grows to its high-water mark, then steady state reuses it
 	}

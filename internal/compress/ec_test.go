@@ -262,7 +262,7 @@ func TestErrorFeedbackMatchesOutOfPlace(t *testing.T) {
 // fields are called.
 func TestErrorFeedbackRetainsOneDenseBuffer(t *testing.T) {
 	const d = 1 << 20
-	ec := NewErrorFeedback(NewRandomK(1, false))
+	ec := NewErrorFeedback(NewRandomK(1))
 	g := make([]float64, d)
 	g[7] = 1
 	dst := &tensor.Sparse{}

@@ -20,24 +20,20 @@ import (
 // the near-zero compression ratios the paper observes at delta = 0.001
 // (Figures 4b, 4d, 9).
 type GaussianKSGD struct {
-	// Epsilon is the relative tolerance band around k within which no
-	// adjustment happens (default 0.1).
-	Epsilon float64
-	// StepUp is the multiplicative factor increase applied after
-	// over-selection (default 0.5, i.e. factor *= 1.5).
-	StepUp float64
-	// StepDown is the decrease applied after under-selection (default
-	// 0.05).
-	StepDown float64
-
 	factor float64 // cumulative correction, lazily initialised to 1
 }
 
-// NewGaussianKSGD creates the estimator with the default adjustment
-// schedule.
-func NewGaussianKSGD() *GaussianKSGD {
-	return &GaussianKSGD{Epsilon: 0.1, StepUp: 0.5, StepDown: 0.05}
-}
+// GaussianKSGD's adjustment schedule: none while the count is within
+// gaussEpsilon of k; after over-selection factor *= 1+gaussStepUp, after
+// under-selection factor *= 1-gaussStepDown.
+const (
+	gaussEpsilon  float64 = 0.1
+	gaussStepUp   float64 = 0.5
+	gaussStepDown float64 = 0.05
+)
+
+// NewGaussianKSGD creates the estimator.
+func NewGaussianKSGD() *GaussianKSGD { return &GaussianKSGD{} }
 
 // Name implements Compressor.
 func (*GaussianKSGD) Name() string { return "gaussiank" }
@@ -70,10 +66,10 @@ func (c *GaussianKSGD) CompressInto(dst *tensor.Sparse, g []float64, delta float
 
 	// Iterative adjustment for the next call.
 	switch {
-	case float64(nnz) > float64(k)*(1+c.Epsilon):
-		c.factor *= 1 + c.StepUp
-	case float64(nnz) < float64(k)*(1-c.Epsilon):
-		c.factor *= 1 - c.StepDown
+	case float64(nnz) > float64(k)*(1+gaussEpsilon):
+		c.factor *= 1 + gaussStepUp
+	case float64(nnz) < float64(k)*(1-gaussEpsilon):
+		c.factor *= 1 - gaussStepDown
 	}
 	const minFactor, maxFactor = 1e-2, 1e2
 	if c.factor < minFactor {

@@ -7,15 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// RandomK keeps k = delta*d uniformly random elements, scaled by 1/delta
-// so the compressed gradient is an unbiased estimate of the original
-// (Wangni et al.). It converges noticeably worse than magnitude-based
-// selection (Lin et al.) and serves as the weak baseline.
+// RandomK keeps k = delta*d uniformly random elements at their values,
+// unscaled, as the paper's comparisons run it (Wangni et al.'s unbiased
+// variant scales them by 1/delta). It converges noticeably worse than
+// magnitude-based selection (Lin et al.) and serves as the weak baseline.
 type RandomK struct {
 	rng *rand.Rand
-	// Unbiased controls the 1/delta scaling; the paper's comparisons use
-	// the unscaled variant, so the default is false.
-	Unbiased bool
 
 	// Per-instance sampling scratch: the chosen-index list, the rejection
 	// set and the partial Fisher–Yates permutation.
@@ -26,8 +23,8 @@ type RandomK struct {
 
 // NewRandomK creates a Random-k compressor with its own deterministic
 // random stream.
-func NewRandomK(seed int64, unbiased bool) *RandomK {
-	return &RandomK{rng: rand.New(rand.NewSource(seed)), Unbiased: unbiased}
+func NewRandomK(seed int64) *RandomK {
+	return &RandomK{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Compressor.
@@ -44,14 +41,10 @@ func (r *RandomK) CompressInto(dst *tensor.Sparse, g []float64, delta float64) e
 	k := TargetK(d, delta)
 	chosen := r.sampleIndices(d, k)
 	slices.Sort(chosen)
-	scale := 1.0
-	if r.Unbiased {
-		scale = float64(d) / float64(k)
-	}
 	dst.Reset(d)
 	dst.Grow(k)
 	for _, j := range chosen {
-		dst.Append(int32(j), g[j]*scale)
+		dst.Append(int32(j), g[j])
 	}
 	return nil
 }

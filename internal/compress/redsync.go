@@ -11,7 +11,7 @@ import (
 //	eta = mean(|g|) + ratio * (max(|g|) - mean(|g|)),
 //
 // and ratio is moved by a bounded binary search until the selected count
-// lands in the acceptance band [k, AcceptFactor*k] or the iteration budget
+// lands in the acceptance band [k, 2k] or the budget of 10 iterations
 // runs out, in which case whatever the search landed on is used.
 //
 // The mean-to-max interpolation is a poor parameterisation for
@@ -19,19 +19,18 @@ import (
 // that most ratios select (almost) nothing — which is exactly the
 // under-estimation and high variance the paper reports (Figures 1c, 3c,
 // 4b).
-type RedSync struct {
-	// MaxIters bounds the binary search (paper-style small budget;
-	// default 10).
-	MaxIters int
-	// AcceptFactor widens the acceptance band to [k, AcceptFactor*k]
-	// (default 2), trading estimation quality for fewer passes.
-	AcceptFactor float64
-}
+type RedSync struct{}
 
-// NewRedSync creates a RedSync compressor with the default search budget.
-func NewRedSync() *RedSync {
-	return &RedSync{MaxIters: 10, AcceptFactor: 2}
-}
+// RedSync's search: redsyncMaxIters bounds the binary search (a
+// paper-style small budget), and redsyncAccept widens the acceptance band
+// to [k, redsyncAccept*k], trading estimation quality for fewer passes.
+const (
+	redsyncMaxIters         = 10
+	redsyncAccept   float64 = 2
+)
+
+// NewRedSync creates a RedSync compressor.
+func NewRedSync() *RedSync { return &RedSync{} }
 
 // Name implements Compressor.
 func (*RedSync) Name() string { return "redsync" }
@@ -39,7 +38,7 @@ func (*RedSync) Name() string { return "redsync" }
 // CompressInto implements Compressor.
 //
 //sidco:hotpath
-func (r *RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
+func (*RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
 	if err := validate(g, delta); err != nil {
 		return err
 	}
@@ -57,11 +56,11 @@ func (r *RedSync) CompressInto(dst *tensor.Sparse, g []float64, delta float64) e
 
 	lo, hi := 0.0, 1.0
 	eta := mean + float64(0.5*(max-mean))
-	for iter := 0; iter < r.MaxIters; iter++ {
+	for iter := 0; iter < redsyncMaxIters; iter++ {
 		ratio := (lo + hi) / 2
 		eta = mean + float64(ratio*(max-mean))
 		nnz := tensor.CountAboveThreshold(g, eta)
-		if float64(nnz) >= float64(k) && float64(nnz) <= r.AcceptFactor*float64(k) {
+		if float64(nnz) >= float64(k) && float64(nnz) <= redsyncAccept*float64(k) {
 			break
 		}
 		if nnz > k {

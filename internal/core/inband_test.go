@@ -68,7 +68,7 @@ func TestInBandUnderErrorFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.inBand(sp.NNZ(), k) {
+		if !inBand(sp.NNZ(), k) {
 			t.Fatalf("call %d shipped %d of k = %d (%+v)", i, sp.NNZ(), k, s.LastSelection())
 		}
 	}
@@ -127,7 +127,7 @@ func TestInBandOnEveryCallOfAPoolRun(t *testing.T) {
 				for i := 0; i < steps; i++ {
 					r.step(t, i, delta)
 					sel := r.s.LastSelection()
-					if !r.s.inBand(r.dst.NNZ(), k) {
+					if !inBand(r.dst.NNZ(), k) {
 						t.Fatalf("%s %v delta=%v call %d: shipped %d of k = %d (%+v)", name, sid, delta, i, r.dst.NNZ(), k, sel)
 					}
 					switch sel.Correction {

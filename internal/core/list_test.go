@@ -94,7 +94,7 @@ func sweepReference(cfg Config, g []float64, delta float64) (r sweepStep) {
 		cur = naiveAbove(g, eta)
 		for r.sel.Stages < maxM {
 			n := len(cur.mags)
-			if n <= k || n < ref.cfg.MinFitSize {
+			if n <= k || n < minFitSize {
 				break
 			}
 			ratio = float64(k) / float64(n)
@@ -122,7 +122,7 @@ func sweepReference(cfg Config, g []float64, delta float64) (r sweepStep) {
 		r.idx, r.vals = tensor.FilterAboveThreshold(g, eta, nil, nil)
 	}
 	r.sel.Threshold, r.sel.Estimated = eta, len(r.idx)
-	if ref.inBand(len(r.idx), k) {
+	if inBand(len(r.idx), k) {
 		return r
 	}
 	if cur != nil && len(cur.mags) < k {
@@ -277,16 +277,16 @@ func TestListSelectionSpecialsAndLengths(t *testing.T) {
 }
 
 // TestListSelectionEarlyStops pins the loops that stop at a list's own
-// threshold: MinFitSize ending the loop at stage 2, where the whole list
+// threshold: minFitSize ending the loop at stage 2, where the whole list
 // is the estimate and the exact threshold comes off it, and a stage-2 fit
 // that degenerates.
 func TestListSelectionEarlyStops(t *testing.T) {
 	g := sampleVec(stats.Laplace{Scale: 0.01}, 200, 3)
 	for _, sid := range allSIDs {
 		s := capped(sid, 0)
-		sel := stepAgainstSweep(t, fmt.Sprintf("%v MinFitSize", sid), s, g, 0.02)
-		if sel.Stages != 2 || len(s.cur.mags) >= s.cfg.MinFitSize || sel.Estimated != len(s.cur.mags) || sel.Correction != compress.CorrectionList {
-			t.Fatalf("%v: want the loop stopped by MinFitSize at stage 2 and the threshold taken off its list; got %+v over a list of %d", sid, sel, len(s.cur.mags))
+		sel := stepAgainstSweep(t, fmt.Sprintf("%v minFitSize", sid), s, g, 0.02)
+		if sel.Stages != 2 || len(s.cur.mags) >= minFitSize || sel.Estimated != len(s.cur.mags) || sel.Correction != compress.CorrectionList {
+			t.Fatalf("%v: want the loop stopped by minFitSize at stage 2 and the threshold taken off its list; got %+v over a list of %d", sid, sel, len(s.cur.mags))
 		}
 	}
 

@@ -50,8 +50,19 @@ func (s SID) String() string {
 	}
 }
 
-// Config holds the SIDCo hyper-parameters; the zero value is completed by
-// Default (paper Section 4.1: delta1 = 0.25, epsilon = 20%).
+// Epsilon bounds the shipped selection (paper Section 4.1: epsilon = 20%,
+// the estimation-quality band): an estimate whose count falls outside
+// [k(1-Epsilon), k(1+Epsilon)] is replaced by the exact k-th largest
+// magnitude of the exceedance list. Values tied at that magnitude are all
+// kept, so only ties can exceed the band.
+const Epsilon float64 = 0.2
+
+// minFitSize is the smallest exceedance set a later stage will fit; below
+// it the multi-stage loop stops early.
+const minFitSize = 16
+
+// Config holds the SIDCo hyper-parameters; a zero field takes the paper's
+// value (Section 4.1: delta1 = 0.25).
 type Config struct {
 	// SID is the distribution family.
 	SID SID
@@ -59,21 +70,11 @@ type Config struct {
 	// at (paper default 0.25); the final stage cuts at whatever ratio the
 	// list it fits still has to lose, k/len(list), which lies in [Delta1, 1).
 	Delta1 float64
-	// EpsilonH and EpsilonL bound the shipped selection: an estimate whose
-	// count falls outside [k(1-EpsilonL), k(1+EpsilonH)] is replaced by
-	// the exact k-th largest magnitude of the exceedance list (defaults
-	// 0.2, the paper's estimation-quality band). Values tied at that
-	// magnitude are all kept, so only ties can exceed the band.
-	EpsilonH float64
-	EpsilonL float64
 	// MaxStages caps the number of fitting stages. Zero leaves the count
 	// to the exceedance counts, up to twice what compounding Delta1 down
 	// to the target ratio needs; 1 is single-stage fitting over the whole
 	// gradient.
 	MaxStages int
-	// MinFitSize is the smallest exceedance set a later stage will fit
-	// (default 16); below it the multi-stage loop stops early.
-	MinFitSize int
 	// ApproxGamma selects the paper's closed-form gamma threshold
 	// approximation (eq. 15) for the first stage of SIDCo-GP instead of
 	// the exact inverse incomplete gamma quantile. The approximation is an
@@ -86,23 +87,6 @@ type Config struct {
 	// took a math.Log per element) against 0.55 µs for the exact Newton
 	// solve and 0.065 µs for the closed form.
 	ApproxGamma bool
-}
-
-// Default fills unset fields with the paper's values.
-func (c Config) Default() Config {
-	if c.Delta1 <= 0 || c.Delta1 >= 1 {
-		c.Delta1 = 0.25
-	}
-	if c.EpsilonH <= 0 {
-		c.EpsilonH = 0.2
-	}
-	if c.EpsilonL <= 0 {
-		c.EpsilonL = 0.2
-	}
-	if c.MinFitSize <= 0 {
-		c.MinFitSize = 16
-	}
-	return c
 }
 
 // exceedList is one exceedance list of the multi-stage loop: every |x| >
@@ -143,7 +127,10 @@ type SIDCo struct {
 
 // New creates a SIDCo compressor from cfg (missing fields defaulted).
 func New(cfg Config) *SIDCo {
-	return &SIDCo{cfg: cfg.Default()}
+	if cfg.Delta1 <= 0 || cfg.Delta1 >= 1 {
+		cfg.Delta1 = 0.25
+	}
+	return &SIDCo{cfg: cfg}
 }
 
 // NewE returns SIDCo with multi-stage double-exponential fitting.
@@ -254,7 +241,7 @@ func (s *SIDCo) estimateThreshold(g, add []float64, delta float64, k int) (eta f
 	for used = 1; used < maxM; {
 		cur := s.cur
 		n := len(cur.mags)
-		if n <= k || n < s.cfg.MinFitSize {
+		if n <= k || n < minFitSize {
 			break
 		}
 		ratio = float64(k) / float64(n)
@@ -288,8 +275,8 @@ func usable(eta float64) bool { return eta > 0 && !math.IsInf(eta, 1) }
 
 // inBand reports whether a selection of n elements is within the
 // tolerance band around the target k.
-func (s *SIDCo) inBand(n, k int) bool {
-	return float64(n) >= float64(k)*(1-s.cfg.EpsilonL) && float64(n) <= float64(k)*(1+s.cfg.EpsilonH)
+func inBand(n, k int) bool {
+	return float64(n) >= float64(k)*(1-Epsilon) && float64(n) <= float64(k)*(1+Epsilon)
 }
 
 // selectInBand writes the selection |g_i| >= eta into dst and, if its
@@ -310,7 +297,7 @@ func (s *SIDCo) selectInBand(dst *tensor.Sparse, g []float64, eta float64, k int
 		dst.Idx, dst.Vals = tensor.FilterAboveThreshold(g, eta, dst.Idx, dst.Vals)
 	}
 	sel := compress.Selection{Threshold: eta, Estimated: dst.NNZ()}
-	if s.inBand(sel.Estimated, k) {
+	if inBand(sel.Estimated, k) {
 		return sel
 	}
 

@@ -112,7 +112,7 @@ func runSIDCo(t *testing.T, s *SIDCo, dist Distribution, d int, delta float64, i
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.inBand(sp.NNZ(), k) {
+		if !inBand(sp.NNZ(), k) {
 			t.Fatalf("call %d shipped %d of k = %d, outside the band", i, sp.NNZ(), k)
 		}
 		sum += float64(s.LastSelection().Estimated) / float64(k)

@@ -52,11 +52,14 @@ func TestImagesAreLearnable(t *testing.T) {
 	)
 	loss := &nn.SoftmaxCrossEntropy{}
 	opt := &nn.SGD{LR: 0.05}
+	params := model.Params()
+	flat := make([]float64, nn.ParamCount(params))
 	for step := 0; step < 150; step++ {
 		x, labels := d.Batch(rng, 32)
+		nn.BindGrads(params, flat) // a zero gradient for Backward to land in
 		loss.Forward(model.Forward(x), labels)
 		model.Backward(loss.Backward())
-		opt.Step(model.Params()) // consumes and zeroes every G
+		opt.StepFlat(params, flat)
 	}
 	x := &nn.Tensor{Shape: []int{d.N, d.C, d.H, d.W}, Data: d.pixels}
 	y := model.Forward(x)

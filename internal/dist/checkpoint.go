@@ -25,11 +25,11 @@ import (
 //
 // The guarantee is scoped to state the checkpoint actually captures:
 // stateless optimizers (nn.SGD) and compressors whose only cross-step
-// state is the EC residual: topk, threshold, none, redsync (its search
-// starts afresh every step) and the SIDCo estimators, whose stage plan
-// follows each step's own counts. dgc and randomk (an RNG stream
-// position), gaussiank (its correction factor) and stateful optimizers
-// resume functionally but not bit-identically.
+// state is the EC residual: topk, none, redsync (its search starts afresh
+// every step) and the SIDCo estimators, whose stage plan follows each
+// step's own counts. dgc and randomk (an RNG stream position), gaussiank
+// (its correction factor) and stateful optimizers resume functionally but
+// not bit-identically.
 type Checkpoint struct {
 	Step        int   // completed steps; resume continues at this iteration
 	Seed        int64 // must match the resuming trainer's Seed

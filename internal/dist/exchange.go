@@ -52,9 +52,10 @@ type GradientExchange interface {
 // Exchange. Retries, renegotiation and the after-error contract are
 // Exchange's: after a non-nil error mean is unspecified.
 //
-// Trainer takes this route when its optimizer can apply a sparse mean
-// (nn.SparseStepper) and every worker compresses; a wrapper that forwards
-// only Exchange simply keeps the dense route, with the same results.
+// Trainer takes this route when its optimizer is an nn.SparseStepper
+// (nn.SGD) and every worker compresses; a wrapper that forwards only
+// Exchange, or an optimizer without StepSparse, simply keeps the dense
+// route, with the same results.
 type SparseExchange interface {
 	GradientExchange
 	ExchangeSparse(step int, ins []ExchangeInput, mean *tensor.Sparse) (sparse bool, err error)

@@ -56,11 +56,11 @@ type TrainerConfig struct {
 	Loss nn.Loss
 	// Opt applies the aggregated gradient once per step, by one of three
 	// routes, resolved once from what Exchange and Opt offer:
-	//   - sparse: when Opt is an nn.SparseStepper that can step sparsely
-	//     (plain nn.SGD), every worker compresses and Exchange is a
-	//     SparseExchange, the exchange's merged sparse mean goes straight to
-	//     StepSparse and nothing of the model's dimension is cleared,
-	//     scattered or swept after the selection;
+	//   - sparse: when Opt is an nn.SparseStepper (nn.SGD; nn.Momentum is
+	//     not), every worker compresses and Exchange is a SparseExchange,
+	//     the exchange's merged sparse mean goes straight to StepSparse and
+	//     nothing of the model's dimension is cleared, scattered or swept
+	//     after the selection;
 	//   - spans: when Exchange is an ApplyExchange (cluster.Node) and the
 	//     round is a dense ring, each chunk of the mean goes to StepSpan
 	//     where the ring left it, and no gathered aggregate is swept again;
@@ -268,8 +268,8 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 // useExchange installs the exchange and resolves the step's routes once:
 // the spans route whenever the exchange offers it, the sparse one only when
 // the exchange can hand back a merged sparse mean, the optimizer can apply
-// one exactly, and every worker compresses. Anything that hides an optional
-// interface keeps the dense route.
+// one (nn.SparseStepper), and every worker compresses. Anything that hides
+// an optional interface keeps the dense route.
 func (t *Trainer) useExchange(ex GradientExchange) {
 	t.exchange, t.sparseEx, t.sparseOpt = ex, nil, nil
 	t.applyEx, _ = ex.(ApplyExchange)
@@ -280,7 +280,7 @@ func (t *Trainer) useExchange(ex GradientExchange) {
 	}
 	sx, okX := ex.(SparseExchange)
 	so, okO := t.cfg.Opt.(nn.SparseStepper)
-	if okX && okO && so.CanStepSparse() {
+	if okX && okO {
 		t.sparseEx, t.sparseOpt = sx, so
 	}
 }

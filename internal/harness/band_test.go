@@ -41,7 +41,6 @@ func TestEstimationQualityBand(t *testing.T) {
 	if testing.Short() {
 		workloads = []dist.Workload{workloads[0], workloads[len(workloads)-1]} // lstm-ptb, vgg19-imagenet: the step benchmark's
 	}
-	band := core.Config{}.Default()
 	tbl := NewTable(fmt.Sprintf("Estimation quality under EC, d=%d, steps %d..%d: shipped k-hat/k mean (max) | estimate alone | list-corrected, sweep-fallback steps", dim, first, last),
 		"profile", "estimator", "delta=0.1", "delta=0.01", "delta=0.001")
 	for _, wl := range workloads {
@@ -84,8 +83,8 @@ func TestEstimationQualityBand(t *testing.T) {
 			for _, c := range cells[i : i+len(Ratios)] {
 				mean := c.sum / float64(c.n)
 				row = append(row, fmt.Sprintf("%.2f (%.2f) | %.2f | %d%%, %d%%", mean, c.max, c.rawSum/float64(c.n), 100*c.lists/c.n, 100*c.sweeps/c.n))
-				if mean < 0.8 || mean > 1.25 || c.max > 1+band.EpsilonH {
-					t.Errorf("%s %s delta=%v: shipped k-hat/k mean %.3f, max %.3f; want mean in [0.8, 1.25] and max <= %.2f", wl.Name, c.name, c.delta, mean, c.max, 1+band.EpsilonH)
+				if mean < 0.8 || mean > 1.25 || c.max > 1+core.Epsilon {
+					t.Errorf("%s %s delta=%v: shipped k-hat/k mean %.3f, max %.3f; want mean in [0.8, 1.25] and max <= %.2f", wl.Name, c.name, c.delta, mean, c.max, 1+core.Epsilon)
 				}
 			}
 			tbl.AddRow(row...)

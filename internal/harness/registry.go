@@ -32,7 +32,7 @@ func NewCompressor(name string, seed int64) (compress.Compressor, error) {
 	case "gaussiank":
 		return compress.NewGaussianKSGD(), nil
 	case "randomk":
-		return compress.NewRandomK(seed, false), nil
+		return compress.NewRandomK(seed), nil
 	case "sidco-e":
 		return core.NewE(), nil
 	case "sidco-gp":

@@ -2,15 +2,11 @@ package nn
 
 import "math"
 
-// Optimizer applies parameter updates from accumulated gradients. An
+// Optimizer applies parameter updates from an aggregated gradient. An
 // optimizer whose update leaves a weight alone where the gradient is zero
 // may also implement SparseStepper, the optional form for an aggregate that
 // arrives as a few (index, value) pairs.
 type Optimizer interface {
-	// Name identifies the optimizer.
-	Name() string
-	// Step applies one update using each parameter's G and zeroes it.
-	Step(params []*Param)
 	// StepFlat applies one update from a flat aggregated gradient (the
 	// distributed path: gradients arrive from the collective, not from
 	// local Backward). It is StepSpan over the whole vector.
@@ -40,9 +36,6 @@ func spanOf(start, n, off, end int) (lo, hi int) {
 // StepFlat over the scattered vector; dist.Trainer asks once, at
 // construction, and otherwise hands StepFlat a dense aggregate.
 type SparseStepper interface {
-	// CanStepSparse reports whether StepSparse is exact under the
-	// optimizer's current settings.
-	CanStepSparse() bool
 	// StepSparse applies one update from the gradient whose element idx[i]
 	// of the flat parameter vector is vals[i] and every other element zero.
 	// idx is strictly ascending (the tensor.Sparse invariant), so the
@@ -50,26 +43,13 @@ type SparseStepper interface {
 	StepSparse(params []*Param, idx []int32, vals []float64)
 }
 
-// SGD is plain stochastic gradient descent with optional weight decay.
+// SGD is plain stochastic gradient descent, w -= LR*g. It is a
+// SparseStepper: a weight whose gradient is zero is not moved (w - LR*0 is
+// w, -0 included), so updating the selected elements alone is the whole
+// step.
 type SGD struct {
 	// LR is the learning rate.
 	LR float64
-	// WeightDecay is the L2 coefficient (0 to disable).
-	WeightDecay float64
-}
-
-// Name implements Optimizer.
-func (*SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		for i := range p.W {
-			g := p.G[i] + float64(s.WeightDecay*p.W[i])
-			p.W[i] -= float64(s.LR * g)
-			p.G[i] = 0
-		}
-	}
 }
 
 // StepFlat implements Optimizer.
@@ -80,7 +60,7 @@ func (s *SGD) StepSpan(params []*Param, off int, grad []float64) {
 	start, end := 0, off+len(grad)
 	for _, p := range params {
 		if lo, hi := spanOf(start, len(p.W), off, end); lo < hi {
-			sgdStep(s.LR, s.WeightDecay, p.W[lo:hi], grad[start+lo-off:][:hi-lo])
+			sgdStep(s.LR, p.W[lo:hi], grad[start+lo-off:][:hi-lo])
 		}
 		start += len(p.W)
 	}
@@ -95,89 +75,58 @@ const streamBlock = 4096
 // update reads only that element, so every form gives the same bits.
 //
 //sidco:hotpath
-func sgdStep(lr, wd float64, w, f []float64) {
+func sgdStep(lr float64, w, f []float64) {
 	lo := 0
 	for ; len(w)-lo >= 4*streamBlock; lo += 4 * streamBlock {
-		sgdQuad(lr, wd, w[lo:], f[lo:])
+		sgdQuad(lr, w[lo:], f[lo:])
 	}
 	w, f = w[lo:], f[lo:len(w)]
 	for i := range w {
-		g := f[i] + float64(wd*w[i])
-		w[i] -= float64(lr * g)
+		w[i] -= float64(lr * f[i])
 	}
 }
 
 // sgdQuad is sgdStep's element loop over the first four streamBlocks of
 // w and f, one named block per stream.
-func sgdQuad(lr, wd float64, w, f []float64) {
+func sgdQuad(lr float64, w, f []float64) {
 	w0, w1 := (*[streamBlock]float64)(w), (*[streamBlock]float64)(w[streamBlock:])
 	w2, w3 := (*[streamBlock]float64)(w[2*streamBlock:]), (*[streamBlock]float64)(w[3*streamBlock:])
 	f0, f1 := (*[streamBlock]float64)(f), (*[streamBlock]float64)(f[streamBlock:])
 	f2, f3 := (*[streamBlock]float64)(f[2*streamBlock:]), (*[streamBlock]float64)(f[3*streamBlock:])
 	for i := range w0 {
-		g0 := f0[i] + float64(wd*w0[i])
-		g1 := f1[i] + float64(wd*w1[i])
-		g2 := f2[i] + float64(wd*w2[i])
-		g3 := f3[i] + float64(wd*w3[i])
-		w0[i] -= float64(lr * g0)
-		w1[i] -= float64(lr * g1)
-		w2[i] -= float64(lr * g2)
-		w3[i] -= float64(lr * g3)
+		w0[i] -= float64(lr * f0[i])
+		w1[i] -= float64(lr * f1[i])
+		w2[i] -= float64(lr * f2[i])
+		w3[i] -= float64(lr * f3[i])
 	}
 }
 
-// CanStepSparse implements SparseStepper: without weight decay an element
-// whose gradient is zero is not moved (w -= LR*(0 + 0*w)), so updating the
-// selected elements alone is the whole step. With decay every weight
-// shrinks every step and the update is dense.
-func (s *SGD) CanStepSparse() bool { return s.WeightDecay == 0 }
-
-// StepSparse implements SparseStepper. It panics under weight decay, where
-// CanStepSparse says not to call it.
+// StepSparse implements SparseStepper.
 func (s *SGD) StepSparse(params []*Param, idx []int32, vals []float64) {
-	if s.WeightDecay != 0 {
-		panic("nn: SGD.StepSparse with WeightDecay set: the update is dense, use StepFlat")
-	}
 	vals = vals[:len(idx)]
 	at, off := 0, 0
 	for _, p := range params {
 		w := p.W
 		end := off + len(w)
 		for ; at < len(idx) && int(idx[at]) < end; at++ {
-			i := int(idx[at]) - off
-			// StepFlat's expression, zero decay term included: a -0
-			// gradient moves the same bits there and here.
-			g := vals[at] + float64(s.WeightDecay*w[i])
-			w[i] -= float64(s.LR * g)
+			w[int(idx[at])-off] -= float64(s.LR * vals[at])
 		}
 		off = end
 	}
 }
 
-// Momentum is SGD with classical or Nesterov momentum — the paper's local
-// optimizers (Table 1 uses Nesterov momentum SGD for the RNN and ImageNet
-// benchmarks). It is not a SparseStepper and must not be made one: the
-// velocity decays at every element every step (v = Mu*v + g moves w even
-// where g is zero), so its update is dense by definition.
+// Momentum is SGD with Nesterov momentum, the paper's local optimizer
+// (Table 1 trains the RNN and ImageNet benchmarks with Nesterov momentum
+// SGD): v = Mu*v + g, w -= LR*(g + Mu*v). It is not a SparseStepper and
+// must not be made one: the velocity decays at every element every step
+// and moves w even where g is zero, so its update is dense by definition.
 type Momentum struct {
 	// LR is the learning rate.
 	LR float64
 	// Mu is the momentum coefficient (e.g. 0.9).
 	Mu float64
-	// Nesterov selects the Nesterov-accelerated update.
-	Nesterov bool
-	// WeightDecay is the L2 coefficient.
-	WeightDecay float64
 
 	vel map[*Param][]float64
-}
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string {
-	if m.Nesterov {
-		return "nesterov"
-	}
-	return "momentum"
 }
 
 func (m *Momentum) velocity(p *Param) []float64 {
@@ -192,23 +141,6 @@ func (m *Momentum) velocity(p *Param) []float64 {
 	return v
 }
 
-// Step implements Optimizer.
-func (m *Momentum) Step(params []*Param) {
-	for _, p := range params {
-		v := m.velocity(p)
-		for i := range p.W {
-			g := p.G[i] + float64(m.WeightDecay*p.W[i])
-			v[i] = float64(m.Mu*v[i]) + g
-			if m.Nesterov {
-				p.W[i] -= float64(m.LR * (g + float64(m.Mu*v[i])))
-			} else {
-				p.W[i] -= float64(m.LR * v[i])
-			}
-			p.G[i] = 0
-		}
-	}
-}
-
 // StepFlat implements Optimizer.
 func (m *Momentum) StepFlat(params []*Param, flat []float64) { m.StepSpan(params, 0, flat) }
 
@@ -219,16 +151,11 @@ func (m *Momentum) StepSpan(params []*Param, off int, grad []float64) {
 		if lo, hi := spanOf(start, len(p.W), off, end); lo < hi {
 			// One reslice per parameter keeps the d-sized loop check-free.
 			w := p.W[lo:hi]
-			f := grad[start+lo-off:][:len(w)]
+			g := grad[start+lo-off:][:len(w)]
 			v := m.velocity(p)[lo:][:len(w)]
 			for i := range w {
-				g := f[i] + float64(m.WeightDecay*w[i])
-				v[i] = float64(m.Mu*v[i]) + g
-				if m.Nesterov {
-					w[i] -= float64(m.LR * (g + float64(m.Mu*v[i])))
-				} else {
-					w[i] -= float64(m.LR * v[i])
-				}
+				v[i] = float64(m.Mu*v[i]) + g[i]
+				w[i] -= float64(m.LR * (g[i] + float64(m.Mu*v[i])))
 			}
 		}
 		start += len(p.W)

@@ -124,8 +124,8 @@ type Param struct {
 	Name string
 	// W is the weight storage.
 	W []float64
-	// G is the gradient accumulated by Backward; Optimizer.Step consumes
-	// and zeroes it. It is the parameter's own storage until BindGrads
+	// G is the gradient accumulated by Backward. It is the parameter's own
+	// storage until BindGrads
 	// points it into a flat vector: a dist.Trainer rebinds it every pass,
 	// so after a Trainer.Step it aliases the last worker's flat gradient
 	// buffer (which compression and clipping have since rewritten).

@@ -13,13 +13,26 @@ func xorBatch() (*Tensor, []int) {
 	return x, []int{0, 1, 1, 0}
 }
 
+// stepLocal applies one update from each parameter's own G: it flattens
+// the gradients, hands them to StepFlat and clears G.
+func stepLocal(opt Optimizer, params []*Param) {
+	flat := make([]float64, 0, ParamCount(params))
+	for _, p := range params {
+		flat = append(flat, p.G...)
+	}
+	opt.StepFlat(params, flat)
+	for _, p := range params {
+		clear(p.G)
+	}
+}
+
 func trainSteps(model *Sequential, loss Loss, opt Optimizer, x *Tensor, targets []int, steps int) float64 {
 	var l float64
 	for i := 0; i < steps; i++ {
 		zeroGrad(model)
 		l = loss.Forward(model.Forward(clone(x)), targets)
 		model.Backward(loss.Backward())
-		opt.Step(model.Params())
+		stepLocal(opt, model.Params())
 	}
 	return l
 }
@@ -69,66 +82,9 @@ func TestMomentumFasterThanSGDOnQuadratic(t *testing.T) {
 	model1, loss1, x1 := build(11)
 	l1 := trainSteps(model1, loss1, &SGD{LR: 0.002}, x1, nil, 300)
 	model2, loss2, x2 := build(11)
-	l2 := trainSteps(model2, loss2, &Momentum{LR: 0.002, Mu: 0.9, Nesterov: true}, x2, nil, 300)
+	l2 := trainSteps(model2, loss2, &Momentum{LR: 0.002, Mu: 0.9}, x2, nil, 300)
 	if l2 >= l1 {
 		t.Errorf("nesterov %v not better than sgd %v", l2, l1)
-	}
-}
-
-func TestWeightDecayShrinksWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	p := newParam("w", 4)
-	for i := range p.W {
-		p.W[i] = rng.NormFloat64()
-	}
-	before := math.Abs(p.W[0]) + math.Abs(p.W[1]) + math.Abs(p.W[2]) + math.Abs(p.W[3])
-	opt := &SGD{LR: 0.1, WeightDecay: 0.5}
-	for i := 0; i < 20; i++ {
-		opt.Step([]*Param{p}) // zero gradient: pure decay
-	}
-	after := math.Abs(p.W[0]) + math.Abs(p.W[1]) + math.Abs(p.W[2]) + math.Abs(p.W[3])
-	if after >= before {
-		t.Errorf("weights grew under decay: %v -> %v", before, after)
-	}
-}
-
-func TestStepFlatMatchesStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	build := func() []*Param {
-		a := newParam("a", 3)
-		b := newParam("b", 2)
-		for i := range a.W {
-			a.W[i] = rng.NormFloat64()
-		}
-		for i := range b.W {
-			b.W[i] = rng.NormFloat64()
-		}
-		return []*Param{a, b}
-	}
-	p1 := build()
-	rng = rand.New(rand.NewSource(13))
-	p2 := build()
-	grad := []float64{1, -2, 3, 0.5, -0.5}
-
-	// Path 1: gradient in param slots.
-	off := 0
-	for _, p := range p1 {
-		copy(p.G, grad[off:off+len(p.G)])
-		off += len(p.G)
-	}
-	o1 := &Momentum{LR: 0.1, Mu: 0.9, Nesterov: true}
-	o1.Step(p1)
-
-	// Path 2: flat gradient.
-	o2 := &Momentum{LR: 0.1, Mu: 0.9, Nesterov: true}
-	o2.StepFlat(p2, grad)
-
-	for i := range p1 {
-		for j := range p1[i].W {
-			if math.Abs(p1[i].W[j]-p2[i].W[j]) > 1e-15 {
-				t.Fatalf("param %d[%d]: %v vs %v", i, j, p1[i].W[j], p2[i].W[j])
-			}
-		}
 	}
 }
 
@@ -136,8 +92,7 @@ func TestStepFlatMatchesStep(t *testing.T) {
 // scattered vector, on math.Float64bits, for the selections that could
 // tell them apart: an index on each side of a parameter boundary, the last
 // element, an empty selection, a whole parameter skipped, and -0 values
-// (on a +0 and on a -0 weight). Under weight decay the sparse form is not
-// offered, and calling it anyway panics rather than skip the decay.
+// (on a +0 and on a -0 weight).
 func TestStepSparseMatchesStepFlat(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	build := func() []*Param {
@@ -165,9 +120,6 @@ func TestStepSparseMatchesStepFlat(t *testing.T) {
 		{"every element", []int32{0, 1, 2, 3, 4, 5, 6, 7}, []float64{1, negZero, 0, -2, 0, 3, -4, 5}},
 	}
 	opt := &SGD{LR: 0.1}
-	if !opt.CanStepSparse() {
-		t.Fatal("plain SGD does not offer StepSparse")
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sparse, dense := build(), build()
@@ -180,25 +132,14 @@ func TestStepSparseMatchesStepFlat(t *testing.T) {
 			bitsEqual(t, "weights", FlattenWeights(sparse, nil), FlattenWeights(dense, nil))
 		})
 	}
-
-	decayed := &SGD{LR: 0.1, WeightDecay: 1e-4}
-	if decayed.CanStepSparse() {
-		t.Error("SGD with weight decay offers StepSparse: every weight shrinks every step, the update is dense")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("StepSparse under weight decay did not panic")
-		}
-	}()
-	decayed.StepSparse(build(), []int32{0}, []float64{1})
 }
 
 // TestStepSpanMatchesStepFlat holds StepSpan to StepFlat on
 // math.Float64bits: the vector cut into disjoint spans — one inside a
 // parameter, ones across a boundary, an empty one, the whole vector — and
 // the spans applied out of order, over three steps so momentum carries
-// velocity from one to the next, for every optimizer setting the trainer
-// hands a dense ring's chunks to.
+// velocity from one to the next, for both optimizers; Nesterov momentum
+// runs at two settings, the paper's Mu = 0.9 and a heavier Mu = 0.99.
 func TestStepSpanMatchesStepFlat(t *testing.T) {
 	build := func() []*Param {
 		rng := rand.New(rand.NewSource(21))
@@ -217,9 +158,8 @@ func TestStepSpanMatchesStepFlat(t *testing.T) {
 	}
 	opts := map[string]func() Optimizer{
 		"sgd":      func() Optimizer { return &SGD{LR: 0.1} },
-		"sgd-wd":   func() Optimizer { return &SGD{LR: 0.1, WeightDecay: 1e-2} },
 		"momentum": func() Optimizer { return &Momentum{LR: 0.1, Mu: 0.9} },
-		"nesterov": func() Optimizer { return &Momentum{LR: 0.1, Mu: 0.9, Nesterov: true, WeightDecay: 1e-2} },
+		"nesterov": func() Optimizer { return &Momentum{LR: 0.05, Mu: 0.99} },
 	}
 	for on, newOpt := range opts {
 		for cn, spans := range cuts {
@@ -249,8 +189,7 @@ func TestStepSpanMatchesStepFlat(t *testing.T) {
 // (n around one block, around one group of four, a group and a tail of
 // more than a block, train-sidco-tcp's d and 2^21); the spans are the
 // whole vector and ones that begin and end inside a parameter and inside
-// a block; the weights and gradient are plain, then salted in each lane;
-// with and without weight decay.
+// a block; the weights and gradient are plain, then salted in each lane.
 func TestSGDStepSpanMatchesOneBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, n := range []int{0, 1, 4095, 4096, 4097, 4*4096 - 1, 4 * 4096, 4*4096 + 1, 5*4096 + 7, 1847306, 1 << 21} {
@@ -269,25 +208,22 @@ func TestSGDStepSpanMatchesOneBlock(t *testing.T) {
 			if d > 1005+2100 {
 				spans = append(spans, [2]int{1005, d - 2100})
 			}
-			for _, wd := range []float64{0, 1e-2} {
-				opt := &SGD{LR: 0.1, WeightDecay: wd}
-				for _, sp := range spans {
-					off, end := sp[0], sp[1]
-					want := append([]float64(nil), w0...)
-					for i := off; i < end; i++ {
-						g := grad[i] + float64(wd*want[i])
-						want[i] -= float64(opt.LR * g)
-					}
-					at := 0
-					for _, p := range params {
-						at += copy(p.W, w0[at:])
-					}
-					opt.StepSpan(params, off, grad[off:end])
-					got := FlattenWeights(params, nil)
-					for i := range want {
-						if !nanOrSameBits(got[i], want[i]) {
-							t.Fatalf("n=%d salted=%v wd=%v span [%d, %d): w[%d] = %v, one element at a time %v", n, salted, wd, off, end, i, got[i], want[i])
-						}
+			opt := &SGD{LR: 0.1}
+			for _, sp := range spans {
+				off, end := sp[0], sp[1]
+				want := append([]float64(nil), w0...)
+				for i := off; i < end; i++ {
+					want[i] -= float64(opt.LR * grad[i])
+				}
+				at := 0
+				for _, p := range params {
+					at += copy(p.W, w0[at:])
+				}
+				opt.StepSpan(params, off, grad[off:end])
+				got := FlattenWeights(params, nil)
+				for i := range want {
+					if !nanOrSameBits(got[i], want[i]) {
+						t.Fatalf("n=%d salted=%v span [%d, %d): w[%d] = %v, one element at a time %v", n, salted, off, end, i, got[i], want[i])
 					}
 				}
 			}
@@ -473,7 +409,7 @@ func TestLSTMLearnsCopyTask(t *testing.T) {
 		NewTimeDistributed(NewDense("out", 16, vocab, rng)),
 	)
 	loss := &SoftmaxCrossEntropy{}
-	opt := &Momentum{LR: 0.25, Mu: 0.9, Nesterov: true}
+	opt := &Momentum{LR: 0.25, Mu: 0.9}
 	params := model.Params()
 	flat := make([]float64, ParamCount(params))
 	var final float64
@@ -496,7 +432,7 @@ func TestLSTMLearnsCopyTask(t *testing.T) {
 		final = loss.Forward(model.Forward(x), targets)
 		model.Backward(loss.Backward())
 		ClipFlatNorm(flat, 5)
-		opt.Step(params)
+		opt.StepFlat(params, flat)
 	}
 	if final > 0.2 {
 		t.Errorf("copy-task loss = %v after training", final)
