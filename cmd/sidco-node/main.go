@@ -41,17 +41,23 @@
 // in-memory counters. Under -launch both flags are forwarded to every
 // child (-telemetry FILE becomes FILE.rankR per process).
 //
+// Fault injection: -kill-rank R@K, the same in every process (the
+// launcher forwards it), makes rank R exit just before step K; the
+// launcher requires the survivors' printed weights digests equal.
+//
 // Exit status: 0 for a finished run (and -h), 1 for a refused or failed
 // one, 2 for a flag that does not parse, 3 for the planned death of a
-// -kill-at-step node.
+// -kill-rank target.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"net"
@@ -95,7 +101,6 @@ type options struct {
 	launchTimeout time.Duration
 	stepTimeout   time.Duration
 	stepRetries   int
-	killAtStep    int
 	killRank      string
 	ckpt          string
 	ckptEvery     int
@@ -122,11 +127,11 @@ type deployment struct {
 }
 
 // killExitCode is the exit status of a process that self-killed on its
-// -kill-at-step schedule: the launcher distinguishes the planned death
-// of the fault-injection target from a genuine child failure by it.
+// -kill-rank schedule: the launcher distinguishes the planned death of
+// the fault-injection target from a genuine child failure by it.
 const killExitCode = 3
 
-// errKilled is what a node returns when it dies on its -kill-at-step
+// errKilled is what a node returns when it dies on its -kill-rank
 // schedule; run turns it into killExitCode.
 var errKilled = errors.New("fault injection: died on schedule")
 
@@ -179,8 +184,7 @@ func newDeployment(stderr io.Writer) *deployment {
 	fs.DurationVar(&d.launchTimeout, "launch-timeout", 2*time.Minute, "watchdog for -launch: kill the deployment and fail if it has not finished by then")
 	fs.DurationVar(&d.stepTimeout, "step-timeout", 0, "per-collective-step receive budget; 0 blocks forever. Fault-tolerant runs need it to detect dead peers")
 	fs.IntVar(&d.stepRetries, "step-retries", 0, "elastic recovery: retry a failed step this many times over the renegotiated survivor group (needs -step-timeout > 0)")
-	fs.IntVar(&d.killAtStep, "kill-at-step", -1, fmt.Sprintf("fault injection: exit with code %d immediately before this step's exchange", killExitCode))
-	fs.StringVar(&d.killRank, "kill-rank", "", "launch mode, R@K: forward -kill-at-step K to rank R and gate on the survivors finishing with identical final losses")
+	fs.StringVar(&d.killRank, "kill-rank", "", fmt.Sprintf("fault injection, R@K: rank R exits with code %d immediately before step K's exchange (every process of a deployment takes the same value; needs -step-timeout and -step-retries, defaulted on); -launch gates on the survivors finishing with identical weights", killExitCode))
 	fs.StringVar(&d.ckpt, "ckpt", "", "write this rank's resume state to PREFIX.rankR (atomic replace) every -ckpt-every steps and after the final step")
 	fs.IntVar(&d.ckptEvery, "ckpt-every", 1, "checkpoint cadence in steps for -ckpt")
 	fs.StringVar(&d.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, redsync, none, sidco-*; not dgc, randomk or gaussiank, which -check therefore refuses)")
@@ -198,12 +202,13 @@ var wireFormats = map[string]encoding.Format{
 // resolve parses and checks the flags once and refuses, before a port is
 // reserved, a socket dialled or a child spawned, every run that cannot
 // work: an unknown collective, wire or compressor, a ratio the trainer
-// rejects, a checkpoint cadence below 1, a host list or kill target that
-// does not fit, a -check no run could pass (checkViable), a resume with
-// nothing left to run, a kill step the run never reaches or the resume has
-// already passed, and a cluster configuration cluster.Config.Validate
-// refuses, a lossy wire on the ring among them. -collective auto is
-// resolved here, once, on whether a compressor is on.
+// rejects, a checkpoint cadence below 1, a kill target that does not fit,
+// a cluster configuration cluster.Config.Validate refuses (a node outside
+// the host list, a ps list with no worker, a lossy wire on the ring among
+// them), a -check no run could pass (checkViable), a resume with nothing
+// left to run, and a kill step the run never reaches or the resume has
+// already passed. -collective auto is resolved here, once, on whether a
+// compressor is on.
 func (d *deployment) resolve() error {
 	if d.launch <= 0 && d.node < 0 {
 		return fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
@@ -229,41 +234,37 @@ func (d *deployment) resolve() error {
 	if _, err := trainerFor(d, 1, 0, nil, nil); err != nil {
 		return err
 	}
-	if d.launch > 0 {
-		err = d.sizeLaunch()
-	} else {
-		err = d.sizeNode()
-	}
-	if err != nil {
-		return err
-	}
-	// Under -kill-rank the children run without -check (membership
-	// shrinks mid-run); the launcher gates on survivor agreement instead.
-	if d.killR < 0 {
-		if err := checkViable(d); err != nil {
+	// A launcher sizes the deployment by -launch, a node by its host
+	// list less the ps server.
+	d.workers = d.launch
+	if d.launch == 0 {
+		if d.addrs, err = parseHosts(d.options); err != nil {
 			return err
 		}
+		d.workers = len(d.addrs) - cluster.NodeCount(0, d.coll)
+	}
+	d.nodes = cluster.NodeCount(d.workers, d.coll)
+	if err := d.planKill(); err != nil {
+		return err
+	}
+	if err := clusterConfig(d).Validate(); err != nil {
+		return err
+	}
+	if err := checkViable(d); err != nil {
+		return err
 	}
 	if err := d.loadResume(); err != nil {
 		return err
 	}
-	kill, flag := d.killAtStep, "-kill-at-step"
-	if d.launch > 0 {
-		kill, flag = d.killStep, "-kill-rank step"
+	if d.killR >= 0 && (d.killStep < d.start || d.killStep >= d.iters) {
+		return fmt.Errorf("-kill-rank step %d outside the steps this run trains, [%d, %d): the target would never die", d.killStep, d.start, d.iters)
 	}
-	if kill >= 0 && (kill < d.start || kill >= d.iters) {
-		return fmt.Errorf("%s %d outside the steps this run trains, [%d, %d): the target would never die", flag, kill, d.start, d.iters)
-	}
-	return clusterConfig(d).Validate()
+	return nil
 }
 
-// sizeLaunch sizes a -launch deployment and checks its kill target.
-func (d *deployment) sizeLaunch() error {
-	d.workers = d.launch
-	d.nodes = cluster.NodeCount(d.workers, d.coll)
-	if d.killAtStep >= 0 {
-		return fmt.Errorf("-kill-at-step is one node's flag; under -launch pass -kill-rank R@K")
-	}
+// planKill parses -kill-rank and checks its target, the same way in every
+// process of the deployment.
+func (d *deployment) planKill() error {
 	var err error
 	if d.killR, d.killStep, err = parseKillRank(d.killRank); err != nil || d.killR < 0 {
 		return err
@@ -274,33 +275,18 @@ func (d *deployment) sizeLaunch() error {
 	if d.coll == netsim.CollectivePS && d.killR == d.nodes-1 {
 		return fmt.Errorf("-kill-rank %d is the parameter server; losing it is unrecoverable by design — kill a worker rank", d.killR)
 	}
+	if d.check && d.launch == 0 {
+		return fmt.Errorf("-check under -kill-rank: membership shrinks mid-run, so no node has a bit-exact reference; run the deployment with -launch, which gates on the survivors' weights agreeing")
+	}
 	// Fault injection needs failure detection and recovery budget;
 	// default both on so the quickstart gate works out of the box. Set
-	// through the flag set, so the children get them too; the constant
-	// values always parse.
+	// through the flag set, so a launcher's children get them too; the
+	// constant values always parse.
 	if d.stepTimeout <= 0 {
 		_ = d.flags.Set("step-timeout", "2s")
 	}
 	if d.stepRetries == 0 {
 		_ = d.flags.Set("step-retries", "2")
-	}
-	return nil
-}
-
-// sizeNode reads the host list and places this node in it.
-func (d *deployment) sizeNode() error {
-	var err error
-	if d.addrs, err = parseHosts(d.options); err != nil {
-		return err
-	}
-	d.nodes, d.workers = len(d.addrs), len(d.addrs)
-	if d.coll == netsim.CollectivePS {
-		if d.workers--; d.workers < 1 {
-			return fmt.Errorf("ps needs at least 2 hosts (workers + server), got %d", len(d.addrs))
-		}
-	}
-	if d.node >= len(d.addrs) {
-		return fmt.Errorf("-node %d outside the %d-host list", d.node, len(d.addrs))
 	}
 	return nil
 }
@@ -449,15 +435,20 @@ func trainerFor(d *deployment, workers, firstWorker int, ex dist.GradientExchang
 
 // clusterConfig is the deployment's cluster configuration as the flags
 // give it: what resolve validates before anything starts, and what every
-// rank binds to its own transport.
+// rank binds to its own transport. A launcher validates it as rank 0.
 func clusterConfig(d *deployment) cluster.Config {
-	return cluster.Config{
+	cfg := cluster.Config{
 		Workers:        d.workers,
+		Rank:           d.node,
 		Collective:     d.coll,
 		Format:         d.wire,
 		StepTimeout:    d.stepTimeout,
 		MaxStepRetries: d.stepRetries,
 	}
+	if d.launch > 0 {
+		cfg.Rank = 0
+	}
+	return cfg
 }
 
 // runNode is one process of the deployment: worker or parameter server.
@@ -478,7 +469,7 @@ func runNode(d *deployment, stdout io.Writer) error {
 	}
 	defer tp.Close()
 	cfg := clusterConfig(d)
-	cfg.Rank, cfg.Transport, cfg.Telemetry = d.node, tp, nt.tracer
+	cfg.Transport, cfg.Telemetry = tp, nt.tracer
 	nd, err := cluster.NewNode(cfg)
 	if err != nil {
 		return err
@@ -504,7 +495,7 @@ func runNode(d *deployment, stdout io.Writer) error {
 	}
 	losses := make([]float64, 0, d.iters-d.start)
 	for it := d.start; it < d.iters; it++ {
-		if it == d.killAtStep {
+		if d.node == d.killR && it == d.killStep {
 			// Die at the START of step it: step it-1 fully completed, nothing
 			// of step it sent yet — the deterministic point the fault-injection
 			// schedule and the elastic-recovery tests are defined against.
@@ -534,6 +525,7 @@ func runNode(d *deployment, stdout io.Writer) error {
 		printLosses(stdout, d, losses)
 	}
 	fmt.Fprintf(stdout, "node %d: final global loss %.17g over %d iterations\n", d.node, losses[len(losses)-1], d.iters)
+	fmt.Fprintf(stdout, "node %d: weights digest %016x\n", d.node, paramsDigest(tr))
 	if d.check {
 		return checkNodeRun(d, nd, nt, losses, stdout)
 	}
@@ -562,9 +554,11 @@ var resumeNotBitwise = map[string]bool{"dgc": true, "randomk": true, "gaussiank"
 // checkViable refuses a -check that cannot pass, before anything trains:
 // resolve calls it in the launcher before a child spawns and in every
 // node before its first step, so an impossible gate costs nothing
-// instead of a whole run. It says nothing without -check.
+// instead of a whole run. It says nothing without -check, nor under
+// -kill-rank, where membership shrinks mid-run and the launcher gates on
+// survivor agreement instead (planKill refuses a node's -check there).
 func checkViable(d *deployment) error {
-	if !d.check {
+	if !d.check || d.killR >= 0 {
 		return nil
 	}
 	// The all-gather replays each worker's selection verbatim, and under a
@@ -752,14 +746,14 @@ func checkMetricsEndpoint(stdout io.Writer, addr string, nd *cluster.Node, wantM
 // childArgs is rank's command line: every flag set on the launcher's, less
 // the launcher's own, with the per-rank rewrites — its rank and the host
 // list; its own kernel-assigned metrics port, since children cannot share
-// a fixed address; its own telemetry file; the fault-injection step for
-// the -kill-rank target, and no -check under -kill-rank.
+// a fixed address; its own telemetry file; and no -check under -kill-rank,
+// where the launcher's survivor gate is the check.
 func childArgs(d *deployment, rank int, addrs []string) []string {
 	args := []string{"-node", strconv.Itoa(rank), "-hosts", strings.Join(addrs, ",")}
 	d.flags.Visit(func(f *flag.Flag) {
 		v := f.Value.String()
 		switch f.Name {
-		case "launch", "launch-timeout", "kill-rank", "node", "hosts", "hostfile":
+		case "launch", "launch-timeout", "node", "hosts", "hostfile":
 			return
 		case "check":
 			if d.killR >= 0 {
@@ -776,9 +770,6 @@ func childArgs(d *deployment, rank int, addrs []string) []string {
 		}
 		args = append(args, "-"+f.Name+"="+v)
 	})
-	if rank == d.killR {
-		args = append(args, "-kill-at-step", strconv.Itoa(d.killStep))
-	}
 	return args
 }
 
@@ -870,11 +861,7 @@ func runLaunch(d *deployment, stdout, stderr io.Writer) error {
 		if !expectedKill(kc) {
 			return fmt.Errorf("kill-rank: rank %d was scheduled to die before step %d but exited with %v", d.killR, d.killStep, kc.err)
 		}
-		serverRank := -1
-		if d.coll == netsim.CollectivePS {
-			serverRank = d.nodes - 1
-		}
-		if err := checkSurvivorAgreement(stdout, d.nodes, d.killR, serverRank, func(r int) []byte { return children[r].out.Bytes() }); err != nil {
+		if err := checkSurvivorAgreement(stdout, d.workers, d.killR, func(r int) []byte { return children[r].out.Bytes() }); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "launch: rank %d killed at step %d, %d survivors finished cleanly\n", d.killR, d.killStep, d.nodes-1)
@@ -902,48 +889,58 @@ func parseKillRank(s string) (rank, step int, err error) {
 	return rank, step, nil
 }
 
-// finalLoss scans a child's output for its "final global loss" line.
-// %.17g printing round-trips float64 exactly, so the parsed value is
-// bit-identical to what the child computed.
-func finalLoss(out []byte) (float64, bool) {
-	for _, line := range strings.Split(string(out), "\n") {
-		i := strings.Index(line, "final global loss ")
-		if i < 0 {
-			continue
+// paramsDigest is the 64-bit FNV-1a digest of the trainer's weights: the
+// little-endian Float64bits of every parameter's W, in parameter order.
+// Replicas that applied the same updates print the same digest.
+func paramsDigest(tr *dist.Trainer) uint64 {
+	h, b := fnv.New64a(), make([]byte, 0, 8)
+	for _, p := range tr.Params() {
+		for _, w := range p.W {
+			h.Write(binary.LittleEndian.AppendUint64(b, math.Float64bits(w)))
 		}
-		var v float64
-		if _, err := fmt.Sscanf(line[i:], "final global loss %g", &v); err == nil {
-			return v, true
+	}
+	return h.Sum64()
+}
+
+// printedDigest scans a child's output for its "weights digest" line.
+func printedDigest(out []byte) (uint64, bool) {
+	for _, line := range strings.Split(string(out), "\n") {
+		if _, hex, ok := strings.Cut(line, "weights digest "); ok {
+			if v, err := strconv.ParseUint(hex, 16, 64); err == nil {
+				return v, true
+			}
 		}
 	}
 	return 0, false
 }
 
-// checkSurvivorAgreement is the kill-mode gate: every surviving worker
-// rank must have printed a final global loss, and — because the
-// renegotiated group reduces in the same member order with the same
-// rescaled mean everywhere — those losses must agree bit for bit. A
-// survivor that silently diverged after the membership change fails the
-// launch here even though its process exited zero.
-func checkSurvivorAgreement(w io.Writer, nodes, killR, serverRank int, output func(rank int) []byte) error {
-	ref, refRank := 0.0, -1
-	for r := 0; r < nodes; r++ {
-		if r == killR || r == serverRank {
+// checkSurvivorAgreement is the kill-mode gate: every worker rank but
+// the target must have printed its weights digest, and — because the
+// renegotiated group applies the same mean, reduced in the same member
+// order, to the same weights everywhere — the digests must be equal. A
+// survivor whose weights silently split fails the launch here though its
+// process exited zero; the global losses cannot show it, every survivor
+// reducing the same gathered scalars to them.
+func checkSurvivorAgreement(w io.Writer, workers, killR int, output func(rank int) []byte) error {
+	var ref uint64
+	refRank := -1
+	for r := 0; r < workers; r++ {
+		if r == killR {
 			continue
 		}
-		loss, ok := finalLoss(output(r))
+		digest, ok := printedDigest(output(r))
 		if !ok {
-			return fmt.Errorf("kill-rank: survivor rank %d printed no final global loss", r)
+			return fmt.Errorf("kill-rank: survivor rank %d printed no weights digest", r)
 		}
 		if refRank < 0 {
-			ref, refRank = loss, r
+			ref, refRank = digest, r
 			continue
 		}
-		if math.Float64bits(loss) != math.Float64bits(ref) {
-			return fmt.Errorf("kill-rank: survivor rank %d finished at loss %.17g, rank %d at %.17g — survivors diverged", r, loss, refRank, ref)
+		if digest != ref {
+			return fmt.Errorf("kill-rank: survivor rank %d finished with weights digest %016x, rank %d with %016x — survivors diverged", r, digest, refRank, ref)
 		}
 	}
-	fmt.Fprintf(w, "kill-rank check passed: survivors agree on final global loss %.17g\n", ref)
+	fmt.Fprintf(w, "kill-rank check passed: survivors agree on weights digest %016x\n", ref)
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -156,11 +155,14 @@ func TestRefusedBeforeAnythingStarts(t *testing.T) {
 }
 
 // TestRunExitCodes pins the exit status contract: 0 for a finished run
-// and for -h, 1 for a refusal, 2 for a flag that does not parse (the
-// removed execution-mode flags among them), 3 for a planned death. A kill
-// step the run never reaches (behind the step a -resume starts at, or at
-// -iters) is a refusal, as a launcher and as a node; a kill at the resume
-// step itself dies on schedule.
+// and for -h, 1 for a refusal with nothing printed on stdout, 2 for a flag
+// that does not parse (the removed flags among them), 3 for a planned
+// death. -kill-rank means the same to a node as to a launcher: its target
+// dies on schedule, and a target outside the deployment, the parameter
+// server, or a kill step the run never reaches (behind the step a -resume
+// starts at, or at -iters) is a refusal in both modes. A kill at the
+// resume step itself dies on schedule. The rank and worker-count refusals
+// of a node are cluster.Config.Validate's.
 func TestRunExitCodes(t *testing.T) {
 	ck := checkpointAt(t, 4)
 	node := []string{"-node", "0", "-hosts", "127.0.0.1:0", "-iters", "8", "-compressor", "topk"}
@@ -174,20 +176,27 @@ func TestRunExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0, "Usage of sidco-node"},
 		{"no mode", nil, 1, "pass -launch N"},
 		{"retries without a step timeout", []string{"-launch", "4", "-step-retries", "2"}, 1, "sidco-node: "},
-		{"kill-at-step under -launch", []string{"-launch", "2", "-kill-at-step", "1"}, 1, "-kill-rank R@K"},
 		{"removed -chunks", []string{"-launch", "4", "-chunks", "4"}, 2, "flag provided but not defined: -chunks"},
 		{"removed -parallel", []string{"-launch", "4", "-parallel", "2"}, 2, "flag provided but not defined: -parallel"},
-		{"planned kill", []string{"-node", "0", "-hosts", "127.0.0.1:0", "-kill-at-step", "1"}, killExitCode, ""},
+		{"removed -kill-at-step", []string{"-node", "0", "-hosts", "127.0.0.1:0", "-kill-at-step", "1"}, 2, "flag provided but not defined: -kill-at-step"},
+		{"planned kill", []string{"-node", "0", "-hosts", "127.0.0.1:0", "-iters", "3", "-kill-rank", "0@1"}, killExitCode, ""},
 		{"kill-rank behind the resume", []string{"-launch", "2", "-iters", "8", "-compressor", "topk", "-resume", ck, "-kill-rank", "1@2"}, 1,
 			"-kill-rank step 2 outside the steps this run trains, [4, 8)"},
-		{"kill-at-step behind the resume", append(slices.Clone(node), "-resume", ck, "-kill-at-step", "2"), 1,
-			"-kill-at-step 2 outside the steps this run trains, [4, 8)"},
-		{"kill-at-step at -iters", append(slices.Clone(node), "-kill-at-step", "8"), 1, "[0, 8)"},
-		{"planned kill at the resume step", append(slices.Clone(node), "-resume", ck, "-kill-at-step", "4"), killExitCode, ""},
+		{"node kill-rank behind the resume", append(slices.Clone(node), "-resume", ck, "-kill-rank", "0@2"), 1,
+			"-kill-rank step 2 outside the steps this run trains, [4, 8)"},
+		{"node kill-rank at -iters", append(slices.Clone(node), "-kill-rank", "0@8"), 1, "[0, 8)"},
+		{"planned kill at the resume step", append(slices.Clone(node), "-resume", ck, "-kill-rank", "0@4"), killExitCode, ""},
+		{"node kill-rank outside the deployment", append(slices.Clone(node), "-kill-rank", "1@2"), 1, "-kill-rank 1 outside the 1-node deployment"},
+		{"node kill-rank on the parameter server", []string{"-node", "1", "-hosts", "127.0.0.1:0,127.0.0.1:0", "-collective", "ps", "-kill-rank", "1@1"}, 1,
+			"-kill-rank 1 is the parameter server"},
+		{"node -check under -kill-rank", append(slices.Clone(node), "-kill-rank", "0@2", "-check"), 1, "run the deployment with -launch"},
+		{"node outside the host list", []string{"-node", "2", "-hosts", "127.0.0.1:0,127.0.0.1:0"}, 1, "cluster: Rank = 2 outside the 2-node deployment"},
+		{"one-host ps list", []string{"-node", "0", "-hosts", "127.0.0.1:0", "-collective", "ps"}, 1, "cluster: Workers = 0, need >= 1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
+			code := run(c.args, &stdout, &stderr)
+			if code != c.code || !strings.Contains(stderr.String(), c.stderr) || (code == 1 && stdout.Len() != 0) {
 				t.Errorf("exit %d, want %d; stderr %q, want it to contain %q\nstdout:\n%s", code, c.code, stderr.String(), c.stderr, stdout.String())
 			}
 		})
@@ -203,17 +212,13 @@ func TestChildArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// -kill-rank defaulted the step timeout and retries on, and drops -check.
-	shared := []string{"-delta=0.1", "-iters=8", "-metrics=127.0.0.1:0", "-step-retries=2", "-step-timeout=2s"}
-	for _, c := range []struct {
-		rank int
-		want []string
-	}{
-		{0, append(append([]string{"-node", "0", "-hosts", "h0:1,h1:2,h2:3"}, shared...), "-telemetry=tr.rank0")},
-		{1, append(append([]string{"-node", "1", "-hosts", "h0:1,h1:2,h2:3"}, shared...), "-telemetry=tr.rank1", "-kill-at-step", "5")},
-	} {
-		if got := childArgs(d, c.rank, addrs); !slices.Equal(got, c.want) {
-			t.Errorf("rank %d: %q\nwant %q", c.rank, got, c.want)
+	// -kill-rank reaches every child unchanged, defaulted the step timeout
+	// and retries on, and drops -check.
+	shared := []string{"-delta=0.1", "-iters=8", "-kill-rank=1@5", "-metrics=127.0.0.1:0", "-step-retries=2", "-step-timeout=2s"}
+	for rank := range 3 {
+		want := append(append([]string{"-node", strconv.Itoa(rank), "-hosts", "h0:1,h1:2,h2:3"}, shared...), fmt.Sprintf("-telemetry=tr.rank%d", rank))
+		if got := childArgs(d, rank, addrs); !slices.Equal(got, want) {
+			t.Errorf("rank %d: %q\nwant %q", rank, got, want)
 		}
 	}
 	d, err = resolved("-launch", "2", "-check", "-collective", "ps", "-compressor", "topk")
@@ -315,27 +320,22 @@ func TestRanksResumeInProcess(t *testing.T) {
 	}
 }
 
-// TestRanksKillInProcess is CI's kill-rank anchor in process: rank 2
-// dies before step 5 with the kill exit code, and the three survivors
-// renegotiate and agree bit for bit on the final loss.
+// TestRanksKillInProcess is CI's kill-rank anchor in process: every rank
+// is given -kill-rank 2@5, rank 2 dies before step 5 with the kill exit
+// code, and the three survivors renegotiate and finish with bit-identical
+// weights.
 func TestRanksKillInProcess(t *testing.T) {
-	codes, outs := ranks(t, 4, func(r int) []string {
-		args := []string{"-iters", "8", "-step-timeout", "2s", "-step-retries", "2"}
-		if r == 2 {
-			args = append(args, "-kill-at-step", "5")
-		}
-		return args
-	})
+	codes, outs := ranks(t, 4, same("-iters", "8", "-kill-rank", "2@5"))
 	for r, code := range codes {
 		if want := map[bool]int{true: killExitCode, false: 0}[r == 2]; code != want {
 			t.Errorf("rank %d exited %d, want %d:\n%s", r, code, want, outs[r])
 		}
 	}
-	if err := checkSurvivorAgreement(io.Discard, 4, 2, -1, func(r int) []byte { return []byte(outs[r]) }); err != nil {
+	if err := checkSurvivorAgreement(io.Discard, 4, 2, func(r int) []byte { return []byte(outs[r]) }); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := finalLoss([]byte(outs[0])); got != 1.3716933673129921 {
-		t.Errorf("survivors finished at %.17g, want 1.3716933673129921", got)
+	if want := "final global loss 1.3716933673129921 "; !strings.Contains(outs[0], want) {
+		t.Errorf("rank 0 did not print %q:\n%s", want, outs[0])
 	}
 }
 
@@ -421,43 +421,48 @@ func TestParseHosts(t *testing.T) {
 	}
 }
 
-func TestFinalLoss(t *testing.T) {
-	tricky := 0.1 + 0.2 // not 0.3: %.17g must round-trip it bit for bit
+func TestPrintedDigest(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		out  string
-		want float64
+		want uint64
 		ok   bool
 	}{
-		{"rank line", fmt.Sprintf("node 1: resumed at step 4\nnode 1: final global loss %.17g over 8 iterations\n", tricky), tricky, true},
-		{"no loss line", "node 1: served 8 rounds\n", 0, false},
+		{"rank line", "node 1: final global loss 1.5 over 8 iterations\nnode 1: weights digest 8f3a0000000000c1\n", 0x8f3a0000000000c1, true},
+		{"no digest line", "node 1: served 8 rounds\n", 0, false},
 		{"empty output", "", 0, false},
-		{"unparsable value", "node 1: final global loss x1.5 over 8 iterations\n", 0, false},
-		{"first parsable line wins", "final global loss ?\nfinal global loss 2.5\nfinal global loss 3\n", 2.5, true},
+		{"unparsable value", "node 1: weights digest x1\n", 0, false},
+		{"wider than 64 bits", "node 1: weights digest 10000000000000000\n", 0, false},
+		{"first parsable line wins", "weights digest ?\nweights digest 2a\nweights digest 3\n", 0x2a, true},
 	} {
-		got, ok := finalLoss([]byte(c.out))
-		if ok != c.ok || math.Float64bits(got) != math.Float64bits(c.want) {
-			t.Errorf("%s: finalLoss = %v, %v; want %v, %v", c.name, got, ok, c.want, c.ok)
+		got, ok := printedDigest([]byte(c.out))
+		if ok != c.ok || got != c.want {
+			t.Errorf("%s: printedDigest = %x, %v; want %x, %v", c.name, got, ok, c.want, c.ok)
 		}
 	}
 }
 
+// TestCheckSurvivorAgreement: the kill gate compares the survivors'
+// weights, not their global losses, which every survivor reduces from the
+// same gathered scalars and so shares even when the weights split.
 func TestCheckSurvivorAgreement(t *testing.T) {
-	line := func(v float64) []byte { return []byte(fmt.Sprintf("final global loss %.17g over 8 iterations\n", v)) }
-	loss := 1.3716933673129921
-	nextUp := math.Nextafter(loss, 2)
+	out := func(digest uint64) []byte {
+		return []byte(fmt.Sprintf("node 0: final global loss 1.3716933673129921 over 8 iterations\nnode 0: weights digest %016x\n", digest))
+	}
+	const digest = 0x9e3779b97f4a7c15
 	for _, c := range []struct {
-		name              string
-		killR, serverRank int
-		outs              map[int][]byte
-		refused           string
+		name           string
+		workers, killR int
+		outs           map[int][]byte
+		refused        string
 	}{
-		{"survivors agree", 2, -1, map[int][]byte{0: line(loss), 1: line(loss), 3: line(loss)}, ""},
-		{"server and victim print nothing", 1, 3, map[int][]byte{0: line(loss), 2: line(loss)}, ""},
-		{"one ulp apart", 2, -1, map[int][]byte{0: line(loss), 1: line(nextUp), 3: line(loss)}, "diverged"},
-		{"silent survivor", 2, -1, map[int][]byte{0: line(loss), 3: line(loss)}, "rank 1 printed no final global loss"},
+		{"survivors agree", 4, 2, map[int][]byte{0: out(digest), 1: out(digest), 3: out(digest)}, ""},
+		{"server and victim print nothing", 3, 1, map[int][]byte{0: out(digest), 2: out(digest)}, ""},
+		{"equal losses, weights one bit apart", 4, 2, map[int][]byte{0: out(digest), 1: out(digest ^ 1), 3: out(digest)}, "diverged"},
+		{"silent survivor", 4, 2, map[int][]byte{0: out(digest), 3: out(digest)}, "rank 1 printed no weights digest"},
+		{"loss but no digest", 4, 2, map[int][]byte{0: out(digest), 1: []byte("node 1: final global loss 1.5 over 8 iterations\n"), 3: out(digest)}, "rank 1 printed no weights digest"},
 	} {
-		err := checkSurvivorAgreement(io.Discard, 4, c.killR, c.serverRank, func(r int) []byte { return c.outs[r] })
+		err := checkSurvivorAgreement(io.Discard, c.workers, c.killR, func(r int) []byte { return c.outs[r] })
 		switch {
 		case c.refused == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)

@@ -142,9 +142,6 @@ func (c Config) Validate() error {
 	if c.MaxStepRetries > 0 && nodes > maxMembers {
 		return fmt.Errorf("cluster: MaxStepRetries = %d over %d nodes: elastic membership holds at most %d", c.MaxStepRetries, nodes, maxMembers)
 	}
-	if c.Rank == c.Workers && c.Collective != netsim.CollectivePS {
-		return fmt.Errorf("cluster: Rank = %d is the server slot, which only CollectivePS has", c.Rank)
-	}
 	if c.Rank < 0 || c.Rank >= nodes {
 		return fmt.Errorf("cluster: Rank = %d outside the %d-node deployment", c.Rank, nodes)
 	}

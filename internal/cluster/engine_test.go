@@ -318,7 +318,7 @@ func TestConfigValidate(t *testing.T) {
 		{"no-retries-over-64-nodes", Config{Workers: 100, Collective: netsim.CollectiveAllGather}, ""},
 		{"rank-negative", Config{Workers: 2, Collective: netsim.CollectiveAllGather, Rank: -1}, "outside the 2-node deployment"},
 		{"rank-out-of-range", Config{Workers: 2, Rank: 4, Collective: netsim.CollectivePS}, "outside the 3-node deployment"},
-		{"server-slot-without-ps", Config{Workers: 2, Rank: 2, Collective: netsim.CollectiveAllGather}, "server slot"},
+		{"server-slot-without-ps", Config{Workers: 2, Rank: 2, Collective: netsim.CollectiveAllGather}, "outside the 2-node deployment"},
 		{"transport-too-small", Config{Workers: 2, Collective: netsim.CollectivePS, Transport: small}, "transport has 2 nodes, need 3"},
 	} {
 		err := tc.cfg.Validate()

@@ -345,13 +345,6 @@ func TestKillRankSurfacesClassifiedError(t *testing.T) {
 							continue
 						}
 						if r.err == nil {
-							// The server treats a closed transport as clean
-							// shutdown (its documented stop signal): when a
-							// fail-stopping worker closes a shared transport,
-							// a nil Serve result is correct.
-							if r.rank == workers && tc.coll == netsim.CollectivePS {
-								continue
-							}
 							t.Errorf("rank %d finished step 1 despite the dead peer", r.rank)
 							continue
 						}

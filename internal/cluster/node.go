@@ -567,26 +567,19 @@ func scalarSum(members []int, sgath [][]byte) (float64, error) {
 	return sum, nil
 }
 
-// Serve runs the parameter-server loop (Rank == Workers): one
-// aggregation round per worker exchange, tagged first, first+1, … — the
-// steps the workers run, so a deployment resumed from a checkpoint passes
-// the checkpoint's step and the server's telemetry lines up with theirs.
-// rounds > 0 serves exactly that many rounds — the deterministic shutdown
-// of a fixed-iteration deployment, where the server is told the step
-// count every worker was told. rounds <= 0 serves until the transport
-// closes (the closure is the shutdown signal, so it returns nil rather
-// than an error); note a peer merely dropping its connections does not
-// close this node's transport, so unbounded serving needs an external
-// Close.
+// Serve runs the parameter-server loop (Rank == Workers): exactly rounds
+// aggregation rounds, one per worker exchange, tagged first, first+1, … —
+// the steps the workers run, so a deployment resumed from a checkpoint
+// passes the checkpoint's step and the server's telemetry lines up with
+// theirs. The server is told the step count every worker was told, so a
+// fixed-iteration deployment shuts down deterministically; a round that
+// fails — the transport closed under it included — is an error.
 func (n *Node) Serve(first, rounds int) error {
 	if n.cfg.Rank != n.cfg.Workers {
 		return fmt.Errorf("cluster: Serve on rank %d, want the server rank %d under PS", n.cfg.Rank, n.cfg.Workers) //sidco:errclass caller misuse, deliberately fatal
 	}
-	for step := first; rounds <= 0 || step < first+rounds; step++ {
+	for step := first; step < first+rounds; step++ {
 		if err := n.serveRound(step); err != nil {
-			if errors.Is(err, ErrClosed) {
-				return nil
-			}
 			return err
 		}
 	}

@@ -298,13 +298,11 @@ func workerSeed(seed int64, w int) int64 {
 // Dim returns the model parameter count d.
 func (t *Trainer) Dim() int { return t.dim }
 
-// Params exposes the model's trainable parameters (for weight
-// inspection in tests and checkpoint-style tooling). After a Step each
-// parameter's G aliases the flat gradient buffer of the last worker to
-// run its pass, which clipping and compression have rewritten since: read
-// gradients through OnGradient, not through G.
-//
-//sidco:oracle the weights the bit-identity and resume tests compare
+// Params exposes the model's trainable parameters: the weights
+// sidco-node digests and the bit-identity and resume tests compare. After
+// a Step each parameter's G aliases the flat gradient buffer of the last
+// worker to run its pass, which clipping and compression have rewritten
+// since: read gradients through OnGradient, not through G.
 func (t *Trainer) Params() []*nn.Param { return t.params }
 
 // localGradient runs one worker's half-step: batch draw, forward,
