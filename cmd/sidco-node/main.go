@@ -42,8 +42,9 @@
 // child (-telemetry FILE becomes FILE.rankR per process).
 //
 // Fault injection: -kill-rank R@K, the same in every process (the
-// launcher forwards it), makes rank R exit just before step K; the
-// launcher requires the survivors' printed weights digests equal.
+// launcher forwards it), makes rank R exit just before step K; under
+// -check the launcher requires the survivors' printed weights digests
+// equal.
 //
 // Exit status: 0 for a finished run (and -h), 1 for a refused or failed
 // one, 2 for a flag that does not parse, 3 for the planned death of a
@@ -184,7 +185,7 @@ func newDeployment(stderr io.Writer) *deployment {
 	fs.DurationVar(&d.launchTimeout, "launch-timeout", 2*time.Minute, "watchdog for -launch: kill the deployment and fail if it has not finished by then")
 	fs.DurationVar(&d.stepTimeout, "step-timeout", 0, "per-collective-step receive budget; 0 blocks forever. Fault-tolerant runs need it to detect dead peers")
 	fs.IntVar(&d.stepRetries, "step-retries", 0, "elastic recovery: retry a failed step this many times over the renegotiated survivor group (needs -step-timeout > 0)")
-	fs.StringVar(&d.killRank, "kill-rank", "", fmt.Sprintf("fault injection, R@K: rank R exits with code %d immediately before step K's exchange (every process of a deployment takes the same value; needs -step-timeout and -step-retries, defaulted on); -launch gates on the survivors finishing with identical weights", killExitCode))
+	fs.StringVar(&d.killRank, "kill-rank", "", fmt.Sprintf("fault injection, R@K: rank R exits with code %d immediately before step K's exchange (every process of a deployment takes the same value; needs -step-timeout and -step-retries, defaulted on); -launch -check gates on the survivors finishing with identical weights", killExitCode))
 	fs.StringVar(&d.ckpt, "ckpt", "", "write this rank's resume state to PREFIX.rankR (atomic replace) every -ckpt-every steps and after the final step")
 	fs.IntVar(&d.ckptEvery, "ckpt-every", 1, "checkpoint cadence in steps for -ckpt")
 	fs.StringVar(&d.resume, "resume", "", "resume from PREFIX.rankR written by -ckpt; -iters stays the TOTAL step count, the process runs the remaining steps. Bit-identical resume needs a compressor whose only cross-step state is the EC residual (topk, redsync, none, sidco-*; not dgc, randomk or gaussiank, which -check therefore refuses)")
@@ -201,8 +202,9 @@ var wireFormats = map[string]encoding.Format{
 
 // resolve parses and checks the flags once and refuses, before a port is
 // reserved, a socket dialled or a child spawned, every run that cannot
-// work: an unknown collective, wire or compressor, a ratio the trainer
-// rejects, a checkpoint cadence below 1, a kill target that does not fit,
+// work: a node flag (-node, -hosts, -hostfile) under -launch, an unknown
+// collective, wire or compressor, a ratio the trainer rejects, a
+// checkpoint cadence below 1, a kill target that does not fit,
 // a cluster configuration cluster.Config.Validate refuses (a node outside
 // the host list, a ps list with no worker, a lossy wire on the ring among
 // them), a -check no run could pass (checkViable), a resume with nothing
@@ -212,6 +214,18 @@ var wireFormats = map[string]encoding.Format{
 func (d *deployment) resolve() error {
 	if d.launch <= 0 && d.node < 0 {
 		return fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
+	}
+	if d.launch > 0 {
+		var nodeFlag string
+		d.flags.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "node", "hosts", "hostfile":
+				nodeFlag = f.Name
+			}
+		})
+		if nodeFlag != "" {
+			return fmt.Errorf("-%s under -launch: the launcher numbers its own ranks on loopback ports; pass -launch N, or -node R -hosts ... to be one node", nodeFlag)
+		}
 	}
 	if d.iters < 1 {
 		return fmt.Errorf("-iters %d, need >= 1", d.iters)
@@ -747,13 +761,13 @@ func checkMetricsEndpoint(stdout io.Writer, addr string, nd *cluster.Node, wantM
 // the launcher's own, with the per-rank rewrites — its rank and the host
 // list; its own kernel-assigned metrics port, since children cannot share
 // a fixed address; its own telemetry file; and no -check under -kill-rank,
-// where the launcher's survivor gate is the check.
+// where the launcher's survivor gate (under -check) is the check.
 func childArgs(d *deployment, rank int, addrs []string) []string {
 	args := []string{"-node", strconv.Itoa(rank), "-hosts", strings.Join(addrs, ",")}
 	d.flags.Visit(func(f *flag.Flag) {
 		v := f.Value.String()
 		switch f.Name {
-		case "launch", "launch-timeout", "node", "hosts", "hostfile":
+		case "launch", "launch-timeout":
 			return
 		case "check":
 			if d.killR >= 0 {
@@ -861,8 +875,10 @@ func runLaunch(d *deployment, stdout, stderr io.Writer) error {
 		if !expectedKill(kc) {
 			return fmt.Errorf("kill-rank: rank %d was scheduled to die before step %d but exited with %v", d.killR, d.killStep, kc.err)
 		}
-		if err := checkSurvivorAgreement(stdout, d.workers, d.killR, func(r int) []byte { return children[r].out.Bytes() }); err != nil {
-			return err
+		if d.check {
+			if err := checkSurvivorAgreement(stdout, d.workers, d.killR, func(r int) []byte { return children[r].out.Bytes() }); err != nil {
+				return err
+			}
 		}
 		fmt.Fprintf(stdout, "launch: rank %d killed at step %d, %d survivors finished cleanly\n", d.killR, d.killStep, d.nodes-1)
 		return nil
@@ -914,7 +930,7 @@ func printedDigest(out []byte) (uint64, bool) {
 	return 0, false
 }
 
-// checkSurvivorAgreement is the kill-mode gate: every worker rank but
+// checkSurvivorAgreement is the kill-mode -check gate: every worker rank but
 // the target must have printed its weights digest, and — because the
 // renegotiated group applies the same mean, reduced in the same member
 // order, to the same weights everywhere — the digests must be equal. A

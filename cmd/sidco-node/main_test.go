@@ -192,6 +192,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"node -check under -kill-rank", append(slices.Clone(node), "-kill-rank", "0@2", "-check"), 1, "run the deployment with -launch"},
 		{"node outside the host list", []string{"-node", "2", "-hosts", "127.0.0.1:0,127.0.0.1:0"}, 1, "cluster: Rank = 2 outside the 2-node deployment"},
 		{"one-host ps list", []string{"-node", "0", "-hosts", "127.0.0.1:0", "-collective", "ps"}, 1, "cluster: Workers = 0, need >= 1"},
+		{"-node under -launch", []string{"-launch", "2", "-node", "5", "-iters", "2"}, 1, "-node under -launch"},
+		{"-hosts under -launch", []string{"-launch", "2", "-hosts", "127.0.0.1:0,127.0.0.1:0"}, 1, "-hosts under -launch"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -343,18 +345,22 @@ func TestRanksKillInProcess(t *testing.T) {
 // binary (TestMain).
 func TestLaunch(t *testing.T) {
 	tel := filepath.Join(t.TempDir(), "tr")
+	const gate = "kill-rank check passed: survivors agree"
 	for _, c := range []struct {
-		name string
-		args []string
-		want string
+		name      string
+		args      []string
+		want, not string
 	}{
-		{"check, metrics, telemetry", []string{"-launch", "2", "-check", "-metrics", "auto", "-telemetry", tel}, "launch trace check: "},
-		{"kill-rank", []string{"-launch", "3", "-iters", "4", "-kill-rank", "1@2", "-check"}, "launch: rank 1 killed at step 2, 2 survivors finished cleanly"},
+		{"check, metrics, telemetry", []string{"-launch", "2", "-check", "-metrics", "auto", "-telemetry", tel}, "launch trace check: ", gate},
+		{"kill-rank", []string{"-launch", "3", "-iters", "4", "-kill-rank", "1@2", "-check"}, gate, ""},
+		// Without -check the survivor gate does not run.
+		{"kill-rank without -check", []string{"-launch", "3", "-iters", "4", "-kill-rank", "1@2"}, "launch: rank 1 killed at step 2, 2 survivors finished cleanly", gate},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := run(c.args, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), c.want) {
-				t.Errorf("exit %d, want 0 printing %q\nstdout:\n%s\nstderr:\n%s", code, c.want, stdout.String(), stderr.String())
+			code := run(c.args, &stdout, &stderr)
+			if out := stdout.String(); code != 0 || !strings.Contains(out, c.want) || (c.not != "" && strings.Contains(out, c.not)) {
+				t.Errorf("exit %d, want 0 printing %q and not %q\nstdout:\n%s\nstderr:\n%s", code, c.want, c.not, out, stderr.String())
 			}
 		})
 	}

@@ -370,15 +370,17 @@ func TestEngineExchangeSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		coll    netsim.Collective
+		format  encoding.Format
 		delta   float64
 		ceiling float64
 	}{
-		{"ring", netsim.CollectiveRing, 0, workers},
-		{"allgather", netsim.CollectiveAllGather, 0.05, 0},
-		{"ps", netsim.CollectivePS, 0.05, 0},
+		{"ring", netsim.CollectiveRing, 0, 0, workers},
+		{"allgather", netsim.CollectiveAllGather, 0, 0.05, 0},
+		{"ps", netsim.CollectivePS, 0, 0.05, 0},
+		{"ps-bitmap", netsim.CollectivePS, encoding.FormatBitmap, 0.05, 0},
 	} {
 		ins := randomInputs(t, workers, dim, tc.delta, 5)
-		e, err := New(Config{Workers: workers, Collective: tc.coll})
+		e, err := New(Config{Workers: workers, Collective: tc.coll, Format: tc.format})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -299,34 +299,43 @@ func releaseGathered(rel releaser, members []int, self int, bufs [][]byte) {
 
 // psServeGroup is the server half of the parameter-server exchange: one
 // push per surviving worker, received in member (ascending-rank) order —
-// the order that keeps aggregation deterministic — then the reply
-// broadcast to the same set; 2N messages across both halves. combine sees
-// both the member position (0 = first survivor, which defines the round's
-// dimension) and the worker's node id; a push goes back to a lending
-// transport once combine returns.
-func psServeGroup(tp Transport, recv linkRecv, server int, workers []int, combine func(pos, worker int, payload []byte) error, reply func() ([]byte, error)) error {
+// the order that keeps aggregation deterministic — and held, then reduce
+// merges the held pushes (indexed by member position) into the reply,
+// which is broadcast to the same set; 2N messages across both halves.
+// pushes (reused storage, may be nil) is grown to the member count and
+// returned. The pushes go back to a lending transport once reduce has
+// returned, so reduce may read them where they landed; a failed receive
+// hands back the ones already held.
+func psServeGroup(tp Transport, recv linkRecv, server int, workers []int, pushes [][]byte, reduce func(pushes [][]byte) ([]byte, error)) ([][]byte, error) {
 	rel := releaserOf(tp)
-	for pos, w := range workers {
+	pushes = pushes[:0]
+	for _, w := range workers {
 		payload, err := recv(server, w)
 		if err != nil {
-			return err
+			releasePushes(rel, server, workers, pushes)
+			return pushes, err
 		}
-		err = combine(pos, w, payload)
-		release(rel, server, w, payload)
-		if err != nil {
-			return fmt.Errorf("cluster: ps combine worker %d: %w", w, err)
-		}
+		pushes = append(pushes, payload)
 	}
-	out, err := reply()
+	out, err := reduce(pushes)
+	releasePushes(rel, server, workers, pushes)
 	if err != nil {
-		return fmt.Errorf("cluster: ps reply: %w", err)
+		return pushes, fmt.Errorf("cluster: ps reduce: %w", err)
 	}
 	for _, w := range workers {
 		if err := tp.Send(server, w, out); err != nil {
-			return err
+			return pushes, err
 		}
 	}
-	return nil
+	return pushes, nil
+}
+
+// releasePushes hands back, on a lending transport, the pushes held so far:
+// pushes[pos] came from workers[pos].
+func releasePushes(rel releaser, server int, workers []int, pushes [][]byte) {
+	for pos, p := range pushes {
+		release(rel, server, workers[pos], p)
+	}
 }
 
 // chunkBounds splits d elements into n near-equal chunks (the standard

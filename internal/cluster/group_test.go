@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/netsim"
+	"repro/internal/tensor"
 )
 
 // runAll executes f concurrently for nodes 0..n-1 and returns the first
@@ -142,6 +146,79 @@ func TestAllGatherReturnsAllPayloadsByOrigin(t *testing.T) {
 	}
 }
 
+// TestPSRefusesHostilePush: on both of the server's routes (the bitmap
+// merge and decode → merge → encode) a push DecodeInto refuses, a push in
+// a format the deployment does not ship and a push of another dimension
+// than the first fail the round with the pushing worker named, and the
+// broadcast never happens.
+func TestPSRefusesHostilePush(t *testing.T) {
+	const n, dim = 3, 77
+	sel := func(d int, f encoding.Format) []byte {
+		s := &tensor.Sparse{Dim: d}
+		for j := 0; j < d; j += 4 {
+			s.Append(int32(j), float64(j)+0.25)
+		}
+		buf, err := encoding.Encode(s, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	for _, format := range []encoding.Format{encoding.FormatBitmap, encoding.FormatPairs64, encoding.FormatPairsBF16} {
+		other := encoding.FormatPairs64
+		if format == encoding.FormatPairs64 {
+			other = encoding.FormatBitmap
+		}
+		good := sel(dim, format)
+		popcount := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(popcount[5:9], 3) // fewer than stored
+		for _, c := range []struct {
+			name string
+			push []byte
+			want string
+		}{
+			{"truncated", good[:len(good)-1], "size"},
+			{"empty", nil, "truncated header"},
+			{"count below the stored", popcount, "encoding: "},
+			{"retired format", append([]byte{3}, good[1:]...), "format"},
+			{"another kept format", sel(dim, other), "format"},
+			{"another dim", sel(dim+1, format), "dim"},
+		} {
+			for bad := 0; bad < n; bad++ {
+				if bad == 0 && c.name == "another dim" {
+					continue // the first push sets the round's dim
+				}
+				t.Run(fmt.Sprintf("%v/%s/worker%d", format, c.name, bad), func(t *testing.T) {
+					tp, err := NewChanTransport(n + 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tp.Close()
+					for w := 0; w < n; w++ {
+						push := good
+						if w == bad {
+							push = c.push
+						}
+						if err := tp.Send(w, n, push); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var srv psServer
+					err = srv.round(tp, tp.Recv, n, identityMembers(n), format)
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("worker %d: ", bad)) || !strings.Contains(err.Error(), c.want) {
+						t.Fatalf("round returned %v, want a refusal naming worker %d (%q)", err, bad, c.want)
+					}
+					for w := 0; w < n; w++ {
+						if _, err := tp.RecvTimeout(w, n, 0); err == nil {
+							t.Fatalf("worker %d got a reply to a refused round", w)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestParameterServerExchange(t *testing.T) {
 	n := 4
 	tp, err := NewChanTransport(n + 1)
@@ -150,17 +227,19 @@ func TestParameterServerExchange(t *testing.T) {
 	}
 	server := n
 	replies := make([][]byte, n)
-	var sum int
-	var order []int
+	var held [][]byte
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- psServeGroup(tp, tp.Recv, server, identityMembers(n),
-			func(_, worker int, payload []byte) error {
-				order = append(order, worker)
-				sum += int(payload[0])
-				return nil
-			},
-			func() ([]byte, error) { return []byte{byte(sum)}, nil })
+		_, err := psServeGroup(tp, tp.Recv, server, identityMembers(n), nil,
+			func(pushes [][]byte) ([]byte, error) {
+				held = pushes
+				sum := 0
+				for _, p := range pushes {
+					sum += int(p[0])
+				}
+				return []byte{byte(sum)}, nil
+			})
+		serverErr <- err
 	}()
 	if err := runAll(n, func(node int) error {
 		r, err := pushPull(tp, node, server, []byte{byte(10 * (node + 1))})
@@ -177,9 +256,9 @@ func TestParameterServerExchange(t *testing.T) {
 			t.Errorf("worker %d reply %v, want [100]", w, r)
 		}
 	}
-	for w, o := range order {
-		if o != w {
-			t.Fatalf("server combined in order %v, want worker-index order", order)
+	for w, p := range held {
+		if len(p) != 1 || int(p[0]) != 10*(w+1) {
+			t.Fatalf("server held push %v at position %d, want worker %d's", p, w, w)
 		}
 	}
 	tp.Close()
@@ -247,9 +326,9 @@ func TestCollectiveMessageCountsMatchNetsimFormulas(t *testing.T) {
 			tp := NewInstrumented(inner, nil)
 			serverErr := make(chan error, 1)
 			go func() {
-				serverErr <- psServeGroup(tp, tp.Recv, n, identityMembers(n),
-					func(int, int, []byte) error { return nil },
-					func() ([]byte, error) { return make([]byte, 40), nil })
+				_, err := psServeGroup(tp, tp.Recv, n, identityMembers(n), nil,
+					func([][]byte) ([]byte, error) { return make([]byte, 40), nil })
+				serverErr <- err
 			}()
 			if err := runAll(n, func(node int) error {
 				_, err := pushPull(tp, node, n, make([]byte, 25))
@@ -320,9 +399,9 @@ func TestVirtualTimeMatchesNetsimAlphaBeta(t *testing.T) {
 		push, pull := 120, 4096
 		serverErr := make(chan error, 1)
 		go func() {
-			serverErr <- psServeGroup(tp, tp.Recv, n, identityMembers(n),
-				func(int, int, []byte) error { return nil },
-				func() ([]byte, error) { return make([]byte, pull), nil })
+			_, err := psServeGroup(tp, tp.Recv, n, identityMembers(n), nil,
+				func([][]byte) ([]byte, error) { return make([]byte, pull), nil })
+			serverErr <- err
 		}()
 		if err := runAll(n, func(node int) error {
 			_, err := pushPull(tp, node, n, make([]byte, push))

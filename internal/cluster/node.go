@@ -61,8 +61,7 @@ type nodeScratch struct {
 	full    tensor.Sparse // full-support view of a dense gradient
 	ident   []int32       // 0..dim-1 ramp for dense-as-sparse views
 
-	// Decoded origins and their merge under all-gather; under PS mean
-	// alone, holding the server's reply.
+	// Decoded origins and their merge under all-gather.
 	reduceBufs
 }
 
@@ -118,23 +117,23 @@ func (n *Node) runCollective(jb job) error {
 }
 
 // takeReply leaves the server's reply where the job says: decoded into the
-// merged mean, and assigned into a dense out.
+// merged mean, or straight into a dense out (encoding.DecodeDenseInto,
+// nothing sparse in between).
 func (n *Node) takeReply(jb job, reply []byte) error {
-	mean := jb.meanInto(&n.sc.mean)
-	if mean == nil {
-		return nil // took delivery of the reply; rank 0 decodes the same bytes
+	switch {
+	case jb.mean != nil:
+		if err := encoding.DecodeInto(jb.mean, reply); err != nil {
+			return fmt.Errorf("decoding server reply: %w", err)
+		}
+		if jb.mean.Dim != jb.dim {
+			return fmt.Errorf("server reply has dim %d, want %d", jb.mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		}
+	case jb.out != nil:
+		if err := encoding.DecodeDenseInto(jb.out, reply); err != nil {
+			return fmt.Errorf("decoding server reply: %w", err)
+		}
 	}
-	if err := encoding.DecodeInto(mean, reply); err != nil {
-		return fmt.Errorf("decoding server reply: %w", err)
-	}
-	if mean.Dim != jb.dim {
-		return fmt.Errorf("server reply has dim %d, want %d", mean.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-	}
-	if out := jb.out; out != nil {
-		tensor.Zero(out)
-		scatter(mean, out)
-	}
-	return nil
+	return nil // with neither, took delivery; rank 0 decodes the same bytes
 }
 
 // runAllGather executes the sparse all-gather for one node: encode the
@@ -245,45 +244,76 @@ func (b *reduceBufs) grow(n int) []tensor.Sparse {
 }
 
 // psServer is the parameter-server node's reusable aggregation state,
-// kept on the server Node across rounds: one decode target per worker,
-// the merged mean and its encoding.
+// kept on the server Node across rounds: the held pushes, one decode
+// target per worker and their merged mean (the decoding route), the
+// bitmap merge's read state, and the reply's encoding.
 type psServer struct {
 	reduceBufs
-	wire []byte
+	pushes [][]byte
+	bitmap encoding.MeanBitmap
+	wire   []byte
 }
 
 // round serves one parameter-server exchange: receive every surviving
-// worker's push in worker-index order, combine, and broadcast the mean
-// over the surviving count.
+// worker's push in worker-index order, merge them into their mean over the
+// surviving count, and broadcast it. Every push must be in the
+// deployment's wire format, of the first push's dimension.
+//
+// Merging in worker-index order keeps the mean bit-identical to the
+// in-process reducer. A bitmap round merges the pushes where they landed
+// (encoding.MeanBitmap), the bytes the decoding route gives. Exact-zero
+// sums drop out of the reply; decoding restores them as zeros, so the
+// round-trip is value-preserving. The reply buffer is broadcast to every
+// worker and read within the round, so recycling it across rounds is
+// safe: the round barrier ends before reuse.
 func (s *psServer) round(tp Transport, recv linkRecv, server int, workers []int, format encoding.Format) error {
-	parts := s.grow(len(workers))
-	combine := func(pos, worker int, payload []byte) error {
-		if err := encoding.DecodeInto(&parts[pos], payload); err != nil {
-			return err
-		}
-		if parts[pos].Dim != parts[0].Dim {
-			return fmt.Errorf("worker %d pushed dim %d, want %d", worker, parts[pos].Dim, parts[0].Dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-		}
-		return nil
-	}
-	reply := func() ([]byte, error) {
-		// Merging in worker-index order (psServeGroup receives in
-		// ascending member order) keeps the mean bit-identical to the
-		// in-process reducer. Exact-zero sums drop out of the reply;
-		// decoding restores them as zeros, so the round-trip is
-		// value-preserving.
-		tensor.MeanSparseInto(&s.mean, parts)
+	reduce := func(pushes [][]byte) ([]byte, error) {
 		var err error
-		// The reply buffer is broadcast to every worker and read
-		// within the round, so recycling it across rounds is safe:
-		// the round barrier ends before reuse.
-		s.wire, err = encoding.EncodeTo(s.wire[:0], &s.mean, format)
-		if err != nil {
-			return nil, err
+		if format == encoding.FormatBitmap {
+			if s.wire, err = s.bitmap.AppendTo(s.wire[:0], pushes); err != nil {
+				return nil, refusedPush(workers, err)
+			}
+			return s.wire, nil
 		}
-		return s.wire, nil
+		parts := s.grow(len(pushes))
+		for pos, payload := range pushes {
+			err := decodePush(&parts[pos], payload, format)
+			if err == nil && parts[pos].Dim != parts[0].Dim {
+				err = fmt.Errorf("pushed dim %d, want %d", parts[pos].Dim, parts[0].Dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+			}
+			if err != nil {
+				return nil, fmt.Errorf("worker %d: %w", workers[pos], err) //sidco:errclass wire or geometry violation means a buggy peer, deliberately fatal
+			}
+		}
+		tensor.MeanSparseInto(&s.mean, parts)
+		s.wire, err = encoding.EncodeTo(s.wire[:0], &s.mean, format)
+		return s.wire, err
 	}
-	return psServeGroup(tp, recv, server, workers, combine, reply)
+	var err error
+	s.pushes, err = psServeGroup(tp, recv, server, workers, s.pushes, reduce)
+	return err
+}
+
+// refusedPush names the worker whose push the bitmap merge refused. It is
+// a function of its own because errors.As's target escapes to the heap:
+// only a refused round may pay that allocation.
+//
+//sidco:errclass wire or geometry violation means a buggy peer, deliberately fatal
+func refusedPush(workers []int, err error) error {
+	var pe *encoding.PushError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("worker %d: %w", workers[pe.Push], pe.Err)
+	}
+	return err
+}
+
+// decodePush decodes one push on the decoding route into part, refusing a
+// push not in the deployment's format.
+func decodePush(part *tensor.Sparse, payload []byte, format encoding.Format) error {
+	if len(payload) > 0 && encoding.Format(payload[0]) != format {
+		return fmt.Errorf("pushed format %v, the deployment ships %v", encoding.Format(payload[0]), format) //sidco:errclass wire violation means a buggy peer, deliberately fatal
+	}
+	return encoding.DecodeInto(part, payload)
 }
 
 // Node is one rank of a deployment (Config.Rank): the unit cmd/sidco-node

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/dist"
+	"repro/internal/encoding"
 	"repro/internal/netsim"
 	"repro/internal/tensor"
 )
@@ -48,16 +49,16 @@ func overTCP(t *testing.T, nodes int) Transport { return localTCP(t, nodes) }
 
 // runFreeRanks runs round(nd, rank, r) for r in [0, reuseRounds) on one
 // goroutine per worker rank, each over its own Node on one shared
-// transport, and reports the first failure. Under PS the server rank
-// serves the same rounds on a goroutine of its own.
-func runFreeRanks(t *testing.T, over ranksOver, n int, coll netsim.Collective, round func(nd *Node, rank, r int) error) {
+// transport shipping format, and reports the first failure. Under PS the
+// server rank serves the same rounds on a goroutine of its own.
+func runFreeRanks(t *testing.T, over ranksOver, n int, coll netsim.Collective, format encoding.Format, round func(nd *Node, rank, r int) error) {
 	t.Helper()
 	tp := over(t, NodeCount(n, coll))
 	defer tp.Close()
 	nodes := make([]*Node, NodeCount(n, coll))
 	for rank := range nodes {
 		var err error
-		if nodes[rank], err = NewNode(Config{Workers: n, Rank: rank, Collective: coll, Transport: tp}); err != nil {
+		if nodes[rank], err = NewNode(Config{Workers: n, Rank: rank, Collective: coll, Format: format, Transport: tp}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +148,7 @@ func freeRing(t *testing.T, over ranksOver) {
 			for rank := range srcs {
 				srcs[rank], outs[rank] = make([]float64, dim), make([]float64, dim)
 			}
-			runFreeRanks(t, over, n, netsim.CollectiveRing, func(nd *Node, rank, r int) error {
+			runFreeRanks(t, over, n, netsim.CollectiveRing, 0, func(nd *Node, rank, r int) error {
 				src, out := srcs[rank], outs[rank]
 				copy(src, grads[r][rank])
 				for i := range out {
@@ -173,24 +174,41 @@ func freeRing(t *testing.T, over ranksOver) {
 // peer is still decoding. Each rank rewrites its selection in place every
 // round; the merged mean must equal the in-process merge bit for bit.
 func TestSentBufferReuseAllGather(t *testing.T) {
-	freeSparse(t, overChannels, netsim.CollectiveAllGather)
+	freeSparse(t, overChannels, netsim.CollectiveAllGather, 0)
 }
 
 // TestReceivedBufferReleaseAllGather: over TCP a rank releases every
 // gathered payload once it has forwarded and decoded it.
 func TestReceivedBufferReleaseAllGather(t *testing.T) {
-	freeSparse(t, overTCP, netsim.CollectiveAllGather)
+	freeSparse(t, overTCP, netsim.CollectiveAllGather, 0)
 }
 
 // TestReceivedBufferReleasePS: over TCP the server releases each push once
-// decoded, and a worker the reply once decoded.
+// every push is merged, and a worker the reply once decoded.
 func TestReceivedBufferReleasePS(t *testing.T) {
-	freeSparse(t, overTCP, netsim.CollectivePS)
+	freeSparse(t, overTCP, netsim.CollectivePS, 0)
+}
+
+// TestSentBufferReusePSBitmap and TestReceivedBufferReleasePSBitmap: the
+// server merges bitmap pushes in the frames they arrived in
+// (encoding.MeanBitmap) and releases them after, and the dense pulls
+// decode the reply straight from its frame. Over channels and over TCP
+// every mean must be the decode → merge → encode reference's bit for bit.
+// (A push released before the merge would still be read intact: its link
+// carries the worker's next push only after the reply.)
+func TestSentBufferReusePSBitmap(t *testing.T) {
+	freeSparse(t, overChannels, netsim.CollectivePS, encoding.FormatBitmap)
+}
+
+func TestReceivedBufferReleasePSBitmap(t *testing.T) {
+	freeSparse(t, overTCP, netsim.CollectivePS, encoding.FormatBitmap)
 }
 
 // freeSparse runs free-running ranks exchanging top-k selections over a
-// sparse collective and checks every merged mean bit for bit.
-func freeSparse(t *testing.T, over ranksOver, coll netsim.Collective) {
+// sparse collective in the given wire format and checks every merged mean
+// bit for bit: even rounds pull it sparse (ExchangeSparse), odd rounds
+// dense (Exchange).
+func freeSparse(t *testing.T, over ranksOver, coll netsim.Collective, format encoding.Format) {
 	const dim = 96
 	for _, n := range []int{2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
@@ -206,20 +224,40 @@ func freeSparse(t *testing.T, over ranksOver, coll netsim.Collective) {
 					}
 					sel[r][rank] = *s
 				}
-				tensor.MeanSparseInto(&want[r], sel[r])
+				want[r] = wireMean(t, sel[r], format)
 			}
 			locals, means := make([]tensor.Sparse, n), make([]tensor.Sparse, n)
-			runFreeRanks(t, over, n, coll, func(nd *Node, rank, r int) error {
-				local, mean := &locals[rank], &means[rank]
+			outs := make([][]float64, n)
+			for rank := range outs {
+				outs[rank] = make([]float64, dim)
+			}
+			runFreeRanks(t, over, n, coll, format, func(nd *Node, rank, r int) error {
+				local, mean, out := &locals[rank], &means[rank], outs[rank]
 				local.CopyFrom(&sel[r][rank])
-				ok, err := nd.ExchangeSparse(r, []dist.ExchangeInput{{Worker: rank, Sparse: local}}, mean)
+				in := []dist.ExchangeInput{{Worker: rank, Sparse: local}}
+				w := &want[r]
+				if r%2 == 1 {
+					for i := range out {
+						out[i] = math.NaN()
+					}
+					if err := nd.Exchange(r, in, out); err != nil {
+						return err
+					}
+					dense := w.Dense()
+					for i, v := range out {
+						if math.Float64bits(v) != math.Float64bits(dense[i]) {
+							return fmt.Errorf("element %d = %v, want %v", i, v, dense[i])
+						}
+					}
+					return nil
+				}
+				ok, err := nd.ExchangeSparse(r, in, mean)
 				if err != nil {
 					return err
 				}
 				if !ok {
 					return fmt.Errorf("sparse round declined")
 				}
-				w := &want[r]
 				if mean.Dim != w.Dim || len(mean.Idx) != len(w.Idx) {
 					return fmt.Errorf("mean has %d of %d elements, want %d of %d", len(mean.Idx), mean.Dim, len(w.Idx), w.Dim)
 				}
@@ -232,4 +270,33 @@ func freeSparse(t *testing.T, over ranksOver, coll netsim.Collective) {
 			})
 		})
 	}
+}
+
+// wireMean is the in-process reference for a sparse round in format (0:
+// lossless): every selection encoded and decoded, the parts merged in
+// worker order, and the mean encoded and decoded again.
+func wireMean(t *testing.T, sel []tensor.Sparse, format encoding.Format) tensor.Sparse {
+	t.Helper()
+	var mean tensor.Sparse
+	if format == 0 {
+		tensor.MeanSparseInto(&mean, sel)
+		return mean
+	}
+	round := func(s *tensor.Sparse) *tensor.Sparse {
+		buf, err := encoding.Encode(s, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := encoding.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	parts := make([]tensor.Sparse, len(sel))
+	for w := range sel {
+		parts[w] = *round(&sel[w])
+	}
+	tensor.MeanSparseInto(&mean, parts)
+	return *round(&mean)
 }

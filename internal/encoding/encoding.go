@@ -19,13 +19,22 @@
 // 5 and 7 belonged to retired formats (float32 pairs, float32 dense,
 // delta-varint, binary16 pairs, int8 pairs): they stay reserved, no new
 // format takes them, and DecodeInto refuses them.
+//
+// A payload is decoded by DecodeInto into a sparse vector, or by
+// DecodeDenseInto straight into a dense one (a 64-element block of a
+// bitmap at a time, nothing sparse in between). MeanBitmap merges bitmap
+// payloads into the bitmap payload of their mean a 64-bit word at a
+// time, without decoding them: the parameter server's round. Both refuse
+// every buffer DecodeInto refuses. DecodeDenseInto leaves the values that
+// DecodeInto and assigning its elements into a cleared vector leave;
+// MeanBitmap gives the bytes that DecodeInto, tensor.MeanSparseInto and
+// EncodeTo give.
 package encoding
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -123,22 +132,6 @@ func putHeader(buf []byte, f Format, dim, nnz int) {
 	binary.LittleEndian.PutUint32(buf[5:9], uint32(nnz))
 }
 
-func appendBitmap(dst []byte, s *tensor.Sparse) []byte {
-	dst, buf := extend(dst, BitmapSize(s.Dim, s.NNZ()))
-	putHeader(buf, FormatBitmap, s.Dim, s.NNZ())
-	bitmap := buf[headerSize : headerSize+(s.Dim+7)/8]
-	clear(bitmap) // reused windows carry stale bits
-	for _, j := range s.Idx {
-		bitmap[j/8] |= 1 << (uint(j) % 8)
-	}
-	off := headerSize + len(bitmap)
-	for _, v := range s.Vals {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
-		off += 4
-	}
-	return dst
-}
-
 // Decode deserialises a gradient encoded by Encode. FormatPairs64 returns
 // values bit for bit; FormatBitmap rounds them through float32 and
 // FormatPairsBF16 through bfloat16. Decode never panics on malformed input: header
@@ -164,14 +157,9 @@ func Decode(buf []byte) (*tensor.Sparse, error) {
 //
 //sidco:hotpath
 func DecodeInto(s *tensor.Sparse, buf []byte) error {
-	if len(buf) < headerSize {
-		return fmt.Errorf("encoding: truncated header") //sidco:alloc corrupt-input error path, not steady state
-	}
-	f := Format(buf[0])
-	dim := int(binary.LittleEndian.Uint32(buf[1:5]))
-	nnz := int(binary.LittleEndian.Uint32(buf[5:9]))
-	if nnz > dim {
-		return fmt.Errorf("encoding: nnz %d exceeds dim %d", nnz, dim) //sidco:alloc corrupt-input error path, not steady state
+	f, dim, nnz, err := header(buf)
+	if err != nil {
+		return err
 	}
 	switch f {
 	case FormatBitmap:
@@ -181,58 +169,95 @@ func DecodeInto(s *tensor.Sparse, buf []byte) error {
 	case FormatPairsBF16:
 		return decodePairsBF16(s, buf, dim, nnz)
 	default:
-		return fmt.Errorf("encoding: unknown or retired format byte %d", buf[0]) //sidco:alloc corrupt-input error path, not steady state
+		return retiredError(f)
 	}
 }
 
-func decodeBitmap(s *tensor.Sparse, buf []byte, dim, nnz int) error {
-	if len(buf) != BitmapSize(dim, nnz) {
-		return fmt.Errorf("encoding: bitmap size %d, want %d", len(buf), BitmapSize(dim, nnz))
+// DecodeDenseInto decodes buf straight into the dense vector out, which
+// must have the payload's dim elements: a stored element gets its decoded
+// value and every other element +0 — what DecodeInto, clearing out and
+// assigning the stored elements leave, without the sparse vector in
+// between. It refuses every buffer DecodeInto refuses, and a dim other
+// than len(out); on error out may hold partial data. A bitmap payload is
+// written one 64-element block at a time: the block is cleared, then its
+// stored values assigned, so out is swept once.
+//
+//sidco:hotpath
+func DecodeDenseInto(out []float64, buf []byte) error {
+	f, dim, nnz, err := header(buf)
+	if err != nil {
+		return err
 	}
-	bitmap := buf[headerSize : headerSize+(dim+7)/8]
-	if dim%8 != 0 && bitmap[len(bitmap)-1]>>(uint(dim)%8) != 0 {
-		// Set padding bits past dim would make two distinct buffers decode
-		// identically; reject the non-canonical form.
-		return fmt.Errorf("encoding: bitmap padding bits set past dim %d", dim)
+	switch f {
+	case FormatBitmap:
+		return denseBitmap(out, buf, dim, nnz)
+	case FormatPairs64:
+		return densePairs(out, buf, dim, nnz, 12)
+	case FormatPairsBF16:
+		return densePairs(out, buf, dim, nnz, 6)
+	default:
+		return retiredError(f)
 	}
-	s.Reset(dim)
-	s.Grow(nnz)
-	// Walk the set bits a 64-bit word at a time (bit p of the
-	// little-endian word at byte b is index 8b+p; the last word is
-	// assembled from the < 8 tail bytes). The popcount is checked before
-	// a word's bits are appended, so a bitmap holding more bits than its
-	// header claims is refused without growing s.Idx past nnz.
-	idx := s.Idx
-	for b := 0; b < len(bitmap); b += 8 {
-		var w uint64
-		if rest := bitmap[b:]; len(rest) >= 8 {
-			w = binary.LittleEndian.Uint64(rest)
-		} else {
-			for i, by := range rest {
-				w |= uint64(by) << (8 * i)
-			}
-		}
-		if count := len(idx) + bits.OnesCount64(w); count > nnz {
-			return bitmapPopcountError(count, nnz)
-		}
-		for ; w != 0; w &= w - 1 {
-			idx = append(idx, int32(8*b+bits.TrailingZeros64(w)))
-		}
+}
+
+// header reads buf's header — format byte, dim and nnz — and refuses a
+// truncated one or an nnz above dim. The format byte is the caller's to
+// check.
+func header(buf []byte) (f Format, dim, nnz int, err error) {
+	if len(buf) < headerSize {
+		return 0, 0, 0, fmt.Errorf("encoding: truncated header")
 	}
-	s.Idx = idx
-	if len(idx) != nnz {
-		return bitmapPopcountError(len(idx), nnz)
+	f = Format(buf[0])
+	dim = int(binary.LittleEndian.Uint32(buf[1:5]))
+	nnz = int(binary.LittleEndian.Uint32(buf[5:9]))
+	if nnz > dim {
+		return 0, 0, 0, fmt.Errorf("encoding: nnz %d exceeds dim %d", nnz, dim)
 	}
-	off := headerSize + len(bitmap)
-	for i := 0; i < nnz; i++ {
-		s.Vals = append(s.Vals, float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))))
-		off += 4
+	return f, dim, nnz, nil
+}
+
+// retiredError refuses a format byte no kept format has.
+func retiredError(f Format) error {
+	return fmt.Errorf("encoding: unknown or retired format byte %d", int(f))
+}
+
+// checkDenseDim refuses a dense destination whose length is not the
+// payload's dim.
+func checkDenseDim(out []float64, dim int) error {
+	if len(out) != dim {
+		return fmt.Errorf("encoding: payload dim %d, dense destination has %d elements", dim, len(out))
 	}
 	return nil
 }
 
-// bitmapPopcountError reports a bitmap whose set bits (all of them, or
-// those counted when the decoder gave up) disagree with the header.
-func bitmapPopcountError(count, nnz int) error {
-	return fmt.Errorf("encoding: bitmap popcount %d, header says %d", count, nnz)
+// densePairs is DecodeDenseInto over a pair format whose pairs are stride
+// bytes, a uint32 index and the value (a float64 in a 12-byte pair, a
+// bfloat16 in a 6-byte one): out is cleared and each pair assigned, with
+// the refusals of DecodeInto in the same words (size, then indices
+// strictly ascending and below dim).
+func densePairs(out []float64, buf []byte, dim, nnz, stride int) error {
+	if want := headerSize + stride*nnz; len(buf) != want {
+		return fmt.Errorf("encoding: %v size %d, want %d", Format(buf[0]), len(buf), want)
+	}
+	if err := checkDenseDim(out, dim); err != nil {
+		return err
+	}
+	clear(out)
+	prev := int32(-1)
+	for off := headerSize; off < len(buf); off += stride {
+		j := int32(binary.LittleEndian.Uint32(buf[off:]))
+		if j <= prev {
+			return fmt.Errorf("tensor: indices not strictly ascending at %d", j)
+		}
+		if int(j) >= dim {
+			return fmt.Errorf("tensor: index %d out of range for dim %d", j, dim)
+		}
+		if stride == 12 {
+			out[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
+		} else {
+			out[j] = float64(bf16ToF32(binary.LittleEndian.Uint16(buf[off+4:])))
+		}
+		prev = j
+	}
+	return nil
 }
