@@ -4,12 +4,11 @@
 // global worker r through a Workers=1 dist.Trainer whose gradient
 // exchange is a cluster.Node over a TCPTransport, so the ring all-reduce
 // / all-gather / parameter-server schedules execute over real sockets.
-// On every collective the deployment reproduces bit-for-bit the global
-// losses of one in-process trainer reducing in the collective's order
-// (cluster.RingOrder under the ring), which -check asserts per process —
-// over the lossy all-gather wires (-format bitmap, pairs-bf16) too,
-// because error feedback pre-rounds every selected value to wire
-// precision before it ships.
+// On every collective and wire the deployment reproduces bit-for-bit the
+// global losses of one in-process trainer over cluster.Reference, which
+// -check asserts per process: the ring's order, or worker order with the
+// lossy wires' rounding (-format bitmap, pairs-bf16) of what ships and,
+// under the parameter server, of the mean it re-encodes.
 //
 // Host list: a comma-separated -hosts value or a -hostfile with one
 // host:port per line; entry i is node i's listen address. Under
@@ -22,7 +21,7 @@
 //	sidco-node -launch 4 -collective ps -compressor topk
 //	sidco-node -node 0 -hosts host0:7000,host1:7000,host2:7000 -iters 8
 //	sidco-node -node 2 -hostfile hosts.txt -collective allgather -check
-//	sidco-node -launch 4 -format pairs-bf16 -check  # bfloat16 wire (4x fewer value bytes), still bit-gated via EC pre-rounding
+//	sidco-node -launch 4 -format pairs-bf16 -check  # bfloat16 wire (4x fewer value bytes), still bit-gated
 //	sidco-node -launch 4 -metrics auto -check   # + per-process /metrics endpoints, scrape-verified
 //
 // -launch spawns the whole deployment on this machine (kernel-assigned
@@ -178,7 +177,7 @@ func newDeployment(stderr io.Writer) *deployment {
 	fs.Float64Var(&d.delta, "delta", 0.05, "compression ratio k/d")
 	fs.Int64Var(&d.seed, "seed", 1, "random seed")
 	fs.StringVar(&d.format, "format", "lossless", "gradient wire format: lossless (float64 pairs), bitmap (float32) or pairs-bf16 (lossy wires pair with error feedback, which absorbs the rounding residual)")
-	fs.BoolVar(&d.check, "check", false, "verify global losses bit-identical to an in-process trainer reducing in the collective's order, and per-node traffic against the collective formulas")
+	fs.BoolVar(&d.check, "check", false, "verify global losses bit-identical to an in-process trainer reducing as the collective and wire do (cluster.Reference), and per-node traffic against the collective formulas")
 	fs.StringVar(&d.metrics, "metrics", "", "serve /metrics, /healthz and /debug/pprof on this address (\"auto\": kernel-assigned loopback port)")
 	fs.StringVar(&d.telemetryPath, "telemetry", "", "stream telemetry events as JSONL to this file (per-rank suffix under -launch)")
 	fs.DurationVar(&d.dialTimeout, "dial-timeout", 10*time.Second, "per-link lazy-dial retry budget (peers may start later)")
@@ -207,10 +206,10 @@ var wireFormats = map[string]encoding.Format{
 // checkpoint cadence below 1, a kill target that does not fit,
 // a cluster configuration cluster.Config.Validate refuses (a node outside
 // the host list, a ps list with no worker, a lossy wire on the ring among
-// them), a -check no run could pass (checkViable), a resume with nothing
-// left to run, and a kill step the run never reaches or the resume has
-// already passed. -collective auto is resolved here, once, on whether a
-// compressor is on.
+// them), a -check of a resume the checkpoint cannot make bitwise
+// (checkViable), a resume with nothing left to run, and a kill step the
+// run never reaches or the resume has already passed. -collective auto is
+// resolved here, once, on whether a compressor is on.
 func (d *deployment) resolve() error {
 	if d.launch <= 0 && d.node < 0 {
 		return fmt.Errorf("pass -launch N for a loopback deployment, or -node R -hosts ... to be one node (see -h)")
@@ -427,10 +426,10 @@ func (nt *nodeTelemetry) close() {
 //
 // With a lossy -format and a compressor, both the deployment trainer and
 // the -check reference trainer pre-round every selected value to the
-// wire's precision through error feedback (TrainerConfig.ECWire): the
-// quantization residual feeds back into the next step, and — because the
-// emitted values are fixed points of the wire's rounding — what the
-// sockets deliver is exactly what the in-process reference computes.
+// wire's precision through error feedback (TrainerConfig.ECWire), so the
+// quantization residual feeds back into the next step. Without a
+// compressor the wire rounds the dense gradient as it ships, and
+// cluster.Reference rounds it the same way.
 func trainerFor(d *deployment, workers, firstWorker int, ex dist.GradientExchange, tel *telemetry.Tracer) (*dist.Trainer, error) {
 	var ecWire *encoding.Format
 	if d.compressed && d.wire != encoding.FormatPairs64 {
@@ -575,22 +574,6 @@ func checkViable(d *deployment) error {
 	if !d.check || d.killR >= 0 {
 		return nil
 	}
-	// The all-gather replays each worker's selection verbatim, and under a
-	// lossy wire with a compressor on, error feedback has pre-rounded it to
-	// a fixed point of the wire's rounding, so the sockets deliver exactly
-	// what the reference computes. The parameter server re-encodes the
-	// aggregated mean on the pull side — a mean of wire fixed points is not
-	// itself one — so only the lossless wire stays exact there.
-	switch d.coll {
-	case netsim.CollectiveAllGather:
-		if d.wire != encoding.FormatPairs64 && !d.compressed {
-			return fmt.Errorf("-check: -format %s is lossy and no compressor pre-rounds to it, so no bit-exact reference exists; use -format lossless, a compressor, or drop -check", d.format)
-		}
-	case netsim.CollectivePS:
-		if d.wire != encoding.FormatPairs64 {
-			return fmt.Errorf("-check: -format %s under ps re-encodes the mean on the pull, so no bit-exact reference exists; use -format lossless or drop -check", d.format)
-		}
-	}
 	if d.resume != "" && resumeNotBitwise[d.compressor] {
 		return fmt.Errorf("-check: -resume with %s cannot be bit-identical: its cross-step state beyond the error-feedback residual is not in the checkpoint; use topk, redsync or a sidco-* compressor, or drop -check", d.compressor)
 	}
@@ -598,19 +581,15 @@ func checkViable(d *deployment) error {
 }
 
 // checkNodeRun asserts this process saw exactly the run of an in-process
-// trainer reducing in the collective's order (cluster.RingOrder under the
-// ring): bit-identical global losses and per-node traffic matching the
-// collective step formulas. With -metrics it additionally scrapes this
-// process's own HTTP endpoint and asserts the exported counters agree.
+// trainer over the deployment's reference (cluster.Reference):
+// bit-identical global losses and per-node traffic matching the collective
+// step formulas. With -metrics it additionally scrapes this process's own
+// HTTP endpoint and asserts the exported counters agree.
 // Under -resume the reference runs the full -iters from scratch and the
 // comparison covers the resumed tail — a bitwise pass proves
 // checkpoint-resume reproduced the uninterrupted run exactly.
 func checkNodeRun(d *deployment, nd *cluster.Node, nt *nodeTelemetry, losses []float64, stdout io.Writer) error {
-	var ex dist.GradientExchange
-	if d.coll == netsim.CollectiveRing {
-		ex = cluster.RingOrder{}
-	}
-	ref, err := trainerFor(d, d.workers, 0, ex, nil)
+	ref, err := trainerFor(d, d.workers, 0, cluster.Reference(clusterConfig(d)), nil)
 	if err != nil {
 		return err
 	}

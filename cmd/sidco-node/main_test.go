@@ -59,9 +59,10 @@ func checkpointAt(t *testing.T, steps int) string {
 	return prefix
 }
 
-// TestCheckViable is the -check pre-flight's table: the runs whose
-// reference cannot be bit-exact are refused, every other run — and any
-// run without -check — passes untouched.
+// TestCheckViable is the -check pre-flight's table: a bitwise resume of a
+// compressor whose state the checkpoint lacks is refused, every other run —
+// lossy wires under the parameter server and under a dense all-gather
+// among them, and any run without -check — passes untouched.
 func TestCheckViable(t *testing.T) {
 	ck := checkpointAt(t, 1)
 	for _, c := range []struct {
@@ -74,8 +75,8 @@ func TestCheckViable(t *testing.T) {
 		{"lossless ps", netsim.CollectivePS, nil, ""},
 		{"ring, lossless", netsim.CollectiveRing, nil, ""},
 		{"bf16 all-gather, pre-rounded by EC", netsim.CollectiveAllGather, []string{"-format", "pairs-bf16"}, ""},
-		{"lossy ps re-encodes the mean", netsim.CollectivePS, []string{"-format", "bitmap"}, "re-encodes"},
-		{"lossy all-gather, nothing pre-rounds", netsim.CollectiveAllGather, []string{"-format", "bitmap", "-compressor", "none"}, "lossy"},
+		{"lossy ps: the reference rounds the re-encoded mean", netsim.CollectivePS, []string{"-format", "bitmap"}, ""},
+		{"lossy dense all-gather: the reference rounds every input", netsim.CollectiveAllGather, []string{"-format", "bitmap", "-compressor", "none"}, ""},
 		{"auto, dense, lossy: the ring encodes nothing", netsim.CollectiveAuto, []string{"-format", "bitmap", "-compressor", "none"}, "Format bitmap on the ring, which ships raw float64"},
 		{"auto, compressed, lossy: an all-gather EC pre-rounds for", netsim.CollectiveAuto, []string{"-format", "bitmap"}, ""},
 		{"lossy ps without -check", netsim.CollectivePS, []string{"-format", "bitmap", "-check=false"}, ""},
@@ -105,17 +106,13 @@ func TestCheckViable(t *testing.T) {
 
 // TestLaunchRefusesUnviableCheck: the launcher consults the predicate
 // before it reserves a port or spawns a child, so a -check no run could
-// pass fails at once.
+// pass — the one left, a bitwise resume of dgc — fails at once.
 func TestLaunchRefusesUnviableCheck(t *testing.T) {
-	for _, args := range [][]string{
-		{"-launch", "2", "-collective", "ps", "-format", "bitmap", "-iters", "30", "-check"},
-		{"-launch", "2", "-compressor", "dgc", "-iters", "8", "-resume", "ck", "-check"},
-	} {
-		var stdout, stderr bytes.Buffer
-		code := run(args, &stdout, &stderr)
-		if code != 1 || !strings.HasPrefix(stderr.String(), "sidco-node: -check:") || stdout.Len() != 0 {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 with the -check refusal and nothing launched", args, code, stdout.String(), stderr.String())
-		}
+	args := []string{"-launch", "2", "-compressor", "dgc", "-iters", "8", "-resume", "ck", "-check"}
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	if code != 1 || !strings.HasPrefix(stderr.String(), "sidco-node: -check:") || stdout.Len() != 0 {
+		t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 with the -check refusal and nothing launched", args, code, stdout.String(), stderr.String())
 	}
 }
 
@@ -277,6 +274,8 @@ func TestRanksInProcess(t *testing.T) {
 		{"ps", 3, same("-collective", "ps", "-compressor", "topk", "-check"), "bit-identical to in-process"},
 		{"ring", 4, same("-collective", "ring", "-compressor", "none", "-check"), "bit-identical to in-process"},
 		{"pairs-bf16", 3, same("-format", "pairs-bf16", "-check"), "bit-identical to in-process"},
+		{"ps bitmap", 3, same("-collective", "ps", "-compressor", "topk", "-format", "bitmap", "-check"), "bit-identical to in-process"},
+		{"dense all-gather pairs-bf16", 2, same("-compressor", "none", "-format", "pairs-bf16", "-check"), "bit-identical to in-process"},
 		{"metrics and telemetry", 3, func(r int) []string {
 			return []string{"-metrics", "127.0.0.1:0", "-telemetry", rankPath(tel, r), "-check"}
 		}, "(sparse after the selection)"},

@@ -32,14 +32,14 @@ type Config struct {
 	// its trainer compresses.
 	Collective netsim.Collective
 	// Format is the wire format for encoded gradient payloads. The zero
-	// value means encoding.FormatPairs64, the lossless format, which makes
+	// value means encoding.FormatPairs64, the lossless format, over which
 	// all-gather and parameter-server exchanges reproduce the in-process
 	// reducer bit-for-bit. encoding.FormatBitmap (float32 values) is the
 	// parameter server's cheapest wire at moderate densities, and
-	// encoding.FormatPairsBF16 the all-gather's on a slow link; with error
-	// feedback pre-rounding to either, the all-gather stays bit-identical
-	// too. The ring ships raw float64 and encodes nothing, so
-	// CollectiveRing takes the lossless format only.
+	// encoding.FormatPairsBF16 the all-gather's on a slow link; over
+	// either, every exchange reproduces Reference(cfg) bit-for-bit, which
+	// rounds what the wire rounds. The ring ships raw float64 and encodes
+	// nothing, so CollectiveRing takes the lossless format only.
 	Format encoding.Format
 	// Transport must span NodeCount(Workers, Collective) nodes. NewNode
 	// requires one — typically a TCPTransport hosting this rank over the

@@ -719,6 +719,77 @@ func TestTrainerOverChannelTransportBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesReference holds every deployment Config.Validate accepts
+// — each collective over each wire it takes, N = 2-5 — to the reference
+// Reference picks for it, dense and with top-k, SIDCo-E and SIDCo-GP
+// selections: losses and final weights bit-identical. Over a lossy wire
+// error feedback pre-rounds every selection, as sidco-node trains; the
+// dense rows leave the rounding to the wire.
+func TestEngineMatchesReference(t *testing.T) {
+	const iters = 5
+	for _, coll := range []netsim.Collective{netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS} {
+		for _, format := range []encoding.Format{encoding.FormatPairs64, encoding.FormatBitmap, encoding.FormatPairsBF16} {
+			for workers := 2; workers <= 5; workers++ {
+				cc := Config{Workers: workers, Collective: coll, Format: format}
+				if cc.Validate() != nil {
+					continue // a lossy wire on the ring
+				}
+				for _, comp := range []string{"", "topk", "sidco-e", "sidco-gp"} {
+					name := comp
+					if name == "" {
+						name = "none"
+					}
+					t.Run(fmt.Sprintf("%v/%v/n%d/%s", coll, format, workers, name), func(t *testing.T) {
+						wantLoss, wantW := trainTiny(t, workers, iters, comp, ecWire(comp, format), Reference(cc))
+						vc := cc
+						vc.Verify = true
+						e, err := New(vc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer e.Close()
+						gotLoss, gotW := trainTiny(t, workers, iters, comp, ecWire(comp, format), e)
+						requireBitIdentical(t, "loss", gotLoss, wantLoss)
+						requireBitIdentical(t, "weight", gotW, wantW)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestReferenceWithoutMeanRoundingDiffers gives TestEngineMatchesReference
+// its teeth over the parameter server: a reference that skips rounding the
+// mean to the wire trains other weights than the server, which re-encodes
+// it, over either lossy wire, dense and with top-k.
+func TestReferenceWithoutMeanRoundingDiffers(t *testing.T) {
+	const workers, iters = 3, 5
+	for _, format := range []encoding.Format{encoding.FormatBitmap, encoding.FormatPairsBF16} {
+		for _, comp := range []string{"", "topk"} {
+			e, err := New(Config{Workers: workers, Collective: netsim.CollectivePS, Format: format})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, gotW := trainTiny(t, workers, iters, comp, ecWire(comp, format), e)
+			e.Close()
+			_, mutW := trainTiny(t, workers, iters, comp, ecWire(comp, format), wireOrder{format: format})
+			if slices.Equal(gotW, mutW) {
+				t.Errorf("%v %q: the mutant reference without mean rounding trains the server's weights", format, comp)
+			}
+		}
+	}
+}
+
+// ecWire is the wire error feedback pre-rounds to in a deployment over
+// format training with comp, as sidco-node sets it: a lossy wire under a
+// compressor, else none.
+func ecWire(comp string, format encoding.Format) *encoding.Format {
+	if comp == "" || format == 0 || format == encoding.FormatPairs64 {
+		return nil
+	}
+	return &format
+}
+
 // trainTiny runs the tiny trainer (delta 0.1, seed 42) for iters steps
 // over ex — nil: the in-process reducer — with error feedback pre-rounding
 // to ecWire when that is set, and returns its losses and final weights.

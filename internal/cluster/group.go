@@ -4,9 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/dist"
+	"repro/internal/encoding"
+	"repro/internal/netsim"
+	"repro/internal/tensor"
 )
 
 // The collective schedules below are written from one node's
@@ -247,6 +251,79 @@ func (RingOrder) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 		}
 	}
 	return nil
+}
+
+// Reference returns the in-process exchange a deployment of cfg reproduces
+// bit for bit: RingOrder under the ring; under the all-gather and the
+// parameter server dist.InProcess over the lossless wire, and over a lossy
+// one wireOrder, which rounds what the wire rounds. It is the one place
+// that decides which reduction a deployment is held to.
+func Reference(cfg Config) dist.GradientExchange {
+	format := cfg.wireFormat()
+	switch {
+	case cfg.Collective == netsim.CollectiveRing:
+		return RingOrder{}
+	case format == encoding.FormatPairs64:
+		return dist.InProcess{}
+	}
+	return wireOrder{format: format, roundMean: cfg.Collective == netsim.CollectivePS}
+}
+
+// wireOrder is the in-process reference for the all-gather and the
+// parameter server over a lossy wire. Every input's values go through the
+// wire's rounding (encoding.RoundTripValues, which leaves values error
+// feedback has pre-rounded as they are) and are reduced in worker order as
+// dist.InProcess reduces them. With roundMean the mean goes through the
+// rounding again, as the parameter server's reply re-encodes it: the
+// server's merge is byte for byte decode, tensor.MeanSparseInto, encode.
+type wireOrder struct {
+	format    encoding.Format
+	roundMean bool
+}
+
+// Exchange implements dist.GradientExchange.
+func (o wireOrder) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
+	rounded, err := o.roundInputs(ins)
+	if err == nil {
+		err = (dist.InProcess{}).Exchange(step, rounded, agg)
+	}
+	if err == nil && o.roundMean {
+		err = encoding.RoundTripValues(o.format, agg)
+	}
+	return err
+}
+
+// ExchangeSparse implements dist.SparseExchange, declining the rounds
+// dist.InProcess declines.
+func (o wireOrder) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor.Sparse) (bool, error) {
+	rounded, err := o.roundInputs(ins)
+	if err != nil {
+		return false, err
+	}
+	sparse, err := (dist.InProcess{}).ExchangeSparse(step, rounded, mean)
+	if sparse && err == nil && o.roundMean {
+		err = encoding.RoundTripValues(o.format, mean.Vals)
+	}
+	return sparse, err
+}
+
+// roundInputs returns copies of ins whose values are what the wire
+// delivers; ins is left as it is.
+func (o wireOrder) roundInputs(ins []dist.ExchangeInput) ([]dist.ExchangeInput, error) {
+	out := make([]dist.ExchangeInput, len(ins))
+	for w, in := range ins {
+		vals := &in.Dense // what the wire carries: the selection, else the dense gradient
+		if in.Sparse != nil {
+			sp := *in.Sparse
+			in.Sparse, vals = &sp, &sp.Vals
+		}
+		*vals = slices.Clone(*vals)
+		if err := encoding.RoundTripValues(o.format, *vals); err != nil {
+			return nil, err
+		}
+		out[w] = in
+	}
+	return out, nil
 }
 
 // allGatherGroup circulates each member's payload once around the ring

@@ -326,9 +326,9 @@ func decodePush(part *tensor.Sparse, payload []byte, format encoding.Format) err
 //
 // Exchange leaves the global mean over all Workers contributions in agg,
 // so the local optimizer applies exactly the update every peer applies:
-// replicas that start from identical weights stay identical, and over
-// the lossless wire the whole deployment reproduces the in-process
-// trainer bit-for-bit.
+// replicas that start from identical weights stay identical, and the
+// whole deployment reproduces bit-for-bit the in-process trainer over
+// Reference(cfg).
 type Node struct {
 	cfg    Config
 	server int           // server node id under PS, else -1

@@ -160,7 +160,7 @@ func TestSparseRouteMatchesDenseRoute(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/nodes-tcp-%v", comp, coll), func(t *testing.T) {
 				for i, rt := range routes {
 					applied := make([]func() float64, workers)
-					got := runTCPDeployment(t, workers, iters, coll, comp, delta, seed, rt.mutate, func(c *dist.TrainerConfig) {
+					got := runTCPDeployment(t, Config{Workers: workers, Collective: coll}, iters, comp, delta, seed, rt.mutate, func(c *dist.TrainerConfig) {
 						applied[c.FirstWorker] = appliedPerStep(c)
 					})
 					for _, res := range got {

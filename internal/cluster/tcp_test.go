@@ -320,14 +320,15 @@ type rankResult struct {
 }
 
 // runTCPDeployment trains the one-node-per-transport topology of
-// cmd/sidco-node, minus process isolation: every rank gets its own
-// TCPTransport (hosting only itself over the shared host list), its own
-// Node and its own Workers=1 trainer whose FirstWorker is the rank (mutate,
-// if given, edits each rank's trainer configuration — its Exchange is the
-// rank's Node by then). It returns the per-rank results after asserting
-// every rank agrees.
-func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, comp string, delta float64, seed int64, mutate ...func(*dist.TrainerConfig)) []rankResult {
+// cmd/sidco-node, minus process isolation: every rank of the deployment cc
+// describes (Workers, Collective, Format) gets its own TCPTransport
+// (hosting only itself over the shared host list), its own Node and its own
+// Workers=1 trainer whose FirstWorker is the rank (mutate, if given, edits
+// each rank's trainer configuration — its Exchange is the rank's Node by
+// then). It returns the per-rank results after asserting every rank agrees.
+func runTCPDeployment(t *testing.T, cc Config, iters int, comp string, delta float64, seed int64, mutate ...func(*dist.TrainerConfig)) []rankResult {
 	t.Helper()
+	workers, coll := cc.Workers, cc.Collective
 	nodes := NodeCount(workers, coll)
 	addrs, err := FreeLoopbackAddrs(nodes)
 	if err != nil {
@@ -344,7 +345,7 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 		}
 		defer tp.Close()
 		nd, err := NewNode(NodeConfig{
-			Workers: workers, Rank: rank, Collective: coll, Transport: tp,
+			Workers: workers, Rank: rank, Collective: coll, Format: cc.Format, Transport: tp,
 		})
 		if err != nil {
 			res.err = err
@@ -440,43 +441,37 @@ func runTCPDeployment(t *testing.T, workers, iters int, coll netsim.Collective, 
 	return got
 }
 
-// refLosses trains the in-process reference with the full worker count,
-// reducing as ex does (nil: dist.InProcess).
-func refLosses(t *testing.T, workers, iters int, comp string, delta float64, seed int64, ex dist.GradientExchange) ([]float64, []float64) {
-	t.Helper()
-	tr := tinyTrainer(t, workers, comp, delta, seed, ex)
-	losses, _, err := tr.Run(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return losses, nn.FlattenWeights(tr.Params(), nil)
-}
-
 // TestNodeDeploymentBitIdentical is the multi-process acceptance check
 // in miniature: N separate single-node transports over loopback TCP,
-// each training its own worker, must reproduce the in-process trainer's
-// global loss sequence and final weights bit-for-bit — all-gather (named,
-// and as a compressing caller resolves Auto) and parameter server against
-// the worker-order reducer, the ring (dense, and with top-k selections
-// forced onto it) against RingOrder.
+// each training its own worker, must reproduce the global loss sequence
+// and final weights of the in-process trainer over Reference bit for bit —
+// all-gather (named, and as a compressing caller resolves Auto), parameter
+// server (lossless, and over the bitmap wire, whose re-encoded mean the
+// reference rounds) and the ring (dense, and with top-k selections forced
+// onto it). Over a lossy wire error feedback pre-rounds every selection,
+// as sidco-node trains.
 func TestNodeDeploymentBitIdentical(t *testing.T) {
 	const workers, iters = 3, 4
 	cases := []struct {
-		name string
-		coll netsim.Collective
-		comp string
-		ref  dist.GradientExchange
+		name   string
+		coll   netsim.Collective
+		format encoding.Format
+		comp   string
 	}{
-		{"allgather", netsim.CollectiveAllGather, "sidco-e", nil},
-		{"auto", netsim.CollectiveAuto.Resolve(true), "topk", nil}, // a compressing caller's Auto: the all-gather
-		{"ps", netsim.CollectivePS, "dgc", nil},
-		{"ring", netsim.CollectiveRing, "", RingOrder{}},
-		{"ring-topk", netsim.CollectiveRing, "topk", RingOrder{}},
+		{"allgather", netsim.CollectiveAllGather, 0, "sidco-e"},
+		{"auto", netsim.CollectiveAuto.Resolve(true), 0, "topk"}, // a compressing caller's Auto: the all-gather
+		{"ps", netsim.CollectivePS, 0, "dgc"},
+		{"ps-topk-bitmap", netsim.CollectivePS, encoding.FormatBitmap, "topk"},
+		{"ring", netsim.CollectiveRing, 0, ""},
+		{"ring-topk", netsim.CollectiveRing, 0, "topk"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, wantW := refLosses(t, workers, iters, tc.comp, 0.1, 42, tc.ref)
-			got := runTCPDeployment(t, workers, iters, tc.coll, tc.comp, 0.1, 42)
+			cc := Config{Workers: workers, Collective: tc.coll, Format: tc.format}
+			want, wantW := trainTiny(t, workers, iters, tc.comp, ecWire(tc.comp, tc.format), Reference(cc))
+			got := runTCPDeployment(t, cc, iters, tc.comp, 0.1, 42, func(c *dist.TrainerConfig) {
+				c.ECWire = ecWire(tc.comp, tc.format)
+			})
 			for i := range got {
 				if got[i].rank >= workers {
 					continue

@@ -23,12 +23,13 @@ import (
 // worker's draws depend only on its seeded stream, never on the
 // weights.
 //
-// The guarantee is scoped to state the checkpoint actually captures:
-// stateless optimizers (nn.SGD) and compressors whose only cross-step
-// state is the EC residual: topk, none, redsync (its search starts afresh
-// every step) and the SIDCo estimators, whose stage plan follows each
-// step's own counts. dgc and randomk (an RNG stream position), gaussiank
-// (its correction factor) and stateful optimizers resume functionally but
+// The guarantee is scoped to state the checkpoint actually captures.
+// Checkpoint and Restore refuse, with an error, every optimizer but the
+// stateless nn.SGD. Of the compressors, those whose only cross-step state
+// is the EC residual resume bit-identically: topk, none, redsync (its
+// search starts afresh every step) and the SIDCo estimators, whose stage
+// plan follows each step's own counts. dgc and randomk (an RNG stream
+// position) and gaussiank (its correction factor) resume functionally but
 // not bit-identically.
 type Checkpoint struct {
 	Step        int   // completed steps; resume continues at this iteration
@@ -73,7 +74,8 @@ func (t *Trainer) Checkpoint() (*Checkpoint, error) {
 // Seed, Workers, FirstWorker, model shape and Batch function as the
 // checkpointing one, and must not have stepped yet. After Restore, the
 // next Step is bit-identical to step c.Step of an uninterrupted run
-// (within the Checkpoint type's stateless-optimizer/compressor scope).
+// (within the Checkpoint type's compressor scope); it refuses a trainer
+// whose optimizer is not nn.SGD.
 func (t *Trainer) Restore(c *Checkpoint) error {
 	if t.iter != 0 {
 		return fmt.Errorf("dist: Restore on a trainer that already ran %d steps; restore before stepping", t.iter)

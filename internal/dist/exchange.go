@@ -22,9 +22,9 @@ type ExchangeInput struct {
 // GradientExchange is the strategy that turns per-worker gradients into
 // the aggregated mean the optimizer applies. Implementations must leave
 // the mean of the contributions in agg and must reduce deterministically:
-// two exchanges give the same bits only when they add in the same order,
-// which is why cluster.RingOrder, not this package's worker-order
-// reducer, is the ring all-reduce's reference.
+// two exchanges give the same bits only when they add in the same order
+// and round the same way, which is why cluster.Reference, not always this
+// package's worker-order reducer, names a deployment's reference.
 //
 // After a non-nil error agg is unspecified: an exchange that fails part
 // way through a round (cluster.Engine, a Node that lost a peer) may leave

@@ -12,9 +12,10 @@
 // Gradient aggregation is a strategy: the default GradientExchange is
 // the in-process shared-memory reducer, and internal/cluster substitutes
 // real message-passing collectives over a Transport without the Trainer
-// noticing: bit-identically on every collective, each against an
-// in-process reducer that adds in its order (worker order for all-gather
-// and parameter server, cluster.RingOrder for the ring all-reduce).
+// noticing: bit-identically on every collective and wire, each against
+// the in-process reducer cluster.Reference picks (worker order for
+// all-gather and parameter server, with a lossy wire's rounding;
+// cluster.RingOrder for the ring all-reduce).
 //
 // Checkpoint captures a Trainer's deterministic-resume state — weights,
 // per-worker error-feedback residuals, and the RNG stream positions
@@ -108,10 +109,11 @@ type TrainerConfig struct {
 	// Exchange aggregates the workers' gradients each step. Nil selects
 	// the in-process shared-memory reducer; internal/cluster plugs real
 	// message-passing collectives in here. Each reproduces bit for bit the
-	// losses of an in-process exchange that adds in its order: all-gather
-	// and parameter server (over encoding.FormatPairs64, or a lossy wire
-	// EC pre-rounds to) those of the default, which adds in worker-index
-	// order, and the ring all-reduce those of cluster.RingOrder. An
+	// losses of the in-process exchange cluster.Reference picks for its
+	// configuration: over encoding.FormatPairs64 the all-gather and the
+	// parameter server those of the default, which adds in worker-index
+	// order, over a lossy wire the default with the wire's rounding, and
+	// the ring all-reduce those of cluster.RingOrder. An
 	// exchange that also implements
 	// SparseExchange (the in-process reducer and both cluster ones do) is
 	// asked for the merged sparse mean instead of a dense aggregate
