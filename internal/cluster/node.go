@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/dist"
@@ -99,7 +100,7 @@ func (n *Node) runCollective(jb job) error {
 		return n.runAllGather(jb)
 
 	case netsim.CollectivePS:
-		if err := n.encodeLocal(jb); err != nil {
+		if _, err := n.encodeLocal(jb); err != nil {
 			return err
 		}
 		if err := n.tp.Send(w, n.server, sc.enc); err != nil {
@@ -144,7 +145,7 @@ func (n *Node) takeReply(jb job, reply []byte) error {
 // without one aggregation costs O(k*N) and nothing scales with d.
 func (n *Node) runAllGather(jb job) error {
 	sc, members := &n.sc, n.workers
-	err := n.encodeLocal(jb)
+	own, err := n.encodeLocal(jb)
 	if err != nil {
 		return err
 	}
@@ -152,29 +153,46 @@ func (n *Node) runAllGather(jb job) error {
 	if err != nil {
 		return err
 	}
-	err = n.mergeGathered(jb)
+	err = n.mergeGathered(jb, own)
 	releaseGathered(n.rel, members, n.cfg.Rank, sc.gather)
 	return err
 }
 
 // mergeGathered decodes the gathered payloads and merges them into the
-// job's mean, and a dense out.
-func (n *Node) mergeGathered(jb job) error {
+// job's mean, and a dense out. Over the lossless wire, whose round trip
+// is the identity, the node's own contribution is merged as own, the
+// vector it encoded, instead of decoded back from its payload.
+func (n *Node) mergeGathered(jb job, own *tensor.Sparse) error {
 	sc, members := &n.sc, n.workers
 	mean := jb.meanInto(&sc.mean)
 	if mean == nil {
 		return nil // forwarded its share; rank 0 decodes the same bytes
 	}
 	parts := sc.grow(len(members))
+	self := -1
+	if n.cfg.wireFormat() == encoding.FormatPairs64 && own != mean { // the merge must not read what it writes
+		self = slices.Index(members, n.cfg.Rank)
+	}
 	for origin := range members {
-		if err := encoding.DecodeInto(&parts[origin], sc.gather[origin]); err != nil {
+		p := &parts[origin]
+		if origin == self {
+			p = own
+		} else if err := encoding.DecodeInto(p, sc.gather[origin]); err != nil {
 			return fmt.Errorf("decoding origin %d: %w", members[origin], err)
 		}
-		if parts[origin].Dim != jb.dim {
-			return fmt.Errorf("origin %d has dim %d, want %d", members[origin], parts[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		if p.Dim != jb.dim {
+			return fmt.Errorf("origin %d has dim %d, want %d", members[origin], p.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 		}
 	}
+	// own takes its slot for the merge; the slot keeps its storage.
+	var slot tensor.Sparse
+	if self >= 0 {
+		slot, parts[self] = parts[self], *own
+	}
 	tensor.MeanSparseInto(mean, parts)
+	if self >= 0 {
+		parts[self] = slot
+	}
 	if out := jb.out; out != nil {
 		tensor.Zero(out)
 		scatter(mean, out)
@@ -183,17 +201,17 @@ func (n *Node) mergeGathered(jb job) error {
 }
 
 // encodeLocal encodes this worker's contribution into sc.enc, traced as
-// one encode span.
-func (n *Node) encodeLocal(jb job) error {
+// one encode span, and returns the contribution.
+func (n *Node) encodeLocal(jb job) (*tensor.Sparse, error) {
 	sp, err := n.localSparse(jb)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	format := n.cfg.wireFormat()
 	es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, n.cfg.Rank, -1, int64(jb.step)).WithValue(int64(format))
 	n.sc.enc, err = encoding.EncodeTo(n.sc.enc[:0], sp, format)
 	es.End()
-	return err
+	return sp, err
 }
 
 // scatter assigns s's stored elements into the dense out, which has

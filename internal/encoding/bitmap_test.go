@@ -165,9 +165,9 @@ func TestMeanBitmapAppends(t *testing.T) {
 }
 
 // hostileFrames returns buffers DecodeInto refuses, in every format: the
-// hostile bitmaps, truncations and hostile headers of valid frames,
-// retired and unknown format bytes, and pair streams with a repeated,
-// descending or out-of-range index.
+// hostile bitmaps and lossless frames, truncations and hostile headers of
+// valid frames, retired and unknown format bytes, and bfloat16 pair
+// streams with a repeated, descending or out-of-range index.
 func hostileFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	s, err := tensor.NewSparse(77, []int32{2, 40, 64, 70}, []float64{1, -2, 3, 4})
@@ -176,6 +176,9 @@ func hostileFrames(tb testing.TB) [][]byte {
 	}
 	frames := [][]byte{{}, {byte(FormatBitmap)}, {99, 1, 0, 0, 0, 0, 0, 0, 0}}
 	frames = append(frames, hostileBitmaps(tb)...)
+	for _, h := range hostilePairs64Frames(tb) {
+		frames = append(frames, h.frame)
+	}
 	for _, f := range keptFormats {
 		buf, err := Encode(s, f)
 		if err != nil {
@@ -188,19 +191,15 @@ func hostileFrames(tb testing.TB) [][]byte {
 		bad = append([]byte(nil), buf...)
 		binary.LittleEndian.PutUint32(bad[5:9], 3) // fewer than stored
 		frames = append(frames, bad)
-		if f == FormatBitmap {
+		if f != FormatPairsBF16 {
 			continue
-		}
-		stride := 12
-		if f == FormatPairsBF16 {
-			stride = 6
 		}
 		for _, at := range []struct {
 			pair int
 			idx  uint32
 		}{{1, 2}, {2, 39}, {3, 77}, {3, 1 << 31}, {0, 1000}} {
 			bad := append([]byte(nil), buf...)
-			binary.LittleEndian.PutUint32(bad[headerSize+stride*at.pair:], at.idx)
+			binary.LittleEndian.PutUint32(bad[headerSize+6*at.pair:], at.idx)
 			frames = append(frames, bad)
 		}
 	}

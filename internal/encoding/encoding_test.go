@@ -157,35 +157,36 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestDecodePairs64RefusesWhatValidateRefuses holds the one-loop pairs64
+// TestDecodePairs64RefusesWhatValidateRefuses holds the one-loop lossless
 // decode to the fill-then-Validate decode it replaced: on index streams
-// with a repeat, a descent, an index at and past dim and one at or above
-// 2³¹ (negative as an int32), at the front, the middle and the end, the
-// error text is Validate's on the same pairs, and a valid stream decodes.
+// with a repeat, a descent and an index at and past dim, at the front,
+// the middle and the end, the error text is Validate's on the same pairs,
+// and a valid stream decodes. A frame carries a descent only inside one
+// high part (L = 3 here), and an index past dim only up to the stream's
+// one spare high slot: elsewhere the one-bits are those of other indices.
 func TestDecodePairs64RefusesWhatValidateRefuses(t *testing.T) {
 	const dim = 50
 	for _, c := range []struct {
 		name string
-		idx  []uint32
+		idx  []uint64
 	}{
-		{"valid", []uint32{0, 3, 49}},
-		{"repeat at the front", []uint32{4, 4, 9}},
-		{"repeat at the end", []uint32{1, 7, 7}},
-		{"descent", []uint32{2, 9, 5, 11}},
-		{"at dim", []uint32{1, 2, dim}},
-		{"past dim, first", []uint32{dim + 7, dim + 8}},
-		{"2^31", []uint32{3, 1 << 31}},
-		{"2^32-1 first", []uint32{math.MaxUint32, 2}},
+		{"valid", []uint64{0, 3, 49}},
+		{"repeat at the front", []uint64{4, 4, 9}},
+		{"repeat at the end", []uint64{1, 7, 7}},
+		{"descent", []uint64{2, 9, 8, 11}},
+		{"at dim", []uint64{1, 2, dim}},
+		{"past dim, first", []uint64{dim + 7, dim + 8}},
+		{"past dim, last", []uint64{3, 63}},
 	} {
-		buf := make([]byte, Pairs64Size(dim, len(c.idx)))
-		buf[0] = byte(FormatPairs64)
-		binary.LittleEndian.PutUint32(buf[1:5], dim)
-		binary.LittleEndian.PutUint32(buf[5:9], uint32(len(c.idx)))
+		vals := make([]float64, len(c.idx))
 		ref := tensor.Sparse{Dim: dim}
 		for i, j := range c.idx {
-			binary.LittleEndian.PutUint32(buf[headerSize+12*i:], j)
-			binary.LittleEndian.PutUint64(buf[headerSize+12*i+4:], math.Float64bits(float64(i)+0.5))
-			ref.Append(int32(j), float64(i)+0.5)
+			vals[i] = float64(i) + 0.5
+			ref.Append(int32(j), vals[i])
+		}
+		buf, ok := pairs64Frame(dim, c.idx, vals)
+		if !ok {
+			t.Fatalf("%s: indices %v do not fit a frame", c.name, c.idx)
 		}
 		want := ref.Validate()
 		var s tensor.Sparse

@@ -37,6 +37,9 @@ func FuzzDecode(f *testing.F) {
 	for _, bad := range hostileBitmaps(f) {
 		f.Add(bad)
 	}
+	for _, buf := range pairs64Seeds(f) {
+		f.Add(buf)
+	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		s, err := Decode(buf)
@@ -60,12 +63,12 @@ func FuzzDecode(f *testing.F) {
 			prev = j
 		}
 		// Accepted buffers must round-trip bytewise through their own
-		// format, except NaN payload bits: they are not preserved through
-		// the float32<->float64 conversions of the lossy formats
-		// (signaling NaNs quiet on conversion).
+		// format, NaN payloads included on the lossless wire. The lossy
+		// formats do not keep them through their float32<->float64
+		// conversions (signaling NaNs quiet on conversion).
 		format := Format(buf[0])
 		for _, v := range s.Vals {
-			if math.IsNaN(v) {
+			if math.IsNaN(v) && format != FormatPairs64 {
 				return
 			}
 		}
@@ -97,6 +100,9 @@ func FuzzEncodeToDecodeIntoReuse(f *testing.F) {
 	f.Add([]byte{})
 	for _, bad := range hostileBitmaps(f) {
 		f.Add(bad)
+	}
+	for _, buf := range pairs64Seeds(f) {
+		f.Add(buf)
 	}
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
@@ -181,6 +187,29 @@ func hostileBitmaps(tb testing.TB) [][]byte {
 	}
 }
 
+// pairs64Seeds returns lossless frames at the edges of the layout, k in
+// {0, 1, d} at dims below 64 (L = 0 at k = d), then every hostile
+// lossless frame.
+func pairs64Seeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var frames [][]byte
+	for _, c := range []struct{ dim, k int }{{0, 0}, {1, 1}, {5, 0}, {5, 1}, {5, 5}, {63, 1}, {63, 63}, {64, 9}} {
+		s := &tensor.Sparse{Dim: c.dim}
+		for i := 0; i < c.k; i++ {
+			s.Append(int32(c.dim-c.k+i), float64(i)-1.5)
+		}
+		buf, err := Encode(s, FormatPairs64)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, buf)
+	}
+	for _, h := range hostilePairs64Frames(tb) {
+		frames = append(frames, h.frame)
+	}
+	return frames
+}
+
 // seedFrames returns s encoded in every kept format, then one frame of
 // each retired format.
 func seedFrames(tb testing.TB, s *tensor.Sparse) [][]byte {
@@ -228,13 +257,16 @@ func retiredFrames() []retiredFrame {
 		{"pairs-f16", le16(le32(le16(le32(hdr(5), 1), 0x3C00), 6), 0xC100)},
 		// a float32 step absmax/127, then (uint32 index, int8 quantum).
 		{"pairs-i8", append(le32(append(le32(f32(hdr(7), 2.5/127), 1), 51), 6), 0x81)},
+		// (uint32 index, float64 value) per element: the lossless layout
+		// before its indices were Elias–Fano coded.
+		{"pairs64-12B", appendPairs12(nil, &tensor.Sparse{Dim: 8, Idx: []int32{1, 6}, Vals: []float64{1, -2.5}})},
 	}
 }
 
 // retired reports whether b is a retired format byte.
 func retired(b byte) bool {
 	switch b {
-	case 0, 2, 3, 5, 7:
+	case 0, 2, 3, 4, 5, 7:
 		return true
 	}
 	return false

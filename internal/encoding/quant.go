@@ -64,6 +64,32 @@ func decodePairsBF16(s *tensor.Sparse, buf []byte, dim, nnz int) error {
 	return s.Validate()
 }
 
+// denseBF16 is DecodeDenseInto over a bfloat16 pair payload: out is
+// cleared and each pair assigned, with the refusals of DecodeInto in the
+// same words (size, then indices strictly ascending and below dim).
+func denseBF16(out []float64, buf []byte, dim, nnz int) error {
+	if want := PairsBF16Size(dim, nnz); len(buf) != want {
+		return fmt.Errorf("encoding: pairs-bf16 size %d, want %d", len(buf), want)
+	}
+	if err := checkDenseDim(out, dim); err != nil {
+		return err
+	}
+	clear(out)
+	prev := int32(-1)
+	for off := headerSize; off < len(buf); off += 6 {
+		j := int32(binary.LittleEndian.Uint32(buf[off:]))
+		if j <= prev {
+			return fmt.Errorf("tensor: indices not strictly ascending at %d", j)
+		}
+		if int(j) >= dim {
+			return fmt.Errorf("tensor: index %d out of range for dim %d", j, dim)
+		}
+		out[j] = float64(bf16ToF32(binary.LittleEndian.Uint16(buf[off+4:])))
+		prev = j
+	}
+	return nil
+}
+
 // RoundTripValues applies format f's value narrowing to vals in place:
 // after the call, vals holds exactly what a receiver would decode. This
 // is what the error-feedback wrapper uses to pre-absorb the rounding

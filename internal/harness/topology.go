@@ -105,7 +105,11 @@ func CollectiveStudy(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	up := encoding.Pairs64Size(dim, ins[0].Sparse.NNZ())
+	// Every engine below ships the zero Config's lossless format.
+	up, err := encoding.Size(encoding.FormatPairs64, dim, ins[0].Sparse.NNZ())
+	if err != nil {
+		return err
+	}
 	tbl := NewTable(
 		fmt.Sprintf("Measured traffic vs netsim predictions — N=%d, d=%d, delta=%g, 25GbE", workers, dim, delta),
 		"collective", "msgs (measured)", "msgs (formula)", "bytes (measured)", "bytes (accounting)",
@@ -129,7 +133,10 @@ func CollectiveStudy(w io.Writer, opt Options) error {
 					aggNNZ++
 				}
 			}
-			down := encoding.Pairs64Size(dim, aggNNZ)
+			down, err := encoding.Size(encoding.FormatPairs64, dim, aggNNZ)
+			if err != nil {
+				return err
+			}
 			wantBytes, predicted = netsim.PSTrafficBytes(workers, up, down), net.ParameterServer(up, down)
 		}
 		tbl.AddRow(coll.String(),

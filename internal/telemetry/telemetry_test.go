@@ -394,20 +394,7 @@ func TestJSONLKindNames(t *testing.T) {
 // unknown kinds, and unknown fields must all error rather than decode
 // loosely.
 func TestDecodeJSONLRejects(t *testing.T) {
-	cases := map[string]string{
-		"empty stream":     "",
-		"no meta record":   `{"ts":1,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":-1,"seq":-1,"value":1}` + "\n",
-		"v2 stream":        `{"type":"meta","schema":2,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n",
-		"unknown schema":   `{"type":"meta","schema":99,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n",
-		"duplicate meta":   validMeta + validMeta,
-		"unknown type":     validMeta + `{"ts":1,"type":"gauge","node":0,"peer":-1}` + "\n",
-		"unknown counter":  validMeta + `{"ts":1,"type":"counter","counter":"bogus","node":0,"peer":1,"step":-1,"seq":-1,"value":1}` + "\n",
-		"unknown span":     validMeta + `{"ts":1,"type":"span","span":"bogus","node":0,"peer":-1,"step":-1,"dur_ns":1}` + "\n",
-		"v2 chunk field":   validMeta + `{"ts":1,"type":"span","span":"step","node":0,"peer":-1,"chunk":-1,"step":-1,"dur_ns":1}` + "\n",
-		"unknown field":    validMeta + `{"ts":1,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":-1,"seq":-1,"value":1,"extra":true}` + "\n",
-		"meta extra field": `{"type":"meta","schema":3,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1,"extra":1}` + "\n",
-	}
-	for name, stream := range cases {
+	for name, stream := range rejectedStreams {
 		if _, _, err := DecodeJSONL(strings.NewReader(stream)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
@@ -415,6 +402,22 @@ func TestDecodeJSONLRejects(t *testing.T) {
 	if _, _, err := DecodeJSONL(strings.NewReader(validMeta)); err != nil {
 		t.Errorf("meta-only stream should decode: %v", err)
 	}
+}
+
+// rejectedStreams are streams DecodeJSONL must refuse, by what is wrong
+// with them.
+var rejectedStreams = map[string]string{
+	"empty stream":     "",
+	"no meta record":   `{"ts":1,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":-1,"seq":-1,"value":1}` + "\n",
+	"v2 stream":        `{"type":"meta","schema":2,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n",
+	"unknown schema":   `{"type":"meta","schema":99,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n",
+	"duplicate meta":   validMeta + validMeta,
+	"unknown type":     validMeta + `{"ts":1,"type":"gauge","node":0,"peer":-1}` + "\n",
+	"unknown counter":  validMeta + `{"ts":1,"type":"counter","counter":"bogus","node":0,"peer":1,"step":-1,"seq":-1,"value":1}` + "\n",
+	"unknown span":     validMeta + `{"ts":1,"type":"span","span":"bogus","node":0,"peer":-1,"step":-1,"dur_ns":1}` + "\n",
+	"v2 chunk field":   validMeta + `{"ts":1,"type":"span","span":"step","node":0,"peer":-1,"chunk":-1,"step":-1,"dur_ns":1}` + "\n",
+	"unknown field":    validMeta + `{"ts":1,"type":"counter","counter":"sent_bytes","node":0,"peer":1,"step":-1,"seq":-1,"value":1,"extra":true}` + "\n",
+	"meta extra field": `{"type":"meta","schema":3,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1,"extra":1}` + "\n",
 }
 
 const validMeta = `{"type":"meta","schema":3,"node":0,"goos":"linux","goarch":"amd64","go":"go1.24","epoch_ns":1}` + "\n"
