@@ -101,7 +101,10 @@ type pricedShape struct {
 	comp    compress.Compressor
 	profile string // the Table 1 gradient marginal the selection is drawn from
 	coll    netsim.Collective
-	sparse  bool // the trainer's route (ExchangeSparse) rather than Exchange into a dense aggregate
+	// sparse prices the merged sparse mean (ExchangeSparse) rather than
+	// Exchange into a dense aggregate, whose clear of d elements costs the
+	// same on every wire: at d = 2^21 it was most of a codec cell.
+	sparse bool
 }
 
 // pricedShapes mirror the step benchmark's rows that encode a payload:
@@ -110,7 +113,7 @@ type pricedShape struct {
 // grad-topk-bitmap-ps.
 var pricedShapes = []pricedShape{
 	{"train-sidco-tcp", 1_847_306, 0.01, core.NewE(), "resnet20-cifar10", netsim.CollectiveAllGather, true},
-	{"grad-sidcoe-d2m", 1 << 21, 0.001, core.NewE(), "lstm-ptb", netsim.CollectiveAllGather, false},
+	{"grad-sidcoe-d2m", 1 << 21, 0.001, core.NewE(), "lstm-ptb", netsim.CollectiveAllGather, true},
 	{"grad-topk-bitmap-ps", 269_467, 0.1, compress.NewTopK(), "resnet20-cifar10", netsim.CollectivePS, false},
 }
 

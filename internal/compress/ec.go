@@ -28,6 +28,13 @@ type AccumulateCompressor interface {
 // difference joins the residual. The transmitted gradient then matches
 // what every rank applies, bit for bit, while the precision lost to the
 // narrow format is corrected over subsequent steps instead of discarded.
+//
+// There are two ways in. CompressInto takes the step's gradient g and adds
+// it into the residual itself. A caller that can add the gradient into
+// the residual as it produces it takes the other: Accumulator hands it the
+// residual to add into, and CompressAccumulated compresses the sum with no
+// add of its own — the same bits, one d-sized buffer and two streams of the
+// sweep fewer (dist.Trainer does this for an all-Dense model).
 type ErrorFeedback struct {
 	// Inner is the wrapped sparsifier. Which optional interfaces it
 	// offers is read once, on the first CompressInto or LastSelection.
@@ -100,11 +107,8 @@ func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+ec" }
 //
 //sidco:hotpath
 func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
-	if e.residual == nil {
-		e.residual = make([]float64, len(g)) //sidco:alloc first-call lazy init of the persistent residual
-	}
-	if len(e.residual) != len(g) {
-		return fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), len(g)) //sidco:alloc misuse error path, not steady state
+	if _, err := e.Accumulator(len(g)); err != nil {
+		return err
 	}
 	e.resolve()
 	var err error
@@ -114,18 +118,56 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 		tensor.Add(g, e.residual)
 		err = e.Inner.CompressInto(dst, e.residual, delta)
 	}
+	return e.settle(dst, err)
+}
+
+// Accumulator returns the residual for a caller to add the step's gradient
+// into in place, before CompressAccumulated: the way in beside
+// CompressInto's g for a caller that can produce the gradient as an add
+// (dist.Trainer's Dense models bind it with nn.BindGradsAdding), which then
+// needs neither a buffer for g nor the sweep that adds it. A zero residual
+// of length d is allocated on first use; one of another length is an
+// error. The caller may write it only by adding the gradient; every other
+// caller must not modify it (Residual).
+func (e *ErrorFeedback) Accumulator(d int) ([]float64, error) {
+	if e.residual == nil {
+		e.residual = make([]float64, d) //sidco:alloc first-call lazy init of the persistent residual
+	}
+	if len(e.residual) != d {
+		return nil, fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), d) //sidco:alloc misuse error path, not steady state
+	}
+	return e.residual, nil
+}
+
+// CompressAccumulated is CompressInto for a gradient the caller has
+// already added into the residual (Accumulator): the wrapped compressor
+// selects from the residual as it stands, with no add, and the selection
+// is rounded to the wire and subtracted as CompressInto does. When the
+// caller's add gave r + g bit for bit, dst, the residual and the wrapped
+// compressor's state are what CompressInto(dst, g, delta) leaves, and so is
+// the error contract: on error the residual stays at r + g.
+//
+//sidco:hotpath
+func (e *ErrorFeedback) CompressAccumulated(dst *tensor.Sparse, delta float64) error {
+	if e.residual == nil {
+		return errEmptyGradient
+	}
+	return e.settle(dst, e.Inner.CompressInto(dst, e.residual, delta))
+}
+
+// settle finishes a compression of the residual whose selection, or err,
+// the wrapped compressor returned: it rounds the selection to the wire's
+// decoded precision first, so the residual absorbs the quantization error
+// too, and subtracts it from the residual.
+func (e *ErrorFeedback) settle(dst *tensor.Sparse, err error) error {
 	if err != nil {
 		return err
 	}
-
-	// Round the selection to the wire's decoded precision first, so the
-	// residual below absorbs the quantization error too.
 	if e.wireSet {
 		if err := encoding.RoundTripValues(e.wire, dst.Vals); err != nil {
 			return err
 		}
 	}
-
 	for i, j := range dst.Idx {
 		e.residual[j] -= dst.Vals[i]
 	}
@@ -134,7 +176,8 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 
 // Residual exposes the current residual for tests and fitting studies
 // (Figure 8 fits gradients after EC accumulation). Callers must not
-// modify it.
+// modify it; the one writer besides the wrapper is the caller that adds a
+// gradient into it through Accumulator.
 func (e *ErrorFeedback) Residual() []float64 { return e.residual }
 
 // RestoreResidual overwrites the carried residual with a checkpointed

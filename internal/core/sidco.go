@@ -324,11 +324,13 @@ func (s *SIDCo) selectInBand(dst *tensor.Sparse, g []float64, eta float64, k int
 // selection is the whole list (a value equal to a stage threshold is not
 // an exceedance).
 //
-// Like tensor.PairsAboveThreshold it stores every entry's pair at the
+// Like tensor.PairsAboveThreshold it stores every entry's index at the
 // cursor and advances the cursor by the compare, so no branch depends on
 // a magnitude: dst is grown once to the list's length (and a quarter more
 // when it grows, so lists that wander do not regrow it) and cut to the
-// cursor at the end. It stays out of line, as pairsAbove does, so that no
+// cursor. That pass reads the list alone; only then are the kept indices'
+// values gathered from g, so the scattered loads of g are the selection's,
+// not the list's. It stays out of line, as pairsAbove does, so that no
 // caller's frame can put the cursor on the stack.
 //
 //go:noinline
@@ -338,16 +340,20 @@ func selectFromList(dst *tensor.Sparse, g []float64, l *exceedList, eta float64)
 	if cap(dst.Idx) < n || cap(dst.Vals) < n {
 		dst.Grow(n + n/4)
 	}
-	outI, outV, idx := dst.Idx[:n], dst.Vals[:n], l.idx[:n]
+	outI, idx := dst.Idx[:n], l.idx[:n]
 	m := 0
 	for i, a := range l.mags {
-		j := idx[i]
-		outI[m], outV[m] = j, g[j]
+		outI[m] = idx[i]
 		if a >= eta {
 			m++ // a conditional move, not a branch
 		}
 	}
-	dst.Idx, dst.Vals = outI[:m], outV[:m]
+	outI = outI[:m]
+	outV := dst.Vals[:m]
+	for i, j := range outI {
+		outV[i] = g[j]
+	}
+	dst.Idx, dst.Vals = outI, outV
 }
 
 // firstStageThreshold computes the single-stage threshold from the full

@@ -12,8 +12,9 @@ import (
 )
 
 // allocTrainer builds a trainer whose Batch callback reuses its tensors,
-// so the measurement isolates the engine's own per-step garbage.
-func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor, tracer *telemetry.Tracer) *Trainer {
+// so the measurement isolates the engine's own per-step garbage. Its batch
+// of 8 is two Dense blocks.
+func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor, clip float64, tracer *telemetry.Tracer) *Trainer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	model := nn.NewSequential(
@@ -46,7 +47,7 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor,
 		NewCompressor: factory,
 		Delta:         0.05,
 		EC:            factory != nil,
-		ClipNorm:      5,
+		ClipNorm:      clip,
 		Seed:          3,
 		Telemetry:     tracer,
 	})
@@ -67,26 +68,33 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor,
 // here takes by default), on the dense one, forced by hiding the
 // exchange's sparse form, and on the spans route of a dense trainer, whose
 // exchange hands the mean over chunk by chunk through the closure the
-// trainer bound once.
+// trainer bound once. The EC cases clip (ClipNorm 5), which keeps each
+// worker's gradient buffer; the "into-residual" ones do not, so backward
+// adds the gradient into the EC residual (TrainerConfig.EC).
 func TestStepSteadyStateAllocs(t *testing.T) {
+	sidco := func() compress.Compressor { return core.NewE() }
 	cases := []struct {
 		name    string
 		workers int
 		factory func() compress.Compressor
+		clip    float64
 		budget  float64
 		traced  bool
 		dense   bool // force the dense route on a compressed trainer
 		spans   bool // exchange through spanExchange
 	}{
-		{"1worker-sidco-ec", 1, func() compress.Compressor { return core.NewE() }, 0, false, false, false},
-		{"1worker-sidco-ec-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, false, false},
-		{"1worker-sidco-ec-dense-route", 1, func() compress.Compressor { return core.NewE() }, 0, false, true, false},
-		{"1worker-sidco-ec-dense-route-traced", 1, func() compress.Compressor { return core.NewE() }, 0, true, true, false},
-		{"2workers-sidco-ec", 2, func() compress.Compressor { return core.NewE() }, 8, false, false, false},
-		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 8, false, false, false},
-		{"2workers-dense", 2, nil, 8, false, false, false},
-		{"1worker-dense-spans-route", 1, nil, 0, false, false, true},
-		{"1worker-dense-spans-route-traced", 1, nil, 0, true, false, true},
+		{"1worker-sidco-ec", 1, sidco, 5, 0, false, false, false},
+		{"1worker-sidco-ec-traced", 1, sidco, 5, 0, true, false, false},
+		{"1worker-sidco-ec-dense-route", 1, sidco, 5, 0, false, true, false},
+		{"1worker-sidco-ec-dense-route-traced", 1, sidco, 5, 0, true, true, false},
+		{"2workers-sidco-ec", 2, sidco, 5, 8, false, false, false},
+		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 5, 8, false, false, false},
+		{"1worker-sidco-ec-into-residual", 1, sidco, 0, 0, false, false, false},
+		{"1worker-sidco-ec-into-residual-traced", 1, sidco, 0, 0, true, false, false},
+		{"2workers-sidco-ec-into-residual", 2, sidco, 0, 8, false, false, false},
+		{"2workers-dense", 2, nil, 5, 8, false, false, false},
+		{"1worker-dense-spans-route", 1, nil, 5, 0, false, false, true},
+		{"1worker-dense-spans-route-traced", 1, nil, 5, 0, true, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,7 +103,10 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			if tc.traced {
 				tracer = telemetry.New(agg, telemetry.NewJSONLForNode(io.Discard, -1))
 			}
-			tr := allocTrainer(t, tc.workers, tc.factory, tracer)
+			tr := allocTrainer(t, tc.workers, tc.factory, tc.clip, tracer)
+			if into := tc.factory != nil && tc.clip == 0; tr.intoResidual != into {
+				t.Fatalf("trainer adds into the residual = %v, want %v", tr.intoResidual, into)
+			}
 			if tc.dense {
 				tr.useExchange(&exchangeRecorder{})
 			}

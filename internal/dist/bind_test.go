@@ -9,6 +9,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/encoding"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -129,6 +130,138 @@ func TestTrainerGradientMatchesUnboundReplica(t *testing.T) {
 					t.Errorf("tap saw %d gradients, want %d", len(taps), steps)
 				}
 			})
+		}
+	}
+}
+
+// hiddenEC is error feedback the Trainer cannot see as a
+// compress.ErrorFeedback, so it keeps the route through each worker's
+// gradient buffer: backward, then the wrapper's own add.
+type hiddenEC struct{ compress.Compressor }
+
+// TestResidualRouteMatchesBufferRoute holds the error-feedback route —
+// backward adding each worker's gradient into its residual, which is then
+// compressed as it stands — to the route through a gradient buffer, bit for
+// bit: every step's loss, the weights and every worker's residual after the
+// run, on math.Float64bits. It covers batch sizes 1–9 (one Dense block and
+// several, with tails), one and two workers, every registry compressor
+// under error feedback, the lossless, bitmap and pairs-bf16 wires'
+// pre-rounding, and both of Dense's kernel paths.
+func TestResidualRouteMatchesBufferRoute(t *testing.T) {
+	const (
+		seed  = 5
+		steps = 4
+		delta = 0.1
+	)
+	build := func() *nn.Sequential {
+		rng := rand.New(rand.NewSource(seed))
+		return nn.NewSequential(
+			&nn.Flatten{},
+			nn.NewDense("d1", 12, 9, rng),
+			&nn.ReLU{},
+			nn.NewDense("d2", 9, 4, rng),
+		)
+	}
+	ds := data.NewImages(data.ImagesConfig{N: 64, C: 1, H: 3, W: 4, Classes: 4, Seed: seed})
+	compressors := map[string]func() compress.Compressor{
+		"topk":      func() compress.Compressor { return compress.NewTopK() },
+		"dgc":       func() compress.Compressor { return compress.NewDGC(seed) },
+		"redsync":   func() compress.Compressor { return compress.NewRedSync() },
+		"gaussiank": func() compress.Compressor { return compress.NewGaussianKSGD() },
+		"sidco-e":   func() compress.Compressor { return core.NewE() },
+		"sidco-gp":  func() compress.Compressor { return core.NewGammaGP() },
+		"sidco-p":   func() compress.Compressor { return core.NewGP() },
+	}
+	bitmap, bf16 := encoding.FormatBitmap, encoding.FormatPairsBF16
+	wires := map[string]*encoding.Format{"lossless": nil, "bitmap": &bitmap, "pairs-bf16": &bf16}
+
+	run := func(t *testing.T, workers, batch int, newComp func() compress.Compressor, wire *encoding.Format, hidden bool) ([]float64, []float64, [][]float64) {
+		cfg := TrainerConfig{
+			Workers: workers,
+			Model:   build(),
+			Loss:    &nn.SoftmaxCrossEntropy{},
+			Opt:     &nn.SGD{LR: 0.1},
+			Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
+				return ds.Batch(rng, batch)
+			},
+			NewCompressor: newComp,
+			Delta:         delta,
+			EC:            true,
+			ECWire:        wire,
+			Seed:          seed,
+		}
+		var ecs []*compress.ErrorFeedback
+		if hidden {
+			cfg.EC, cfg.ECWire = false, nil
+			cfg.NewCompressor = func() compress.Compressor {
+				ec := compress.NewErrorFeedback(newComp())
+				if wire != nil {
+					ec.SetWireFormat(*wire)
+				}
+				ecs = append(ecs, ec)
+				return hiddenEC{ec}
+			}
+		}
+		tr, err := NewTrainer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.intoResidual == hidden {
+			t.Fatalf("hidden=%v: intoResidual=%v", hidden, tr.intoResidual)
+		}
+		for _, w := range tr.workers {
+			if (w.flat == nil) != !hidden {
+				t.Fatalf("hidden=%v: worker %d has a gradient buffer of %d elements", hidden, w.id, len(w.flat))
+			}
+			if !hidden {
+				ecs = append(ecs, w.ec)
+			}
+		}
+		losses, _, err := tr.Run(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := make([][]float64, len(ecs))
+		for i, ec := range ecs {
+			res[i] = ec.Residual()
+		}
+		return losses, nn.FlattenWeights(tr.Params(), nil), res
+	}
+
+	paths := map[string]func(func()){
+		"portable": nn.WithGoKernels,
+		"chosen":   func(f func()) { f() },
+	}
+	for path, on := range paths {
+		on(func() {
+			for name, newComp := range compressors {
+				for wireName, wire := range wires {
+					for _, workers := range []int{1, 2} {
+						for batch := 1; batch <= 9; batch++ {
+							what := fmt.Sprintf("%s/%s/%s/workers=%d/batch=%d", path, name, wireName, workers, batch)
+							gotL, gotW, gotR := run(t, workers, batch, newComp, wire, false)
+							wantL, wantW, wantR := run(t, workers, batch, newComp, wire, true)
+							bitsEqual(t, what+" losses", gotL, wantL)
+							bitsEqual(t, what+" weights", gotW, wantW)
+							for w := range wantR {
+								bitsEqual(t, fmt.Sprintf("%s residual %d", what, w), gotR[w], wantR[w])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func bitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }

@@ -7,13 +7,17 @@ import (
 )
 
 // ExchangeInput is one worker's contribution to a gradient exchange:
-// the dense local gradient is always present, and Sparse carries the
-// compressed selection when a compressor ran.
+// Sparse carries the compressed selection when a compressor ran, and Dense
+// the local gradient otherwise. An exchange reads Sparse whenever it is
+// set.
 type ExchangeInput struct {
 	// Worker is the contributing worker's id; Trainer fills inputs in
 	// worker-index order, so ins[i].Worker == i.
 	Worker int
 	// Dense is the worker's local (clipped) gradient of model dimension.
+	// Beside a selection it may be nil: a Trainer whose backward adds into
+	// the error-feedback residual keeps no gradient buffer (see
+	// TrainerConfig.EC).
 	Dense []float64
 	// Sparse is the compressor's selection, nil on the dense path.
 	Sparse *tensor.Sparse

@@ -17,6 +17,14 @@
 // all-gather and parameter server, with a lossy wire's rounding;
 // cluster.RingOrder for the ring all-reduce).
 //
+// Under error feedback a worker's backward adds its gradient straight into
+// its residual when nothing needs the gradient alone (no clipping) and the
+// model's layers can add whole (every parameter a Dense's, listed once):
+// the residual is then compressed as it stands. That spares each worker a
+// buffer of the model's dimension and the sweep that adds it, with the
+// same bits as the route through the buffer, which every other
+// configuration keeps (TrainerConfig.EC).
+//
 // Checkpoint captures a Trainer's deterministic-resume state — weights,
 // per-worker error-feedback residuals, and the RNG stream positions
 // (reconstructed by replay) — so a restarted process continues
@@ -82,7 +90,13 @@ type TrainerConfig struct {
 	Delta float64
 	// EC wraps each worker's compressor with error feedback: the
 	// sparsification residual is carried to the next iteration. Requires
-	// NewCompressor.
+	// NewCompressor. With ClipNorm 0 and a model whose every parameter is a
+	// Dense layer's, listed once (nn.CanBindAdding), backward adds each
+	// worker's gradient straight into its residual (nn.BindGradsAdding,
+	// compress.ErrorFeedback.Accumulator) and the residual is compressed
+	// as it stands: the worker keeps no gradient buffer of its own and the
+	// add costs no sweep, with the same bits. Clipping, which must see the
+	// gradient alone, and any other model keep the gradient buffer.
 	EC bool
 	// ECWire, if non-nil, additionally makes the error-feedback wrapper
 	// pre-round every selected value to the given wire format's decoded
@@ -92,7 +106,8 @@ type TrainerConfig struct {
 	// deployment's cluster wire actually ships.
 	ECWire *encoding.Format
 	// ClipNorm rescales each worker's local gradient to at most this L2
-	// norm before compression (0 disables clipping).
+	// norm before compression (0 disables clipping). Clipping keeps a
+	// gradient buffer per worker even under EC (see EC).
 	ClipNorm float64
 	// Seed fixes every random stream (batch draws and randomized
 	// compressors).
@@ -138,8 +153,10 @@ type TrainerConfig struct {
 	// exactly as its compressor sees it: after clipping and, under EC,
 	// with the carried residual added (the harness's gradient recorder
 	// hooks in here so the fitting studies analyse the same vectors the
-	// compressors saw). The slice is reused between iterations;
-	// observers must copy.
+	// compressors saw). Where backward adds into the residual (see EC) the
+	// slice is the residual itself, which then holds that sum. The slice is
+	// reused between iterations; observers must copy and must not modify
+	// it.
 	OnGradient func(iter int, flat []float64)
 }
 
@@ -148,8 +165,9 @@ type worker struct {
 	id     int
 	rng    *rand.Rand
 	comp   compress.Compressor        // nil = dense path
+	ec     *compress.ErrorFeedback    // comp when it is error feedback, else nil
 	report compress.SelectionReporter // comp's account of its selections, nil when it keeps none
-	flat   []float64                  // local gradient buffer; the model's Param.G alias it during and after this worker's pass
+	flat   []float64                  // local gradient buffer, nil where backward adds into ec's residual; the model's Param.G alias it during and after this worker's pass
 	sparse *tensor.Sparse             // reused compressed-selection storage
 	loss   float64
 	ratio  float64
@@ -192,9 +210,13 @@ type Trainer struct {
 	// it without allocating.
 	applyEx ApplyExchange
 	apply   func(off int, mean []float64)
-	tapBuf  []float64
-	iter    int
-	wg      sync.WaitGroup // reused per-step barrier
+	// intoResidual is the error-feedback route, resolved once: every
+	// worker compresses through a compress.ErrorFeedback and its backward
+	// adds the gradient into that residual (see TrainerConfig.EC).
+	intoResidual bool
+	tapBuf       []float64
+	iter         int
+	wg           sync.WaitGroup // reused per-step barrier
 }
 
 // NewTrainer validates the configuration and allocates per-worker state.
@@ -237,6 +259,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if compressed {
 		t.k = compress.TargetK(dim, cfg.Delta)
 	}
+	t.intoResidual = cfg.ClipNorm == 0 && nn.CanBindAdding(params)
 	for w := range t.workers {
 		var comp compress.Compressor
 		if compressed {
@@ -249,14 +272,21 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 				comp = ec
 			}
 		}
+		ec, _ := comp.(*compress.ErrorFeedback)
 		report, _ := comp.(compress.SelectionReporter)
 		t.workers[w] = &worker{
 			id:     cfg.FirstWorker + w,
 			rng:    rand.New(rand.NewSource(workerSeed(cfg.Seed, cfg.FirstWorker+w))),
 			comp:   comp,
+			ec:     ec,
 			report: report,
-			flat:   make([]float64, dim),
 			sparse: &tensor.Sparse{Dim: dim},
+		}
+		t.intoResidual = t.intoResidual && ec != nil
+	}
+	if !t.intoResidual {
+		for _, w := range t.workers {
+			w.flat = make([]float64, dim)
 		}
 	}
 	if cfg.Exchange == nil {
@@ -303,8 +333,10 @@ func (t *Trainer) Dim() int { return t.dim }
 // Params exposes the model's trainable parameters: the weights
 // sidco-node digests and the bit-identity and resume tests compare. After
 // a Step each parameter's G aliases the flat gradient buffer of the last
-// worker to run its pass, which clipping and compression have rewritten
-// since: read gradients through OnGradient, not through G.
+// worker to run its pass or, where backward adds into the residual (see
+// TrainerConfig.EC), that worker's EC residual; clipping and compression
+// have rewritten either since: read gradients through OnGradient, not
+// through G.
 func (t *Trainer) Params() []*nn.Param { return t.params }
 
 // localGradient runs one worker's half-step: batch draw, forward,
@@ -318,24 +350,37 @@ func (t *Trainer) localGradient(w *worker) error {
 	cs := t.cfg.Telemetry.Begin(telemetry.SpanCompute, w.id, -1, int64(t.iter))
 	x, targets := t.cfg.Batch(w.id, w.rng)
 
-	// Backward lands straight in this worker's flat buffer: the
-	// parameters' G are pointed at its spans for the pass, so there is no
-	// copy out afterwards, and BindGrads clears only the spans whose layer
+	// Backward lands straight in this worker's flat buffer — or, on the
+	// error-feedback route, is added into its residual: the parameters' G
+	// are pointed at its spans for the pass, so there is no copy out
+	// afterwards, and BindGrads clears only the spans whose layer
 	// accumulates — a Dense writes its ∂W once. Nobody reads the gradient
 	// with respect to the batch, so the first layer does not compute it.
+	grad := w.flat
+	if t.intoResidual {
+		var err error
+		if grad, err = w.ec.Accumulator(t.dim); err != nil {
+			cs.End()
+			return fmt.Errorf("dist: worker %d: %w", w.id, err) //sidco:alloc residual-misuse error path, not steady state
+		}
+	}
 	t.modelMu.Lock()
-	nn.BindGrads(t.params, w.flat)
+	if t.intoResidual {
+		nn.BindGradsAdding(t.params, grad)
+	} else {
+		nn.BindGrads(t.params, grad)
+	}
 	y := t.cfg.Model.Forward(x)
 	w.loss = t.cfg.Loss.Forward(y, targets)
 	t.cfg.Model.BackwardParams(t.cfg.Loss.Backward())
 	t.modelMu.Unlock()
 
 	if t.cfg.ClipNorm > 0 {
-		nn.ClipFlatNorm(w.flat, t.cfg.ClipNorm)
+		nn.ClipFlatNorm(grad, t.cfg.ClipNorm)
 	}
 	cs.End()
 	if w.id == 0 {
-		t.tapGradient(w)
+		t.tapGradient(w, grad)
 	}
 	if w.comp == nil {
 		w.ratio = 1
@@ -345,7 +390,12 @@ func (t *Trainer) localGradient(w *worker) error {
 	// exchange consumes it synchronously inside Step, so by the next
 	// iteration no one holds a reference and the storage can be recycled.
 	ks := t.cfg.Telemetry.Begin(telemetry.SpanCompress, w.id, -1, int64(t.iter))
-	err := w.comp.CompressInto(w.sparse, w.flat, t.cfg.Delta)
+	var err error
+	if t.intoResidual {
+		err = w.ec.CompressAccumulated(w.sparse, t.cfg.Delta)
+	} else {
+		err = w.comp.CompressInto(w.sparse, grad, t.cfg.Delta)
+	}
 	ks.End()
 	if err != nil {
 		return fmt.Errorf("dist: worker %d: %w", w.id, err) //sidco:alloc compressor-failure error path, not steady state
@@ -365,20 +415,21 @@ func (t *Trainer) localGradient(w *worker) error {
 }
 
 // tapGradient feeds OnGradient the vector worker w's compressor is
-// about to see: the clipped local gradient, plus the error-feedback
-// residual when EC is carrying one. Only worker 0 taps, so observers
-// need not be concurrency-safe.
-func (t *Trainer) tapGradient(w *worker) {
+// about to see: the clipped local gradient grad, plus the error-feedback
+// residual when EC is carrying one — grad itself where backward added into
+// the residual. Only worker 0 taps, so observers need not be
+// concurrency-safe.
+func (t *Trainer) tapGradient(w *worker, grad []float64) {
 	if t.cfg.OnGradient == nil {
 		return
 	}
-	tap := w.flat
-	if ec, ok := w.comp.(*compress.ErrorFeedback); ok {
-		if res := ec.Residual(); res != nil {
+	tap := grad
+	if w.ec != nil && !t.intoResidual {
+		if res := w.ec.Residual(); res != nil {
 			if t.tapBuf == nil {
 				t.tapBuf = make([]float64, t.dim)
 			}
-			copy(t.tapBuf, w.flat)
+			copy(t.tapBuf, grad)
 			tensor.Add(res, t.tapBuf)
 			tap = t.tapBuf
 		}

@@ -12,8 +12,9 @@ type Dense struct {
 	W       *Param // shape [in, out]
 	B       *Param // shape [out]
 
-	x           *Tensor // cached input
-	out, gradIn *Tensor // reused output / input-gradient storage
+	x           *Tensor   // cached input
+	out, gradIn *Tensor   // reused output / input-gradient storage
+	part        []float64 // one row of partial sums, for a G added into (gradAdd)
 }
 
 // NewDense creates a dense layer with Glorot-uniform weights.
@@ -25,8 +26,9 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 		B:   newParam(name+".b", out),
 	}
 	// Backward assigns an unwritten G instead of accumulating into a
-	// cleared one (see BindGrads).
-	d.W.assignFirst, d.B.assignFirst = true, true
+	// cleared one (see BindGrads), or adds its whole gradient into G once
+	// (BindGradsAdding).
+	d.W.whole, d.B.whole = true, true
 	initUniform(rng, d.W.W, in, out)
 	return d
 }
@@ -51,8 +53,8 @@ type denseKernels struct {
 	axpy2     func(w []float64, x0, x1 float64, o0, o1 []float64)
 	axpy3     func(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64)
 	axpy4     func(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64)
-	gradW4    func(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
-	backward4 func(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
+	gradW4    func(wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
+	backward4 func(w, wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
 }
 
 // goKernels are the Go loops below: the path on a machine without AVX2 and
@@ -64,6 +66,18 @@ var goKernels = denseKernels{axpy1, axpy2, axpy3, axpy4, gradW4, backward4}
 // kernels is what Dense calls: goKernels, or the AVX2 bodies when
 // dense_amd64.go's init finds the CPU and OS support them.
 var kernels = &goKernels
+
+// WithGoKernels runs f with Dense on its Go loops, the path of a machine
+// without AVX2, and restores init's choice after. No model may be running
+// beside it.
+//
+//sidco:oracle the kernel-path switch trainer-level bit-identity tests run both paths with
+func WithGoKernels(f func()) {
+	chosen := kernels
+	defer func() { kernels = chosen }()
+	kernels = &goKernels
+	f()
+}
 
 // Forward implements Layer.
 //
@@ -167,109 +181,181 @@ func (d *Dense) Backward(gradOut *Tensor) *Tensor {
 func (d *Dense) BackwardParams(gradOut *Tensor) { d.backward(gradOut, nil) }
 
 // backward runs the batch-blocked backward kernels: ∂W and ∂b always, the
-// per-row ∂x into gi unless it is nil. A parameter whose G is unwritten
-// (BindGrads) is assigned by the first block and accumulated into by the
-// rest; the mark is taken here, so a second Backward before the next bind —
-// TimeDistributed, a layer used twice — accumulates.
+// per-row ∂x into gi unless it is nil. A parameter's G is written as its
+// bind says (takeMode): accumulated into, assigned (unwritten: the first
+// block sums from +0, the rest accumulate), or added into (the sum from +0
+// over every block, in block order, then G = G + sum once). The mode is
+// taken here, so a second Backward before the next bind — TimeDistributed,
+// a layer used twice — accumulates.
+//
+// The loop runs over the inputs i, each row of ∂W taking the batch's blocks
+// in order, so a row is complete before the next begins: an added-into G
+// keeps the row's partial sums in d.part between blocks.
 func (d *Dense) backward(gradOut *Tensor, gi []float64) {
 	batch := d.x.Shape[0]
 	in, width := d.In, d.Out
-	x := d.x.Data
-	assignW, assignB := d.W.takeUnwritten(), d.B.takeUnwritten()
+	x, gd := d.x.Data, gradOut.Data
+	modeW := d.W.takeMode()
 	k := kernels
+	d.backwardBias(gd, batch)
 	if batch == 0 {
-		// No block will write them: an empty batch's gradient is zero.
-		if assignW {
-			clear(d.W.G)
-		}
-		if assignB {
-			clear(d.B.G)
-		}
+		// No block will write ∂W: an empty batch's gradient is zero.
+		writeZero(d.W.G, modeW)
 		return
 	}
-	for b0 := 0; b0 < batch; b0 += denseBlock {
-		nb := min(denseBlock, batch-b0)
-		var g [denseBlock][]float64
-		for r := 0; r < nb; r++ {
-			g[r] = gradOut.Data[(b0+r)*width : (b0+r+1)*width]
-			bg := d.B.G[:width]
-			if assignB && b0+r == 0 {
-				for j, gv := range g[r] {
-					bg[j] = 0 + gv // the +0 a cleared G would have supplied: -0 lands as +0
-				}
-				continue
-			}
-			for j, gv := range g[r] {
-				bg[j] += gv
-			}
+	// Where each row's partial sums live between blocks: G itself, but for
+	// a G added into over more than one block.
+	var part []float64
+	if modeW == gradAdd && batch > denseBlock {
+		part = scratch(&d.part, width)
+	}
+	var w []float64
+	for i := 0; i < in; i++ {
+		wg := d.W.G[i*width : (i+1)*width]
+		p := wg
+		if part != nil {
+			p = part
 		}
-		// One pass over j per input i: the block's rows go into ∂W[i][j]
-		// in ascending row order, and each row's ∂x dot product has its
-		// own accumulator.
-		assign := assignW && b0 == 0
-		r0, r1, r2, r3 := b0*in, (b0+1)*in, (b0+2)*in, (b0+3)*in
-		for i := 0; i < in; i++ {
-			wg := d.W.G[i*width : (i+1)*width]
+		if gi != nil {
+			w = d.W.W[i*width : (i+1)*width]
+		}
+		// Block by block, the rows go into ∂W[i][j] in ascending order, and
+		// each row's ∂x dot product has its own accumulator.
+		for b0 := 0; b0 < batch; b0 += denseBlock {
+			nb := min(denseBlock, batch-b0)
+			dst, from, add := p, p, false
+			if b0 == 0 && modeW != gradAccumulate {
+				from = nil
+			}
+			if b0+nb == batch {
+				dst, add = wg, modeW == gradAdd
+			}
+			var g [denseBlock][]float64
+			for r := 0; r < nb; r++ {
+				g[r] = gd[(b0+r)*width : (b0+r+1)*width]
+			}
+			r0, r1, r2, r3 := b0*in+i, (b0+1)*in+i, (b0+2)*in+i, (b0+3)*in+i
 			if gi == nil {
 				switch nb {
 				case 1:
-					gradW1(wg, assign, x[r0+i], g[0])
+					gradW1(dst, from, add, x[r0], g[0])
 				case 2:
-					gradW2(wg, assign, x[r0+i], x[r1+i], g[0], g[1])
+					gradW2(dst, from, add, x[r0], x[r1], g[0], g[1])
 				case 3:
-					gradW3(wg, assign, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
+					gradW3(dst, from, add, x[r0], x[r1], x[r2], g[0], g[1], g[2])
 				case 4:
-					k.gradW4(wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+					k.gradW4(dst, from, add, x[r0], x[r1], x[r2], x[r3], g[0], g[1], g[2], g[3])
 				}
 				continue
 			}
-			w := d.W.W[i*width : (i+1)*width]
 			switch nb {
 			case 1:
-				gi[r0+i] = backward1(w, wg, assign, x[r0+i], g[0])
+				gi[r0] = backward1(w, dst, from, add, x[r0], g[0])
 			case 2:
-				gi[r0+i], gi[r1+i] = backward2(w, wg, assign, x[r0+i], x[r1+i], g[0], g[1])
+				gi[r0], gi[r1] = backward2(w, dst, from, add, x[r0], x[r1], g[0], g[1])
 			case 3:
-				gi[r0+i], gi[r1+i], gi[r2+i] = backward3(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], g[0], g[1], g[2])
+				gi[r0], gi[r1], gi[r2] = backward3(w, dst, from, add, x[r0], x[r1], x[r2], g[0], g[1], g[2])
 			case 4:
-				gi[r0+i], gi[r1+i], gi[r2+i], gi[r3+i] = k.backward4(w, wg, assign, x[r0+i], x[r1+i], x[r2+i], x[r3+i], g[0], g[1], g[2], g[3])
+				gi[r0], gi[r1], gi[r2], gi[r3] = k.backward4(w, dst, from, add, x[r0], x[r1], x[r2], x[r3], g[0], g[1], g[2], g[3])
 			}
 		}
 	}
 }
 
-// backward1…backward4 handle one input's row of W for one to four batch
-// rows: wg[j] += x_r * g_r[j] for r ascending, and s_r = Σ_j w[j] * g_r[j]
-// returned per row. With assign the sum starts from +0 instead of wg[j],
-// which is never read: bit for bit what accumulating into a cleared wg
-// gives (0 + x*g, so a -0 product still lands as +0) for one write of ∂W
-// in place of a clear, a read and a write.
+// backwardBias writes ∂b, the sum of the batch's rows of ∂y, into B.G as
+// its bind says: accumulated row by row, assigned (the first row from +0),
+// or summed from +0 in d.part and then added once.
+func (d *Dense) backwardBias(gd []float64, batch int) {
+	width := d.Out
+	mode := d.B.takeMode()
+	if batch == 0 {
+		writeZero(d.B.G, mode)
+		return
+	}
+	bg := d.B.G[:width]
+	sum := bg
+	if mode == gradAdd {
+		sum = scratch(&d.part, width)
+	}
+	for r := 0; r < batch; r++ {
+		g := gd[r*width : (r+1)*width]
+		if r == 0 && mode != gradAccumulate {
+			for j, gv := range g {
+				sum[j] = 0 + gv // the +0 a cleared G would have supplied: -0 lands as +0
+			}
+			continue
+		}
+		for j, gv := range g {
+			sum[j] += gv
+		}
+	}
+	if mode == gradAdd {
+		for j, s := range sum {
+			bg[j] = bg[j] + s
+		}
+	}
+}
 
-func backward1(w, wg []float64, assign bool, x0 float64, g0 []float64) (s0 float64) {
+// writeZero writes a zero gradient into g as mode says: nothing to
+// accumulate, +0 to assign, +0 to add (a -0 in g becomes +0, as g + 0
+// rounds it).
+func writeZero(g []float64, mode gradMode) {
+	switch mode {
+	case gradAssign:
+		clear(g)
+	case gradAdd:
+		for j := range g {
+			g[j] += 0
+		}
+	}
+}
+
+// backward1…backward4 handle one input's row of W for one to four batch
+// rows. Per j they sum acc = from[j] (or +0 when from is nil) plus x_r *
+// g_r[j] for r ascending, and store acc — or, with add, wg[j] + acc — in
+// wg[j]; and they return s_r = Σ_j w[j] * g_r[j] per row. from is wg to
+// accumulate, nil to assign — bit for bit what accumulating into a cleared
+// wg gives (0 + x*g, so a -0 product still lands as +0) for one write of
+// ∂W in place of a clear, a read and a write — and nil or a row of partial
+// sums to add.
+
+func backward1(w, wg, from []float64, add bool, x0 float64, g0 []float64) (s0 float64) {
 	wg, g0 = wg[:len(w)], g0[:len(w)]
+	if from != nil {
+		from = from[:len(w)]
+	}
 	for j, wv := range w {
 		gv0 := g0[j]
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * gv0)
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 		s0 += float64(wv * gv0)
 	}
 	return s0
 }
 
-func backward2(w, wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) (s0, s1 float64) {
+func backward2(w, wg, from []float64, add bool, x0, x1 float64, g0, g1 []float64) (s0, s1 float64) {
 	wg, g0, g1 = wg[:len(w)], g0[:len(w)], g1[:len(w)]
+	if from != nil {
+		from = from[:len(w)]
+	}
 	for j, wv := range w {
 		gv0, gv1 := g0[j], g1[j]
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * gv0)
 		acc += float64(x1 * gv1)
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 		s0 += float64(wv * gv0)
 		s1 += float64(wv * gv1)
@@ -277,17 +363,23 @@ func backward2(w, wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) (
 	return s0, s1
 }
 
-func backward3(w, wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []float64) (s0, s1, s2 float64) {
+func backward3(w, wg, from []float64, add bool, x0, x1, x2 float64, g0, g1, g2 []float64) (s0, s1, s2 float64) {
 	wg, g0, g1, g2 = wg[:len(w)], g0[:len(w)], g1[:len(w)], g2[:len(w)]
+	if from != nil {
+		from = from[:len(w)]
+	}
 	for j, wv := range w {
 		gv0, gv1, gv2 := g0[j], g1[j], g2[j]
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * gv0)
 		acc += float64(x1 * gv1)
 		acc += float64(x2 * gv2)
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 		s0 += float64(wv * gv0)
 		s1 += float64(wv * gv1)
@@ -296,18 +388,24 @@ func backward3(w, wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []fl
 	return s0, s1, s2
 }
 
-func backward4(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64) {
+func backward4(w, wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64) {
 	wg, g0, g1, g2, g3 = wg[:len(w)], g0[:len(w)], g1[:len(w)], g2[:len(w)], g3[:len(w)]
+	if from != nil {
+		from = from[:len(w)]
+	}
 	for j, wv := range w {
 		gv0, gv1, gv2, gv3 := g0[j], g1[j], g2[j], g3[j]
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * gv0)
 		acc += float64(x1 * gv1)
 		acc += float64(x2 * gv2)
 		acc += float64(x3 * gv3)
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 		s0 += float64(wv * gv0)
 		s1 += float64(wv * gv1)
@@ -320,56 +418,80 @@ func backward4(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2,
 // gradW1…gradW4 are the ∂W halves of backward1…backward4 alone: the same
 // sums into wg in the same order, no w and no ∂x.
 
-func gradW1(wg []float64, assign bool, x0 float64, g0 []float64) {
+func gradW1(wg, from []float64, add bool, x0 float64, g0 []float64) {
 	g0 = g0[:len(wg)]
+	if from != nil {
+		from = from[:len(wg)]
+	}
 	for j := range wg {
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * g0[j])
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 	}
 }
 
-func gradW2(wg []float64, assign bool, x0, x1 float64, g0, g1 []float64) {
+func gradW2(wg, from []float64, add bool, x0, x1 float64, g0, g1 []float64) {
 	g0, g1 = g0[:len(wg)], g1[:len(wg)]
+	if from != nil {
+		from = from[:len(wg)]
+	}
 	for j := range wg {
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * g0[j])
 		acc += float64(x1 * g1[j])
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 	}
 }
 
-func gradW3(wg []float64, assign bool, x0, x1, x2 float64, g0, g1, g2 []float64) {
+func gradW3(wg, from []float64, add bool, x0, x1, x2 float64, g0, g1, g2 []float64) {
 	g0, g1, g2 = g0[:len(wg)], g1[:len(wg)], g2[:len(wg)]
+	if from != nil {
+		from = from[:len(wg)]
+	}
 	for j := range wg {
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * g0[j])
 		acc += float64(x1 * g1[j])
 		acc += float64(x2 * g2[j])
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 	}
 }
 
-func gradW4(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) {
+func gradW4(wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) {
 	g0, g1, g2, g3 = g0[:len(wg)], g1[:len(wg)], g2[:len(wg)], g3[:len(wg)]
+	if from != nil {
+		from = from[:len(wg)]
+	}
 	for j := range wg {
 		acc := 0.0
-		if !assign {
-			acc = wg[j]
+		if from != nil {
+			acc = from[j]
 		}
 		acc += float64(x0 * g0[j])
 		acc += float64(x1 * g1[j])
 		acc += float64(x2 * g2[j])
 		acc += float64(x3 * g3[j])
+		if add {
+			acc = wg[j] + acc
+		}
 		wg[j] = acc
 	}
 }

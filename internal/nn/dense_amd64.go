@@ -28,7 +28,7 @@ func axpy3AVX2(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64)
 func axpy4AVX2(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64)
 
 //go:noescape
-func gradW4AVX2(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
+func gradW4AVX2(wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
 
 //go:noescape
-func backward4AVX2(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
+func backward4AVX2(w, wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)

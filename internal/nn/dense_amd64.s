@@ -167,22 +167,24 @@ done:
 	VZEROUPPER
 	RET
 
-// func gradW4AVX2(wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
+// func gradW4AVX2(wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
 //
-// acc = +0 (assign) or wg; then p_r = g_r * x_r for r = 0…3, added as
-// acc + p for rows 0–2 and p + acc for row 3, as gradW4 compiles.
-TEXT ·gradW4AVX2(SB), NOSPLIT, $0-160
+// acc = +0 (from nil) or from; then p_r = g_r * x_r for r = 0…3, added as
+// acc + p for row 0 and p + acc for rows 1–3, as gradW4 compiles; with
+// add, acc = acc + wg. acc is stored to wg.
+TEXT ·gradW4AVX2(SB), NOSPLIT, $0-184
 	MOVQ         wg_base+0(FP), DI
 	MOVQ         wg_len+8(FP), CX
-	MOVBLZX      assign+24(FP), BX
-	VBROADCASTSD x0+32(FP), Y0
-	VBROADCASTSD x1+40(FP), Y1
-	VBROADCASTSD x2+48(FP), Y2
-	VBROADCASTSD x3+56(FP), Y3
-	MOVQ         g0_base+64(FP), R8
-	MOVQ         g1_base+88(FP), R9
-	MOVQ         g2_base+112(FP), R10
-	MOVQ         g3_base+136(FP), R11
+	MOVQ         from_base+24(FP), BX
+	MOVBLZX      add+48(FP), R12
+	VBROADCASTSD x0+56(FP), Y0
+	VBROADCASTSD x1+64(FP), Y1
+	VBROADCASTSD x2+72(FP), Y2
+	VBROADCASTSD x3+80(FP), Y3
+	MOVQ         g0_base+88(FP), R8
+	MOVQ         g1_base+112(FP), R9
+	MOVQ         g2_base+136(FP), R10
+	MOVQ         g3_base+160(FP), R11
 	MOVQ         CX, DX
 	ANDQ         $-4, DX
 	XORQ         AX, AX
@@ -192,22 +194,28 @@ loop:
 	JGE     tail
 	VXORPD  Y8, Y8, Y8
 	TESTQ   BX, BX
-	JNE     assigned
-	VMOVUPD (DI)(AX*8), Y8
+	JEQ     started
+	VMOVUPD (BX)(AX*8), Y8
 
-assigned:
+started:
 	VMOVUPD (R8)(AX*8), Y4
 	VMULPD  Y0, Y4, Y4
 	VADDPD  Y4, Y8, Y8
 	VMOVUPD (R9)(AX*8), Y5
 	VMULPD  Y1, Y5, Y5
-	VADDPD  Y5, Y8, Y8
+	VADDPD  Y8, Y5, Y8
 	VMOVUPD (R10)(AX*8), Y6
 	VMULPD  Y2, Y6, Y6
-	VADDPD  Y6, Y8, Y8
+	VADDPD  Y8, Y6, Y8
 	VMOVUPD (R11)(AX*8), Y7
 	VMULPD  Y3, Y7, Y7
 	VADDPD  Y8, Y7, Y8
+	TESTQ   R12, R12
+	JEQ     store
+	VMOVUPD (DI)(AX*8), Y9
+	VADDPD  Y9, Y8, Y8
+
+store:
 	VMOVUPD Y8, (DI)(AX*8)
 	ADDQ    $4, AX
 	JMP     loop
@@ -217,22 +225,28 @@ tail:
 	JGE    done
 	VXORPD X8, X8, X8
 	TESTQ  BX, BX
-	JNE    tassigned
-	VMOVSD (DI)(AX*8), X8
+	JEQ    tstarted
+	VMOVSD (BX)(AX*8), X8
 
-tassigned:
+tstarted:
 	VMOVSD (R8)(AX*8), X4
 	VMULSD X0, X4, X4
 	VADDSD X4, X8, X8
 	VMOVSD (R9)(AX*8), X5
 	VMULSD X1, X5, X5
-	VADDSD X5, X8, X8
+	VADDSD X8, X5, X8
 	VMOVSD (R10)(AX*8), X6
 	VMULSD X2, X6, X6
-	VADDSD X6, X8, X8
+	VADDSD X8, X6, X8
 	VMOVSD (R11)(AX*8), X7
 	VMULSD X3, X7, X7
 	VADDSD X8, X7, X8
+	TESTQ  R12, R12
+	JEQ    tstore
+	VMOVSD (DI)(AX*8), X9
+	VADDSD X9, X8, X8
+
+tstore:
 	VMOVSD X8, (DI)(AX*8)
 	INCQ   AX
 	JMP    tail
@@ -241,27 +255,29 @@ done:
 	VZEROUPPER
 	RET
 
-// func backward4AVX2(w, wg []float64, assign bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
+// func backward4AVX2(w, wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
 //
-// ∂W as backward4 compiles it, lanes j: acc = +0 (assign) or wg;
-// p_r = x_r * g_r, added as acc + p for row 0 and p + acc for rows 1–3.
+// ∂W as backward4 compiles it, lanes j: acc = +0 (from nil) or from;
+// p_r = x_r * g_r, added as acc + p for row 0 and p + acc for rows 1–3;
+// with add, acc = acc + wg; acc is stored to wg.
 // ∂x, lanes r: Y14 holds s0…s3. The four rows loaded for ∂W are
 // transposed in registers into (g0[j], g1[j], g2[j], g3[j]) for each j,
 // and for j ascending s += g[j] * w[j] — one VADDPD per j, so each row's
 // sum keeps its order.
-TEXT ·backward4AVX2(SB), NOSPLIT, $0-216
+TEXT ·backward4AVX2(SB), NOSPLIT, $0-240
 	MOVQ         w_base+0(FP), SI
 	MOVQ         w_len+8(FP), CX
 	MOVQ         wg_base+24(FP), DI
-	MOVBLZX      assign+48(FP), BX
-	VBROADCASTSD x0+56(FP), Y0
-	VBROADCASTSD x1+64(FP), Y1
-	VBROADCASTSD x2+72(FP), Y2
-	VBROADCASTSD x3+80(FP), Y3
-	MOVQ         g0_base+88(FP), R8
-	MOVQ         g1_base+112(FP), R9
-	MOVQ         g2_base+136(FP), R10
-	MOVQ         g3_base+160(FP), R11
+	MOVQ         from_base+48(FP), BX
+	MOVBLZX      add+72(FP), R12
+	VBROADCASTSD x0+80(FP), Y0
+	VBROADCASTSD x1+88(FP), Y1
+	VBROADCASTSD x2+96(FP), Y2
+	VBROADCASTSD x3+104(FP), Y3
+	MOVQ         g0_base+112(FP), R8
+	MOVQ         g1_base+136(FP), R9
+	MOVQ         g2_base+160(FP), R10
+	MOVQ         g3_base+184(FP), R11
 	VXORPD       Y14, Y14, Y14
 	MOVQ         CX, DX
 	ANDQ         $-4, DX
@@ -272,10 +288,10 @@ loop:
 	JGE     tail
 	VXORPD  Y8, Y8, Y8
 	TESTQ   BX, BX
-	JNE     assigned
-	VMOVUPD (DI)(AX*8), Y8
+	JEQ     started
+	VMOVUPD (BX)(AX*8), Y8
 
-assigned:
+started:
 	VMOVUPD (R8)(AX*8), Y4
 	VMOVUPD (R9)(AX*8), Y5
 	VMOVUPD (R10)(AX*8), Y6
@@ -288,6 +304,12 @@ assigned:
 	VADDPD  Y8, Y9, Y8
 	VMULPD  Y7, Y3, Y9
 	VADDPD  Y8, Y9, Y8
+	TESTQ   R12, R12
+	JEQ     store
+	VMOVUPD (DI)(AX*8), Y9
+	VADDPD  Y9, Y8, Y8
+
+store:
 	VMOVUPD Y8, (DI)(AX*8)
 
 	// Y4…Y7 = (g0, g1, g2, g3) at j, j+1, j+2, j+3.
@@ -320,10 +342,10 @@ tail:
 	JGE    done
 	VXORPD X8, X8, X8
 	TESTQ  BX, BX
-	JNE    tassigned
-	VMOVSD (DI)(AX*8), X8
+	JEQ    tstarted
+	VMOVSD (BX)(AX*8), X8
 
-tassigned:
+tstarted:
 	VMOVSD (R8)(AX*8), X4
 	VMOVSD (R9)(AX*8), X5
 	VMOVSD (R10)(AX*8), X6
@@ -336,6 +358,12 @@ tassigned:
 	VADDSD X8, X9, X8
 	VMULSD X7, X3, X9
 	VADDSD X8, X9, X8
+	TESTQ  R12, R12
+	JEQ    tstore
+	VMOVSD (DI)(AX*8), X9
+	VADDSD X9, X8, X8
+
+tstore:
 	VMOVSD X8, (DI)(AX*8)
 
 	VUNPCKLPD    X5, X4, X4
@@ -348,10 +376,10 @@ tassigned:
 	JMP          tail
 
 done:
-	VMOVSD       X14, s0+184(FP)
-	VMOVHPD      X14, s1+192(FP)
+	VMOVSD       X14, s0+208(FP)
+	VMOVHPD      X14, s1+216(FP)
 	VEXTRACTF128 $1, Y14, X14
-	VMOVSD       X14, s2+200(FP)
-	VMOVHPD      X14, s3+208(FP)
+	VMOVSD       X14, s2+224(FP)
+	VMOVHPD      X14, s3+232(FP)
 	VZEROUPPER
 	RET

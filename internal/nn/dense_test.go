@@ -15,12 +15,8 @@ var benchLoss float64
 // bodies, "avx2" — with Dense pointed at that set, as init would point it,
 // and restores init's choice after.
 func onEachKernelPath(run func(path string)) {
-	chosen := kernels
-	defer func() { kernels = chosen }()
-	kernels = &goKernels
-	run("portable")
-	if chosen != &goKernels {
-		kernels = chosen
+	WithGoKernels(func() { run("portable") })
+	if kernels != &goKernels {
 		run("avx2")
 	}
 }
@@ -178,8 +174,13 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // by BindGrads to a buffer of NaNs, the first call must leave what the
 // reference leaves in a cleared G — its first block assigning (a -0 product
 // or a -0 output gradient landing as +0), any later block accumulating —
-// and a second call before the next bind must accumulate on top. Both
-// kernel paths run it.
+// and a second call before the next bind must accumulate on top. Then the
+// adding bind (BindGradsAdding) onto a buffer of values with ±0 among
+// them: the first call must leave the buffer plus the gradient the
+// reference sums into a cleared G, added once per element (a -0 in the
+// buffer landing as +0), over every batch size 1–9 and so over one block
+// and several, and a second call must accumulate on top. Both kernel paths
+// run it.
 func TestDenseKernelsMatchRowAtATime(t *testing.T) {
 	onEachKernelPath(func(path string) { t.Run(path, denseKernelsMatchRowAtATime) })
 }
@@ -271,6 +272,53 @@ func denseKernelsMatchRowAtATime(t *testing.T) {
 						bitsEqual(t, name+"W.G", d.W.G, refWG)
 						bitsEqual(t, name+"B.G", d.B.G, refBG)
 						bitsEqual(t, name+"flat W span", flat[:in*out], refWG)
+					}
+				}
+
+				for _, paramsOnly := range []bool{false, true} {
+					acc := make([]float64, ParamCount(d.Params()))
+					for i := range acc {
+						switch i % 7 {
+						case 0:
+							acc[i] = negZero
+						case 1:
+							acc[i] = 0
+						default:
+							acc[i] = rng.NormFloat64()
+						}
+					}
+					accW, accB := append([]float64(nil), acc[:in*out]...), append([]float64(nil), acc[in*out:]...)
+					BindGradsAdding(d.Params(), acc)
+					for call := 0; call < 2; call++ {
+						x := &Tensor{Shape: []int{batch, in}, Data: postReLUInput(rng, batch, in)}
+						gradOut := randTensor(rng, batch, out)
+						gradOut.Data[rng.Intn(len(gradOut.Data))] = 0
+						gradOut.Data[0] = negZero
+						d.Forward(x)
+						name := fmt.Sprintf("in=%d out=%d batch=%d adding paramsOnly=%v call=%d: ", in, out, batch, paramsOnly, call)
+						// The first call adds the gradient, summed into a
+						// cleared buffer, into acc; the second accumulates.
+						var wantGI []float64
+						if call == 0 {
+							sumW, sumB := make([]float64, in*out), make([]float64, out)
+							wantGI = refDenseBackward(in, out, d.W.W, sumW, sumB, x.Data, gradOut.Data, batch)
+							for i := range refWG {
+								refWG[i] = accW[i] + sumW[i]
+							}
+							for j := range refBG {
+								refBG[j] = accB[j] + sumB[j]
+							}
+						} else {
+							wantGI = refDenseBackward(in, out, d.W.W, refWG, refBG, x.Data, gradOut.Data, batch)
+						}
+						if paramsOnly {
+							d.BackwardParams(gradOut)
+						} else {
+							bitsEqual(t, name+"gradIn", d.Backward(gradOut).Data, wantGI)
+						}
+						bitsEqual(t, name+"W.G", d.W.G, refWG)
+						bitsEqual(t, name+"B.G", d.B.G, refBG)
+						bitsEqual(t, name+"acc W span", acc[:in*out], refWG)
 					}
 				}
 			}

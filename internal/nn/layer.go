@@ -15,7 +15,9 @@ type Layer interface {
 	Forward(x *Tensor) *Tensor
 	// Backward receives dL/d(output) and returns dL/d(input), adding
 	// parameter gradients into the layer's Params — or, for a layer that
-	// opted in to it, assigning a G that BindGrads marked unwritten.
+	// opted in to it (Dense), assigning a G that BindGrads marked
+	// unwritten, or adding the whole gradient into a G bound by
+	// BindGradsAdding once per element.
 	Backward(gradOut *Tensor) *Tensor
 	// Params returns the trainable parameters (empty for stateless
 	// layers).

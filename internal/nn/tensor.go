@@ -9,10 +9,12 @@
 // runs, Dense, is blocked over the batch (dense.go: W and ∂W streamed once
 // per four rows, not once per row), gradients land straight in the
 // caller's flat vector and ∂W is written once, not cleared and then
-// accumulated (BindGrads), and the first layer's unread ∂x is not computed
-// (Sequential.BackwardParams). None of it changes a bit of any result: the
-// kernels are held to the row-at-a-time loops on math.Float64bits by
-// TestDenseKernelsMatchRowAtATime.
+// accumulated (BindGrads) — or, for a caller that wants the gradient added
+// into a vector it keeps, such as error feedback's residual, summed from +0
+// and added into it once (BindGradsAdding) — and the first layer's unread
+// ∂x is not computed (Sequential.BackwardParams). None of it changes a bit
+// of any result: the kernels are held to the row-at-a-time loops on
+// math.Float64bits by TestDenseKernelsMatchRowAtATime.
 //
 // On an amd64 CPU with AVX2 (internal/cpu's CPUID and XGETBV probe, read
 // once at init; there is no setting) Dense's full-block kernels and the narrower forward ones run
@@ -125,38 +127,51 @@ type Param struct {
 	// W is the weight storage.
 	W []float64
 	// G is the gradient accumulated by Backward. It is the parameter's own
-	// storage until BindGrads
-	// points it into a flat vector: a dist.Trainer rebinds it every pass,
-	// so after a Trainer.Step it aliases the last worker's flat gradient
-	// buffer (which compression and clipping have since rewritten).
-	// Between a BindGrads and the owning layer's next Backward the G of a
-	// Dense parameter is unwritten — stale values that Backward will
-	// overwrite, not add to (see BindGrads).
+	// storage until BindGrads or BindGradsAdding points it into a caller's
+	// vector: a dist.Trainer rebinds it every pass, so after a
+	// Trainer.Step it aliases the last worker's flat gradient buffer or,
+	// on the trainer's error-feedback route, its residual (which
+	// compression has since rewritten). Between a BindGrads and the owning
+	// layer's next Backward the G of a Dense parameter is unwritten —
+	// stale values that Backward will overwrite, not add to (see
+	// BindGrads).
 	G []float64
 	// Shape documents the logical shape of W.
 	Shape []int
 
-	// assignFirst is the owning layer's opt-in to the unwritten-G contract
-	// (Dense sets it): its Backward assigns a G marked unwritten instead of
-	// accumulating into it.
-	assignFirst bool
-	// unwritten marks G as holding no gradient yet: its contents are
-	// whatever the bound buffer last held and must be overwritten, not
-	// added to. Only BindGrads sets it, only on assignFirst parameters.
-	unwritten bool
+	// whole is the owning layer's opt-in to the unwritten-G and adding
+	// binds (Dense sets it): one Backward computes its parameters' whole
+	// gradient, so it can assign G or add it into G once per element.
+	whole bool
+	// mode is how the owning layer's next Backward writes G. Only the binds
+	// set it to anything but gradAccumulate, and only on whole parameters.
+	mode gradMode
 }
+
+// gradMode is how a layer's Backward writes a parameter's gradient.
+type gradMode uint8
+
+const (
+	// gradAccumulate: G += ∂W, row by row.
+	gradAccumulate gradMode = iota
+	// gradAssign: G is unwritten; G = ∂W, summed from +0 (BindGrads).
+	gradAssign
+	// gradAdd: G = G + ∂W, with ∂W summed from +0 first (BindGradsAdding).
+	gradAdd
+)
 
 func newParam(name string, shape ...int) *Param {
 	n := Volume(shape)
 	return &Param{Name: name, W: make([]float64, n), G: make([]float64, n), Shape: shape}
 }
 
-// takeUnwritten reports whether G is marked unwritten and clears the mark:
-// the caller is about to write it.
-func (p *Param) takeUnwritten() bool {
-	u := p.unwritten
-	p.unwritten = false
-	return u
+// takeMode returns how G is to be written and resets it to accumulate: the
+// caller is about to write it, and a second Backward before the next bind
+// adds to what the first left.
+func (p *Param) takeMode() gradMode {
+	m := p.mode
+	p.mode = gradAccumulate
+	return m
 }
 
 // ParamCount sums the weight counts of params.
@@ -186,22 +201,68 @@ func BindGrads(params []*Param, flat []float64) {
 		panic("nn: BindGrads size mismatch")
 	}
 	for _, p := range params {
-		p.unwritten = false
+		p.mode = gradAccumulate
 	}
 	off := 0
 	for _, p := range params {
 		n := len(p.W)
-		if p.unwritten {
+		if p.mode == gradAssign {
 			// Listed twice (a shared layer): the span bound a moment ago is
 			// abandoned for this one and no Backward will write it.
 			clear(p.G)
 		}
 		p.G = flat[off : off+n : off+n]
-		if p.assignFirst {
-			p.unwritten = true
+		if p.whole {
+			p.mode = gradAssign
 		} else {
 			clear(p.G)
 		}
+		off += n
+	}
+}
+
+// CanBindAdding reports whether BindGradsAdding takes params: every
+// parameter's layer computes its whole gradient in one Backward (Dense, on
+// its own or in a TimeDistributed) and none is listed twice.
+func CanBindAdding(params []*Param) bool {
+	for i, p := range params {
+		if !p.whole {
+			return false
+		}
+		for _, q := range params[:i] {
+			if q == p {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// BindGradsAdding points every parameter's G at its span of acc, in
+// parameter order, for the owning layer's next Backward to add the
+// gradient into: G = G + ∂W, ∂W summed from +0 exactly as an unwritten G
+// receives it (BindGrads) and added once per element. Bit for bit it is
+// BindGrads onto a buffer g followed by acc[i] += g[i] — the sum error
+// feedback forms before it compresses, here without g's buffer or the
+// sweep that adds it — except that where both are NaNs the payload kept is
+// the compiler's choice of operand order (the package doc). acc is not
+// cleared; a second Backward before the next bind accumulates on top. It
+// panics unless CanBindAdding(params).
+func BindGradsAdding(params []*Param, acc []float64) {
+	if len(acc) != ParamCount(params) {
+		panic("nn: BindGradsAdding size mismatch")
+	}
+	for _, p := range params {
+		p.mode = gradAccumulate
+	}
+	off := 0
+	for _, p := range params {
+		if !p.whole || p.mode == gradAdd {
+			panic("nn: BindGradsAdding needs every parameter a Dense's, listed once")
+		}
+		n := len(p.W)
+		p.G = acc[off : off+n : off+n]
+		p.mode = gradAdd
 		off += n
 	}
 }

@@ -380,6 +380,47 @@ func TestBindGrads(t *testing.T) {
 	BindGrads(params, make([]float64, 9))
 }
 
+// TestBindGradsAdding pins which parameter lists the adding bind takes —
+// Dense ones (alone or in a TimeDistributed), each listed once — and that
+// it refuses the rest by panicking: an accumulating layer's parameter, a
+// Dense listed twice, a buffer of the wrong length.
+func TestBindGradsAdding(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d := NewDense("d", 3, 2, rng)
+	td := NewTimeDistributed(NewDense("td", 2, 2, rng))
+	conv := NewConv2D("c", 1, 2, 3, rng)
+	cases := []struct {
+		name   string
+		params []*Param
+		ok     bool
+	}{
+		{"dense", d.Params(), true},
+		{"dense+time-distributed", append(d.Params(), td.Params()...), true},
+		{"conv", conv.Params(), false},
+		{"dense listed twice", NewSequential(d, &ReLU{}, d).Params(), false},
+	}
+	for _, tc := range cases {
+		if got := CanBindAdding(tc.params); got != tc.ok {
+			t.Errorf("%s: CanBindAdding = %v, want %v", tc.name, got, tc.ok)
+		}
+		acc := make([]float64, ParamCount(tc.params))
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			BindGradsAdding(tc.params, acc)
+			return false
+		}()
+		if panicked == tc.ok {
+			t.Errorf("%s: BindGradsAdding panicked = %v, want %v", tc.name, panicked, !tc.ok)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BindGradsAdding accepted a buffer of the wrong length")
+		}
+	}()
+	BindGradsAdding(d.Params(), make([]float64, 7))
+}
+
 // TestClipGradNorm: ClipFlatNorm rescales a flat gradient to the norm
 // bound and leaves one inside it alone.
 func TestClipGradNorm(t *testing.T) {

@@ -4,7 +4,7 @@ import "repro/internal/cpu"
 
 func init() {
 	if cpu.AVX2 {
-		absQuadSweep = absQuadAVX2
+		absQuadSweep, absReadSweep = absQuadAVX2, absReadAVX2
 	}
 }
 
@@ -14,3 +14,10 @@ func init() {
 //
 //go:noescape
 func absQuadAVX2(blk, g []float64) (s0, s1, s2, s3 float64)
+
+// absReadAVX2 is absRead in AVX2 (abs_amd64.s): the same four chains, the
+// same bits. blk must hold at least 4·sumBlock elements; it reads the
+// first 4·sumBlock and writes nothing.
+//
+//go:noescape
+func absReadAVX2(blk []float64) (s0, s1, s2, s3 float64)

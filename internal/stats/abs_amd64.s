@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// AVX2 body of absQuad (desc.go): Σ|acc + g| over four consecutive
-// sumBlocks, acc += g stored back, one chain per block. Each iteration
+// AVX2 bodies of absQuad and absRead (desc.go). absQuadAVX2 is
+// Σ|acc + g| over four consecutive sumBlocks, acc += g stored back, one
+// chain per block; absReadAVX2 is Σ|acc| the same way. Each iteration
 // takes one group of four elements of each block, at the same index in
 // every block:
 //
@@ -64,5 +65,50 @@ loop:
 	VEXTRACTF128 $1, Y0, X0
 	VMOVSD       X0, s2+64(FP)
 	VMOVHPD      X0, s3+72(FP)
+	VZEROUPPER
+	RET
+
+// ABS loads block b's group at CX into y with its sign bit cleared.
+#define ABS(off, y) \
+	VANDPD off(SI)(CX*1), Y15, y
+
+// func absReadAVX2(blk []float64) (s0, s1, s2, s3 float64)
+//
+// absQuadAVX2 without g: |x| of each block's group, read only, then the
+// same transpose and the same four adds into the chains in Y0.
+TEXT ·absReadAVX2(SB), NOSPLIT, $0-56
+	MOVQ         blk_base+0(FP), SI
+	MOVQ         $0x7fffffffffffffff, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+	VXORPD       Y0, Y0, Y0
+	XORQ         CX, CX
+
+loop:
+	ABS(0, Y1)
+	ABS(block, Y2)
+	ABS(2*block, Y3)
+	ABS(3*block, Y4)
+	VUNPCKLPD    Y2, Y1, Y5
+	VUNPCKHPD    Y2, Y1, Y6
+	VUNPCKLPD    Y4, Y3, Y7
+	VUNPCKHPD    Y4, Y3, Y8
+	VPERM2F128   $0x20, Y7, Y5, Y1
+	VPERM2F128   $0x20, Y8, Y6, Y2
+	VPERM2F128   $0x31, Y7, Y5, Y3
+	VPERM2F128   $0x31, Y8, Y6, Y4
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y3, Y0, Y0
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $32, CX
+	CMPQ         CX, $block
+	JLT          loop
+
+	VMOVSD       X0, s0+24(FP)
+	VMOVHPD      X0, s1+32(FP)
+	VEXTRACTF128 $1, Y0, X0
+	VMOVSD       X0, s2+40(FP)
+	VMOVHPD      X0, s3+48(FP)
 	VZEROUPPER
 	RET

@@ -95,11 +95,12 @@ func nanOrSameBits(a, b float64) bool {
 
 // TestAbsSumMatchesOneBlock holds absSum, the four-block Σ|x| sweep of
 // AccumulateMeanAbs, to reduce's one-block loop over absKernel on each
-// path (portable: absQuad; avx2: absQuadAVX2): the sum and the updated acc
-// by nanOrSameBits, at every streamLength, plain, with each lane salted
-// (saltLanes) and with every lane of a group salted in one block while
-// the other three are clean (saltGroups), and with acc passed as its own
-// addend.
+// path (portable: absQuad and absRead; avx2: absQuadAVX2 and absReadAVX2):
+// the sum and the updated acc by nanOrSameBits, at every streamLength,
+// plain, with each lane salted (saltLanes) and with every lane of a group
+// salted in one block while the other three are clean (saltGroups), with
+// acc passed as its own addend, and with no addend (g nil: the read-only
+// body, which must leave acc as it was).
 func TestAbsSumMatchesOneBlock(t *testing.T) {
 	onEachPath(func(path string) { t.Run(path, testAbsSumMatchesOneBlock) })
 }
@@ -124,14 +125,17 @@ func testAbsSumMatchesOneBlock(t *testing.T) {
 			case "groups":
 				saltGroups(acc0)
 			}
-			for _, alias := range []bool{false, true} {
+			for _, addend := range []string{"g", "alias", "none"} {
 				want, acc := append([]float64(nil), acc0...), append([]float64(nil), acc0...)
 				wantG, gotG := g, g
-				if alias {
+				switch addend {
+				case "alias":
 					wantG, gotG = want, acc
+				case "none":
+					wantG, gotG = nil, nil
 				}
 				wantSum := reduce(want, wantG, absKernel, 0)[0]
-				what := fmt.Sprintf("n=%d %s alias=%v", n, fill, alias)
+				what := fmt.Sprintf("n=%d %s addend=%s", n, fill, addend)
 				if got := absSum(acc, gotG); !nanOrSameBits(got, wantSum) {
 					t.Fatalf("%s: Σ|acc+g| = %v, one block at a time %v", what, got, wantSum)
 				}
@@ -145,10 +149,11 @@ func testAbsSumMatchesOneBlock(t *testing.T) {
 	}
 }
 
-// TestAbsQuadBodyStaysInBounds runs the four-block Σ|x| body of each path
-// on slices whose backing arrays run on past 4·sumBlock, every slot there a
-// sentinel: the body must write acc's first 4·sumBlock slots only, leave g
-// alone, and return absQuad's four partials.
+// TestAbsQuadBodyStaysInBounds runs the four-block Σ|x| bodies of each
+// path on slices whose backing arrays run on past 4·sumBlock, every slot
+// there a sentinel: the adding body must write acc's first 4·sumBlock slots
+// only, leave g alone, and return absQuad's four partials; the read-only
+// body must write nothing and return absRead's.
 func TestAbsQuadBodyStaysInBounds(t *testing.T) {
 	onEachPath(func(path string) {
 		const n, pad = 4 * sumBlock, 64
@@ -170,6 +175,18 @@ func TestAbsQuadBodyStaysInBounds(t *testing.T) {
 		for i := range acc {
 			if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) || math.Float64bits(g[i]) != math.Float64bits(gCopy[i]) {
 				t.Fatalf("%s: slot %d: acc %v (want %v), g %v (want %v)", path, i, acc[i], wantAcc[i], g[i], gCopy[i])
+			}
+		}
+		// The read-only body over acc as it now stands: absRead's partials,
+		// and not a slot written.
+		w0, w1, w2, w3 = absRead(acc[:n])
+		s0, s1, s2, s3 = absReadSweep(acc[:n])
+		if got, want := [4]float64{s0, s1, s2, s3}, [4]float64{w0, w1, w2, w3}; got != want {
+			t.Fatalf("%s: read-only partials %v, absRead %v", path, got, want)
+		}
+		for i := range acc {
+			if math.Float64bits(acc[i]) != math.Float64bits(wantAcc[i]) {
+				t.Fatalf("%s: read-only body wrote slot %d: %v, want %v", path, i, acc[i], wantAcc[i])
 			}
 		}
 	})
@@ -320,8 +337,9 @@ var sinkMoment float64
 // "MeanAbs/fused-one-block" and "GammaMoments/avx2/fused-one-block" are
 // the fused sweeps one block at a time, the loops four-block absSum and
 // gammaSum are held to.
-// MeanAbs's fused row runs on each path (portable: absQuad; avx2:
-// abs_amd64.s). GammaMoments runs on each path (portable: the Go loop;
+// MeanAbs's fused row, and its "read" row without the add (g nil: the
+// gradient was added into acc before the sweep), run on each path
+// (portable: absQuad, absRead; avx2: abs_amd64.s). GammaMoments runs on each path (portable: the Go loop;
 // avx2: gamma_amd64.s), over the dense gradient and over one with half its
 // entries zero at random ("sparse"), whose groups of four mix normal and
 // zero lanes.
@@ -372,6 +390,11 @@ func BenchmarkAccumulate(b *testing.B) {
 		} else if k.name == "MeanAbs" {
 			onEachPath(func(path string) {
 				b.Run(k.name+"/"+path+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })
+				// The sweep error feedback runs when the gradient was added
+				// into acc before it: read only, 8 bytes an element.
+				b.Run(k.name+"/"+path+"/read", func(b *testing.B) {
+					run(b, g, 8, func(acc, _ []float64) { sinkMoment = AccumulateMeanAbs(acc, nil) })
+				})
 			})
 		} else {
 			b.Run(k.name+"/fused", func(b *testing.B) { run(b, g, 24, k.fused) })

@@ -270,25 +270,30 @@ func GammaMoments(xs []float64) (meanAbs, meanLogAbs float64) {
 // and returns MeanAbs of the sum in the same sweep: acc and the mean are
 // bit-equal to adding first and calling MeanAbs(acc) after.
 func AccumulateMeanAbs(acc, g []float64) float64 {
-	if g == nil {
-		return reduce(acc, nil, absKernel, 0)[0] / float64(len(acc))
-	}
 	return absSum(acc, g) / float64(len(acc))
 }
 
-// absSum is reduce(acc, g, absKernel, 0)[0], acc += g included, bit for
-// bit, four blocks at a time: absQuadSweep runs four consecutive blocks'
-// chains side by side, each from 0.0 in its own element order, and their
-// partials add to the total in block order. One chain waits on the
-// adder's latency; four keep it busy and keep four streams in flight. The
-// last len%(4·sumBlock) elements go block by block through absKernel.
+// absSum is reduce(acc, g, absKernel, 0)[0], acc += g included when g is
+// not nil, bit for bit, four blocks at a time: absQuadSweep (absReadSweep
+// without g, which only reads acc) runs four consecutive blocks' chains
+// side by side, each from 0.0 in its own element order, and their partials
+// add to the total in block order. One chain waits on the adder's latency;
+// four keep it busy and keep four streams in flight. The last
+// len%(4·sumBlock) elements go block by block through absKernel.
 //
 //sidco:hotpath
 func absSum(acc, g []float64) float64 {
-	g = g[:len(acc)]
+	if g != nil {
+		g = g[:len(acc)]
+	}
 	total, lo := 0.0, 0
 	for ; len(acc)-lo >= 4*sumBlock; lo += 4 * sumBlock {
-		s0, s1, s2, s3 := absQuadSweep(acc[lo:], g[lo:])
+		var s0, s1, s2, s3 float64
+		if g == nil {
+			s0, s1, s2, s3 = absReadSweep(acc[lo:])
+		} else {
+			s0, s1, s2, s3 = absQuadSweep(acc[lo:], g[lo:])
+		}
 		total += s0
 		total += s1
 		total += s2
@@ -296,14 +301,18 @@ func absSum(acc, g []float64) float64 {
 	}
 	for ; lo < len(acc); lo += sumBlock {
 		hi := min(lo+sumBlock, len(acc))
-		total += absKernel(acc[lo:hi], g[lo:hi], 0)[0]
+		total += absKernel(acc[lo:hi], window(g, lo, hi), 0)[0]
 	}
 	return total
 }
 
-// absQuadSweep is absSum's four-block body: absQuad, or absQuadAVX2 when
+// absQuadSweep and absReadSweep are absSum's four-block bodies with and
+// without g: absQuad and absRead, or absQuadAVX2 and absReadAVX2 when
 // abs_amd64.go's init finds the CPU and OS support AVX2.
-var absQuadSweep = absQuad
+var (
+	absQuadSweep = absQuad
+	absReadSweep = absRead
+)
 
 // absQuad is absKernel with g over the first four blocks of blk, one
 // accumulator and one named block per chain (an array of
@@ -323,6 +332,24 @@ func absQuad(blk, g []float64) (s0, s1, s2, s3 float64) {
 		s1 += math.Abs(v1)
 		s2 += math.Abs(v2)
 		s3 += math.Abs(v3)
+	}
+	return s0, s1, s2, s3
+}
+
+// absRead is absQuad without g: Σ|x| over the first four blocks of blk,
+// which it only reads, one chain per block — error feedback's first sweep
+// when the gradient was added into acc before it (the path on a machine
+// without AVX2 and the oracle of the AVX2 body).
+//
+//sidco:hotpath
+func absRead(blk []float64) (s0, s1, s2, s3 float64) {
+	b0, b1 := (*[sumBlock]float64)(blk), (*[sumBlock]float64)(blk[sumBlock:])
+	b2, b3 := (*[sumBlock]float64)(blk[2*sumBlock:]), (*[sumBlock]float64)(blk[3*sumBlock:])
+	for i := range b0 {
+		s0 += math.Abs(b0[i])
+		s1 += math.Abs(b1[i])
+		s2 += math.Abs(b2[i])
+		s3 += math.Abs(b3[i])
 	}
 	return s0, s1, s2, s3
 }

@@ -117,12 +117,14 @@ var gammaLengths = []int{0, 1, 511, 512, 513, 4095, 4096, 4097, 2*4096 + 1}
 // abs_amd64.s) — with gammaKernel, gammaSum and absSum pointed at those
 // bodies, as init would point them, and restores init's choice after.
 func onEachPath(run func(path string)) {
-	chosen, chosenQuad, chosenAbs := gammaSweep, gammaQuadSweep, absQuadSweep
-	defer func() { gammaSweep, gammaQuadSweep, absQuadSweep = chosen, chosenQuad, chosenAbs }()
-	gammaSweep, gammaQuadSweep, absQuadSweep = gammaLoop, nil, absQuad
+	chosen, chosenQuad, chosenAbs, chosenRead := gammaSweep, gammaQuadSweep, absQuadSweep, absReadSweep
+	defer func() {
+		gammaSweep, gammaQuadSweep, absQuadSweep, absReadSweep = chosen, chosenQuad, chosenAbs, chosenRead
+	}()
+	gammaSweep, gammaQuadSweep, absQuadSweep, absReadSweep = gammaLoop, nil, absQuad, absRead
 	run("portable")
 	if cpu.AVX2 {
-		gammaSweep, gammaQuadSweep, absQuadSweep = chosen, chosenQuad, chosenAbs
+		gammaSweep, gammaQuadSweep, absQuadSweep, absReadSweep = chosen, chosenQuad, chosenAbs, chosenRead
 		run("avx2")
 	}
 }
