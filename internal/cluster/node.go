@@ -59,6 +59,10 @@ type nodeScratch struct {
 	// of every all-gather round.
 	encPrev []byte
 	gather  [][]byte
+	// ringSrc keeps a dense gradient the ring reduces over in place
+	// (job.out aliasing job.dense) for a retry to start from again: only
+	// a node that may retry allocates it.
+	ringSrc []float64
 	full    tensor.Sparse // full-support view of a dense gradient
 	ident   []int32       // 0..dim-1 ramp for dense-as-sparse views
 
@@ -445,7 +449,9 @@ func (n *Node) ExchangeSparse(step int, ins []dist.ExchangeInput, mean *tensor.S
 }
 
 // ExchangeApply implements dist.ApplyExchange: when the collective is the
-// ring all-reduce, it runs in agg and apply gets each chunk of the mean
+// ring all-reduce, it runs in agg (which may be the dense gradient itself;
+// a node that may retry keeps a copy of it to start a retry from) and
+// apply gets each chunk of the mean
 // where it lands — the chunks this node owned or forwarded from agg, the
 // last one received from its frame — once the round's last receive has
 // succeeded, so a failed attempt, retried over a renegotiated group or
@@ -495,6 +501,15 @@ func (n *Node) exchange(jb job) error {
 		// node's payload of that round. Swapped per round, not per
 		// attempt: a retry follows a renegotiation with every survivor.
 		n.sc.enc, n.sc.encPrev = n.sc.encPrev, n.sc.enc
+	}
+	if n.cfg.MaxStepRetries > 0 && len(jb.dense) > 0 && len(jb.out) > 0 && &jb.dense[0] == &jb.out[0] {
+		// The ring reduces in the gradient itself: a retry must start from
+		// the gradient as it was, not from a failed attempt's partial sums.
+		if len(n.sc.ringSrc) != len(jb.dense) {
+			n.sc.ringSrc = make([]float64, len(jb.dense)) //sidco:alloc first in-place round of a node that may retry
+		}
+		copy(n.sc.ringSrc, jb.dense)
+		jb.dense = n.sc.ringSrc
 	}
 	for attempt := 0; ; attempt++ {
 		jb.deadline = n.stepDeadline()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/encoding"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -14,6 +15,16 @@ import (
 // CompressInto(dst, acc, delta) would: acc += g whatever is returned.
 type AccumulateCompressor interface {
 	CompressAccumulateInto(dst *tensor.Sparse, acc, g []float64, delta float64) error
+}
+
+// AbsSumCompressor is the optional interface of a compressor whose first
+// stage reads nothing of its input but Σ|v| (SIDCo-E). When UsesAbsSum
+// reports true, CompressWithAbsSum(dst, g, sum, delta) with sum equal to
+// stats' Σ|g| bit for bit leaves dst and the compressor's state exactly as
+// CompressInto(dst, g, delta) would, without the sweep that sums g.
+type AbsSumCompressor interface {
+	UsesAbsSum() bool
+	CompressWithAbsSum(dst *tensor.Sparse, g []float64, sum, delta float64) error
 }
 
 // ErrorFeedback wraps any Compressor with the error-compensation (EC)
@@ -34,19 +45,29 @@ type AccumulateCompressor interface {
 // the residual as it produces it takes the other: Accumulator hands it the
 // residual to add into, and CompressAccumulated compresses the sum with no
 // add of its own — the same bits, one d-sized buffer and two streams of the
-// sweep fewer (dist.Trainer does this for an all-Dense model).
+// sweep fewer (dist.Trainer does this for an all-Dense model). When Inner's
+// first stage reads only Σ|v| (AbsSumCompressor: SIDCo-E), that caller can
+// also sum |v| as it adds, into Partials: CompressAccumulated then takes
+// the sum from them and does not sweep the residual for it (dist.Trainer's
+// Dense backward covers every whole 4096-element block of a weight matrix
+// whose rows tile them; the blocks it does not cover are summed here).
 type ErrorFeedback struct {
 	// Inner is the wrapped sparsifier. Which optional interfaces it
 	// offers is read once, on the first CompressInto or LastSelection.
 	Inner Compressor
 
 	residual []float64
-	wire     encoding.Format
-	wireSet  bool
-	// Inner as an AccumulateCompressor and as a SelectionReporter, or nil,
-	// once resolved.
+	// sums are the residual's Σ|v| partials (Partials); they cover no
+	// block but between a caller's add and CompressAccumulated.
+	sums    stats.AbsPartials
+	wire    encoding.Format
+	wireSet bool
+	// Inner as an AccumulateCompressor, as a SelectionReporter and, when
+	// its first stage takes Σ|v|, as an AbsSumCompressor, or nil, once
+	// resolved.
 	fused    AccumulateCompressor
 	reporter SelectionReporter
+	absSum   AbsSumCompressor
 	resolved bool
 }
 
@@ -58,6 +79,9 @@ func (e *ErrorFeedback) resolve() {
 	if !e.resolved {
 		e.fused, _ = e.Inner.(AccumulateCompressor)
 		e.reporter, _ = e.Inner.(SelectionReporter)
+		if a, ok := e.Inner.(AbsSumCompressor); ok && a.UsesAbsSum() {
+			e.absSum = a
+		}
 		e.resolved = true
 	}
 }
@@ -111,6 +135,7 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 		return err
 	}
 	e.resolve()
+	e.sums.Reset(0) // the add below is not summed
 	var err error
 	if e.fused != nil {
 		err = e.fused.CompressAccumulateInto(dst, e.residual, g, delta)
@@ -139,18 +164,38 @@ func (e *ErrorFeedback) Accumulator(d int) ([]float64, error) {
 	return e.residual, nil
 }
 
+// Partials returns the residual's Σ|v| partials for the caller that adds
+// into it (Accumulator) to fill as it adds — a block it covers must hold,
+// as its chain, Σ|v| of the block after the add — when the wrapped
+// compressor takes the sum (AbsSumCompressor), and nil otherwise: chains
+// nobody reads are not worth carrying. The caller Resets them before its
+// add (nn.BindGradsAdding does); CompressAccumulated consumes them.
+func (e *ErrorFeedback) Partials() *stats.AbsPartials {
+	if e.resolve(); e.absSum == nil {
+		return nil
+	}
+	return &e.sums
+}
+
 // CompressAccumulated is CompressInto for a gradient the caller has
 // already added into the residual (Accumulator): the wrapped compressor
 // selects from the residual as it stands, with no add, and the selection
 // is rounded to the wire and subtracted as CompressInto does. When the
 // caller's add gave r + g bit for bit, dst, the residual and the wrapped
 // compressor's state are what CompressInto(dst, g, delta) leaves, and so is
-// the error contract: on error the residual stays at r + g.
+// the error contract: on error the residual stays at r + g. A wrapped
+// AbsSumCompressor gets Σ|v| from Partials, whose uncovered blocks alone
+// are swept, to the same bits.
 //
 //sidco:hotpath
 func (e *ErrorFeedback) CompressAccumulated(dst *tensor.Sparse, delta float64) error {
 	if e.residual == nil {
 		return errEmptyGradient
+	}
+	if e.resolve(); e.absSum != nil {
+		sum := e.sums.Total(e.residual)
+		e.sums.Reset(0) // settle rewrites the residual
+		return e.settle(dst, e.absSum.CompressWithAbsSum(dst, e.residual, sum, delta))
 	}
 	return e.settle(dst, e.Inner.CompressInto(dst, e.residual, delta))
 }
@@ -184,6 +229,7 @@ func (e *ErrorFeedback) Residual() []float64 { return e.residual }
 // copy — the resume hook of dist's checkpointing. Nil or empty resets
 // to the lazily-initialised zero state.
 func (e *ErrorFeedback) RestoreResidual(r []float64) {
+	e.sums.Reset(0)
 	if len(r) == 0 {
 		e.residual = nil
 		return

@@ -86,7 +86,7 @@ func sweepReference(cfg Config, g []float64, delta float64) (r sweepStep) {
 	if !(delta < ratio) || maxM == 1 {
 		ratio = delta
 	}
-	eta := ref.firstStageThreshold(g, nil, ratio)
+	eta := ref.firstStageThreshold(g, nil, nil, ratio)
 	r.sel.Stages = 1
 
 	var cur, prev *naiveList
@@ -204,7 +204,7 @@ func TestListSelectionEdges(t *testing.T) {
 
 			g := sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
 			eta := plantFixedPoint(t, g, 123, 456, func() float64 {
-				e, _ := capped(sid, m).estimateThreshold(g, nil, delta, k)
+				e, _ := capped(sid, m).estimateThreshold(g, nil, nil, delta, k)
 				return e
 			})
 			s := capped(sid, m)
@@ -214,7 +214,7 @@ func TestListSelectionEdges(t *testing.T) {
 
 			g = sampleVec(stats.Laplace{Scale: 0.01}, d, int64(10*m)+int64(sid))
 			eta1 := plantFixedPoint(t, g, 123, 456, func() float64 {
-				return New(Config{SID: sid}).firstStageThreshold(g, nil, 0.25)
+				return New(Config{SID: sid}).firstStageThreshold(g, nil, nil, 0.25)
 			})
 			s = capped(sid, m)
 			stepAgainstSweep(t, what+" value == stage-1 eta", s, g, delta)
@@ -364,7 +364,7 @@ func TestListCorrectionDirections(t *testing.T) {
 	} {
 		k := compress.TargetK(len(c.g), c.delta)
 		what := fmt.Sprintf("%s: %v MaxStages=%d", c.name, c.sid, c.m)
-		before, _ := capped(c.sid, c.m).estimateThreshold(c.g, nil, c.delta, k)
+		before, _ := capped(c.sid, c.m).estimateThreshold(c.g, nil, nil, c.delta, k)
 		s := capped(c.sid, c.m)
 		sel := stepAgainstSweep(t, what, s, c.g, c.delta)
 		served := s.cur
@@ -402,7 +402,7 @@ func TestListCorrectionReadsNoGradient(t *testing.T) {
 
 		g := tensor.Clone(c.g)
 		s := capped(SIDExponential, c.m)
-		eta, used := s.estimateThreshold(g, nil, c.delta, k)
+		eta, used := s.estimateThreshold(g, nil, nil, c.delta, k)
 		onList := make([]bool, len(g))
 		for _, l := range []*exceedList{s.cur, s.prev} {
 			if l != nil {

@@ -4,6 +4,16 @@
 // Pareto), the multi-stage peak-over-threshold refinement of Section 2.4,
 // and a per-step, count-calibrated stage plan with an in-band selection
 // guarantee in place of Algorithm 1's cross-step stage controller.
+//
+// SIDCo-E's first stage reads one statistic of the gradient, Σ|g|. Where
+// the caller already has it, the stage does not sweep g for it
+// (CompressWithAbsSum, the compress.AbsSumCompressor form): under error
+// feedback on dist.Trainer's residual route — an all-Dense model, no
+// clipping — Dense's backward sums |v| of the residual's whole 4096-element
+// blocks as it adds the gradient into them, and compress.ErrorFeedback
+// sweeps only the blocks it did not cover, to the same bits. The gamma and
+// GP first stages, and SIDCo-E anywhere else (a Conv or LSTM model,
+// clipping, a gradient buffer), sweep g.
 package core
 
 import (
@@ -168,7 +178,7 @@ func (s *SIDCo) maxStages(delta float64) int {
 //
 //sidco:hotpath
 func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
-	return s.compress(dst, g, nil, delta)
+	return s.compress(dst, g, nil, nil, delta)
 }
 
 // CompressAccumulateInto implements compress.AccumulateCompressor:
@@ -180,11 +190,26 @@ func (s *SIDCo) CompressAccumulateInto(dst *tensor.Sparse, acc, g []float64, del
 	if len(acc) != len(g) {
 		panic("sidco: CompressAccumulateInto length mismatch")
 	}
-	return s.compress(dst, acc, g, delta)
+	return s.compress(dst, acc, g, nil, delta)
 }
 
-// compress is Sparsify over g, or over g += add when add is not nil.
-func (s *SIDCo) compress(dst *tensor.Sparse, g, add []float64, delta float64) error {
+// UsesAbsSum implements compress.AbsSumCompressor: SIDCo-E's first stage
+// reads Σ|g| and nothing else of g.
+func (s *SIDCo) UsesAbsSum() bool { return s.cfg.SID == SIDExponential }
+
+// CompressWithAbsSum implements compress.AbsSumCompressor: CompressInto
+// for a g whose Σ|g| the caller has (stats' block-ordered sum, bit for
+// bit), which SIDCo-E's first stage takes in place of its sweep. The other
+// families ignore it and sweep.
+//
+//sidco:hotpath
+func (s *SIDCo) CompressWithAbsSum(dst *tensor.Sparse, g []float64, sum, delta float64) error {
+	return s.compress(dst, g, nil, &sum, delta)
+}
+
+// compress is Sparsify over g, or over g += add when add is not nil; a sum
+// not nil is Σ|g|, for SIDCo-E's first stage.
+func (s *SIDCo) compress(dst *tensor.Sparse, g, add []float64, sum *float64, delta float64) error {
 	if len(g) == 0 {
 		return errEmptyGradient
 	}
@@ -195,7 +220,7 @@ func (s *SIDCo) compress(dst *tensor.Sparse, g, add []float64, delta float64) er
 		return fmt.Errorf("sidco: ratio %v outside (0, 1]", delta) //sidco:alloc input-validation error path, not steady state
 	}
 	k := compress.TargetK(len(g), delta)
-	eta, used := s.estimateThreshold(g, add, delta, k)
+	eta, used := s.estimateThreshold(g, add, sum, delta, k)
 	s.last = s.selectInBand(dst, g, eta, k)
 	s.last.Stages = used
 	return nil
@@ -214,14 +239,14 @@ func (s *SIDCo) compress(dst *tensor.Sparse, g, add []float64, delta float64) er
 // final fit extrapolates over a ratio in [Delta1, 1). The loop leaves the
 // list the last fit read in s.cur — the returned threshold is at or above
 // that list's own — and the one before it in s.prev.
-func (s *SIDCo) estimateThreshold(g, add []float64, delta float64, k int) (eta float64, used int) {
+func (s *SIDCo) estimateThreshold(g, add []float64, sum *float64, delta float64, k int) (eta float64, used int) {
 	s.cur, s.prev = nil, nil
 	maxM := s.maxStages(delta)
 	ratio := s.cfg.Delta1
 	if !(delta < ratio) || maxM == 1 {
 		ratio = delta // one stage over the whole gradient, no list
 	}
-	eta = s.firstStageThreshold(g, add, ratio)
+	eta = s.firstStageThreshold(g, add, sum, ratio)
 	if ratio == delta || !usable(eta) {
 		return eta, 1
 	}
@@ -358,10 +383,14 @@ func selectFromList(dst *tensor.Sparse, g []float64, l *exceedList, eta float64)
 
 // firstStageThreshold computes the single-stage threshold from the full
 // gradient (Thresh_Estimation in Algorithm 1) in one moment pass over g,
-// which performs g += add on the way when add is not nil.
-func (s *SIDCo) firstStageThreshold(g, add []float64, delta float64) float64 {
+// which performs g += add on the way when add is not nil. SIDCo-E given
+// sum (Σ|g|, add nil) makes no pass.
+func (s *SIDCo) firstStageThreshold(g, add []float64, sum *float64, delta float64) float64 {
 	switch s.cfg.SID {
 	case SIDExponential:
+		if sum != nil {
+			return ThresholdExp(*sum/float64(len(g)), delta)
+		}
 		return ThresholdExp(stats.AccumulateMeanAbs(g, add), delta)
 	case SIDGammaGP:
 		mu, muLog := stats.AccumulateGammaMoments(g, add)

@@ -14,13 +14,13 @@ import (
 // allocTrainer builds a trainer whose Batch callback reuses its tensors,
 // so the measurement isolates the engine's own per-step garbage. Its batch
 // of 8 is two Dense blocks.
-func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor, clip float64, tracer *telemetry.Tracer) *Trainer {
+func allocTrainer(t *testing.T, workers, hidden int, factory func() compress.Compressor, clip float64, tracer *telemetry.Tracer) *Trainer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	model := nn.NewSequential(
-		nn.NewDense("d1", 24, 16, rng),
+		nn.NewDense("d1", 24, hidden, rng),
 		&nn.ReLU{},
-		nn.NewDense("d2", 16, 4, rng),
+		nn.NewDense("d2", hidden, 4, rng),
 	)
 	const batch = 8
 	xs := make([]*nn.Tensor, workers)
@@ -70,7 +70,10 @@ func allocTrainer(t *testing.T, workers int, factory func() compress.Compressor,
 // exchange hands the mean over chunk by chunk through the closure the
 // trainer bound once. The EC cases clip (ClipNorm 5), which keeps each
 // worker's gradient buffer; the "into-residual" ones do not, so backward
-// adds the gradient into the EC residual (TrainerConfig.EC).
+// adds the gradient into the EC residual (TrainerConfig.EC). The "sums"
+// ones widen the model's hidden layer to 1024, so that its first layer's
+// rows tile four whole 4096-element blocks: backward also sums |v| of
+// those blocks for SIDCo-E's first stage (stats.AbsPartials).
 func TestStepSteadyStateAllocs(t *testing.T) {
 	sidco := func() compress.Compressor { return core.NewE() }
 	cases := []struct {
@@ -82,19 +85,23 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		traced  bool
 		dense   bool // force the dense route on a compressed trainer
 		spans   bool // exchange through spanExchange
+		sums    bool // a model whose backward carries block sums
 	}{
-		{"1worker-sidco-ec", 1, sidco, 5, 0, false, false, false},
-		{"1worker-sidco-ec-traced", 1, sidco, 5, 0, true, false, false},
-		{"1worker-sidco-ec-dense-route", 1, sidco, 5, 0, false, true, false},
-		{"1worker-sidco-ec-dense-route-traced", 1, sidco, 5, 0, true, true, false},
-		{"2workers-sidco-ec", 2, sidco, 5, 8, false, false, false},
-		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 5, 8, false, false, false},
-		{"1worker-sidco-ec-into-residual", 1, sidco, 0, 0, false, false, false},
-		{"1worker-sidco-ec-into-residual-traced", 1, sidco, 0, 0, true, false, false},
-		{"2workers-sidco-ec-into-residual", 2, sidco, 0, 8, false, false, false},
-		{"2workers-dense", 2, nil, 5, 8, false, false, false},
-		{"1worker-dense-spans-route", 1, nil, 5, 0, false, false, true},
-		{"1worker-dense-spans-route-traced", 1, nil, 5, 0, true, false, true},
+		{"1worker-sidco-ec", 1, sidco, 5, 0, false, false, false, false},
+		{"1worker-sidco-ec-traced", 1, sidco, 5, 0, true, false, false, false},
+		{"1worker-sidco-ec-dense-route", 1, sidco, 5, 0, false, true, false, false},
+		{"1worker-sidco-ec-dense-route-traced", 1, sidco, 5, 0, true, true, false, false},
+		{"2workers-sidco-ec", 2, sidco, 5, 8, false, false, false, false},
+		{"4workers-topk-ec", 4, func() compress.Compressor { return compress.NewTopK() }, 5, 8, false, false, false, false},
+		{"1worker-sidco-ec-into-residual", 1, sidco, 0, 0, false, false, false, false},
+		{"1worker-sidco-ec-into-residual-traced", 1, sidco, 0, 0, true, false, false, false},
+		{"2workers-sidco-ec-into-residual", 2, sidco, 0, 8, false, false, false, false},
+		{"1worker-sidco-ec-into-residual-sums", 1, sidco, 0, 0, false, false, false, true},
+		{"1worker-sidco-ec-into-residual-sums-traced", 1, sidco, 0, 0, true, false, false, true},
+		{"2workers-sidco-ec-into-residual-sums", 2, sidco, 0, 8, false, false, false, true},
+		{"2workers-dense", 2, nil, 5, 8, false, false, false, false},
+		{"1worker-dense-spans-route", 1, nil, 5, 0, false, false, true, false},
+		{"1worker-dense-spans-route-traced", 1, nil, 5, 0, true, false, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,9 +110,18 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			if tc.traced {
 				tracer = telemetry.New(agg, telemetry.NewJSONLForNode(io.Discard, -1))
 			}
-			tr := allocTrainer(t, tc.workers, tc.factory, tc.clip, tracer)
+			hidden := 16
+			if tc.sums {
+				hidden = 1024
+			}
+			tr := allocTrainer(t, tc.workers, hidden, tc.factory, tc.clip, tracer)
 			if into := tc.factory != nil && tc.clip == 0; tr.intoResidual != into {
 				t.Fatalf("trainer adds into the residual = %v, want %v", tr.intoResidual, into)
+			}
+			for _, w := range tr.workers {
+				if carries := tr.intoResidual; (w.sums != nil) != carries {
+					t.Fatalf("worker %d carries block sums = %v, want %v", w.id, w.sums != nil, carries)
+				}
 			}
 			if tc.dense {
 				tr.useExchange(&exchangeRecorder{})

@@ -146,23 +146,28 @@ type hiddenEC struct{ compress.Compressor }
 // run, on math.Float64bits. It covers batch sizes 1–9 (one Dense block and
 // several, with tails), one and two workers, every registry compressor
 // under error feedback, the lossless, bitmap and pairs-bf16 wires'
-// pre-rounding, and both of Dense's kernel paths.
+// pre-rounding, and both of Dense's kernel paths, on a 12-9-4 model whose
+// d = 157 holds no whole 4096-element block. Then SIDCo-E again on a
+// 16-1024-4 model, whose first layer's rows tile four whole blocks: there
+// the residual route carries Σ|v| block sums out of backward, and SIDCo-E's
+// first stage takes its sum from them.
 func TestResidualRouteMatchesBufferRoute(t *testing.T) {
 	const (
 		seed  = 5
 		steps = 4
 		delta = 0.1
 	)
-	build := func() *nn.Sequential {
+	type shape struct{ h, w, hidden int }
+	build := func(m shape) *nn.Sequential {
 		rng := rand.New(rand.NewSource(seed))
 		return nn.NewSequential(
 			&nn.Flatten{},
-			nn.NewDense("d1", 12, 9, rng),
+			nn.NewDense("d1", m.h*m.w, m.hidden, rng),
 			&nn.ReLU{},
-			nn.NewDense("d2", 9, 4, rng),
+			nn.NewDense("d2", m.hidden, 4, rng),
 		)
 	}
-	ds := data.NewImages(data.ImagesConfig{N: 64, C: 1, H: 3, W: 4, Classes: 4, Seed: seed})
+	small, blocks := shape{3, 4, 9}, shape{4, 4, 1024}
 	compressors := map[string]func() compress.Compressor{
 		"topk":      func() compress.Compressor { return compress.NewTopK() },
 		"dgc":       func() compress.Compressor { return compress.NewDGC(seed) },
@@ -175,14 +180,26 @@ func TestResidualRouteMatchesBufferRoute(t *testing.T) {
 	bitmap, bf16 := encoding.FormatBitmap, encoding.FormatPairsBF16
 	wires := map[string]*encoding.Format{"lossless": nil, "bitmap": &bitmap, "pairs-bf16": &bf16}
 
-	run := func(t *testing.T, workers, batch int, newComp func() compress.Compressor, wire *encoding.Format, hidden bool) ([]float64, []float64, [][]float64) {
+	run := func(t *testing.T, m shape, workers, batch int, newComp func() compress.Compressor, wire *encoding.Format, hidden bool) ([]float64, []float64, [][]float64) {
+		ds := data.NewImages(data.ImagesConfig{N: 64, C: 1, H: m.h, W: m.w, Classes: 4, Seed: seed})
+		var tr *Trainer
+		covered := 0 // blocks worker 0's backward summed, over the run
 		cfg := TrainerConfig{
 			Workers: workers,
-			Model:   build(),
+			Model:   build(m),
 			Loss:    &nn.SoftmaxCrossEntropy{},
 			Opt:     &nn.SGD{LR: 0.1},
 			Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
 				return ds.Batch(rng, batch)
+			},
+			OnGradient: func(_ int, g []float64) {
+				if sums := tr.workers[0].sums; sums != nil {
+					for b := 0; b*4096 < len(g); b++ {
+						if _, ok := sums.Chain(b); ok {
+							covered++
+						}
+					}
+				}
 			},
 			NewCompressor: newComp,
 			Delta:         delta,
@@ -202,8 +219,8 @@ func TestResidualRouteMatchesBufferRoute(t *testing.T) {
 				return hiddenEC{ec}
 			}
 		}
-		tr, err := NewTrainer(cfg)
-		if err != nil {
+		var err error
+		if tr, err = NewTrainer(cfg); err != nil {
 			t.Fatal(err)
 		}
 		if tr.intoResidual == hidden {
@@ -213,6 +230,9 @@ func TestResidualRouteMatchesBufferRoute(t *testing.T) {
 			if (w.flat == nil) != !hidden {
 				t.Fatalf("hidden=%v: worker %d has a gradient buffer of %d elements", hidden, w.id, len(w.flat))
 			}
+			if carries := !hidden && w.ec.Inner.Name() == "sidco-e"; (w.sums != nil) != carries {
+				t.Fatalf("hidden=%v %s: worker %d carries block sums: %v", hidden, w.comp.Name(), w.id, w.sums != nil)
+			}
 			if !hidden {
 				ecs = append(ecs, w.ec)
 			}
@@ -220,6 +240,13 @@ func TestResidualRouteMatchesBufferRoute(t *testing.T) {
 		losses, _, err := tr.Run(steps)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := 0; tr.workers[0].sums != nil && m == blocks {
+			if want = 4 * steps; covered != want {
+				t.Fatalf("worker 0's backward covered %d blocks over %d steps, want %d", covered, steps, want)
+			}
+		} else if covered != want {
+			t.Fatalf("worker 0's backward covered %d blocks, want none", covered)
 		}
 		res := make([][]float64, len(ecs))
 		for i, ec := range ecs {
@@ -234,17 +261,22 @@ func TestResidualRouteMatchesBufferRoute(t *testing.T) {
 	}
 	for path, on := range paths {
 		on(func() {
-			for name, newComp := range compressors {
-				for wireName, wire := range wires {
-					for _, workers := range []int{1, 2} {
-						for batch := 1; batch <= 9; batch++ {
-							what := fmt.Sprintf("%s/%s/%s/workers=%d/batch=%d", path, name, wireName, workers, batch)
-							gotL, gotW, gotR := run(t, workers, batch, newComp, wire, false)
-							wantL, wantW, wantR := run(t, workers, batch, newComp, wire, true)
-							bitsEqual(t, what+" losses", gotL, wantL)
-							bitsEqual(t, what+" weights", gotW, wantW)
-							for w := range wantR {
-								bitsEqual(t, fmt.Sprintf("%s residual %d", what, w), gotR[w], wantR[w])
+			for _, m := range []shape{small, blocks} {
+				for name, newComp := range compressors {
+					if m == blocks && name != "sidco-e" {
+						continue
+					}
+					for wireName, wire := range wires {
+						for _, workers := range []int{1, 2} {
+							for batch := 1; batch <= 9; batch++ {
+								what := fmt.Sprintf("%s/%d-%d-4/%s/%s/workers=%d/batch=%d", path, m.h*m.w, m.hidden, name, wireName, workers, batch)
+								gotL, gotW, gotR := run(t, m, workers, batch, newComp, wire, false)
+								wantL, wantW, wantR := run(t, m, workers, batch, newComp, wire, true)
+								bitsEqual(t, what+" losses", gotL, wantL)
+								bitsEqual(t, what+" weights", gotW, wantW)
+								for w := range wantR {
+									bitsEqual(t, fmt.Sprintf("%s residual %d", what, w), gotR[w], wantR[w])
+								}
 							}
 						}
 					}

@@ -74,6 +74,8 @@ type SparseExchange interface {
 // instead of first gathering them into agg. agg is the round's working
 // storage (the ring reduces in it), unspecified afterwards; a span may
 // alias it or a received frame, and is valid only during its apply call.
+// agg may be the only input's Dense itself, which is then unspecified
+// afterwards too (Trainer passes it when that input has no selection).
 //
 // apply runs only once the round has received its last byte, so an attempt
 // that fails, and is retried or returned, has applied nothing. A round

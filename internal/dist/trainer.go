@@ -43,6 +43,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/encoding"
 	"repro/internal/nn"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
@@ -95,7 +96,11 @@ type TrainerConfig struct {
 	// worker's gradient straight into its residual (nn.BindGradsAdding,
 	// compress.ErrorFeedback.Accumulator) and the residual is compressed
 	// as it stands: the worker keeps no gradient buffer of its own and the
-	// add costs no sweep, with the same bits. Clipping, which must see the
+	// add costs no sweep, with the same bits. When the compressor's first
+	// stage reads only Σ|v| (SIDCo-E, compress.AbsSumCompressor), backward
+	// also sums |v| of the residual's whole 4096-element blocks as it adds
+	// into them (compress.ErrorFeedback.Partials), and that stage sweeps
+	// only the blocks it did not cover. Clipping, which must see the
 	// gradient alone, and any other model keep the gradient buffer.
 	EC bool
 	// ECWire, if non-nil, additionally makes the error-feedback wrapper
@@ -168,6 +173,7 @@ type worker struct {
 	ec     *compress.ErrorFeedback    // comp when it is error feedback, else nil
 	report compress.SelectionReporter // comp's account of its selections, nil when it keeps none
 	flat   []float64                  // local gradient buffer, nil where backward adds into ec's residual; the model's Param.G alias it during and after this worker's pass
+	sums   *stats.AbsPartials         // ec's Σ|v| partials, which backward fills where it adds into the residual and the compressor takes the sum; else nil
 	sparse *tensor.Sparse             // reused compressed-selection storage
 	loss   float64
 	ratio  float64
@@ -198,7 +204,7 @@ type Trainer struct {
 	modelMu  sync.Mutex
 	ins      []ExchangeInput
 	exchange GradientExchange
-	agg      []float64 // the dense aggregate, allocated by the first dense round
+	agg      []float64 // the dense aggregate, allocated by the first round that needs it
 	// The sparse route, resolved once: both nil unless the exchange can hand
 	// back a merged sparse mean, the optimizer can apply one and every
 	// worker compresses. mean is that round's vector.
@@ -284,8 +290,10 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		}
 		t.intoResidual = t.intoResidual && ec != nil
 	}
-	if !t.intoResidual {
-		for _, w := range t.workers {
+	for _, w := range t.workers {
+		if t.intoResidual {
+			w.sums = w.ec.Partials()
+		} else {
 			w.flat = make([]float64, dim)
 		}
 	}
@@ -334,9 +342,9 @@ func (t *Trainer) Dim() int { return t.dim }
 // sidco-node digests and the bit-identity and resume tests compare. After
 // a Step each parameter's G aliases the flat gradient buffer of the last
 // worker to run its pass or, where backward adds into the residual (see
-// TrainerConfig.EC), that worker's EC residual; clipping and compression
-// have rewritten either since: read gradients through OnGradient, not
-// through G.
+// TrainerConfig.EC), that worker's EC residual; clipping, compression or
+// a ring reducing in the buffer have rewritten either since: read
+// gradients through OnGradient, not through G.
 func (t *Trainer) Params() []*nn.Param { return t.params }
 
 // localGradient runs one worker's half-step: batch draw, forward,
@@ -366,7 +374,7 @@ func (t *Trainer) localGradient(w *worker) error {
 	}
 	t.modelMu.Lock()
 	if t.intoResidual {
-		nn.BindGradsAdding(t.params, grad)
+		nn.BindGradsAdding(t.params, grad, w.sums)
 	} else {
 		nn.BindGrads(t.params, grad)
 	}
@@ -532,13 +540,22 @@ func (t *Trainer) exchangeRound() (route, error) {
 			return routeSparse, err
 		}
 	}
-	if t.agg == nil {
-		t.agg = make([]float64, t.dim) //sidco:alloc the first dense round only
-	}
 	if t.applyEx != nil {
-		if applied, err := t.applyEx.ExchangeApply(t.iter, t.ins, t.agg, t.apply); applied || err != nil {
+		// The ring reduces in the worker's own gradient when that is the
+		// round's one input: the next backward rewrites it anyway.
+		agg := t.agg
+		if len(t.ins) == 1 && t.ins[0].Sparse == nil {
+			agg = t.ins[0].Dense
+		} else if agg == nil {
+			t.agg = make([]float64, t.dim) //sidco:alloc the first round that needs it only
+			agg = t.agg
+		}
+		if applied, err := t.applyEx.ExchangeApply(t.iter, t.ins, agg, t.apply); applied || err != nil {
 			return routeSpans, err
 		}
+	}
+	if t.agg == nil {
+		t.agg = make([]float64, t.dim) //sidco:alloc the first dense round only
 	}
 	return routeDense, t.exchange.Exchange(t.iter, t.ins, t.agg)
 }

@@ -2,7 +2,10 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+
+	"repro/internal/stats"
 )
 
 // Dense is a fully-connected layer: y = x W + b, with x of shape [B, in]
@@ -14,7 +17,11 @@ type Dense struct {
 
 	x           *Tensor   // cached input
 	out, gradIn *Tensor   // reused output / input-gradient storage
-	part        []float64 // one row of partial sums, for a G added into (gradAdd)
+	part        []float64 // four rows of partial sums, for a G added into (gradAdd)
+	// A four-row backward call's x and ∂x (denseKernels.backwardRows4),
+	// here and not on the stack: a kernel called through a func value
+	// makes its pointer arguments escape.
+	xs, dx [denseRows][denseBlock]float64
 }
 
 // NewDense creates a dense layer with Glorot-uniform weights.
@@ -40,28 +47,46 @@ func (d *Dense) Name() string { return d.W.Name[:len(d.W.Name)-2] }
 // Backward walk the batch in blocks of up to this many rows so that W (and
 // ∂W in Backward) is streamed once per block rather than once per row, and
 // so that Backward's per-row ∂x dot products — serial add chains — run
-// side by side. Every sum keeps the operand order of the row-at-a-time
-// loops (over i in Forward, over b for ∂W and ∂b, over j for ∂x), so the
-// results are bit-identical to them: TestDenseKernelsMatchRowAtATime holds
-// those loops as the reference.
+// side by side. Backward's full-block kernels also take four rows of W a
+// call (denseRows), so the block of ∂y is loaded once for four rows and
+// their sixteen ∂x chains run side by side: four rows i, i+s, i+2s, i+3s,
+// at s = 1, or at s = 4096/Out — one row from each of four consecutive
+// 4096-element blocks of the flat gradient — where Backward also sums |∂W|
+// block by block (BindGradsAdding with partials). Every sum keeps the
+// operand order of the row-at-a-time loops (over i in Forward, over b for
+// ∂W and ∂b, over j for ∂x), so the results are bit-identical to them:
+// TestDenseKernelsMatchRowAtATime holds those loops as the reference.
 const denseBlock = 4
 
-// denseKernels are the kernels over one row of W that have an AVX2 body
-// (dense_amd64.s), each with its Go twin's signature.
+// denseRows is how many rows of W one full-block Backward kernel call
+// takes.
+const denseRows = 4
+
+// denseKernels are the kernels that have an AVX2 body (dense_amd64.s),
+// each with its Go twin's signature: the forward's axpys over one row of W
+// and the backward's over four rows of W and a full block of ∂y.
+//
+// backwardRows4 takes rows k = 0…3 of W at w[k*ws:], of the ∂W rows it
+// stores at dst[k*ds:] and of their partial sums at from[k*fs:] (from nil:
+// +0), each len(g)/4 wide; x[k][r] is x of batch row r at row k's input,
+// and g the four rows of ∂y, one after the other. Row k's ∂W is what
+// backward4 stores; dx[k][r] is its ∂x of batch row r; and with abs not
+// nil abs[k] += |∂W| of every value stored in row k, in index order.
+// gradWRows4 is the same without w and ∂x.
 type denseKernels struct {
-	axpy1     func(w []float64, x0 float64, o0 []float64)
-	axpy2     func(w []float64, x0, x1 float64, o0, o1 []float64)
-	axpy3     func(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64)
-	axpy4     func(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64)
-	gradW4    func(wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64)
-	backward4 func(w, wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3 []float64) (s0, s1, s2, s3 float64)
+	axpy1         func(w []float64, x0 float64, o0 []float64)
+	axpy2         func(w []float64, x0, x1 float64, o0, o1 []float64)
+	axpy3         func(w []float64, x0, x1, x2 float64, o0, o1, o2 []float64)
+	axpy4         func(w []float64, x0, x1, x2, x3 float64, o0, o1, o2, o3 []float64)
+	gradWRows4    func(dst, from []float64, ds, fs int, add bool, x *[4][4]float64, g []float64, abs *[4]float64)
+	backwardRows4 func(w, dst, from []float64, ws, ds, fs int, add bool, x *[4][4]float64, g []float64, abs *[4]float64, dx *[4][4]float64)
 }
 
 // goKernels are the Go loops below: the path on a machine without AVX2 and
 // the oracle the AVX2 bodies are tested against. Called through these
 // values they are never inlined, so each is one compiled body with one
 // operand order (package doc).
-var goKernels = denseKernels{axpy1, axpy2, axpy3, axpy4, gradW4, backward4}
+var goKernels = denseKernels{axpy1, axpy2, axpy3, axpy4, gradWRows4, backwardRows4}
 
 // kernels is what Dense calls: goKernels, or the AVX2 bodies when
 // dense_amd64.go's init finds the CPU and OS support them.
@@ -188,77 +213,192 @@ func (d *Dense) BackwardParams(gradOut *Tensor) { d.backward(gradOut, nil) }
 // taken here, so a second Backward before the next bind — TimeDistributed,
 // a layer used twice — accumulates.
 //
-// The loop runs over the inputs i, each row of ∂W taking the batch's blocks
-// in order, so a row is complete before the next begins: an added-into G
-// keeps the row's partial sums in d.part between blocks.
+// The rows of W go four to a call (denseRows), each call taking the
+// batch's blocks in order, so its rows are complete before the next call:
+// an added-into G keeps the four rows' partial sums in d.part between
+// blocks. A call takes four consecutive rows, but where the bind carries
+// block sums (sumRows): there it takes one row from each of four
+// consecutive sumBlocks, and its stores for the batch's last block add
+// |∂W| into those blocks' chains.
 func (d *Dense) backward(gradOut *Tensor, gi []float64) {
 	batch := d.x.Shape[0]
-	in, width := d.In, d.Out
-	x, gd := d.x.Data, gradOut.Data
 	modeW := d.W.takeMode()
-	k := kernels
-	d.backwardBias(gd, batch)
+	d.backwardBias(gradOut.Data, batch)
+	if modeW != gradAdd && d.W.sums != nil {
+		// A second pass into a span whose chains the first one carried.
+		d.W.sums.Forget(d.W.off, d.W.off+len(d.W.G))
+	}
 	if batch == 0 {
 		// No block will write ∂W: an empty batch's gradient is zero.
 		writeZero(d.W.G, modeW)
 		return
 	}
-	// Where each row's partial sums live between blocks: G itself, but for
-	// a G added into over more than one block.
-	var part []float64
-	if modeW == gradAdd && batch > denseBlock {
-		part = scratch(&d.part, width)
+	p := backwardPass{
+		k: kernels, x: d.x.Data, gd: gradOut.Data, gi: gi,
+		w: d.W.W, wg: d.W.G, batch: batch, in: d.In, width: d.Out, mode: modeW,
+		xs: &d.xs, dx: &d.dx,
 	}
+	if modeW == gradAdd && batch > denseBlock {
+		// Where the rows' partial sums live between blocks: G itself, but
+		// for a G added into over more than one block.
+		p.part = scratch(&d.part, denseRows*d.Out)
+	}
+	lo, hi, first := d.In, d.In, 0
+	if modeW == gradAdd && d.W.sums != nil {
+		lo, hi, first = d.sumRows()
+	}
+	p.consecutive(0, lo)
+	for b := first; lo < hi; b += denseRows {
+		stride := sumBlock / d.Out
+		chains := d.W.sums.Quad(b)
+		for i := lo; i < lo+stride; i++ {
+			p.rows(i, stride, denseRows, chains)
+		}
+		lo += denseRows * stride
+	}
+	p.consecutive(hi, d.In)
+}
+
+// sumBlock is the block of stats' Σ|v| chains (stats.AbsPartials).
+const sumBlock = stats.SumBlock
+
+// sumRows finds the rows of W whose sums backward carries: [lo, hi), from
+// the first whole sumBlock of W's span in the flat vector — block first —
+// through the last whole group of four. A layer qualifies when Out divides
+// sumBlock and its span starts at a multiple of Out, so that every whole
+// block in it is whole rows; then lo < hi. Otherwise lo == hi.
+func (d *Dense) sumRows() (lo, hi, first int) {
+	width, off := d.Out, d.W.off
+	if width == 0 || sumBlock%width != 0 || off%width != 0 {
+		return d.In, d.In, 0
+	}
+	first = (off + sumBlock - 1) / sumBlock
+	groups := ((off+len(d.W.G))/sumBlock - first) / denseRows
+	if groups <= 0 {
+		return d.In, d.In, 0
+	}
+	lo = (first*sumBlock - off) / width
+	return lo, lo + groups*denseRows*sumBlock/width, first
+}
+
+// backwardPass is one Backward's operands, shared by its calls over rows
+// of W.
+type backwardPass struct {
+	k                *denseKernels
+	x, gd, gi        []float64 // gi nil: no ∂x
+	w, wg, part      []float64 // part nil: the partial sums live in wg
+	batch, in, width int
+	mode             gradMode
+	xs, dx           *[denseRows][denseBlock]float64 // the kernels' x and ∂x
+}
+
+// consecutive runs rows [lo, hi) of W, four consecutive rows a call, the
+// last hi-lo mod 4 together.
+func (p *backwardPass) consecutive(lo, hi int) {
+	for i := lo; i < hi; i += denseRows {
+		p.rows(i, 1, min(denseRows, hi-i), nil)
+	}
+}
+
+// rows runs the n rows i, i+s, … of W (n ≤ 4) over every block of the
+// batch: four rows and four batch rows through the four-row kernels, the
+// rest through the Go loops, row by row. With abs not nil (n is 4), the
+// last block's stores add |∂W| into abs[k], row k's chain.
+func (p *backwardPass) rows(i, s, n int, abs *[4]float64) {
+	width, in := p.width, p.in
+	ws := s * width
+	wg := p.wg[i*width:]
 	var w []float64
-	for i := 0; i < in; i++ {
-		wg := d.W.G[i*width : (i+1)*width]
-		p := wg
-		if part != nil {
-			p = part
+	if p.gi != nil {
+		w = p.w[i*width:]
+	}
+	part, ps := wg, ws
+	if p.part != nil {
+		part, ps = p.part, width
+	}
+	for b0 := 0; b0 < p.batch; b0 += denseBlock {
+		nb := min(denseBlock, p.batch-b0)
+		dst, ds, from, fs, add := part, ps, part, ps, false
+		if b0 == 0 && p.mode != gradAccumulate {
+			from = nil
 		}
-		if gi != nil {
-			w = d.W.W[i*width : (i+1)*width]
+		last := b0+nb == p.batch
+		if last {
+			dst, ds, add = wg, ws, p.mode == gradAdd
 		}
-		// Block by block, the rows go into ∂W[i][j] in ascending order, and
-		// each row's ∂x dot product has its own accumulator.
-		for b0 := 0; b0 < batch; b0 += denseBlock {
-			nb := min(denseBlock, batch-b0)
-			dst, from, add := p, p, false
-			if b0 == 0 && modeW != gradAccumulate {
-				from = nil
-			}
-			if b0+nb == batch {
-				dst, add = wg, modeW == gradAdd
-			}
-			var g [denseBlock][]float64
-			for r := 0; r < nb; r++ {
-				g[r] = gd[(b0+r)*width : (b0+r+1)*width]
-			}
-			r0, r1, r2, r3 := b0*in+i, (b0+1)*in+i, (b0+2)*in+i, (b0+3)*in+i
-			if gi == nil {
-				switch nb {
-				case 1:
-					gradW1(dst, from, add, x[r0], g[0])
-				case 2:
-					gradW2(dst, from, add, x[r0], x[r1], g[0], g[1])
-				case 3:
-					gradW3(dst, from, add, x[r0], x[r1], x[r2], g[0], g[1], g[2])
-				case 4:
-					k.gradW4(dst, from, add, x[r0], x[r1], x[r2], x[r3], g[0], g[1], g[2], g[3])
+		chains := abs
+		if !last {
+			chains = nil
+		}
+		if nb < denseBlock || n < denseRows {
+			for k := range n {
+				var fk []float64
+				if from != nil {
+					fk = from[k*fs : k*fs+width]
 				}
-				continue
+				var wk []float64
+				if w != nil {
+					wk = w[k*ws : k*ws+width]
+				}
+				p.block(wk, dst[k*ds:k*ds+width], fk, add, i+k*s, b0, nb)
 			}
-			switch nb {
-			case 1:
-				gi[r0] = backward1(w, dst, from, add, x[r0], g[0])
-			case 2:
-				gi[r0], gi[r1] = backward2(w, dst, from, add, x[r0], x[r1], g[0], g[1])
-			case 3:
-				gi[r0], gi[r1], gi[r2] = backward3(w, dst, from, add, x[r0], x[r1], x[r2], g[0], g[1], g[2])
-			case 4:
-				gi[r0], gi[r1], gi[r2], gi[r3] = k.backward4(w, dst, from, add, x[r0], x[r1], x[r2], x[r3], g[0], g[1], g[2], g[3])
+			if chains != nil {
+				absChains4(chains, dst, ds, width)
+			}
+			continue
+		}
+		xs, dx := p.xs, p.dx
+		for k := range denseRows {
+			for r := range denseBlock {
+				xs[k][r] = p.x[(b0+r)*in+i+k*s]
 			}
 		}
+		g := p.gd[b0*width : (b0+denseBlock)*width]
+		if w == nil {
+			p.k.gradWRows4(dst, from, ds, fs, add, xs, g, chains)
+			continue
+		}
+		p.k.backwardRows4(w, dst, from, ws, ds, fs, add, xs, g, chains, dx)
+		for k := range denseRows {
+			for r := range denseBlock {
+				p.gi[(b0+r)*in+i+k*s] = dx[k][r]
+			}
+		}
+	}
+}
+
+// block runs row i of W (w nil: no ∂x) over the nb rows of the batch from
+// b0 through the Go loops: ∂W into dst, from from (nil: +0), added into
+// dst with add; ∂x into gi.
+func (p *backwardPass) block(w, dst, from []float64, add bool, i, b0, nb int) {
+	x, gd, gi, in, width := p.x, p.gd, p.gi, p.in, p.width
+	var g [denseBlock][]float64
+	for r := 0; r < nb; r++ {
+		g[r] = gd[(b0+r)*width : (b0+r+1)*width]
+	}
+	r0, r1, r2, r3 := b0*in+i, (b0+1)*in+i, (b0+2)*in+i, (b0+3)*in+i
+	if w == nil {
+		switch nb {
+		case 1:
+			gradW1(dst, from, add, x[r0], g[0])
+		case 2:
+			gradW2(dst, from, add, x[r0], x[r1], g[0], g[1])
+		case 3:
+			gradW3(dst, from, add, x[r0], x[r1], x[r2], g[0], g[1], g[2])
+		case 4:
+			gradW4(dst, from, add, x[r0], x[r1], x[r2], x[r3], g[0], g[1], g[2], g[3])
+		}
+		return
+	}
+	switch nb {
+	case 1:
+		gi[r0] = backward1(w, dst, from, add, x[r0], g[0])
+	case 2:
+		gi[r0], gi[r1] = backward2(w, dst, from, add, x[r0], x[r1], g[0], g[1])
+	case 3:
+		gi[r0], gi[r1], gi[r2] = backward3(w, dst, from, add, x[r0], x[r1], x[r2], g[0], g[1], g[2])
+	case 4:
+		gi[r0], gi[r1], gi[r2], gi[r3] = backward4(w, dst, from, add, x[r0], x[r1], x[r2], x[r3], g[0], g[1], g[2], g[3])
 	}
 }
 
@@ -494,6 +634,56 @@ func gradW4(wg, from []float64, add bool, x0, x1, x2, x3 float64, g0, g1, g2, g3
 		}
 		wg[j] = acc
 	}
+}
+
+// backwardRows4 and gradWRows4 are the Go twins of the four-row kernels
+// (denseKernels): backward4 and gradW4 on each of the four rows, then the
+// rows' stores into their |∂W| chains.
+
+func backwardRows4(w, dst, from []float64, ws, ds, fs int, add bool, x *[4][4]float64, g []float64, abs *[4]float64, dx *[4][4]float64) {
+	n := len(g) / 4
+	g0, g1, g2, g3 := g[:n], g[n:2*n], g[2*n:3*n], g[3*n:4*n]
+	for k := range 4 {
+		var f []float64
+		if from != nil {
+			f = from[k*fs : k*fs+n]
+		}
+		wg, xk := dst[k*ds:k*ds+n], &x[k]
+		dx[k][0], dx[k][1], dx[k][2], dx[k][3] = backward4(w[k*ws:k*ws+n], wg, f, add, xk[0], xk[1], xk[2], xk[3], g0, g1, g2, g3)
+	}
+	if abs != nil {
+		absChains4(abs, dst, ds, n)
+	}
+}
+
+func gradWRows4(dst, from []float64, ds, fs int, add bool, x *[4][4]float64, g []float64, abs *[4]float64) {
+	n := len(g) / 4
+	g0, g1, g2, g3 := g[:n], g[n:2*n], g[2*n:3*n], g[3*n:4*n]
+	for k := range 4 {
+		var f []float64
+		if from != nil {
+			f = from[k*fs : k*fs+n]
+		}
+		wg, xk := dst[k*ds:k*ds+n], &x[k]
+		gradW4(wg, f, add, xk[0], xk[1], xk[2], xk[3], g0, g1, g2, g3)
+	}
+	if abs != nil {
+		absChains4(abs, dst, ds, n)
+	}
+}
+
+// absChains4 adds |v| of rows k = 0…3 of dst, ds apart and n wide, into
+// abs[k], in index order: four sumBlocks' chains side by side.
+func absChains4(abs *[4]float64, dst []float64, ds, n int) {
+	r0, r1, r2, r3 := dst[:n], dst[ds:ds+n], dst[2*ds:2*ds+n], dst[3*ds:3*ds+n]
+	s0, s1, s2, s3 := abs[0], abs[1], abs[2], abs[3]
+	for j := range r0 {
+		s0 += math.Abs(r0[j])
+		s1 += math.Abs(r1[j])
+		s2 += math.Abs(r2[j])
+		s3 += math.Abs(r3[j])
+	}
+	abs[0], abs[1], abs[2], abs[3] = s0, s1, s2, s3
 }
 
 // Params implements Layer.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // benchLoss keeps the benchmarked pass's result live.
@@ -26,8 +28,12 @@ func onEachKernelPath(run func(path string)) {
 // the parameters to the flat gradient buffer (no clear: Dense assigns),
 // forward, loss, backward — through BackwardParams, the trainer's entry,
 // and through Backward, which also computes the first layer's ∂x — on each
-// kernel path. The microbench row under nn.fwdbwd_ms; -benchmem must read
-// 0 allocs/op.
+// kernel path. The EC rows are the trainer's error-feedback route under
+// SIDCo-E: BindGradsAdding into a residual, BackwardParams, and Σ|v| of
+// the residual for the first stage — swept after the pass (EC-sweep), or
+// from the block sums the pass carried (EC-sums), the uncovered blocks
+// swept. The microbench row under nn.fwdbwd_ms; -benchmem must read 0
+// allocs/op.
 func BenchmarkDenseFwdBwd(b *testing.B) {
 	onEachKernelPath(func(path string) { b.Run(path, benchmarkDenseFwdBwd) })
 }
@@ -46,18 +52,26 @@ func benchmarkDenseFwdBwd(b *testing.B) {
 	flat := make([]float64, ParamCount(params))
 	x := randTensor(rng, 4, 768)
 	targets := randTargets(rng, 4, 10)
+	acc := make([]float64, len(flat))
+	var sums stats.AbsPartials
+	bind := func() { BindGrads(params, flat) }
 	for _, entry := range []struct {
 		name     string
+		bind     func()
 		backward func(*Tensor)
+		after    func()
 	}{
-		{"BackwardParams", model.BackwardParams},
-		{"Backward", func(g *Tensor) { model.Backward(g) }},
+		{"BackwardParams", bind, model.BackwardParams, func() {}},
+		{"Backward", bind, func(g *Tensor) { model.Backward(g) }, func() {}},
+		{"EC-sweep", func() { BindGradsAdding(params, acc, nil) }, model.BackwardParams, func() { benchLoss = stats.MeanAbs(acc) }},
+		{"EC-sums", func() { BindGradsAdding(params, acc, &sums) }, model.BackwardParams, func() { benchLoss = sums.Total(acc) }},
 	} {
 		b.Run(entry.name, func(b *testing.B) {
 			pass := func() {
-				BindGrads(params, flat)
+				entry.bind()
 				benchLoss = loss.Forward(model.Forward(x), targets)
 				entry.backward(loss.Backward())
+				entry.after()
 			}
 			pass() // size every layer's reused buffers
 			b.SetBytes(int64(8 * len(flat)))
@@ -182,12 +196,123 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // and several, and a second call must accumulate on top. Both kernel paths
 // run it.
 func TestDenseKernelsMatchRowAtATime(t *testing.T) {
-	onEachKernelPath(func(path string) { t.Run(path, denseKernelsMatchRowAtATime) })
+	onEachKernelPath(func(path string) {
+		t.Run(path, denseKernelsMatchRowAtATime)
+		t.Run(path+"/block-sums", denseBlockSumsMatchRowAtATime)
+	})
+}
+
+// sumLayerIn is how many rows the block-sums case gives a layer of width
+// out whose W starts at off: where out divides 4096, the rows before the
+// first whole 4096-element block, two groups of four blocks and three rows
+// after (a run of blocks too short to carry sums); else nine.
+func sumLayerIn(out, off int) int {
+	if sumBlock%out != 0 {
+		return 9
+	}
+	head := ((off+sumBlock-1)/sumBlock*sumBlock - off) / out
+	return head + 2*denseRows*sumBlock/out + 3
+}
+
+// denseBlockSumsMatchRowAtATime is the adding bind with block sums
+// (BindGradsAdding with partials) at widths 1, 3, 4, 10, 12, 1000, 1024,
+// 4096 and 8192, batch 1–9, through Backward and BackwardParams: the layer
+// sits behind another layer's parameters, at offset 2·width, so its rows
+// go one apart before the first whole block and after the last group of
+// four, and 4096/width apart inside the groups where the width divides
+// 4096. ∂W, ∂b and ∂x must be the reference's added into the buffer, every
+// covered block's chain Σ|v| of the block from +0 in element order, the
+// covered blocks exactly the groups of four whole blocks, and the total
+// absSum's bit for bit. A second Backward accumulates and forgets the
+// chains.
+func denseBlockSumsMatchRowAtATime(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, out := range []int{1, 3, 4, 10, 12, 1000, 1024, 4096, 8192} {
+		in := sumLayerIn(out, 2*out)
+		for batch := 1; batch <= 9; batch++ {
+			for _, paramsOnly := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(out*100 + batch)))
+				pre, d := NewDense("pre", 1, out, rng), NewDense("d", in, out, rng)
+				params := append(pre.Params(), d.Params()...)
+				acc := make([]float64, ParamCount(params))
+				for i := range acc {
+					switch i % 7 {
+					case 0:
+						acc[i] = negZero
+					case 1:
+						acc[i] = 0
+					default:
+						acc[i] = rng.NormFloat64()
+					}
+				}
+				off := 2 * out
+				accW := append([]float64(nil), acc[off:off+in*out]...)
+				accB := append([]float64(nil), acc[off+in*out:]...)
+				var sums stats.AbsPartials
+				BindGradsAdding(params, acc, &sums)
+				for call := 0; call < 2; call++ {
+					x := &Tensor{Shape: []int{batch, in}, Data: postReLUInput(rng, batch, in)}
+					gradOut := randTensor(rng, batch, out)
+					gradOut.Data[rng.Intn(len(gradOut.Data))] = negZero
+					d.Forward(x)
+					name := fmt.Sprintf("out=%d in=%d batch=%d paramsOnly=%v call=%d: ", out, in, batch, paramsOnly, call)
+					var refWG, refBG []float64
+					if call == 0 {
+						refWG, refBG = make([]float64, in*out), make([]float64, out)
+					} else {
+						refWG, refBG = append([]float64(nil), d.W.G...), append([]float64(nil), d.B.G...)
+					}
+					wantGI := refDenseBackward(in, out, d.W.W, refWG, refBG, x.Data, gradOut.Data, batch)
+					if call == 0 {
+						for i := range refWG {
+							refWG[i] = accW[i] + refWG[i]
+						}
+						for j := range refBG {
+							refBG[j] = accB[j] + refBG[j]
+						}
+					}
+					if paramsOnly {
+						d.BackwardParams(gradOut)
+					} else {
+						bitsEqual(t, name+"gradIn", d.Backward(gradOut).Data, wantGI)
+					}
+					bitsEqual(t, name+"W.G", d.W.G, refWG)
+					bitsEqual(t, name+"B.G", d.B.G, refBG)
+
+					covered := 0
+					for b := 0; b*sumBlock < len(acc); b++ {
+						got, ok := sums.Chain(b)
+						if !ok {
+							continue
+						}
+						covered++
+						want := 0.0
+						for _, v := range acc[b*sumBlock : (b+1)*sumBlock] {
+							want += math.Abs(v)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%sblock %d chain %v, Σ|v| in element order %v", name, b, got, want)
+						}
+					}
+					wantCovered := 0
+					if call == 0 && sumBlock%out == 0 {
+						wantCovered = 2 * denseRows
+					}
+					if covered != wantCovered {
+						t.Fatalf("%s%d blocks covered, want %d", name, covered, wantCovered)
+					}
+					if got, want := sums.Total(acc), new(stats.AbsPartials).Total(acc); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%sTotal %v, absSum %v", name, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func denseKernelsMatchRowAtATime(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	sizes := []int{1, 3, 10, 64, 65}
+	sizes := []int{1, 3, 4, 10, 12, 64, 65}
 	for _, in := range sizes {
 		for _, out := range sizes {
 			for batch := 1; batch <= 9; batch++ {
@@ -288,7 +413,7 @@ func denseKernelsMatchRowAtATime(t *testing.T) {
 						}
 					}
 					accW, accB := append([]float64(nil), acc[:in*out]...), append([]float64(nil), acc[in*out:]...)
-					BindGradsAdding(d.Params(), acc)
+					BindGradsAdding(d.Params(), acc, nil)
 					for call := 0; call < 2; call++ {
 						x := &Tensor{Shape: []int{batch, in}, Data: postReLUInput(rng, batch, in)}
 						gradOut := randTensor(rng, batch, out)
@@ -323,6 +448,80 @@ func denseKernelsMatchRowAtATime(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBackwardBlockSumsMatchAbsSum runs one pass the way dist.Trainer does
+// on its error-feedback route under SIDCo-E — BindGradsAdding onto a
+// residual with partials, forward, loss, BackwardParams — on three
+// layouts: the step benchmark's model (768-1024-1024-10, batch 4), the
+// demo's (16-12-4, d = 256: no whole block) and one whose second layer's
+// W starts at an offset that is not a multiple of its width (32-512-1024-10).
+// On both kernel paths the residual must be, bit for bit, what the same
+// pass without partials leaves; the partials' total absSum's over it, bit
+// for bit; and the blocks covered those the layouts' widths and offsets
+// allow: 444 of the benchmark's 452 (its first layer's 192, and 252 of the
+// 255 whole blocks of its second's, in groups of four), none of the demo's,
+// and 4 (the first layer's) of the third's.
+func TestBackwardBlockSumsMatchAbsSum(t *testing.T) {
+	cases := []struct {
+		name    string
+		widths  []int
+		batch   int
+		covered int
+	}{
+		{"bench", []int{768, 1024, 1024, 10}, 4, 444},
+		{"demo", []int{16, 12, 4}, 8, 0},
+		{"offset-not-multiple", []int{32, 512, 1024, 10}, 5, 4},
+	}
+	for _, tc := range cases {
+		onEachKernelPath(func(path string) {
+			t.Run(tc.name+"/"+path, func(t *testing.T) {
+				build := func() *Sequential {
+					rng := rand.New(rand.NewSource(11))
+					var layers []Layer
+					for i := 0; i+1 < len(tc.widths); i++ {
+						if i > 0 {
+							layers = append(layers, &ReLU{})
+						}
+						layers = append(layers, NewDense(fmt.Sprintf("d%d", i+1), tc.widths[i], tc.widths[i+1], rng))
+					}
+					return NewSequential(layers...)
+				}
+				withSums, without := build(), build()
+				rng := rand.New(rand.NewSource(12))
+				x, targets := randTensor(rng, tc.batch, tc.widths[0]), randTargets(rng, tc.batch, tc.widths[len(tc.widths)-1])
+				acc := make([]float64, ParamCount(withSums.Params()))
+				for i := range acc {
+					acc[i] = rng.NormFloat64()
+				}
+				plain := append([]float64(nil), acc...)
+				var sums stats.AbsPartials
+				for _, run := range []struct {
+					model *Sequential
+					acc   []float64
+					sums  *stats.AbsPartials
+				}{{withSums, acc, &sums}, {without, plain, nil}} {
+					BindGradsAdding(run.model.Params(), run.acc, run.sums)
+					loss := &SoftmaxCrossEntropy{}
+					loss.Forward(run.model.Forward(x), targets)
+					run.model.BackwardParams(loss.Backward())
+				}
+				bitsEqual(t, "residual", acc, plain)
+				if got, want := sums.Total(acc), new(stats.AbsPartials).Total(acc); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Total %v, absSum %v", got, want)
+				}
+				covered := 0
+				for b := 0; b*sumBlock < len(acc); b++ {
+					if _, ok := sums.Chain(b); ok {
+						covered++
+					}
+				}
+				if covered != tc.covered {
+					t.Fatalf("%d of %d blocks covered, want %d", covered, (len(acc)+sumBlock-1)/sumBlock, tc.covered)
+				}
+			})
+		})
 	}
 }
 

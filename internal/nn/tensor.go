@@ -7,11 +7,16 @@
 // checks) comes first. It is also the largest layer of a training step
 // (nn.fwdbwd_ms in the step benchmark), so the one layer every workload
 // runs, Dense, is blocked over the batch (dense.go: W and ∂W streamed once
-// per four rows, not once per row), gradients land straight in the
+// per four rows, not once per row) and its backward over W (four rows of W
+// a call, so each block of ∂y is loaded once for four rows and sixteen ∂x
+// sums run side by side), gradients land straight in the
 // caller's flat vector and ∂W is written once, not cleared and then
 // accumulated (BindGrads) — or, for a caller that wants the gradient added
 // into a vector it keeps, such as error feedback's residual, summed from +0
-// and added into it once (BindGradsAdding) — and the first layer's unread
+// and added into it once (BindGradsAdding), which can also sum |v| of the
+// vector block by block as the backward stores it (stats.AbsPartials: the
+// four rows of a call are then one from each of four consecutive
+// 4096-element blocks, 4096/Out rows apart) — and the first layer's unread
 // ∂x is not computed (Sequential.BackwardParams). None of it changes a bit
 // of any result: the kernels are held to the row-at-a-time loops on
 // math.Float64bits by TestDenseKernelsMatchRowAtATime.
@@ -24,13 +29,20 @@
 // then an add rounded, never a fused multiply-add — and with each
 // operation's two operands in the order the Go compiler emits them in an
 // optimised, uninstrumented build, which decides the result's payload when
-// both are NaNs. ∂W's lanes are four
-// consecutive j; the ∂x dot products' lanes are the four batch rows, each
-// still summed over j in ascending order. TestAVX2KernelsMatchGo holds
-// each body to its Go twin, and the model-level tests run on both paths.
+// both are NaNs. ∂W's lanes are four consecutive j; the ∂x dot products'
+// lanes are the four batch rows (∂y transposed in registers once per four
+// j, for the four rows of W), each still summed over j in ascending order;
+// the |∂W| chains' lanes are the four rows, so the four blocks. Rows left
+// over from the groups of four and batch blocks of fewer than four rows
+// run the Go loops on both paths. TestAVX2KernelsMatchGo holds each body
+// to its Go twin, and the model-level tests run on both paths.
 package nn
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // Tensor is a dense n-dimensional array in row-major order.
 type Tensor struct {
@@ -146,6 +158,10 @@ type Param struct {
 	// mode is how the owning layer's next Backward writes G. Only the binds
 	// set it to anything but gradAccumulate, and only on whole parameters.
 	mode gradMode
+	// sums, when BindGradsAdding was given partials, are the Σ|v| chains
+	// of the vector G is a span of, from element off; nil otherwise.
+	sums *stats.AbsPartials
+	off  int
 }
 
 // gradMode is how a layer's Backward writes a parameter's gradient.
@@ -201,7 +217,7 @@ func BindGrads(params []*Param, flat []float64) {
 		panic("nn: BindGrads size mismatch")
 	}
 	for _, p := range params {
-		p.mode = gradAccumulate
+		p.mode, p.sums = gradAccumulate, nil
 	}
 	off := 0
 	for _, p := range params {
@@ -248,7 +264,15 @@ func CanBindAdding(params []*Param) bool {
 // the compiler's choice of operand order (the package doc). acc is not
 // cleared; a second Backward before the next bind accumulates on top. It
 // panics unless CanBindAdding(params).
-func BindGradsAdding(params []*Param, acc []float64) {
+//
+// With sums not nil, the bind also Resets sums for acc, and each Dense
+// whose rows tile whole 4096-element blocks of acc — Out divides 4096 and
+// its W starts at a multiple of Out — sums |v| of those blocks as its
+// Backward stores them, four blocks at a time: after the pass,
+// sums.Total(acc) is Σ|acc| with no sweep over those blocks (error
+// feedback's first stage under SIDCo-E). A second Backward into a span
+// forgets its blocks' chains.
+func BindGradsAdding(params []*Param, acc []float64, sums *stats.AbsPartials) {
 	if len(acc) != ParamCount(params) {
 		panic("nn: BindGradsAdding size mismatch")
 	}
@@ -262,8 +286,11 @@ func BindGradsAdding(params []*Param, acc []float64) {
 		}
 		n := len(p.W)
 		p.G = acc[off : off+n : off+n]
-		p.mode = gradAdd
+		p.mode, p.sums, p.off = gradAdd, sums, off
 		off += n
+	}
+	if sums != nil {
+		sums.Reset(len(acc))
 	}
 }
 

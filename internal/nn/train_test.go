@@ -406,7 +406,7 @@ func TestBindGradsAdding(t *testing.T) {
 		acc := make([]float64, ParamCount(tc.params))
 		panicked := func() (p bool) {
 			defer func() { p = recover() != nil }()
-			BindGradsAdding(tc.params, acc)
+			BindGradsAdding(tc.params, acc, nil)
 			return false
 		}()
 		if panicked == tc.ok {
@@ -418,7 +418,7 @@ func TestBindGradsAdding(t *testing.T) {
 			t.Error("BindGradsAdding accepted a buffer of the wrong length")
 		}
 	}()
-	BindGradsAdding(d.Params(), make([]float64, 7))
+	BindGradsAdding(d.Params(), make([]float64, 7), nil)
 }
 
 // TestClipGradNorm: ClipFlatNorm rescales a flat gradient to the norm

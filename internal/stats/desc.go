@@ -281,6 +281,11 @@ func AccumulateMeanAbs(acc, g []float64) float64 {
 // four keep it busy and keep four streams in flight. The last
 // len%(4·sumBlock) elements go block by block through absKernel.
 //
+// It has a second producer, bit for bit: AbsPartials.Total, whose covered
+// blocks' chains the code that wrote the vector summed as it stored each
+// value (Dense's backward on error feedback's residual, four blocks a
+// call), and whose other blocks it sums with these kernels.
+//
 //sidco:hotpath
 func absSum(acc, g []float64) float64 {
 	if g != nil {
